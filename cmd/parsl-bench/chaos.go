@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 
 	"repro/internal/workload"
 )
@@ -13,41 +14,38 @@ import (
 // the invariant verdict. The same seed always replays the same schedule, so
 // a failing seed printed here is a complete reproduction recipe:
 //
-//	parsl-bench chaos -seed <n>
+//	parsl-bench -seed <n> chaos
 //	CHAOS_SEEDS=<n> go test ./internal/workload/ -run TestChaosRecoverySeeds -race
-func runChaos(seeds []int64, tasks int, verbose bool) error {
+func runChaos(o options) error {
 	ckptDir, err := os.MkdirTemp("", "parsl-chaos")
 	if err != nil {
 		return err
 	}
 	defer os.RemoveAll(ckptDir)
 
-	failed := 0
-	for _, seed := range seeds {
+	seeds := o.seeds()
+	failed, err := runMatrix("seed", seeds, func(seed int64) (string, []string, error) {
 		res, err := workload.RunChaos(workload.ChaosConfig{
 			Seed:       seed,
-			Tasks:      tasks,
+			Tasks:      o.tasks,
 			Checkpoint: filepath.Join(ckptDir, fmt.Sprintf("seed%d.ckpt", seed)),
 		})
 		if err != nil {
-			return fmt.Errorf("seed %d: %w", seed, err)
+			return "", nil, err
 		}
-		verdict := "PASS"
-		if len(res.Violations) > 0 {
-			verdict = "FAIL"
-			failed++
-		}
-		fmt.Printf("%s seed %-8d submitted %4d  done %4d  memoized %3d  failed %2d  executions %4d  retried %3d  faults %3d  %v\n",
-			verdict, seed, res.Submitted, res.Done, res.Memoized, res.Failed,
+		var line strings.Builder
+		fmt.Fprintf(&line, "seed %-8d submitted %4d  done %4d  memoized %3d  failed %2d  executions %4d  retried %3d  faults %3d  %v",
+			seed, res.Submitted, res.Done, res.Memoized, res.Failed,
 			res.Executions, res.Retried, len(res.Events), res.Elapsed.Round(1e6))
-		if verbose || len(res.Violations) > 0 {
+		if o.verbose || len(res.Violations) > 0 {
 			for _, e := range res.Events {
-				fmt.Printf("    fault: %s\n", e)
+				fmt.Fprintf(&line, "\n    fault: %s", e)
 			}
 		}
-		for _, v := range res.Violations {
-			fmt.Printf("    VIOLATION: %s\n", v)
-		}
+		return line.String(), res.Violations, nil
+	})
+	if err != nil {
+		return err
 	}
 	if failed > 0 {
 		return fmt.Errorf("%d of %d seeds violated recovery invariants", failed, len(seeds))

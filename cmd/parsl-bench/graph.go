@@ -1,23 +1,21 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 
 	"repro/internal/workload"
 )
 
 // runGraph builds and drains the windowed-chain DAG (default one million
 // nodes), reporting makespan, throughput, peak RSS, and the recycling
-// evidence. With rssBudget > 0 the run fails when peak RSS exceeds
-// rssBaseMB + nodes×rssBudget bytes — the CI memory bar proving that
-// steady-state memory tracks the live frontier, not the total task count.
-// With jsonPath set the full GraphResult is written there for artifacts.
-func runGraph(nodes int, jsonPath string, rssBudget float64, rssBaseMB int) error {
-	base := int64(rssBaseMB) << 20
+// evidence. With -graph-rss-budget > 0 the run fails when peak RSS exceeds
+// base + nodes×budget bytes — the CI memory bar proving that steady-state
+// memory tracks the live frontier, not the total task count. With -json set
+// the full GraphResult is written there for artifacts.
+func runGraph(o options) error {
+	base := int64(o.rssBaseMB) << 20
 	res, err := workload.RunGraph(workload.GraphConfig{
-		Nodes:        nodes,
+		Nodes:        o.tasks,
 		RSSBaseBytes: base,
 	})
 	if err != nil {
@@ -26,26 +24,19 @@ func runGraph(nodes int, jsonPath string, rssBudget float64, rssBaseMB int) erro
 	fmt.Printf("drained %d-node DAG (%d chains × window %d, %d edges) in %.0f ms — %.0f tasks/s\n",
 		res.Nodes, res.Chains, res.Window, res.Edges, res.MakespanMs, res.TasksPerSec)
 	fmt.Printf("peak RSS %.1f MiB (%.1f B/task over a %d MiB base)  live frontier max %d  recycled %d  allocs/task %.1f\n",
-		float64(res.PeakRSSBytes)/(1<<20), res.RSSPerTask, rssBaseMB,
+		float64(res.PeakRSSBytes)/(1<<20), res.RSSPerTask, o.rssBaseMB,
 		res.LiveNodesMax, res.RecycledNodes, res.AllocsPerTask)
-	if int64(res.RecycledNodes) != int64(res.Nodes) {
+	if res.RecycledNodes != int64(res.Nodes) {
 		return fmt.Errorf("recycled %d of %d records — graph reclamation leaked", res.RecycledNodes, res.Nodes)
 	}
-	if jsonPath != "" {
-		b, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(jsonPath, append(b, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", jsonPath)
+	if err := writeJSON(o.jsonPath, res); err != nil {
+		return err
 	}
-	if rssBudget > 0 {
-		limit := base + int64(rssBudget*float64(nodes))
+	if o.rssBudget > 0 {
+		limit := base + int64(o.rssBudget*float64(res.Nodes))
 		if res.PeakRSSBytes > limit {
 			return fmt.Errorf("peak RSS %d B exceeds budget %d B (%d MiB base + %.1f B/task × %d tasks)",
-				res.PeakRSSBytes, limit, rssBaseMB, rssBudget, nodes)
+				res.PeakRSSBytes, limit, o.rssBaseMB, o.rssBudget, res.Nodes)
 		}
 		fmt.Printf("RSS budget ok: %d B ≤ %d B\n", res.PeakRSSBytes, limit)
 	}

@@ -1,9 +1,7 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"time"
 
 	"repro/internal/workload"
@@ -16,49 +14,37 @@ import (
 // kills, and no task is lost or double-delivered. A failing seed printed
 // here is a complete reproduction recipe:
 //
-//	parsl-bench health -seed <s>
+//	parsl-bench -seed <s> health
 //	go test ./internal/workload/ -run TestHealthScenarioSeeds -race
-func runHealth(seeds []int64, tasks int, jsonPath string) error {
-	fmt.Printf("%d bulk tasks + 1 poison task per seed; seeds %v\n\n", tasks, seeds)
-	fmt.Printf("%-8s %-6s %-6s %-6s %-7s %-9s %-9s %-12s %s\n",
-		"verdict", "seed", "done", "kills", "poison", "backoffs", "retried", "maxlaunches", "elapsed")
+func runHealth(o options) error {
+	seeds := o.seeds()
+	fmt.Printf("bulk tasks + 1 poison task per seed; seeds %v\n\n", seeds)
+	fmt.Printf("%-8s %-6s %-10s %-6s %-6s %-7s %-9s %-9s %-12s %s\n",
+		"verdict", "seed", "submitted", "done", "kills", "poison", "backoffs", "retried", "maxlaunches", "elapsed")
 	type row struct {
 		Seed int64 `json:"seed"`
 		workload.HealthResult
 	}
 	rows := make([]row, 0, len(seeds))
-	failed := 0
-	for _, seed := range seeds {
-		res, err := workload.RunHealth(workload.HealthConfig{Seed: seed, Tasks: tasks})
+	failed, err := runMatrix("seed", seeds, func(seed int64) (string, []string, error) {
+		res, err := workload.RunHealth(workload.HealthConfig{Seed: seed, Tasks: o.tasks})
 		if err != nil {
-			return fmt.Errorf("seed %d: %w", seed, err)
+			return "", nil, err
 		}
 		// The fired-fault log is bulky and reproducible from the seed; keep
 		// the JSON artifact focused on outcomes.
 		res.Events = nil
 		rows = append(rows, row{Seed: seed, HealthResult: res})
-		verdict := "PASS"
-		if len(res.Violations) > 0 {
-			verdict = "FAIL"
-			failed++
-		}
-		fmt.Printf("%-8s %-6d %-6d %-6d %-7d %-9d %-9d %-12d %v\n",
-			verdict, seed, res.Done, res.Kills, len(res.PoisonKills),
-			res.Backoffs, res.Retried, res.MaxLaunches, res.Elapsed.Round(time.Millisecond))
-		fmt.Printf("    breaker: %v\n", res.Transitions)
-		for _, v := range res.Violations {
-			fmt.Printf("    VIOLATION: %s\n", v)
-		}
+		return fmt.Sprintf("%-6d %-10d %-6d %-6d %-7d %-9d %-9d %-12d %v\n    breaker: %v",
+			seed, res.Submitted, res.Done, res.Kills, len(res.PoisonKills),
+			res.Backoffs, res.Retried, res.MaxLaunches, res.Elapsed.Round(time.Millisecond),
+			res.Transitions), res.Violations, nil
+	})
+	if err != nil {
+		return err
 	}
-	if jsonPath != "" {
-		b, err := json.MarshalIndent(rows, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(jsonPath, append(b, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("\nwrote %s\n", jsonPath)
+	if err := writeJSON(o.jsonPath, rows); err != nil {
+		return err
 	}
 	if failed > 0 {
 		return fmt.Errorf("%d of %d seeds violated self-healing invariants", failed, len(seeds))

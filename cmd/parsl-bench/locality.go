@@ -1,9 +1,7 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"time"
 
 	"repro/internal/workload"
@@ -15,12 +13,12 @@ import (
 // routes repeat digests to their advertised holders. The headline numbers —
 // warm re-executions and warm bytes moved — must both be zero; the JSON
 // artifact carries the warm-vs-cold hit-rate bar for the trend gate.
-func runLocality(seed int64, tasks int, jsonPath string) error {
-	fmt.Printf("locality: %d inputs, cold run + warm cross-process replay + digest routing\n\n", tasks)
-	res, err := workload.RunLocality(workload.LocalityConfig{Seed: seed, Tasks: tasks})
+func runLocality(o options) error {
+	res, err := workload.RunLocality(workload.LocalityConfig{Seed: 7, Tasks: o.tasks})
 	if err != nil {
 		return err
 	}
+	fmt.Printf("locality: %d inputs, cold run + warm cross-process replay + digest routing\n\n", res.Tasks)
 
 	fmt.Printf("%-6s %-12s %-10s %-14s %s\n", "run", "executions", "fetches", "bytes_moved", "hit_rate")
 	fmt.Printf("%-6s %-12d %-10d %-14d %s\n", "cold", res.ColdExecutions, res.ColdFetches, res.ColdBytesFetched, "-")
@@ -34,36 +32,28 @@ func runLocality(seed int64, tasks int, jsonPath string) error {
 		fmt.Printf("    VIOLATION: %s\n", v)
 	}
 
-	if jsonPath != "" {
-		out := struct {
-			Tasks            int     `json:"tasks"`
-			ColdExecutions   int     `json:"cold_executions"`
-			WarmExecutions   int     `json:"warm_executions"`
-			ColdBytesFetched int64   `json:"cold_bytes_fetched"`
-			WarmBytesMoved   int64   `json:"warm_bytes_moved"`
-			WarmHitRate      float64 `json:"warm_hit_rate"`
-			RouteHits        int64   `json:"route_hits"`
-			RouteMisses      int64   `json:"route_misses"`
-			RoutedToHolder   int     `json:"routed_to_holder"`
-			RoutedElsewhere  int     `json:"routed_elsewhere"`
-			StaleRerunOK     bool    `json:"stale_rerun_ok"`
-			Violations       int     `json:"violations"`
-			ElapsedMs        float64 `json:"elapsed_ms"`
-		}{
-			res.Tasks, res.ColdExecutions, res.WarmExecutions,
-			res.ColdBytesFetched, res.WarmBytesMoved, res.WarmHitRate,
-			res.RouteHits, res.RouteMisses, res.RoutedToHolder, res.RoutedElsewhere,
-			res.StaleRerunOK, len(res.Violations),
-			float64(res.Elapsed.Microseconds()) / 1e3,
-		}
-		b, err := json.MarshalIndent(out, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(jsonPath, append(b, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("\nwrote %s\n", jsonPath)
+	if err := writeJSON(o.jsonPath, struct {
+		Tasks            int     `json:"tasks"`
+		ColdExecutions   int     `json:"cold_executions"`
+		WarmExecutions   int     `json:"warm_executions"`
+		ColdBytesFetched int64   `json:"cold_bytes_fetched"`
+		WarmBytesMoved   int64   `json:"warm_bytes_moved"`
+		WarmHitRate      float64 `json:"warm_hit_rate"`
+		RouteHits        int64   `json:"route_hits"`
+		RouteMisses      int64   `json:"route_misses"`
+		RoutedToHolder   int     `json:"routed_to_holder"`
+		RoutedElsewhere  int     `json:"routed_elsewhere"`
+		StaleRerunOK     bool    `json:"stale_rerun_ok"`
+		Violations       int     `json:"violations"`
+		ElapsedMs        float64 `json:"elapsed_ms"`
+	}{
+		res.Tasks, res.ColdExecutions, res.WarmExecutions,
+		res.ColdBytesFetched, res.WarmBytesMoved, res.WarmHitRate,
+		res.RouteHits, res.RouteMisses, res.RoutedToHolder, res.RoutedElsewhere,
+		res.StaleRerunOK, len(res.Violations),
+		float64(res.Elapsed.Microseconds()) / 1e3,
+	}); err != nil {
+		return err
 	}
 
 	if len(res.Violations) > 0 {

@@ -1,21 +1,7 @@
 // Command parsl-bench regenerates every table and figure in the paper's
-// evaluation (§5):
-//
-//	parsl-bench latency      Fig. 3  — task-latency distributions per executor
-//	parsl-bench strong       Fig. 4  — strong scaling (50k tasks, 0/10/100/1000 ms)
-//	parsl-bench weak         Fig. 4  — weak scaling (10 tasks/worker)
-//	parsl-bench maxworkers   Table 2 — maximum workers / nodes per framework
-//	parsl-bench throughput   Table 2 — tasks/second per framework
-//	parsl-bench elasticity   Fig. 5/6 — utilization with and without elasticity
-//	parsl-bench submission   priority dispatch + cancellation through App.Submit
-//	parsl-bench noisy        multi-tenant fairness + bounded admission under a burst
-//	parsl-bench chaos        fault-injection scenarios: recovery invariants under a seeded schedule
-//	parsl-bench graph        million-task DAG drain: makespan, peak RSS, record recycling
-//	parsl-bench wal          durable-log crash matrix: exactly-once recovery, recovery time
-//	parsl-bench health       self-healing: kill-storm recovery, breaker failover, poison quarantine
-//	parsl-bench shard        sharded control plane: kill-one-shard failover, throughput scaling
-//	parsl-bench locality     data-aware scheduling: shared result cache, warm-replay zeros, digest routing
-//	parsl-bench all          everything above
+// evaluation (§5) and drives the recovery scenarios; `parsl-bench -h` lists
+// them (the scenarios table below is the one source), `parsl-bench all` runs
+// everything.
 //
 // Latency, throughput-at-laptop-scale, and elasticity run on the real
 // executors (goroutine workers over the in-memory network); the Blue
@@ -24,125 +10,148 @@
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 )
 
+// options are the parsed flags, handed to whichever scenarios run.
+type options struct {
+	tasks       int
+	full        bool
+	timeScaleMs int
+	seed        int64
+	verbose     bool
+	jsonPath    string
+	rssBudget   float64
+	rssBaseMB   int
+	shardBar    float64
+}
+
+// tasksOr is -tasks for the scenarios whose workload config has no default of
+// its own; the rest pass o.tasks through and let 0 pick the config's default.
+func (o options) tasksOr(def int) int {
+	if o.tasks > 0 {
+		return o.tasks
+	}
+	return def
+}
+
+// seeds is the seed matrix of the seeded scenarios (chaos, health, shard).
+func (o options) seeds() []int64 {
+	if o.seed != 0 {
+		return []int64{o.seed}
+	}
+	return []int64{1, 2, 3, 4, 5}
+}
+
+// scenarios is the one table behind `parsl-bench <name>`, `all`, and -h.
+var scenarios = []struct {
+	name, about string
+	artifact    bool // honours -json
+	run         func(o options) error
+}{
+	{"latency", "Fig. 3 — task-latency distributions per executor", false, func(o options) error { return runLatency(o.tasksOr(1000)) }},
+	{"strong", "Fig. 4 (top) — strong scaling (50k tasks, 0/10/100/1000 ms)", false, func(o options) error { return runStrong(o.full) }},
+	{"weak", "Fig. 4 (bottom) — weak scaling (10 tasks/worker)", false, func(o options) error { return runWeak(o.full) }},
+	{"maxworkers", "Table 2 — maximum workers / nodes per framework", false, func(options) error { return runMaxWorkers() }},
+	{"throughput", "Table 2 — tasks/second per framework", false, func(options) error { return runThroughput() }},
+	{"elasticity", "Fig. 5/6 — utilization with and without elasticity", false, func(o options) error { return runElasticity(o.timeScaleMs) }},
+	{"submission", "priority dispatch + cancellation through App.Submit", false, func(o options) error { return runSubmission(o.tasksOr(1000)) }},
+	{"noisy", "multi-tenant fairness + bounded admission under a burst", false, func(o options) error { return runNoisy(o.tasks) }},
+	{"chaos", "fault injection: recovery invariants under a seeded schedule", false, runChaos},
+	{"graph", "million-task DAG drain: makespan, peak RSS, record recycling", true, runGraph},
+	{"wal", "durable-log crash matrix: exactly-once recovery, recovery time", false, runWAL},
+	{"health", "self-healing: kill-storm recovery, breaker failover, poison quarantine", true, runHealth},
+	{"shard", "sharded control plane: kill-one-shard failover, throughput scaling", true, runShard},
+	{"locality", "data-aware scheduling: shared result cache, warm-replay zeros, digest routing", true, runLocality},
+}
+
 func main() {
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: parsl-bench [flags] <latency|strong|weak|maxworkers|throughput|elasticity|submission|noisy|chaos|graph|wal|health|shard|locality|all>\n")
+		fmt.Fprintln(os.Stderr, "usage: parsl-bench [flags] <scenario|all>")
+		for _, sc := range scenarios {
+			fmt.Fprintf(os.Stderr, "  %-11s %s\n", sc.name, sc.about)
+		}
 		flag.PrintDefaults()
 	}
-	tasks := flag.Int("tasks", 1000, "tasks for the latency experiment")
-	burst := flag.Int("burst", 10000, "noisy: burst-tenant task count")
-	full := flag.Bool("full", false, "run full-scale sweeps (up to 262144 simulated workers)")
-	timeScaleMs := flag.Int("timescale", 8, "elasticity: wall milliseconds per paper second")
-	chaosSeed := flag.Int64("seed", 0, "chaos: run a single seed (0 = the default 1..5 matrix)")
-	chaosTasks := flag.Int("chaos-tasks", 240, "chaos: tasks per seed")
-	chaosVerbose := flag.Bool("chaos-verbose", false, "chaos: print the fired fault schedule even on PASS")
-	graphNodes := flag.Int("graph-nodes", 1_000_000, "graph: total DAG node count")
-	graphJSON := flag.String("graph-json", "", "graph: write the result JSON to this path")
-	graphRSSBudget := flag.Float64("graph-rss-budget", 0, "graph: fail if peak RSS exceeds base + this many bytes per task (0 = report only)")
-	graphRSSBase := flag.Int("graph-rss-base-mb", 256, "graph: fixed RSS allowance (MiB) excluded from the per-task budget")
-	walTasks := flag.Int("wal-tasks", 8, "wal: tasks per crash boundary")
-	healthTasks := flag.Int("health-tasks", 160, "health: bulk tasks per seed")
-	healthJSON := flag.String("health-json", "", "health: write the result JSON to this path")
-	shardTasks := flag.Int("shard-tasks", 160, "shard: failover tasks per seed")
-	shardJSON := flag.String("shard-json", "", "shard: write the result JSON to this path")
-	shardBar := flag.Float64("shard-bar", 0, "shard: fail if 4-shard throughput scaling falls below this ratio (0 = report only; needs ≥4 cores)")
-	localityTasks := flag.Int("locality-tasks", 16, "locality: distinct inputs per phase")
-	localityJSON := flag.String("locality-json", "", "locality: write the result JSON to this path")
+	var o options
+	flag.IntVar(&o.tasks, "tasks", 0, "workload size: tasks per run, seed or crash boundary; noisy: the burst; graph: DAG nodes (0 = the scenario's own default)")
+	flag.BoolVar(&o.full, "full", false, "strong, weak: run full-scale sweeps (up to 262144 simulated workers)")
+	flag.IntVar(&o.timeScaleMs, "timescale", 8, "elasticity: wall milliseconds per paper second")
+	flag.Int64Var(&o.seed, "seed", 0, "chaos, health, shard: run this one seed (0 = the 1..5 matrix); wal: the seed the sampled crash boundaries derive from (0 = 1)")
+	flag.BoolVar(&o.verbose, "chaos-verbose", false, "chaos: print the fired fault schedule even on PASS")
+	flag.StringVar(&o.jsonPath, "json", "", "graph, health, shard, locality: write the result artifact to this path")
+	flag.Float64Var(&o.rssBudget, "graph-rss-budget", 0, "graph: fail if peak RSS exceeds base + this many bytes per task (0 = report only)")
+	flag.IntVar(&o.rssBaseMB, "graph-rss-base-mb", 256, "graph: fixed RSS allowance (MiB) excluded from the per-task budget")
+	flag.Float64Var(&o.shardBar, "shard-bar", 0, "shard: fail if 4-shard throughput scaling falls below this ratio (0 = report only; needs ≥4 cores)")
 	flag.Parse()
 
 	cmd := "all"
 	if flag.NArg() > 0 {
 		cmd = flag.Arg(0)
 	}
-	run := func(name string, fn func() error) {
-		fmt.Printf("\n================ %s ================\n", name)
-		if err := fn(); err != nil {
-			fmt.Fprintf(os.Stderr, "parsl-bench %s: %v\n", name, err)
+	ran := false
+	for _, sc := range scenarios {
+		if cmd != "all" && cmd != sc.name {
+			continue
+		}
+		if o.jsonPath != "" && (cmd == "all" || !sc.artifact) {
+			// One path holds one artifact: `all` would overwrite it per
+			// scenario, and a scenario without an artifact would ignore it.
+			fmt.Fprintf(os.Stderr, "parsl-bench: -json needs exactly one of graph, health, shard, locality (got %q)\n", cmd)
+			os.Exit(2)
+		}
+		ran = true
+		fmt.Printf("\n================ %s: %s ================\n", sc.name, sc.about)
+		if err := sc.run(o); err != nil {
+			fmt.Fprintf(os.Stderr, "parsl-bench %s: %v\n", sc.name, err)
 			os.Exit(1)
 		}
 	}
-
-	chaosSeeds := func() []int64 {
-		if *chaosSeed != 0 {
-			return []int64{*chaosSeed}
-		}
-		return []int64{1, 2, 3, 4, 5}
-	}
-	switch cmd {
-	case "latency":
-		run("Fig. 3: latency", func() error { return runLatency(*tasks) })
-	case "strong":
-		run("Fig. 4 (top): strong scaling", func() error { return runStrong(*full) })
-	case "weak":
-		run("Fig. 4 (bottom): weak scaling", func() error { return runWeak(*full) })
-	case "maxworkers":
-		run("Table 2: maximum workers", runMaxWorkers)
-	case "throughput":
-		run("Table 2: throughput", runThroughput)
-	case "elasticity":
-		run("Fig. 5/6: elasticity", func() error { return runElasticity(*timeScaleMs) })
-	case "submission":
-		run("submission API: priority + cancellation", func() error { return runSubmission(*tasks) })
-	case "noisy":
-		run("multi-tenant noisy neighbor", func() error { return runNoisy(*burst) })
-	case "chaos":
-		run("chaos: recovery under fault injection", func() error {
-			return runChaos(chaosSeeds(), *chaosTasks, *chaosVerbose)
-		})
-	case "graph":
-		run("million-task DAG drain", func() error {
-			return runGraph(*graphNodes, *graphJSON, *graphRSSBudget, *graphRSSBase)
-		})
-	case "wal":
-		run("durable-log crash matrix", func() error {
-			return runWAL(*chaosSeed, *walTasks)
-		})
-	case "health":
-		run("self-healing: kill-storm + poison quarantine", func() error {
-			return runHealth(chaosSeeds(), *healthTasks, *healthJSON)
-		})
-	case "shard":
-		run("sharded control plane: failover + scaling", func() error {
-			return runShard(chaosSeeds(), *shardTasks, *shardJSON, *shardBar)
-		})
-	case "locality":
-		run("data-aware scheduling: shared cache + digest routing", func() error {
-			return runLocality(7, *localityTasks, *localityJSON)
-		})
-	case "all":
-		run("Fig. 3: latency", func() error { return runLatency(*tasks) })
-		run("Fig. 4 (top): strong scaling", func() error { return runStrong(*full) })
-		run("Fig. 4 (bottom): weak scaling", func() error { return runWeak(*full) })
-		run("Table 2: maximum workers", runMaxWorkers)
-		run("Table 2: throughput", runThroughput)
-		run("Fig. 5/6: elasticity", func() error { return runElasticity(*timeScaleMs) })
-		run("submission API: priority + cancellation", func() error { return runSubmission(*tasks) })
-		run("multi-tenant noisy neighbor", func() error { return runNoisy(*burst) })
-		run("chaos: recovery under fault injection", func() error {
-			return runChaos(chaosSeeds(), *chaosTasks, *chaosVerbose)
-		})
-		run("million-task DAG drain", func() error {
-			return runGraph(*graphNodes, *graphJSON, *graphRSSBudget, *graphRSSBase)
-		})
-		run("durable-log crash matrix", func() error {
-			return runWAL(*chaosSeed, *walTasks)
-		})
-		run("self-healing: kill-storm + poison quarantine", func() error {
-			return runHealth(chaosSeeds(), *healthTasks, *healthJSON)
-		})
-		run("sharded control plane: failover + scaling", func() error {
-			return runShard(chaosSeeds(), *shardTasks, *shardJSON, *shardBar)
-		})
-		run("data-aware scheduling: shared cache + digest routing", func() error {
-			return runLocality(7, *localityTasks, *localityJSON)
-		})
-	default:
+	if !ran {
 		flag.Usage()
 		os.Exit(2)
 	}
+}
+
+// runMatrix runs one scenario instance per point of a matrix (seeds, crash
+// boundaries; label names the axis) and prints each point's verdict, summary
+// line and violations. one returns the summary and the violations; an error
+// aborts the matrix. It reports how many points violated an invariant, so the
+// caller can still publish its artifact before failing.
+func runMatrix(label string, points []int64, one func(p int64) (summary string, violations []string, err error)) (failed int, _ error) {
+	for _, p := range points {
+		summary, violations, err := one(p)
+		if err != nil {
+			return failed, fmt.Errorf("%s %d: %w", label, p, err)
+		}
+		verdict := "PASS"
+		if len(violations) > 0 {
+			verdict = "FAIL"
+			failed++
+		}
+		fmt.Printf("%-8s %s\n", verdict, summary)
+		for _, v := range violations {
+			fmt.Printf("    VIOLATION: %s\n", v)
+		}
+	}
+	return failed, nil
+}
+
+// writeJSON writes a scenario's result artifact; no path, no artifact.
+func writeJSON(path string, v any) error {
+	if path == "" {
+		return nil
+	}
+	b, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		return err
+	}
+	if err := os.WriteFile(path, append(b, '\n'), 0o644); err != nil {
+		return err
+	}
+	fmt.Printf("\nwrote %s\n", path)
+	return nil
 }

@@ -18,52 +18,20 @@ func workerSweep(full bool) []int {
 	return sweep
 }
 
-// runStrong reproduces the top row of Fig. 4: completion time for 50 000
-// tasks (5000 for FireWorks, matching the paper's reduced allocation) as
-// worker count grows.
-func runStrong(full bool) error {
+// printSweep prints one Fig. 4 row: per task duration, a table of completion
+// times per framework across the worker sweep, with '-' past a framework's
+// worker cap.
+func printSweep(title string, full bool, run func(p scalesim.Params, dur time.Duration, sweep []int) []scalesim.Result) {
 	sweep := workerSweep(full)
 	for _, dur := range taskDurations {
-		fmt.Printf("\n--- strong scaling, task duration %v (completion time, s) ---\n", dur)
+		fmt.Printf("\n--- %s, task duration %v (completion time, s) ---\n", title, dur)
 		fmt.Printf("%-12s", "workers")
 		for _, w := range sweep {
 			fmt.Printf(" %9d", w)
 		}
 		fmt.Println()
 		for _, p := range scalesim.All() {
-			tasks := 50000
-			if p.Name == "fireworks" {
-				tasks = 5000 // "we only launched 5000 tasks due to the limited allocation"
-			}
-			res := scalesim.StrongScaling(p, tasks, dur, sweep)
-			fmt.Printf("%-12s", p.Name)
-			for i := range sweep {
-				if i < len(res) {
-					fmt.Printf(" %9.1f", res[i].Makespan.Seconds())
-				} else {
-					fmt.Printf(" %9s", "-") // beyond the framework's worker cap
-				}
-			}
-			fmt.Println()
-		}
-	}
-	fmt.Println("\npaper shape: HTEX best and ~flat; EXEX close; IPP/Dask degrade past 512-1024 workers;")
-	fmt.Println("FireWorks ~an order of magnitude slower even with 10x fewer tasks. '-' = cannot connect that many workers.")
-	return nil
-}
-
-// runWeak reproduces the bottom row of Fig. 4: 10 tasks per worker.
-func runWeak(full bool) error {
-	sweep := workerSweep(full)
-	for _, dur := range taskDurations {
-		fmt.Printf("\n--- weak scaling, 10 tasks/worker, task duration %v (completion time, s) ---\n", dur)
-		fmt.Printf("%-12s", "workers")
-		for _, w := range sweep {
-			fmt.Printf(" %9d", w)
-		}
-		fmt.Println()
-		for _, p := range scalesim.All() {
-			res := scalesim.WeakScaling(p, 10, dur, sweep)
+			res := run(p, dur, sweep)
 			fmt.Printf("%-12s", p.Name)
 			for i := range sweep {
 				if i < len(res) {
@@ -75,6 +43,29 @@ func runWeak(full bool) error {
 			fmt.Println()
 		}
 	}
+}
+
+// runStrong reproduces the top row of Fig. 4: completion time for 50 000
+// tasks (5000 for FireWorks, matching the paper's reduced allocation) as
+// worker count grows.
+func runStrong(full bool) error {
+	printSweep("strong scaling", full, func(p scalesim.Params, dur time.Duration, sweep []int) []scalesim.Result {
+		tasks := 50000
+		if p.Name == "fireworks" {
+			tasks = 5000 // "we only launched 5000 tasks due to the limited allocation"
+		}
+		return scalesim.StrongScaling(p, tasks, dur, sweep)
+	})
+	fmt.Println("\npaper shape: HTEX best and ~flat; EXEX close; IPP/Dask degrade past 512-1024 workers;")
+	fmt.Println("FireWorks ~an order of magnitude slower even with 10x fewer tasks. '-' = cannot connect that many workers.")
+	return nil
+}
+
+// runWeak reproduces the bottom row of Fig. 4: 10 tasks per worker.
+func runWeak(full bool) error {
+	printSweep("weak scaling, 10 tasks/worker", full, func(p scalesim.Params, dur time.Duration, sweep []int) []scalesim.Result {
+		return scalesim.WeakScaling(p, 10, dur, sweep)
+	})
 	fmt.Println("\npaper shape: flat then knee — FireWorks ~32 workers, IPP ~256, Dask/HTEX/EXEX ~1024-2048.")
 	return nil
 }

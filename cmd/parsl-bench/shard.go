@@ -1,9 +1,7 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
 	"time"
 
@@ -19,41 +17,36 @@ import (
 //  2. Scaling arms — the same total manager capacity behind 1 shard vs N
 //     shards, reporting client-observed throughput and their ratio.
 //
-// bar > 0 requires scale ≥ bar (the CI shard job passes 1.8 for N=4). The
+// -shard-bar > 0 requires scale ≥ bar (the CI shard job passes 1.8 for N=4). The
 // bar needs real cores — the routers must actually run in parallel — so it
 // is skipped (loudly) below 4 CPUs rather than failing on serialized
 // hardware where both arms share one core.
-func runShard(seeds []int64, tasks int, jsonPath string, bar float64) error {
+func runShard(o options) error {
 	const shards = 4
-	fmt.Printf("failover: %d tasks over %d shards per seed; seeds %v\n\n", tasks, shards, seeds)
-	fmt.Printf("%-8s %-6s %-6s %-11s %-9s %-8s %-10s %s\n",
-		"verdict", "seed", "done", "victimheld", "retried", "shards", "health", "elapsed")
+	seeds, bar := o.seeds(), o.shardBar
+	fmt.Printf("failover: one of %d shards killed mid-workload per seed; seeds %v\n\n", shards, seeds)
+	fmt.Printf("%-8s %-6s %-10s %-6s %-11s %-9s %-8s %-10s %s\n",
+		"verdict", "seed", "submitted", "done", "victimheld", "retried", "shards", "health", "elapsed")
 	type failRow struct {
 		Seed int64 `json:"seed"`
 		workload.ShardFailoverResult
 	}
 	failRows := make([]failRow, 0, len(seeds))
-	failed := 0
-	for _, seed := range seeds {
+	failed, err := runMatrix("seed", seeds, func(seed int64) (string, []string, error) {
 		res, err := workload.RunShardFailover(workload.ShardFailoverConfig{
-			Seed: seed, Shards: shards, Tasks: tasks,
+			Seed: seed, Shards: shards, Tasks: o.tasks,
 		})
 		if err != nil {
-			return fmt.Errorf("seed %d: %w", seed, err)
+			return "", nil, err
 		}
 		res.Events = nil // reproducible from the seed; keep the artifact small
 		failRows = append(failRows, failRow{Seed: seed, ShardFailoverResult: res})
-		verdict := "PASS"
-		if len(res.Violations) > 0 {
-			verdict = "FAIL"
-			failed++
-		}
-		fmt.Printf("%-8s %-6d %-6d %-11d %-9d %d/%-6d %-10s %v\n",
-			verdict, seed, res.Done, res.VictimHeld, res.Retried,
-			res.ShardsAlive, res.ShardsTotal, res.Health, res.Elapsed.Round(time.Millisecond))
-		for _, v := range res.Violations {
-			fmt.Printf("    VIOLATION: %s\n", v)
-		}
+		return fmt.Sprintf("%-6d %-10d %-6d %-11d %-9d %d/%-6d %-10s %v",
+			seed, res.Submitted, res.Done, res.VictimHeld, res.Retried,
+			res.ShardsAlive, res.ShardsTotal, res.Health, res.Elapsed.Round(time.Millisecond)), res.Violations, nil
+	})
+	if err != nil {
+		return err
 	}
 
 	fmt.Printf("\nscaling: equal manager capacity behind 1 vs %d shards\n\n", shards)
@@ -64,7 +57,6 @@ func runShard(seeds []int64, tasks int, jsonPath string, bar float64) error {
 		TasksPerSec float64 `json:"tasks_per_sec"`
 	}
 	scaleRows := make([]scaleRow, 0, 2)
-	var single, sharded float64
 	for _, s := range []int{1, shards} {
 		res, err := workload.RunShardScaling(workload.ShardScalingConfig{Seed: 1, Shards: s})
 		if err != nil {
@@ -77,13 +69,8 @@ func runShard(seeds []int64, tasks int, jsonPath string, bar float64) error {
 		})
 		fmt.Printf("  %d shard(s): %8.0f tasks/s  (%d tasks in %v)\n",
 			res.Shards, res.TasksPerSec, res.Tasks, res.Elapsed.Round(time.Millisecond))
-		if s == 1 {
-			single = res.TasksPerSec
-		} else {
-			sharded = res.TasksPerSec
-		}
 	}
-	scale := sharded / single
+	scale := scaleRows[1].TasksPerSec / scaleRows[0].TasksPerSec
 	cores := runtime.NumCPU()
 	fmt.Printf("\n  throughput scaling %d→%d shards: %.2fx on %d cores\n", 1, shards, scale, cores)
 	barApplied := bar > 0 && cores >= 4
@@ -91,23 +78,15 @@ func runShard(seeds []int64, tasks int, jsonPath string, bar float64) error {
 		fmt.Printf("  bar %.2fx SKIPPED: %d cores cannot run the shard routers in parallel\n", bar, cores)
 	}
 
-	if jsonPath != "" {
-		out := struct {
-			Failover   []failRow  `json:"failover"`
-			Scaling    []scaleRow `json:"scaling"`
-			Scale      float64    `json:"scale"`
-			Bar        float64    `json:"bar,omitempty"`
-			BarApplied bool       `json:"bar_applied"`
-			Cores      int        `json:"cores"`
-		}{failRows, scaleRows, scale, bar, barApplied, cores}
-		b, err := json.MarshalIndent(out, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(jsonPath, append(b, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("\nwrote %s\n", jsonPath)
+	if err := writeJSON(o.jsonPath, struct {
+		Failover   []failRow  `json:"failover"`
+		Scaling    []scaleRow `json:"scaling"`
+		Scale      float64    `json:"scale"`
+		Bar        float64    `json:"bar,omitempty"`
+		BarApplied bool       `json:"bar_applied"`
+		Cores      int        `json:"cores"`
+	}{failRows, scaleRows, scale, bar, barApplied, cores}); err != nil {
+		return err
 	}
 
 	if failed > 0 {

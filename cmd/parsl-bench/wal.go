@@ -17,9 +17,10 @@ import (
 // lost — followed by a recovery whose exactly-once invariants are checked.
 // A failing boundary printed here is a complete reproduction recipe:
 //
-//	parsl-bench wal -seed <s> -wal-tasks <n>
+//	parsl-bench -seed <s> -tasks <n> wal
 //	go test ./internal/workload/ -run TestWALCrashMatrix -race
-func runWAL(seed int64, tasks int) error {
+func runWAL(o options) error {
+	seed := o.seed
 	if seed == 0 {
 		seed = 1
 	}
@@ -32,41 +33,33 @@ func runWAL(seed int64, tasks int) error {
 	// Baseline (no crash) pins the full record count: submit+launch+terminal
 	// per task.
 	base, err := workload.RunWALCrash(workload.WALCrashConfig{
-		Tasks: tasks, Boundary: -1, Seed: seed, Dir: filepath.Join(dir, "base"),
+		Tasks: o.tasks, Boundary: -1, Seed: seed, Dir: filepath.Join(dir, "base"),
 	})
 	if err != nil {
 		return err
 	}
 	boundaries := sampleBoundaries(seed, base.Records)
 
-	fmt.Printf("%d tasks, %d records at a clean run; crashing at %d boundaries (seed %d)\n\n",
-		tasks, base.Records, len(boundaries), seed)
+	fmt.Printf("%d records at a clean run; crashing at %d boundaries (seed %d)\n\n",
+		base.Records, len(boundaries), seed)
 	fmt.Printf("%-8s %-9s %-10s %-11s %-10s %-10s %s\n",
 		"verdict", "boundary", "live", "terminal", "reexec", "memohits", "recovery")
-	failed := 0
 	var worst time.Duration
-	for i, k := range boundaries {
+	failed, err := runMatrix("boundary", boundaries, func(k int64) (string, []string, error) {
 		res, err := workload.RunWALCrash(workload.WALCrashConfig{
-			Tasks: tasks, Boundary: k, Seed: seed,
-			Dir: filepath.Join(dir, fmt.Sprintf("b%d", i)),
+			Tasks: o.tasks, Boundary: k, Seed: seed,
+			Dir: filepath.Join(dir, fmt.Sprintf("b%d", k)),
 		})
 		if err != nil {
-			return fmt.Errorf("boundary %d: %w", k, err)
+			return "", nil, err
 		}
-		verdict := "PASS"
-		if len(res.Violations) > 0 || res.ReExecuted > res.LiveAtCrash {
-			verdict = "FAIL"
-			failed++
-		}
-		if res.RecoveryTime > worst {
-			worst = res.RecoveryTime
-		}
-		fmt.Printf("%-8s %-9d %-10d %-11d %-10d %-10d %v\n",
-			verdict, k, res.LiveAtCrash, res.TerminalAtCrash, res.ReExecuted,
-			res.MemoHits, res.RecoveryTime.Round(time.Microsecond))
-		for _, v := range res.Violations {
-			fmt.Printf("    VIOLATION: %s\n", v)
-		}
+		worst = max(worst, res.RecoveryTime)
+		return fmt.Sprintf("%-9d %-10d %-11d %-10d %-10d %v",
+			k, res.LiveAtCrash, res.TerminalAtCrash, res.ReExecuted,
+			res.MemoHits, res.RecoveryTime.Round(time.Microsecond)), res.Violations, nil
+	})
+	if err != nil {
+		return err
 	}
 	if failed > 0 {
 		return fmt.Errorf("%d of %d boundaries violated exactly-once recovery", failed, len(boundaries))

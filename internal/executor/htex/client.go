@@ -81,6 +81,9 @@ type shardLink struct {
 	breaker    *health.Breaker
 	cmdReplies chan mq.Message
 	down       atomic.Bool
+	// lost counts the attempts failed on this shard's account: its death scan
+	// (shardDown) plus the batches its dead endpoint refused (fanOut).
+	lost atomic.Int64
 }
 
 // broker returns the shard's current interchange.
@@ -385,6 +388,7 @@ func (e *Executor) shardDown(s *shardLink) {
 		}
 	}
 	e.mu.Unlock()
+	s.lost.Add(int64(len(lost)))
 	for _, id := range lost {
 		e.fail(id, &executor.LostError{TaskID: id, Detail: "interchange shard lost", Manager: s.label})
 	}
@@ -693,6 +697,7 @@ func (e *Executor) fanOut(wires []serialize.WireTask, wireShard []int) {
 			continue
 		}
 		if err := e.sendTasks(e.shards[si], batch); err != nil {
+			e.shards[si].lost.Add(int64(len(batch)))
 			for _, w := range batch {
 				e.fail(w.ID, fmt.Errorf("htex: submit batch: %w", err))
 			}
@@ -742,9 +747,26 @@ func (e *Executor) Cancel(wireID int64) bool {
 // Outstanding implements executor.Executor.
 func (e *Executor) Outstanding() int { return int(e.outstanding.Load()) }
 
+// LostByShard reports how many attempts were failed on each shard's account
+// (index = shard) — the system's own record of a shard death's blast radius.
+// A death fails attempts two ways: the scan in shardDown fails everything
+// inflight on the shard once the client notices the death, and until then
+// the dead endpoint refuses the batches fanOut still sends it. Placement and
+// the scan serialize on e.mu and a down shard is never placed on, so nothing
+// escapes both. A batch refused while the scan runs is counted by both, so
+// this is an upper bound, exact when no submission races the death.
+func (e *Executor) LostByShard() []int {
+	out := make([]int, len(e.shards))
+	for i, s := range e.shards {
+		out[i] = int(s.lost.Load())
+	}
+	return out
+}
+
 // InflightByShard reports how many submitted-but-unresolved tasks each shard
-// currently owns (index = shard). The failover scenario snapshots this to
-// prove a kill requeues exactly the victim's set.
+// currently owns (index = shard). A live gauge: tasks keep arriving while the
+// dispatch pipeline routes a burst, so it says "this shard holds work now",
+// never "this is all the work it will hold".
 func (e *Executor) InflightByShard() []int {
 	out := make([]int, len(e.shards))
 	e.mu.Lock()

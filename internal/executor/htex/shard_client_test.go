@@ -141,6 +141,15 @@ func TestShardedKillFailsOnlyVictims(t *testing.T) {
 	if victims != perShard[victim] {
 		t.Fatalf("failed %d tasks, victim shard held %d — kill must requeue exactly its outstanding set", victims, perShard[victim])
 	}
+	for i, lost := range e.LostByShard() {
+		want := 0
+		if i == victim {
+			want = victims
+		}
+		if lost != want {
+			t.Fatalf("LostByShard[%d] = %d, want %d — the death's own account must be exactly the victim's set", i, lost, want)
+		}
+	}
 	if e.Outstanding() != 0 {
 		t.Fatalf("outstanding = %d after reconciliation", e.Outstanding())
 	}

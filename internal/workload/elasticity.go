@@ -3,7 +3,6 @@ package workload
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/cluster"
@@ -38,21 +37,11 @@ type ElasticityConfig struct {
 }
 
 func (c *ElasticityConfig) normalize() {
-	if c.TimeScale <= 0 {
-		c.TimeScale = 10 * time.Millisecond
-	}
-	if c.Parallelism <= 0 {
-		c.Parallelism = 1
-	}
-	if c.WorkersPerBlock <= 0 {
-		c.WorkersPerBlock = 5
-	}
-	if c.MaxBlocks <= 0 {
-		c.MaxBlocks = 4
-	}
-	if c.QueueDelaySeconds <= 0 {
-		c.QueueDelaySeconds = 3
-	}
+	setDefault(&c.TimeScale, 10*time.Millisecond)
+	setDefault(&c.Parallelism, 1)
+	setDefault(&c.WorkersPerBlock, 5)
+	setDefault(&c.MaxBlocks, 4)
+	setDefault(&c.QueueDelaySeconds, 3)
 }
 
 // ElasticityResult reports the Fig. 6 metrics, normalized back to paper
@@ -143,47 +132,24 @@ func RunElasticity(cfg ElasticityConfig) (ElasticityResult, error) {
 
 	// Wait for the initial allocation to come up before starting the clock,
 	// as the paper's runs did (workers deployed, then tasks submitted).
-	deadline := time.Now().Add(30 * time.Second)
-	for ex.ConnectedWorkers() < initBlocks*cfg.WorkersPerBlock {
-		if time.Now().After(deadline) {
-			return ElasticityResult{}, fmt.Errorf("workload: initial blocks never started")
-		}
-		time.Sleep(time.Millisecond)
+	if !waitUntil(time.Now().Add(30*time.Second), func() bool {
+		return ex.ConnectedWorkers() >= initBlocks*cfg.WorkersPerBlock
+	}) {
+		return ElasticityResult{}, fmt.Errorf("workload: initial blocks never started")
 	}
 
 	// Utilization sampler: integrate connected workers over the run.
 	var (
-		samplerDone = make(chan struct{})
-		samplerWG   sync.WaitGroup
-		mu          sync.Mutex
-		workerInt   float64 // worker-seconds in paper units
-		peak        int
-		minW        = 1 << 30
+		workerInt float64 // worker-seconds in paper units
+		peak      int
+		minW      = 1 << 30
 	)
 	sampleEvery := cfg.TimeScale / 2
-	samplerWG.Add(1)
-	go func() {
-		defer samplerWG.Done()
-		ticker := time.NewTicker(sampleEvery)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-samplerDone:
-				return
-			case <-ticker.C:
-				w := ex.ConnectedWorkers()
-				mu.Lock()
-				workerInt += float64(w) * (float64(sampleEvery) / float64(cfg.TimeScale))
-				if w > peak {
-					peak = w
-				}
-				if w < minW {
-					minW = w
-				}
-				mu.Unlock()
-			}
-		}
-	}()
+	stopSampler := startSampler(sampleEvery, func() {
+		w := ex.ConnectedWorkers()
+		workerInt += float64(w) * (float64(sampleEvery) / float64(cfg.TimeScale))
+		peak, minW = max(peak, w), min(minW, w)
+	})
 
 	start := time.Now()
 	var prev []*future.Future
@@ -200,18 +166,14 @@ func RunElasticity(cfg ElasticityConfig) (ElasticityResult, error) {
 		}
 		prev = futs
 	}
-	if err := future.Wait(prev...); err != nil {
-		close(samplerDone)
-		samplerWG.Wait()
+	err = future.Wait(prev...)
+	makespan := time.Since(start)
+	stopSampler()
+	if err != nil {
 		return ElasticityResult{}, err
 	}
-	makespan := time.Since(start)
-	close(samplerDone)
-	samplerWG.Wait()
 
 	taskSeconds := float64(TaskSeconds(stages)) / float64(cfg.TimeScale)
-	mu.Lock()
-	defer mu.Unlock()
 	util := 0.0
 	if workerInt > 0 {
 		util = taskSeconds / workerInt

@@ -7,7 +7,6 @@ import (
 	"runtime"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/dfk"
@@ -61,21 +60,11 @@ type GraphResult struct {
 // pipeline — future propagation, encode-once payloads, dispatch lanes — not
 // just independent submission.
 func RunGraph(cfg GraphConfig) (*GraphResult, error) {
-	if cfg.Nodes <= 0 {
-		cfg.Nodes = 1_000_000
-	}
-	if cfg.Chains <= 0 {
-		cfg.Chains = 64
-	}
-	if cfg.Chains > cfg.Nodes {
-		cfg.Chains = cfg.Nodes
-	}
-	if cfg.Window <= 0 {
-		cfg.Window = 128
-	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = runtime.GOMAXPROCS(0)
-	}
+	setDefault(&cfg.Nodes, 1_000_000)
+	setDefault(&cfg.Chains, 64)
+	cfg.Chains = min(cfg.Chains, cfg.Nodes)
+	setDefault(&cfg.Window, 128)
+	setDefault(&cfg.Workers, runtime.GOMAXPROCS(0))
 
 	reg := serialize.NewRegistry()
 	d, err := dfk.New(dfk.Config{
@@ -97,25 +86,10 @@ func RunGraph(cfg GraphConfig) (*GraphResult, error) {
 
 	// Sample the live frontier while the drain runs. 1 ms resolution is
 	// plenty: the frontier changes by at most a window per chain step.
-	var liveMax atomic.Int64
-	stopSampler := make(chan struct{})
-	var samplerWG sync.WaitGroup
-	samplerWG.Add(1)
-	go func() {
-		defer samplerWG.Done()
-		tick := time.NewTicker(time.Millisecond)
-		defer tick.Stop()
-		for {
-			select {
-			case <-stopSampler:
-				return
-			case <-tick.C:
-				if live := int64(d.Graph().LiveNodes()); live > liveMax.Load() {
-					liveMax.Store(live)
-				}
-			}
-		}
-	}()
+	var liveMax int64
+	stopSampler := startSampler(time.Millisecond, func() {
+		liveMax = max(liveMax, int64(d.Graph().LiveNodes()))
+	})
 
 	var before runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -165,8 +139,7 @@ func RunGraph(cfg GraphConfig) (*GraphResult, error) {
 	chainWG.Wait()
 	d.WaitAll()
 	makespan := time.Since(start)
-	close(stopSampler)
-	samplerWG.Wait()
+	stopSampler()
 	select {
 	case err := <-errc:
 		return nil, fmt.Errorf("workload: graph chain failed: %w", err)
@@ -184,7 +157,7 @@ func RunGraph(cfg GraphConfig) (*GraphResult, error) {
 		MakespanMs:    float64(makespan.Microseconds()) / 1000,
 		TasksPerSec:   float64(cfg.Nodes) / makespan.Seconds(),
 		PeakRSSBytes:  peakRSSBytes(),
-		LiveNodesMax:  liveMax.Load(),
+		LiveNodesMax:  liveMax,
 		RecycledNodes: d.Graph().RecycledNodes(),
 		AllocsPerTask: float64(after.Mallocs-before.Mallocs) / float64(cfg.Nodes),
 	}

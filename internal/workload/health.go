@@ -3,21 +3,15 @@ package workload
 import (
 	"context"
 	"errors"
-	"fmt"
+	"slices"
 	"strings"
 	"time"
 
 	"repro/internal/chaos"
 	"repro/internal/dfk"
-	"repro/internal/executor"
-	"repro/internal/executor/htex"
-	"repro/internal/executor/threadpool"
 	"repro/internal/future"
 	"repro/internal/health"
 	"repro/internal/monitor"
-	"repro/internal/provider"
-	"repro/internal/serialize"
-	"repro/internal/simnet"
 )
 
 // HealthConfig shapes one self-healing run: a bulk workload across a
@@ -54,35 +48,19 @@ type HealthConfig struct {
 }
 
 func (c *HealthConfig) normalize() {
-	if c.Tasks <= 0 {
-		c.Tasks = 160
-	}
-	if c.Workers <= 0 {
-		c.Workers = 4
-	}
-	if c.Managers <= 0 {
-		c.Managers = 8
-	}
-	if c.MgrWorkers <= 0 {
-		c.MgrWorkers = 2
-	}
-	if c.Retries <= 0 {
-		c.Retries = 8
-	}
-	if c.TaskTimeout <= 0 {
-		c.TaskTimeout = time.Second
-	}
-	if c.PoisonKills <= 0 {
-		c.PoisonKills = 3
-	}
+	setDefault(&c.Tasks, 160)
+	setDefault(&c.Workers, 4)
+	setDefault(&c.Managers, 8)
+	setDefault(&c.MgrWorkers, 2)
+	setDefault(&c.Retries, 8)
+	setDefault(&c.TaskTimeout, time.Second)
+	setDefault(&c.PoisonKills, 3)
 	if c.StormKills < 0 {
 		c.StormKills = 0
 	} else if c.StormKills == 0 {
 		c.StormKills = 2
 	}
-	if c.Watchdog <= 0 {
-		c.Watchdog = 90 * time.Second
-	}
+	setDefault(&c.Watchdog, 90*time.Second)
 }
 
 // HealthResult reports one self-healing run.
@@ -119,58 +97,35 @@ func RunHealth(cfg HealthConfig) (HealthResult, error) {
 		{Point: chaos.PointMgrKill, Act: chaos.ActKill, Prob: 0.9, Max: cfg.StormKills},
 	})
 
-	reg := serialize.NewRegistry()
-	bulkFn := func(args []any, _ map[string]any) (any, error) {
+	fx, err := newFixture(cfg.Workers,
+		poolSpec{Label: "htex", Seed: cfg.Seed, Managers: cfg.Managers, Workers: cfg.MgrWorkers},
+		dfk.Config{
+			Retries:     cfg.Retries,
+			TaskTimeout: cfg.TaskTimeout,
+			Health: &health.Options{
+				Seed:            cfg.Seed,
+				QuarantineAfter: cfg.PoisonKills,
+				// MinSamples 1 makes the breaker open on the first recorded loss:
+				// the kill schedule, not sample accumulation, decides when the
+				// breaker trips, which keeps the run deterministic per seed.
+				Breaker: health.BreakerConfig{
+					Window: 8, MinSamples: 1, FailureThreshold: 0.5,
+					OpenFor: 250 * time.Millisecond, HalfOpenProbes: 2,
+				},
+			},
+		})
+	if err != nil {
+		return HealthResult{}, err
+	}
+	bulk, err := fx.app("health-bulk", func(args []any, _ map[string]any) (any, error) {
 		time.Sleep(500 * time.Microsecond)
 		return healthValue(args[0].(int)), nil
-	}
-	poisonFn := func(args []any, _ map[string]any) (any, error) { return "survived", nil }
-
-	pool := threadpool.NewWithDepth("pool", cfg.Workers, 64, reg)
-	hx := htex.New(htex.Config{
-		Label:      "htex",
-		Transport:  simnet.NewNetwork(0),
-		Registry:   reg,
-		Provider:   provider.NewLocal(provider.Config{NodesPerBlock: cfg.Managers}),
-		InitBlocks: 1,
-		Manager:    htex.ManagerConfig{Workers: cfg.MgrWorkers, Prefetch: cfg.MgrWorkers},
-		Interchange: htex.InterchangeConfig{
-			Seed:               cfg.Seed,
-			HeartbeatPeriod:    50 * time.Millisecond,
-			HeartbeatThreshold: 300 * time.Millisecond,
-		},
-	})
-	store := monitor.NewStore()
-	d, err := dfk.New(dfk.Config{
-		Registry:    reg,
-		Executors:   []executor.Executor{pool, hx},
-		Retries:     cfg.Retries,
-		TaskTimeout: cfg.TaskTimeout,
-		Seed:        cfg.Seed,
-		Monitor:     store,
-		Health: &health.Options{
-			Seed:            cfg.Seed,
-			QuarantineAfter: cfg.PoisonKills,
-			// MinSamples 1 makes the breaker open on the first recorded loss:
-			// the kill schedule, not sample accumulation, decides when the
-			// breaker trips, which keeps the run deterministic per seed.
-			Breaker: health.BreakerConfig{
-				Window: 8, MinSamples: 1, FailureThreshold: 0.5,
-				OpenFor: 250 * time.Millisecond, HalfOpenProbes: 2,
-			},
-		},
 	})
 	if err != nil {
 		return HealthResult{}, err
 	}
-	bulk, err := d.PythonApp("health-bulk", bulkFn)
+	poisonApp, err := fx.app("poison", func([]any, map[string]any) (any, error) { return "survived", nil })
 	if err != nil {
-		_ = d.Shutdown()
-		return HealthResult{}, err
-	}
-	poisonApp, err := d.PythonApp("poison", poisonFn)
-	if err != nil {
-		_ = d.Shutdown()
 		return HealthResult{}, err
 	}
 
@@ -179,15 +134,9 @@ func RunHealth(cfg HealthConfig) (HealthResult, error) {
 	ctx := context.Background()
 
 	res := HealthResult{Submitted: cfg.Tasks + 1}
-	violate := func(format string, args ...any) {
-		res.Violations = append(res.Violations, fmt.Sprintf(format, args...))
-	}
+	vs := (*violations)(&res.Violations)
 
-	expired := make(chan struct{})
-	watchdog := time.AfterFunc(cfg.Watchdog, func() { close(expired) })
-	defer watchdog.Stop()
-
-	futs := make([]*future.Future, 0, cfg.Tasks)
+	futs := make([]*future.Future, 0, cfg.Tasks+1)
 	for i := 0; i < cfg.Tasks; i++ {
 		futs = append(futs, bulk.Submit(ctx, []any{i}))
 	}
@@ -195,44 +144,14 @@ func RunHealth(cfg HealthConfig) (HealthResult, error) {
 	// so every launch decapitates another manager until quarantine.
 	poison := poisonApp.Submit(ctx, nil, dfk.WithExecutor("htex"))
 
-	stuck := false
-	for _, f := range append(append([]*future.Future{}, futs...), poison) {
-		select {
-		case <-f.DoneChan():
-		case <-expired:
-			stuck = true
-		}
-		if stuck {
-			break
-		}
-	}
-	if stuck {
-		n := 0
-		for _, f := range futs {
-			if !f.Done() {
-				n++
-			}
-		}
-		violate("watchdog %v expired with %d/%d bulk tasks unsettled (poison done=%v)",
-			cfg.Watchdog, n, len(futs), poison.Done())
-	}
+	unsettled := awaitAll(append(futs, poison), start.Add(cfg.Watchdog))
 	restore()
 	res.Events = inj.Events()
 	res.Kills = int(inj.Fires(chaos.PointMgrKill))
-
-	if stuck {
-		_ = pool.Shutdown()
-		_ = hx.Shutdown()
-		sd := make(chan struct{})
-		go func() {
-			_ = d.Shutdown()
-			close(sd)
-		}()
-		select {
-		case <-sd:
-		case <-time.After(15 * time.Second):
-			violate("teardown of the wedged run did not complete")
-		}
+	if unsettled > 0 {
+		vs.add("watchdog %v expired with %d/%d tasks unsettled (poison done=%v)",
+			cfg.Watchdog, unsettled, len(futs)+1, poison.Done())
+		fx.teardownWedged(vs)
 		res.Elapsed = time.Since(start)
 		return res, nil
 	}
@@ -240,139 +159,65 @@ func RunHealth(cfg HealthConfig) (HealthResult, error) {
 	// Poison invariant: quarantined with exactly the configured kill history —
 	// not lost to the retry budget, not completed.
 	if _, perr := poison.Result(); perr == nil {
-		violate("poison task completed; it must be quarantined")
+		vs.add("poison task completed; it must be quarantined")
 	} else {
 		var qe *health.QuarantineError
 		if !errors.As(perr, &qe) {
-			violate("poison task failed with %v, want a QuarantineError", perr)
+			vs.add("poison task failed with %v, want a QuarantineError", perr)
 		} else {
 			res.PoisonKills = qe.Kills
 			if len(qe.Kills) != cfg.PoisonKills {
-				violate("poison kill history %v, want %d distinct managers", qe.Kills, cfg.PoisonKills)
+				vs.add("poison kill history %v, want %d distinct managers", qe.Kills, cfg.PoisonKills)
 			}
 		}
 	}
 
 	// Goodput invariant: every bulk task completes with the right value.
-	for i, f := range futs {
-		v, ferr := f.Result()
-		if ferr != nil {
-			res.Failed++
-			violate("bulk task %d lost: %v", i, ferr)
-			continue
-		}
-		if got, ok := v.(int); !ok || got != healthValue(i) {
-			violate("bulk task %d: value %v, want %d", i, v, healthValue(i))
-		}
-	}
+	res.Failed = checkValues(vs, futs, nil, healthValue)
 
 	// Breaker invariant: the htex breaker demonstrably cycled — at least one
 	// trip and at least one half-open probe window (the poison task cannot
 	// reach kill #2 without probing through one).
-	for _, e := range store.Events(monitor.KindHealth) {
+	quarantines := 0
+	for _, e := range fx.store.Events(monitor.KindHealth) {
 		switch {
 		case e.Detail == "breaker" && e.Executor == "htex":
 			res.Transitions = append(res.Transitions, e.From+"->"+e.To)
 		case strings.HasPrefix(e.Detail, "backoff"):
 			res.Backoffs++
-		}
-	}
-	if !containsString(res.Transitions, "closed->open") {
-		violate("htex breaker never opened: transitions %v", res.Transitions)
-	}
-	if !containsString(res.Transitions, "open->half-open") {
-		violate("htex breaker never probed half-open: transitions %v", res.Transitions)
-	}
-	if res.Backoffs == 0 {
-		violate("no backoff events: retries re-entered dispatch inline")
-	}
-	quarantines := 0
-	for _, e := range store.Events(monitor.KindHealth) {
-		if strings.HasPrefix(e.Detail, "quarantine") {
+		case strings.HasPrefix(e.Detail, "quarantine"):
 			quarantines++
 		}
 	}
+	if !slices.Contains(res.Transitions, "closed->open") {
+		vs.add("htex breaker never opened: transitions %v", res.Transitions)
+	}
+	if !slices.Contains(res.Transitions, "open->half-open") {
+		vs.add("htex breaker never probed half-open: transitions %v", res.Transitions)
+	}
+	if res.Backoffs == 0 {
+		vs.add("no backoff events: retries re-entered dispatch inline")
+	}
 	if quarantines != 1 {
-		violate("quarantine events = %d, want exactly 1", quarantines)
+		vs.add("quarantine events = %d, want exactly 1", quarantines)
 	}
 
 	// Broker drain: no in-flight leak survived the kill-storm.
-	drained := func() bool {
-		if hx.Interchange().QueueDepth() != 0 {
-			return false
-		}
-		for _, n := range hx.Interchange().OutstandingByManager() {
-			if n != 0 {
-				return false
-			}
-		}
-		return pool.Outstanding() == 0 && hx.Outstanding() == 0
-	}
-	quiesce := time.Now().Add(15 * time.Second)
-	for !drained() && time.Now().Before(quiesce) {
-		time.Sleep(2 * time.Millisecond)
-	}
-	if qd := hx.Interchange().QueueDepth(); qd != 0 {
-		violate("interchange queue holds %d tasks after drain", qd)
-	}
-	if n := pool.Outstanding(); n != 0 {
-		violate("threadpool still holds %d tasks after drain", n)
-	}
-	if n := hx.Outstanding(); n != 0 {
-		violate("htex client still tracks %d tasks after drain", n)
-	}
+	fx.checkDrained(vs, -1)
 
-	// Exactly-once delivery, reconstructed from the monitoring stream: one
-	// terminal transition per task, launches bounded by the charged budget
-	// plus the free per-class allowances (executor-lost 6 + transient 8).
-	launches := make(map[int64]int)
-	terminals := make(map[int64]int)
-	for _, e := range store.Events(monitor.KindTaskState) {
-		switch e.To {
-		case "launched":
-			launches[e.TaskID]++
-		case "done", "failed", "memoized":
-			terminals[e.TaskID]++
-		}
-	}
-	for id, n := range terminals {
-		if n != 1 {
-			violate("task %d reached a terminal state %d times", id, n)
-		}
-	}
-	freeAllowance := 14
-	for id, n := range launches {
-		if n > cfg.Retries+1+freeAllowance {
-			violate("task %d launched %d times, budget %d+1 (+%d free)", id, n, cfg.Retries, freeAllowance)
-		}
-		if n > 1 {
-			res.Retried++
-		}
-		if n > res.MaxLaunches {
-			res.MaxLaunches = n
-		}
-	}
-	sum := d.Summary()
-	res.Done = sum["done"]
+	// Launches are bounded by the charged budget plus the free per-class
+	// allowances (executor-lost 6 + transient 8).
+	const freeAllowance = 14
+	ls := checkExactlyOnce(vs, fx.store, cfg.Retries+freeAllowance, nil)
+	res.Retried, res.MaxLaunches = ls.Retried, ls.MaxLaunches
+	res.Done = fx.d.Summary()["done"]
 	if res.Done != cfg.Tasks {
-		violate("done = %d, want %d bulk tasks", res.Done, cfg.Tasks)
-	}
-	if d.Outstanding() != 0 {
-		violate("graph outstanding = %d after drain", d.Outstanding())
+		vs.add("done = %d, want %d bulk tasks", res.Done, cfg.Tasks)
 	}
 
-	if err := d.Shutdown(); err != nil {
-		violate("shutdown: %v", err)
+	if err := fx.d.Shutdown(); err != nil {
+		vs.add("shutdown: %v", err)
 	}
 	res.Elapsed = time.Since(start)
 	return res, nil
-}
-
-func containsString(s []string, v string) bool {
-	for _, e := range s {
-		if e == v {
-			return true
-		}
-	}
-	return false
 }

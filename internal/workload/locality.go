@@ -13,12 +13,9 @@ import (
 	"repro/internal/data"
 	"repro/internal/dfk"
 	"repro/internal/executor"
-	"repro/internal/executor/htex"
 	"repro/internal/future"
-	"repro/internal/provider"
 	"repro/internal/sched"
 	"repro/internal/serialize"
-	"repro/internal/simnet"
 )
 
 // This file holds the data-aware scheduling scenario: the content-addressed
@@ -54,21 +51,11 @@ type LocalityConfig struct {
 }
 
 func (c *LocalityConfig) normalize() {
-	if c.Tasks <= 0 {
-		c.Tasks = 16
-	}
-	if c.PayloadBytes <= 0 {
-		c.PayloadBytes = 4096
-	}
-	if c.Managers <= 0 {
-		c.Managers = 4
-	}
-	if c.MgrWorkers <= 0 {
-		c.MgrWorkers = 1
-	}
-	if c.Watchdog <= 0 {
-		c.Watchdog = 90 * time.Second
-	}
+	setDefault(&c.Tasks, 16)
+	setDefault(&c.PayloadBytes, 4096)
+	setDefault(&c.Managers, 4)
+	setDefault(&c.MgrWorkers, 1)
+	setDefault(&c.Watchdog, 90*time.Second)
 }
 
 // LocalityResult reports one locality scenario run.
@@ -108,43 +95,14 @@ func localityInput(i int) (string, error) {
 	return d, nil
 }
 
-func newLocalityHTEX(label string, seed int64, shards int, reg *serialize.Registry, cfg LocalityConfig) *htex.Executor {
-	return htex.New(htex.Config{
-		Label:      label,
-		Shards:     shards,
-		Transport:  simnet.NewNetwork(0),
-		Registry:   reg,
-		Provider:   provider.NewLocal(provider.Config{NodesPerBlock: cfg.Managers}),
-		InitBlocks: 1,
-		Manager:    htex.ManagerConfig{Workers: cfg.MgrWorkers, Prefetch: cfg.MgrWorkers},
-		Interchange: htex.InterchangeConfig{
-			Seed:               seed,
-			Locality:           true,
-			HeartbeatPeriod:    50 * time.Millisecond,
-			HeartbeatThreshold: 300 * time.Millisecond,
-		},
-	})
-}
-
 // RunLocality executes the data-aware scheduling scenario.
-func RunLocality(cfg LocalityConfig) (LocalityResult, error) {
+func RunLocality(cfg LocalityConfig) (res LocalityResult, _ error) {
 	cfg.normalize()
 	start := time.Now()
-	res := LocalityResult{Tasks: cfg.Tasks}
-	violate := func(format string, args ...any) {
-		res.Violations = append(res.Violations, fmt.Sprintf(format, args...))
-	}
-	deadline := time.Now().Add(cfg.Watchdog)
-	waitFor := func(what string, cond func() bool) bool {
-		for time.Now().Before(deadline) {
-			if cond() {
-				return true
-			}
-			time.Sleep(time.Millisecond)
-		}
-		violate("watchdog: %s", what)
-		return false
-	}
+	deadline := start.Add(cfg.Watchdog)
+	res.Tasks = cfg.Tasks
+	defer func() { res.Elapsed = time.Since(start) }()
+	vs := (*violations)(&res.Violations)
 
 	// ---- Phases 1–2: cold run, then a warm replay from a second process ----
 
@@ -174,21 +132,15 @@ func RunLocality(cfg LocalityConfig) (LocalityResult, error) {
 	}
 
 	runReplay := func(procLabel string) error {
-		reg := serialize.NewRegistry()
-		hx := newLocalityHTEX("htex-"+procLabel, cfg.Seed, 1, reg, cfg)
-		d, err := dfk.New(dfk.Config{
-			Registry:        reg,
-			Executors:       []executor.Executor{hx},
-			Seed:            cfg.Seed,
-			Memoize:         true,
-			SharedCache:     shared,
-			SchedulerPolicy: "locality",
-		})
+		fx, err := newFixture(0,
+			poolSpec{Label: "htex-" + procLabel, Seed: cfg.Seed, Shards: 1,
+				Managers: cfg.Managers, Workers: cfg.MgrWorkers, Locality: true},
+			dfk.Config{Memoize: true, SharedCache: shared, SchedulerPolicy: "locality"})
 		if err != nil {
 			return err
 		}
-		defer func() { _ = d.Shutdown() }()
-		app, err := d.PythonApp("analyze", analyze)
+		defer func() { _ = fx.d.Shutdown() }()
+		app, err := fx.app("analyze", analyze)
 		if err != nil {
 			return err
 		}
@@ -203,14 +155,12 @@ func RunLocality(cfg LocalityConfig) (LocalityResult, error) {
 		for i := 0; i < cfg.Tasks; i++ {
 			futs = append(futs, app.Call(i))
 		}
-		for i, f := range futs {
-			v, err := f.Result()
-			if err != nil {
-				return fmt.Errorf("%s: task %d: %w", procLabel, i, err)
-			}
-			if v != i*2 {
-				return fmt.Errorf("%s: task %d = %v, want %d", procLabel, i, v, i*2)
-			}
+		if n := awaitAll(futs, deadline); n > 0 {
+			fx.teardownWedged(vs)
+			return fmt.Errorf("%s: watchdog %v expired with %d/%d tasks unsettled", procLabel, cfg.Watchdog, n, len(futs))
+		}
+		if checkValues(vs, futs, nil, func(i int) int { return i * 2 }) > 0 {
+			return fmt.Errorf("%s replay lost tasks: %v", procLabel, res.Violations)
 		}
 		return nil
 	}
@@ -224,10 +174,10 @@ func RunLocality(cfg LocalityConfig) (LocalityResult, error) {
 	res.ColdBytesFetched = coldStage.FetchedBytes
 	coldCache := shared.Stats()
 	if res.ColdExecutions != cfg.Tasks {
-		violate("cold run executed %d of %d tasks", res.ColdExecutions, cfg.Tasks)
+		vs.add("cold run executed %d of %d tasks", res.ColdExecutions, cfg.Tasks)
 	}
 	if coldCache.Stores != int64(cfg.Tasks) {
-		violate("cold run published %d results to the shared cache, want %d", coldCache.Stores, cfg.Tasks)
+		vs.add("cold run published %d results to the shared cache, want %d", coldCache.Stores, cfg.Tasks)
 	}
 
 	if err := runReplay("warm"); err != nil {
@@ -243,13 +193,13 @@ func RunLocality(cfg LocalityConfig) (LocalityResult, error) {
 		res.WarmHitRate = float64(n) / float64(cfg.Tasks)
 	}
 	if res.WarmExecutions != 0 {
-		violate("warm replay re-executed %d tasks, want 0", res.WarmExecutions)
+		vs.add("warm replay re-executed %d tasks, want 0", res.WarmExecutions)
 	}
 	if res.WarmFetches != 0 || res.WarmBytesMoved != 0 {
-		violate("warm replay moved %d bytes in %d fetches, want 0", res.WarmBytesMoved, res.WarmFetches)
+		vs.add("warm replay moved %d bytes in %d fetches, want 0", res.WarmBytesMoved, res.WarmFetches)
 	}
 	if res.WarmHitRate < 1 {
-		violate("warm hit rate %.3f, want 1.0", res.WarmHitRate)
+		vs.add("warm hit rate %.3f, want 1.0", res.WarmHitRate)
 	}
 
 	// ---- Phase 3: locality routing across two pools ----
@@ -275,8 +225,11 @@ func RunLocality(cfg LocalityConfig) (LocalityResult, error) {
 	if err := betaReg.Register("route", recorder("beta")); err != nil {
 		return res, err
 	}
-	alpha := newLocalityHTEX("alpha", cfg.Seed, 2, alphaReg, cfg)
-	beta := newLocalityHTEX("beta", cfg.Seed+1, 2, betaReg, cfg)
+	pool := poolSpec{Label: "alpha", Seed: cfg.Seed, Shards: 2,
+		Managers: cfg.Managers, Workers: cfg.MgrWorkers, Locality: true}
+	alpha := newPool(alphaReg, pool)
+	pool.Label, pool.Seed = "beta", cfg.Seed+1
+	beta := newPool(betaReg, pool)
 	loc := sched.NewLocality()
 	routeDFK, err := dfk.New(dfk.Config{
 		Registry:  serialize.NewRegistry(),
@@ -302,26 +255,19 @@ func RunLocality(cfg LocalityConfig) (LocalityResult, error) {
 			return res, err
 		}
 	}
-	runRound := func(round string) bool {
+	runRound := func() bool {
 		futs := make([]*future.Future, 0, cfg.Tasks)
 		for i := 0; i < cfg.Tasks; i++ {
 			futs = append(futs, route.Call(i))
 		}
-		for i, f := range futs {
-			if _, err := f.Result(); err != nil {
-				violate("%s round task %d: %v", round, i, err)
-				return false
-			}
-		}
-		return true
+		return checkValues(vs, futs, nil, func(i int) int { return i }) == 0
 	}
-	if !runRound("cold") {
-		res.Elapsed = time.Since(start)
+	if !runRound() {
 		return res, nil
 	}
 	// Every input ran exactly once on exactly one pool; wait until that
 	// pool's heartbeat advert makes the digest visible.
-	if !waitFor("digest advertisements propagate", func() bool {
+	if !waitUntil(deadline, func() bool {
 		for _, dg := range digests {
 			if !alpha.HoldsDigest(dg) && !beta.HoldsDigest(dg) {
 				return false
@@ -329,23 +275,22 @@ func RunLocality(cfg LocalityConfig) (LocalityResult, error) {
 		}
 		return true
 	}) {
-		res.Elapsed = time.Since(start)
+		vs.add("watchdog: digest advertisements never propagated")
 		return res, nil
 	}
 	preHits, _ := loc.Stats()
-	if !runRound("warm") {
-		res.Elapsed = time.Since(start)
+	if !runRound() {
 		return res, nil
 	}
 	res.RouteHits, res.RouteMisses = loc.Stats()
 	if warmHits := res.RouteHits - preHits; warmHits != int64(cfg.Tasks) {
-		violate("warm round scored %d locality hits, want %d", warmHits, cfg.Tasks)
+		vs.add("warm round scored %d locality hits, want %d", warmHits, cfg.Tasks)
 	}
 	rec.mu.Lock()
 	for i := 0; i < cfg.Tasks; i++ {
 		runs := rec.byIn[i]
 		if len(runs) != 2 {
-			violate("input %d ran %d times across the routing rounds, want 2", i, len(runs))
+			vs.add("input %d ran %d times across the routing rounds, want 2", i, len(runs))
 			continue
 		}
 		if runs[1] == runs[0] {
@@ -356,7 +301,7 @@ func RunLocality(cfg LocalityConfig) (LocalityResult, error) {
 	}
 	rec.mu.Unlock()
 	if res.RoutedElsewhere > 0 {
-		violate("%d repeats ran away from their digest holder", res.RoutedElsewhere)
+		vs.add("%d repeats ran away from their digest holder", res.RoutedElsewhere)
 	}
 
 	// ---- Phase 4: stale advertisement degrades to a cold run ----
@@ -376,24 +321,23 @@ func RunLocality(cfg LocalityConfig) (LocalityResult, error) {
 		}
 	}
 	if !killed {
-		violate("stale phase: no shard held input 0's digest")
+		vs.add("stale phase: no shard held input 0's digest")
 	} else {
 		preRuns := len(rec.byIn[0])
 		v, err := route.Call(0).Result()
 		if err != nil {
-			violate("stale rerun failed: %v", err)
+			vs.add("stale rerun failed: %v", err)
 		} else if v != 0 {
-			violate("stale rerun = %v, want 0", v)
+			vs.add("stale rerun = %v, want 0", v)
 		} else {
 			rec.mu.Lock()
 			res.StaleRerunOK = len(rec.byIn[0]) == preRuns+1
 			rec.mu.Unlock()
 			if !res.StaleRerunOK {
-				violate("stale rerun did not re-execute (advert should be gone)")
+				vs.add("stale rerun did not re-execute (advert should be gone)")
 			}
 		}
 	}
 
-	res.Elapsed = time.Since(start)
 	return res, nil
 }

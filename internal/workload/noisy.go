@@ -51,27 +51,13 @@ type NoisyConfig struct {
 }
 
 func (c *NoisyConfig) normalize() {
-	if c.Workers <= 0 {
-		c.Workers = 8
-	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 8
-	}
-	if c.TaskDuration <= 0 {
-		c.TaskDuration = 5 * time.Millisecond
-	}
-	if c.HeavyTasks <= 0 {
-		c.HeavyTasks = 10000
-	}
-	if c.LightTasks <= 0 {
-		c.LightTasks = 300
-	}
-	if c.HeavyWeight <= 0 {
-		c.HeavyWeight = 10
-	}
-	if c.LightWeight <= 0 {
-		c.LightWeight = 1
-	}
+	setDefault(&c.Workers, 8)
+	setDefault(&c.QueueDepth, 8)
+	setDefault(&c.TaskDuration, 5*time.Millisecond)
+	setDefault(&c.HeavyTasks, 10000)
+	setDefault(&c.LightTasks, 300)
+	setDefault(&c.HeavyWeight, 10)
+	setDefault(&c.LightWeight, 1)
 }
 
 // NoisyResult reports what the light tenant observed.

@@ -3,18 +3,14 @@ package workload
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
 	"repro/internal/chaos"
 	"repro/internal/dfk"
-	"repro/internal/executor"
-	"repro/internal/executor/htex"
 	"repro/internal/future"
-	"repro/internal/monitor"
-	"repro/internal/provider"
 	"repro/internal/serialize"
-	"repro/internal/simnet"
 )
 
 // This file holds the two arms of the sharded-control-plane scenario:
@@ -66,27 +62,13 @@ func (c *ShardFailoverConfig) normalize() {
 	if c.Victim < 0 || c.Victim >= c.Shards {
 		c.Victim = 1
 	}
-	if c.Tasks <= 0 {
-		c.Tasks = 160
-	}
-	if c.Managers <= 0 {
-		c.Managers = 8
-	}
-	if c.MgrWorkers <= 0 {
-		c.MgrWorkers = 1
-	}
-	if c.TaskMillis <= 0 {
-		c.TaskMillis = 15
-	}
-	if c.Retries <= 0 {
-		c.Retries = 8
-	}
-	if c.TaskTimeout <= 0 {
-		c.TaskTimeout = 5 * time.Second
-	}
-	if c.Watchdog <= 0 {
-		c.Watchdog = 90 * time.Second
-	}
+	setDefault(&c.Tasks, 160)
+	setDefault(&c.Managers, 8)
+	setDefault(&c.MgrWorkers, 1)
+	setDefault(&c.TaskMillis, 15)
+	setDefault(&c.Retries, 8)
+	setDefault(&c.TaskTimeout, 5*time.Second)
+	setDefault(&c.Watchdog, 90*time.Second)
 }
 
 // ShardFailoverResult reports one failover run.
@@ -95,7 +77,7 @@ type ShardFailoverResult struct {
 	Done          int
 	Retried       int   // tasks that took more than one launch
 	ExtraLaunches int   // total launches beyond one per task
-	VictimHeld    int   // victim shard's inflight count at the kill snapshot
+	VictimHeld    int   // attempts the system failed on the victim's account (htex LostByShard)
 	SurvivorMgrs  []int // per-survivor-shard manager counts after the kill
 	ShardsAlive   int
 	ShardsTotal   int
@@ -120,78 +102,49 @@ func RunShardFailover(cfg ShardFailoverConfig) (ShardFailoverResult, error) {
 		{Point: chaos.PointIxKill, Act: chaos.ActKill, Prob: 1, Match: victimLabel, Max: 1},
 	})
 
-	reg := serialize.NewRegistry()
-	taskFn := func(args []any, _ map[string]any) (any, error) {
-		time.Sleep(time.Duration(cfg.TaskMillis) * time.Millisecond)
-		return shardValue(args[0].(int)), nil
-	}
-
-	hx := htex.New(htex.Config{
-		Label:      "htex",
-		Shards:     cfg.Shards,
-		Transport:  simnet.NewNetwork(0),
-		Registry:   reg,
-		Provider:   provider.NewLocal(provider.Config{NodesPerBlock: cfg.Managers}),
-		InitBlocks: 1,
-		Manager:    htex.ManagerConfig{Workers: cfg.MgrWorkers, Prefetch: cfg.MgrWorkers},
-		Interchange: htex.InterchangeConfig{
-			Seed:               cfg.Seed,
-			HeartbeatPeriod:    50 * time.Millisecond,
-			HeartbeatThreshold: 300 * time.Millisecond,
-		},
-	})
-	store := monitor.NewStore()
-	d, err := dfk.New(dfk.Config{
-		Registry:        reg,
-		Executors:       []executor.Executor{hx},
-		Retries:         cfg.Retries,
-		TaskTimeout:     cfg.TaskTimeout,
-		Seed:            cfg.Seed,
-		Monitor:         store,
-		SchedulerPolicy: cfg.SchedulerPolicy,
-	})
+	// No manager dies in this scenario, so the loss threshold is slack: a
+	// heartbeat starved on a loaded 1–2 core runner must not read as kill
+	// fallout on a survivor.
+	fx, err := newFixture(0,
+		poolSpec{Label: "htex", Seed: cfg.Seed, Shards: cfg.Shards, Managers: cfg.Managers,
+			Workers: cfg.MgrWorkers, HeartbeatThreshold: cfg.TaskTimeout},
+		dfk.Config{
+			Retries:         cfg.Retries,
+			TaskTimeout:     cfg.TaskTimeout,
+			SchedulerPolicy: cfg.SchedulerPolicy,
+		})
 	if err != nil {
 		return ShardFailoverResult{}, err
 	}
-	app, err := d.PythonApp("shard-bulk", taskFn)
+	hx, d := fx.hx, fx.d
+	app, err := fx.app("shard-bulk", func(args []any, _ map[string]any) (any, error) {
+		time.Sleep(time.Duration(cfg.TaskMillis) * time.Millisecond)
+		return shardValue(args[0].(int)), nil
+	})
 	if err != nil {
-		_ = d.Shutdown()
 		return ShardFailoverResult{}, err
 	}
 
 	start := time.Now()
 	res := ShardFailoverResult{Submitted: cfg.Tasks, ShardsTotal: cfg.Shards}
-	violate := func(format string, args ...any) {
-		res.Violations = append(res.Violations, fmt.Sprintf(format, args...))
-	}
+	vs := (*violations)(&res.Violations)
 
 	// Every shard must hold managers before work flows, or placement spills
-	// around empty shards and the victim may carry nothing worth killing.
-	ready := time.Now().Add(10 * time.Second)
-	for {
-		placed, total := 0, 0
+	// around empty shards and the victim may carry nothing worth killing. The
+	// whole fleet must be registered too — a partial count would read late
+	// registrations as kill fallout on the survivors.
+	var preMgrs []int
+	if !waitUntil(time.Now().Add(10*time.Second), func() bool {
+		preMgrs = preMgrs[:0]
+		total := 0
 		for i := 0; i < hx.ShardCount(); i++ {
-			n := hx.Shard(i).ManagerCount()
-			total += n
-			if n > 0 {
-				placed++
-			}
+			preMgrs = append(preMgrs, hx.Shard(i).ManagerCount())
+			total += preMgrs[i]
 		}
-		// The whole fleet must be registered — a partial snapshot would read
-		// late registrations as kill fallout on the survivors.
-		if placed == cfg.Shards && total == cfg.Managers {
-			break
-		}
-		if time.Now().After(ready) {
-			_ = d.Shutdown()
-			return res, fmt.Errorf("shard failover: %d/%d managers on %d/%d shards",
-				total, cfg.Managers, placed, cfg.Shards)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	preMgrs := make([]int, hx.ShardCount())
-	for i := range preMgrs {
-		preMgrs[i] = hx.Shard(i).ManagerCount()
+		return total == cfg.Managers && !slices.Contains(preMgrs, 0)
+	}) {
+		_ = d.Shutdown()
+		return res, fmt.Errorf("shard failover: managers per shard %v, want %d with none empty", preMgrs, cfg.Managers)
 	}
 
 	ctx := context.Background()
@@ -200,79 +153,41 @@ func RunShardFailover(cfg ShardFailoverConfig) (ShardFailoverResult, error) {
 		futs = append(futs, app.Submit(ctx, []any{i}))
 	}
 
-	// Arm the kill only once the victim holds outstanding work: the next
-	// frame its interchange handles (a heartbeat at the latest) detonates.
-	// The inflight snapshot taken here is a superset of what the victim
-	// holds at the kill instant (tasks leave a shard only by completing),
-	// so it upper-bounds legitimate re-execution.
-	killDeadline := time.Now().Add(10 * time.Second)
-	for hx.InflightByShard()[cfg.Victim] == 0 && time.Now().Before(killDeadline) {
-		time.Sleep(time.Millisecond)
-	}
-	pre := hx.InflightByShard()
-	res.VictimHeld = pre[cfg.Victim]
-	if res.VictimHeld == 0 {
-		violate("victim shard %d never held inflight tasks: %v", cfg.Victim, pre)
-	}
+	// Arm the kill only once the victim holds outstanding work, so it lands
+	// mid-flight: the next frame its interchange handles (a heartbeat at the
+	// latest) detonates. This poll only gates the arming — the dispatch
+	// pipeline is still routing the burst, so what the victim holds now says
+	// nothing about what it will hold at the kill.
+	waitUntil(time.Now().Add(10*time.Second), func() bool { return hx.InflightByShard()[cfg.Victim] > 0 })
 	restore := chaos.Enable(inj)
-
-	expired := make(chan struct{})
-	watchdog := time.AfterFunc(cfg.Watchdog, func() { close(expired) })
-	defer watchdog.Stop()
-	stuck := false
-	for _, f := range futs {
-		select {
-		case <-f.DoneChan():
-		case <-expired:
-			stuck = true
-		}
-		if stuck {
-			break
-		}
-	}
+	unsettled := awaitAll(futs, time.Now().Add(cfg.Watchdog))
 	restore()
 	res.Events = inj.Events()
 	res.Kills = int(inj.Fires(chaos.PointIxKill))
-	if stuck {
-		n := 0
-		for _, f := range futs {
-			if !f.Done() {
-				n++
-			}
-		}
-		violate("watchdog %v expired with %d/%d tasks unsettled", cfg.Watchdog, n, len(futs))
-		_ = hx.Shutdown()
-		_ = d.Shutdown()
+	if unsettled > 0 {
+		vs.add("watchdog %v expired with %d/%d tasks unsettled", cfg.Watchdog, unsettled, len(futs))
+		fx.teardownWedged(vs)
 		res.Elapsed = time.Since(start)
 		return res, nil
 	}
 
 	if res.Kills != 1 {
-		violate("chaos fired %d shard kills, want exactly 1", res.Kills)
+		vs.add("chaos fired %d shard kills, want exactly 1", res.Kills)
 	}
 
 	// Goodput invariant: every task completes with the right value — the
 	// victim's lost set re-executes on the survivors via the retry plane.
-	for i, f := range futs {
-		v, ferr := f.Result()
-		if ferr != nil {
-			violate("task %d lost: %v", i, ferr)
-			continue
-		}
-		if got, ok := v.(int); !ok || got != shardValue(i) {
-			violate("task %d: value %v, want %d", i, v, shardValue(i))
-		}
-	}
+	checkValues(vs, futs, nil, shardValue)
 
 	// Membership invariant: exactly the victim is gone, and the merged
 	// health view degrades without going down.
 	res.ShardsAlive, res.ShardsTotal = hx.ShardCounts()
 	if res.ShardsAlive != cfg.Shards-1 {
-		violate("shards alive = %d, want %d (only the victim dead)", res.ShardsAlive, cfg.Shards-1)
+		vs.add("shards alive = %d, want %d (only the victim dead)", res.ShardsAlive, cfg.Shards-1)
 	}
 	res.Health = hx.ShardHealth()
 	if res.Health != "degraded" {
-		violate("merged shard health %q, want degraded", res.Health)
+		vs.add("merged shard health %q, want degraded", res.Health)
 	}
 	// Blast-radius invariant: the survivors' manager fleets are untouched —
 	// the kill must not cascade past the victim's endpoint.
@@ -283,65 +198,30 @@ func RunShardFailover(cfg ShardFailoverConfig) (ShardFailoverResult, error) {
 		n := hx.Shard(i).ManagerCount()
 		res.SurvivorMgrs = append(res.SurvivorMgrs, n)
 		if n != preMgrs[i] {
-			violate("shard %d manager count %d, was %d before the kill — survivors must be untouched", i, n, preMgrs[i])
+			vs.add("shard %d manager count %d, was %d before the kill — survivors must be untouched", i, n, preMgrs[i])
 		}
 	}
 
-	// Exactly-once + bounded-requeue invariants from the monitoring stream:
-	// one terminal transition per task, and total re-execution bounded by
-	// what the victim held when the kill armed. Tasks on the survivors never
-	// relaunch, so extra launches can only come from the victim's set.
-	launches := make(map[int64]int)
-	terminals := make(map[int64]int)
-	for _, e := range store.Events(monitor.KindTaskState) {
-		switch e.To {
-		case "launched":
-			launches[e.TaskID]++
-		case "done", "failed", "memoized":
-			terminals[e.TaskID]++
-		}
-	}
-	for id, n := range terminals {
-		if n != 1 {
-			violate("task %d reached a terminal state %d times", id, n)
-		}
-	}
-	for _, n := range launches {
-		if n > 1 {
-			res.Retried++
-			res.ExtraLaunches += n - 1
-		}
-	}
+	// Exactly-once + bounded-requeue invariants: one terminal per task, and
+	// re-execution bounded by what the system itself failed on the victim's
+	// account. Tasks on the survivors never relaunch, so extra launches can
+	// only come from the victim's set.
+	ls := checkExactlyOnce(vs, fx.store, cfg.Retries, nil)
+	res.Retried, res.ExtraLaunches = ls.Retried, ls.ExtraLaunches
+	res.VictimHeld = hx.LostByShard()[cfg.Victim]
 	if res.Retried == 0 {
-		violate("no task re-executed though the victim held %d — the kill missed the workload", res.VictimHeld)
+		vs.add("no task re-executed (the victim lost %d) — the kill missed the workload", res.VictimHeld)
 	}
-	if res.Retried > res.VictimHeld {
-		violate("%d tasks re-executed but the victim held only %d — survivors' tasks were requeued too",
-			res.Retried, res.VictimHeld)
-	}
+	checkBoundedReexec(vs, res.Retried, res.VictimHeld, fmt.Sprintf("the kill of shard %d", cfg.Victim))
 
-	sum := d.Summary()
-	res.Done = sum["done"]
+	res.Done = d.Summary()["done"]
 	if res.Done != cfg.Tasks {
-		violate("done = %d, want %d", res.Done, cfg.Tasks)
+		vs.add("done = %d, want %d", res.Done, cfg.Tasks)
 	}
-	if hx.Outstanding() != 0 {
-		violate("htex client still tracks %d tasks after drain", hx.Outstanding())
-	}
-	for i := 0; i < hx.ShardCount(); i++ {
-		if i == cfg.Victim {
-			continue
-		}
-		if qd := hx.Shard(i).QueueDepth(); qd != 0 {
-			violate("survivor shard %d queue holds %d tasks after drain", i, qd)
-		}
-	}
-	if d.Outstanding() != 0 {
-		violate("graph outstanding = %d after drain", d.Outstanding())
-	}
+	fx.checkDrained(vs, cfg.Victim)
 
 	if err := d.Shutdown(); err != nil {
-		violate("shutdown: %v", err)
+		vs.add("shutdown: %v", err)
 	}
 	res.Elapsed = time.Since(start)
 	return res, nil
@@ -365,24 +245,12 @@ type ShardScalingConfig struct {
 }
 
 func (c *ShardScalingConfig) normalize() {
-	if c.Shards < 1 {
-		c.Shards = 1
-	}
-	if c.Managers <= 0 {
-		c.Managers = 8
-	}
-	if c.MgrWorkers <= 0 {
-		c.MgrWorkers = 2
-	}
-	if c.Tasks <= 0 {
-		c.Tasks = 4000
-	}
-	if c.Submitters <= 0 {
-		c.Submitters = 4
-	}
-	if c.Batch <= 0 {
-		c.Batch = 32
-	}
+	setDefault(&c.Shards, 1)
+	setDefault(&c.Managers, 8)
+	setDefault(&c.MgrWorkers, 2)
+	setDefault(&c.Tasks, 4000)
+	setDefault(&c.Submitters, 4)
+	setDefault(&c.Batch, 32)
 }
 
 // ShardScalingResult reports one throughput arm.
@@ -409,31 +277,23 @@ func RunShardScaling(cfg ShardScalingConfig) (ShardScalingResult, error) {
 		return ShardScalingResult{}, err
 	}
 
-	hx := htex.New(htex.Config{
-		Label:      "htex",
-		Shards:     cfg.Shards,
-		Transport:  simnet.NewNetwork(0),
-		Registry:   reg,
-		Provider:   provider.NewLocal(provider.Config{NodesPerBlock: cfg.Managers}),
-		InitBlocks: 1,
-		Manager:    htex.ManagerConfig{Workers: cfg.MgrWorkers, Prefetch: 2 * cfg.MgrWorkers},
-		Interchange: htex.InterchangeConfig{
-			Seed:               cfg.Seed,
-			HeartbeatPeriod:    100 * time.Millisecond,
-			HeartbeatThreshold: time.Second,
-		},
+	// Throughput arm: deeper prefetch keeps the workers fed, and slack
+	// heartbeat clocks keep a CPU-saturated run from reading a starved
+	// manager as dead.
+	hx := newPool(reg, poolSpec{
+		Label: "htex", Seed: cfg.Seed, Shards: cfg.Shards,
+		Managers: cfg.Managers, Workers: cfg.MgrWorkers, Prefetch: 2 * cfg.MgrWorkers,
+		HeartbeatPeriod: 100 * time.Millisecond, HeartbeatThreshold: time.Second,
 	})
 	if err := hx.Start(); err != nil {
 		return ShardScalingResult{}, err
 	}
 	defer func() { _ = hx.Shutdown() }()
-	ready := time.Now().Add(10 * time.Second)
-	for hx.ConnectedWorkers() < cfg.Managers*cfg.MgrWorkers {
-		if time.Now().After(ready) {
-			return ShardScalingResult{}, fmt.Errorf("shard scaling: %d/%d workers connected",
-				hx.ConnectedWorkers(), cfg.Managers*cfg.MgrWorkers)
-		}
-		time.Sleep(time.Millisecond)
+	if !waitUntil(time.Now().Add(10*time.Second), func() bool {
+		return hx.ConnectedWorkers() >= cfg.Managers*cfg.MgrWorkers
+	}) {
+		return ShardScalingResult{}, fmt.Errorf("shard scaling: %d/%d workers connected",
+			hx.ConnectedWorkers(), cfg.Managers*cfg.MgrWorkers)
 	}
 
 	perSubmitter := cfg.Tasks / cfg.Submitters

@@ -10,6 +10,7 @@ import (
 	"repro/internal/dfk"
 	"repro/internal/executor"
 	"repro/internal/executor/threadpool"
+	"repro/internal/future"
 	"repro/internal/monitor"
 	"repro/internal/serialize"
 	"repro/internal/wal"
@@ -39,12 +40,8 @@ type WALCrashConfig struct {
 }
 
 func (c *WALCrashConfig) normalize() {
-	if c.Tasks <= 0 {
-		c.Tasks = 8
-	}
-	if c.Retries <= 0 {
-		c.Retries = 1
-	}
+	setDefault(&c.Tasks, 8)
+	setDefault(&c.Retries, 1)
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
@@ -88,6 +85,45 @@ func walTaskIndex(payload []byte) (int, error) {
 	return i, nil
 }
 
+// walLifetime is one DFK process over the durable state in cfg.Dir.
+type walLifetime struct {
+	d     *dfk.DFK
+	app   *dfk.App
+	store *monitor.Store
+	execs []atomic.Int64 // app-body executions per task index, this lifetime
+}
+
+func bootWALLifetime(cfg WALCrashConfig, seed int64) (*walLifetime, error) {
+	lt := &walLifetime{store: monitor.NewStore(), execs: make([]atomic.Int64, cfg.Tasks)}
+	reg := serialize.NewRegistry()
+	var err error
+	lt.d, err = dfk.New(dfk.Config{
+		Registry:        reg,
+		Executors:       []executor.Executor{threadpool.New("tp", 4, reg)},
+		Retries:         cfg.Retries,
+		Memoize:         true,
+		Checkpoint:      filepath.Join(cfg.Dir, "checkpoint.jsonl"),
+		Seed:            seed,
+		Monitor:         lt.store,
+		WAL:             true,
+		WALDir:          filepath.Join(cfg.Dir, "wal"),
+		WALCompactEvery: -1, // keep the raw record stream inspectable
+	})
+	if err != nil {
+		return nil, err
+	}
+	lt.app, err = lt.d.PythonApp("wal-crashf", func(args []any, _ map[string]any) (any, error) {
+		i := args[0].(int)
+		lt.execs[i].Add(1)
+		return walValue(i), nil
+	})
+	if err != nil {
+		_ = lt.d.Shutdown()
+		return nil, err
+	}
+	return lt, nil
+}
+
 // RunWALCrash executes the two-lifetime scenario and checks, at the given
 // record boundary: no task is lost (every submitted task eventually resolves
 // with the right value in some lifetime), no pre-crash-terminal task is
@@ -97,57 +133,31 @@ func walTaskIndex(payload []byte) (int, error) {
 func RunWALCrash(cfg WALCrashConfig) (WALCrashResult, error) {
 	cfg.normalize()
 	var res WALCrashResult
-	violate := func(format string, args ...any) {
-		res.Violations = append(res.Violations, fmt.Sprintf(format, args...))
-	}
+	vs := (*violations)(&res.Violations)
 	walDir := filepath.Join(cfg.Dir, "wal")
-	cpPath := filepath.Join(cfg.Dir, "checkpoint.jsonl")
 
 	// Lifetime 1: run the workload with the log freezing at the boundary.
 	// The process itself runs on (futures settle in memory), but the disk
 	// stops dead at record Boundary — exactly a kill at that point.
-	execs1 := make([]atomic.Int64, cfg.Tasks)
-	{
-		reg := serialize.NewRegistry()
-		d, err := dfk.New(dfk.Config{
-			Registry:        reg,
-			Executors:       []executor.Executor{threadpool.New("tp", 4, reg)},
-			Retries:         cfg.Retries,
-			Memoize:         true,
-			Checkpoint:      cpPath,
-			Seed:            cfg.Seed,
-			WAL:             true,
-			WALDir:          walDir,
-			WALCompactEvery: -1, // keep the raw record stream inspectable
-		})
-		if err != nil {
-			return res, err
-		}
-		app, err := d.PythonApp("wal-crashf", func(args []any, _ map[string]any) (any, error) {
-			i := args[0].(int)
-			execs1[i].Add(1)
-			return walValue(i), nil
-		})
-		if err != nil {
-			_ = d.Shutdown()
-			return res, err
-		}
-		if cfg.Boundary >= 0 {
-			restore := chaos.Enable(chaos.New(cfg.Seed, chaos.Plan{{
-				Point: chaos.PointWALAppend, Act: chaos.ActKill,
-				Prob: 1, Max: 1, After: cfg.Boundary,
-			}}))
-			defer restore()
-		}
-		for i := 0; i < cfg.Tasks; i++ {
-			app.Call(i)
-		}
-		d.WaitAll()
-		if err := d.Shutdown(); err != nil {
-			return res, fmt.Errorf("lifetime 1 shutdown: %w", err)
-		}
-		chaos.Disable()
+	lt1, err := bootWALLifetime(cfg, cfg.Seed)
+	if err != nil {
+		return res, err
 	}
+	if cfg.Boundary >= 0 {
+		restore := chaos.Enable(chaos.New(cfg.Seed, chaos.Plan{{
+			Point: chaos.PointWALAppend, Act: chaos.ActKill,
+			Prob: 1, Max: 1, After: cfg.Boundary,
+		}}))
+		defer restore()
+	}
+	for i := 0; i < cfg.Tasks; i++ {
+		lt1.app.Call(i)
+	}
+	lt1.d.WaitAll()
+	if err := lt1.d.Shutdown(); err != nil {
+		return res, fmt.Errorf("lifetime 1 shutdown: %w", err)
+	}
+	chaos.Disable()
 
 	// Autopsy of the frozen disk: which tasks does the durable log say were
 	// live, and which terminal, at the crash?
@@ -163,19 +173,19 @@ func RunWALCrash(cfg WALCrashConfig) (WALCrashResult, error) {
 	for key, info := range fr.Live {
 		i, err := walTaskIndex(info.Payload)
 		if err != nil {
-			violate("live task %d: %v", key, err)
+			vs.add("live task %d: %v", key, err)
 			continue
 		}
 		keyToIdx[key] = i
 	}
 	for key, term := range fr.Terminals {
 		if term.Info == nil {
-			violate("terminal task %d lost its submit info without compaction", key)
+			vs.add("terminal task %d lost its submit info without compaction", key)
 			continue
 		}
 		i, err := walTaskIndex(term.Info.Payload)
 		if err != nil {
-			violate("terminal task %d: %v", key, err)
+			vs.add("terminal task %d: %v", key, err)
 			continue
 		}
 		keyToIdx[key] = i
@@ -183,32 +193,11 @@ func RunWALCrash(cfg WALCrashConfig) (WALCrashResult, error) {
 	}
 
 	// Lifetime 2: a fresh process over the same durable state.
-	execs2 := make([]atomic.Int64, cfg.Tasks)
-	reg2 := serialize.NewRegistry()
-	store2 := monitor.NewStore()
-	d2, err := dfk.New(dfk.Config{
-		Registry:        reg2,
-		Executors:       []executor.Executor{threadpool.New("tp", 4, reg2)},
-		Retries:         cfg.Retries,
-		Memoize:         true,
-		Checkpoint:      cpPath,
-		Seed:            cfg.Seed + 1,
-		Monitor:         store2,
-		WAL:             true,
-		WALDir:          walDir,
-		WALCompactEvery: -1,
-	})
+	lt2, err := bootWALLifetime(cfg, cfg.Seed+1)
 	if err != nil {
 		return res, fmt.Errorf("lifetime 2 start: %w", err)
 	}
-	if _, err := d2.PythonApp("wal-crashf", func(args []any, _ map[string]any) (any, error) {
-		i := args[0].(int)
-		execs2[i].Add(1)
-		return walValue(i), nil
-	}); err != nil {
-		_ = d2.Shutdown()
-		return res, err
-	}
+	d2 := lt2.d
 	rcv, err := d2.Recover()
 	if err != nil {
 		_ = d2.Shutdown()
@@ -217,81 +206,48 @@ func RunWALCrash(cfg WALCrashConfig) (WALCrashResult, error) {
 	res.RecoveryTime = rcv.Elapsed
 	res.MemoHits = rcv.MemoHits
 	if rcv.LiveAtCrash != res.LiveAtCrash || rcv.TerminalAtCrash+int(fr.Folded) != res.TerminalAtCrash {
-		violate("recovery saw live=%d terminal=%d; replay saw %d, %d",
+		vs.add("recovery saw live=%d terminal=%d; replay saw %d, %d",
 			rcv.LiveAtCrash, rcv.TerminalAtCrash, res.LiveAtCrash, res.TerminalAtCrash)
 	}
 
 	// Invariant: no task lost — every live-at-crash task resolves with the
 	// right value in lifetime 2 (exactly-once delivery across lifetimes).
-	resumedIDs := make(map[int64]int, len(rcv.Resumed))
+	futs := make([]*future.Future, 0, len(rcv.Resumed))
+	args := make([]int, 0, len(rcv.Resumed))
+	preLaunches := make(map[int64]int, len(rcv.Resumed))
 	for key, fut := range rcv.Resumed {
 		i, known := keyToIdx[key]
 		if !known {
-			violate("resumed task %d has no payload mapping", key)
+			vs.add("resumed task %d has no payload mapping", key)
 			continue
 		}
-		v, ferr := fut.Result()
-		if ferr != nil {
-			violate("task %d (wal key %d) lost across the crash: %v", i, key, ferr)
-			continue
+		futs, args = append(futs, fut), append(args, i)
+		if info := fr.Live[key]; info != nil {
+			preLaunches[fut.TaskID] = info.Launches
 		}
-		if got, ok := v.(int); !ok || got != walValue(i) {
-			// The checkpoint round-trips ints through JSON; accept the
-			// float64 shape of the same value.
-			if f, okf := v.(float64); !okf || f != float64(walValue(i)) {
-				violate("task %d resolved to %v, want %d", i, v, walValue(i))
-			}
-		}
-		resumedIDs[fut.TaskID] = i
 	}
+	checkValues(vs, futs, args, walValue)
 	d2.WaitAll()
 
 	// Invariant: zero re-execution of pre-crash-terminal tasks, and recovery
 	// re-executes no more tasks than were in flight at the crash.
-	for i := 0; i < cfg.Tasks; i++ {
-		n := int(execs2[i].Load())
+	for i := range lt2.execs {
+		n := int(lt2.execs[i].Load())
 		if n > 0 {
 			res.ReExecuted++
 		}
 		if preTerminal[i] && n > 0 {
-			violate("task %d was terminal before the crash but re-executed %d times", i, n)
+			vs.add("task %d was terminal before the crash but re-executed %d times", i, n)
 		}
 	}
-	if res.ReExecuted > res.LiveAtCrash {
-		violate("recovery re-executed %d tasks; only %d were in flight at the crash",
-			res.ReExecuted, res.LiveAtCrash)
-	}
+	checkBoundedReexec(vs, res.ReExecuted, res.LiveAtCrash, "the crash")
 
 	// Invariant: each resumed task reaches a terminal state exactly once in
 	// lifetime 2, and its launches across BOTH lifetimes fit the budget.
-	launches := make(map[int64]int)
-	terminals := make(map[int64]int)
-	for _, e := range store2.Events(monitor.KindTaskState) {
-		switch e.To {
-		case "launched":
-			launches[e.TaskID]++
-		case "done", "failed", "memoized":
-			terminals[e.TaskID]++
-		}
-	}
-	for id, i := range resumedIDs {
-		if n := terminals[id]; n != 1 {
-			violate("resumed task %d reached a terminal state %d times", i, n)
-		}
-	}
-	for key, fut := range rcv.Resumed {
-		pre := 0
-		if info := fr.Live[key]; info != nil {
-			pre = info.Launches
-		}
-		if total := pre + launches[fut.TaskID]; total > cfg.Retries+1 {
-			violate("task %d launched %d times across lifetimes (pre-crash %d), budget %d+1",
-				keyToIdx[key], total, pre, cfg.Retries)
-		}
-	}
+	checkExactlyOnce(vs, lt2.store, cfg.Retries, preLaunches)
 
 	if err := d2.Shutdown(); err != nil {
-		violate("lifetime 2 shutdown: %v", err)
+		vs.add("lifetime 2 shutdown: %v", err)
 	}
 
 	// The durable state after lifetime 2 accounts for every LOGGED task
@@ -304,10 +260,10 @@ func RunWALCrash(cfg WALCrashConfig) (WALCrashResult, error) {
 		return res, fmt.Errorf("final replay: %w", err)
 	}
 	if len(final.Live) != 0 {
-		violate("final log still holds %d live tasks", len(final.Live))
+		vs.add("final log still holds %d live tasks", len(final.Live))
 	}
 	if got, want := final.TerminalTotal(), int64(len(keyToIdx)); got != want {
-		violate("final log holds %d terminals, want %d (one per logged task)", got, want)
+		vs.add("final log holds %d terminals, want %d (one per logged task)", got, want)
 	}
 	return res, nil
 }

@@ -738,12 +738,7 @@ func (d *DFK) launch(rec *task.Record, a *App) {
 			// record; drop its reference here (a memoized task ships no
 			// bytes anywhere).
 			payload.Release()
-			from := rec.State().String()
-			if rec.SetState(task.Memoized) == nil {
-				d.emitState(rec, from, "memoized")
-				_ = rec.Future.SetResult(v)
-				d.retire(rec)
-			}
+			d.settleMemoized(rec, v)
 			return
 		}
 		// Local miss: consult the shared content-addressed tier, where
@@ -756,12 +751,7 @@ func (d *DFK) launch(rec *task.Record, a *App) {
 			if v, hit := d.cache.Get(memoKey); hit {
 				_ = d.memoizer.Store(memoKey, v)
 				payload.Release()
-				from := rec.State().String()
-				if rec.SetState(task.Memoized) == nil {
-					d.emitState(rec, from, "memoized")
-					_ = rec.Future.SetResult(v)
-					d.retire(rec)
-				}
+				d.settleMemoized(rec, v)
 				return
 			}
 		}
@@ -904,6 +894,23 @@ func (d *DFK) logTerminal(rec *task.Record, outcome wal.Outcome, digest string) 
 	if err := d.wal.Terminal(key, outcome, digest); err != nil {
 		d.emitWAL(rec.ID, "terminal", err)
 	}
+}
+
+// settleMemoized concludes a task whose result v came from the memo table or
+// the shared cache instead of an execution, reporting whether this call was
+// the task's terminal transition. The terminal record only reaches the log
+// for a recovered task (WAL key set); a first-lifetime memo hit was never
+// logged as submitted, so there is nothing to close.
+func (d *DFK) settleMemoized(rec *task.Record, v any) bool {
+	from := rec.State().String()
+	if rec.SetState(task.Memoized) != nil {
+		return false
+	}
+	d.emitState(rec, from, "memoized")
+	d.logTerminal(rec, wal.OutcomeMemoized, rec.MemoKey())
+	_ = rec.Future.SetResult(v)
+	d.retire(rec)
+	return true
 }
 
 // emitWAL records a durable-log append error. Post-crash appends (the log

@@ -158,13 +158,8 @@ func (d *DFK) resume(key int64, info *wal.TaskInfo, rcv *Recovery) {
 	if info.MemoKey != "" {
 		rec.SetMemoKey(info.MemoKey)
 		if v, hit := d.memoizer.Lookup(info.MemoKey); hit {
-			from := rec.State().String()
-			if rec.SetState(task.Memoized) == nil {
+			if d.settleMemoized(rec, v) {
 				rcv.MemoHits++
-				d.emitState(rec, from, "memoized")
-				d.logTerminal(rec, wal.OutcomeMemoized, info.MemoKey)
-				_ = rec.Future.SetResult(v)
-				d.retire(rec)
 			}
 			return
 		}

@@ -6,38 +6,47 @@
 // EXEX reach 262 144 workers where connection-per-worker designs exhaust the
 // hub.
 //
-// The cost is MPI's fault model: a single rank failure aborts the entire
-// pool, which surfaces here exactly as the paper describes — the interchange
-// heartbeat expires and every in-flight task of the pool is reported lost.
-// The recommended mitigation, several smaller pools per scheduler job, is
-// the deployment shape New builds (one pool per node).
+// Rank 0 is an htex.Manager, not a second implementation of one: a pool is
+// the manager constructed with an exec step that hands the task envelope to
+// an MPI rank and waits for that rank's result. Registration and prefetch,
+// CANCEL of buffered tasks, NACK stream resync, result batching, heartbeats
+// with digest adverts, exit on interchange silence, the acked BYE drain and
+// the chaos kill point are therefore the manager's, shared with HTEX. What
+// is EXEX's own is below: the communicator, the worker-rank loop, and the
+// fault model.
+//
+// That fault model is MPI's: a single rank failure aborts the entire pool,
+// which surfaces here exactly as the paper describes — rank 0 stops without
+// a goodbye and every in-flight task of the pool is reported lost. The
+// recommended mitigation, several smaller pools per scheduler job, is the
+// deployment shape New builds (one pool per node).
 package exex
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/chaos"
 	"repro/internal/executor"
 	"repro/internal/executor/htex"
 	"repro/internal/mpi"
-	"repro/internal/mq"
 	"repro/internal/provider"
 	"repro/internal/serialize"
 	"repro/internal/simnet"
 )
 
-// MPI message tags used inside a pool.
+// MPI message tags used inside a pool. Nothing is ever sent under tagAbort:
+// rank 0 parks a receive on it to learn of a communicator abort.
 const (
 	tagTask   = 1
 	tagResult = 2
+	tagAbort  = 3
 )
 
 // PoolConfig tunes one MPI worker pool.
 type PoolConfig struct {
-	// Ranks is the MPI communicator size: 1 manager + (Ranks-1) workers.
+	// Ranks is the MPI communicator size: 1 manager + (Ranks-1) workers
+	// (at least 2).
 	Ranks int
 	// Prefetch is extra capacity advertised beyond worker count.
 	Prefetch int
@@ -50,98 +59,68 @@ type PoolConfig struct {
 	MPILatency time.Duration
 }
 
-func (c *PoolConfig) normalize() {
-	if c.Ranks < 2 {
-		c.Ranks = 2
-	}
-	if c.ResultFlush <= 0 {
-		c.ResultFlush = 16
-	}
-	if c.FlushInterval <= 0 {
-		c.FlushInterval = 5 * time.Millisecond
-	}
-	if c.HeartbeatPeriod <= 0 {
-		c.HeartbeatPeriod = 200 * time.Millisecond
+// managerConfig is the one PoolConfig -> ManagerConfig mapping: rank 0 runs
+// with it, and New hands the same value to the htex client so its heartbeat
+// cross-check and worker count see the clock and size the pools really use.
+// Zero fields take ManagerConfig's defaults.
+func (c PoolConfig) managerConfig() htex.ManagerConfig {
+	return htex.ManagerConfig{
+		Workers:         max(c.Ranks-1, 1),
+		Prefetch:        c.Prefetch,
+		ResultFlush:     c.ResultFlush,
+		FlushInterval:   c.FlushInterval,
+		HeartbeatPeriod: c.HeartbeatPeriod,
 	}
 }
 
-// Pool is one MPI job: rank 0 manager plus worker ranks.
+// Pool is one MPI job: rank 0, the embedded manager, plus worker ranks.
+// ID, Executed, Drain, Stop and Wait are the manager's.
 type Pool struct {
-	id   string
-	cfg  PoolConfig
+	*htex.Manager
 	comm *mpi.Comm
 	reg  *serialize.Registry
-
-	dealer *mq.Dealer
-	// resEnc is this pool's persistent RESULTS stream toward the
-	// interchange. A field (not loop-local) because the NACK resync
-	// protocol resets it from the receive loop (see managerRecvLoop).
-	resEnc *htex.ResultStreamEncoder
-
-	done     chan struct{}
-	once     sync.Once
-	wg       sync.WaitGroup
-	executed atomic.Int64
-
-	mu       sync.Mutex
-	busy     map[int]bool // worker rank -> executing
-	inflight map[int64]int
 }
 
 // StartPool launches an MPI pool whose rank 0 registers with the interchange
 // at addr.
 func StartPool(tr simnet.Transport, addr, id string, reg *serialize.Registry, cfg PoolConfig) (*Pool, error) {
-	cfg.normalize()
-	comm, err := mpi.NewComm(cfg.Ranks)
+	mc := cfg.managerConfig()
+	comm, err := mpi.NewComm(mc.Workers + 1)
 	if err != nil {
 		return nil, fmt.Errorf("exex: pool %s: %w", id, err)
 	}
 	comm.SetLatency(cfg.MPILatency)
-
-	dealer, err := mq.DialDealer(tr, addr, id)
-	if err != nil {
-		return nil, fmt.Errorf("exex: pool %s dial: %w", id, err)
+	p := &Pool{comm: comm, reg: reg}
+	for r := 1; r <= mc.Workers; r++ {
+		go p.workerRank(fmt.Sprintf("%s/rank%d", id, r), r)
 	}
-	p := &Pool{
-		id: id, cfg: cfg, comm: comm, reg: reg, dealer: dealer,
-		resEnc:   htex.NewResultStreamEncoder(),
-		done:     make(chan struct{}),
-		busy:     make(map[int]bool),
-		inflight: make(map[int64]int),
+	if p.Manager, err = htex.StartManagerExec(tr, addr, id, mc, p.runOnRank); err != nil {
+		comm.Abort(-1)
+		return nil, fmt.Errorf("exex: pool %s: %w", id, err)
 	}
-	capacity := (cfg.Ranks - 1) + cfg.Prefetch
-	if err := dealer.Send(mq.Message{[]byte("REG"), []byte(fmt.Sprintf("%d", capacity))}); err != nil {
-		_ = dealer.Close()
-		return nil, fmt.Errorf("exex: pool %s register: %w", id, err)
-	}
-
-	// Worker ranks 1..n-1.
-	for r := 1; r < cfg.Ranks; r++ {
-		p.wg.Add(1)
-		go p.workerRank(r)
-	}
-	// Rank 0: manager-side loops.
-	p.wg.Add(3)
-	go p.managerRecvLoop()
-	go p.managerResultLoop()
-	go p.heartbeatLoop()
+	// The MPI job and its manager live and die together. A communicator
+	// abort (rank failure) stops rank 0 without a BYE even when no task is in
+	// flight to notice it, so the interchange declares the pool lost; a
+	// stopped manager (Stop, Drain, interchange silence, chaos kill) aborts
+	// the communicator, which is what releases the worker ranks.
+	go func() {
+		_, _ = comm.Recv(0, mpi.AnySource, tagAbort) // returns only on abort
+		p.Stop()
+	}()
+	go func() {
+		p.Wait()
+		comm.Abort(-1)
+	}()
 	return p, nil
 }
-
-// ID returns the pool's interchange identity.
-func (p *Pool) ID() string { return p.id }
-
-// Executed returns tasks completed by this pool.
-func (p *Pool) Executed() int64 { return p.executed.Load() }
 
 // Comm exposes the communicator for failure injection in tests.
 func (p *Pool) Comm() *mpi.Comm { return p.comm }
 
 // workerRank is the code running on MPI ranks 1..n-1: receive a task over
-// MPI, execute, send the result back to rank 0.
-func (p *Pool) workerRank(rank int) {
-	defer p.wg.Done()
-	workerID := fmt.Sprintf("%s/rank%d", p.id, rank)
+// MPI, execute, send the result back to rank 0. Rank 0 blocks on that
+// result, so every task received is answered — or the rank aborts the job.
+func (p *Pool) workerRank(workerID string, rank int) {
 	for {
 		env, err := p.comm.Recv(rank, 0, tagTask)
 		if err != nil {
@@ -149,208 +128,45 @@ func (p *Pool) workerRank(rank int) {
 		}
 		task, err := serialize.DecodeTask(env.Data)
 		if err != nil {
-			continue
+			p.comm.Abort(rank) // rank 0 sent it intact; the fabric is broken
+			return
 		}
 		res := executor.RunKernel(p.reg, task, workerID)
 		payload, err := serialize.EncodeResult(res)
 		if err != nil {
-			continue
+			payload, err = serialize.EncodeResult(serialize.ResultMsg{ID: res.ID, WorkerID: workerID,
+				Err: fmt.Sprintf("encode result %d: %v", res.ID, err)})
 		}
-		if err := p.comm.Send(rank, 0, tagResult, payload); err != nil {
+		if err != nil || p.comm.Send(rank, 0, tagResult, payload) != nil {
+			p.comm.Abort(rank)
 			return
 		}
 	}
 }
 
-// managerRecvLoop is rank 0's interchange-facing half: receive task batches
-// off the interchange's per-manager stream and fan them out to idle worker
-// ranks over MPI.
-func (p *Pool) managerRecvLoop() {
-	defer p.wg.Done()
-	taskDec := htex.NewTaskStreamDecoder()
-	for {
-		msg, err := p.dealer.Recv()
-		if err != nil {
-			p.Stop()
-			return
-		}
-		if len(msg) == 0 {
-			continue
-		}
-		switch string(msg[0]) {
-		case "TASKS":
-			if len(msg) < 2 {
-				continue
-			}
-			batch, err := taskDec.Decode(msg[1])
-			if err != nil {
-				// Same resync contract as htex managers: NACK so the
-				// interchange restarts this pool's task stream and requeues
-				// what the pool was holding — without it one corrupted frame
-				// would wedge the pool's stream for the rest of the session.
-				_ = p.dealer.Send(htex.NackMessage(msg[1]))
-				continue
-			}
-			for _, t := range batch {
-				if !p.dispatchMPI(t) {
-					return
-				}
-			}
-		case "HB":
-			// Interchange liveness echo; nothing to track beyond receipt.
-		case "NACK":
-			// The interchange cannot decode this pool's RESULTS stream:
-			// resync to a fresh self-describing epoch (epoch-matched, so
-			// duplicate NACKs for one epoch collapse to one reset).
-			if len(msg) >= 2 {
-				if ep := htex.NackEpoch(msg[1]); ep != 0 && p.resEnc.Epoch() == ep {
-					p.resEnc.Reset()
-				}
-			}
-		}
-	}
-}
-
-// dispatchMPI sends one task to an idle rank, blocking until one frees. The
+// runOnRank is the manager's exec step: worker slot i is MPI rank i+1. The
 // MPI interior uses one-shot envelopes (every rank must decode standalone),
 // and the argument payload inside is the submit-time encoding, forwarded
-// byte-for-byte — rank 0 never re-serializes arguments.
-func (p *Pool) dispatchMPI(t serialize.WireTask) bool {
-	payload, err := serialize.EncodeWire(t)
+// byte-for-byte — rank 0 never re-serializes arguments. An error from the
+// communicator (or bytes off it that do not decode) takes the pool down.
+func (p *Pool) runOnRank(slot int, w serialize.WireTask) (serialize.ResultMsg, error) {
+	payload, err := serialize.EncodeWire(w)
 	if err != nil {
-		return true
+		return serialize.ResultMsg{ID: w.ID, Err: err.Error()}, nil
 	}
-	for {
-		rank := -1
-		p.mu.Lock()
-		for r := 1; r < p.cfg.Ranks; r++ {
-			if !p.busy[r] {
-				p.busy[r] = true
-				rank = r
-				break
-			}
-		}
-		if rank >= 0 {
-			p.inflight[t.ID] = rank
-		}
-		p.mu.Unlock()
-		if rank >= 0 {
-			return p.comm.Send(0, rank, tagTask, payload) == nil
-		}
-		select {
-		case <-p.done:
-			return false
-		case <-time.After(time.Millisecond):
-		}
+	if err := p.comm.Send(0, slot+1, tagTask, payload); err != nil {
+		return serialize.ResultMsg{}, err
 	}
-}
-
-// managerResultLoop is rank 0's MPI-facing half: gather results from worker
-// ranks and batch them to the interchange.
-func (p *Pool) managerResultLoop() {
-	defer p.wg.Done()
-	var batch []serialize.ResultMsg
-	flushTimer := time.NewTimer(p.cfg.FlushInterval)
-	defer flushTimer.Stop()
-	flush := func() {
-		if len(batch) == 0 {
-			return
-		}
-		_ = p.resEnc.Encode(batch, func(frame []byte) error {
-			return chaos.Frame(chaos.PointMgrResults, p.id, frame, func(fr []byte) error {
-				return p.dealer.Send(mq.Message{[]byte("RESULTS"), fr})
-			})
-		})
-		batch = nil
+	env, err := p.comm.Recv(0, slot+1, tagResult)
+	if err != nil {
+		return serialize.ResultMsg{}, err
 	}
-	for {
-		select {
-		case <-p.done:
-			flush()
-			return
-		default:
-		}
-		ok, err := p.comm.Probe(0, mpi.AnySource, tagResult)
-		if err != nil {
-			flush()
-			p.Stop()
-			return
-		}
-		if !ok {
-			select {
-			case <-flushTimer.C:
-				flush()
-				flushTimer.Reset(p.cfg.FlushInterval)
-			case <-time.After(200 * time.Microsecond):
-			case <-p.done:
-				flush()
-				return
-			}
-			continue
-		}
-		env, err := p.comm.Recv(0, mpi.AnySource, tagResult)
-		if err != nil {
-			flush()
-			p.Stop()
-			return
-		}
-		res, err := serialize.DecodeResult(env.Data)
-		if err != nil {
-			continue
-		}
-		p.executed.Add(1)
-		p.mu.Lock()
-		p.busy[env.Source] = false
-		delete(p.inflight, res.ID)
-		p.mu.Unlock()
-		batch = append(batch, res)
-		if len(batch) >= p.cfg.ResultFlush {
-			flush()
-		}
-	}
-}
-
-func (p *Pool) heartbeatLoop() {
-	defer p.wg.Done()
-	ticker := time.NewTicker(p.cfg.HeartbeatPeriod)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-p.done:
-			return
-		case <-ticker.C:
-			if p.comm.Aborted() {
-				// MPI job died (rank failure): stop heartbeating so the
-				// interchange declares the pool lost.
-				p.Stop()
-				return
-			}
-			if err := p.dealer.Send(mq.Message{[]byte("HB")}); err != nil {
-				p.Stop()
-				return
-			}
-		}
-	}
+	return serialize.DecodeResult(env.Data)
 }
 
 // FailRank simulates a node/rank failure inside the pool, killing the whole
 // MPI job (§4.3.2's fault model).
 func (p *Pool) FailRank(rank int) { p.comm.Abort(rank) }
-
-// Drain announces clean departure, requeueing in-flight work.
-func (p *Pool) Drain() {
-	_ = p.dealer.Send(mq.Message{[]byte("BYE")})
-	p.Stop()
-}
-
-// Stop tears the pool down.
-func (p *Pool) Stop() {
-	p.once.Do(func() {
-		close(p.done)
-		p.comm.Abort(-1)
-		_ = p.dealer.Close()
-	})
-}
 
 // Config assembles an EXEX deployment: an HTEX-protocol interchange plus
 // MPI pools placed by the provider (one pool per node, the "several smaller
@@ -384,22 +200,15 @@ func New(cfg Config) *Executor {
 	if cfg.Transport == nil {
 		cfg.Transport = simnet.NewNetwork(0)
 	}
-	cfg.Pool.normalize()
 	e := &Executor{}
 	inner := htex.New(htex.Config{
-		Label:      cfg.Label,
-		Transport:  cfg.Transport,
-		Addr:       cfg.Addr,
-		Registry:   cfg.Registry,
-		Provider:   cfg.Provider,
-		InitBlocks: cfg.InitBlocks,
-		// Mirror the pool's heartbeat clock into ManagerConfig so the htex
-		// client's period-vs-threshold cross-check validates the clock the
-		// pools actually beat at, not the default manager period.
-		Manager: htex.ManagerConfig{
-			Workers:         cfg.Pool.Ranks - 1,
-			HeartbeatPeriod: cfg.Pool.HeartbeatPeriod,
-		},
+		Label:       cfg.Label,
+		Transport:   cfg.Transport,
+		Addr:        cfg.Addr,
+		Registry:    cfg.Registry,
+		Provider:    cfg.Provider,
+		InitBlocks:  cfg.InitBlocks,
+		Manager:     cfg.Pool.managerConfig(),
 		Interchange: cfg.Interchange,
 		PayloadFactory: func(addr string, node provider.Node) (func(), error) {
 			id := fmt.Sprintf("pool-%s-%d", node.BlockID, e.poolSeq.Add(1))

@@ -9,6 +9,7 @@ import (
 	"repro/internal/executor"
 	"repro/internal/executor/htex"
 	"repro/internal/future"
+	"repro/internal/mq"
 	"repro/internal/provider"
 	"repro/internal/serialize"
 	"repro/internal/simnet"
@@ -277,4 +278,221 @@ func TestStreamCorruptionRecovery(t *testing.T) {
 		}
 		return true
 	})
+}
+
+// bareEXEX starts an executor with no provider blocks, so a test can attach
+// pools by hand (StartPool) and keep a handle on them.
+func bareEXEX(t *testing.T, label string, pool PoolConfig) (*Executor, Config) {
+	t.Helper()
+	cfg := Config{
+		Label: label, Transport: simnet.NewNetwork(0), Registry: testRegistry(t),
+		Provider:    provider.NewLocal(provider.Config{NodesPerBlock: 1}),
+		Pool:        pool,
+		Interchange: htexInterchangeCfg(),
+	}
+	e := New(cfg)
+	if err := e.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = e.Shutdown() })
+	return e, cfg
+}
+
+// poolExited reports whether rank 0 and the MPI job are both gone.
+func poolExited(t *testing.T, p *Pool) {
+	t.Helper()
+	exited := make(chan struct{})
+	go func() { p.Wait(); close(exited) }()
+	select {
+	case <-exited:
+	case <-time.After(5 * time.Second):
+		t.Fatal("pool manager still running")
+	}
+	waitCond(t, "communicator aborted", p.Comm().Aborted)
+}
+
+// TestScaleInDrainsRunningWork: scaling a busy pool in must hand its running
+// task back to the interchange, not lose it. The pool used to close its
+// socket right behind the BYE, so whenever the broker had frames queued ahead
+// of the BYE the disconnect overtook it and the task was reported LOST;
+// Manager.Drain waits for the interchange to acknowledge the BYE by hanging
+// up. The test makes the broker busy on purpose: a chaos delay stalls it in
+// one TASKS send while a peer queues frames it will ignore.
+func TestScaleInDrainsRunningWork(t *testing.T) {
+	restore := chaos.Enable(chaos.New(1, chaos.Plan{
+		{Point: chaos.PointIxTasks, Act: chaos.ActDelay, Delay: 100 * time.Millisecond, Prob: 1, After: 1, Max: 1},
+	}))
+	defer restore()
+
+	var tr simnet.Transport
+	e := newEXEX(t, 2, 2, func(c *Config) { // 2 blocks × 1 pool × 1 worker rank
+		c.Provider = provider.NewLocal(provider.Config{NodesPerBlock: 1})
+		c.InitBlocks = 2
+		// Neither side's liveness policing may mistake the stall for a death.
+		c.Pool.HeartbeatPeriod = 200 * time.Millisecond
+		c.Interchange.HeartbeatThreshold = 5 * time.Second
+		tr = c.Transport
+	})
+	ix := e.Interchange()
+	held := func() (n int) {
+		for _, h := range ix.OutstandingByManager() {
+			n += h
+		}
+		return n
+	}
+	futs := []*future.Future{e.Submit(serialize.TaskMsg{ID: 1, App: "sleep", Args: []any{150}})}
+	waitCond(t, "first task in flight", func() bool { return held() == 1 })
+	// The second task goes to the other pool (capacity 1 each); its TASKS
+	// send is the stalled one.
+	futs = append(futs, e.Submit(serialize.TaskMsg{ID: 2, App: "sleep", Args: []any{150}}))
+	waitCond(t, "a task held by each pool", func() bool { return held() == 2 })
+
+	noise, err := mq.DialDealer(tr, ix.Addr(), "noise")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer noise.Close()
+	for i := 0; i < 1000; i++ {
+		if err := noise.Send(mq.Message{[]byte("NOISE")}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.ScaleIn(1); err != nil {
+		t.Fatal(err)
+	}
+	for i, f := range futs {
+		v, err := f.ResultTimeout(10 * time.Second)
+		if err != nil || v != "slept" {
+			t.Fatalf("task %d after scale-in: %v, %v", i+1, v, err)
+		}
+	}
+	waitCond(t, "one pool left", func() bool { return ix.ManagerCount() == 1 })
+}
+
+// The next three tests pin what a pool inherits by being an htex.Manager,
+// with the assertions of the corresponding htex manager tests.
+
+// TestCancelStrikesTaskBufferedInPool mirrors htex's
+// TestCancelForwardedToManager: a task canceled while it sits in rank 0's
+// prefetch buffer never reaches a worker rank.
+func TestCancelStrikesTaskBufferedInPool(t *testing.T) {
+	e, cfg := bareEXEX(t, "exex-cancel", PoolConfig{Ranks: 2, Prefetch: 2, HeartbeatPeriod: 30 * time.Millisecond})
+	release := make(chan struct{})
+	if err := cfg.Registry.Register("gate", func([]any, map[string]any) (any, error) {
+		<-release
+		return "gated", nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	pool, err := StartPool(cfg.Transport, e.Interchange().Addr(), "pool-gate", cfg.Registry, cfg.Pool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Stop()
+	waitCond(t, "pool registered", func() bool { return e.Interchange().ManagerCount() == 1 })
+
+	blocker := e.Submit(serialize.TaskMsg{ID: 1, App: "gate"})
+	waitCond(t, "blocker in flight", func() bool {
+		return e.Interchange().OutstandingByManager()["pool-gate"] >= 1
+	})
+	victim := e.Submit(serialize.TaskMsg{ID: 2, App: "echo", Args: []any{"victim"}})
+	waitCond(t, "victim prefetched by pool", func() bool {
+		return e.Interchange().OutstandingByManager()["pool-gate"] == 2
+	})
+	if !e.Cancel(2) {
+		t.Fatal("Cancel(2) = false")
+	}
+	if _, err := victim.Result(); !errors.Is(err, future.ErrCanceled) {
+		t.Fatalf("victim error = %v, want ErrCanceled", err)
+	}
+	waitCond(t, "interchange struck the victim", func() bool {
+		return e.Interchange().OutstandingByManager()["pool-gate"] == 1
+	})
+	close(release)
+	if v, err := blocker.Result(); err != nil || v != "gated" {
+		t.Fatalf("blocker: %v, %v", v, err)
+	}
+	waitCond(t, "only the blocker executed", func() bool { return pool.Executed() == 1 })
+	// The pool is idle and the victim has not run: it never will.
+	if v, err := e.Submit(serialize.TaskMsg{ID: 3, App: "echo", Args: []any{"after"}}).Result(); err != nil || v != "after" {
+		t.Fatalf("follow-up: %v, %v", v, err)
+	}
+	if got := pool.Executed(); got != 2 {
+		t.Fatalf("pool executed %d tasks, want 2 (blocker + follow-up)", got)
+	}
+}
+
+// TestPoolExitsWithoutInterchange: "managers, upon losing contact with the
+// interchange, exit immediately to avoid resource wastage" holds for pools,
+// whether the interchange hangs up or merely goes silent for 5 heartbeat
+// periods — and the exit takes the MPI job with it.
+func TestPoolExitsWithoutInterchange(t *testing.T) {
+	pc := PoolConfig{Ranks: 3, HeartbeatPeriod: 20 * time.Millisecond}
+	t.Run("closed", func(t *testing.T) {
+		e, cfg := bareEXEX(t, "exex-closed", pc)
+		pool, err := StartPool(cfg.Transport, e.Interchange().Addr(), "pool-orphan", cfg.Registry, pc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer pool.Stop()
+		waitCond(t, "pool registered", func() bool { return e.Interchange().ManagerCount() == 1 })
+		_ = e.Interchange().Close()
+		poolExited(t, pool)
+	})
+	t.Run("silent", func(t *testing.T) {
+		// A router that accepts the pool and never answers a heartbeat.
+		tr := simnet.NewNetwork(0)
+		mute, err := mq.NewRouter(tr, ":0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer mute.Close()
+		start := time.Now()
+		pool, err := StartPool(tr, mute.Addr(), "pool-unheard", testRegistry(t), pc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer pool.Stop()
+		poolExited(t, pool)
+		if waited := time.Since(start); waited < 5*pc.HeartbeatPeriod {
+			t.Fatalf("pool left after %v, before 5 silent heartbeat periods", waited)
+		}
+	})
+}
+
+// TestChaosKillTakesPoolDown mirrors htex's TestAbruptManagerKillFailsInFlight
+// with the kill delivered by the chaos plane: a PointMgrKill rule fires when
+// rank 0 dequeues a task, the pool dies without a BYE, and the task comes
+// back LOST.
+func TestChaosKillTakesPoolDown(t *testing.T) {
+	inj := chaos.New(1, chaos.Plan{
+		{Point: chaos.PointMgrKill, Act: chaos.ActKill, Prob: 1.0, Max: 1, Match: "pool-victim"},
+	})
+	restore := chaos.Enable(inj)
+	defer restore()
+
+	e, cfg := bareEXEX(t, "exex-kill", PoolConfig{Ranks: 3, HeartbeatPeriod: 30 * time.Millisecond})
+	pool, err := StartPool(cfg.Transport, e.Interchange().Addr(), "pool-victim", cfg.Registry, cfg.Pool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Stop()
+	waitCond(t, "pool registered", func() bool { return e.Interchange().ManagerCount() == 1 })
+
+	_, err = e.Submit(serialize.TaskMsg{ID: 7, App: "echo", Args: []any{"doomed"}}).Result()
+	var lost *executor.LostError
+	if !errors.As(err, &lost) {
+		t.Fatalf("err = %v, want LostError", err)
+	}
+	if lost.Manager != "pool-victim" {
+		t.Fatalf("lost manager = %q, want pool-victim", lost.Manager)
+	}
+	if got := inj.Fires(chaos.PointMgrKill); got != 1 {
+		t.Fatalf("kill fired %d times, want 1", got)
+	}
+	if pool.Executed() != 0 {
+		t.Fatal("killed pool executed the task")
+	}
+	waitCond(t, "pool deregistered", func() bool { return e.Interchange().ManagerCount() == 0 })
+	poolExited(t, pool)
 }

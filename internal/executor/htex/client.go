@@ -45,8 +45,8 @@ type Config struct {
 	// others keep draining.
 	Shards int
 	// PayloadFactory overrides what runs on each provisioned node. The
-	// default starts a Manager; EXEX injects an MPI worker pool whose rank
-	// 0 speaks the same manager protocol (§4.3.2's hierarchical model).
+	// default starts a Manager; EXEX starts one whose exec step feeds an MPI
+	// worker pool (§4.3.2's hierarchical model).
 	PayloadFactory func(interchangeAddr string, node provider.Node) (stop func(), err error)
 }
 
@@ -132,6 +132,9 @@ func New(cfg Config) *Executor {
 	}
 	if cfg.Shards < 1 {
 		cfg.Shards = 1
+	}
+	if cfg.Addr == "" {
+		cfg.Addr = ":0" // the transports' auto-assign form
 	}
 	return &Executor{
 		cfg:       cfg,
@@ -221,10 +224,10 @@ func (e *Executor) Start() error {
 	// Cross-check the two heartbeat clocks after normalization: a manager
 	// that pings slower than the interchange's loss threshold would be
 	// declared dead while perfectly healthy. The check applies to custom
-	// PayloadFactory pools too — whatever speaks the manager protocol on the
-	// nodes inherits ManagerConfig's heartbeat clock (EXEX mirrors its pool
-	// period into it), and the interchange polices the threshold regardless
-	// of what runs behind the dealer.
+	// PayloadFactory pools too — what they start on the nodes is a Manager
+	// running with this ManagerConfig (EXEX passes the one mapping of its
+	// pool config both here and to its pools), and the interchange polices
+	// the threshold regardless of what executes behind the manager.
 	mgrCfg, ixCfg := e.cfg.Manager, e.cfg.Interchange
 	mgrCfg.normalize()
 	ixCfg.normalize()
@@ -234,53 +237,29 @@ func (e *Executor) Start() error {
 	}
 
 	n := e.cfg.Shards
-	addr := e.cfg.Addr
-	if addr == "" {
-		addr = ":0"
-	}
-	if n > 1 && !strings.HasSuffix(addr, ":0") {
+	if n > 1 && !strings.HasSuffix(e.cfg.Addr, ":0") {
 		return fmt.Errorf("htex: %d shards cannot share fixed address %q (use an auto-assign :0 form)", n, e.cfg.Addr)
 	}
 
 	e.smap = NewShardMap(n)
 	e.shards = make([]*shardLink, 0, n)
-	fail := func(err error) error {
-		for _, s := range e.shards {
-			c := s.conn.Load()
-			_ = c.dealer.Close()
-			_ = c.ix.Close()
-		}
-		return err
-	}
 	for i := 0; i < n; i++ {
-		ixCfg := e.cfg.Interchange
-		ixCfg.Label = fmt.Sprintf("%s[%d]", e.cfg.Label, i)
-		if ixCfg.Seed != 0 {
-			// Decorrelate the shards' manager-selection streams while keeping
-			// the whole deployment a pure function of the configured seed.
-			ixCfg.Seed += int64(i)
-		}
-		ix, err := StartInterchange(e.cfg.Transport, addr, ixCfg)
-		if err != nil {
-			return fail(err)
-		}
-		dealer, err := mq.DialDealer(e.cfg.Transport, ix.Addr(), clientIdentity)
-		if err != nil {
-			_ = ix.Close()
-			return fail(fmt.Errorf("htex: client dial %s: %w", ixCfg.Label, err))
-		}
 		s := &shardLink{
 			idx:        i,
-			label:      ixCfg.Label,
+			label:      fmt.Sprintf("%s[%d]", e.cfg.Label, i),
 			breaker:    health.NewBreaker(health.BreakerConfig{}),
 			cmdReplies: make(chan mq.Message, 16),
 		}
-		s.conn.Store(&shardConn{
-			ix:      ix,
-			dealer:  dealer,
-			taskEnc: serialize.NewStreamEncoder(),
-			resDec:  serialize.NewStreamDecoder(),
-		})
+		c, err := e.openShard(s)
+		if err != nil {
+			for _, up := range e.shards {
+				opened := up.conn.Load()
+				_ = opened.dealer.Close()
+				_ = opened.ix.Close()
+			}
+			return err
+		}
+		s.conn.Store(c)
 		e.shards = append(e.shards, s)
 		e.wg.Add(1)
 		go e.recvLoop(s)
@@ -292,6 +271,34 @@ func (e *Executor) Start() error {
 		}
 	}
 	return nil
+}
+
+// openShard brings up one shard's connection state — what Start builds for
+// every shard and RestoreShard rebuilds for a dead one: an interchange under
+// the shard's label, the client dealer to it, and a fresh stream codec pair.
+func (e *Executor) openShard(s *shardLink) (*shardConn, error) {
+	ixCfg := e.cfg.Interchange
+	ixCfg.Label = s.label
+	if ixCfg.Seed != 0 {
+		// Decorrelate the shards' manager-selection streams while keeping
+		// the whole deployment a pure function of the configured seed.
+		ixCfg.Seed += int64(s.idx)
+	}
+	ix, err := StartInterchange(e.cfg.Transport, e.cfg.Addr, ixCfg)
+	if err != nil {
+		return nil, fmt.Errorf("htex: open %s: %w", ixCfg.Label, err)
+	}
+	dealer, err := mq.DialDealer(e.cfg.Transport, ix.Addr(), clientIdentity)
+	if err != nil {
+		_ = ix.Close()
+		return nil, fmt.Errorf("htex: open %s: client dial: %w", ixCfg.Label, err)
+	}
+	return &shardConn{
+		ix:      ix,
+		dealer:  dealer,
+		taskEnc: serialize.NewStreamEncoder(),
+		resDec:  serialize.NewStreamDecoder(),
+	}, nil
 }
 
 // recvLoop reconciles one shard's traffic: results, LOST reports, command
@@ -436,31 +443,11 @@ func (e *Executor) RestoreShard(i int) error {
 	if !s.down.Load() {
 		return nil
 	}
-	addr := e.cfg.Addr
-	if addr == "" {
-		addr = ":0"
-	}
-	ixCfg := e.cfg.Interchange
-	ixCfg.Label = s.label
-	if ixCfg.Seed != 0 {
-		ixCfg.Seed += int64(i)
-	}
-	ix, err := StartInterchange(e.cfg.Transport, addr, ixCfg)
+	c, err := e.openShard(s)
 	if err != nil {
-		return fmt.Errorf("htex: restore %s: %w", s.label, err)
+		return err
 	}
-	dealer, err := mq.DialDealer(e.cfg.Transport, ix.Addr(), clientIdentity)
-	if err != nil {
-		_ = ix.Close()
-		return fmt.Errorf("htex: restore %s: client dial: %w", s.label, err)
-	}
-	old := s.conn.Load()
-	s.conn.Store(&shardConn{
-		ix:      ix,
-		dealer:  dealer,
-		taskEnc: serialize.NewStreamEncoder(),
-		resDec:  serialize.NewStreamDecoder(),
-	})
+	old := s.conn.Swap(c)
 	// The death path closes only the broker; close the stale dealer too so
 	// the old receive loop (which sees the swapped pointer) unblocks.
 	_ = old.dealer.Close()

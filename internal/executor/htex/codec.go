@@ -14,6 +14,11 @@
 // re-frames tasks without ever decoding the argument bytes. Control frames
 // (registration, ids, heartbeats, commands) stay one-shot: they are small,
 // rare, and must be decodable without session state.
+//
+// The manager side of the protocol has one implementation, Manager. Anything
+// that executes tasks behind an interchange — an HTEX node, an EXEX MPI pool
+// — is a Manager constructed with a different exec step (StartManagerExec),
+// so the frame tags and stream codecs below never leave this package.
 package htex
 
 import (
@@ -21,7 +26,6 @@ import (
 	"encoding/binary"
 	"fmt"
 
-	"repro/internal/mq"
 	"repro/internal/serialize"
 )
 
@@ -40,48 +44,6 @@ const (
 	frameCancel  = "CANCEL"  // client -> interchange -> manager: drop tasks not yet started
 	frameNack    = "NACK"    // receiver -> sender: your stream (epoch attached) is undecodable; resync
 )
-
-// TaskStreamDecoder decodes the interchange's TASKS frames. It wraps one
-// per-connection stream decoder, exported so sibling executors that speak
-// the manager protocol (EXEX pools) share the exact wire format. Not safe
-// for concurrent use — one per receive loop.
-type TaskStreamDecoder struct {
-	dec *serialize.StreamDecoder
-}
-
-// NewTaskStreamDecoder returns a decoder for one manager-protocol session.
-func NewTaskStreamDecoder() *TaskStreamDecoder {
-	return &TaskStreamDecoder{dec: serialize.NewStreamDecoder()}
-}
-
-// Decode decodes one TASKS frame into its task-envelope batch.
-func (d *TaskStreamDecoder) Decode(frame []byte) ([]serialize.WireTask, error) {
-	var batch []serialize.WireTask
-	if err := d.dec.DecodeFrame(frame, &batch); err != nil {
-		return nil, fmt.Errorf("htex: decode batch: %w", err)
-	}
-	return batch, nil
-}
-
-// ResultStreamEncoder encodes RESULTS frames on a persistent stream toward
-// the interchange; exported for EXEX pools. The frame passed to send is only
-// valid during the call. Safe for concurrent use.
-type ResultStreamEncoder struct {
-	enc *serialize.StreamEncoder
-}
-
-// NewResultStreamEncoder returns an encoder for one manager-protocol session.
-func NewResultStreamEncoder() *ResultStreamEncoder {
-	return &ResultStreamEncoder{enc: serialize.NewStreamEncoder()}
-}
-
-// Encode frames one result batch and hands it to send.
-func (e *ResultStreamEncoder) Encode(batch []serialize.ResultMsg, send func(frame []byte) error) error {
-	if err := e.enc.EncodeFrame(batch, send); err != nil {
-		return fmt.Errorf("htex: encode results: %w", err)
-	}
-	return nil
-}
 
 // Stream-corruption recovery (NACK protocol)
 //
@@ -113,6 +75,9 @@ func (e *ResultStreamEncoder) Encode(batch []serialize.ResultMsg, send func(fram
 //     outstanding set when it sends the NACK, so results lost in the bad
 //     frame re-execute elsewhere rather than leaking broker capacity.
 //
+// "Manager" above includes EXEX pools: rank 0 of a pool is a Manager, so
+// both manager legs resync the same way with no pool-side code.
+//
 // Stale NACKs are deduplicated by epoch: a receiver acts only when the
 // NACKed epoch matches its encoder's current epoch, so a burst of failures
 // against one epoch triggers exactly one reset/retransmit cycle.
@@ -137,23 +102,6 @@ func nackEpoch(b []byte) uint32 {
 	}
 	return binary.BigEndian.Uint32(b)
 }
-
-// Epoch exposes the encoder's current stream epoch (NACK dedup).
-func (e *ResultStreamEncoder) Epoch() uint32 { return e.enc.Epoch() }
-
-// Reset abandons the current stream; the next frame is self-describing.
-func (e *ResultStreamEncoder) Reset() { e.enc.Reset() }
-
-// NackMessage builds the manager-protocol NACK reply for an undecodable
-// frame. Exported, with NackEpoch, so sibling executors that speak the
-// manager protocol (EXEX pool rank 0) implement the same resync contract.
-func NackMessage(frame []byte) mq.Message {
-	return mq.Message{[]byte(frameNack), nackPayload(frame)}
-}
-
-// NackEpoch extracts the stream epoch a received NACK payload names
-// (0 = unmatchable; ignore the NACK).
-func NackEpoch(payload []byte) uint32 { return nackEpoch(payload) }
 
 // encodeIDs / decodeIDs carry wire-id lists (CANCEL, LOST) as checksummed
 // one-shot frames: they are tiny and infrequent, so stream state would buy

@@ -75,19 +75,21 @@ func (c *ManagerConfig) normalize() {
 }
 
 // Manager is the per-node pilot agent: it registers capacity with the
-// interchange, feeds a pool of worker goroutines, and streams result batches
-// back. Tasks arrive as wire envelopes; the argument payload — encoded once
-// at submit time on the client — is decoded here, by the worker goroutine
-// about to execute the task, and nowhere else.
+// interchange, feeds a pool of worker slots, and streams result batches
+// back. It is the only implementation of the manager side of the protocol;
+// what a slot does with a task is the exec step it was constructed with
+// (StartManager runs the kernel in-process, an EXEX pool hands the envelope
+// to an MPI rank). Tasks arrive as wire envelopes whose argument payload —
+// encoded once at submit time on the client — the manager never decodes.
 type Manager struct {
 	id     string
 	cfg    ManagerConfig
-	reg    *serialize.Registry
+	exec   func(slot int, w serialize.WireTask) (serialize.ResultMsg, error)
 	dealer *mq.Dealer
 	// taskDec consumes the interchange's per-manager TASKS stream; resEnc
 	// produces this manager's RESULTS stream.
-	taskDec *TaskStreamDecoder
-	resEnc  *ResultStreamEncoder
+	taskDec *serialize.StreamDecoder
+	resEnc  *serialize.StreamEncoder
 
 	tasks   chan serialize.WireTask
 	results chan serialize.ResultMsg
@@ -118,8 +120,46 @@ type Manager struct {
 const maxAdvertisedDigests = 512
 
 // StartManager connects a manager to the interchange at addr and begins
-// executing tasks from reg.
+// executing tasks from reg on its own worker goroutines.
 func StartManager(tr simnet.Transport, addr, id string, reg *serialize.Registry, cfg ManagerConfig) (*Manager, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	cfg.normalize() // the slot names below need the defaulted worker count
+	workerIDs := make([]string, cfg.Workers)
+	for i := range workerIDs {
+		workerIDs[i] = fmt.Sprintf("%s/w%d", id, i)
+	}
+	return StartManagerExec(tr, addr, id, cfg, func(slot int, w serialize.WireTask) (serialize.ResultMsg, error) {
+		// First and only decode of the argument payload, on the goroutine
+		// that executes it — the decode is the worker's private deep copy,
+		// so no further isolation copy is needed. The wire frame's bytes go
+		// straight to the decoder (DecodeArgsBytes); no intermediate Payload
+		// wrapper, no copy of the buffer, and the stack-built TaskMsg
+		// carries only the decoded values into the kernel.
+		args, kwargs, err := serialize.DecodeArgsBytes(w.P)
+		if err != nil {
+			return serialize.ResultMsg{ID: w.ID, WorkerID: workerIDs[slot],
+				Err: fmt.Sprintf("decode task %d: %v", w.ID, err)}, nil
+		}
+		return executor.RunKernel(reg, serialize.TaskMsg{
+			ID: w.ID, App: w.App, Priority: w.Priority,
+			Tenant: w.Tenant, Weight: w.Weight,
+			Args: args, Kwargs: kwargs,
+		}, workerIDs[slot]), nil
+	})
+}
+
+// StartManagerExec is StartManager with the execution step supplied by the
+// caller: exec runs one task envelope on worker slot i (0 ≤ i < cfg.Workers,
+// one call at a time per slot) and returns its result. An error from exec
+// means the substrate behind the slots is gone — the manager stops without a
+// BYE, so the interchange reports everything it held LOST. Everything else
+// (registration, prefetch buffer, CANCEL, NACK resync, result batching,
+// heartbeats with digest adverts, silence policing, acked drain, the
+// PointMgrKill chaos point) is the same code whatever exec does.
+func StartManagerExec(tr simnet.Transport, addr, id string, cfg ManagerConfig,
+	exec func(slot int, w serialize.WireTask) (serialize.ResultMsg, error)) (*Manager, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -131,10 +171,10 @@ func StartManager(tr simnet.Transport, addr, id string, reg *serialize.Registry,
 	m := &Manager{
 		id:       id,
 		cfg:      cfg,
-		reg:      reg,
+		exec:     exec,
 		dealer:   dealer,
-		taskDec:  NewTaskStreamDecoder(),
-		resEnc:   NewResultStreamEncoder(),
+		taskDec:  serialize.NewStreamDecoder(),
+		resEnc:   serialize.NewStreamEncoder(),
 		tasks:    make(chan serialize.WireTask, cfg.Workers+cfg.Prefetch),
 		results:  make(chan serialize.ResultMsg, cfg.Workers+cfg.Prefetch),
 		done:     make(chan struct{}),
@@ -150,7 +190,7 @@ func StartManager(tr simnet.Transport, addr, id string, reg *serialize.Registry,
 
 	for i := 0; i < cfg.Workers; i++ {
 		m.wg.Add(1)
-		go m.worker(fmt.Sprintf("%s/w%d", id, i))
+		go m.worker(i)
 	}
 	m.wg.Add(3)
 	go m.recvLoop()
@@ -185,8 +225,8 @@ func (m *Manager) recvLoop() {
 			if len(msg) < 2 {
 				continue
 			}
-			batch, err := m.taskDec.Decode(msg[1])
-			if err != nil {
+			var batch []serialize.WireTask
+			if err := m.taskDec.DecodeFrame(msg[1], &batch); err != nil {
 				// Undecodable task stream: NACK so the interchange resyncs
 				// this manager's encoder and requeues what it was holding
 				// (codec.go). Without this, the lost frame's tasks would sit
@@ -243,7 +283,7 @@ func (m *Manager) dropCanceled(id int64) bool {
 	return false
 }
 
-func (m *Manager) worker(workerID string) {
+func (m *Manager) worker(slot int) {
 	defer m.wg.Done()
 	for {
 		select {
@@ -262,28 +302,11 @@ func (m *Manager) worker(workerID string) {
 			if m.dropCanceled(w.ID) {
 				continue // struck by the interchange; never starts
 			}
-			// First and only decode of the argument payload, on the
-			// goroutine that executes it — the decode is the worker's
-			// private deep copy, so no further isolation copy is needed.
-			// The wire frame's bytes go straight to the decoder
-			// (DecodeArgsBytes); no intermediate Payload wrapper, no copy
-			// of the buffer, and the stack-built TaskMsg carries only the
-			// decoded values into the kernel.
-			args, kwargs, err := serialize.DecodeArgsBytes(w.P)
+			res, err := m.exec(slot, w)
 			if err != nil {
-				select {
-				case m.results <- serialize.ResultMsg{ID: w.ID, WorkerID: workerID,
-					Err: fmt.Sprintf("decode task %d: %v", w.ID, err)}:
-				case <-m.done:
-					return
-				}
-				continue
+				m.Stop() // execution substrate gone: die without BYE
+				return
 			}
-			res := executor.RunKernel(m.reg, serialize.TaskMsg{
-				ID: w.ID, App: w.App, Priority: w.Priority,
-				Tenant: w.Tenant, Weight: w.Weight,
-				Args: args, Kwargs: kwargs,
-			}, workerID)
 			m.mu.Lock()
 			m.executed++
 			if res.Err == "" {
@@ -314,7 +337,7 @@ func (m *Manager) resultLoop() {
 		if len(batch) == 0 {
 			return
 		}
-		_ = m.resEnc.Encode(batch, func(frame []byte) error {
+		_ = m.resEnc.EncodeFrame(batch, func(frame []byte) error {
 			return chaos.Frame(chaos.PointMgrResults, m.id, frame, func(fr []byte) error {
 				return m.dealer.Send(mq.Message{[]byte(frameResults), fr})
 			})
@@ -425,5 +448,6 @@ func (m *Manager) Stop() {
 	})
 }
 
-// Wait blocks until all manager goroutines exit (tests).
+// Wait blocks until all manager goroutines exit, including a worker slot
+// still inside its exec step.
 func (m *Manager) Wait() { m.wg.Wait() }

@@ -1,0 +1,79 @@
+#!/usr/bin/env bash
+# Alternating parent/change pairs of one benchmark workload.
+#
+#   bench/abpairs.sh <parent-ref> <workload> [pairs=10] [seconds=15]
+#
+# The runner drifts ±20 % between runs of the same binary, so a time-based
+# claim is only shown by pairs: pair i runs the parent and the change back to
+# back on seed i, and the side that runs first alternates. <parent-ref> is a
+# git ref (checked out with `git worktree add` into a temporary directory and
+# removed afterwards) or a directory that already holds the parent's tree.
+# Each side is `bash benchmark/run.sh --workload W --seed i --seconds S
+# --trace 0` from its own tree, which builds into that tree's .bench_build.
+# Every run's last-line JSON is kept in $ABPAIRS_OUT (default: a temporary
+# directory, printed at the end) and the summary reports, per metric: each
+# side's median and quartiles, the change of the medians, the parent's
+# interquartile spread relative to its median, and in how many pairs the change won.
+set -euo pipefail
+
+if [ $# -lt 2 ]; then
+	sed -n '2,5p' "$0" >&2
+	exit 2
+fi
+ref=$1 workload=$2 pairs=${3:-10} seconds=${4:-15}
+root=$(cd "$(dirname "$0")/.." && pwd)
+out=${ABPAIRS_OUT:-$(mktemp -d)}
+mkdir -p "$out"
+
+if [ -f "$ref/benchmark/run.sh" ]; then
+	parent=$(cd "$ref" && pwd)
+else
+	parent=$(mktemp -d)/parent
+	git -C "$root" worktree add --detach "$parent" "$ref" >/dev/null
+	trap 'git -C "$root" worktree remove --force "$parent"' EXIT
+fi
+
+# run <side> <tree> <seed>: one benchmark process; its last line is the JSON.
+run() {
+	(cd "$2" && bash benchmark/run.sh --workload "$workload" --seed "$3" --seconds "$seconds" --trace 0) |
+		tail -n 1 >"$out/$1_$3.json"
+	echo "  $1 seed $3: $(cat "$out/$1_$3.json")"
+}
+
+for i in $(seq 1 "$pairs"); do
+	echo "pair $i/$pairs"
+	if [ $((i % 2)) -eq 1 ]; then
+		run parent "$parent" "$i"
+		run change "$root" "$i"
+	else
+		run change "$root" "$i"
+		run parent "$parent" "$i"
+	fi
+done
+
+python3 - "$out" "$pairs" "$root/BENCHMARK.json" <<'EOF'
+import json, statistics, sys
+out, pairs, contract = sys.argv[1], int(sys.argv[2]), json.load(open(sys.argv[3]))
+better = {m["name"]: m["better"] for m in contract["end_to_end"]}
+runs = {side: [json.load(open(f"{out}/{side}_{i}.json")) for i in range(1, pairs + 1)]
+        for side in ("parent", "change")}
+for side, rs in runs.items():
+    bad = [i + 1 for i, r in enumerate(rs) if r["failed"] or not r["correct"]]
+    print(f"{side}: {sum(r['attempted'] for r in rs)} attempted, "
+          f"{sum(r['failed'] for r in rs)} failed" + (f", incorrect seeds {bad}" if bad else ""))
+def q(xs):
+    lo, med, hi = statistics.quantiles(xs, n=4, method="inclusive")
+    return lo, med, hi
+print(f"{'metric':<22}{'parent med [q1, q3]':>38}{'change med [q1, q3]':>38}{'change':>9}{'p.iqr':>8}{'wins':>7}")
+for name in runs["parent"][0]["metrics"]:
+    p = [r["metrics"][name]["value"] for r in runs["parent"]]
+    c = [r["metrics"][name]["value"] for r in runs["change"]]
+    sign = 1 if better.get(name) == "higher" else -1
+    wins = sum(1 for a, b in zip(p, c) if sign * (b - a) > 0)
+    ties = sum(1 for a, b in zip(p, c) if a == b)
+    (pl, pm, ph), (cl, cm, ch) = q(p), q(c)
+    rel = lambda x: f"{100 * x / pm:+.1f}%" if pm else "n/a"
+    print(f"{name:<22}{f'{pm:.4g} [{pl:.4g}, {ph:.4g}]':>38}{f'{cm:.4g} [{cl:.4g}, {ch:.4g}]':>38}"
+          f"{rel(cm - pm):>9}{rel(ph - pl).lstrip('+'):>8}{f'{wins}/{pairs - ties}':>7}")
+EOF
+echo "runs kept in $out"

@@ -176,6 +176,9 @@ type DFK struct {
 	mon       monitor.Sink
 	executors map[string]executor.Executor
 	execList  []executor.Executor // config order, for the scheduler
+	// monitored is decided once, in New: without a sink attached the per-task
+	// emit points return before building (or timestamping) an event.
+	monitored bool
 
 	schedr        sched.Scheduler
 	schedUsesLoad bool
@@ -254,10 +257,9 @@ func New(cfg Config) (*DFK, error) {
 	}
 	d.cache = cfg.SharedCache
 
-	if cfg.Monitor != nil {
-		d.mon = cfg.Monitor
-	} else {
-		d.mon = monitor.Nop{}
+	d.mon = monitor.Nop{}
+	if _, nop := cfg.Monitor.(monitor.Nop); cfg.Monitor != nil && !nop {
+		d.mon, d.monitored = cfg.Monitor, true
 	}
 
 	var err error
@@ -517,10 +519,10 @@ func (a *App) CallKw(kwargs map[string]any, args ...any) *future.Future {
 // tenant's quota, build the task record, apply the per-call options, wire
 // dependency callbacks and the cancellation watcher, and launch when ready.
 //
-// The returned future is captured before anything that could conclude the
-// task: a synchronous terminal path (memo hit, dependency already failed)
-// retires the record, and a retired record may be recycled — its Future
-// field cleared — before submit returns.
+// The record comes back from task.Create already Pending and held by this
+// goroutine until submit returns, so a terminal path that runs meanwhile —
+// synchronously (memo hit, dependency already failed) or concurrently (the
+// context watcher) — can retire the record but not recycle it.
 func (d *DFK) submit(ctx context.Context, a *App, args []any, kwargs map[string]any, o callOpts) *future.Future {
 	if ctx == nil {
 		ctx = context.Background()
@@ -562,35 +564,28 @@ func (d *DFK) submit(ctx context.Context, a *App, args []any, kwargs map[string]
 	d.mu.RUnlock()
 
 	id := d.graph.NextID()
-	rec := task.NewRecord(id, a.name, args, kwargs)
-	fut := rec.Future
-	// The retire path releases the quota slot whichever way the task
-	// concluded — done, failed, memoized, or canceled — so admission
+	// The retire path releases the quota slot (Admitted) whichever way the
+	// task concluded — done, failed, memoized, or canceled — so admission
 	// accounting cannot leak.
-	if admitted {
-		rec.SetAdmitted()
+	opts := task.Options{
+		Hints: a.hints, Tenant: o.tenant, Weight: o.weight,
+		MaxRetries: d.cfg.Retries, Priority: o.priority,
+		Timeout: o.timeout, Deadline: o.deadline,
+		MemoKeyOverride: o.memoKey, Admitted: admitted,
 	}
-	rec.SetTenant(o.tenant, o.weight)
-	rec.SetMaxRetries(d.cfg.Retries)
 	if o.retries != nil {
-		rec.SetMaxRetries(*o.retries)
+		opts.MaxRetries = *o.retries
 	}
-	rec.Hints = a.hints
 	if o.executor != "" {
-		rec.Hints = []string{o.executor}
+		opts.Hints = []string{o.executor}
 	}
-	rec.SetPriority(o.priority)
-	if o.timeout > 0 {
-		rec.SetTimeout(o.timeout)
-	}
-	if !o.deadline.IsZero() {
-		rec.SetDeadline(o.deadline)
-	}
-	if o.memoKey != "" {
-		rec.SetMemoKeyOverride(o.memoKey)
-	}
+	rec, gen := task.Create(id, a.name, args, kwargs, opts)
+	// Publishing the record (graph, watcher, dependency callbacks) lets other
+	// goroutines conclude and retire it at any moment; the creator's hold keeps
+	// it from being recycled under the wiring below.
+	defer rec.Exit()
+	fut := rec.Future
 	d.graph.Add(rec)
-	gen := rec.Gen()
 	if ctx.Done() != nil {
 		stop := context.AfterFunc(ctx, func() {
 			if !rec.Enter(gen) {
@@ -599,9 +594,11 @@ func (d *DFK) submit(ctx context.Context, a *App, args []any, kwargs map[string]
 			d.cancelTask(rec, fmt.Errorf("%w: %w", ErrCanceled, context.Cause(ctx)))
 			rec.Exit()
 		})
-		// Retirement detaches the watcher (TakeCancelStop), replacing the
-		// seed's per-task done callback.
-		rec.SetCancelStop(stop)
+		// Finish hands the detach function to retirement; a watcher that
+		// already fired has nothing left to detach.
+		if !rec.Watch(stop) {
+			stop()
+		}
 	}
 
 	// Collect dependencies: futures anywhere in args/kwargs, plus staging
@@ -626,14 +623,9 @@ func (d *DFK) submit(ctx context.Context, a *App, args []any, kwargs map[string]
 		}
 	}
 
-	d.emitState(rec, "", "pending")
-	if err := rec.SetState(task.Pending); err != nil {
-		d.failTask(rec, err)
-		return fut
-	}
-
+	d.emitState(id, a.name, o.tenant, "", "pending", "")
 	if len(deps) == 0 {
-		d.launch(rec, a)
+		d.launch(rec, gen, a)
 		return fut
 	}
 
@@ -655,8 +647,8 @@ func (d *DFK) submit(ctx context.Context, a *App, args []any, kwargs map[string]
 				d.failTask(rec, &DependencyError{TaskID: id, DepID: dep.TaskID, Err: err})
 				return
 			}
-			if rec.DepResolved() == 0 && rec.State() == task.Pending {
-				d.launch(rec, a)
+			if n, st := rec.DepResolved(); n == 0 && st == task.Pending {
+				d.launch(rec, gen, a)
 			}
 		})
 	}
@@ -715,7 +707,7 @@ func (d *DFK) stageInTask(f *data.File) *future.Future {
 // serialization of the arguments for the task's whole lifetime: the memo
 // hash reads it, in-process executors decode their defensive copy from it,
 // remote executors ship it verbatim, and retries reuse it.
-func (d *DFK) launch(rec *task.Record, a *App) {
+func (d *DFK) launch(rec *task.Record, gen uint32, a *App) {
 	args, kwargs := resolveArgs(rec.Args, rec.Kwargs)
 
 	// An explicit per-call memo key turns memoization on for the invocation
@@ -725,36 +717,33 @@ func (d *DFK) launch(rec *task.Record, a *App) {
 	// encoding.
 	var payload *serialize.Payload
 	var encErr error
-	memoKey := rec.MemoKeyOverride()
+	memoKey := rec.MemoKeyOverride
 	if memoKey == "" && a.memoize {
 		if payload, encErr = serialize.EncodeArgs(args, kwargs); encErr == nil {
 			memoKey = memo.KeyFromPayload(a.name, a.bodyHash, payload)
 		}
 	}
 	if memoKey != "" {
-		rec.SetMemoKey(memoKey)
-		if v, hit := d.memoizer.Lookup(memoKey); hit {
-			// The payload built for the key was never installed on the
-			// record; drop its reference here (a memoized task ships no
-			// bytes anywhere).
-			payload.Release()
-			d.settleMemoized(rec, v)
-			return
-		}
+		v, hit := d.memoizer.Lookup(memoKey)
 		// Local miss: consult the shared content-addressed tier, where
 		// another DFK (or an earlier incarnation of this one) may already
 		// have keyed the result under the same app|body|args digest. A hit
 		// settles exactly like a memo hit — and promotes the entry into the
 		// local table (and its checkpoint), so the next lookup never leaves
 		// the process.
-		if d.cache != nil {
-			if v, hit := d.cache.Get(memoKey); hit {
+		if !hit && d.cache != nil {
+			if v, hit = d.cache.Get(memoKey); hit {
 				_ = d.memoizer.Store(memoKey, v)
-				payload.Release()
-				d.settleMemoized(rec, v)
-				return
 			}
 		}
+		if hit {
+			// The payload built for the key is never installed on the record;
+			// drop its reference here (a memoized task ships no bytes anywhere).
+			payload.Release()
+			d.settleMemoized(rec, memoKey, v)
+			return
+		}
+		rec.SetMemoKey(memoKey)
 	}
 	// Only a task that actually has to execute needs encodable arguments —
 	// an explicit-key cache hit above is served even for args no executor
@@ -769,9 +758,6 @@ func (d *DFK) launch(rec *task.Record, a *App) {
 		d.failTask(rec, encErr)
 		return
 	}
-	// The record owns the EncodeArgs reference (released at retirement);
-	// the attempt takes its own, released when the attempt settles.
-	rec.SetPayload(payload)
 	// Durably record the submission — payload, memo key, tenant, priority,
 	// and retry budget, everything recovery needs to re-admit the task
 	// through this same boundary. A memo hit above never reaches the log:
@@ -779,26 +765,44 @@ func (d *DFK) launch(rec *task.Record, a *App) {
 	// with WAL unset is one nil check.
 	var walKey int64
 	if d.wal != nil {
-		k, err := d.wal.Submit(a.name, memoKey, rec.Tenant(), rec.Priority(),
-			rec.TenantWeight(), rec.MaxRetries(), payload.Bytes())
+		k, err := d.wal.Submit(a.name, memoKey, rec.Tenant, rec.Priority,
+			rec.Weight, rec.MaxRetries, payload.Bytes())
 		if err != nil {
 			d.emitWAL(rec.ID, "submit", err)
 		} else {
 			walKey = k
-			rec.SetWALKey(k)
 		}
 	}
 	pl := &pendingLaunch{
-		d: d, rec: rec, gen: rec.Gen(), app: a, args: args, kwargs: kwargs,
+		id: rec.ID, rec: rec, gen: gen, app: a, args: args, kwargs: kwargs,
 		payload: payload.Retain(),
-		wireID:  rec.ID, priority: rec.Priority(),
-		tenant: rec.Tenant(), weight: rec.TenantWeight(),
+		wireID:  rec.ID, priority: rec.Priority,
+		tenant: rec.Tenant, weight: rec.Weight,
 		walKey: walKey, walAttempt: 1,
 	}
-	if d.schedUsesDigest {
-		pl.digest = payload.ArgsHash()
+	if !d.firstAttempt(pl) && walKey != 0 {
+		// Concluded (canceled) before the key reached the record: no Finish
+		// saw it, so the submission logged just above is closed here.
+		if err := d.wal.Terminal(walKey, wal.OutcomeFailed, ""); err != nil {
+			d.emitWAL(rec.ID, "terminal", err)
+		}
 	}
-	d.enqueueAttempt(pl)
+}
+
+// firstAttempt arms and enqueues a ready task's first attempt in this process.
+// pl.payload carries two references: the attempt's own, released when it
+// settles, and the EncodeArgs one, which the record takes over (and releases
+// at retirement). It reports false, with both dropped, when the task concluded
+// before it could be armed.
+func (d *DFK) firstAttempt(pl *pendingLaunch) bool {
+	if d.schedUsesDigest {
+		pl.digest = pl.payload.ArgsHash()
+	}
+	if d.enqueueAttempt(pl) {
+		return true
+	}
+	pl.payload.Release()
+	return false
 }
 
 // cancelTask concludes a task whose submission context was canceled. The
@@ -806,32 +810,31 @@ func (d *DFK) launch(rec *task.Record, a *App) {
 // any failure), the in-flight attempt — if one exists — is concluded so its
 // lane entry becomes a recognizable no-op, and the executor is asked to drop
 // the attempt when it already crossed the submission boundary and the
-// executor supports cancellation. Idempotent and a no-op on terminal tasks,
-// so canceling after completion changes nothing.
+// executor supports cancellation. A no-op on terminal tasks, so canceling
+// after completion changes nothing.
 func (d *DFK) cancelTask(rec *task.Record, cause error) {
-	if rec.State().Terminal() {
+	if !d.failTask(rec, cause) {
 		return
 	}
-	d.failTask(rec, cause)
-	if af, wire := rec.Attempt(); af != nil {
-		// Conclude the attempt after failTask: attemptDone's terminal guard
+	if af, wire, label := rec.Attempt(); af != nil {
+		// Conclude the attempt after failTask: the attempt's completion stage
 		// then sees a settled task and neither retries nor double-fails.
 		_ = af.SetError(cause)
-		if label := rec.Executor(); label != "" {
-			if c, ok := d.executors[label].(executor.Canceler); ok {
-				c.Cancel(wire)
-			}
+		if c, ok := d.executors[label].(executor.Canceler); ok {
+			c.Cancel(wire)
 		}
 	}
 }
 
-func (d *DFK) completeTask(rec *task.Record, a *App, v any) {
-	if key := rec.MemoKey(); key != "" {
-		_ = d.memoizer.Store(key, v)
+// completeTask concludes a task whose attempt returned v; memoKey ("" = not
+// memoized) is the key the result is published under.
+func (d *DFK) completeTask(rec *task.Record, memoKey string, v any) {
+	if memoKey != "" {
+		_ = d.memoizer.Store(memoKey, v)
 		// Publish to the shared tier too, so sibling DFKs (and post-restart
 		// incarnations seeded from it) serve this result without moving bytes.
 		if d.cache != nil {
-			d.cache.Put(key, v)
+			d.cache.Put(memoKey, v)
 		}
 	}
 	// Stage out declared outputs before resolving the future, so a
@@ -848,68 +851,81 @@ func (d *DFK) completeTask(rec *task.Record, a *App, v any) {
 			}
 		}
 	}
-	from := rec.State().String()
-	if rec.SetState(task.Done) != nil {
-		// Lost the race to another terminal path (cancellation); that path
-		// settled the future and retires the record.
-		return
-	}
-	d.emitState(rec, from, "done")
-	// The memo Store above ran first, so by the time this terminal record is
+	// The memo Store above ran first, so by the time the terminal record is
 	// durable the checkpoint entry it points at is too (the checkpoint/WAL
 	// consistency contract in internal/memo). The digest is the memo key;
 	// recovery resolves the value through the checkpoint, never from the log.
-	d.logTerminal(rec, wal.OutcomeDone, rec.MemoKey())
-	_ = rec.Future.SetResult(v)
-	d.retire(rec)
+	d.finish(rec, task.Done, memoKey, v, nil)
 }
 
-// failTask wraps the exception and associates it with the future (§4.1).
-// Idempotent on terminal tasks — SetState decides the exactly-once winner —
+// failTask wraps the exception and associates it with the future (§4.1),
+// reporting whether this call concluded the task. A no-op on terminal tasks,
 // so a stale attempt racing its own retry (or timeout) cannot emit duplicate
 // failure events for, or double-retire, a concluded task.
-func (d *DFK) failTask(rec *task.Record, err error) {
-	if rec.State().Terminal() {
-		return
-	}
-	from := rec.State().String()
-	if rec.SetState(task.Failed) != nil {
-		return
-	}
-	d.emitState(rec, from, "failed")
-	d.logTerminal(rec, wal.OutcomeFailed, "")
-	_ = rec.Future.SetError(fmt.Errorf("dfk: task %d (%s): %w", rec.ID, rec.AppName, err))
-	d.retire(rec)
-}
-
-// logTerminal appends the task's terminal record to the durable log. Must run
-// before retire — retirement may recycle the record and clear its WAL key. A
-// task that never logged a submission (WAL off, memo hit, pre-payload
-// failure) has key 0 and logs nothing.
-func (d *DFK) logTerminal(rec *task.Record, outcome wal.Outcome, digest string) {
-	key := rec.WALKey()
-	if key == 0 {
-		return
-	}
-	if err := d.wal.Terminal(key, outcome, digest); err != nil {
-		d.emitWAL(rec.ID, "terminal", err)
-	}
+func (d *DFK) failTask(rec *task.Record, err error) bool {
+	return d.finish(rec, task.Failed, "", nil, err)
 }
 
 // settleMemoized concludes a task whose result v came from the memo table or
-// the shared cache instead of an execution, reporting whether this call was
-// the task's terminal transition. The terminal record only reaches the log
-// for a recovered task (WAL key set); a first-lifetime memo hit was never
-// logged as submitted, so there is nothing to close.
-func (d *DFK) settleMemoized(rec *task.Record, v any) bool {
-	from := rec.State().String()
-	if rec.SetState(task.Memoized) != nil {
+// the shared cache under key instead of an execution, reporting whether this
+// call was the task's terminal transition. The terminal record only reaches
+// the log for a recovered task (WAL key set); a first-lifetime memo hit was
+// never logged as submitted, so there is nothing to close.
+func (d *DFK) settleMemoized(rec *task.Record, key string, v any) bool {
+	return d.finish(rec, task.Memoized, key, v, nil)
+}
+
+// walOutcomes maps a terminal task state to its durable-log outcome.
+var walOutcomes = [...]wal.Outcome{
+	task.Done: wal.OutcomeDone, task.Failed: wal.OutcomeFailed, task.Memoized: wal.OutcomeMemoized,
+}
+
+// finish is the one terminal path. Record.Finish picks the exactly-once
+// winner among racing conclusions (completion, failure, cancellation); the
+// winner emits the state event, closes the task's durable-log entry (a task
+// that never logged a submission — WAL off, memo hit, pre-payload failure —
+// has key 0 and logs nothing; digest is the memo key recovery resolves a done
+// task through), settles the AppFuture with v — or, for a failure, with err
+// wrapped in the task's identity — and retires the record. The caller holds
+// the record, so its fields stay valid throughout.
+func (d *DFK) finish(rec *task.Record, to task.State, digest string, v any, err error) bool {
+	fin, ok := rec.Finish(to)
+	if !ok {
 		return false
 	}
-	d.emitState(rec, from, "memoized")
-	d.logTerminal(rec, wal.OutcomeMemoized, rec.MemoKey())
-	_ = rec.Future.SetResult(v)
-	d.retire(rec)
+	d.emitState(rec.ID, rec.AppName, rec.Tenant, fin.From.String(), to.String(), fin.Executor)
+	if fin.WALKey != 0 {
+		if werr := d.wal.Terminal(fin.WALKey, walOutcomes[to], digest); werr != nil {
+			d.emitWAL(rec.ID, "terminal", werr)
+		}
+	}
+	if err != nil {
+		_ = rec.Future.SetError(fmt.Errorf("dfk: task %d (%s): %w", rec.ID, rec.AppName, err))
+	} else {
+		_ = rec.Future.SetResult(v)
+	}
+	// Retirement, after the future settled: detach the cancellation watcher,
+	// release the admission slot and the record's payload reference, prune the
+	// record from the graph (unless Config.RetainRecords), and count the task
+	// done for WaitAll. Dependents observed the future inside SetResult/
+	// SetError (done callbacks run synchronously there), so pruning afterwards
+	// never hides a value a dependent still needs: results live on futures,
+	// not records.
+	if fin.CancelStop != nil {
+		fin.CancelStop()
+	}
+	if rec.Admitted {
+		d.adm.Release(rec.Tenant)
+	}
+	if !d.cfg.RetainRecords {
+		fin.Payload.Release()
+		// Once its holds drain the retired record is recycled; this caller's
+		// hold is what keeps rec.ID readable here.
+		if pruned := d.graph.RetireAs(rec, to); pruned == 1 || pruned%1024 == 0 {
+			d.emitPrune(rec.ID, pruned)
+		}
+	}
+	d.wg.Done()
 	return true
 }
 
@@ -929,43 +945,13 @@ func (d *DFK) emitWAL(taskID int64, op string, err error) {
 	})
 }
 
-// retire concludes a task's bookkeeping after its future settled: detach the
-// cancellation watcher, release the admission slot and the record's payload
-// reference, prune the record from the graph (unless Config.RetainRecords),
-// and count the task done for WaitAll. Exactly one terminal path reaches
-// here per task — the one whose SetState to a terminal state succeeded.
-// Dependents observed the future inside SetResult/SetError (done callbacks
-// run synchronously there), so pruning afterwards never hides a value a
-// dependent still needs: results live on futures, not records.
-func (d *DFK) retire(rec *task.Record) {
-	if stop := rec.TakeCancelStop(); stop != nil {
-		stop()
-	}
-	if rec.TakeAdmitted() {
-		d.adm.Release(rec.Tenant())
-	}
-	if d.cfg.RetainRecords {
-		d.wg.Done()
-		return
-	}
-	if p := rec.Payload(); p != nil {
-		rec.SetPayload(nil)
-		p.Release()
-	}
-	id := rec.ID
-	// After Graph.Retire the record may be recycled at any moment (as soon
-	// as outstanding holds drain); it must not be touched again.
-	pruned := d.graph.Retire(rec)
-	if pruned == 1 || pruned%1024 == 0 {
-		d.emitPrune(id, pruned)
-	}
-	d.wg.Done()
-}
-
 // emitPrune records a graph-reclamation event: emitted on a shard's first
 // prune and every 1024th after, so small runs still observe reclamation and
 // million-task runs don't pay a monitor event per task.
 func (d *DFK) emitPrune(id int64, pruned int64) {
+	if !d.monitored {
+		return
+	}
 	d.mon.Emit(monitor.Event{
 		Kind:   monitor.KindGraph,
 		At:     time.Now(),
@@ -1074,16 +1060,21 @@ func (r *router) pick(pl *pendingLaunch) (executor.Executor, error) {
 	return real, nil
 }
 
-func (d *DFK) emitState(rec *task.Record, from, to string) {
+// emitState records one task state change. With no sink attached it builds
+// nothing — no clock read, no event.
+func (d *DFK) emitState(id int64, app, tenant, from, to, executor string) {
+	if !d.monitored {
+		return
+	}
 	d.mon.Emit(monitor.Event{
 		Kind:     monitor.KindTaskState,
 		At:       time.Now(),
-		TaskID:   rec.ID,
-		App:      rec.AppName,
+		TaskID:   id,
+		App:      app,
 		From:     from,
 		To:       to,
-		Executor: rec.Executor(),
-		Tenant:   rec.Tenant(),
+		Executor: executor,
+		Tenant:   tenant,
 	})
 }
 

@@ -27,10 +27,11 @@ import (
 // pendingLaunch itself is the DoneHook of its own attempt — no per-attempt
 // closures.
 type pendingLaunch struct {
-	d   *DFK
+	// id is the task id, readable without holding rec (app.dfk is the DFK).
+	id  int64
 	rec *task.Record
 	// gen is rec's generation stamp captured at creation. Every pipeline
-	// stage revalidates with rec.Enter(gen) before touching the record, so
+	// stage revalidates it (Enter, Launch, Outcome) before touching the record, so
 	// an entry left in a queue after its task concluded (and its record was
 	// recycled for a new task) is recognized and dropped instead of
 	// corrupting the record's new occupant.
@@ -43,8 +44,9 @@ type pendingLaunch struct {
 	// wire frames and defensive copies instead of re-encoding per attempt.
 	// Each pendingLaunch holds its own payload reference from creation
 	// until its attempt settles, so queued bytes can never be recycled
-	// under a pending attempt; the lane runner takes one more reference per
-	// executor submission, released when the executor future settles.
+	// under a pending attempt. enqueueAttempt takes one more for the executor
+	// leg; it travels with the queue entry and is released by whoever drops
+	// the entry, or by the relay when the executor future settles.
 	payload *serialize.Payload
 	// attempt is this attempt's outcome future, embedded by value (the
 	// zero Future is pending). The TaskTimeout timer is armed against it
@@ -65,14 +67,12 @@ type pendingLaunch struct {
 	// the task id would let the stale attempt's late result complete (or
 	// corrupt the accounting of) the new one.
 	wireID int64
-	// priority caches rec.Priority(), which is immutable once the task is
-	// ready: queue comparisons and routing run on the dispatch hot path and
-	// must not take the record mutex per element.
+	// priority, tenant and weight copy the record's immutable options: queue
+	// comparisons and every fair queue the attempt crosses key on them, on
+	// goroutines that do not hold the record.
 	priority int
-	// tenant/weight cache rec.Tenant()/rec.TenantWeight() for the same
-	// reason: every fair queue the attempt crosses keys on them.
-	tenant string
-	weight int
+	tenant   string
+	weight   int
 	// digest is the task's input-content digest (payload.ArgsHash), computed
 	// at launch only when the scheduler is a sched.DigestPicker ("" blank
 	// otherwise — the hash allocates) and carried across retries so every
@@ -100,14 +100,18 @@ type pendingLaunch struct {
 
 // FutureDone makes the pendingLaunch the DoneHook of its own attempt future:
 // stop the timeout clock, run retry-or-finish handling if the record is still
-// this attempt's generation, and drop the attempt's payload reference.
+// this attempt's generation and the task has not concluded on another path
+// (a dispatch-side failure or a cancellation settles the task first and the
+// attempt after), and drop the attempt's payload reference.
 func (pl *pendingLaunch) FutureDone(af *future.Future) {
 	if pl.timer != nil {
 		pl.timer.Stop()
 		pl.timer = nil
 	}
-	if pl.rec.Enter(pl.gen) {
-		pl.d.attemptDone(pl, af)
+	if terminal, memoKey, label, ok := pl.rec.Outcome(pl.gen); ok {
+		if !terminal {
+			pl.app.dfk.attemptDone(pl, af, memoKey, label)
+		}
 		pl.rec.Exit()
 	}
 	pl.payload.Release()
@@ -116,9 +120,9 @@ func (pl *pendingLaunch) FutureDone(af *future.Future) {
 // execRelay forwards an executor future's outcome into the attempt future as
 // the executor future's DoneHook. The relay loses the race against the
 // attempt's timeout timer harmlessly: a completed attempt future rejects
-// further writes. It also releases the per-submission payload reference the
-// lane runner took, which is what keeps the payload bytes alive for ghost
-// submissions (attempt timed out, executor still holds the frame).
+// further writes. It also releases the executor-leg payload reference, which
+// is what keeps the payload bytes alive for ghost submissions (attempt timed
+// out, executor still holds the frame).
 type execRelay struct {
 	pl *pendingLaunch
 }
@@ -211,35 +215,30 @@ func (d *DFK) dispatcher() {
 		}
 		route := d.newRouter()
 		for _, pl := range batch {
-			if pl.attempt.Done() {
-				continue
-			}
-			if !pl.rec.Enter(pl.gen) {
-				// The task concluded and its record was recycled while this
-				// entry sat in the routing queue; nothing left to route.
+			// A dropped entry gives back the executor-leg payload reference it
+			// carries. Dropped here: the attempt already concluded, or the task
+			// did and its record was recycled while the entry sat in the queue.
+			if pl.attempt.Done() || !pl.rec.Enter(pl.gen) {
+				pl.payload.Release()
 				continue
 			}
 			ex, err := route.pick(pl)
 			if err != nil {
-				if errors.Is(err, health.ErrNoHealthyExecutor) {
-					// Every admissible breaker is open: park, don't fail. The
-					// attempt concludes with the overload error; attemptDone
-					// classifies it and re-enters dispatch after backoff with
-					// a fresh timeout clock.
-					pl.rec.Exit()
-					_ = pl.attempt.SetError(err)
-					continue
+				// Every admissible breaker open: park, don't fail — the attempt
+				// concludes with the overload error; attemptDone classifies it
+				// and re-enters dispatch after backoff with a fresh timeout
+				// clock. Anything else fails the task first, then completes the
+				// attempt: the done hook stops the timeout timer and sees a
+				// concluded task.
+				if !errors.Is(err, health.ErrNoHealthyExecutor) {
+					d.failTask(pl.rec, err)
 				}
-				// Fail the task first, then complete the attempt: the done
-				// hook stops the timeout timer, and attemptDone's terminal
-				// guard keeps it from re-processing the failure.
-				d.failTask(pl.rec, err)
 				pl.rec.Exit()
 				_ = pl.attempt.SetError(err)
+				pl.payload.Release()
 				continue
 			}
-			pl.rec.SetExecutor(ex.Label())
-			pl.rec.Exit()
+			pl.rec.Route(ex.Label())
 			l := d.lanes[ex.Label()]
 			l.queued.Add(1)
 			l.queue.Push(pl.tenant, pl.weight, pl)
@@ -271,16 +270,19 @@ func (d *DFK) laneRunner(l *lane) {
 		msgs = msgs[:0]
 		live = live[:0]
 		launchKeys = launchKeys[:0]
+		now := time.Now() // stamps every Launched transition of the batch
 		for _, pl := range batch {
+			// Every entry arrives carrying the executor-leg payload reference
+			// (enqueueAttempt); an entry dropped below gives it back.
 			if pl.attempt.Done() {
-				// The attempt timed out while queued; its retry (if any)
-				// is a separate queue entry. Best-effort skip — if the
-				// timer wins the race after this check, the stale attempt
-				// is still submitted as a ghost: its remote result
-				// reconciles by wire id, the relay below is a no-op on
-				// the already-failed attempt future, and its SetState
-				// interleaves harmlessly with the retry's (same-state
-				// transitions no-op; failTask skips terminal tasks).
+				// The attempt timed out (or was canceled) while queued; its
+				// retry (if any) is a separate queue entry. Best-effort skip —
+				// if the timer wins the race after this check, the stale
+				// attempt is still submitted as a ghost: its remote result
+				// reconciles by wire id, the relay below is a no-op on the
+				// already-failed attempt future, and Launch leaves a task its
+				// retry already launched as it is.
+				pl.payload.Release()
 				continue
 			}
 			// Chaos: an injected submission failure concludes this attempt
@@ -288,20 +290,21 @@ func (d *DFK) laneRunner(l *lane) {
 			// through the scheduler exactly as a real submit error would.
 			if err := chaos.Fail(chaos.PointSubmitFail, l.ex.Label()); err != nil {
 				_ = pl.attempt.SetError(err)
+				pl.payload.Release()
 				continue
 			}
-			if !pl.rec.Enter(pl.gen) {
-				// Record already recycled (task concluded elsewhere with the
-				// attempt settled); drop the stale entry.
+			from, ok, err := pl.rec.Launch(pl.gen, now)
+			if !ok || err != nil {
+				// The task concluded elsewhere: its record is already recycled
+				// (the attempt settled with it), or still terminal — then the
+				// attempt is settled here, which stops its timer.
+				if err != nil {
+					_ = pl.attempt.SetError(err)
+				}
+				pl.payload.Release()
 				continue
 			}
-			d.emitState(pl.rec, pl.rec.State().String(), "launched")
-			if err := pl.rec.SetState(task.Launched); err != nil {
-				d.failTask(pl.rec, err)
-				pl.rec.Exit()
-				_ = pl.attempt.SetError(err) // stop the timer, see dispatcher
-				continue
-			}
+			d.emitState(pl.id, pl.app.name, pl.tenant, from.String(), "launched", l.ex.Label())
 			// First launch crossing the executor boundary: charge the durable
 			// attempt budget (batched below, one log acquisition per drain).
 			// Later attempts were already charged by their Retry records, and
@@ -310,18 +313,16 @@ func (d *DFK) laneRunner(l *lane) {
 			if pl.walKey != 0 && pl.walAttempt == 1 {
 				launchKeys = append(launchKeys, pl.walKey)
 			}
-			pl.rec.Exit()
 			m := serialize.TaskMsg{
 				ID: pl.wireID, App: pl.app.name, Args: pl.args, Kwargs: pl.kwargs,
 				Priority: pl.priority, Tenant: pl.tenant, Weight: pl.weight,
 			}
 			// Ride the encode-once payload onto the wire message — remote
 			// executors frame its bytes verbatim, in-process ones decode
-			// their defensive copy from it — holding one reference for the
-			// executor leg, released by the relay when the executor future
-			// settles. The attempt's own reference (still held here) makes
-			// the Retain safe: the payload cannot have been recycled.
-			m.AttachPayload(pl.payload.Retain())
+			// their defensive copy from it. The entry's executor-leg reference
+			// goes with it, released by the relay when the executor future
+			// settles.
+			m.AttachPayload(pl.payload)
 			msgs = append(msgs, m)
 			live = append(live, pl)
 		}
@@ -352,31 +353,36 @@ func (d *DFK) laneRunner(l *lane) {
 
 // enqueueAttempt arms one execution attempt — its outcome future, the
 // timeout timer against it, and the retry-or-finish hook — and hands it to
-// the routing queue. Arming the timer here, not after submission, is what
+// the routing queue, reporting false (with the attempt's payload reference
+// dropped) when the task already concluded and nothing was enqueued. The
+// caller holds pl.rec. Arming the timer here, not after submission, is what
 // makes the timeout contract hold for tasks stuck behind a backlogged lane:
 // the clock runs while they queue. The per-call WithTimeout/WithDeadline
 // options override Config.TaskTimeout; a deadline bounds each attempt by the
 // wall-clock time remaining.
-func (d *DFK) enqueueAttempt(pl *pendingLaunch) {
+func (d *DFK) enqueueAttempt(pl *pendingLaunch) bool {
 	pl.relay.pl = pl
-	pl.rec.SetAttempt(&pl.attempt, pl.wireID)
+	if !pl.rec.Arm(pl.payload, pl.walKey, &pl.attempt, pl.wireID) {
+		pl.payload.Release()
+		return false
+	}
 	dur := d.cfg.TaskTimeout
-	if t := pl.rec.Timeout(); t > 0 {
+	if t := pl.rec.Timeout; t > 0 {
 		dur = t
 	}
-	if dl := pl.rec.Deadline(); !dl.IsZero() {
+	if dl := pl.rec.Deadline; !dl.IsZero() {
 		rem := time.Until(dl)
 		if rem <= 0 {
 			// The deadline has already passed — first attempts and retries
 			// alike fail here, synchronously, rather than racing a zero
 			// timer against dispatch (a fast executor could otherwise
 			// complete work past its deadline). failTask before settling
-			// the attempt keeps attemptDone's terminal guard from retrying.
+			// the attempt keeps its completion stage from retrying.
 			err := fmt.Errorf("%w: deadline %v already passed", ErrTimeout, dl.Format(time.RFC3339Nano))
 			d.failTask(pl.rec, err)
 			pl.attempt.SetDoneHook(pl)
 			_ = pl.attempt.SetError(err)
-			return
+			return true
 		}
 		if dur <= 0 || rem < dur {
 			dur = rem
@@ -387,31 +393,32 @@ func (d *DFK) enqueueAttempt(pl *pendingLaunch) {
 			_ = pl.attempt.SetError(fmt.Errorf("%w after %v", ErrTimeout, dur))
 		})
 	}
+	// The executor-leg payload reference is taken before the done hook exists:
+	// from then on a cancellation or the timer can settle the attempt — and
+	// drop the attempt's own reference — at any moment, and the pooled payload
+	// must not be recycled under an entry still travelling the queues.
+	pl.payload.Retain()
 	pl.attempt.SetDoneHook(pl)
 	d.queue.Push(pl.wireID, pl)
+	return true
 }
 
-// attemptDone handles one attempt's outcome: completion, or retry through
-// the scheduler while budget remains (§4.1: "Parsl is able to retry the
-// task by resubmitting it to an executor"). A retry re-enters the dispatch
-// queue as a fresh attempt, so the scheduler re-picks an executor from
-// current load — a task lost with a dying executor naturally drains toward
-// a healthier one. Runs inside the caller's Enter/Exit window, so the record
-// is valid throughout even if this call retires it.
-func (d *DFK) attemptDone(pl *pendingLaunch, af *future.Future) {
-	if pl.rec.State().Terminal() {
-		// The task already failed on a dispatch-side path (which completes
-		// the attempt after failTask); nothing left to do.
-		return
-	}
+// attemptDone handles the outcome of one attempt of a task that has not
+// concluded: completion, or retry through the scheduler while budget remains
+// (§4.1: "Parsl is able to retry the task by resubmitting it to an
+// executor"). A retry re-enters the dispatch queue as a fresh attempt, so the
+// scheduler re-picks an executor from current load — a task lost with a dying
+// executor naturally drains toward a healthier one. memoKey and label (the
+// executor the attempt was routed to, "" if it never was) come from the
+// Outcome stage, whose hold keeps the record valid throughout even if this
+// call retires it.
+func (d *DFK) attemptDone(pl *pendingLaunch, af *future.Future, memoKey, label string) {
 	v, err := af.Result()
 	if err == nil {
-		if d.hp != nil {
-			if label := pl.rec.Executor(); label != "" {
-				d.hp.recordSuccess(label)
-			}
+		if d.hp != nil && label != "" {
+			d.hp.recordSuccess(label)
 		}
-		d.completeTask(pl.rec, pl.app, v)
+		d.completeTask(pl.rec, memoKey, v)
 		return
 	}
 	// The attempt is abandoned; tell its executor to drop whatever it still
@@ -420,60 +427,61 @@ func (d *DFK) attemptDone(pl *pendingLaunch, af *future.Future) {
 	// the attempt live executor-side — and if its frame was lost on the wire
 	// (drop, corruption) the executor would otherwise carry the ghost
 	// entry, and its inflated Outstanding() load signal, forever.
-	if label := pl.rec.Executor(); label != "" {
-		if c, ok := d.executors[label].(executor.Canceler); ok {
-			c.Cancel(pl.wireID)
-		}
+	if c, ok := d.executors[label].(executor.Canceler); ok {
+		c.Cancel(pl.wireID)
 	}
 	if d.hp != nil {
 		// The health plane owns failure handling end to end: classification,
 		// breaker/quarantine bookkeeping, budget charging, and backoff-paced
-		// re-dispatch. The inline path below stays byte-identical when off.
-		d.hp.attemptFailed(pl, err)
+		// re-dispatch.
+		d.hp.attemptFailed(pl, label, err)
 		return
 	}
-	if pl.rec.IncAttempts() <= pl.rec.MaxRetries() {
-		// A launched attempt moves to Retrying; an attempt that timed out
-		// while still queued is still Pending — no legal (or needed) state
-		// change, it simply re-enters the queue, and the monitor event says
-		// so rather than claiming a Retrying transition that never happens.
-		st := pl.rec.State()
-		retryable := false
-		if st == task.Pending {
-			d.emitState(pl.rec, st.String(), "requeued")
-			retryable = true
-		} else if pl.rec.SetState(task.Retrying) == nil {
-			d.emitState(pl.rec, st.String(), "retrying")
-			retryable = true
-		}
-		if retryable {
-			// Fresh attempt object (the old one may still sit in a lane
-			// queue and must stay recognizable as dead) and fresh wire id
-			// (the timed-out attempt may still be running remotely under
-			// the old one; ids are drawn from the task id sequence, so
-			// they never collide with any task's first-attempt id).
-			// The retry reuses the encode-once payload — resubmission costs
-			// zero re-serialization no matter how many attempts it takes —
-			// taking its own reference before the old attempt's drops.
-			next := &pendingLaunch{
-				d: d, rec: pl.rec, gen: pl.gen, app: pl.app,
-				args: pl.args, kwargs: pl.kwargs,
-				payload: pl.payload.Retain(),
-				wireID:  d.graph.NextID(), priority: pl.priority,
-				tenant: pl.tenant, weight: pl.weight, digest: pl.digest,
-				walKey: pl.walKey, walAttempt: pl.walAttempt + 1,
-			}
-			// Log the retry before it can run: a crash after the new attempt
-			// launches but before its record lands must still replay with the
-			// budget charged.
-			if next.walKey != 0 {
-				if err := d.wal.Retry(next.walKey, next.walAttempt); err != nil {
-					d.emitWAL(pl.rec.ID, "retry", err)
-				}
-			}
-			d.enqueueAttempt(next)
-			return
+	if next := d.nextAttempt(pl, label, true, err); next != nil {
+		d.enqueueAttempt(next)
+	}
+}
+
+// nextAttempt charges the failed attempt pl against the retry budget (unless
+// the health plane forgives it) and builds the attempt that follows, or fails
+// the task with err and returns nil when no budget — or no legal transition —
+// remains. The new attempt is a fresh object (the old one may still sit in a
+// lane queue and must stay recognizable as dead) with a fresh wire id (the
+// timed-out attempt may still be running remotely under the old one; ids are
+// drawn from the task id sequence, so they never collide with any task's
+// first-attempt id). It reuses the encode-once payload — resubmission costs
+// zero re-serialization no matter how many attempts it takes — taking its own
+// reference before the old attempt's drops.
+func (d *DFK) nextAttempt(pl *pendingLaunch, label string, charge bool, err error) *pendingLaunch {
+	from, ok := pl.rec.Retry(charge)
+	if !ok {
+		d.failTask(pl.rec, err)
+		return nil
+	}
+	// An attempt that timed out while still queued never left Pending, and
+	// the monitor event says so rather than claiming a Retrying transition.
+	to := "retrying"
+	if from == task.Pending {
+		to = "requeued"
+	}
+	d.emitState(pl.id, pl.app.name, pl.tenant, from.String(), to, label)
+	next := &pendingLaunch{
+		id: pl.id, rec: pl.rec, gen: pl.gen, app: pl.app,
+		args: pl.args, kwargs: pl.kwargs,
+		payload: pl.payload.Retain(),
+		wireID:  d.graph.NextID(), priority: pl.priority,
+		tenant: pl.tenant, weight: pl.weight, digest: pl.digest,
+		walKey: pl.walKey, walAttempt: pl.walAttempt + 1,
+		kills: pl.kills, free: pl.free,
+	}
+	// Log the retry before it can run: a crash after the new attempt launches
+	// but before its record lands must still replay with the budget charged.
+	// Forgiven retries are logged too — the durable launch count tracks every
+	// launch, so recovery's replay stays truthful.
+	if next.walKey != 0 {
+		if werr := d.wal.Retry(next.walKey, next.walAttempt); werr != nil {
+			d.emitWAL(pl.id, "retry", werr)
 		}
 	}
-	d.failTask(pl.rec, err)
+	return next
 }

@@ -11,7 +11,6 @@ import (
 	"repro/internal/executor"
 	"repro/internal/health"
 	"repro/internal/monitor"
-	"repro/internal/task"
 )
 
 // healthPlane is the DFK-side assembly of the self-healing retry plane
@@ -146,8 +145,9 @@ func (hp *healthPlane) recordSuccess(label string) {
 // retry path: classify the failure, update the executor's breaker, check the
 // poison-kill history, charge (or forgive) the retry budget per the class
 // policy, and schedule the next attempt after deterministic backoff. Runs
-// inside the caller's Enter/Exit window on pl.rec.
-func (hp *healthPlane) attemptFailed(pl *pendingLaunch, err error) {
+// inside the completion stage's hold on pl.rec; label is the executor the
+// attempt was routed to.
+func (hp *healthPlane) attemptFailed(pl *pendingLaunch, label string, err error) {
 	d := hp.d
 	cls := health.Classify(err)
 	if errors.Is(err, ErrTimeout) {
@@ -155,7 +155,6 @@ func (hp *healthPlane) attemptFailed(pl *pendingLaunch, err error) {
 		// the taxonomy's chain walk (which cannot import it).
 		cls = health.ClassTimeout
 	}
-	label := pl.rec.Executor()
 	// Breaker bookkeeping: executor-fault classes count against the breaker;
 	// a task fault is a delivered verdict — evidence of executor health, not
 	// sickness. Overload never indicts anyone (no executor ran the attempt).
@@ -185,8 +184,8 @@ func (hp *healthPlane) attemptFailed(pl *pendingLaunch, err error) {
 			pl.kills = append(pl.kills, key)
 		}
 		if hp.quarantineAfter > 0 && len(pl.kills) >= hp.quarantineAfter {
-			qerr := &health.QuarantineError{TaskID: pl.rec.ID, Kills: pl.kills, Last: err}
-			hp.emitQuarantine(pl, qerr)
+			qerr := &health.QuarantineError{TaskID: pl.id, Kills: pl.kills, Last: err}
+			hp.emitQuarantine(pl, label, qerr)
 			d.failTask(pl.rec, qerr)
 			return
 		}
@@ -204,49 +203,20 @@ func (hp *healthPlane) attemptFailed(pl *pendingLaunch, err error) {
 			charge = true // free allowance exhausted; back to the budget
 		}
 	}
-	if charge && pl.rec.IncAttempts() > pl.rec.MaxRetries() {
-		d.failTask(pl.rec, err)
-		return
-	}
 	// Same state discipline as the inline path: a queued attempt is still
-	// Pending and simply re-enters; a launched one moves to Retrying.
-	st := pl.rec.State()
-	retryable := false
-	if st == task.Pending {
-		d.emitState(pl.rec, st.String(), "requeued")
-		retryable = true
-	} else if pl.rec.SetState(task.Retrying) == nil {
-		d.emitState(pl.rec, st.String(), "retrying")
-		retryable = true
-	}
-	if !retryable {
-		d.failTask(pl.rec, err)
+	// Pending and simply re-enters; a launched one moves to Retrying. The
+	// kill history and free-retry counters ride along to the next attempt.
+	next := d.nextAttempt(pl, label, charge, err)
+	if next == nil {
 		return
-	}
-	next := &pendingLaunch{
-		d: d, rec: pl.rec, gen: pl.gen, app: pl.app,
-		args: pl.args, kwargs: pl.kwargs,
-		payload: pl.payload.Retain(),
-		wireID:  d.graph.NextID(), priority: pl.priority,
-		tenant: pl.tenant, weight: pl.weight, digest: pl.digest,
-		walKey: pl.walKey, walAttempt: pl.walAttempt + 1,
-		kills: pl.kills, free: pl.free,
 	}
 	if !pol.Failover && label != "" {
 		// Retry affinity: a non-failover class prefers the executor it failed
 		// on, as long as its breaker keeps admitting (router honors stick).
 		next.stick = label
 	}
-	// Free retries log Retry records too: the durable launch count tracks
-	// every launch, so recovery's replay stays truthful even though the
-	// in-memory budget was not charged.
-	if next.walKey != 0 {
-		if werr := d.wal.Retry(next.walKey, next.walAttempt); werr != nil {
-			d.emitWAL(pl.rec.ID, "retry", werr)
-		}
-	}
-	delay := pol.Delay(hp.seed, pl.rec.ID, next.walAttempt)
-	hp.emitBackoff(pl, cls, next.walAttempt, delay)
+	delay := pol.Delay(hp.seed, pl.id, next.walAttempt)
+	hp.emitBackoff(pl, label, cls, next.walAttempt, delay)
 	if delay <= 0 {
 		// Zero-backoff classes (timeout) re-enter dispatch immediately; the
 		// attempt clock re-arms in enqueueAttempt either way.
@@ -328,15 +298,10 @@ func (hp *healthPlane) runner() {
 }
 
 // release re-enters one parked attempt, revalidating the record first: the
-// task may have concluded while parked (cancellation, a racing terminal
-// path), or the record may have been recycled entirely.
+// record may have been recycled while the attempt was parked, or the task may
+// have concluded (cancellation, a racing terminal path), which Arm refuses.
 func (hp *healthPlane) release(pl *pendingLaunch) {
 	if !pl.rec.Enter(pl.gen) {
-		pl.payload.Release()
-		return
-	}
-	if pl.rec.State().Terminal() {
-		pl.rec.Exit()
 		pl.payload.Release()
 		return
 	}
@@ -360,7 +325,7 @@ func (hp *healthPlane) emitTransition(label string, from, to health.BreakerState
 // emitBackoff records a scheduled backoff, rate-limited like graph events:
 // the first 16 per run and every 256th after, so small runs observe the
 // plane working and kill-storms don't pay a monitor event per retry.
-func (hp *healthPlane) emitBackoff(pl *pendingLaunch, cls health.Class, attempt int, delay time.Duration) {
+func (hp *healthPlane) emitBackoff(pl *pendingLaunch, label string, cls health.Class, attempt int, delay time.Duration) {
 	n := hp.backoffs.Add(1)
 	if n > 16 && n%256 != 0 {
 		return
@@ -368,9 +333,9 @@ func (hp *healthPlane) emitBackoff(pl *pendingLaunch, cls health.Class, attempt 
 	hp.d.mon.Emit(monitor.Event{
 		Kind:     monitor.KindHealth,
 		At:       time.Now(),
-		TaskID:   pl.rec.ID,
+		TaskID:   pl.id,
 		App:      pl.app.name,
-		Executor: pl.rec.Executor(),
+		Executor: label,
 		Detail:   fmt.Sprintf("backoff class=%s attempt=%d", cls, attempt),
 		Duration: delay,
 	})
@@ -378,13 +343,13 @@ func (hp *healthPlane) emitBackoff(pl *pendingLaunch, cls health.Class, attempt 
 
 // emitQuarantine records a poison-task quarantine (never rate-limited; each
 // is a permanent task failure).
-func (hp *healthPlane) emitQuarantine(pl *pendingLaunch, qerr *health.QuarantineError) {
+func (hp *healthPlane) emitQuarantine(pl *pendingLaunch, label string, qerr *health.QuarantineError) {
 	hp.d.mon.Emit(monitor.Event{
 		Kind:     monitor.KindHealth,
 		At:       time.Now(),
-		TaskID:   pl.rec.ID,
+		TaskID:   pl.id,
 		App:      pl.app.name,
-		Executor: pl.rec.Executor(),
+		Executor: label,
 		Detail:   "quarantine: " + qerr.Error(),
 	})
 }

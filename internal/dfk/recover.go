@@ -119,10 +119,8 @@ func (d *DFK) Recover() (*Recovery, error) {
 
 // resume re-admits one live-at-crash task through the same machinery a fresh
 // submission uses: a new record and task id, the normal pending state, memo
-// consultation, and the dispatch pipeline. What differs is durable identity —
-// the record keeps the crashed task's WAL key, so its terminal record settles
-// the same logged task, and its attempt counter starts at the pre-crash
-// launch count, so the retry budget spans both lifetimes.
+// consultation, and the dispatch pipeline. What differs is durable identity
+// (Record.Resume): the crashed task's WAL key and its pre-crash launch count.
 func (d *DFK) resume(key int64, info *wal.TaskInfo, rcv *Recovery) {
 	d.mu.RLock()
 	if d.shutdown {
@@ -135,18 +133,15 @@ func (d *DFK) resume(key int64, info *wal.TaskInfo, rcv *Recovery) {
 
 	args, kwargs, decErr := serialize.DecodeArgsBytes(info.Payload)
 	id := d.graph.NextID()
-	rec := task.NewRecord(id, info.App, args, kwargs)
+	rec, gen := task.Create(id, info.App, args, kwargs, task.Options{
+		Tenant: info.Tenant, Weight: info.Weight,
+		MaxRetries: info.MaxRetries, Priority: info.Priority,
+	})
+	defer rec.Exit()
+	rec.Resume(key, info.Launches)
 	rcv.Resumed[key] = rec.Future
-	rec.SetTenant(info.Tenant, info.Weight)
-	rec.SetMaxRetries(info.MaxRetries)
-	rec.SetPriority(info.Priority)
-	rec.SetWALKey(key)
 	d.graph.Add(rec)
-	d.emitState(rec, "", "pending")
-	if err := rec.SetState(task.Pending); err != nil {
-		d.failTask(rec, err)
-		return
-	}
+	d.emitState(id, info.App, info.Tenant, "", "pending", "")
 	if decErr != nil {
 		d.failTask(rec, fmt.Errorf("dfk: recover: decode logged payload: %w", decErr))
 		return
@@ -156,13 +151,13 @@ func (d *DFK) resume(key int64, info *wal.TaskInfo, rcv *Recovery) {
 	// the lookup settles the task without re-execution — and this lifetime
 	// logs the terminal record the last one couldn't.
 	if info.MemoKey != "" {
-		rec.SetMemoKey(info.MemoKey)
 		if v, hit := d.memoizer.Lookup(info.MemoKey); hit {
-			if d.settleMemoized(rec, v) {
+			if d.settleMemoized(rec, info.MemoKey, v) {
 				rcv.MemoHits++
 			}
 			return
 		}
+		rec.SetMemoKey(info.MemoKey)
 	}
 	entry, ok := d.registry.Lookup(info.App)
 	if !ok {
@@ -176,30 +171,24 @@ func (d *DFK) resume(key int64, info *wal.TaskInfo, rcv *Recovery) {
 			info.Launches, info.MaxRetries))
 		return
 	}
-	rec.SetAttempts(info.Launches)
-	// The frontier's payload slice aliases the log's live mirror; the record
-	// needs its own copy with its own refcount lifecycle.
-	payload := serialize.PayloadFromBytes(append([]byte(nil), info.Payload...))
-	rec.SetPayload(payload)
 	attempt := info.Launches + 1
 	if info.Launches > 0 {
 		// Charge the resumed attempt durably before it can run, exactly as
 		// an in-process retry would (the lane runner only logs Launch for
 		// attempt 1).
 		if err := d.wal.Retry(key, attempt); err != nil {
-			d.emitWAL(rec.ID, "retry", err)
+			d.emitWAL(id, "retry", err)
 		}
 	}
 	a := &App{dfk: d, name: info.App, memoize: info.MemoKey != "", bodyHash: entry.BodyHash()}
-	pl := &pendingLaunch{
-		d: d, rec: rec, gen: rec.Gen(), app: a, args: args, kwargs: kwargs,
+	// The frontier's payload slice aliases the log's live mirror; the record
+	// needs its own copy with its own refcount lifecycle.
+	payload := serialize.PayloadFromBytes(append([]byte(nil), info.Payload...))
+	d.firstAttempt(&pendingLaunch{
+		id: id, rec: rec, gen: gen, app: a, args: args, kwargs: kwargs,
 		payload: payload.Retain(),
 		wireID:  id, priority: info.Priority,
 		tenant: info.Tenant, weight: info.Weight,
 		walKey: key, walAttempt: attempt,
-	}
-	if d.schedUsesDigest {
-		pl.digest = payload.ArgsHash()
-	}
-	d.enqueueAttempt(pl)
+	})
 }

@@ -66,7 +66,7 @@ func TestTenantConcurrentSubmission(t *testing.T) {
 	// Tenants rode the records: count terminal tasks per tenant.
 	counts := map[string]int{}
 	for _, rec := range d.Graph().Tasks() {
-		counts[rec.Tenant()]++
+		counts[rec.Tenant]++
 	}
 	for g := 0; g < tenants; g++ {
 		tenant := fmt.Sprintf("tenant-%d", g)

@@ -49,24 +49,46 @@ type flow[T any] struct {
 	// half, so pops are O(1) amortized without per-pop copying.
 	items []T
 	head  int
-	// dirty marks that an append broke the comparator ordering; the flow is
-	// re-sorted lazily on the next pop or peek. An in-order workload (the
-	// common all-default-priority case) never pays the sort.
+	// dirty marks that the live segment is not in comparator order: a push
+	// landed further from the tail than maxInsertWalk and was appended
+	// instead. The flow is re-sorted lazily on the next pop or peek.
 	dirty  bool
 	active bool
 }
 
+// maxInsertWalk bounds how far push walks a newcomer back from the tail
+// before giving up and leaving the flow to the lazy sort.
+const maxInsertWalk = 64
+
 func (f *flow[T]) len() int { return len(f.items) - f.head }
 
+// push keeps the live segment ordered by insertion: the newcomer goes after
+// every entry that does not sort strictly after it, so equal entries keep
+// arrival order. Arrivals are nearly ordered (a lane receives wire ids a few
+// positions out of order, from the sharded routing queue), so the walk from
+// the tail is a step or two and an in-order workload takes none.
 func (f *flow[T]) push(item T, less func(a, b T) bool) {
-	if less != nil && f.len() > 0 && less(item, f.items[len(f.items)-1]) {
-		f.dirty = true
-	}
+	n := len(f.items)
 	f.items = append(f.items, item)
+	if less == nil || f.dirty || n == f.head || !less(item, f.items[n-1]) {
+		return // FIFO, awaiting the sort anyway, or in order at the tail
+	}
+	i := n - 1
+	for i > f.head && less(item, f.items[i-1]) {
+		if n-i == maxInsertWalk {
+			f.dirty = true
+			return
+		}
+		i--
+	}
+	copy(f.items[i+1:], f.items[i:n])
+	f.items[i] = item
 }
 
 // ensureSorted restores comparator order on the live segment. SliceStable
-// keeps arrival order among equal elements, preserving the FIFO tiebreak.
+// keeps arrival order among equal elements, preserving the FIFO tiebreak
+// (push never moves an entry past an equal one, so append order still is
+// arrival order among equals).
 func (f *flow[T]) ensureSorted(less func(a, b T) bool) {
 	if !f.dirty {
 		return

@@ -42,8 +42,7 @@ type MPSC[T any] struct {
 	notify   chan struct{}
 	closedCh chan struct{}
 
-	// cursor is consumer-owned: the next shard the sweep starts from, so
-	// no shard is starved when the consumer takes less than everything.
+	// cursor is consumer-owned: the shard the next sweep starts from.
 	cursor int
 
 	batchPool sync.Pool
@@ -118,16 +117,27 @@ func (m *MPSC[T]) Take(max int) ([]T, bool) {
 	}
 }
 
-// sweep collects up to max items starting at the consumer cursor.
+// sweep collects up to max items starting at the consumer cursor: each shard
+// gives up to an equal share of the batch (one lock acquisition per shard),
+// and the items are then emitted one per shard per round. Keys
+// drawn from one dense sequence — wire ids — therefore leave in key order
+// rather than in per-shard runs, and the priority lanes downstream receive
+// them (nearly) sorted. The cursor moves on by the number of items taken,
+// which keeps it on the shard holding the lowest key and, when the consumer
+// takes less than everything, visits every shard in turn.
 func (m *MPSC[T]) sweep(max int) []T {
 	batch := m.batchPool.Get().([]T)
 	var zero T
+	var counts [mpscShards]int
+	rounds := 0
 	for i := 0; i < mpscShards && len(batch) < max; i++ {
 		s := &m.shards[(m.cursor+i)&(mpscShards-1)]
 		s.mu.Lock()
-		take := len(s.items)
-		if room := max - len(batch); take > room {
-			take = room
+		// The room left, shared among the shards left (rounded up).
+		left := mpscShards - i
+		take := (max - len(batch) + left - 1) / left
+		if take > len(s.items) {
+			take = len(s.items)
 		}
 		if take > 0 {
 			batch = append(batch, s.items[:take]...)
@@ -139,11 +149,27 @@ func (m *MPSC[T]) sweep(max int) []T {
 			m.size.Add(int64(-take))
 		}
 		s.mu.Unlock()
+		counts[i] = take
+		if take > rounds {
+			rounds = take
+		}
 	}
-	if len(batch) > 0 {
-		m.cursor = (m.cursor + 1) & (mpscShards - 1)
+	m.cursor = (m.cursor + len(batch)) & (mpscShards - 1)
+	if rounds <= 1 {
+		return batch // one item per shard: already in round order
 	}
-	return batch
+	out := m.batchPool.Get().([]T)
+	for r := 0; r < rounds; r++ {
+		off := 0
+		for _, c := range counts {
+			if r < c {
+				out = append(out, batch[off+r])
+			}
+			off += c
+		}
+	}
+	m.PutBatch(batch)
+	return out
 }
 
 // PutBatch returns a batch obtained from Take to the pool.

@@ -111,3 +111,44 @@ func TestMPSCPerTenantCountsOccupancy(t *testing.T) {
 		t.Fatalf("Len = %d, want 8", m.Len())
 	}
 }
+
+// TestMPSCSweepKeepsDenseKeysInOrder: items keyed by one dense sequence — the
+// DFK's wire ids — leave in key order however deep the shards are and however
+// the consumer sizes its takes, so the lanes downstream need not re-sort.
+func TestMPSCSweepKeepsDenseKeysInOrder(t *testing.T) {
+	m := NewMPSC[int64](func(int64) string { return "t" })
+	next, want := int64(0), int64(0)
+	push := func(n int) {
+		for i := 0; i < n; i++ {
+			m.Push(next, next)
+			next++
+		}
+	}
+	for _, step := range []struct{ push, take int }{
+		{1000, 256}, {0, 256}, {7, 1}, {500, 40}, {3, 256}, {0, 256}, {0, 256}, {33, 5}, {0, 256},
+	} {
+		push(step.push)
+		batch, _ := m.Take(step.take)
+		if len(batch) == 0 || len(batch) > step.take {
+			t.Fatalf("Take(%d) returned %d items", step.take, len(batch))
+		}
+		for _, v := range batch {
+			if v != want {
+				t.Fatalf("got key %d, want %d (batch %v)", v, want, batch)
+			}
+			want++
+		}
+		m.PutBatch(batch)
+	}
+}
+
+// TestMPSCSweepFindsLoneShard: a take smaller than the shard count must still
+// reach an item sitting far from the cursor.
+func TestMPSCSweepFindsLoneShard(t *testing.T) {
+	m := NewMPSC[int64](func(int64) string { return "t" })
+	m.Push(21, 21)
+	batch, ok := m.Take(1)
+	if !ok || len(batch) != 1 || batch[0] != 21 {
+		t.Fatalf("Take(1) = %v, %v", batch, ok)
+	}
+}

@@ -96,10 +96,11 @@ func (g *Graph) Add(r *Record) {
 	s := g.shard(r.ID)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, dup := s.tasks[r.ID]; dup {
+	n := len(s.tasks)
+	s.tasks[r.ID] = r
+	if len(s.tasks) == n { // one map operation instead of lookup + insert
 		panic(fmt.Sprintf("task graph: duplicate id %d", r.ID))
 	}
-	s.tasks[r.ID] = r
 }
 
 // AddEdge records that task to depends on task from. Unknown endpoints are
@@ -145,19 +146,24 @@ func (g *Graph) AddEdge(from, to int64) error {
 	return nil
 }
 
-// Retire prunes a terminal record from its shard — removing the node and its
-// edge lists, folding its state into the shard's pruned tallies — and then
-// marks the record itself retired so it can be recycled once the last
-// in-flight hold drops (see Record.Enter/Exit). After Retire, Get(id)
-// returns nil; the task's result lives on in its AppFuture, which dependents
-// and the submitting program hold directly. Returns the shard's cumulative
-// pruned count, so callers can rate-limit reclamation telemetry.
-func (g *Graph) Retire(r *Record) int64 {
-	st := r.State()
+// Retire prunes a terminal record whose state the caller has not already
+// read; see RetireAs.
+func (g *Graph) Retire(r *Record) int64 { return g.RetireAs(r, r.State()) }
+
+// RetireAs prunes a record that concluded in state st (the caller's Finish
+// decided it, so the record is not locked again to ask) from its shard —
+// removing the node and its edge lists, folding st into the shard's pruned
+// tallies — and then marks the record itself retired so it can be recycled
+// once the last in-flight hold drops (see Record.Enter/Exit). After RetireAs,
+// Get(id) returns nil; the task's result lives on in its AppFuture, which
+// dependents and the submitting program hold directly. Returns the shard's
+// cumulative pruned count, so callers can rate-limit reclamation telemetry.
+func (g *Graph) RetireAs(r *Record, st State) int64 {
 	s := g.shard(r.ID)
 	s.mu.Lock()
-	if _, ok := s.tasks[r.ID]; ok {
-		delete(s.tasks, r.ID)
+	n := len(s.tasks)
+	delete(s.tasks, r.ID)
+	if len(s.tasks) < n { // one map operation instead of lookup + delete
 		if d, ok := s.deps[r.ID]; ok {
 			delete(s.deps, r.ID)
 			s.putFreeLocked(d)

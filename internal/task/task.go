@@ -38,7 +38,8 @@ const (
 	Memoized
 )
 
-var stateNames = map[State]string{
+// stateNames is indexed by State.
+var stateNames = [...]string{
 	Unsched:     "unsched",
 	Pending:     "pending",
 	DataStaging: "data_staging",
@@ -52,8 +53,8 @@ var stateNames = map[State]string{
 
 // String implements fmt.Stringer.
 func (s State) String() string {
-	if n, ok := stateNames[s]; ok {
-		return n
+	if s >= 0 && int(s) < len(stateNames) {
+		return stateNames[s]
 	}
 	return fmt.Sprintf("State(%d)", int32(s))
 }
@@ -61,49 +62,73 @@ func (s State) String() string {
 // Terminal reports whether the state is final.
 func (s State) Terminal() bool { return s == Done || s == Failed || s == Memoized }
 
-// validNext encodes the permitted state machine. The DFK enforces it via
-// Record.SetState; invalid transitions indicate engine bugs and are surfaced
-// as errors rather than silently accepted.
-var validNext = map[State][]State{
-	Unsched:     {Pending, DataStaging, Launched, Memoized, Failed},
-	Pending:     {Launched, DataStaging, Memoized, Failed},
-	DataStaging: {Pending, Launched, Failed},
-	Launched:    {Running, Done, Failed, Retrying},
-	Running:     {Done, Failed, Retrying},
-	Retrying:    {Launched, Failed},
+// validNext encodes the permitted state machine: validNext[s] is the bitmask
+// of states reachable from s (terminal states reach nothing). Every
+// transition method validates against it; invalid transitions indicate
+// engine bugs and are surfaced as errors rather than silently accepted.
+var validNext = [...]uint16{
+	Unsched:     1<<Pending | 1<<DataStaging | 1<<Launched | 1<<Memoized | 1<<Failed,
+	Pending:     1<<Launched | 1<<DataStaging | 1<<Memoized | 1<<Failed,
+	DataStaging: 1<<Pending | 1<<Launched | 1<<Failed,
+	Launched:    1<<Running | 1<<Done | 1<<Failed | 1<<Retrying,
+	Running:     1<<Done | 1<<Failed | 1<<Retrying,
+	Retrying:    1<<Launched | 1<<Failed,
+	Memoized:    0,
 }
 
-// Record is a node in the task graph. Fields under mu are mutated by the DFK
-// as execution progresses; immutable identity fields are set at creation.
+// canMoveTo reports whether the state machine permits s -> n.
+func (s State) canMoveTo(n State) bool {
+	return s >= 0 && int(s) < len(validNext) && n >= 0 && validNext[s]>>uint(n)&1 != 0
+}
+
+// Options are one submission's per-call options (App.Submit's CallOptions
+// resolved against the app's and the DFK's defaults). They are fixed by Create
+// and immutable for the task's life, so whoever holds the record reads them as
+// plain fields, without the mutex.
+type Options struct {
+	// Hints restrict which executors may run the task; empty means any.
+	Hints []string
+	// Tenant is the fair-queuing tenant id ("" = default tenant) and Weight
+	// its DRR weight (0 = leave the tenant's current weight, default 1).
+	Tenant string
+	Weight int
+	// MaxRetries is the retry budget; Priority the dispatch priority (higher
+	// runs first).
+	MaxRetries int
+	Priority   int
+	// Timeout overrides Config.TaskTimeout per attempt (0 = DFK default);
+	// Deadline is an absolute bound (zero = none).
+	Timeout  time.Duration
+	Deadline time.Time
+	// MemoKeyOverride is an explicit memoization key ("" = computed from the
+	// arguments).
+	MemoKeyOverride string
+	// Admitted marks that the task holds an admission-controller slot, which
+	// the one caller that wins Finish releases.
+	Admitted bool
+}
+
+// Record is a node in the task graph. Identity fields and Options are set at
+// creation and immutable; fields under mu are mutated by the DFK as execution
+// progresses, one critical section per lifecycle stage: Create, Arm, Route,
+// Launch, Outcome, Finish, Retire/Exit.
 type Record struct {
-	ID       int64
-	AppName  string
-	FuncHash string // hash of the app "body" used by memoization keys
-	Args     []any  // raw args as submitted (may contain futures)
-	Kwargs   map[string]any
+	ID      int64
+	AppName string
+	Args    []any // raw args as submitted (may contain futures)
+	Kwargs  map[string]any
 
 	// Future is the AppFuture returned to the program at submission time.
 	Future *future.Future
 
-	// Hints restrict which executors may run the task; empty means any.
-	Hints []string
+	Options
 
 	mu          sync.Mutex
 	state       State
 	attempts    int
-	maxRetries  int
 	executor    string // label of the executor the task was launched on
 	memoKey     string
 	pendingDeps int
-
-	// Per-call submission options (App.Submit's CallOptions), fixed before
-	// the task becomes ready and read by the dispatch pipeline.
-	priority    int
-	timeout     time.Duration // per-call override of Config.TaskTimeout
-	deadline    time.Time     // absolute per-call deadline (zero = none)
-	memoKeyOver string        // per-call memo key override ("" = computed)
-	tenant      string        // fair-queuing tenant id ("" = default tenant)
-	weight      int           // tenant DRR weight (0 = leave current, min 1)
 
 	// Current execution attempt: its outcome future and wire id, recorded so
 	// a cancellation arriving from outside the dispatch pipeline can conclude
@@ -112,16 +137,14 @@ type Record struct {
 	attemptWire int64
 
 	// payload is the encode-once serialization of the resolved arguments,
-	// recorded when the task first becomes ready. Every later consumer —
-	// retries, the memo hash, executor wire frames, deep copies — reuses
-	// these bytes instead of re-encoding.
+	// installed by the first Arm. Every later consumer — retries, the memo
+	// hash, executor wire frames, deep copies — reuses these bytes instead of
+	// re-encoding.
 	payload *serialize.Payload
 
-	// Timestamps for monitoring and the elasticity utilization metric.
+	// SubmitTime is when the record was created; every later timestamp lives
+	// in the transition log (see Timings).
 	SubmitTime time.Time
-	launchTime time.Time
-	startTime  time.Time
-	endTime    time.Time
 
 	// transitions points into transBuf until the task records more than
 	// len(transBuf) state changes (retry-heavy tasks), then spills to a heap
@@ -147,13 +170,8 @@ type Record struct {
 	// key, so its post-crash transitions append to the same durable history.
 	walKey int64
 
-	// admitted records that this task holds an admission-controller slot;
-	// the DFK's retire path consumes it (TakeAdmitted) to release the slot
-	// exactly once without a per-task closure.
-	admitted bool
-
 	// cancelStop detaches the context watcher (context.AfterFunc's stop);
-	// stored here so retirement can stop it without allocating a callback.
+	// stored here so Finish can hand it back without allocating a callback.
 	cancelStop func() bool
 }
 
@@ -164,18 +182,19 @@ type Transition struct {
 	At   time.Time
 }
 
-// recordPool recycles terminal Records (and, via resetLocked, their
+// recordPool recycles terminal Records (and, via recycleLocked, their
 // transition slices). The AppFuture is deliberately NOT pooled: it is the
 // user-visible handle, may outlive the record arbitrarily, and keeps the
 // task's result reachable after the record has been reused.
 var recordPool = sync.Pool{New: func() any { return new(Record) }}
 
-// NewRecord creates a task record in the Unsched state with its AppFuture.
-// Records come from a pool; initialization happens under the record's mutex
-// so a straggler probing a stale handle (Enter on an old generation) never
-// races the reuse.
-func NewRecord(id int64, appName string, args []any, kwargs map[string]any) *Record {
+// lockedRecord takes a record from the pool and binds its identity. It
+// returns with r.mu held: initialization happens under the record's mutex so
+// a straggler probing a stale handle (Enter on an old generation) never races
+// the reuse.
+func lockedRecord(id int64, appName string, args []any, kwargs map[string]any) *Record {
 	r := recordPool.Get().(*Record)
+	now := time.Now()
 	r.mu.Lock()
 	r.ID = id
 	r.AppName = appName
@@ -183,17 +202,41 @@ func NewRecord(id int64, appName string, args []any, kwargs map[string]any) *Rec
 	r.Kwargs = kwargs
 	r.Future = future.NewForTask(id)
 	r.state = Unsched
-	r.SubmitTime = time.Now()
+	r.SubmitTime = now
+	return r
+}
+
+// NewRecord creates a task record in the Unsched state with its AppFuture and
+// zero Options, held by nobody.
+func NewRecord(id int64, appName string, args []any, kwargs map[string]any) *Record {
+	r := lockedRecord(id, appName, args, kwargs)
 	r.mu.Unlock()
 	return r
 }
 
-// Gen returns the record's current generation stamp. Asynchronous consumers
-// capture it while the record is known-live and pass it back to Enter.
-func (r *Record) Gen() uint32 {
+// Create is the first lifecycle stage: a Pending record (the transition is
+// stamped with SubmitTime) carrying its per-call options, returned together
+// with its generation stamp and with the creator holding it. The hold — drop
+// it with Exit once the record is wired — is what lets the creator publish the
+// record (graph, context watcher, dependency callbacks) and keep using it: a
+// terminal path racing the wiring retires the record but cannot recycle it.
+func Create(id int64, appName string, args []any, kwargs map[string]any, o Options) (*Record, uint32) {
+	r := lockedRecord(id, appName, args, kwargs)
+	r.Options = o
+	_ = r.moveLocked(Pending, r.SubmitTime) // Unsched -> Pending cannot fail
+	r.holds = 1
+	gen := r.gen
+	r.mu.Unlock()
+	return r, gen
+}
+
+// Resume seeds the durable identity of a task re-admitted by crash recovery:
+// its pre-crash WAL key, so its terminal record settles the same logged task,
+// and the launches already charged, so the retry budget spans both lifetimes.
+func (r *Record) Resume(walKey int64, attempts int) {
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.gen
+	r.walKey, r.attempts = walKey, attempts
+	r.mu.Unlock()
 }
 
 // Enter validates a generation stamp and, on success, takes a hold that
@@ -204,20 +247,24 @@ func (r *Record) Gen() uint32 {
 // until the last hold drops.
 func (r *Record) Enter(gen uint32) bool {
 	r.mu.Lock()
-	if r.gen != gen {
-		r.mu.Unlock()
-		return false
+	ok := r.gen == gen
+	if ok {
+		r.holds++
 	}
-	r.holds++
 	r.mu.Unlock()
-	return true
+	return ok
 }
 
-// Exit drops a hold taken by Enter, recycling the record if it was retired
-// and this was the last hold. Exit without a matching Enter is an engine bug
-// (a missed generation check) and panics.
+// Exit drops a hold taken by Create, Enter or Outcome, recycling the record if
+// it was retired and this was the last hold. Exit without a matching hold is
+// an engine bug (a missed generation check) and panics.
 func (r *Record) Exit() {
 	r.mu.Lock()
+	r.exitLocked()
+}
+
+// exitLocked is Exit with r.mu held; it unlocks.
+func (r *Record) exitLocked() {
 	if r.holds <= 0 {
 		id := r.ID
 		r.mu.Unlock()
@@ -256,71 +303,166 @@ func (r *Record) recycleLocked() {
 	r.gen++
 	r.ID = 0
 	r.AppName = ""
-	r.FuncHash = ""
 	r.Args = nil
 	r.Kwargs = nil
 	r.Future = nil
-	r.Hints = nil
+	r.Options = Options{}
 	r.state = Unsched
 	r.attempts = 0
-	r.maxRetries = 0
 	r.executor = ""
 	r.memoKey = ""
 	r.pendingDeps = 0
-	r.priority = 0
-	r.timeout = 0
-	r.deadline = time.Time{}
-	r.memoKeyOver = ""
-	r.tenant = ""
-	r.weight = 0
 	r.attemptFut = nil
 	r.attemptWire = 0
 	r.payload = nil
 	r.SubmitTime = time.Time{}
-	r.launchTime = time.Time{}
-	r.startTime = time.Time{}
-	r.endTime = time.Time{}
 	r.transitions = r.transitions[:0]
 	r.walKey = 0
 	r.retired = false
-	r.admitted = false
 	r.cancelStop = nil
 	r.mu.Unlock()
 	recordPool.Put(r)
 }
 
-// SetAdmitted marks that the task holds an admission-controller slot.
-func (r *Record) SetAdmitted() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.admitted = true
+// moveLocked validates s against the state machine and applies it, stamped at
+// (the zero time means "read the clock", which then happens only for a
+// transition that is actually taken). Called with r.mu held. Terminal states
+// are sticky.
+func (r *Record) moveLocked(s State, at time.Time) error {
+	if r.state.Terminal() {
+		return fmt.Errorf("task %d: transition %v -> %v from terminal state", r.ID, r.state, s)
+	}
+	if !r.state.canMoveTo(s) {
+		return fmt.Errorf("task %d: illegal transition %v -> %v", r.ID, r.state, s)
+	}
+	if at.IsZero() {
+		at = time.Now()
+	}
+	if r.transitions == nil {
+		r.transitions = r.transBuf[:0]
+	}
+	r.transitions = append(r.transitions, Transition{From: r.state, To: s, At: at})
+	r.state = s
+	return nil
 }
 
-// TakeAdmitted consumes the admission mark, reporting whether a slot was
-// held. At most one caller observes true.
-func (r *Record) TakeAdmitted() bool {
+// Watch stores the context watcher's detach function (context.AfterFunc's
+// stop) for Finish to hand back. It reports false when the task is already
+// terminal — the watcher itself, or another path, concluded it first — and
+// the caller then detaches the watcher itself.
+func (r *Record) Watch(stop func() bool) bool {
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	was := r.admitted
-	r.admitted = false
-	return was
+	ok := !r.state.Terminal()
+	if ok {
+		r.cancelStop = stop
+	}
+	r.mu.Unlock()
+	return ok
 }
 
-// SetCancelStop stores the context watcher's detach function.
-func (r *Record) SetCancelStop(stop func() bool) {
+// Arm installs an execution attempt: the encode-once payload and the durable
+// log key (both the same for every attempt of a task; the record takes over
+// the caller's payload reference on the first Arm), and this attempt's outcome
+// future and wire id. It refuses a terminal record — the task was concluded
+// (canceled, typically) before the attempt could start — and the caller then
+// must not enqueue the attempt and keeps its payload reference.
+func (r *Record) Arm(p *serialize.Payload, walKey int64, af *future.Future, wireID int64) bool {
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.cancelStop = stop
+	ok := !r.state.Terminal()
+	if ok {
+		r.payload, r.walKey, r.attemptFut, r.attemptWire = p, walKey, af, wireID
+	}
+	r.mu.Unlock()
+	return ok
 }
 
-// TakeCancelStop consumes the watcher detach function (nil if none or
-// already taken).
-func (r *Record) TakeCancelStop() func() bool {
+// Route records the executor the scheduler picked and drops the router's hold
+// (taken with Enter) in the same critical section.
+func (r *Record) Route(label string) {
+	r.mu.Lock()
+	r.executor = label
+	r.exitLocked()
+}
+
+// Launch is the lane runner's stage: it validates the generation stamp and
+// moves the task to Launched, stamped at (one clock read serves a whole lane
+// batch). ok is false when the handle is stale; err reports a transition the
+// state machine forbids, which for a live handle means the task already
+// concluded. A task that is already Launched (a ghost resubmission racing its
+// own retry) is left as it is. No hold is left behind either way.
+func (r *Record) Launch(gen uint32, at time.Time) (from State, ok bool, err error) {
+	r.mu.Lock()
+	if r.gen != gen {
+		r.mu.Unlock()
+		return 0, false, nil
+	}
+	from = r.state
+	if from != Launched {
+		err = r.moveLocked(Launched, at)
+	}
+	r.mu.Unlock()
+	return from, true, err
+}
+
+// Outcome opens the completion stage of one attempt: it validates the
+// generation stamp, takes a hold (drop it with Exit) and reads, in the same
+// critical section, what attempt handling decides from — whether the task
+// already concluded on another path, its memoization key, and the executor
+// the attempt was routed to.
+func (r *Record) Outcome(gen uint32) (terminal bool, memoKey, executor string, ok bool) {
+	r.mu.Lock()
+	if r.gen != gen {
+		r.mu.Unlock()
+		return false, "", "", false
+	}
+	r.holds++
+	terminal, memoKey, executor = r.state.Terminal(), r.memoKey, r.executor
+	r.mu.Unlock()
+	return terminal, memoKey, executor, true
+}
+
+// Retry charges one attempt against the retry budget (when charge is set; the
+// health plane forgives some failure classes) and reports whether the task
+// may run again. A launched task moves to Retrying; a task whose attempt
+// concluded while still queued is still Pending and simply re-enters the
+// queue — from tells the two apart.
+func (r *Record) Retry(charge bool) (from State, ok bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	stop := r.cancelStop
-	r.cancelStop = nil
-	return stop
+	from = r.state
+	if charge {
+		if r.attempts++; r.attempts > r.MaxRetries {
+			return from, false
+		}
+	}
+	return from, from == Pending || from == Retrying || r.moveLocked(Retrying, time.Time{}) == nil
+}
+
+// Final is what the winner of Finish takes over from the record: everything
+// retirement consumes, read in the terminal transition's own critical section.
+type Final struct {
+	From     State
+	Executor string
+	// WALKey is the durable-log key to close (0 = task never logged).
+	WALKey int64
+	// Payload is the record's payload reference (nil if never armed).
+	Payload *serialize.Payload
+	// CancelStop detaches the context watcher (nil if none).
+	CancelStop func() bool
+}
+
+// Finish is the terminal transition. Exactly one caller per task is told ok:
+// a record that is already terminal — in another state or the same one —
+// refuses, so concurrent terminal paths need no guard of their own.
+func (r *Record) Finish(to State) (fin Final, ok bool) {
+	r.mu.Lock()
+	fin.From = r.state
+	if ok = to.Terminal() && r.moveLocked(to, time.Time{}) == nil; ok {
+		fin.Executor, fin.WALKey, fin.Payload, fin.CancelStop = r.executor, r.walKey, r.payload, r.cancelStop
+		r.cancelStop = nil
+	}
+	r.mu.Unlock()
+	return fin, ok
 }
 
 // State returns the current state.
@@ -331,41 +473,15 @@ func (r *Record) State() State {
 }
 
 // SetState transitions the task, validating against the state machine. It
-// returns an error on an illegal transition. Terminal states are sticky.
+// returns an error on an illegal transition. Terminal states are sticky, and
+// setting the current state again is a no-op.
 func (r *Record) SetState(s State) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.state == s {
 		return nil
 	}
-	if r.state.Terminal() {
-		return fmt.Errorf("task %d: transition %v -> %v from terminal state", r.ID, r.state, s)
-	}
-	ok := false
-	for _, n := range validNext[r.state] {
-		if n == s {
-			ok = true
-			break
-		}
-	}
-	if !ok {
-		return fmt.Errorf("task %d: illegal transition %v -> %v", r.ID, r.state, s)
-	}
-	now := time.Now()
-	if r.transitions == nil {
-		r.transitions = r.transBuf[:0]
-	}
-	r.transitions = append(r.transitions, Transition{From: r.state, To: s, At: now})
-	switch s {
-	case Launched:
-		r.launchTime = now
-	case Running:
-		r.startTime = now
-	case Done, Failed, Memoized:
-		r.endTime = now
-	}
-	r.state = s
-	return nil
+	return r.moveLocked(s, time.Time{})
 }
 
 // Transitions returns a copy of the recorded state changes.
@@ -377,64 +493,11 @@ func (r *Record) Transitions() []Transition {
 	return out
 }
 
-// Attempts returns how many times the task has been (re)launched.
+// Attempts returns how many attempts have been charged against the budget.
 func (r *Record) Attempts() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.attempts
-}
-
-// IncAttempts bumps the attempt counter and returns the new value.
-func (r *Record) IncAttempts() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.attempts++
-	return r.attempts
-}
-
-// SetAttempts seeds the attempt counter — recovery uses it so launches
-// consumed before a crash keep counting against the budget: a task replayed
-// with n logged launches resumes as if n attempts already failed, keeping
-// total launches across process lifetimes within retries+1.
-func (r *Record) SetAttempts(n int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.attempts = n
-}
-
-// SetWALKey records the task's durable write-ahead-log key.
-func (r *Record) SetWALKey(k int64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.walKey = k
-}
-
-// WALKey returns the durable log key (0 = task not logged).
-func (r *Record) WALKey() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.walKey
-}
-
-// SetMaxRetries configures the retry budget for this task.
-func (r *Record) SetMaxRetries(n int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.maxRetries = n
-}
-
-// MaxRetries returns the retry budget.
-func (r *Record) MaxRetries() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.maxRetries
-}
-
-// SetExecutor records which executor the task was launched on.
-func (r *Record) SetExecutor(label string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.executor = label
 }
 
 // Executor returns the label of the executor that ran (or is running) the task.
@@ -444,7 +507,7 @@ func (r *Record) Executor() string {
 	return r.executor
 }
 
-// SetMemoKey stores the memoization key computed at submit time.
+// SetMemoKey stores the memoization key computed when the task became ready.
 func (r *Record) SetMemoKey(k string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -466,14 +529,15 @@ func (r *Record) SetPendingDeps(n int) {
 }
 
 // DepResolved decrements the unresolved-dependency counter and returns the
-// remaining count. The DFK launches the task when it reaches zero.
-func (r *Record) DepResolved() int {
+// remaining count together with the task's state, so the callback resolving
+// the last edge decides to launch from one critical section.
+func (r *Record) DepResolved() (remaining int, st State) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.pendingDeps > 0 {
 		r.pendingDeps--
 	}
-	return r.pendingDeps
+	return r.pendingDeps, r.state
 }
 
 // PendingDeps returns the unresolved-dependency count.
@@ -481,95 +545,6 @@ func (r *Record) PendingDeps() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.pendingDeps
-}
-
-// SetPriority records the per-call dispatch priority (higher runs first).
-func (r *Record) SetPriority(p int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.priority = p
-}
-
-// Priority returns the dispatch priority (0 unless set at submission).
-func (r *Record) Priority() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.priority
-}
-
-// SetTimeout records a per-call attempt timeout overriding Config.TaskTimeout.
-func (r *Record) SetTimeout(d time.Duration) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.timeout = d
-}
-
-// Timeout returns the per-call attempt timeout (0 = use the DFK default).
-func (r *Record) Timeout() time.Duration {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.timeout
-}
-
-// SetDeadline records an absolute per-call deadline.
-func (r *Record) SetDeadline(t time.Time) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.deadline = t
-}
-
-// Deadline returns the absolute per-call deadline (zero = none).
-func (r *Record) Deadline() time.Time {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.deadline
-}
-
-// SetTenant records the submission's fair-queuing tenant and DRR weight
-// (App.Submit's WithTenant). Fixed before the task enters the dispatch
-// pipeline; every fair queue the task crosses reads it from here.
-func (r *Record) SetTenant(id string, weight int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.tenant = id
-	r.weight = weight
-}
-
-// Tenant returns the fair-queuing tenant id ("" = default tenant).
-func (r *Record) Tenant() string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.tenant
-}
-
-// TenantWeight returns the tenant DRR weight carried by this submission
-// (0 = no update; queues treat the tenant's current weight, default 1, as
-// authoritative).
-func (r *Record) TenantWeight() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.weight
-}
-
-// SetMemoKeyOverride records an explicit per-call memoization key.
-func (r *Record) SetMemoKeyOverride(k string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.memoKeyOver = k
-}
-
-// MemoKeyOverride returns the explicit memo key ("" = compute from args).
-func (r *Record) MemoKeyOverride() string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.memoKeyOver
-}
-
-// SetPayload records the encode-once serialized arguments at first launch.
-func (r *Record) SetPayload(p *serialize.Payload) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.payload = p
 }
 
 // Payload returns the encode-once serialized arguments (nil before the task
@@ -580,26 +555,31 @@ func (r *Record) Payload() *serialize.Payload {
 	return r.payload
 }
 
-// SetAttempt records the in-flight attempt's outcome future and wire id.
-func (r *Record) SetAttempt(f *future.Future, wireID int64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.attemptFut, r.attemptWire = f, wireID
-}
-
 // Attempt returns the current attempt's outcome future and wire id (nil, 0
-// before the task first becomes ready).
-func (r *Record) Attempt() (*future.Future, int64) {
+// before the task first becomes ready) and the executor it was routed to.
+func (r *Record) Attempt() (af *future.Future, wireID int64, executor string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.attemptFut, r.attemptWire
+	return r.attemptFut, r.attemptWire, r.executor
 }
 
-// Timings returns (launch, start, end) timestamps; zero values when unset.
+// Timings returns the (launch, start, end) timestamps — when the task last
+// moved to Launched, to Running, and to its terminal state — read off the
+// transition log; zero values when unset.
 func (r *Record) Timings() (launch, start, end time.Time) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.launchTime, r.startTime, r.endTime
+	for _, t := range r.transitions {
+		switch t.To {
+		case Launched:
+			launch = t.At
+		case Running:
+			start = t.At
+		case Done, Failed, Memoized:
+			end = t.At
+		}
+	}
+	return launch, start, end
 }
 
 // String implements fmt.Stringer.

@@ -3,8 +3,13 @@ package task
 import (
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
+
+	"repro/internal/future"
+	"repro/internal/serialize"
 )
 
 func TestNewRecordInitialState(t *testing.T) {
@@ -122,37 +127,44 @@ func TestTimingsSetOnTransitions(t *testing.T) {
 }
 
 func TestAttemptsCounter(t *testing.T) {
-	r := NewRecord(1, "a", nil, nil)
+	r, _ := Create(1, "a", nil, nil, Options{MaxRetries: 1})
+	defer r.Exit()
 	if r.Attempts() != 0 {
 		t.Fatal("fresh record has attempts")
 	}
-	if n := r.IncAttempts(); n != 1 {
-		t.Fatalf("IncAttempts = %d", n)
-	}
-	r.SetMaxRetries(3)
-	if r.MaxRetries() != 3 {
+	if r.MaxRetries != 1 {
 		t.Fatal("retry budget lost")
+	}
+	// A forgiven failure leaves the budget alone; a charged one consumes it.
+	if from, ok := r.Retry(false); !ok || from != Pending || r.Attempts() != 0 {
+		t.Fatalf("uncharged Retry = %v, %v (attempts %d)", from, ok, r.Attempts())
+	}
+	if _, ok := r.Retry(true); !ok || r.Attempts() != 1 {
+		t.Fatalf("first charged Retry refused (attempts %d)", r.Attempts())
+	}
+	if _, ok := r.Retry(true); ok {
+		t.Fatal("Retry allowed past the budget")
 	}
 }
 
 func TestDepCounter(t *testing.T) {
 	r := NewRecord(1, "a", nil, nil)
 	r.SetPendingDeps(2)
-	if n := r.DepResolved(); n != 1 {
+	if n, _ := r.DepResolved(); n != 1 {
 		t.Fatalf("after first resolve: %d", n)
 	}
-	if n := r.DepResolved(); n != 0 {
-		t.Fatalf("after second resolve: %d", n)
+	if n, st := r.DepResolved(); n != 0 || st != Unsched {
+		t.Fatalf("after second resolve: %d, %v", n, st)
 	}
 	// Underflow guard.
-	if n := r.DepResolved(); n != 0 {
+	if n, _ := r.DepResolved(); n != 0 {
 		t.Fatalf("underflow: %d", n)
 	}
 }
 
 func TestAccessors(t *testing.T) {
-	r := NewRecord(5, "app", nil, nil)
-	r.SetExecutor("htex")
+	r, _ := Create(5, "app", nil, nil, Options{})
+	r.Route("htex") // drops the creator's hold
 	if r.Executor() != "htex" {
 		t.Fatal("executor lost")
 	}
@@ -211,14 +223,7 @@ func TestQuickStateMachineSafety(t *testing.T) {
 				return false // escaped a terminal state
 			}
 			if err == nil && target != prev {
-				// must be in validNext
-				ok := false
-				for _, n := range validNext[prev] {
-					if n == target {
-						ok = true
-					}
-				}
-				if !ok {
+				if !prev.canMoveTo(target) {
 					return false
 				}
 			}
@@ -227,5 +232,166 @@ func TestQuickStateMachineSafety(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFinishRaceAndStaleStraggler races every way a pooled record is
+// concluded and probed: holders calling Finish(Done) and Finish(Failed) at
+// once — same-state repeats included — while the creator drops its hold and a
+// straggler with a previous generation's stamp calls every stage that takes
+// one. Exactly one Finish may win (the winner retires the record, and a second
+// Retire panics), the straggler must be refused everywhere, and the record
+// must be recycled exactly once: its generation moves on by one.
+func TestFinishRaceAndStaleStraggler(t *testing.T) {
+	const finishers = 8
+	for iter := 0; iter < 300; iter++ {
+		r, gen := Create(int64(iter), "race", nil, nil, Options{})
+		stale := gen - 1
+		var wins atomic.Int32
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		for i := 0; i < finishers; i++ {
+			// Each finisher holds the record before the race starts, as every
+			// terminal path of the DFK does.
+			if !r.Enter(gen) {
+				t.Fatal("live generation refused")
+			}
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				<-start
+				to := Done
+				if i%2 == 1 {
+					to = Failed
+				}
+				if fin, ok := r.Finish(to); ok {
+					if fin.From != Pending {
+						t.Errorf("winner saw From = %v", fin.From)
+					}
+					wins.Add(1)
+					r.Retire()
+				}
+				r.Exit()
+			}(i)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			for k := 0; k < 20; k++ {
+				if r.Enter(stale) {
+					t.Error("Enter admitted a stale generation")
+				}
+				if _, ok, _ := r.Launch(stale, time.Now()); ok {
+					t.Error("Launch admitted a stale generation")
+				}
+				if _, _, _, ok := r.Outcome(stale); ok {
+					t.Error("Outcome admitted a stale generation")
+				}
+			}
+		}()
+		close(start)
+		r.Exit() // the creator's hold, dropped while the finishers race
+		wg.Wait()
+		if n := wins.Load(); n != 1 {
+			t.Fatalf("iteration %d: %d Finish calls won, want exactly 1", iter, n)
+		}
+		// Recycled once: the concluded generation is now stale to every stage,
+		// and the next one is exactly gen+1.
+		if _, ok, _ := r.Launch(gen, time.Now()); ok {
+			t.Fatal("Launch admitted the recycled generation")
+		}
+		if _, _, _, ok := r.Outcome(gen); ok {
+			t.Fatal("Outcome admitted the recycled generation")
+		}
+		if r.Enter(gen) || !r.Enter(gen+1) {
+			t.Fatalf("iteration %d: record not recycled exactly once", iter)
+		}
+		r.Exit()
+	}
+}
+
+// TestLifecycleStages walks one record through every stage in order and checks
+// what each critical section reads, writes and refuses.
+func TestLifecycleStages(t *testing.T) {
+	o := Options{Hints: []string{"tp"}, Tenant: "t", Weight: 3, MaxRetries: 2, Priority: 5, Admitted: true}
+	r, gen := Create(7, "app", []any{1}, nil, o)
+	if r.State() != Pending || r.Tenant != "t" || r.Weight != 3 || r.MaxRetries != 2 || r.Priority != 5 ||
+		!r.Admitted || len(r.Hints) != 1 {
+		t.Fatalf("Create: state %v, options %+v", r.State(), r.Options)
+	}
+	if tr := r.Transitions(); len(tr) != 1 || tr[0] != (Transition{Unsched, Pending, r.SubmitTime}) {
+		t.Fatalf("Create: transitions %v, want Unsched -> Pending at SubmitTime", tr)
+	}
+	stop := func() bool { return true }
+	if !r.Watch(stop) {
+		t.Fatal("Watch refused a live record")
+	}
+	payload, err := serialize.EncodeArgs([]any{1}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer payload.Release()
+	af := future.New()
+	if !r.Arm(payload, 9, af, 7) {
+		t.Fatal("Arm refused a live record")
+	}
+	if !r.Enter(gen) {
+		t.Fatal("Enter refused the live generation")
+	}
+	r.Route("tp") // drops the router's hold; the creator's remains
+	if gotAf, wire, label := r.Attempt(); gotAf != af || wire != 7 || label != "tp" {
+		t.Fatalf("Attempt = %v, %d, %q", gotAf, wire, label)
+	}
+	at := time.Now()
+	if from, ok, err := r.Launch(gen, at); from != Pending || !ok || err != nil {
+		t.Fatalf("Launch = %v, %v, %v", from, ok, err)
+	}
+	if from, ok, err := r.Launch(gen, at); from != Launched || !ok || err != nil {
+		t.Fatalf("second Launch = %v, %v, %v (a launched task is left as it is)", from, ok, err)
+	}
+	if launch, _, _ := r.Timings(); !launch.Equal(at) {
+		t.Fatalf("launch stamped %v, want the batch stamp %v", launch, at)
+	}
+	r.SetMemoKey("k")
+	terminal, memoKey, label, ok := r.Outcome(gen)
+	if terminal || memoKey != "k" || label != "tp" || !ok {
+		t.Fatalf("Outcome = %v, %q, %q, %v", terminal, memoKey, label, ok)
+	}
+	if from, ok := r.Retry(true); from != Launched || !ok || r.State() != Retrying || r.Attempts() != 1 {
+		t.Fatalf("Retry = %v, %v (state %v, attempts %d)", from, ok, r.State(), r.Attempts())
+	}
+	fin, ok := r.Finish(Failed)
+	if !ok || fin.From != Retrying || fin.Executor != "tp" || fin.WALKey != 9 || fin.Payload != payload || fin.CancelStop == nil {
+		t.Fatalf("Finish = %+v, %v", fin, ok)
+	}
+	if _, _, end := r.Timings(); end.IsZero() {
+		t.Fatal("Finish left the end time unset")
+	}
+	// A concluded record refuses every further stage, a same-state Finish included.
+	if _, ok := r.Finish(Failed); ok {
+		t.Fatal("second Finish won")
+	}
+	if _, ok := r.Finish(Pending); ok {
+		t.Fatal("Finish accepted a non-terminal state")
+	}
+	if r.Arm(payload, 9, future.New(), 8) || r.Watch(stop) {
+		t.Fatal("Arm or Watch accepted a terminal record")
+	}
+	if _, ok := r.Retry(false); ok {
+		t.Fatal("Retry allowed on a terminal record")
+	}
+	if _, ok, err := r.Launch(gen, time.Now()); !ok || err == nil {
+		t.Fatalf("Launch on a terminal record: ok %v, err %v", ok, err)
+	}
+	if terminal, _, _, _ := r.Outcome(gen); !terminal {
+		t.Fatal("Outcome missed the terminal state")
+	}
+	r.Exit() // Outcome's hold
+	r.Exit() // the later Outcome's hold
+	r.Retire()
+	r.Exit() // the creator's hold: the last one out recycles
+	if r.Enter(gen) {
+		t.Fatal("recycled generation still admitted")
 	}
 }

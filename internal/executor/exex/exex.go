@@ -131,13 +131,10 @@ func (p *Pool) workerRank(workerID string, rank int) {
 			p.comm.Abort(rank) // rank 0 sent it intact; the fabric is broken
 			return
 		}
+		// A result value that does not serialize travels as the task's error
+		// result (serialize.EncodeResult), so only the fabric can fail here.
 		res := executor.RunKernel(p.reg, task, workerID)
-		payload, err := serialize.EncodeResult(res)
-		if err != nil {
-			payload, err = serialize.EncodeResult(serialize.ResultMsg{ID: res.ID, WorkerID: workerID,
-				Err: fmt.Sprintf("encode result %d: %v", res.ID, err)})
-		}
-		if err != nil || p.comm.Send(rank, 0, tagResult, payload) != nil {
+		if p.comm.Send(rank, 0, tagResult, serialize.EncodeResult(res)) != nil {
 			p.comm.Abort(rank)
 			return
 		}
@@ -145,16 +142,12 @@ func (p *Pool) workerRank(workerID string, rank int) {
 }
 
 // runOnRank is the manager's exec step: worker slot i is MPI rank i+1. The
-// MPI interior uses one-shot envelopes (every rank must decode standalone),
+// MPI interior uses standalone frames (every rank must decode on its own),
 // and the argument payload inside is the submit-time encoding, forwarded
 // byte-for-byte — rank 0 never re-serializes arguments. An error from the
 // communicator (or bytes off it that do not decode) takes the pool down.
 func (p *Pool) runOnRank(slot int, w serialize.WireTask) (serialize.ResultMsg, error) {
-	payload, err := serialize.EncodeWire(w)
-	if err != nil {
-		return serialize.ResultMsg{ID: w.ID, Err: err.Error()}, nil
-	}
-	if err := p.comm.Send(0, slot+1, tagTask, payload); err != nil {
+	if err := p.comm.Send(0, slot+1, tagTask, serialize.EncodeWire(w)); err != nil {
 		return serialize.ResultMsg{}, err
 	}
 	env, err := p.comm.Recv(0, slot+1, tagResult)

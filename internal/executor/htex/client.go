@@ -59,8 +59,7 @@ type shardConn struct {
 	ix     *Interchange
 	dealer *mq.Dealer
 	// taskEnc streams TASKB frames to this shard; resDec consumes its
-	// RESULTS stream. One pair per shard connection — gob type descriptors
-	// cross each wire once per session, not per batch.
+	// RESULTS stream. One pair per shard connection.
 	taskEnc *serialize.StreamEncoder
 	resDec  *serialize.StreamDecoder
 }
@@ -311,6 +310,7 @@ func (e *Executor) openShard(s *shardLink) (*shardConn, error) {
 func (e *Executor) recvLoop(s *shardLink) {
 	defer e.wg.Done()
 	c := s.conn.Load()
+	var results []serialize.ResultMsg // decode destination, reused frame to frame
 	for {
 		msg, err := c.dealer.Recv()
 		if err != nil {
@@ -330,23 +330,23 @@ func (e *Executor) recvLoop(s *shardLink) {
 			if len(msg) < 2 {
 				continue
 			}
-			var results []serialize.ResultMsg
 			if err := c.resDec.DecodeFrame(msg[1], &results); err != nil {
 				// This shard's RESULTS stream is undecodable mid-epoch; NACK
-				// so it resyncs on a fresh self-describing epoch. Tasks whose
+				// so it resyncs on frame 0 of a fresh epoch. Tasks whose
 				// results rode the lost frame stay pending here and recover
 				// via the DFK's attempt timeout (see codec.go).
-				_ = c.dealer.Send(mq.Message{[]byte(frameNack), nackPayload(msg[1])})
+				_ = c.dealer.Send(mq.Message{tagNack, nackPayload(msg[1])})
 				continue
 			}
 			for _, r := range results {
 				e.complete(r)
 			}
+			clear(results) // the futures own the values now; keep only the storage
 		case frameLost:
 			if len(msg) < 2 {
 				continue
 			}
-			ids, err := decodeIDs(msg[1])
+			ids, err := serialize.DecodeIDs(msg[1])
 			if err != nil {
 				continue
 			}
@@ -459,7 +459,7 @@ func (e *Executor) RestoreShard(i int) error {
 }
 
 // handleNack repairs one shard's task stream after that shard reported it
-// undecodable: reset the encoder (fresh self-describing epoch) and
+// undecodable: reset the encoder (frame 0 of a fresh epoch) and
 // retransmit every task inflight on that shard. The client cannot know which
 // tasks the lost frame carried, so the retransmission is a per-shard
 // superset; tasks that were delivered run at most twice, and the pending map
@@ -513,9 +513,9 @@ func (e *Executor) sendTasks(s *shardLink, wires []serialize.WireTask) error {
 // must retransmit on exactly the stream whose epoch it just reset, even if a
 // restore swaps the connection mid-repair.
 func (e *Executor) sendTasksOn(s *shardLink, c *shardConn, wires []serialize.WireTask) error {
-	err := c.taskEnc.EncodeFrame(wires, func(frame []byte) error {
+	err := c.taskEnc.EncodeTasks(wires, func(frame []byte) error {
 		return chaos.Frame(chaos.PointClientSend, s.label, frame, func(fr []byte) error {
-			return c.dealer.Send(mq.Message{[]byte(frameTaskSub), fr})
+			return c.dealer.Send(mq.Message{tagTaskSub, fr})
 		})
 	})
 	s.breaker.Record(err == nil)
@@ -715,16 +715,15 @@ func (e *Executor) Cancel(wireID int64) bool {
 	}
 	e.outstanding.Add(-1)
 	canceled := fut.Cancel()
-	if payload, err := encodeIDs([]int64{wireID}); err == nil {
-		if shard >= 0 && !e.shards[shard].down.Load() {
-			_ = e.shards[shard].conn.Load().dealer.Send(mq.Message{[]byte(frameCancel), payload})
-		} else {
-			// Unknown or dead owner: tell every live shard; the ones not
-			// holding the task ignore the unknown id.
-			for _, s := range e.shards {
-				if !s.down.Load() {
-					_ = s.conn.Load().dealer.Send(mq.Message{[]byte(frameCancel), payload})
-				}
+	payload := serialize.EncodeIDs([]int64{wireID})
+	if shard >= 0 && !e.shards[shard].down.Load() {
+		_ = e.shards[shard].conn.Load().dealer.Send(mq.Message{tagCancel, payload})
+	} else {
+		// Unknown or dead owner: tell every live shard; the ones not
+		// holding the task ignore the unknown id.
+		for _, s := range e.shards {
+			if !s.down.Load() {
+				_ = s.conn.Load().dealer.Send(mq.Message{tagCancel, payload})
 			}
 		}
 	}
@@ -984,7 +983,7 @@ func (e *Executor) ScaleIn(n int) error {
 func (e *Executor) Command(name, arg string, timeout time.Duration) ([]string, error) {
 	e.cmdMu.Lock()
 	defer e.cmdMu.Unlock()
-	msg := mq.Message{[]byte(frameCmd), []byte(name)}
+	msg := mq.Message{tagCmd, []byte(name)}
 	if arg != "" {
 		msg = append(msg, []byte(arg))
 	}

@@ -6,14 +6,16 @@
 // detection, lost-manager exceptions, a synchronous command channel, and
 // block-based scaling.
 //
-// Wire path: task and result batches ride persistent per-connection
-// streaming codecs (serialize.StreamEncoder/StreamDecoder) that amortize
-// gob type-descriptor transmission across a session, and tasks travel as
-// serialize.WireTask envelopes whose argument payload was encoded exactly
-// once at submit time — the interchange queues, prioritizes, cancels, and
-// re-frames tasks without ever decoding the argument bytes. Control frames
-// (registration, ids, heartbeats, commands) stay one-shot: they are small,
-// rare, and must be decodable without session state.
+// Wire path: task and result batches travel as checksummed, sequence-numbered
+// binary frames on per-connection streams (serialize.StreamEncoder/
+// StreamDecoder) — fixed hand-written shapes, no self-describing stream and
+// no reflection. Tasks are serialize.WireTask envelopes whose argument
+// payload was encoded exactly once at submit time — the interchange queues,
+// prioritizes, cancels, and re-frames tasks without ever decoding the argument
+// bytes — and result batches cross the interchange the same way: it reads the
+// batch's id column to release manager slots and relays the result envelopes
+// as opaque bytes. Control frames (registration, ids, heartbeats, commands)
+// are standalone: small, rare, and decodable without session state.
 //
 // The manager side of the protocol has one implementation, Manager. Anything
 // that executes tasks behind an interchange — an HTEX node, an EXEX MPI pool
@@ -22,16 +24,14 @@
 package htex
 
 import (
-	"bytes"
 	"encoding/binary"
-	"fmt"
 
 	"repro/internal/serialize"
 )
 
 // Wire message type tags (first frame part).
 const (
-	frameTask    = "TASK"    // client -> interchange: one one-shot WireTask
+	frameTask    = "TASK"    // client -> interchange: one standalone WireTask
 	frameTaskSub = "TASKB"   // client -> interchange: streamed batch of WireTask
 	frameTasks   = "TASKS"   // interchange -> manager: streamed batch of WireTask
 	frameResults = "RESULTS" // manager -> interchange -> client: streamed batch of ResultMsg
@@ -45,18 +45,36 @@ const (
 	frameNack    = "NACK"    // receiver -> sender: your stream (epoch attached) is undecodable; resync
 )
 
+// The tags this package sends, as the byte slices mq takes: converting the
+// constant at each send would allocate it each time.
+var (
+	tagTaskSub = []byte(frameTaskSub)
+	tagTasks   = []byte(frameTasks)
+	tagResults = []byte(frameResults)
+	tagReg     = []byte(frameReg)
+	tagHB      = []byte(frameHB)
+	tagCmd     = []byte(frameCmd)
+	tagCmdRep  = []byte(frameCmdRep)
+	tagLost    = []byte(frameLost)
+	tagBye     = []byte(frameBye)
+	tagCancel  = []byte(frameCancel)
+	tagNack    = []byte(frameNack)
+)
+
 // Stream-corruption recovery (NACK protocol)
 //
-// A persistent gob stream is stateful: one corrupted, truncated, or dropped
-// frame can make every later frame of the same epoch undecodable, because
-// type descriptors transmitted earlier in the stream are referenced, not
-// repeated. Silently ignoring an undecodable frame therefore risks wedging a
-// whole session. Instead, every stream receiver in the HTEX triangle NACKs
-// the sender with the epoch of the frame it could not decode:
+// A stream's frames are numbered within an epoch, and a receiver accepts them
+// only in order: after one corrupted, truncated, or dropped frame, every later
+// frame of the same epoch is ahead of the number the receiver expects and
+// fails too (serialize/stream.go has the rule and the reason it is there —
+// the frames themselves would decode in isolation). A frame that failed
+// carried tasks or results that are now lost, so silently ignoring it would
+// leak them. Instead, every stream receiver in the HTEX triangle NACKs the
+// sender with the epoch of the frame it could not accept:
 //
 //   - interchange -> client  (client's TASKB stream failed): the client
-//     resets its task encoder — the next frame opens a fresh, self-
-//     describing epoch — and retransmits every in-flight task. Tasks that
+//     resets its task encoder — the next frame is frame 0 of a fresh
+//     epoch — and retransmits every in-flight task. Tasks that
 //     were actually delivered execute twice at most; the client's pending
 //     map delivers each result exactly once.
 //   - client -> interchange  (interchange's RESULTS stream failed): the
@@ -101,29 +119,4 @@ func nackEpoch(b []byte) uint32 {
 		return 0
 	}
 	return binary.BigEndian.Uint32(b)
-}
-
-// encodeIDs / decodeIDs carry wire-id lists (CANCEL, LOST) as checksummed
-// one-shot frames: they are tiny and infrequent, so stream state would buy
-// nothing, but they name tasks by id — a bit-flipped id that decoded
-// "successfully" would cancel or fail the wrong task, so they get the same
-// CRC-verified framing as task and result payloads.
-func encodeIDs(ids []int64) ([]byte, error) {
-	var out []byte
-	err := serialize.OneShotCodec{}.EncodeFrame(ids, func(frame []byte) error {
-		out = bytes.Clone(frame) // the frame is pooled, valid only during send
-		return nil
-	})
-	if err != nil {
-		return nil, fmt.Errorf("htex: encode ids: %w", err)
-	}
-	return out, nil
-}
-
-func decodeIDs(b []byte) ([]int64, error) {
-	var ids []int64
-	if err := serialize.NewStreamDecoder().DecodeFrame(b, &ids); err != nil {
-		return nil, fmt.Errorf("htex: decode ids: %w", err)
-	}
-	return ids, nil
 }

@@ -1,6 +1,7 @@
 package htex
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -98,16 +99,27 @@ type managerState struct {
 	outstanding map[int64]serialize.WireTask
 	lastSeen    time.Time
 	blacklisted bool
-	// enc is the manager's private TASKS stream: descriptors cross once per
-	// manager session, and every batch after the first is values only.
+	// enc is the manager's private TASKS stream.
 	enc *serialize.StreamEncoder
 	// digests is the manager's last heartbeat digest-set summary: the warm
 	// input digests it advertises. Replaced wholesale on every advert (the
 	// manager's view is authoritative); nil until the first one arrives.
+	// advert is that summary as it arrived: a manager whose warm set is
+	// stable resends the same bytes every heartbeat, and parsing them again
+	// (≈45 KiB of garbage for a full advert) would rebuild the same set.
 	digests map[string]struct{}
+	advert  []byte
 }
 
 func (m *managerState) free() int { return m.capacity - len(m.outstanding) }
+
+// taskSend is one TASKS frame dispatch has decided on: a batch for one
+// manager's stream.
+type taskSend struct {
+	id    string
+	enc   *serialize.StreamEncoder
+	batch []serialize.WireTask
+}
 
 // Interchange is the hub: it queues tasks from the client, matches them to
 // managers with advertised capacity (random among eligible, §4.3.1), relays
@@ -119,10 +131,11 @@ type Interchange struct {
 	router *mq.Router
 	rng    *rand.Rand
 
-	// clientEnc streams RESULTS to the client. Result batches arriving from
-	// managers are decoded (the interchange needs the ids for capacity
-	// bookkeeping anyway) and re-framed here, so the client holds exactly
-	// one result stream regardless of how many managers feed it.
+	// clientEnc streams RESULTS to the client. Of a result batch arriving
+	// from a manager the interchange reads only the id column (capacity
+	// bookkeeping); the result envelopes are re-framed here as opaque bytes,
+	// so the client holds exactly one result stream regardless of how many
+	// managers feed it.
 	clientEnc *serialize.StreamEncoder
 
 	mu       sync.Mutex
@@ -144,6 +157,15 @@ type Interchange struct {
 	// the mainLoop goroutine; the map is locked because the heartbeat
 	// goroutine prunes entries for lost managers.
 	decs map[string]*serialize.StreamDecoder
+
+	// Scratch owned by the mainLoop goroutine, the only one that decodes
+	// frames and dispatches: the decode destinations of handle and the
+	// working sets of dispatch keep their storage from one frame to the next.
+	taskBatch []serialize.WireTask
+	resultIDs []int64
+	eligible  []*managerState
+	batch     []serialize.WireTask
+	sends     []taskSend
 
 	done chan struct{}
 	wg   sync.WaitGroup
@@ -218,8 +240,8 @@ func (ix *Interchange) handle(del mq.Delivery) {
 	}
 	switch string(del.Msg[0]) {
 	case frameTask:
-		// Legacy single-task path: a one-shot envelope, no stream state
-		// required — the self-describing fallback framing.
+		// Legacy single-task path: a standalone frame, no stream state
+		// required.
 		ix.setClient(del.From)
 		if len(del.Msg) < 2 {
 			return
@@ -238,7 +260,7 @@ func (ix *Interchange) handle(del mq.Delivery) {
 		// A new epoch on the client's task stream is the in-band signal of
 		// a new client session (epochs are globally unique per encoder
 		// incarnation): restart the RESULTS stream so the newcomer's
-		// decoder syncs on a self-describing first frame. In-band, because
+		// decoder can join it at frame 0. In-band, because
 		// connection events ride a lossy channel with no ordering against
 		// deliveries. The task decoder itself needs no such help — it
 		// resyncs on the epoch carried by every frame.
@@ -251,14 +273,14 @@ func (ix *Interchange) handle(del mq.Delivery) {
 				ix.clientEnc.Reset()
 			}
 		}
-		var batch []serialize.WireTask
-		if err := ix.decoderFor(del.From).DecodeFrame(del.Msg[1], &batch); err != nil {
+		if err := ix.decoderFor(del.From).DecodeFrame(del.Msg[1], &ix.taskBatch); err != nil {
 			// Undecodable client task stream: NACK so the client resets to a
 			// fresh epoch and retransmits its in-flight tasks (codec.go).
-			_ = ix.router.SendTo(del.From, mq.Message{[]byte(frameNack), nackPayload(del.Msg[1])})
+			_ = ix.router.SendTo(del.From, mq.Message{tagNack, nackPayload(del.Msg[1])})
 			return
 		}
-		ix.enqueue(batch...)
+		ix.enqueue(ix.taskBatch...)
+		clear(ix.taskBatch) // the queue owns the tasks now; keep only the storage
 		ix.dispatch()
 	case frameReg:
 		if len(del.Msg) < 2 {
@@ -282,31 +304,32 @@ func (ix *Interchange) handle(del mq.Delivery) {
 		if len(del.Msg) < 2 {
 			return
 		}
-		var results []serialize.ResultMsg
-		if err := ix.decoderFor(del.From).DecodeFrame(del.Msg[1], &results); err != nil {
+		results, err := ix.decoderFor(del.From).DecodeResultIDs(del.Msg[1], &ix.resultIDs)
+		if err != nil {
 			// Undecodable manager result stream: NACK so the manager resets
 			// its encoder, and requeue everything this manager holds — the
 			// lost frame's results cannot be recovered, so their tasks must
 			// re-execute, and the broker must not leak their capacity slots.
 			// Tasks still running on the manager finish twice at most; the
 			// client's pending map reconciles duplicates (codec.go).
-			_ = ix.router.SendTo(del.From, mq.Message{[]byte(frameNack), nackPayload(del.Msg[1])})
+			_ = ix.router.SendTo(del.From, mq.Message{tagNack, nackPayload(del.Msg[1])})
 			ix.requeueOutstanding(del.From)
 			return
 		}
 		ix.mu.Lock()
 		if m, ok := ix.managers[del.From]; ok {
 			m.lastSeen = time.Now()
-			for _, r := range results {
-				delete(m.outstanding, r.ID)
+			for _, id := range ix.resultIDs {
+				delete(m.outstanding, id)
 			}
 		}
 		client := ix.client
 		ix.mu.Unlock()
-		if client != "" {
-			_ = ix.clientEnc.EncodeFrame(results, func(frame []byte) error {
+		// results is nil for a duplicate frame: nothing to release or relay.
+		if client != "" && results != nil {
+			_ = ix.clientEnc.RelayResults(results, func(frame []byte) error {
 				return chaos.Frame(chaos.PointIxResults, ix.cfg.Label, frame, func(fr []byte) error {
-					return ix.router.SendTo(client, mq.Message{[]byte(frameResults), fr})
+					return ix.router.SendTo(client, mq.Message{tagResults, fr})
 				})
 			})
 		}
@@ -318,13 +341,14 @@ func (ix *Interchange) handle(del mq.Delivery) {
 			// An extra part is the manager's digest-set advert: the content
 			// digests of tasks it has executed and so holds warm. Replace
 			// the aggregated view wholesale — the advert is authoritative.
-			if len(del.Msg) > 1 {
-				m.digests = parseDigestSet(del.Msg[1])
+			if len(del.Msg) > 1 && !bytes.Equal(del.Msg[1], m.advert) {
+				m.advert = del.Msg[1]
+				m.digests = parseDigestSet(m.advert)
 			}
 		}
 		ix.mu.Unlock()
 		// Echo so managers can police us too.
-		_ = ix.router.SendTo(del.From, mq.Message{[]byte(frameHB)})
+		_ = ix.router.SendTo(del.From, mq.Message{tagHB})
 	case frameBye:
 		ix.mu.Lock()
 		m, ok := ix.managers[del.From]
@@ -344,7 +368,7 @@ func (ix *Interchange) handle(del mq.Delivery) {
 		if len(del.Msg) < 2 {
 			return
 		}
-		ids, err := decodeIDs(del.Msg[1])
+		ids, err := serialize.DecodeIDs(del.Msg[1])
 		if err != nil {
 			return
 		}
@@ -453,9 +477,7 @@ func (ix *Interchange) cancel(ids []int64) {
 	}
 	ix.mu.Unlock()
 	for mgr, mgrIDs := range forward {
-		if payload, err := encodeIDs(mgrIDs); err == nil {
-			_ = ix.router.SendTo(mgr, mq.Message{[]byte(frameCancel), payload})
-		}
+		_ = ix.router.SendTo(mgr, mq.Message{tagCancel, serialize.EncodeIDs(mgrIDs)})
 	}
 	ix.dispatch() // struck tasks freed manager capacity
 }
@@ -472,7 +494,7 @@ func (ix *Interchange) command(del mq.Delivery) {
 		arg = string(del.Msg[2])
 	}
 	reply := func(parts ...string) {
-		m := mq.Message{[]byte(frameCmdRep), []byte(name)}
+		m := mq.Message{tagCmdRep, []byte(name)}
 		for _, p := range parts {
 			m = append(m, []byte(p))
 		}
@@ -535,12 +557,13 @@ func (ix *Interchange) dispatch() {
 			ix.mu.Unlock()
 			return
 		}
-		var eligible []*managerState
+		eligible := ix.eligible[:0]
 		for _, m := range ix.managers {
 			if !m.blacklisted && m.free() > 0 {
 				eligible = append(eligible, m)
 			}
 		}
+		ix.eligible = eligible
 		if len(eligible) == 0 {
 			ix.mu.Unlock()
 			return
@@ -565,8 +588,8 @@ func (ix *Interchange) dispatch() {
 		}
 		// Copy out of the pooled scratch: the frame encode below runs
 		// outside ix.mu and must not hold pooled storage.
-		batch := make([]serialize.WireTask, len(scratch))
-		copy(batch, scratch)
+		batch := append(ix.batch[:0], scratch...)
+		ix.batch = batch
 		ix.queue.PutBatch(scratch)
 
 		// Data-aware rerouting (cfg.Locality): a task whose input digest
@@ -576,12 +599,7 @@ func (ix *Interchange) dispatch() {
 		// play the dispatch is byte-identical to the classic policy. The
 		// digest is hashed from the opaque payload column; the broker
 		// still never decodes arguments.
-		type send struct {
-			id    string
-			enc   *serialize.StreamEncoder
-			batch []serialize.WireTask
-		}
-		var sends []send
+		sends := ix.sends[:0]
 		if ix.cfg.Locality && len(eligible) > 1 {
 			taken := make(map[*managerState]int)
 			reroutes := make(map[*managerState][]serialize.WireTask)
@@ -612,23 +630,24 @@ func (ix *Interchange) dispatch() {
 			}
 			batch = kept
 			for h, ts := range reroutes {
-				sends = append(sends, send{id: h.id, enc: h.enc, batch: ts})
+				sends = append(sends, taskSend{id: h.id, enc: h.enc, batch: ts})
 			}
 		}
 		for _, t := range batch {
 			m.outstanding[t.ID] = t
 		}
 		if len(batch) > 0 {
-			sends = append(sends, send{id: m.id, enc: m.enc, batch: batch})
+			sends = append(sends, taskSend{id: m.id, enc: m.enc, batch: batch})
 		}
+		ix.sends = sends
 		ix.mu.Unlock()
 
 		// Re-frame the envelopes on each target manager's stream; the
 		// argument payloads inside pass through as opaque bytes.
 		for _, s := range sends {
-			err := s.enc.EncodeFrame(s.batch, func(frame []byte) error {
+			err := s.enc.EncodeTasks(s.batch, func(frame []byte) error {
 				return chaos.Frame(chaos.PointIxTasks, ix.cfg.Label, frame, func(fr []byte) error {
-					return ix.router.SendTo(s.id, mq.Message{[]byte(frameTasks), fr})
+					return ix.router.SendTo(s.id, mq.Message{tagTasks, fr})
 				})
 			})
 			if err != nil {
@@ -636,6 +655,10 @@ func (ix *Interchange) dispatch() {
 				ix.managerLost(s.id, "send failed")
 			}
 		}
+		// An idle interchange must not pin the frames its last batch's
+		// payloads alias.
+		clear(sends)
+		clear(ix.batch)
 	}
 }
 
@@ -684,12 +707,10 @@ func (ix *Interchange) managerLost(id, reason string) {
 
 	ix.router.Disconnect(id)
 	if client != "" && len(lostIDs) > 0 {
-		if payload, err := encodeIDs(lostIDs); err == nil {
-			// Fourth part: the lost manager's identity, so the client-side
-			// LostError names which manager died — the health plane's poison
-			// quarantine counts distinct managers a task has killed.
-			_ = ix.router.SendTo(client, mq.Message{[]byte(frameLost), payload, []byte(reason), []byte(id)})
-		}
+		// Fourth part: the lost manager's identity, so the client-side
+		// LostError names which manager died — the health plane's poison
+		// quarantine counts distinct managers a task has killed.
+		_ = ix.router.SendTo(client, mq.Message{tagLost, serialize.EncodeIDs(lostIDs), []byte(reason), []byte(id)})
 	}
 }
 

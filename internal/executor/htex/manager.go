@@ -3,7 +3,6 @@ package htex
 import (
 	"fmt"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -108,11 +107,14 @@ type Manager struct {
 	// manager lifetime, and harmless because wire ids are never reused.
 	canceled map[int64]struct{}
 	// digests is the content-digest set this manager advertises in its
-	// heartbeats: the Payload.ArgsHash of every task it has successfully
+	// heartbeats: the serialize.Digest of every task it has successfully
 	// executed recently (its warm inputs/results), bounded FIFO by
 	// maxAdvertisedDigests. digestOrder tracks insertion order for eviction.
-	digests     map[string]struct{}
-	digestOrder []string
+	// Kept as numbers — advert is their text form, rendered by the first
+	// heartbeat after the set changed and resent as it is until the next.
+	digests     map[uint64]struct{}
+	digestOrder []uint64
+	advert      []byte
 }
 
 // maxAdvertisedDigests bounds one manager's heartbeat digest-set summary.
@@ -180,10 +182,10 @@ func StartManagerExec(tr simnet.Transport, addr, id string, cfg ManagerConfig,
 		done:     make(chan struct{}),
 		lastSeen: time.Now(),
 		canceled: make(map[int64]struct{}),
-		digests:  make(map[string]struct{}),
+		digests:  make(map[uint64]struct{}),
 	}
 	capacity := cfg.Workers + cfg.Prefetch
-	if err := dealer.Send(mq.Message{[]byte(frameReg), []byte(strconv.Itoa(capacity))}); err != nil {
+	if err := dealer.Send(mq.Message{tagReg, []byte(strconv.Itoa(capacity))}); err != nil {
 		_ = dealer.Close()
 		return nil, fmt.Errorf("htex: manager %s register: %w", id, err)
 	}
@@ -211,6 +213,7 @@ func (m *Manager) Executed() int64 {
 
 func (m *Manager) recvLoop() {
 	defer m.wg.Done()
+	var batch []serialize.WireTask // decode destination, reused frame to frame
 	for {
 		msg, err := m.dealer.Recv()
 		if err != nil {
@@ -225,13 +228,12 @@ func (m *Manager) recvLoop() {
 			if len(msg) < 2 {
 				continue
 			}
-			var batch []serialize.WireTask
 			if err := m.taskDec.DecodeFrame(msg[1], &batch); err != nil {
 				// Undecodable task stream: NACK so the interchange resyncs
 				// this manager's encoder and requeues what it was holding
 				// (codec.go). Without this, the lost frame's tasks would sit
 				// in the broker's outstanding set forever, leaking capacity.
-				_ = m.dealer.Send(mq.Message{[]byte(frameNack), nackPayload(msg[1])})
+				_ = m.dealer.Send(mq.Message{tagNack, nackPayload(msg[1])})
 				continue
 			}
 			for _, t := range batch {
@@ -241,6 +243,7 @@ func (m *Manager) recvLoop() {
 					return
 				}
 			}
+			clear(batch) // the workers own the tasks now; keep only the storage
 		case frameHB:
 			m.mu.Lock()
 			m.lastSeen = time.Now()
@@ -249,7 +252,7 @@ func (m *Manager) recvLoop() {
 			if len(msg) < 2 {
 				continue
 			}
-			ids, err := decodeIDs(msg[1])
+			ids, err := serialize.DecodeIDs(msg[1])
 			if err != nil {
 				continue
 			}
@@ -260,7 +263,7 @@ func (m *Manager) recvLoop() {
 			m.mu.Unlock()
 		case frameNack:
 			// The interchange cannot decode this manager's RESULTS stream:
-			// resync to a fresh self-describing epoch. The interchange
+			// resync to frame 0 of a fresh epoch. The interchange
 			// requeued our outstanding set when it sent the NACK, so the
 			// lost frame's results re-execute elsewhere (codec.go).
 			if len(msg) >= 2 {
@@ -294,8 +297,9 @@ func (m *Manager) worker(slot int) {
 			// interchange's disconnect/heartbeat policing reports the held
 			// tasks LOST, and the DFK retry path re-executes them (§3.7). The
 			// detail carries the dequeued app name so poison-task scenarios
-			// can Match a specific task killing every manager it lands on.
-			if chaos.Kill(chaos.PointMgrKill, m.id+" app="+w.App) {
+			// can Match a specific task killing every manager it lands on —
+			// and is built only with an injector installed to read it.
+			if chaos.Enabled() && chaos.Kill(chaos.PointMgrKill, m.id+" app="+w.App) {
 				m.Stop()
 				return
 			}
@@ -314,7 +318,7 @@ func (m *Manager) worker(slot int) {
 				// exact input bytes: note the content digest (derived from
 				// the wire payload — the same FNV value the client's
 				// Payload.ArgsHash reports) for the heartbeat advert.
-				m.noteDigestLocked(serialize.DigestBytes(w.P))
+				m.noteDigestLocked(serialize.Digest(w.P))
 			}
 			m.mu.Unlock()
 			select {
@@ -337,16 +341,18 @@ func (m *Manager) resultLoop() {
 		if len(batch) == 0 {
 			return
 		}
-		_ = m.resEnc.EncodeFrame(batch, func(frame []byte) error {
+		// A result whose value does not serialize travels as that task's
+		// error result (serialize.EncodeResults), so the only error here is
+		// the transport's, which the receive loop notices on its own.
+		_ = m.resEnc.EncodeResults(batch, func(frame []byte) error {
 			return chaos.Frame(chaos.PointMgrResults, m.id, frame, func(fr []byte) error {
-				return m.dealer.Send(mq.Message{[]byte(frameResults), fr})
+				return m.dealer.Send(mq.Message{tagResults, fr})
 			})
 		})
-		// The gob encode above copied the batch into the encoder's frame
-		// buffer synchronously (and the stream encoder reuses that buffer
-		// across frames — see serialize.StreamEncoder), so the slice can be
-		// reused in place: result batching allocates once per manager, not
-		// once per flush.
+		// The encode above copied the batch into the encoder's frame buffer
+		// synchronously, so the slice can be reused in place — cleared, so an
+		// idle manager holds no result values.
+		clear(batch)
 		batch = batch[:0]
 	}
 	for {
@@ -368,12 +374,13 @@ func (m *Manager) resultLoop() {
 
 // noteDigestLocked records a warm content digest for the heartbeat advert,
 // evicting the oldest entry past the bound. Caller holds m.mu.
-func (m *Manager) noteDigestLocked(d string) {
+func (m *Manager) noteDigestLocked(d uint64) {
 	if _, ok := m.digests[d]; ok {
 		return
 	}
 	m.digests[d] = struct{}{}
 	m.digestOrder = append(m.digestOrder, d)
+	m.advert = nil
 	for len(m.digestOrder) > maxAdvertisedDigests {
 		delete(m.digests, m.digestOrder[0])
 		m.digestOrder = m.digestOrder[1:]
@@ -386,10 +393,16 @@ func (m *Manager) noteDigestLocked(d string) {
 func (m *Manager) digestAdvert() []byte {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if len(m.digestOrder) == 0 {
-		return nil
+	if m.advert == nil && len(m.digestOrder) > 0 {
+		m.advert = make([]byte, 0, 17*len(m.digestOrder))
+		for i, d := range m.digestOrder {
+			if i > 0 {
+				m.advert = append(m.advert, ',')
+			}
+			m.advert = serialize.AppendDigest(m.advert, d)
+		}
 	}
-	return []byte(strings.Join(m.digestOrder, ","))
+	return m.advert
 }
 
 func (m *Manager) heartbeatLoop() {
@@ -406,7 +419,7 @@ func (m *Manager) heartbeatLoop() {
 			// can aggregate who holds what without any new message type.
 			// Interchanges ignore parts they don't expect, so an empty set
 			// sends the classic single-part HB.
-			hb := mq.Message{[]byte(frameHB)}
+			hb := mq.Message{tagHB}
 			if adv := m.digestAdvert(); adv != nil {
 				hb = append(hb, adv)
 			}
@@ -431,7 +444,7 @@ func (m *Manager) heartbeatLoop() {
 // drops — otherwise the disconnect would race the BYE and the interchange
 // would report the tasks lost instead of requeueing them.
 func (m *Manager) Drain() {
-	if err := m.dealer.Send(mq.Message{[]byte(frameBye)}); err == nil {
+	if err := m.dealer.Send(mq.Message{tagBye}); err == nil {
 		select {
 		case <-m.done: // recvLoop saw the interchange hang up
 		case <-time.After(2 * time.Second):

@@ -197,11 +197,7 @@ func (w *Worker) loop() {
 			continue
 		}
 		res := executor.RunKernel(w.reg, task, w.id)
-		payload, err := serialize.EncodeResult(res)
-		if err != nil {
-			continue
-		}
-		_ = w.dealer.Send(mq.Message{[]byte(frameResult), payload})
+		_ = w.dealer.Send(mq.Message{[]byte(frameResult), serialize.EncodeResult(res)})
 	}
 }
 
@@ -369,10 +365,10 @@ func (e *Executor) Submit(msg serialize.TaskMsg) *future.Future {
 	}
 	e.mu.Unlock()
 
-	// One-shot framing on purpose: the stateless relay fans a single
+	// Standalone frames on purpose: the stateless relay fans a single
 	// client's frames out across workers round-robin, so no worker could
-	// follow a persistent client stream — every frame must be
-	// self-describing. The encode still reuses the submit-time argument
+	// follow a numbered client stream — every frame must decode on its
+	// own. The encode still reuses the submit-time argument
 	// payload when the dispatch pipeline attached one, and the encoded
 	// bytes are retained for retransmission, so retries cost no re-encode
 	// either.

@@ -31,20 +31,23 @@
 // descriptor-parsing cost per independent stream that cannot be amortized
 // for a payload decoded exactly once, by one worker.
 //
-// # Wire-format compatibility
+// # Wire format
 //
-// The one-shot framing (EncodeTask/DecodeTask, EncodeResult/DecodeResult) is
-// a self-describing gob message: any peer can decode any message in
-// isolation, which is what the LLEX relay (it fans a single client's
-// frames out across workers) and the MPI interior of EXEX pools require.
-// Point-to-point sessions (HTEX client ↔ interchange ↔ manager) instead run
-// persistent streaming codecs (StreamEncoder/StreamDecoder in stream.go)
-// that amortize gob type-descriptor transmission across the connection; each
-// frame carries an epoch so a peer that reconnects mid-session resyncs on
-// the sender's next stream, and self-describing one-shot frames remain the
-// fallback (OneShotCodec) when no session state can be assumed. The two
-// framings are tagged and a StreamDecoder accepts both, so mixed traffic on
-// one connection stays decodable.
+// Everything that crosses a connection is a checksummed frame of one fixed,
+// hand-written shape (stream.go): a task envelope is its routing fields plus
+// the argument payload as an opaque byte column, a result envelope is the
+// result value in the value codec plus two strings. There is no
+// self-describing stream and no reflection on the wire path; gob survives
+// only inside a payload or result value, for registered user types.
+//
+// Standalone frames (EncodeWire/DecodeWire, EncodeResult/DecodeResult, id
+// lists) decode in isolation, which is what the LLEX relay (it fans a single
+// client's frames out across workers) and the MPI interior of EXEX pools
+// require. Point-to-point sessions (HTEX client ↔ interchange ↔ manager)
+// carry batches on a StreamEncoder/StreamDecoder pair instead: the same
+// envelopes, numbered within an epoch so that a receiver notices a lost,
+// duplicated or undecodable frame and the sender can resync it. Both kinds
+// are tagged, so mixed traffic on one connection stays decodable.
 //
 // Hash stability: ArgsHash digests (and payload digests, via the pinned
 // value-codec byte format plus primed gob descriptor ids) are stable across
@@ -54,6 +57,7 @@ package serialize
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"fmt"
 	"hash"
@@ -84,7 +88,7 @@ func (e Entry) BodyHash() string {
 	_, _ = h.Write([]byte(e.Name))
 	_, _ = h.Write([]byte{0})
 	_, _ = h.Write([]byte(e.Version))
-	return fmt.Sprintf("%016x", h.Sum64())
+	return digestString(h.Sum64())
 }
 
 // Registry maps app names to executable functions. Workers hold a registry
@@ -180,8 +184,8 @@ type TaskMsg struct {
 	Weight   int
 
 	// payload is the encode-once serialization of Args/Kwargs, attached by
-	// the dispatch pipeline at launch. Unexported so it never rides the gob
-	// wire itself — WireTask carries its bytes instead.
+	// the dispatch pipeline at launch; on the wire, WireTask carries its
+	// bytes.
 	payload *Payload
 }
 
@@ -208,7 +212,7 @@ func (m *TaskMsg) ArgsPayload() (*Payload, error) {
 }
 
 // ResultMsg carries a task result back from a worker. Err is a string because
-// error values do not gob-encode portably; the empty string means success.
+// error values do not serialize portably; the empty string means success.
 type ResultMsg struct {
 	ID       int64
 	Value    any
@@ -274,11 +278,10 @@ func RegisterType(v any) {
 	primeGob(v)
 }
 
-// bufPool recycles gob scratch buffers: one-shot frames, wire envelopes,
-// and the value codec's gob-fallback encodes borrow from here instead of
-// growing a fresh bytes.Buffer. (Encode-once payloads do not: a Payload
-// owns its bytes for the task's lifetime, so there is nothing to return to
-// a pool.)
+// bufPool recycles gob scratch buffers: the value codec's gob-fallback
+// encodes borrow from here instead of growing a fresh bytes.Buffer.
+// (Encode-once payloads do not: a Payload owns its bytes for the task's
+// lifetime, so there is nothing to return to a pool.)
 var bufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 func getBuf() *bytes.Buffer {
@@ -291,21 +294,6 @@ func putBuf(b *bytes.Buffer) { bufPool.Put(b) }
 
 // hashPool recycles FNV-64a hashers for ArgsHash.
 var hashPool = sync.Pool{New: func() any { return fnv.New64a() }}
-
-// fnv64a is the allocation-free FNV-64a over a byte slice, used to hash
-// encode-once payload bytes.
-func fnv64a(b []byte) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= prime64
-	}
-	return h
-}
 
 // payloadVersion is the leading byte of every encode-once payload; bumping
 // it invalidates all persisted memo keys, so only do that when the value
@@ -389,42 +377,27 @@ func EncodeArgs(args []any, kwargs map[string]any) (*Payload, error) {
 			return nil, fmt.Errorf("serialize: encode arg %d: %w", i, err)
 		}
 	}
-	w.uvarint(uint64(len(kwargs)))
-	if len(kwargs) > 0 {
-		keys := make([]string, 0, len(kwargs))
-		for k := range kwargs {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			w.str(k)
-			if err := w.encodeValue(kwargs[k]); err != nil {
-				p.data = w.b[:0]
-				payloadPool.Put(p)
-				return nil, fmt.Errorf("serialize: encode kwarg %q: %w", k, err)
-			}
-		}
+	if err := w.sortedMap(kwargs); err != nil {
+		p.data = w.b[:0]
+		payloadPool.Put(p)
+		return nil, fmt.Errorf("serialize: encode kwargs: %w", err)
 	}
 	p.data = w.b
-	p.sum = fnv64a(w.b)
+	p.sum = Digest(w.b)
 	p.hashed = true
 	p.refs.Store(1)
 	return p, nil
 }
 
-// payloadFromBytes wraps already-encoded payload bytes arriving off the
-// wire, holding one reference. The hash is computed on demand: worker-side
-// consumers never ask for it.
-func payloadFromBytes(b []byte) *Payload {
+// PayloadFromBytes wraps already-encoded payload bytes — off the wire, or
+// replayed from the durable dataflow log — holding one reference. The slice
+// is retained; callers replaying from a shared buffer must pass a copy. The
+// hash is computed on demand: worker-side consumers never ask for it.
+func PayloadFromBytes(b []byte) *Payload {
 	p := &Payload{data: b}
 	p.refs.Store(1)
 	return p
 }
-
-// PayloadFromBytes wraps already-encoded payload bytes — e.g. replayed from
-// the durable dataflow log — holding one reference. The slice is retained;
-// callers replaying from a shared buffer must pass a copy.
-func PayloadFromBytes(b []byte) *Payload { return payloadFromBytes(b) }
 
 // Bytes exposes the encoded payload. Callers must treat it as read-only.
 func (p *Payload) Bytes() []byte { return p.data }
@@ -440,20 +413,47 @@ func (p *Payload) Len() int { return len(p.data) }
 func (p *Payload) ArgsHash() string {
 	sum := p.sum
 	if !p.hashed {
-		sum = fnv64a(p.data)
+		sum = Digest(p.data)
 	}
-	return fmt.Sprintf("%016x", sum)
+	return digestString(sum)
 }
 
-// DigestBytes returns the content digest of encoded payload bytes — the
-// same %016x FNV-64a value Payload.ArgsHash reports for the same bytes.
-// It lets the executor side (managers, the interchange) derive a task's
-// input digest from the WireTask.P column alone, with no wire-format
-// change and no argument decode: the digest a manager advertises in its
-// heartbeat matches the one the DFK computed from the attached payload,
-// because both hash the identical canonical encoding.
-func DigestBytes(b []byte) string {
-	return fmt.Sprintf("%016x", fnv64a(b))
+// Digest returns the content digest of encoded payload bytes as a number:
+// allocation-free FNV-64a, the value Payload.ArgsHash reports, as text, for
+// the same bytes. It lets the executor side (managers, the interchange)
+// derive a task's input digest from the WireTask.P column alone, with no
+// wire-format change and no argument decode: the digest a manager advertises
+// in its heartbeat matches the one the DFK computed from the attached
+// payload, because both hash the identical canonical encoding.
+func Digest(b []byte) uint64 {
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	h := uint64(offset64)
+	for _, c := range b {
+		h ^= uint64(c)
+		h *= prime64
+	}
+	return h
+}
+
+// DigestBytes is Digest in the text form digests are exchanged in.
+func DigestBytes(b []byte) string { return digestString(Digest(b)) }
+
+// AppendDigest appends sum in that text form: 16 lower-case hex digits, what
+// fmt's %016x prints, without fmt's boxing and scratch allocations.
+func AppendDigest(dst []byte, sum uint64) []byte {
+	const digits = "0123456789abcdef"
+	for shift := 60; shift >= 0; shift -= 4 {
+		dst = append(dst, digits[sum>>shift&0xf])
+	}
+	return dst
+}
+
+func digestString(sum uint64) string {
+	var b [16]byte
+	return string(AppendDigest(b[:0], sum))
 }
 
 // DecodeArgs decodes a fresh deep copy of the arguments from the cached
@@ -471,45 +471,26 @@ func (p *Payload) DecodeArgs() ([]any, map[string]any, error) {
 // The input is read, never retained.
 func DecodeArgsBytes(b []byte) ([]any, map[string]any, error) {
 	r := valueReader{b: b}
-	ver, err := r.byte1()
-	if err != nil {
-		return nil, nil, fmt.Errorf("serialize: decode args: %w", err)
-	}
-	if ver != payloadVersion {
+	if ver := r.byte1(); r.err == nil && ver != payloadVersion {
 		return nil, nil, fmt.Errorf("serialize: payload version %d, want %d", ver, payloadVersion)
 	}
-	nArgs, err := r.count()
-	if err != nil {
-		return nil, nil, fmt.Errorf("serialize: decode args: %w", err)
-	}
 	var args []any
-	if nArgs > 0 {
-		args = make([]any, nArgs)
+	if n := r.count(1); n > 0 {
+		args = make([]any, n)
 		for i := range args {
-			if args[i], err = r.decodeValue(); err != nil {
-				return nil, nil, fmt.Errorf("serialize: decode arg %d: %w", i, err)
-			}
+			args[i] = r.decodeValue()
 		}
-	}
-	nKw, err := r.count()
-	if err != nil {
-		return nil, nil, fmt.Errorf("serialize: decode args: %w", err)
 	}
 	var kwargs map[string]any
-	if nKw > 0 {
-		kwargs = make(map[string]any, nKw)
-		for i := 0; i < nKw; i++ {
-			k, err := r.str()
-			if err != nil {
-				return nil, nil, fmt.Errorf("serialize: decode kwargs: %w", err)
-			}
-			if kwargs[k], err = r.decodeValue(); err != nil {
-				return nil, nil, fmt.Errorf("serialize: decode kwarg %q: %w", k, err)
-			}
+	if n := r.count(2); n > 0 {
+		kwargs = make(map[string]any, n)
+		for i := 0; i < n; i++ {
+			k := r.str()
+			kwargs[k] = r.decodeValue()
 		}
 	}
-	if len(r.b) != 0 {
-		return nil, nil, fmt.Errorf("serialize: payload carried %d trailing bytes", len(r.b))
+	if err := r.end(); err != nil {
+		return nil, nil, fmt.Errorf("serialize: decode args: %w", err)
 	}
 	return args, kwargs, nil
 }
@@ -545,7 +526,7 @@ func (m *TaskMsg) Wire() (WireTask, error) {
 // The payload stays attached, so a hop that re-serializes (EXEX rank 0
 // forwarding over MPI) reuses the bytes.
 func (w WireTask) Task() (TaskMsg, error) {
-	p := payloadFromBytes(w.P)
+	p := PayloadFromBytes(w.P)
 	args, kwargs, err := p.DecodeArgs()
 	if err != nil {
 		return TaskMsg{}, fmt.Errorf("serialize: decode task %d: %w", w.ID, err)
@@ -557,40 +538,37 @@ func (w WireTask) Task() (TaskMsg, error) {
 	}, nil
 }
 
-// EncodeWire produces the one-shot envelope bytes for w; the argument
-// payload inside passes through as an opaque byte column (gob encodes
-// []byte as length plus raw copy — no structural re-encode).
-func EncodeWire(w WireTask) ([]byte, error) {
-	buf := getBuf()
-	defer putBuf(buf)
-	if err := gob.NewEncoder(buf).Encode(w); err != nil {
-		return nil, fmt.Errorf("serialize: encode task %d: %w", w.ID, err)
-	}
-	return bytes.Clone(buf.Bytes()), nil
+// EncodeWire frames w as one standalone checksummed message; the argument
+// payload inside passes through as an opaque byte column.
+func EncodeWire(w WireTask) []byte {
+	size := frameHeaderLen + 4*binary.MaxVarintLen64 + len(w.App) + len(w.Tenant) + len(w.P)
+	fw := beginFrame(make([]byte, 0, size), frameOneTask, 0)
+	fw.task(&w)
+	return sealFrame(fw.b)
 }
 
-// DecodeWire decodes a one-shot envelope without touching the argument
-// payload — what brokers use to route on the envelope alone.
+// DecodeWire decodes a standalone task frame without touching the argument
+// payload — what brokers use to route on the envelope alone. P aliases b.
 func DecodeWire(b []byte) (WireTask, error) {
-	var w WireTask
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&w); err != nil {
+	_, r := openFrame(b, frameOneTask)
+	w := r.task(nil, true)
+	if err := r.end(); err != nil {
 		return WireTask{}, fmt.Errorf("serialize: decode task: %w", err)
 	}
 	return w, nil
 }
 
-// EncodeTask serializes a TaskMsg as one self-describing message (the
-// one-shot framing; see the package comment for when streaming applies).
-// An attached payload is reused verbatim.
+// EncodeTask serializes a TaskMsg as one standalone message (see the package
+// comment for when streams apply). An attached payload is reused verbatim.
 func EncodeTask(m TaskMsg) ([]byte, error) {
 	w, err := m.Wire()
 	if err != nil {
 		return nil, err
 	}
-	return EncodeWire(w)
+	return EncodeWire(w), nil
 }
 
-// DecodeTask deserializes a one-shot TaskMsg, decoding the argument payload
+// DecodeTask deserializes a standalone TaskMsg, decoding the argument payload
 // and leaving it attached for onward hops.
 func DecodeTask(b []byte) (TaskMsg, error) {
 	w, err := DecodeWire(b)
@@ -600,20 +578,22 @@ func DecodeTask(b []byte) (TaskMsg, error) {
 	return w.Task()
 }
 
-// EncodeResult serializes a ResultMsg.
-func EncodeResult(m ResultMsg) ([]byte, error) {
-	buf := getBuf()
-	defer putBuf(buf)
-	if err := gob.NewEncoder(buf).Encode(m); err != nil {
-		return nil, fmt.Errorf("serialize: encode result %d: %w", m.ID, err)
-	}
-	return bytes.Clone(buf.Bytes()), nil
+// EncodeResult frames m as one standalone checksummed message. It cannot
+// fail: a Value that does not encode travels as the task's error result.
+func EncodeResult(m ResultMsg) []byte {
+	size := frameHeaderLen + 4*binary.MaxVarintLen64 + len(m.Err) + len(m.WorkerID)
+	fw := beginFrame(make([]byte, 0, size), frameOneResult, 0)
+	fw.varint(m.ID)
+	fw.result(&m)
+	return sealFrame(fw.b)
 }
 
-// DecodeResult deserializes a ResultMsg.
+// DecodeResult deserializes a standalone ResultMsg.
 func DecodeResult(b []byte) (ResultMsg, error) {
-	var m ResultMsg
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&m); err != nil {
+	_, r := openFrame(b, frameOneResult)
+	m := ResultMsg{ID: r.varint()}
+	r.result(&m, nil)
+	if err := r.end(); err != nil {
 		return ResultMsg{}, fmt.Errorf("serialize: decode result: %w", err)
 	}
 	return m, nil
@@ -664,5 +644,5 @@ func ArgsHash(args []any, kwargs map[string]any) (string, error) {
 		}
 		_, _ = h.Write([]byte{2})
 	}
-	return fmt.Sprintf("%016x", h.Sum64()), nil
+	return digestString(h.Sum64()), nil
 }

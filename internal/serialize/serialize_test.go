@@ -120,11 +120,7 @@ func TestTaskRoundTrip(t *testing.T) {
 
 func TestResultRoundTrip(t *testing.T) {
 	m := ResultMsg{ID: 7, Value: "done", Err: "", WorkerID: "w3"}
-	b, err := EncodeResult(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeResult(b)
+	got, err := DecodeResult(EncodeResult(m))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package serialize
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/gob"
 	"fmt"
@@ -15,8 +16,7 @@ import (
 // a fixed ~10µs+ tax per payload that dwarfs the actual argument bytes for
 // the small-argument tasks the paper's throughput experiments submit
 // (§4.3.1 targets >1000 tasks/s). Since a payload is decoded exactly once,
-// by the worker about to run the task, that tax cannot be amortized the way
-// the per-connection streaming codecs amortize it for wire envelopes.
+// by the worker about to run the task, that tax cannot be amortized.
 //
 // So payloads encode the common argument shapes — nil, bool, integers,
 // floats, strings, byte/str/int/float slices, []any, string-keyed maps —
@@ -60,6 +60,10 @@ func (w *valueWriter) str(s string) {
 	w.uvarint(uint64(len(s)))
 	w.b = append(w.b, s...)
 }
+func (w *valueWriter) bytes(p []byte) {
+	w.uvarint(uint64(len(p)))
+	w.b = append(w.b, p...)
+}
 
 // encodeValue appends one tagged value.
 func (w *valueWriter) encodeValue(v any) error {
@@ -86,8 +90,7 @@ func (w *valueWriter) encodeValue(v any) error {
 		w.str(t)
 	case []byte:
 		w.byte1(vBytes)
-		w.uvarint(uint64(len(t)))
-		w.b = append(w.b, t...)
+		w.bytes(t)
 	case []string:
 		w.byte1(vStrings)
 		w.uvarint(uint64(len(t)))
@@ -116,263 +119,247 @@ func (w *valueWriter) encodeValue(v any) error {
 		}
 	case map[string]any:
 		w.byte1(vMapSA)
-		w.uvarint(uint64(len(t)))
-		keys := make([]string, 0, len(t))
-		for k := range t {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			w.str(k)
-			if err := w.encodeValue(t[k]); err != nil {
-				return err
-			}
-		}
+		return w.sortedMap(t)
 	case map[string]string:
 		w.byte1(vMapSS)
 		w.uvarint(uint64(len(t)))
-		keys := make([]string, 0, len(t))
-		for k := range t {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
+		for _, k := range sortedKeys(t) {
 			w.str(k)
 			w.str(t[k])
 		}
 	default:
 		// Registered user type: a self-contained gob stream, the same
 		// contract (and the same RegisterType requirement) the pure-gob
-		// wire format had.
+		// wire format had. gob needs a *any; taking the address of a copy
+		// made here keeps the parameter itself off the heap for every other
+		// branch.
 		w.byte1(vGob)
 		buf := getBuf()
-		err := gob.NewEncoder(buf).Encode(&v)
+		boxed := v
+		err := gob.NewEncoder(buf).Encode(&boxed)
 		if err != nil {
 			putBuf(buf)
 			return fmt.Errorf("serialize: encode %T: %w", v, err)
 		}
-		w.uvarint(uint64(buf.Len()))
-		w.b = append(w.b, buf.Bytes()...)
+		w.bytes(buf.Bytes())
 		putBuf(buf)
 	}
 	return nil
 }
 
-// valueReader consumes the codec's primitives from a byte slice.
+// sortedMap appends a count and the (key, value) pairs in key order — the
+// canonical form that makes a payload's bytes a function of its contents.
+func (w *valueWriter) sortedMap(m map[string]any) error {
+	w.uvarint(uint64(len(m)))
+	for _, k := range sortedKeys(m) {
+		w.str(k)
+		if err := w.encodeValue(m[k]); err != nil {
+			return fmt.Errorf("key %q: %w", k, err)
+		}
+	}
+	return nil
+}
+
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// valueReader consumes the codec's primitives from a byte slice. The first
+// failure sticks in err and empties the input, so every later read returns a
+// zero value at once: a decoder reads a whole shape and checks err once. Every
+// count is bounded by the bytes that remain, so corrupt input can make a
+// reader neither loop nor allocate out of proportion to its length.
 type valueReader struct {
-	b []byte
+	b   []byte
+	err error
 }
 
 var errShortPayload = fmt.Errorf("serialize: truncated payload")
 
-func (r *valueReader) byte1() (byte, error) {
-	if len(r.b) == 0 {
-		return 0, errShortPayload
+func (r *valueReader) fail(err error) {
+	if r.err == nil {
+		r.err = err
 	}
-	c := r.b[0]
-	r.b = r.b[1:]
-	return c, nil
+	r.b = nil
 }
 
-func (r *valueReader) uvarint() (uint64, error) {
+// end reports the sticky error, or input left over after a complete decode.
+func (r *valueReader) end() error {
+	if r.err == nil && len(r.b) != 0 {
+		return fmt.Errorf("serialize: %d trailing bytes", len(r.b))
+	}
+	return r.err
+}
+
+func (r *valueReader) byte1() byte {
+	raw := r.take(1)
+	if len(raw) == 0 {
+		return 0
+	}
+	return raw[0]
+}
+
+func (r *valueReader) uvarint() uint64 {
 	u, n := binary.Uvarint(r.b)
 	if n <= 0 {
-		return 0, errShortPayload
+		r.fail(errShortPayload)
+		return 0
 	}
 	r.b = r.b[n:]
-	return u, nil
+	return u
 }
 
-func (r *valueReader) varint() (int64, error) {
+func (r *valueReader) varint() int64 {
 	i, n := binary.Varint(r.b)
 	if n <= 0 {
-		return 0, errShortPayload
+		r.fail(errShortPayload)
+		return 0
 	}
 	r.b = r.b[n:]
-	return i, nil
+	return i
 }
 
-func (r *valueReader) take(n uint64) ([]byte, error) {
+func (r *valueReader) take(n uint64) []byte {
 	if uint64(len(r.b)) < n {
-		return nil, errShortPayload
+		r.fail(errShortPayload)
+		return nil
 	}
 	out := r.b[:n]
 	r.b = r.b[n:]
-	return out, nil
+	return out
 }
 
-func (r *valueReader) str() (string, error) {
-	n, err := r.uvarint()
-	if err != nil {
-		return "", err
+// bytes reads a length-prefixed byte string, aliasing the input.
+func (r *valueReader) bytes() []byte { return r.take(r.uvarint()) }
+
+func (r *valueReader) str() string { return string(r.bytes()) }
+
+func (r *valueReader) u64() uint64 {
+	raw := r.take(8)
+	if len(raw) < 8 {
+		return 0
 	}
-	raw, err := r.take(n)
-	if err != nil {
-		return "", err
-	}
-	return string(raw), nil
+	return binary.BigEndian.Uint64(raw)
 }
 
-func (r *valueReader) u64() (uint64, error) {
-	raw, err := r.take(8)
-	if err != nil {
-		return 0, err
+// count reads a collection length, bounding it by the entries the remaining
+// bytes could hold at min bytes each.
+func (r *valueReader) count(min int) int {
+	n := r.uvarint()
+	if n > uint64(len(r.b)/min) {
+		r.fail(errShortPayload)
+		return 0
 	}
-	return binary.BigEndian.Uint64(raw), nil
-}
-
-// count reads a collection length, bounding it by the bytes that remain so
-// corrupt input cannot provoke giant allocations.
-func (r *valueReader) count() (int, error) {
-	n, err := r.uvarint()
-	if err != nil {
-		return 0, err
-	}
-	if n > uint64(len(r.b)) {
-		return 0, errShortPayload
-	}
-	return int(n), nil
+	return int(n)
 }
 
 // decodeValue reads one tagged value. Every decode builds fresh containers,
 // so the result is always a deep copy of what was encoded.
-func (r *valueReader) decodeValue() (any, error) {
-	tag, err := r.byte1()
-	if err != nil {
-		return nil, err
-	}
-	switch tag {
+func (r *valueReader) decodeValue() any {
+	switch tag := r.byte1(); tag {
 	case vNil:
-		return nil, nil
+		return nil
 	case vFalse:
-		return false, nil
+		return false
 	case vTrue:
-		return true, nil
+		return true
 	case vInt:
-		i, err := r.varint()
-		return int(i), err
+		return int(r.varint())
 	case vInt64:
 		return r.varint()
 	case vFloat64:
-		u, err := r.u64()
-		return math.Float64frombits(u), err
+		return math.Float64frombits(r.u64())
 	case vString:
 		return r.str()
 	case vBytes:
-		n, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		raw, err := r.take(n)
-		if err != nil {
-			return nil, err
-		}
-		out := make([]byte, len(raw))
-		copy(out, raw)
-		return out, nil
+		return append([]byte{}, r.bytes()...)
 	case vStrings:
-		n, err := r.count()
-		if err != nil {
-			return nil, err
-		}
-		out := make([]string, n)
+		out := make([]string, r.count(1))
 		for i := range out {
-			if out[i], err = r.str(); err != nil {
-				return nil, err
-			}
+			out[i] = r.str()
 		}
-		return out, nil
+		return out
 	case vInts:
-		n, err := r.count()
-		if err != nil {
-			return nil, err
-		}
-		out := make([]int, n)
+		out := make([]int, r.count(1))
 		for i := range out {
-			v, err := r.varint()
-			if err != nil {
-				return nil, err
-			}
-			out[i] = int(v)
+			out[i] = int(r.varint())
 		}
-		return out, nil
+		return out
 	case vFloat64s:
-		n, err := r.count()
-		if err != nil {
-			return nil, err
-		}
-		out := make([]float64, n)
+		out := make([]float64, r.count(8))
 		for i := range out {
-			u, err := r.u64()
-			if err != nil {
-				return nil, err
-			}
-			out[i] = math.Float64frombits(u)
+			out[i] = math.Float64frombits(r.u64())
 		}
-		return out, nil
+		return out
 	case vList:
-		n, err := r.count()
-		if err != nil {
-			return nil, err
-		}
-		out := make([]any, n)
+		out := make([]any, r.count(1))
 		for i := range out {
-			if out[i], err = r.decodeValue(); err != nil {
-				return nil, err
-			}
+			out[i] = r.decodeValue()
 		}
-		return out, nil
+		return out
 	case vMapSA:
-		n, err := r.count()
-		if err != nil {
-			return nil, err
-		}
+		n := r.count(2)
 		out := make(map[string]any, n)
 		for i := 0; i < n; i++ {
-			k, err := r.str()
-			if err != nil {
-				return nil, err
-			}
-			if out[k], err = r.decodeValue(); err != nil {
-				return nil, err
-			}
+			k := r.str()
+			out[k] = r.decodeValue()
 		}
-		return out, nil
+		return out
 	case vMapSS:
-		n, err := r.count()
-		if err != nil {
-			return nil, err
-		}
+		n := r.count(2)
 		out := make(map[string]string, n)
 		for i := 0; i < n; i++ {
-			k, err := r.str()
-			if err != nil {
-				return nil, err
-			}
-			if out[k], err = r.str(); err != nil {
-				return nil, err
-			}
+			k := r.str()
+			out[k] = r.str()
 		}
-		return out, nil
+		return out
 	case vGob:
-		n, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		raw, err := r.take(n)
-		if err != nil {
-			return nil, err
+		raw := r.bytes()
+		if !gobBounded(raw) {
+			r.fail(errShortPayload)
 		}
 		var v any
-		if err := gob.NewDecoder(newFeed(raw)).Decode(&v); err != nil {
-			return nil, fmt.Errorf("serialize: decode gob value: %w", err)
+		if r.err == nil {
+			if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&v); err != nil {
+				r.fail(fmt.Errorf("serialize: decode gob value: %w", err))
+			}
 		}
-		return v, nil
+		return v
 	default:
-		return nil, fmt.Errorf("serialize: unknown value tag 0x%02x", tag)
+		r.fail(fmt.Errorf("serialize: unknown value tag 0x%02x", tag))
+		return nil
 	}
 }
 
-// newFeed wraps raw bytes in a reader implementing io.ByteReader so gob
-// does not add its own bufio layer.
-func newFeed(raw []byte) *frameFeed { return &frameFeed{b: raw} }
+// gobBounded reports whether every message of the gob stream in raw claims
+// no more bytes than raw holds. gob trusts a message's length prefix enough to
+// allocate up to 10 MiB for it before reading a byte, so an embedded value is
+// checked first: corrupt input must not provoke an allocation out of
+// proportion to its size. (A gob stream is a sequence of length-prefixed
+// messages; a length is one byte below 0x80, or a negated byte count followed
+// by that many big-endian bytes.)
+func gobBounded(raw []byte) bool {
+	for len(raw) > 0 {
+		n, width := uint64(raw[0]), 1
+		if raw[0] >= 0x80 {
+			width += 256 - int(raw[0]) // the byte is the negated count
+			if width > 9 || width > len(raw) {
+				return false
+			}
+			n = 0
+			for _, c := range raw[1:width] {
+				n = n<<8 | uint64(c)
+			}
+		}
+		if n > uint64(len(raw)-width) {
+			return false
+		}
+		raw = raw[width+int(n):]
+	}
+	return true
+}

@@ -23,8 +23,14 @@ func runGraph(o options) error {
 	}
 	fmt.Printf("drained %d-node DAG (%d chains × window %d, %d edges) in %.0f ms — %.0f tasks/s\n",
 		res.Nodes, res.Chains, res.Window, res.Edges, res.MakespanMs, res.TasksPerSec)
-	fmt.Printf("peak RSS %.1f MiB (%.1f B/task over a %d MiB base)  live frontier max %d  recycled %d  allocs/task %.1f\n",
-		float64(res.PeakRSSBytes)/(1<<20), res.RSSPerTask, o.rssBaseMB,
+	// RunGraph works out a per-task figure only when the peak is above the base
+	// allowance (the default 256 MiB is above a million-node run's whole peak).
+	perTask := ""
+	if res.RSSPerTask > 0 {
+		perTask = fmt.Sprintf(" (%.1f B/task over a %d MiB base)", res.RSSPerTask, o.rssBaseMB)
+	}
+	fmt.Printf("peak RSS %.1f MiB%s  live frontier max %d  recycled %d  allocs/task %.1f\n",
+		float64(res.PeakRSSBytes)/(1<<20), perTask,
 		res.LiveNodesMax, res.RecycledNodes, res.AllocsPerTask)
 	if res.RecycledNodes != int64(res.Nodes) {
 		return fmt.Errorf("recycled %d of %d records — graph reclamation leaked", res.RecycledNodes, res.Nodes)

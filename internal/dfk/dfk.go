@@ -630,27 +630,33 @@ func (d *DFK) submit(ctx context.Context, a *App, args []any, kwargs map[string]
 	}
 
 	rec.SetPendingDeps(len(deps))
+	var buf [16]int64 // a wider fan-in spills to the heap
+	parents := buf[:0]
 	for _, dep := range deps {
 		if dep.TaskID >= 0 {
-			_ = d.graph.AddEdge(dep.TaskID, id)
+			parents = append(parents, dep.TaskID)
 		}
-		dep := dep
-		dep.AddDoneCallback(func(df *future.Future) {
-			// Edge callbacks can fire long after the task concluded on
-			// another path (dependency failure, cancellation); the
-			// generation check drops them once the record has moved on.
-			if !rec.Enter(gen) {
-				return
-			}
-			defer rec.Exit()
-			if err := df.Err(); err != nil {
-				d.failTask(rec, &DependencyError{TaskID: id, DepID: dep.TaskID, Err: err})
-				return
-			}
-			if n, st := rec.DepResolved(); n == 0 && st == task.Pending {
-				d.launch(rec, gen, a)
-			}
-		})
+	}
+	d.graph.AddEdges(id, parents)
+	// One callback serves every edge: it is handed the dependency it fires for.
+	onDep := func(df *future.Future) {
+		// Edge callbacks can fire long after the task concluded on
+		// another path (dependency failure, cancellation); the
+		// generation check drops them once the record has moved on.
+		if !rec.Enter(gen) {
+			return
+		}
+		defer rec.Exit()
+		if err := df.Err(); err != nil {
+			d.failTask(rec, &DependencyError{TaskID: id, DepID: df.TaskID, Err: err})
+			return
+		}
+		if n, st := rec.DepResolved(); n == 0 && st == task.Pending {
+			d.launch(rec, gen, a)
+		}
+	}
+	for _, dep := range deps {
+		dep.AddDoneCallback(onDep)
 	}
 	return fut
 }
@@ -1153,28 +1159,39 @@ func (d *DFK) Shutdown() error {
 	return first
 }
 
-// collectFutures finds futures anywhere in the argument lists, including
+// eachFuture calls fn on the futures anywhere in the argument lists, including
 // inside []any slices (one level, matching Parsl's treatment of list args).
-func collectFutures(args []any, kwargs map[string]any) []*future.Future {
-	var out []*future.Future
-	add := func(v any) {
+func eachFuture(args []any, kwargs map[string]any, fn func(*future.Future)) {
+	visit := func(v any) {
 		switch t := v.(type) {
 		case *future.Future:
-			out = append(out, t)
+			fn(t)
 		case []any:
 			for _, e := range t {
 				if f, ok := e.(*future.Future); ok {
-					out = append(out, f)
+					fn(f)
 				}
 			}
 		}
 	}
 	for _, a := range args {
-		add(a)
+		visit(a)
 	}
 	for _, v := range kwargs {
-		add(v)
+		visit(v)
 	}
+}
+
+// collectFutures lists the futures eachFuture finds: counted first, so the
+// list is allocated once (nil when there are none).
+func collectFutures(args []any, kwargs map[string]any) []*future.Future {
+	n := 0
+	eachFuture(args, kwargs, func(*future.Future) { n++ })
+	if n == 0 {
+		return nil
+	}
+	out := make([]*future.Future, 0, n)
+	eachFuture(args, kwargs, func(f *future.Future) { out = append(out, f) })
 	return out
 }
 
@@ -1215,34 +1232,8 @@ func collectFiles(args []any, kwargs map[string]any) []*data.File {
 // encode-once payload, not the arg slice, is what isolates executors from
 // the submitting program.
 func resolveArgs(args []any, kwargs map[string]any) ([]any, map[string]any) {
-	hasFuture := func(v any) bool {
-		switch t := v.(type) {
-		case *future.Future:
-			return true
-		case []any:
-			for _, e := range t {
-				if _, ok := e.(*future.Future); ok {
-					return true
-				}
-			}
-		}
-		return false
-	}
 	dirty := false
-	for _, a := range args {
-		if hasFuture(a) {
-			dirty = true
-			break
-		}
-	}
-	if !dirty {
-		for _, v := range kwargs {
-			if hasFuture(v) {
-				dirty = true
-				break
-			}
-		}
-	}
+	eachFuture(args, kwargs, func(*future.Future) { dirty = true })
 	if !dirty {
 		return args, kwargs
 	}

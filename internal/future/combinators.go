@@ -43,20 +43,22 @@ func All(futs ...*Future) *Future {
 		return out
 	}
 	var done atomic.Int64
+	// One callback for every input: it is handed the future it fires for.
+	onDone := func(g *Future) {
+		if err := g.Err(); err != nil {
+			_ = out.SetError(err) // first error wins; later completions no-op
+			return
+		}
+		if done.Add(1) == int64(len(futs)) {
+			vals := make([]any, len(futs))
+			for i, ff := range futs {
+				vals[i] = ff.Value()
+			}
+			_ = out.SetResult(vals)
+		}
+	}
 	for _, f := range futs {
-		f.AddDoneCallback(func(g *Future) {
-			if err := g.Err(); err != nil {
-				_ = out.SetError(err) // first error wins; later completions no-op
-				return
-			}
-			if done.Add(1) == int64(len(futs)) {
-				vals := make([]any, len(futs))
-				for i, ff := range futs {
-					vals[i] = ff.Value()
-				}
-				_ = out.SetResult(vals)
-			}
-		})
+		f.AddDoneCallback(onDone)
 	}
 	return out
 }
@@ -72,13 +74,14 @@ func AsCompleted(futs ...*Future) <-chan *Future {
 		return ch
 	}
 	var done atomic.Int64
+	onDone := func(g *Future) {
+		ch <- g
+		if done.Add(1) == int64(len(futs)) {
+			close(ch)
+		}
+	}
 	for _, f := range futs {
-		f.AddDoneCallback(func(g *Future) {
-			ch <- g
-			if done.Add(1) == int64(len(futs)) {
-				close(ch)
-			}
-		})
+		f.AddDoneCallback(onDone)
 	}
 	return ch
 }

@@ -9,7 +9,7 @@ import (
 // NumShards is the fixed shard count of the graph. Power of two so the
 // shard index is a mask of the task id; ids are dense (NextID), so the
 // round-robin id→shard mapping keeps shards balanced.
-const NumShards = 32
+const NumShards = 1 << shardBits
 
 // Graph is the dynamic task dependency DAG held by the DataFlowKernel
 // (§3.4). Nodes are task records; a directed edge u→v means v consumes u's
@@ -17,22 +17,56 @@ const NumShards = 32
 // submits apps, and execution begins as soon as the first ready task exists.
 //
 // State is sharded N ways by task id with per-shard locks, so concurrent
-// submissions from many goroutines do not contend on a single mutex: a
-// node's record, its dependency list, and its dependents list all live in
-// shard(id), and only AddEdge ever takes two shard locks (in index order).
+// submissions from many goroutines do not contend on a single mutex. Nothing
+// is hashed: ids are dense integers the graph issues itself (NextID), so a
+// shard finds a node by indexing a paged window with id >> shardBits, and a
+// node's two edge lists hang off its Record, guarded by its shard's lock.
 type Graph struct {
 	nextID atomic.Int64
 	shards [NumShards]graphShard
 }
 
-// graphShard holds the nodes whose id maps to this shard, plus the edge
-// lists keyed by those ids: deps[v] = ids v waits on; dependents[u] = ids
-// waiting on u.
+// Window geometry. There are 1 << shardBits = 32 shards, and id >> shardBits
+// numbers a shard's own ids 0, 1, 2… A page is 4 KiB of slots and spans 16 384
+// consecutive ids; a shard keeps at most maxFreePages emptied pages for reuse
+// (a 100 k-node burst drains and refills without allocating).
+const (
+	shardBits    = 5
+	pageBits     = 9
+	pageSize     = 1 << pageBits
+	maxFreePages = 8
+)
+
+// pageOf and slotOf split an id into its shard's page number (negative for a
+// negative id, so no window holds it) and the slot in that page.
+func pageOf(id int64) int64 { return id >> (shardBits + pageBits) }
+func slotOf(id int64) int   { return int(id>>shardBits) & (pageSize - 1) }
+
+// page is one run of a shard's window; slots[k] is nil where the id is not
+// resident (not added yet, retired, or drawn by NextID and never added).
+type page struct {
+	live  int // occupied slots
+	slots [pageSize]*Record
+}
+
+// graphShard holds the nodes whose id maps to this shard in a window of pages:
+// dir[i] is page base+i, nil where no node of that page is resident; dir is
+// empty or dir[0] != nil. Life cycle of a page: Add takes one (off the free
+// list, else from the heap) for the first node of its span; the Retire that
+// empties it puts it back, and if it was the head page the directory slides
+// past it and the empty pages behind it. So the directory spans from the
+// oldest resident node to the newest page touched: a straggler pins its own
+// page plus 8 B per page of span behind it, and a shard with no nodes has an
+// empty directory (which keeps its storage, as the free list keeps pages).
+// The lock is a plain Mutex: a critical section is a few loads and stores and
+// no hot path only reads.
 type graphShard struct {
-	mu         sync.RWMutex
-	tasks      map[int64]*Record
-	deps       map[int64][]int64
-	dependents map[int64][]int64
+	mu    sync.Mutex
+	base  int64
+	dir   []*page
+	live  int // resident nodes
+	free  [maxFreePages]*page
+	nfree int
 
 	// Cumulative counts of records pruned from this shard, by terminal
 	// state, so state tallies (CountByState, Summary) stay correct after
@@ -40,49 +74,75 @@ type graphShard struct {
 	prunedDone     int64
 	prunedFailed   int64
 	prunedMemoized int64
-
-	// free is a bounded freelist of edge-list slices recovered from pruned
-	// nodes; AddEdge pops it before allocating. Slices recycle within their
-	// shard, so no cross-shard lock traffic.
-	free [][]int64
 }
 
-// maxFreeSlices bounds each shard's edge-slice freelist; beyond this the
-// slices go back to the garbage collector.
-const maxFreeSlices = 128
+// edgeLists are a node's adjacency lists (deps = ids it waits on, dependents =
+// ids waiting on it), kept behind Record.edges and guarded by the lock of the
+// shard holding the record, not by the record's mutex. Retiring the node
+// truncates them; their storage stays with the record for its next occupant.
+// Each list starts in one word of first, so a node with one parent and one
+// child costs one allocation and one cache line.
+type edgeLists struct {
+	deps, dependents []int64
+	first            [2]int64
+}
 
-// getFreeLocked pops a recycled edge slice (len 0) or returns nil.
-func (s *graphShard) getFreeLocked() []int64 {
-	if n := len(s.free); n > 0 {
-		sl := s.free[n-1]
-		s.free[n-1] = nil
-		s.free = s.free[:n-1]
-		return sl
+// edgeLists returns r's lists, allocating them on a record's first edge.
+func (r *Record) edgeLists() *edgeLists {
+	if r.edges == nil {
+		e := new(edgeLists)
+		e.deps, e.dependents = e.first[0:0:1], e.first[1:1:2]
+		r.edges = e
+	}
+	return r.edges
+}
+
+// NewGraph returns an empty task graph.
+func NewGraph() *Graph { return &Graph{} }
+
+func (g *Graph) shard(id int64) *graphShard {
+	return &g.shards[uint64(id)&(NumShards-1)]
+}
+
+// locate returns the page holding id and id's slot in it; the page is nil when
+// id lies outside the directory or on an empty page. Called with s.mu held.
+func (s *graphShard) locate(id int64) (*page, int) {
+	if i := pageOf(id) - s.base; uint64(i) < uint64(len(s.dir)) {
+		return s.dir[i], slotOf(id)
+	}
+	return nil, 0
+}
+
+// get returns the resident record for id, or nil. Called with s.mu held.
+func (s *graphShard) get(id int64) *Record {
+	if p, k := s.locate(id); p != nil {
+		return p.slots[k]
 	}
 	return nil
 }
 
-// putFreeLocked returns an edge slice to the freelist if there is room.
-func (s *graphShard) putFreeLocked(sl []int64) {
-	if cap(sl) > 0 && len(s.free) < maxFreeSlices {
-		s.free = append(s.free, sl[:0])
+// each calls fn on every resident record. Called with s.mu held.
+func (s *graphShard) each(fn func(*Record)) {
+	for _, p := range s.dir {
+		if p == nil {
+			continue
+		}
+		for _, r := range &p.slots {
+			if r != nil {
+				fn(r)
+			}
+		}
 	}
 }
 
-// NewGraph returns an empty task graph.
-func NewGraph() *Graph {
-	g := &Graph{}
+// sweep calls fn on every shard in turn, under that shard's lock.
+func (g *Graph) sweep(fn func(i int, s *graphShard)) {
 	for i := range g.shards {
 		s := &g.shards[i]
-		s.tasks = make(map[int64]*Record)
-		s.deps = make(map[int64][]int64)
-		s.dependents = make(map[int64][]int64)
+		s.mu.Lock()
+		fn(i, s)
+		s.mu.Unlock()
 	}
-	return g
-}
-
-func (g *Graph) shard(id int64) *graphShard {
-	return &g.shards[uint64(id)&(NumShards-1)]
 }
 
 // NextID reserves and returns a fresh task id.
@@ -90,17 +150,49 @@ func (g *Graph) NextID() int64 {
 	return g.nextID.Add(1) - 1
 }
 
-// Add inserts a record. It panics if the id is already present — ids are
-// reserved through NextID, so a duplicate means engine corruption.
+// Add inserts a record. The id must come from this graph's NextID: the window
+// indexes by id, so a shard's directory costs 8 B per 16 384 ids between its
+// oldest resident node and its newest. Ids may be added in any order
+// (goroutines race from NextID to Add) or never (retry wire ids). Add panics
+// on a negative id, which the window cannot index, and on an id already
+// present — either means engine corruption.
 func (g *Graph) Add(r *Record) {
+	if r.ID < 0 {
+		panic(fmt.Sprintf("task graph: negative id %d", r.ID))
+	}
 	s := g.shard(r.ID)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	n := len(s.tasks)
-	s.tasks[r.ID] = r
-	if len(s.tasks) == n { // one map operation instead of lookup + insert
+	pn := pageOf(r.ID)
+	if len(s.dir) == 0 {
+		s.base = pn
+	}
+	if pn < s.base {
+		// Reserved before the head slid on, added only now: grow backwards.
+		grown := make([]*page, int(s.base-pn)+len(s.dir))
+		copy(grown[s.base-pn:], s.dir)
+		s.dir, s.base = grown, pn
+	}
+	for int64(len(s.dir)) <= pn-s.base {
+		s.dir = append(s.dir, nil)
+	}
+	p := s.dir[pn-s.base]
+	if p == nil {
+		if s.nfree > 0 {
+			s.nfree--
+			p, s.free[s.nfree] = s.free[s.nfree], nil
+		} else {
+			p = new(page)
+		}
+		s.dir[pn-s.base] = p
+	}
+	slot := &p.slots[slotOf(r.ID)]
+	if *slot != nil {
 		panic(fmt.Sprintf("task graph: duplicate id %d", r.ID))
 	}
+	*slot = r
+	p.live++
+	s.live++
 }
 
 // AddEdge records that task to depends on task from. Unknown endpoints are
@@ -127,23 +219,52 @@ func (g *Graph) AddEdge(from, to int64) error {
 		second.mu.Lock()
 		defer second.mu.Unlock()
 	}
-	if _, ok := sf.tasks[from]; !ok {
+	rf, rt := sf.get(from), st.get(to)
+	if rf == nil {
 		return fmt.Errorf("task graph: edge from unknown task %d", from)
 	}
-	if _, ok := st.tasks[to]; !ok {
+	if rt == nil {
 		return fmt.Errorf("task graph: edge to unknown task %d", to)
 	}
-	dl, ok := st.deps[to]
-	if !ok {
-		dl = st.getFreeLocked()
-	}
-	st.deps[to] = append(dl, from)
-	rl, ok := sf.dependents[from]
-	if !ok {
-		rl = sf.getFreeLocked()
-	}
-	sf.dependents[from] = append(rl, to)
+	et, ef := rt.edgeLists(), rf.edgeLists()
+	et.deps = append(et.deps, from)
+	ef.dependents = append(ef.dependents, to)
 	return nil
+}
+
+// AddEdges is AddEdge for a whole parent set (which it neither keeps nor
+// modifies) at one lock acquisition per parent plus one for to, never two at
+// once: each parent still resident gets to appended to its dependents under
+// its own shard's lock; then to, if resident, gets those parents appended to
+// its deps. Parents already retired, and to itself, are skipped. What it gives
+// up is AddEdge's every-instant mirror: mid-call a parent's Dependents names
+// to before Deps(to) names the parent, and if to retires mid-call (a
+// cancellation racing Submit) its parents keep naming it, as they do any
+// dependent that retires before them. After it returns the two views are
+// mirror images over the nodes still resident.
+func (g *Graph) AddEdges(to int64, parents []int64) {
+	var buf [16]int64 // a wider fan-in spills to the heap
+	resident := buf[:0]
+	for _, from := range parents {
+		if from == to {
+			continue
+		}
+		s := g.shard(from)
+		s.mu.Lock()
+		if r := s.get(from); r != nil {
+			e := r.edgeLists()
+			e.dependents = append(e.dependents, to)
+			resident = append(resident, from)
+		}
+		s.mu.Unlock()
+	}
+	s := g.shard(to)
+	s.mu.Lock()
+	if r := s.get(to); r != nil && len(resident) > 0 {
+		e := r.edgeLists()
+		e.deps = append(e.deps, resident...)
+	}
+	s.mu.Unlock()
 }
 
 // Retire prunes a terminal record whose state the caller has not already
@@ -152,25 +273,21 @@ func (g *Graph) Retire(r *Record) int64 { return g.RetireAs(r, r.State()) }
 
 // RetireAs prunes a record that concluded in state st (the caller's Finish
 // decided it, so the record is not locked again to ask) from its shard —
-// removing the node and its edge lists, folding st into the shard's pruned
-// tallies — and then marks the record itself retired so it can be recycled
-// once the last in-flight hold drops (see Record.Enter/Exit). After RetireAs,
+// emptying its slot and its edge lists, folding st into the shard's pruned
+// tallies, recycling its page if that was the page's last node — and then
+// marks the record itself retired so it can be recycled once the last
+// in-flight hold drops (see Record.Enter/Exit). After RetireAs,
 // Get(id) returns nil; the task's result lives on in its AppFuture, which
 // dependents and the submitting program hold directly. Returns the shard's
 // cumulative pruned count, so callers can rate-limit reclamation telemetry.
 func (g *Graph) RetireAs(r *Record, st State) int64 {
 	s := g.shard(r.ID)
 	s.mu.Lock()
-	n := len(s.tasks)
-	delete(s.tasks, r.ID)
-	if len(s.tasks) < n { // one map operation instead of lookup + delete
-		if d, ok := s.deps[r.ID]; ok {
-			delete(s.deps, r.ID)
-			s.putFreeLocked(d)
-		}
-		if d, ok := s.dependents[r.ID]; ok {
-			delete(s.dependents, r.ID)
-			s.putFreeLocked(d)
+	if p, k := s.locate(r.ID); p != nil && p.slots[k] == r {
+		p.slots[k] = nil
+		s.live--
+		if e := r.edges; e != nil {
+			e.deps, e.dependents = e.deps[:0], e.dependents[:0]
 		}
 		switch st {
 		case Done:
@@ -180,11 +297,37 @@ func (g *Graph) RetireAs(r *Record, st State) int64 {
 		case Memoized:
 			s.prunedMemoized++
 		}
+		if p.live--; p.live == 0 {
+			s.releasePage(pageOf(r.ID) - s.base)
+		}
 	}
 	pruned := s.prunedDone + s.prunedFailed + s.prunedMemoized
 	s.mu.Unlock()
 	r.Retire()
 	return pruned
+}
+
+// releasePage takes the emptied page at dir[i] out of the window, keeps it if
+// the free list has room, and restores the head invariant. The directory is
+// copied down, not resliced, so that it keeps its storage: a shard whose live
+// set keeps falling to zero would otherwise regrow it for every task.
+func (s *graphShard) releasePage(i int64) {
+	if s.nfree < maxFreePages {
+		s.free[s.nfree] = s.dir[i]
+		s.nfree++
+	}
+	s.dir[i] = nil
+	if i != 0 {
+		return
+	}
+	k := 1
+	for k < len(s.dir) && s.dir[k] == nil {
+		k++
+	}
+	n := copy(s.dir, s.dir[k:])
+	clear(s.dir[n:])
+	s.dir = s.dir[:n]
+	s.base += int64(k)
 }
 
 // LiveNodes returns the number of records currently resident in the graph
@@ -194,45 +337,34 @@ func (g *Graph) LiveNodes() int { return g.Len() }
 // RecycledNodes returns the cumulative number of records pruned from the
 // graph since creation. LiveNodes()+RecycledNodes() equals the total number
 // of tasks ever added (when record retention is off).
-func (g *Graph) RecycledNodes() int64 {
-	var n int64
-	for i := range g.shards {
-		s := &g.shards[i]
-		s.mu.RLock()
-		n += s.prunedDone + s.prunedFailed + s.prunedMemoized
-		s.mu.RUnlock()
-	}
+func (g *Graph) RecycledNodes() (n int64) {
+	g.sweep(func(_ int, s *graphShard) { n += s.prunedDone + s.prunedFailed + s.prunedMemoized })
 	return n
 }
 
 // ShardPruned returns the cumulative pruned count for one shard (monitoring).
 func (g *Graph) ShardPruned(shard int) int64 {
 	s := &g.shards[shard&(NumShards-1)]
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	return s.prunedDone + s.prunedFailed + s.prunedMemoized
 }
 
 // Shard returns the shard index for a task id.
 func Shard(id int64) int { return int(uint64(id) & (NumShards - 1)) }
 
-// Get returns the record for id, or nil.
+// Get returns the record for id, or nil (negative, retired and never-added
+// ids included: no lookup grows the window).
 func (g *Graph) Get(id int64) *Record {
 	s := g.shard(id)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.tasks[id]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.get(id)
 }
 
 // Len returns the number of tasks.
-func (g *Graph) Len() int {
-	n := 0
-	for i := range g.shards {
-		s := &g.shards[i]
-		s.mu.RLock()
-		n += len(s.tasks)
-		s.mu.RUnlock()
-	}
+func (g *Graph) Len() (n int) {
+	g.sweep(func(_ int, s *graphShard) { n += s.live })
 	return n
 }
 
@@ -240,47 +372,46 @@ func (g *Graph) Len() int {
 // always equals Len. Exposed for balance checks in tests and monitoring.
 func (g *Graph) ShardCounts() []int {
 	out := make([]int, NumShards)
-	for i := range g.shards {
-		s := &g.shards[i]
-		s.mu.RLock()
-		out[i] = len(s.tasks)
-		s.mu.RUnlock()
-	}
+	g.sweep(func(i int, s *graphShard) { out[i] = s.live })
 	return out
 }
 
 // EdgeCount returns the number of dependency edges.
-func (g *Graph) EdgeCount() int {
-	n := 0
-	for i := range g.shards {
-		s := &g.shards[i]
-		s.mu.RLock()
-		for _, d := range s.deps {
-			n += len(d)
-		}
-		s.mu.RUnlock()
-	}
+func (g *Graph) EdgeCount() (n int) {
+	g.sweep(func(_ int, s *graphShard) {
+		s.each(func(r *Record) {
+			if r.edges != nil {
+				n += len(r.edges.deps)
+			}
+		})
+	})
 	return n
 }
 
-// Deps returns a copy of the ids task id depends on.
+// Deps returns a copy of the ids task id depends on (empty when id is not
+// resident).
 func (g *Graph) Deps(id int64) []int64 {
-	s := g.shard(id)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]int64, len(s.deps[id]))
-	copy(out, s.deps[id])
-	return out
+	deps, _ := g.edgesOf(id)
+	return deps
 }
 
-// Dependents returns a copy of the ids that depend on task id.
+// Dependents returns a copy of the ids that depend on task id (empty when id
+// is not resident).
 func (g *Graph) Dependents(id int64) []int64 {
+	_, dependents := g.edgesOf(id)
+	return dependents
+}
+
+// edgesOf copies both of id's edge lists.
+func (g *Graph) edgesOf(id int64) (deps, dependents []int64) {
 	s := g.shard(id)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]int64, len(s.dependents[id]))
-	copy(out, s.dependents[id])
-	return out
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	deps, dependents = []int64{}, []int64{}
+	if r := s.get(id); r != nil && r.edges != nil {
+		deps, dependents = append(deps, r.edges.deps...), append(dependents, r.edges.dependents...)
+	}
+	return deps, dependents
 }
 
 // Tasks returns a snapshot of all records (unordered). The snapshot is
@@ -288,19 +419,14 @@ func (g *Graph) Dependents(id int64) []int64 {
 // or may not appear.
 func (g *Graph) Tasks() []*Record {
 	var out []*Record
-	for i := range g.shards {
-		s := &g.shards[i]
-		s.mu.RLock()
+	g.sweep(func(_ int, s *graphShard) {
 		if out == nil {
 			// Dense ids spread uniformly; the first shard's size estimates
 			// the total without a second full lock sweep.
-			out = make([]*Record, 0, len(s.tasks)*NumShards)
+			out = make([]*Record, 0, s.live*NumShards)
 		}
-		for _, r := range s.tasks {
-			out = append(out, r)
-		}
-		s.mu.RUnlock()
-	}
+		s.each(func(r *Record) { out = append(out, r) })
+	})
 	return out
 }
 
@@ -310,17 +436,12 @@ func (g *Graph) Tasks() []*Record {
 // elasticity strategy to measure workload pressure and by monitoring.
 func (g *Graph) CountByState() map[State]int {
 	counts := make(map[State]int)
-	for i := range g.shards {
-		s := &g.shards[i]
-		s.mu.RLock()
-		for _, r := range s.tasks {
-			counts[r.State()]++
-		}
+	g.sweep(func(_ int, s *graphShard) {
+		s.each(func(r *Record) { counts[r.State()]++ })
 		counts[Done] += int(s.prunedDone)
 		counts[Failed] += int(s.prunedFailed)
 		counts[Memoized] += int(s.prunedMemoized)
-		s.mu.RUnlock()
-	}
+	})
 	for st, n := range counts {
 		if n == 0 {
 			delete(counts, st)
@@ -330,17 +451,13 @@ func (g *Graph) CountByState() map[State]int {
 }
 
 // Outstanding returns the number of tasks not yet in a terminal state.
-func (g *Graph) Outstanding() int {
-	n := 0
-	for i := range g.shards {
-		s := &g.shards[i]
-		s.mu.RLock()
-		for _, r := range s.tasks {
+func (g *Graph) Outstanding() (n int) {
+	g.sweep(func(_ int, s *graphShard) {
+		s.each(func(r *Record) {
 			if !r.State().Terminal() {
 				n++
 			}
-		}
-		s.mu.RUnlock()
-	}
+		})
+	})
 	return n
 }

@@ -124,7 +124,6 @@ type Record struct {
 	Options
 
 	mu          sync.Mutex
-	state       State
 	attempts    int
 	executor    string // label of the executor the task was launched on
 	memoKey     string
@@ -163,7 +162,13 @@ type Record struct {
 	// when nobody is inside) resets the record and returns it to the pool.
 	gen     uint32
 	holds   int32
+	state   State // the lifecycle state; here it shares a word with retired
 	retired bool
+
+	// edges are the graph's: guarded by its shard lock, not mu, and kept across
+	// recycling (see edgeLists). They take the word state used to pad out, so
+	// sizeof(Record) stays on its 480-byte size class.
+	edges *edgeLists
 
 	// walKey is the task's durable key in the write-ahead log (0 = not
 	// logged). Recovery dedups by it: a replayed task keeps its pre-crash

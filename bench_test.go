@@ -1,14 +1,12 @@
-// Benchmarks regenerating the paper's tables and figures (one target per
-// experiment; see DESIGN.md §3 for the index and EXPERIMENTS.md for
-// paper-vs-measured numbers):
+// Ablation benchmarks for the paper's design choices and the submit-path
+// micro-benchmarks. The paper's tables and figures have one driver each,
+// `parsl-bench latency|strong|weak|throughput|maxworkers|elasticity` (README.md,
+// "Reproducing the paper's figures"); nothing here repeats them.
 //
-//	BenchmarkFig3Latency        — Fig. 3 single-task latency per executor
-//	BenchmarkFig4Strong         — Fig. 4 (top) strong-scaling points (DES)
-//	BenchmarkFig4Weak           — Fig. 4 (bottom) weak-scaling points (DES)
-//	BenchmarkTable2Throughput   — Table 2 tasks/s per framework (DES)
-//	BenchmarkTable2MaxWorkers   — Table 2 max-workers probe (DES)
-//	BenchmarkFig6Elasticity     — Fig. 6 utilization/makespan, both arms
-//	BenchmarkAblation*          — design-choice ablations from DESIGN.md §5
+//	BenchmarkAblation*                — batching, relay, selection, memoization,
+//	                                    parallelism, DFK scheduler policy
+//	BenchmarkDFKSubmission[Parallel]  — the submit path, serial and contended
+//	BenchmarkWALSubmission            — the same path with the durable log off/on
 package parsl_test
 
 import (
@@ -18,14 +16,11 @@ import (
 
 	"repro"
 
-	"repro/internal/baselines"
 	"repro/internal/executor"
-	"repro/internal/executor/exex"
 	"repro/internal/executor/htex"
 	"repro/internal/executor/llex"
 	"repro/internal/executor/threadpool"
 	"repro/internal/provider"
-	"repro/internal/scalesim"
 	"repro/internal/serialize"
 	"repro/internal/simnet"
 	"repro/internal/workload"
@@ -41,7 +36,8 @@ func benchRegistry(b *testing.B) *serialize.Registry {
 	return reg
 }
 
-// latencyLoop measures sequential no-op round trips — the Fig. 3 metric.
+// latencyLoop measures sequential no-op round trips: ns/op is the single-task
+// latency.
 func latencyLoop(b *testing.B, ex executor.Executor) {
 	b.Helper()
 	if err := ex.Start(); err != nil {
@@ -63,136 +59,6 @@ func latencyLoop(b *testing.B, ex executor.Executor) {
 		if _, err := ex.Submit(serialize.TaskMsg{ID: int64(i), App: "noop"}).Result(); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkFig3Latency reproduces Fig. 3: ns/op is the single-task latency.
-func BenchmarkFig3Latency(b *testing.B) {
-	b.Run("threadpool", func(b *testing.B) {
-		latencyLoop(b, threadpool.New("tp", 1, benchRegistry(b)))
-	})
-	b.Run("llex", func(b *testing.B) {
-		latencyLoop(b, llex.New(llex.Config{
-			Label: "llex", Transport: simnet.Midway(), Registry: benchRegistry(b), Workers: 1,
-		}))
-	})
-	b.Run("htex", func(b *testing.B) {
-		latencyLoop(b, htex.New(htex.Config{
-			Label: "htex", Transport: simnet.Midway(), Registry: benchRegistry(b),
-			Provider:   provider.NewLocal(provider.Config{NodesPerBlock: 1}),
-			InitBlocks: 1, Manager: htex.ManagerConfig{Workers: 1},
-		}))
-	})
-	b.Run("exex", func(b *testing.B) {
-		latencyLoop(b, exex.New(exex.Config{
-			Label: "exex", Transport: simnet.Midway(), Registry: benchRegistry(b),
-			Provider:   provider.NewLocal(provider.Config{NodesPerBlock: 1}),
-			InitBlocks: 1, Pool: exex.PoolConfig{Ranks: 2},
-		}))
-	})
-	b.Run("ipp", func(b *testing.B) {
-		latencyLoop(b, baselines.NewIPP(1, benchRegistry(b)))
-	})
-	b.Run("dask", func(b *testing.B) {
-		latencyLoop(b, baselines.NewDask(1, benchRegistry(b)))
-	})
-}
-
-// BenchmarkFig4Strong reproduces representative Fig. 4 (top) points on the
-// DES; the reported "paperSeconds" metric is the virtual-time makespan.
-func BenchmarkFig4Strong(b *testing.B) {
-	for _, p := range scalesim.All() {
-		for _, workers := range []int{512, 8192} {
-			if p.MaxWorkers > 0 && workers > p.MaxWorkers {
-				continue
-			}
-			tasks := 50000
-			if p.Name == "fireworks" {
-				tasks = 5000
-			}
-			b.Run(fmt.Sprintf("%s/w%d", p.Name, workers), func(b *testing.B) {
-				var last scalesim.Result
-				for i := 0; i < b.N; i++ {
-					last = scalesim.Run(p, tasks, 0, workers)
-				}
-				b.ReportMetric(last.Makespan.Seconds(), "paperSeconds")
-				b.ReportMetric(last.Rate, "tasks/s")
-			})
-		}
-	}
-}
-
-// BenchmarkFig4Weak reproduces representative Fig. 4 (bottom) points.
-func BenchmarkFig4Weak(b *testing.B) {
-	for _, p := range scalesim.All() {
-		for _, workers := range []int{64, 1024} {
-			if p.MaxWorkers > 0 && workers > p.MaxWorkers {
-				continue
-			}
-			b.Run(fmt.Sprintf("%s/w%d", p.Name, workers), func(b *testing.B) {
-				var last scalesim.Result
-				for i := 0; i < b.N; i++ {
-					last = scalesim.Run(p, 10*workers, time.Second, workers)
-				}
-				b.ReportMetric(last.Makespan.Seconds(), "paperSeconds")
-			})
-		}
-	}
-}
-
-// BenchmarkTable2Throughput reproduces the Table 2 tasks/second column.
-func BenchmarkTable2Throughput(b *testing.B) {
-	for _, p := range scalesim.All() {
-		b.Run(p.Name, func(b *testing.B) {
-			var last scalesim.Result
-			for i := 0; i < b.N; i++ {
-				last = scalesim.Throughput(p, 256)
-			}
-			b.ReportMetric(last.Rate, "tasks/s")
-		})
-	}
-}
-
-// BenchmarkTable2MaxWorkers reproduces the Table 2 max-workers columns.
-func BenchmarkTable2MaxWorkers(b *testing.B) {
-	for _, p := range scalesim.All() {
-		b.Run(p.Name, func(b *testing.B) {
-			alloc := 2048
-			if p.Name == "parsl-exex" {
-				alloc = 8192
-			}
-			var last scalesim.ProbeResult
-			for i := 0; i < b.N; i++ {
-				last = scalesim.ProbeMaxWorkers(p, alloc)
-			}
-			b.ReportMetric(float64(last.MaxWorkers), "maxWorkers")
-			b.ReportMetric(float64(last.MaxNodes), "maxNodes")
-		})
-	}
-}
-
-// BenchmarkFig6Elasticity reproduces the Fig. 6 experiment; metrics are in
-// paper units (utilization %, makespan paper-seconds).
-func BenchmarkFig6Elasticity(b *testing.B) {
-	for _, elastic := range []bool{false, true} {
-		name := "fixed"
-		if elastic {
-			name = "elastic"
-		}
-		b.Run(name, func(b *testing.B) {
-			var last workload.ElasticityResult
-			for i := 0; i < b.N; i++ {
-				r, err := workload.RunElasticity(workload.ElasticityConfig{
-					TimeScale: 4 * time.Millisecond, Elastic: elastic,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				last = r
-			}
-			b.ReportMetric(last.Utilization*100, "utilization%")
-			b.ReportMetric(last.MakespanSeconds, "paperSeconds")
-		})
 	}
 }
 
@@ -341,29 +207,59 @@ func BenchmarkAblationParallelism(b *testing.B) {
 	}
 }
 
-// BenchmarkDFKSubmission measures raw DFK task-graph overhead (§4.1: "the
-// execution time complexity of a task graph with n tasks and e edges is
-// O(n+e)"): submissions per second through the full dependency machinery.
-func BenchmarkDFKSubmission(b *testing.B) {
-	d, err := parsl.NewLocal(4)
-	if err != nil {
-		b.Fatal(err)
+// submissionApp is the deployment the submission benchmarks and the allocation
+// ceiling share: a DFK over four threadpool workers with one no-op app, the
+// durable log off or on.
+func submissionApp(tb testing.TB, walOn bool) *parsl.App {
+	tb.Helper()
+	reg := serialize.NewRegistry()
+	cfg := parsl.Config{
+		Registry:  reg,
+		Executors: []executor.Executor{threadpool.New("tp", 4, reg)},
 	}
-	defer d.Shutdown()
+	if walOn {
+		cfg.WAL = true
+		cfg.WALDir = tb.TempDir()
+	}
+	d, err := parsl.New(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { _ = d.Shutdown() })
 	noop, err := d.PythonApp("bench-noop", func([]any, map[string]any) (any, error) { return nil, nil })
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	b.ResetTimer()
-	futs := make([]*parsl.Future, b.N)
-	for i := 0; i < b.N; i++ {
+	return noop
+}
+
+// walArms are the two deployments submissionApp builds.
+var walArms = []struct {
+	name  string
+	walOn bool
+}{{"wal-off", false}, {"wal-on", true}}
+
+// submitAndWait submits n independent no-ops, then waits for them all.
+func submitAndWait(tb testing.TB, noop *parsl.App, n int) {
+	tb.Helper()
+	futs := make([]*parsl.Future, n)
+	for i := range futs {
 		futs[i] = noop.Call(i)
 	}
 	for _, f := range futs {
 		if _, err := f.Result(); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkDFKSubmission measures raw DFK task-graph overhead (§4.1: "the
+// execution time complexity of a task graph with n tasks and e edges is
+// O(n+e)"): submissions per second through the full dependency machinery.
+func BenchmarkDFKSubmission(b *testing.B) {
+	noop := submissionApp(b, false)
+	b.ResetTimer()
+	submitAndWait(b, noop, b.N)
 }
 
 // BenchmarkDFKSubmissionParallel measures the submit hot path under
@@ -372,15 +268,7 @@ func BenchmarkDFKSubmission(b *testing.B) {
 // BenchmarkDFKSubmission — the parallel path must not be slower than the
 // serial one.
 func BenchmarkDFKSubmissionParallel(b *testing.B) {
-	d, err := parsl.NewLocal(4)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer d.Shutdown()
-	noop, err := d.PythonApp("bench-noop", func([]any, map[string]any) (any, error) { return nil, nil })
-	if err != nil {
-		b.Fatal(err)
-	}
+	noop := submissionApp(b, false)
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		var futs []*parsl.Future
@@ -398,42 +286,17 @@ func BenchmarkDFKSubmissionParallel(b *testing.B) {
 }
 
 // BenchmarkWALSubmission measures what the durable dataflow log costs on the
-// submit hot path: the same workload as BenchmarkDFKSubmission, once with the
-// WAL off (must be byte-identical to not having the subsystem at all) and once
-// with it on (group commit amortizes the fsync; CI bounds the ratio).
+// submit hot path: BenchmarkDFKSubmission's workload, once with the WAL off
+// (must be byte-identical to not having the subsystem at all) and once with it
+// on (group commit amortizes the fsync).
 func BenchmarkWALSubmission(b *testing.B) {
-	run := func(b *testing.B, walOn bool) {
-		reg := serialize.NewRegistry()
-		cfg := parsl.Config{
-			Registry:  reg,
-			Executors: []executor.Executor{threadpool.New("tp", 4, reg)},
-		}
-		if walOn {
-			cfg.WAL = true
-			cfg.WALDir = b.TempDir()
-		}
-		d, err := parsl.New(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer d.Shutdown()
-		noop, err := d.PythonApp("bench-noop", func([]any, map[string]any) (any, error) { return nil, nil })
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		futs := make([]*parsl.Future, b.N)
-		for i := 0; i < b.N; i++ {
-			futs[i] = noop.Call(i)
-		}
-		for _, f := range futs {
-			if _, err := f.Result(); err != nil {
-				b.Fatal(err)
-			}
-		}
+	for _, arm := range walArms {
+		b.Run(arm.name, func(b *testing.B) {
+			noop := submissionApp(b, arm.walOn)
+			b.ResetTimer()
+			submitAndWait(b, noop, b.N)
+		})
 	}
-	b.Run("wal-off", func(b *testing.B) { run(b, false) })
-	b.Run("wal-on", func(b *testing.B) { run(b, true) })
 }
 
 // BenchmarkAblationDFKScheduler compares the DFK's executor-selection

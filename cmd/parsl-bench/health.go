@@ -21,29 +21,17 @@ func runHealth(o options) error {
 	fmt.Printf("bulk tasks + 1 poison task per seed; seeds %v\n\n", seeds)
 	fmt.Printf("%-8s %-6s %-10s %-6s %-6s %-7s %-9s %-9s %-12s %s\n",
 		"verdict", "seed", "submitted", "done", "kills", "poison", "backoffs", "retried", "maxlaunches", "elapsed")
-	type row struct {
-		Seed int64 `json:"seed"`
-		workload.HealthResult
-	}
-	rows := make([]row, 0, len(seeds))
 	failed, err := runMatrix("seed", seeds, func(seed int64) (string, []string, error) {
 		res, err := workload.RunHealth(workload.HealthConfig{Seed: seed, Tasks: o.tasks})
 		if err != nil {
 			return "", nil, err
 		}
-		// The fired-fault log is bulky and reproducible from the seed; keep
-		// the JSON artifact focused on outcomes.
-		res.Events = nil
-		rows = append(rows, row{Seed: seed, HealthResult: res})
 		return fmt.Sprintf("%-6d %-10d %-6d %-6d %-7d %-9d %-9d %-12d %v\n    breaker: %v",
 			seed, res.Submitted, res.Done, res.Kills, len(res.PoisonKills),
 			res.Backoffs, res.Retried, res.MaxLaunches, res.Elapsed.Round(time.Millisecond),
 			res.Transitions), res.Violations, nil
 	})
 	if err != nil {
-		return err
-	}
-	if err := writeJSON(o.jsonPath, rows); err != nil {
 		return err
 	}
 	if failed > 0 {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"time"
 
@@ -21,7 +22,9 @@ import (
 // for 1000 sequential no-op tasks per executor, on a Midway-like network
 // (0.07 ms RTT). The paper's ordering — ThreadPool < LLEX < HTEX < EXEX <
 // IPP < Dask — must reproduce; absolute values are lower than the paper's
-// because goroutine workers replace Python processes (see EXPERIMENTS.md).
+// because goroutine workers replace Python processes (see README.md,
+// "Reproducing the paper's figures"). The last column is heap allocations per
+// task, the whole process's: client, relay or interchange, and worker.
 func runLatency(tasks int) error {
 	type build struct {
 		name string
@@ -60,7 +63,7 @@ func runLatency(tasks int) error {
 		}},
 	}
 
-	fmt.Printf("%-12s %10s %10s %10s %10s %10s\n", "executor", "mean", "p50", "p95", "min", "max")
+	fmt.Printf("%-12s %10s %10s %10s %10s %10s %12s\n", "executor", "mean", "p50", "p95", "min", "max", "allocs/task")
 	for _, b := range builds {
 		reg := serialize.NewRegistry()
 		if err := workload.RegisterBenchApps(reg); err != nil {
@@ -78,9 +81,9 @@ func runLatency(tasks int) error {
 		if err != nil {
 			return fmt.Errorf("%s: %w", b.name, err)
 		}
-		fmt.Printf("%-12s %10s %10s %10s %10s %10s\n", b.name,
+		fmt.Printf("%-12s %10s %10s %10s %10s %10s %12.1f\n", b.name,
 			fmtDur(stats.mean), fmtDur(stats.p50), fmtDur(stats.p95),
-			fmtDur(stats.min), fmtDur(stats.max))
+			fmtDur(stats.min), fmtDur(stats.max), stats.allocs)
 	}
 	fmt.Println("\npaper (Fig. 3, avg ms): threadpool ~1.0, llex 3.47, htex 6.87, exex 9.83, ipp 11.72, dask 16.19")
 	fmt.Println("shape check: ordering threadpool < llex < htex < exex < ipp < dask")
@@ -89,6 +92,7 @@ func runLatency(tasks int) error {
 
 type latStats struct {
 	mean, p50, p95, min, max time.Duration
+	allocs                   float64 // per task, from a MemStats delta
 }
 
 // measureLatency launches `tasks` sequential no-ops, recording submission →
@@ -107,6 +111,8 @@ func measureLatency(ex executor.Executor, tasks int) (latStats, error) {
 		}
 	}
 	lats := make([]time.Duration, 0, tasks)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	for i := 0; i < tasks; i++ {
 		start := time.Now()
 		if _, err := ex.Submit(serialize.TaskMsg{ID: int64(i), App: "noop"}).Result(); err != nil {
@@ -114,17 +120,19 @@ func measureLatency(ex executor.Executor, tasks int) (latStats, error) {
 		}
 		lats = append(lats, time.Since(start))
 	}
+	runtime.ReadMemStats(&after)
 	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
 	var sum time.Duration
 	for _, l := range lats {
 		sum += l
 	}
 	return latStats{
-		mean: sum / time.Duration(len(lats)),
-		p50:  lats[len(lats)/2],
-		p95:  lats[len(lats)*95/100],
-		min:  lats[0],
-		max:  lats[len(lats)-1],
+		mean:   sum / time.Duration(len(lats)),
+		p50:    lats[len(lats)/2],
+		p95:    lats[len(lats)*95/100],
+		min:    lats[0],
+		max:    lats[len(lats)-1],
+		allocs: float64(after.Mallocs-before.Mallocs) / float64(tasks),
 	}, nil
 }
 

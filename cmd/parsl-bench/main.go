@@ -6,11 +6,12 @@
 // Latency, throughput-at-laptop-scale, and elasticity run on the real
 // executors (goroutine workers over the in-memory network); the Blue
 // Waters-scale sweeps run on the calibrated discrete-event models in
-// internal/scalesim, as documented in DESIGN.md.
+// internal/scalesim, as documented in README.md, "Reproducing the paper's
+// figures". Each figure has this one driver; a scenario's exit code is its
+// gate.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -23,10 +24,7 @@ type options struct {
 	timeScaleMs int
 	seed        int64
 	verbose     bool
-	jsonPath    string
-	rssBudget   float64
-	rssBaseMB   int
-	shardBar    float64
+	all         bool // every scenario runs in this one process
 }
 
 // tasksOr is -tasks for the scenarios whose workload config has no default of
@@ -49,23 +47,21 @@ func (o options) seeds() []int64 {
 // scenarios is the one table behind `parsl-bench <name>`, `all`, and -h.
 var scenarios = []struct {
 	name, about string
-	artifact    bool // honours -json
 	run         func(o options) error
 }{
-	{"latency", "Fig. 3 — task-latency distributions per executor", false, func(o options) error { return runLatency(o.tasksOr(1000)) }},
-	{"strong", "Fig. 4 (top) — strong scaling (50k tasks, 0/10/100/1000 ms)", false, func(o options) error { return runStrong(o.full) }},
-	{"weak", "Fig. 4 (bottom) — weak scaling (10 tasks/worker)", false, func(o options) error { return runWeak(o.full) }},
-	{"maxworkers", "Table 2 — maximum workers / nodes per framework", false, func(options) error { return runMaxWorkers() }},
-	{"throughput", "Table 2 — tasks/second per framework", false, func(options) error { return runThroughput() }},
-	{"elasticity", "Fig. 5/6 — utilization with and without elasticity", false, func(o options) error { return runElasticity(o.timeScaleMs) }},
-	{"submission", "priority dispatch + cancellation through App.Submit", false, func(o options) error { return runSubmission(o.tasksOr(1000)) }},
-	{"noisy", "multi-tenant fairness + bounded admission under a burst", false, func(o options) error { return runNoisy(o.tasks) }},
-	{"chaos", "fault injection: recovery invariants under a seeded schedule", false, runChaos},
-	{"graph", "million-task DAG drain: makespan, peak RSS, record recycling", true, runGraph},
-	{"wal", "durable-log crash matrix: exactly-once recovery, recovery time", false, runWAL},
-	{"health", "self-healing: kill-storm recovery, breaker failover, poison quarantine", true, runHealth},
-	{"shard", "sharded control plane: kill-one-shard failover, throughput scaling", true, runShard},
-	{"locality", "data-aware scheduling: shared result cache, warm-replay zeros, digest routing", true, runLocality},
+	{"latency", "Fig. 3 — task-latency distributions per executor", func(o options) error { return runLatency(o.tasksOr(1000)) }},
+	{"strong", "Fig. 4 (top) — strong scaling (50k tasks, 0/10/100/1000 ms)", func(o options) error { return runStrong(o.full) }},
+	{"weak", "Fig. 4 (bottom) — weak scaling (10 tasks/worker)", func(o options) error { return runWeak(o.full) }},
+	{"maxworkers", "Table 2 — maximum workers / nodes per framework", func(options) error { return runMaxWorkers() }},
+	{"throughput", "Table 2 — tasks/second per framework", func(options) error { return runThroughput() }},
+	{"elasticity", "Fig. 5/6 — utilization with and without elasticity", func(o options) error { return runElasticity(o.timeScaleMs) }},
+	{"noisy", "multi-tenant fairness + bounded admission under a burst", func(o options) error { return runNoisy(o.tasks) }},
+	{"chaos", "fault injection: recovery invariants under a seeded schedule", runChaos},
+	{"graph", "million-task DAG drain: makespan, peak RSS, record recycling", runGraph},
+	{"wal", "durable-log crash matrix: exactly-once recovery, recovery time", runWAL},
+	{"health", "self-healing: kill-storm recovery, breaker failover, poison quarantine", runHealth},
+	{"shard", "sharded control plane: kill-one-shard failover, throughput scaling", runShard},
+	{"locality", "data-aware scheduling: shared result cache, warm-replay zeros, digest routing", runLocality},
 }
 
 func main() {
@@ -82,26 +78,17 @@ func main() {
 	flag.IntVar(&o.timeScaleMs, "timescale", 8, "elasticity: wall milliseconds per paper second")
 	flag.Int64Var(&o.seed, "seed", 0, "chaos, health, shard: run this one seed (0 = the 1..5 matrix); wal: the seed the sampled crash boundaries derive from (0 = 1)")
 	flag.BoolVar(&o.verbose, "chaos-verbose", false, "chaos: print the fired fault schedule even on PASS")
-	flag.StringVar(&o.jsonPath, "json", "", "graph, health, shard, locality: write the result artifact to this path")
-	flag.Float64Var(&o.rssBudget, "graph-rss-budget", 0, "graph: fail if peak RSS exceeds base + this many bytes per task (0 = report only)")
-	flag.IntVar(&o.rssBaseMB, "graph-rss-base-mb", 256, "graph: fixed RSS allowance (MiB) excluded from the per-task budget")
-	flag.Float64Var(&o.shardBar, "shard-bar", 0, "shard: fail if 4-shard throughput scaling falls below this ratio (0 = report only; needs ≥4 cores)")
 	flag.Parse()
 
 	cmd := "all"
 	if flag.NArg() > 0 {
 		cmd = flag.Arg(0)
 	}
+	o.all = cmd == "all"
 	ran := false
 	for _, sc := range scenarios {
 		if cmd != "all" && cmd != sc.name {
 			continue
-		}
-		if o.jsonPath != "" && (cmd == "all" || !sc.artifact) {
-			// One path holds one artifact: `all` would overwrite it per
-			// scenario, and a scenario without an artifact would ignore it.
-			fmt.Fprintf(os.Stderr, "parsl-bench: -json needs exactly one of graph, health, shard, locality (got %q)\n", cmd)
-			os.Exit(2)
 		}
 		ran = true
 		fmt.Printf("\n================ %s: %s ================\n", sc.name, sc.about)
@@ -119,8 +106,7 @@ func main() {
 // runMatrix runs one scenario instance per point of a matrix (seeds, crash
 // boundaries; label names the axis) and prints each point's verdict, summary
 // line and violations. one returns the summary and the violations; an error
-// aborts the matrix. It reports how many points violated an invariant, so the
-// caller can still publish its artifact before failing.
+// aborts the matrix. It reports how many points violated an invariant.
 func runMatrix(label string, points []int64, one func(p int64) (summary string, violations []string, err error)) (failed int, _ error) {
 	for _, p := range points {
 		summary, violations, err := one(p)
@@ -138,20 +124,4 @@ func runMatrix(label string, points []int64, one func(p int64) (summary string, 
 		}
 	}
 	return failed, nil
-}
-
-// writeJSON writes a scenario's result artifact; no path, no artifact.
-func writeJSON(path string, v any) error {
-	if path == "" {
-		return nil
-	}
-	b, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(b, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("\nwrote %s\n", path)
-	return nil
 }

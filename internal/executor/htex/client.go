@@ -88,11 +88,13 @@ type shardLink struct {
 // broker returns the shard's current interchange.
 func (s *shardLink) broker() *Interchange { return s.conn.Load().ix }
 
-// inflightTask is one submitted-but-unresolved task plus the shard it was
-// placed on — the shard is what lets a NACK retransmit or a shard death
-// touch exactly the affected subset of the inflight registry.
+// inflightTask is one submitted-but-unresolved task: its future, the message
+// a NACK retransmits, and the shard it was placed on — the shard is what lets
+// a NACK retransmit or a shard death touch exactly the affected subset of the
+// inflight registry.
 type inflightTask struct {
 	msg   serialize.TaskMsg
+	fut   *future.Future
 	shard int
 }
 
@@ -105,8 +107,7 @@ type Executor struct {
 	smap   *ShardMap
 
 	mu        sync.Mutex
-	pending   map[int64]*future.Future
-	inflight  map[int64]inflightTask // for retransmit on manager/shard loss
+	inflight  map[int64]inflightTask // every submitted-but-unresolved task
 	blocks    []string
 	blockMgrs map[string][]string // block id -> manager identities
 	mgrShard  map[string]int      // manager identity -> shard index
@@ -137,7 +138,6 @@ func New(cfg Config) *Executor {
 	}
 	return &Executor{
 		cfg:       cfg,
-		pending:   make(map[int64]*future.Future),
 		inflight:  make(map[int64]inflightTask),
 		blockMgrs: make(map[string][]string),
 		mgrShard:  make(map[string]int),
@@ -301,8 +301,8 @@ func (e *Executor) openShard(s *shardLink) (*shardConn, error) {
 }
 
 // recvLoop reconciles one shard's traffic: results, LOST reports, command
-// replies, and NACKs all resolve against the shared pending/inflight
-// registries, so N shards look like one executor to everything above. A
+// replies, and NACKs all resolve against the shared inflight registry,
+// so N shards look like one executor to everything above. A
 // receive error outside shutdown means the shard's router is gone — the
 // shard-death rebalance path. The loop is bound to one connection: a
 // RestoreShard swap starts a fresh loop, and this one exits without
@@ -333,7 +333,7 @@ func (e *Executor) recvLoop(s *shardLink) {
 			if err := c.resDec.DecodeFrame(msg[1], &results); err != nil {
 				// This shard's RESULTS stream is undecodable mid-epoch; NACK
 				// so it resyncs on frame 0 of a fresh epoch. Tasks whose
-				// results rode the lost frame stay pending here and recover
+				// results rode the lost frame stay inflight here and recover
 				// via the DFK's attempt timeout (see codec.go).
 				_ = c.dealer.Send(mq.Message{tagNack, nackPayload(msg[1])})
 				continue
@@ -462,7 +462,7 @@ func (e *Executor) RestoreShard(i int) error {
 // undecodable: reset the encoder (frame 0 of a fresh epoch) and
 // retransmit every task inflight on that shard. The client cannot know which
 // tasks the lost frame carried, so the retransmission is a per-shard
-// superset; tasks that were delivered run at most twice, and the pending map
+// superset; tasks that were delivered run at most twice, and the registry
 // completes each future exactly once whichever copy's result arrives first.
 // Epoch mismatch means the stream was already reset (duplicate NACKs for one
 // epoch collapse to one repair).
@@ -533,23 +533,26 @@ func (e *Executor) placeTask(tenant string, id int64) int {
 	})
 }
 
-// dropInflightLocked removes id's inflight entry and releases its payload
-// reference. Called with e.mu held at every site that deletes from inflight,
-// so the retain taken at registration is paired exactly once.
-func (e *Executor) dropInflightLocked(id int64) {
-	if it, ok := e.inflight[id]; ok {
-		delete(e.inflight, id)
-		it.msg.Payload().Release()
+// dropInflightLocked removes id's inflight entry, releases its payload
+// reference and returns its future for the caller to settle — nil when id is
+// not (or no longer) registered. Called with e.mu held at every site that
+// deletes from inflight, so the retain taken at registration is paired
+// exactly once.
+func (e *Executor) dropInflightLocked(id int64) *future.Future {
+	it, ok := e.inflight[id]
+	if !ok {
+		return nil
 	}
+	delete(e.inflight, id)
+	it.msg.Payload().Release()
+	return it.fut
 }
 
 func (e *Executor) complete(r serialize.ResultMsg) {
 	e.mu.Lock()
-	fut, ok := e.pending[r.ID]
-	delete(e.pending, r.ID)
-	e.dropInflightLocked(r.ID)
+	fut := e.dropInflightLocked(r.ID)
 	e.mu.Unlock()
-	if !ok {
+	if fut == nil {
 		return
 	}
 	e.outstanding.Add(-1)
@@ -558,11 +561,9 @@ func (e *Executor) complete(r serialize.ResultMsg) {
 
 func (e *Executor) fail(id int64, err error) {
 	e.mu.Lock()
-	fut, ok := e.pending[id]
-	delete(e.pending, id)
-	e.dropInflightLocked(id)
+	fut := e.dropInflightLocked(id)
 	e.mu.Unlock()
-	if !ok {
+	if fut == nil {
 		return
 	}
 	e.outstanding.Add(-1)
@@ -570,8 +571,7 @@ func (e *Executor) fail(id int64, err error) {
 }
 
 // Submit implements executor.Executor as a single-task batch: the
-// registration/framing logic lives once in SubmitBatch, and the
-// interchange treats a one-task TASKB like the legacy TASK frame.
+// registration/framing logic lives once in SubmitBatch.
 func (e *Executor) Submit(msg serialize.TaskMsg) *future.Future {
 	return e.SubmitBatch([]serialize.TaskMsg{msg})[0]
 }
@@ -621,12 +621,11 @@ func (e *Executor) SubmitBatch(msgs []serialize.TaskMsg) []*future.Future {
 			shard = e.placeTask(m.Tenant, m.ID)
 			shardOf[i] = shard
 		}
-		e.pending[m.ID] = futs[i]
 		if p := m.Payload(); p != nil {
 			held[i] = p.Retain()
 			p.Retain()
 		}
-		e.inflight[m.ID] = inflightTask{msg: m, shard: shard}
+		e.inflight[m.ID] = inflightTask{msg: m, fut: futs[i], shard: shard}
 	}
 	e.mu.Unlock()
 	e.outstanding.Add(int64(len(msgs)))
@@ -697,30 +696,23 @@ func (e *Executor) fanOut(wires []serialize.WireTask, wireShard []int) {
 // holding the task so its interchange drops it from the queue (or forwards
 // the drop to the manager holding it). Best effort past the client: a task
 // already running on a worker is not preempted — its late result is simply
-// ignored, since the pending entry is gone.
+// ignored, since the inflight entry is gone.
 func (e *Executor) Cancel(wireID int64) bool {
 	e.mu.Lock()
-	fut, ok := e.pending[wireID]
-	shard := -1
-	if it, okIn := e.inflight[wireID]; okIn {
-		shard = it.shard
-	}
-	if ok {
-		delete(e.pending, wireID)
-		e.dropInflightLocked(wireID)
-	}
+	shard := e.inflight[wireID].shard
+	fut := e.dropInflightLocked(wireID)
 	e.mu.Unlock()
-	if !ok {
+	if fut == nil {
 		return false
 	}
 	e.outstanding.Add(-1)
 	canceled := fut.Cancel()
 	payload := serialize.EncodeIDs([]int64{wireID})
-	if shard >= 0 && !e.shards[shard].down.Load() {
+	if !e.shards[shard].down.Load() {
 		_ = e.shards[shard].conn.Load().dealer.Send(mq.Message{tagCancel, payload})
 	} else {
-		// Unknown or dead owner: tell every live shard; the ones not
-		// holding the task ignore the unknown id.
+		// Dead owner: tell every live shard; the ones not holding the task
+		// ignore the unknown id.
 		for _, s := range e.shards {
 			if !s.down.Load() {
 				_ = s.conn.Load().dealer.Send(mq.Message{tagCancel, payload})
@@ -1009,16 +1001,16 @@ func (e *Executor) Command(name, arg string, timeout time.Duration) ([]string, e
 			}
 			continue
 		}
-		select {
-		case rep := <-s.cmdReplies:
-			answered = true
-			for _, p := range rep[2:] {
-				out = append(out, string(p))
-			}
-		case <-time.After(timeout):
+		rep, ok := s.awaitReply(name, timeout)
+		if !ok {
 			if firstErr == nil {
 				firstErr = fmt.Errorf("htex: command %s timed out on %s", name, s.label)
 			}
+			continue
+		}
+		answered = true
+		for _, p := range rep[2:] {
+			out = append(out, string(p))
 		}
 	}
 	if !answered {
@@ -1028,6 +1020,25 @@ func (e *Executor) Command(name, arg string, timeout time.Duration) ([]string, e
 		return nil, fmt.Errorf("htex: command %s: no live shards", name)
 	}
 	return out, nil
+}
+
+// awaitReply waits for the shard's reply to the command just sent. The reply
+// buffer is input from the wire: a frame too short to name its command, or
+// the late answer to an earlier command that timed out, is skipped rather
+// than returned as this command's answer.
+func (s *shardLink) awaitReply(name string, timeout time.Duration) (mq.Message, bool) {
+	deadline := time.NewTimer(timeout)
+	defer deadline.Stop()
+	for {
+		select {
+		case rep := <-s.cmdReplies:
+			if len(rep) >= 2 && string(rep[1]) == name {
+				return rep, true
+			}
+		case <-deadline.C:
+			return nil, false
+		}
+	}
 }
 
 // OutstandingRemote asks every live shard for its task count via the command
@@ -1062,12 +1073,11 @@ func (e *Executor) Shutdown() error {
 	started := e.started
 	blocks := e.blocks
 	e.blocks = nil
-	pending := e.pending
-	e.pending = make(map[int64]*future.Future)
-	for _, it := range e.inflight {
+	inflight := e.inflight
+	e.inflight = make(map[int64]inflightTask)
+	for _, it := range inflight {
 		it.msg.Payload().Release()
 	}
-	e.inflight = make(map[int64]inflightTask)
 	e.mu.Unlock()
 
 	if !started {
@@ -1078,9 +1088,8 @@ func (e *Executor) Shutdown() error {
 			_ = e.cfg.Provider.CancelBlock(id)
 		}
 	}
-	for id, fut := range pending {
-		_ = fut.SetError(executor.ErrShutdown)
-		_ = id
+	for _, it := range inflight {
+		_ = it.fut.SetError(executor.ErrShutdown)
 	}
 	var first error
 	for _, s := range e.shards {

@@ -31,7 +31,6 @@ import (
 
 // Wire message type tags (first frame part).
 const (
-	frameTask    = "TASK"    // client -> interchange: one standalone WireTask
 	frameTaskSub = "TASKB"   // client -> interchange: streamed batch of WireTask
 	frameTasks   = "TASKS"   // interchange -> manager: streamed batch of WireTask
 	frameResults = "RESULTS" // manager -> interchange -> client: streamed batch of ResultMsg
@@ -75,8 +74,8 @@ var (
 //   - interchange -> client  (client's TASKB stream failed): the client
 //     resets its task encoder — the next frame is frame 0 of a fresh
 //     epoch — and retransmits every in-flight task. Tasks that
-//     were actually delivered execute twice at most; the client's pending
-//     map delivers each result exactly once.
+//     were actually delivered execute twice at most; the client's inflight
+//     registry delivers each result exactly once.
 //   - client -> interchange  (interchange's RESULTS stream failed): the
 //     interchange resets its client encoder. Results inside the lost frame
 //     are gone — no layer retains delivered results — so the affected tasks

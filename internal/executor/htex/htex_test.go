@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/executor"
 	"repro/internal/future"
+	"repro/internal/mq"
 	"repro/internal/provider"
 	"repro/internal/serialize"
 	"repro/internal/simnet"
@@ -425,6 +426,97 @@ func TestCommandChannel(t *testing.T) {
 	rep, err := e.Command("FLY", "", 2*time.Second)
 	if err != nil || len(rep) == 0 || rep[0] != "unknown-command" {
 		t.Fatalf("rep = %v, %v", rep, err)
+	}
+}
+
+// scriptedBroker starts an executor and re-points its one shard at a bare
+// router the test drives, so a test can put any frame it likes on the
+// client's receive loop. The returned channel carries the commands the client
+// sent, in order.
+func scriptedBroker(t *testing.T) (*Executor, *mq.Router, <-chan string) {
+	t.Helper()
+	tr := simnet.NewNetwork(0)
+	e := New(Config{Label: "scripted", Transport: tr, Registry: testRegistry(t)})
+	if err := e.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = e.Shutdown() })
+	router, err := mq.NewRouter(tr, ":0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = router.Close() })
+	dealer, err := mq.DialDealer(tr, router.Addr(), clientIdentity)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitCond(t, "client joined the scripted broker", func() bool { return router.HasPeer(clientIdentity) })
+	// An answer from the real broker shows the receive loop Start launched has
+	// bound itself to its connection; swapped before that, it would bind to
+	// the new one and two loops would read one dealer.
+	if _, err := e.Command("OUTSTANDING", "", 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	// The swap RestoreShard makes: new connection in, stale dealer closed so
+	// its receive loop exits, a fresh loop on the new one.
+	s := e.shards[0]
+	old := s.conn.Swap(&shardConn{
+		ix: s.broker(), dealer: dealer,
+		taskEnc: serialize.NewStreamEncoder(), resDec: serialize.NewStreamDecoder(),
+	})
+	_ = old.dealer.Close()
+	e.wg.Add(1)
+	go e.recvLoop(s)
+
+	cmds := make(chan string, 16) // more than any test here sends
+	done := make(chan struct{})
+	t.Cleanup(func() { close(done) })
+	go func() {
+		for {
+			select {
+			case del := <-router.Incoming():
+				if len(del.Msg) >= 2 && string(del.Msg[0]) == frameCmd {
+					cmds <- string(del.Msg[1])
+				}
+			case <-done:
+				return
+			}
+		}
+	}()
+	return e, router, cmds
+}
+
+func TestCommandSkipsShortReply(t *testing.T) {
+	e, router, cmds := scriptedBroker(t)
+	go func() {
+		<-cmds
+		_ = router.SendTo(clientIdentity, mq.Message{tagCmdRep})
+		_ = router.SendTo(clientIdentity, mq.Message{tagCmdRep, []byte("MANAGERS"), []byte("mgr-a")})
+	}()
+	rep, err := e.Command("MANAGERS", "", 2*time.Second)
+	if err != nil || len(rep) != 1 || rep[0] != "mgr-a" {
+		t.Fatalf("MANAGERS after a one-part CMDREP = %v, %v; want [mgr-a]", rep, err)
+	}
+}
+
+func TestCommandSkipsLateReplyToEarlierCommand(t *testing.T) {
+	e, router, cmds := scriptedBroker(t)
+	if rep, err := e.Command("OUTSTANDING", "", 20*time.Millisecond); err == nil {
+		t.Fatalf("unanswered OUTSTANDING = %v, want a timeout", rep)
+	}
+	<-cmds
+	// The answer arrives after its command gave up and waits in the buffer.
+	if err := router.SendTo(clientIdentity, mq.Message{tagCmdRep, []byte("OUTSTANDING"), []byte("7")}); err != nil {
+		t.Fatal(err)
+	}
+	waitCond(t, "late reply buffered", func() bool { return len(e.shards[0].cmdReplies) == 1 })
+	go func() {
+		<-cmds
+		_ = router.SendTo(clientIdentity, mq.Message{tagCmdRep, []byte("MANAGERS"), []byte("mgr-a")})
+	}()
+	rep, err := e.Command("MANAGERS", "", 2*time.Second)
+	if err != nil || len(rep) != 1 || rep[0] != "mgr-a" {
+		t.Fatalf("MANAGERS = %v, %v; want [mgr-a], not the late OUTSTANDING count", rep, err)
 	}
 }
 

@@ -239,19 +239,6 @@ func (ix *Interchange) handle(del mq.Delivery) {
 		return
 	}
 	switch string(del.Msg[0]) {
-	case frameTask:
-		// Legacy single-task path: a standalone frame, no stream state
-		// required.
-		ix.setClient(del.From)
-		if len(del.Msg) < 2 {
-			return
-		}
-		task, err := serialize.DecodeWire(del.Msg[1])
-		if err != nil {
-			return
-		}
-		ix.enqueue(task)
-		ix.dispatch()
 	case frameTaskSub:
 		ix.setClient(del.From)
 		if len(del.Msg) < 2 {
@@ -311,7 +298,7 @@ func (ix *Interchange) handle(del mq.Delivery) {
 			// lost frame's results cannot be recovered, so their tasks must
 			// re-execute, and the broker must not leak their capacity slots.
 			// Tasks still running on the manager finish twice at most; the
-			// client's pending map reconciles duplicates (codec.go).
+			// client's inflight registry reconciles duplicates (codec.go).
 			_ = ix.router.SendTo(del.From, mq.Message{tagNack, nackPayload(del.Msg[1])})
 			ix.requeueOutstanding(del.From)
 			return

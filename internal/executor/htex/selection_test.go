@@ -89,13 +89,19 @@ func TestRoundRobinCyclesManagersEvenly(t *testing.T) {
 	}
 	defer client.Close()
 
+	// One task per TASKB frame, as Executor.Submit sends them.
 	const n = 12
+	enc := serialize.NewStreamEncoder()
 	for i := 0; i < n; i++ {
-		payload, err := serialize.EncodeTask(serialize.TaskMsg{ID: int64(i), App: "who"})
+		msg := serialize.TaskMsg{ID: int64(i), App: "who"}
+		w, err := msg.Wire()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := client.Send(mq.Message{[]byte(frameTask), payload}); err != nil {
+		err = enc.EncodeTasks([]serialize.WireTask{w}, func(frame []byte) error {
+			return client.Send(mq.Message{tagTaskSub, frame})
+		})
+		if err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -76,26 +76,21 @@ func (rl *Relay) loop() {
 		case <-rl.done:
 			return
 		case ev := <-rl.router.Events():
-			rl.mu.Lock()
-			if strings.HasPrefix(ev.ID, workerPrefix) {
-				if ev.Joined {
-					rl.workers = append(rl.workers, ev.ID)
-					backlog := rl.backlog
-					rl.backlog = nil
-					rl.mu.Unlock()
-					for _, m := range backlog {
-						rl.forward(m)
-					}
-					continue
-				}
-				for i, w := range rl.workers {
-					if w == ev.ID {
-						rl.workers = append(rl.workers[:i], rl.workers[i+1:]...)
-						break
-					}
-				}
+			if !strings.HasPrefix(ev.ID, workerPrefix) {
+				continue
 			}
+			if !ev.Joined {
+				rl.dropWorker(ev.ID)
+				continue
+			}
+			rl.mu.Lock()
+			rl.workers = append(rl.workers, ev.ID)
+			backlog := rl.backlog
+			rl.backlog = nil
 			rl.mu.Unlock()
+			for _, m := range backlog {
+				rl.forward(m)
+			}
 		case del, ok := <-rl.router.Incoming():
 			if !ok {
 				return
@@ -124,6 +119,8 @@ func (rl *Relay) loop() {
 // forward sends a task to the next worker round-robin; with no workers it is
 // buffered (a pragmatic deviation from pure statelessness that avoids
 // dropping tasks during startup; the paper's LLEX assumes workers pre-exist).
+// A worker whose send fails is dropped here: its leave event is read by the
+// goroutine that is running this loop, so waiting for it would spin.
 func (rl *Relay) forward(m mq.Message) {
 	for {
 		rl.mu.Lock()
@@ -135,10 +132,23 @@ func (rl *Relay) forward(m mq.Message) {
 		w := rl.workers[rl.next%len(rl.workers)]
 		rl.next++
 		rl.mu.Unlock()
-		if err := rl.router.SendTo(w, m); err == nil {
+		err := rl.router.SendTo(w, m)
+		if err == nil || errors.Is(err, mq.ErrClosed) {
+			return // delivered, or the relay is closing and nothing can be
+		}
+		rl.dropWorker(w)
+	}
+}
+
+// dropWorker forgets a departed worker; a worker already forgotten is a no-op.
+func (rl *Relay) dropWorker(id string) {
+	rl.mu.Lock()
+	defer rl.mu.Unlock()
+	for i, w := range rl.workers {
+		if w == id {
+			rl.workers = append(rl.workers[:i], rl.workers[i+1:]...)
 			return
 		}
-		// Send failure: worker vanished; try the next one.
 	}
 }
 

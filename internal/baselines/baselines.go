@@ -26,7 +26,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/baselines/docstore"
 	"repro/internal/executor"
 	"repro/internal/future"
 	"repro/internal/serialize"
@@ -50,8 +49,6 @@ const (
 
 	// FireWorksOpLatency is one LaunchPad (MongoDB) operation.
 	FireWorksOpLatency = 80 * time.Millisecond
-	// FireWorksOpsPerTask: claim, run-state update, completion update.
-	FireWorksOpsPerTask = 3
 	// FireWorksMaxWorkers is where the paper observed DB timeouts.
 	FireWorksMaxWorkers = 1024
 )
@@ -252,9 +249,7 @@ type FireWorksConfig struct {
 	Workers int
 	// OpLatency overrides the per-DB-op latency (tests shrink it).
 	OpLatency time.Duration
-	// PollInterval is the FireWorker rocket-launch poll period.
-	PollInterval time.Duration
-	Registry     *serialize.Registry
+	Registry  *serialize.Registry
 }
 
 // FireWorks models the LaunchPad architecture: tasks are documents; workers
@@ -262,7 +257,7 @@ type FireWorksConfig struct {
 // results back. All coordination costs DB operations.
 type FireWorks struct {
 	cfg   FireWorksConfig
-	store *docstore.Store
+	store *docStore
 
 	mu      sync.Mutex
 	pending map[int64]*future.Future
@@ -287,11 +282,8 @@ func NewFireWorksConfig(cfg FireWorksConfig) *FireWorks {
 	if cfg.OpLatency <= 0 {
 		cfg.OpLatency = FireWorksOpLatency
 	}
-	if cfg.PollInterval <= 0 {
-		cfg.PollInterval = cfg.OpLatency / 4
-	}
-	st := docstore.New(cfg.OpLatency)
-	st.MaxConnections = FireWorksMaxWorkers
+	st := newDocStore(cfg.OpLatency)
+	st.maxConnections = FireWorksMaxWorkers
 	return &FireWorks{
 		cfg:     cfg,
 		store:   st,
@@ -303,16 +295,13 @@ func NewFireWorksConfig(cfg FireWorksConfig) *FireWorks {
 // Label implements executor.Executor.
 func (f *FireWorks) Label() string { return "fireworks" }
 
-// Store exposes the LaunchPad for assertions.
-func (f *FireWorks) Store() *docstore.Store { return f.store }
-
 // Start implements executor.Executor: connect FireWorkers to the LaunchPad.
 func (f *FireWorks) Start() error {
 	if f.started.Swap(true) {
 		return nil
 	}
 	for i := 0; i < f.cfg.Workers; i++ {
-		if err := f.store.Connect(); err != nil {
+		if err := f.store.connect(); err != nil {
 			return fmt.Errorf("baselines: fireworks worker %d: %w", i, err)
 		}
 		f.wg.Add(1)
@@ -324,7 +313,7 @@ func (f *FireWorks) Start() error {
 // fireworker is the rocket-launch loop: poll, claim, run, report.
 func (f *FireWorks) fireworker() {
 	defer f.wg.Done()
-	defer f.store.Release()
+	defer f.store.release()
 	for {
 		select {
 		case <-f.done:
@@ -332,24 +321,24 @@ func (f *FireWorks) fireworker() {
 		default:
 		}
 		// DB op 1: claim a waiting firework.
-		doc, err := f.store.FindOneAndUpdate("fireworks",
-			docstore.Doc{"state": "WAITING"},
-			docstore.Doc{"state": "RUNNING"})
+		fw, err := f.store.findOneAndUpdate("fireworks",
+			doc{"state": "WAITING"},
+			doc{"state": "RUNNING"})
 		if err != nil {
 			select {
 			case <-f.done:
 				return
-			case <-time.After(f.cfg.PollInterval):
+			case <-time.After(f.cfg.OpLatency / 4): // the rocket-launch poll period
 			}
 			continue
 		}
-		id := doc["_id"].(int64)
-		msg := doc["task"].(serialize.TaskMsg)
+		id := fw["_id"].(int64)
+		msg := fw["task"].(serialize.TaskMsg)
 		res := executor.RunKernel(f.cfg.Registry, msg, "fireworker")
 		// DB op 2: record completion state.
-		_ = f.store.UpdateByID("fireworks", id, docstore.Doc{"state": "COMPLETED"})
+		_ = f.store.updateByID("fireworks", id, doc{"state": "COMPLETED"})
 		// DB op 3: store the result payload.
-		_ = f.store.UpdateByID("fireworks", id, docstore.Doc{"result": res})
+		_ = f.store.updateByID("fireworks", id, doc{"result": res})
 
 		f.mu.Lock()
 		fut, ok := f.pending[msg.ID]
@@ -379,7 +368,7 @@ func (f *FireWorks) Submit(msg serialize.TaskMsg) *future.Future {
 	f.pending[msg.ID] = fut
 	f.mu.Unlock()
 	f.outstanding.Add(1)
-	f.store.Insert("fireworks", docstore.Doc{"state": "WAITING", "task": msg})
+	f.store.insert("fireworks", doc{"state": "WAITING", "task": msg})
 	return fut
 }
 

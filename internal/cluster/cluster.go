@@ -52,9 +52,6 @@ func (s JobState) String() string {
 	}
 }
 
-// Terminal reports whether the job can no longer change state.
-func (s JobState) Terminal() bool { return s == Completed || s == Cancelled || s == Failed }
-
 // StopReason explains why a job's payload was stopped.
 type StopReason string
 

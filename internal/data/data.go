@@ -156,11 +156,6 @@ func WithGlobus(service *globus.Service, token, computeEP string) ManagerOption 
 	}
 }
 
-// WithHTTPClient overrides the HTTP client (tests inject short timeouts).
-func WithHTTPClient(c *http.Client) ManagerOption {
-	return func(m *Manager) { m.httpClient = c }
-}
-
 // StageStats counts the staging layer's traffic, separating bytes actually
 // moved from bytes saved by the content-addressed indexes. The locality
 // scenario reads these to prove a warm run moves ~0 bytes.

@@ -7,14 +7,18 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/data"
 	"repro/internal/executor"
+	"repro/internal/executor/htex"
 	"repro/internal/executor/threadpool"
 	"repro/internal/future"
+	"repro/internal/provider"
 	"repro/internal/serialize"
 	"repro/internal/task"
 )
@@ -496,4 +500,33 @@ func TestNewShutsDownStartedExecutorsOnFailure(t *testing.T) {
 	if _, err := fut.Result(); !errors.Is(err, executor.ErrShutdown) {
 		t.Fatalf("started executor leaked: Submit err = %v", err)
 	}
+
+	// Nor the one whose own Start failed half way: an htex executor has its
+	// interchanges, dealers and receive loops running by the time the
+	// provider refuses the first block.
+	baseline := runtime.NumGoroutine()
+	hx := htex.New(htex.Config{
+		Registry:   reg,
+		Shards:     2,
+		InitBlocks: 1,
+		Provider:   refusingProvider{provider.NewLocal(provider.Config{})},
+	})
+	_, err := New(Config{Registry: reg, Executors: []executor.Executor{hx}})
+	if err == nil || !strings.Contains(err.Error(), "scale out") {
+		t.Fatalf("New with a refusing provider: err = %v", err)
+	}
+	deadline := time.Now().Add(3 * time.Second)
+	for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > baseline {
+		t.Fatalf("failed Start leaked goroutines: %d running, %d before New", n, baseline)
+	}
+}
+
+// refusingProvider is a provider with no capacity: every block request errors.
+type refusingProvider struct{ *provider.Local }
+
+func (refusingProvider) SubmitBlock(provider.Payload) (string, error) {
+	return "", errors.New("no capacity")
 }

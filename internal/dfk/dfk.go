@@ -103,10 +103,6 @@ type Config struct {
 	WAL bool
 	// WALDir is the log's segment directory; required when WAL is set.
 	WALDir string
-	// WALSegmentBytes caps a log segment before rotation (0 = 1 MiB).
-	WALSegmentBytes int64
-	// WALSyncInterval is the group-commit fsync cadence (0 = 2ms).
-	WALSyncInterval time.Duration
 	// WALCompactEvery folds terminal history into a snapshot after this many
 	// terminal records (0 = 4096; negative disables auto-compaction).
 	WALCompactEvery int
@@ -293,8 +289,6 @@ func New(cfg Config) (*DFK, error) {
 		// the log freezes at, so a simulated crash leaves both durable
 		// layers consistent (see the contract in internal/memo).
 		w, err := wal.Open(cfg.WALDir, wal.Options{
-			SegmentBytes: cfg.WALSegmentBytes,
-			SyncInterval: cfg.WALSyncInterval,
 			CompactEvery: cfg.WALCompactEvery,
 			OnCrash:      d.memoizer.Freeze,
 		})
@@ -308,6 +302,10 @@ func New(cfg Config) (*DFK, error) {
 			return abort(fmt.Errorf("dfk: duplicate executor label %q", ex.Label()))
 		}
 		if err := ex.Start(); err != nil {
+			// A Start that fails half way (interchanges up, scale-out
+			// refused) has goroutines of its own, and the executor never
+			// joined execList for abort to find it.
+			_ = ex.Shutdown()
 			return abort(fmt.Errorf("dfk: start executor %s: %w", ex.Label(), err))
 		}
 		d.executors[ex.Label()] = ex

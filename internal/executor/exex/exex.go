@@ -29,7 +29,6 @@ import (
 
 	"repro/internal/executor"
 	"repro/internal/executor/htex"
-	"repro/internal/mpi"
 	"repro/internal/provider"
 	"repro/internal/serialize"
 	"repro/internal/simnet"
@@ -50,9 +49,6 @@ type PoolConfig struct {
 	Ranks int
 	// Prefetch is extra capacity advertised beyond worker count.
 	Prefetch int
-	// ResultFlush / FlushInterval batch results toward the interchange.
-	ResultFlush   int
-	FlushInterval time.Duration
 	// HeartbeatPeriod is the manager's interchange heartbeat.
 	HeartbeatPeriod time.Duration
 	// MPILatency simulates fabric point-to-point latency.
@@ -67,8 +63,6 @@ func (c PoolConfig) managerConfig() htex.ManagerConfig {
 	return htex.ManagerConfig{
 		Workers:         max(c.Ranks-1, 1),
 		Prefetch:        c.Prefetch,
-		ResultFlush:     c.ResultFlush,
-		FlushInterval:   c.FlushInterval,
 		HeartbeatPeriod: c.HeartbeatPeriod,
 	}
 }
@@ -77,7 +71,7 @@ func (c PoolConfig) managerConfig() htex.ManagerConfig {
 // ID, Executed, Drain, Stop and Wait are the manager's.
 type Pool struct {
 	*htex.Manager
-	comm *mpi.Comm
+	comm *comm
 	reg  *serialize.Registry
 }
 
@@ -85,17 +79,17 @@ type Pool struct {
 // at addr.
 func StartPool(tr simnet.Transport, addr, id string, reg *serialize.Registry, cfg PoolConfig) (*Pool, error) {
 	mc := cfg.managerConfig()
-	comm, err := mpi.NewComm(mc.Workers + 1)
+	c, err := newComm(mc.Workers + 1)
 	if err != nil {
 		return nil, fmt.Errorf("exex: pool %s: %w", id, err)
 	}
-	comm.SetLatency(cfg.MPILatency)
-	p := &Pool{comm: comm, reg: reg}
+	c.setLatency(cfg.MPILatency)
+	p := &Pool{comm: c, reg: reg}
 	for r := 1; r <= mc.Workers; r++ {
 		go p.workerRank(fmt.Sprintf("%s/rank%d", id, r), r)
 	}
 	if p.Manager, err = htex.StartManagerExec(tr, addr, id, mc, p.runOnRank); err != nil {
-		comm.Abort(-1)
+		c.abort()
 		return nil, fmt.Errorf("exex: pool %s: %w", id, err)
 	}
 	// The MPI job and its manager live and die together. A communicator
@@ -104,38 +98,35 @@ func StartPool(tr simnet.Transport, addr, id string, reg *serialize.Registry, cf
 	// stopped manager (Stop, Drain, interchange silence, chaos kill) aborts
 	// the communicator, which is what releases the worker ranks.
 	go func() {
-		_, _ = comm.Recv(0, mpi.AnySource, tagAbort) // returns only on abort
+		_, _ = c.recv(0, anySource, tagAbort) // returns only on abort
 		p.Stop()
 	}()
 	go func() {
 		p.Wait()
-		comm.Abort(-1)
+		c.abort()
 	}()
 	return p, nil
 }
-
-// Comm exposes the communicator for failure injection in tests.
-func (p *Pool) Comm() *mpi.Comm { return p.comm }
 
 // workerRank is the code running on MPI ranks 1..n-1: receive a task over
 // MPI, execute, send the result back to rank 0. Rank 0 blocks on that
 // result, so every task received is answered — or the rank aborts the job.
 func (p *Pool) workerRank(workerID string, rank int) {
 	for {
-		env, err := p.comm.Recv(rank, 0, tagTask)
+		env, err := p.comm.recv(rank, 0, tagTask)
 		if err != nil {
 			return // communicator aborted: the whole pool dies
 		}
 		task, err := serialize.DecodeTask(env.Data)
 		if err != nil {
-			p.comm.Abort(rank) // rank 0 sent it intact; the fabric is broken
+			p.comm.abort() // rank 0 sent it intact; the fabric is broken
 			return
 		}
 		// A result value that does not serialize travels as the task's error
 		// result (serialize.EncodeResult), so only the fabric can fail here.
 		res := executor.RunKernel(p.reg, task, workerID)
-		if p.comm.Send(rank, 0, tagResult, serialize.EncodeResult(res)) != nil {
-			p.comm.Abort(rank)
+		if p.comm.send(rank, 0, tagResult, serialize.EncodeResult(res)) != nil {
+			p.comm.abort()
 			return
 		}
 	}
@@ -147,19 +138,15 @@ func (p *Pool) workerRank(workerID string, rank int) {
 // byte-for-byte — rank 0 never re-serializes arguments. An error from the
 // communicator (or bytes off it that do not decode) takes the pool down.
 func (p *Pool) runOnRank(slot int, w serialize.WireTask) (serialize.ResultMsg, error) {
-	if err := p.comm.Send(0, slot+1, tagTask, serialize.EncodeWire(w)); err != nil {
+	if err := p.comm.send(0, slot+1, tagTask, serialize.EncodeWire(w)); err != nil {
 		return serialize.ResultMsg{}, err
 	}
-	env, err := p.comm.Recv(0, slot+1, tagResult)
+	env, err := p.comm.recv(0, slot+1, tagResult)
 	if err != nil {
 		return serialize.ResultMsg{}, err
 	}
 	return serialize.DecodeResult(env.Data)
 }
-
-// FailRank simulates a node/rank failure inside the pool, killing the whole
-// MPI job (§4.3.2's fault model).
-func (p *Pool) FailRank(rank int) { p.comm.Abort(rank) }
 
 // Config assembles an EXEX deployment: an HTEX-protocol interchange plus
 // MPI pools placed by the provider (one pool per node, the "several smaller
@@ -167,7 +154,6 @@ func (p *Pool) FailRank(rank int) { p.comm.Abort(rank) }
 type Config struct {
 	Label       string
 	Transport   simnet.Transport
-	Addr        string
 	Registry    *serialize.Registry
 	Provider    provider.Provider
 	InitBlocks  int
@@ -197,7 +183,6 @@ func New(cfg Config) *Executor {
 	inner := htex.New(htex.Config{
 		Label:       cfg.Label,
 		Transport:   cfg.Transport,
-		Addr:        cfg.Addr,
 		Registry:    cfg.Registry,
 		Provider:    cfg.Provider,
 		InitBlocks:  cfg.InitBlocks,

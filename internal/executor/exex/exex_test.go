@@ -147,14 +147,14 @@ func TestRankFailureKillsWholePool(t *testing.T) {
 		return e.Interchange().OutstandingByManager()["pool-victim"] == 1
 	})
 
-	pool.FailRank(2) // one rank dies -> whole communicator aborts
+	pool.comm.abort() // one rank dies -> whole communicator aborts
 
 	_, err = fut.Result()
 	var lost *executor.LostError
 	if !errors.As(err, &lost) {
 		t.Fatalf("err = %v, want LostError", err)
 	}
-	if !pool.Comm().Aborted() {
+	if !pool.comm.isAborted() {
 		t.Fatal("communicator survived rank failure")
 	}
 	waitCond(t, "pool deregistered", func() bool { return e.Interchange().ManagerCount() == 0 })
@@ -187,7 +187,7 @@ func TestSmallPoolsIsolateFailures(t *testing.T) {
 	defer alive.Stop()
 	waitCond(t, "both pools", func() bool { return e.Interchange().ManagerCount() == 2 })
 
-	dead.FailRank(1)
+	dead.comm.abort()
 	waitCond(t, "one pool left", func() bool { return e.Interchange().ManagerCount() == 1 })
 
 	v, err := e.Submit(serialize.TaskMsg{ID: 9, App: "echo", Args: []any{"survived"}}).Result()
@@ -308,7 +308,7 @@ func poolExited(t *testing.T, p *Pool) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("pool manager still running")
 	}
-	waitCond(t, "communicator aborted", p.Comm().Aborted)
+	waitCond(t, "communicator aborted", p.comm.isAborted)
 }
 
 // TestScaleInDrainsRunningWork: scaling a busy pool in must hand its running

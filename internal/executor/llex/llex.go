@@ -221,7 +221,6 @@ func (w *Worker) Stop() {
 type Config struct {
 	Label     string
 	Transport simnet.Transport
-	Addr      string
 	Registry  *serialize.Registry
 	// Workers is the fixed worker pool size started by the executor.
 	Workers int
@@ -276,9 +275,6 @@ func New(cfg Config) *Executor {
 // Label implements executor.Executor.
 func (e *Executor) Label() string { return e.cfg.Label }
 
-// Relay exposes the relay (tests).
-func (e *Executor) Relay() *Relay { return e.relay }
-
 // Start implements executor.Executor.
 func (e *Executor) Start() error {
 	e.mu.Lock()
@@ -289,11 +285,7 @@ func (e *Executor) Start() error {
 	e.started = true
 	e.mu.Unlock()
 
-	addr := e.cfg.Addr
-	if addr == "" {
-		addr = ":0"
-	}
-	relay, err := StartRelay(e.cfg.Transport, addr)
+	relay, err := StartRelay(e.cfg.Transport, ":0") // the transports' auto-assign form
 	if err != nil {
 		return err
 	}

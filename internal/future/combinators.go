@@ -2,7 +2,6 @@ package future
 
 import (
 	"context"
-	"fmt"
 	"sync/atomic"
 )
 
@@ -32,35 +31,6 @@ func WaitCtx(ctx context.Context, futs ...*Future) error {
 		}
 	}
 	return first
-}
-
-// All returns a future that resolves to []any holding every input's value in
-// order, or fails with the first error to occur (by completion time).
-func All(futs ...*Future) *Future {
-	out := New()
-	if len(futs) == 0 {
-		_ = out.SetResult([]any{})
-		return out
-	}
-	var done atomic.Int64
-	// One callback for every input: it is handed the future it fires for.
-	onDone := func(g *Future) {
-		if err := g.Err(); err != nil {
-			_ = out.SetError(err) // first error wins; later completions no-op
-			return
-		}
-		if done.Add(1) == int64(len(futs)) {
-			vals := make([]any, len(futs))
-			for i, ff := range futs {
-				vals[i] = ff.Value()
-			}
-			_ = out.SetResult(vals)
-		}
-	}
-	for _, f := range futs {
-		f.AddDoneCallback(onDone)
-	}
-	return out
 }
 
 // AsCompleted returns a channel that yields each future as it completes and
@@ -129,17 +99,4 @@ func Then(f *Future, fn func(any) (any, error)) *Future {
 		_ = out.SetResult(nv)
 	})
 	return out
-}
-
-// CollectErrors waits for all futures and returns every error, annotated with
-// its index, in argument order. Used by fault-tolerance tests and retried
-// branches (§3.7: re-executing a failed branch must not disturb others).
-func CollectErrors(futs ...*Future) []error {
-	var errs []error
-	for i, f := range futs {
-		if _, err := f.Result(); err != nil {
-			errs = append(errs, fmt.Errorf("future %d: %w", i, err))
-		}
-	}
-	return errs
 }

@@ -39,52 +39,6 @@ func TestWaitCtxCancel(t *testing.T) {
 	}
 }
 
-func TestAllValuesInOrder(t *testing.T) {
-	futs := make([]*Future, 5)
-	for i := range futs {
-		futs[i] = New()
-	}
-	all := All(futs...)
-	// Complete in reverse order.
-	for i := len(futs) - 1; i >= 0; i-- {
-		_ = futs[i].SetResult(i)
-	}
-	v, err := all.Result()
-	if err != nil {
-		t.Fatalf("All: %v", err)
-	}
-	vals := v.([]any)
-	for i := range vals {
-		if vals[i] != i {
-			t.Fatalf("vals[%d] = %v", i, vals[i])
-		}
-	}
-}
-
-func TestAllPropagatesError(t *testing.T) {
-	a, b := New(), New()
-	all := All(a, b)
-	boom := errors.New("boom")
-	_ = a.SetError(boom)
-	if _, err := all.Result(); !errors.Is(err, boom) {
-		t.Fatalf("err = %v", err)
-	}
-	_ = b.SetResult(1) // late completion must not panic or overwrite
-	if _, err := all.Result(); !errors.Is(err, boom) {
-		t.Fatalf("error overwritten: %v", err)
-	}
-}
-
-func TestAllEmpty(t *testing.T) {
-	v, err := All().Result()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(v.([]any)) != 0 {
-		t.Fatalf("All() = %v", v)
-	}
-}
-
 func TestAsCompletedYieldsAll(t *testing.T) {
 	futs := make([]*Future, 8)
 	for i := range futs {
@@ -209,15 +163,5 @@ func TestThenFnError(t *testing.T) {
 	g := Then(f, func(any) (any, error) { return nil, bad })
 	if _, err := g.Result(); !errors.Is(err, bad) {
 		t.Fatalf("err = %v", err)
-	}
-}
-
-func TestCollectErrors(t *testing.T) {
-	a := Completed(1)
-	b := FromError(errors.New("x"))
-	c := FromError(errors.New("y"))
-	errs := CollectErrors(a, b, c)
-	if len(errs) != 2 {
-		t.Fatalf("got %d errors, want 2: %v", len(errs), errs)
 	}
 }

@@ -288,43 +288,3 @@ func TestQuickSingleAssignmentStability(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// Property: completing futures in any order always resolves All with values
-// in argument order.
-func TestQuickAllOrderIndependence(t *testing.T) {
-	prop := func(perm []int) bool {
-		n := len(perm)%8 + 1
-		futs := make([]*Future, n)
-		for i := range futs {
-			futs[i] = New()
-		}
-		all := All(futs...)
-		// Complete in a permutation order derived from input.
-		order := make([]int, n)
-		for i := range order {
-			order[i] = i
-		}
-		for i, p := range perm {
-			j := ((p % n) + n) % n
-			k := i % n
-			order[j], order[k] = order[k], order[j]
-		}
-		for _, idx := range order {
-			_ = futs[idx].SetResult(idx * 10)
-		}
-		v, err := all.Result()
-		if err != nil {
-			return false
-		}
-		vals := v.([]any)
-		for i := range vals {
-			if vals[i] != i*10 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}

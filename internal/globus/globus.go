@@ -18,11 +18,9 @@ import (
 
 // Errors returned by the service.
 var (
-	ErrAuth         = errors.New("globus: invalid or expired token")
-	ErrNoEndpoint   = errors.New("globus: unknown endpoint")
-	ErrNoFile       = errors.New("globus: no such file")
-	ErrNoTask       = errors.New("globus: no such task")
-	ErrEndpointDown = errors.New("globus: endpoint deactivated")
+	ErrAuth       = errors.New("globus: invalid or expired token")
+	ErrNoEndpoint = errors.New("globus: unknown endpoint")
+	ErrNoFile     = errors.New("globus: no such file")
 )
 
 // TransferStatus is the lifecycle of a transfer task.
@@ -39,9 +37,8 @@ const (
 type Endpoint struct {
 	Name string
 
-	mu     sync.RWMutex
-	files  map[string][]byte
-	active bool
+	mu    sync.RWMutex
+	files map[string][]byte
 }
 
 // Put writes a file into the endpoint's namespace.
@@ -64,14 +61,6 @@ func (e *Endpoint) Get(path string) ([]byte, error) {
 	cp := make([]byte, len(data))
 	copy(cp, data)
 	return cp, nil
-}
-
-// Exists reports whether path is present.
-func (e *Endpoint) Exists(path string) bool {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	_, ok := e.files[path]
-	return ok
 }
 
 // Task is an asynchronous third-party transfer job.
@@ -126,7 +115,6 @@ type Service struct {
 
 	mu        sync.Mutex
 	endpoints map[string]*Endpoint
-	tasks     map[string]*Task
 	tokens    map[string]time.Time
 }
 
@@ -134,7 +122,6 @@ type Service struct {
 func NewService() *Service {
 	return &Service{
 		endpoints: make(map[string]*Endpoint),
-		tasks:     make(map[string]*Task),
 		tokens:    make(map[string]time.Time),
 	}
 }
@@ -162,9 +149,9 @@ func (s *Service) validate(token string) error {
 	return nil
 }
 
-// AddEndpoint registers a named endpoint and returns it activated.
+// AddEndpoint registers a named endpoint and returns it.
 func (s *Service) AddEndpoint(name string) *Endpoint {
-	ep := &Endpoint{Name: name, files: make(map[string][]byte), active: true}
+	ep := &Endpoint{Name: name, files: make(map[string][]byte)}
 	s.mu.Lock()
 	s.endpoints[name] = ep
 	s.mu.Unlock()
@@ -180,19 +167,6 @@ func (s *Service) Endpoint(name string) (*Endpoint, error) {
 		return nil, fmt.Errorf("%w: %s", ErrNoEndpoint, name)
 	}
 	return ep, nil
-}
-
-// Deactivate marks an endpoint down; transfers touching it fail, the way an
-// expired endpoint activation fails in production.
-func (s *Service) Deactivate(name string) error {
-	ep, err := s.Endpoint(name)
-	if err != nil {
-		return err
-	}
-	ep.mu.Lock()
-	ep.active = false
-	ep.mu.Unlock()
-	return nil
 }
 
 // Submit starts an asynchronous third-party transfer of srcPath on endpoint
@@ -219,10 +193,6 @@ func (s *Service) Submit(token, src, srcPath, dst, dstPath string) (*Task, error
 		status: StatusActive,
 		done:   make(chan struct{}),
 	}
-	s.mu.Lock()
-	s.tasks[task.ID] = task
-	s.mu.Unlock()
-
 	go s.run(task, srcEP, srcPath, dstEP, dstPath)
 	return task, nil
 }
@@ -230,16 +200,6 @@ func (s *Service) Submit(token, src, srcPath, dst, dstPath string) (*Task, error
 func (s *Service) run(task *Task, srcEP *Endpoint, srcPath string, dstEP *Endpoint, dstPath string) {
 	if s.BaseLatency > 0 {
 		time.Sleep(s.BaseLatency)
-	}
-	srcEP.mu.RLock()
-	srcActive := srcEP.active
-	srcEP.mu.RUnlock()
-	dstEP.mu.RLock()
-	dstActive := dstEP.active
-	dstEP.mu.RUnlock()
-	if !srcActive || !dstActive {
-		task.finish(StatusFailed, ErrEndpointDown.Error())
-		return
 	}
 	data, err := srcEP.Get(srcPath)
 	if err != nil {
@@ -252,16 +212,4 @@ func (s *Service) run(task *Task, srcEP *Endpoint, srcPath string, dstEP *Endpoi
 	}
 	dstEP.Put(dstPath, data)
 	task.finish(StatusSucceeded, "")
-}
-
-// TaskStatus polls a transfer by id.
-func (s *Service) TaskStatus(id string) (TransferStatus, error) {
-	s.mu.Lock()
-	task, ok := s.tasks[id]
-	s.mu.Unlock()
-	if !ok {
-		return "", fmt.Errorf("%w: %s", ErrNoTask, id)
-	}
-	st, _ := task.Status()
-	return st, nil
 }

@@ -35,11 +35,12 @@ import (
 	"repro/internal/serialize"
 )
 
-// Key builds a memoization key from app identity and arguments — the
-// "function name, body hash, and arguments" triple of §4.1. It re-encodes
-// the arguments to hash them; the DFK's submit path instead derives the key
-// from the encode-once payload via KeyFromPayload and pays no extra
-// serialization.
+// KeyFromPayload builds the memoization key — the "function name, body hash,
+// and arguments" triple of §4.1 — from a task's encode-once argument payload:
+// the args digest is the hash of the already-encoded bytes (canonical —
+// kwargs are sorted inside the payload), so computing the key costs one hash
+// sweep and zero gob encoders. Keys are stable across runs, which is what
+// checkpoint reuse (§3.7) depends on.
 //
 // Compatibility: the args digest is the payload-codec digest
 // (serialize.Payload.ArgsHash), pinned by golden tests and stable from
@@ -47,20 +48,6 @@ import (
 // the encode-once payload used a gob-derived digest and go cold once — a
 // one-time re-execution, never a wrong result, since unmatched keys only
 // miss.
-func Key(appName, bodyHash string, args []any, kwargs map[string]any) (string, error) {
-	p, err := serialize.EncodeArgs(args, kwargs)
-	if err != nil {
-		return "", fmt.Errorf("memo: args not hashable: %w", err)
-	}
-	return KeyFromPayload(appName, bodyHash, p), nil
-}
-
-// KeyFromPayload builds the memoization key from a task's encode-once
-// argument payload: the args digest is the hash of the already-encoded
-// bytes (canonical — kwargs are sorted inside the payload), so computing
-// the key costs one hash sweep and zero gob encoders. Key and
-// KeyFromPayload agree for identical arguments, and keys are stable across
-// runs, which is what checkpoint reuse (§3.7) depends on.
 func KeyFromPayload(appName, bodyHash string, p *serialize.Payload) string {
 	return appName + "|" + bodyHash + "|" + p.ArgsHash()
 }

@@ -12,44 +12,23 @@ import (
 )
 
 func TestKeyComponents(t *testing.T) {
-	k1, err := Key("f", "h1", []any{1}, nil)
-	if err != nil {
-		t.Fatal(err)
+	key := func(app, bodyHash string, args ...any) string {
+		t.Helper()
+		p, err := serialize.EncodeArgs(args, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return KeyFromPayload(app, bodyHash, p)
 	}
-	k2, _ := Key("f", "h1", []any{2}, nil)
-	k3, _ := Key("f", "h2", []any{1}, nil)
-	k4, _ := Key("g", "h1", []any{1}, nil)
+	k1 := key("f", "h1", 1)
+	k2 := key("f", "h1", 2)
+	k3 := key("f", "h2", 1)
+	k4 := key("g", "h1", 1)
 	if k1 == k2 || k1 == k3 || k1 == k4 {
 		t.Fatalf("keys collide: %s %s %s %s", k1, k2, k3, k4)
 	}
-	k5, _ := Key("f", "h1", []any{1}, nil)
-	if k1 != k5 {
+	if k5 := key("f", "h1", 1); k1 != k5 {
 		t.Fatal("key not deterministic")
-	}
-}
-
-func TestKeyUnhashableArgs(t *testing.T) {
-	if _, err := Key("f", "h", []any{make(chan int)}, nil); err == nil {
-		t.Fatal("unhashable args produced a key")
-	}
-}
-
-// TestKeyFromPayloadAgreesWithKey: the DFK derives keys from the
-// encode-once payload; programs (and checkpoint files) written against
-// Key() must land on the same entries.
-func TestKeyFromPayloadAgreesWithKey(t *testing.T) {
-	args := []any{1, "x", 2.5}
-	kw := map[string]any{"b": 2, "a": 1}
-	k1, err := Key("f", "h1", args, kw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := serialize.EncodeArgs(args, kw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if k2 := KeyFromPayload("f", "h1", p); k2 != k1 {
-		t.Fatalf("KeyFromPayload = %s, Key = %s", k2, k1)
 	}
 }
 

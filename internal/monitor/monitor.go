@@ -21,10 +21,7 @@ type EventKind string
 
 // Event kinds emitted by the DFK and executors.
 const (
-	KindTaskState  EventKind = "task_state"
-	KindWorkerInfo EventKind = "worker_info"
-	KindResource   EventKind = "resource"
-	KindBlockState EventKind = "block_state"
+	KindTaskState EventKind = "task_state"
 	// KindTenant records multi-tenant admission outcomes: Detail is "shed"
 	// (quota exceeded under the shed policy) or "admitted" (a submission
 	// that had to wait under the block policy; Duration is the wait).

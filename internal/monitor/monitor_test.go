@@ -16,7 +16,7 @@ func TestStoreEmitAndQuery(t *testing.T) {
 	now := time.Now()
 	s.Emit(ev(1, "pending", now))
 	s.Emit(ev(1, "launched", now.Add(time.Millisecond)))
-	s.Emit(Event{Kind: KindWorkerInfo, Worker: "w1", At: now})
+	s.Emit(Event{Kind: KindHealth, Worker: "w1", At: now})
 	if s.Len() != 3 {
 		t.Fatalf("len = %d", s.Len())
 	}
@@ -73,7 +73,7 @@ func TestFileSinkRoundTrip(t *testing.T) {
 	}
 	now := time.Now().Round(0)
 	fs.Emit(ev(1, "done", now))
-	fs.Emit(Event{Kind: KindResource, Worker: "w", Detail: "cpu=0.5", At: now})
+	fs.Emit(Event{Kind: KindHealth, Worker: "w", Detail: "cpu=0.5", At: now})
 	if err := fs.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -5,21 +5,19 @@
 // blocks.
 //
 // Batch providers (Slurm, Torque/PBS, HTCondor, Cobalt, GridEngine) drive
-// the internal/cluster LRM simulator and synthesize real submit scripts
-// through the configured launcher. Cloud providers (AWS, GoogleCloud,
-// Jetstream, Kubernetes) model instance acquisition with startup latency.
-// The Local provider forks "nodes" in-process for laptops.
+// the internal/cluster LRM simulator directly; the channels and launchers of
+// §4.2 are not modelled. Cloud providers (AWS, GoogleCloud, Jetstream,
+// Kubernetes) model instance acquisition with startup latency. The Local
+// provider forks "nodes" in-process for laptops.
 package provider
 
 import (
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/launcher"
 )
 
 // Status is the uniform job state reported by Status, mirroring Parsl's
@@ -69,26 +67,16 @@ type Provider interface {
 var ErrNoBlock = errors.New("provider: no such block")
 
 // Config carries the common provider options from Parsl's config object
-// (Listing 1): block geometry, scheduler options, and worker environment.
+// (Listing 1): block geometry and the scheduler limits the LRM enforces.
 type Config struct {
-	NodesPerBlock  int
-	WorkersPerNode int
-	Walltime       time.Duration
-	Partition      string
-	SchedulerOpts  string // e.g. extra #SBATCH lines
-	WorkerInit     string // e.g. "module load conda"
-	Launcher       launcher.Launcher
+	NodesPerBlock int
+	Walltime      time.Duration
+	Partition     string
 }
 
 func (c *Config) normalize() {
 	if c.NodesPerBlock <= 0 {
 		c.NodesPerBlock = 1
-	}
-	if c.WorkersPerNode <= 0 {
-		c.WorkersPerNode = 1
-	}
-	if c.Launcher == nil {
-		c.Launcher = launcher.Single{}
 	}
 }
 
@@ -201,34 +189,24 @@ func (l *Local) Blocks() []string {
 // Batch (LRM) providers
 // ---------------------------------------------------------------------------
 
-// lrmDialect captures the scheduler-specific surface of a batch system.
-type lrmDialect struct {
-	name      string
-	submit    string // sbatch / qsub / condor_submit / ...
-	status    string
-	cancel    string
-	directive string // #SBATCH / #PBS / ...
-	partFlag  string
+// submitCommand is what each batch system's submit errors cite.
+var submitCommand = map[string]string{
+	"slurm":      "sbatch",
+	"torque":     "qsub",
+	"condor":     "condor_submit",
+	"cobalt":     "qsub",
+	"gridengine": "qsub",
 }
 
-var dialects = map[string]lrmDialect{
-	"slurm":      {"slurm", "sbatch", "squeue", "scancel", "#SBATCH", "--partition"},
-	"torque":     {"torque", "qsub", "qstat", "qdel", "#PBS", "-q"},
-	"condor":     {"condor", "condor_submit", "condor_q", "condor_rm", "#CONDOR", "+Queue"},
-	"cobalt":     {"cobalt", "qsub", "qstat", "qdel", "#COBALT", "-q"},
-	"gridengine": {"gridengine", "qsub", "qstat", "qdel", "#$", "-q"},
-}
-
-// Batch drives a simulated LRM with a scheduler dialect.
+// Batch drives a simulated LRM under one batch system's name.
 type Batch struct {
-	cfg     Config
-	dialect lrmDialect
-	cl      *cluster.Cluster
+	cfg  Config
+	name string
+	cl   *cluster.Cluster
 
-	mu         sync.Mutex
-	seq        int
-	blocks     map[string]*batchBlock
-	lastScript string
+	mu     sync.Mutex
+	seq    int
+	blocks map[string]*batchBlock
 }
 
 type batchBlock struct {
@@ -251,56 +229,23 @@ func NewCobalt(cl *cluster.Cluster, cfg Config) *Batch { return newBatch("cobalt
 // NewGridEngine creates a GridEngine provider.
 func NewGridEngine(cl *cluster.Cluster, cfg Config) *Batch { return newBatch("gridengine", cl, cfg) }
 
-func newBatch(dialect string, cl *cluster.Cluster, cfg Config) *Batch {
+func newBatch(name string, cl *cluster.Cluster, cfg Config) *Batch {
 	cfg.normalize()
-	return &Batch{cfg: cfg, dialect: dialects[dialect], cl: cl, blocks: make(map[string]*batchBlock)}
+	return &Batch{cfg: cfg, name: name, cl: cl, blocks: make(map[string]*batchBlock)}
 }
 
 // Name implements Provider.
-func (b *Batch) Name() string { return b.dialect.name }
+func (b *Batch) Name() string { return b.name }
 
 // NodesPerBlock implements Provider.
 func (b *Batch) NodesPerBlock() int { return b.cfg.NodesPerBlock }
 
-// script synthesizes the submit script a real deployment would write. It is
-// recorded (LastScript) so configs can be inspected and tested.
-func (b *Batch) script(blockID string) string {
-	var sb strings.Builder
-	sb.WriteString("#!/bin/bash\n")
-	fmt.Fprintf(&sb, "%s --job-name=parsl.%s\n", b.dialect.directive, blockID)
-	fmt.Fprintf(&sb, "%s --nodes=%d\n", b.dialect.directive, b.cfg.NodesPerBlock)
-	if b.cfg.Partition != "" {
-		fmt.Fprintf(&sb, "%s %s=%s\n", b.dialect.directive, b.dialect.partFlag, b.cfg.Partition)
-	}
-	if b.cfg.Walltime > 0 {
-		fmt.Fprintf(&sb, "%s --time=%s\n", b.dialect.directive, b.cfg.Walltime)
-	}
-	if b.cfg.SchedulerOpts != "" {
-		fmt.Fprintf(&sb, "%s %s\n", b.dialect.directive, b.cfg.SchedulerOpts)
-	}
-	if b.cfg.WorkerInit != "" {
-		sb.WriteString(b.cfg.WorkerInit + "\n")
-	}
-	worker := fmt.Sprintf("parsl-worker --block %s", blockID)
-	sb.WriteString(b.cfg.Launcher.Wrap(worker, b.cfg.NodesPerBlock, b.cfg.WorkersPerNode) + "\n")
-	return sb.String()
-}
-
-// LastScript returns the most recently generated submit script.
-func (b *Batch) LastScript() string {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.lastScript
-}
-
-// SubmitBlock implements Provider: it generates the submit script and queues
-// one LRM job for the block; the payload starts on each node when the job
-// leaves the queue.
+// SubmitBlock implements Provider: it queues one LRM job for the block; the
+// payload starts on each node when the job leaves the queue.
 func (b *Batch) SubmitBlock(payload Payload) (string, error) {
 	b.mu.Lock()
 	b.seq++
-	id := fmt.Sprintf("%s-block-%d", b.dialect.name, b.seq)
-	b.lastScript = b.script(id)
+	id := fmt.Sprintf("%s-block-%d", b.name, b.seq)
 	blk := &batchBlock{}
 	b.blocks[id] = blk
 	b.mu.Unlock()
@@ -311,7 +256,7 @@ func (b *Batch) SubmitBlock(payload Payload) (string, error) {
 		Walltime:  b.cfg.Walltime,
 		Partition: b.cfg.Partition,
 		OnStart: func(job *cluster.Job) {
-			for i, nodeID := range job.Nodes() {
+			for _, nodeID := range job.Nodes() {
 				stop, err := payload(Node{
 					ID:      nodeID,
 					Host:    fmt.Sprintf("%s-nid%05d", b.cl.Config().Name, nodeID),
@@ -320,7 +265,6 @@ func (b *Batch) SubmitBlock(payload Payload) (string, error) {
 				if err != nil {
 					continue // a node that fails to start leaves capacity down
 				}
-				_ = i
 				b.mu.Lock()
 				blk.stops = append(blk.stops, stop)
 				b.mu.Unlock()
@@ -343,7 +287,7 @@ func (b *Batch) SubmitBlock(payload Payload) (string, error) {
 		b.mu.Lock()
 		delete(b.blocks, id)
 		b.mu.Unlock()
-		return "", fmt.Errorf("provider: %s %s: %w", b.dialect.submit, id, err)
+		return "", fmt.Errorf("provider: %s %s: %w", submitCommand[b.name], id, err)
 	}
 	b.mu.Lock()
 	blk.job = job
@@ -479,13 +423,30 @@ func (c *Cloud) SubmitBlock(payload Payload) (string, error) {
 		blk.status = StatusRunning
 		c.mu.Unlock()
 		for n := 0; n < c.cfg.NodesPerBlock; n++ {
+			c.mu.Lock()
+			cancelled := blk.status != StatusRunning
+			c.mu.Unlock()
+			if cancelled {
+				return
+			}
 			stop, err := payload(Node{ID: n, Host: fmt.Sprintf("%s/%s/vm%d", c.flavor, id, n), BlockID: id})
 			if err != nil {
 				continue
 			}
 			c.mu.Lock()
-			blk.stops = append(blk.stops, stop)
+			cancelled = blk.status != StatusRunning
+			if !cancelled {
+				blk.stops = append(blk.stops, stop)
+			}
 			c.mu.Unlock()
+			if cancelled {
+				// CancelBlock already took the stops it could see; this node
+				// came up after it and is released here.
+				if stop != nil {
+					stop()
+				}
+				return
+			}
 		}
 	}()
 	return id, nil
@@ -502,7 +463,8 @@ func (c *Cloud) Status(id string) (Status, error) {
 	return blk.status, nil
 }
 
-// CancelBlock implements Provider: terminate instances.
+// CancelBlock implements Provider: terminate instances. Cancelling a block
+// twice releases its instances once.
 func (c *Cloud) CancelBlock(id string) error {
 	c.mu.Lock()
 	blk, ok := c.blocks[id]
@@ -511,6 +473,10 @@ func (c *Cloud) CancelBlock(id string) error {
 		return fmt.Errorf("%w: %s", ErrNoBlock, id)
 	}
 	prev := blk.status
+	if prev == StatusCancelled {
+		c.mu.Unlock()
+		return nil
+	}
 	blk.status = StatusCancelled
 	stops := blk.stops
 	blk.stops = nil

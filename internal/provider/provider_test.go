@@ -2,14 +2,12 @@ package provider
 
 import (
 	"errors"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/launcher"
 )
 
 // countingPayload returns a Payload that tracks started/stopped node counts.
@@ -125,27 +123,6 @@ func TestSlurmProviderRunsPayloadPerNode(t *testing.T) {
 	})
 }
 
-func TestSlurmSubmitScript(t *testing.T) {
-	p, _ := newSlurmOnCluster(t, 4, Config{
-		NodesPerBlock:  2,
-		WorkersPerNode: 4,
-		Walltime:       time.Hour,
-		SchedulerOpts:  "--qos=high",
-		WorkerInit:     "module load parsl",
-		Launcher:       launcher.Srun{},
-	})
-	var started, stopped atomic.Int32
-	if _, err := p.SubmitBlock(countingPayload(&started, &stopped)); err != nil {
-		t.Fatal(err)
-	}
-	script := p.LastScript()
-	for _, want := range []string{"#SBATCH --nodes=2", "#SBATCH --time=1h0m0s", "--qos=high", "module load parsl", "srun --nodes=2 --ntasks-per-node=4"} {
-		if !strings.Contains(script, want) {
-			t.Fatalf("script missing %q:\n%s", want, script)
-		}
-	}
-}
-
 func TestSlurmPartitionValidation(t *testing.T) {
 	cl, err := cluster.New(cluster.Midway(4))
 	if err != nil {
@@ -223,9 +200,6 @@ func TestAllBatchDialects(t *testing.T) {
 			t.Fatalf("%s submit: %v", name, err)
 		}
 		waitCond(t, name+" start", func() bool { return started.Load() == 1 })
-		if script := p.LastScript(); !strings.Contains(script, dialects[name].directive) {
-			t.Errorf("%s script missing directive:\n%s", name, script)
-		}
 		_ = p.CancelBlock(id)
 		waitCond(t, name+" stop", func() bool { return stopped.Load() == 1 })
 	}
@@ -289,6 +263,65 @@ func TestCloudQuota(t *testing.T) {
 	}
 	if _, err := p.SubmitBlock(ok); !errors.Is(err, ErrQuota) {
 		t.Fatalf("err = %v", err)
+	}
+}
+
+// A second cancel of the same block must not hand its instances back twice:
+// the count would go negative and the quota would admit more than its limit.
+func TestCloudDoubleCancelReleasesInstancesOnce(t *testing.T) {
+	p := NewKubernetes(Config{NodesPerBlock: 2})
+	p.InstanceLimit = 2
+	p.StartupDelay = time.Hour
+	ok := func(Node) (func(), error) { return func() {}, nil }
+	id, err := p.SubmitBlock(ok)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if err := p.CancelBlock(id); err != nil {
+			t.Fatalf("cancel %d: %v", i+1, err)
+		}
+	}
+	if n := p.Instances(); n != 0 {
+		t.Fatalf("instances after double cancel = %d, want 0", n)
+	}
+	if _, err := p.SubmitBlock(ok); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.SubmitBlock(ok); !errors.Is(err, ErrQuota) {
+		t.Fatalf("second block within a limit of 2: err = %v, want ErrQuota", err)
+	}
+}
+
+// A cancel that lands while the block is still bringing nodes up must leave
+// nothing running: nodes not yet started stay down, and the one whose payload
+// was in flight is stopped as soon as it returns.
+func TestCloudCancelDuringStartupStopsEveryNode(t *testing.T) {
+	p := NewKubernetes(Config{NodesPerBlock: 4})
+	p.StartupDelay = 0
+	var started, stopped atomic.Int32
+	inFlight := make(chan struct{})
+	release := make(chan struct{})
+	id, err := p.SubmitBlock(func(n Node) (func(), error) {
+		started.Add(1)
+		if n.ID == 1 {
+			close(inFlight)
+			<-release
+		}
+		return func() { stopped.Add(1) }, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-inFlight
+	if err := p.CancelBlock(id); err != nil {
+		t.Fatal(err)
+	}
+	close(release)
+	waitCond(t, "late node stopped", func() bool { return stopped.Load() == 2 })
+	time.Sleep(20 * time.Millisecond) // room for a node the cancel failed to prevent
+	if s, e := started.Load(), stopped.Load(); s != 2 || e != 2 {
+		t.Fatalf("started %d, stopped %d; want 2 and 2", s, e)
 	}
 }
 

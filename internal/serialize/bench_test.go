@@ -99,19 +99,6 @@ func BenchmarkSerializeRoundTrip(b *testing.B) {
 	})
 }
 
-// BenchmarkArgsHash isolates the memoization hash: per-argument gob
-// streamed straight into a pooled FNV hasher.
-func BenchmarkArgsHash(b *testing.B) {
-	args := []any{7, "input-0007", 2.5, []string{"a", "b", "c"}}
-	kw := map[string]any{"threads": 4, "mode": "fast"}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := ArgsHash(args, kw); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkPayloadHash is the encode-once equivalent: EncodeArgs plus a
 // hash sweep over the cached bytes (what the DFK submit path actually pays,
 // since the same payload then serves the wire and the deep copy for free).

@@ -49,9 +49,8 @@
 // duplicated or undecodable frame and the sender can resync it. Both kinds
 // are tagged, so mixed traffic on one connection stays decodable.
 //
-// Hash stability: ArgsHash digests (and payload digests, via the pinned
-// value-codec byte format plus primed gob descriptor ids) are stable across
-// processes and releases — golden-value tests enforce it — because
+// Hash stability: payload digests (via the pinned value-codec byte format
+// plus primed gob descriptor ids) are stable across processes and releases — golden-value tests enforce it — because
 // checkpoint files persist memoization keys built from them.
 package serialize
 
@@ -60,7 +59,6 @@ import (
 	"encoding/binary"
 	"encoding/gob"
 	"fmt"
-	"hash"
 	"hash/fnv"
 	"io"
 	"sort"
@@ -238,9 +236,9 @@ func init() {
 	// stream for, say, []string would depend on which types the process
 	// happened to serialize first — and the memoization hashes built from
 	// those bytes would not be reproducible across runs. Priming here (and
-	// in RegisterType for user types) is what makes ArgsHash and
-	// Payload.ArgsHash digests stable enough to pin with golden values and
-	// to persist in checkpoint files.
+	// in RegisterType for user types) is what makes Payload.ArgsHash
+	// digests stable enough to pin with golden values and to persist in
+	// checkpoint files.
 	primeGob(
 		false, true,
 		int(0), int8(0), int16(0), int32(0), int64(0),
@@ -291,9 +289,6 @@ func getBuf() *bytes.Buffer {
 }
 
 func putBuf(b *bytes.Buffer) { bufPool.Put(b) }
-
-// hashPool recycles FNV-64a hashers for ArgsHash.
-var hashPool = sync.Pool{New: func() any { return fnv.New64a() }}
 
 // payloadVersion is the leading byte of every encode-once payload; bumping
 // it invalidates all persisted memo keys, so only do that when the value
@@ -405,8 +400,8 @@ func (p *Payload) Bytes() []byte { return p.data }
 // Len reports the encoded size in bytes.
 func (p *Payload) Len() int { return len(p.data) }
 
-// ArgsHash returns the FNV-64a digest of the payload bytes, formatted like
-// ArgsHash(args, kwargs) output. Because the payload encoding is canonical
+// ArgsHash returns the FNV-64a digest of the payload bytes as 16 hex digits.
+// Because the payload encoding is canonical
 // (sorted kwargs), identical arguments always produce identical digests —
 // this is the memoization hash of the encode-once pipeline, and it costs no
 // additional encoding.
@@ -610,39 +605,4 @@ func DeepCopyArgs(args []any, kwargs map[string]any) ([]any, map[string]any, err
 		return nil, nil, err
 	}
 	return p.DecodeArgs()
-}
-
-// ArgsHash produces a deterministic digest of the argument list for
-// memoization keys. Each argument's gob encoding streams straight into a
-// pooled FNV-64a hasher (no intermediate buffer per argument); map iteration
-// order is neutralized by hashing sorted kwarg keys with their individually
-// encoded values. The digest for given arguments is stable across releases —
-// a golden-value test pins it — because checkpoint files persist keys built
-// from it.
-func ArgsHash(args []any, kwargs map[string]any) (string, error) {
-	h := hashPool.Get().(hash.Hash64)
-	h.Reset()
-	defer hashPool.Put(h)
-	for i, a := range args {
-		a := a
-		if err := gob.NewEncoder(h).Encode(&a); err != nil {
-			return "", fmt.Errorf("serialize: hash arg %d: %w", i, err)
-		}
-		_, _ = h.Write([]byte{0})
-	}
-	keys := make([]string, 0, len(kwargs))
-	for k := range kwargs {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		_, _ = h.Write([]byte(k))
-		_, _ = h.Write([]byte{1})
-		v := kwargs[k]
-		if err := gob.NewEncoder(h).Encode(&v); err != nil {
-			return "", fmt.Errorf("serialize: hash kwarg %q: %w", k, err)
-		}
-		_, _ = h.Write([]byte{2})
-	}
-	return digestString(h.Sum64()), nil
 }

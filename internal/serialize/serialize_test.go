@@ -162,45 +162,6 @@ func TestDeepCopyUnencodable(t *testing.T) {
 	}
 }
 
-func TestArgsHashDeterministicAcrossKwargOrder(t *testing.T) {
-	// Build the same map twice with different insertion orders.
-	kw1 := map[string]any{}
-	kw2 := map[string]any{}
-	keys := []string{"a", "b", "c", "d", "e"}
-	for _, k := range keys {
-		kw1[k] = k + "-v"
-	}
-	for i := len(keys) - 1; i >= 0; i-- {
-		kw2[keys[i]] = keys[i] + "-v"
-	}
-	h1, err := ArgsHash([]any{1, "x"}, kw1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h2, err := ArgsHash([]any{1, "x"}, kw2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h1 != h2 {
-		t.Fatalf("hash differs across map order: %s %s", h1, h2)
-	}
-}
-
-func TestArgsHashDistinguishesArgs(t *testing.T) {
-	h1, _ := ArgsHash([]any{1}, nil)
-	h2, _ := ArgsHash([]any{2}, nil)
-	h3, _ := ArgsHash([]any{1, 0}, nil)
-	if h1 == h2 || h1 == h3 {
-		t.Fatalf("collisions: %s %s %s", h1, h2, h3)
-	}
-}
-
-func TestArgsHashErrorOnUnencodable(t *testing.T) {
-	if _, err := ArgsHash([]any{func() {}}, nil); err == nil {
-		t.Fatal("func arg hashed")
-	}
-}
-
 // Property: encode/decode is lossless for int/string/float payloads.
 func TestQuickTaskRoundTrip(t *testing.T) {
 	prop := func(id int64, app string, i int, s string, f float64) bool {
@@ -218,49 +179,6 @@ func TestQuickTaskRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(prop, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// Property: ArgsHash is a pure function of its inputs.
-func TestQuickArgsHashPure(t *testing.T) {
-	prop := func(a int, b string) bool {
-		h1, e1 := ArgsHash([]any{a, b}, map[string]any{"k": a})
-		h2, e2 := ArgsHash([]any{a, b}, map[string]any{"k": a})
-		return e1 == nil && e2 == nil && h1 == h2
-	}
-	if err := quick.Check(prop, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestArgsHashGolden pins the digest for a spread of argument shapes.
-// Checkpoint files persist memo keys built from these hashes, so the values
-// must never drift across releases — including across the rewrite that
-// streams gob output straight into the hasher (the per-argument byte
-// streams, and therefore the digests, are unchanged).
-func TestArgsHashGolden(t *testing.T) {
-	cases := []struct {
-		args []any
-		kw   map[string]any
-		want string
-	}{
-		{nil, nil, "cbf29ce484222325"},
-		{[]any{}, map[string]any{}, "cbf29ce484222325"},
-		{[]any{int(42)}, nil, "8e76be993c2fd62b"},
-		{[]any{"chr1", 3, 2.5}, nil, "af96601ca0f65dde"},
-		{[]any{[]string{"a", "b"}, []int{1, 2, 3}}, nil, "3cc28995c38ba0fb"},
-		{[]any{1, "x"}, map[string]any{"a": "a-v", "b": "b-v", "c": "c-v"}, "fab4c8683b8ba743"},
-		{[]any{int64(7)}, map[string]any{"threads": 4, "mode": "fast"}, "b94a793ba1fd6355"},
-		{[]any{[]byte{0, 1, 2}}, map[string]any{"f": 3.14}, "1b69d6eeb0dd3f21"},
-	}
-	for i, c := range cases {
-		got, err := ArgsHash(c.args, c.kw)
-		if err != nil {
-			t.Fatalf("case %d: %v", i, err)
-		}
-		if got != c.want {
-			t.Fatalf("case %d: ArgsHash = %s, want golden %s", i, got, c.want)
-		}
 	}
 }
 

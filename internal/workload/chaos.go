@@ -22,47 +22,36 @@ type ChaosConfig struct {
 	// Seed fixes the fault schedule, the DFK's executor selection, and the
 	// interchange's manager selection.
 	Seed int64
-	// Tasks is the number of distinct tasks submitted (default 240).
+	// Tasks is the number of distinct tasks submitted (default 240). The
+	// first Tasks/8 arguments are submitted a second time, exercising
+	// memoization consistency under chaos.
 	Tasks int
-	// DupSubmissions resubmits the first n task arguments a second time,
-	// exercising memoization consistency under chaos (default Tasks/8).
-	DupSubmissions int
-	// Workers sizes the threadpool executor (default 4).
-	Workers int
-	// Managers is the HTEX manager count (default 3); MgrWorkers the worker
-	// goroutines per manager (default 2).
-	Managers, MgrWorkers int
-	// Retries is the per-task retry budget (default 8 — chaos runs need
-	// headroom: every dropped frame or killed manager consumes an attempt).
-	Retries int
-	// TaskTimeout bounds one attempt; it is the recovery backstop for
-	// silently lost work (dropped frames, results lost to corruption), so
-	// chaos runs must set it (default 700ms).
-	TaskTimeout time.Duration
 	// Checkpoint, when non-empty, enables memo checkpointing to this file
 	// and arms the post-run checkpoint-consistency invariant.
 	Checkpoint string
 	// Plan is the fault plan (nil = DefaultChaosPlan()). An empty non-nil
 	// plan runs the workload with chaos armed but inert.
 	Plan chaos.Plan
-	// Watchdog bounds the whole run; a task not terminal by then is reported
-	// as the "task stuck" invariant violation (default 90s).
-	Watchdog time.Duration
 }
+
+// The deployment and budgets every chaos run uses.
+const (
+	chaosWorkers    = 4 // threadpool executor size
+	chaosManagers   = 3 // HTEX managers
+	chaosMgrWorkers = 2 // worker goroutines per manager
+	// chaosRetries is the per-task retry budget: chaos runs need headroom,
+	// every dropped frame or killed manager consumes an attempt.
+	chaosRetries = 8
+	// chaosTaskTimeout bounds one attempt; it is the recovery backstop for
+	// silently lost work (dropped frames, results lost to corruption).
+	chaosTaskTimeout = 700 * time.Millisecond
+	// chaosWatchdog bounds the whole run; a task not terminal by then is
+	// reported as the "task stuck" invariant violation.
+	chaosWatchdog = 90 * time.Second
+)
 
 func (c *ChaosConfig) normalize() {
 	setDefault(&c.Tasks, 240)
-	if c.DupSubmissions < 0 {
-		c.DupSubmissions = 0
-	} else if c.DupSubmissions == 0 {
-		c.DupSubmissions = c.Tasks / 8
-	}
-	setDefault(&c.Workers, 4)
-	setDefault(&c.Managers, 3)
-	setDefault(&c.MgrWorkers, 2)
-	setDefault(&c.Retries, 8)
-	setDefault(&c.TaskTimeout, 700*time.Millisecond)
-	setDefault(&c.Watchdog, 90*time.Second)
 	if c.Plan == nil {
 		c.Plan = DefaultChaosPlan()
 	}
@@ -70,8 +59,8 @@ func (c *ChaosConfig) normalize() {
 
 // DefaultChaosPlan arms every fault point with modest probabilities: enough
 // that a run exercises drop, duplication, corruption, stream resync, manager
-// death, injected panics, and dispatch failures, while a Retries-deep budget
-// still drives every task to completion.
+// death, injected panics, and dispatch failures, while a chaosRetries-deep
+// budget still drives every task to completion.
 func DefaultChaosPlan() chaos.Plan {
 	return chaos.Plan{
 		// Client → interchange task stream.
@@ -135,13 +124,13 @@ func RunChaos(cfg ChaosConfig) (ChaosResult, error) {
 	// Chaos runs with record pooling ON (the default): terminal records are
 	// pruned and recycled while faults fire, so the run doubles as the
 	// use-after-recycle stress (generation-guard panics would fail the run).
-	fx, err := newFixture(cfg.Workers,
-		poolSpec{Label: "htex", Seed: cfg.Seed, Managers: cfg.Managers, Workers: cfg.MgrWorkers},
+	fx, err := newFixture(chaosWorkers,
+		poolSpec{Label: "htex", Seed: cfg.Seed, Managers: chaosManagers, Workers: chaosMgrWorkers},
 		dfk.Config{
-			Retries:     cfg.Retries,
+			Retries:     chaosRetries,
 			Memoize:     true,
 			Checkpoint:  cfg.Checkpoint,
-			TaskTimeout: cfg.TaskTimeout,
+			TaskTimeout: chaosTaskTimeout,
 		})
 	if err != nil {
 		return ChaosResult{}, err
@@ -165,7 +154,7 @@ func RunChaos(cfg ChaosConfig) (ChaosResult, error) {
 	start := time.Now()
 	// The watchdog covers every wait in the run, including the memoization
 	// warm-up below.
-	deadline := start.Add(cfg.Watchdog)
+	deadline := start.Add(chaosWatchdog)
 
 	ctx := context.Background()
 	submit := func(i int) *future.Future {
@@ -181,7 +170,8 @@ func RunChaos(cfg ChaosConfig) (ChaosResult, error) {
 		}
 	}
 
-	futs := make([]*future.Future, 0, cfg.Tasks+cfg.DupSubmissions)
+	dups := cfg.Tasks / 8
+	futs := make([]*future.Future, 0, cfg.Tasks+dups)
 	idx := make([]int, 0, cap(futs))
 	for i := 0; i < cfg.Tasks; i++ {
 		futs = append(futs, submit(i))
@@ -195,9 +185,9 @@ func RunChaos(cfg ChaosConfig) (ChaosResult, error) {
 	// sides: the first half waits for its originals (guaranteed memo hits —
 	// unless chaos failed the original), the second half races them
 	// (legal double execution, reconciled by value).
-	unsettled := awaitAll(futs[:cfg.DupSubmissions/2], deadline)
+	unsettled := awaitAll(futs[:dups/2], deadline)
 	if unsettled == 0 {
-		for i := 0; i < cfg.DupSubmissions; i++ {
+		for i := 0; i < dups; i++ {
 			futs = append(futs, submit(i))
 			idx = append(idx, i)
 		}
@@ -207,7 +197,7 @@ func RunChaos(cfg ChaosConfig) (ChaosResult, error) {
 	restore()
 	res.Events = inj.Events()
 	if unsettled > 0 {
-		vs.add("watchdog %v expired with %d/%d tasks unsettled", cfg.Watchdog, unsettled, len(futs))
+		vs.add("watchdog %v expired with %d/%d tasks unsettled", chaosWatchdog, unsettled, len(futs))
 		fx.teardownWedged(vs)
 		res.Elapsed = time.Since(start)
 		return res, nil
@@ -215,8 +205,8 @@ func RunChaos(cfg ChaosConfig) (ChaosResult, error) {
 
 	res.Failed = checkValues(vs, futs, idx, chaosValue)
 	fx.checkDrained(vs, -1)
-	// Each launch is one attempt: at most Retries retries plus the first.
-	ls := checkExactlyOnce(vs, fx.store, cfg.Retries, nil)
+	// Each launch is one attempt: at most chaosRetries retries plus the first.
+	ls := checkExactlyOnce(vs, fx.store, chaosRetries, nil)
 	res.Retried = ls.Retried
 	if ls.Retried > 0 {
 		res.MaxAttempt = ls.MaxLaunches

@@ -27,22 +27,20 @@ type ElasticityConfig struct {
 	Elastic bool
 	// Parallelism is the Simple-strategy knob (§4.4); default 1.
 	Parallelism float64
-	// WorkersPerBlock: the paper scaled in blocks; 5 workers/block × 4
-	// blocks covers the 20-wide stages.
-	WorkersPerBlock int
-	// MaxBlocks bounds scale-out (default 4 = 20 workers).
-	MaxBlocks int
-	// QueueDelaySeconds is LRM queue latency in paper seconds (default 3).
-	QueueDelaySeconds int
 }
 
 func (c *ElasticityConfig) normalize() {
 	setDefault(&c.TimeScale, 10*time.Millisecond)
 	setDefault(&c.Parallelism, 1)
-	setDefault(&c.WorkersPerBlock, 5)
-	setDefault(&c.MaxBlocks, 4)
-	setDefault(&c.QueueDelaySeconds, 3)
 }
+
+// The paper scaled in blocks: 5 workers/block × 4 blocks covers the 20-wide
+// stages.
+const (
+	fig6WorkersPerBlock = 5
+	fig6MaxBlocks       = 4 // bounds scale-out (20 workers)
+	fig6QueueDelay      = 3 // LRM queue latency, in paper seconds
+)
 
 // ElasticityResult reports the Fig. 6 metrics, normalized back to paper
 // seconds.
@@ -70,9 +68,9 @@ func RunElasticity(cfg ElasticityConfig) (ElasticityResult, error) {
 	// A Midway-like simulated cluster: one worker per node, block = 5 nodes.
 	cl, err := cluster.New(cluster.Config{
 		Name:         "midway",
-		Nodes:        cfg.WorkersPerBlock * cfg.MaxBlocks,
+		Nodes:        fig6WorkersPerBlock * fig6MaxBlocks,
 		CoresPerNode: 1,
-		QueueDelay:   time.Duration(cfg.QueueDelaySeconds) * cfg.TimeScale,
+		QueueDelay:   fig6QueueDelay * cfg.TimeScale,
 	})
 	if err != nil {
 		return ElasticityResult{}, err
@@ -80,10 +78,10 @@ func RunElasticity(cfg ElasticityConfig) (ElasticityResult, error) {
 	defer cl.Close()
 
 	reg := serialize.NewRegistry()
-	prov := provider.NewSlurm(cl, provider.Config{NodesPerBlock: cfg.WorkersPerBlock})
+	prov := provider.NewSlurm(cl, provider.Config{NodesPerBlock: fig6WorkersPerBlock})
 
-	initBlocks := cfg.MaxBlocks // fixed arm: full allocation for the run
-	minBlocks := cfg.MaxBlocks
+	initBlocks := fig6MaxBlocks // fixed arm: full allocation for the run
+	minBlocks := fig6MaxBlocks
 	if cfg.Elastic {
 		initBlocks = 1
 		minBlocks = 1
@@ -121,9 +119,9 @@ func RunElasticity(cfg ElasticityConfig) (ElasticityResult, error) {
 		ctrl = strategy.NewController(ex, strategy.Simple{Parallelism: cfg.Parallelism},
 			strategy.ControllerConfig{
 				Interval:        cfg.TimeScale, // one decision per paper second
-				WorkersPerBlock: cfg.WorkersPerBlock,
+				WorkersPerBlock: fig6WorkersPerBlock,
 				MinBlocks:       minBlocks,
-				MaxBlocks:       cfg.MaxBlocks,
+				MaxBlocks:       fig6MaxBlocks,
 				ScaleInHoldoff:  3 * cfg.TimeScale,
 			})
 		ctrl.Start()
@@ -133,7 +131,7 @@ func RunElasticity(cfg ElasticityConfig) (ElasticityResult, error) {
 	// Wait for the initial allocation to come up before starting the clock,
 	// as the paper's runs did (workers deployed, then tasks submitted).
 	if !waitUntil(time.Now().Add(30*time.Second), func() bool {
-		return ex.ConnectedWorkers() >= initBlocks*cfg.WorkersPerBlock
+		return ex.ConnectedWorkers() >= initBlocks*fig6WorkersPerBlock
 	}) {
 		return ElasticityResult{}, fmt.Errorf("workload: initial blocks never started")
 	}

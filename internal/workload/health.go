@@ -25,41 +25,33 @@ type HealthConfig struct {
 	Seed int64
 	// Tasks is the bulk task count (default 160).
 	Tasks int
-	// Workers sizes the threadpool (default 4).
-	Workers int
-	// Managers is the HTEX manager count (default 8); MgrWorkers the worker
-	// goroutines per manager (default 2).
-	Managers, MgrWorkers int
-	// Retries is the charged per-task retry budget (default 8); class-free
-	// retries ride on top of it.
-	Retries int
-	// TaskTimeout bounds one attempt (default 1s — manager-loss detection
-	// must land inside it so kills classify as executor-lost, not timeout).
-	TaskTimeout time.Duration
-	// PoisonKills is the distinct-manager kill count that quarantines the
-	// poison task (default 3). The kill rule's fire budget matches it.
-	PoisonKills int
-	// StormKills is how many additional managers the background kill-storm
-	// may take down while dequeuing bulk tasks (default 2). Managers must
-	// exceed PoisonKills+StormKills so the pool retains capacity.
-	StormKills int
 	// Watchdog bounds the whole run (default 90s).
 	Watchdog time.Duration
 }
 
+// The deployment and budgets every self-healing run uses.
+const (
+	healthWorkers = 4 // threadpool size
+	// healthManagers is the HTEX manager count; it must exceed
+	// poisonKills+stormKills so the pool retains capacity.
+	healthManagers   = 8
+	healthMgrWorkers = 2 // worker goroutines per manager
+	// healthRetries is the charged per-task retry budget; class-free retries
+	// ride on top of it.
+	healthRetries = 8
+	// healthTaskTimeout bounds one attempt — manager-loss detection must land
+	// inside it so kills classify as executor-lost, not timeout.
+	healthTaskTimeout = time.Second
+	// poisonKills is the distinct-manager kill count that quarantines the
+	// poison task. The kill rule's fire budget matches it.
+	poisonKills = 3
+	// stormKills is how many additional managers the background kill-storm
+	// may take down while dequeuing bulk tasks.
+	stormKills = 2
+)
+
 func (c *HealthConfig) normalize() {
 	setDefault(&c.Tasks, 160)
-	setDefault(&c.Workers, 4)
-	setDefault(&c.Managers, 8)
-	setDefault(&c.MgrWorkers, 2)
-	setDefault(&c.Retries, 8)
-	setDefault(&c.TaskTimeout, time.Second)
-	setDefault(&c.PoisonKills, 3)
-	if c.StormKills < 0 {
-		c.StormKills = 0
-	} else if c.StormKills == 0 {
-		c.StormKills = 2
-	}
 	setDefault(&c.Watchdog, 90*time.Second)
 }
 
@@ -82,7 +74,7 @@ type HealthResult struct {
 func healthValue(i int) int { return i*5 + 3 }
 
 // RunHealth executes the kill-storm workload and checks the self-healing
-// invariants: the poison task quarantines after exactly PoisonKills distinct
+// invariants: the poison task quarantines after exactly poisonKills distinct
 // manager kills, every bulk task completes exactly once with the right value
 // (failing over around open breakers), the htex breaker demonstrably cycles
 // closed→open→half-open, and the broker drains clean.
@@ -91,20 +83,20 @@ func RunHealth(cfg HealthConfig) (HealthResult, error) {
 	inj := chaos.New(cfg.Seed, chaos.Plan{
 		// The poison task kills every manager that dequeues it, up to the
 		// quarantine bar.
-		{Point: chaos.PointMgrKill, Act: chaos.ActKill, Prob: 1, Match: "app=poison", Max: cfg.PoisonKills},
+		{Point: chaos.PointMgrKill, Act: chaos.ActKill, Prob: 1, Match: "app=poison", Max: poisonKills},
 		// A background storm takes down managers dequeuing ordinary work, so
 		// recovery is exercised on bulk tasks too (LOST bursts, failover).
-		{Point: chaos.PointMgrKill, Act: chaos.ActKill, Prob: 0.9, Max: cfg.StormKills},
+		{Point: chaos.PointMgrKill, Act: chaos.ActKill, Prob: 0.9, Max: stormKills},
 	})
 
-	fx, err := newFixture(cfg.Workers,
-		poolSpec{Label: "htex", Seed: cfg.Seed, Managers: cfg.Managers, Workers: cfg.MgrWorkers},
+	fx, err := newFixture(healthWorkers,
+		poolSpec{Label: "htex", Seed: cfg.Seed, Managers: healthManagers, Workers: healthMgrWorkers},
 		dfk.Config{
-			Retries:     cfg.Retries,
-			TaskTimeout: cfg.TaskTimeout,
+			Retries:     healthRetries,
+			TaskTimeout: healthTaskTimeout,
 			Health: &health.Options{
 				Seed:            cfg.Seed,
-				QuarantineAfter: cfg.PoisonKills,
+				QuarantineAfter: poisonKills,
 				// MinSamples 1 makes the breaker open on the first recorded loss:
 				// the kill schedule, not sample accumulation, decides when the
 				// breaker trips, which keeps the run deterministic per seed.
@@ -166,8 +158,8 @@ func RunHealth(cfg HealthConfig) (HealthResult, error) {
 			vs.add("poison task failed with %v, want a QuarantineError", perr)
 		} else {
 			res.PoisonKills = qe.Kills
-			if len(qe.Kills) != cfg.PoisonKills {
-				vs.add("poison kill history %v, want %d distinct managers", qe.Kills, cfg.PoisonKills)
+			if len(qe.Kills) != poisonKills {
+				vs.add("poison kill history %v, want %d distinct managers", qe.Kills, poisonKills)
 			}
 		}
 	}
@@ -208,7 +200,7 @@ func RunHealth(cfg HealthConfig) (HealthResult, error) {
 	// Launches are bounded by the charged budget plus the free per-class
 	// allowances (executor-lost 6 + transient 8).
 	const freeAllowance = 14
-	ls := checkExactlyOnce(vs, fx.store, cfg.Retries+freeAllowance, nil)
+	ls := checkExactlyOnce(vs, fx.store, healthRetries+freeAllowance, nil)
 	res.Retried, res.MaxLaunches = ls.Retried, ls.MaxLaunches
 	res.Done = fx.d.Summary()["done"]
 	if res.Done != cfg.Tasks {

@@ -41,21 +41,18 @@ type LocalityConfig struct {
 	Seed int64
 	// Tasks is the distinct-input count per phase (default 16).
 	Tasks int
-	// PayloadBytes sizes each staged input file (default 4096).
-	PayloadBytes int
-	// Managers is the manager count per pool (default 4); MgrWorkers the
-	// worker goroutines per manager (default 1).
-	Managers, MgrWorkers int
-	// Watchdog bounds the whole run (default 90s).
-	Watchdog time.Duration
 }
+
+// The deployment every locality run uses.
+const (
+	localityPayloadBytes = 4096 // size of each staged input file
+	localityManagers     = 4    // managers per pool
+	localityMgrWorkers   = 1    // worker goroutines per manager
+	localityWatchdog     = 90 * time.Second
+)
 
 func (c *LocalityConfig) normalize() {
 	setDefault(&c.Tasks, 16)
-	setDefault(&c.PayloadBytes, 4096)
-	setDefault(&c.Managers, 4)
-	setDefault(&c.MgrWorkers, 1)
-	setDefault(&c.Watchdog, 90*time.Second)
 }
 
 // LocalityResult reports one locality scenario run.
@@ -99,7 +96,7 @@ func localityInput(i int) (string, error) {
 func RunLocality(cfg LocalityConfig) (res LocalityResult, _ error) {
 	cfg.normalize()
 	start := time.Now()
-	deadline := start.Add(cfg.Watchdog)
+	deadline := start.Add(localityWatchdog)
 	res.Tasks = cfg.Tasks
 	defer func() { res.Elapsed = time.Since(start) }()
 	vs := (*violations)(&res.Violations)
@@ -107,7 +104,7 @@ func RunLocality(cfg LocalityConfig) (res LocalityResult, _ error) {
 	// ---- Phases 1–2: cold run, then a warm replay from a second process ----
 
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		body := make([]byte, cfg.PayloadBytes)
+		body := make([]byte, localityPayloadBytes)
 		for j := range body {
 			body[j] = byte(len(r.URL.Path) + j)
 		}
@@ -134,7 +131,7 @@ func RunLocality(cfg LocalityConfig) (res LocalityResult, _ error) {
 	runReplay := func(procLabel string) error {
 		fx, err := newFixture(0,
 			poolSpec{Label: "htex-" + procLabel, Seed: cfg.Seed, Shards: 1,
-				Managers: cfg.Managers, Workers: cfg.MgrWorkers, Locality: true},
+				Managers: localityManagers, Workers: localityMgrWorkers, Locality: true},
 			dfk.Config{Memoize: true, SharedCache: shared, SchedulerPolicy: "locality"})
 		if err != nil {
 			return err
@@ -157,7 +154,7 @@ func RunLocality(cfg LocalityConfig) (res LocalityResult, _ error) {
 		}
 		if n := awaitAll(futs, deadline); n > 0 {
 			fx.teardownWedged(vs)
-			return fmt.Errorf("%s: watchdog %v expired with %d/%d tasks unsettled", procLabel, cfg.Watchdog, n, len(futs))
+			return fmt.Errorf("%s: watchdog %v expired with %d/%d tasks unsettled", procLabel, localityWatchdog, n, len(futs))
 		}
 		if checkValues(vs, futs, nil, func(i int) int { return i * 2 }) > 0 {
 			return fmt.Errorf("%s replay lost tasks: %v", procLabel, res.Violations)
@@ -226,7 +223,7 @@ func RunLocality(cfg LocalityConfig) (res LocalityResult, _ error) {
 		return res, err
 	}
 	pool := poolSpec{Label: "alpha", Seed: cfg.Seed, Shards: 2,
-		Managers: cfg.Managers, Workers: cfg.MgrWorkers, Locality: true}
+		Managers: localityManagers, Workers: localityMgrWorkers, Locality: true}
 	alpha := newPool(alphaReg, pool)
 	pool.Label, pool.Seed = "beta", cfg.Seed+1
 	beta := newPool(betaReg, pool)

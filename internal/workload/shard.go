@@ -36,19 +36,6 @@ type ShardFailoverConfig struct {
 	Victim int
 	// Tasks is the workload size (default 160).
 	Tasks int
-	// Managers is the total manager count across all shards (default 8);
-	// MgrWorkers the worker goroutines per manager (default 1).
-	Managers, MgrWorkers int
-	// TaskMillis is each task's simulated work (default 15ms — long enough
-	// that the victim shard still holds work when the kill lands).
-	TaskMillis int
-	// Retries is the charged per-task retry budget (default 8; shard loss
-	// classifies as executor-lost, which also has free-retry headroom).
-	Retries int
-	// TaskTimeout bounds one attempt (default 5s).
-	TaskTimeout time.Duration
-	// Watchdog bounds the whole run (default 90s).
-	Watchdog time.Duration
 	// SchedulerPolicy names the DFK's executor-selection policy ("" = the
 	// default random pick). The acceptance matrix drives "locality" through
 	// here: digest-aware routing must survive a shard kill unchanged.
@@ -63,13 +50,21 @@ func (c *ShardFailoverConfig) normalize() {
 		c.Victim = 1
 	}
 	setDefault(&c.Tasks, 160)
-	setDefault(&c.Managers, 8)
-	setDefault(&c.MgrWorkers, 1)
-	setDefault(&c.TaskMillis, 15)
-	setDefault(&c.Retries, 8)
-	setDefault(&c.TaskTimeout, 5*time.Second)
-	setDefault(&c.Watchdog, 90*time.Second)
 }
+
+// The deployment and budgets every failover run uses.
+const (
+	failoverManagers   = 8 // total managers across all shards
+	failoverMgrWorkers = 1 // worker goroutines per manager
+	// failoverTaskWork is each task's simulated work — long enough that the
+	// victim shard still holds work when the kill lands.
+	failoverTaskWork = 15 * time.Millisecond
+	// failoverRetries is the charged per-task retry budget; shard loss
+	// classifies as executor-lost, which also has free-retry headroom.
+	failoverRetries     = 8
+	failoverTaskTimeout = 5 * time.Second // bounds one attempt
+	failoverWatchdog    = 90 * time.Second
+)
 
 // ShardFailoverResult reports one failover run.
 type ShardFailoverResult struct {
@@ -106,11 +101,11 @@ func RunShardFailover(cfg ShardFailoverConfig) (ShardFailoverResult, error) {
 	// heartbeat starved on a loaded 1–2 core runner must not read as kill
 	// fallout on a survivor.
 	fx, err := newFixture(0,
-		poolSpec{Label: "htex", Seed: cfg.Seed, Shards: cfg.Shards, Managers: cfg.Managers,
-			Workers: cfg.MgrWorkers, HeartbeatThreshold: cfg.TaskTimeout},
+		poolSpec{Label: "htex", Seed: cfg.Seed, Shards: cfg.Shards, Managers: failoverManagers,
+			Workers: failoverMgrWorkers, HeartbeatThreshold: failoverTaskTimeout},
 		dfk.Config{
-			Retries:         cfg.Retries,
-			TaskTimeout:     cfg.TaskTimeout,
+			Retries:         failoverRetries,
+			TaskTimeout:     failoverTaskTimeout,
 			SchedulerPolicy: cfg.SchedulerPolicy,
 		})
 	if err != nil {
@@ -118,7 +113,7 @@ func RunShardFailover(cfg ShardFailoverConfig) (ShardFailoverResult, error) {
 	}
 	hx, d := fx.hx, fx.d
 	app, err := fx.app("shard-bulk", func(args []any, _ map[string]any) (any, error) {
-		time.Sleep(time.Duration(cfg.TaskMillis) * time.Millisecond)
+		time.Sleep(failoverTaskWork)
 		return shardValue(args[0].(int)), nil
 	})
 	if err != nil {
@@ -141,10 +136,10 @@ func RunShardFailover(cfg ShardFailoverConfig) (ShardFailoverResult, error) {
 			preMgrs = append(preMgrs, hx.Shard(i).ManagerCount())
 			total += preMgrs[i]
 		}
-		return total == cfg.Managers && !slices.Contains(preMgrs, 0)
+		return total == failoverManagers && !slices.Contains(preMgrs, 0)
 	}) {
 		_ = d.Shutdown()
-		return res, fmt.Errorf("shard failover: managers per shard %v, want %d with none empty", preMgrs, cfg.Managers)
+		return res, fmt.Errorf("shard failover: managers per shard %v, want %d with none empty", preMgrs, failoverManagers)
 	}
 
 	ctx := context.Background()
@@ -160,12 +155,12 @@ func RunShardFailover(cfg ShardFailoverConfig) (ShardFailoverResult, error) {
 	// nothing about what it will hold at the kill.
 	waitUntil(time.Now().Add(10*time.Second), func() bool { return hx.InflightByShard()[cfg.Victim] > 0 })
 	restore := chaos.Enable(inj)
-	unsettled := awaitAll(futs, time.Now().Add(cfg.Watchdog))
+	unsettled := awaitAll(futs, time.Now().Add(failoverWatchdog))
 	restore()
 	res.Events = inj.Events()
 	res.Kills = int(inj.Fires(chaos.PointIxKill))
 	if unsettled > 0 {
-		vs.add("watchdog %v expired with %d/%d tasks unsettled", cfg.Watchdog, unsettled, len(futs))
+		vs.add("watchdog %v expired with %d/%d tasks unsettled", failoverWatchdog, unsettled, len(futs))
 		fx.teardownWedged(vs)
 		res.Elapsed = time.Since(start)
 		return res, nil
@@ -206,7 +201,7 @@ func RunShardFailover(cfg ShardFailoverConfig) (ShardFailoverResult, error) {
 	// re-execution bounded by what the system itself failed on the victim's
 	// account. Tasks on the survivors never relaunch, so extra launches can
 	// only come from the victim's set.
-	ls := checkExactlyOnce(vs, fx.store, cfg.Retries, nil)
+	ls := checkExactlyOnce(vs, fx.store, failoverRetries, nil)
 	res.Retried, res.ExtraLaunches = ls.Retried, ls.ExtraLaunches
 	res.VictimHeld = hx.LostByShard()[cfg.Victim]
 	if res.Retried == 0 {
@@ -234,24 +229,22 @@ type ShardScalingConfig struct {
 	Seed int64
 	// Shards is this arm's shard count (default 1).
 	Shards int
-	// Managers is the total manager count, held constant across arms
-	// (default 8); MgrWorkers the workers per manager (default 2).
-	Managers, MgrWorkers int
 	// Tasks is the total task count (default 4000).
 	Tasks int
-	// Submitters is the parallel submitter goroutine count (default 4);
-	// Batch the tasks per SubmitBatch call (default 32).
-	Submitters, Batch int
 }
 
 func (c *ShardScalingConfig) normalize() {
 	setDefault(&c.Shards, 1)
-	setDefault(&c.Managers, 8)
-	setDefault(&c.MgrWorkers, 2)
 	setDefault(&c.Tasks, 4000)
-	setDefault(&c.Submitters, 4)
-	setDefault(&c.Batch, 32)
 }
+
+// What every scaling arm shares, so that only the shard count varies.
+const (
+	scalingManagers   = 8  // total managers, held constant across arms
+	scalingMgrWorkers = 2  // workers per manager
+	scalingSubmitters = 4  // parallel submitter goroutines
+	scalingBatch      = 32 // tasks per SubmitBatch call
+)
 
 // ShardScalingResult reports one throughput arm.
 type ShardScalingResult struct {
@@ -282,7 +275,7 @@ func RunShardScaling(cfg ShardScalingConfig) (ShardScalingResult, error) {
 	// manager as dead.
 	hx := newPool(reg, poolSpec{
 		Label: "htex", Seed: cfg.Seed, Shards: cfg.Shards,
-		Managers: cfg.Managers, Workers: cfg.MgrWorkers, Prefetch: 2 * cfg.MgrWorkers,
+		Managers: scalingManagers, Workers: scalingMgrWorkers, Prefetch: 2 * scalingMgrWorkers,
 		HeartbeatPeriod: 100 * time.Millisecond, HeartbeatThreshold: time.Second,
 	})
 	if err := hx.Start(); err != nil {
@@ -290,25 +283,25 @@ func RunShardScaling(cfg ShardScalingConfig) (ShardScalingResult, error) {
 	}
 	defer func() { _ = hx.Shutdown() }()
 	if !waitUntil(time.Now().Add(10*time.Second), func() bool {
-		return hx.ConnectedWorkers() >= cfg.Managers*cfg.MgrWorkers
+		return hx.ConnectedWorkers() >= scalingManagers*scalingMgrWorkers
 	}) {
 		return ShardScalingResult{}, fmt.Errorf("shard scaling: %d/%d workers connected",
-			hx.ConnectedWorkers(), cfg.Managers*cfg.MgrWorkers)
+			hx.ConnectedWorkers(), scalingManagers*scalingMgrWorkers)
 	}
 
-	perSubmitter := cfg.Tasks / cfg.Submitters
-	total := perSubmitter * cfg.Submitters
-	futs := make([][]*future.Future, cfg.Submitters)
+	perSubmitter := cfg.Tasks / scalingSubmitters
+	total := perSubmitter * scalingSubmitters
+	futs := make([][]*future.Future, scalingSubmitters)
 	start := time.Now()
 	var wg sync.WaitGroup
-	for s := 0; s < cfg.Submitters; s++ {
+	for s := 0; s < scalingSubmitters; s++ {
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
 			base := int64(s * perSubmitter)
 			out := make([]*future.Future, 0, perSubmitter)
-			for off := 0; off < perSubmitter; off += cfg.Batch {
-				n := cfg.Batch
+			for off := 0; off < perSubmitter; off += scalingBatch {
+				n := scalingBatch
 				if off+n > perSubmitter {
 					n = perSubmitter - off
 				}

@@ -1,8 +1,7 @@
 // Package workload provides the synthetic task generators used throughout
 // the evaluation (no-op and sleep tasks of §5.1–5.3), the four-stage
-// map-reduce workflow of Fig. 5, and workload shapes mirroring the five
-// scientific use cases of Table 1. The bench harness and the examples both
-// build on these generators.
+// map-reduce workflow of Fig. 5, and the recovery scenarios parsl-bench runs.
+// The bench harness and the examples both build on these generators.
 package workload
 
 import (
@@ -31,39 +30,6 @@ func RegisterBenchApps(reg *serialize.Registry) error {
 	})
 }
 
-// UseCase describes one Table 1 row.
-type UseCase struct {
-	Name             string
-	Pattern          string // dataflow | bag-of-tasks | sequential
-	Paradigm         string // HTC | FaaS | Interactive | Batch
-	Nodes            string // order of magnitude
-	Tasks            int    // representative task count (scaled down)
-	TaskDuration     time.Duration
-	LatencySensitive bool
-	Executor         string // recommended executor label
-}
-
-// UseCases returns the five Table 1 rows with laptop-scaled task counts.
-func UseCases() []UseCase {
-	return []UseCase{
-		{Name: "sequence-analysis", Pattern: "dataflow", Paradigm: "HTC",
-			Nodes: "hundreds", Tasks: 200, TaskDuration: 20 * time.Millisecond,
-			LatencySensitive: false, Executor: "htex"},
-		{Name: "ml-inference", Pattern: "bag-of-tasks", Paradigm: "FaaS",
-			Nodes: "tens", Tasks: 500, TaskDuration: 2 * time.Millisecond,
-			LatencySensitive: true, Executor: "llex"},
-		{Name: "materials-science", Pattern: "dataflow", Paradigm: "Interactive",
-			Nodes: "tens", Tasks: 100, TaskDuration: 5 * time.Millisecond,
-			LatencySensitive: true, Executor: "llex"},
-		{Name: "neuroscience", Pattern: "sequential", Paradigm: "Batch",
-			Nodes: "tens", Tasks: 50, TaskDuration: 50 * time.Millisecond,
-			LatencySensitive: false, Executor: "htex"},
-		{Name: "cosmology", Pattern: "dataflow", Paradigm: "HTC",
-			Nodes: "thousands", Tasks: 2000, TaskDuration: 10 * time.Millisecond,
-			LatencySensitive: false, Executor: "exex"},
-	}
-}
-
 // Stage describes one stage of the Fig. 5 elasticity workflow.
 type Stage struct {
 	Tasks    int
@@ -90,22 +56,6 @@ func TaskSeconds(stages []Stage) time.Duration {
 		total += time.Duration(s.Tasks) * s.Duration
 	}
 	return total
-}
-
-// TrailingTasks builds a bag-of-tasks with a long tail: most tasks short,
-// a few stragglers — the imbalance §4.4 cites ("trailing tasks with a thin
-// workload"). Durations are returned in milliseconds for the sleep app.
-func TrailingTasks(n int, shortMs, longMs int, tailFrac float64) []int {
-	out := make([]int, n)
-	tail := int(float64(n) * tailFrac)
-	for i := range out {
-		if i >= n-tail {
-			out[i] = longMs
-		} else {
-			out[i] = shortMs
-		}
-	}
-	return out
 }
 
 // CosmologyBundles groups n tasks into bundles of size b, modeling the LSST

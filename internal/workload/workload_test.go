@@ -49,44 +49,6 @@ func TestFig5WorkflowShape(t *testing.T) {
 	}
 }
 
-func TestUseCasesMatchTable1(t *testing.T) {
-	ucs := UseCases()
-	if len(ucs) != 5 {
-		t.Fatalf("use cases = %d", len(ucs))
-	}
-	byName := map[string]UseCase{}
-	for _, u := range ucs {
-		byName[u.Name] = u
-	}
-	if u := byName["ml-inference"]; u.Pattern != "bag-of-tasks" || !u.LatencySensitive || u.Paradigm != "FaaS" {
-		t.Fatalf("ml-inference = %+v", u)
-	}
-	if u := byName["sequence-analysis"]; u.Pattern != "dataflow" || u.LatencySensitive {
-		t.Fatalf("sequence-analysis = %+v", u)
-	}
-	if u := byName["cosmology"]; u.Nodes != "thousands" || u.Executor != "exex" {
-		t.Fatalf("cosmology = %+v", u)
-	}
-}
-
-func TestTrailingTasks(t *testing.T) {
-	ts := TrailingTasks(10, 5, 100, 0.2)
-	if len(ts) != 10 {
-		t.Fatalf("len = %d", len(ts))
-	}
-	long := 0
-	for _, d := range ts {
-		if d == 100 {
-			long++
-		} else if d != 5 {
-			t.Fatalf("unexpected duration %d", d)
-		}
-	}
-	if long != 2 {
-		t.Fatalf("long tasks = %d", long)
-	}
-}
-
 func TestCosmologyBundles(t *testing.T) {
 	bundles := CosmologyBundles(130, 64)
 	if len(bundles) != 3 {

@@ -229,6 +229,10 @@ func TestCancelAfterLaunchDropsThreadpoolWork(t *testing.T) {
 	if _, err := victim.Result(); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("victim error = %v, want ErrCanceled", err)
 	}
+	// A canceled future settles before the executor is told to drop the work
+	// (cancelTask must fail the task first, or the drop would read as an
+	// attempt failure and retry): wait for the claim before freeing the worker.
+	waitFor(t, func() bool { return tp.Outstanding() == 1 })
 	close(release)
 	if _, err := blocker.Result(); err != nil {
 		t.Fatal(err)

@@ -78,7 +78,7 @@ type Config struct {
 	// (paper default, §4.1), "round-robin", or "least-outstanding".
 	SchedulerPolicy string
 	// DispatchBatch caps ready tasks drained per dispatch cycle and so the
-	// largest batch handed to an executor's SubmitBatch (default 256).
+	// largest batch handed to an executor in one call (default 256).
 	DispatchBatch int
 	// MaxTasksPerTenant caps each tenant's live tasks — submitted but not
 	// yet terminal — bounding memory under overload. 0 (the default) keeps
@@ -313,7 +313,7 @@ func New(cfg Config) (*DFK, error) {
 	}
 	d.lanes = make(map[string]*lane, len(d.execList))
 	for _, ex := range d.execList {
-		l := &lane{ex: ex, queue: fair.NewQueue(laneLess)}
+		l := newLane(ex)
 		d.lanes[ex.Label()] = l
 		d.laneWG.Add(1)
 		go d.laneRunner(l)
@@ -481,8 +481,9 @@ func (d *DFK) registerApp(name string, fn serialize.Fn, opts []AppOption) (*App,
 // an error wrapping ErrCanceled (and the context's error), dependents fail
 // with a DependencyError, and work not yet started is dropped from the
 // dispatch pipeline and, where the executor supports it, from the executor
-// itself. CallOptions override registration-time and DFK-wide defaults for
-// this invocation only.
+// itself. The order is future first: a canceled future may settle before
+// queued work has been dropped, never the other way round. CallOptions
+// override registration-time and DFK-wide defaults for this invocation only.
 func (a *App) Submit(ctx context.Context, args []any, opts ...CallOption) *future.Future {
 	return a.SubmitKw(ctx, nil, args, opts...)
 }
@@ -621,7 +622,7 @@ func (d *DFK) submit(ctx context.Context, a *App, args []any, kwargs map[string]
 		}
 	}
 
-	d.emitState(id, a.name, o.tenant, "", "pending", "")
+	d.emitState(id, a.name, o.tenant, noState, task.Pending, "")
 	if len(deps) == 0 {
 		d.launch(rec, gen, a)
 		return fut
@@ -897,7 +898,7 @@ func (d *DFK) finish(rec *task.Record, to task.State, digest string, v any, err 
 	if !ok {
 		return false
 	}
-	d.emitState(rec.ID, rec.AppName, rec.Tenant, fin.From.String(), to.String(), fin.Executor)
+	d.emitState(rec.ID, rec.AppName, rec.Tenant, fin.From, to, fin.Executor)
 	if fin.WALKey != 0 {
 		if werr := d.wal.Terminal(fin.WALKey, walOutcomes[to], digest); werr != nil {
 			d.emitWAL(rec.ID, "terminal", werr)
@@ -1064,22 +1065,33 @@ func (r *router) pick(pl *pendingLaunch) (executor.Executor, error) {
 	return real, nil
 }
 
+// noState is the "from" of a task's first event.
+const noState task.State = -1
+
 // emitState records one task state change. With no sink attached it builds
-// nothing — no clock read, no event.
-func (d *DFK) emitState(id int64, app, tenant, from, to, executor string) {
+// nothing — no clock read, no state name, no event. An attempt that timed out
+// while still queued never left Pending, and its event says "requeued" rather
+// than claiming a Retrying transition.
+func (d *DFK) emitState(id int64, app, tenant string, from, to task.State, executor string) {
 	if !d.monitored {
 		return
 	}
-	d.mon.Emit(monitor.Event{
+	ev := monitor.Event{
 		Kind:     monitor.KindTaskState,
 		At:       time.Now(),
 		TaskID:   id,
 		App:      app,
-		From:     from,
-		To:       to,
+		To:       to.String(),
 		Executor: executor,
 		Tenant:   tenant,
-	})
+	}
+	if from != noState {
+		ev.From = from.String()
+	}
+	if from == task.Pending && to == task.Retrying {
+		ev.To = "requeued"
+	}
+	d.mon.Emit(ev)
 }
 
 // emitTenant records an admission outcome ("shed", or "admitted" with the

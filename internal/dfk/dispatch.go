@@ -22,10 +22,10 @@ import (
 // attempt already timed out can be recognized and skipped.
 //
 // The struct is the hot path's one unavoidable allocation, so everything an
-// attempt needs lives inside it: the attempt future is embedded by value, the
-// executor-relay is an embedded struct registered as a DoneHook, and the
-// pendingLaunch itself is the DoneHook of its own attempt — no per-attempt
-// closures.
+// attempt needs lives inside it: the attempt future is embedded by value and
+// is the future the executor settles (executor.IntoSubmitter), and the
+// pendingLaunch itself is the DoneHook of its own attempt — two futures per
+// task, attempt and app, and no per-attempt closures.
 type pendingLaunch struct {
 	// id is the task id, readable without holding rec (app.dfk is the DFK).
 	id  int64
@@ -46,18 +46,15 @@ type pendingLaunch struct {
 	// until its attempt settles, so queued bytes can never be recycled
 	// under a pending attempt. enqueueAttempt takes one more for the executor
 	// leg; it travels with the queue entry and is released by whoever drops
-	// the entry, or by the relay when the executor future settles.
+	// the entry, or handed to the executor with the submission.
 	payload *serialize.Payload
 	// attempt is this attempt's outcome future, embedded by value (the
 	// zero Future is pending). The TaskTimeout timer is armed against it
 	// when the attempt enters the dispatch queue — so a task stuck behind a
-	// backlogged lane times out on schedule — and the executor's result is
-	// forwarded into it after submission. Completing it (either way) fires
-	// the pendingLaunch's own FutureDone exactly once.
+	// backlogged lane times out on schedule — and the executor writes its
+	// result into it after submission. Completing it (either way) fires the
+	// pendingLaunch's own FutureDone exactly once.
 	attempt future.Future
-	// relay forwards the executor future's outcome into attempt; registered
-	// as the executor future's DoneHook at submission.
-	relay execRelay
 	// timer is the attempt timeout, stopped when the attempt settles.
 	timer *time.Timer
 	// wireID identifies this attempt on the executor wire. The first
@@ -117,19 +114,18 @@ func (pl *pendingLaunch) FutureDone(af *future.Future) {
 	pl.payload.Release()
 }
 
-// execRelay forwards an executor future's outcome into the attempt future as
-// the executor future's DoneHook. The relay loses the race against the
-// attempt's timeout timer harmlessly: a completed attempt future rejects
-// further writes. It also releases the executor-leg payload reference, which
-// is what keeps the payload bytes alive for ghost submissions (attempt timed
-// out, executor still holds the frame).
-type execRelay struct {
-	pl *pendingLaunch
-}
+// execRelay is the attempt as the DoneHook of a future the executor made
+// itself: the adapter for executors that are not IntoSubmitters (llex, test
+// doubles, the benchmark's interposer). It copies that future's outcome into
+// the attempt — a settled attempt refuses the write, so losing the race to the
+// timeout timer is harmless — and releases the executor-leg payload reference,
+// which until then keeps the bytes alive for a ghost (attempt timed out,
+// executor still holds the frame).
+type execRelay pendingLaunch
 
 // FutureDone implements future.DoneHook.
 func (r *execRelay) FutureDone(ef *future.Future) {
-	pl := r.pl
+	pl := (*pendingLaunch)(r)
 	if v, err := ef.Result(); err != nil {
 		_ = pl.attempt.SetError(err)
 	} else {
@@ -178,22 +174,46 @@ func laneLess(a, b *pendingLaunch) bool {
 // submitting goroutine, which holds no pipeline resources; its quota is
 // released by task-retirement bookkeeping that never passes through it. So
 // the lanes cannot deadlock regardless of quota, policy, or executor
-// backpressure (an executor's blocking SubmitBatch stalls only its own lane
+// backpressure (an executor's blocking SubmitInto stalls only its own lane
 // runner), and memory under overload is O(sum of tenant quotas), not
 // O(submissions).
 
 // lane is the per-executor leg of the dispatch pipeline: a tenant-fair,
 // priority-ordered queue of routed tasks plus a runner goroutine that
 // submits them in batches. Per-executor lanes keep one backlogged executor
-// (a blocking Submit/SubmitBatch into a full input queue) from
+// (a blocking Submit/SubmitInto into a full input queue) from
 // head-of-line-blocking dispatch to every other executor.
 type lane struct {
-	ex    executor.Executor
-	queue *fair.Queue[*pendingLaunch]
+	ex executor.Executor
+	// Exactly one is set (newLane): into settles the attempts' own futures;
+	// submit returns the executor's, and the runner relays each into its attempt.
+	into   executor.IntoSubmitter
+	submit func([]serialize.TaskMsg) []*future.Future
+	queue  *fair.Queue[*pendingLaunch]
 	// queued counts tasks routed to this lane but not yet submitted — load
 	// the executor's own Outstanding cannot see yet. Capacity-aware
 	// scheduling seeds each cycle's sched.Frozen snapshot with it.
 	queued atomic.Int64
+}
+
+// newLane builds ex's lane, resolving once how its runner submits. An executor
+// with neither batch interface gets one Submit per task behind the batch shape.
+func newLane(ex executor.Executor) *lane {
+	l := &lane{ex: ex, queue: fair.NewQueue(laneLess)}
+	if into, ok := ex.(executor.IntoSubmitter); ok {
+		l.into = into
+	} else if bs, ok := ex.(executor.BatchSubmitter); ok {
+		l.submit = bs.SubmitBatch
+	} else {
+		l.submit = func(msgs []serialize.TaskMsg) []*future.Future {
+			futs := make([]*future.Future, len(msgs))
+			for i, m := range msgs {
+				futs[i] = ex.Submit(m)
+			}
+			return futs
+		}
+	}
+	return l
 }
 
 // maxQueuedPriority peeks the highest priority currently queued (0 when
@@ -247,16 +267,17 @@ func (d *DFK) dispatcher() {
 	}
 }
 
-// laneRunner drains one executor's lane, submitting each drained batch via
-// the executor's native BatchSubmitter when it has one.
+// laneRunner drains one executor's lane, submitting each drained batch into the
+// attempts' own futures, or through the relay for an executor that makes its own.
 func (d *DFK) laneRunner(l *lane) {
 	defer d.laneWG.Done()
-	// Per-runner scratch, reused across batches. Safe because both
-	// BatchSubmitter implementations consume msgs synchronously (htex copies
-	// each TaskMsg into its inflight map, threadpool into channel items) and
-	// the per-task Submit fallback passes TaskMsg by value.
+	// Per-runner scratch, reused across batches. Safe because no executor may
+	// keep the slices past the call (executor.IntoSubmitter says so; htex
+	// copies each TaskMsg and future pointer into its inflight map, threadpool
+	// into channel items, and a per-task Submit takes its TaskMsg by value).
 	var msgs []serialize.TaskMsg
 	var live []*pendingLaunch
+	var futs []*future.Future
 	var launchKeys []int64
 	for {
 		batch, ok := l.queue.Take(d.batchMax)
@@ -269,6 +290,7 @@ func (d *DFK) laneRunner(l *lane) {
 		chaos.Sleep(chaos.PointLaneDelay, l.ex.Label())
 		msgs = msgs[:0]
 		live = live[:0]
+		futs = futs[:0]
 		launchKeys = launchKeys[:0]
 		now := time.Now() // stamps every Launched transition of the batch
 		for _, pl := range batch {
@@ -279,9 +301,9 @@ func (d *DFK) laneRunner(l *lane) {
 				// retry (if any) is a separate queue entry. Best-effort skip —
 				// if the timer wins the race after this check, the stale
 				// attempt is still submitted as a ghost: its remote result
-				// reconciles by wire id, the relay below is a no-op on the
-				// already-failed attempt future, and Launch leaves a task its
-				// retry already launched as it is.
+				// reconciles by wire id, the executor's write into the
+				// already-failed attempt future is refused, and Launch leaves a
+				// task its retry already launched as it is.
 				pl.payload.Release()
 				continue
 			}
@@ -304,7 +326,7 @@ func (d *DFK) laneRunner(l *lane) {
 				pl.payload.Release()
 				continue
 			}
-			d.emitState(pl.id, pl.app.name, pl.tenant, from.String(), "launched", l.ex.Label())
+			d.emitState(pl.id, pl.app.name, pl.tenant, from, task.Launched, l.ex.Label())
 			// First launch crossing the executor boundary: charge the durable
 			// attempt budget (batched below, one log acquisition per drain).
 			// Later attempts were already charged by their Retry records, and
@@ -320,11 +342,12 @@ func (d *DFK) laneRunner(l *lane) {
 			// Ride the encode-once payload onto the wire message — remote
 			// executors frame its bytes verbatim, in-process ones decode
 			// their defensive copy from it. The entry's executor-leg reference
-			// goes with it, released by the relay when the executor future
-			// settles.
+			// goes with it: SubmitInto takes it over; on the other arm the relay
+			// holds it until the executor's future settles.
 			m.AttachPayload(pl.payload)
 			msgs = append(msgs, m)
 			live = append(live, pl)
+			futs = append(futs, &pl.attempt)
 		}
 		if len(launchKeys) > 0 {
 			if err := d.wal.LaunchBatch(launchKeys); err != nil {
@@ -332,14 +355,11 @@ func (d *DFK) laneRunner(l *lane) {
 			}
 		}
 		if len(msgs) > 0 {
-			if bs, ok := l.ex.(executor.BatchSubmitter); ok {
-				futs := bs.SubmitBatch(msgs)
-				for i, pl := range live {
-					futs[i].SetDoneHook(&pl.relay)
-				}
+			if l.into != nil {
+				l.into.SubmitInto(msgs, futs)
 			} else {
-				for i, m := range msgs {
-					l.ex.Submit(m).SetDoneHook(&live[i].relay)
+				for i, ef := range l.submit(msgs) {
+					ef.SetDoneHook((*execRelay)(live[i]))
 				}
 			}
 		}
@@ -361,7 +381,6 @@ func (d *DFK) laneRunner(l *lane) {
 // options override Config.TaskTimeout; a deadline bounds each attempt by the
 // wall-clock time remaining.
 func (d *DFK) enqueueAttempt(pl *pendingLaunch) bool {
-	pl.relay.pl = pl
 	if !pl.rec.Arm(pl.payload, pl.walKey, &pl.attempt, pl.wireID) {
 		pl.payload.Release()
 		return false
@@ -458,13 +477,7 @@ func (d *DFK) nextAttempt(pl *pendingLaunch, label string, charge bool, err erro
 		d.failTask(pl.rec, err)
 		return nil
 	}
-	// An attempt that timed out while still queued never left Pending, and
-	// the monitor event says so rather than claiming a Retrying transition.
-	to := "retrying"
-	if from == task.Pending {
-		to = "requeued"
-	}
-	d.emitState(pl.id, pl.app.name, pl.tenant, from.String(), to, label)
+	d.emitState(pl.id, pl.app.name, pl.tenant, from, task.Retrying, label)
 	next := &pendingLaunch{
 		id: pl.id, rec: pl.rec, gen: pl.gen, app: pl.app,
 		args: pl.args, kwargs: pl.kwargs,

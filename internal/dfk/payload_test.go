@@ -3,11 +3,15 @@ package dfk
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/executor"
+	"repro/internal/executor/threadpool"
 	"repro/internal/future"
 	"repro/internal/serialize"
 )
@@ -141,5 +145,75 @@ func TestUnserializableArgsFailFast(t *testing.T) {
 	defer spy.mu.Unlock()
 	if len(spy.payloads) != 0 {
 		t.Fatalf("executor saw %d submissions for an unencodable task", len(spy.payloads))
+	}
+}
+
+// TestGhostAttemptKeepsPayloadForRetry: an attempt that times out while its
+// task is still running leaves a ghost in the executor, which holds the
+// attempt's future and — until it has decoded them — its share of the payload
+// bytes. The retry must still read the original arguments from the shared
+// payload however hard other tasks churn the payload pool meanwhile, and the
+// ghost's late result must land in a dead attempt and be dropped.
+func TestGhostAttemptKeepsPayloadForRetry(t *testing.T) {
+	reg := serialize.NewRegistry()
+	tp := threadpool.New("tp", 2, reg)
+	d, err := New(Config{Registry: reg, Executors: []executor.Executor{tp}, Retries: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Shutdown()
+
+	entered, release := make(chan struct{}), make(chan struct{})
+	freeGhost := sync.OnceFunc(func() { close(release) })
+	defer freeGhost() // registered after Shutdown's defer: a failing test must not leave it waiting on the ghost
+	var runs atomic.Int64
+	slow, err := d.PythonApp("slow", func(args []any, _ map[string]any) (any, error) {
+		n := runs.Add(1)
+		if n == 1 {
+			close(entered)
+			<-release // the first execution outlives its attempt's timeout
+		}
+		return fmt.Sprintf("%v/%v#%d", args[0], args[1], n), nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	echo, err := d.PythonApp("echo", func(args []any, _ map[string]any) (any, error) { return args[0], nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	fut := slow.Submit(context.Background(), []any{"original", 42}, WithTimeout(100*time.Millisecond))
+	<-entered
+	// Churn until the retry has run, and a few thousand tasks at least: every
+	// one encodes into, and hands back, a pooled payload on the worker the
+	// ghost is not blocking. Short rounds, so the retry (whose own timeout
+	// runs while it queues) never waits behind more than one of them.
+	for churned := 0; !fut.Done() || churned < 3000; churned += 100 {
+		var round [100]*future.Future
+		for i := range round {
+			round[i] = echo.Call(fmt.Sprint("churn-", churned+i))
+		}
+		for i, f := range round {
+			if v, err := f.Result(); err != nil || v != fmt.Sprint("churn-", churned+i) {
+				t.Fatalf("churn task %d = %v, %v", churned+i, v, err)
+			}
+		}
+	}
+	if v, err := fut.Result(); err != nil || v != "original/42#2" {
+		t.Fatalf("retry = %v, %v; want the second execution echoing the original arguments", v, err)
+	}
+	d.WaitAll() // the task is done; the ghost is not the DFK's to wait for
+
+	freeGhost()
+	waitFor(t, func() bool { return tp.Outstanding() == 0 })
+	if v, err := fut.Result(); err != nil || v != "original/42#2" {
+		t.Fatalf("after the ghost finished: %v, %v; its late result must be dropped", v, err)
+	}
+	if n := runs.Load(); n != 2 {
+		t.Fatalf("slow ran %d times, want the ghost and one retry", n)
+	}
+	if v, err := echo.Call("after").Result(); err != nil || v != "after" {
+		t.Fatalf("task after the ghost = %v, %v", v, err)
 	}
 }

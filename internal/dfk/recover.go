@@ -141,7 +141,7 @@ func (d *DFK) resume(key int64, info *wal.TaskInfo, rcv *Recovery) {
 	rec.Resume(key, info.Launches)
 	rcv.Resumed[key] = rec.Future
 	d.graph.Add(rec)
-	d.emitState(id, info.App, info.Tenant, "", "pending", "")
+	d.emitState(id, info.App, info.Tenant, noState, task.Pending, "")
 	if decErr != nil {
 		d.failTask(rec, fmt.Errorf("dfk: recover: decode logged payload: %w", decErr))
 		return

@@ -50,8 +50,8 @@ type Scalable interface {
 // BatchSubmitter is implemented by executors that can accept a batch of
 // ready tasks in one call, amortizing per-submit locking and wire framing.
 // The DFK's dispatch pipeline groups ready tasks by target executor and
-// prefers this interface, degrading to one Submit call per task for
-// executors that do not implement it.
+// prefers IntoSubmitter, then this interface, degrading to one Submit call
+// per task for executors that implement neither.
 type BatchSubmitter interface {
 	// SubmitBatch schedules every task in msgs and returns their futures in
 	// matching order. Submission failures are reported through the affected
@@ -59,18 +59,40 @@ type BatchSubmitter interface {
 	SubmitBatch(msgs []serialize.TaskMsg) []*future.Future
 }
 
+// IntoSubmitter is implemented by executors that settle futures the caller
+// owns instead of returning their own — "complete the future the DFK is
+// holding" taken literally, with no executor-side future and no hop copying
+// one future into another. The DFK adapts executors without it through a relay.
+type IntoSubmitter interface {
+	// SubmitInto schedules msgs[i] and settles futs[i] wherever Submit would
+	// settle the future it returns (result, ErrShutdown, "Submit before
+	// Start", Cancel). futs[i] arrives pending and stays the caller's: it may
+	// settle it first (timeout, cancellation), and the executor's later write
+	// is refused and ignored. Neither slice is retained after the call.
+	//
+	// Payload ownership moves with the call: a msgs[i] carrying an encode-once
+	// payload arrives with one reference that is now the executor's, released
+	// once it has read the bytes (decoded or framed them, or refused or dropped
+	// the task) — not when the future settles, so a ghost (a task whose caller
+	// gave up on it) still reads valid bytes. An executor keeping the payload
+	// longer (a retransmit registry) retains its own.
+	SubmitInto(msgs []serialize.TaskMsg, futs []*future.Future)
+}
+
 // Canceler is implemented by executors that can drop submitted work that
 // has not started running. Cancel names the task by its wire id and reports
-// whether the cancellation settled the task's executor-side future (false
-// when the task is unknown or already completed). Cancellation is a queue
-// operation, not a kill: work already running is never preempted, and how
-// much the bool promises depends on the executor's distance. The in-process
-// threadpool claims the task atomically, so true means the work will never
-// start; distributed executors (htex) settle the client-side handle and
-// forward a best-effort drop — true there means the result will be
-// discarded, while a task already executing remotely still runs to
-// completion. Callers with non-idempotent work must not treat true as proof
-// that no side effects occurred.
+// whether the cancellation settled the task's future: false when the task is
+// unknown or already completed — and, for a future handed over through
+// SubmitInto, when its owner settled it first. The work is dropped all the
+// same, and the DFK, which always settles an attempt before cancelling it,
+// ignores the bool. Cancellation is a queue operation, not a kill: work
+// already running is never preempted, and how much the bool promises depends
+// on the executor's distance. The in-process threadpool claims the task
+// atomically, so true means the work will never start; distributed executors
+// (htex) settle the client-side handle and forward a best-effort drop — true
+// there means the result will be discarded, while a task already executing
+// remotely still runs to completion. Callers with non-idempotent work must
+// not treat true as proof that no side effects occurred.
 type Canceler interface {
 	Cancel(wireID int64) bool
 }

@@ -163,9 +163,9 @@ type Config struct {
 
 // Executor is the EXEX client: the HTEX client/interchange machinery with
 // MPI pools as node payloads. Embedding htex.Executor also promotes its
-// native SubmitBatch, so the DFK's batched dispatch reaches EXEX pools as
-// one TASKB frame into the shared interchange rather than the generic
-// per-task fallback loop.
+// native SubmitInto, so the DFK's batched dispatch reaches EXEX pools as
+// one TASKB frame into the shared interchange, settling the DFK's own
+// futures, rather than through the generic per-task fallback.
 type Executor struct {
 	*htex.Executor
 	poolSeq atomic.Int64

@@ -480,9 +480,7 @@ func (e *Executor) handleNack(s *shardLink, c *shardConn, epoch uint32) {
 		// Retain each snapshot entry under the lock: the framing below runs
 		// unlocked, racing completions that drop the inflight reference, and
 		// a recycled payload buffer must not reach the wire.
-		if p := it.msg.Payload(); p != nil {
-			p.Retain()
-		}
+		it.msg.Payload().Retain()
 		msgs = append(msgs, it.msg)
 	}
 	e.mu.Unlock()
@@ -571,34 +569,42 @@ func (e *Executor) fail(id int64, err error) {
 }
 
 // Submit implements executor.Executor as a single-task batch: the
-// registration/framing logic lives once in SubmitBatch.
+// registration/framing logic lives once in SubmitInto.
 func (e *Executor) Submit(msg serialize.TaskMsg) *future.Future {
 	return e.SubmitBatch([]serialize.TaskMsg{msg})[0]
 }
 
-// SubmitBatch implements executor.BatchSubmitter: the whole batch is
+// SubmitBatch implements executor.BatchSubmitter over SubmitInto: it makes
+// the futures and takes, for each payload, the reference SubmitInto consumes.
+func (e *Executor) SubmitBatch(msgs []serialize.TaskMsg) []*future.Future {
+	futs := make([]*future.Future, len(msgs))
+	for i, m := range msgs {
+		futs[i] = future.NewForTask(m.ID)
+		m.Payload().Retain()
+	}
+	e.SubmitInto(msgs, futs)
+	return futs
+}
+
+// SubmitInto implements executor.IntoSubmitter: the whole batch is
 // registered under one lock acquisition, then crosses the wire as one TASKB
 // frame per owning shard — the single-shard deployment (the default) sends
 // exactly one frame with no placement work at all, and a sharded deployment
 // fans the batch out in submission order per shard. From the interchange
 // queues on, the existing manager-side batching (§4.3.1) takes over.
-func (e *Executor) SubmitBatch(msgs []serialize.TaskMsg) []*future.Future {
-	futs := make([]*future.Future, len(msgs))
-	for i, m := range msgs {
-		futs[i] = future.NewForTask(m.ID)
-	}
+func (e *Executor) SubmitInto(msgs []serialize.TaskMsg, futs []*future.Future) {
 	e.mu.Lock()
 	if e.closed || !e.started {
-		closed := e.closed
+		err := executor.ErrShutdown
+		if !e.closed {
+			err = errors.New("htex: Submit before Start")
+		}
 		e.mu.Unlock()
 		for i := range futs {
-			if closed {
-				_ = futs[i].SetError(executor.ErrShutdown)
-			} else {
-				_ = futs[i].SetError(errors.New("htex: Submit before Start"))
-			}
+			msgs[i].Payload().Release()
+			_ = futs[i].SetError(err)
 		}
-		return futs
+		return
 	}
 	// Placement happens at registration so the inflight registry knows each
 	// task's shard from the first instant — a shard death between this lock
@@ -609,22 +615,18 @@ func (e *Executor) SubmitBatch(msgs []serialize.TaskMsg) []*future.Future {
 	if !single {
 		shardOf = make([]int, len(msgs))
 	}
-	// Two payload references per task: one for the inflight registry (the
-	// NACK retransmission source, released when the entry leaves the map)
-	// and one pinning the bytes across the framing below — a Cancel racing
-	// this batch can drop the inflight reference before Wire() runs, and
-	// the send leg must never frame a recycled buffer.
-	held := make([]*serialize.Payload, len(msgs))
+	// Two payload references per task: the inflight registry's own (the NACK
+	// retransmission source, released when the entry leaves the map) and the
+	// one handed over with the call, which pins the bytes across the framing
+	// below — a Cancel racing this batch can drop the registry's before Wire()
+	// runs, and the send leg must never frame a recycled buffer.
 	for i, m := range msgs {
 		shard := 0
 		if !single {
 			shard = e.placeTask(m.Tenant, m.ID)
 			shardOf[i] = shard
 		}
-		if p := m.Payload(); p != nil {
-			held[i] = p.Retain()
-			p.Retain()
-		}
+		m.Payload().Retain()
 		e.inflight[m.ID] = inflightTask{msg: m, fut: futs[i], shard: shard}
 	}
 	e.mu.Unlock()
@@ -640,10 +642,12 @@ func (e *Executor) SubmitBatch(msgs []serialize.TaskMsg) []*future.Future {
 	if !single {
 		wireShard = make([]int, 0, len(msgs))
 	}
-	for i := range msgs {
-		w, err := msgs[i].Wire()
+	for i, m := range msgs {
+		// On the copy: a payload encoded here must not land in the caller's
+		// slice, where the release below would take it for one handed over.
+		w, err := m.Wire()
 		if err != nil {
-			e.fail(msgs[i].ID, err)
+			e.fail(m.ID, err)
 			continue
 		}
 		wires = append(wires, w)
@@ -662,10 +666,9 @@ func (e *Executor) SubmitBatch(msgs []serialize.TaskMsg) []*future.Future {
 			e.fanOut(wires, wireShard)
 		}
 	}
-	for _, p := range held {
-		p.Release()
+	for i := range msgs {
+		msgs[i].Payload().Release()
 	}
-	return futs
 }
 
 // fanOut partitions one wire batch by owning shard (submission order

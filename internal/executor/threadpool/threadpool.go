@@ -26,7 +26,7 @@ type Executor struct {
 
 	// pending indexes queued-but-not-started futures by wire id for Cancel.
 	// Guarded by its own mutex: workers must be able to delete entries while
-	// SubmitBatch holds mu across a blocking send into a full queue.
+	// SubmitInto holds mu across a blocking send into a full queue.
 	pendMu  sync.Mutex
 	pending map[int64]*future.Future
 
@@ -48,7 +48,7 @@ func New(label string, workers int, reg *serialize.Registry) *Executor {
 
 // NewWithDepth creates a thread-pool executor with an explicit input-queue
 // depth (minimum 1). The depth is the executor's backpressure knob: a full
-// queue blocks SubmitBatch, backing work up into the DFK's per-executor
+// queue blocks submission, backing work up into the DFK's per-executor
 // lane, where tenant-fair (and priority) ordering applies. A deep queue
 // maximizes burst absorption; a shallow one (a small multiple of workers)
 // keeps queueing decisions upstream where fairness holds, at no throughput
@@ -98,9 +98,11 @@ func (e *Executor) worker(id string) {
 		_, unclaimed := e.pending[it.msg.ID]
 		delete(e.pending, it.msg.ID)
 		e.pendMu.Unlock()
+		p := it.msg.Payload()
 		if !unclaimed {
-			// Claimed by Cancel, which also adjusted the outstanding count;
-			// the dead item just falls out of the queue here.
+			// Claimed by Cancel, which also adjusted the outstanding count; the
+			// dead item and its payload reference just fall out of the queue.
+			p.Release()
 			continue
 		}
 		// Deep-copy arguments so an impure app cannot mutate caller state:
@@ -112,8 +114,9 @@ func (e *Executor) worker(id string) {
 		var args []any
 		var kwargs map[string]any
 		var err error
-		if p := it.msg.Payload(); p != nil {
+		if p != nil {
 			args, kwargs, err = p.DecodeArgs()
+			p.Release() // last read of the bytes: the submission's reference ends here
 		} else {
 			args, kwargs, err = serialize.DeepCopyArgs(it.msg.Args, it.msg.Kwargs)
 		}
@@ -136,29 +139,37 @@ func (e *Executor) Submit(msg serialize.TaskMsg) *future.Future {
 	return e.SubmitBatch([]serialize.TaskMsg{msg})[0]
 }
 
-// SubmitBatch implements executor.BatchSubmitter: one state check and one
-// outstanding-counter bump for the whole batch, then a straight enqueue —
-// the in-process analogue of HTEX's manager-side task batching. The sends
-// stay under the mutex so a concurrent Shutdown cannot close the queue
-// mid-batch (workers never take the mutex, so a full queue still drains
-// and the sends cannot deadlock).
+// SubmitBatch implements executor.BatchSubmitter over SubmitInto: it makes
+// the futures and takes, for each payload, the reference SubmitInto consumes.
 func (e *Executor) SubmitBatch(msgs []serialize.TaskMsg) []*future.Future {
 	futs := make([]*future.Future, len(msgs))
 	for i, m := range msgs {
 		futs[i] = future.NewForTask(m.ID)
+		m.Payload().Retain()
 	}
+	e.SubmitInto(msgs, futs)
+	return futs
+}
+
+// SubmitInto implements executor.IntoSubmitter: one state check and one
+// outstanding-counter bump for the whole batch, then a straight enqueue —
+// the in-process analogue of HTEX's manager-side task batching. The sends
+// stay under the mutex so a concurrent Shutdown cannot close the queue
+// mid-batch (workers never take it, so a full queue still drains). Each
+// payload reference rides its queue item to the worker that decodes or drops it.
+func (e *Executor) SubmitInto(msgs []serialize.TaskMsg, futs []*future.Future) {
 	e.mu.Lock()
 	if e.closed || !e.started {
-		closed := e.closed
+		err := executor.ErrShutdown
+		if !e.closed {
+			err = fmt.Errorf("threadpool %s: Submit before Start", e.label)
+		}
 		e.mu.Unlock()
 		for i := range futs {
-			if closed {
-				_ = futs[i].SetError(executor.ErrShutdown)
-			} else {
-				_ = futs[i].SetError(fmt.Errorf("threadpool %s: Submit before Start", e.label))
-			}
+			msgs[i].Payload().Release()
+			_ = futs[i].SetError(err)
 		}
-		return futs
+		return
 	}
 	e.outstanding.Add(int64(len(msgs)))
 	e.pendMu.Lock()
@@ -170,15 +181,14 @@ func (e *Executor) SubmitBatch(msgs []serialize.TaskMsg) []*future.Future {
 		e.queue <- item{msg: m, fut: futs[i]}
 	}
 	e.mu.Unlock()
-	return futs
 }
 
 // Cancel implements executor.Canceler: a task still waiting in the input
-// queue has its future settled with future.ErrCanceled and is dropped by
-// the worker that eventually dequeues it. Tasks already started (or already
-// done, or unknown) are unaffected and report false. Removing the pending
-// entry under the lock is the claim; the future is settled outside it so
-// its callbacks cannot deadlock against SubmitBatch.
+// queue has its future settled with future.ErrCanceled (unless its owner got
+// there first) and is dropped by the worker that eventually dequeues it.
+// Tasks already started, done or unknown are unaffected and report false.
+// Removing the pending entry under the lock is the claim; the future is
+// settled outside it so its callbacks cannot deadlock against SubmitInto.
 func (e *Executor) Cancel(wireID int64) bool {
 	e.pendMu.Lock()
 	fut, ok := e.pending[wireID]

@@ -325,9 +325,12 @@ type Payload struct {
 // encode buffers of the million-task hot path.
 var payloadPool = sync.Pool{New: func() any { return new(Payload) }}
 
-// Retain takes an additional reference and returns p for chaining.
+// Retain takes an additional reference and returns p for chaining. Safe on
+// nil, like Release: a message built without a payload has none to count.
 func (p *Payload) Retain() *Payload {
-	p.refs.Add(1)
+	if p != nil {
+		p.refs.Add(1)
+	}
 	return p
 }
 

@@ -3,12 +3,12 @@
 // them (the scenarios table below is the one source), `parsl-bench all` runs
 // everything.
 //
-// Latency, throughput-at-laptop-scale, and elasticity run on the real
-// executors (goroutine workers over the in-memory network); the Blue
-// Waters-scale sweeps run on the calibrated discrete-event models in
-// internal/scalesim, as documented in README.md, "Reproducing the paper's
-// figures". Each figure has this one driver; a scenario's exit code is its
-// gate.
+// Latency and elasticity (Fig. 3, Fig. 5/6) are measured on the real
+// executors (goroutine workers over the in-memory network), wall clock; the
+// Blue Waters-scale sweeps (Fig. 4, Table 2) are modelled from the paper's
+// service times by the queueing recurrence in scaling.go, as documented in
+// README.md, "Reproducing the paper's figures". Each figure has this one
+// driver; a scenario's exit code is its gate.
 package main
 
 import (
@@ -74,33 +74,49 @@ func main() {
 	}
 	var o options
 	flag.IntVar(&o.tasks, "tasks", 0, "workload size: tasks per run, seed or crash boundary; noisy: the burst; graph: DAG nodes (0 = the scenario's own default)")
-	flag.BoolVar(&o.full, "full", false, "strong, weak: run full-scale sweeps (up to 262144 simulated workers)")
+	flag.BoolVar(&o.full, "full", false, "strong, weak: run full-scale sweeps (up to 262144 modelled workers)")
 	flag.IntVar(&o.timeScaleMs, "timescale", 8, "elasticity: wall milliseconds per paper second")
 	flag.Int64Var(&o.seed, "seed", 0, "chaos, health, shard: run this one seed (0 = the 1..5 matrix); wal: the seed the sampled crash boundaries derive from (0 = 1)")
 	flag.BoolVar(&o.verbose, "chaos-verbose", false, "chaos: print the fired fault schedule even on PASS")
 	flag.Parse()
 
-	cmd := "all"
-	if flag.NArg() > 0 {
-		cmd = flag.Arg(0)
+	cmd, ok := scenarioArg(flag.Args())
+	if !ok {
+		flag.Usage()
+		os.Exit(2)
 	}
 	o.all = cmd == "all"
-	ran := false
 	for _, sc := range scenarios {
-		if cmd != "all" && cmd != sc.name {
+		if !o.all && cmd != sc.name {
 			continue
 		}
-		ran = true
 		fmt.Printf("\n================ %s: %s ================\n", sc.name, sc.about)
 		if err := sc.run(o); err != nil {
 			fmt.Fprintf(os.Stderr, "parsl-bench %s: %v\n", sc.name, err)
 			os.Exit(1)
 		}
 	}
-	if !ran {
-		flag.Usage()
-		os.Exit(2)
+}
+
+// scenarioArg picks the scenario out of the arguments left after the flags:
+// none means "all", one must name a scenario. Anything after it is refused —
+// Go's flag package stops at the first positional, so `parsl-bench weak -full`
+// would otherwise run with -full silently ignored.
+func scenarioArg(args []string) (name string, ok bool) {
+	switch len(args) {
+	case 0:
+		return "all", true
+	case 1:
+		if args[0] == "all" {
+			return "all", true
+		}
+		for _, sc := range scenarios {
+			if sc.name == args[0] {
+				return sc.name, true
+			}
+		}
 	}
+	return "", false
 }
 
 // runMatrix runs one scenario instance per point of a matrix (seeds, crash

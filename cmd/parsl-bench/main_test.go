@@ -52,3 +52,25 @@ func TestShardScaleBar(t *testing.T) {
 		}
 	}
 }
+
+// Flags go before the scenario: Go's flag package stops parsing at the first
+// positional, so a trailing flag must be refused, not dropped.
+func TestScenarioArg(t *testing.T) {
+	for _, c := range []struct {
+		args   []string // what flag.Args() holds after parsing
+		want   string
+		wantOK bool
+	}{
+		{nil, "all", true},
+		{[]string{"all"}, "all", true},
+		{[]string{"weak"}, "weak", true},          // parsl-bench -full weak
+		{[]string{"weak", "-full"}, "", false},    // parsl-bench weak -full
+		{[]string{"strong", "weak"}, "", false},   // one scenario per run
+		{[]string{"no-such-scenario"}, "", false}, // usage, exit 2
+	} {
+		got, ok := scenarioArg(c.args)
+		if got != c.want || ok != c.wantOK {
+			t.Errorf("scenarioArg(%q) = %q, %v; want %q, %v", c.args, got, ok, c.want, c.wantOK)
+		}
+	}
+}

@@ -1,9 +1,34 @@
-package scalesim
+package main
 
 import (
 	"testing"
 	"time"
 )
+
+// TestMakespansMatchEventEngine pins the recurrence to the discrete-event
+// engine it replaced: six makespans (ns) taken from that engine, one per
+// framework plus the largest weak-scaling point -full prints.
+func TestMakespansMatchEventEngine(t *testing.T) {
+	for _, c := range []struct {
+		p       params
+		tasks   int
+		dur     time.Duration
+		workers int
+		want    time.Duration
+	}{
+		{htexModel, 50_000, 0, 2048, 42_352_100_000},
+		{exexModel, 50_000, time.Second, 262_144, 43_504_100_000},
+		{ippModel, 50_000, 10 * time.Millisecond, 2048, 303_013_500_000},
+		{daskModel, 81_920, 100 * time.Millisecond, 8192, 181_604_102_000},
+		{fireworksModel, 5000, time.Second, 1024, 3_751_012_000_000},
+		{htexModel, 2_621_440, time.Second, 262_144, 2_221_361_780_000},
+	} {
+		if got := simulate(c.p, c.tasks, c.dur, c.workers).makespan; got != c.want {
+			t.Errorf("%s %d × %v @ %d workers: makespan %d ns, engine gave %d",
+				c.p.name, c.tasks, c.dur, c.workers, got, c.want)
+		}
+	}
+}
 
 func TestThroughputMatchesTable2Shape(t *testing.T) {
 	// Paper (Table 2): IPP 330, HTEX 1181, EXEX 1176, FireWorks 4, Dask
@@ -14,12 +39,12 @@ func TestThroughputMatchesTable2Shape(t *testing.T) {
 		"dask": 2617, "fireworks": 4,
 	}
 	got := map[string]float64{}
-	for _, p := range All() {
+	for _, p := range models {
 		workers := 256
-		if p.MaxWorkers > 0 && workers > p.MaxWorkers {
-			workers = p.MaxWorkers
+		if p.maxWorkers > 0 && workers > p.maxWorkers {
+			workers = p.maxWorkers
 		}
-		got[p.Name] = Throughput(p, workers).Rate
+		got[p.name] = throughput(p, workers).rate
 	}
 	for name, w := range want {
 		g := got[name]
@@ -38,23 +63,23 @@ func TestProbeMaxWorkersMatchesTable2(t *testing.T) {
 	// 262144 w / 8192 n*; FireWorks 1024 w / 32 n; Dask 8192 w / 256 n.
 	// (* allocation-limited, not architectural.)
 	cases := []struct {
-		p         Params
+		p         params
 		alloc     int
 		workers   int
 		nodes     int
 		limitedBy string
 	}{
-		{HTEX(), 2048, 65536, 2048, "allocation"},
-		{EXEX(), 8192, 262144, 8192, "allocation"},
-		{IPP(), 8192, 2048, 64, "architecture"},
-		{Dask(), 8192, 8192, 256, "architecture"},
-		{FireWorks(), 8192, 1024, 32, "architecture"},
+		{htexModel, 2048, 65536, 2048, "allocation"},
+		{exexModel, 8192, 262144, 8192, "allocation"},
+		{ippModel, 8192, 2048, 64, "architecture"},
+		{daskModel, 8192, 8192, 256, "architecture"},
+		{fireworksModel, 8192, 1024, 32, "architecture"},
 	}
 	for _, c := range cases {
-		got := ProbeMaxWorkers(c.p, c.alloc)
-		if got.MaxWorkers != c.workers || got.MaxNodes != c.nodes || got.LimitedBy != c.limitedBy {
+		got := probeMaxWorkers(c.p, c.alloc)
+		if got.maxWorkers != c.workers || got.maxNodes != c.nodes || got.limitedBy != c.limitedBy {
 			t.Errorf("%s probe = %+v, want %d workers / %d nodes (%s)",
-				c.p.Name, got, c.workers, c.nodes, c.limitedBy)
+				c.p.name, got, c.workers, c.nodes, c.limitedBy)
 		}
 	}
 }
@@ -63,13 +88,13 @@ func TestStrongScalingHTEXNearlyConstant(t *testing.T) {
 	// §5.2: "both HTEX and EXEX remain nearly constant" with increasing
 	// workers for the no-op strong-scaling workload.
 	sweep := []int{256, 1024, 4096, 16384, 65536}
-	res := StrongScaling(HTEX(), 50000, 0, sweep)
-	base := res[0].Makespan
+	res := strongScaling(htexModel, 50000, 0, sweep)
+	base := res[0].makespan
 	for _, r := range res[1:] {
-		ratio := float64(r.Makespan) / float64(base)
+		ratio := float64(r.makespan) / float64(base)
 		if ratio > 1.3 || ratio < 0.5 {
 			t.Errorf("HTEX makespan at %d workers = %v (base %v): not near-constant",
-				r.Workers, r.Makespan, base)
+				r.workers, r.makespan, base)
 		}
 	}
 }
@@ -77,8 +102,8 @@ func TestStrongScalingHTEXNearlyConstant(t *testing.T) {
 func TestStrongScalingIPPDegradesBeyondKnee(t *testing.T) {
 	// IPP and Dask "exhibit a similar trend of increasing overhead as the
 	// number of workers increases beyond 512".
-	at512 := Run(IPP(), 50000, 0, 512).Makespan
-	at2048 := Run(IPP(), 50000, 0, 2048).Makespan
+	at512 := simulate(ippModel, 50000, 0, 512).makespan
+	at2048 := simulate(ippModel, 50000, 0, 2048).makespan
 	if at2048 <= at512 {
 		t.Errorf("IPP did not degrade past the knee: 512w=%v 2048w=%v", at512, at2048)
 	}
@@ -87,10 +112,9 @@ func TestStrongScalingIPPDegradesBeyondKnee(t *testing.T) {
 func TestStrongScalingSpeedupWithLongTasks(t *testing.T) {
 	// For 1000 ms tasks, more workers must mean (near-)linear speedup
 	// until the central stage dominates.
-	p := HTEX()
-	r64 := Run(p, 5000, time.Second, 64)
-	r512 := Run(p, 5000, time.Second, 512)
-	speedup := float64(r64.Makespan) / float64(r512.Makespan)
+	r64 := simulate(htexModel, 5000, time.Second, 64)
+	r512 := simulate(htexModel, 5000, time.Second, 512)
+	speedup := float64(r64.makespan) / float64(r512.makespan)
 	if speedup < 6 || speedup > 8.5 { // ideal 8×
 		t.Errorf("speedup 64→512 workers = %.2f, want ≈8", speedup)
 	}
@@ -99,11 +123,11 @@ func TestStrongScalingSpeedupWithLongTasks(t *testing.T) {
 func TestStrongScalingFireWorksOrderOfMagnitudeWorse(t *testing.T) {
 	// "FireWorks has the highest overhead even with only 5000 tasks:
 	// almost an order of magnitude greater."
-	fw := Run(FireWorks(), 5000, 0, 256)
-	htex := Run(HTEX(), 50000, 0, 256)
+	fw := simulate(fireworksModel, 5000, 0, 256)
+	htex := simulate(htexModel, 50000, 0, 256)
 	// Normalize per task: FireWorks per-task cost must be ≳ 100× HTEX's.
-	fwPerTask := fw.Makespan.Seconds() / 5000
-	htexPerTask := htex.Makespan.Seconds() / 50000
+	fwPerTask := fw.makespan.Seconds() / 5000
+	htexPerTask := htex.makespan.Seconds() / 50000
 	if fwPerTask < 50*htexPerTask {
 		t.Errorf("fireworks per-task %.4fs vs htex %.6fs: gap too small", fwPerTask, htexPerTask)
 	}
@@ -114,17 +138,17 @@ func TestWeakScalingKneeOrdering(t *testing.T) {
 	// Dask/HTEX/EXEX ~1024. Measure the knee as the first sweep point
 	// where makespan exceeds 1.5× the single-worker makespan.
 	sweep := []int{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096}
-	knee := func(p Params) int {
-		res := WeakScaling(p, 10, time.Second, sweep)
-		base := res[0].Makespan
+	knee := func(p params) int {
+		res := weakScaling(p, 10, time.Second, sweep)
+		base := res[0].makespan
 		for _, r := range res[1:] {
-			if float64(r.Makespan) > 1.5*float64(base) {
-				return r.Workers
+			if float64(r.makespan) > 1.5*float64(base) {
+				return r.workers
 			}
 		}
 		return 1 << 30
 	}
-	fw, ipp, dask, htex := knee(FireWorks()), knee(IPP()), knee(Dask()), knee(HTEX())
+	fw, ipp, dask, htex := knee(fireworksModel), knee(ippModel), knee(daskModel), knee(htexModel)
 	if !(fw < ipp && ipp < dask && dask <= htex) {
 		t.Errorf("knee ordering: fw=%d ipp=%d dask=%d htex=%d", fw, ipp, dask, htex)
 	}
@@ -140,62 +164,55 @@ func TestWeakScalingKneeOrdering(t *testing.T) {
 }
 
 func TestWeakScalingFlatBeforeKnee(t *testing.T) {
-	res := WeakScaling(HTEX(), 10, time.Second, []int{1, 8, 64, 256})
-	base := res[0].Makespan
+	res := weakScaling(htexModel, 10, time.Second, []int{1, 8, 64, 256})
+	base := res[0].makespan
 	for _, r := range res {
-		if float64(r.Makespan) > 1.3*float64(base) {
+		if float64(r.makespan) > 1.3*float64(base) {
 			t.Errorf("pre-knee weak scaling not flat: %d workers → %v (base %v)",
-				r.Workers, r.Makespan, base)
+				r.workers, r.makespan, base)
 		}
 	}
 }
 
 func TestSweepStopsAtArchitecturalCap(t *testing.T) {
-	res := StrongScaling(IPP(), 1000, 0, []int{1024, 2048, 4096, 8192})
+	res := strongScaling(ippModel, 1000, 0, []int{1024, 2048, 4096, 8192})
 	if len(res) != 2 {
 		t.Fatalf("IPP sweep returned %d points, want 2 (cap 2048)", len(res))
 	}
 }
 
 func TestMillionTaskRunCompletes(t *testing.T) {
-	if testing.Short() {
-		t.Skip("1M-task DES run")
-	}
 	// The paper's largest weak-scaling point: 3125 nodes × 32 workers ×
 	// 10 tasks = 1M tasks. Virtual time must remain finite and sane.
-	p := EXEX()
-	r := Run(p, 1_000_000, time.Second, 100_000)
-	if r.Makespan <= 0 {
+	r := simulate(exexModel, 1_000_000, time.Second, 100_000)
+	if r.makespan <= 0 {
 		t.Fatal("million-task run produced no makespan")
 	}
 	// Central stage: 1M × 0.85 ms = 850 s is the floor.
-	if r.Makespan < 800*time.Second || r.Makespan > 2000*time.Second {
-		t.Fatalf("makespan = %v, expected ≈850–900 s", r.Makespan)
+	if r.makespan < 800*time.Second || r.makespan > 2000*time.Second {
+		t.Fatalf("makespan = %v, expected ≈850–900 s", r.makespan)
 	}
 }
 
 func TestRunClampsWorkersToCap(t *testing.T) {
-	r := Run(Dask(), 100, 0, 100000)
-	if r.Workers != DaskMax() {
-		t.Fatalf("workers = %d", r.Workers)
+	r := simulate(daskModel, 100, 0, 100000)
+	if r.workers != daskModel.maxWorkers {
+		t.Fatalf("workers = %d", r.workers)
 	}
 }
 
-func DaskMax() int { return Dask().MaxWorkers }
-
 func TestEffCentralInflation(t *testing.T) {
-	p := IPP()
+	p := ippModel
 	base := p.effCentral(100)
-	if base != p.CentralService {
+	if base != p.centralService {
 		t.Fatal("inflation applied below knee")
 	}
 	at4096 := p.effCentral(4096) // 3 doublings past 512
-	want := time.Duration(float64(p.CentralService) * (1 + 0.5*3))
+	want := time.Duration(float64(p.centralService) * (1 + 0.5*3))
 	if at4096 != want {
 		t.Fatalf("effCentral(4096) = %v, want %v", at4096, want)
 	}
-	flat := HTEX()
-	if flat.effCentral(1<<20) != flat.CentralService {
+	if htexModel.effCentral(1<<20) != htexModel.centralService {
 		t.Fatal("HTEX central inflated")
 	}
 }

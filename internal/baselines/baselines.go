@@ -1,7 +1,9 @@
-// Package baselines implements runnable models of the three frameworks the
-// paper compares against (§5): IPyParallel, Dask distributed, and FireWorks.
-// Each implements the executor.Executor interface so the Fig. 3 latency and
-// throughput experiments drive them exactly like Parsl's own executors.
+// Package baselines implements runnable models of the two frameworks Fig. 3
+// compares against (§5): IPyParallel and Dask distributed. Each implements
+// the executor.Executor interface so the latency experiment drives them
+// exactly like Parsl's own executors. (The third framework of §5 has no
+// Fig. 3 row; it is one parameter row of the Fig. 4 / Table 2 model in
+// cmd/parsl-bench.)
 //
 // The models are architectural, not cosmetic: each encodes the documented
 // bottleneck that produced the paper's numbers —
@@ -11,9 +13,6 @@
 //   - Dask distributed: a fast centralized scheduler (~0.38 ms per decision,
 //     ≈2617 tasks/s) but one connection per worker into one process, so a
 //     hard connection cap near 8192 workers.
-//   - FireWorks: every task is a sequence of LaunchPad (MongoDB) operations;
-//     with ~80 ms per DB op and three ops per task the ceiling is ~4
-//     tasks/s, and the DB connection pool caps workers at ~1024.
 //
 // Default constants come from Table 2 and Fig. 3; tests assert the shape
 // (ordering, saturation), not the absolute values.
@@ -46,19 +45,10 @@ const (
 	DaskRoundTrip = 15 * time.Millisecond
 	// DaskMaxWorkers is the centralized scheduler's connection cap.
 	DaskMaxWorkers = 8192
-
-	// FireWorksOpLatency is one LaunchPad (MongoDB) operation.
-	FireWorksOpLatency = 80 * time.Millisecond
-	// FireWorksMaxWorkers is where the paper observed DB timeouts.
-	FireWorksMaxWorkers = 1024
 )
 
 // ErrWorkerLimit is returned when a framework cannot accept more workers.
 var ErrWorkerLimit = errors.New("baselines: worker limit exceeded")
-
-// ---------------------------------------------------------------------------
-// Centralized-scheduler frameworks (IPP, Dask)
-// ---------------------------------------------------------------------------
 
 // CentralConfig parameterizes a centralized-scheduler framework model.
 type CentralConfig struct {
@@ -237,147 +227,5 @@ func (c *Central) Outstanding() int { return int(c.outstanding.Load()) }
 func (c *Central) Shutdown() error {
 	c.once.Do(func() { close(c.done) })
 	c.wg.Wait()
-	return nil
-}
-
-// ---------------------------------------------------------------------------
-// FireWorks
-// ---------------------------------------------------------------------------
-
-// FireWorksConfig parameterizes the FireWorks model.
-type FireWorksConfig struct {
-	Workers int
-	// OpLatency overrides the per-DB-op latency (tests shrink it).
-	OpLatency time.Duration
-	Registry  *serialize.Registry
-}
-
-// FireWorks models the LaunchPad architecture: tasks are documents; workers
-// poll the document store, claim with FindOneAndUpdate, execute, and write
-// results back. All coordination costs DB operations.
-type FireWorks struct {
-	cfg   FireWorksConfig
-	store *docStore
-
-	mu      sync.Mutex
-	pending map[int64]*future.Future
-
-	outstanding atomic.Int64
-	done        chan struct{}
-	once        sync.Once
-	wg          sync.WaitGroup
-	started     atomic.Bool
-}
-
-// NewFireWorks builds a FireWorks model with n workers.
-func NewFireWorks(n int, reg *serialize.Registry) *FireWorks {
-	return NewFireWorksConfig(FireWorksConfig{Workers: n, Registry: reg})
-}
-
-// NewFireWorksConfig builds a tunable FireWorks model.
-func NewFireWorksConfig(cfg FireWorksConfig) *FireWorks {
-	if cfg.Workers <= 0 {
-		cfg.Workers = 1
-	}
-	if cfg.OpLatency <= 0 {
-		cfg.OpLatency = FireWorksOpLatency
-	}
-	st := newDocStore(cfg.OpLatency)
-	st.maxConnections = FireWorksMaxWorkers
-	return &FireWorks{
-		cfg:     cfg,
-		store:   st,
-		pending: make(map[int64]*future.Future),
-		done:    make(chan struct{}),
-	}
-}
-
-// Label implements executor.Executor.
-func (f *FireWorks) Label() string { return "fireworks" }
-
-// Start implements executor.Executor: connect FireWorkers to the LaunchPad.
-func (f *FireWorks) Start() error {
-	if f.started.Swap(true) {
-		return nil
-	}
-	for i := 0; i < f.cfg.Workers; i++ {
-		if err := f.store.connect(); err != nil {
-			return fmt.Errorf("baselines: fireworks worker %d: %w", i, err)
-		}
-		f.wg.Add(1)
-		go f.fireworker()
-	}
-	return nil
-}
-
-// fireworker is the rocket-launch loop: poll, claim, run, report.
-func (f *FireWorks) fireworker() {
-	defer f.wg.Done()
-	defer f.store.release()
-	for {
-		select {
-		case <-f.done:
-			return
-		default:
-		}
-		// DB op 1: claim a waiting firework.
-		fw, err := f.store.findOneAndUpdate("fireworks",
-			doc{"state": "WAITING"},
-			doc{"state": "RUNNING"})
-		if err != nil {
-			select {
-			case <-f.done:
-				return
-			case <-time.After(f.cfg.OpLatency / 4): // the rocket-launch poll period
-			}
-			continue
-		}
-		id := fw["_id"].(int64)
-		msg := fw["task"].(serialize.TaskMsg)
-		res := executor.RunKernel(f.cfg.Registry, msg, "fireworker")
-		// DB op 2: record completion state.
-		_ = f.store.updateByID("fireworks", id, doc{"state": "COMPLETED"})
-		// DB op 3: store the result payload.
-		_ = f.store.updateByID("fireworks", id, doc{"result": res})
-
-		f.mu.Lock()
-		fut, ok := f.pending[msg.ID]
-		delete(f.pending, msg.ID)
-		f.mu.Unlock()
-		if ok {
-			f.outstanding.Add(-1)
-			executor.Complete(fut, res)
-		}
-	}
-}
-
-// Submit implements executor.Executor: one DB insert per task.
-func (f *FireWorks) Submit(msg serialize.TaskMsg) *future.Future {
-	fut := future.NewForTask(msg.ID)
-	if !f.started.Load() {
-		_ = fut.SetError(errors.New("fireworks: Submit before Start"))
-		return fut
-	}
-	select {
-	case <-f.done:
-		_ = fut.SetError(executor.ErrShutdown)
-		return fut
-	default:
-	}
-	f.mu.Lock()
-	f.pending[msg.ID] = fut
-	f.mu.Unlock()
-	f.outstanding.Add(1)
-	f.store.insert("fireworks", doc{"state": "WAITING", "task": msg})
-	return fut
-}
-
-// Outstanding implements executor.Executor.
-func (f *FireWorks) Outstanding() int { return int(f.outstanding.Load()) }
-
-// Shutdown implements executor.Executor.
-func (f *FireWorks) Shutdown() error {
-	f.once.Do(func() { close(f.done) })
-	f.wg.Wait()
 	return nil
 }

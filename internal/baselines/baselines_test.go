@@ -114,52 +114,6 @@ func TestDaskConnectionCapAt8192(t *testing.T) {
 	}
 }
 
-func TestFireWorksExecutesThroughLaunchPad(t *testing.T) {
-	reg := testRegistry(t)
-	e := NewFireWorksConfig(FireWorksConfig{
-		Workers: 2, OpLatency: time.Millisecond, Registry: reg,
-	})
-	if err := e.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer e.Shutdown()
-	v, err := e.Submit(serialize.TaskMsg{ID: 1, App: "echo", Args: []any{"rocket"}}).Result()
-	if err != nil || v != "rocket" {
-		t.Fatalf("result = %v, %v", v, err)
-	}
-	// The task's lifecycle went through the LaunchPad: its document ends
-	// COMPLETED.
-	if d, err := e.store.findOneAndUpdate("fireworks", doc{"state": "COMPLETED"}, doc{}); err != nil {
-		t.Fatalf("completed firework: %v, %v", d, err)
-	}
-}
-
-func TestFireWorksThroughputDBBound(t *testing.T) {
-	reg := testRegistry(t)
-	// 10 ms per op × 3 ops/task ⇒ ≤ ~33 tasks/s no matter how many workers.
-	e := NewFireWorksConfig(FireWorksConfig{
-		Workers: 16, OpLatency: 10 * time.Millisecond, Registry: reg,
-	})
-	if err := e.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer e.Shutdown()
-	const n = 10
-	start := time.Now()
-	var futs []*future.Future
-	for i := 0; i < n; i++ {
-		futs = append(futs, e.Submit(serialize.TaskMsg{ID: int64(i), App: "noop"}))
-	}
-	if err := future.Wait(futs...); err != nil {
-		t.Fatal(err)
-	}
-	elapsed := time.Since(start)
-	// 10 tasks × 3 serialized ops × 10 ms = 300 ms minimum (plus inserts).
-	if elapsed < 300*time.Millisecond {
-		t.Fatalf("fireworks too fast (%v): DB bottleneck not modeled", elapsed)
-	}
-}
-
 func TestOrderingMatchesFig3(t *testing.T) {
 	// Single-task latency ordering from the paper: IPP < Dask, and both
 	// well above a zero-overhead floor.
@@ -195,9 +149,6 @@ func TestSubmitBeforeStart(t *testing.T) {
 	if _, err := NewIPP(1, reg).Submit(serialize.TaskMsg{ID: 1, App: "noop"}).Result(); err == nil {
 		t.Fatal("submit before start succeeded")
 	}
-	if _, err := NewFireWorks(1, reg).Submit(serialize.TaskMsg{ID: 1, App: "noop"}).Result(); err == nil {
-		t.Fatal("fireworks submit before start succeeded")
-	}
 }
 
 func TestShutdownIdempotent(t *testing.T) {
@@ -210,13 +161,6 @@ func TestShutdownIdempotent(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := e.Shutdown(); err != nil {
-		t.Fatal(err)
-	}
-	f := NewFireWorksConfig(FireWorksConfig{Workers: 1, OpLatency: time.Millisecond, Registry: reg})
-	if err := f.Start(); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Shutdown(); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -1138,11 +1138,6 @@ func (d *DFK) Shutdown() error {
 	// it then lets the dispatcher drain and exit, after which the lanes can
 	// no longer receive work and are drained the same way.
 	d.wg.Wait()
-	if d.hp != nil {
-		// No task is terminal while parked for backoff, so the delay heap is
-		// empty once wg drains; stopping the plane here cannot strand work.
-		d.hp.close()
-	}
 	d.queue.Close()
 	d.dispatchWG.Wait()
 	for _, l := range d.lanes {

@@ -1,10 +1,8 @@
 package dfk
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -14,11 +12,12 @@ import (
 )
 
 // healthPlane is the DFK-side assembly of the self-healing retry plane
-// (internal/health): it classifies every failed attempt, paces retries
-// through a delay heap with per-class deterministic backoff, tracks one
-// circuit breaker per executor, and quarantines poison tasks. The plane is
-// nil unless Config.Health is set; every hot-path touchpoint is a single nil
-// check, so the disabled DFK is byte-identical to the pre-health one.
+// (internal/health): it classifies every failed attempt, paces retries with
+// per-class deterministic backoff (one runtime timer per parked attempt),
+// tracks one circuit breaker per executor, and quarantines poison tasks. The
+// plane is nil unless Config.Health is set; every hot-path touchpoint is a
+// single nil check, so the disabled DFK is byte-identical to the pre-health
+// one.
 type healthPlane struct {
 	d        *DFK
 	policies [health.NumClasses]health.Policy
@@ -28,12 +27,6 @@ type healthPlane struct {
 	// task; 0 disables quarantine.
 	quarantineAfter int
 	pinnedFailFast  bool
-
-	mu   sync.Mutex
-	heap delayHeap
-	wake chan struct{}
-	done chan struct{}
-	wg   sync.WaitGroup
 
 	// backoffs counts scheduled backoffs for monitor rate-limiting.
 	backoffs atomic.Int64
@@ -47,8 +40,6 @@ func newHealthPlane(d *DFK, opts *health.Options) *healthPlane {
 		seed:            opts.Seed,
 		quarantineAfter: opts.QuarantineAfter,
 		pinnedFailFast:  opts.PinnedFailFast,
-		wake:            make(chan struct{}, 1),
-		done:            make(chan struct{}),
 	}
 	if hp.seed == 0 {
 		hp.seed = d.cfg.Seed
@@ -67,24 +58,7 @@ func newHealthPlane(d *DFK, opts *health.Options) *healthPlane {
 		})
 		hp.breakers[label] = b
 	}
-	hp.wg.Add(1)
-	go hp.runner()
 	return hp
-}
-
-// close stops the delay runner and releases any attempt still parked in the
-// heap. Shutdown calls it after wg.Wait(), so the heap is empty in practice
-// (a task awaiting backoff is non-terminal and holds the task waitgroup);
-// the drain is defensive.
-func (hp *healthPlane) close() {
-	close(hp.done)
-	hp.wg.Wait()
-	hp.mu.Lock()
-	for _, dl := range hp.heap {
-		dl.pl.payload.Release()
-	}
-	hp.heap = nil
-	hp.mu.Unlock()
 }
 
 // state reports one executor's breaker position for sched.Load.
@@ -235,66 +209,15 @@ func containsStr(s []string, v string) bool {
 	return false
 }
 
-// delayedLaunch is one attempt parked until its backoff expires.
-type delayedLaunch struct {
-	at time.Time
-	pl *pendingLaunch
-}
-
-// delayHeap is a min-heap on release time.
-type delayHeap []delayedLaunch
-
-func (h delayHeap) Len() int           { return len(h) }
-func (h delayHeap) Less(i, j int) bool { return h[i].at.Before(h[j].at) }
-func (h delayHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *delayHeap) Push(x any)        { *h = append(*h, x.(delayedLaunch)) }
-func (h *delayHeap) Pop() any          { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
-
 // schedule parks an attempt until its backoff expires, then re-enters it
 // through the dispatch queue. The attempt's timeout clock starts at the
 // re-launch (enqueueAttempt arms it), not here — backoff time is never
-// charged against the attempt.
+// charged against the attempt. A parked task is not terminal and holds the
+// task waitgroup, so Shutdown outlasts every timer whose task is still live;
+// one whose task concluded meanwhile (cancellation) fires into release's
+// revalidation and only drops its payload reference.
 func (hp *healthPlane) schedule(pl *pendingLaunch, delay time.Duration) {
-	hp.mu.Lock()
-	heap.Push(&hp.heap, delayedLaunch{at: time.Now().Add(delay), pl: pl})
-	hp.mu.Unlock()
-	select {
-	case hp.wake <- struct{}{}:
-	default:
-	}
-}
-
-// runner releases parked attempts as their backoffs expire.
-func (hp *healthPlane) runner() {
-	defer hp.wg.Done()
-	timer := time.NewTimer(time.Hour)
-	defer timer.Stop()
-	for {
-		var due []*pendingLaunch
-		wait := time.Hour
-		now := time.Now()
-		hp.mu.Lock()
-		for len(hp.heap) > 0 {
-			if d := hp.heap[0].at.Sub(now); d > 0 {
-				wait = d
-				break
-			}
-			due = append(due, heap.Pop(&hp.heap).(delayedLaunch).pl)
-		}
-		hp.mu.Unlock()
-		for _, pl := range due {
-			hp.release(pl)
-		}
-		// A stale expiry from a previous Reset costs one harmless extra loop
-		// iteration; no drain needed.
-		timer.Reset(wait)
-		select {
-		case <-hp.done:
-			return
-		case <-hp.wake:
-		case <-timer.C:
-		}
-	}
+	time.AfterFunc(delay, func() { hp.release(pl) })
 }
 
 // release re-enters one parked attempt, revalidating the record first: the

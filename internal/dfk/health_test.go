@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -331,5 +332,63 @@ func TestHealthBackoffScheduleDeterministic(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("delay[%d]: %v != %v across identically-seeded runs", i, a[i], b[i])
 		}
+	}
+}
+
+// TestHealthCancelWhileParked: a task cancelled while its retry is parked for
+// backoff fails with ErrCanceled at once; Shutdown does not wait out the
+// backoff; and when the timer fires afterwards it finds a concluded task —
+// the body never runs again and the parked payload reference is dropped
+// exactly once (the payload pool panics on an over-release).
+func TestHealthCancelWhileParked(t *testing.T) {
+	slow := health.Policy{Charge: true, Base: 600 * time.Millisecond, Max: 600 * time.Millisecond, Failover: true}
+	store := monitor.NewStore()
+	d := newDFK(t, func(c *Config) {
+		c.Retries = 2
+		c.Monitor = store
+		c.Health = &health.Options{Seed: 3, Policies: map[health.Class]health.Policy{
+			health.ClassUnknown: slow, health.ClassTaskFault: slow,
+		}}
+	})
+	var runs atomic.Int64
+	app, err := d.PythonApp("flaky", func([]any, map[string]any) (any, error) {
+		runs.Add(1)
+		return nil, errors.New("first attempt fails")
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	fut := app.Submit(ctx, []any{"arg"})
+
+	var parked []monitor.Event
+	for deadline := time.Now().Add(5 * time.Second); len(parked) == 0; parked = healthEvents(store, "backoff") {
+		if time.Now().After(deadline) {
+			t.Fatal("first attempt never reached its backoff")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	// The timer is armed after the event is stamped, so it fires no earlier
+	// than this.
+	fires := parked[0].At.Add(parked[0].Duration)
+	if parked[0].Duration < 200*time.Millisecond {
+		t.Fatalf("backoff = %v, want ≥ 200ms for the test to mean anything", parked[0].Duration)
+	}
+
+	cancel()
+	if _, err := fut.Result(); !errors.Is(err, ErrCanceled) {
+		t.Fatalf("err = %v, want ErrCanceled", err)
+	}
+	if err := d.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	if now := time.Now(); !now.Before(fires) {
+		t.Fatalf("cancel + Shutdown outlasted the backoff by %v", now.Sub(fires))
+	}
+
+	time.Sleep(time.Until(fires) + 100*time.Millisecond)
+	if n := runs.Load(); n != 1 {
+		t.Fatalf("body ran %d times, want 1", n)
 	}
 }

@@ -23,7 +23,6 @@
 package memo
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"errors"
@@ -202,25 +201,8 @@ func (m *Memoizer) Freeze() {
 // Corrupt trailing lines (from a crash mid-write) are skipped, not fatal:
 // losing the last checkpoint entry only costs one re-execution.
 func (m *Memoizer) LoadCheckpoint(path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 1024*1024), 16*1024*1024)
-	loaded := 0
-	for sc.Scan() {
-		var e entry
-		if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
-			continue
-		}
-		m.mu.Lock()
-		m.table[e.Key] = e.Value
-		m.mu.Unlock()
-		loaded++
-	}
-	return sc.Err()
+	_, err := m.loadCheckpoint(path)
+	return err
 }
 
 // Lookup returns the memoized value for key, if any.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -64,6 +65,12 @@ func TestCheckpointPersistsAcrossRestart(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// One value longer than any line limit a scanner would impose: the file
+	// has a single parser, so what opens must also load.
+	big := strings.Repeat("x", 17<<20)
+	if err := m1.Store("big", big); err != nil {
+		t.Fatal(err)
+	}
 	if err := m1.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -75,12 +82,19 @@ func TestCheckpointPersistsAcrossRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m2.Close()
-	if m2.Len() != 10 {
-		t.Fatalf("recovered %d entries, want 10", m2.Len())
+	if m2.Len() != 11 {
+		t.Fatalf("recovered %d entries, want 11", m2.Len())
 	}
 	v, ok := m2.Lookup("k7")
 	if !ok || v.(float64) != 49 {
 		t.Fatalf("k7 = %v, %v", v, ok)
+	}
+	m3 := New()
+	if err := m3.LoadCheckpoint(path); err != nil {
+		t.Fatalf("LoadCheckpoint of a file NewWithCheckpoint opened: %v", err)
+	}
+	if v, ok := m3.Lookup("big"); !ok || v.(string) != big {
+		t.Fatalf("17 MiB value lost on LoadCheckpoint (found %v)", ok)
 	}
 }
 

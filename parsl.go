@@ -219,47 +219,6 @@ func NewLocalMulti(policy string, workersPerPool ...int) (*DFK, error) {
 	return dfk.New(dfk.Config{Registry: reg, Executors: exs, SchedulerPolicy: policy})
 }
 
-// TenantConfig bundles the multi-tenancy and backpressure knobs for the
-// local facades; the zero value means "single-tenant, unbounded" — exactly
-// the pre-tenant behavior.
-type TenantConfig struct {
-	// MaxTasksPerTenant caps live tasks per tenant (0 = unbounded).
-	MaxTasksPerTenant int
-	// TenantQuotas overrides the cap per tenant id.
-	TenantQuotas map[string]int
-	// OverloadPolicy is OverloadBlock (default) or OverloadShed.
-	OverloadPolicy string
-	// QueueDepth bounds each pool's input queue (0 = the 4096 default). A
-	// shallow depth keeps backlog in the DFK's tenant-fair lanes instead of
-	// the executor's FIFO, making fair shares visible in task latency.
-	QueueDepth int
-}
-
-// NewLocalMultiTenant is NewLocalMulti with the multi-tenancy knobs exposed:
-// several thread pools under the named scheduling policy, per-tenant
-// admission quotas, and bounded executor input queues. Submissions opt in
-// per call with parsl.WithTenant.
-func NewLocalMultiTenant(policy string, tc TenantConfig, workersPerPool ...int) (*DFK, error) {
-	if len(workersPerPool) == 0 {
-		return nil, fmt.Errorf("parsl: NewLocalMultiTenant needs at least one pool")
-	}
-	reg := serialize.NewRegistry()
-	depth := tc.QueueDepth
-	if depth <= 0 {
-		depth = 4096
-	}
-	exs := make([]executor.Executor, len(workersPerPool))
-	for i, n := range workersPerPool {
-		exs[i] = threadpool.NewWithDepth(fmt.Sprintf("local-%d", i), n, depth, reg)
-	}
-	return dfk.New(dfk.Config{
-		Registry: reg, Executors: exs, SchedulerPolicy: policy,
-		MaxTasksPerTenant: tc.MaxTasksPerTenant,
-		TenantQuotas:      tc.TenantQuotas,
-		OverloadPolicy:    tc.OverloadPolicy,
-	})
-}
-
 // NewLocalHTEX builds a DFK over a full HTEX deployment (interchange,
 // managers, workers) running on an in-memory network with a local provider —
 // the configuration the quickstart example and the latency benchmarks use.

@@ -81,9 +81,9 @@ type Config struct {
 	// largest batch handed to an executor in one call (default 256).
 	DispatchBatch int
 	// MaxTasksPerTenant caps each tenant's live tasks — submitted but not
-	// yet terminal — bounding memory under overload. 0 (the default) keeps
-	// the pre-tenant behavior: unbounded admission for everyone. A task
-	// counts against its tenant from App.Submit until its future settles.
+	// yet terminal — bounding memory under overload. 0 (the default) sets no
+	// quota; each tenant's window of ready tasks (see New) still applies. A
+	// task counts against its tenant from App.Submit until its future settles.
 	MaxTasksPerTenant int
 	// TenantQuotas overrides MaxTasksPerTenant for specific tenant ids
 	// (<= 0 entries mean unlimited for that tenant).
@@ -187,8 +187,8 @@ type DFK struct {
 	batchMax        int
 	// hp is the self-healing retry plane; nil unless Config.Health is set.
 	hp *healthPlane
-	// adm bounds live tasks per tenant at the submission boundary; nil when
-	// no quota is configured (the default, behavior-identical path).
+	// adm bounds each tenant at the submission boundary: its window of ready
+	// tasks always, its live tasks when a quota is configured.
 	adm        *fair.Admission
 	dispatchWG sync.WaitGroup
 	laneWG     sync.WaitGroup
@@ -201,8 +201,19 @@ type DFK struct {
 	shutdown bool
 }
 
+// window is each tenant's window of ready tasks (see New).
+const window = 2048
+
 // New constructs and starts a DataFlowKernel: all executors are started and
 // the checkpoint (if any) is loaded.
+//
+// Every tenant, the default one included, has a window of ready tasks — tasks
+// whose inputs are resolved, from launch until they conclude. A submission
+// finding its tenant at W = 2048 of them parks in App.Submit (whatever
+// OverloadPolicy says, and until its context is done) and resumes when the
+// count falls to W/2. A task waiting on a dependency holds no slot,
+// so every slot holder can run and the executors drain the window without
+// the parked goroutine's help.
 func New(cfg Config) (*DFK, error) {
 	if len(cfg.Executors) == 0 {
 		return nil, errors.New("dfk: config needs at least one executor")
@@ -233,9 +244,7 @@ func New(cfg Config) (*DFK, error) {
 	default:
 		return nil, fmt.Errorf("dfk: unknown overload policy %q", cfg.OverloadPolicy)
 	}
-	if cfg.MaxTasksPerTenant > 0 || len(cfg.TenantQuotas) > 0 {
-		d.adm = fair.NewAdmission(cfg.MaxTasksPerTenant, cfg.TenantQuotas, policy)
-	}
+	d.adm = fair.NewWindowedAdmission(cfg.MaxTasksPerTenant, cfg.TenantQuotas, policy, window)
 	d.schedr = cfg.Scheduler
 	if d.schedr == nil {
 		// sched.ByName derives its own random seed for Seed == 0.
@@ -387,12 +396,7 @@ func (d *DFK) TenantBacklog() map[string]int { return d.queue.PerTenant() }
 
 // TenantLive reports a tenant's live (admitted, not yet terminal) task
 // count; always 0 when no quota is configured, since nothing is counted.
-func (d *DFK) TenantLive(tenant string) int {
-	if d.adm == nil {
-		return 0
-	}
-	return d.adm.Live(tenant)
-}
+func (d *DFK) TenantLive(tenant string) int { return d.adm.Live(tenant) }
 
 // App is an invocable Parsl app — what the @python_app/@bash_app decorators
 // produce. Calling it registers a task and returns its future immediately.
@@ -531,12 +535,12 @@ func (d *DFK) submit(ctx context.Context, a *App, args []any, kwargs map[string]
 	}
 	// Admission runs before anything is allocated or registered: a shed (or
 	// canceled-while-blocked) submission leaves no trace in the graph. It
-	// must stay on the submitting goroutine — blocking here is safe because
-	// quota is released by task-retirement bookkeeping that never passes
+	// must stay on the submitting goroutine — parking here is safe because
+	// the gate is released by task-retirement bookkeeping that never passes
 	// through admission (see the invariant note in dispatch.go).
-	admitted := false
-	if d.adm != nil && !o.noAdmission {
-		waited, err := d.adm.Admit(ctx, o.tenant)
+	var gate *fair.Gate
+	if !o.noAdmission {
+		g, waited, err := d.adm.AdmitGate(ctx, o.tenant)
 		if err != nil {
 			if errors.Is(err, fair.ErrOverloaded) {
 				d.emitTenant(o.tenant, "shed", 0)
@@ -549,13 +553,13 @@ func (d *DFK) submit(ctx context.Context, a *App, args []any, kwargs map[string]
 		if waited > 0 {
 			d.emitTenant(o.tenant, "admitted", waited)
 		}
-		admitted = true
+		gate = g
 	}
 	d.mu.RLock()
 	if d.shutdown {
 		d.mu.RUnlock()
-		if admitted {
-			d.adm.Release(o.tenant)
+		if gate != nil {
+			gate.Release(false)
 		}
 		return future.FromError(executor.ErrShutdown)
 	}
@@ -563,14 +567,14 @@ func (d *DFK) submit(ctx context.Context, a *App, args []any, kwargs map[string]
 	d.mu.RUnlock()
 
 	id := d.graph.NextID()
-	// The retire path releases the quota slot (Admitted) whichever way the
-	// task concluded — done, failed, memoized, or canceled — so admission
-	// accounting cannot leak.
+	// The retire path releases the gate whichever way the task concluded —
+	// done, failed, memoized, or canceled — so admission accounting cannot
+	// leak.
 	opts := task.Options{
 		Hints: a.hints, Tenant: o.tenant, Weight: o.weight,
 		MaxRetries: d.cfg.Retries, Priority: o.priority,
 		Timeout: o.timeout, Deadline: o.deadline,
-		MemoKeyOverride: o.memoKey, Admitted: admitted,
+		MemoKeyOverride: o.memoKey, Gate: gate,
 	}
 	if o.retries != nil {
 		opts.MaxRetries = *o.retries
@@ -910,17 +914,17 @@ func (d *DFK) finish(rec *task.Record, to task.State, digest string, v any, err 
 		_ = rec.Future.SetResult(v)
 	}
 	// Retirement, after the future settled: detach the cancellation watcher,
-	// release the admission slot and the record's payload reference, prune the
-	// record from the graph (unless Config.RetainRecords), and count the task
-	// done for WaitAll. Dependents observed the future inside SetResult/
-	// SetError (done callbacks run synchronously there), so pruning afterwards
-	// never hides a value a dependent still needs: results live on futures,
-	// not records.
+	// release the admission gate (the window slot too if the task was armed)
+	// and the record's payload reference, prune the record from the graph
+	// (unless Config.RetainRecords), and count the task done for WaitAll.
+	// Dependents observed the future inside SetResult/SetError (done callbacks
+	// run synchronously there), so pruning afterwards never hides a value a
+	// dependent still needs: results live on futures, not records.
 	if fin.CancelStop != nil {
 		fin.CancelStop()
 	}
-	if rec.Admitted {
-		d.adm.Release(rec.Tenant)
+	if rec.Gate != nil {
+		rec.Gate.Release(fin.Payload != nil)
 	}
 	if !d.cfg.RetainRecords {
 		fin.Payload.Release()

@@ -162,21 +162,27 @@ func laneLess(a, b *pendingLaunch) bool {
 // HTEX interchange applies the same discipline past the wire).
 //
 // Boundedness invariant: these queues are deliberately UNBOUNDED, and per-
-// tenant volume is bounded elsewhere — by admission control at the App.Submit
-// boundary (Config.MaxTasksPerTenant / TenantQuotas, enforced before a task
-// record exists). The split is what keeps the pipeline deadlock-free:
+// tenant volume is bounded elsewhere — by admission at the App.Submit
+// boundary, before a task record exists: always by the tenant's window of
+// ready tasks (see New), and by Config.MaxTasksPerTenant / TenantQuotas when
+// set. The split is what keeps the pipeline deadlock-free:
 // pushes into these queues come from executor completion callbacks
 // (dependency edges fire there, and retries re-enter the routing queue from
 // attempt callbacks), and a bounded queue could deadlock the pipeline when
 // both it and an executor's input queue fill — a worker blocked pushing a
 // dependent launch is a worker that never drains the executor queue the
-// dispatcher is blocked on. Admission, in contrast, blocks only the
-// submitting goroutine, which holds no pipeline resources; its quota is
-// released by task-retirement bookkeeping that never passes through it. So
-// the lanes cannot deadlock regardless of quota, policy, or executor
-// backpressure (an executor's blocking SubmitInto stalls only its own lane
-// runner), and memory under overload is O(sum of tenant quotas), not
-// O(submissions).
+// dispatcher is blocked on. Admission, in contrast, parks only the
+// submitting goroutine, which holds no pipeline resources; its gate is
+// released by task-retirement bookkeeping that never passes through it, and
+// launches from dependency callbacks and retries take a window slot without
+// parking. So the lanes cannot deadlock regardless of quota, policy, or
+// executor backpressure (an executor's blocking SubmitInto stalls only its
+// own lane runner), and every task in these queues is a ready one: what the
+// pipeline holds is O(window per tenant) — O(quota) where that is smaller —
+// not O(submissions). Tasks waiting on dependencies sit in the graph, not
+// here, and are bounded only by what the script keeps submitting. The one
+// exception is an app body that submits into its own DFK: parked at the
+// window, it holds a worker until the window drains to half.
 
 // lane is the per-executor leg of the dispatch pipeline: a tenant-fair,
 // priority-ordered queue of routed tasks plus a runner goroutine that

@@ -10,11 +10,12 @@
 //     workload degenerates to the plain FIFO (or priority order) it replaced —
 //     the default behavior is identical to the pre-tenant pipeline.
 //
-//   - Admission, a per-tenant bound on live tasks with a configurable
-//     overload policy: block the submitter (context-aware) until completions
-//     free quota, or shed immediately with ErrOverloaded. This is what keeps
-//     memory bounded under overload — the fair queue shapes *order*, the
-//     admission bound shapes *volume*.
+//   - Admission, per-tenant bounds at the submission boundary: an optional
+//     quota on live tasks with a configurable overload policy (block the
+//     submitter, context-aware, until completions free quota, or shed
+//     immediately with ErrOverloaded), and a window of ready tasks at which
+//     the submitter always parks. This is what keeps memory bounded under
+//     overload — the fair queue shapes *order*, admission shapes *volume*.
 //
 // Both types are safe for concurrent use. Neither blocks inside executor
 // completion callbacks: Queue pushes never block (the queues stay unbounded;
@@ -27,6 +28,7 @@ import (
 	"errors"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -378,34 +380,63 @@ const (
 	Shed
 )
 
-// gate is one tenant's admission state. Blocked submitters wait on the
-// current wakeup channel alongside their contexts; a release closes and
-// replaces it — but only when waiters are actually parked, so the common
-// uncontended Release (every task completion takes this path) costs no
-// channel allocation.
-type gate struct {
-	live    int
-	waiters int
-	ch      chan struct{}
+// Gate is one tenant's admission state, shared by every task the tenant has
+// admitted: its quota count, its window of ready tasks and its parked
+// submitters. A task keeps its gate from admission to retirement, so launch
+// and retirement touch the counters with atomics — no map lookup, no lock.
+// The Admission's lock is taken only to park, to wake parked submitters, and
+// to bind or delete a named tenant's gate.
+type Gate struct {
+	a      *Admission
+	tenant string
+	quota  int64 // the tenant's live-task cap; <= 0 = none
+
+	live  atomic.Int64 // quota slots held; counted only when quota > 0
+	ready atomic.Int64 // window slots held: tasks from launch to retirement
+	// refs counts admitted tasks and parked submitters. A named tenant's gate
+	// leaves the table when it drops to zero; the default tenant's never does.
+	refs atomic.Int64
+	// parked counts the submitters waiting on ch, so a retirement checks for
+	// them without the lock.
+	parked atomic.Int32
+	ch     chan struct{} // under a.mu; closed to wake the parked submitters
 }
 
-// Admission bounds live tasks per tenant. A task is live from Admit until
-// Release — submission through terminal state — so the bound covers every
-// queue the task can occupy in between, making total memory under overload
-// O(sum of quotas) instead of O(submissions).
+// Admission bounds, per tenant, the live tasks (a quota) and the ready tasks
+// (a window). A quota slot is held from admission until Release — submission
+// through terminal state — so it covers every queue the task can occupy in
+// between. A window slot is held only while a task is ready to run (from
+// Gate.Ready to Gate.Release): the executors drain those without help, so a
+// submitter parked at the window is woken whatever else the program does,
+// while a quota counts tasks whose inputs may never arrive. Together they
+// make memory under overload O(quota or window per tenant) instead of
+// O(submissions).
 type Admission struct {
 	quota  int
 	quotas map[string]int
 	policy Policy
+	window int64 // each tenant's window of ready tasks; <= 0 = none
+
+	// def is the default tenant's gate, bound for the Admission's lifetime
+	// and never in tenants.
+	def *Gate
 
 	mu      sync.Mutex
-	tenants map[string]*gate
+	tenants map[string]*Gate
 }
 
 // NewAdmission creates an admission bound: quota is the default per-tenant
 // cap (<= 0 means unlimited), quotas overrides it per tenant id, and policy
 // picks the overload behavior.
 func NewAdmission(quota int, quotas map[string]int, policy Policy) *Admission {
+	return NewWindowedAdmission(quota, quotas, policy, 0)
+}
+
+// NewWindowedAdmission is NewAdmission plus a window of ready tasks per
+// tenant: a submitter whose tenant holds window ready tasks parks — whatever
+// the policy, which governs quotas only — until retirements bring the count
+// down to window/2.
+func NewWindowedAdmission(quota int, quotas map[string]int, policy Policy, window int) *Admission {
 	var cp map[string]int
 	if len(quotas) > 0 {
 		cp = make(map[string]int, len(quotas))
@@ -413,7 +444,9 @@ func NewAdmission(quota int, quotas map[string]int, policy Policy) *Admission {
 			cp[k] = v
 		}
 	}
-	return &Admission{quota: quota, quotas: cp, policy: policy, tenants: make(map[string]*gate)}
+	a := &Admission{quota: quota, quotas: cp, policy: policy, window: int64(window), tenants: make(map[string]*Gate)}
+	a.def = &Gate{a: a, tenant: DefaultTenant, quota: int64(a.QuotaFor(DefaultTenant))}
+	return a
 }
 
 // QuotaFor reports the live-task cap for tenant (<= 0 = unlimited).
@@ -424,85 +457,189 @@ func (a *Admission) QuotaFor(tenant string) int {
 	return a.quota
 }
 
-// Live reports tenant's admitted-but-unreleased task count.
+// Live reports tenant's admitted-but-unreleased task count against its quota
+// (always 0 for a tenant without one).
 func (a *Admission) Live(tenant string) int {
+	if tenant == DefaultTenant {
+		return int(a.def.live.Load())
+	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if g, ok := a.tenants[tenant]; ok {
-		return g.live
+		return int(g.live.Load())
 	}
 	return 0
 }
 
-// Admit claims one unit of tenant's quota, applying the overload policy when
-// the tenant is at its cap: Shed returns ErrOverloaded immediately; Block
-// waits until a Release frees quota or ctx is done (returning the context's
-// error). waited reports how long the caller was parked, for monitoring.
-//
-// Admit must only be called from submission goroutines, never from executor
-// completion callbacks — blocking there could deadlock the completion
+// Admit admits one task for tenant against its quota, applying the overload
+// policy when the tenant is at quota: Block parks until a Release frees a
+// slot (returning how long it waited) or ctx is done (returning its cause);
+// Shed returns ErrOverloaded at once. A tenant without a quota is admitted at
+// once and holds nothing. Call it only from the submitting goroutine, never
+// from completion callbacks — blocking there could deadlock the completion
 // pipeline that Releases are issued from.
 func (a *Admission) Admit(ctx context.Context, tenant string) (waited time.Duration, err error) {
-	quota := a.QuotaFor(tenant)
-	if quota <= 0 {
+	if a.QuotaFor(tenant) <= 0 {
 		return 0, nil
 	}
-	var start time.Time
-	a.mu.Lock()
-	g, ok := a.tenants[tenant]
-	if !ok {
-		g = &gate{ch: make(chan struct{})}
-		a.tenants[tenant] = g
+	_, waited, err = a.AdmitGate(ctx, tenant)
+	return waited, err
+}
+
+// Release returns one unit of tenant's quota and wakes blocked submitters;
+// a no-op for a tenant without a quota or with nothing admitted. Safe to call
+// from any goroutine, including completion callbacks.
+func (a *Admission) Release(tenant string) {
+	if a.QuotaFor(tenant) <= 0 {
+		return
 	}
-	for g.live >= quota {
-		if a.policy == Shed {
-			a.mu.Unlock()
-			return 0, ErrOverloaded
-		}
-		ch := g.ch
-		g.waiters++
+	g := a.def
+	if tenant != DefaultTenant {
+		a.mu.Lock()
+		g = a.tenants[tenant]
 		a.mu.Unlock()
+	}
+	if g != nil && g.live.Load() > 0 {
+		g.Release(false)
+	}
+}
+
+// AdmitGate admits one task for tenant and returns the tenant's gate, which
+// the task holds until g.Release and in between marks itself ready with
+// g.Ready. A submitter finding the tenant at its window parks until the
+// ready count falls to half the window; at its quota, the policy applies as
+// in Admit. On error the gate is nil and nothing is held.
+func (a *Admission) AdmitGate(ctx context.Context, tenant string) (g *Gate, waited time.Duration, err error) {
+	g = a.bind(tenant)
+	var start time.Time
+	for {
+		// At the window the submitter parks whatever the policy.
+		if a.window <= 0 || g.ready.Load() < a.window {
+			if g.quota <= 0 || g.live.Add(1) <= g.quota {
+				if !start.IsZero() {
+					waited = time.Since(start)
+				}
+				return g, waited, nil
+			}
+			g.live.Add(-1)
+			if a.policy == Shed {
+				err = ErrOverloaded
+				break
+			}
+		}
 		if start.IsZero() {
 			start = time.Now()
 		}
-		var cause error
-		select {
-		case <-ctx.Done():
-			cause = context.Cause(ctx)
-		case <-ch:
-		}
-		a.mu.Lock()
-		g.waiters--
-		if cause != nil {
-			if g.live == 0 && g.waiters == 0 {
-				delete(a.tenants, tenant)
-			}
-			a.mu.Unlock()
-			return time.Since(start), cause
+		if err = a.park(ctx, g); err != nil {
+			break
 		}
 	}
-	g.live++
-	a.mu.Unlock()
 	if !start.IsZero() {
 		waited = time.Since(start)
 	}
-	return waited, nil
+	a.drop(g)
+	return nil, waited, err
 }
 
-// Release returns one unit of tenant's quota and wakes blocked submitters.
-// Safe to call from any goroutine, including completion callbacks.
-func (a *Admission) Release(tenant string) {
-	a.mu.Lock()
-	if g, ok := a.tenants[tenant]; ok && g.live > 0 {
-		g.live--
-		if g.waiters > 0 {
-			close(g.ch)
-			g.ch = make(chan struct{})
-		} else if g.live == 0 {
-			// Idle tenants are reclaimed so a high-cardinality id space
-			// (tenant-per-user) cannot grow the table without bound.
-			delete(a.tenants, tenant)
+// Ready takes a window slot for an admitted task whose inputs are resolved.
+// It never blocks: only AdmitGate parks, so launches from completion
+// callbacks and retries go through even when the window is full.
+func (g *Gate) Ready() { g.ready.Add(1) }
+
+// Release retires an admitted task: it gives back the window slot (ready
+// reports whether the task took one), the quota slot, and the task's hold on
+// the gate, waking parked submitters whose condition may now hold. Never
+// blocks.
+func (g *Gate) Release(ready bool) {
+	a := g.a
+	if ready && g.ready.Add(-1) <= a.window/2 && g.parked.Load() > 0 {
+		a.wake(g)
+	}
+	if g.quota > 0 {
+		g.live.Add(-1)
+		if g.parked.Load() > 0 {
+			a.wake(g)
 		}
 	}
+	a.drop(g)
+}
+
+// admissible reports whether a submission would now pass both the window and
+// the quota.
+func (g *Gate) admissible() bool {
+	return (g.a.window <= 0 || g.ready.Load() < g.a.window) && (g.quota <= 0 || g.live.Load() < g.quota)
+}
+
+// bind returns tenant's gate with a reference taken, creating it when the
+// tenant goes idle → live.
+func (a *Admission) bind(tenant string) *Gate {
+	if tenant == DefaultTenant {
+		return a.def
+	}
+	a.mu.Lock()
+	g := a.tenants[tenant]
+	if g == nil {
+		g = &Gate{a: a, tenant: tenant, quota: int64(a.QuotaFor(tenant))}
+		a.tenants[tenant] = g
+	}
+	g.refs.Add(1)
+	a.mu.Unlock()
+	return g
+}
+
+// drop lets go of one reference to g and deletes a named tenant's gate when
+// it was the last, so a high-cardinality tenant space (tenant-per-user)
+// cannot grow the table without bound. Its counters are zero by then.
+func (a *Admission) drop(g *Gate) {
+	if g == a.def || g.refs.Add(-1) != 0 {
+		return
+	}
+	a.mu.Lock()
+	// Between the decrement and the lock a submitter may have bound the gate
+	// again, or another last holder deleted it first.
+	if g.refs.Load() == 0 && a.tenants[g.tenant] == g {
+		delete(a.tenants, g.tenant)
+	}
+	a.mu.Unlock()
+}
+
+// park blocks a submitter on g until a retirement wakes it or ctx is done. The
+// submitter is counted as parked before the condition is checked again, so a
+// retirement between the caller's check and the parking sees it and wakes
+// it. A nil return means "check again".
+func (a *Admission) park(ctx context.Context, g *Gate) error {
+	a.mu.Lock()
+	if g.ch == nil {
+		g.ch = make(chan struct{})
+	}
+	ch := g.ch
+	g.parked.Add(1)
+	if g.admissible() {
+		g.parked.Add(-1)
+		a.mu.Unlock()
+		return nil
+	}
+	a.mu.Unlock()
+	select {
+	case <-ch:
+		return nil
+	case <-ctx.Done():
+		a.mu.Lock()
+		if g.ch == ch {
+			g.parked.Add(-1)
+		}
+		a.mu.Unlock()
+		return context.Cause(ctx)
+	}
+}
+
+// wake releases every submitter parked on g; each checks again what parked it.
+func (a *Admission) wake(g *Gate) {
+	a.mu.Lock()
+	if g.ch != nil {
+		close(g.ch)
+		g.ch = nil
+	}
+	g.parked.Store(0)
 	a.mu.Unlock()
 }

@@ -447,3 +447,115 @@ func TestAdmissionConcurrent(t *testing.T) {
 		t.Fatalf("Live after drain = %d, want 0", got)
 	}
 }
+
+// TestAdmissionAllocationFree: a task of the default tenant, or of a named
+// tenant that is already live, is admitted, marked ready and retired without
+// allocating; a named tenant's gate leaves the table once it goes idle.
+func TestAdmissionAllocationFree(t *testing.T) {
+	a := NewWindowedAdmission(1<<30, nil, Block, 4)
+	ctx := context.Background()
+	for _, tenant := range []string{DefaultTenant, "named"} {
+		held, _, err := a.AdmitGate(ctx, tenant)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := testing.AllocsPerRun(1000, func() {
+			g, _, _ := a.AdmitGate(ctx, tenant)
+			g.Ready()
+			g.Release(true)
+		}); n != 0 {
+			t.Fatalf("%q: AdmitGate/Ready/Release: %.2f allocs/op, want 0", tenant, n)
+		}
+		held.Release(false)
+	}
+	a.mu.Lock()
+	live := len(a.tenants)
+	a.mu.Unlock()
+	if live != 0 {
+		t.Fatalf("%d gates bound after release, want 0", live)
+	}
+}
+
+// TestAdmissionReleaseWithoutQuota: Release on a tenant without a quota is a
+// no-op, even while another task holds the tenant's gate.
+func TestAdmissionReleaseWithoutQuota(t *testing.T) {
+	a := NewWindowedAdmission(0, nil, Block, 4)
+	g, _, err := a.AdmitGate(context.Background(), "t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.Release("t")
+	a.Release("t")
+	if n := g.refs.Load(); n != 1 {
+		t.Fatalf("refs = %d after quota-less Releases, want 1", n)
+	}
+	g.Release(false)
+	a.mu.Lock()
+	live := len(a.tenants)
+	a.mu.Unlock()
+	if live != 0 {
+		t.Fatalf("%d gates bound after release, want 0", live)
+	}
+}
+
+// TestAdmissionWindowParksUntilHalf: a submitter finding its tenant at the
+// window parks — even under Shed, which governs quotas only — and resumes
+// only once the ready count falls to half the window; another tenant's
+// window is its own.
+func TestAdmissionWindowParksUntilHalf(t *testing.T) {
+	const w = 8
+	a := NewWindowedAdmission(0, nil, Shed, w)
+	ctx := context.Background()
+	var held []*Gate
+	for i := 0; i < w; i++ {
+		g, _, err := a.AdmitGate(ctx, "t")
+		if err != nil {
+			t.Fatal(err)
+		}
+		g.Ready()
+		held = append(held, g)
+	}
+	if g, _, err := a.AdmitGate(ctx, "other"); err != nil {
+		t.Fatalf("other tenant parked behind t's window: %v", err)
+	} else {
+		g.Release(false)
+	}
+	admitted := make(chan time.Duration, 1)
+	go func() {
+		g, waited, err := a.AdmitGate(ctx, "t")
+		if err != nil {
+			t.Error(err)
+		}
+		g.Release(false)
+		admitted <- waited
+	}()
+	for held[0].parked.Load() == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	for i := 0; i < w/2-1; i++ {
+		held[i].Release(true)
+	}
+	select {
+	case <-admitted:
+		t.Fatal("parked submitter resumed above half the window")
+	case <-time.After(50 * time.Millisecond):
+	}
+	held[w/2-1].Release(true)
+	select {
+	case waited := <-admitted:
+		if waited <= 0 {
+			t.Fatalf("waited = %v, want > 0", waited)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("parked submitter not woken at half the window")
+	}
+	for _, g := range held[w/2:] {
+		g.Release(true)
+	}
+	a.mu.Lock()
+	live := len(a.tenants)
+	a.mu.Unlock()
+	if live != 0 {
+		t.Fatalf("%d gates bound after release, want 0", live)
+	}
+}

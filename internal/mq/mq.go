@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 
 	"repro/internal/simnet"
@@ -55,6 +56,14 @@ func writeFrame(w io.Writer, m Message) error {
 	return nil
 }
 
+// The first allocation for a frame's part list and for each part is capped:
+// a header only claims a size, and the bytes behind the claim arrive (or do
+// not) afterwards, so anything past the cap grows as they are read.
+const (
+	firstParts = 64
+	firstPart  = 64 << 10
+)
+
 // readFrame reads one multipart message.
 func readFrame(r io.Reader) (Message, error) {
 	var hdr [4]byte
@@ -65,22 +74,40 @@ func readFrame(r io.Reader) (Message, error) {
 	if nparts > MaxParts {
 		return nil, fmt.Errorf("mq: frame claims %d parts", nparts)
 	}
-	m := make(Message, 0, nparts)
+	m := make(Message, 0, min(nparts, firstParts))
 	for i := uint32(0); i < nparts; i++ {
 		if _, err := io.ReadFull(r, hdr[:]); err != nil {
 			return nil, err
 		}
-		n := binary.BigEndian.Uint32(hdr[:])
+		n := int(binary.BigEndian.Uint32(hdr[:]))
 		if n > MaxPartSize {
 			return nil, fmt.Errorf("mq: part claims %d bytes", n)
 		}
-		part := make([]byte, n)
-		if _, err := io.ReadFull(r, part); err != nil {
+		part, err := readPart(r, n)
+		if err != nil {
 			return nil, err
 		}
 		m = append(m, part)
 	}
 	return m, nil
+}
+
+// readPart reads an n-byte part. A part up to firstPart bytes is one
+// allocation; a longer one at most doubles what has arrived, so a claim the
+// stream does not back costs a bounded multiple of the bytes actually read.
+func readPart(r io.Reader, n int) ([]byte, error) {
+	part := make([]byte, 0, min(n, firstPart))
+	for len(part) < n {
+		if len(part) == cap(part) {
+			part = slices.Grow(part, min(n-len(part), len(part)))
+		}
+		k, err := io.ReadFull(r, part[len(part):min(n, cap(part))])
+		part = part[:len(part)+k]
+		if err != nil {
+			return nil, err
+		}
+	}
+	return part, nil
 }
 
 // Conn is a framed connection with a serialized writer, safe for concurrent
@@ -116,7 +143,6 @@ func (c *Conn) Close() error {
 // identity, and then exchanges messages. Parsl's managers and executor
 // clients are dealers.
 type Dealer struct {
-	id   string
 	conn *Conn
 }
 
@@ -135,11 +161,8 @@ func DialDealer(tr simnet.Transport, addr, identity string) (*Dealer, error) {
 		_ = c.Close()
 		return nil, fmt.Errorf("mq: handshake: %w", err)
 	}
-	return &Dealer{id: identity, conn: c}, nil
+	return &Dealer{conn: c}, nil
 }
-
-// Identity returns the dealer's identity string.
-func (d *Dealer) Identity() string { return d.id }
 
 // Send transmits a message to the router.
 func (d *Dealer) Send(m Message) error { return d.conn.Send(m) }
@@ -280,17 +303,6 @@ func (r *Router) SendTo(id string, m Message) error {
 		return fmt.Errorf("mq: no peer %q", id)
 	}
 	return c.Send(m)
-}
-
-// Peers returns the identities currently connected.
-func (r *Router) Peers() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]string, 0, len(r.peers))
-	for id := range r.peers {
-		out = append(out, id)
-	}
-	return out
 }
 
 // HasPeer reports whether id is connected.

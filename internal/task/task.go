@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/fair"
 	"repro/internal/future"
 	"repro/internal/serialize"
 )
@@ -103,9 +104,10 @@ type Options struct {
 	// MemoKeyOverride is an explicit memoization key ("" = computed from the
 	// arguments).
 	MemoKeyOverride string
-	// Admitted marks that the task holds an admission-controller slot, which
-	// the one caller that wins Finish releases.
-	Admitted bool
+	// Gate is the tenant admission gate the task holds (nil for the DFK's
+	// own stage-in and recovered tasks): the first Arm takes its window slot,
+	// and the one caller that wins Finish releases it.
+	Gate *fair.Gate
 }
 
 // Record is a node in the task graph. Identity fields and Options are set at
@@ -370,11 +372,17 @@ func (r *Record) Watch(stop func() bool) bool {
 // the caller's payload reference on the first Arm), and this attempt's outcome
 // future and wire id. It refuses a terminal record — the task was concluded
 // (canceled, typically) before the attempt could start — and the caller then
-// must not enqueue the attempt and keeps its payload reference.
+// must not enqueue the attempt and keeps its payload reference. The first Arm
+// takes the task's window slot on its Gate, in the same critical section
+// Finish reads the payload in, so the slot is released exactly when it was
+// taken (Final.Payload is non-nil).
 func (r *Record) Arm(p *serialize.Payload, walKey int64, af *future.Future, wireID int64) bool {
 	r.mu.Lock()
 	ok := !r.state.Terminal()
 	if ok {
+		if r.payload == nil && r.Gate != nil {
+			r.Gate.Ready()
+		}
 		r.payload, r.walKey, r.attemptFut, r.attemptWire = p, walKey, af, wireID
 	}
 	r.mu.Unlock()
@@ -450,7 +458,8 @@ type Final struct {
 	Executor string
 	// WALKey is the durable-log key to close (0 = task never logged).
 	WALKey int64
-	// Payload is the record's payload reference (nil if never armed).
+	// Payload is the record's payload reference (nil if never armed, which
+	// is also when the task holds no window slot).
 	Payload *serialize.Payload
 	// CancelStop detaches the context watcher (nil if none).
 	CancelStop func() bool

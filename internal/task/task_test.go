@@ -1,6 +1,7 @@
 package task
 
 import (
+	"context"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -8,6 +9,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"repro/internal/fair"
 	"repro/internal/future"
 	"repro/internal/serialize"
 )
@@ -314,10 +316,14 @@ func TestFinishRaceAndStaleStraggler(t *testing.T) {
 // TestLifecycleStages walks one record through every stage in order and checks
 // what each critical section reads, writes and refuses.
 func TestLifecycleStages(t *testing.T) {
-	o := Options{Hints: []string{"tp"}, Tenant: "t", Weight: 3, MaxRetries: 2, Priority: 5, Admitted: true}
+	g, _, gerr := fair.NewAdmission(0, nil, fair.Block).AdmitGate(context.Background(), "t")
+	if gerr != nil {
+		t.Fatal(gerr)
+	}
+	o := Options{Hints: []string{"tp"}, Tenant: "t", Weight: 3, MaxRetries: 2, Priority: 5, Gate: g}
 	r, gen := Create(7, "app", []any{1}, nil, o)
 	if r.State() != Pending || r.Tenant != "t" || r.Weight != 3 || r.MaxRetries != 2 || r.Priority != 5 ||
-		!r.Admitted || len(r.Hints) != 1 {
+		r.Gate != g || len(r.Hints) != 1 {
 		t.Fatalf("Create: state %v, options %+v", r.State(), r.Options)
 	}
 	if tr := r.Transitions(); len(tr) != 1 || tr[0] != (Transition{Unsched, Pending, r.SubmitTime}) {

@@ -12,6 +12,7 @@ import (
 	"repro/internal/executor"
 	"repro/internal/executor/threadpool"
 	"repro/internal/future"
+	"repro/internal/monitor"
 	"repro/internal/serialize"
 )
 
@@ -27,8 +28,10 @@ import (
 //   - bounded admission: HeavyQuota > 0 — the burst tenant's live tasks are
 //     capped, so the light tenant's latency stays within a small factor of
 //     its uncontended value even under a 10k burst.
-//   - no tenancy: Tenanted false — the pre-tenant FIFO baseline, where the
-//     light tenant waits behind the entire burst.
+//   - no tenancy: Tenanted false — the pre-tenant FIFO baseline: both
+//     workloads share the default tenant, and the light tenant arrives behind
+//     the submitted burst — behind what of it the DFK's ready-task window let
+//     queue, so its wait no longer grows with the burst.
 type NoisyConfig struct {
 	// Workers sizes the thread pool (default 8).
 	Workers int
@@ -43,12 +46,29 @@ type NoisyConfig struct {
 	HeavyTasks, LightTasks int
 	// HeavyWeight:LightWeight is the DRR weight ratio (default 10:1).
 	HeavyWeight, LightWeight int
-	// HeavyQuota caps the burst tenant's live tasks (0 = unbounded).
+	// HeavyQuota caps the burst tenant's live tasks (0 = no quota; the DFK's
+	// ready-task window still bounds what the burst has queued).
 	HeavyQuota int
 	// Tenanted false runs both workloads as the default tenant — the
 	// pre-tenancy contrast arm.
 	Tenanted bool
 }
+
+// parkSink closes parked at the first "admitted" tenant event. A DFK emits one
+// when a submission that parked at its tenant's window or quota resumes, so
+// it marks the end of the first park, not its start.
+type parkSink struct {
+	once   sync.Once
+	parked chan struct{}
+}
+
+func (s *parkSink) Emit(ev monitor.Event) {
+	if ev.Kind == monitor.KindTenant && ev.Detail == "admitted" {
+		s.once.Do(func() { close(s.parked) })
+	}
+}
+
+func (s *parkSink) Close() error { return nil }
 
 func (c *NoisyConfig) normalize() {
 	setDefault(&c.Workers, 8)
@@ -98,7 +118,8 @@ func RunNoisy(cfg NoisyConfig) (NoisyResult, error) {
 	cfg.normalize()
 	reg := serialize.NewRegistry()
 	tp := threadpool.NewWithDepth("pool", cfg.Workers, cfg.QueueDepth, reg)
-	dcfg := dfk.Config{Registry: reg, Executors: []executor.Executor{tp}}
+	parks := &parkSink{parked: make(chan struct{})}
+	dcfg := dfk.Config{Registry: reg, Executors: []executor.Executor{tp}, Monitor: parks}
 	if cfg.HeavyQuota > 0 && cfg.Tenanted {
 		dcfg.TenantQuotas = map[string]int{"heavy": cfg.HeavyQuota}
 		dcfg.OverloadPolicy = dfk.OverloadBlock
@@ -165,10 +186,18 @@ func RunNoisy(cfg NoisyConfig) (NoisyResult, error) {
 	heavySubmitted := make(chan struct{})
 	var submittedOnce sync.Once
 	saturated := func() { submittedOnce.Do(func() { close(heavySubmitted) }) }
-	// The light window opens once the burst is established: for unbounded
-	// arms that means the whole burst is queued (it is a burst — the light
-	// tenant arrives behind all of it); for the quota arm the submitter
-	// parks at its cap, so "established" is the cap being reached.
+	// The light window opens once the burst is established: the whole burst
+	// is submitted (it is a burst — the light tenant arrives behind all of
+	// it, or all the window let through), or, in the tenanted arms, the burst
+	// submitter's first park at admission ended: the heavy tenant had filled
+	// its window and drained to half of it, and from then on the submitter
+	// keeps that backlog standing while the light tenant runs — shares are
+	// only measurable against one. The quota arm marks the cap being reached,
+	// before it parks.
+	parked := parks.parked
+	if !cfg.Tenanted {
+		parked = nil
+	}
 	markAt := cfg.HeavyTasks - 1
 	if cfg.Tenanted && cfg.HeavyQuota > 0 && cfg.HeavyQuota < markAt {
 		markAt = cfg.HeavyQuota
@@ -189,6 +218,7 @@ func RunNoisy(cfg NoisyConfig) (NoisyResult, error) {
 	}()
 	select {
 	case <-heavySubmitted:
+	case <-parked:
 	case <-time.After(30 * time.Second):
 		return NoisyResult{}, fmt.Errorf("workload: heavy burst failed to start")
 	}

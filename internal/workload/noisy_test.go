@@ -60,8 +60,12 @@ func TestNoisyBoundedAdmission(t *testing.T) {
 }
 
 // TestNoisyFIFOContrast pins the "before" picture the fairness layer exists
-// to fix: without tenancy the light workload queues behind the entire burst,
-// so its p95 scales with the burst size rather than its own workload.
+// to fix: without tenancy the light workload queues in one FIFO behind what
+// the burst has queued — since the DFK's ready-task window, at most a window
+// of it, so the dilation no longer grows with the burst. Measured on a 2-core
+// runner it reads 14.5–15.8x against the 12x floor below (about 31x before
+// the window): a thin margin, so do not raise the floor without re-measuring
+// on slow and -race runners.
 func TestNoisyFIFOContrast(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second scenario")

@@ -5,11 +5,16 @@
 //	parsl-monitor -file run.jsonl            # summary
 //	parsl-monitor -file run.jsonl -task 17   # one task's state history
 //	parsl-monitor -file run.jsonl -timeline  # per-second concurrency trace
+//
+// Execution spans — one per attempt, from its "launched" event to the next
+// "done", "failed" or "retrying" — feed the summary's span line and the
+// timeline.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"sort"
@@ -22,7 +27,7 @@ import (
 func main() {
 	file := flag.String("file", "", "monitoring JSONL file")
 	taskID := flag.Int64("task", -1, "show the state history of one task")
-	timeline := flag.Bool("timeline", false, "print a per-second running-task histogram")
+	timeline := flag.Bool("timeline", false, "print a per-second executing-attempt histogram")
 	flag.Parse()
 	if *file == "" {
 		fmt.Fprintln(os.Stderr, "parsl-monitor: -file is required")
@@ -39,26 +44,26 @@ func main() {
 	}
 
 	if *taskID >= 0 {
-		printTask(store, *taskID)
+		printTask(os.Stdout, store, *taskID)
 		return
 	}
 	if *timeline {
-		printTimeline(store)
+		printTimeline(os.Stdout, store)
 		return
 	}
-	printSummary(store)
+	printSummary(os.Stdout, store)
 }
 
-func printSummary(store *monitor.Store) {
+func printSummary(w io.Writer, store *monitor.Store) {
 	counts := store.StateCounts()
 	var states []string
 	for s := range counts {
 		states = append(states, s)
 	}
 	sort.Strings(states)
-	fmt.Printf("%d events\n\nfinal task states:\n", store.Len())
+	fmt.Fprintf(w, "%d events\n\nfinal task states:\n", store.Len())
 	for _, s := range states {
-		fmt.Printf("  %-12s %6d\n", s, counts[s])
+		fmt.Fprintf(w, "  %-12s %6d\n", s, counts[s])
 	}
 	spans := store.ExecutionSpans()
 	if len(spans) == 0 {
@@ -68,27 +73,27 @@ func printSummary(store *monitor.Store) {
 	for _, sp := range spans {
 		total += sp.End.Sub(sp.Start)
 	}
-	fmt.Printf("\nexecution spans: %d, total task time %v, mean %v\n",
+	fmt.Fprintf(w, "\nexecution spans: %d, total task time %v, mean %v\n",
 		len(spans), total.Round(time.Millisecond), (total / time.Duration(len(spans))).Round(time.Microsecond))
 }
 
-func printTask(store *monitor.Store, id int64) {
+func printTask(w io.Writer, store *monitor.Store, id int64) {
 	hist := store.TaskHistory(id)
 	if len(hist) == 0 {
-		fmt.Printf("no events for task %d\n", id)
+		fmt.Fprintf(w, "no events for task %d\n", id)
 		return
 	}
-	fmt.Printf("task %d (%s):\n", id, hist[0].App)
+	fmt.Fprintf(w, "task %d (%s):\n", id, hist[0].App)
 	for _, e := range hist {
-		fmt.Printf("  %s  %-10s -> %-10s executor=%s\n",
+		fmt.Fprintf(w, "  %s  %-10s -> %-10s executor=%s\n",
 			e.At.Format("15:04:05.000"), orDash(e.From), e.To, orDash(e.Executor))
 	}
 }
 
-func printTimeline(store *monitor.Store) {
+func printTimeline(w io.Writer, store *monitor.Store) {
 	spans := store.ExecutionSpans()
 	if len(spans) == 0 {
-		fmt.Println("no execution spans")
+		fmt.Fprintln(w, "no execution spans")
 		return
 	}
 	t0 := spans[0].Start
@@ -113,10 +118,10 @@ func printTimeline(store *monitor.Store) {
 			maxR = r
 		}
 	}
-	fmt.Println("running tasks per second (Fig. 6-style trace):")
+	fmt.Fprintln(w, "executing attempts per second (Fig. 6-style trace):")
 	for i, r := range running {
 		bar := strings.Repeat("#", r*50/maxR)
-		fmt.Printf("  t+%3ds %4d %s\n", i, r, bar)
+		fmt.Fprintf(w, "  t+%3ds %4d %s\n", i, r, bar)
 	}
 }
 

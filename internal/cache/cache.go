@@ -158,8 +158,8 @@ func (c *Cache) Stats() Stats {
 	}
 }
 
-// Seed bulk-loads entries from an iterator (e.g. a memo table's Range) so a
-// freshly constructed shared tier starts warm from a checkpoint.
+// Seed bulk-loads entries from an iterator over key/value pairs, so a freshly
+// constructed shared tier starts warm from a checkpoint.
 func (c *Cache) Seed(iter func(fn func(key string, value any) bool)) {
 	iter(func(key string, value any) bool {
 		c.Put(key, value)

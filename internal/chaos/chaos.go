@@ -245,9 +245,6 @@ func New(seed int64, plan Plan) *Injector {
 	return inj
 }
 
-// Seed returns the schedule seed.
-func (inj *Injector) Seed() int64 { return inj.seed }
-
 // Events returns the fired-fault log in canonical (point, hit) order —
 // stable across runs of the same seed up to each point's hit count.
 func (inj *Injector) Events() []Event {

@@ -178,13 +178,13 @@ type DFK struct {
 
 	schedr        sched.Scheduler
 	schedUsesLoad bool
-	// schedUsesDigest gates the per-attempt input-digest computation: only a
-	// sched.DigestPicker policy consumes it, and ArgsHash allocates a string,
-	// so load-blind and digest-blind configs must never pay for it.
-	schedUsesDigest bool
-	queue           *fair.MPSC[*pendingLaunch]
-	lanes           map[string]*lane
-	batchMax        int
+	// digestPicker is schedr when it is a sched.DigestPicker, resolved once in
+	// New; it also gates the per-attempt input-digest computation (ArgsHash
+	// allocates a string, so digest-blind configs must never pay for it).
+	digestPicker sched.DigestPicker
+	queue        *fair.MPSC[*pendingLaunch]
+	lanes        map[string]*lane
+	batchMax     int
 	// hp is the self-healing retry plane; nil unless Config.Health is set.
 	hp *healthPlane
 	// adm bounds each tenant at the submission boundary: its window of ready
@@ -257,9 +257,7 @@ func New(cfg Config) (*DFK, error) {
 	if la, ok := d.schedr.(sched.LoadAware); ok && la.UsesLoad() {
 		d.schedUsesLoad = true
 	}
-	if _, ok := d.schedr.(sched.DigestPicker); ok {
-		d.schedUsesDigest = true
-	}
+	d.digestPicker, _ = d.schedr.(sched.DigestPicker)
 	d.cache = cfg.SharedCache
 
 	d.mon = monitor.Nop{}
@@ -361,20 +359,19 @@ func (d *DFK) Executor(label string) (executor.Executor, bool) {
 func (d *DFK) Scheduler() sched.Scheduler { return d.schedr }
 
 // Loads samples live load signals from every configured executor, in config
-// order — the same view the capacity-aware scheduler decides from. Each
-// Load carries the highest dispatch priority still queued in the executor's
-// lane and the lane backlog's per-tenant composition, so strategies can see
-// urgent backlog — and whose it is — not just its size.
+// order — the same view the capacity-aware scheduler decides from, so
+// Outstanding includes the tasks routed to the executor's lane but not yet
+// submitted. Each Load also carries the lane backlog's per-tenant composition,
+// so strategies can see whose work is queued, not just how much.
 func (d *DFK) Loads() []sched.Load {
-	out := sched.Loads(d.execList)
+	out := make([]sched.Load, len(d.execList))
 	for i, ex := range d.execList {
-		l := d.lanes[ex.Label()]
-		out[i].MaxQueuedPriority = l.maxQueuedPriority()
+		out[i] = sched.LoadOf(d.freeze(ex))
 		// The lane backlog merges with (rather than replaces) whatever
 		// broker-side backlog LoadOf sampled from the executor itself — a
 		// sharded HTEX reports its queue depth by tenant merged across
 		// shards, and the full picture is lane + broker.
-		if lb := l.queue.PerTenant(); lb != nil {
+		if lb := d.lanes[ex.Label()].queue.PerTenant(); lb != nil {
 			if out[i].TenantBacklog == nil {
 				out[i].TenantBacklog = lb
 			} else {
@@ -388,6 +385,13 @@ func (d *DFK) Loads() []sched.Load {
 		}
 	}
 	return out
+}
+
+// freeze samples ex's load as the router sees it: the executor's own signals
+// plus its lane's routed-but-unsubmitted backlog, which the executor's
+// Outstanding cannot see yet.
+func (d *DFK) freeze(ex executor.Executor) *sched.Frozen {
+	return sched.Freeze(ex, int(d.lanes[ex.Label()].queued.Load()))
 }
 
 // TenantBacklog reports queued-but-unrouted tasks per tenant in the routing
@@ -804,7 +808,7 @@ func (d *DFK) launch(rec *task.Record, gen uint32, a *App) {
 // at retirement). It reports false, with both dropped, when the task concluded
 // before it could be armed.
 func (d *DFK) firstAttempt(pl *pendingLaunch) bool {
-	if d.schedUsesDigest {
+	if d.digestPicker != nil {
 		pl.digest = pl.payload.ArgsHash()
 	}
 	if d.enqueueAttempt(pl) {
@@ -987,8 +991,7 @@ func (d *DFK) newRouter() *router {
 		r.frozen = make(map[string]*sched.Frozen, len(d.execList))
 		r.base = make([]executor.Executor, len(d.execList))
 		for i, ex := range d.execList {
-			l := d.lanes[ex.Label()]
-			f := sched.FreezeLane(ex, int(l.queued.Load()), l.maxQueuedPriority())
+			f := d.freeze(ex)
 			r.frozen[ex.Label()] = f
 			r.base[i] = f
 		}
@@ -998,8 +1001,8 @@ func (d *DFK) newRouter() *router {
 
 // pick applies hints to narrow the eligible set and delegates the choice
 // to the configured scheduler (the paper's "picked at random" policy is
-// the default). Priority-aware schedulers additionally see the task's
-// dispatch priority. With the health plane on, candidates whose circuit
+// the default); a sched.DigestPicker additionally sees the task's input
+// digest. With the health plane on, candidates whose circuit
 // breakers reject work are filtered out first: an all-open set yields
 // ErrNoHealthyExecutor (which the dispatcher converts into an overload
 // park, not a task failure) unless the task is pinned and PinnedFailFast
@@ -1043,10 +1046,8 @@ func (r *router) pick(pl *pendingLaunch) (executor.Executor, error) {
 	}
 	var ex executor.Executor
 	var err error
-	if dp, ok := r.d.schedr.(sched.DigestPicker); ok {
-		ex, err = dp.PickDigest(candidates, pl.priority, pl.digest)
-	} else if pp, ok := r.d.schedr.(sched.PriorityPicker); ok {
-		ex, err = pp.PickPriority(candidates, pl.priority)
+	if r.d.digestPicker != nil {
+		ex, err = r.d.digestPicker.PickDigest(candidates, pl.digest)
 	} else {
 		ex, err = r.d.schedr.Pick(candidates)
 	}

@@ -197,8 +197,8 @@ type lane struct {
 	submit func([]serialize.TaskMsg) []*future.Future
 	queue  *fair.Queue[*pendingLaunch]
 	// queued counts tasks routed to this lane but not yet submitted — load
-	// the executor's own Outstanding cannot see yet. Capacity-aware
-	// scheduling seeds each cycle's sched.Frozen snapshot with it.
+	// the executor's own Outstanding cannot see yet. DFK.freeze adds it to
+	// the sampled load the router and Loads report.
 	queued atomic.Int64
 }
 
@@ -220,12 +220,6 @@ func newLane(ex executor.Executor) *lane {
 		}
 	}
 	return l
-}
-
-// maxQueuedPriority peeks the highest priority currently queued (0 when
-// empty) — the lane-backlog urgency signal surfaced through sched.Load.
-func (l *lane) maxQueuedPriority() int {
-	return l.queue.PeekMax(func(pl *pendingLaunch) int { return pl.priority })
 }
 
 // dispatcher is the DFK's routing pump: it drains ready tasks from the
@@ -298,7 +292,6 @@ func (d *DFK) laneRunner(l *lane) {
 		live = live[:0]
 		futs = futs[:0]
 		launchKeys = launchKeys[:0]
-		now := time.Now() // stamps every Launched transition of the batch
 		for _, pl := range batch {
 			// Every entry arrives carrying the executor-leg payload reference
 			// (enqueueAttempt); an entry dropped below gives it back.
@@ -321,7 +314,7 @@ func (d *DFK) laneRunner(l *lane) {
 				pl.payload.Release()
 				continue
 			}
-			from, ok, err := pl.rec.Launch(pl.gen, now)
+			from, ok, err := pl.rec.Launch(pl.gen)
 			if !ok || err != nil {
 				// The task concluded elsewhere: its record is already recycled
 				// (the attempt settled with it), or still terminal — then the

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/future"
 	"repro/internal/monitor"
-	"repro/internal/task"
 )
 
 // stateEvent is the part of a KindTaskState event the lifecycle stages decide.
@@ -109,46 +108,32 @@ func TestMonitorEventParity(t *testing.T) {
 	})
 }
 
-// TestTransitionsPopulatedWithoutSink: with no sink attached the emit points
-// build nothing, but the record's own history — Transitions and Timings — is
-// still complete and its timestamps never run backwards, although one clock
-// read now serves several stages (SubmitTime stamps Pending, one read stamps
-// a whole lane batch).
-func TestTransitionsPopulatedWithoutSink(t *testing.T) {
-	d, echo := echoDFK(t, func(c *Config) { c.RetainRecords = true; c.Retries = 1 })
+// TestMonitorExecutionSpans runs a plain task and a retried one into a Store
+// sink: the monitor stream is the only record of a task's history, so the
+// store must rebuild one execution span per attempt from it — three here,
+// each labeled with the executor the attempt was launched on and never ending
+// before it starts.
+func TestMonitorExecutionSpans(t *testing.T) {
+	store := monitor.NewStore()
+	d, echo := echoDFK(t, func(c *Config) { c.Monitor = store; c.Retries = 1 })
 	plain := echo.Call(1)
 	retried := flakyApp(t, d).Call(2)
+	for _, f := range []*future.Future{plain, retried} {
+		if _, err := f.Result(); err != nil {
+			t.Fatal(err)
+		}
+	}
 	d.WaitAll()
 
-	for _, tc := range []struct {
-		what string
-		fut  *future.Future
-		want []task.State
-	}{
-		{"plain", plain, []task.State{task.Pending, task.Launched, task.Done}},
-		{"retried", retried, []task.State{task.Pending, task.Launched, task.Retrying, task.Launched, task.Done}},
-	} {
-		rec := d.Graph().Get(tc.fut.TaskID)
-		tr := rec.Transitions()
-		if len(tr) != len(tc.want) {
-			t.Fatalf("%s: transitions %v, want states %v", tc.what, tr, tc.want)
+	spans := store.ExecutionSpans()
+	perTask := map[int64]int{}
+	for _, sp := range spans {
+		perTask[sp.TaskID]++
+		if sp.Executor != "tp" || sp.End.Before(sp.Start) {
+			t.Fatalf("span %+v: want executor tp and End >= Start", sp)
 		}
-		prev, at := task.Unsched, rec.SubmitTime
-		if at.IsZero() {
-			t.Fatalf("%s: SubmitTime unset", tc.what)
-		}
-		for i, x := range tr {
-			if x.From != prev || x.To != tc.want[i] {
-				t.Fatalf("%s: transition %d = %v -> %v, want %v -> %v", tc.what, i, x.From, x.To, prev, tc.want[i])
-			}
-			if x.At.IsZero() || x.At.Before(at) {
-				t.Fatalf("%s: transition %d stamped %v, before %v", tc.what, i, x.At, at)
-			}
-			prev, at = x.To, x.At
-		}
-		launch, _, end := rec.Timings()
-		if launch.IsZero() || end.IsZero() || launch.Before(rec.SubmitTime) || end.Before(launch) {
-			t.Fatalf("%s: timings submit %v launch %v end %v", tc.what, rec.SubmitTime, launch, end)
-		}
+	}
+	if len(spans) != 3 || perTask[plain.TaskID] != 1 || perTask[retried.TaskID] != 2 {
+		t.Fatalf("spans = %+v, want 1 for the plain task and 2 for the retried one", spans)
 	}
 }

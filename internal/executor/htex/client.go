@@ -814,19 +814,6 @@ func (e *Executor) HoldsDigest(d string) bool {
 	return false
 }
 
-// AdvertisedDigests reports the advertised-digest count summed over live
-// shards — a coarse warm-set size signal for monitoring and scheduler
-// snapshots.
-func (e *Executor) AdvertisedDigests() int {
-	n := 0
-	for _, s := range e.shards {
-		if !s.down.Load() {
-			n += s.broker().AdvertisedDigests()
-		}
-	}
-	return n
-}
-
 // ActiveBlocks implements executor.Scalable.
 func (e *Executor) ActiveBlocks() int {
 	e.mu.Lock()

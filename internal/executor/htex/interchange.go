@@ -755,23 +755,6 @@ func (ix *Interchange) HasDigest(d string) bool {
 	return false
 }
 
-// AdvertisedDigests counts the distinct content digests advertised across
-// this shard's managers (monitoring and the sched.Load locality view).
-func (ix *Interchange) AdvertisedDigests() int {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	seen := make(map[string]struct{})
-	for _, m := range ix.managers {
-		if m.blacklisted {
-			continue
-		}
-		for d := range m.digests {
-			seen[d] = struct{}{}
-		}
-	}
-	return len(seen)
-}
-
 // QueueDepth reports tasks waiting for capacity.
 func (ix *Interchange) QueueDepth() int { return ix.queue.Len() }
 

@@ -290,35 +290,6 @@ func (q *Queue[T]) PerTenant() map[string]int {
 	return out
 }
 
-// PeekMax reports the maximum metric(entry) over all queued entries, or 0
-// when empty. With a comparator configured, each flow's head is its extreme,
-// so the scan is O(active tenants); without one the whole queue is scanned.
-// The dispatch pipeline uses it to surface lane urgency (max queued priority).
-func (q *Queue[T]) PeekMax(metric func(T) int) int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.size == 0 {
-		return 0
-	}
-	best := 0
-	first := true
-	for _, f := range q.ring {
-		if q.less != nil {
-			f.ensureSorted(q.less)
-			if v := metric(f.items[f.head]); first || v > best {
-				best, first = v, false
-			}
-			continue
-		}
-		for _, it := range f.items[f.head:] {
-			if v := metric(it); first || v > best {
-				best, first = v, false
-			}
-		}
-	}
-	return best
-}
-
 // Filter removes queued entries for which keep returns false (the
 // cancellation path). Tenants left empty drop out of the rotation.
 func (q *Queue[T]) Filter(keep func(T) bool) {

@@ -153,17 +153,13 @@ func prioLess(a, b prioItem) bool {
 }
 
 // TestIntraTenantPriority checks the comparator path: within one tenant,
-// higher priority pops first, equal priorities keep arrival order, and
-// PeekMax reports the top queued priority.
+// higher priority pops first and equal priorities keep arrival order.
 func TestIntraTenantPriority(t *testing.T) {
 	q := NewQueue[prioItem](prioLess)
 	q.Push("t", 0, prioItem{prio: 0, seq: 1})
 	q.Push("t", 0, prioItem{prio: 5, seq: 2})
 	q.Push("t", 0, prioItem{prio: 0, seq: 3})
 	q.Push("t", 0, prioItem{prio: 5, seq: 4})
-	if got := q.PeekMax(func(it prioItem) int { return it.prio }); got != 5 {
-		t.Fatalf("PeekMax = %d, want 5", got)
-	}
 	batch := q.TryTake(10)
 	defer q.PutBatch(batch)
 	want := []prioItem{{5, 2}, {5, 4}, {0, 1}, {0, 3}}

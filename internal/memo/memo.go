@@ -238,21 +238,6 @@ func (m *Memoizer) Store(key string, value any) error {
 	return nil
 }
 
-// Range calls fn for every memoized entry until fn returns false. Iteration
-// order is unspecified and the snapshot is taken under the table lock, so fn
-// must not call back into the memoizer. Its shape matches cache.Cache.Seed,
-// letting a shared content-addressed tier start warm from a checkpointed
-// memo table: sharedCache.Seed(memoizer.Range).
-func (m *Memoizer) Range(fn func(key string, value any) bool) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	for k, v := range m.table {
-		if !fn(k, v) {
-			return
-		}
-	}
-}
-
 // Len returns the number of memoized entries.
 func (m *Memoizer) Len() int {
 	m.mu.RLock()

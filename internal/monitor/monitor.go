@@ -1,6 +1,6 @@
 // Package monitor implements Parsl's monitoring subsystem (§4.6): the DFK
-// logs execution metadata and task state transitions, workers log execution
-// information, and a modular sink interface lets the data land in an
+// logs task state transitions — the only record of a task's history — and
+// its planes' events, and a modular sink interface lets the data land in an
 // in-memory store (the analogue of the SQL database), a JSONL file, or both.
 // The query API over the in-memory store is what cmd/parsl-monitor and the
 // elasticity experiment's utilization computation (Fig. 6) read.
@@ -51,8 +51,6 @@ type Event struct {
 	To       string        `json:"to,omitempty"`
 	Executor string        `json:"executor,omitempty"`
 	Tenant   string        `json:"tenant,omitempty"`
-	Worker   string        `json:"worker,omitempty"`
-	Block    string        `json:"block,omitempty"`
 	Duration time.Duration `json:"duration,omitempty"`
 	Detail   string        `json:"detail,omitempty"`
 }
@@ -133,17 +131,18 @@ func (s *Store) StateCounts() map[string]int {
 	return counts
 }
 
-// Span is a [Start, End) interval labeled with a task and worker; used to
-// compute utilization timelines.
+// Span is one execution attempt, [Start, End), labeled with its task and the
+// executor it was launched on; used to compute utilization timelines.
 type Span struct {
-	TaskID int64
-	Worker string
-	Start  time.Time
-	End    time.Time
+	TaskID   int64
+	Executor string
+	Start    time.Time
+	End      time.Time
 }
 
-// ExecutionSpans reconstructs per-task execution intervals from
-// running→done transitions.
+// ExecutionSpans reconstructs one span per attempt: from a task's "launched"
+// event to its next "done", "failed" or "retrying" event, ordered by start.
+// An attempt still in flight has no span.
 func (s *Store) ExecutionSpans() []Span {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -154,16 +153,16 @@ func (s *Store) ExecutionSpans() []Span {
 			continue
 		}
 		switch e.To {
-		case "running":
+		case "launched":
 			starts[e.TaskID] = e
-		case "done", "failed":
+		case "done", "failed", "retrying":
 			if b, ok := starts[e.TaskID]; ok {
-				spans = append(spans, Span{TaskID: e.TaskID, Worker: b.Worker, Start: b.At, End: e.At})
+				spans = append(spans, Span{TaskID: e.TaskID, Executor: b.Executor, Start: b.At, End: e.At})
 				delete(starts, e.TaskID)
 			}
 		}
 	}
-	sort.Slice(spans, func(i, j int) bool { return spans[i].Start.Before(spans[j].Start) })
+	sort.SliceStable(spans, func(i, j int) bool { return spans[i].Start.Before(spans[j].Start) })
 	return spans
 }
 

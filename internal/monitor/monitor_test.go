@@ -16,7 +16,7 @@ func TestStoreEmitAndQuery(t *testing.T) {
 	now := time.Now()
 	s.Emit(ev(1, "pending", now))
 	s.Emit(ev(1, "launched", now.Add(time.Millisecond)))
-	s.Emit(Event{Kind: KindHealth, Worker: "w1", At: now})
+	s.Emit(Event{Kind: KindHealth, Executor: "htex", At: now})
 	if s.Len() != 3 {
 		t.Fatalf("len = %d", s.Len())
 	}
@@ -45,23 +45,43 @@ func TestStateCountsUsesFinalState(t *testing.T) {
 	}
 }
 
+// TestExecutionSpans builds spans from the task-state events a DFK emits: one
+// per attempt, from "launched" to the next "done", "failed" or "retrying",
+// labeled with the launching executor. A requeue (an attempt that timed out
+// before it launched) and an attempt still in flight make no span.
 func TestExecutionSpans(t *testing.T) {
 	s := NewStore()
 	t0 := time.Now()
-	s.Emit(Event{Kind: KindTaskState, TaskID: 1, To: "running", Worker: "w1", At: t0})
-	s.Emit(ev(1, "done", t0.Add(100*time.Millisecond)))
-	s.Emit(Event{Kind: KindTaskState, TaskID: 2, To: "running", Worker: "w2", At: t0.Add(10 * time.Millisecond)})
-	s.Emit(ev(2, "failed", t0.Add(50*time.Millisecond)))
-	s.Emit(Event{Kind: KindTaskState, TaskID: 3, To: "running", At: t0}) // never finished
+	at := func(ms int) time.Time { return t0.Add(time.Duration(ms) * time.Millisecond) }
+	state := func(task int64, from, to, executor string, ms int) {
+		s.Emit(Event{Kind: KindTaskState, TaskID: task, From: from, To: to, Executor: executor, At: at(ms)})
+	}
+	state(1, "", "pending", "", 0)
+	state(2, "", "pending", "", 0)
+	state(3, "", "pending", "", 0)
+	state(4, "", "pending", "", 0)
+	state(1, "pending", "launched", "tp", 1)
+	state(2, "pending", "launched", "htex", 2)
+	state(1, "launched", "done", "tp", 100)
+	state(2, "launched", "retrying", "htex", 20)
+	state(2, "retrying", "launched", "tp", 30)
+	state(2, "launched", "failed", "tp", 50)
+	state(3, "pending", "requeued", "", 5)
+	state(3, "pending", "launched", "tp", 6) // never finished
+	state(4, "pending", "memoized", "", 1)
 	spans := s.ExecutionSpans()
-	if len(spans) != 2 {
-		t.Fatalf("spans = %+v", spans)
+	want := []Span{
+		{TaskID: 1, Executor: "tp", Start: at(1), End: at(100)},
+		{TaskID: 2, Executor: "htex", Start: at(2), End: at(20)},
+		{TaskID: 2, Executor: "tp", Start: at(30), End: at(50)},
 	}
-	if spans[0].TaskID != 1 || spans[0].Worker != "w1" {
-		t.Fatalf("span0 = %+v", spans[0])
+	if len(spans) != len(want) {
+		t.Fatalf("spans = %+v, want %+v", spans, want)
 	}
-	if d := spans[0].End.Sub(spans[0].Start); d != 100*time.Millisecond {
-		t.Fatalf("span0 duration = %v", d)
+	for i := range want {
+		if spans[i] != want[i] {
+			t.Fatalf("span %d = %+v, want %+v", i, spans[i], want[i])
+		}
 	}
 }
 
@@ -73,7 +93,7 @@ func TestFileSinkRoundTrip(t *testing.T) {
 	}
 	now := time.Now().Round(0)
 	fs.Emit(ev(1, "done", now))
-	fs.Emit(Event{Kind: KindHealth, Worker: "w", Detail: "cpu=0.5", At: now})
+	fs.Emit(Event{Kind: KindHealth, Executor: "htex", Detail: "cpu=0.5", At: now})
 	if err := fs.Close(); err != nil {
 		t.Fatal(err)
 	}

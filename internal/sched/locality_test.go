@@ -8,7 +8,7 @@ import (
 )
 
 // fakeHolder is a digest-advertising executor double: fakeExec's load
-// signals plus the digestHolder/digestCounter probes and optional shard /
+// signals plus the digestHolder probe and optional shard /
 // aggregate-health state, so every branch of the Locality policy can be
 // driven without an HTEX deployment.
 type fakeHolder struct {
@@ -20,7 +20,6 @@ type fakeHolder struct {
 }
 
 func (f *fakeHolder) HoldsDigest(d string) bool       { return f.digests[d] }
-func (f *fakeHolder) AdvertisedDigests() int          { return len(f.digests) }
 func (f *fakeHolder) ShardCounts() (alive, total int) { return f.shardsAlive, f.shardsTotal }
 func (f *fakeHolder) ShardHealth() string             { return f.health }
 
@@ -39,7 +38,7 @@ func TestLocalityPrefersDigestHolder(t *testing.T) {
 	// prefer it — that is the point of the policy.
 	warm := holder("warm", 5, "d1")
 	cold := holder("cold", 0)
-	ex, err := p.PickDigest(execs(cold, warm), 0, "d1")
+	ex, err := p.PickDigest(execs(cold, warm), "d1")
 	if err != nil || ex.Label() != "warm" {
 		t.Fatalf("PickDigest = %v, %v; want warm", ex, err)
 	}
@@ -52,7 +51,7 @@ func TestLocalityLeastLoadedHolderWins(t *testing.T) {
 	p := NewLocality()
 	busy := holder("busy", 9, "d1")
 	calm := holder("calm", 2, "d1")
-	ex, err := p.PickDigest(execs(busy, calm), 0, "d1")
+	ex, err := p.PickDigest(execs(busy, calm), "d1")
 	if err != nil || ex.Label() != "calm" {
 		t.Fatalf("PickDigest = %v, %v; want calm", ex, err)
 	}
@@ -63,7 +62,7 @@ func TestLocalityEmptyDigestFallsBack(t *testing.T) {
 	a := holder("a", 3, "d1")
 	b := holder("b", 1)
 	// No digest signal at all: behave exactly like least-outstanding.
-	ex, err := p.PickDigest(execs(a, b), 0, "")
+	ex, err := p.PickDigest(execs(a, b), "")
 	if err != nil || ex.Label() != "b" {
 		t.Fatalf("PickDigest(\"\") = %v, %v; want b", ex, err)
 	}
@@ -79,7 +78,7 @@ func TestLocalityNoHolderFallsBackWithoutStalling(t *testing.T) {
 	// Nobody advertises d9 (a manager-less or freshly started fleet): the
 	// pick must resolve immediately via least-outstanding, never error or
 	// stall waiting for an advertisement.
-	ex, err := p.PickDigest(execs(a, b), 0, "d9")
+	ex, err := p.PickDigest(execs(a, b), "d9")
 	if err != nil || ex.Label() != "b" {
 		t.Fatalf("PickDigest = %v, %v; want b", ex, err)
 	}
@@ -104,7 +103,7 @@ func TestLocalitySkipsDeadAndOpenHolders(t *testing.T) {
 			bad := holder("bad", 9, "d1")
 			tc.mut(bad)
 			good := holder("good", 2)
-			ex, err := p.PickDigest(execs(bad, good), 0, "d1")
+			ex, err := p.PickDigest(execs(bad, good), "d1")
 			if err != nil {
 				t.Fatalf("PickDigest: %v", err)
 			}
@@ -128,7 +127,7 @@ func TestLocalityDegradedHolderStillServes(t *testing.T) {
 	limp.shardsAlive, limp.shardsTotal = 1, 2
 	limp.health = "degraded"
 	fresh := holder("fresh", 0)
-	ex, err := p.PickDigest(execs(limp, fresh), 0, "d1")
+	ex, err := p.PickDigest(execs(limp, fresh), "d1")
 	if err != nil || ex.Label() != "limp" {
 		t.Fatalf("PickDigest = %v, %v; want limp", ex, err)
 	}
@@ -136,7 +135,7 @@ func TestLocalityDegradedHolderStillServes(t *testing.T) {
 
 func TestLocalityEmptyCandidates(t *testing.T) {
 	p := NewLocality()
-	if _, err := p.PickDigest(nil, 0, "d1"); !errors.Is(err, ErrNoExecutors) {
+	if _, err := p.PickDigest(nil, "d1"); !errors.Is(err, ErrNoExecutors) {
 		t.Fatalf("err = %v; want ErrNoExecutors", err)
 	}
 	if _, err := p.Pick(nil); !errors.Is(err, ErrNoExecutors) {
@@ -146,25 +145,31 @@ func TestLocalityEmptyCandidates(t *testing.T) {
 
 func TestLocalityThroughFrozenSnapshot(t *testing.T) {
 	// The DFK hands load-aware policies Frozen snapshots, not raw executors;
-	// the digest probe must pass through (live — HasDigest is a bound
-	// method, so an advertisement arriving after Freeze is still seen).
+	// LoadOf returns the sampled Load, whose digest probe stays live
+	// (HasDigest is a bound method, so an advertisement arriving after Freeze
+	// is still seen).
 	warm := holder("warm", 0, "d1")
 	cold := holder("cold", 0)
 	fwarm, fcold := Freeze(warm, 0), Freeze(cold, 0)
-	if !fwarm.HoldsDigest("d1") || fcold.HoldsDigest("d1") {
-		t.Fatal("Frozen digest passthrough wrong")
-	}
-	if got := fwarm.AdvertisedDigests(); got != 1 {
-		t.Fatalf("Frozen.AdvertisedDigests = %d; want 1", got)
+	lw, lc := LoadOf(fwarm), LoadOf(fcold)
+	if lw.HasDigest == nil || !lw.HasDigest("d1") || lc.HasDigest("d1") {
+		t.Fatal("LoadOf(Frozen) digest probe wrong")
 	}
 	warm.digests["d2"] = true
-	if !fwarm.HoldsDigest("d2") {
+	if !lw.HasDigest("d2") {
 		t.Fatal("Frozen probe must stay live across advertisement updates")
 	}
 	p := NewLocality()
-	ex, err := p.PickDigest([]executor.Executor{fcold, fwarm}, 0, "d1")
+	ex, err := p.PickDigest([]executor.Executor{fcold, fwarm}, "d1")
 	if err != nil || ex.Label() != "warm" {
 		t.Fatalf("PickDigest over Frozen = %v, %v; want warm", ex, err)
+	}
+	// The sampled breaker state rides the snapshot too: a down holder is
+	// skipped as it is when handed over raw.
+	down := holder("down", 5, "d1")
+	down.health = "down"
+	if ex, err := p.PickDigest([]executor.Executor{Freeze(down, 0), fcold}, "d1"); err != nil || ex.Label() != "cold" {
+		t.Fatalf("PickDigest over a down Frozen holder = %v, %v; want cold", ex, err)
 	}
 }
 

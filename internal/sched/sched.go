@@ -47,11 +47,6 @@ type Load struct {
 	// executors, a Workers() probe when exposed (threadpool), otherwise 0
 	// for "unknown".
 	Workers int
-	// MaxQueuedPriority is the highest dispatch priority among tasks routed
-	// to the executor's lane but not yet submitted — the urgency of the
-	// backlog, where Outstanding is only its size. 0 when the lane is empty
-	// or the source exposes no priority signal.
-	MaxQueuedPriority int
 	// TenantBacklog is the per-tenant composition of the lane backlog (key
 	// "" is the default tenant), so strategies and operators can see *whose*
 	// work is queued, not just how much. Nil when the lane is empty or the
@@ -76,9 +71,6 @@ type Load struct {
 	// advertisements arrive on heartbeats, so the probe reads the live
 	// aggregation. Nil when the executor exposes no digest signal.
 	HasDigest func(digest string) bool
-	// AdvertisedDigests counts the distinct content digests the executor's
-	// managers currently advertise — 0 when there is no digest signal.
-	AdvertisedDigests int
 }
 
 // PerWorker is outstanding work normalized by capacity; with unknown
@@ -94,11 +86,8 @@ func (l Load) PerWorker() float64 {
 // workerCounter is the non-Scalable capacity probe (threadpool.Workers).
 type workerCounter interface{ Workers() int }
 
-// queuedPriority is the lane-urgency probe (Frozen.MaxQueuedPriority).
-type queuedPriority interface{ MaxQueuedPriority() int }
-
-// shardCounter is the sharded-control-plane probe (htex.Executor.ShardCounts,
-// Frozen.ShardCounts): how many interchange shards are alive out of total.
+// shardCounter is the sharded-control-plane probe (htex.Executor.ShardCounts):
+// how many interchange shards are alive out of total.
 type shardCounter interface{ ShardCounts() (alive, total int) }
 
 // shardHealth is the aggregate breaker probe a sharded executor exposes
@@ -116,25 +105,23 @@ type tenantDepths interface{ QueueDepthByTenant() map[string]int }
 // the content digest in its heartbeat digest-set summary.
 type digestHolder interface{ HoldsDigest(digest string) bool }
 
-// digestCounter is the companion cardinality probe
-// (htex.Executor.AdvertisedDigests): how many distinct digests the
-// executor's fleet advertises right now.
-type digestCounter interface{ AdvertisedDigests() int }
-
 // LoadOf samples an executor's live load signals. A sharded executor reports
 // the merged view — outstanding, tenant backlog, breaker state, and shard
 // membership aggregated across its interchange shards — so policies see one
-// logical executor regardless of how many brokers serve it.
+// logical executor regardless of how many brokers serve it. A Frozen snapshot
+// returns its sampled Load with the routing overlay added to Outstanding.
 func LoadOf(ex executor.Executor) Load {
+	if f, ok := ex.(*Frozen); ok {
+		l := f.load
+		l.Outstanding += f.extra
+		return l
+	}
 	l := Load{Label: ex.Label(), Outstanding: ex.Outstanding()}
 	switch t := ex.(type) {
 	case executor.Scalable:
 		l.Workers = t.ConnectedWorkers()
 	case workerCounter:
 		l.Workers = t.Workers()
-	}
-	if qp, ok := ex.(queuedPriority); ok {
-		l.MaxQueuedPriority = qp.MaxQueuedPriority()
 	}
 	if sc, ok := ex.(shardCounter); ok {
 		l.ShardsAlive, l.ShardsTotal = sc.ShardCounts()
@@ -148,19 +135,7 @@ func LoadOf(ex executor.Executor) Load {
 	if dh, ok := ex.(digestHolder); ok {
 		l.HasDigest = dh.HoldsDigest
 	}
-	if dc, ok := ex.(digestCounter); ok {
-		l.AdvertisedDigests = dc.AdvertisedDigests()
-	}
 	return l
-}
-
-// Loads samples every executor, in order.
-func Loads(exs []executor.Executor) []Load {
-	out := make([]Load, len(exs))
-	for i, ex := range exs {
-		out[i] = LoadOf(ex)
-	}
-	return out
 }
 
 // LoadAware is an optional marker for schedulers whose Pick reads live load
@@ -169,16 +144,6 @@ func Loads(exs []executor.Executor) []Load {
 // policies like Random and RoundRobin skip the sampling entirely.
 type LoadAware interface {
 	UsesLoad() bool
-}
-
-// PriorityPicker is an optional Scheduler extension. When a scheduler
-// implements it, the DFK's dispatcher calls PickPriority instead of Pick,
-// passing the ready task's dispatch priority (App.Submit's WithPriority),
-// so policies can route urgent work differently — e.g. keep a low-latency
-// executor reserved for high-priority tasks. The same candidate-set rules
-// as Pick apply.
-type PriorityPicker interface {
-	PickPriority(candidates []executor.Executor, priority int) (executor.Executor, error)
 }
 
 // DigestPicker is an optional Scheduler extension for data-aware policies.
@@ -192,12 +157,12 @@ type PriorityPicker interface {
 // already been filtered by hints and by the health plane's breakers, so a
 // digest holder that is breaker-open is simply absent from the set.
 type DigestPicker interface {
-	PickDigest(candidates []executor.Executor, priority int, digest string) (executor.Executor, error)
+	PickDigest(candidates []executor.Executor, digest string) (executor.Executor, error)
 }
 
 // Frozen is a one-shot load snapshot of an executor, taken once per
-// dispatch cycle. Load-aware policies read the sampled values instead of
-// re-probing the live executor on every pick (probes like ConnectedWorkers
+// dispatch cycle. Load-aware policies read the sampled Load through LoadOf
+// instead of re-probing the live executor on every pick (probes like ConnectedWorkers
 // take executor-internal locks), and Bump overlays the tasks the
 // dispatcher routes during the cycle — without that overlay every pick in
 // a batch reads the same stale snapshot and the whole batch sloshes onto
@@ -215,51 +180,8 @@ func Freeze(ex executor.Executor, extra int) *Frozen {
 	return &Frozen{Executor: ex, load: LoadOf(ex), extra: extra}
 }
 
-// FreezeLane is Freeze with the lane's highest queued dispatch priority
-// attached, so priority-aware policies can weigh backlog urgency from the
-// snapshot.
-func FreezeLane(ex executor.Executor, extra, maxQueuedPriority int) *Frozen {
-	f := Freeze(ex, extra)
-	f.load.MaxQueuedPriority = maxQueuedPriority
-	return f
-}
-
-// MaxQueuedPriority reports the sampled lane urgency (see Load).
-func (f *Frozen) MaxQueuedPriority() int { return f.load.MaxQueuedPriority }
-
 // Outstanding reports the sampled load plus the routing overlay.
 func (f *Frozen) Outstanding() int { return f.load.Outstanding + f.extra }
-
-// Workers reports the sampled capacity (interface embedding does not
-// promote Scalable/Workers from the dynamic value, so LoadOf reads the
-// snapshot through this probe).
-func (f *Frozen) Workers() int { return f.load.Workers }
-
-// ConnectedWorkers mirrors Workers for callers probing the Scalable-style
-// capacity signal by method shape. Frozen deliberately does not implement
-// the full executor.Scalable interface — a snapshot cannot scale anything.
-func (f *Frozen) ConnectedWorkers() int { return f.load.Workers }
-
-// ShardCounts reports the sampled shard membership (see Load), so LoadOf on
-// a snapshot carries the control-plane view without re-probing the executor.
-func (f *Frozen) ShardCounts() (alive, total int) { return f.load.ShardsAlive, f.load.ShardsTotal }
-
-// ShardHealth reports the sampled aggregate breaker state (see Load.Health).
-func (f *Frozen) ShardHealth() string { return f.load.Health }
-
-// QueueDepthByTenant reports the sampled broker-side tenant backlog.
-func (f *Frozen) QueueDepthByTenant() map[string]int { return f.load.TenantBacklog }
-
-// HoldsDigest probes the locality view through the snapshot. The probe
-// itself stays live (Load.HasDigest is a bound method, not a copy) because
-// digest sets are too large to snapshot per dispatch cycle; what Frozen
-// adds is that policies reach it uniformly via LoadOf on the snapshot.
-func (f *Frozen) HoldsDigest(digest string) bool {
-	return f.load.HasDigest != nil && f.load.HasDigest(digest)
-}
-
-// AdvertisedDigests reports the sampled digest-set cardinality (see Load).
-func (f *Frozen) AdvertisedDigests() int { return f.load.AdvertisedDigests }
 
 // Bump records one task routed to this executor in the current cycle.
 func (f *Frozen) Bump() { f.extra++ }
@@ -387,7 +309,7 @@ func (p *Locality) Pick(candidates []executor.Executor) (executor.Executor, erro
 }
 
 // PickDigest implements DigestPicker.
-func (p *Locality) PickDigest(candidates []executor.Executor, _ int, digest string) (executor.Executor, error) {
+func (p *Locality) PickDigest(candidates []executor.Executor, digest string) (executor.Executor, error) {
 	if len(candidates) == 0 {
 		return nil, ErrNoExecutors
 	}

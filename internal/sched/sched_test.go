@@ -36,65 +36,6 @@ func (f *fakePool) Workers() int { return f.workers }
 
 func execs(exs ...executor.Executor) []executor.Executor { return exs }
 
-// priorityRouter is a PriorityPicker test double: urgent tasks go to the
-// "fast" executor, everything else to the first candidate.
-type priorityRouter struct{}
-
-func (priorityRouter) Name() string { return "priority-router" }
-func (priorityRouter) Pick(c []executor.Executor) (executor.Executor, error) {
-	if len(c) == 0 {
-		return nil, ErrNoExecutors
-	}
-	return c[0], nil
-}
-func (priorityRouter) PickPriority(c []executor.Executor, priority int) (executor.Executor, error) {
-	if len(c) == 0 {
-		return nil, ErrNoExecutors
-	}
-	if priority > 0 {
-		for _, ex := range c {
-			if ex.Label() == "fast" {
-				return ex, nil
-			}
-		}
-	}
-	return c[0], nil
-}
-
-func TestPriorityPickerReceivesPriority(t *testing.T) {
-	var s Scheduler = priorityRouter{}
-	pp, ok := s.(PriorityPicker)
-	if !ok {
-		t.Fatal("priorityRouter must satisfy PriorityPicker")
-	}
-	slow, fast := &fakeExec{label: "slow"}, &fakeExec{label: "fast"}
-	if ex, err := pp.PickPriority(execs(slow, fast), 5); err != nil || ex.Label() != "fast" {
-		t.Fatalf("urgent pick = %v, %v; want fast", ex, err)
-	}
-	if ex, err := pp.PickPriority(execs(slow, fast), 0); err != nil || ex.Label() != "slow" {
-		t.Fatalf("default pick = %v, %v; want slow", ex, err)
-	}
-}
-
-func TestFreezeLaneCarriesQueuedPriority(t *testing.T) {
-	ex := &fakeExec{label: "x", outstanding: 2}
-	f := FreezeLane(ex, 3, 7)
-	if f.Outstanding() != 5 {
-		t.Fatalf("Outstanding = %d, want sampled+extra = 5", f.Outstanding())
-	}
-	if f.MaxQueuedPriority() != 7 {
-		t.Fatalf("MaxQueuedPriority = %d, want 7", f.MaxQueuedPriority())
-	}
-	// LoadOf reads the urgency signal back off the snapshot.
-	if l := LoadOf(f); l.MaxQueuedPriority != 7 {
-		t.Fatalf("LoadOf(frozen).MaxQueuedPriority = %d, want 7", l.MaxQueuedPriority)
-	}
-	// Plain Freeze reports no urgency.
-	if Freeze(ex, 1).MaxQueuedPriority() != 0 {
-		t.Fatal("Freeze must default MaxQueuedPriority to 0")
-	}
-}
-
 func TestRandomSeededIsDeterministic(t *testing.T) {
 	a, b := &fakeExec{label: "a"}, &fakeExec{label: "b"}
 	pick := func() []string {
@@ -188,9 +129,8 @@ func TestLoadOfReadsScalableWorkers(t *testing.T) {
 	if got := l.PerWorker(); got != 5.0/8.0 {
 		t.Fatalf("PerWorker = %v", got)
 	}
-	loads := Loads(execs(ex, &fakeExec{label: "y", outstanding: 3}))
-	if len(loads) != 2 || loads[1].Workers != 0 || loads[1].PerWorker() != 3 {
-		t.Fatalf("Loads = %+v", loads)
+	if l := LoadOf(&fakeExec{label: "y", outstanding: 3}); l.Workers != 0 || l.PerWorker() != 3 {
+		t.Fatalf("LoadOf(unknown capacity) = %+v", l)
 	}
 }
 

@@ -21,14 +21,11 @@ type State int32
 const (
 	// Unsched: created but dependencies not yet examined.
 	Unsched State = iota
-	// Pending: waiting on unresolved dependencies.
+	// Pending: waiting on unresolved dependencies (data staging included:
+	// a transfer is one more dependency, §4.5).
 	Pending
-	// DataStaging: waiting on injected data-transfer tasks (§4.5).
-	DataStaging
 	// Launched: handed to an executor, result future outstanding.
 	Launched
-	// Running: executor reported the task as started (best effort).
-	Running
 	// Retrying: failed and resubmitted; Attempts has been incremented.
 	Retrying
 	// Done: completed successfully; result set on the AppFuture.
@@ -41,15 +38,13 @@ const (
 
 // stateNames is indexed by State.
 var stateNames = [...]string{
-	Unsched:     "unsched",
-	Pending:     "pending",
-	DataStaging: "data_staging",
-	Launched:    "launched",
-	Running:     "running",
-	Retrying:    "retrying",
-	Done:        "done",
-	Failed:      "failed",
-	Memoized:    "memoized",
+	Unsched:  "unsched",
+	Pending:  "pending",
+	Launched: "launched",
+	Retrying: "retrying",
+	Done:     "done",
+	Failed:   "failed",
+	Memoized: "memoized",
 }
 
 // String implements fmt.Stringer.
@@ -68,13 +63,11 @@ func (s State) Terminal() bool { return s == Done || s == Failed || s == Memoize
 // transition method validates against it; invalid transitions indicate
 // engine bugs and are surfaced as errors rather than silently accepted.
 var validNext = [...]uint16{
-	Unsched:     1<<Pending | 1<<DataStaging | 1<<Launched | 1<<Memoized | 1<<Failed,
-	Pending:     1<<Launched | 1<<DataStaging | 1<<Memoized | 1<<Failed,
-	DataStaging: 1<<Pending | 1<<Launched | 1<<Failed,
-	Launched:    1<<Running | 1<<Done | 1<<Failed | 1<<Retrying,
-	Running:     1<<Done | 1<<Failed | 1<<Retrying,
-	Retrying:    1<<Launched | 1<<Failed,
-	Memoized:    0,
+	Unsched:  1<<Pending | 1<<Launched | 1<<Memoized | 1<<Failed,
+	Pending:  1<<Launched | 1<<Memoized | 1<<Failed,
+	Launched: 1<<Done | 1<<Failed | 1<<Retrying,
+	Retrying: 1<<Launched | 1<<Failed,
+	Memoized: 0,
 }
 
 // canMoveTo reports whether the state machine permits s -> n.
@@ -143,17 +136,6 @@ type Record struct {
 	// re-encoding.
 	payload *serialize.Payload
 
-	// SubmitTime is when the record was created; every later timestamp lives
-	// in the transition log (see Timings).
-	SubmitTime time.Time
-
-	// transitions points into transBuf until the task records more than
-	// len(transBuf) state changes (retry-heavy tasks), then spills to a heap
-	// slice which recycling keeps for the next occupant. The common
-	// pending→launched→done life never allocates.
-	transitions []Transition
-	transBuf    [4]Transition
-
 	// Recycling bookkeeping (all under mu). gen is the generation stamp:
 	// asynchronous consumers (dependency callbacks, context watchers, the
 	// dispatch pipeline) capture it at registration and revalidate with
@@ -168,8 +150,7 @@ type Record struct {
 	retired bool
 
 	// edges are the graph's: guarded by its shard lock, not mu, and kept across
-	// recycling (see edgeLists). They take the word state used to pad out, so
-	// sizeof(Record) stays on its 480-byte size class.
+	// recycling (see edgeLists).
 	edges *edgeLists
 
 	// walKey is the task's durable key in the write-ahead log (0 = not
@@ -182,15 +163,7 @@ type Record struct {
 	cancelStop func() bool
 }
 
-// Transition records one state change for monitoring.
-type Transition struct {
-	From State
-	To   State
-	At   time.Time
-}
-
-// recordPool recycles terminal Records (and, via recycleLocked, their
-// transition slices). The AppFuture is deliberately NOT pooled: it is the
+// recordPool recycles terminal Records. The AppFuture is deliberately NOT pooled: it is the
 // user-visible handle, may outlive the record arbitrarily, and keeps the
 // task's result reachable after the record has been reused.
 var recordPool = sync.Pool{New: func() any { return new(Record) }}
@@ -201,7 +174,6 @@ var recordPool = sync.Pool{New: func() any { return new(Record) }}
 // the reuse.
 func lockedRecord(id int64, appName string, args []any, kwargs map[string]any) *Record {
 	r := recordPool.Get().(*Record)
-	now := time.Now()
 	r.mu.Lock()
 	r.ID = id
 	r.AppName = appName
@@ -209,7 +181,6 @@ func lockedRecord(id int64, appName string, args []any, kwargs map[string]any) *
 	r.Kwargs = kwargs
 	r.Future = future.NewForTask(id)
 	r.state = Unsched
-	r.SubmitTime = now
 	return r
 }
 
@@ -221,8 +192,8 @@ func NewRecord(id int64, appName string, args []any, kwargs map[string]any) *Rec
 	return r
 }
 
-// Create is the first lifecycle stage: a Pending record (the transition is
-// stamped with SubmitTime) carrying its per-call options, returned together
+// Create is the first lifecycle stage: a Pending record carrying its per-call
+// options, returned together
 // with its generation stamp and with the creator holding it. The hold — drop
 // it with Exit once the record is wired — is what lets the creator publish the
 // record (graph, context watcher, dependency callbacks) and keep using it: a
@@ -230,7 +201,7 @@ func NewRecord(id int64, appName string, args []any, kwargs map[string]any) *Rec
 func Create(id int64, appName string, args []any, kwargs map[string]any, o Options) (*Record, uint32) {
 	r := lockedRecord(id, appName, args, kwargs)
 	r.Options = o
-	_ = r.moveLocked(Pending, r.SubmitTime) // Unsched -> Pending cannot fail
+	_ = r.moveLocked(Pending) // Unsched -> Pending cannot fail
 	r.holds = 1
 	gen := r.gen
 	r.mu.Unlock()
@@ -322,8 +293,6 @@ func (r *Record) recycleLocked() {
 	r.attemptFut = nil
 	r.attemptWire = 0
 	r.payload = nil
-	r.SubmitTime = time.Time{}
-	r.transitions = r.transitions[:0]
 	r.walKey = 0
 	r.retired = false
 	r.cancelStop = nil
@@ -331,24 +300,17 @@ func (r *Record) recycleLocked() {
 	recordPool.Put(r)
 }
 
-// moveLocked validates s against the state machine and applies it, stamped at
-// (the zero time means "read the clock", which then happens only for a
-// transition that is actually taken). Called with r.mu held. Terminal states
-// are sticky.
-func (r *Record) moveLocked(s State, at time.Time) error {
+// moveLocked validates s against the state machine and applies it. Called with
+// r.mu held. Terminal states are sticky. The record keeps no history: the
+// monitor stream (the DFK's state events) is the record of a task's
+// transitions.
+func (r *Record) moveLocked(s State) error {
 	if r.state.Terminal() {
 		return fmt.Errorf("task %d: transition %v -> %v from terminal state", r.ID, r.state, s)
 	}
 	if !r.state.canMoveTo(s) {
 		return fmt.Errorf("task %d: illegal transition %v -> %v", r.ID, r.state, s)
 	}
-	if at.IsZero() {
-		at = time.Now()
-	}
-	if r.transitions == nil {
-		r.transitions = r.transBuf[:0]
-	}
-	r.transitions = append(r.transitions, Transition{From: r.state, To: s, At: at})
 	r.state = s
 	return nil
 }
@@ -398,12 +360,11 @@ func (r *Record) Route(label string) {
 }
 
 // Launch is the lane runner's stage: it validates the generation stamp and
-// moves the task to Launched, stamped at (one clock read serves a whole lane
-// batch). ok is false when the handle is stale; err reports a transition the
+// moves the task to Launched. ok is false when the handle is stale; err reports a transition the
 // state machine forbids, which for a live handle means the task already
 // concluded. A task that is already Launched (a ghost resubmission racing its
 // own retry) is left as it is. No hold is left behind either way.
-func (r *Record) Launch(gen uint32, at time.Time) (from State, ok bool, err error) {
+func (r *Record) Launch(gen uint32) (from State, ok bool, err error) {
 	r.mu.Lock()
 	if r.gen != gen {
 		r.mu.Unlock()
@@ -411,7 +372,7 @@ func (r *Record) Launch(gen uint32, at time.Time) (from State, ok bool, err erro
 	}
 	from = r.state
 	if from != Launched {
-		err = r.moveLocked(Launched, at)
+		err = r.moveLocked(Launched)
 	}
 	r.mu.Unlock()
 	return from, true, err
@@ -448,7 +409,7 @@ func (r *Record) Retry(charge bool) (from State, ok bool) {
 			return from, false
 		}
 	}
-	return from, from == Pending || from == Retrying || r.moveLocked(Retrying, time.Time{}) == nil
+	return from, from == Pending || from == Retrying || r.moveLocked(Retrying) == nil
 }
 
 // Final is what the winner of Finish takes over from the record: everything
@@ -471,7 +432,7 @@ type Final struct {
 func (r *Record) Finish(to State) (fin Final, ok bool) {
 	r.mu.Lock()
 	fin.From = r.state
-	if ok = to.Terminal() && r.moveLocked(to, time.Time{}) == nil; ok {
+	if ok = to.Terminal() && r.moveLocked(to) == nil; ok {
 		fin.Executor, fin.WALKey, fin.Payload, fin.CancelStop = r.executor, r.walKey, r.payload, r.cancelStop
 		r.cancelStop = nil
 	}
@@ -495,16 +456,7 @@ func (r *Record) SetState(s State) error {
 	if r.state == s {
 		return nil
 	}
-	return r.moveLocked(s, time.Time{})
-}
-
-// Transitions returns a copy of the recorded state changes.
-func (r *Record) Transitions() []Transition {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]Transition, len(r.transitions))
-	copy(out, r.transitions)
-	return out
+	return r.moveLocked(s)
 }
 
 // Attempts returns how many attempts have been charged against the budget.
@@ -575,25 +527,6 @@ func (r *Record) Attempt() (af *future.Future, wireID int64, executor string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.attemptFut, r.attemptWire, r.executor
-}
-
-// Timings returns the (launch, start, end) timestamps — when the task last
-// moved to Launched, to Running, and to its terminal state — read off the
-// transition log; zero values when unset.
-func (r *Record) Timings() (launch, start, end time.Time) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, t := range r.transitions {
-		switch t.To {
-		case Launched:
-			launch = t.At
-		case Running:
-			start = t.At
-		case Done, Failed, Memoized:
-			end = t.At
-		}
-	}
-	return launch, start, end
 }
 
 // String implements fmt.Stringer.

@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"repro/internal/fair"
 	"repro/internal/future"
@@ -22,14 +21,11 @@ func TestNewRecordInitialState(t *testing.T) {
 	if r.Future == nil || r.Future.TaskID != 1 {
 		t.Fatal("future not bound to task id")
 	}
-	if r.SubmitTime.IsZero() {
-		t.Fatal("submit time unset")
-	}
 }
 
 func TestLegalTransitionChain(t *testing.T) {
 	r := NewRecord(1, "a", nil, nil)
-	for _, s := range []State{Pending, Launched, Running, Done} {
+	for _, s := range []State{Pending, Launched, Done} {
 		if err := r.SetState(s); err != nil {
 			t.Fatalf("SetState(%v): %v", s, err)
 		}
@@ -41,8 +37,8 @@ func TestLegalTransitionChain(t *testing.T) {
 
 func TestIllegalTransitionRejected(t *testing.T) {
 	r := NewRecord(1, "a", nil, nil)
-	if err := r.SetState(Running); err == nil {
-		t.Fatal("Unsched -> Running allowed")
+	if err := r.SetState(Retrying); err == nil {
+		t.Fatal("Unsched -> Retrying allowed")
 	}
 	if err := r.SetState(Done); err == nil {
 		t.Fatal("Unsched -> Done allowed")
@@ -54,7 +50,7 @@ func TestTerminalStatesSticky(t *testing.T) {
 	_ = r.SetState(Pending)
 	_ = r.SetState(Launched)
 	_ = r.SetState(Done)
-	if err := r.SetState(Running); err == nil {
+	if err := r.SetState(Launched); err == nil {
 		t.Fatal("transition out of Done allowed")
 	}
 	if err := r.SetState(Done); err != nil {
@@ -72,9 +68,8 @@ func TestRetryLoopTransitions(t *testing.T) {
 	if err := r.SetState(Launched); err != nil {
 		t.Fatalf("Retrying -> Launched: %v", err)
 	}
-	_ = r.SetState(Running)
 	if err := r.SetState(Retrying); err != nil {
-		t.Fatalf("Running -> Retrying: %v", err)
+		t.Fatalf("second Launched -> Retrying: %v", err)
 	}
 	if err := r.SetState(Failed); err != nil {
 		t.Fatalf("Retrying -> Failed: %v", err)
@@ -88,43 +83,6 @@ func TestMemoizedPath(t *testing.T) {
 	}
 	if !r.State().Terminal() {
 		t.Fatal("Memoized should be terminal")
-	}
-}
-
-func TestTransitionsRecorded(t *testing.T) {
-	r := NewRecord(1, "a", nil, nil)
-	_ = r.SetState(Pending)
-	_ = r.SetState(Launched)
-	_ = r.SetState(Done)
-	tr := r.Transitions()
-	if len(tr) != 3 {
-		t.Fatalf("got %d transitions, want 3", len(tr))
-	}
-	if tr[0].From != Unsched || tr[0].To != Pending {
-		t.Fatalf("first transition %v", tr[0])
-	}
-	if tr[2].To != Done {
-		t.Fatalf("last transition %v", tr[2])
-	}
-	for i := 1; i < len(tr); i++ {
-		if tr[i].At.Before(tr[i-1].At) {
-			t.Fatal("transition timestamps not monotonic")
-		}
-	}
-}
-
-func TestTimingsSetOnTransitions(t *testing.T) {
-	r := NewRecord(1, "a", nil, nil)
-	_ = r.SetState(Pending)
-	_ = r.SetState(Launched)
-	_ = r.SetState(Running)
-	_ = r.SetState(Done)
-	launch, start, end := r.Timings()
-	if launch.IsZero() || start.IsZero() || end.IsZero() {
-		t.Fatalf("timings unset: %v %v %v", launch, start, end)
-	}
-	if end.Before(launch) {
-		t.Fatal("end before launch")
 	}
 }
 
@@ -191,7 +149,7 @@ func TestStateStringAndTerminal(t *testing.T) {
 			t.Errorf("%v not terminal", s)
 		}
 	}
-	for _, s := range []State{Unsched, Pending, Launched, Running, Retrying, DataStaging} {
+	for _, s := range []State{Unsched, Pending, Launched, Retrying} {
 		if s.Terminal() {
 			t.Errorf("%v terminal", s)
 		}
@@ -218,7 +176,7 @@ func TestQuickStateMachineSafety(t *testing.T) {
 	prop := func(steps []uint8) bool {
 		r := NewRecord(1, "a", nil, nil)
 		for _, b := range steps {
-			target := State(b % 9)
+			target := State(int(b) % len(stateNames))
 			prev := r.State()
 			err := r.SetState(target)
 			if prev.Terminal() && err == nil && target != prev {
@@ -284,7 +242,7 @@ func TestFinishRaceAndStaleStraggler(t *testing.T) {
 				if r.Enter(stale) {
 					t.Error("Enter admitted a stale generation")
 				}
-				if _, ok, _ := r.Launch(stale, time.Now()); ok {
+				if _, ok, _ := r.Launch(stale); ok {
 					t.Error("Launch admitted a stale generation")
 				}
 				if _, _, _, ok := r.Outcome(stale); ok {
@@ -300,7 +258,7 @@ func TestFinishRaceAndStaleStraggler(t *testing.T) {
 		}
 		// Recycled once: the concluded generation is now stale to every stage,
 		// and the next one is exactly gen+1.
-		if _, ok, _ := r.Launch(gen, time.Now()); ok {
+		if _, ok, _ := r.Launch(gen); ok {
 			t.Fatal("Launch admitted the recycled generation")
 		}
 		if _, _, _, ok := r.Outcome(gen); ok {
@@ -326,9 +284,6 @@ func TestLifecycleStages(t *testing.T) {
 		r.Gate != g || len(r.Hints) != 1 {
 		t.Fatalf("Create: state %v, options %+v", r.State(), r.Options)
 	}
-	if tr := r.Transitions(); len(tr) != 1 || tr[0] != (Transition{Unsched, Pending, r.SubmitTime}) {
-		t.Fatalf("Create: transitions %v, want Unsched -> Pending at SubmitTime", tr)
-	}
 	stop := func() bool { return true }
 	if !r.Watch(stop) {
 		t.Fatal("Watch refused a live record")
@@ -349,15 +304,11 @@ func TestLifecycleStages(t *testing.T) {
 	if gotAf, wire, label := r.Attempt(); gotAf != af || wire != 7 || label != "tp" {
 		t.Fatalf("Attempt = %v, %d, %q", gotAf, wire, label)
 	}
-	at := time.Now()
-	if from, ok, err := r.Launch(gen, at); from != Pending || !ok || err != nil {
+	if from, ok, err := r.Launch(gen); from != Pending || !ok || err != nil {
 		t.Fatalf("Launch = %v, %v, %v", from, ok, err)
 	}
-	if from, ok, err := r.Launch(gen, at); from != Launched || !ok || err != nil {
+	if from, ok, err := r.Launch(gen); from != Launched || !ok || err != nil {
 		t.Fatalf("second Launch = %v, %v, %v (a launched task is left as it is)", from, ok, err)
-	}
-	if launch, _, _ := r.Timings(); !launch.Equal(at) {
-		t.Fatalf("launch stamped %v, want the batch stamp %v", launch, at)
 	}
 	r.SetMemoKey("k")
 	terminal, memoKey, label, ok := r.Outcome(gen)
@@ -370,9 +321,6 @@ func TestLifecycleStages(t *testing.T) {
 	fin, ok := r.Finish(Failed)
 	if !ok || fin.From != Retrying || fin.Executor != "tp" || fin.WALKey != 9 || fin.Payload != payload || fin.CancelStop == nil {
 		t.Fatalf("Finish = %+v, %v", fin, ok)
-	}
-	if _, _, end := r.Timings(); end.IsZero() {
-		t.Fatal("Finish left the end time unset")
 	}
 	// A concluded record refuses every further stage, a same-state Finish included.
 	if _, ok := r.Finish(Failed); ok {
@@ -387,7 +335,7 @@ func TestLifecycleStages(t *testing.T) {
 	if _, ok := r.Retry(false); ok {
 		t.Fatal("Retry allowed on a terminal record")
 	}
-	if _, ok, err := r.Launch(gen, time.Now()); !ok || err == nil {
+	if _, ok, err := r.Launch(gen); !ok || err == nil {
 		t.Fatalf("Launch on a terminal record: ok %v, err %v", ok, err)
 	}
 	if terminal, _, _, _ := r.Outcome(gen); !terminal {

@@ -116,7 +116,6 @@ type Log struct {
 	freeList  []*liveTask
 	folded    int64 // terminals folded into snapshots
 	terminals int64 // terminal records since the last snapshot
-	records   int64
 
 	// recovered is the frontier replayed at Open; nil for a fresh directory.
 	// dfk.Recover consumes it.
@@ -233,7 +232,6 @@ func Open(dir string, opts Options) (*Log, error) {
 		nextKey:  fr.NextKey,
 		liveBase: fr.NextKey,
 		folded:   fr.Folded,
-		records:  fr.Records,
 		done:     make(chan struct{}),
 	}
 	l.terminals = int64(len(fr.Terminals))
@@ -271,21 +269,11 @@ func Open(dir string, opts Options) (*Log, error) {
 // directory).
 func (l *Log) Recovered() *Frontier { return l.recovered }
 
-// Dir returns the segment directory.
-func (l *Log) Dir() string { return l.dir }
-
 // LiveCount reports tasks submitted but not yet terminal.
 func (l *Log) LiveCount() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.liveN
-}
-
-// Records reports records appended or replayed over the log's lifetime.
-func (l *Log) Records() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.records
 }
 
 // Crashed reports whether an injected crash froze the log.
@@ -417,7 +405,6 @@ func (l *Log) drainSyncQLocked() {
 // buffers flush inline so memory stays bounded between committer ticks.
 func (l *Log) appendLocked() {
 	l.buf = appendFrame(l.buf, l.scratch)
-	l.records++
 	if len(l.buf) >= 64<<10 {
 		l.flushLocked()
 	}
@@ -657,7 +644,6 @@ func (l *Log) compactLocked() error {
 	l.f = f
 	l.segIndex = newIdx
 	l.segBytes = int64(len(frame))
-	l.records++
 	l.folded += l.terminals
 	l.terminals = 0
 	return nil

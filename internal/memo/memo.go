@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 
 	"repro/internal/serialize"
@@ -59,9 +60,16 @@ type entry struct {
 }
 
 // Memoizer is the in-memory memo table with optional checkpoint persistence.
+//
+// A key of KeyFromPayload's shape — a prefix, "|", and 16 lower-case hex
+// digits — is held as its args digest under its prefix, which is stored once
+// per app, so an entry holds no key string (about half an entry's memory
+// otherwise). The digest converts back to exactly the same text: no hash, no
+// collisions. Any other key, an explicit memo key for one, is held whole.
 type Memoizer struct {
-	mu    sync.RWMutex
-	table map[string]any
+	mu      sync.RWMutex
+	digests map[string]map[uint64]any // app|body prefix → args digest → value
+	other   map[string]any
 
 	cpMu   sync.Mutex
 	cpPath string
@@ -74,7 +82,70 @@ type Memoizer struct {
 
 // New returns an empty memoizer with no checkpoint file.
 func New() *Memoizer {
-	return &Memoizer{table: make(map[string]any)}
+	return &Memoizer{digests: make(map[string]map[uint64]any), other: make(map[string]any)}
+}
+
+// splitKey returns key's prefix and args digest when key has KeyFromPayload's
+// shape; ok is false for any other key.
+func splitKey(key string) (prefix string, digest uint64, ok bool) {
+	i := len(key) - 16
+	if i < 1 || key[i-1] != '|' {
+		return "", 0, false
+	}
+	for _, c := range []byte(key[i:]) {
+		switch {
+		case '0' <= c && c <= '9':
+			digest = digest<<4 | uint64(c-'0')
+		case 'a' <= c && c <= 'f':
+			digest = digest<<4 | uint64(c-'a'+10)
+		default:
+			return "", 0, false
+		}
+	}
+	return key[:i-1], digest, true
+}
+
+// eachLocked calls fn on every entry, with the key it was stored under,
+// until fn fails.
+func (m *Memoizer) eachLocked(fn func(key string, v any) error) error {
+	for prefix, byDigest := range m.digests {
+		for digest, v := range byDigest {
+			if err := fn(string(serialize.AppendDigest([]byte(prefix+"|"), digest)), v); err != nil {
+				return err
+			}
+		}
+	}
+	for key, v := range m.other {
+		if err := fn(key, v); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// getLocked and putLocked are the table's two operations, under mu.
+func (m *Memoizer) getLocked(key string) (any, bool) {
+	if prefix, digest, ok := splitKey(key); ok {
+		v, ok := m.digests[prefix][digest]
+		return v, ok
+	}
+	v, ok := m.other[key]
+	return v, ok
+}
+
+func (m *Memoizer) putLocked(key string, value any) {
+	prefix, digest, ok := splitKey(key)
+	if !ok {
+		m.other[key] = value
+		return
+	}
+	byDigest := m.digests[prefix]
+	if byDigest == nil {
+		byDigest = make(map[uint64]any)
+		// prefix is a substring of key: a copy keeps key itself unreferenced.
+		m.digests[strings.Clone(prefix)] = byDigest
+	}
+	byDigest[digest] = value
 }
 
 // NewWithCheckpoint returns a memoizer that appends every stored result to
@@ -143,7 +214,7 @@ func (m *Memoizer) loadCheckpoint(path string) (clean bool, err error) {
 			continue
 		}
 		m.mu.Lock()
-		m.table[e.Key] = e.Value
+		m.putLocked(e.Key, e.Value)
 		m.mu.Unlock()
 	}
 	return clean, nil
@@ -160,14 +231,12 @@ func (m *Memoizer) healCheckpoint(path string) error {
 	}
 	enc := json.NewEncoder(f)
 	m.mu.RLock()
-	for k, v := range m.table {
-		if err := enc.Encode(entry{Key: k, Value: v}); err != nil {
-			m.mu.RUnlock()
-			_ = f.Close()
-			return fmt.Errorf("memo: heal checkpoint: %w", err)
-		}
-	}
+	err = m.eachLocked(func(key string, v any) error { return enc.Encode(entry{Key: key, Value: v}) })
 	m.mu.RUnlock()
+	if err != nil {
+		_ = f.Close()
+		return fmt.Errorf("memo: heal checkpoint: %w", err)
+	}
 	if err := f.Sync(); err != nil {
 		_ = f.Close()
 		return fmt.Errorf("memo: heal checkpoint sync: %w", err)
@@ -208,7 +277,7 @@ func (m *Memoizer) LoadCheckpoint(path string) error {
 // Lookup returns the memoized value for key, if any.
 func (m *Memoizer) Lookup(key string) (any, bool) {
 	m.mu.RLock()
-	v, ok := m.table[key]
+	v, ok := m.getLocked(key)
 	m.mu.RUnlock()
 	m.cpMu.Lock()
 	if ok {
@@ -224,7 +293,7 @@ func (m *Memoizer) Lookup(key string) (any, bool) {
 // enabled, appends it durably.
 func (m *Memoizer) Store(key string, value any) error {
 	m.mu.Lock()
-	m.table[key] = value
+	m.putLocked(key, value)
 	m.mu.Unlock()
 
 	m.cpMu.Lock()
@@ -242,7 +311,11 @@ func (m *Memoizer) Store(key string, value any) error {
 func (m *Memoizer) Len() int {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	return len(m.table)
+	n := len(m.other)
+	for _, byDigest := range m.digests {
+		n += len(byDigest)
+	}
+	return n
 }
 
 // Stats returns cumulative (hits, misses).

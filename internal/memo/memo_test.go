@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -301,4 +302,79 @@ func TestFreezeStopsCheckpointWrites(t *testing.T) {
 	if _, ok := m2.Lookup("after"); ok {
 		t.Fatal("post-freeze entry leaked to disk")
 	}
+}
+
+// TestDigestKeysRoundTrip: keys of KeyFromPayload's shape and keys that only
+// resemble it — wrong case, wrong length, no separator, empty prefix — are
+// all distinct entries, and a checkpoint heal writes every key back exactly
+// as it was stored.
+func TestDigestKeysRoundTrip(t *testing.T) {
+	p, err := serialize.EncodeArgs([]any{7}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	canon := KeyFromPayload("app", "body", p)
+	digest := canon[len(canon)-16:]
+	keys := []string{
+		canon,
+		KeyFromPayload("app", "other-body", p),
+		"app|body|" + strings.ToUpper(digest),
+		"app|body|" + digest[1:],
+		"app|body|0" + digest,
+		"app|body" + digest,
+		"|" + digest,
+		digest,
+		"app|body|0123456789abcdeg",
+		"explicit-key",
+	}
+	m := New()
+	for i, k := range keys {
+		if err := m.Store(k, fmt.Sprint("v", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(m *Memoizer) {
+		t.Helper()
+		if m.Len() != len(keys) {
+			t.Fatalf("len = %d, want %d", m.Len(), len(keys))
+		}
+		for i, k := range keys {
+			if v, ok := m.Lookup(k); !ok || v != fmt.Sprint("v", i) {
+				t.Fatalf("key %q: %v, %v", k, v, ok)
+			}
+		}
+	}
+	check(m)
+	path := filepath.Join(t.TempDir(), "checkpoint.jsonl")
+	if err := m.healCheckpoint(path); err != nil {
+		t.Fatal(err)
+	}
+	reloaded := New()
+	if err := reloaded.LoadCheckpoint(path); err != nil {
+		t.Fatal(err)
+	}
+	check(reloaded)
+}
+
+// TestTableKeepsNoKeyString: an entry stored under a KeyFromPayload key holds
+// no copy of the key's text, so a table of fresh results grows by its map
+// slots alone — under the 48 bytes the key string itself would cost.
+func TestTableKeepsNoKeyString(t *testing.T) {
+	const n = 100_000
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	m := New()
+	for i := 0; i < n; i++ {
+		key := string(serialize.AppendDigest([]byte("memo_echo|0123456789abcdef|"), uint64(i)))
+		if err := m.Store(key, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if perEntry := float64(after.HeapAlloc-before.HeapAlloc) / n; perEntry >= 48 {
+		t.Fatalf("%.1f live bytes per entry, want < 48", perEntry)
+	}
+	runtime.KeepAlive(m)
 }

@@ -10,11 +10,14 @@
 // internal/serialize: hardware-accelerated, and any single flipped byte in a
 // record fails verification instead of replaying into a wrong frontier.
 //
-// Torn-tail policy: a truncated or checksum-corrupt record in the LAST
+// Torn-tail policy: a tear can be followed only by a partial frame or by
+// nothing. So a truncated or checksum-corrupt record at the end of the LAST
 // segment ends replay cleanly — it is the partial final write of a crashed
-// process, counted in Frontier.Torn and discarded, never an error. The same
-// damage in an earlier segment is real corruption (everything after it is
-// unreachable, because framing is lost) and replay fails loudly.
+// process, counted in Frontier.Torn and discarded, never an error. A bad
+// record followed by one that checks out is damage, not a tear, and replay
+// fails loudly, as it does for any damage in an earlier segment (everything
+// after it is unreachable, because framing is lost). A length field damaged
+// to reach past the end of the segment is indistinguishable from a tear.
 package wal
 
 import (
@@ -106,41 +109,60 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // frameHeaderLen is the per-record overhead: 4B length + 4B CRC.
 const frameHeaderLen = 8
 
-// appendFrame frames body onto dst.
-func appendFrame(dst, body []byte) []byte {
+// openFrame reserves a frame header on dst for a body appended after it;
+// sealFrame(b, start) fills in the header at start once the body is
+// complete, so a record is framed in place with no copy of its body.
+func openFrame(dst []byte) []byte {
 	var hdr [frameHeaderLen]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(len(body)))
-	binary.BigEndian.PutUint32(hdr[4:], crc32.Checksum(body, crcTable))
-	dst = append(dst, hdr[:]...)
-	return append(dst, body...)
+	return append(dst, hdr[:]...)
+}
+
+func sealFrame(b []byte, start int) {
+	body := b[start+frameHeaderLen:]
+	binary.BigEndian.PutUint32(b[start:], uint32(len(body)))
+	binary.BigEndian.PutUint32(b[start+4:], crc32.Checksum(body, crcTable))
 }
 
 // maxRecordBytes bounds a single record body; a length field beyond it is
 // framing damage, not a record (guards replay against absurd allocations).
 const maxRecordBytes = 64 << 20
 
+// frameAt reads the frame at off: its body, the offset just past it, and
+// whether it is whole and checks out (an empty body never does — a zeroed
+// tail is not a record). A frame that runs past the data ends at len(data).
+func frameAt(data []byte, off int) (body []byte, end int, ok bool) {
+	if off+frameHeaderLen > len(data) {
+		return nil, len(data), false
+	}
+	n := int(binary.BigEndian.Uint32(data[off : off+4]))
+	if n > maxRecordBytes || off+frameHeaderLen+n > len(data) {
+		return nil, len(data), false
+	}
+	body = data[off+frameHeaderLen : off+frameHeaderLen+n]
+	return body, off + frameHeaderLen + n,
+		n > 0 && crc32.Checksum(body, crcTable) == binary.BigEndian.Uint32(data[off+4:off+8])
+}
+
 // walkFrames iterates the well-formed frames of one segment, calling apply
 // for each body. It returns the byte offset just past the last good frame
 // and whether the segment ended with a torn record (truncated or
-// checksum-corrupt tail).
+// checksum-corrupt tail); a bad frame followed by a good one is an error.
 func walkFrames(data []byte, apply func(body []byte) error) (good int64, torn bool, err error) {
 	off := 0
 	for off < len(data) {
-		if off+frameHeaderLen > len(data) {
-			return int64(off), true, nil
-		}
-		n := int(binary.BigEndian.Uint32(data[off : off+4]))
-		if n > maxRecordBytes || off+frameHeaderLen+n > len(data) {
-			return int64(off), true, nil
-		}
-		body := data[off+frameHeaderLen : off+frameHeaderLen+n]
-		if crc32.Checksum(body, crcTable) != binary.BigEndian.Uint32(data[off+4:off+8]) {
+		body, end, ok := frameAt(data, off)
+		if !ok {
+			for next := end; next < len(data); {
+				if _, next, ok = frameAt(data, next); ok {
+					return int64(off), false, fmt.Errorf("wal: corrupt record at offset %d before an intact one", off)
+				}
+			}
 			return int64(off), true, nil
 		}
 		if err := apply(body); err != nil {
 			return int64(off), false, err
 		}
-		off += frameHeaderLen + n
+		off = end
 	}
 	return int64(off), false, nil
 }
@@ -286,7 +308,13 @@ func (f *Frontier) apply(body []byte) error {
 		// crash mid-compaction describe exactly the folded history.
 		nextKey := int64(r.uvarint("nextKey"))
 		folded := int64(r.uvarint("folded"))
+		// Each entry is a launch count, a length and a submit body: at least
+		// ten bytes, so the claim is bounded by the bytes left.
 		nLive := r.uvarint("nLive")
+		if nLive > uint64(len(r.b)/10) {
+			r.fail("nLive")
+			return r.err
+		}
 		live := make(map[int64]*TaskInfo, nLive)
 		for i := uint64(0); i < nLive; i++ {
 			launches := int(r.uvarint("launches"))

@@ -1,24 +1,35 @@
 // Package wal is the durable dataflow log: an append-only, CRC-32C-framed,
 // segment-rotated write-ahead log of task state transitions. The DFK appends
 // a record per transition — submit (with the encode-once payload bytes, memo
-// key, tenant, priority, and retry budget), launch, retry, terminal — through
-// a group-commit buffer, so the dispatch hot path pays one buffered memcpy
-// and a background committer batches the file writes and fsyncs. On restart,
-// replaying the segments rebuilds the exact pre-crash frontier: terminal
-// tasks resolve from the memo/checkpoint layer, live tasks are re-admitted
-// exactly once. Compaction folds fully-terminal history into a snapshot
-// record so the log stays O(live frontier), mirroring the task graph's
-// record-recycling story.
+// key, tenant, priority, and retry budget), launch, retry, terminal.
 //
-// Crash model: process death. Buffered appends that never reached the file
-// are lost (by design — group commit trades the tail for throughput), and a
-// torn final record is discarded at replay. The chaos plane can freeze the
-// log at any record boundary (chaos.PointWALAppend + ActKill) to simulate a
-// crash without killing the test process: the on-disk state is byte-for-byte
-// what a real death at that boundary leaves behind.
+// The log has two halves, a lock each. An append takes only the front end's
+// stageMu: it assigns the key and frames the record into a staging buffer —
+// one memcpy, no allocation in steady state. The back end (mu: the committer,
+// Sync, Compact, LiveCount, Close) swaps the stage out, folds it into the
+// live mirror, writes it in one Write, rotates and compacts, so a snapshot
+// covers exactly the records written before it. The committer drains every
+// SyncInterval, fsyncing outside its lock, and early once 64 KiB is staged;
+// an appender drains the stage itself only past 1 MiB, the one path on which
+// an append waits on the disk and the bound on the stage's memory.
+//
+// On restart, replaying the segments rebuilds the exact pre-crash frontier:
+// terminal tasks resolve from the memo/checkpoint layer, live tasks are
+// re-admitted exactly once. Compaction folds fully-terminal history into a
+// snapshot record so the log stays O(live frontier).
+//
+// Crash model: process death. Staged appends that never reached the file are
+// lost (group commit trades the tail for throughput), and a torn final record
+// is discarded at replay. A failed write is not a crash: the first write,
+// rotation or compaction error sticks, and Sync, Close and every later append
+// return it. The chaos plane can freeze the log at any record boundary
+// (chaos.PointWALAppend + ActKill) without killing the test process: the
+// killing append seals the stage, the back end writes exactly that stage,
+// and the disk holds byte-for-byte what a real death there leaves behind.
 package wal
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -47,14 +58,21 @@ const (
 	detailSync     = "sync"
 )
 
+// Stage thresholds: past kickBytes an append wakes the committer, past
+// stageBytes it drains the stage itself.
+const (
+	kickBytes  = 64 << 10
+	stageBytes = 1 << 20
+)
+
 // Options tune a Log; zero values select the defaults.
 type Options struct {
 	// SegmentBytes rotates to a new segment file once the current one
 	// exceeds this size (default 1 MiB).
 	SegmentBytes int64
-	// SyncInterval is the group-commit cadence: buffered records are written
-	// and fsynced at least this often (default 2ms). Appends between flushes
-	// cost one buffered memcpy.
+	// SyncInterval is the group-commit cadence: staged records are written
+	// and fsynced at least this often (default 2ms). Appends between drains
+	// cost one memcpy into the stage.
 	SyncInterval time.Duration
 	// CompactEvery folds terminal history into a snapshot after this many
 	// terminal records (default 4096; negative disables auto-compaction).
@@ -80,7 +98,7 @@ func (o *Options) normalize() {
 // liveTask is the in-memory mirror of one live task: its encoded submit body
 // (re-embedded into snapshot records at compaction) and its launch count.
 // Terminal tasks return their liveTask to a free list, so steady state
-// appends allocate nothing.
+// drains allocate nothing.
 type liveTask struct {
 	body     []byte
 	launches int
@@ -91,25 +109,33 @@ type Log struct {
 	dir  string
 	opts Options
 
+	// Front end: everything an append touches.
+	stageMu sync.Mutex
+	stage   []byte // framed records the back end has not taken yet
+	nextKey int64
+	closed  bool
+	crashed bool          // an injected crash sealed the stage
+	err     error         // the back end's first write error, sticky
+	kick    chan struct{} // wakes the committer early; a full one is skipped
+
+	// Back end: the segment files and the live mirror.
 	mu       sync.Mutex
+	spare    []byte // the stage the last drain took, handed back on the next
+	snap     []byte // compaction's snapshot frame, reused
 	f        *os.File
 	segIndex int
 	segBytes int64
-	buf      []byte // group-commit buffer: framed records not yet written
-	scratch  []byte // per-record body scratch, reused
 	// syncQ holds rotated-out segments awaiting their final sync+close; the
-	// committer drains it outside the lock so rotation never stalls appends
-	// on an fsync.
-	syncQ   []*os.File
-	crashed bool
-	closed  bool
+	// committer drains it outside the lock.
+	syncQ  []*os.File
+	frozen bool // the sealed stage is on disk and OnCrash has fired
 
-	nextKey int64
 	// The live mirror is a sliding window over the sequential key space:
-	// liveSeq[i] mirrors key liveBase+i (nil once terminal). Submissions
+	// liveSeq[i] mirrors key liveBase+i (nil once terminal), so the window's
+	// tail is the next key the written records have not used. Submissions
 	// append at the tail, settled prefixes slide off the head — O(1) per
-	// record with no map hashing inside the append critical section, and
-	// compaction walks it already in key order.
+	// record with no map hashing, and compaction walks it already in key
+	// order.
 	liveBase  int64
 	liveSeq   []*liveTask
 	liveN     int
@@ -232,6 +258,7 @@ func Open(dir string, opts Options) (*Log, error) {
 		nextKey:  fr.NextKey,
 		liveBase: fr.NextKey,
 		folded:   fr.Folded,
+		kick:     make(chan struct{}, 1),
 		done:     make(chan struct{}),
 	}
 	l.terminals = int64(len(fr.Terminals))
@@ -273,23 +300,23 @@ func (l *Log) Recovered() *Frontier { return l.recovered }
 func (l *Log) LiveCount() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	_ = l.drainLocked() // a failure sticks; appends, Sync and Close report it
 	return l.liveN
 }
 
 // Crashed reports whether an injected crash froze the log.
 func (l *Log) Crashed() bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
+	l.stageMu.Lock()
+	defer l.stageMu.Unlock()
 	return l.crashed
 }
 
-// commitLoop is the group-commit pump: every SyncInterval it writes buffered
-// records to the segment file and fsyncs, so an append is durable within one
-// interval without any fsync on the dispatch path. The fsync itself runs
-// OUTSIDE the log mutex — appends keep landing in the buffer while the disk
-// syncs, so the hot path never waits out a flush. (Fsyncing a file another
-// path has since closed — rotation, compaction — just returns ErrClosed,
-// which is fine: whoever closed it synced it first.)
+// commitLoop is the group-commit pump: it drains the stage when an append
+// kicks it, and every SyncInterval drains and fsyncs, so an append is durable
+// within one interval without any fsync on the dispatch path. The fsync runs
+// outside the back-end lock. (Fsyncing a file another path has since closed —
+// rotation, compaction — just returns ErrClosed, which is fine: whoever
+// closed it synced it first.)
 func (l *Log) commitLoop() {
 	defer l.committer.Done()
 	tick := time.NewTicker(l.opts.SyncInterval)
@@ -298,116 +325,206 @@ func (l *Log) commitLoop() {
 		select {
 		case <-l.done:
 			return
+		case <-l.kick:
+			l.mu.Lock()
+			_ = l.drainLocked() // sticky, as in LiveCount
+			l.mu.Unlock()
 		case <-tick.C:
 			l.mu.Lock()
-			if l.crashed || l.closed {
+			if l.frozen {
 				l.mu.Unlock()
 				return
 			}
 			if kill, _ := chaos.Crash(chaos.PointWALFsync, detailSync); kill {
-				l.freezeLocked()
+				l.stageMu.Lock()
+				l.crashed = true
+				l.stageMu.Unlock()
+			}
+			if l.drainLocked() != nil || l.frozen {
 				l.mu.Unlock()
 				return
 			}
-			l.flushLocked()
-			rotated := l.syncQ
+			rotated, f := l.syncQ, l.f
 			l.syncQ = nil
-			f := l.f
 			l.mu.Unlock()
 			for _, old := range rotated {
 				_ = old.Sync()
 				_ = old.Close()
 			}
-			if f != nil {
-				_ = f.Sync()
-			}
+			_ = f.Sync()
 		}
 	}
 }
 
-// checkAppendLocked gates one append: closed/crashed state first, then the
+// gateLocked gates one append: closed/crashed/failed state first, then the
 // chaos fault point — exactly one decision per record boundary, which is
-// what lets a test freeze the log at boundary k deterministically.
-func (l *Log) checkAppendLocked(detail string) error {
+// what lets a test freeze the log at boundary k deterministically. A kill
+// seals the stage: it holds exactly records 0..k-1 not yet written.
+func (l *Log) gateLocked(detail string) error {
 	if l.closed {
 		return ErrClosed
 	}
 	if l.crashed {
 		return ErrCrashed
 	}
+	if l.err != nil {
+		return l.err
+	}
 	kill, err := chaos.Crash(chaos.PointWALAppend, detail)
 	if kill {
-		l.freezeLocked()
+		l.crashed = true
 		return ErrCrashed
 	}
 	return err
 }
 
-// freezeLocked simulates the process dying at this record boundary: records
-// buffered BEFORE the boundary flush and sync (they had every chance to be
-// group-committed), the current and all later appends are lost, and the
-// OnCrash hook freezes the sibling durable layer (the memo checkpoint).
+// endAppend releases stageMu. A stage past kickBytes wakes the committer; one
+// past stageBytes, or sealed by a crash, is drained here, so a crashing append
+// returns only once the sealed stage is on disk and OnCrash has fired.
+func (l *Log) endAppend(err error) error {
+	n, crashed := len(l.stage), l.crashed
+	l.stageMu.Unlock()
+	if crashed || n >= stageBytes {
+		l.mu.Lock()
+		derr := l.drainLocked()
+		l.mu.Unlock()
+		if err == nil {
+			err = derr
+		}
+	} else if n >= kickBytes {
+		select {
+		case l.kick <- struct{}{}:
+		default:
+		}
+	}
+	return err
+}
+
+// drainLocked takes the stage from the front end and commits it: the live
+// mirror, one Write, rotation, then the compaction gate. A sealed stage is
+// written and the crash completed instead. It returns the sticky error.
+func (l *Log) drainLocked() error {
+	if l.frozen {
+		return nil
+	}
+	l.stageMu.Lock()
+	buf, crashed, err := l.stage, l.crashed, l.err
+	if !crashed {
+		l.stage, l.spare = l.spare[:0], buf
+	}
+	l.stageMu.Unlock()
+	if err == nil && len(buf) > 0 {
+		l.mirrorLocked(buf)
+		err = l.writeLocked(buf)
+		// Auto-compact only when the foldable history has caught up with the
+		// live frontier: a snapshot rewrites O(live) bytes to retire
+		// O(terminals) records, so requiring terminals ≥ live keeps the
+		// amortized cost per record constant.
+		if err == nil && !crashed && l.opts.CompactEvery > 0 &&
+			l.terminals >= int64(l.opts.CompactEvery) && l.terminals >= int64(l.liveN) {
+			err = l.compactLocked()
+		}
+		l.fail(err)
+	}
+	if crashed {
+		l.freezeLocked()
+		return nil
+	}
+	return err
+}
+
+// fail makes a non-nil err the log's sticky error unless an earlier one
+// already is, and returns err.
+func (l *Log) fail(err error) error {
+	if err != nil {
+		l.stageMu.Lock()
+		if l.err == nil {
+			l.err = err
+		}
+		l.stageMu.Unlock()
+	}
+	return err
+}
+
+// freezeLocked completes an injected crash once the sealed stage is written:
+// every segment is synced and the OnCrash hook freezes the sibling durable
+// layer (the memo checkpoint). The hook runs under mu, so the killing append,
+// whichever back-end caller got here first, returns after it.
 func (l *Log) freezeLocked() {
-	l.flushLocked()
+	l.frozen = true
 	l.drainSyncQLocked()
 	if l.f != nil {
 		_ = l.f.Sync()
 	}
-	l.crashed = true
 	if l.opts.OnCrash != nil {
 		l.opts.OnCrash()
 	}
 }
 
-// flushLocked writes the group-commit buffer to the segment file and rotates
-// the segment if it outgrew SegmentBytes. Rotation happens only at flush
-// boundaries, so a record never spans two segments.
-func (l *Log) flushLocked() {
-	if len(l.buf) == 0 || l.f == nil {
-		return
-	}
-	if _, err := l.f.Write(l.buf); err == nil {
-		l.segBytes += int64(len(l.buf))
-	}
-	l.buf = l.buf[:0]
-	if l.segBytes >= l.opts.SegmentBytes {
-		l.rotateLocked()
+// mirrorLocked folds drained frames into the live mirror, in stage order.
+func (l *Log) mirrorLocked(buf []byte) {
+	for len(buf) > 0 {
+		n := frameHeaderLen + int(binary.BigEndian.Uint32(buf))
+		body := buf[frameHeaderLen:n]
+		buf = buf[n:]
+		k, _ := binary.Uvarint(body[1:])
+		switch key := int64(k); body[0] {
+		case recSubmit:
+			lt := l.takeLive()
+			lt.body = append(lt.body, body[1:]...)
+			l.livePut(key, lt)
+		case recLaunch, recRetry:
+			if lt := l.liveGet(key); lt != nil {
+				lt.launches++
+			}
+		case recTerminal:
+			if lt := l.liveDelete(key); lt != nil {
+				l.freeList = append(l.freeList, lt)
+			}
+			l.terminals++
+		}
 	}
 }
 
+// writeLocked appends drained frames to the segment in one Write and rotates
+// once it outgrew SegmentBytes. Rotation happens only between drains, so a
+// record never spans two segments.
+func (l *Log) writeLocked(buf []byte) error {
+	if _, err := l.f.Write(buf); err != nil {
+		return fmt.Errorf("wal: write segment: %w", err)
+	}
+	l.segBytes += int64(len(buf))
+	if l.segBytes >= l.opts.SegmentBytes {
+		return l.rotateLocked()
+	}
+	return nil
+}
+
 // rotateLocked opens the next segment and queues the current one for its
-// final sync+close on the committer, off the append path. Under the
-// process-death crash model the written-but-unsynced tail survives in the
-// page cache; the deferred fsync only narrows the machine-death window.
-func (l *Log) rotateLocked() {
+// final sync+close on the committer. Under the process-death crash model the
+// written-but-unsynced tail survives in the page cache; the deferred fsync
+// only narrows the machine-death window.
+func (l *Log) rotateLocked() error {
 	next, err := os.OpenFile(filepath.Join(l.dir, segmentName(l.segIndex+1)),
 		os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
-		return // keep appending to the current segment; rotation is advisory
+		return fmt.Errorf("wal: rotate: %w", err)
 	}
 	l.syncQ = append(l.syncQ, l.f)
 	l.f = next
 	l.segIndex++
 	l.segBytes = 0
+	return nil
 }
 
 // drainSyncQLocked syncs and closes every rotated-out segment inline — the
-// full-durability paths (freeze, Sync, Close, compaction) use it.
+// full-durability paths (freeze, Sync, Close) use it.
 func (l *Log) drainSyncQLocked() {
 	for _, f := range l.syncQ {
 		_ = f.Sync()
 		_ = f.Close()
 	}
 	l.syncQ = l.syncQ[:0]
-}
-
-// appendLocked frames the scratch body into the group-commit buffer. Large
-// buffers flush inline so memory stays bounded between committer ticks.
-func (l *Log) appendLocked() {
-	l.buf = appendFrame(l.buf, l.scratch)
-	if len(l.buf) >= 64<<10 {
-		l.flushLocked()
-	}
 }
 
 // liveGet returns the live mirror entry for key, nil if not live.
@@ -430,7 +547,8 @@ func (l *Log) livePut(key int64, lt *liveTask) {
 }
 
 // liveDelete removes and returns key's entry, sliding the window past any
-// fully-settled prefix so the slice stays O(live span).
+// fully-settled prefix so the slice stays O(live span). A window that empties
+// restarts in place, keeping its array.
 func (l *Log) liveDelete(key int64) *liveTask {
 	idx := key - l.liveBase
 	if idx < 0 || idx >= int64(len(l.liveSeq)) || l.liveSeq[idx] == nil {
@@ -438,7 +556,10 @@ func (l *Log) liveDelete(key int64) *liveTask {
 	}
 	lt := l.liveSeq[idx]
 	l.liveSeq[idx] = nil
-	l.liveN--
+	if l.liveN--; l.liveN == 0 {
+		l.liveBase += int64(len(l.liveSeq))
+		l.liveSeq = l.liveSeq[:0]
+	}
 	for len(l.liveSeq) > 0 && l.liveSeq[0] == nil {
 		l.liveSeq = l.liveSeq[1:]
 		l.liveBase++
@@ -459,13 +580,11 @@ func (l *Log) takeLive() *liveTask {
 }
 
 // Submit appends a task's admission record and returns its durable key. The
-// payload bytes are copied into the log's buffers; the caller keeps
-// ownership of p.
+// payload bytes are copied into the stage; the caller keeps ownership of p.
 func (l *Log) Submit(app, memoKey, tenant string, priority, weight, maxRetries int, payload []byte) (int64, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if err := l.checkAppendLocked(detailSubmit); err != nil {
-		return 0, err
+	l.stageMu.Lock()
+	if err := l.gateLocked(detailSubmit); err != nil {
+		return 0, l.endAppend(err)
 	}
 	key := l.nextKey
 	l.nextKey++
@@ -473,13 +592,11 @@ func (l *Log) Submit(app, memoKey, tenant string, priority, weight, maxRetries i
 		Key: key, App: app, MemoKey: memoKey, Tenant: tenant,
 		Priority: priority, Weight: weight, MaxRetries: maxRetries, Payload: payload,
 	}
-	l.scratch = append(l.scratch[:0], recSubmit)
-	l.scratch = appendSubmitBody(l.scratch, &info)
-	l.appendLocked()
-	lt := l.takeLive()
-	lt.body = append(lt.body, l.scratch[1:]...)
-	l.livePut(key, lt)
-	return key, nil
+	start := len(l.stage)
+	l.stage = append(openFrame(l.stage), recSubmit)
+	l.stage = appendSubmitBody(l.stage, &info)
+	sealFrame(l.stage, start)
+	return key, l.endAppend(nil)
 }
 
 // Launch appends a task's first executor submission.
@@ -493,25 +610,18 @@ func (l *Log) Launch(key int64, attempt int) error {
 // Each key is still its own record (and its own chaos boundary). Returns the
 // first error; later keys in the batch are still attempted.
 func (l *Log) LaunchBatch(keys []int64) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
+	l.stageMu.Lock()
 	var first error
 	for _, key := range keys {
-		if err := l.checkAppendLocked(detailLaunch); err != nil {
+		if err := l.gateLocked(detailLaunch); err != nil {
 			if first == nil {
 				first = err
 			}
 			continue
 		}
-		l.scratch = append(l.scratch[:0], recLaunch)
-		l.scratch = appendUvarint(l.scratch, uint64(key))
-		l.scratch = appendUvarint(l.scratch, 1)
-		l.appendLocked()
-		if lt := l.liveGet(key); lt != nil {
-			lt.launches++
-		}
+		l.stageAttempt(recLaunch, key, 1)
 	}
-	return first
+	return l.endAppend(first)
 }
 
 // Retry appends a further attempt: launch budget consumed, durable across
@@ -521,64 +631,49 @@ func (l *Log) Retry(key int64, attempt int) error {
 }
 
 func (l *Log) attemptRecord(rec byte, detail string, key int64, attempt int) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if err := l.checkAppendLocked(detail); err != nil {
-		return err
+	l.stageMu.Lock()
+	err := l.gateLocked(detail)
+	if err == nil {
+		l.stageAttempt(rec, key, attempt)
 	}
-	l.scratch = append(l.scratch[:0], rec)
-	l.scratch = appendUvarint(l.scratch, uint64(key))
-	l.scratch = appendUvarint(l.scratch, uint64(attempt))
-	l.appendLocked()
-	if lt := l.liveGet(key); lt != nil {
-		lt.launches++
-	}
-	return nil
+	return l.endAppend(err)
+}
+
+// stageAttempt frames a launch or retry record into the stage.
+func (l *Log) stageAttempt(rec byte, key int64, attempt int) {
+	start := len(l.stage)
+	l.stage = append(openFrame(l.stage), rec)
+	l.stage = appendUvarint(l.stage, uint64(key))
+	l.stage = appendUvarint(l.stage, uint64(attempt))
+	sealFrame(l.stage, start)
 }
 
 // Terminal appends a task's conclusion. digest locates the durable result:
 // the memo key for done/memoized outcomes under memoization, "" otherwise.
 func (l *Log) Terminal(key int64, outcome Outcome, digest string) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if err := l.checkAppendLocked(detailTerminal); err != nil {
-		return err
+	l.stageMu.Lock()
+	err := l.gateLocked(detailTerminal)
+	if err == nil {
+		start := len(l.stage)
+		l.stage = append(openFrame(l.stage), recTerminal)
+		l.stage = appendUvarint(l.stage, uint64(key))
+		l.stage = appendUvarint(l.stage, uint64(outcome))
+		l.stage = appendString(l.stage, digest)
+		sealFrame(l.stage, start)
 	}
-	l.scratch = append(l.scratch[:0], recTerminal)
-	l.scratch = appendUvarint(l.scratch, uint64(key))
-	l.scratch = appendUvarint(l.scratch, uint64(outcome))
-	l.scratch = appendString(l.scratch, digest)
-	l.appendLocked()
-	if lt := l.liveDelete(key); lt != nil {
-		l.freeList = append(l.freeList, lt)
-	}
-	l.terminals++
-	// Auto-compact only when the foldable history has caught up with the live
-	// frontier: a snapshot rewrites O(live) bytes to retire O(terminals)
-	// records, so requiring terminals ≥ live keeps the amortized cost per
-	// record constant — a burst of submissions far ahead of completions never
-	// pays a giant snapshot to fold a sliver of history.
-	if l.opts.CompactEvery > 0 && l.terminals >= int64(l.opts.CompactEvery) &&
-		l.terminals >= int64(l.liveN) {
-		l.compactLocked()
-	}
-	return nil
+	return l.endAppend(err)
 }
 
-// Sync flushes the group-commit buffer and fsyncs — the durability point
-// tests and shutdown use; the committer provides it continuously.
+// Sync writes the stage and fsyncs — the durability point tests and
+// shutdown use; the committer provides it continuously.
 func (l *Log) Sync() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.crashed || l.closed {
-		return nil
+	if err := l.drainLocked(); err != nil || l.frozen || l.f == nil {
+		return err
 	}
-	l.flushLocked()
 	l.drainSyncQLocked()
-	if l.f != nil {
-		return l.f.Sync()
-	}
-	return nil
+	return l.f.Sync()
 }
 
 // Compact folds terminal history into a snapshot: the full frontier is
@@ -588,38 +683,39 @@ func (l *Log) Sync() error {
 func (l *Log) Compact() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.crashed || l.closed {
-		return nil
+	if err := l.drainLocked(); err != nil || l.frozen || l.f == nil {
+		return err
 	}
-	return l.compactLocked()
+	return l.fail(l.compactLocked())
 }
 
-// compactLocked writes the snapshot segment before deleting anything, so a
-// crash mid-compaction leaves either the old segments (snapshot ignored or
-// absent) or the snapshot superseding them — never a torn frontier.
+// compactLocked snapshots the mirror — exactly the records written so far —
+// and writes the snapshot segment before deleting anything, so a crash
+// mid-compaction leaves either the old segments (snapshot ignored or absent)
+// or the snapshot superseding them — never a torn frontier.
 func (l *Log) compactLocked() error {
-	l.flushLocked()
-	l.scratch = append(l.scratch[:0], recSnapshot)
-	l.scratch = appendUvarint(l.scratch, uint64(l.nextKey))
-	l.scratch = appendUvarint(l.scratch, uint64(l.folded+l.terminals))
-	l.scratch = appendUvarint(l.scratch, uint64(l.liveN))
+	b := append(openFrame(l.snap[:0]), recSnapshot)
+	b = appendUvarint(b, uint64(l.liveBase+int64(len(l.liveSeq))))
+	b = appendUvarint(b, uint64(l.folded+l.terminals))
+	b = appendUvarint(b, uint64(l.liveN))
 	// The window is already in ascending key order, so compaction output is
 	// deterministic for a given frontier (keeping the flip tests honest).
 	for _, lt := range l.liveSeq {
 		if lt == nil {
 			continue
 		}
-		l.scratch = appendUvarint(l.scratch, uint64(lt.launches))
-		l.scratch = appendBytes(l.scratch, lt.body)
+		b = appendUvarint(b, uint64(lt.launches))
+		b = appendBytes(b, lt.body)
 	}
+	sealFrame(b, 0)
+	l.snap = b
 	newIdx := l.segIndex + 1
 	path := filepath.Join(l.dir, segmentName(newIdx))
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
 		return fmt.Errorf("wal: compact: %w", err)
 	}
-	frame := appendFrame(nil, l.scratch)
-	if _, err := f.Write(frame); err != nil {
+	if _, err := f.Write(b); err != nil {
 		_ = f.Close()
 		return fmt.Errorf("wal: compact write: %w", err)
 	}
@@ -643,39 +739,33 @@ func (l *Log) compactLocked() error {
 	}
 	l.f = f
 	l.segIndex = newIdx
-	l.segBytes = int64(len(frame))
+	l.segBytes = int64(len(b))
 	l.folded += l.terminals
 	l.terminals = 0
 	return nil
 }
 
-// Close stops the committer, flushes, fsyncs, and closes the segment file.
-// After an injected crash it closes the file without writing anything more.
+// Close stops the committer, writes the stage, fsyncs, and closes the
+// segment file. After an injected crash it closes the file without writing
+// anything more.
 func (l *Log) Close() error {
-	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
+	l.stageMu.Lock()
+	closed := l.closed
+	l.closed = true
+	l.stageMu.Unlock()
+	if closed {
 		return nil
 	}
 	close(l.done)
-	l.mu.Unlock()
 	l.committer.Wait()
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.closed = true
-	if l.f == nil {
-		return nil
-	}
-	var err error
-	if !l.crashed {
-		l.flushLocked()
+	err := l.drainLocked()
+	if !l.frozen {
 		l.drainSyncQLocked()
-		err = l.f.Sync()
-	} else {
-		for _, qf := range l.syncQ {
-			_ = qf.Close()
+		if serr := l.f.Sync(); err == nil {
+			err = serr
 		}
-		l.syncQ = l.syncQ[:0]
 	}
 	if cerr := l.f.Close(); err == nil {
 		err = cerr

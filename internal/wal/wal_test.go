@@ -2,9 +2,12 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
@@ -473,5 +476,225 @@ func TestWALChaosFreeze(t *testing.T) {
 	if fr.Records != 2 || len(fr.Live) != 2 {
 		t.Fatalf("frozen disk replays records=%d live=%d; want exactly the 2 pre-boundary records",
 			fr.Records, len(fr.Live))
+	}
+}
+
+// TestWALWriteErrorSticks: a failed segment write is an error, not silent
+// data loss. The first write error sticks — Sync, every later append and
+// Close return it.
+func TestWALWriteErrorSticks(t *testing.T) {
+	opts := fastOpts()
+	opts.SyncInterval = time.Hour // only Sync writes
+	l, err := Open(t.TempDir(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k, err := l.Submit("w", "", "", 0, 0, 0, []byte("staged"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.mu.Lock()
+	_ = l.f.Close()
+	l.mu.Unlock()
+	if err := l.Sync(); !errors.Is(err, os.ErrClosed) {
+		t.Fatalf("Sync over a dead segment file: %v", err)
+	}
+	if _, err := l.Submit("w", "", "", 0, 0, 0, nil); !errors.Is(err, os.ErrClosed) {
+		t.Fatalf("Submit after a failed write: %v", err)
+	}
+	if err := l.Terminal(k, OutcomeDone, ""); !errors.Is(err, os.ErrClosed) {
+		t.Fatalf("Terminal after a failed write: %v", err)
+	}
+	if err := l.Close(); !errors.Is(err, os.ErrClosed) {
+		t.Fatalf("Close after a failed write: %v", err)
+	}
+}
+
+// TestWALMidSegmentCorruptionFails: a damaged record followed by intact ones
+// is corruption, not a torn tail, even in the final segment. Open and Replay
+// fail, and Open truncates none of the synced records after it.
+func TestWALMidSegmentCorruptionFails(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir, fastOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		if _, err := l.Submit("mid", "", "", 0, 0, 0, []byte(fmt.Sprintf("payload-%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	paths, _, err := listSegments(dir)
+	if err != nil || len(paths) != 1 {
+		t.Fatalf("want one segment, got %d (%v)", len(paths), err)
+	}
+	data, err := os.ReadFile(paths[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	second := frameHeaderLen + int(binary.BigEndian.Uint32(data))
+	data[second+frameHeaderLen+2] ^= 0xA5 // a body byte of record 2 of 4
+	if err := os.WriteFile(paths[0], data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if fr, err := Replay(dir); err == nil {
+		t.Fatalf("Replay took mid-segment damage for a torn tail: records=%d torn=%d", fr.Records, fr.Torn)
+	}
+	if l2, err := Open(dir, fastOpts()); err == nil {
+		_ = l2.Close()
+		t.Fatal("Open accepted mid-segment damage")
+	}
+	after, err := os.ReadFile(paths[0])
+	if err != nil || !bytes.Equal(after, data) {
+		t.Fatalf("the damaged segment changed on disk (%d → %d bytes, %v)", len(data), len(after), err)
+	}
+}
+
+// TestWALConcurrentAppenders: four appenders submit, launch in batches, retry
+// and conclude while a fifth goroutine drives the back end (Sync, Compact,
+// LiveCount) on a log that rotates and auto-compacts constantly. What replays
+// after Close equals a sequential model of the appends: live set, launches,
+// next key and terminal total.
+func TestWALConcurrentAppenders(t *testing.T) {
+	dir := t.TempDir()
+	opts := fastOpts()
+	opts.SegmentBytes = 4 << 10
+	opts.CompactEvery = 64
+	l, err := Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const appenders, perAppender = 4, 600
+	lives := make([]map[int64]*TaskInfo, appenders)
+	terminals := make([]int64, appenders)
+	stop, backEnd := make(chan struct{}), make(chan error, 1)
+	go func() {
+		var err error
+		for i := 0; err == nil; i++ {
+			select {
+			case <-stop:
+				backEnd <- nil
+				return
+			default:
+			}
+			switch i % 3 {
+			case 0:
+				err = l.Sync()
+			case 1:
+				err = l.Compact()
+			default:
+				_ = l.LiveCount()
+			}
+		}
+		backEnd <- err
+	}()
+	var wg sync.WaitGroup
+	for g := range lives {
+		live := map[int64]*TaskInfo{}
+		lives[g] = live
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			check := func(err error) bool {
+				if err != nil {
+					t.Error(err)
+				}
+				return err == nil
+			}
+			app := fmt.Sprintf("app-%d", g)
+			var batch []int64
+			for i := 0; i < perAppender; i++ {
+				payload := []byte(fmt.Sprintf("%d/%d", g, i))
+				k, err := l.Submit(app, "", "t", i%5, 1, 2, payload)
+				if !check(err) {
+					return
+				}
+				live[k] = &TaskInfo{Key: k, App: app, Tenant: "t", Priority: i % 5, Weight: 1, MaxRetries: 2, Payload: payload}
+				if batch = append(batch, k); len(batch) < 4 {
+					continue
+				}
+				if !check(l.LaunchBatch(batch)) {
+					return
+				}
+				for j, k := range batch {
+					live[k].Launches++
+					if j%2 == 0 { // retried
+						if !check(l.Retry(k, 2)) {
+							return
+						}
+						live[k].Launches++
+					}
+					if j < 3 { // concluded; the fourth stays live
+						if !check(l.Terminal(k, OutcomeDone, "")) {
+							return
+						}
+						delete(live, k)
+						terminals[g]++
+					}
+				}
+				batch = batch[:0]
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	if err := <-backEnd; err != nil {
+		t.Fatal(err)
+	}
+	model := &Frontier{NextKey: appenders*perAppender + 1, Live: map[int64]*TaskInfo{}}
+	for g, live := range lives {
+		for k, info := range live {
+			model.Live[k] = info
+		}
+		model.Folded += terminals[g]
+	}
+	if n := l.LiveCount(); n != len(model.Live) {
+		t.Fatalf("LiveCount = %d, model %d", n, len(model.Live))
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	fr, err := Replay(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	equalLiveSets(t, model, fr)
+}
+
+// TestWALAppendsAllocationFree: in steady state an append allocates nothing
+// — Submit, LaunchBatch and Terminal frame into a reused stage, and the back
+// end recycles mirror entries and swaps the stage buffers.
+func TestWALAppendsAllocationFree(t *testing.T) {
+	l, err := Open(t.TempDir(), fastOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	payload := bytes.Repeat([]byte("p"), 64)
+	keys := make([]int64, 1)
+	op := func() {
+		k, err := l.Submit("alloc", "memo", "tenant", 1, 1, 2, payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys[0] = k
+		if err := l.LaunchBatch(keys); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Terminal(k, OutcomeDone, "memo"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 4096; i++ {
+		op()
+	}
+	if err := l.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(2000, op); n != 0 {
+		t.Fatalf("Submit + LaunchBatch + Terminal: %v allocations per task, want 0", n)
 	}
 }

@@ -1,7 +1,10 @@
 package mq
 
 import (
+	"bufio"
 	"bytes"
+	"fmt"
+	"io"
 	"runtime"
 	"testing"
 
@@ -110,6 +113,101 @@ func FuzzReadFrame(f *testing.F) {
 		for i := range m {
 			if !bytes.Equal(again[i], m[i]) {
 				t.Fatalf("part %d changed on the round trip", i)
+			}
+		}
+	})
+}
+
+// chunks hands out in in pieces whose sizes cycle through cuts (a byte c is
+// a piece of c+1 bytes; no cuts is one piece), then io.EOF on every read, as
+// a closed connection keeps returning its error.
+type chunks struct {
+	in, cuts []byte
+	i        int
+}
+
+func (c *chunks) Read(p []byte) (int, error) {
+	if len(c.in) == 0 {
+		return 0, io.EOF
+	}
+	n := len(c.in)
+	if len(c.cuts) > 0 {
+		n = min(n, int(c.cuts[c.i%len(c.cuts)])+1)
+		c.i++
+	}
+	n = copy(p, c.in[:n])
+	c.in = c.in[n:]
+	return n, nil
+}
+
+// FuzzConnRecv feeds arbitrary bytes to Conn.Recv in fuzzer-chosen pieces
+// through a read buffer of fuzzer-chosen size, so frames take both the
+// in-buffer parse and the readFrame fallback and straddle buffer fills.
+// Message for message and error for error, Recv must read what readFrame
+// reads from the same bytes, within FuzzReadFrame's allocation bound, and
+// every part's capacity must be its length.
+func FuzzConnRecv(f *testing.F) {
+	var stream bytes.Buffer
+	for _, m := range []Message{
+		{[]byte("HELLO"), []byte("mgr-0")},
+		{[]byte("HB"), []byte("digest-a"), []byte("digest-b")},
+		{},
+		{[]byte("TASKB"), bytes.Repeat([]byte{7}, 300)},
+		{[]byte("RESULTS"), bytes.Repeat([]byte{9}, 20_000), nil},
+		{[]byte("BYE")},
+	} {
+		if err := writeFrame(&stream, m); err != nil {
+			f.Fatal(err)
+		}
+	}
+	s := stream.Bytes()
+	for _, cuts := range [][]byte{nil, {0}, {6, 200, 31}} {
+		for _, size := range []uint16{0, 100, recvBuffer - 16} {
+			f.Add(s, cuts, size)
+			f.Add(s[:len(s)-1], cuts, size)
+			f.Add(s[:len(s)/3], cuts, size)
+		}
+	}
+	f.Add([]byte{0, 0, 0, 1, 4, 0, 0, 0}, []byte(nil), uint16(0))
+
+	f.Fuzz(func(t *testing.T, in, cuts []byte, size uint16) {
+		// Every message is read, so the cost grows with the input; 128 KiB
+		// holds many frames larger than the largest buffer.
+		in = in[:min(len(in), 128<<10)]
+		c := &Conn{r: bufio.NewReaderSize(&chunks{in: in, cuts: cuts}, 16+int(size)%(2*recvBuffer))}
+		got := make([]Message, 0, len(in)/4+1)
+		var err error
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for err == nil {
+			var m Message
+			if m, err = c.Recv(); err == nil {
+				got = append(got, m)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		if used, limit := after.TotalAlloc-before.TotalAlloc, uint64(firstPart+4<<10+8*len(in)); used > limit {
+			t.Fatalf("receiving a %d-byte input allocated %d bytes (limit %d)", len(in), used, limit)
+		}
+		r := bytes.NewReader(in)
+		for i := 0; ; i++ {
+			want, wantErr := readFrame(r)
+			if wantErr != nil {
+				if i != len(got) || fmt.Sprint(err) != fmt.Sprint(wantErr) {
+					t.Fatalf("Recv read %d messages, then %v; readFrame read %d, then %v", len(got), err, i, wantErr)
+				}
+				return
+			}
+			if i == len(got) {
+				t.Fatalf("Recv failed after %d messages (%v); readFrame read another", i, err)
+			}
+			if len(got[i]) != len(want) {
+				t.Fatalf("message %d: Recv read %d parts, readFrame %d", i, len(got[i]), len(want))
+			}
+			for j, part := range got[i] {
+				if !bytes.Equal(part, want[j]) || cap(part) != len(part) {
+					t.Fatalf("message %d part %d: Recv read %x (cap %d), readFrame %x", i, j, part, cap(part), want[j])
+				}
 			}
 		}
 	})

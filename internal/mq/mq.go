@@ -6,6 +6,7 @@
 package mq
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -32,28 +33,41 @@ type Message [][]byte
 
 // writeFrame writes one multipart message: u32 part count, then u32
 // length-prefixed parts.
-func writeFrame(w io.Writer, m Message) error {
+func writeFrame(w io.Writer, m Message) error { return new(frameWriter).write(w, m) }
+
+// frameWriter is the scratch a frame is sent from: its count and length
+// fields, and the buffers handed to one net.Buffers.WriteTo — one writev on
+// a TCP conn, one Write per buffer on any other writer.
+type frameWriter struct {
+	fields []byte
+	bufs   [][]byte
+	vec    net.Buffers // bufs, as WriteTo consumes it; a field, so the call does not allocate
+}
+
+// write checks the whole message before it writes a byte of it, so a refused
+// message leaves the stream in step, and keeps no part referenced after.
+func (f *frameWriter) write(w io.Writer, m Message) error {
 	if len(m) > MaxParts {
 		return fmt.Errorf("mq: %d parts exceeds limit", len(m))
-	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(m)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
 	}
 	for _, part := range m {
 		if len(part) > MaxPartSize {
 			return fmt.Errorf("mq: part of %d bytes exceeds limit", len(part))
 		}
-		binary.BigEndian.PutUint32(hdr[:], uint32(len(part)))
-		if _, err := w.Write(hdr[:]); err != nil {
-			return err
-		}
-		if _, err := w.Write(part); err != nil {
-			return err
-		}
 	}
-	return nil
+	n := 4 * (1 + len(m))
+	f.fields = slices.Grow(f.fields[:0], n)[:n]
+	binary.BigEndian.PutUint32(f.fields, uint32(len(m)))
+	f.bufs = append(f.bufs[:0], f.fields[:4])
+	for i, part := range m {
+		field := f.fields[4*(i+1) : 4*(i+2)]
+		binary.BigEndian.PutUint32(field, uint32(len(part)))
+		f.bufs = append(f.bufs, field, part)
+	}
+	f.vec = f.bufs
+	_, err := f.vec.WriteTo(w)
+	clear(f.bufs)
+	return err
 }
 
 // The first allocation for a frame's part list and for each part is capped:
@@ -92,9 +106,10 @@ func readFrame(r io.Reader) (Message, error) {
 	return m, nil
 }
 
-// readPart reads an n-byte part. A part up to firstPart bytes is one
-// allocation; a longer one at most doubles what has arrived, so a claim the
-// stream does not back costs a bounded multiple of the bytes actually read.
+// readPart reads an n-byte part, with capacity n. A part up to firstPart
+// bytes is one allocation; a longer one at most doubles what has arrived, so
+// a claim the stream does not back costs a bounded multiple of the bytes
+// actually read.
 func readPart(r io.Reader, n int) ([]byte, error) {
 	part := make([]byte, 0, min(n, firstPart))
 	for len(part) < n {
@@ -107,31 +122,85 @@ func readPart(r io.Reader, n int) ([]byte, error) {
 			return nil, err
 		}
 	}
-	return part, nil
+	return part[:n:n], nil
 }
+
+// recvBuffer is a Conn's read buffer, the largest frame Recv parses in place:
+// htex task batches reach ≈5 KiB; a rarer, larger heartbeat takes readFrame.
+const recvBuffer = 8 << 10
 
 // Conn is a framed connection with a serialized writer, safe for concurrent
 // Send from multiple goroutines. Recv must be called from one goroutine.
 type Conn struct {
 	raw net.Conn
+	r   *bufio.Reader
+
 	wmu sync.Mutex
+	w   frameWriter
 
 	closeOnce sync.Once
 	closeErr  error
 }
 
 // NewConn wraps a raw connection.
-func NewConn(raw net.Conn) *Conn { return &Conn{raw: raw} }
+func NewConn(raw net.Conn) *Conn {
+	return &Conn{raw: raw, r: bufio.NewReaderSize(raw, recvBuffer)}
+}
 
 // Send writes one multipart message.
 func (c *Conn) Send(m Message) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	return writeFrame(c.raw, m)
+	return c.w.write(c.raw, m)
 }
 
-// Recv reads one multipart message.
-func (c *Conn) Recv() (Message, error) { return readFrame(c.raw) }
+// Recv reads one multipart message. A frame that fits the read buffer is
+// copied out into one allocation its parts share; any other frame, or one
+// whose bytes stop short, goes to readFrame, which meets the same bytes and
+// the same error from the connection.
+func (c *Conn) Recv() (Message, error) {
+	if m := c.peekFrame(); m != nil {
+		return m, nil
+	}
+	return readFrame(c.r)
+}
+
+// peekFrame returns the next frame if it fits the read buffer, consuming it,
+// or nil without consuming anything. It only waits for bytes the frame's
+// headers claim. Each part's capacity is its length, so an append to one
+// cannot overwrite the next.
+func (c *Conn) peekFrame() Message {
+	b, err := c.r.Peek(4)
+	if err != nil {
+		return nil
+	}
+	// A Peek past the buffer's size fills it, with bytes the frame claims,
+	// and fails: a frame too large is given up at its first header past it.
+	nparts, end := binary.BigEndian.Uint32(b), 4
+	for range nparts {
+		if b, err = c.r.Peek(end + 4); err != nil {
+			return nil
+		}
+		n := binary.BigEndian.Uint32(b[end:])
+		if n > uint32(c.r.Size()-end-4) {
+			return nil
+		}
+		end += 4 + int(n)
+	}
+	if b, err = c.r.Peek(end); err != nil {
+		return nil
+	}
+	m := make(Message, nparts)
+	body := make([]byte, end-4*(1+len(m)))
+	for i, off := 0, 4; i < len(m); i++ {
+		n := int(binary.BigEndian.Uint32(b[off:]))
+		m[i], body = body[:n:n], body[n:]
+		copy(m[i], b[off+4:])
+		off += 4 + n
+	}
+	_, _ = c.r.Discard(end)
+	return m
+}
 
 // Close closes the underlying connection.
 func (c *Conn) Close() error {
@@ -189,13 +258,14 @@ type PeerEvent struct {
 // Router is the hub socket: it accepts dealer connections, learns their
 // identities from the handshake, and routes outbound messages by identity.
 type Router struct {
-	l          net.Listener
-	incoming   chan Delivery
-	events     chan PeerEvent
-	mu         sync.Mutex
-	peers      map[string]*Conn
-	closed     bool
-	acceptDone sync.WaitGroup
+	l        net.Listener
+	incoming chan Delivery
+	events   chan PeerEvent
+	done     chan struct{} // closed by Close: a receive loop stops delivering
+	mu       sync.Mutex
+	peers    map[string]*Conn
+	closed   bool
+	wg       sync.WaitGroup // acceptLoop and every registered receive loop
 }
 
 // NewRouter starts a router listening on addr over tr.
@@ -208,9 +278,10 @@ func NewRouter(tr simnet.Transport, addr string) (*Router, error) {
 		l:        l,
 		incoming: make(chan Delivery, 4096),
 		events:   make(chan PeerEvent, 1024),
+		done:     make(chan struct{}),
 		peers:    make(map[string]*Conn),
 	}
-	r.acceptDone.Add(1)
+	r.wg.Add(1)
 	go r.acceptLoop()
 	return r, nil
 }
@@ -219,7 +290,7 @@ func NewRouter(tr simnet.Transport, addr string) (*Router, error) {
 func (r *Router) Addr() string { return r.l.Addr().String() }
 
 func (r *Router) acceptLoop() {
-	defer r.acceptDone.Done()
+	defer r.wg.Done()
 	for {
 		raw, err := r.l.Accept()
 		if err != nil {
@@ -248,21 +319,22 @@ func (r *Router) serveConn(c *Conn) {
 		_ = old.Close()
 	}
 	r.peers[id] = c
+	r.wg.Add(1) // under mu while not closed, so before Close's Wait
+	defer r.wg.Done()
 	r.mu.Unlock()
 	r.notify(PeerEvent{ID: id, Joined: true})
 
+loop:
 	for {
 		m, err := c.Recv()
 		if err != nil {
 			break
 		}
-		r.mu.Lock()
-		closed := r.closed
-		r.mu.Unlock()
-		if closed {
-			break
+		select {
+		case r.incoming <- Delivery{From: id, Msg: m}:
+		case <-r.done:
+			break loop
 		}
-		r.incoming <- Delivery{From: id, Msg: m}
 	}
 
 	r.mu.Lock()
@@ -323,7 +395,8 @@ func (r *Router) Disconnect(id string) {
 	}
 }
 
-// Close shuts the router down, closing all peer connections.
+// Close shuts the router down, closing all peer connections. It returns once
+// every peer's receive loop has exited, and then closes Incoming.
 func (r *Router) Close() error {
 	r.mu.Lock()
 	if r.closed {
@@ -338,10 +411,12 @@ func (r *Router) Close() error {
 	r.peers = map[string]*Conn{}
 	r.mu.Unlock()
 
+	close(r.done)
 	err := r.l.Close()
 	for _, c := range peers {
 		_ = c.Close()
 	}
-	r.acceptDone.Wait()
+	r.wg.Wait()
+	close(r.incoming)
 	return err
 }

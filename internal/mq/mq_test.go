@@ -3,6 +3,8 @@ package mq
 import (
 	"bytes"
 	"fmt"
+	"slices"
+	"strconv"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -271,6 +273,161 @@ func TestOverTCPTransport(t *testing.T) {
 	del := <-r.Incoming()
 	if del.From != "tcp-worker" || string(del.Msg[0]) != "over-tcp" {
 		t.Fatalf("delivery = %+v", del)
+	}
+}
+
+// TestRefusedSendLeavesStreamInStep: a message refused for its second part's
+// size must not have written its first part, or the receiver reads the next
+// frame out of step, and every frame after it.
+func TestRefusedSendLeavesStreamInStep(t *testing.T) {
+	n := newNet()
+	r, _ := NewRouter(n, "hub")
+	defer r.Close()
+	d, err := DialDealer(n, "hub", "w")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	if err := d.Send(Message{[]byte("A"), make([]byte, MaxPartSize+1)}); err == nil {
+		t.Fatal("a part over MaxPartSize was sent")
+	}
+	if err := d.Send(Message{[]byte("NEXT")}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case del := <-r.Incoming():
+		if len(del.Msg) != 1 || string(del.Msg[0]) != "NEXT" {
+			t.Fatalf("after a refused Send the router read %q, want [NEXT]", del.Msg)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("no delivery after a refused Send")
+	}
+}
+
+// TestRouterCloseClosesIncoming: Close returns with a receive loop blocked on
+// a full Incoming, and then a range over Incoming ends.
+func TestRouterCloseClosesIncoming(t *testing.T) {
+	n := newNet()
+	r, _ := NewRouter(n, "hub")
+	d, err := DialDealer(n, "hub", "w")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	for range cap(r.incoming) + 1 {
+		if err := d.Send(Message{[]byte("x")}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, func() bool { return len(r.Incoming()) == cap(r.incoming) })
+	closed := make(chan error, 1)
+	go func() { closed <- r.Close() }()
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("Close hung with a receive loop blocked on a full Incoming")
+	}
+	ranged := make(chan int, 1)
+	go func() {
+		k := 0
+		for range r.Incoming() {
+			k++
+		}
+		ranged <- k
+	}()
+	select {
+	case k := <-ranged:
+		if k < cap(r.incoming) {
+			t.Fatalf("ranged over %d deliveries, want the %d buffered", k, cap(r.incoming))
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("a range over Incoming did not end after Close")
+	}
+}
+
+// TestConnTCPManyParts: over TCP a frame is one vectored write, and Linux
+// takes at most 1024 buffers per writev; a 2000-part frame and a 1 MiB part
+// must both arrive intact, in both directions.
+func TestConnTCPManyParts(t *testing.T) {
+	var tr simnet.TCP
+	r, err := NewRouter(tr, "127.0.0.1:0")
+	if err != nil {
+		t.Skipf("tcp unavailable: %v", err)
+	}
+	defer r.Close()
+	d, err := DialDealer(tr, r.Addr(), "tcp-worker")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	many := make(Message, 2000)
+	for i := range many {
+		many[i] = []byte(strconv.Itoa(i))
+	}
+	big := Message{[]byte("big"), bytes.Repeat([]byte("0123456789abcdef"), 1<<16)}
+	same := func(a, b Message) bool {
+		return slices.EqualFunc(a, b, func(x, y []byte) bool { return bytes.Equal(x, y) })
+	}
+	for _, m := range []Message{many, big} {
+		if err := d.Send(m); err != nil {
+			t.Fatal(err)
+		}
+		del := <-r.Incoming()
+		if !same(del.Msg, m) {
+			t.Fatalf("router received %d parts, want the %d sent", len(del.Msg), len(m))
+		}
+		if err := r.SendTo("tcp-worker", m); err != nil {
+			t.Fatal(err)
+		}
+		back, err := d.Recv()
+		if err != nil || !same(back, m) {
+			t.Fatalf("dealer received %d parts (%v), want the %d sent", len(back), err, len(m))
+		}
+	}
+}
+
+// BenchmarkRouterRoundTrip: a dealer's 64-byte message echoed by the router,
+// one at a time, over each transport.
+func BenchmarkRouterRoundTrip(b *testing.B) {
+	for _, tc := range []struct {
+		name string
+		tr   simnet.Transport
+		addr string
+	}{
+		{"simnet", simnet.NewNetwork(0), ":0"},
+		{"tcp", simnet.TCP{}, "127.0.0.1:0"},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			r, err := NewRouter(tc.tr, tc.addr)
+			if err != nil {
+				b.Skipf("%s unavailable: %v", tc.name, err)
+			}
+			defer r.Close()
+			go func() {
+				for del := range r.Incoming() {
+					_ = r.SendTo(del.From, del.Msg)
+				}
+			}()
+			d, err := DialDealer(tc.tr, r.Addr(), "bench")
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer d.Close()
+			msg := Message{[]byte("PING"), make([]byte, 64)}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for range b.N {
+				if err := d.Send(msg); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := d.Recv(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -5,6 +5,11 @@
 // loopback — used to validate correctness and measure genuine overheads) or
 // an in-memory simulated network with configurable round-trip latency that
 // stands in for the testbed interconnects.
+//
+// An in-memory connection is a byte stream each way, like TCP's: a Write
+// appends to a reused buffer, a Read takes every readable byte across write
+// boundaries (a byte is readable once its write's delay has passed), and a
+// writer parks while 1 MiB (maxUnread) waits unread.
 package simnet
 
 import (
@@ -171,129 +176,192 @@ type simAddr string
 func (a simAddr) Network() string { return "sim" }
 func (a simAddr) String() string  { return string(a) }
 
-// packet is one Write's worth of bytes with its scheduled delivery time.
-type packet struct {
-	data []byte
-	at   time.Time
+const (
+	maxUnread  = 1 << 20  // a Write past this many unread bytes parks, unless none are unread
+	keepBuffer = 64 << 10 // a drained pipe releases a buffer that grew past this
+)
+
+// mark is a delayed write: the bytes up to stream offset end are readable from at.
+type mark struct {
+	end int64
+	at  time.Time
 }
 
-// conn is one direction-pair endpoint of an in-memory connection.
+// conn is one endpoint of an in-memory connection. The fields from mu on are
+// its inbound pipe: what the peer wrote and c has not read yet.
 type conn struct {
 	local, remote simAddr
 	delay         time.Duration
 	jitter        time.Duration
+	peer          *conn
 
-	in   chan packet // written by the peer
-	peer *conn
-
-	mu        sync.Mutex
-	leftover  []byte
 	closed    chan struct{}
 	closeOnce sync.Once
 
-	deadlineMu   sync.Mutex
+	mu           sync.Mutex
+	buf          []byte // the unread bytes are buf[off:]
+	off          int
+	written      int64 // stream offsets: bytes written, read, and readable
+	read, vis    int64
+	marks        []mark // delayed writes not yet readable, oldest first from mhead
+	mhead        int
 	readDeadline time.Time
+	readable     chan struct{} // 1-buffered: the peer wrote
+	writable     chan struct{} // 1-buffered: c read, making room for a parked writer
 }
 
 func newPair(addr string, delay, jitter time.Duration) (client, server *conn) {
-	client = &conn{
-		local: "client", remote: simAddr(addr),
-		delay: delay, jitter: jitter,
-		in:     make(chan packet, 4096),
-		closed: make(chan struct{}),
-	}
-	server = &conn{
-		local: simAddr(addr), remote: "client",
-		delay: delay, jitter: jitter,
-		in:     make(chan packet, 4096),
-		closed: make(chan struct{}),
-	}
-	client.peer = server
-	server.peer = client
+	client = newConn("client", simAddr(addr), delay, jitter)
+	server = newConn(simAddr(addr), "client", delay, jitter)
+	client.peer, server.peer = server, client
 	return client, server
 }
 
-// Write implements net.Conn. The bytes become readable at the peer after the
-// one-way delay.
-func (c *conn) Write(b []byte) (int, error) {
-	select {
-	case <-c.closed:
-		return 0, io.ErrClosedPipe
-	case <-c.peer.closed:
-		return 0, io.ErrClosedPipe
-	default:
-	}
-	data := make([]byte, len(b))
-	copy(data, b)
-	p := packet{data: data, at: time.Now().Add(c.delay)}
-	select {
-	case c.peer.in <- p:
-		return len(b), nil
-	case <-c.peer.closed:
-		return 0, io.ErrClosedPipe
-	case <-c.closed:
-		return 0, io.ErrClosedPipe
+func newConn(local, remote simAddr, delay, jitter time.Duration) *conn {
+	return &conn{
+		local: local, remote: remote, delay: delay, jitter: jitter,
+		closed:   make(chan struct{}),
+		readable: make(chan struct{}, 1),
+		writable: make(chan struct{}, 1),
 	}
 }
 
-// Read implements net.Conn, honoring read deadlines.
+// signal wakes whoever waits on ch, or leaves the wake-up for the next one.
+func signal(ch chan struct{}) {
+	select {
+	case ch <- struct{}{}:
+	default:
+	}
+}
+
+func isClosed(ch chan struct{}) bool {
+	select {
+	case <-ch:
+		return true
+	default:
+		return false
+	}
+}
+
+// Write implements net.Conn. The bytes become readable at the peer after the
+// one-way delay. While the peer holds maxUnread bytes unread, Write parks
+// until it reads; once either end is closed it fails with io.ErrClosedPipe.
+func (c *conn) Write(b []byte) (int, error) {
+	p := c.peer
+	for !isClosed(c.closed) && !isClosed(p.closed) {
+		p.mu.Lock()
+		if unread := p.written - p.read; unread == 0 || unread+int64(len(b)) <= maxUnread {
+			p.push(b)
+			p.mu.Unlock()
+			signal(p.readable)
+			return len(b), nil
+		}
+		p.mu.Unlock()
+		select {
+		case <-p.writable:
+		case <-c.closed:
+		case <-p.closed:
+		}
+	}
+	return 0, io.ErrClosedPipe
+}
+
+// push appends one write to c's inbound pipe (c.mu held). Read bytes and
+// marks are slid out before the arrays would grow, so they grow only with
+// what is unread.
+func (c *conn) push(b []byte) {
+	if c.off > 0 && len(c.buf)+len(b) > cap(c.buf) {
+		c.buf = c.buf[:copy(c.buf, c.buf[c.off:])]
+		c.off = 0
+	}
+	c.buf = append(c.buf, b...)
+	c.written += int64(len(b))
+	if c.delay <= 0 {
+		c.vis = c.written
+		return
+	}
+	if c.mhead > 0 && len(c.marks) == cap(c.marks) {
+		c.marks = c.marks[:copy(c.marks, c.marks[c.mhead:])]
+		c.mhead = 0
+	}
+	c.marks = append(c.marks, mark{end: c.written, at: time.Now().Add(c.delay)})
+}
+
+// Read implements net.Conn. It returns every byte already readable, up to
+// len(b), across write boundaries, and waits for the first one until the
+// read deadline. After the peer closes, what it wrote is still read, then
+// io.EOF.
 func (c *conn) Read(b []byte) (int, error) {
 	c.mu.Lock()
-	if len(c.leftover) > 0 {
-		n := copy(b, c.leftover)
-		c.leftover = c.leftover[n:]
-		c.mu.Unlock()
-		return n, nil
-	}
-	c.mu.Unlock()
-
-	var deadlineCh <-chan time.Time
-	c.deadlineMu.Lock()
 	dl := c.readDeadline
-	c.deadlineMu.Unlock()
-	var timer *time.Timer
+	c.mu.Unlock()
+	var deadline <-chan time.Time
 	if !dl.IsZero() {
 		d := time.Until(dl)
 		if d <= 0 {
 			return 0, timeoutError{}
 		}
-		timer = time.NewTimer(d)
-		deadlineCh = timer.C
+		timer := time.NewTimer(d)
 		defer timer.Stop()
+		deadline = timer.C
 	}
-
-	deliver := func(p packet) (int, error) {
-		// Model the wire delay: bytes are not visible before p.at.
-		if wait := time.Until(p.at); wait > 0 {
-			time.Sleep(wait)
+	for {
+		// A peer seen closed before the pipe is read has written its last.
+		peerGone := isClosed(c.peer.closed)
+		c.mu.Lock()
+		n := c.take(b)
+		var at time.Time // when the oldest write not yet readable becomes so
+		if c.mhead < len(c.marks) {
+			at = c.marks[c.mhead].at
 		}
-		n := copy(b, p.data)
-		if n < len(p.data) {
-			c.mu.Lock()
-			c.leftover = append(c.leftover, p.data[n:]...)
-			c.mu.Unlock()
-		}
-		return n, nil
-	}
-	select {
-	case p := <-c.in:
-		return deliver(p)
-	case <-c.closed:
-		return 0, io.EOF
-	case <-c.peer.closed:
-		// The peer hung up: drain anything already in flight, then EOF.
-		select {
-		case p := <-c.in:
-			return deliver(p)
-		default:
+		c.mu.Unlock()
+		switch {
+		case n > 0 || len(b) == 0:
+			signal(c.writable)
+			return n, nil
+		case !at.IsZero():
+			time.Sleep(time.Until(at)) // the wire delay
+			continue
+		case peerGone:
 			return 0, io.EOF
 		}
-	case <-deadlineCh:
-		return 0, timeoutError{}
+		select {
+		case <-c.readable:
+		case <-c.peer.closed:
+		case <-c.closed:
+			return 0, io.EOF
+		case <-deadline:
+			return 0, timeoutError{}
+		}
 	}
 }
 
-// Close implements net.Conn. Pending reads on both ends unblock.
+// take copies readable bytes into b (c.mu held), first making readable every
+// delayed write whose time has come.
+func (c *conn) take(b []byte) int {
+	if c.mhead < len(c.marks) {
+		now := time.Now()
+		for ; c.mhead < len(c.marks) && !c.marks[c.mhead].at.After(now); c.mhead++ {
+			c.vis = c.marks[c.mhead].end
+		}
+		if c.mhead == len(c.marks) {
+			c.marks, c.mhead = c.marks[:0], 0
+		}
+	}
+	n := copy(b, c.buf[c.off:c.off+int(c.vis-c.read)])
+	c.off += n
+	c.read += int64(n)
+	if c.read == c.written {
+		c.buf, c.off = c.buf[:0], 0
+		if cap(c.buf) > keepBuffer {
+			c.buf = nil
+		}
+	}
+	return n
+}
+
+// Close implements net.Conn. Waiting reads and parked writes on both ends
+// unblock.
 func (c *conn) Close() error {
 	c.closeOnce.Do(func() { close(c.closed) })
 	return nil
@@ -305,19 +373,20 @@ func (c *conn) LocalAddr() net.Addr { return c.local }
 // RemoteAddr implements net.Conn.
 func (c *conn) RemoteAddr() net.Addr { return c.remote }
 
-// SetDeadline implements net.Conn (read side only; writes never block on the
-// wire model beyond channel capacity).
+// SetDeadline implements net.Conn for reads only: a Write waits only while
+// the peer holds maxUnread bytes unread, and then until it reads or either
+// end closes.
 func (c *conn) SetDeadline(t time.Time) error { return c.SetReadDeadline(t) }
 
 // SetReadDeadline implements net.Conn.
 func (c *conn) SetReadDeadline(t time.Time) error {
-	c.deadlineMu.Lock()
+	c.mu.Lock()
 	c.readDeadline = t
-	c.deadlineMu.Unlock()
+	c.mu.Unlock()
 	return nil
 }
 
-// SetWriteDeadline implements net.Conn as a no-op.
+// SetWriteDeadline implements net.Conn as a no-op (see SetDeadline).
 func (c *conn) SetWriteDeadline(time.Time) error { return nil }
 
 type timeoutError struct{}

@@ -233,6 +233,120 @@ func TestPartialReadsLeftover(t *testing.T) {
 	}
 }
 
+// TestPipeAllocationFree: once the pipe's buffer is sized, a write and the
+// read that drains it allocate nothing.
+func TestPipeAllocationFree(t *testing.T) {
+	client, server := newPair("x", 0, 0)
+	msg, buf := make([]byte, 64), make([]byte, 64)
+	trip := func() {
+		if _, err := client.Write(msg); err != nil {
+			t.Fatal(err)
+		}
+		if n, err := server.Read(buf); err != nil || n != len(msg) {
+			t.Fatalf("read %d bytes, %v", n, err)
+		}
+	}
+	trip()
+	if allocs := testing.AllocsPerRun(1000, trip); allocs != 0 {
+		t.Fatalf("%.2f allocations per 64-byte write and read, want 0", allocs)
+	}
+}
+
+// TestPipeDelayAcrossWrites: on a 20 ms RTT network, no byte is read before
+// its own write plus RTT/2, and once several writes are readable one Read
+// returns them all.
+func TestPipeDelayAcrossWrites(t *testing.T) {
+	const rtt = 20 * time.Millisecond
+	client, server := newPair("x", rtt/2, 0)
+	var sent [6]time.Time
+	round := make(chan struct{})
+	go func() {
+		for i := range sent {
+			if i%3 > 0 {
+				time.Sleep(5 * time.Millisecond)
+			}
+			sent[i] = time.Now()
+			if _, err := client.Write([]byte{byte(i)}); err != nil {
+				t.Error(err)
+				return
+			}
+			if i%3 == 2 {
+				round <- struct{}{}
+			}
+		}
+	}()
+	buf := make([]byte, 8)
+	for got := 0; got < 3; {
+		n, err := server.Read(buf)
+		at := time.Now()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range buf[:n] {
+			if early := sent[b].Add(rtt / 2).Sub(at); early > 0 {
+				t.Fatalf("byte of write %d read %v before its delay ended", b, early)
+			}
+		}
+		got += n
+	}
+	<-round
+	<-round
+	time.Sleep(rtt / 2)
+	if n, err := server.Read(buf); err != nil || !bytes.Equal(buf[:n], []byte{3, 4, 5}) {
+		t.Fatalf("one read after three readable writes = %v, %v; want [3 4 5]", buf[:n], err)
+	}
+}
+
+// TestPipeBoundBlocksWriter: a writer parks once the peer holds maxUnread
+// bytes unread and resumes after a read; a writer parked when the peer
+// closes gets io.ErrClosedPipe.
+func TestPipeBoundBlocksWriter(t *testing.T) {
+	client, server := newPair("x", 0, 0)
+	write := func(n int) <-chan error {
+		done := make(chan error, 1)
+		go func() {
+			_, err := client.Write(make([]byte, n))
+			done <- err
+		}()
+		return done
+	}
+	if err := <-write(maxUnread); err != nil {
+		t.Fatalf("a write into an empty pipe: %v", err)
+	}
+	parked := write(1)
+	select {
+	case err := <-parked:
+		t.Fatalf("a write past the bound returned (%v) before any read", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	if _, err := server.Read(make([]byte, 4096)); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-parked:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("the parked writer did not resume after a read")
+	}
+	parked = write(maxUnread)
+	select {
+	case err := <-parked:
+		t.Fatalf("a write past the bound returned (%v) before any read", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	_ = server.Close()
+	select {
+	case err := <-parked:
+		if !errors.Is(err, io.ErrClosedPipe) {
+			t.Fatalf("parked writer after the peer closed: %v, want io.ErrClosedPipe", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("the parked writer did not return after the peer closed")
+	}
+}
+
 func TestAddrs(t *testing.T) {
 	n := NewNetwork(0)
 	l, _ := n.Listen("hub")

@@ -121,6 +121,18 @@ func TestFIFOQueueing(t *testing.T) {
 	if j2.State() != Queued {
 		t.Fatalf("j2 state = %v, want queued behind j1", j2.State())
 	}
+	// OnStart runs on its own goroutine: let j1's record its start before j2
+	// can start, or the two callbacks race for the first slot.
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		mu.Lock()
+		started := len(order)
+		mu.Unlock()
+		if started == 1 || time.Now().After(deadline) {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
 	if err := c.Complete(j1.ID); err != nil {
 		t.Fatal(err)
 	}

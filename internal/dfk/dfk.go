@@ -978,11 +978,16 @@ func (d *DFK) emitPrune(id int64, pruned int64) {
 // load-aware schedulers it samples every executor's load once per cycle
 // (seeded with the lane backlogs) and overlays its own routing decisions
 // via Frozen.Bump, so a 256-task batch costs one probe sweep rather than
-// 256 — load-blind policies skip the snapshot entirely.
+// 256 — load-blind policies skip the snapshot entirely. The dispatcher owns
+// one router for its lifetime and resets it each cycle, so routing
+// allocates nothing of its own.
 type router struct {
 	d      *DFK
 	base   []executor.Executor      // full candidate set, frozen or raw
 	frozen map[string]*sched.Frozen // nil for load-blind schedulers
+	// cands is the scratch a hinted or sticky task's candidates are built
+	// in; each pick overwrites it.
+	cands []executor.Executor
 }
 
 func (d *DFK) newRouter() *router {
@@ -991,12 +996,24 @@ func (d *DFK) newRouter() *router {
 		r.frozen = make(map[string]*sched.Frozen, len(d.execList))
 		r.base = make([]executor.Executor, len(d.execList))
 		for i, ex := range d.execList {
-			f := d.freeze(ex)
+			f := new(sched.Frozen)
 			r.frozen[ex.Label()] = f
 			r.base[i] = f
 		}
 	}
 	return r
+}
+
+// reset starts a dispatch cycle: a load-aware router samples every executor
+// again, as freeze does, into the snapshots it already holds.
+func (r *router) reset() {
+	if r.frozen == nil {
+		return
+	}
+	for _, ex := range r.d.execList {
+		label := ex.Label()
+		*r.frozen[label] = *sched.Freeze(ex, int(r.d.lanes[label].queued.Load()))
+	}
 }
 
 // pick applies hints to narrow the eligible set and delegates the choice
@@ -1014,23 +1031,17 @@ func (r *router) pick(pl *pendingLaunch) (executor.Executor, error) {
 	hints := pl.rec.Hints
 	candidates := r.base
 	if len(hints) > 0 {
-		candidates = make([]executor.Executor, 0, len(hints))
+		candidates = r.cands[:0]
 		for _, h := range hints {
 			if _, ok := r.d.executors[h]; !ok {
 				return nil, fmt.Errorf("dfk: hinted executor %q not configured", h)
 			}
-			if r.frozen != nil {
-				candidates = append(candidates, r.frozen[h])
-			} else {
-				candidates = append(candidates, r.d.executors[h])
-			}
+			candidates = append(candidates, r.view(h))
 		}
+		r.cands = candidates
 	} else if pl.stick != "" && r.d.hp != nil && r.d.hp.routable(pl.stick) {
-		if r.frozen != nil {
-			candidates = []executor.Executor{r.frozen[pl.stick]}
-		} else {
-			candidates = []executor.Executor{r.d.executors[pl.stick]}
-		}
+		candidates = append(r.cands[:0], r.view(pl.stick))
+		r.cands = candidates
 	}
 	if r.d.hp != nil {
 		filtered, ok := r.d.hp.filterRoutable(candidates)
@@ -1068,6 +1079,15 @@ func (r *router) pick(pl *pendingLaunch) (executor.Executor, error) {
 		r.d.hp.acquire(real.Label())
 	}
 	return real, nil
+}
+
+// view is the executor labelled label as the scheduler sees it this cycle:
+// its snapshot for a load-aware scheduler, the executor itself otherwise.
+func (r *router) view(label string) executor.Executor {
+	if r.frozen != nil {
+		return r.frozen[label]
+	}
+	return r.d.executors[label]
 }
 
 // noState is the "from" of a task's first event.

@@ -3,6 +3,7 @@ package dfk
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -271,6 +272,55 @@ func TestExecutorHints(t *testing.T) {
 		if rec.Executor() != "gpu" {
 			t.Fatalf("task %d ran on %q despite hint", rec.ID, rec.Executor())
 		}
+	}
+}
+
+// TestHintedTasksShareACycle: the dispatcher's router lives across cycles
+// and builds each hinted task's candidates in one scratch slice. A burst that
+// interleaves tasks hinted to different executors, to two, and to none — so
+// they share dispatch cycles and overwrite that scratch task after task —
+// must still route every hinted task only to its hints, with a load-blind
+// and with a load-aware scheduler.
+func TestHintedTasksShareACycle(t *testing.T) {
+	for _, policy := range []string{"random", "least-outstanding"} {
+		t.Run(policy, func(t *testing.T) {
+			reg := serialize.NewRegistry()
+			execs := []executor.Executor{threadpool.New("a", 2, reg), threadpool.New("b", 2, reg), threadpool.New("c", 2, reg)}
+			d, err := New(Config{Registry: reg, Executors: execs, Seed: 7, SchedulerPolicy: policy, RetainRecords: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer d.Shutdown()
+			fn := func([]any, map[string]any) (any, error) { return nil, nil }
+			hints := [][]string{{"a"}, nil, {"c"}, {"b", "c"}, {"b"}}
+			apps := make([]*App, len(hints))
+			for i, h := range hints {
+				var opts []AppOption
+				if h != nil {
+					opts = append(opts, WithExecutors(h...))
+				}
+				if apps[i], err = d.PythonApp(fmt.Sprintf("app-%d", i), fn, opts...); err != nil {
+					t.Fatal(err)
+				}
+			}
+			const burst = 1000
+			futs := make([]*future.Future, burst)
+			for i := range futs {
+				futs[i] = apps[i%len(apps)].Call()
+			}
+			for i, f := range futs {
+				if _, err := f.Result(); err != nil {
+					t.Fatal(err)
+				}
+				want := hints[i%len(hints)]
+				if want == nil {
+					continue
+				}
+				if got := d.graph.Get(f.TaskID).Executor(); !slices.Contains(want, got) {
+					t.Fatalf("task %d hinted to %v ran on %q", i, want, got)
+				}
+			}
+		})
 	}
 }
 

@@ -228,12 +228,13 @@ func newLane(ex executor.Executor) *lane {
 // seed's inline launch-on-the-callback-goroutine path.
 func (d *DFK) dispatcher() {
 	defer d.dispatchWG.Done()
+	route := d.newRouter()
 	for {
 		batch, ok := d.queue.Take(d.batchMax)
 		if !ok {
 			return
 		}
-		route := d.newRouter()
+		route.reset()
 		for _, pl := range batch {
 			// A dropped entry gives back the executor-leg payload reference it
 			// carries. Dropped here: the attempt already concluded, or the task

@@ -1,6 +1,7 @@
 package htex
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"strconv"
@@ -116,6 +117,11 @@ type Executor struct {
 	closed    bool
 
 	cmdMu sync.Mutex
+
+	// wires pools SubmitInto's wire-envelope scratch (*[]serialize.WireTask):
+	// a batch is framed synchronously, so the slice is free again, and
+	// cleared, once the call returns.
+	wires sync.Pool
 
 	outstanding atomic.Int64
 	wg          sync.WaitGroup
@@ -312,7 +318,11 @@ func (e *Executor) recvLoop(s *shardLink) {
 	c := s.conn.Load()
 	var results []serialize.ResultMsg // decode destination, reused frame to frame
 	for {
-		msg, err := c.dealer.Recv()
+		// Every frame is done with before the next receive — results are
+		// decoded into copies, LOST ids and details copied out — except a
+		// command reply, which crosses to Command's goroutine and so is
+		// copied out of the reused storage first.
+		msg, err := c.dealer.RecvReuse()
 		if err != nil {
 			e.mu.Lock()
 			closed := e.closed
@@ -362,8 +372,12 @@ func (e *Executor) recvLoop(s *shardLink) {
 				e.fail(id, &executor.LostError{TaskID: id, Detail: detail, Manager: mgr})
 			}
 		case frameCmdRep:
+			reply := make(mq.Message, len(msg))
+			for i, p := range msg {
+				reply[i] = bytes.Clone(p)
+			}
 			select {
-			case s.cmdReplies <- msg:
+			case s.cmdReplies <- reply:
 			default:
 			}
 		case frameNack:
@@ -637,7 +651,11 @@ func (e *Executor) SubmitInto(msgs []serialize.TaskMsg, futs []*future.Future) {
 	// fail; a direct submission without a payload encodes here, and an
 	// unencodable argument fails only its own task — poison isolation comes
 	// free, with no validation double-encode.
-	wires := make([]serialize.WireTask, 0, len(msgs))
+	wp, _ := e.wires.Get().(*[]serialize.WireTask)
+	if wp == nil {
+		wp = new([]serialize.WireTask)
+	}
+	wires := (*wp)[:0]
 	var wireShard []int
 	if !single {
 		wireShard = make([]int, 0, len(msgs))
@@ -666,6 +684,9 @@ func (e *Executor) SubmitInto(msgs []serialize.TaskMsg, futs []*future.Future) {
 			e.fanOut(wires, wireShard)
 		}
 	}
+	clear(wires) // the envelopes alias payload bytes released below
+	*wp = wires[:0]
+	e.wires.Put(wp)
 	for i := range msgs {
 		msgs[i].Payload().Release()
 	}

@@ -1,13 +1,18 @@
 package htex
 
 import (
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/chaos"
+	"repro/internal/future"
+	"repro/internal/health"
+	"repro/internal/mq"
 	"repro/internal/serialize"
+	"repro/internal/simnet"
 )
 
 // TestUnserializableResultFailsOnlyItsTask: an app that returns a value of a
@@ -64,14 +69,21 @@ func TestUnserializableResultFailsOnlyItsTask(t *testing.T) {
 // heartbeats included — against starting to allocate again: one task at a
 // time, the shape in which every frame carries one task and so every
 // per-frame allocation is a per-task allocation. The ceiling sits a little
-// above what the path costs today: 18 per trip, down from 99 with the gob
-// stream and 51 before mq read each frame into one buffer. Eight are mq's:
-// the part list and the shared body of each of the four frames (simnet's
-// pipe allocates nothing once its buffer is sized). Three are the
-// interchange's fair queue (the tenant's flow, made again each time the
-// queue empties, its item array, and the batch put back), two the client's
-// future and wire-task slices, two the future and its done channel, two the
-// worker's decoded argument list and boxed value; heartbeats are the rest.
+// above what the path costs today: 12 per trip, down from 99 with the gob
+// stream, 51 before mq read each frame into one buffer, and 18 before the
+// fair queues kept their drained flows and batches, the client its
+// wire-task slice, and the client's receive loop one frame's storage. What
+// is left:
+//   - six are mq's: the part list and the body of the frame on each of the
+//     client → interchange, interchange → manager and manager → interchange
+//     legs (the interchange's router hands its deliveries across a channel,
+//     and a task's payload aliases its frame, so none of them is reused);
+//   - two are the future and its done channel, made by the test's direct
+//     Submit (the DFK settles the future it already holds);
+//   - one is Submit's future slice;
+//   - two are the worker's decoded argument list and its boxed value;
+//   - heartbeats are the rest.
+//
 // A change that shrinks frames — the result-flush timer going — inherits the
 // guard.
 func TestRoundTripAllocationCeiling(t *testing.T) {
@@ -106,7 +118,7 @@ func TestRoundTripAllocationCeiling(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	perTrip := float64(after.Mallocs-before.Mallocs) / trips
 	t.Logf("%.1f allocations per single-task round trip", perTrip)
-	const ceiling = 22
+	const ceiling = 13
 	if perTrip > ceiling {
 		t.Fatalf("%.1f allocations per single-task round trip, ceiling %d", perTrip, ceiling)
 	}
@@ -133,5 +145,113 @@ func TestDroppedAndDuplicatedFramesAreRepaired(t *testing.T) {
 		if inj.Fires(point) < 2 {
 			t.Fatalf("%s: %d faults fired — test exercised nothing", point, inj.Fires(point))
 		}
+	}
+}
+
+// TestCommandReplySurvivesNextFrame: the client's receive loop reads every
+// frame into storage the next receive overwrites, so the one frame it hands
+// to another goroutine — a command reply, which Command reads — must be a
+// copy. A fake interchange sends a reply and, at once, a RESULTS frame; once
+// the result has settled its future the loop has read the second frame over
+// the first, and the reply must still read as sent.
+func TestCommandReplySurvivesNextFrame(t *testing.T) {
+	netw := simnet.NewNetwork(0)
+	router, err := mq.NewRouter(netw, ":0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer router.Close()
+	dealer, err := mq.DialDealer(netw, router.Addr(), clientIdentity)
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-router.Events():
+	case <-time.After(5 * time.Second):
+		t.Fatal("client dealer never joined")
+	}
+
+	e := New(Config{Transport: netw})
+	e.started = true
+	s := &shardLink{label: "htex[0]", breaker: health.NewBreaker(health.BreakerConfig{}), cmdReplies: make(chan mq.Message, 16)}
+	s.conn.Store(&shardConn{dealer: dealer, taskEnc: serialize.NewStreamEncoder(), resDec: serialize.NewStreamDecoder()})
+	e.shards = []*shardLink{s}
+	fut := future.NewForTask(1)
+	e.inflight[1] = inflightTask{fut: fut}
+	e.outstanding.Add(1)
+	e.wg.Add(1)
+	go e.recvLoop(s)
+	defer func() {
+		e.mu.Lock()
+		e.closed = true
+		e.mu.Unlock()
+		_ = dealer.Close()
+		e.wg.Wait()
+	}()
+
+	reply := mq.Message{tagCmdRep, []byte("OUTSTANDING"), []byte("3"), []byte("7")}
+	if err := router.SendTo(clientIdentity, reply); err != nil {
+		t.Fatal(err)
+	}
+	results := []serialize.ResultMsg{{ID: 1, Value: "a result at least as long as the reply it follows"}}
+	if err := serialize.NewStreamEncoder().EncodeResults(results, func(fr []byte) error {
+		return router.SendTo(clientIdentity, mq.Message{tagResults, fr})
+	}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-fut.DoneChan():
+	case <-time.After(5 * time.Second):
+		t.Fatal("the RESULTS frame after the reply never settled its future")
+	}
+	rep, ok := s.awaitReply("OUTSTANDING", 100*time.Millisecond)
+	if !ok {
+		t.Fatal("the command reply was overwritten by the frame after it")
+	}
+	if fmt.Sprintf("%q", rep) != fmt.Sprintf("%q", reply) {
+		t.Fatalf("command reply reads %q, sent %q", rep, reply)
+	}
+}
+
+// TestInterchangeReclaimsOneShotTenants: 10 000 tenants that each submit one
+// task and never return leave no backlog entry behind, and the live heap
+// stays where it was once the first thousands had passed — the fair queue
+// keeps a bounded number of spare flows, not one per tenant ever seen.
+func TestInterchangeReclaimsOneShotTenants(t *testing.T) {
+	e := newHTEX(t, 1, 8, func(cfg *Config) { cfg.Manager.FlushInterval = 200 * time.Microsecond })
+	const tenants, wave = 10_000, 500
+	next := 0
+	run := func(n int) {
+		for end := next + n; next < end; {
+			msgs := make([]serialize.TaskMsg, wave)
+			for i := range msgs {
+				msgs[i] = serialize.TaskMsg{ID: int64(next), App: "echo", Args: []any{1}, Tenant: fmt.Sprintf("user-%d", next)}
+				next++
+			}
+			for _, f := range e.SubmitBatch(msgs) {
+				if _, err := f.Result(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	heap := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	// Warm-up fills the codecs' bounded intern tables and sizes every map
+	// at the wave's peak.
+	run(2_000)
+	before := heap()
+	run(tenants - 2_000)
+	after := heap()
+	if depth := e.Interchange().QueueDepthByTenant(); depth != nil {
+		t.Fatalf("backlog after every tenant finished: %v", depth)
+	}
+	t.Logf("live heap %d KiB after %d tenants, %d KiB after %d", before>>10, 2_000, after>>10, tenants)
+	if after > before+256<<10 {
+		t.Fatalf("live heap grew %d KiB over %d one-shot tenants", (after-before)>>10, tenants-2_000)
 	}
 }

@@ -21,6 +21,12 @@
 // completion callbacks: Queue pushes never block (the queues stay unbounded;
 // boundedness comes from admission at the submission boundary, where blocking
 // is safe), and Admission.Release never blocks.
+//
+// The queues (Queue, and the routing stage's MPSC) allocate nothing per task
+// once warm, even when they drain to empty after every task: a Queue keeps a
+// few emptied tenant flows and drained batches for reuse, and MPSC keeps its
+// consumer's batches. Every such list has a constant bound, so a stream of
+// one-shot tenants still leaves no per-tenant state behind.
 package fair
 
 import (
@@ -125,7 +131,9 @@ func (f *flow[T]) pop(less func(a, b T) bool) T {
 // deficit unit. Over any backlogged interval, tenant shares converge to the
 // weight ratio; a lone tenant receives strict FIFO (or, with a comparator,
 // priority) order, byte-for-byte what the single-tenant queues it replaced
-// provided.
+// provided. A tenant whose sub-queue empties leaves the rotation and the
+// tenant table at once; only its storage is kept, as a spare for the next
+// tenant, and only up to a bound.
 type Queue[T any] struct {
 	// less, when non-nil, orders entries *within* one tenant (e.g. dispatch
 	// priority). Fairness across tenants always wins over intra-tenant
@@ -143,19 +151,73 @@ type Queue[T any] struct {
 	size   int
 	closed bool
 
-	batchPool sync.Pool
+	// spare holds up to maxSpareFlows emptied flows, struct and item array
+	// both, for the next tenant to go idle → busy; free holds up to
+	// maxFreeBatches drained batches handed back by PutBatch. A queue that
+	// drains to empty after every task — one task at a time — therefore
+	// allocates nothing per task, and neither list outgrows its bound
+	// however many tenants come and go.
+	spare []*flow[T]
+	free  [][]T
 }
+
+const (
+	// maxSpareFlows bounds the emptied flows a queue keeps for reuse.
+	maxSpareFlows = 4
+	// maxSpareItems is the largest item array an emptied flow keeps: a burst
+	// that grew a tenant's array past it returns the memory with the flow.
+	maxSpareItems = 1024
+	// maxFreeBatches bounds the drained batches a queue keeps: one per
+	// consumer, and a queue has one or two.
+	maxFreeBatches = 4
+	// batchCap is a fresh batch's capacity.
+	batchCap = 256
+)
 
 // NewQueue creates a fair queue. less, when non-nil, orders entries within
 // each tenant's sub-queue (smallest first per less); nil means FIFO.
 func NewQueue[T any](less func(a, b T) bool) *Queue[T] {
 	q := &Queue[T]{less: less, tenants: make(map[string]*flow[T])}
 	q.cond = sync.NewCond(&q.mu)
-	q.batchPool.New = func() any {
-		s := make([]T, 0, 256)
-		return &s
-	}
 	return q
+}
+
+// newFlow returns an empty flow for tenant, a spare one when there is one.
+// The caller holds q.mu.
+func (q *Queue[T]) newFlow(tenant string) *flow[T] {
+	f, ok := popLast(&q.spare)
+	if !ok {
+		return &flow[T]{tenant: tenant, weight: 1}
+	}
+	f.tenant = tenant
+	return f
+}
+
+// popLast removes the last element of *s and returns it, zeroing its slot so
+// the list does not pin it; ok is false when *s is empty.
+func popLast[E any](s *[]E) (e E, ok bool) {
+	n := len(*s)
+	if n == 0 {
+		return e, false
+	}
+	e, (*s)[n-1] = (*s)[n-1], e
+	*s = (*s)[:n-1]
+	return e, true
+}
+
+// retire takes an emptied flow out of the tenant table and keeps it, reset,
+// as a spare when the spare list has room and its array is not oversized.
+// Its deficit goes with it: an idle flow forfeits its credit either way. The
+// caller holds q.mu and has already taken f off the ring.
+func (q *Queue[T]) retire(f *flow[T]) {
+	delete(q.tenants, f.tenant)
+	if len(q.spare) == maxSpareFlows || cap(f.items) > maxSpareItems {
+		return
+	}
+	// Every popped or filtered slot is already zero, so the array pins
+	// nothing.
+	*f = flow[T]{weight: 1, items: f.items[:0]}
+	q.spare = append(q.spare, f)
 }
 
 // Push enqueues one entry for tenant. weight > 0 updates the tenant's DRR
@@ -168,7 +230,7 @@ func (q *Queue[T]) Push(tenant string, weight int, item T) {
 	q.mu.Lock()
 	f, ok := q.tenants[tenant]
 	if !ok {
-		f = &flow[T]{tenant: tenant, weight: 1}
+		f = q.newFlow(tenant)
 		q.tenants[tenant] = f
 	}
 	if weight > 0 {
@@ -185,9 +247,12 @@ func (q *Queue[T]) Push(tenant string, weight int, item T) {
 }
 
 // drain implements the DRR service loop; the caller holds q.mu. It pops up
-// to max entries into a pooled batch.
+// to max entries into a free batch, or a fresh one when none is free.
 func (q *Queue[T]) drain(max int) []T {
-	batch := (*q.batchPool.Get().(*[]T))[:0]
+	batch, ok := popLast(&q.free)
+	if !ok {
+		batch = make([]T, 0, batchCap)
+	}
 	for len(batch) < max && q.size > 0 {
 		f := q.ring[q.cursor]
 		if f.deficit <= 0 {
@@ -205,11 +270,10 @@ func (q *Queue[T]) drain(max int) []T {
 			// rides every push, so nothing of value is lost) and forfeits
 			// leftover deficit (standard DRR: credit must not accumulate
 			// while idle).
-			delete(q.tenants, f.tenant)
-			f.active = false
 			copy(q.ring[q.cursor:], q.ring[q.cursor+1:])
 			q.ring[len(q.ring)-1] = nil
 			q.ring = q.ring[:len(q.ring)-1]
+			q.retire(f)
 		case f.deficit <= 0:
 			// Quantum spent: the next flow gets the next visit.
 			q.cursor++
@@ -231,8 +295,8 @@ func (q *Queue[T]) drain(max int) []T {
 
 // Take blocks until at least one entry is queued (returning up to max in DRR
 // order) or the queue is closed and drained (returning nil, false). The
-// returned slice comes from a pooled scratch buffer; hand it back with
-// PutBatch once the entries have been consumed.
+// returned slice is the queue's scratch; hand it back with PutBatch once the
+// entries have been consumed.
 func (q *Queue[T]) Take(max int) ([]T, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -246,7 +310,7 @@ func (q *Queue[T]) Take(max int) ([]T, bool) {
 }
 
 // TryTake drains up to max entries without blocking; it returns nil when the
-// queue is empty. Same pooled-batch contract as Take.
+// queue is empty. Same batch contract as Take.
 func (q *Queue[T]) TryTake(max int) []T {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -256,15 +320,19 @@ func (q *Queue[T]) TryTake(max int) []T {
 	return q.drain(max)
 }
 
-// PutBatch clears a batch returned by Take/TryTake (so pooled slices do not
-// pin consumed entries) and recycles it.
+// PutBatch clears a batch returned by Take/TryTake, so it pins no consumed
+// entry, and keeps it for the next drain while fewer than maxFreeBatches are
+// kept; past that the batch is left to the collector.
 func (q *Queue[T]) PutBatch(batch []T) {
-	var zero T
-	for i := range batch {
-		batch[i] = zero
+	if cap(batch) == 0 {
+		return
 	}
-	batch = batch[:0]
-	q.batchPool.Put(&batch)
+	clear(batch)
+	q.mu.Lock()
+	if len(q.free) < maxFreeBatches {
+		q.free = append(q.free, batch[:0])
+	}
+	q.mu.Unlock()
 }
 
 // Len reports the total queued entries across tenants.
@@ -315,8 +383,7 @@ func (q *Queue[T]) Filter(keep func(T) bool) {
 		if f.len() > 0 {
 			ring = append(ring, f)
 		} else {
-			f.active = false
-			delete(q.tenants, f.tenant) // idle tenants are reclaimed, as in drain
+			q.retire(f) // idle tenants are reclaimed, as in drain
 		}
 	}
 	for i := len(ring); i < len(q.ring); i++ {

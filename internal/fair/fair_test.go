@@ -555,3 +555,77 @@ func TestAdmissionWindowParksUntilHalf(t *testing.T) {
 		t.Fatalf("%d gates bound after release, want 0", live)
 	}
 }
+
+// TestQueueAllocationFree: a queue that drains to empty after every entry —
+// one task at a time — allocates nothing per entry once warm, for the
+// default tenant and for a named one. Each drain retires the tenant's flow
+// and the next push takes it back from the spares; each batch handed back
+// is the next drain's.
+func TestQueueAllocationFree(t *testing.T) {
+	for _, tenant := range []string{DefaultTenant, "acme"} {
+		q := NewQueue[int](nil)
+		cycle := func() {
+			q.Push(tenant, 2, 7)
+			batch := q.TryTake(4)
+			if len(batch) != 1 || batch[0] != 7 {
+				t.Fatalf("tenant %q: drained %v, want [7]", tenant, batch)
+			}
+			q.PutBatch(batch)
+		}
+		if n := testing.AllocsPerRun(1000, cycle); n != 0 {
+			t.Fatalf("tenant %q: %.2f allocations per push-take-put cycle, want 0", tenant, n)
+		}
+		if len(q.tenants) != 0 {
+			t.Fatalf("tenant %q: %d flows left in the tenant table", tenant, len(q.tenants))
+		}
+	}
+}
+
+// TestQueueReclaimsOneShotTenants: 10 000 tenants that each queue one task
+// and never return leave no flow in the tenant table or the rotation, the
+// spare list never outgrows its bound, and a burst that grew a tenant's
+// array past the cap does not keep that array as a spare. A spare flow
+// carries nothing of its last tenant into the next one's DRR state.
+func TestQueueReclaimsOneShotTenants(t *testing.T) {
+	q := NewQueue[int](nil)
+	const tenants, perRound = 10_000, 8 // more flows empty per drain than spares are kept
+	for i := 0; i < tenants; i += perRound {
+		for j := i; j < i+perRound; j++ {
+			q.Push(fmt.Sprintf("user-%d", j), 1+j%5, j)
+		}
+		for q.Len() > 0 {
+			q.PutBatch(q.TryTake(3))
+		}
+		if len(q.spare) > maxSpareFlows || len(q.free) > maxFreeBatches {
+			t.Fatalf("after tenant %d: %d spare flows, %d free batches; bounds %d, %d",
+				i+perRound, len(q.spare), len(q.free), maxSpareFlows, maxFreeBatches)
+		}
+	}
+	if len(q.tenants) != 0 || len(q.ring) != 0 {
+		t.Fatalf("%d tenants, %d flows in rotation after every one-shot tenant drained", len(q.tenants), len(q.ring))
+	}
+	if len(q.spare) != maxSpareFlows {
+		t.Fatalf("%d spare flows, want the bound %d", len(q.spare), maxSpareFlows)
+	}
+
+	// A burst past the cap: the flow's array goes with it.
+	for k := 0; k <= maxSpareItems; k++ {
+		q.Push("burst", 0, k)
+	}
+	for q.Len() > 0 {
+		q.PutBatch(q.TryTake(batchCap))
+	}
+	for _, f := range q.spare {
+		if cap(f.items) > maxSpareItems || len(f.items) != 0 || f.tenant != "" || f.deficit != 0 || f.weight != 1 {
+			t.Fatalf("spare flow keeps state: cap %d, len %d, tenant %q, deficit %d, weight %d",
+				cap(f.items), len(f.items), f.tenant, f.deficit, f.weight)
+		}
+	}
+
+	// A new tenant on a spare starts at the default weight, not its
+	// predecessor's.
+	q.Push("fresh", 0, 1)
+	if f := q.tenants["fresh"]; f.weight != 1 || f.deficit != 0 || f.len() != 1 {
+		t.Fatalf("fresh tenant on a spare flow: weight %d, deficit %d, len %d", f.weight, f.deficit, f.len())
+	}
+}

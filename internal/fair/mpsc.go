@@ -5,9 +5,6 @@ import (
 	"sync/atomic"
 )
 
-// mpscBatchCap matches the DRR queue's pooled batch capacity.
-const mpscBatchCap = 256
-
 // mpscShards is the shard count of an MPSC queue: a power of two matching
 // the task graph's shard count, so a graph shard maps to a dispatch lane
 // 1:1. Dense wire ids spread uniformly across shards by masking.
@@ -42,10 +39,10 @@ type MPSC[T any] struct {
 	notify   chan struct{}
 	closedCh chan struct{}
 
-	// cursor is consumer-owned: the shard the next sweep starts from.
+	// cursor and free are consumer-owned: the shard the next sweep starts
+	// from, and up to maxFreeBatches batches handed back by PutBatch.
 	cursor int
-
-	batchPool sync.Pool
+	free   [][]T
 
 	shards [mpscShards]mpscShard[T]
 }
@@ -61,13 +58,11 @@ type mpscShard[T any] struct {
 // NewMPSC returns an empty queue. tenantOf maps an item to its fairness
 // tenant (used only for occupancy reporting).
 func NewMPSC[T any](tenantOf func(T) string) *MPSC[T] {
-	m := &MPSC[T]{
+	return &MPSC[T]{
 		tenantOf: tenantOf,
 		notify:   make(chan struct{}, 1),
 		closedCh: make(chan struct{}),
 	}
-	m.batchPool.New = func() any { return make([]T, 0, mpscBatchCap) }
-	return m
 }
 
 // Push enqueues item on the shard selected by key. It never blocks: the
@@ -95,7 +90,7 @@ func (m *MPSC[T]) Push(key int64, item T) {
 // drained. Single consumer only. Return exhausted batches with PutBatch.
 func (m *MPSC[T]) Take(max int) ([]T, bool) {
 	if max <= 0 {
-		max = mpscBatchCap
+		max = batchCap
 	}
 	for {
 		if m.size.Load() > 0 {
@@ -126,7 +121,7 @@ func (m *MPSC[T]) Take(max int) ([]T, bool) {
 // which keeps it on the shard holding the lowest key and, when the consumer
 // takes less than everything, visits every shard in turn.
 func (m *MPSC[T]) sweep(max int) []T {
-	batch := m.batchPool.Get().([]T)
+	batch := m.batch()
 	var zero T
 	var counts [mpscShards]int
 	rounds := 0
@@ -158,7 +153,7 @@ func (m *MPSC[T]) sweep(max int) []T {
 	if rounds <= 1 {
 		return batch // one item per shard: already in round order
 	}
-	out := m.batchPool.Get().([]T)
+	out := m.batch()
 	for r := 0; r < rounds; r++ {
 		off := 0
 		for _, c := range counts {
@@ -172,16 +167,25 @@ func (m *MPSC[T]) sweep(max int) []T {
 	return out
 }
 
-// PutBatch returns a batch obtained from Take to the pool.
+// batch returns an empty batch, a free one when there is one.
+func (m *MPSC[T]) batch() []T {
+	if b, ok := popLast(&m.free); ok {
+		return b
+	}
+	return make([]T, 0, batchCap)
+}
+
+// PutBatch clears a batch obtained from Take and keeps it for the next
+// sweep, up to maxFreeBatches. Consumer only, like Take: the free list is
+// the consumer's, so it takes no lock.
 func (m *MPSC[T]) PutBatch(batch []T) {
 	if cap(batch) == 0 {
 		return
 	}
-	var zero T
-	for i := range batch {
-		batch[i] = zero
+	clear(batch)
+	if len(m.free) < maxFreeBatches {
+		m.free = append(m.free, batch[:0])
 	}
-	m.batchPool.Put(batch[:0])
 }
 
 // Len returns the current number of queued items.

@@ -152,3 +152,37 @@ func TestMPSCSweepFindsLoneShard(t *testing.T) {
 		t.Fatalf("Take(1) = %v, %v", batch, ok)
 	}
 }
+
+// TestMPSCAllocationFree: the routing queue allocates nothing per item once
+// warm when its consumer takes every item as it arrives — including the
+// reorder pass, whose second batch comes from the free list too.
+func TestMPSCAllocationFree(t *testing.T) {
+	m := NewMPSC[int64](func(int64) string { return "t" })
+	one := func() {
+		m.Push(5, 5)
+		batch, ok := m.Take(8)
+		if !ok || len(batch) != 1 {
+			t.Fatalf("took %v, %v; want one item", batch, ok)
+		}
+		m.PutBatch(batch)
+	}
+	if n := testing.AllocsPerRun(1000, one); n != 0 {
+		t.Fatalf("%.2f allocations per push-take-put, want 0", n)
+	}
+	reordered := func() {
+		for _, k := range []int64{0, 32, 1, 33} { // two rounds on two shards
+			m.Push(k, k)
+		}
+		batch, _ := m.Take(64) // room for two items a shard
+		if len(batch) != 4 {
+			t.Fatalf("took %v, want four items", batch)
+		}
+		m.PutBatch(batch)
+	}
+	if n := testing.AllocsPerRun(1000, reordered); n != 0 {
+		t.Fatalf("%.2f allocations per reordered sweep, want 0", n)
+	}
+	if len(m.free) > maxFreeBatches {
+		t.Fatalf("%d free batches, bound %d", len(m.free), maxFreeBatches)
+	}
+}

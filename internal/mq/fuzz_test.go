@@ -145,7 +145,9 @@ func (c *chunks) Read(p []byte) (int, error) {
 // in-buffer parse and the readFrame fallback and straddle buffer fills.
 // Message for message and error for error, Recv must read what readFrame
 // reads from the same bytes, within FuzzReadFrame's allocation bound, and
-// every part's capacity must be its length.
+// every part's capacity must be its length. Conn.RecvReuse, reading the same
+// pieces through its own Conn, must do the same, each message checked
+// before the next receive overwrites it.
 func FuzzConnRecv(f *testing.F) {
 	var stream bytes.Buffer
 	for _, m := range []Message{
@@ -196,19 +198,81 @@ func FuzzConnRecv(f *testing.F) {
 				if i != len(got) || fmt.Sprint(err) != fmt.Sprint(wantErr) {
 					t.Fatalf("Recv read %d messages, then %v; readFrame read %d, then %v", len(got), err, i, wantErr)
 				}
-				return
+				break
 			}
 			if i == len(got) {
 				t.Fatalf("Recv failed after %d messages (%v); readFrame read another", i, err)
 			}
-			if len(got[i]) != len(want) {
-				t.Fatalf("message %d: Recv read %d parts, readFrame %d", i, len(got[i]), len(want))
-			}
-			for j, part := range got[i] {
-				if !bytes.Equal(part, want[j]) || cap(part) != len(part) {
-					t.Fatalf("message %d part %d: Recv read %x (cap %d), readFrame %x", i, j, part, cap(part), want[j])
+			checkMessage(t, "Recv", i, got[i], want)
+		}
+
+		reuse := &Conn{r: bufio.NewReaderSize(&chunks{in: in, cuts: cuts}, 16+int(size)%(2*recvBuffer))}
+		r = bytes.NewReader(in)
+		runtime.ReadMemStats(&before)
+		for i := 0; ; i++ {
+			m, err := reuse.RecvReuse()
+			want, wantErr := readFrame(r)
+			if err != nil || wantErr != nil {
+				if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+					t.Fatalf("message %d: RecvReuse failed with %v, readFrame with %v", i, err, wantErr)
 				}
+				break
 			}
+			checkMessage(t, "RecvReuse", i, m, want)
+		}
+		runtime.ReadMemStats(&after)
+		// Both readers' allocations: readFrame's are FuzzReadFrame's bound per
+		// input, and RecvReuse's own at most that again.
+		if used, limit := after.TotalAlloc-before.TotalAlloc, 2*uint64(firstPart+4<<10+8*len(in)); used > limit {
+			t.Fatalf("RecvReuse beside readFrame on a %d-byte input allocated %d bytes (limit %d)", len(in), used, limit)
 		}
 	})
+}
+
+// checkMessage fails t unless got, the i-th message a receive method read,
+// has want's parts, each with capacity equal to its length.
+func checkMessage(t *testing.T, method string, i int, got, want Message) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("message %d: %s read %d parts, readFrame %d", i, method, len(got), len(want))
+	}
+	for j, part := range got {
+		if !bytes.Equal(part, want[j]) || cap(part) != len(part) {
+			t.Fatalf("message %d part %d: %s read %x (cap %d), readFrame %x", i, j, method, part, cap(part), want[j])
+		}
+	}
+}
+
+// repeat reads frame over and over, as a connection carrying the same
+// message forever.
+type repeat struct {
+	frame []byte
+	off   int
+}
+
+func (r *repeat) Read(p []byte) (int, error) {
+	n := copy(p, r.frame[r.off:])
+	r.off = (r.off + n) % len(r.frame)
+	return n, nil
+}
+
+// TestRecvReuseAllocationFree: once its storage has grown to a frame's size,
+// RecvReuse reads each further frame that fits the read buffer without
+// allocating — the receive loop of a client that decodes every frame before
+// it asks for the next.
+func TestRecvReuseAllocationFree(t *testing.T) {
+	var buf bytes.Buffer
+	if err := writeFrame(&buf, Message{[]byte("RESULTS"), bytes.Repeat([]byte{3}, 300)}); err != nil {
+		t.Fatal(err)
+	}
+	c := &Conn{r: bufio.NewReaderSize(&repeat{frame: buf.Bytes()}, recvBuffer)}
+	recv := func() {
+		m, err := c.RecvReuse()
+		if err != nil || len(m) != 2 || string(m[0]) != "RESULTS" || len(m[1]) != 300 {
+			t.Fatalf("RecvReuse = %d parts, %v", len(m), err)
+		}
+	}
+	if n := testing.AllocsPerRun(1000, recv); n != 0 {
+		t.Fatalf("%.2f allocations per RecvReuse, want 0", n)
+	}
 }

@@ -130,10 +130,14 @@ func readPart(r io.Reader, n int) ([]byte, error) {
 const recvBuffer = 8 << 10
 
 // Conn is a framed connection with a serialized writer, safe for concurrent
-// Send from multiple goroutines. Recv must be called from one goroutine.
+// Send from multiple goroutines. Recv and RecvReuse must be called from one
+// goroutine.
 type Conn struct {
 	raw net.Conn
 	r   *bufio.Reader
+	// msg and body are the storage RecvReuse parses a frame into.
+	msg  Message
+	body []byte
 
 	wmu sync.Mutex
 	w   frameWriter
@@ -159,47 +163,72 @@ func (c *Conn) Send(m Message) error {
 // whose bytes stop short, goes to readFrame, which meets the same bytes and
 // the same error from the connection.
 func (c *Conn) Recv() (Message, error) {
-	if m := c.peekFrame(); m != nil {
+	if m, _, ok := c.peekFrame(nil, nil); ok {
+		return m, nil
+	}
+	return readFrame(c.r)
+}
+
+// RecvReuse is Recv for a caller that is done with each message before it
+// asks for the next: a frame that fits the read buffer is parsed into
+// storage the Conn keeps, so the message and its parts are valid only until
+// the next RecvReuse. A reader that hands a message to another goroutine
+// copies it first.
+func (c *Conn) RecvReuse() (Message, error) {
+	m, body, ok := c.peekFrame(c.msg, c.body)
+	if ok {
+		c.msg, c.body = m, body
 		return m, nil
 	}
 	return readFrame(c.r)
 }
 
 // peekFrame returns the next frame if it fits the read buffer, consuming it,
-// or nil without consuming anything. It only waits for bytes the frame's
-// headers claim. Each part's capacity is its length, so an append to one
+// or false without consuming anything. It only waits for bytes the frame's
+// headers claim. The message and its bytes are built in m's and body's
+// storage when they are large enough, and the storage used is returned with
+// the message. Each part's capacity is its length, so an append to one
 // cannot overwrite the next.
-func (c *Conn) peekFrame() Message {
+func (c *Conn) peekFrame(m Message, body []byte) (Message, []byte, bool) {
 	b, err := c.r.Peek(4)
 	if err != nil {
-		return nil
+		return nil, nil, false
 	}
 	// A Peek past the buffer's size fills it, with bytes the frame claims,
 	// and fails: a frame too large is given up at its first header past it.
 	nparts, end := binary.BigEndian.Uint32(b), 4
 	for range nparts {
 		if b, err = c.r.Peek(end + 4); err != nil {
-			return nil
+			return nil, nil, false
 		}
 		n := binary.BigEndian.Uint32(b[end:])
 		if n > uint32(c.r.Size()-end-4) {
-			return nil
+			return nil, nil, false
 		}
 		end += 4 + int(n)
 	}
 	if b, err = c.r.Peek(end); err != nil {
-		return nil
+		return nil, nil, false
 	}
-	m := make(Message, nparts)
-	body := make([]byte, end-4*(1+len(m)))
+	m = resize(m, int(nparts))
+	body = resize(body, end-4*(1+len(m)))
+	rest := body
 	for i, off := 0, 4; i < len(m); i++ {
 		n := int(binary.BigEndian.Uint32(b[off:]))
-		m[i], body = body[:n:n], body[n:]
+		m[i], rest = rest[:n:n], rest[n:]
 		copy(m[i], b[off+4:])
 		off += 4 + n
 	}
 	_, _ = c.r.Discard(end)
-	return m
+	return m, body, true
+}
+
+// resize returns s with length n, in s's storage when it is large enough.
+func resize[S ~[]E, E any](s S, n int) S {
+	if cap(s) < n {
+		return make(S, n)
+	}
+	return s[:n]
 }
 
 // Close closes the underlying connection.
@@ -238,6 +267,10 @@ func (d *Dealer) Send(m Message) error { return d.conn.Send(m) }
 
 // Recv blocks for the next message from the router.
 func (d *Dealer) Recv() (Message, error) { return d.conn.Recv() }
+
+// RecvReuse is Recv with Conn.RecvReuse's contract: the message is valid
+// until the next RecvReuse.
+func (d *Dealer) RecvReuse() (Message, error) { return d.conn.RecvReuse() }
 
 // Close tears down the connection.
 func (d *Dealer) Close() error { return d.conn.Close() }

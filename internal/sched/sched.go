@@ -273,8 +273,8 @@ func (*LeastOutstanding) Pick(candidates []executor.Executor) (executor.Executor
 	return candidates[best], nil
 }
 
-// Locality is the data-aware policy (ROADMAP item 4; the Dask/Ray
-// data-locality story fused with Parsl memoization): route a task to an
+// Locality is the data-aware policy (the Dask/Ray data-locality story
+// fused with Parsl memoization): route a task to an
 // executor whose managers advertise its input digest — the bytes are
 // already warm there — and fall back to least-outstanding when no
 // candidate holds them. Among multiple holders the least loaded wins, so

@@ -4,7 +4,8 @@
 // everything.
 //
 // Latency and elasticity (Fig. 3, Fig. 5/6) are measured on the real
-// executors (goroutine workers over the in-memory network), wall clock; the
+// executors (goroutine workers over the in-memory network), wall clock, with
+// Fig. 3's IPyParallel and Dask rows quoted from the paper; the
 // Blue Waters-scale sweeps (Fig. 4, Table 2) are modelled from the paper's
 // service times by the queueing recurrence in scaling.go, as documented in
 // README.md, "Reproducing the paper's figures". Each figure has this one

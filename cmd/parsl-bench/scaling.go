@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 	"time"
-
-	"repro/internal/baselines"
 )
 
 // The Blue Waters-scale experiments (Fig. 4 strong and weak scaling, Table 2
@@ -74,7 +72,7 @@ var (
 		workerOverhead: 3 * time.Millisecond,
 		coordKnee:      512,
 		coordSlope:     0.5,
-		maxWorkers:     baselines.IPPMaxWorkers,
+		maxWorkers:     2048, // where IPP stopped scaling on Blue Waters (Table 2)
 	}
 	daskModel = params{
 		name:           "dask",
@@ -83,7 +81,7 @@ var (
 		workerOverhead: 2 * time.Millisecond,
 		coordKnee:      512,
 		coordSlope:     1.2,
-		maxWorkers:     baselines.DaskMaxWorkers,
+		maxWorkers:     8192, // the scheduler's connection cap (Table 2)
 	}
 	fireworksModel = params{
 		name:           "fireworks",

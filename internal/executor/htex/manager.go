@@ -13,6 +13,10 @@ import (
 	"repro/internal/simnet"
 )
 
+// resultFlush is how many results the manager batches before it sends them
+// without waiting for FlushInterval.
+const resultFlush = 16
+
 // ManagerConfig tunes one pilot agent.
 type ManagerConfig struct {
 	// Workers is the number of worker goroutines (one per core in the
@@ -23,9 +27,8 @@ type ManagerConfig struct {
 	// "configurable batching and prefetching of tasks to minimize
 	// communication overheads").
 	Prefetch int
-	// ResultFlush batches results until this many accumulate or
-	// FlushInterval passes.
-	ResultFlush   int
+	// FlushInterval is the longest a result waits for resultFlush others
+	// to share its batch.
 	FlushInterval time.Duration
 	// HeartbeatPeriod is how often the manager pings the interchange; if
 	// the interchange stays silent for 5 periods the manager exits
@@ -43,9 +46,6 @@ func (c ManagerConfig) Validate() error {
 	if c.Prefetch < 0 {
 		return fmt.Errorf("htex: manager Prefetch %d is negative", c.Prefetch)
 	}
-	if c.ResultFlush < 0 {
-		return fmt.Errorf("htex: manager ResultFlush %d is negative", c.ResultFlush)
-	}
 	if c.FlushInterval < 0 {
 		return fmt.Errorf("htex: manager FlushInterval %v is negative", c.FlushInterval)
 	}
@@ -61,9 +61,6 @@ func (c *ManagerConfig) normalize() {
 	}
 	if c.Prefetch < 0 {
 		c.Prefetch = 0
-	}
-	if c.ResultFlush <= 0 {
-		c.ResultFlush = 16
 	}
 	if c.FlushInterval <= 0 {
 		c.FlushInterval = 5 * time.Millisecond
@@ -362,7 +359,7 @@ func (m *Manager) resultLoop() {
 			return
 		case r := <-m.results:
 			batch = append(batch, r)
-			if len(batch) >= m.cfg.ResultFlush {
+			if len(batch) >= resultFlush {
 				flush()
 			}
 		case <-timer.C:

@@ -86,26 +86,6 @@ func (m *ShardMap) AliveCount() int {
 	return m.aliveN
 }
 
-// IsAlive reports whether shard i accepts placement.
-func (m *ShardMap) IsAlive(i int) bool {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return i >= 0 && i < m.total && m.alive[i]
-}
-
-// Alive returns the alive shard indices in ascending order.
-func (m *ShardMap) Alive() []int {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	out := make([]int, 0, m.aliveN)
-	for i, a := range m.alive {
-		if a {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
 // Remove marks shard i dead and rebuilds the ring: only keys whose vnode arc
 // belonged to i move (to the arcs' successors); every other placement is
 // unchanged. Returns false if i was already dead or out of range. The last
@@ -145,43 +125,19 @@ func (m *ShardMap) locateLocked(h uint64) int {
 	return i
 }
 
-// Place maps a string key (a manager identity, a tenant) to an alive shard.
-func (m *ShardMap) Place(key string) int {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	if m.aliveN == 1 {
-		return m.ring[0].shard
-	}
-	return m.ring[m.locateLocked(hashString(key))].shard
-}
-
-// PlaceTask maps one task to a shard, tenant-affine: a task carrying a
+// PlaceTaskFunc maps one task to a shard, tenant-affine: a task carrying a
 // tenant follows its tenant's hash so a tenant's whole queue lands on one
 // shard (its DRR share is then enforced by that shard's fair queue exactly
 // as in the single-broker design); tenantless tasks spread by wire id. The
 // single-alive-shard fast path does no hashing — the default deployment
 // routes in a few nanoseconds with zero allocations.
-func (m *ShardMap) PlaceTask(tenant string, id int64) int {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	if m.aliveN == 1 {
-		return m.ring[0].shard
-	}
-	var h uint64
-	if tenant != "" {
-		h = hashString(tenant)
-	} else {
-		h = mix64(uint64(id))
-	}
-	return m.ring[m.locateLocked(h)].shard
-}
-
-// PlaceTaskFunc is PlaceTask with a capacity veto: when ok rejects the
-// hash-preferred shard (no registered managers, breaker open), the walk
-// continues around the ring to the first distinct shard ok accepts, so a
-// temporarily capacity-less shard spills to its ring successor instead of
-// wedging its tasks. If no shard passes, the preferred shard is returned —
-// placement never fails, it only waits.
+//
+// ok is a capacity veto: when it rejects the hash-preferred shard (no
+// registered managers, breaker open), the walk continues around the ring to
+// the first other shard ok accepts, asking each shard once, so a temporarily
+// capacity-less shard spills to its ring successor instead of wedging its
+// tasks. If no shard passes, the preferred shard is returned — placement
+// never fails, it only waits.
 func (m *ShardMap) PlaceTaskFunc(tenant string, id int64, ok func(shard int) bool) int {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
@@ -199,16 +155,25 @@ func (m *ShardMap) PlaceTaskFunc(tenant string, id int64, ok func(shard int) boo
 	if ok(preferred) {
 		return preferred
 	}
-	seen := 1
-	for i := 1; i < len(m.ring) && seen < m.aliveN; i++ {
+	// asked has a bit per vetoed shard below 64; vetoed counts the distinct
+	// shards asked, so the walk stops once every alive shard has refused. A
+	// shard from 64 up is not tracked: it is asked again at each of its
+	// vnodes, and the walk ends at the ring's end instead.
+	var asked uint64
+	vetoed := 1
+	for i := 1; i < len(m.ring) && vetoed < m.aliveN; i++ {
 		s := m.ring[(start+i)%len(m.ring)].shard
-		if s == preferred {
+		tracked := s < 64
+		if s == preferred || tracked && asked&(1<<s) != 0 {
 			continue
 		}
 		if ok(s) {
 			return s
 		}
-		seen++
+		if tracked {
+			asked |= 1 << s
+			vetoed++
+		}
 	}
 	return preferred
 }

@@ -16,14 +16,14 @@ func TestShardMapPlacementStability(t *testing.T) {
 
 	before := make([]int, keys)
 	for i := range before {
-		before[i] = m.PlaceTask("", int64(i))
+		before[i] = m.PlaceTaskFunc("", int64(i), acceptAll)
 	}
 	if !m.Remove(2) {
 		t.Fatal("Remove(2) refused")
 	}
 	moved := 0
 	for i := range before {
-		got := m.PlaceTask("", int64(i))
+		got := m.PlaceTaskFunc("", int64(i), acceptAll)
 		if before[i] == 2 {
 			if got == 2 {
 				t.Fatalf("key %d still places on removed shard 2", i)
@@ -48,7 +48,7 @@ func TestShardMapPlacementStability(t *testing.T) {
 		t.Fatal("Restore(2) refused")
 	}
 	for i := range before {
-		if got := m.PlaceTask("", int64(i)); got != before[i] {
+		if got := m.PlaceTaskFunc("", int64(i), acceptAll); got != before[i] {
 			t.Fatalf("key %d at %d after restore, want original %d", i, got, before[i])
 		}
 	}
@@ -60,16 +60,16 @@ func TestShardMapTenantAffinity(t *testing.T) {
 	m := NewShardMap(4)
 	for tenant := 0; tenant < 50; tenant++ {
 		name := fmt.Sprintf("tenant-%d", tenant)
-		home := m.PlaceTask(name, 0)
+		home := m.PlaceTaskFunc(name, 0, acceptAll)
 		for id := int64(1); id < 100; id++ {
-			if got := m.PlaceTask(name, id); got != home {
+			if got := m.PlaceTaskFunc(name, id, acceptAll); got != home {
 				t.Fatalf("%s task %d on shard %d, tenant home is %d — tenant affinity broken", name, id, got, home)
 			}
 		}
 	}
 	homes := map[int]bool{}
 	for tenant := 0; tenant < 50; tenant++ {
-		homes[m.PlaceTask(fmt.Sprintf("tenant-%d", tenant), 0)] = true
+		homes[m.PlaceTaskFunc(fmt.Sprintf("tenant-%d", tenant), 0, acceptAll)] = true
 	}
 	if len(homes) < 2 {
 		t.Fatalf("50 tenants all hashed to %d shard(s) of 4", len(homes))
@@ -77,7 +77,7 @@ func TestShardMapTenantAffinity(t *testing.T) {
 	// Tenantless tasks spread by id.
 	spread := map[int]bool{}
 	for id := int64(0); id < 1000; id++ {
-		spread[m.PlaceTask("", id)] = true
+		spread[m.PlaceTaskFunc("", id, acceptAll)] = true
 	}
 	if len(spread) != 4 {
 		t.Fatalf("tenantless ids reached %d shards of 4", len(spread))
@@ -92,11 +92,11 @@ func TestShardMapDeterministic(t *testing.T) {
 	a.Remove(1)
 	b.Remove(1)
 	for i := int64(0); i < 2000; i++ {
-		if a.PlaceTask("", i) != b.PlaceTask("", i) {
+		if a.PlaceTaskFunc("", i, acceptAll) != b.PlaceTaskFunc("", i, acceptAll) {
 			t.Fatalf("maps with identical membership disagree on id %d", i)
 		}
 	}
-	if a.Place("mgr-b0-7") != b.Place("mgr-b0-7") {
+	if a.PlaceManagerBounded("mgr-b0-7", nil) != b.PlaceManagerBounded("mgr-b0-7", nil) {
 		t.Fatal("maps disagree on string key placement")
 	}
 }
@@ -111,7 +111,7 @@ func TestShardMapMergedDepthsEquivalence(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		tenant := fmt.Sprintf("t%d", i%7)
 		single[tenant]++
-		s := m.PlaceTask(tenant, int64(i))
+		s := m.PlaceTaskFunc(tenant, int64(i), acceptAll)
 		if perShard[s] == nil {
 			perShard[s] = map[string]int{}
 		}
@@ -149,12 +149,15 @@ func TestShardMapBoundedManagerPlacement(t *testing.T) {
 	}
 }
 
+// acceptAll is the veto that refuses no shard.
+func acceptAll(int) bool { return true }
+
 // TestShardMapPlaceTaskFunc: a vetoed preferred shard spills to a different
 // alive shard; an all-veto map falls back to the preferred shard rather
 // than failing placement.
 func TestShardMapPlaceTaskFunc(t *testing.T) {
 	m := NewShardMap(3)
-	preferred := m.PlaceTask("hot-tenant", 0)
+	preferred := m.PlaceTaskFunc("hot-tenant", 0, acceptAll)
 	got := m.PlaceTaskFunc("hot-tenant", 0, func(s int) bool { return s != preferred })
 	if got == preferred {
 		t.Fatalf("veto of shard %d ignored", preferred)
@@ -164,6 +167,41 @@ func TestShardMapPlaceTaskFunc(t *testing.T) {
 	}
 	if ok := m.PlaceTaskFunc("hot-tenant", 0, func(int) bool { return true }); ok != preferred {
 		t.Fatalf("no-veto placement = %d, want preferred %d (spill must not reorder clean placement)", ok, preferred)
+	}
+
+	// The spill walk asks every other shard before it gives up, however many
+	// vnodes of vetoed shards it passes first: with the preferred shard and
+	// one other vetoed (two of three, two of four), or all but one (three of
+	// four), it lands on a shard that accepts.
+	for _, shards := range []int{3, 4} {
+		m := NewShardMap(shards)
+		for id := int64(0); id < 1000; id++ {
+			preferred := m.PlaceTaskFunc("", id, acceptAll)
+			for other := 0; other < shards; other++ {
+				if other == preferred {
+					continue
+				}
+				vetoed := func(s int) bool { return s == preferred || s == other }
+				if got := m.PlaceTaskFunc("", id, func(s int) bool { return !vetoed(s) }); vetoed(got) {
+					t.Fatalf("%d shards, id %d: shards %d and %d vetoed, placed on %d", shards, id, preferred, other, got)
+				}
+				if shards == 4 {
+					if got := m.PlaceTaskFunc("", id, func(s int) bool { return s == other }); got != other {
+						t.Fatalf("4 shards, id %d: only shard %d accepts, placed on %d", id, other, got)
+					}
+				}
+			}
+		}
+	}
+	// Past 64 shards the walk stops tracking which it asked, and still
+	// reaches the one that accepts.
+	wide := NewShardMap(70)
+	for id := int64(0); id < 100; id++ {
+		for _, only := range []int{3, 66} {
+			if got := wide.PlaceTaskFunc("", id, func(s int) bool { return s == only }); got != only {
+				t.Fatalf("70 shards, id %d: only shard %d accepts, placed on %d", id, only, got)
+			}
+		}
 	}
 }
 
@@ -180,13 +218,13 @@ func TestShardMapLastShard(t *testing.T) {
 	if m.Remove(0) {
 		t.Fatal("double-removed shard 0")
 	}
-	if got := m.PlaceTask("any", 42); got != 1 {
+	if got := m.PlaceTaskFunc("any", 42, acceptAll); got != 1 {
 		t.Fatalf("placement on sole survivor = %d, want 1", got)
 	}
 	if alive, total := m.AliveCount(), m.Total(); alive != 1 || total != 2 {
 		t.Fatalf("alive/total = %d/%d, want 1/2", alive, total)
 	}
-	if got := m.Alive(); !reflect.DeepEqual(got, []int{1}) {
-		t.Fatalf("Alive() = %v", got)
+	if got := m.PlaceManagerBounded("mgr-b0-0", []int{0, 0}); got != 1 {
+		t.Fatalf("manager placement on sole survivor = %d, want 1", got)
 	}
 }

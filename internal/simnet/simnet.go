@@ -43,13 +43,10 @@ func (TCP) Dial(addr string) (net.Conn, error) {
 }
 
 // Network is an in-memory Transport. Each connection applies a one-way
-// delay of RTT/2 (plus jitter) to every write, modeling the interconnect.
+// delay of RTT/2 to every write, modeling the interconnect.
 type Network struct {
 	// RTT is the simulated round-trip time between any two endpoints.
 	RTT time.Duration
-	// Jitter, when positive, adds up to this much uniform random extra
-	// one-way delay. Determinism matters for tests, so the default is 0.
-	Jitter time.Duration
 
 	mu        sync.Mutex
 	listeners map[string]*listener
@@ -106,7 +103,7 @@ func (n *Network) Dial(addr string) (net.Conn, error) {
 		return nil, fmt.Errorf("%w: %s", ErrConnRefused, addr)
 	}
 	delay := n.RTT / 2
-	client, server := newPair(addr, delay, n.Jitter)
+	client, server := newPair(addr, delay)
 	select {
 	case l.accept <- server:
 		// The listener may close concurrently, orphaning the queued conn;
@@ -192,7 +189,6 @@ type mark struct {
 type conn struct {
 	local, remote simAddr
 	delay         time.Duration
-	jitter        time.Duration
 	peer          *conn
 
 	closed    chan struct{}
@@ -210,16 +206,16 @@ type conn struct {
 	writable     chan struct{} // 1-buffered: c read, making room for a parked writer
 }
 
-func newPair(addr string, delay, jitter time.Duration) (client, server *conn) {
-	client = newConn("client", simAddr(addr), delay, jitter)
-	server = newConn(simAddr(addr), "client", delay, jitter)
+func newPair(addr string, delay time.Duration) (client, server *conn) {
+	client = newConn("client", simAddr(addr), delay)
+	server = newConn(simAddr(addr), "client", delay)
 	client.peer, server.peer = server, client
 	return client, server
 }
 
-func newConn(local, remote simAddr, delay, jitter time.Duration) *conn {
+func newConn(local, remote simAddr, delay time.Duration) *conn {
 	return &conn{
-		local: local, remote: remote, delay: delay, jitter: jitter,
+		local: local, remote: remote, delay: delay,
 		closed:   make(chan struct{}),
 		readable: make(chan struct{}, 1),
 		writable: make(chan struct{}, 1),

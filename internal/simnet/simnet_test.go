@@ -236,7 +236,7 @@ func TestPartialReadsLeftover(t *testing.T) {
 // TestPipeAllocationFree: once the pipe's buffer is sized, a write and the
 // read that drains it allocate nothing.
 func TestPipeAllocationFree(t *testing.T) {
-	client, server := newPair("x", 0, 0)
+	client, server := newPair("x", 0)
 	msg, buf := make([]byte, 64), make([]byte, 64)
 	trip := func() {
 		if _, err := client.Write(msg); err != nil {
@@ -257,7 +257,7 @@ func TestPipeAllocationFree(t *testing.T) {
 // returns them all.
 func TestPipeDelayAcrossWrites(t *testing.T) {
 	const rtt = 20 * time.Millisecond
-	client, server := newPair("x", rtt/2, 0)
+	client, server := newPair("x", rtt/2)
 	var sent [6]time.Time
 	round := make(chan struct{})
 	go func() {
@@ -301,7 +301,7 @@ func TestPipeDelayAcrossWrites(t *testing.T) {
 // bytes unread and resumes after a read; a writer parked when the peer
 // closes gets io.ErrClosedPipe.
 func TestPipeBoundBlocksWriter(t *testing.T) {
-	client, server := newPair("x", 0, 0)
+	client, server := newPair("x", 0)
 	write := func(n int) <-chan error {
 		done := make(chan error, 1)
 		go func() {

@@ -10,7 +10,7 @@ import (
 // runLocality drives the data-aware scheduling evaluation: a workflow runs
 // once cold, then a second process replays it warm against the shared
 // content-addressed result cache and staging site, and the locality policy
-// routes repeat digests to their advertised holders. The headline numbers —
+// routes repeat digests to their holders. The headline numbers —
 // warm re-executions and warm bytes moved — must both be zero, and the warm
 // hit rate 1: RunLocality reports anything else as a violation.
 func runLocality(o options) error {

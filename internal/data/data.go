@@ -299,8 +299,8 @@ func (m *Manager) Stats() StageStats {
 }
 
 // contentDigest is the %016x FNV-64a content hash — the same digest format
-// serialize.Payload.ArgsHash and serialize.DigestBytes report, so staging,
-// memoization, and locality advertisements speak one digest vocabulary.
+// serialize.Payload.ArgsHash reports, so staging, memoization, and the
+// interchange's warm-digest record speak one digest vocabulary.
 func contentDigest(b []byte) string {
 	h := fnv.New64a()
 	_, _ = h.Write(b)

@@ -9,11 +9,10 @@
 // Rank 0 is an htex.Manager, not a second implementation of one: a pool is
 // the manager constructed with an exec step that hands the task envelope to
 // an MPI rank and waits for that rank's result. Registration and prefetch,
-// CANCEL of buffered tasks, NACK stream resync, result batching, heartbeats
-// with digest adverts, exit on interchange silence, the acked BYE drain and
-// the chaos kill point are therefore the manager's, shared with HTEX. What
-// is EXEX's own is below: the communicator, the worker-rank loop, and the
-// fault model.
+// CANCEL of buffered tasks, NACK stream resync, result batching, heartbeats,
+// exit on interchange silence, the acked BYE drain and the chaos kill point
+// are therefore the manager's, shared with HTEX. What is EXEX's own is below:
+// the communicator, the worker-rank loop, and the fault model.
 //
 // That fault model is MPI's: a single rank failure aborts the entire pool,
 // which surfaces here exactly as the paper describes — rank 0 stops without

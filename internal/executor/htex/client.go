@@ -13,7 +13,6 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/executor"
 	"repro/internal/future"
-	"repro/internal/health"
 	"repro/internal/mq"
 	"repro/internal/provider"
 	"repro/internal/serialize"
@@ -67,22 +66,20 @@ type shardConn struct {
 
 // shardLink is the client's handle to one interchange shard: the current
 // connection (swappable on restore), the command-reply channel, and the
-// shard's circuit breaker. Everything here is per-shard because the
-// invariants are per-shard: a NACK resyncs one shard's stream, a breaker
-// trips on one shard's sends, a death fails one shard's inflight.
+// shard's liveness. Everything here is per-shard because the invariants are
+// per-shard: a NACK resyncs one shard's stream, a death fails one shard's
+// inflight.
 type shardLink struct {
-	idx   int
-	label string // "htex[0]" — the shard's chaos/breaker/LOST identity
-	conn  atomic.Pointer[shardConn]
-	// breaker tracks this shard's send outcomes so routing can stop
-	// offering work to a flaky-but-alive shard (half-open probes let it
-	// back in). Shard death is tracked by down; RestoreShard clears it when
-	// a respawned broker rejoins the placement ring.
-	breaker    *health.Breaker
+	idx        int
+	label      string // "htex[0]" — the shard's chaos/LOST identity
+	conn       atomic.Pointer[shardConn]
 	cmdReplies chan mq.Message
-	down       atomic.Bool
+	// down is the shard's liveness: set by the death path (shardDown),
+	// cleared when RestoreShard brings a respawned broker back into the
+	// placement ring.
+	down atomic.Bool
 	// lost counts the attempts failed on this shard's account: its death scan
-	// (shardDown) plus the batches its dead endpoint refused (fanOut).
+	// (shardDown) plus the batches its dead endpoint refused (sendOrFail).
 	lost atomic.Int64
 }
 
@@ -177,35 +174,26 @@ func (e *Executor) ShardCounts() (alive, total int) {
 	return e.smap.AliveCount(), e.smap.Total()
 }
 
-// ShardHealth aggregates the per-shard breakers into one executor-level
-// signal: "closed" when every alive shard routes cleanly, "degraded" when at
-// least one shard is dead or its breaker is open/half-open, "down" when no
-// shard is routable at all.
+// ShardHealth aggregates shard liveness into one executor-level signal:
+// "closed" when every shard is alive, "degraded" when at least one is dead,
+// "down" when none is.
 func (e *Executor) ShardHealth() string {
 	if len(e.shards) == 0 {
 		return ""
 	}
-	routable, degraded := 0, false
+	dead := 0
 	for _, s := range e.shards {
 		if s.down.Load() {
-			degraded = true
-			continue
+			dead++
 		}
-		if st := s.breaker.State(); st != health.BreakerClosed {
-			degraded = true
-			if st == health.BreakerOpen {
-				continue
-			}
-		}
-		routable++
 	}
-	switch {
-	case routable == 0:
-		return "down"
-	case degraded:
-		return "degraded"
-	default:
+	switch dead {
+	case 0:
 		return "closed"
+	case len(e.shards):
+		return "down"
+	default:
+		return "degraded"
 	}
 }
 
@@ -252,7 +240,6 @@ func (e *Executor) Start() error {
 		s := &shardLink{
 			idx:        i,
 			label:      fmt.Sprintf("%s[%d]", e.cfg.Label, i),
-			breaker:    health.NewBreaker(health.BreakerConfig{}),
 			cmdReplies: make(chan mq.Message, 16),
 		}
 		c, err := e.openShard(s)
@@ -515,33 +502,38 @@ func (e *Executor) handleNack(s *shardLink, c *shardConn, epoch uint32) {
 	}
 }
 
-// sendTasks frames one task batch onto one shard's (chaos-instrumented)
-// wire, recording the outcome against that shard's breaker.
-func (e *Executor) sendTasks(s *shardLink, wires []serialize.WireTask) error {
-	return e.sendTasksOn(s, s.conn.Load(), wires)
-}
-
-// sendTasksOn is sendTasks pinned to one connection — the NACK repair path
-// must retransmit on exactly the stream whose epoch it just reset, even if a
-// restore swaps the connection mid-repair.
+// sendTasksOn frames one task batch onto one shard connection's
+// (chaos-instrumented) wire. It is pinned to a connection because the NACK
+// repair path must retransmit on exactly the stream whose epoch it just
+// reset, even if a restore swaps the connection mid-repair.
 func (e *Executor) sendTasksOn(s *shardLink, c *shardConn, wires []serialize.WireTask) error {
-	err := c.taskEnc.EncodeTasks(wires, func(frame []byte) error {
+	return c.taskEnc.EncodeTasks(wires, func(frame []byte) error {
 		return chaos.Frame(chaos.PointClientSend, s.label, frame, func(fr []byte) error {
 			return c.dealer.Send(mq.Message{tagTaskSub, fr})
 		})
 	})
-	s.breaker.Record(err == nil)
-	return err
+}
+
+// sendOrFail sends one submitted batch on shard s's current connection. A
+// batch its endpoint refuses (mq fails a send only on a closed connection)
+// fails task by task on s's account, so LostByShard counts it.
+func (e *Executor) sendOrFail(s *shardLink, batch []serialize.WireTask) {
+	if err := e.sendTasksOn(s, s.conn.Load(), batch); err != nil {
+		s.lost.Add(int64(len(batch)))
+		for _, w := range batch {
+			e.fail(w.ID, fmt.Errorf("htex: submit batch: %w", err))
+		}
+	}
 }
 
 // placeTask picks the shard for one task: consistent-hash tenant-affine
-// placement, vetoing shards that are dead, breaker-blocked, or have no
-// registered managers to drain them (those spill to their ring successor —
-// see ShardMap.PlaceTaskFunc).
+// placement, vetoing shards that are dead or have no registered managers to
+// drain them (those spill to their ring successor — see
+// ShardMap.PlaceTaskFunc).
 func (e *Executor) placeTask(tenant string, id int64) int {
 	return e.smap.PlaceTaskFunc(tenant, id, func(si int) bool {
 		s := e.shards[si]
-		return !s.down.Load() && s.breaker.Routable() && s.broker().ManagerCount() > 0
+		return !s.down.Load() && s.broker().ManagerCount() > 0
 	})
 }
 
@@ -675,11 +667,7 @@ func (e *Executor) SubmitInto(msgs []serialize.TaskMsg, futs []*future.Future) {
 	}
 	if len(wires) > 0 {
 		if single {
-			if err := e.sendTasks(e.shards[0], wires); err != nil {
-				for _, w := range wires {
-					e.fail(w.ID, fmt.Errorf("htex: submit batch: %w", err))
-				}
-			}
+			e.sendOrFail(e.shards[0], wires)
 		} else {
 			e.fanOut(wires, wireShard)
 		}
@@ -706,12 +694,7 @@ func (e *Executor) fanOut(wires []serialize.WireTask, wireShard []int) {
 		if len(batch) == 0 {
 			continue
 		}
-		if err := e.sendTasks(e.shards[si], batch); err != nil {
-			e.shards[si].lost.Add(int64(len(batch)))
-			for _, w := range batch {
-				e.fail(w.ID, fmt.Errorf("htex: submit batch: %w", err))
-			}
-		}
+		e.sendOrFail(e.shards[si], batch)
 	}
 }
 
@@ -753,10 +736,10 @@ func (e *Executor) Outstanding() int { return int(e.outstanding.Load()) }
 // (index = shard) — the system's own record of a shard death's blast radius.
 // A death fails attempts two ways: the scan in shardDown fails everything
 // inflight on the shard once the client notices the death, and until then
-// the dead endpoint refuses the batches fanOut still sends it. Placement and
-// the scan serialize on e.mu and a down shard is never placed on, so nothing
-// escapes both. A batch refused while the scan runs is counted by both, so
-// this is an upper bound, exact when no submission races the death.
+// the dead endpoint refuses the batches SubmitInto still sends it. Placement
+// and the scan serialize on e.mu and a down shard is never placed on, so
+// nothing escapes both. A batch refused while the scan runs is counted by
+// both, so this is an upper bound, exact when no submission races the death.
 func (e *Executor) LostByShard() []int {
 	out := make([]int, len(e.shards))
 	for i, s := range e.shards {
@@ -821,11 +804,11 @@ func (e *Executor) ConnectedWorkers() int {
 	return n * e.cfg.Manager.Workers
 }
 
-// HoldsDigest reports whether any live shard has a manager currently
-// advertising digest d — the executor-level locality probe internal/sched
-// samples into Load.HasDigest. Advertisements ride heartbeats and may be up
-// to one heartbeat period stale; a wrong answer costs one cold placement,
-// never correctness.
+// HoldsDigest reports whether any live shard has a manager holding digest d
+// (it returned a result for a task with those input bytes) — the
+// executor-level locality probe internal/sched samples into Load.HasDigest.
+// A holding whose manager has since died is forgotten with it; a wrong
+// answer costs one cold placement, never correctness.
 func (e *Executor) HoldsDigest(d string) bool {
 	for _, s := range e.shards {
 		if !s.down.Load() && s.broker().HasDigest(d) {

@@ -1,12 +1,10 @@
 package htex
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -35,7 +33,7 @@ const (
 type InterchangeConfig struct {
 	// Label names this interchange instance for the chaos plane and shard
 	// diagnostics ("htex[2]"). The sharded client fills it per shard so
-	// fault rules and breaker telemetry can address one shard; a standalone
+	// fault rules and LOST reports can address one shard; a standalone
 	// interchange may leave it empty.
 	Label string
 	// BatchSize caps tasks per dispatch message to one manager.
@@ -49,11 +47,11 @@ type InterchangeConfig struct {
 	// Selection picks the dispatch policy (default SelectRandom).
 	Selection Selection
 	// Locality enables data-aware dispatch: a task whose input digest some
-	// eligible manager advertises (heartbeat digest-set summary) is routed
-	// to that manager instead of the fairness pick, provided it has free
-	// capacity. Off by default — the advert is still aggregated (it feeds
-	// the client-side locality view either way), but manager selection
-	// stays exactly the paper's randomized policy.
+	// eligible manager holds (it returned a result for those exact input
+	// bytes) is routed to that manager instead of the fairness pick,
+	// provided it has free capacity. Off by default — the holdings are still
+	// recorded (they feed the client-side locality view either way), but
+	// manager selection stays exactly the paper's randomized policy.
 	Locality bool
 }
 
@@ -101,17 +99,33 @@ type managerState struct {
 	blacklisted bool
 	// enc is the manager's private TASKS stream.
 	enc *serialize.StreamEncoder
-	// digests is the manager's last heartbeat digest-set summary: the warm
-	// input digests it advertises. Replaced wholesale on every advert (the
-	// manager's view is authoritative); nil until the first one arrives.
-	// advert is that summary as it arrived: a manager whose warm set is
-	// stable resends the same bytes every heartbeat, and parsing them again
-	// (≈45 KiB of garbage for a full advert) would rebuild the same set.
-	digests map[string]struct{}
-	advert  []byte
+	// digests holds the content digests (serialize.Digest of the payload
+	// column, the value the client's Payload.ArgsHash reports as text) of
+	// the tasks this manager returned results for: the inputs it holds warm.
+	// Bounded FIFO by maxDigests; digestOrder tracks insertion order for
+	// eviction. Written only where a result releases its task.
+	digests     map[uint64]struct{}
+	digestOrder []uint64
 }
 
+// maxDigests bounds one manager's warm-digest record.
+const maxDigests = 512
+
 func (m *managerState) free() int { return m.capacity - len(m.outstanding) }
+
+// noteDigest records a warm content digest, evicting the oldest entry past
+// the bound. Caller holds ix.mu.
+func (m *managerState) noteDigest(d uint64) {
+	if _, ok := m.digests[d]; ok {
+		return
+	}
+	m.digests[d] = struct{}{}
+	m.digestOrder = append(m.digestOrder, d)
+	for len(m.digestOrder) > maxDigests {
+		delete(m.digests, m.digestOrder[0])
+		m.digestOrder = m.digestOrder[1:]
+	}
+}
 
 // taskSend is one TASKS frame dispatch has decided on: a batch for one
 // manager's stream.
@@ -132,8 +146,8 @@ type Interchange struct {
 	rng    *rand.Rand
 
 	// clientEnc streams RESULTS to the client. Of a result batch arriving
-	// from a manager the interchange reads only the id column (capacity
-	// bookkeeping); the result envelopes are re-framed here as opaque bytes,
+	// from a manager the interchange reads only the id column (capacity and
+	// warm-digest bookkeeping); the result envelopes are re-framed here as opaque bytes,
 	// so the client holds exactly one result stream regardless of how many
 	// managers feed it.
 	clientEnc *serialize.StreamEncoder
@@ -284,6 +298,7 @@ func (ix *Interchange) handle(del mq.Delivery) {
 			outstanding: make(map[int64]serialize.WireTask),
 			lastSeen:    time.Now(),
 			enc:         serialize.NewStreamEncoder(),
+			digests:     make(map[uint64]struct{}),
 		}
 		ix.mu.Unlock()
 		ix.dispatch()
@@ -306,8 +321,14 @@ func (ix *Interchange) handle(del mq.Delivery) {
 		ix.mu.Lock()
 		if m, ok := ix.managers[del.From]; ok {
 			m.lastSeen = time.Now()
+			// A returned result warms its manager for the task's exact input
+			// bytes, whether the app succeeded or not: only the id column is
+			// read here.
 			for _, id := range ix.resultIDs {
-				delete(m.outstanding, id)
+				if t, ok := m.outstanding[id]; ok {
+					m.noteDigest(serialize.Digest(t.P))
+					delete(m.outstanding, id)
+				}
 			}
 		}
 		client := ix.client
@@ -325,13 +346,6 @@ func (ix *Interchange) handle(del mq.Delivery) {
 		ix.mu.Lock()
 		if m, ok := ix.managers[del.From]; ok {
 			m.lastSeen = time.Now()
-			// An extra part is the manager's digest-set advert: the content
-			// digests of tasks it has executed and so holds warm. Replace
-			// the aggregated view wholesale — the advert is authoritative.
-			if len(del.Msg) > 1 && !bytes.Equal(del.Msg[1], m.advert) {
-				m.advert = del.Msg[1]
-				m.digests = parseDigestSet(m.advert)
-			}
 		}
 		ix.mu.Unlock()
 		// Echo so managers can police us too.
@@ -580,19 +594,19 @@ func (ix *Interchange) dispatch() {
 		ix.queue.PutBatch(scratch)
 
 		// Data-aware rerouting (cfg.Locality): a task whose input digest
-		// another eligible manager advertises moves to that holder — its
-		// inputs are warm there — capped by the holder's free capacity.
-		// The fairness pick m keeps everything else, so with no adverts in
-		// play the dispatch is byte-identical to the classic policy. The
-		// digest is hashed from the opaque payload column; the broker
-		// still never decodes arguments.
+		// another eligible manager holds moves to that holder — its inputs
+		// are warm there — capped by the holder's free capacity. The
+		// fairness pick m keeps everything else, so with no holdings in play
+		// the dispatch is byte-identical to the classic policy. The digest
+		// is hashed from the opaque payload column; the broker still never
+		// decodes arguments.
 		sends := ix.sends[:0]
 		if ix.cfg.Locality && len(eligible) > 1 {
 			taken := make(map[*managerState]int)
 			reroutes := make(map[*managerState][]serialize.WireTask)
 			kept := batch[:0]
 			for _, t := range batch {
-				d := serialize.DigestBytes(t.P)
+				d := serialize.Digest(t.P)
 				if _, warm := m.digests[d]; warm {
 					kept = append(kept, t)
 					continue
@@ -720,35 +734,23 @@ func (ix *Interchange) OutstandingByManager() map[string]int {
 	return out
 }
 
-// parseDigestSet decodes a heartbeat digest-set advert (comma-joined
-// digests) into a lookup set. Empty input yields nil.
-func parseDigestSet(b []byte) map[string]struct{} {
-	if len(b) == 0 {
-		return nil
-	}
-	parts := strings.Split(string(b), ",")
-	set := make(map[string]struct{}, len(parts))
-	for _, p := range parts {
-		if p != "" {
-			set[p] = struct{}{}
-		}
-	}
-	return set
-}
-
-// HasDigest reports whether any registered, non-blacklisted manager
-// advertises the content digest — this shard's slice of the locality view.
-// Adverts ride heartbeats, so the answer can be stale by up to one manager
-// heartbeat period in either direction; callers treat it as a routing hint,
-// never a correctness signal.
+// HasDigest reports whether any registered, non-blacklisted manager holds
+// the content digest d (16 hex digits, Payload.ArgsHash's form) — this
+// shard's slice of the locality view. A holding is recorded the moment its
+// result is released and forgotten with its manager; callers still treat
+// the answer as a routing hint, never a correctness signal.
 func (ix *Interchange) HasDigest(d string) bool {
+	sum, err := strconv.ParseUint(d, 16, 64)
+	if err != nil {
+		return false
+	}
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	for _, m := range ix.managers {
 		if m.blacklisted {
 			continue
 		}
-		if _, ok := m.digests[d]; ok {
+		if _, ok := m.digests[sum]; ok {
 			return true
 		}
 	}

@@ -103,20 +103,7 @@ type Manager struct {
 	// task already ran leaves a stale entry — bounded by cancellations per
 	// manager lifetime, and harmless because wire ids are never reused.
 	canceled map[int64]struct{}
-	// digests is the content-digest set this manager advertises in its
-	// heartbeats: the serialize.Digest of every task it has successfully
-	// executed recently (its warm inputs/results), bounded FIFO by
-	// maxAdvertisedDigests. digestOrder tracks insertion order for eviction.
-	// Kept as numbers — advert is their text form, rendered by the first
-	// heartbeat after the set changed and resent as it is until the next.
-	digests     map[uint64]struct{}
-	digestOrder []uint64
-	advert      []byte
 }
-
-// maxAdvertisedDigests bounds one manager's heartbeat digest-set summary.
-// At 16 hex chars + separator per digest the advert stays under ~9 KiB.
-const maxAdvertisedDigests = 512
 
 // StartManager connects a manager to the interchange at addr and begins
 // executing tasks from reg on its own worker goroutines.
@@ -155,8 +142,8 @@ func StartManager(tr simnet.Transport, addr, id string, reg *serialize.Registry,
 // means the substrate behind the slots is gone — the manager stops without a
 // BYE, so the interchange reports everything it held LOST. Everything else
 // (registration, prefetch buffer, CANCEL, NACK resync, result batching,
-// heartbeats with digest adverts, silence policing, acked drain, the
-// PointMgrKill chaos point) is the same code whatever exec does.
+// heartbeats, silence policing, acked drain, the PointMgrKill chaos point) is
+// the same code whatever exec does.
 func StartManagerExec(tr simnet.Transport, addr, id string, cfg ManagerConfig,
 	exec func(slot int, w serialize.WireTask) (serialize.ResultMsg, error)) (*Manager, error) {
 	if err := cfg.Validate(); err != nil {
@@ -179,7 +166,6 @@ func StartManagerExec(tr simnet.Transport, addr, id string, cfg ManagerConfig,
 		done:     make(chan struct{}),
 		lastSeen: time.Now(),
 		canceled: make(map[int64]struct{}),
-		digests:  make(map[uint64]struct{}),
 	}
 	capacity := cfg.Workers + cfg.Prefetch
 	if err := dealer.Send(mq.Message{tagReg, []byte(strconv.Itoa(capacity))}); err != nil {
@@ -310,13 +296,6 @@ func (m *Manager) worker(slot int) {
 			}
 			m.mu.Lock()
 			m.executed++
-			if res.Err == "" {
-				// Successful execution warms this manager for the task's
-				// exact input bytes: note the content digest (derived from
-				// the wire payload — the same FNV value the client's
-				// Payload.ArgsHash reports) for the heartbeat advert.
-				m.noteDigestLocked(serialize.Digest(w.P))
-			}
 			m.mu.Unlock()
 			select {
 			case m.results <- res:
@@ -369,39 +348,6 @@ func (m *Manager) resultLoop() {
 	}
 }
 
-// noteDigestLocked records a warm content digest for the heartbeat advert,
-// evicting the oldest entry past the bound. Caller holds m.mu.
-func (m *Manager) noteDigestLocked(d uint64) {
-	if _, ok := m.digests[d]; ok {
-		return
-	}
-	m.digests[d] = struct{}{}
-	m.digestOrder = append(m.digestOrder, d)
-	m.advert = nil
-	for len(m.digestOrder) > maxAdvertisedDigests {
-		delete(m.digests, m.digestOrder[0])
-		m.digestOrder = m.digestOrder[1:]
-	}
-}
-
-// digestAdvert renders the compact digest-set summary attached to
-// heartbeats: the bounded set of warm digests, comma-joined. Empty before
-// the first successful execution (and the HB then carries no extra part).
-func (m *Manager) digestAdvert() []byte {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.advert == nil && len(m.digestOrder) > 0 {
-		m.advert = make([]byte, 0, 17*len(m.digestOrder))
-		for i, d := range m.digestOrder {
-			if i > 0 {
-				m.advert = append(m.advert, ',')
-			}
-			m.advert = serialize.AppendDigest(m.advert, d)
-		}
-	}
-	return m.advert
-}
-
 func (m *Manager) heartbeatLoop() {
 	defer m.wg.Done()
 	ticker := time.NewTicker(m.cfg.HeartbeatPeriod)
@@ -411,16 +357,7 @@ func (m *Manager) heartbeatLoop() {
 		case <-m.done:
 			return
 		case <-ticker.C:
-			// The heartbeat doubles as the locality advertisement: an extra
-			// frame part carries the digest-set summary so the interchange
-			// can aggregate who holds what without any new message type.
-			// Interchanges ignore parts they don't expect, so an empty set
-			// sends the classic single-part HB.
-			hb := mq.Message{tagHB}
-			if adv := m.digestAdvert(); adv != nil {
-				hb = append(hb, adv)
-			}
-			if err := m.dealer.Send(hb); err != nil {
+			if err := m.dealer.Send(mq.Message{tagHB}); err != nil {
 				m.Stop()
 				return
 			}

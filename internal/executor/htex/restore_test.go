@@ -3,6 +3,7 @@ package htex
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -146,11 +147,11 @@ func TestHeartbeatCrossCheckWithPayloadFactory(t *testing.T) {
 	}
 }
 
-// TestDigestAdvertisement: executing a task makes its manager advertise the
-// task's content digest in the next heartbeat, and the advertisement is
-// visible through every layer — interchange aggregation, the executor's
-// shard union, and the scheduler's LoadOf probe.
-func TestDigestAdvertisement(t *testing.T) {
+// TestDigestHoldings: a returned task's content digest is held by the
+// manager that returned it, and the holding is visible through every layer —
+// interchange record, the executor's shard union, and the scheduler's LoadOf
+// probe — as soon as the result is back.
+func TestDigestHoldings(t *testing.T) {
 	e := newHTEX(t, 1, 1, nil)
 
 	p, err := serialize.EncodeArgs([]any{"warm-input"}, nil)
@@ -161,20 +162,113 @@ func TestDigestAdvertisement(t *testing.T) {
 	p.Release()
 
 	if e.HoldsDigest(digest) {
-		t.Fatal("digest advertised before any execution")
+		t.Fatal("digest held before any execution")
 	}
 	v, err := e.Submit(serialize.TaskMsg{ID: 1, App: "echo", Args: []any{"warm-input"}}).Result()
 	if err != nil || v != "warm-input" {
 		t.Fatalf("submit: %v, %v", v, err)
 	}
-	waitCond(t, "digest advertised after execution", func() bool {
-		return e.HoldsDigest(digest)
-	})
+	if !e.HoldsDigest(digest) {
+		t.Fatal("digest not held once its result returned")
+	}
 	l := sched.LoadOf(e)
 	if l.HasDigest == nil || !l.HasDigest(digest) {
 		t.Fatal("sched.LoadOf must surface the digest probe")
 	}
 	if e.HoldsDigest("ffffffffffffffff") {
 		t.Fatal("HoldsDigest matched a digest nobody executed")
+	}
+}
+
+// TestLocalityDispatchFollowsHoldings: with InterchangeConfig.Locality on, a
+// repeat of a returned task is dispatched to the manager that returned it,
+// whichever manager the random pick chose. The heartbeat clocks run an hour,
+// so no HB is sent during the test: the holding needs none. A result that
+// carries an app error warms its manager too — the interchange reads only the
+// id column of a result batch.
+func TestLocalityDispatchFollowsHoldings(t *testing.T) {
+	reg := testRegistry(t)
+	tr := simnet.NewNetwork(0)
+	mgrCfg := ManagerConfig{Workers: 1, HeartbeatPeriod: time.Hour}
+	var (
+		mu   sync.Mutex
+		mgrs []*Manager
+	)
+	e := New(Config{
+		Label:      "loc",
+		Transport:  tr,
+		Registry:   reg,
+		Provider:   provider.NewLocal(provider.Config{NodesPerBlock: 2}),
+		InitBlocks: 1,
+		Manager:    mgrCfg,
+		Interchange: InterchangeConfig{
+			Seed: 1, Locality: true,
+			HeartbeatPeriod: time.Hour, HeartbeatThreshold: 2 * time.Hour,
+		},
+		PayloadFactory: func(addr string, node provider.Node) (func(), error) {
+			m, err := StartManager(tr, addr, fmt.Sprintf("loc-mgr-%d", node.ID), reg, mgrCfg)
+			if err != nil {
+				return nil, err
+			}
+			mu.Lock()
+			mgrs = append(mgrs, m)
+			mu.Unlock()
+			return m.Stop, nil
+		},
+	})
+	if err := e.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = e.Shutdown() })
+	waitCond(t, "2 managers", func() bool { return e.Interchange().ManagerCount() == 2 })
+	mu.Lock()
+	pool := mgrs
+	mu.Unlock()
+
+	executed := func() []int64 {
+		out := make([]int64, len(pool))
+		for i, m := range pool {
+			out[i] = m.Executed()
+		}
+		return out
+	}
+	// run submits one task, waits for it, and returns the index of the
+	// manager that ran it.
+	id := int64(0)
+	run := func(app, arg string) int {
+		t.Helper()
+		before := executed()
+		id++
+		_, _ = e.Submit(serialize.TaskMsg{ID: id, App: app, Args: []any{arg}}).Result()
+		ran := -1
+		for i, n := range executed() {
+			if n != before[i] {
+				ran = i
+			}
+		}
+		if ran < 0 {
+			t.Fatalf("task %d (%s) ran on no manager", id, app)
+		}
+		return ran
+	}
+
+	// 20 repeats each: a pick blind to holdings would land them all on the
+	// holder with probability 2^-20.
+	for _, c := range []struct{ app, arg string }{{"echo", "warm-a"}, {"fail", "warm-b"}} {
+		holder := run(c.app, c.arg)
+		p, err := serialize.EncodeArgs([]any{c.arg}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		digest := p.ArgsHash()
+		p.Release()
+		if !e.HoldsDigest(digest) {
+			t.Fatalf("%s(%q): digest not held once its result returned", c.app, c.arg)
+		}
+		for r := 0; r < 20; r++ {
+			if got := run(c.app, c.arg); got != holder {
+				t.Fatalf("%s(%q) repeat %d ran on manager %d, want holder %d", c.app, c.arg, r, got, holder)
+			}
+		}
 	}
 }

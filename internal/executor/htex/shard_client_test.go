@@ -167,6 +167,47 @@ func TestShardedKillFailsOnlyVictims(t *testing.T) {
 	}
 }
 
+// TestShardedRefusedBatchCountsLost: once every shard is dead, a batch the
+// dead endpoint refuses fails each of its tasks, and LostByShard counts them
+// on the refusing shard's account — on the single-shard path (which places
+// nothing) exactly as on the fan-out path.
+func TestShardedRefusedBatchCountsLost(t *testing.T) {
+	for _, shards := range []int{1, 3} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			e := newShardedHTEX(t, shards, shards, 1)
+			for i := 0; i < shards; i++ {
+				e.KillShard(i)
+			}
+			if h := e.ShardHealth(); h != "down" {
+				t.Fatalf("ShardHealth = %q with every shard killed, want down", h)
+			}
+			before := 0
+			for _, n := range e.LostByShard() {
+				before += n
+			}
+			futs := e.SubmitBatch([]serialize.TaskMsg{
+				{ID: 1, App: "echo", Args: []any{1}},
+				{ID: 2, App: "echo", Args: []any{2}},
+			})
+			for i, f := range futs {
+				if _, err := f.Result(); err == nil {
+					t.Fatalf("task %d succeeded on a dead deployment", i+1)
+				}
+			}
+			after := 0
+			for _, n := range e.LostByShard() {
+				after += n
+			}
+			if after-before != len(futs) {
+				t.Fatalf("LostByShard grew by %d for %d refused tasks", after-before, len(futs))
+			}
+			if e.Outstanding() != 0 {
+				t.Fatalf("outstanding = %d after the refused batch failed", e.Outstanding())
+			}
+		})
+	}
+}
+
 // TestShardedMergedLoad: the scheduler-facing probes report the union of the
 // shards — queue depth, tenant backlog, shard membership — exactly as one
 // broker holding all the queues would.

@@ -132,9 +132,9 @@ func (m *ShardMap) locateLocked(h uint64) int {
 // single-alive-shard fast path does no hashing — the default deployment
 // routes in a few nanoseconds with zero allocations.
 //
-// ok is a capacity veto: when it rejects the hash-preferred shard (no
-// registered managers, breaker open), the walk continues around the ring to
-// the first other shard ok accepts, asking each shard once, so a temporarily
+// ok is a capacity veto: when it rejects the hash-preferred shard (dead, or
+// no registered managers), the walk continues around the ring to the first
+// other shard ok accepts, asking each shard once, so a temporarily
 // capacity-less shard spills to its ring successor instead of wedging its
 // tasks. If no shard passes, the preferred shard is returned — placement
 // never fails, it only waits.

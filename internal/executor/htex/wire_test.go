@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/future"
-	"repro/internal/health"
 	"repro/internal/mq"
 	"repro/internal/serialize"
 	"repro/internal/simnet"
@@ -90,9 +89,9 @@ func TestRoundTripAllocationCeiling(t *testing.T) {
 	e := newHTEX(t, 1, 2, func(cfg *Config) { cfg.Manager.FlushInterval = 200 * time.Microsecond })
 	id := int64(0)
 	trip := func() {
-		// The same argument every trip, so the manager's digest advert (and
-		// with it the cost of a heartbeat) stays one entry long however many
-		// heartbeats a slow runner fits into the measurement.
+		// The same argument every trip, so the interchange's warm-digest
+		// record holds one entry and neither grows nor evicts during the
+		// measurement.
 		id++
 		p, err := serialize.EncodeArgs([]any{1000}, nil)
 		if err != nil {
@@ -173,7 +172,7 @@ func TestCommandReplySurvivesNextFrame(t *testing.T) {
 
 	e := New(Config{Transport: netw})
 	e.started = true
-	s := &shardLink{label: "htex[0]", breaker: health.NewBreaker(health.BreakerConfig{}), cmdReplies: make(chan mq.Message, 16)}
+	s := &shardLink{label: "htex[0]", cmdReplies: make(chan mq.Message, 16)}
 	s.conn.Store(&shardConn{dealer: dealer, taskEnc: serialize.NewStreamEncoder(), resDec: serialize.NewStreamDecoder()})
 	e.shards = []*shardLink{s}
 	fut := future.NewForTask(1)

@@ -31,6 +31,13 @@ const (
 	clientID     = "llex-client"
 )
 
+// The tags as the byte slices mq takes: converting the constant at each send
+// would allocate it each time.
+var (
+	tagTask   = []byte(frameTask)
+	tagResult = []byte(frameResult)
+)
+
 // Relay is the stateless LLEX interchange: it routes TASK frames to workers
 // round-robin and RESULT frames back to the client, holding no task state —
 // "the routing logic is completely stateless and opaque to the interchange".
@@ -207,7 +214,7 @@ func (w *Worker) loop() {
 			continue
 		}
 		res := executor.RunKernel(w.reg, task, w.id)
-		_ = w.dealer.Send(mq.Message{[]byte(frameResult), serialize.EncodeResult(res)})
+		_ = w.dealer.Send(mq.Message{tagResult, serialize.EncodeResult(res)})
 	}
 }
 
@@ -385,7 +392,7 @@ func (e *Executor) Submit(msg serialize.TaskMsg) *future.Future {
 	e.mu.Unlock()
 	e.outstanding.Add(1)
 
-	if err := e.dealer.Send(mq.Message{[]byte(frameTask), payload}); err != nil {
+	if err := e.dealer.Send(mq.Message{tagTask, payload}); err != nil {
 		e.abandon(msg.ID, fmt.Errorf("llex: submit: %w", err))
 		return fut
 	}
@@ -415,7 +422,7 @@ func (e *Executor) armRetry(id int64, pt *pendingTask) {
 			e.abandon(id, &executor.LostError{TaskID: id, Detail: fmt.Sprintf("no result after %d retransmits", e.cfg.MaxRetries)})
 			return
 		}
-		_ = e.dealer.Send(mq.Message{[]byte(frameTask), pt.payload})
+		_ = e.dealer.Send(mq.Message{tagTask, pt.payload})
 		e.armRetry(id, pt)
 	})
 	e.mu.Lock()

@@ -7,7 +7,7 @@ import (
 	"repro/internal/executor"
 )
 
-// fakeHolder is a digest-advertising executor double: fakeExec's load
+// fakeHolder is a digest-holding executor double: fakeExec's load
 // signals plus the digestHolder probe and optional shard /
 // aggregate-health state, so every branch of the Locality policy can be
 // driven without an HTEX deployment.
@@ -75,9 +75,9 @@ func TestLocalityNoHolderFallsBackWithoutStalling(t *testing.T) {
 	p := NewLocality()
 	a := holder("a", 3, "other")
 	b := holder("b", 1)
-	// Nobody advertises d9 (a manager-less or freshly started fleet): the
-	// pick must resolve immediately via least-outstanding, never error or
-	// stall waiting for an advertisement.
+	// Nobody holds d9 (a manager-less or freshly started fleet): the pick
+	// must resolve immediately via least-outstanding, never error or stall
+	// waiting for a holding.
 	ex, err := p.PickDigest(execs(a, b), "d9")
 	if err != nil || ex.Label() != "b" {
 		t.Fatalf("PickDigest = %v, %v; want b", ex, err)
@@ -97,7 +97,7 @@ func TestLocalitySkipsDeadAndOpenHolders(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			p := NewLocality()
 			// If the policy wrongly honored the unusable holder's
-			// advertisement it would pick "bad" as a hit despite the
+			// holding it would pick "bad" as a hit despite the
 			// load gap; a clean skip falls back to least-outstanding,
 			// which lands on "good".
 			bad := holder("bad", 9, "d1")
@@ -146,8 +146,8 @@ func TestLocalityEmptyCandidates(t *testing.T) {
 func TestLocalityThroughFrozenSnapshot(t *testing.T) {
 	// The DFK hands load-aware policies Frozen snapshots, not raw executors;
 	// LoadOf returns the sampled Load, whose digest probe stays live
-	// (HasDigest is a bound method, so an advertisement arriving after Freeze
-	// is still seen).
+	// (HasDigest is a bound method, so a holding recorded after Freeze is
+	// still seen).
 	warm := holder("warm", 0, "d1")
 	cold := holder("cold", 0)
 	fwarm, fcold := Freeze(warm, 0), Freeze(cold, 0)
@@ -157,7 +157,7 @@ func TestLocalityThroughFrozenSnapshot(t *testing.T) {
 	}
 	warm.digests["d2"] = true
 	if !lw.HasDigest("d2") {
-		t.Fatal("Frozen probe must stay live across advertisement updates")
+		t.Fatal("Frozen probe must stay live across holding updates")
 	}
 	p := NewLocality()
 	ex, err := p.PickDigest([]executor.Executor{fcold, fwarm}, "d1")

@@ -54,7 +54,7 @@ type Load struct {
 	TenantBacklog map[string]int
 	// Health is the executor's circuit-breaker state ("closed", "open",
 	// "half-open") when the DFK's health plane is enabled; for sharded
-	// executors it is the breaker state aggregated across shards ("closed",
+	// executors it is shard liveness aggregated across shards ("closed",
 	// "degraded", "down") sampled from the executor itself. "" when neither
 	// source applies.
 	Health string
@@ -65,11 +65,11 @@ type Load struct {
 	ShardsAlive int
 	ShardsTotal int
 	// HasDigest is the locality view: it probes whether the executor's
-	// fleet currently advertises a content digest (a manager behind it has
-	// executed — and so holds warm — a task with those exact input bytes).
-	// It is a bound method, not a copied set: digest sets can be large and
-	// advertisements arrive on heartbeats, so the probe reads the live
-	// aggregation. Nil when the executor exposes no digest signal.
+	// fleet currently holds a content digest (a manager behind it has
+	// returned a result for — and so holds warm — a task with those exact
+	// input bytes). It is a bound method, not a copied set: digest sets can
+	// be large and change with every returned result, so the probe reads the
+	// live record. Nil when the executor exposes no digest signal.
 	HasDigest func(digest string) bool
 }
 
@@ -90,7 +90,7 @@ type workerCounter interface{ Workers() int }
 // how many interchange shards are alive out of total.
 type shardCounter interface{ ShardCounts() (alive, total int) }
 
-// shardHealth is the aggregate breaker probe a sharded executor exposes
+// shardHealth is the aggregate liveness probe a sharded executor exposes
 // (htex.Executor.ShardHealth): "closed", "degraded", or "down" across its
 // shards. Sampled only when nothing else filled Load.Health.
 type shardHealth interface{ ShardHealth() string }
@@ -101,12 +101,12 @@ type shardHealth interface{ ShardHealth() string }
 type tenantDepths interface{ QueueDepthByTenant() map[string]int }
 
 // digestHolder is the data-locality probe (htex.Executor.HoldsDigest,
-// merged across shards): does any manager behind this executor advertise
-// the content digest in its heartbeat digest-set summary.
+// merged across shards): does any manager behind this executor hold the
+// content digest in its interchange's warm-digest record.
 type digestHolder interface{ HoldsDigest(digest string) bool }
 
 // LoadOf samples an executor's live load signals. A sharded executor reports
-// the merged view — outstanding, tenant backlog, breaker state, and shard
+// the merged view — outstanding, tenant backlog, shard liveness, and shard
 // membership aggregated across its interchange shards — so policies see one
 // logical executor regardless of how many brokers serve it. A Frozen snapshot
 // returns its sampled Load with the routing overlay added to Outstanding.
@@ -149,8 +149,8 @@ type LoadAware interface {
 // DigestPicker is an optional Scheduler extension for data-aware policies.
 // When a scheduler implements it, the DFK's dispatcher calls PickDigest
 // instead of Pick, passing the ready task's input-content digest (the
-// encode-once Payload.ArgsHash — the same value managers advertise from
-// their heartbeat digest sets), so the policy can route the task toward an
+// encode-once Payload.ArgsHash — the same value the interchange records for
+// the tasks each manager returned), so the policy can route the task toward an
 // executor that already holds its inputs. digest may be "" when no payload
 // was encoded (e.g. memoization off); implementations must then behave like
 // Pick. The same candidate-set rules as Pick apply — candidates have
@@ -275,7 +275,7 @@ func (*LeastOutstanding) Pick(candidates []executor.Executor) (executor.Executor
 
 // Locality is the data-aware policy (the Dask/Ray data-locality story
 // fused with Parsl memoization): route a task to an
-// executor whose managers advertise its input digest — the bytes are
+// executor whose managers hold its input digest — the bytes are
 // already warm there — and fall back to least-outstanding when no
 // candidate holds them. Among multiple holders the least loaded wins, so
 // locality never turns into a hotspot pile-up. Holder selection respects
@@ -284,9 +284,9 @@ func (*LeastOutstanding) Pick(candidates []executor.Executor) (executor.Executor
 // control plane is fully down is skipped here, and the capacity-veto spill
 // rules inside a sharded executor still apply after the pick (routing to
 // the executor is a preference, not a placement guarantee). A stale
-// advertisement (the holding manager died after its last heartbeat) just
-// means the task runs cold wherever the interchange places it — never an
-// error.
+// holding (the holding manager left between the probe and the dispatch)
+// just means the task runs cold wherever the interchange places it — never
+// an error.
 type Locality struct {
 	fallback LeastOutstanding
 	hits     atomic.Int64
@@ -322,7 +322,7 @@ func (p *Locality) PickDigest(candidates []executor.Executor, digest string) (ex
 				continue
 			}
 			// A holder whose control plane is gone can't serve the hit:
-			// every shard dead, or the aggregate breaker fully open.
+			// every shard dead, or the health plane's breaker fully open.
 			if (l.ShardsTotal > 0 && l.ShardsAlive == 0) || l.Health == "down" || l.Health == "open" {
 				continue
 			}

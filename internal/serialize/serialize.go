@@ -418,11 +418,11 @@ func (p *Payload) ArgsHash() string {
 
 // Digest returns the content digest of encoded payload bytes as a number:
 // allocation-free FNV-64a, the value Payload.ArgsHash reports, as text, for
-// the same bytes. It lets the executor side (managers, the interchange)
-// derive a task's input digest from the WireTask.P column alone, with no
-// wire-format change and no argument decode: the digest a manager advertises
-// in its heartbeat matches the one the DFK computed from the attached
-// payload, because both hash the identical canonical encoding.
+// the same bytes. It lets the interchange derive a task's input digest from
+// the WireTask.P column alone, with no wire-format change and no argument
+// decode: the digest it records for a returned task matches the one the DFK
+// computed from the attached payload, because both hash the identical
+// canonical encoding.
 func Digest(b []byte) uint64 {
 	const (
 		offset64 = 14695981039346656037
@@ -436,11 +436,9 @@ func Digest(b []byte) uint64 {
 	return h
 }
 
-// DigestBytes is Digest in the text form digests are exchanged in.
-func DigestBytes(b []byte) string { return digestString(Digest(b)) }
-
-// AppendDigest appends sum in that text form: 16 lower-case hex digits, what
-// fmt's %016x prints, without fmt's boxing and scratch allocations.
+// AppendDigest appends sum in Payload.ArgsHash's text form: 16 lower-case hex
+// digits, what fmt's %016x prints, without fmt's boxing and scratch
+// allocations.
 func AppendDigest(dst []byte, sum uint64) []byte {
 	const digits = "0123456789abcdef"
 	for shift := 60; shift >= 0; shift -= 4 {

@@ -84,7 +84,7 @@ type poolSpec struct {
 	Managers           int
 	Workers            int
 	Prefetch           int  // per-manager prefetch (0 = Workers)
-	Locality           bool // digest-advertising heartbeats + locality dispatch
+	Locality           bool // locality dispatch to the managers holding a digest
 	HeartbeatPeriod    time.Duration
 	HeartbeatThreshold time.Duration
 }

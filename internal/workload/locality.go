@@ -19,9 +19,9 @@ import (
 )
 
 // This file holds the data-aware scheduling scenario: the content-addressed
-// planes (shared result cache, staged-file dedup, digest-advertising
-// heartbeats, locality routing) driven end to end, with the cold-vs-warm
-// deltas the CI bar pins.
+// planes (shared result cache, staged-file dedup, the interchanges'
+// warm-digest records, locality routing) driven end to end, with the
+// cold-vs-warm deltas the CI bar pins.
 //
 //   - Phase 1/2 (cold/warm): a workflow runs once cold — staging every input
 //     and executing every task — then a second workflow process (a fresh DFK
@@ -30,10 +30,10 @@ import (
 //     ~zero tasks.
 //   - Phase 3 (routing): two HTEX pools execute a distinct input each; the
 //     locality policy must route the repeat of every input to the pool whose
-//     managers advertised its digest.
-//   - Phase 4 (stale advert): the shard holding one warm digest is killed;
+//     managers hold its digest.
+//   - Phase 4 (stale holding): the shard holding one warm digest is killed;
 //     the repeat of that input must fall back to a cold run and complete —
-//     a stale advertisement is a performance miss, never an error.
+//     a stale holding is a performance miss, never an error.
 
 // LocalityConfig shapes one locality scenario run.
 type LocalityConfig struct {
@@ -69,11 +69,11 @@ type LocalityResult struct {
 	StageStats                       data.StageStats
 
 	// Locality routing (phase 3): policy-level hit/miss counters and how
-	// many repeats landed on the pool that advertised their digest.
+	// many repeats landed on the pool that held their digest.
 	RouteHits, RouteMisses          int64
 	RoutedToHolder, RoutedElsewhere int
 
-	// Stale advertisement (phase 4).
+	// Stale holding (phase 4).
 	StaleRerunOK bool
 
 	Violations []string
@@ -262,18 +262,13 @@ func RunLocality(cfg LocalityConfig) (res LocalityResult, _ error) {
 	if !runRound() {
 		return res, nil
 	}
-	// Every input ran exactly once on exactly one pool; wait until that
-	// pool's heartbeat advert makes the digest visible.
-	if !waitUntil(deadline, func() bool {
-		for _, dg := range digests {
-			if !alpha.HoldsDigest(dg) && !beta.HoldsDigest(dg) {
-				return false
-			}
+	// Every input ran exactly once on exactly one pool, whose interchange
+	// recorded the digest before it relayed the result.
+	for i, dg := range digests {
+		if !alpha.HoldsDigest(dg) && !beta.HoldsDigest(dg) {
+			vs.add("input %d's digest is held by neither pool once its result returned", i)
+			return res, nil
 		}
-		return true
-	}) {
-		vs.add("watchdog: digest advertisements never propagated")
-		return res, nil
 	}
 	preHits, _ := loc.Stats()
 	if !runRound() {
@@ -301,9 +296,9 @@ func RunLocality(cfg LocalityConfig) (res LocalityResult, _ error) {
 		vs.add("%d repeats ran away from their digest holder", res.RoutedElsewhere)
 	}
 
-	// ---- Phase 4: stale advertisement degrades to a cold run ----
+	// ---- Phase 4: a stale holding degrades to a cold run ----
 
-	// Kill the shard holding input 0's warm digest: the advertisement
+	// Kill the shard holding input 0's warm digest: the holding
 	// disappears with it, so the next repeat must fall back, re-execute
 	// cold somewhere with capacity, and complete without error.
 	staleHolder := alpha
@@ -331,7 +326,7 @@ func RunLocality(cfg LocalityConfig) (res LocalityResult, _ error) {
 			res.StaleRerunOK = len(rec.byIn[0]) == preRuns+1
 			rec.mu.Unlock()
 			if !res.StaleRerunOK {
-				vs.add("stale rerun did not re-execute (advert should be gone)")
+				vs.add("stale rerun did not re-execute (the holding should be gone)")
 			}
 		}
 	}

@@ -4,7 +4,7 @@ import "testing"
 
 // TestLocalityScenario is the CI locality job's scenario: the full
 // data-aware pipeline — cold run, warm cross-process replay over the shared
-// cache and staging site, digest-routed repeats, and the stale-advert
+// cache and staging site, digest-routed repeats, and the stale-holding
 // degradation — with the warm-side zeros asserted.
 func TestLocalityScenario(t *testing.T) {
 	if testing.Short() {

@@ -156,8 +156,8 @@ var (
 	NewRoundRobinScheduler       = sched.NewRoundRobin
 	NewLeastOutstandingScheduler = sched.NewLeastOutstanding
 	// NewLocalityScheduler routes each task to an executor already holding
-	// its input digest (advertised by HTEX managers via heartbeats), falling
-	// back to least-outstanding on a cold digest.
+	// its input digest (recorded by HTEX interchanges as results return),
+	// falling back to least-outstanding on a cold digest.
 	NewLocalityScheduler = sched.NewLocality
 	SchedulerByName      = sched.ByName
 	// NewResultCache creates the shared content-addressed result cache for
@@ -252,7 +252,7 @@ type HTEXOptions struct {
 	// outstanding tasks while the others keep draining.
 	Shards int
 	// Locality lets each interchange shard prefer dispatching a task to a
-	// manager already advertising the task's input digest (data-aware
+	// manager already holding the task's input digest (data-aware
 	// dispatch). Off by default — dispatch is byte-identical to the
 	// locality-blind path.
 	Locality bool

@@ -34,10 +34,9 @@ type Config struct {
 	Manager     ManagerConfig
 	Interchange InterchangeConfig
 	// Shards is how many interchange shards form this one logical executor
-	// (default 1 — the single-broker deployment, whose wire path is
-	// byte-identical to the pre-shard design). With N > 1 the client runs N
-	// independent interchanges, places managers and tasks onto them by
-	// consistent hash (tenant-affine; see ShardMap), fans each submitted
+	// (default 1 — the single-broker deployment). With N > 1 the client runs
+	// N independent interchanges, places managers and tasks onto them by
+	// rendezvous hash (tenant-affine; see taskShard), fans each submitted
 	// batch across the owning shards, and reconciles results, LOST, and
 	// CANCEL traffic from all of them. Each shard preserves every
 	// single-broker invariant — per-shard queues, heartbeats, NACK resync —
@@ -74,9 +73,10 @@ type shardLink struct {
 	label      string // "htex[0]" — the shard's chaos/LOST identity
 	conn       atomic.Pointer[shardConn]
 	cmdReplies chan mq.Message
-	// down is the shard's liveness: set by the death path (shardDown),
-	// cleared when RestoreShard brings a respawned broker back into the
-	// placement ring.
+	// down is the shard's liveness, and its only record: set by the death
+	// path (shardDown), cleared when RestoreShard brings a respawned broker
+	// back. Placement, ShardCounts, ShardHealth and every merged probe read
+	// it.
 	down atomic.Bool
 	// lost counts the attempts failed on this shard's account: its death scan
 	// (shardDown) plus the batches its dead endpoint refused (sendOrFail).
@@ -102,7 +102,6 @@ type Executor struct {
 	cfg Config
 
 	shards []*shardLink
-	smap   *ShardMap
 
 	mu        sync.Mutex
 	inflight  map[int64]inflightTask // every submitted-but-unresolved task
@@ -168,10 +167,12 @@ func (e *Executor) ShardCount() int { return len(e.shards) }
 // ShardCounts reports (alive, total) shards — the merged-Load probe
 // internal/sched samples so policies can see a degraded control plane.
 func (e *Executor) ShardCounts() (alive, total int) {
-	if e.smap == nil {
-		return 0, 0
+	for _, s := range e.shards {
+		if !s.down.Load() {
+			alive++
+		}
 	}
-	return e.smap.AliveCount(), e.smap.Total()
+	return alive, len(e.shards)
 }
 
 // ShardHealth aggregates shard liveness into one executor-level signal:
@@ -234,7 +235,6 @@ func (e *Executor) Start() error {
 		return fmt.Errorf("htex: %d shards cannot share fixed address %q (use an auto-assign :0 form)", n, e.cfg.Addr)
 	}
 
-	e.smap = NewShardMap(n)
 	e.shards = make([]*shardLink, 0, n)
 	for i := 0; i < n; i++ {
 		s := &shardLink{
@@ -376,8 +376,8 @@ func (e *Executor) recvLoop(s *shardLink) {
 	}
 }
 
-// shardDown is the rebalance-on-death path: mark the shard dead, remove it
-// from the placement ring (its hash arcs fall to ring successors, everyone
+// shardDown is the rebalance-on-death path: mark the shard down (placement
+// then vetoes it, so its keys fall to their next-ranked shards and everyone
 // else's placement is untouched), and fail exactly the tasks that were
 // inflight on it. Those failures surface as LostError naming the shard, so
 // the DFK's retry plane re-executes only the dead shard's outstanding set —
@@ -387,7 +387,6 @@ func (e *Executor) shardDown(s *shardLink) {
 	if !s.down.CompareAndSwap(false, true) {
 		return
 	}
-	e.smap.Remove(s.idx)
 	e.mu.Lock()
 	var lost []int64
 	for id, it := range e.inflight {
@@ -421,9 +420,9 @@ func (e *Executor) KillShard(i int) bool {
 }
 
 // RestoreShard respawns a dead shard: a fresh interchange, a fresh dealer
-// connection with fresh stream codecs, and the shard re-inserted into the
-// placement ring (ShardMap.Restore) so the hash arcs that spilled to ring
-// successors flow back home. The restored broker starts empty — managers
+// connection with fresh stream codecs, and the down flag cleared so the keys
+// that spilled to their next-ranked shards flow back home once it has
+// managers again. The restored broker starts empty — managers
 // reach it through the next ScaleOut, exactly as a respawned broker process
 // would in production — and the tasks the death path failed stay with their
 // retry plane. No-op when the shard is alive; error when the executor is
@@ -453,7 +452,6 @@ func (e *Executor) RestoreShard(i int) error {
 	// the old receive loop (which sees the swapped pointer) unblocks.
 	_ = old.dealer.Close()
 	s.down.Store(false)
-	e.smap.Restore(i)
 	e.wg.Add(1)
 	go e.recvLoop(s)
 	return nil
@@ -526,12 +524,11 @@ func (e *Executor) sendOrFail(s *shardLink, batch []serialize.WireTask) {
 	}
 }
 
-// placeTask picks the shard for one task: consistent-hash tenant-affine
-// placement, vetoing shards that are dead or have no registered managers to
-// drain them (those spill to their ring successor — see
-// ShardMap.PlaceTaskFunc).
+// placeTask picks the shard for one task: rendezvous-hash tenant-affine
+// placement, vetoing shards that are down or have no registered managers to
+// drain them (those spill to the key's next-ranked shard — see taskShard).
 func (e *Executor) placeTask(tenant string, id int64) int {
-	return e.smap.PlaceTaskFunc(tenant, id, func(si int) bool {
+	return taskShard(len(e.shards), tenant, id, func(si int) bool {
 		s := e.shards[si]
 		return !s.down.Load() && s.broker().ManagerCount() > 0
 	})
@@ -780,9 +777,6 @@ func (e *Executor) QueueDepth() int {
 // sched.Load carries — identical to what a single interchange holding the
 // union of the queues would report.
 func (e *Executor) QueueDepthByTenant() map[string]int {
-	if len(e.shards) == 1 {
-		return e.shards[0].broker().QueueDepthByTenant()
-	}
 	per := make([]map[string]int, 0, len(e.shards))
 	for _, s := range e.shards {
 		if !s.down.Load() {
@@ -843,13 +837,10 @@ func (e *Executor) ScaleOut(n int) error {
 	return nil
 }
 
-// shardForManager places one manager identity onto a live shard: consistent
-// hash with a bounded-load walk, so every shard keeps managers to drain the
-// tasks hashed onto it even at small manager counts (see ShardMap).
+// shardForManager places one manager identity onto a live shard:
+// rendezvous hash with a bounded load, so every shard keeps managers to drain
+// the tasks hashed onto it even at small manager counts (see managerShard).
 func (e *Executor) shardForManager(id string) *shardLink {
-	if len(e.shards) == 1 {
-		return e.shards[0]
-	}
 	e.mu.Lock()
 	counts := make([]int, len(e.shards))
 	for _, si := range e.mgrShard {
@@ -858,11 +849,11 @@ func (e *Executor) shardForManager(id string) *shardLink {
 		}
 	}
 	e.mu.Unlock()
-	return e.shards[e.smap.PlaceManagerBounded(id, counts)]
+	return e.shards[managerShard(id, counts, func(si int) bool { return !e.shards[si].down.Load() })]
 }
 
 // managerPayload builds the per-node payload: start a manager connected to
-// its consistent-hash shard; stopping it drains cleanly.
+// its rendezvous-hash shard; stopping it drains cleanly.
 func (e *Executor) managerPayload() provider.Payload {
 	if f := e.cfg.PayloadFactory; f != nil {
 		return func(node provider.Node) (func(), error) {

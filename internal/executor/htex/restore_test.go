@@ -14,12 +14,13 @@ import (
 	"repro/internal/simnet"
 )
 
-// TestShardRestoreRejoinsRing drives the full death-and-respawn cycle at the
-// executor boundary: kill one shard, restore it, and prove the ring heals —
-// placement counts it alive again, the manager-less restored broker is
-// capacity-vetoed (tasks spill, nothing stalls), and once a manager connects
-// to the respawned interchange the shard serves traffic end to end.
-func TestShardRestoreRejoinsRing(t *testing.T) {
+// TestShardRestoreRejoinsPlacement drives the full death-and-respawn cycle at
+// the executor boundary: kill one shard, restore it, and prove placement
+// takes it back — ShardCounts counts it alive again, the manager-less
+// restored broker is capacity-vetoed (tasks spill, nothing stalls), and once
+// a manager connects to the respawned interchange the shard serves traffic
+// end to end.
+func TestShardRestoreRejoinsPlacement(t *testing.T) {
 	e := newShardedHTEX(t, 3, 6, 1)
 	waitCond(t, "every shard has a manager", func() bool {
 		for _, n := range managersPerShard(e) {
@@ -59,8 +60,8 @@ func TestShardRestoreRejoinsRing(t *testing.T) {
 		t.Fatalf("restored broker has %d managers, want 0 (it starts empty)", n)
 	}
 
-	// Manager-less restored shard: the capacity veto must spill its hash
-	// arcs to ring successors, so every task still completes.
+	// Manager-less restored shard: the capacity veto must spill its keys to
+	// their next-ranked shards, so every task still completes.
 	futs := make([]*future.Future, 0, 30)
 	for i := 0; i < 30; i++ {
 		futs = append(futs, e.Submit(serialize.TaskMsg{

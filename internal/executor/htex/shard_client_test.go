@@ -269,6 +269,69 @@ func TestShardedMergedLoad(t *testing.T) {
 	}
 }
 
+// TestShardedDeadShardsAgree: every merged probe reads shard liveness from
+// the one place it is recorded, so once every shard is dead none of them
+// still reports a live shard or a dead shard's backlog, and a kill/restore
+// history counts exactly the shards restored since.
+func TestShardedDeadShardsAgree(t *testing.T) {
+	for _, shards := range []int{1, 3} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			e := newHTEX(t, 0, 1, func(c *Config) {
+				c.Shards = shards
+				c.InitBlocks = 0
+			})
+			const queued = 6
+			futs := make([]*future.Future, 0, queued)
+			for i := 0; i < queued; i++ {
+				futs = append(futs, e.Submit(serialize.TaskMsg{ID: int64(i), App: "echo", Args: []any{i}, Tenant: "a"}))
+			}
+			waitCond(t, "tasks queued", func() bool { return e.QueueDepth() == queued })
+			for i := 0; i < shards; i++ {
+				e.KillShard(i)
+			}
+			for i, f := range futs {
+				var le *executor.LostError
+				if _, err := f.Result(); !errors.As(err, &le) {
+					t.Fatalf("task %d on a dead deployment: want LostError, got %v", i, err)
+				}
+			}
+			if alive, total := e.ShardCounts(); alive != 0 || total != shards {
+				t.Fatalf("ShardCounts = %d/%d with every shard killed, want 0/%d", alive, total, shards)
+			}
+			if h := e.ShardHealth(); h != "down" {
+				t.Fatalf("ShardHealth = %q, want down", h)
+			}
+			if d := e.QueueDepth(); d != 0 {
+				t.Fatalf("QueueDepth = %d, want 0", d)
+			}
+			if d := e.QueueDepthByTenant(); d != nil {
+				t.Fatalf("QueueDepthByTenant = %v, want nil", d)
+			}
+			l := sched.LoadOf(e)
+			if l.ShardsAlive != 0 || l.ShardsTotal != shards || l.TenantBacklog != nil {
+				t.Fatalf("LoadOf shards = %d/%d backlog %v, want 0/%d and nil", l.ShardsAlive, l.ShardsTotal, l.TenantBacklog, shards)
+			}
+		})
+	}
+	t.Run("kill-kill-restore", func(t *testing.T) {
+		e := newHTEX(t, 0, 1, func(c *Config) {
+			c.Shards = 2
+			c.InitBlocks = 0
+		})
+		e.KillShard(0)
+		e.KillShard(1)
+		if err := e.RestoreShard(0); err != nil {
+			t.Fatal(err)
+		}
+		if alive, total := e.ShardCounts(); alive != 1 || total != 2 {
+			t.Fatalf("ShardCounts = %d/%d after kill 0, kill 1, restore 0; want 1/2", alive, total)
+		}
+		if h := e.ShardHealth(); h != "degraded" {
+			t.Fatalf("ShardHealth = %q, want degraded", h)
+		}
+	})
+}
+
 // TestShardedCommandChannel: administrative commands fan across shards —
 // OUTSTANDING sums, MANAGERS concatenates every shard's registry.
 func TestShardedCommandChannel(t *testing.T) {

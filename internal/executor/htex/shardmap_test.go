@@ -6,70 +6,93 @@ import (
 	"testing"
 )
 
-// TestShardMapPlacementStability is the bounded-key-movement contract:
-// removing one shard moves only the keys that shard owned (they fall to ring
-// successors), and restoring it moves exactly those keys back. Everyone
-// else's placement is untouched through the whole membership episode.
-func TestShardMapPlacementStability(t *testing.T) {
-	const shards, keys = 5, 10_000
-	m := NewShardMap(shards)
+// acceptAll is the veto that refuses no shard.
+func acceptAll(int) bool { return true }
 
+// refuse returns the veto that refuses exactly the given shards — a removed
+// (dead) shard is, to placement, one the caller refuses.
+func refuse(shards ...int) func(int) bool {
+	return func(s int) bool {
+		for _, r := range shards {
+			if s == r {
+				return false
+			}
+		}
+		return true
+	}
+}
+
+// TestShardPlacementStability is the bounded-key-movement contract:
+// refusing one shard moves only the keys that shard owned (they fall to
+// their next-ranked shards), and accepting it again moves exactly those keys
+// back. Everyone else's placement is untouched through the whole episode.
+func TestShardPlacementStability(t *testing.T) {
+	const shards, keys = 5, 10_000
 	before := make([]int, keys)
 	for i := range before {
-		before[i] = m.PlaceTaskFunc("", int64(i), acceptAll)
-	}
-	if !m.Remove(2) {
-		t.Fatal("Remove(2) refused")
+		before[i] = taskShard(shards, "", int64(i), acceptAll)
 	}
 	moved := 0
 	for i := range before {
-		got := m.PlaceTaskFunc("", int64(i), acceptAll)
+		got := taskShard(shards, "", int64(i), refuse(2))
 		if before[i] == 2 {
 			if got == 2 {
-				t.Fatalf("key %d still places on removed shard 2", i)
+				t.Fatalf("key %d still places on refused shard 2", i)
 			}
 			moved++
 			continue
 		}
 		if got != before[i] {
-			t.Fatalf("key %d moved %d→%d though shard %d is alive — movement must be bounded to the removed shard's keys",
+			t.Fatalf("key %d moved %d→%d though shard %d is accepted — movement must be bounded to the refused shard's keys",
 				i, before[i], got, before[i])
 		}
 	}
 	if moved == 0 {
-		t.Fatal("shard 2 owned no keys out of 10k — ring spread broken")
+		t.Fatal("shard 2 owned no keys out of 10k — hash spread broken")
 	}
-	// A fair ring gives shard 2 about keys/shards of the keyspace; allow 2×.
+	// A fair hash gives shard 2 about keys/shards of the keyspace; allow 2×.
 	if max := 2 * keys / shards; moved > max {
 		t.Fatalf("%d keys moved on one shard removal (fair share %d, cap %d)", moved, keys/shards, max)
 	}
-
-	if !m.Restore(2) {
-		t.Fatal("Restore(2) refused")
-	}
 	for i := range before {
-		if got := m.PlaceTaskFunc("", int64(i), acceptAll); got != before[i] {
+		if got := taskShard(shards, "", int64(i), acceptAll); got != before[i] {
 			t.Fatalf("key %d at %d after restore, want original %d", i, got, before[i])
 		}
 	}
 }
 
-// TestShardMapTenantAffinity: every task of one tenant lands on one shard
-// regardless of wire id, and distinct tenants actually spread.
-func TestShardMapTenantAffinity(t *testing.T) {
-	m := NewShardMap(4)
+// TestShardPlacementFairShare: the per-shard score alone spreads tenantless
+// ids within ±10 % of each shard's fair share.
+func TestShardPlacementFairShare(t *testing.T) {
+	const shards, keys = 5, 50_000
+	counts := make([]int, shards)
+	for i := 0; i < keys; i++ {
+		counts[taskShard(shards, "", int64(i), acceptAll)]++
+	}
+	fair := keys / shards
+	for s, n := range counts {
+		if n < fair*9/10 || n > fair*11/10 {
+			t.Fatalf("shard %d got %d of %d ids (fair share %d ±10%%; counts %v)", s, n, keys, fair, counts)
+		}
+	}
+}
+
+// TestShardPlacementTenantAffinity: every task of one tenant lands on one
+// shard regardless of wire id, and distinct tenants actually spread.
+func TestShardPlacementTenantAffinity(t *testing.T) {
+	const shards = 4
 	for tenant := 0; tenant < 50; tenant++ {
 		name := fmt.Sprintf("tenant-%d", tenant)
-		home := m.PlaceTaskFunc(name, 0, acceptAll)
+		home := taskShard(shards, name, 0, acceptAll)
 		for id := int64(1); id < 100; id++ {
-			if got := m.PlaceTaskFunc(name, id, acceptAll); got != home {
+			if got := taskShard(shards, name, id, acceptAll); got != home {
 				t.Fatalf("%s task %d on shard %d, tenant home is %d — tenant affinity broken", name, id, got, home)
 			}
 		}
 	}
 	homes := map[int]bool{}
 	for tenant := 0; tenant < 50; tenant++ {
-		homes[m.PlaceTaskFunc(fmt.Sprintf("tenant-%d", tenant), 0, acceptAll)] = true
+		homes[taskShard(shards, fmt.Sprintf("tenant-%d", tenant), 0, acceptAll)] = true
 	}
 	if len(homes) < 2 {
 		t.Fatalf("50 tenants all hashed to %d shard(s) of 4", len(homes))
@@ -77,41 +100,40 @@ func TestShardMapTenantAffinity(t *testing.T) {
 	// Tenantless tasks spread by id.
 	spread := map[int]bool{}
 	for id := int64(0); id < 1000; id++ {
-		spread[m.PlaceTaskFunc("", id, acceptAll)] = true
+		spread[taskShard(shards, "", id, acceptAll)] = true
 	}
-	if len(spread) != 4 {
+	if len(spread) != shards {
 		t.Fatalf("tenantless ids reached %d shards of 4", len(spread))
 	}
 }
 
-// TestShardMapDeterministic: placement is a pure function of (membership,
-// key) — two maps with the same history agree on every key, which is what
-// lets seeded scenarios reproduce cross-process.
-func TestShardMapDeterministic(t *testing.T) {
-	a, b := NewShardMap(6), NewShardMap(6)
-	a.Remove(1)
-	b.Remove(1)
+// TestShardPlacementDeterministic: placement is a pure function of (shard
+// count, veto, key) — the same question always gets the same answer, which
+// is what lets seeded scenarios reproduce cross-process.
+func TestShardPlacementDeterministic(t *testing.T) {
 	for i := int64(0); i < 2000; i++ {
-		if a.PlaceTaskFunc("", i, acceptAll) != b.PlaceTaskFunc("", i, acceptAll) {
-			t.Fatalf("maps with identical membership disagree on id %d", i)
+		if taskShard(6, "", i, refuse(1)) != taskShard(6, "", i, refuse(1)) {
+			t.Fatalf("identical vetoes disagree on id %d", i)
 		}
 	}
-	if a.PlaceManagerBounded("mgr-b0-7", nil) != b.PlaceManagerBounded("mgr-b0-7", nil) {
-		t.Fatal("maps disagree on string key placement")
+	counts := make([]int, 6)
+	up := refuse(1)
+	if managerShard("mgr-b0-7", counts, up) != managerShard("mgr-b0-7", counts, up) {
+		t.Fatal("identical calls disagree on string key placement")
 	}
 }
 
-// TestShardMapMergedDepthsEquivalence: splitting one tenant backlog across
-// shards and merging the per-shard views reproduces exactly the single-shard
-// map — the merged-Load contract the scheduler layer relies on.
-func TestShardMapMergedDepthsEquivalence(t *testing.T) {
-	m := NewShardMap(4)
+// TestShardPlacementMergedDepthsEquivalence: splitting one tenant backlog
+// across shards and merging the per-shard views reproduces exactly the
+// single-shard map — the merged-Load contract the scheduler layer relies on.
+func TestShardPlacementMergedDepthsEquivalence(t *testing.T) {
+	const shards = 4
 	single := map[string]int{}
-	perShard := make([]map[string]int, 4)
+	perShard := make([]map[string]int, shards)
 	for i := 0; i < 500; i++ {
 		tenant := fmt.Sprintf("t%d", i%7)
 		single[tenant]++
-		s := m.PlaceTaskFunc(tenant, int64(i), acceptAll)
+		s := taskShard(shards, tenant, int64(i), acceptAll)
 		if perShard[s] == nil {
 			perShard[s] = map[string]int{}
 		}
@@ -128,103 +150,118 @@ func TestShardMapMergedDepthsEquivalence(t *testing.T) {
 	}
 }
 
-// TestShardMapBoundedManagerPlacement: sequential manager placement with
-// live counts leaves no shard manager-less once managers ≥ shards, and no
-// shard hoards more than the ceil-share bound.
-func TestShardMapBoundedManagerPlacement(t *testing.T) {
+// TestShardPlacementBoundedManagers: sequential manager placement with live
+// counts leaves no shard manager-less once managers ≥ shards, and no shard
+// hoards more than the ceil-share bound; a down shard gets none.
+func TestShardPlacementBoundedManagers(t *testing.T) {
 	const shards, managers = 4, 8
-	m := NewShardMap(shards)
-	counts := make([]int, shards)
-	for i := 0; i < managers; i++ {
-		s := m.PlaceManagerBounded(fmt.Sprintf("mgr-b%d-%d", i, i), counts)
-		counts[s]++
-	}
-	for s, n := range counts {
-		if n == 0 {
-			t.Fatalf("shard %d got no managers (counts %v) — its queued tasks could never drain", s, counts)
+	for _, down := range []int{-1, 2} {
+		up := refuse(down)
+		alive := shards
+		if down >= 0 {
+			alive--
 		}
-		if n > (managers+shards)/shards {
-			t.Fatalf("shard %d got %d managers, above the bounded-load cap (counts %v)", s, n, counts)
+		counts := make([]int, shards)
+		for i := 0; i < managers; i++ {
+			s := managerShard(fmt.Sprintf("mgr-b%d-%d", i, i), counts, up)
+			counts[s]++
+		}
+		for s, n := range counts {
+			if s == down {
+				if n != 0 {
+					t.Fatalf("down shard %d got %d managers (counts %v)", s, n, counts)
+				}
+				continue
+			}
+			if n == 0 {
+				t.Fatalf("shard %d got no managers (counts %v) — its queued tasks could never drain", s, counts)
+			}
+			if n > (managers+alive)/alive {
+				t.Fatalf("shard %d got %d managers, above the bounded-load cap (counts %v)", s, n, counts)
+			}
 		}
 	}
 }
 
-// acceptAll is the veto that refuses no shard.
-func acceptAll(int) bool { return true }
-
-// TestShardMapPlaceTaskFunc: a vetoed preferred shard spills to a different
-// alive shard; an all-veto map falls back to the preferred shard rather
-// than failing placement.
-func TestShardMapPlaceTaskFunc(t *testing.T) {
-	m := NewShardMap(3)
-	preferred := m.PlaceTaskFunc("hot-tenant", 0, acceptAll)
-	got := m.PlaceTaskFunc("hot-tenant", 0, func(s int) bool { return s != preferred })
-	if got == preferred {
+// TestShardPlacementVeto: a vetoed preferred shard spills to a different
+// accepted shard; an all-veto placement falls back to the preferred shard
+// rather than failing; each shard is asked at most once, best-ranked first,
+// so a clean placement asks exactly once.
+func TestShardPlacementVeto(t *testing.T) {
+	const shards = 3
+	preferred := taskShard(shards, "hot-tenant", 0, acceptAll)
+	if got := taskShard(shards, "hot-tenant", 0, refuse(preferred)); got == preferred {
 		t.Fatalf("veto of shard %d ignored", preferred)
 	}
-	if all := m.PlaceTaskFunc("hot-tenant", 0, func(int) bool { return false }); all != preferred {
+	if all := taskShard(shards, "hot-tenant", 0, func(int) bool { return false }); all != preferred {
 		t.Fatalf("all-veto placement = %d, want preferred %d", all, preferred)
 	}
-	if ok := m.PlaceTaskFunc("hot-tenant", 0, func(int) bool { return true }); ok != preferred {
-		t.Fatalf("no-veto placement = %d, want preferred %d (spill must not reorder clean placement)", ok, preferred)
+	asked := map[int]int{}
+	taskShard(shards, "hot-tenant", 0, func(s int) bool { asked[s]++; return true })
+	if len(asked) != 1 || asked[preferred] != 1 {
+		t.Fatalf("clean placement asked %v, want only preferred shard %d once", asked, preferred)
+	}
+	for _, n := range []int{3, 4, 70} {
+		for id := int64(0); id < 100; id++ {
+			asked := map[int]int{}
+			taskShard(n, "", id, func(s int) bool { asked[s]++; return false })
+			if len(asked) != n {
+				t.Fatalf("%d shards, id %d: all-veto walk asked %d distinct shards", n, id, len(asked))
+			}
+			for s, k := range asked {
+				if k != 1 {
+					t.Fatalf("%d shards, id %d: shard %d asked %d times", n, id, s, k)
+				}
+			}
+		}
 	}
 
-	// The spill walk asks every other shard before it gives up, however many
-	// vnodes of vetoed shards it passes first: with the preferred shard and
-	// one other vetoed (two of three, two of four), or all but one (three of
-	// four), it lands on a shard that accepts.
+	// The spill walk asks every other shard before it gives up: with the
+	// preferred shard and one other vetoed (two of three, two of four), or
+	// all but one (three of four), it lands on a shard that accepts.
 	for _, shards := range []int{3, 4} {
-		m := NewShardMap(shards)
 		for id := int64(0); id < 1000; id++ {
-			preferred := m.PlaceTaskFunc("", id, acceptAll)
+			preferred := taskShard(shards, "", id, acceptAll)
 			for other := 0; other < shards; other++ {
 				if other == preferred {
 					continue
 				}
-				vetoed := func(s int) bool { return s == preferred || s == other }
-				if got := m.PlaceTaskFunc("", id, func(s int) bool { return !vetoed(s) }); vetoed(got) {
+				if got := taskShard(shards, "", id, refuse(preferred, other)); got == preferred || got == other {
 					t.Fatalf("%d shards, id %d: shards %d and %d vetoed, placed on %d", shards, id, preferred, other, got)
 				}
 				if shards == 4 {
-					if got := m.PlaceTaskFunc("", id, func(s int) bool { return s == other }); got != other {
+					if got := taskShard(shards, "", id, func(s int) bool { return s == other }); got != other {
 						t.Fatalf("4 shards, id %d: only shard %d accepts, placed on %d", id, other, got)
 					}
 				}
 			}
 		}
 	}
-	// Past 64 shards the walk stops tracking which it asked, and still
-	// reaches the one that accepts.
-	wide := NewShardMap(70)
+	// Past 64 shards the walk still reaches the one that accepts.
 	for id := int64(0); id < 100; id++ {
 		for _, only := range []int{3, 66} {
-			if got := wide.PlaceTaskFunc("", id, func(s int) bool { return s == only }); got != only {
+			if got := taskShard(70, "", id, func(s int) bool { return s == only }); got != only {
 				t.Fatalf("70 shards, id %d: only shard %d accepts, placed on %d", id, only, got)
 			}
 		}
 	}
 }
 
-// TestShardMapLastShard: the map never goes empty — the final alive shard
-// cannot be removed, and the single-shard fast path always answers 0 work.
-func TestShardMapLastShard(t *testing.T) {
-	m := NewShardMap(2)
-	if !m.Remove(0) {
-		t.Fatal("Remove(0) refused with two alive")
-	}
-	if m.Remove(1) {
-		t.Fatal("removed the last alive shard")
-	}
-	if m.Remove(0) {
-		t.Fatal("double-removed shard 0")
-	}
-	if got := m.PlaceTaskFunc("any", 42, acceptAll); got != 1 {
+// TestShardPlacementSoleSurvivor: with one of two shards down, tasks and
+// managers land on the survivor; with both down, manager placement still
+// answers (the best-ranked shard) rather than failing.
+func TestShardPlacementSoleSurvivor(t *testing.T) {
+	if got := taskShard(2, "any", 42, refuse(0)); got != 1 {
 		t.Fatalf("placement on sole survivor = %d, want 1", got)
 	}
-	if alive, total := m.AliveCount(), m.Total(); alive != 1 || total != 2 {
-		t.Fatalf("alive/total = %d/%d, want 1/2", alive, total)
-	}
-	if got := m.PlaceManagerBounded("mgr-b0-0", []int{0, 0}); got != 1 {
+	if got := managerShard("mgr-b0-0", []int{0, 0}, refuse(0)); got != 1 {
 		t.Fatalf("manager placement on sole survivor = %d, want 1", got)
+	}
+	want := managerShard("mgr-b0-0", []int{0, 0}, acceptAll)
+	if got := managerShard("mgr-b0-0", []int{0, 0}, refuse(0, 1)); got != want {
+		t.Fatalf("manager placement with every shard down = %d, want best-ranked %d", got, want)
+	}
+	if got := taskShard(1, "any", 42, refuse(0)); got != 0 {
+		t.Fatalf("one-shard placement = %d, want 0", got)
 	}
 }

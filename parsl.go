@@ -247,7 +247,7 @@ type HTEXOptions struct {
 	ManagerHeartbeatPeriod time.Duration
 	// Shards is how many interchange shards form the executor's control
 	// plane (default 1 — the paper's single broker). With N > 1, managers
-	// and tasks are placed across N interchanges by consistent hash
+	// and tasks are placed across N interchanges by rendezvous hash
 	// (tenant-affine) and one shard's death requeues only its own
 	// outstanding tasks while the others keep draining.
 	Shards int

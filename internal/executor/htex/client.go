@@ -528,11 +528,13 @@ func (e *Executor) sendOrFail(s *shardLink, batch []serialize.WireTask) {
 // placement, vetoing shards that are down or have no registered managers to
 // drain them (those spill to the key's next-ranked shard — see taskShard).
 func (e *Executor) placeTask(tenant string, id int64) int {
-	return taskShard(len(e.shards), tenant, id, func(si int) bool {
-		s := e.shards[si]
-		return !s.down.Load() && s.broker().ManagerCount() > 0
+	return taskShard(len(e.shards), tenant, id, e.shardUp, func(si int) bool {
+		return e.shards[si].broker().ManagerCount() > 0
 	})
 }
+
+// shardUp is the liveness veto placement reads: shard si is not down.
+func (e *Executor) shardUp(si int) bool { return !e.shards[si].down.Load() }
 
 // dropInflightLocked removes id's inflight entry, releases its payload
 // reference and returns its future for the caller to settle — nil when id is
@@ -777,6 +779,12 @@ func (e *Executor) QueueDepth() int {
 // sched.Load carries — identical to what a single interchange holding the
 // union of the queues would report.
 func (e *Executor) QueueDepthByTenant() map[string]int {
+	if len(e.shards) == 1 {
+		if e.shards[0].down.Load() {
+			return nil
+		}
+		return e.shards[0].broker().QueueDepthByTenant()
+	}
 	per := make([]map[string]int, 0, len(e.shards))
 	for _, s := range e.shards {
 		if !s.down.Load() {
@@ -849,7 +857,7 @@ func (e *Executor) shardForManager(id string) *shardLink {
 		}
 	}
 	e.mu.Unlock()
-	return e.shards[managerShard(id, counts, func(si int) bool { return !e.shards[si].down.Load() })]
+	return e.shards[managerShard(id, counts, e.shardUp)]
 }
 
 // managerPayload builds the per-node payload: start a manager connected to

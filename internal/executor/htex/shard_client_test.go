@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/executor"
 	"repro/internal/future"
+	"repro/internal/provider"
 	"repro/internal/sched"
 	"repro/internal/serialize"
 )
@@ -330,6 +331,50 @@ func TestShardedDeadShardsAgree(t *testing.T) {
 			t.Fatalf("ShardHealth = %q, want degraded", h)
 		}
 	})
+}
+
+// TestShardedDeadShardWaitsForCapacity: with a shard dead and no managers
+// anywhere yet, a task whose key ranks the dead shard first waits on the
+// best-ranked live shard — it is neither sent to the dead connection nor
+// failed — and completes once a block brings managers.
+func TestShardedDeadShardWaitsForCapacity(t *testing.T) {
+	const shards, dead = 3, 1
+	e := newHTEX(t, 0, 1, func(c *Config) {
+		c.Shards = shards
+		c.InitBlocks = 0
+		c.Provider = provider.NewLocal(provider.Config{NodesPerBlock: shards - 1})
+	})
+	e.KillShard(dead)
+	var futs []*future.Future
+	for i := 0; len(futs) < 4; i++ {
+		tenant := fmt.Sprintf("t%d", i)
+		if taskShard(shards, tenant, 0, acceptAll, acceptAll) != dead {
+			continue
+		}
+		futs = append(futs, e.Submit(serialize.TaskMsg{ID: int64(i), App: "echo", Args: []any{i}, Tenant: tenant}))
+	}
+	waitCond(t, "tasks queued on live shards", func() bool {
+		for _, f := range futs {
+			if f.Done() {
+				return true
+			}
+		}
+		return e.QueueDepth() == len(futs)
+	})
+	for i, f := range futs {
+		if f.Done() {
+			_, err := f.Result()
+			t.Fatalf("task %d settled while waiting for capacity: %v", i, err)
+		}
+	}
+	if err := e.ScaleOut(1); err != nil {
+		t.Fatal(err)
+	}
+	for i, f := range futs {
+		if _, err := f.ResultTimeout(5 * time.Second); err != nil {
+			t.Fatalf("task %d after scale-out: %v", i, err)
+		}
+	}
 }
 
 // TestShardedCommandChannel: administrative commands fan across shards —

@@ -18,17 +18,18 @@ package htex
 // shard (its DRR share is then enforced by that shard's fair queue exactly
 // as in the single-broker design); tenantless tasks spread by wire id.
 //
-// ok is a capacity veto (dead, or no registered managers): shards are asked
-// best-ranked first, each at most once, and the first one ok accepts wins,
-// so a temporarily capacity-less shard spills to the key's next-ranked shard
-// instead of wedging its tasks. If no shard passes, the best-ranked shard is
-// returned — placement never fails, it only waits.
-func taskShard(n int, tenant string, id int64, ok func(shard int) bool) int {
+// up is the liveness veto and ok the capacity one (no registered managers):
+// shards are asked best-ranked first, each at most once, and the first up
+// shard ok accepts wins, so a temporarily capacity-less shard spills to the
+// key's next-ranked shard instead of wedging its tasks. If no up shard has
+// capacity, the best-ranked up shard is returned — placement never fails
+// and never picks a dead shard while one lives, it only waits.
+func taskShard(n int, tenant string, id int64, up, ok func(shard int) bool) int {
 	key := mix64(uint64(id))
 	if tenant != "" {
 		key = hashString(tenant)
 	}
-	return rendezvous(n, key, ok)
+	return rendezvous(n, key, up, ok)
 }
 
 // managerShard places a manager onto one of len(counts) shards by rendezvous
@@ -48,28 +49,36 @@ func managerShard(id string, counts []int, up func(shard int) bool) int {
 		}
 	}
 	limit := (total + alive) / max(alive, 1)
-	return rendezvous(len(counts), hashString(id), func(s int) bool {
-		return up(s) && counts[s] < limit
-	})
+	return rendezvous(len(counts), hashString(id), up, func(s int) bool { return counts[s] < limit })
 }
 
-// rendezvous returns the best-ranked of n shards for key that ok accepts,
-// asking each shard at most once in rank order, or the best-ranked shard
-// when ok refuses them all.
-func rendezvous(n int, key uint64, ok func(shard int) bool) int {
+// rendezvous returns the best-ranked of n shards for key that is up and ok
+// accepts, asking each shard at most once in rank order. When ok refuses
+// every up shard it returns the best-ranked up shard, and the best-ranked
+// shard of all when none is up.
+func rendezvous(n int, key uint64, up, ok func(shard int) bool) int {
 	best := nextRanked(n, key, -1)
+	fallback := best
+	firstUp := true
 	for s := best; s >= 0; s = nextRanked(n, key, s) {
+		if !up(s) {
+			continue
+		}
 		if ok(s) {
 			return s
 		}
+		if firstUp {
+			fallback, firstUp = s, false
+		}
 	}
-	return best
+	return fallback
 }
 
 // nextRanked returns the shard ranked just after prev for key (prev < 0
 // asks for the best), or -1 when prev ranks last. Shards rank by score,
-// highest first, ties broken by lower index; recomputing the scores per step
-// keeps the walk allocation-free, and the common case stops at the first.
+// highest first; scores never tie, since mix64 and XOR with the key are
+// both bijections. Recomputing the scores per step keeps the walk
+// allocation-free, and the common case stops at the first.
 func nextRanked(n int, key uint64, prev int) int {
 	var prevScore uint64
 	if prev >= 0 {
@@ -78,7 +87,7 @@ func nextRanked(n int, key uint64, prev int) int {
 	next, nextScore := -1, uint64(0)
 	for s := 0; s < n; s++ {
 		score := mix64(key ^ mix64(uint64(s)+1))
-		if prev >= 0 && (score > prevScore || score == prevScore && s <= prev) {
+		if prev >= 0 && score >= prevScore {
 			continue // ranked at or before prev
 		}
 		if next < 0 || score > nextScore {

@@ -359,30 +359,13 @@ func (d *DFK) Executor(label string) (executor.Executor, bool) {
 func (d *DFK) Scheduler() sched.Scheduler { return d.schedr }
 
 // Loads samples live load signals from every configured executor, in config
-// order — the same view the capacity-aware scheduler decides from, so
+// order — exactly the sample the capacity-aware router decides from, so
 // Outstanding includes the tasks routed to the executor's lane but not yet
-// submitted. Each Load also carries the lane backlog's per-tenant composition,
-// so strategies can see whose work is queued, not just how much.
+// submitted.
 func (d *DFK) Loads() []sched.Load {
 	out := make([]sched.Load, len(d.execList))
 	for i, ex := range d.execList {
 		out[i] = sched.LoadOf(d.freeze(ex))
-		// The lane backlog merges with (rather than replaces) whatever
-		// broker-side backlog LoadOf sampled from the executor itself — a
-		// sharded HTEX reports its queue depth by tenant merged across
-		// shards, and the full picture is lane + broker.
-		if lb := d.lanes[ex.Label()].queue.PerTenant(); lb != nil {
-			if out[i].TenantBacklog == nil {
-				out[i].TenantBacklog = lb
-			} else {
-				for t, n := range lb {
-					out[i].TenantBacklog[t] += n
-				}
-			}
-		}
-		if d.hp != nil {
-			out[i].Health = d.hp.state(ex.Label())
-		}
 	}
 	return out
 }
@@ -394,9 +377,18 @@ func (d *DFK) freeze(ex executor.Executor) *sched.Frozen {
 	return sched.Freeze(ex, int(d.lanes[ex.Label()].queued.Load()))
 }
 
-// TenantBacklog reports queued-but-unrouted tasks per tenant in the routing
-// queue — the client-side admission backlog, before executor lanes.
-func (d *DFK) TenantBacklog() map[string]int { return d.queue.PerTenant() }
+// TenantBacklog reports the client-side backlog per tenant (key "" is the
+// default tenant): tasks in the routing queue plus those routed to an
+// executor lane but not yet submitted. Empty when nothing is queued.
+func (d *DFK) TenantBacklog() map[string]int {
+	out := d.queue.PerTenant()
+	for _, l := range d.lanes {
+		for t, n := range l.queue.PerTenant() {
+			out[t] += n
+		}
+	}
+	return out
+}
 
 // TenantLive reports a tenant's live (admitted, not yet terminal) task
 // count; always 0 when no quota is configured, since nothing is counted.

@@ -61,15 +61,6 @@ func newHealthPlane(d *DFK, opts *health.Options) *healthPlane {
 	return hp
 }
 
-// state reports one executor's breaker position for sched.Load.
-func (hp *healthPlane) state(label string) string {
-	b := hp.breakers[label]
-	if b == nil {
-		return ""
-	}
-	return b.State().String()
-}
-
 // routable reports whether an executor's breaker currently admits work.
 func (hp *healthPlane) routable(label string) bool {
 	b := hp.breakers[label]

@@ -16,6 +16,7 @@ import (
 	"repro/internal/future"
 	"repro/internal/health"
 	"repro/internal/monitor"
+	"repro/internal/sched"
 	"repro/internal/serialize"
 )
 
@@ -54,13 +55,11 @@ func (f *faultExec) Submit(msg serialize.TaskMsg) *future.Future {
 
 func executorHealth(t *testing.T, d *DFK, label string) string {
 	t.Helper()
-	for _, l := range d.Loads() {
-		if l.Label == label {
-			return l.Health
-		}
+	b := d.hp.breakers[label]
+	if b == nil {
+		t.Fatalf("no breaker for executor %q", label)
 	}
-	t.Fatalf("no load entry for executor %q", label)
-	return ""
+	return b.State().String()
 }
 
 func healthEvents(store *monitor.Store, detail string) []monitor.Event {
@@ -197,6 +196,63 @@ func TestHealthBreakerOpensAndFailsOver(t *testing.T) {
 	}
 	if !opened {
 		t.Fatalf("no closed->open transition event for sick: %+v", store.Events(monitor.KindHealth))
+	}
+}
+
+// holdingExec is a faultExec that claims to hold every input digest, so the
+// locality policy prefers it whenever the router lets it through.
+type holdingExec struct{ *faultExec }
+
+func (holdingExec) HoldsDigest(string) bool { return true }
+
+// TestLocalitySkipsOpenBreakerHolder: with the health plane and the locality
+// policy both on, a digest holder whose breaker is open never reaches the
+// policy — the router filters it out first — so every pick falls back to the
+// other executor, though only the holder claims the task's input.
+func TestLocalitySkipsOpenBreakerHolder(t *testing.T) {
+	warm := holdingExec{&faultExec{label: "warm", fail: func(n int) error {
+		return &executor.LostError{TaskID: int64(n), Detail: "gone", Manager: "m0"}
+	}}}
+	d := newDFK(t, func(c *Config) {
+		reg := serialize.NewRegistry()
+		c.Registry = reg
+		c.Executors = []executor.Executor{warm, threadpool.New("tp", 2, reg)}
+		c.SchedulerPolicy = "locality"
+		c.Retries = 3
+		c.Health = &health.Options{
+			Seed:    13,
+			Breaker: health.BreakerConfig{Window: 4, MinSamples: 2, FailureThreshold: 0.5, OpenFor: time.Minute},
+		}
+	})
+	app, err := d.PythonApp("w", func(args []any, _ map[string]any) (any, error) { return args[0], nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	call := func(i int) {
+		t.Helper()
+		if v, err := app.Call(i).Result(); err != nil || v != i {
+			t.Fatalf("task %d = %v, %v", i, v, err)
+		}
+	}
+	// The holder wins the first picks and fails them until its breaker
+	// opens; the retries fail over to tp.
+	for i := 0; executorHealth(t, d, "warm") != "open"; i++ {
+		if i == 8 {
+			t.Fatal("holder breaker never opened")
+		}
+		call(i)
+	}
+	launched := warm.submissions()
+	_, missesBefore := d.Scheduler().(*sched.Locality).Stats()
+	const n = 8
+	for i := 0; i < n; i++ {
+		call(100 + i)
+	}
+	if got := warm.submissions(); got != launched {
+		t.Fatalf("open-breaker holder got %d more launches", got-launched)
+	}
+	if _, misses := d.Scheduler().(*sched.Locality).Stats(); misses-missesBefore != n {
+		t.Fatalf("locality misses grew by %d over %d picks, want every pick a miss", misses-missesBefore, n)
 	}
 }
 

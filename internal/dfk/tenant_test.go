@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -388,5 +389,45 @@ func TestTenantStageInBypassesAdmission(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("staged submission deadlocked against its own tenant quota")
+	}
+}
+
+// TestTenantBacklogCountsLanes: DFK.TenantBacklog is the client-side
+// per-tenant view, so work routed to a plugged executor's lane shows up under
+// its tenant — not only what sits in the routing queue, which the dispatcher
+// empties every cycle — and the view empties once the lane drains.
+func TestTenantBacklogCountsLanes(t *testing.T) {
+	ge := newGateExec("gate")
+	d, err := New(Config{Executors: []executor.Executor{ge}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Shutdown()
+	app, err := d.PythonApp("w", func([]any, map[string]any) (any, error) { return nil, nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	release := sync.OnceFunc(func() { close(ge.gate) })
+	defer release() // before Shutdown, which waits for the parked lane runner
+	futs := []*future.Future{app.Call()}
+	<-ge.entered // the lane runner is parked in the executor; the rest queue in the lane
+	ctx := context.Background()
+	for i := 0; i < 3; i++ {
+		futs = append(futs, app.Submit(ctx, nil, WithTenant("a", 1)))
+	}
+	for i := 0; i < 2; i++ {
+		futs = append(futs, app.Submit(ctx, nil, WithTenant("b", 1)))
+	}
+	// All five routed past the routing queue and sitting in the lane.
+	waitFor(t, func() bool { return d.lanes["gate"].queue.Len() == 5 })
+	if got, want := d.TenantBacklog(), map[string]int{"a": 3, "b": 2}; !maps.Equal(got, want) {
+		t.Fatalf("TenantBacklog = %v, want %v", got, want)
+	}
+	release()
+	if err := future.Wait(futs...); err != nil {
+		t.Fatal(err)
+	}
+	if got := d.TenantBacklog(); len(got) != 0 {
+		t.Fatalf("TenantBacklog = %v after the lane drained, want empty", got)
 	}
 }

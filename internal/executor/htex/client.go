@@ -75,8 +75,7 @@ type shardLink struct {
 	cmdReplies chan mq.Message
 	// down is the shard's liveness, and its only record: set by the death
 	// path (shardDown), cleared when RestoreShard brings a respawned broker
-	// back. Placement, ShardCounts, ShardHealth and every merged probe read
-	// it.
+	// back. Placement, ShardCounts and every merged probe read it.
 	down atomic.Bool
 	// lost counts the attempts failed on this shard's account: its death scan
 	// (shardDown) plus the batches its dead endpoint refused (sendOrFail).
@@ -164,8 +163,8 @@ func (e *Executor) Shard(i int) *Interchange {
 // ShardCount reports the configured shard count.
 func (e *Executor) ShardCount() int { return len(e.shards) }
 
-// ShardCounts reports (alive, total) shards — the merged-Load probe
-// internal/sched samples so policies can see a degraded control plane.
+// ShardCounts reports (alive, total) shards — the executor's one shard
+// liveness probe.
 func (e *Executor) ShardCounts() (alive, total int) {
 	for _, s := range e.shards {
 		if !s.down.Load() {
@@ -173,29 +172,6 @@ func (e *Executor) ShardCounts() (alive, total int) {
 		}
 	}
 	return alive, len(e.shards)
-}
-
-// ShardHealth aggregates shard liveness into one executor-level signal:
-// "closed" when every shard is alive, "degraded" when at least one is dead,
-// "down" when none is.
-func (e *Executor) ShardHealth() string {
-	if len(e.shards) == 0 {
-		return ""
-	}
-	dead := 0
-	for _, s := range e.shards {
-		if s.down.Load() {
-			dead++
-		}
-	}
-	switch dead {
-	case 0:
-		return "closed"
-	case len(e.shards):
-		return "down"
-	default:
-		return "degraded"
-	}
 }
 
 // Start implements executor.Executor: bring up the interchange shards,
@@ -392,6 +368,13 @@ func (e *Executor) shardDown(s *shardLink) {
 	for id, it := range e.inflight {
 		if it.shard == s.idx {
 			lost = append(lost, id)
+		}
+	}
+	// The shard's managers died with it: forget their placement, or the
+	// bounded-load cap would count them against the shard once restored.
+	for id, si := range e.mgrShard {
+		if si == s.idx {
+			delete(e.mgrShard, id)
 		}
 	}
 	e.mu.Unlock()
@@ -773,25 +756,6 @@ func (e *Executor) QueueDepth() int {
 		}
 	}
 	return n
-}
-
-// QueueDepthByTenant merges the per-shard tenant backlogs into the one view
-// sched.Load carries — identical to what a single interchange holding the
-// union of the queues would report.
-func (e *Executor) QueueDepthByTenant() map[string]int {
-	if len(e.shards) == 1 {
-		if e.shards[0].down.Load() {
-			return nil
-		}
-		return e.shards[0].broker().QueueDepthByTenant()
-	}
-	per := make([]map[string]int, 0, len(e.shards))
-	for _, s := range e.shards {
-		if !s.down.Load() {
-			per = append(per, s.broker().QueueDepthByTenant())
-		}
-	}
-	return MergeTenantDepths(per...)
 }
 
 // ConnectedWorkers implements executor.Scalable: managers × workers, summed

@@ -761,8 +761,8 @@ func (ix *Interchange) HasDigest(d string) bool {
 func (ix *Interchange) QueueDepth() int { return ix.queue.Len() }
 
 // QueueDepthByTenant reports the waiting tasks per tenant (key "" is the
-// default tenant; nil when the queue is empty) — the broker-side half of the
-// backlog signal sched.Load.TenantBacklog exposes on the client side.
+// default tenant; nil when the queue is empty) — this shard's broker-side
+// view, as DFK.TenantBacklog is the client side's.
 func (ix *Interchange) QueueDepthByTenant() map[string]int { return ix.queue.PerTenant() }
 
 // Close shuts the interchange down.

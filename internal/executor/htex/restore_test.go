@@ -2,6 +2,7 @@ package htex
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -119,6 +120,36 @@ func TestRestoreShardAfterShutdown(t *testing.T) {
 	}
 }
 
+// TestShardRestoreForgetsDeadManagers: a shard's managers die with it, so
+// bounded-load placement must stop counting them. After a restore, the next
+// ScaleOut refills the respawned shard to an even share instead of treating
+// it as still holding its dead fleet.
+func TestShardRestoreForgetsDeadManagers(t *testing.T) {
+	e := newShardedHTEX(t, 3, 6, 1)
+	waitCond(t, "2 managers per shard", func() bool {
+		return slices.Equal(managersPerShard(e), []int{2, 2, 2})
+	})
+	e.KillShard(1)
+	if err := e.RestoreShard(1); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.ScaleOut(1); err != nil { // 6 more managers
+		t.Fatal(err)
+	}
+	// The 4 survivors plus the 6 new managers.
+	waitCond(t, "10 managers registered", func() bool {
+		total := 0
+		for _, n := range managersPerShard(e) {
+			total += n
+		}
+		return total == 10
+	})
+	got := managersPerShard(e)
+	if slices.Max(got)-slices.Min(got) > 1 {
+		t.Fatalf("managers per shard = %v after kill, restore and scale-out; want within one of even", got)
+	}
+}
+
 // TestHeartbeatCrossCheckWithPayloadFactory pins the satellite bugfix: the
 // manager-period vs interchange-threshold validation used to be skipped for
 // configs with a custom PayloadFactory, silently deploying pools whose
@@ -148,6 +179,18 @@ func TestHeartbeatCrossCheckWithPayloadFactory(t *testing.T) {
 	}
 }
 
+// argsDigest is the content digest a one-argument task with arg carries
+// (Payload.ArgsHash), the form HoldsDigest takes.
+func argsDigest(t *testing.T, arg any) string {
+	t.Helper()
+	p, err := serialize.EncodeArgs([]any{arg}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Release()
+	return p.ArgsHash()
+}
+
 // TestDigestHoldings: a returned task's content digest is held by the
 // manager that returned it, and the holding is visible through every layer —
 // interchange record, the executor's shard union, and the scheduler's LoadOf
@@ -155,12 +198,7 @@ func TestHeartbeatCrossCheckWithPayloadFactory(t *testing.T) {
 func TestDigestHoldings(t *testing.T) {
 	e := newHTEX(t, 1, 1, nil)
 
-	p, err := serialize.EncodeArgs([]any{"warm-input"}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	digest := p.ArgsHash()
-	p.Release()
+	digest := argsDigest(t, "warm-input")
 
 	if e.HoldsDigest(digest) {
 		t.Fatal("digest held before any execution")
@@ -257,12 +295,7 @@ func TestLocalityDispatchFollowsHoldings(t *testing.T) {
 	// holder with probability 2^-20.
 	for _, c := range []struct{ app, arg string }{{"echo", "warm-a"}, {"fail", "warm-b"}} {
 		holder := run(c.app, c.arg)
-		p, err := serialize.EncodeArgs([]any{c.arg}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		digest := p.ArgsHash()
-		p.Release()
+		digest := argsDigest(t, c.arg)
 		if !e.HoldsDigest(digest) {
 			t.Fatalf("%s(%q): digest not held once its result returned", c.app, c.arg)
 		}

@@ -63,9 +63,6 @@ func TestShardedRoundTrip(t *testing.T) {
 	if alive, total := e.ShardCounts(); alive != 3 || total != 3 {
 		t.Fatalf("ShardCounts = %d/%d, want 3/3", alive, total)
 	}
-	if h := e.ShardHealth(); h != "closed" {
-		t.Fatalf("ShardHealth = %q, want closed", h)
-	}
 }
 
 // TestShardedKillFailsOnlyVictims is the failover invariant at the executor
@@ -157,9 +154,6 @@ func TestShardedKillFailsOnlyVictims(t *testing.T) {
 	if alive, total := e.ShardCounts(); alive != 2 || total != 3 {
 		t.Fatalf("ShardCounts = %d/%d, want 2/3", alive, total)
 	}
-	if h := e.ShardHealth(); h != "degraded" {
-		t.Fatalf("ShardHealth = %q, want degraded", h)
-	}
 
 	// The survivors still form a working executor: new work completes.
 	v, err := e.Submit(serialize.TaskMsg{ID: n + 1, App: "echo", Args: []any{"after"}}).Result()
@@ -179,8 +173,8 @@ func TestShardedRefusedBatchCountsLost(t *testing.T) {
 			for i := 0; i < shards; i++ {
 				e.KillShard(i)
 			}
-			if h := e.ShardHealth(); h != "down" {
-				t.Fatalf("ShardHealth = %q with every shard killed, want down", h)
+			if alive, _ := e.ShardCounts(); alive != 0 {
+				t.Fatalf("ShardCounts alive = %d with every shard killed, want 0", alive)
 			}
 			before := 0
 			for _, n := range e.LostByShard() {
@@ -210,7 +204,7 @@ func TestShardedRefusedBatchCountsLost(t *testing.T) {
 }
 
 // TestShardedMergedLoad: the scheduler-facing probes report the union of the
-// shards — queue depth, tenant backlog, shard membership — exactly as one
+// shards — queue depth, outstanding work, connected workers — exactly as one
 // broker holding all the queues would.
 func TestShardedMergedLoad(t *testing.T) {
 	e := newShardedHTEX(t, 4, 4, 1)
@@ -240,30 +234,13 @@ func TestShardedMergedLoad(t *testing.T) {
 	if got := e.QueueDepth(); got > sum+n || got == 0 {
 		t.Fatalf("merged QueueDepth %d vs per-shard sum %d", got, sum)
 	}
-	merged := e.QueueDepthByTenant()
-	direct := MergeTenantDepths(
-		e.Shard(0).QueueDepthByTenant(), e.Shard(1).QueueDepthByTenant(),
-		e.Shard(2).QueueDepthByTenant(), e.Shard(3).QueueDepthByTenant(),
-	)
-	mergedTotal, directTotal := 0, 0
-	for _, v := range merged {
-		mergedTotal += v
-	}
-	for _, v := range direct {
-		directTotal += v
-	}
-	// The queues drain concurrently, so totals can differ between the two
-	// samples; both must be merged views (non-empty while saturated).
-	if mergedTotal == 0 && directTotal > 0 {
-		t.Fatalf("merged tenant view empty while shards report %v", direct)
-	}
 
 	l := sched.LoadOf(e)
-	if l.ShardsAlive != 4 || l.ShardsTotal != 4 {
-		t.Fatalf("LoadOf shards = %d/%d, want 4/4", l.ShardsAlive, l.ShardsTotal)
+	if l.Workers != 4 {
+		t.Fatalf("LoadOf workers = %d, want 4 managers × 1 worker", l.Workers)
 	}
-	if l.Health != "closed" {
-		t.Fatalf("LoadOf health = %q", l.Health)
+	if l.Outstanding == 0 || l.Outstanding > n {
+		t.Fatalf("LoadOf outstanding = %d, want 1..%d while saturated", l.Outstanding, n)
 	}
 	if err := future.Wait(futs...); err != nil {
 		t.Fatal(err)
@@ -271,9 +248,9 @@ func TestShardedMergedLoad(t *testing.T) {
 }
 
 // TestShardedDeadShardsAgree: every merged probe reads shard liveness from
-// the one place it is recorded, so once every shard is dead none of them
-// still reports a live shard or a dead shard's backlog, and a kill/restore
-// history counts exactly the shards restored since.
+// the one place it is recorded, so once a shard is dead none of them still
+// reports its backlog or its digest holdings, and a kill/restore history
+// counts exactly the shards restored since.
 func TestShardedDeadShardsAgree(t *testing.T) {
 	for _, shards := range []int{1, 3} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
@@ -299,21 +276,48 @@ func TestShardedDeadShardsAgree(t *testing.T) {
 			if alive, total := e.ShardCounts(); alive != 0 || total != shards {
 				t.Fatalf("ShardCounts = %d/%d with every shard killed, want 0/%d", alive, total, shards)
 			}
-			if h := e.ShardHealth(); h != "down" {
-				t.Fatalf("ShardHealth = %q, want down", h)
-			}
 			if d := e.QueueDepth(); d != 0 {
 				t.Fatalf("QueueDepth = %d, want 0", d)
 			}
-			if d := e.QueueDepthByTenant(); d != nil {
-				t.Fatalf("QueueDepthByTenant = %v, want nil", d)
-			}
-			l := sched.LoadOf(e)
-			if l.ShardsAlive != 0 || l.ShardsTotal != shards || l.TenantBacklog != nil {
-				t.Fatalf("LoadOf shards = %d/%d backlog %v, want 0/%d and nil", l.ShardsAlive, l.ShardsTotal, l.TenantBacklog, shards)
-			}
 		})
 	}
+	// A holding dies with its shard: HoldsDigest, the probe the locality
+	// policy reads, drops a digest held on a killed shard, while a holding
+	// on a surviving shard still serves the degraded executor.
+	t.Run("held-digest", func(t *testing.T) {
+		e := newShardedHTEX(t, 2, 2, 1)
+		waitCond(t, "a manager on each shard", func() bool {
+			n := managersPerShard(e)
+			return n[0] > 0 && n[1] > 0
+		})
+		held := make([]string, 2) // per shard, a digest it holds
+		for i := 0; held[0] == "" || held[1] == ""; i++ {
+			if i == 64 {
+				t.Fatalf("after 64 distinct inputs the shards hold %q", held)
+			}
+			arg := fmt.Sprintf("warm-%d", i)
+			if _, err := e.Submit(serialize.TaskMsg{ID: int64(i), App: "echo", Args: []any{arg}}).Result(); err != nil {
+				t.Fatal(err)
+			}
+			d := argsDigest(t, arg)
+			for si := range held {
+				if held[si] == "" && e.Shard(si).HasDigest(d) {
+					held[si] = d
+				}
+			}
+		}
+		e.KillShard(0)
+		if e.HoldsDigest(held[0]) {
+			t.Fatal("HoldsDigest still reports a holding of the killed shard")
+		}
+		if !e.HoldsDigest(held[1]) {
+			t.Fatal("HoldsDigest lost the surviving shard's holding")
+		}
+		e.KillShard(1)
+		if e.HoldsDigest(held[1]) {
+			t.Fatal("HoldsDigest reports a holding with every shard killed")
+		}
+	})
 	t.Run("kill-kill-restore", func(t *testing.T) {
 		e := newHTEX(t, 0, 1, func(c *Config) {
 			c.Shards = 2
@@ -326,9 +330,6 @@ func TestShardedDeadShardsAgree(t *testing.T) {
 		}
 		if alive, total := e.ShardCounts(); alive != 1 || total != 2 {
 			t.Fatalf("ShardCounts = %d/%d after kill 0, kill 1, restore 0; want 1/2", alive, total)
-		}
-		if h := e.ShardHealth(); h != "degraded" {
-			t.Fatalf("ShardHealth = %q, want degraded", h)
 		}
 	})
 }

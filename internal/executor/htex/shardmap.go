@@ -97,23 +97,6 @@ func nextRanked(n int, key uint64, prev int) int {
 	return next
 }
 
-// MergeTenantDepths merges per-shard tenant backlog maps into the one view
-// the scheduler layer sees: the sharded executor reports exactly what a
-// single interchange holding the union of the queues would report. Nil maps
-// contribute nothing; a nil result means every shard was empty.
-func MergeTenantDepths(perShard ...map[string]int) map[string]int {
-	var out map[string]int
-	for _, sm := range perShard {
-		for tenant, n := range sm {
-			if out == nil {
-				out = make(map[string]int, len(sm))
-			}
-			out[tenant] += n
-		}
-	}
-	return out
-}
-
 // mix64 is the SplitMix64 finalizer: full-avalanche mixing so sequential
 // shard indices and wire ids score uniformly.
 func mix64(x uint64) uint64 {

@@ -2,7 +2,6 @@ package htex
 
 import (
 	"fmt"
-	"reflect"
 	"testing"
 )
 
@@ -120,33 +119,6 @@ func TestShardPlacementDeterministic(t *testing.T) {
 	up := refuse(1)
 	if managerShard("mgr-b0-7", counts, up) != managerShard("mgr-b0-7", counts, up) {
 		t.Fatal("identical calls disagree on string key placement")
-	}
-}
-
-// TestShardPlacementMergedDepthsEquivalence: splitting one tenant backlog
-// across shards and merging the per-shard views reproduces exactly the
-// single-shard map — the merged-Load contract the scheduler layer relies on.
-func TestShardPlacementMergedDepthsEquivalence(t *testing.T) {
-	const shards = 4
-	single := map[string]int{}
-	perShard := make([]map[string]int, shards)
-	for i := 0; i < 500; i++ {
-		tenant := fmt.Sprintf("t%d", i%7)
-		single[tenant]++
-		s := taskShard(shards, tenant, int64(i), acceptAll, acceptAll)
-		if perShard[s] == nil {
-			perShard[s] = map[string]int{}
-		}
-		perShard[s][tenant]++
-	}
-	if got := MergeTenantDepths(perShard...); !reflect.DeepEqual(got, single) {
-		t.Fatalf("merged view %v != single-shard view %v", got, single)
-	}
-	if MergeTenantDepths(nil, nil) != nil {
-		t.Fatal("merging empty shards should report nil, like an empty queue")
-	}
-	if got := MergeTenantDepths(map[string]int{"a": 1}, nil, map[string]int{"a": 2, "b": 3}); got["a"] != 3 || got["b"] != 3 {
-		t.Fatalf("merge = %v", got)
 	}
 }
 

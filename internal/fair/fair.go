@@ -343,7 +343,7 @@ func (q *Queue[T]) Len() int {
 }
 
 // PerTenant reports the queued backlog per tenant (nil when empty) — the
-// signal surfaced through sched.Load.TenantBacklog and the interchange's
+// signal surfaced through DFK.TenantBacklog and the interchange's
 // tenant-depth probe.
 func (q *Queue[T]) PerTenant() map[string]int {
 	q.mu.Lock()

@@ -8,20 +8,14 @@ import (
 )
 
 // fakeHolder is a digest-holding executor double: fakeExec's load
-// signals plus the digestHolder probe and optional shard /
-// aggregate-health state, so every branch of the Locality policy can be
-// driven without an HTEX deployment.
+// signals plus the digestHolder probe, so every branch of the Locality
+// policy can be driven without an HTEX deployment.
 type fakeHolder struct {
 	fakeExec
-	digests     map[string]bool
-	health      string
-	shardsAlive int
-	shardsTotal int
+	digests map[string]bool
 }
 
-func (f *fakeHolder) HoldsDigest(d string) bool       { return f.digests[d] }
-func (f *fakeHolder) ShardCounts() (alive, total int) { return f.shardsAlive, f.shardsTotal }
-func (f *fakeHolder) ShardHealth() string             { return f.health }
+func (f *fakeHolder) HoldsDigest(d string) bool { return f.digests[d] }
 
 func holder(label string, outstanding int, digests ...string) *fakeHolder {
 	f := &fakeHolder{fakeExec: fakeExec{label: label, outstanding: outstanding}}
@@ -30,6 +24,36 @@ func holder(label string, outstanding int, digests ...string) *fakeHolder {
 		f.digests[d] = true
 	}
 	return f
+}
+
+// shardedHolder mirrors a sharded HTEX's digest probe: holdings are recorded
+// per interchange shard and HoldsDigest reads only the live shards, so a
+// shard's death drops its holdings the way htex.Executor.HoldsDigest does.
+type shardedHolder struct {
+	fakeExec
+	shards []map[string]bool
+	down   []bool
+}
+
+func newShardedHolder(label string, outstanding, shards int) *shardedHolder {
+	f := &shardedHolder{fakeExec: fakeExec{label: label, outstanding: outstanding}}
+	f.shards = make([]map[string]bool, shards)
+	for i := range f.shards {
+		f.shards[i] = map[string]bool{}
+	}
+	f.down = make([]bool, shards)
+	return f
+}
+
+func (f *shardedHolder) kill(shard int) { f.down[shard] = true }
+
+func (f *shardedHolder) HoldsDigest(d string) bool {
+	for i, held := range f.shards {
+		if !f.down[i] && held[d] {
+			return true
+		}
+	}
+	return false
 }
 
 func TestLocalityPrefersDigestHolder(t *testing.T) {
@@ -87,11 +111,30 @@ func TestLocalityNoHolderFallsBackWithoutStalling(t *testing.T) {
 func TestLocalitySkipsDeadAndOpenHolders(t *testing.T) {
 	cases := []struct {
 		name string
-		mut  func(*fakeHolder)
+		// cut makes the busy holder unusable the way a deployment does and
+		// returns the candidate set the router hands the policy.
+		cut func(bad *shardedHolder, good executor.Executor) []executor.Executor
 	}{
-		{"health-down", func(f *fakeHolder) { f.health = "down" }},
-		{"breaker-open", func(f *fakeHolder) { f.health = "open" }},
-		{"all-shards-dead", func(f *fakeHolder) { f.shardsAlive, f.shardsTotal = 0, 2 }},
+		// The router freezes its candidates before the pick; a shard death
+		// after the snapshot still drops the holding, since the snapshot's
+		// digest probe reads the executor live.
+		{"health-down", func(bad *shardedHolder, good executor.Executor) []executor.Executor {
+			bad.shards[1]["d1"] = true
+			cands := execs(Freeze(bad, 0), Freeze(good, 0))
+			bad.kill(0)
+			bad.kill(1)
+			return cands
+		}},
+		// The health plane's breaker filter drops an open executor from
+		// the candidate set before any policy runs.
+		{"breaker-open", func(_ *shardedHolder, good executor.Executor) []executor.Executor {
+			return execs(good)
+		}},
+		{"all-shards-dead", func(bad *shardedHolder, good executor.Executor) []executor.Executor {
+			bad.kill(0)
+			bad.kill(1)
+			return execs(bad, good)
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -100,15 +143,16 @@ func TestLocalitySkipsDeadAndOpenHolders(t *testing.T) {
 			// holding it would pick "bad" as a hit despite the
 			// load gap; a clean skip falls back to least-outstanding,
 			// which lands on "good".
-			bad := holder("bad", 9, "d1")
-			tc.mut(bad)
+			bad := newShardedHolder("bad", 9, 2)
+			bad.shards[0]["d1"] = true
 			good := holder("good", 2)
-			ex, err := p.PickDigest(execs(bad, good), "d1")
+			if ex, err := NewLocality().PickDigest(execs(bad, good), "d1"); err != nil || ex.Label() != "bad" {
+				t.Fatalf("healthy holder: PickDigest = %v, %v; want bad", ex, err)
+			}
+			ex, err := p.PickDigest(tc.cut(bad, good), "d1")
 			if err != nil {
 				t.Fatalf("PickDigest: %v", err)
 			}
-			// The unusable holder is skipped; with no live holder left the
-			// fallback applies over the full candidate set.
 			if ex.Label() != "good" {
 				t.Fatalf("picked %s; want good (unusable holder skipped)", ex.Label())
 			}
@@ -121,15 +165,24 @@ func TestLocalitySkipsDeadAndOpenHolders(t *testing.T) {
 
 func TestLocalityDegradedHolderStillServes(t *testing.T) {
 	p := NewLocality()
-	// One shard of two is gone — degraded, but the live shard can still
-	// serve the warm hit; the policy must not treat degraded as dead.
-	limp := holder("limp", 4, "d1")
-	limp.shardsAlive, limp.shardsTotal = 1, 2
-	limp.health = "degraded"
+	// One shard of two is gone — degraded, but the live shard still holds
+	// the digest and can serve the warm hit; only the dead shard's holding
+	// is lost.
+	limp := newShardedHolder("limp", 4, 2)
+	limp.shards[0]["d0"] = true
+	limp.shards[1]["d1"] = true
+	limp.kill(0)
 	fresh := holder("fresh", 0)
-	ex, err := p.PickDigest(execs(limp, fresh), "d1")
+	ex, err := p.PickDigest(execs(Freeze(limp, 0), Freeze(fresh, 0)), "d1")
 	if err != nil || ex.Label() != "limp" {
 		t.Fatalf("PickDigest = %v, %v; want limp", ex, err)
+	}
+	ex, err = p.PickDigest(execs(Freeze(limp, 0), Freeze(fresh, 0)), "d0")
+	if err != nil || ex.Label() != "fresh" {
+		t.Fatalf("PickDigest of the dead shard's digest = %v, %v; want fresh", ex, err)
+	}
+	if hits, misses := p.Stats(); hits != 1 || misses != 1 {
+		t.Fatalf("stats = %d hits, %d misses; want 1, 1", hits, misses)
 	}
 }
 
@@ -163,13 +216,6 @@ func TestLocalityThroughFrozenSnapshot(t *testing.T) {
 	ex, err := p.PickDigest([]executor.Executor{fcold, fwarm}, "d1")
 	if err != nil || ex.Label() != "warm" {
 		t.Fatalf("PickDigest over Frozen = %v, %v; want warm", ex, err)
-	}
-	// The sampled breaker state rides the snapshot too: a down holder is
-	// skipped as it is when handed over raw.
-	down := holder("down", 5, "d1")
-	down.health = "down"
-	if ex, err := p.PickDigest([]executor.Executor{Freeze(down, 0), fcold}, "d1"); err != nil || ex.Label() != "cold" {
-		t.Fatalf("PickDigest over a down Frozen holder = %v, %v; want cold", ex, err)
 	}
 }
 

@@ -47,23 +47,6 @@ type Load struct {
 	// executors, a Workers() probe when exposed (threadpool), otherwise 0
 	// for "unknown".
 	Workers int
-	// TenantBacklog is the per-tenant composition of the lane backlog (key
-	// "" is the default tenant), so strategies and operators can see *whose*
-	// work is queued, not just how much. Nil when the lane is empty or the
-	// source exposes no tenant signal.
-	TenantBacklog map[string]int
-	// Health is the executor's circuit-breaker state ("closed", "open",
-	// "half-open") when the DFK's health plane is enabled; for sharded
-	// executors it is shard liveness aggregated across shards ("closed",
-	// "degraded", "down") sampled from the executor itself. "" when neither
-	// source applies.
-	Health string
-	// ShardsAlive/ShardsTotal describe a sharded executor's control plane:
-	// how many interchange shards are still routable out of how many were
-	// configured. Both 0 for unsharded executors. A policy can read
-	// ShardsAlive < ShardsTotal as "this executor is running degraded".
-	ShardsAlive int
-	ShardsTotal int
 	// HasDigest is the locality view: it probes whether the executor's
 	// fleet currently holds a content digest (a manager behind it has
 	// returned a result for — and so holds warm — a task with those exact
@@ -86,30 +69,17 @@ func (l Load) PerWorker() float64 {
 // workerCounter is the non-Scalable capacity probe (threadpool.Workers).
 type workerCounter interface{ Workers() int }
 
-// shardCounter is the sharded-control-plane probe (htex.Executor.ShardCounts):
-// how many interchange shards are alive out of total.
-type shardCounter interface{ ShardCounts() (alive, total int) }
-
-// shardHealth is the aggregate liveness probe a sharded executor exposes
-// (htex.Executor.ShardHealth): "closed", "degraded", or "down" across its
-// shards. Sampled only when nothing else filled Load.Health.
-type shardHealth interface{ ShardHealth() string }
-
-// tenantDepths is the broker-backlog probe (htex.Executor.QueueDepthByTenant,
-// merged across shards): whose work waits for capacity past the submission
-// boundary.
-type tenantDepths interface{ QueueDepthByTenant() map[string]int }
-
 // digestHolder is the data-locality probe (htex.Executor.HoldsDigest,
-// merged across shards): does any manager behind this executor hold the
+// merged across live shards): does any manager behind this executor hold the
 // content digest in its interchange's warm-digest record.
 type digestHolder interface{ HoldsDigest(digest string) bool }
 
 // LoadOf samples an executor's live load signals. A sharded executor reports
-// the merged view — outstanding, tenant backlog, shard liveness, and shard
-// membership aggregated across its interchange shards — so policies see one
-// logical executor regardless of how many brokers serve it. A Frozen snapshot
-// returns its sampled Load with the routing overlay added to Outstanding.
+// one merged view — its client-side outstanding count, and the workers and
+// digest holdings of its live interchange shards — so policies see one
+// logical executor regardless of how many brokers serve it. A Frozen
+// snapshot returns its sampled Load with the routing overlay added to
+// Outstanding.
 func LoadOf(ex executor.Executor) Load {
 	if f, ok := ex.(*Frozen); ok {
 		l := f.load
@@ -122,15 +92,6 @@ func LoadOf(ex executor.Executor) Load {
 		l.Workers = t.ConnectedWorkers()
 	case workerCounter:
 		l.Workers = t.Workers()
-	}
-	if sc, ok := ex.(shardCounter); ok {
-		l.ShardsAlive, l.ShardsTotal = sc.ShardCounts()
-	}
-	if sh, ok := ex.(shardHealth); ok {
-		l.Health = sh.ShardHealth()
-	}
-	if td, ok := ex.(tenantDepths); ok {
-		l.TenantBacklog = td.QueueDepthByTenant()
 	}
 	if dh, ok := ex.(digestHolder); ok {
 		l.HasDigest = dh.HoldsDigest
@@ -280,13 +241,13 @@ func (*LeastOutstanding) Pick(candidates []executor.Executor) (executor.Executor
 // candidate holds them. Among multiple holders the least loaded wins, so
 // locality never turns into a hotspot pile-up. Holder selection respects
 // the surrounding machinery by construction: breaker-open executors were
-// filtered from the candidate set before Pick, an executor whose shard
-// control plane is fully down is skipped here, and the capacity-veto spill
-// rules inside a sharded executor still apply after the pick (routing to
-// the executor is a preference, not a placement guarantee). A stale
-// holding (the holding manager left between the probe and the dispatch)
-// just means the task runs cold wherever the interchange places it — never
-// an error.
+// filtered from the candidate set before Pick, a sharded executor reports
+// only the holdings of its live shards (so one whose shards are all dead
+// holds nothing), and the capacity-veto spill rules inside a sharded
+// executor still apply after the pick (routing to the executor is a
+// preference, not a placement guarantee). A stale holding (the holding
+// manager left between the probe and the dispatch) just means the task runs
+// cold wherever the interchange places it — never an error.
 type Locality struct {
 	fallback LeastOutstanding
 	hits     atomic.Int64
@@ -319,11 +280,6 @@ func (p *Locality) PickDigest(candidates []executor.Executor, digest string) (ex
 		for i, c := range candidates {
 			l := LoadOf(c)
 			if l.HasDigest == nil || !l.HasDigest(digest) {
-				continue
-			}
-			// A holder whose control plane is gone can't serve the hit:
-			// every shard dead, or the health plane's breaker fully open.
-			if (l.ShardsTotal > 0 && l.ShardsAlive == 0) || l.Health == "down" || l.Health == "open" {
 				continue
 			}
 			if best < 0 || l.PerWorker() < bestLoad.PerWorker() ||

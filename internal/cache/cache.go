@@ -37,15 +37,6 @@ type Stats struct {
 	Entries   int   // resident entries now
 }
 
-// HitRate returns Hits/(Hits+Misses), or 0 before any lookup.
-func (s Stats) HitRate() float64 {
-	total := s.Hits + s.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(total)
-}
-
 type entry struct {
 	key   string
 	value any

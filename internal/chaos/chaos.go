@@ -196,12 +196,6 @@ func (e Event) String() string {
 	return fmt.Sprintf("%s/r%d#%d %s %v (%s)", e.Point, e.Rule, e.Hit, e.Act, e.Delay, e.Detail)
 }
 
-// ScheduleKey is the run-independent part of the event: everything but the
-// observational detail.
-func (e Event) ScheduleKey() string {
-	return fmt.Sprintf("%s/r%d#%d %s %v", e.Point, e.Rule, e.Hit, e.Act, e.Delay)
-}
-
 // armedRule is one plan rule plus its counters. hits counts only the hits
 // this rule was eligible for (Match satisfied), and the roll for matched hit
 // n is a pure function of (seed, point, rule, n) — so a Match-scoped rule
@@ -214,17 +208,11 @@ type armedRule struct {
 	fires atomic.Int64
 }
 
-// armedPoint tracks one point's hit counter and its rules in plan order.
-type armedPoint struct {
-	hits  atomic.Int64
-	rules []*armedRule
-}
-
 // Injector is one armed fault plan. Install it with Enable; all fault points
 // consult the installed injector.
 type Injector struct {
 	seed   int64
-	points map[Point]*armedPoint
+	points map[Point][]*armedRule // each point's rules in plan order
 
 	mu  sync.Mutex
 	log []Event
@@ -232,15 +220,9 @@ type Injector struct {
 
 // New arms plan under seed.
 func New(seed int64, plan Plan) *Injector {
-	inj := &Injector{seed: seed, points: make(map[Point]*armedPoint)}
+	inj := &Injector{seed: seed, points: make(map[Point][]*armedRule)}
 	for i, r := range plan {
-		ap := inj.points[r.Point]
-		if ap == nil {
-			ap = &armedPoint{}
-			inj.points[r.Point] = ap
-		}
-		ar := &armedRule{Rule: r, idx: uint64(i)}
-		ap.rules = append(ap.rules, ar)
+		inj.points[r.Point] = append(inj.points[r.Point], &armedRule{Rule: r, idx: uint64(i)})
 	}
 	return inj
 }
@@ -266,24 +248,11 @@ func (inj *Injector) Events() []Event {
 
 // Fires reports how many times any rule at p has fired.
 func (inj *Injector) Fires(p Point) int64 {
-	ap := inj.points[p]
-	if ap == nil {
-		return 0
-	}
 	var n int64
-	for _, r := range ap.rules {
+	for _, r := range inj.points[p] {
 		n += r.fires.Load()
 	}
 	return n
-}
-
-// Hits reports how many times p was consulted.
-func (inj *Injector) Hits(p Point) int64 {
-	ap := inj.points[p]
-	if ap == nil {
-		return 0
-	}
-	return ap.hits.Load()
 }
 
 // splitmix64 is the SplitMix64 finalizer: full-avalanche mixing so that
@@ -319,14 +288,13 @@ func (inj *Injector) roll(p Point, rule uint64, hit int64) float64 {
 // function of its own matched-hit count, independent of what its siblings
 // did. The first rule (in plan order) whose roll fires wins the hit.
 func (inj *Injector) decide(p Point, detail string) (Action, time.Duration, int64, string) {
-	ap := inj.points[p]
-	if ap == nil {
+	rules := inj.points[p]
+	if rules == nil {
 		return ActNone, 0, -1, ""
 	}
-	ap.hits.Add(1)
 	var winner *armedRule
 	var winHit int64
-	for _, r := range ap.rules {
+	for _, r := range rules {
 		if r.Match != "" && !strings.Contains(detail, r.Match) {
 			continue
 		}
@@ -394,10 +362,6 @@ func Disable() { active.Store(nil) }
 
 // Enabled reports whether an injector is installed.
 func Enabled() bool { return active.Load() != nil }
-
-// Active returns the installed injector (nil when disabled) so harnesses can
-// read its event log after a run.
-func Active() *Injector { return active.Load() }
 
 // Frame is the wire-leg fault point: product code routes a frame send
 // through it. Disabled, it calls send(frame) directly. Enabled, the point's

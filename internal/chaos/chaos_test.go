@@ -28,6 +28,12 @@ func pump(inj *Injector, n int) {
 	}
 }
 
+// scheduleKey is the run-independent part of an event: everything but the
+// observational detail.
+func scheduleKey(e Event) string {
+	return fmt.Sprintf("%s/r%d#%d %s %v", e.Point, e.Rule, e.Hit, e.Act, e.Delay)
+}
+
 func testPlan() Plan {
 	return Plan{
 		{Point: PointClientSend, Act: ActDrop, Prob: 0.1},
@@ -63,11 +69,11 @@ func TestScheduleSeedSensitive(t *testing.T) {
 	pump(b, 500)
 	ka := make([]string, 0)
 	for _, e := range a.Events() {
-		ka = append(ka, e.ScheduleKey())
+		ka = append(ka, scheduleKey(e))
 	}
 	kb := make([]string, 0)
 	for _, e := range b.Events() {
-		kb = append(kb, e.ScheduleKey())
+		kb = append(kb, scheduleKey(e))
 	}
 	if reflect.DeepEqual(ka, kb) {
 		t.Fatal("seeds 1 and 2 produced identical schedules")
@@ -99,7 +105,7 @@ func TestScheduleIndependentOfInterleaving(t *testing.T) {
 		var out []string
 		for _, e := range evs {
 			if e.Point == PointSubmitFail {
-				out = append(out, e.ScheduleKey())
+				out = append(out, scheduleKey(e))
 			}
 		}
 		return out
@@ -123,8 +129,8 @@ func TestMaxBoundsFires(t *testing.T) {
 	if kills != 2 {
 		t.Fatalf("kills = %d, want exactly Max=2", kills)
 	}
-	if inj.Fires(PointMgrKill) != 2 || inj.Hits(PointMgrKill) != 50 {
-		t.Fatalf("fires=%d hits=%d", inj.Fires(PointMgrKill), inj.Hits(PointMgrKill))
+	if inj.Fires(PointMgrKill) != 2 || inj.points[PointMgrKill][0].hits.Load() != 50 {
+		t.Fatalf("fires=%d hits=%d", inj.Fires(PointMgrKill), inj.points[PointMgrKill][0].hits.Load())
 	}
 }
 
@@ -159,7 +165,7 @@ func TestMatchedHitScheduleDeterministic(t *testing.T) {
 		}
 		var keys []string
 		for _, e := range inj.Events() {
-			keys = append(keys, e.ScheduleKey())
+			keys = append(keys, scheduleKey(e))
 		}
 		return keys
 	}
@@ -312,7 +318,7 @@ func TestExecFailClassReturnsTypedError(t *testing.T) {
 
 func TestDisabledIsInert(t *testing.T) {
 	Disable()
-	if Enabled() || Active() != nil {
+	if Enabled() || active.Load() != nil {
 		t.Fatal("injector active after Disable")
 	}
 	if Kill(PointMgrKill, "x") || Fail(PointSubmitFail, "x") != nil {
@@ -346,15 +352,15 @@ func TestEnableRestores(t *testing.T) {
 	ra := Enable(a)
 	b := New(2, nil)
 	rb := Enable(b)
-	if Active() != b {
+	if active.Load() != b {
 		t.Fatal("b not active")
 	}
 	rb()
-	if Active() != a {
+	if active.Load() != a {
 		t.Fatal("restore did not reinstate a")
 	}
 	ra()
-	if Active() != nil {
+	if active.Load() != nil {
 		t.Fatal("restore did not clear")
 	}
 }
@@ -384,8 +390,8 @@ func TestEventOrderCanonical(t *testing.T) {
 		t.Fatalf("events = %v", evs)
 	}
 	for i := range want {
-		if evs[i].ScheduleKey() != want[i] {
-			t.Fatalf("event %d = %q, want %q", i, evs[i].ScheduleKey(), want[i])
+		if scheduleKey(evs[i]) != want[i] {
+			t.Fatalf("event %d = %q, want %q", i, scheduleKey(evs[i]), want[i])
 		}
 	}
 }
@@ -407,8 +413,8 @@ func TestAfterPinsExactHit(t *testing.T) {
 			t.Fatalf("hit %d fired, want only hit 3: %v", i, err)
 		}
 	}
-	if inj.Fires(PointSubmitFail) != 1 || inj.Hits(PointSubmitFail) != 10 {
-		t.Fatalf("fires=%d hits=%d", inj.Fires(PointSubmitFail), inj.Hits(PointSubmitFail))
+	if inj.Fires(PointSubmitFail) != 1 || inj.points[PointSubmitFail][0].hits.Load() != 10 {
+		t.Fatalf("fires=%d hits=%d", inj.Fires(PointSubmitFail), inj.points[PointSubmitFail][0].hits.Load())
 	}
 }
 

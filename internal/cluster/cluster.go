@@ -1,10 +1,10 @@
 // Package cluster simulates a batch-scheduled HPC cluster — the Local
-// Resource Manager substrate (Slurm on Midway, ALPS on Blue Waters) that
-// Parsl's providers drive (§4.2). It models a node pool, a FIFO job queue
-// with configurable scheduler latency, walltime enforcement, per-job node
-// limits, cancellation, and node-failure injection.
+// Resource Manager substrate (Slurm on Midway) that Parsl's providers drive
+// (§4.2). It models a node pool, a FIFO job queue with configurable
+// scheduler latency, walltime enforcement, per-job node limits,
+// cancellation, and node-failure injection.
 //
-// The providers in internal/provider translate sbatch/squeue/scancel-style
+// The providers in internal/provider translate sbatch/scancel-style
 // verbs onto this simulator, which is what lets the elasticity experiment
 // (Fig. 6) provision and deprovision blocks exactly as the paper's runs did,
 // including queue delays ("in an HPC setting, elasticity may be complicated
@@ -26,7 +26,7 @@ const (
 	Queued JobState = iota
 	// Running: nodes allocated, user payload started.
 	Running
-	// Completed: payload finished or walltime expired cleanly.
+	// Completed: walltime expired cleanly.
 	Completed
 	// Cancelled: removed by scancel.
 	Cancelled
@@ -60,7 +60,6 @@ const (
 	ReasonWalltime    StopReason = "walltime"
 	ReasonCancelled   StopReason = "cancelled"
 	ReasonNodeFailure StopReason = "node_failure"
-	ReasonCompleted   StopReason = "completed"
 )
 
 // JobSpec describes a submission — the analogue of an sbatch script.
@@ -85,8 +84,6 @@ type Job struct {
 	mu        sync.Mutex
 	state     JobState
 	submitted time.Time
-	started   time.Time
-	ended     time.Time
 	stopTimer *time.Timer
 }
 
@@ -104,17 +101,6 @@ func (j *Job) Nodes() []int {
 	out := make([]int, len(j.nodes))
 	copy(out, j.nodes)
 	return out
-}
-
-// QueueTime returns how long the job waited before starting (or has waited
-// so far, if still queued).
-func (j *Job) QueueTime() time.Duration {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.started.IsZero() {
-		return time.Since(j.submitted)
-	}
-	return j.started.Sub(j.submitted)
 }
 
 // Config describes the simulated machine.
@@ -136,12 +122,6 @@ type Config struct {
 // Broadwell nodes, "broadwl" partition).
 func Midway(nodes int) Config {
 	return Config{Name: "midway", Nodes: nodes, CoresPerNode: 28, Partitions: []string{"broadwl"}}
-}
-
-// BlueWaters returns the Blue Waters XE shape used in §5 (32 integer
-// scheduling units per node).
-func BlueWaters(nodes int) Config {
-	return Config{Name: "bluewaters", Nodes: nodes, CoresPerNode: 32, Partitions: []string{"normal"}}
 }
 
 // Cluster is the simulated machine plus its batch scheduler.
@@ -265,7 +245,6 @@ func (c *Cluster) trySchedule() {
 
 		job.mu.Lock()
 		job.state = Running
-		job.started = time.Now()
 		job.nodes = append([]int(nil), alloc...)
 		for _, n := range alloc {
 			c.jobsOnNode[n] = job
@@ -292,7 +271,6 @@ func (c *Cluster) stopJob(job *Job, reason StopReason, final JobState) {
 		return
 	}
 	job.state = final
-	job.ended = time.Now()
 	if job.stopTimer != nil {
 		job.stopTimer.Stop()
 	}
@@ -314,17 +292,6 @@ func (c *Cluster) stopJob(job *Job, reason StopReason, final JobState) {
 	go c.trySchedule()
 }
 
-// Complete marks a running job's payload as finished (the provider calls
-// this when its workers exit cleanly before walltime).
-func (c *Cluster) Complete(id int64) error {
-	job, err := c.lookup(id)
-	if err != nil {
-		return err
-	}
-	c.stopJob(job, ReasonCompleted, Completed)
-	return nil
-}
-
 // Cancel is scancel: dequeues a queued job or stops a running one.
 func (c *Cluster) Cancel(id int64) error {
 	job, err := c.lookup(id)
@@ -334,7 +301,6 @@ func (c *Cluster) Cancel(id int64) error {
 	job.mu.Lock()
 	if job.state == Queued {
 		job.state = Cancelled
-		job.ended = time.Now()
 		job.mu.Unlock()
 		if job.Spec.OnStop != nil {
 			job.Spec.OnStop(job, ReasonCancelled)
@@ -344,15 +310,6 @@ func (c *Cluster) Cancel(id int64) error {
 	job.mu.Unlock()
 	c.stopJob(job, ReasonCancelled, Cancelled)
 	return nil
-}
-
-// Status is squeue for one job.
-func (c *Cluster) Status(id int64) (JobState, error) {
-	job, err := c.lookup(id)
-	if err != nil {
-		return 0, err
-	}
-	return job.State(), nil
 }
 
 func (c *Cluster) lookup(id int64) (*Job, error) {
@@ -457,7 +414,6 @@ func (c *Cluster) Close() {
 		j.mu.Lock()
 		if j.state == Queued {
 			j.state = Cancelled
-			j.ended = time.Now()
 		}
 		j.mu.Unlock()
 	}

@@ -133,7 +133,7 @@ func TestFIFOQueueing(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if err := c.Complete(j1.ID); err != nil {
+	if err := c.Cancel(j1.ID); err != nil {
 		t.Fatal(err)
 	}
 	waitState(t, j2, Running)
@@ -204,19 +204,6 @@ func TestCancelUnknownJob(t *testing.T) {
 	if err := c.Cancel(999); !errors.Is(err, ErrNoSuchJob) {
 		t.Fatalf("err = %v", err)
 	}
-	if _, err := c.Status(999); !errors.Is(err, ErrNoSuchJob) {
-		t.Fatalf("err = %v", err)
-	}
-}
-
-func TestStatusVerb(t *testing.T) {
-	c := newTestCluster(t, 1)
-	j, _ := c.Submit(JobSpec{Nodes: 1})
-	waitState(t, j, Running)
-	st, err := c.Status(j.ID)
-	if err != nil || st != Running {
-		t.Fatalf("status = %v, %v", st, err)
-	}
 }
 
 func TestQueueDelayEnforced(t *testing.T) {
@@ -227,13 +214,10 @@ func TestQueueDelayEnforced(t *testing.T) {
 	defer c.Close()
 	started := make(chan time.Time, 1)
 	submit := time.Now()
-	j, _ := c.Submit(JobSpec{Nodes: 1, OnStart: func(*Job) { started <- time.Now() }})
+	_, _ = c.Submit(JobSpec{Nodes: 1, OnStart: func(*Job) { started <- time.Now() }})
 	at := <-started
 	if at.Sub(submit) < 30*time.Millisecond {
 		t.Fatalf("job started after %v, want >= queue delay", at.Sub(submit))
-	}
-	if j.QueueTime() < 30*time.Millisecond {
-		t.Fatalf("queue time = %v", j.QueueTime())
 	}
 }
 
@@ -352,8 +336,5 @@ func TestConcurrentSubmitCancelChurn(t *testing.T) {
 func TestTestbedShapes(t *testing.T) {
 	if cfg := Midway(10); cfg.CoresPerNode != 28 || cfg.Name != "midway" {
 		t.Fatalf("midway = %+v", cfg)
-	}
-	if cfg := BlueWaters(10); cfg.CoresPerNode != 32 {
-		t.Fatalf("bluewaters = %+v", cfg)
 	}
 }

@@ -1,13 +1,11 @@
 // Package data implements Parsl's data management layer (§4.5): the File
 // abstraction that keeps programs location independent, and the data manager
 // that stages remote files in/out and transparently translates paths. Files
-// can be local, http(s)://, ftp://, or globus:// references; the manager
-// turns a remote reference into a local path in the run's working directory.
+// can be local, http(s)://, or ftp:// references; the manager turns a remote
+// reference into a local path in the run's working directory.
 //
-// HTTP and FTP stage-ins execute as ordinary transfer tasks (the DFK injects
-// them into the task graph); Globus transfers are third-party and are driven
-// directly by the data manager, which is why the manager owns a simulated
-// compute-side Globus endpoint.
+// Stage-ins execute as ordinary transfer tasks: the DFK injects them into the
+// task graph, so a transfer occupies a worker like any other task.
 package data
 
 import (
@@ -25,7 +23,6 @@ import (
 	"time"
 
 	"repro/internal/ftp"
-	"repro/internal/globus"
 )
 
 func init() {
@@ -35,11 +32,10 @@ func init() {
 
 // Schemes understood by the data manager.
 const (
-	SchemeFile   = "file"
-	SchemeHTTP   = "http"
-	SchemeHTTPS  = "https"
-	SchemeFTP    = "ftp"
-	SchemeGlobus = "globus"
+	SchemeFile  = "file"
+	SchemeHTTP  = "http"
+	SchemeHTTPS = "https"
+	SchemeFTP   = "ftp"
 )
 
 // ErrUnsupportedScheme is returned for URLs the manager cannot stage.
@@ -74,8 +70,6 @@ func NewFile(rawurl string) (*File, error) {
 		f.Scheme = SchemeHTTPS
 	case strings.HasPrefix(rawurl, "ftp://"):
 		f.Scheme = SchemeFTP
-	case strings.HasPrefix(rawurl, "globus://"):
-		f.Scheme = SchemeGlobus
 	case strings.HasPrefix(rawurl, "file://"):
 		f.Scheme = SchemeFile
 		f.Path = strings.TrimPrefix(rawurl, "file://")
@@ -142,20 +136,6 @@ func (f *File) Staged() bool { return f.LocalPath() != "" }
 // String implements fmt.Stringer.
 func (f *File) String() string { return f.URL }
 
-// ManagerOption configures a Manager.
-type ManagerOption func(*Manager)
-
-// WithGlobus wires a simulated Globus service into the manager. computeEP is
-// the endpoint name representing the compute resource's storage; token must
-// come from service.Login.
-func WithGlobus(service *globus.Service, token, computeEP string) ManagerOption {
-	return func(m *Manager) {
-		m.globus = service
-		m.globusToken = token
-		m.computeEP = computeEP
-	}
-}
-
 // StageStats counts the staging layer's traffic, separating bytes actually
 // moved from bytes saved by the content-addressed indexes. The locality
 // scenario reads these to prove a warm run moves ~0 bytes.
@@ -180,11 +160,8 @@ type StageStats struct {
 // carrying identical bytes share one staged copy) — so a warm run's staging
 // cost collapses to index lookups.
 type Manager struct {
-	workDir     string
-	httpClient  *http.Client
-	globus      *globus.Service
-	globusToken string
-	computeEP   string
+	workDir    string
+	httpClient *http.Client
 
 	mu       sync.Mutex
 	stageSeq int64
@@ -194,7 +171,7 @@ type Manager struct {
 }
 
 // NewManager creates a manager staging into workDir (created if absent).
-func NewManager(workDir string, opts ...ManagerOption) (*Manager, error) {
+func NewManager(workDir string) (*Manager, error) {
 	if err := os.MkdirAll(workDir, 0o755); err != nil {
 		return nil, fmt.Errorf("data: workdir: %w", err)
 	}
@@ -203,9 +180,6 @@ func NewManager(workDir string, opts ...ManagerOption) (*Manager, error) {
 		httpClient: &http.Client{Timeout: 30 * time.Second},
 		byURL:      make(map[string]string),
 		byDigest:   make(map[string]string),
-	}
-	for _, o := range opts {
-		o(m)
 	}
 	return m, nil
 }
@@ -255,8 +229,6 @@ func (m *Manager) StageIn(f *File) (string, error) {
 		digest, size, err = m.stageHTTP(f, dst)
 	case SchemeFTP:
 		digest, size, err = m.stageFTP(f, dst)
-	case SchemeGlobus:
-		digest, size, err = m.stageGlobusIn(f, dst)
 	default:
 		return "", fmt.Errorf("%w: %s", ErrUnsupportedScheme, f.Scheme)
 	}
@@ -351,35 +323,8 @@ func (m *Manager) stageFTP(f *File, dst string) (string, int64, error) {
 	return contentDigest(payload), int64(len(payload)), nil
 }
 
-func (m *Manager) stageGlobusIn(f *File, dst string) (string, int64, error) {
-	if m.globus == nil {
-		return "", 0, errors.New("data: globus file used but no Globus service configured")
-	}
-	// Third-party transfer: source endpoint -> compute endpoint, then
-	// materialize onto the local filesystem of the compute resource.
-	task, err := m.globus.Submit(m.globusToken, f.Host, f.Path, m.computeEP, f.Path)
-	if err != nil {
-		return "", 0, fmt.Errorf("data: globus stage-in %s: %w", f.URL, err)
-	}
-	if _, err := task.Wait(2 * time.Minute); err != nil {
-		return "", 0, fmt.Errorf("data: globus stage-in %s: %w", f.URL, err)
-	}
-	ep, err := m.globus.Endpoint(m.computeEP)
-	if err != nil {
-		return "", 0, err
-	}
-	payload, err := ep.Get(f.Path)
-	if err != nil {
-		return "", 0, err
-	}
-	if err := os.WriteFile(dst, payload, 0o644); err != nil {
-		return "", 0, err
-	}
-	return contentDigest(payload), int64(len(payload)), nil
-}
-
 // StageOut pushes a local file to the remote location f names. Supported for
-// file://, ftp:// and globus:// outputs.
+// file:// and ftp:// outputs.
 func (m *Manager) StageOut(f *File, localPath string) error {
 	payload, err := os.ReadFile(localPath)
 	if err != nil {
@@ -398,29 +343,7 @@ func (m *Manager) StageOut(f *File, localPath string) error {
 		}
 		defer c.Quit()
 		return c.Stor(strings.TrimPrefix(f.Path, "/"), payload)
-	case SchemeGlobus:
-		if m.globus == nil {
-			return errors.New("data: globus file used but no Globus service configured")
-		}
-		ep, err := m.globus.Endpoint(m.computeEP)
-		if err != nil {
-			return err
-		}
-		ep.Put(f.Path, payload)
-		task, err := m.globus.Submit(m.globusToken, m.computeEP, f.Path, f.Host, f.Path)
-		if err != nil {
-			return fmt.Errorf("data: globus stage-out %s: %w", f.URL, err)
-		}
-		if _, err := task.Wait(2 * time.Minute); err != nil {
-			return fmt.Errorf("data: globus stage-out %s: %w", f.URL, err)
-		}
-		return nil
 	default:
 		return fmt.Errorf("%w for stage-out: %s", ErrUnsupportedScheme, f.Scheme)
 	}
 }
-
-// ThirdParty reports whether a scheme transfers without occupying a worker
-// (§4.5: Globus transfers are executed by the data manager itself, deferring
-// resource provisioning; HTTP/FTP transfers run as ordinary tasks).
-func ThirdParty(scheme string) bool { return scheme == SchemeGlobus }

@@ -8,10 +8,8 @@ import (
 	"path/filepath"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/ftp"
-	"repro/internal/globus"
 )
 
 func TestNewFileSchemes(t *testing.T) {
@@ -24,7 +22,6 @@ func TestNewFileSchemes(t *testing.T) {
 		{"http://mdf.org/data/a.csv", SchemeHTTP, "mdf.org", "/data/a.csv"},
 		{"https://mdf.org/b.csv", SchemeHTTPS, "mdf.org", "/b.csv"},
 		{"ftp://mirror:21/pub/c.gz", SchemeFTP, "mirror:21", "/pub/c.gz"},
-		{"globus://alcf/sim/d.bin", SchemeGlobus, "alcf", "/sim/d.bin"},
 	}
 	for _, c := range cases {
 		f, err := NewFile(c.url)
@@ -38,9 +35,21 @@ func TestNewFileSchemes(t *testing.T) {
 }
 
 func TestNewFileErrors(t *testing.T) {
-	for _, bad := range []string{"", "gopher://x/y", "http://nopath", "http:///missinghost"} {
-		if _, err := NewFile(bad); err == nil {
-			t.Errorf("%q accepted", bad)
+	for _, c := range []struct {
+		url         string
+		unsupported bool
+	}{
+		{"", false},
+		{"gopher://x/y", true},
+		{"globus://alcf/sim/d.bin", true},
+		{"http://nopath", false},
+		{"http:///missinghost", false},
+	} {
+		_, err := NewFile(c.url)
+		if err == nil {
+			t.Errorf("%q accepted", c.url)
+		} else if c.unsupported && !errors.Is(err, ErrUnsupportedScheme) {
+			t.Errorf("%q: err = %v, want ErrUnsupportedScheme", c.url, err)
 		}
 	}
 }
@@ -162,35 +171,6 @@ func TestStageInFTP(t *testing.T) {
 	}
 }
 
-func TestStageInGlobusThirdParty(t *testing.T) {
-	svc := globus.NewService()
-	remote := svc.AddEndpoint("mdf")
-	svc.AddEndpoint("compute")
-	remote.Put("/dft/stopping.csv", []byte("dft-data"))
-	tok := svc.Login(time.Hour)
-
-	m, err := NewManager(t.TempDir(), WithGlobus(svc, tok, "compute"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := MustFile("globus://mdf/dft/stopping.csv")
-	p, err := m.StageIn(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _ := os.ReadFile(p)
-	if string(got) != "dft-data" {
-		t.Fatalf("staged %q", got)
-	}
-}
-
-func TestStageInGlobusWithoutService(t *testing.T) {
-	m, _ := NewManager(t.TempDir())
-	if _, err := m.StageIn(MustFile("globus://ep/x")); err == nil {
-		t.Fatal("globus stage-in without service succeeded")
-	}
-}
-
 func TestStageOutFile(t *testing.T) {
 	dir := t.TempDir()
 	m, _ := NewManager(dir)
@@ -228,24 +208,6 @@ func TestStageOutFTP(t *testing.T) {
 	}
 }
 
-func TestStageOutGlobus(t *testing.T) {
-	svc := globus.NewService()
-	remote := svc.AddEndpoint("archive")
-	svc.AddEndpoint("compute")
-	tok := svc.Login(time.Hour)
-	dir := t.TempDir()
-	m, _ := NewManager(dir, WithGlobus(svc, tok, "compute"))
-	src := filepath.Join(dir, "image.fits")
-	_ = os.WriteFile(src, []byte("pixels"), 0o644)
-	if err := m.StageOut(MustFile("globus://archive/lsst/image.fits"), src); err != nil {
-		t.Fatal(err)
-	}
-	got, err := remote.Get("/lsst/image.fits")
-	if err != nil || string(got) != "pixels" {
-		t.Fatalf("globus stage-out: %q, %v", got, err)
-	}
-}
-
 func TestStageOutUnsupported(t *testing.T) {
 	dir := t.TempDir()
 	m, _ := NewManager(dir)
@@ -260,15 +222,6 @@ func TestStageOutMissingLocal(t *testing.T) {
 	m, _ := NewManager(t.TempDir())
 	if err := m.StageOut(MustFile("/dst"), "/no/such/file"); err == nil {
 		t.Fatal("missing local staged out")
-	}
-}
-
-func TestThirdParty(t *testing.T) {
-	if !ThirdParty(SchemeGlobus) {
-		t.Fatal("globus not third-party")
-	}
-	if ThirdParty(SchemeHTTP) || ThirdParty(SchemeFTP) || ThirdParty(SchemeFile) {
-		t.Fatal("worker-mediated scheme marked third-party")
 	}
 }
 

@@ -113,7 +113,7 @@ func TestCancelBeforeDispatch(t *testing.T) {
 	if got := ge.submitted(); len(got) != 0 {
 		t.Fatalf("canceled task reached the executor: %v", got)
 	}
-	if st := d.graph.Get(fut.TaskID).State(); st != task.Failed {
+	if st := record(d, fut.TaskID).State(); st != task.Failed {
 		t.Fatalf("canceled task state = %v, want failed", st)
 	}
 }
@@ -177,11 +177,11 @@ func TestCancelAfterCompletion(t *testing.T) {
 	cancel()
 	// The AfterFunc watcher is stopped by the future's done callback, but
 	// exercise cancelTask directly too: it must refuse terminal tasks.
-	d.cancelTask(d.graph.Get(fut.TaskID), ErrCanceled)
+	d.cancelTask(record(d, fut.TaskID), ErrCanceled)
 	if v, err := fut.Result(); err != nil || v != 42 {
 		t.Fatalf("after cancel: Result = %v, %v (must be unchanged)", v, err)
 	}
-	if st := d.graph.Get(fut.TaskID).State(); st != task.Done {
+	if st := record(d, fut.TaskID).State(); st != task.Done {
 		t.Fatalf("state = %v, want done", st)
 	}
 }
@@ -222,7 +222,7 @@ func TestCancelAfterLaunchDropsThreadpoolWork(t *testing.T) {
 	// Both tasks submitted: the blocker occupies the only worker, the victim
 	// sits in the threadpool's input queue.
 	waitFor(t, func() bool { return tp.Outstanding() == 2 })
-	rec := d.graph.Get(victim.TaskID)
+	rec := record(d, victim.TaskID)
 	waitFor(t, func() bool { return rec.State() == task.Launched })
 
 	cancel()

@@ -146,18 +146,14 @@ func TestConcurrentSubmissionMixedDeps(t *testing.T) {
 	}
 
 	graph := d.Graph()
-	for _, rec := range graph.Tasks() {
+	tasks := graph.Tasks()
+	for _, rec := range tasks {
 		if !rec.State().Terminal() {
 			t.Fatalf("task %d (%s) not terminal: %v", rec.ID, rec.AppName, rec.State())
 		}
 	}
-	counts := graph.ShardCounts()
-	sumCounts := 0
-	for _, c := range counts {
-		sumCounts += c
-	}
-	if sumCounts != graph.Len() {
-		t.Fatalf("shard counts sum %d != Len %d", sumCounts, graph.Len())
+	if len(tasks) != graph.Len() {
+		t.Fatalf("%d records across the shards != Len %d", len(tasks), graph.Len())
 	}
 	if graph.Len() < goroutines*perG {
 		t.Fatalf("graph has %d tasks, want >= %d", graph.Len(), goroutines*perG)
@@ -236,7 +232,7 @@ func TestLeastOutstandingPolicyRoutesAroundBusyExecutor(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, f := range probes {
-		rec := d.Graph().Get(f.TaskID)
+		rec := record(d, f.TaskID)
 		if rec.Executor() != "pool-b" {
 			t.Fatalf("task %d ran on %q, want the idle pool-b", rec.ID, rec.Executor())
 		}
@@ -275,7 +271,7 @@ func TestRoundRobinPolicyAlternates(t *testing.T) {
 		if _, err := f.Result(); err != nil {
 			t.Fatal(err)
 		}
-		seen[d.Graph().Get(f.TaskID).Executor()]++
+		seen[record(d, f.TaskID).Executor()]++
 	}
 	if seen["x"] != 4 || seen["y"] != 4 {
 		t.Fatalf("round-robin distribution = %v", seen)
@@ -329,12 +325,12 @@ func TestDispatchBatchesAcrossExecutors(t *testing.T) {
 	}
 	seen := map[string]int{}
 	for _, f := range futs {
-		seen[d.Graph().Get(f.TaskID).Executor()]++
+		seen[record(d, f.TaskID).Executor()]++
 	}
 	if seen["e1"] == 0 || seen["e2"] == 0 {
 		t.Fatalf("batched dispatch starved an executor: %v", seen)
 	}
-	if rec := d.Graph().Get(futs[0].TaskID); rec.State() != task.Done {
+	if rec := record(d, futs[0].TaskID); rec.State() != task.Done {
 		t.Fatalf("state = %v", rec.State())
 	}
 }
@@ -425,7 +421,7 @@ func TestQueuedTimeoutStillRetries(t *testing.T) {
 	if v != "survived" {
 		t.Fatalf("v = %v", v)
 	}
-	rec := d.Graph().Get(victim.TaskID)
+	rec := record(d, victim.TaskID)
 	if rec.Attempts() == 0 {
 		t.Fatal("queued timeout did not consume a retry attempt")
 	}
@@ -466,7 +462,7 @@ func TestPickErrorCompletesAttemptWithoutRetryEcho(t *testing.T) {
 	if _, err := f.Result(); err == nil {
 		t.Fatal("task with unresolvable executor succeeded")
 	}
-	rec := d.Graph().Get(f.TaskID)
+	rec := record(d, f.TaskID)
 	// Let the (now-stopped) timeout window pass; the terminal task must not
 	// be re-processed into bogus retry attempts by a stray timer.
 	time.Sleep(80 * time.Millisecond)

@@ -6,20 +6,19 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"repro/internal/data"
 	"repro/internal/executor"
 	"repro/internal/executor/threadpool"
+	"repro/internal/ftp"
 	"repro/internal/future"
-	"repro/internal/globus"
 	"repro/internal/serialize"
 	"repro/internal/task"
 )
 
-func newDataDFK(t *testing.T, opts ...data.ManagerOption) *DFK {
+func newDataDFK(t *testing.T) *DFK {
 	t.Helper()
-	dm, err := data.NewManager(filepath.Join(t.TempDir(), "work"), opts...)
+	dm, err := data.NewManager(filepath.Join(t.TempDir(), "work"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,30 +124,6 @@ func TestStagingFailureFailsDependentTask(t *testing.T) {
 	}
 }
 
-func TestGlobusThirdPartyStagingBypassesExecutors(t *testing.T) {
-	svc := globus.NewService()
-	remote := svc.AddEndpoint("mdf")
-	svc.AddEndpoint("compute")
-	remote.Put("/dft/data.csv", []byte("dft"))
-	tok := svc.Login(time.Hour)
-
-	d := newDataDFK(t, data.WithGlobus(svc, tok, "compute"))
-	read := readFileApp(t, d)
-	v, err := read.Call(data.MustFile("globus://mdf/dft/data.csv")).Result()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v != "dft" {
-		t.Fatalf("v = %v", v)
-	}
-	// Globus transfers run under the data manager, not as graph tasks.
-	for _, rec := range d.Graph().Tasks() {
-		if rec.AppName == "_parsl_stage_in" {
-			t.Fatal("third-party transfer appeared as an executor task")
-		}
-	}
-}
-
 func TestOutputStagingToFTP(t *testing.T) {
 	d := newDataDFK(t)
 	write, err := d.PythonApp("writeout", func(args []any, kwargs map[string]any) (any, error) {
@@ -172,11 +147,13 @@ func TestOutputStagingToFTP(t *testing.T) {
 }
 
 func TestRemoteOutputPreassignedLocalHome(t *testing.T) {
-	svc := globus.NewService()
-	archive := svc.AddEndpoint("archive")
-	svc.AddEndpoint("compute")
-	tok := svc.Login(time.Hour)
-	d := newDataDFK(t, data.WithGlobus(svc, tok, "compute"))
+	archive := t.TempDir()
+	srv, err := ftp.NewServer("127.0.0.1:0", archive)
+	if err != nil {
+		t.Skipf("loopback unavailable: %v", err)
+	}
+	defer srv.Close()
+	d := newDataDFK(t)
 
 	write, err := d.PythonApp("writeremote", func(args []any, kwargs map[string]any) (any, error) {
 		outs := kwargs["outputs"].([]*data.File)
@@ -188,11 +165,11 @@ func TestRemoteOutputPreassignedLocalHome(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := data.MustFile("globus://archive/lsst/img1.fits")
+	out := data.MustFile("ftp://" + srv.Addr() + "/lsst/img1.fits")
 	if _, err := write.CallKw(map[string]any{"outputs": []*data.File{out}}).Result(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := archive.Get("/lsst/img1.fits")
+	got, err := os.ReadFile(filepath.Join(archive, "lsst", "img1.fits"))
 	if err != nil || string(got) != "pixels" {
 		t.Fatalf("archive content = %q, %v", got, err)
 	}

@@ -660,22 +660,10 @@ func (d *DFK) submit(ctx context.Context, a *App, args []any, kwargs map[string]
 	return fut
 }
 
-// stageInTask creates the hidden data-transfer task for a remote file. HTTP
-// and FTP transfers run as ordinary tasks on an executor; Globus transfers
-// are third-party and run directly under the data manager (§4.5).
+// stageInTask creates the hidden data-transfer task for a remote file: HTTP
+// and FTP transfers run as ordinary tasks on an executor (§4.5).
 func (d *DFK) stageInTask(f *data.File) *future.Future {
 	dm := d.cfg.DataManager
-	if data.ThirdParty(f.Scheme) {
-		fut := future.New()
-		go func() {
-			if _, err := dm.StageIn(f); err != nil {
-				_ = fut.SetError(err)
-				return
-			}
-			_ = fut.SetResult(f.LocalPath())
-		}()
-		return fut
-	}
 	// RegisterIfAbsent keeps concurrent first submissions from racing a
 	// Lookup-then-Register pair on the shared registry.
 	name := "_parsl_stage_in"

@@ -35,7 +35,7 @@ func TestWithExecutorOverridesHints(t *testing.T) {
 	if _, err := fut.Result(); err != nil {
 		t.Fatal(err)
 	}
-	if got := d.graph.Get(fut.TaskID).Executor(); got != "pool-b" {
+	if got := record(d, fut.TaskID).Executor(); got != "pool-b" {
 		t.Fatalf("ran on %q, want pool-b (per-call override)", got)
 	}
 	// Without the option the registration hint still governs.
@@ -43,7 +43,7 @@ func TestWithExecutorOverridesHints(t *testing.T) {
 	if _, err := fut2.Result(); err != nil {
 		t.Fatal(err)
 	}
-	if got := d.graph.Get(fut2.TaskID).Executor(); got != "pool-a" {
+	if got := record(d, fut2.TaskID).Executor(); got != "pool-a" {
 		t.Fatalf("ran on %q, want pool-a (registration hint)", got)
 	}
 

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -746,18 +745,6 @@ func (e *Executor) InflightByShard() []int {
 	return out
 }
 
-// QueueDepth reports tasks waiting for manager capacity, merged across
-// shards.
-func (e *Executor) QueueDepth() int {
-	n := 0
-	for _, s := range e.shards {
-		if !s.down.Load() {
-			n += s.broker().QueueDepth()
-		}
-	}
-	return n
-}
-
 // ConnectedWorkers implements executor.Scalable: managers × workers, summed
 // over the live shards.
 func (e *Executor) ConnectedWorkers() int {
@@ -996,27 +983,6 @@ func (s *shardLink) awaitReply(name string, timeout time.Duration) (mq.Message, 
 			return nil, false
 		}
 	}
-}
-
-// OutstandingRemote asks every live shard for its task count via the command
-// channel and sums the answers.
-func (e *Executor) OutstandingRemote() (int, error) {
-	rep, err := e.Command("OUTSTANDING", "", 5*time.Second)
-	if err != nil {
-		return 0, err
-	}
-	if len(rep) == 0 {
-		return 0, errors.New("htex: empty OUTSTANDING reply")
-	}
-	total := 0
-	for _, p := range rep {
-		n, err := strconv.Atoi(p)
-		if err != nil {
-			return 0, fmt.Errorf("htex: bad OUTSTANDING reply %q", p)
-		}
-		total += n
-	}
-	return total, nil
 }
 
 // Shutdown implements executor.Executor.

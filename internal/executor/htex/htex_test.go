@@ -2,6 +2,8 @@ package htex
 
 import (
 	"errors"
+	"fmt"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -403,6 +405,27 @@ func TestCancelForwardedToManager(t *testing.T) {
 	waitCond(t, "only the blocker executed", func() bool { return mgr.Executed() == 1 })
 }
 
+// outstandingRemote asks every live shard for its task count via the command
+// channel and sums the answers.
+func outstandingRemote(e *Executor) (int, error) {
+	rep, err := e.Command("OUTSTANDING", "", 5*time.Second)
+	if err != nil {
+		return 0, err
+	}
+	if len(rep) == 0 {
+		return 0, errors.New("htex: empty OUTSTANDING reply")
+	}
+	total := 0
+	for _, p := range rep {
+		n, err := strconv.Atoi(p)
+		if err != nil {
+			return 0, fmt.Errorf("htex: bad OUTSTANDING reply %q", p)
+		}
+		total += n
+	}
+	return total, nil
+}
+
 func TestCommandChannel(t *testing.T) {
 	e := newHTEX(t, 2, 1, nil)
 	// MANAGERS lists both.
@@ -414,7 +437,7 @@ func TestCommandChannel(t *testing.T) {
 		t.Fatalf("managers = %v", reps)
 	}
 	// OUTSTANDING is zero when idle.
-	n, err := e.OutstandingRemote()
+	n, err := outstandingRemote(e)
 	if err != nil || n != 0 {
 		t.Fatalf("outstanding = %d, %v", n, err)
 	}
@@ -450,7 +473,6 @@ func scriptedBroker(t *testing.T) (*Executor, *mq.Router, <-chan string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitCond(t, "client joined the scripted broker", func() bool { return router.HasPeer(clientIdentity) })
 	// An answer from the real broker shows the receive loop Start launched has
 	// bound itself to its connection; swapped before that, it would bind to
 	// the new one and two loops would read one dealer.
@@ -753,7 +775,7 @@ func TestInterchangeTenantFairness(t *testing.T) {
 	}
 
 	waitCond(t, "light tenant visible in queue depth", func() bool {
-		return e.Interchange().QueueDepthByTenant()["light"] > 0
+		return e.Interchange().queue.PerTenant()["light"] > 0
 	})
 
 	for _, f := range lightFuts {

@@ -760,11 +760,6 @@ func (ix *Interchange) HasDigest(d string) bool {
 // QueueDepth reports tasks waiting for capacity.
 func (ix *Interchange) QueueDepth() int { return ix.queue.Len() }
 
-// QueueDepthByTenant reports the waiting tasks per tenant (key "" is the
-// default tenant; nil when the queue is empty) — this shard's broker-side
-// view, as DFK.TenantBacklog is the client side's.
-func (ix *Interchange) QueueDepthByTenant() map[string]int { return ix.queue.PerTenant() }
-
 // Close shuts the interchange down.
 func (ix *Interchange) Close() error {
 	select {

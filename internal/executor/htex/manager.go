@@ -184,9 +184,6 @@ func StartManagerExec(tr simnet.Transport, addr, id string, cfg ManagerConfig,
 	return m, nil
 }
 
-// ID returns the manager's identity.
-func (m *Manager) ID() string { return m.id }
-
 // Executed returns the number of tasks this manager has run.
 func (m *Manager) Executed() int64 {
 	m.mu.Lock()

@@ -114,7 +114,7 @@ func TestRoundRobinCyclesManagersEvenly(t *testing.T) {
 	})
 	for _, m := range mgrs {
 		if got := m.Executed(); got != n/3 {
-			t.Fatalf("manager %s executed %d, want %d (round robin)", m.ID(), got, n/3)
+			t.Fatalf("manager %s executed %d, want %d (round robin)", m.id, got, n/3)
 		}
 	}
 }

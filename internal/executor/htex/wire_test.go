@@ -246,7 +246,7 @@ func TestInterchangeReclaimsOneShotTenants(t *testing.T) {
 	before := heap()
 	run(tenants - 2_000)
 	after := heap()
-	if depth := e.Interchange().QueueDepthByTenant(); depth != nil {
+	if depth := e.Interchange().queue.PerTenant(); depth != nil {
 		t.Fatalf("backlog after every tenant finished: %v", depth)
 	}
 	t.Logf("live heap %d KiB after %d tenants, %d KiB after %d", before>>10, 2_000, after>>10, tenants)

@@ -69,13 +69,6 @@ func StartRelay(tr simnet.Transport, addr string) (*Relay, error) {
 // Addr returns the relay's bound address.
 func (rl *Relay) Addr() string { return rl.router.Addr() }
 
-// WorkerCount returns currently connected workers.
-func (rl *Relay) WorkerCount() int {
-	rl.mu.Lock()
-	defer rl.mu.Unlock()
-	return len(rl.workers)
-}
-
 func (rl *Relay) loop() {
 	defer rl.wg.Done()
 	for {

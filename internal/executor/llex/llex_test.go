@@ -59,7 +59,7 @@ func newLLEX(t *testing.T, workers int, tune func(*Config)) *Executor {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = e.Shutdown() })
-	waitCond(t, "workers connected", func() bool { return e.relay.WorkerCount() == workers })
+	waitCond(t, "workers connected", func() bool { return workerCount(e.relay) == workers })
 	return e
 }
 
@@ -119,12 +119,12 @@ func TestTasksBeforeWorkersAreBuffered(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.Shutdown()
-	waitCond(t, "initial worker", func() bool { return e.relay.WorkerCount() == 1 })
+	waitCond(t, "initial worker", func() bool { return workerCount(e.relay) == 1 })
 	e.mu.Lock()
 	w := e.workers[0]
 	e.mu.Unlock()
 	w.Stop()
-	waitCond(t, "worker gone", func() bool { return e.relay.WorkerCount() == 0 })
+	waitCond(t, "worker gone", func() bool { return workerCount(e.relay) == 0 })
 
 	fut := e.Submit(serialize.TaskMsg{ID: 9, App: "echo", Args: []any{"buffered"}})
 	time.Sleep(20 * time.Millisecond)
@@ -153,7 +153,7 @@ func TestWorkerLossNotDetectedButRetryRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.Shutdown()
-	waitCond(t, "workers", func() bool { return e.relay.WorkerCount() == 2 })
+	waitCond(t, "workers", func() bool { return workerCount(e.relay) == 2 })
 
 	// Kill one worker; round-robin will land some sends on the dead slot
 	// until the relay notices the disconnect, but retransmits recover.
@@ -185,13 +185,13 @@ func TestRetriesExhaustedGivesLostError(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.Shutdown()
-	waitCond(t, "worker", func() bool { return e.relay.WorkerCount() == 1 })
+	waitCond(t, "worker", func() bool { return workerCount(e.relay) == 1 })
 	// Kill the only worker; nothing can ever execute the task.
 	e.mu.Lock()
 	w := e.workers[0]
 	e.mu.Unlock()
 	w.Stop()
-	waitCond(t, "worker gone", func() bool { return e.relay.WorkerCount() == 0 })
+	waitCond(t, "worker gone", func() bool { return workerCount(e.relay) == 0 })
 
 	// Note: with zero workers the relay buffers, so to exercise the lost
 	// path we need the task to be swallowed. Connect a fake worker that
@@ -201,7 +201,7 @@ func TestRetriesExhaustedGivesLostError(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	waitCond(t, "fake worker", func() bool { return e.relay.WorkerCount() == 1 })
+	waitCond(t, "fake worker", func() bool { return workerCount(e.relay) == 1 })
 
 	_, err = e.Submit(serialize.TaskMsg{ID: 1, App: "echo", Args: []any{1}}).Result()
 	var lost *executor.LostError
@@ -223,7 +223,7 @@ func TestDuplicateResultsIgnored(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.Shutdown()
-	waitCond(t, "workers", func() bool { return e.relay.WorkerCount() == 2 })
+	waitCond(t, "workers", func() bool { return workerCount(e.relay) == 2 })
 	reg2 := reg
 	_ = reg2
 	// A slow-ish task: retransmits fire while the original executes.
@@ -270,7 +270,7 @@ func TestLatencyLowerThanHTEXShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.Shutdown()
-	waitCond(t, "worker", func() bool { return e.relay.WorkerCount() == 1 })
+	waitCond(t, "worker", func() bool { return workerCount(e.relay) == 1 })
 	start := time.Now()
 	if _, err := e.Submit(serialize.TaskMsg{ID: 1, App: "whoami"}).Result(); err != nil {
 		t.Fatal(err)
@@ -301,7 +301,7 @@ func TestRelayDoesNotSpinOnDeadWorker(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		waitCond(t, "worker connected", func() bool { return rl.WorkerCount() == 1 })
+		waitCond(t, "worker connected", func() bool { return workerCount(rl) == 1 })
 		client, err := mq.DialDealer(tr, rl.Addr(), clientID)
 		if err != nil {
 			t.Fatal(err)
@@ -324,4 +324,11 @@ func TestRelayDoesNotSpinOnDeadWorker(t *testing.T) {
 		}
 		_ = client.Close()
 	}
+}
+
+// workerCount reads how many workers the relay has connected.
+func workerCount(rl *Relay) int {
+	rl.mu.Lock()
+	defer rl.mu.Unlock()
+	return len(rl.workers)
 }

@@ -188,9 +188,6 @@ func (m *MPSC[T]) PutBatch(batch []T) {
 	}
 }
 
-// Len returns the current number of queued items.
-func (m *MPSC[T]) Len() int { return int(m.size.Load()) }
-
 // PerTenant returns current queue occupancy per tenant.
 func (m *MPSC[T]) PerTenant() map[string]int {
 	out := make(map[string]int)

@@ -47,8 +47,8 @@ func TestMPSCDeliversEverythingOnce(t *testing.T) {
 			t.Fatalf("item %d delivered %d times", v, n)
 		}
 	}
-	if m.Len() != 0 {
-		t.Fatalf("Len = %d after drain", m.Len())
+	if m.size.Load() != 0 {
+		t.Fatalf("Len = %d after drain", m.size.Load())
 	}
 }
 
@@ -107,8 +107,8 @@ func TestMPSCPerTenantCountsOccupancy(t *testing.T) {
 	if pt["a"] != 5 || pt["b"] != 3 {
 		t.Fatalf("PerTenant = %v, want a:5 b:3", pt)
 	}
-	if m.Len() != 8 {
-		t.Fatalf("Len = %d, want 8", m.Len())
+	if m.size.Load() != 8 {
+		t.Fatalf("Len = %d, want 8", m.size.Load())
 	}
 }
 

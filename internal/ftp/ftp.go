@@ -1,5 +1,5 @@
 // Package ftp implements a minimal FTP (RFC 959) server and client — enough
-// of the protocol (USER/PASS, TYPE I, PASV, RETR, STOR, SIZE, QUIT) for the
+// of the protocol (USER/PASS, TYPE I, PASV, RETR, STOR, QUIT) for the
 // Parsl data manager's ftp:// staging scheme (§4.5). The paper's deployments
 // pull inputs from anonymous FTP mirrors; running the protocol for real over
 // loopback keeps the staging code path honest instead of stubbing it.
@@ -129,18 +129,12 @@ func (ss *session) dispatch(verb, arg string) bool {
 		ss.reply(230, "logged in")
 	case "TYPE":
 		ss.reply(200, "type set")
-	case "SYST":
-		ss.reply(215, "UNIX Type: L8")
-	case "NOOP":
-		ss.reply(200, "ok")
 	case "PASV":
 		ss.cmdPasv()
 	case "RETR":
 		ss.cmdRetr(arg)
 	case "STOR":
 		ss.cmdStor(arg)
-	case "SIZE":
-		ss.cmdSize(arg)
 	case "QUIT":
 		ss.reply(221, "bye")
 		return false
@@ -273,24 +267,6 @@ func (ss *session) cmdStor(arg string) {
 	ss.reply(226, "transfer complete")
 }
 
-func (ss *session) cmdSize(arg string) {
-	if !ss.loggedIn {
-		ss.reply(530, "not logged in")
-		return
-	}
-	full, err := ss.resolve(arg)
-	if err != nil {
-		ss.reply(550, err.Error())
-		return
-	}
-	fi, err := os.Stat(full)
-	if err != nil || fi.IsDir() {
-		ss.reply(550, "file unavailable")
-		return
-	}
-	ss.reply(213, strconv.FormatInt(fi.Size(), 10))
-}
-
 // Client is a minimal FTP client for the data manager.
 type Client struct {
 	ctrl net.Conn
@@ -323,20 +299,35 @@ func Dial(addr string) (*Client, error) {
 	return c, nil
 }
 
+// readReply reads one reply: its code and the text of its last line. A reply
+// whose first line is "ddd-" runs on until a line that starts "ddd " (RFC 959
+// §4.2), as the banners of vsftpd and ProFTPD do.
 func (c *Client) readReply() (int, string, error) {
-	line, err := c.r.ReadString('\n')
+	line, err := c.readLine()
 	if err != nil {
-		return 0, "", fmt.Errorf("ftp: read reply: %w", err)
+		return 0, "", err
 	}
-	line = strings.TrimRight(line, "\r\n")
-	if len(line) < 4 {
+	if len(line) < 4 || (line[3] != ' ' && line[3] != '-') {
 		return 0, "", fmt.Errorf("ftp: malformed reply %q", line)
 	}
 	code, err := strconv.Atoi(line[:3])
 	if err != nil {
 		return 0, "", fmt.Errorf("ftp: malformed code %q", line)
 	}
+	for end := line[:3] + " "; !strings.HasPrefix(line, end); {
+		if line, err = c.readLine(); err != nil {
+			return 0, "", err
+		}
+	}
 	return code, line[4:], nil
+}
+
+func (c *Client) readLine() (string, error) {
+	line, err := c.r.ReadString('\n')
+	if err != nil {
+		return "", fmt.Errorf("ftp: read reply: %w", err)
+	}
+	return strings.TrimRight(line, "\r\n"), nil
 }
 
 func (c *Client) cmd(line string) (int, string, error) {
@@ -357,7 +348,10 @@ func (c *Client) expect(line string, want int) error {
 	return nil
 }
 
-// pasv negotiates a passive data connection.
+// pasv negotiates a passive data connection. It dials the advertised port on
+// the host the control connection already reached, never the advertised
+// host: a server behind NAT names an address the client cannot reach, and a
+// hostile one could point the client at any host and port.
 func (c *Client) pasv() (net.Conn, error) {
 	code, msg, err := c.cmd("PASV")
 	if err != nil {
@@ -375,13 +369,17 @@ func (c *Client) pasv() (net.Conn, error) {
 	if len(parts) != 6 {
 		return nil, fmt.Errorf("ftp: malformed PASV host %q", msg)
 	}
-	host := strings.Join(parts[:4], ".")
 	hi, err1 := strconv.Atoi(parts[4])
 	lo, err2 := strconv.Atoi(parts[5])
-	if err1 != nil || err2 != nil {
+	port := hi*256 + lo
+	if err1 != nil || err2 != nil || hi < 0 || hi > 255 || lo < 0 || lo > 255 || port == 0 {
 		return nil, fmt.Errorf("ftp: malformed PASV port %q", msg)
 	}
-	return net.DialTimeout("tcp", net.JoinHostPort(host, strconv.Itoa(hi*256+lo)), 10*time.Second)
+	host, _, err := net.SplitHostPort(c.ctrl.RemoteAddr().String())
+	if err != nil {
+		return nil, fmt.Errorf("ftp: PASV: %w", err)
+	}
+	return net.DialTimeout("tcp", net.JoinHostPort(host, strconv.Itoa(port)), 10*time.Second)
 }
 
 // Retr downloads a file.
@@ -436,18 +434,6 @@ func (c *Client) Stor(remotePath string, content []byte) error {
 		return fmt.Errorf("ftp: STOR incomplete: %d %s", code, msg)
 	}
 	return nil
-}
-
-// Size queries a remote file's size.
-func (c *Client) Size(remotePath string) (int64, error) {
-	code, msg, err := c.cmd("SIZE " + remotePath)
-	if err != nil {
-		return 0, err
-	}
-	if code != 213 {
-		return 0, fmt.Errorf("ftp: SIZE: %d %s", code, msg)
-	}
-	return strconv.ParseInt(msg, 10, 64)
 }
 
 // Quit logs out and closes the control connection.

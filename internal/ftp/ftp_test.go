@@ -1,7 +1,11 @@
 package ftp
 
 import (
+	"bufio"
 	"bytes"
+	"fmt"
+	"io"
+	"net"
 	"os"
 	"path/filepath"
 	"strings"
@@ -77,25 +81,6 @@ func TestStorThenRetr(t *testing.T) {
 	got, err := c.Retr("results/out.dat")
 	if err != nil || !bytes.Equal(got, payload) {
 		t.Fatalf("retr after stor: %v", err)
-	}
-}
-
-func TestSize(t *testing.T) {
-	s, root := newServer(t)
-	if err := os.WriteFile(filepath.Join(root, "f"), make([]byte, 1234), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	c, err := Dial(s.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Quit()
-	n, err := c.Size("f")
-	if err != nil || n != 1234 {
-		t.Fatalf("size = %d, %v", n, err)
-	}
-	if _, err := c.Size("ghost"); err == nil {
-		t.Fatal("size of missing file succeeded")
 	}
 }
 
@@ -197,5 +182,133 @@ func TestServerCloseIdempotent(t *testing.T) {
 	}
 	if _, err := Dial(s.Addr()); err == nil {
 		t.Fatal("dial to closed server succeeded")
+	}
+}
+
+// scriptedServer accepts one control connection on loopback, sends greeting
+// and hands each command line to answer, which writes the reply. It stands in
+// for servers whose replies the local Server never sends.
+func scriptedServer(t *testing.T, greeting string, answer func(conn net.Conn, verb, arg string)) string {
+	t.Helper()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Skipf("loopback unavailable: %v", err)
+	}
+	t.Cleanup(func() { _ = l.Close() })
+	go func() {
+		conn, err := l.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		_, _ = io.WriteString(conn, greeting)
+		r := bufio.NewReader(conn)
+		for {
+			line, err := r.ReadString('\n')
+			if err != nil {
+				return
+			}
+			verb, arg, _ := strings.Cut(strings.TrimRight(line, "\r\n"), " ")
+			answer(conn, verb, arg)
+		}
+	}()
+	return l.Addr().String()
+}
+
+// answerLogin replies to the commands Dial and Quit send, and reports
+// whether verb was one of them.
+func answerLogin(conn net.Conn, verb string) bool {
+	reply := map[string]string{
+		"USER": "331 password required",
+		"PASS": "230-Welcome.\r\n  Continuation lines may start with anything.\r\n230 logged in",
+		"TYPE": "200 type set",
+		"QUIT": "221 bye",
+	}[verb]
+	if reply == "" {
+		return false
+	}
+	_, _ = io.WriteString(conn, reply+"\r\n")
+	return true
+}
+
+// TestDialMultiLineReplies: a reply whose first line is "ddd-" runs until a
+// line starting "ddd " (RFC 959 §4.2); vsftpd and ProFTPD greet that way.
+func TestDialMultiLineReplies(t *testing.T) {
+	addr := scriptedServer(t, "220-Welcome to the scripted server\r\n220 ready\r\n", func(conn net.Conn, verb, _ string) {
+		if !answerLogin(conn, verb) {
+			_, _ = io.WriteString(conn, "502 command not implemented\r\n")
+		}
+	})
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Quit(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestPasvDialsControlHost: the data connection goes to the host the control
+// connection reached, whatever host the PASV reply names (192.0.2.1 is
+// TEST-NET-1, which nothing answers).
+func TestPasvDialsControlHost(t *testing.T) {
+	dataL, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Skipf("loopback unavailable: %v", err)
+	}
+	defer dataL.Close()
+	port := dataL.Addr().(*net.TCPAddr).Port
+	addr := scriptedServer(t, "220 ready\r\n", func(conn net.Conn, verb, _ string) {
+		if answerLogin(conn, verb) {
+			return
+		}
+		switch verb {
+		case "PASV":
+			fmt.Fprintf(conn, "227 Entering Passive Mode (192,0,2,1,%d,%d)\r\n", port/256, port%256)
+		case "RETR":
+			_, _ = io.WriteString(conn, "150 opening data connection\r\n")
+			data, err := dataL.Accept()
+			if err != nil {
+				return
+			}
+			_, _ = io.WriteString(data, "payload")
+			_ = data.Close()
+			_, _ = io.WriteString(conn, "226 transfer complete\r\n")
+		}
+	})
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Quit()
+	got, err := c.Retr("f")
+	if err != nil || string(got) != "payload" {
+		t.Fatalf("Retr = %q, %v", got, err)
+	}
+}
+
+// TestPasvRejectsBadPort: a PASV reply naming a port outside 1–65535 is
+// refused before anything is dialled.
+func TestPasvRejectsBadPort(t *testing.T) {
+	replies := []string{"(127,0,0,1,0,0)", "(127,0,0,1,256,1)", "(127,0,0,1,-1,80)", "(127,0,0,1,1,256)"}
+	var next int
+	addr := scriptedServer(t, "220 ready\r\n", func(conn net.Conn, verb, _ string) {
+		if !answerLogin(conn, verb) && verb == "PASV" {
+			fmt.Fprintf(conn, "227 Entering Passive Mode %s\r\n", replies[next%len(replies)])
+			next++
+		}
+	})
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Quit()
+	for _, r := range replies {
+		if data, err := c.pasv(); err == nil || !strings.Contains(err.Error(), "malformed PASV port") {
+			if data != nil {
+				_ = data.Close()
+			}
+			t.Errorf("PASV %s: err = %v, want a malformed-port error", r, err)
+		}
 	}
 }

@@ -102,9 +102,6 @@ func NewBreaker(cfg BreakerConfig) *Breaker {
 // SetTransitionHook installs the state-change observer (before first use).
 func (b *Breaker) SetTransitionHook(fn func(from, to BreakerState)) { b.onTransition = fn }
 
-// SetClock injects a test clock (before first use).
-func (b *Breaker) SetClock(now func() time.Time) { b.now = now }
-
 // State reports the current position without evaluating open-window expiry.
 func (b *Breaker) State() BreakerState {
 	b.mu.Lock()

@@ -30,7 +30,7 @@ func newTestBreaker(t *testing.T, cfg BreakerConfig) (*Breaker, *fakeClock, *[]s
 	t.Helper()
 	b := NewBreaker(cfg)
 	clk := newFakeClock()
-	b.SetClock(clk.Now)
+	b.now = clk.Now
 	var transitions []string
 	b.SetTransitionHook(func(from, to BreakerState) {
 		transitions = append(transitions, from.String()+"->"+to.String())

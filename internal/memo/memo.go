@@ -307,17 +307,6 @@ func (m *Memoizer) Store(key string, value any) error {
 	return nil
 }
 
-// Len returns the number of memoized entries.
-func (m *Memoizer) Len() int {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	n := len(m.other)
-	for _, byDigest := range m.digests {
-		n += len(byDigest)
-	}
-	return n
-}
-
 // Stats returns cumulative (hits, misses).
 func (m *Memoizer) Stats() (hits, misses int64) {
 	m.cpMu.Lock()
@@ -325,24 +314,17 @@ func (m *Memoizer) Stats() (hits, misses int64) {
 	return m.hits, m.misses
 }
 
-// Sync flushes the checkpoint file to stable storage.
-func (m *Memoizer) Sync() error {
-	m.cpMu.Lock()
-	defer m.cpMu.Unlock()
-	if m.cpFile == nil {
-		return nil
-	}
-	return m.cpFile.Sync()
-}
-
-// Close flushes and closes the checkpoint file.
+// Close syncs the checkpoint file to stable storage and closes it.
 func (m *Memoizer) Close() error {
 	m.cpMu.Lock()
 	defer m.cpMu.Unlock()
 	if m.cpFile == nil {
 		return nil
 	}
-	err := m.cpFile.Close()
+	err := m.cpFile.Sync()
+	if cerr := m.cpFile.Close(); err == nil {
+		err = cerr
+	}
 	m.cpFile = nil
 	m.enc = nil
 	return err

@@ -410,14 +410,6 @@ func (r *Router) SendTo(id string, m Message) error {
 	return c.Send(m)
 }
 
-// HasPeer reports whether id is connected.
-func (r *Router) HasPeer(id string) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	_, ok := r.peers[id]
-	return ok
-}
-
 // Disconnect drops a peer (used by the HTEX command channel's blacklist).
 func (r *Router) Disconnect(id string) {
 	r.mu.Lock()

@@ -109,7 +109,7 @@ func TestRouterPeerEvents(t *testing.T) {
 	if !ev.Joined || ev.ID != "w1" {
 		t.Fatalf("join event = %+v", ev)
 	}
-	if !r.HasPeer("w1") {
+	if !hasPeer(r, "w1") {
 		t.Fatal("peer not registered")
 	}
 	_ = d.Close()
@@ -117,7 +117,7 @@ func TestRouterPeerEvents(t *testing.T) {
 	if ev.Joined || ev.ID != "w1" {
 		t.Fatalf("leave event = %+v", ev)
 	}
-	waitFor(t, func() bool { return !r.HasPeer("w1") })
+	waitFor(t, func() bool { return !hasPeer(r, "w1") })
 }
 
 func TestRouterSendToUnknownPeer(t *testing.T) {
@@ -177,7 +177,7 @@ func TestRouterIdentityReuseLastWins(t *testing.T) {
 	defer d2.Close()
 	<-r.Events() // join d2 (replacing d1)
 	// The message routed to "dup" must arrive at d2.
-	waitFor(t, func() bool { return r.HasPeer("dup") })
+	waitFor(t, func() bool { return hasPeer(r, "dup") })
 	if err := r.SendTo("dup", Message{[]byte("ping")}); err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestRouterDisconnectPeer(t *testing.T) {
 	if _, err := d.Recv(); err == nil {
 		t.Fatal("recv on disconnected dealer succeeded")
 	}
-	waitFor(t, func() bool { return !r.HasPeer("bad") })
+	waitFor(t, func() bool { return !hasPeer(r, "bad") })
 }
 
 func TestRouterClose(t *testing.T) {
@@ -470,4 +470,12 @@ func waitFor(t *testing.T, cond func() bool) {
 		time.Sleep(time.Millisecond)
 	}
 	t.Fatal("condition not met within deadline")
+}
+
+// hasPeer reports whether id is connected.
+func hasPeer(r *Router, id string) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	_, ok := r.peers[id]
+	return ok
 }

@@ -4,9 +4,8 @@
 // on a cluster, one API request on a cloud — and elasticity happens in whole
 // blocks.
 //
-// Batch providers (Slurm, Torque/PBS, HTCondor, Cobalt, GridEngine) drive
-// the internal/cluster LRM simulator directly; the channels and launchers of
-// §4.2 are not modelled. Cloud providers (AWS, GoogleCloud, Jetstream,
+// The batch provider (Slurm) drives the internal/cluster LRM simulator
+// directly; the channels and launchers of §4.2 are not modelled. Cloud providers (AWS, GoogleCloud, Jetstream,
 // Kubernetes) model instance acquisition with startup latency. The Local
 // provider forks "nodes" in-process for laptops.
 package provider
@@ -189,20 +188,10 @@ func (l *Local) Blocks() []string {
 // Batch (LRM) providers
 // ---------------------------------------------------------------------------
 
-// submitCommand is what each batch system's submit errors cite.
-var submitCommand = map[string]string{
-	"slurm":      "sbatch",
-	"torque":     "qsub",
-	"condor":     "condor_submit",
-	"cobalt":     "qsub",
-	"gridengine": "qsub",
-}
-
-// Batch drives a simulated LRM under one batch system's name.
+// Batch drives a simulated LRM as Slurm.
 type Batch struct {
-	cfg  Config
-	name string
-	cl   *cluster.Cluster
+	cfg Config
+	cl  *cluster.Cluster
 
 	mu     sync.Mutex
 	seq    int
@@ -215,27 +204,13 @@ type batchBlock struct {
 }
 
 // NewSlurm creates a Slurm provider over the given simulated cluster.
-func NewSlurm(cl *cluster.Cluster, cfg Config) *Batch { return newBatch("slurm", cl, cfg) }
-
-// NewTorque creates a Torque/PBS provider.
-func NewTorque(cl *cluster.Cluster, cfg Config) *Batch { return newBatch("torque", cl, cfg) }
-
-// NewCondor creates an HTCondor provider.
-func NewCondor(cl *cluster.Cluster, cfg Config) *Batch { return newBatch("condor", cl, cfg) }
-
-// NewCobalt creates a Cobalt provider (the ALCF scheduler).
-func NewCobalt(cl *cluster.Cluster, cfg Config) *Batch { return newBatch("cobalt", cl, cfg) }
-
-// NewGridEngine creates a GridEngine provider.
-func NewGridEngine(cl *cluster.Cluster, cfg Config) *Batch { return newBatch("gridengine", cl, cfg) }
-
-func newBatch(name string, cl *cluster.Cluster, cfg Config) *Batch {
+func NewSlurm(cl *cluster.Cluster, cfg Config) *Batch {
 	cfg.normalize()
-	return &Batch{cfg: cfg, name: name, cl: cl, blocks: make(map[string]*batchBlock)}
+	return &Batch{cfg: cfg, cl: cl, blocks: make(map[string]*batchBlock)}
 }
 
 // Name implements Provider.
-func (b *Batch) Name() string { return b.name }
+func (b *Batch) Name() string { return "slurm" }
 
 // NodesPerBlock implements Provider.
 func (b *Batch) NodesPerBlock() int { return b.cfg.NodesPerBlock }
@@ -245,7 +220,7 @@ func (b *Batch) NodesPerBlock() int { return b.cfg.NodesPerBlock }
 func (b *Batch) SubmitBlock(payload Payload) (string, error) {
 	b.mu.Lock()
 	b.seq++
-	id := fmt.Sprintf("%s-block-%d", b.name, b.seq)
+	id := fmt.Sprintf("slurm-block-%d", b.seq)
 	blk := &batchBlock{}
 	b.blocks[id] = blk
 	b.mu.Unlock()
@@ -287,7 +262,7 @@ func (b *Batch) SubmitBlock(payload Payload) (string, error) {
 		b.mu.Lock()
 		delete(b.blocks, id)
 		b.mu.Unlock()
-		return "", fmt.Errorf("provider: %s %s: %w", submitCommand[b.name], id, err)
+		return "", fmt.Errorf("provider: sbatch %s: %w", id, err)
 	}
 	b.mu.Lock()
 	blk.job = job
@@ -503,11 +478,4 @@ func (c *Cloud) Blocks() []string {
 		out = append(out, id)
 	}
 	return out
-}
-
-// Instances returns the live instance count (for quota tests).
-func (c *Cloud) Instances() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.instances
 }

@@ -179,32 +179,6 @@ func TestBatchWalltimeCompletesBlock(t *testing.T) {
 	waitCond(t, "workers stopped", func() bool { return stopped.Load() == 1 })
 }
 
-func TestAllBatchDialects(t *testing.T) {
-	cl, err := cluster.New(cluster.Config{Name: "any", Nodes: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	makers := map[string]func(*cluster.Cluster, Config) *Batch{
-		"slurm": NewSlurm, "torque": NewTorque, "condor": NewCondor,
-		"cobalt": NewCobalt, "gridengine": NewGridEngine,
-	}
-	for name, mk := range makers {
-		p := mk(cl, Config{NodesPerBlock: 1})
-		if p.Name() != name {
-			t.Errorf("provider name = %q, want %q", p.Name(), name)
-		}
-		var started, stopped atomic.Int32
-		id, err := p.SubmitBlock(countingPayload(&started, &stopped))
-		if err != nil {
-			t.Fatalf("%s submit: %v", name, err)
-		}
-		waitCond(t, name+" start", func() bool { return started.Load() == 1 })
-		_ = p.CancelBlock(id)
-		waitCond(t, name+" stop", func() bool { return stopped.Load() == 1 })
-	}
-}
-
 func TestCloudProviderStartupDelay(t *testing.T) {
 	var started, stopped atomic.Int32
 	p := NewKubernetes(Config{NodesPerBlock: 2})
@@ -228,8 +202,8 @@ func TestCloudProviderStartupDelay(t *testing.T) {
 	}
 	_ = p.CancelBlock(id)
 	waitCond(t, "instances down", func() bool { return stopped.Load() == 2 })
-	if p.Instances() != 0 {
-		t.Fatalf("instances = %d", p.Instances())
+	if p.liveInstances() != 0 {
+		t.Fatalf("instances = %d", p.liveInstances())
 	}
 }
 
@@ -248,8 +222,8 @@ func TestCloudCancelBeforeBoot(t *testing.T) {
 	if started.Load() != 0 {
 		t.Fatal("payload ran on cancelled block")
 	}
-	if p.Instances() != 0 {
-		t.Fatalf("instances = %d", p.Instances())
+	if p.liveInstances() != 0 {
+		t.Fatalf("instances = %d", p.liveInstances())
 	}
 }
 
@@ -282,7 +256,7 @@ func TestCloudDoubleCancelReleasesInstancesOnce(t *testing.T) {
 			t.Fatalf("cancel %d: %v", i+1, err)
 		}
 	}
-	if n := p.Instances(); n != 0 {
+	if n := p.liveInstances(); n != 0 {
 		t.Fatalf("instances after double cancel = %d, want 0", n)
 	}
 	if _, err := p.SubmitBlock(ok); err != nil {
@@ -360,4 +334,11 @@ func TestConcurrentBlockChurn(t *testing.T) {
 	if started.Load() != 20 {
 		t.Fatalf("started = %d", started.Load())
 	}
+}
+
+// liveInstances reads the instance count the quota charges, under the lock.
+func (c *Cloud) liveInstances() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.instances
 }

@@ -342,38 +342,13 @@ func (g *Graph) RecycledNodes() (n int64) {
 	return n
 }
 
-// ShardPruned returns the cumulative pruned count for one shard (monitoring).
-func (g *Graph) ShardPruned(shard int) int64 {
-	s := &g.shards[shard&(NumShards-1)]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.prunedDone + s.prunedFailed + s.prunedMemoized
-}
-
 // Shard returns the shard index for a task id.
 func Shard(id int64) int { return int(uint64(id) & (NumShards - 1)) }
-
-// Get returns the record for id, or nil (negative, retired and never-added
-// ids included: no lookup grows the window).
-func (g *Graph) Get(id int64) *Record {
-	s := g.shard(id)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.get(id)
-}
 
 // Len returns the number of tasks.
 func (g *Graph) Len() (n int) {
 	g.sweep(func(_ int, s *graphShard) { n += s.live })
 	return n
-}
-
-// ShardCounts returns the number of tasks held by each shard; the sum
-// always equals Len. Exposed for balance checks in tests and monitoring.
-func (g *Graph) ShardCounts() []int {
-	out := make([]int, NumShards)
-	g.sweep(func(i int, s *graphShard) { out[i] = s.live })
-	return out
 }
 
 // EdgeCount returns the number of dependency edges.

@@ -11,10 +11,10 @@ func TestGraphAddAndGet(t *testing.T) {
 	id := g.NextID()
 	r := NewRecord(id, "a", nil, nil)
 	g.Add(r)
-	if got := g.Get(id); got != r {
+	if got := get(g, id); got != r {
 		t.Fatal("Get returned wrong record")
 	}
-	if g.Get(999) != nil {
+	if get(g, 999) != nil {
 		t.Fatal("Get(unknown) != nil")
 	}
 	if g.Len() != 1 {
@@ -98,11 +98,11 @@ func TestGraphCountByStateAndOutstanding(t *testing.T) {
 	for i := int64(0); i < 4; i++ {
 		g.Add(NewRecord(i, "a", nil, nil))
 	}
-	_ = g.Get(0).SetState(Pending)
-	_ = g.Get(1).SetState(Pending)
-	_ = g.Get(1).SetState(Launched)
-	_ = g.Get(1).SetState(Done)
-	_ = g.Get(2).SetState(Memoized)
+	_ = get(g, 0).SetState(Pending)
+	_ = get(g, 1).SetState(Pending)
+	_ = get(g, 1).SetState(Launched)
+	_ = get(g, 1).SetState(Done)
+	_ = get(g, 2).SetState(Memoized)
 	counts := g.CountByState()
 	if counts[Pending] != 1 || counts[Done] != 1 || counts[Memoized] != 1 || counts[Unsched] != 1 {
 		t.Fatalf("counts = %v", counts)
@@ -136,7 +136,7 @@ func TestGraphShardCountsSumToLen(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	counts := g.ShardCounts()
+	counts := shardCounts(g)
 	if len(counts) != NumShards {
 		t.Fatalf("ShardCounts len = %d, want %d", len(counts), NumShards)
 	}

@@ -178,7 +178,7 @@ func runGraphModel(t *testing.T, seed int64, ops int) {
 			}
 		case k < 90:
 			id := anyID()
-			if got := g.Get(id); got != m.live[id] {
+			if got := get(g, id); got != m.live[id] {
 				t.Fatalf("Get(%d) = %v, model %v", id, got, m.live[id])
 			}
 		default:
@@ -217,12 +217,12 @@ func runGraphModel(t *testing.T, seed int64, ops int) {
 		for id := range m.live {
 			perShard[Shard(id)]++
 		}
-		if got := g.ShardCounts(); !slices.Equal(got, perShard) {
+		if got := shardCounts(g); !slices.Equal(got, perShard) {
 			t.Fatalf("op %d: ShardCounts = %v, model %v", op, got, perShard)
 		}
 		for i, want := range m.pruned {
-			if g.ShardPruned(i) != want {
-				t.Fatalf("op %d: ShardPruned(%d) = %d, model %d", op, i, g.ShardPruned(i), want)
+			if shardPruned(g, i) != want {
+				t.Fatalf("op %d: pruned(shard %d) = %d, model %d", op, i, shardPruned(g, i), want)
 			}
 		}
 		if pages, _, _ := window(g); pages > len(m.live) {
@@ -233,7 +233,7 @@ func runGraphModel(t *testing.T, seed int64, ops int) {
 
 func TestGraphAddRejectsNegativeID(t *testing.T) {
 	g := NewGraph()
-	if g.Get(-1) != nil || len(g.Deps(-1)) != 0 || len(g.Dependents(-33)) != 0 {
+	if get(g, -1) != nil || len(g.Deps(-1)) != 0 || len(g.Dependents(-33)) != 0 {
 		t.Fatal("lookup of a negative id found something")
 	}
 	defer func() {
@@ -269,8 +269,8 @@ func TestGraphStragglerPinsOnePage(t *testing.T) {
 	if span := n/(pageSize*NumShards) + 1; pages != 1 || dirLen > span || free > NumShards {
 		t.Fatalf("window holds %d pages, directory %d (span %d), %d free pages", pages, dirLen, span, free)
 	}
-	if g.Get(first.ID) != first || g.Len() != 1 {
-		t.Fatalf("straggler lost: Get = %v, Len = %d", g.Get(first.ID), g.Len())
+	if get(g, first.ID) != first || g.Len() != 1 {
+		t.Fatalf("straggler lost: Get = %v, Len = %d", get(g, first.ID), g.Len())
 	}
 	g.RetireAs(first, Done)
 	if pages, dirLen, _ := window(g); pages != 0 || dirLen != 0 || g.Len() != 0 {
@@ -304,11 +304,11 @@ func TestGraphOutOfOrderAdd(t *testing.T) {
 	}
 	late := held().reuse(reserved)
 	g.Add(late)
-	if g.Get(reserved) != late || s.base != 0 || g.Len() != keep+1 {
-		t.Fatalf("late add: Get = %v, base = %d, Len = %d", g.Get(reserved), s.base, g.Len())
+	if get(g, reserved) != late || s.base != 0 || g.Len() != keep+1 {
+		t.Fatalf("late add: Get = %v, base = %d, Len = %d", get(g, reserved), s.base, g.Len())
 	}
 	for _, r := range tail {
-		if g.Get(r.ID) != r {
+		if get(g, r.ID) != r {
 			t.Fatalf("node %d lost when the directory grew backwards", r.ID)
 		}
 	}
@@ -324,9 +324,9 @@ func TestGraphOutOfOrderAdd(t *testing.T) {
 		t.Fatalf("Deps = %v", got)
 	}
 	g.RetireAs(late, Done)
-	if g.Get(reserved) != nil || s.base == 0 || g.Len() != keep || g.EdgeCount() != 3 {
+	if get(g, reserved) != nil || s.base == 0 || g.Len() != keep || g.EdgeCount() != 3 {
 		t.Fatalf("after retiring the late node: Get = %v, base = %d, Len = %d, edges = %d",
-			g.Get(reserved), s.base, g.Len(), g.EdgeCount())
+			get(g, reserved), s.base, g.Len(), g.EdgeCount())
 	}
 }
 
@@ -422,7 +422,7 @@ func TestGraphConcurrentHammer(t *testing.T) {
 				}
 				recent[rng.Intn(len(recent))].Store(r.ID)
 				own = append(own, r)
-				if probe := recent[rng.Intn(len(recent))].Load(); g.Get(probe) != nil {
+				if probe := recent[rng.Intn(len(recent))].Load(); get(g, probe) != nil {
 					_, _ = g.Deps(probe), g.Dependents(probe)
 				}
 				for len(own) > keep {
@@ -447,13 +447,13 @@ func TestGraphConcurrentHammer(t *testing.T) {
 		deps := g.Deps(v)
 		total += len(deps)
 		for _, d := range deps {
-			if g.Get(d) != nil && count(g.Dependents(d), v) != count(deps, d) {
+			if get(g, d) != nil && count(g.Dependents(d), v) != count(deps, d) {
 				t.Fatalf("Deps(%d) names %d ×%d, Dependents(%d) names it back ×%d",
 					v, d, count(deps, d), d, count(g.Dependents(d), v))
 			}
 		}
 		for _, w := range g.Dependents(v) {
-			if g.Get(w) != nil && count(g.Deps(w), v) == 0 {
+			if get(g, w) != nil && count(g.Deps(w), v) == 0 {
 				t.Fatalf("Dependents(%d) names %d, whose Deps do not name it back", v, w)
 			}
 		}
@@ -476,4 +476,28 @@ func count(ids []int64, id int64) (n int) {
 		}
 	}
 	return n
+}
+
+// get returns the record for id, or nil (negative, retired and never-added
+// ids included: no lookup grows the window).
+func get(g *Graph, id int64) *Record {
+	s := g.shard(id)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.get(id)
+}
+
+// shardPruned returns one shard's cumulative pruned count.
+func shardPruned(g *Graph, shard int) int64 {
+	s := &g.shards[shard]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.prunedDone + s.prunedFailed + s.prunedMemoized
+}
+
+// shardCounts returns the number of tasks held by each shard.
+func shardCounts(g *Graph) []int {
+	out := make([]int, NumShards)
+	g.sweep(func(i int, s *graphShard) { out[i] = s.live })
+	return out
 }

@@ -480,13 +480,6 @@ func (r *Record) SetMemoKey(k string) {
 	r.memoKey = k
 }
 
-// MemoKey returns the memoization key ("" when memoization is off).
-func (r *Record) MemoKey() string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.memoKey
-}
-
 // SetPendingDeps initializes the unresolved-dependency counter.
 func (r *Record) SetPendingDeps(n int) {
 	r.mu.Lock()
@@ -504,21 +497,6 @@ func (r *Record) DepResolved() (remaining int, st State) {
 		r.pendingDeps--
 	}
 	return r.pendingDeps, r.state
-}
-
-// PendingDeps returns the unresolved-dependency count.
-func (r *Record) PendingDeps() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.pendingDeps
-}
-
-// Payload returns the encode-once serialized arguments (nil before the task
-// first becomes ready, and for memoized tasks that never launched).
-func (r *Record) Payload() *serialize.Payload {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.payload
 }
 
 // Attempt returns the current attempt's outcome future and wire id (nil, 0

@@ -129,7 +129,7 @@ func TestAccessors(t *testing.T) {
 		t.Fatal("executor lost")
 	}
 	r.SetMemoKey("k")
-	if r.MemoKey() != "k" {
+	if r.memoKey != "k" {
 		t.Fatal("memo key lost")
 	}
 	if !strings.Contains(r.String(), "app") {
@@ -165,8 +165,8 @@ func TestConcurrentStateAndCounters(t *testing.T) {
 		go func() { defer wg.Done(); r.DepResolved() }()
 	}
 	wg.Wait()
-	if r.PendingDeps() != 0 {
-		t.Fatalf("pending deps = %d", r.PendingDeps())
+	if r.pendingDeps != 0 {
+		t.Fatalf("pending deps = %d", r.pendingDeps)
 	}
 }
 

@@ -304,13 +304,6 @@ func (l *Log) LiveCount() int {
 	return l.liveN
 }
 
-// Crashed reports whether an injected crash froze the log.
-func (l *Log) Crashed() bool {
-	l.stageMu.Lock()
-	defer l.stageMu.Unlock()
-	return l.crashed
-}
-
 // commitLoop is the group-commit pump: it drains the stage when an append
 // kicks it, and every SyncInterval drains and fsyncs, so an append is durable
 // within one interval without any fsync on the dispatch path. The fsync runs

@@ -463,7 +463,10 @@ func TestWALChaosFreeze(t *testing.T) {
 	if err := l.Launch(1, 1); !errors.Is(err, ErrCrashed) {
 		t.Fatalf("appends after the crash must keep failing: %v", err)
 	}
-	if !l.Crashed() {
+	l.stageMu.Lock()
+	crashed := l.crashed
+	l.stageMu.Unlock()
+	if !crashed {
 		t.Fatal("log should report itself crashed")
 	}
 	if crashes != 1 {

@@ -104,7 +104,7 @@ type (
 var (
 	// New builds a DFK from a Config.
 	New = dfk.New
-	// NewFile parses a file URL (file://, http://, ftp://, globus://).
+	// NewFile parses a file URL (file://, http(s)://, ftp://).
 	NewFile = data.NewFile
 	// MustFile is NewFile or panic.
 	MustFile = data.MustFile

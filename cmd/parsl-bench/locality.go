@@ -2,15 +2,14 @@ package main
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/workload"
 )
 
 // runLocality drives the data-aware scheduling evaluation: a workflow runs
-// once cold, then a second process replays it warm against the shared
-// content-addressed result cache and staging site, and the locality policy
-// routes repeat digests to their holders. The headline numbers —
+// once cold, then a second process replays it warm against the cold run's
+// memo checkpoint and staging site, and the locality policy routes repeat
+// digests to their holders. The headline numbers —
 // warm re-executions and warm bytes moved — must both be zero, and the warm
 // hit rate 1: RunLocality reports anything else as a violation.
 func runLocality(o options) error {
@@ -26,8 +25,6 @@ func runLocality(o options) error {
 	fmt.Printf("\nrouting: %d locality hits / %d misses; %d repeats on their digest holder, %d elsewhere\n",
 		res.RouteHits, res.RouteMisses, res.RoutedToHolder, res.RoutedElsewhere)
 	fmt.Printf("stale advert after shard kill: cold rerun ok=%v\n", res.StaleRerunOK)
-	fmt.Printf("shared cache: %d stores, %d hits, %d misses; elapsed %v\n",
-		res.CacheStats.Stores, res.CacheStats.Hits, res.CacheStats.Misses, res.Elapsed.Round(time.Millisecond))
 	for _, v := range res.Violations {
 		fmt.Printf("    VIOLATION: %s\n", v)
 	}

@@ -62,7 +62,7 @@ var scenarios = []struct {
 	{"wal", "durable-log crash matrix: exactly-once recovery, recovery time", runWAL},
 	{"health", "self-healing: kill-storm recovery, breaker failover, poison quarantine", runHealth},
 	{"shard", "sharded control plane: kill-one-shard failover, throughput scaling", runShard},
-	{"locality", "data-aware scheduling: shared result cache, warm-replay zeros, digest routing", runLocality},
+	{"locality", "data-aware scheduling: warm replay from the memo checkpoint (zero executions/bytes), digest routing", runLocality},
 }
 
 func main() {

@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"repro/internal/app"
-	"repro/internal/cache"
 	"repro/internal/data"
 	"repro/internal/executor"
 	"repro/internal/fair"
@@ -52,15 +51,6 @@ type Config struct {
 	Checkpoint string
 	// Monitor receives execution events; nil disables monitoring.
 	Monitor monitor.Sink
-	// SharedCache is a content-addressed result cache shared across DFK
-	// instances (and, via cache.Cache.Seed, across process restarts): a memo
-	// miss consults it before dispatch, and a hit settles the task as
-	// memoized — promoting the entry into the local memo table — without
-	// re-execution or bytes moved. Keys are the same app|body|args-digest
-	// triple the memo table uses, derived from the encode-once payload. Nil
-	// (the default) disables the tier entirely; the launch path then pays
-	// exactly one nil check.
-	SharedCache *cache.Cache
 	// DataManager stages remote files; nil disables data management.
 	DataManager *data.Manager
 	// TaskTimeout bounds a single execution attempt, measured from when
@@ -167,8 +157,7 @@ type DFK struct {
 	registry  *serialize.Registry
 	graph     *task.Graph
 	memoizer  *memo.Memoizer
-	cache     *cache.Cache // nil unless Config.SharedCache
-	wal       *wal.Log     // nil unless Config.WAL
+	wal       *wal.Log // nil unless Config.WAL
 	mon       monitor.Sink
 	executors map[string]executor.Executor
 	execList  []executor.Executor // config order, for the scheduler
@@ -258,7 +247,6 @@ func New(cfg Config) (*DFK, error) {
 		d.schedUsesLoad = true
 	}
 	d.digestPicker, _ = d.schedr.(sched.DigestPicker)
-	d.cache = cfg.SharedCache
 
 	d.mon = monitor.Nop{}
 	if _, nop := cfg.Monitor.(monitor.Nop); cfg.Monitor != nil && !nop {
@@ -341,10 +329,6 @@ func (d *DFK) Graph() *task.Graph { return d.graph }
 
 // Memoizer exposes memo statistics for tests and benchmarks.
 func (d *DFK) Memoizer() *memo.Memoizer { return d.memoizer }
-
-// SharedCache exposes the shared content-addressed result tier; nil unless
-// Config.SharedCache was set.
-func (d *DFK) SharedCache() *cache.Cache { return d.cache }
 
 // WAL exposes the durable dataflow log; nil unless Config.WAL is set.
 func (d *DFK) WAL() *wal.Log { return d.wal }
@@ -717,19 +701,7 @@ func (d *DFK) launch(rec *task.Record, gen uint32, a *App) {
 		}
 	}
 	if memoKey != "" {
-		v, hit := d.memoizer.Lookup(memoKey)
-		// Local miss: consult the shared content-addressed tier, where
-		// another DFK (or an earlier incarnation of this one) may already
-		// have keyed the result under the same app|body|args digest. A hit
-		// settles exactly like a memo hit — and promotes the entry into the
-		// local table (and its checkpoint), so the next lookup never leaves
-		// the process.
-		if !hit && d.cache != nil {
-			if v, hit = d.cache.Get(memoKey); hit {
-				_ = d.memoizer.Store(memoKey, v)
-			}
-		}
-		if hit {
+		if v, hit := d.memoizer.Lookup(memoKey); hit {
 			// The payload built for the key is never installed on the record;
 			// drop its reference here (a memoized task ships no bytes anywhere).
 			payload.Release()
@@ -739,7 +711,7 @@ func (d *DFK) launch(rec *task.Record, gen uint32, a *App) {
 		rec.SetMemoKey(memoKey)
 	}
 	// Only a task that actually has to execute needs encodable arguments —
-	// an explicit-key cache hit above is served even for args no executor
+	// an explicit-key memo hit above is served even for args no executor
 	// could accept. Past this point every executor needs the payload
 	// (in-process ones for the immutability copy, remote ones for the
 	// wire), so fail fast here with the serialization error instead of
@@ -824,11 +796,6 @@ func (d *DFK) cancelTask(rec *task.Record, cause error) {
 func (d *DFK) completeTask(rec *task.Record, memoKey string, v any) {
 	if memoKey != "" {
 		_ = d.memoizer.Store(memoKey, v)
-		// Publish to the shared tier too, so sibling DFKs (and post-restart
-		// incarnations seeded from it) serve this result without moving bytes.
-		if d.cache != nil {
-			d.cache.Put(memoKey, v)
-		}
 	}
 	// Stage out declared outputs before resolving the future, so a
 	// consumer that waits on the future sees outputs at their final homes.
@@ -859,11 +826,12 @@ func (d *DFK) failTask(rec *task.Record, err error) bool {
 	return d.finish(rec, task.Failed, "", nil, err)
 }
 
-// settleMemoized concludes a task whose result v came from the memo table or
-// the shared cache under key instead of an execution, reporting whether this
-// call was the task's terminal transition. The terminal record only reaches
-// the log for a recovered task (WAL key set); a first-lifetime memo hit was
-// never logged as submitted, so there is nothing to close.
+// settleMemoized concludes a task whose result v came from the memo table
+// (preloaded from the checkpoint, when one is set) under key instead of an
+// execution, reporting whether this call was the task's terminal transition.
+// The terminal record only reaches the log for a recovered task (WAL key
+// set); a first-lifetime memo hit was never logged as submitted, so there is
+// nothing to close.
 func (d *DFK) settleMemoized(rec *task.Record, key string, v any) bool {
 	return d.finish(rec, task.Memoized, key, v, nil)
 }

@@ -253,7 +253,10 @@ func TestRetryRecoversFromManagerLoss(t *testing.T) {
 
 func TestCheckpointRestartAcrossDFKs(t *testing.T) {
 	// §3.7: re-executing a program must not re-run apps already completed
-	// with the same arguments — even across process restarts.
+	// with the same arguments — even across process restarts. The checkpoint
+	// file is the one result store that crosses processes: the restarted
+	// DFK starts with an empty memo table, preloads the file, and settles
+	// every repeated call as memoized.
 	cpPath := filepath.Join(t.TempDir(), "run", "checkpoint.jsonl")
 	var executions atomic.Int32
 	appFn := func(args []any, _ map[string]any) (any, error) {
@@ -261,7 +264,7 @@ func TestCheckpointRestartAcrossDFKs(t *testing.T) {
 		return fmt.Sprintf("result-%v", args[0]), nil
 	}
 
-	run := func() {
+	run := func() *DFK {
 		d := newHTEXDFK(t, 1, 2, func(c *Config) {
 			c.Memoize = true
 			c.Checkpoint = cpPath
@@ -277,17 +280,29 @@ func TestCheckpointRestartAcrossDFKs(t *testing.T) {
 		if err := future.Wait(futs...); err != nil {
 			t.Fatal(err)
 		}
+		for i, f := range futs {
+			if v, _ := f.Result(); v != fmt.Sprintf("result-%d", i) {
+				t.Fatalf("task %d = %v", i, v)
+			}
+		}
 		if err := d.Shutdown(); err != nil {
 			t.Fatal(err)
 		}
+		return d
 	}
 	run()
 	if executions.Load() != 5 {
 		t.Fatalf("first run executed %d tasks", executions.Load())
 	}
-	run() // the "restarted program"
+	d := run() // the "restarted program"
 	if executions.Load() != 5 {
 		t.Fatalf("restart re-executed: %d total executions, want 5", executions.Load())
+	}
+	if n := d.Summary()["memoized"]; n != 5 {
+		t.Fatalf("restart settled %d tasks as memoized, want 5: %v", n, d.Summary())
+	}
+	if hits, _ := d.Memoizer().Stats(); hits != 5 {
+		t.Fatalf("restart scored %d memo hits, want 5", hits)
 	}
 }
 

@@ -329,6 +329,9 @@ func TestTenantBlockedAdmissionBackpressure(t *testing.T) {
 	if got := maxLive.Load(); got > 3 {
 		t.Fatalf("observed %d concurrently-running tasks, quota 3", got)
 	}
+	// A task releases its admission slot at retirement, just after its
+	// future settles; WaitAll returns once every task has retired.
+	d.WaitAll()
 	if got := d.TenantLive("t"); got != 0 {
 		t.Fatalf("TenantLive after drain = %d, want 0", got)
 	}

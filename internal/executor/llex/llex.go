@@ -354,19 +354,6 @@ func (e *Executor) recvLoop() {
 // calls for it.
 func (e *Executor) Submit(msg serialize.TaskMsg) *future.Future {
 	fut := future.NewForTask(msg.ID)
-	e.mu.Lock()
-	if e.closed || !e.started {
-		closed := e.closed
-		e.mu.Unlock()
-		if closed {
-			_ = fut.SetError(executor.ErrShutdown)
-		} else {
-			_ = fut.SetError(errors.New("llex: Submit before Start"))
-		}
-		return fut
-	}
-	e.mu.Unlock()
-
 	// Standalone frames on purpose: the stateless relay fans a single
 	// client's frames out across workers round-robin, so no worker could
 	// follow a numbered client stream — every frame must decode on its
@@ -379,11 +366,23 @@ func (e *Executor) Submit(msg serialize.TaskMsg) *future.Future {
 		_ = fut.SetError(err)
 		return fut
 	}
+	// The closed check and the registration share one critical section, so
+	// a task is either refused here or in the pending map Shutdown fails.
 	pt := &pendingTask{fut: fut, payload: payload}
 	e.mu.Lock()
+	if e.closed || !e.started {
+		closed := e.closed
+		e.mu.Unlock()
+		if closed {
+			_ = fut.SetError(executor.ErrShutdown)
+		} else {
+			_ = fut.SetError(errors.New("llex: Submit before Start"))
+		}
+		return fut
+	}
 	e.pending[msg.ID] = pt
-	e.mu.Unlock()
 	e.outstanding.Add(1)
+	e.mu.Unlock()
 
 	if err := e.dealer.Send(mq.Message{tagTask, payload}); err != nil {
 		e.abandon(msg.ID, fmt.Errorf("llex: submit: %w", err))
@@ -473,6 +472,7 @@ func (e *Executor) Shutdown() error {
 		}
 		_ = pt.fut.SetError(executor.ErrShutdown)
 	}
+	e.outstanding.Add(-int64(len(pending)))
 	var first error
 	if e.dealer != nil {
 		if err := e.dealer.Close(); err != nil && first == nil {

@@ -2,6 +2,7 @@ package llex
 
 import (
 	"errors"
+	"sync"
 	"testing"
 	"time"
 
@@ -331,4 +332,56 @@ func workerCount(rl *Relay) int {
 	rl.mu.Lock()
 	defer rl.mu.Unlock()
 	return len(rl.workers)
+}
+
+// TestSubmitRacingShutdownSettles: a Submit that passes the closed check
+// while Shutdown runs must still settle its future — with a result or with
+// ErrShutdown — and leave Outstanding at zero, never park it in a pending
+// map that Shutdown has already swapped out and failed.
+func TestSubmitRacingShutdownSettles(t *testing.T) {
+	const rounds, submitters = 100, 4
+	for r := 0; r < rounds; r++ {
+		e := New(Config{Transport: simnet.NewNetwork(0), Registry: testRegistry(t)})
+		if err := e.Start(); err != nil {
+			t.Fatal(err)
+		}
+		var wg, running sync.WaitGroup
+		futs := make([][]*future.Future, submitters)
+		for s := range futs {
+			wg.Add(1)
+			running.Add(1)
+			go func() {
+				defer wg.Done()
+				// Submit until Submit itself reports the shutdown, so the
+				// submissions straddle the whole Shutdown call.
+				for i := 0; ; i++ {
+					id := int64(s<<20 | i)
+					f := e.Submit(serialize.TaskMsg{ID: id, App: "echo", Args: []any{id}})
+					futs[s] = append(futs[s], f)
+					if i == 0 {
+						running.Done()
+					}
+					if f.Done() && errors.Is(f.Err(), executor.ErrShutdown) {
+						return
+					}
+				}
+			}()
+		}
+		running.Wait()
+		_ = e.Shutdown()
+		wg.Wait()
+		deadline := time.After(2 * time.Second)
+		for _, fs := range futs {
+			for _, f := range fs {
+				select {
+				case <-f.DoneChan():
+				case <-deadline:
+					t.Fatalf("round %d: a Submit racing Shutdown never settled", r)
+				}
+			}
+		}
+		if n := e.Outstanding(); n != 0 {
+			t.Fatalf("round %d: Outstanding = %d after Shutdown, want 0", r, n)
+		}
+	}
 }

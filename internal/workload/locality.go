@@ -5,11 +5,11 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/cache"
 	"repro/internal/data"
 	"repro/internal/dfk"
 	"repro/internal/executor"
@@ -19,15 +19,15 @@ import (
 )
 
 // This file holds the data-aware scheduling scenario: the content-addressed
-// planes (shared result cache, staged-file dedup, the interchanges'
-// warm-digest records, locality routing) driven end to end, with the
-// cold-vs-warm deltas the CI bar pins.
+// planes (memo checkpoint, staged-file dedup, the interchanges' warm-digest
+// records, locality routing) driven end to end, with the cold-vs-warm deltas
+// the CI bar pins.
 //
 //   - Phase 1/2 (cold/warm): a workflow runs once cold — staging every input
 //     and executing every task — then a second workflow process (a fresh DFK
-//     with an empty memo table) replays it against the same shared cache and
-//     staging site. The warm replay must move ~zero bytes and re-execute
-//     ~zero tasks.
+//     with an empty memo table) replays it against the same memo checkpoint
+//     file and staging site. The warm replay must move ~zero bytes and
+//     re-execute ~zero tasks.
 //   - Phase 3 (routing): two HTEX pools execute a distinct input each; the
 //     locality policy must route the repeat of every input to the pool whose
 //     managers hold its digest.
@@ -64,8 +64,7 @@ type LocalityResult struct {
 	ColdExecutions, WarmExecutions   int
 	ColdFetches, WarmFetches         int64
 	ColdBytesFetched, WarmBytesMoved int64
-	WarmHitRate                      float64
-	CacheStats                       cache.Stats
+	WarmHitRate                      float64 // warm memo hits per task
 	StageStats                       data.StageStats
 
 	// Locality routing (phase 3): policy-level hit/miss counters and how
@@ -121,31 +120,34 @@ func RunLocality(cfg LocalityConfig) (res LocalityResult, _ error) {
 		return res, err
 	}
 
-	shared := cache.New(cache.Options{})
+	// The cold DFK's Shutdown syncs and closes the checkpoint before the
+	// warm DFK opens it, as a restarted process would find it.
+	checkpoint := filepath.Join(stageDir, "checkpoint.jsonl")
 	var executions atomic.Int32
 	analyze := func(args []any, _ map[string]any) (any, error) {
 		executions.Add(1)
 		return args[0].(int) * 2, nil
 	}
 
-	runReplay := func(procLabel string) error {
+	// runReplay runs the workflow in a fresh DFK and returns its memo hits.
+	runReplay := func(procLabel string) (memoHits int64, _ error) {
 		fx, err := newFixture(0,
 			poolSpec{Label: "htex-" + procLabel, Seed: cfg.Seed, Shards: 1,
 				Managers: localityManagers, Workers: localityMgrWorkers, Locality: true},
-			dfk.Config{Memoize: true, SharedCache: shared, SchedulerPolicy: "locality"})
+			dfk.Config{Memoize: true, Checkpoint: checkpoint, SchedulerPolicy: "locality"})
 		if err != nil {
-			return err
+			return 0, err
 		}
 		defer func() { _ = fx.d.Shutdown() }()
 		app, err := fx.app("analyze", analyze)
 		if err != nil {
-			return err
+			return 0, err
 		}
 		// Stage every input through the shared site, then run the workflow.
 		for i := 0; i < cfg.Tasks; i++ {
 			f := data.MustFile(fmt.Sprintf("%s/input-%d.bin", srv.URL, i))
 			if _, err := site.StageIn(f); err != nil {
-				return fmt.Errorf("%s: stage input %d: %w", procLabel, i, err)
+				return 0, fmt.Errorf("%s: stage input %d: %w", procLabel, i, err)
 			}
 		}
 		futs := make([]*future.Future, 0, cfg.Tasks)
@@ -154,41 +156,36 @@ func RunLocality(cfg LocalityConfig) (res LocalityResult, _ error) {
 		}
 		if n := awaitAll(futs, deadline); n > 0 {
 			fx.teardownWedged(vs)
-			return fmt.Errorf("%s: watchdog %v expired with %d/%d tasks unsettled", procLabel, localityWatchdog, n, len(futs))
+			return 0, fmt.Errorf("%s: watchdog %v expired with %d/%d tasks unsettled", procLabel, localityWatchdog, n, len(futs))
 		}
 		if checkValues(vs, futs, nil, func(i int) int { return i * 2 }) > 0 {
-			return fmt.Errorf("%s replay lost tasks: %v", procLabel, res.Violations)
+			return 0, fmt.Errorf("%s replay lost tasks: %v", procLabel, res.Violations)
 		}
-		return nil
+		hits, _ := fx.d.Memoizer().Stats()
+		return hits, nil
 	}
 
-	if err := runReplay("cold"); err != nil {
+	if _, err := runReplay("cold"); err != nil {
 		return res, err
 	}
 	res.ColdExecutions = int(executions.Load())
 	coldStage := site.Stats()
 	res.ColdFetches = coldStage.Fetches
 	res.ColdBytesFetched = coldStage.FetchedBytes
-	coldCache := shared.Stats()
 	if res.ColdExecutions != cfg.Tasks {
 		vs.add("cold run executed %d of %d tasks", res.ColdExecutions, cfg.Tasks)
 	}
-	if coldCache.Stores != int64(cfg.Tasks) {
-		vs.add("cold run published %d results to the shared cache, want %d", coldCache.Stores, cfg.Tasks)
-	}
 
-	if err := runReplay("warm"); err != nil {
+	warmHits, err := runReplay("warm")
+	if err != nil {
 		return res, err
 	}
 	res.WarmExecutions = int(executions.Load()) - res.ColdExecutions
 	warmStage := site.Stats()
 	res.WarmFetches = warmStage.Fetches - coldStage.Fetches
 	res.WarmBytesMoved = warmStage.FetchedBytes - coldStage.FetchedBytes
-	res.CacheStats = shared.Stats()
 	res.StageStats = warmStage
-	if n := res.CacheStats.Hits - coldCache.Hits; n > 0 {
-		res.WarmHitRate = float64(n) / float64(cfg.Tasks)
-	}
+	res.WarmHitRate = float64(warmHits) / float64(cfg.Tasks)
 	if res.WarmExecutions != 0 {
 		vs.add("warm replay re-executed %d tasks, want 0", res.WarmExecutions)
 	}

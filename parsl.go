@@ -37,7 +37,6 @@ import (
 	"time"
 
 	"repro/internal/app"
-	"repro/internal/cache"
 	"repro/internal/data"
 	"repro/internal/dfk"
 	"repro/internal/executor"
@@ -160,10 +159,6 @@ var (
 	// falling back to least-outstanding on a cold digest.
 	NewLocalityScheduler = sched.NewLocality
 	SchedulerByName      = sched.ByName
-	// NewResultCache creates the shared content-addressed result cache for
-	// Config.SharedCache: results keyed by the memo digest triple, shared
-	// across DFK instances and seedable from a checkpointed memo table.
-	NewResultCache = cache.New
 )
 
 // Barrier is the reusable multi-future barrier (future work §7).

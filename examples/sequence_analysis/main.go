@@ -54,7 +54,7 @@ func main() {
 		Executors:   []executor.Executor{ex},
 		Retries:     2, // long-running genomics tools need retry on transient failure
 		Memoize:     true,
-		Checkpoint:  filepath.Join(workDir, "checkpoint.jsonl"),
+		Checkpoint:  filepath.Join(workDir, "checkpoint"),
 		DataManager: dm,
 	})
 	if err != nil {

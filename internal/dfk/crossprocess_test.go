@@ -17,7 +17,7 @@ func TestSharedCacheCrossProcessHit(t *testing.T) {
 		calls.Add(1)
 		return fmt.Sprintf("sq-%d", args[0].(int)*args[0].(int)), nil
 	}
-	cpPath := filepath.Join(t.TempDir(), "checkpoint.jsonl")
+	cpPath := filepath.Join(t.TempDir(), "checkpoint")
 	withCheckpoint := func(c *Config) { c.Memoize = true; c.Checkpoint = cpPath }
 
 	a := newDFK(t, withCheckpoint)

@@ -795,7 +795,11 @@ func (d *DFK) cancelTask(rec *task.Record, cause error) {
 // memoized) is the key the result is published under.
 func (d *DFK) completeTask(rec *task.Record, memoKey string, v any) {
 	if memoKey != "" {
-		_ = d.memoizer.Store(memoKey, v)
+		if err := d.memoizer.Store(memoKey, v); err != nil {
+			// No checkpoint holds v: the terminal record must not name one.
+			d.emitWAL(rec.ID, "checkpoint", err)
+			memoKey = ""
+		}
 	}
 	// Stage out declared outputs before resolving the future, so a
 	// consumer that waits on the future sees outputs at their final homes.
@@ -890,10 +894,10 @@ func (d *DFK) finish(rec *task.Record, to task.State, digest string, v any, err 
 	return true
 }
 
-// emitWAL records a durable-log append error. Post-crash appends (the log
-// froze at an injected boundary) are expected, not noteworthy — the frozen
-// log rejects everything by design, so they are skipped rather than flooding
-// the monitor.
+// emitWAL records a durable-log append error or a failed checkpoint write.
+// Post-crash appends (the log froze at an injected boundary) are expected,
+// not noteworthy — the frozen log rejects everything by design, so they are
+// skipped rather than flooding the monitor.
 func (d *DFK) emitWAL(taskID int64, op string, err error) {
 	if errors.Is(err, wal.ErrCrashed) {
 		return

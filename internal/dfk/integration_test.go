@@ -257,7 +257,7 @@ func TestCheckpointRestartAcrossDFKs(t *testing.T) {
 	// file is the one result store that crosses processes: the restarted
 	// DFK starts with an empty memo table, preloads the file, and settles
 	// every repeated call as memoized.
-	cpPath := filepath.Join(t.TempDir(), "run", "checkpoint.jsonl")
+	cpPath := filepath.Join(t.TempDir(), "run", "checkpoint")
 	var executions atomic.Int32
 	appFn := func(args []any, _ map[string]any) (any, error) {
 		executions.Add(1)

@@ -74,10 +74,9 @@ func (d *DFK) Recover() (*Recovery, error) {
 			if v, hit := d.memoizer.Lookup(t.Digest); hit {
 				_ = fut.SetResult(v)
 			} else {
-				// The write-ordering contract (memo Store before WAL
-				// terminal) makes this unreachable under the process-crash
-				// model; surface it loudly rather than re-executing a task
-				// the log proved already ran.
+				// Reachable only if the checkpoint was replaced or its record
+				// is undecodable here: a failed Store logs no digest. Surface
+				// it rather than re-execute a task the log proved ran.
 				_ = fut.SetError(fmt.Errorf(
 					"dfk: task (wal key %d) concluded before the crash but its result is not in the checkpoint (key %q)", key, t.Digest))
 			}

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/executor"
 	"repro/internal/executor/threadpool"
+	"repro/internal/monitor"
 	"repro/internal/serialize"
 	"repro/internal/wal"
 )
@@ -129,7 +130,7 @@ func TestRecoverResumesLiveTasks(t *testing.T) {
 
 func TestRecoverResolvesTerminalsFromCheckpoint(t *testing.T) {
 	dir := t.TempDir()
-	cp := filepath.Join(dir, "checkpoint.jsonl")
+	cp := filepath.Join(dir, "checkpoint")
 
 	// Lifetime 1: run to completion with memoization + checkpoint, clean
 	// shutdown. The log ends holding terminal records whose digests point
@@ -167,12 +168,57 @@ func TestRecoverResolvesTerminalsFromCheckpoint(t *testing.T) {
 		t.Fatalf("recovery summary: %+v", rcv)
 	}
 	for k, fut := range rcv.Resolved {
-		if v, err := fut.Result(); err != nil || v != float64(36) && v != 36 {
+		if v, err := fut.Result(); err != nil || v != 36 {
 			t.Fatalf("task %d resolved to v=%v err=%v", k, v, err)
 		}
 	}
 	if execs.Load() != 0 {
 		t.Fatalf("pre-crash-terminal task re-executed %d times; want 0", execs.Load())
+	}
+}
+
+// TestRecoverUnpersistableResult: a memoized result the checkpoint cannot
+// hold (a channel) is reported as a checkpoint write error, and its terminal
+// record carries no digest, so the next lifetime reports a task without a
+// durable result instead of a checkpoint that lost one.
+func TestRecoverUnpersistableResult(t *testing.T) {
+	dir := t.TempDir()
+	cp := filepath.Join(dir, "checkpoint")
+	store := monitor.NewStore()
+	d1 := walDFK(t, dir, func(c *Config) { c.Memoize = true; c.Checkpoint = cp; c.Monitor = store })
+	mk, err := d1.PythonApp("mkchan", func([]any, map[string]any) (any, error) {
+		return make(chan int), nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := mk.Call(1).Result(); err != nil {
+		t.Fatalf("lifetime 1: %v", err)
+	}
+	d1.WaitAll()
+	if err := d1.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	var reported bool
+	for _, e := range store.Events(monitor.KindWAL) {
+		reported = reported || strings.HasPrefix(e.Detail, "checkpoint: ")
+	}
+	if !reported {
+		t.Fatalf("no checkpoint event among %+v", store.Events(monitor.KindWAL))
+	}
+
+	d2 := walDFK(t, dir, func(c *Config) { c.Memoize = true; c.Checkpoint = cp })
+	rcv, err := d2.Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rcv.Resolved) != 1 {
+		t.Fatalf("recovery summary: %+v", rcv)
+	}
+	for k, fut := range rcv.Resolved {
+		if _, err := fut.Result(); err == nil || !strings.Contains(err.Error(), "without a durable result (not memoized)") {
+			t.Fatalf("task %d resolved with %v, want the not-memoized error", k, err)
+		}
 	}
 }
 

@@ -4,35 +4,42 @@
 // when configured, an on-disk checkpoint file) before launching a task.
 // Program-level fault tolerance (§3.7) falls out of the checkpoint file: a
 // re-executed program skips every app already called with the same
-// arguments.
+// arguments and gets back exactly the values it stored, types included.
+//
+// The checkpoint is a file of internal/wal record frames, read under the
+// WAL's torn-tail rule: a torn final record is truncated at open (and the
+// truncation fsynced before the next append), damage before an intact record
+// fails the open and leaves the file untouched. A record body is a uvarint key
+// length, the key, and the value as serialize.EncodeArgs encodes a
+// one-element list. A value the codec refuses stays in memory only, and Store
+// says so; a record this process cannot decode (a gob type not registered
+// here) is skipped, costing one re-execution. A JSON-lines checkpoint from
+// before frames holds no intact frame, so it goes cold once.
 //
 // # Checkpoint/WAL consistency contract
 //
 // The DFK stores a task's memo entry BEFORE appending its terminal record to
-// the write-ahead log (internal/wal). Under the process-crash model both
-// writes reach the OS synchronously, so a WAL terminal record implies the
-// memo entry is at least as durable: recovery that finds a task terminal can
+// the write-ahead log, and a terminal record names the memo key only when
+// the Store succeeded. Under the process-crash model both writes reach the
+// OS synchronously, so recovery that finds a task terminal with a key can
 // always resolve its value from the checkpoint. The reverse window — memo
 // entry written, terminal record lost — heals itself: the task replays as
 // live, re-admits through the normal submit boundary, and the memo lookup
-// hits, settling it without re-execution. A crash mid-write can still tear
-// the checkpoint's final line; NewWithCheckpoint detects torn or corrupt
-// lines (including an unterminated tail, which a later append would
-// otherwise merge with and lose) and rewrites the file crash-atomically —
-// temp file, fsync, rename — before reopening it for appends.
+// hits, settling it without re-execution.
 package memo
 
 import (
-	"bytes"
-	"encoding/json"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/serialize"
+	"repro/internal/wal"
 )
 
 // KeyFromPayload builds the memoization key — the "function name, body hash,
@@ -44,19 +51,9 @@ import (
 //
 // Compatibility: the args digest is the payload-codec digest
 // (serialize.Payload.ArgsHash), pinned by golden tests and stable from
-// payload version 1 onward. Checkpoint files written by builds that predate
-// the encode-once payload used a gob-derived digest and go cold once — a
-// one-time re-execution, never a wrong result, since unmatched keys only
-// miss.
+// payload version 1 onward.
 func KeyFromPayload(appName, bodyHash string, p *serialize.Payload) string {
 	return appName + "|" + bodyHash + "|" + p.ArgsHash()
-}
-
-// entry is one memoized result. Failed results are never memoized — Parsl
-// retries failures rather than caching them.
-type entry struct {
-	Key   string `json:"key"`
-	Value any    `json:"value"`
 }
 
 // Memoizer is the in-memory memo table with optional checkpoint persistence.
@@ -72,12 +69,11 @@ type Memoizer struct {
 	other   map[string]any
 
 	cpMu   sync.Mutex
-	cpPath string
 	cpFile *os.File
-	enc    *json.Encoder
+	cpErr  error // the first failed write, sticky: a later frame would follow a partial one
 	frozen bool
 
-	hits, misses int64
+	hits, misses atomic.Int64
 }
 
 // New returns an empty memoizer with no checkpoint file.
@@ -105,24 +101,6 @@ func splitKey(key string) (prefix string, digest uint64, ok bool) {
 	return key[:i-1], digest, true
 }
 
-// eachLocked calls fn on every entry, with the key it was stored under,
-// until fn fails.
-func (m *Memoizer) eachLocked(fn func(key string, v any) error) error {
-	for prefix, byDigest := range m.digests {
-		for digest, v := range byDigest {
-			if err := fn(string(serialize.AppendDigest([]byte(prefix+"|"), digest)), v); err != nil {
-				return err
-			}
-		}
-	}
-	for key, v := range m.other {
-		if err := fn(key, v); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // getLocked and putLocked are the table's two operations, under mu.
 func (m *Memoizer) getLocked(key string) (any, bool) {
 	if prefix, digest, ok := splitKey(key); ok {
@@ -148,111 +126,72 @@ func (m *Memoizer) putLocked(key string, value any) {
 	byDigest[digest] = value
 }
 
-// NewWithCheckpoint returns a memoizer that appends every stored result to
-// the JSONL checkpoint file at path, creating it if needed, and preloads any
-// results already in it (the "re-execute a program without re-running
-// completed apps" workflow). A checkpoint torn by a crash mid-write — a
-// corrupt line, or a final line with no terminating newline — is healed
-// crash-atomically (rewritten to a temp file, fsynced, renamed over the
-// original) before the file is reopened for appends, so the torn tail can
-// never swallow the next entry appended after it.
+// NewWithCheckpoint returns a memoizer that preloads the checkpoint file at
+// path, creating it if needed, and appends every stored result to it (the
+// "re-execute a program without re-running completed apps" workflow).
 func NewWithCheckpoint(path string) (*Memoizer, error) {
 	m := New()
-	clean, err := m.loadCheckpoint(path)
-	exists := true
-	if err != nil {
-		if !errors.Is(err, os.ErrNotExist) {
-			return nil, err
-		}
-		exists = false
+	good, torn, err := m.load(path)
+	if err != nil && !errors.Is(err, os.ErrNotExist) {
+		return nil, err
 	}
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return nil, fmt.Errorf("memo: checkpoint dir: %w", err)
-	}
-	if exists && !clean {
-		if err := m.healCheckpoint(path); err != nil {
-			return nil, err
-		}
 	}
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("memo: open checkpoint: %w", err)
 	}
-	m.cpPath = path
+	if torn {
+		if err = f.Truncate(good); err == nil {
+			err = f.Sync()
+		}
+	}
+	if err != nil {
+		_ = f.Close()
+		return nil, fmt.Errorf("memo: truncate torn checkpoint tail: %w", err)
+	}
 	m.cpFile = f
-	m.enc = json.NewEncoder(f)
 	return m, nil
 }
 
-// loadCheckpoint merges the file's entries into the table, reporting whether
-// the file was clean: clean=false means a corrupt line or an unterminated
-// final line — both the signature of a crash mid-write, both healable by
-// rewriting the surviving entries.
-func (m *Memoizer) loadCheckpoint(path string) (clean bool, err error) {
+// load merges the checkpoint file at path into the table, returning the
+// offset just past its last whole record and whether a torn tail follows.
+func (m *Memoizer) load(path string) (good int64, torn bool, err error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return false, err
+		return 0, false, err
 	}
-	clean = true
-	for len(data) > 0 {
-		var line []byte
-		if i := bytes.IndexByte(data, '\n'); i >= 0 {
-			line, data = data[:i], data[i+1:]
-		} else {
-			// Unterminated tail: a crash interrupted the final append. Even
-			// if the fragment parses, the missing newline would merge it with
-			// the next appended entry, losing both — heal required.
-			line, data = data, nil
-			clean = false
+	good, torn, err = wal.WalkFrames(data, func(body []byte) error {
+		// A record this process cannot decode is skipped: one re-execution.
+		n, w := binary.Uvarint(body)
+		if w <= 0 || n > uint64(len(body)-w) {
+			return nil
 		}
-		if len(bytes.TrimSpace(line)) == 0 {
-			continue
+		end := w + int(n)
+		args, kwargs, err := serialize.DecodeArgsBytes(body[end:])
+		if err == nil && len(args) == 1 && kwargs == nil {
+			m.mu.Lock()
+			m.putLocked(string(body[w:end]), args[0])
+			m.mu.Unlock()
 		}
-		var e entry
-		if err := json.Unmarshal(line, &e); err != nil {
-			clean = false
-			continue
-		}
-		m.mu.Lock()
-		m.putLocked(e.Key, e.Value)
-		m.mu.Unlock()
+		return nil
+	})
+	if err != nil {
+		err = fmt.Errorf("memo: checkpoint %s: %w", path, err)
 	}
-	return clean, nil
+	return good, torn, err
 }
 
-// healCheckpoint rewrites the checkpoint from the loaded table via temp
-// file + fsync + rename, the crash-atomic sequence: a crash at any point
-// leaves either the old (torn but loadable) file or the complete new one.
-func (m *Memoizer) healCheckpoint(path string) error {
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+// encodeRecord frames key and v as one checkpoint record.
+func encodeRecord(key string, v any) ([]byte, error) {
+	p, err := serialize.EncodeArgs([]any{v}, nil)
 	if err != nil {
-		return fmt.Errorf("memo: heal checkpoint: %w", err)
+		return nil, err
 	}
-	enc := json.NewEncoder(f)
-	m.mu.RLock()
-	err = m.eachLocked(func(key string, v any) error { return enc.Encode(entry{Key: key, Value: v}) })
-	m.mu.RUnlock()
-	if err != nil {
-		_ = f.Close()
-		return fmt.Errorf("memo: heal checkpoint: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		_ = f.Close()
-		return fmt.Errorf("memo: heal checkpoint sync: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("memo: heal checkpoint close: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("memo: heal checkpoint rename: %w", err)
-	}
-	// Make the rename itself durable.
-	if dir, err := os.Open(filepath.Dir(path)); err == nil {
-		_ = dir.Sync()
-		_ = dir.Close()
-	}
-	return nil
+	defer p.Release()
+	body := binary.AppendUvarint(make([]byte, 0, binary.MaxVarintLen64+len(key)+p.Len()), uint64(len(key)))
+	return wal.AppendFrame(nil, append(append(body, key...), p.Bytes()...))
 }
 
 // Freeze stops all further checkpoint writes, simulating a crashed process's
@@ -266,11 +205,10 @@ func (m *Memoizer) Freeze() {
 	m.cpMu.Unlock()
 }
 
-// LoadCheckpoint merges entries from a JSONL checkpoint file into the table.
-// Corrupt trailing lines (from a crash mid-write) are skipped, not fatal:
-// losing the last checkpoint entry only costs one re-execution.
+// LoadCheckpoint merges the checkpoint file at path into the table. A torn
+// tail is skipped; damage before an intact record is an error.
 func (m *Memoizer) LoadCheckpoint(path string) error {
-	_, err := m.loadCheckpoint(path)
+	_, _, err := m.load(path)
 	return err
 }
 
@@ -279,18 +217,18 @@ func (m *Memoizer) Lookup(key string) (any, bool) {
 	m.mu.RLock()
 	v, ok := m.getLocked(key)
 	m.mu.RUnlock()
-	m.cpMu.Lock()
 	if ok {
-		m.hits++
+		m.hits.Add(1)
 	} else {
-		m.misses++
+		m.misses.Add(1)
 	}
-	m.cpMu.Unlock()
 	return v, ok
 }
 
 // Store records a successful result under key and, when checkpointing is
-// enabled, appends it durably.
+// enabled, appends it to the file in one Write. The entry is in the table
+// either way; an error means it is not in the file — the codec refused the
+// value, or the write failed (which sticks: every later Store reports it).
 func (m *Memoizer) Store(key string, value any) error {
 	m.mu.Lock()
 	m.putLocked(key, value)
@@ -298,20 +236,23 @@ func (m *Memoizer) Store(key string, value any) error {
 
 	m.cpMu.Lock()
 	defer m.cpMu.Unlock()
-	if m.enc == nil || m.frozen {
-		return nil
+	if m.cpFile == nil || m.frozen || m.cpErr != nil {
+		return m.cpErr
 	}
-	if err := m.enc.Encode(entry{Key: key, Value: value}); err != nil {
-		return fmt.Errorf("memo: checkpoint write: %w", err)
+	frame, err := encodeRecord(key, value)
+	if err != nil {
+		return fmt.Errorf("memo: checkpoint %q: %w", key, err)
+	}
+	if _, err := m.cpFile.Write(frame); err != nil {
+		m.cpErr = fmt.Errorf("memo: checkpoint write: %w", err)
+		return m.cpErr
 	}
 	return nil
 }
 
 // Stats returns cumulative (hits, misses).
 func (m *Memoizer) Stats() (hits, misses int64) {
-	m.cpMu.Lock()
-	defer m.cpMu.Unlock()
-	return m.hits, m.misses
+	return m.hits.Load(), m.misses.Load()
 }
 
 // Close syncs the checkpoint file to stable storage and closes it.
@@ -326,6 +267,5 @@ func (m *Memoizer) Close() error {
 		err = cerr
 	}
 	m.cpFile = nil
-	m.enc = nil
 	return err
 }

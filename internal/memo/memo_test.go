@@ -1,9 +1,12 @@
 package memo
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -11,6 +14,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/serialize"
+	"repro/internal/wal"
 )
 
 func TestKeyComponents(t *testing.T) {
@@ -56,18 +60,18 @@ func TestLookupStoreAndStats(t *testing.T) {
 }
 
 func TestCheckpointPersistsAcrossRestart(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "run", "checkpoint.jsonl")
+	path := filepath.Join(t.TempDir(), "run", "checkpoint")
 	m1, err := NewWithCheckpoint(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		if err := m1.Store(fmt.Sprintf("k%d", i), float64(i*i)); err != nil {
+		if err := m1.Store(fmt.Sprintf("k%d", i), i*i); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// One value longer than any line limit a scanner would impose: the file
-	// has a single parser, so what opens must also load.
+	// has a single reader, so what opens must also load.
 	big := strings.Repeat("x", 17<<20)
 	if err := m1.Store("big", big); err != nil {
 		t.Fatal(err)
@@ -87,7 +91,7 @@ func TestCheckpointPersistsAcrossRestart(t *testing.T) {
 		t.Fatalf("recovered %d entries, want 11", entries(m2))
 	}
 	v, ok := m2.Lookup("k7")
-	if !ok || v.(float64) != 49 {
+	if !ok || v != 49 {
 		t.Fatalf("k7 = %v, %v", v, ok)
 	}
 	m3 := New()
@@ -99,29 +103,43 @@ func TestCheckpointPersistsAcrossRestart(t *testing.T) {
 	}
 }
 
+// TestCheckpointCorruptTrailingLine: a final record whose checksum fails —
+// a crash tore it after its length was written — is dropped at open, the
+// records before it survive, and the next append is not swallowed by it.
 func TestCheckpointCorruptTrailingLine(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "cp.jsonl")
+	path := filepath.Join(t.TempDir(), "checkpoint")
 	m1, err := NewWithCheckpoint(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	_ = m1.Store("good", "v")
+	_ = m1.Store("last", "w")
 	_ = m1.Close()
-	// Simulate a crash mid-write.
-	f, _ := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
-	_, _ = f.WriteString(`{"key":"half`)
-	_ = f.Close()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)-1] ^= 0xFF // a body byte of the final record
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
 
 	m2, err := NewWithCheckpoint(path)
 	if err != nil {
 		t.Fatalf("corrupt tail should not be fatal: %v", err)
 	}
-	defer m2.Close()
-	if _, ok := m2.Lookup("good"); !ok {
-		t.Fatal("good entry lost")
+	if _, ok := m2.Lookup("good"); !ok || entries(m2) != 1 {
+		t.Fatalf("loaded %d entries, want the good one alone", entries(m2))
 	}
-	if entries(m2) != 1 {
-		t.Fatalf("len = %d", entries(m2))
+	_ = m2.Store("next", "x")
+	_ = m2.Close()
+	m3, err := NewWithCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m3.Close()
+	if v, ok := m3.Lookup("next"); !ok || v != "x" || entries(m3) != 2 {
+		t.Fatalf("append after the dropped tail: %v, %v (%d entries)", v, ok, entries(m3))
 	}
 }
 
@@ -157,14 +175,14 @@ func TestConcurrentStoreLookup(t *testing.T) {
 	}
 }
 
-// Property: store-then-lookup always round-trips the JSON-compatible value
-// through the checkpoint file.
+// Property: store-then-lookup always round-trips the value through the
+// checkpoint file.
 func TestQuickCheckpointRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	n := 0
 	prop := func(k string, v float64) bool {
 		n++
-		path := filepath.Join(dir, fmt.Sprintf("cp-%d.jsonl", n))
+		path := filepath.Join(dir, fmt.Sprintf("cp-%d", n))
 		m1, err := NewWithCheckpoint(path)
 		if err != nil {
 			return false
@@ -180,7 +198,7 @@ func TestQuickCheckpointRoundTrip(t *testing.T) {
 		}
 		defer m2.Close()
 		got, ok := m2.Lookup(key)
-		return ok && got.(float64) == v
+		return ok && got == any(v)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
@@ -188,24 +206,30 @@ func TestQuickCheckpointRoundTrip(t *testing.T) {
 }
 
 // TestCheckpointHealsTornTail is the crash-atomicity test for checkpoint
-// writes: a tail torn mid-append (no terminating newline) must be healed at
-// open — rewritten via temp file + fsync + rename — so the NEXT append cannot
-// merge with the fragment and lose both entries. Before healing existed, the
-// store after reopen produced a line like `{"key":"half{"key":"new",...}`,
-// silently destroying the new entry too.
+// writes: a record cut short by a crash mid-append must be truncated at open,
+// so the NEXT append starts on a frame boundary instead of being read as the
+// rest of the fragment and lost with it.
 func TestCheckpointHealsTornTail(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "cp.jsonl")
+	path := filepath.Join(t.TempDir(), "checkpoint")
 	m1, err := NewWithCheckpoint(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	_ = m1.Store("survivor", "v1")
 	_ = m1.Close()
-	// Tear the tail: an unterminated fragment, exactly what a crash mid-
-	// append leaves.
-	f, _ := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
-	_, _ = f.WriteString(`{"key":"torn","value":`)
-	_ = f.Close()
+	whole, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Tear the tail: the first half of a further record, exactly what a
+	// crash mid-append leaves.
+	torn, err := encodeRecord("torn", strings.Repeat("t", 64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, append(whole, torn[:len(torn)/2]...), 0o644); err != nil {
+		t.Fatal(err)
+	}
 
 	m2, err := NewWithCheckpoint(path)
 	if err != nil {
@@ -214,14 +238,8 @@ func TestCheckpointHealsTornTail(t *testing.T) {
 	if _, ok := m2.Lookup("survivor"); !ok {
 		t.Fatal("intact entry lost during heal")
 	}
-	// The heal must leave no trace of the fragment on disk, so the next
-	// append lands on a clean line boundary.
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := len(data); n == 0 || data[n-1] != '\n' {
-		t.Fatalf("healed file does not end in a newline: %q", data)
+	if data, err := os.ReadFile(path); err != nil || !bytes.Equal(data, whole) {
+		t.Fatalf("healed file is %d bytes, want the %d whole-record bytes (%v)", len(data), len(whole), err)
 	}
 	_ = m2.Store("after-heal", "v2")
 	_ = m2.Close()
@@ -242,33 +260,135 @@ func TestCheckpointHealsTornTail(t *testing.T) {
 	}
 }
 
-// TestCheckpointTornTailEvenIfParseable: a tail that happens to be valid JSON
-// but lacks its newline is still torn — an append would merge with it. The
-// heal must preserve its value AND restore the line discipline.
-func TestCheckpointTornTailEvenIfParseable(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "cp.jsonl")
-	if err := os.WriteFile(path, []byte(`{"key":"k1","value":1}`+"\n"+`{"key":"k2","value":2}`), 0o644); err != nil {
+// TestCheckpointDamageBeforeIntactRecordFails: a corrupt record followed by
+// one that checks out is damage, not a tear. Opening fails with the file and
+// the offset, and truncates nothing, so the intact records stay on disk.
+func TestCheckpointDamageBeforeIntactRecordFails(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "checkpoint")
+	m, err := NewWithCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []string{"a", "b", "c"} {
+		_ = m.Store(k, k)
+	}
+	_ = m.Close()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := len(data) / 3  // three records of one size
+	data[2*n-1] ^= 0xFF // the last byte of record "b"
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = NewWithCheckpoint(path)
+	if err == nil || !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), fmt.Sprintf("offset %d", n)) {
+		t.Fatalf("opening a checkpoint damaged before an intact record: %v", err)
+	}
+	if after, rerr := os.ReadFile(path); rerr != nil || !bytes.Equal(after, data) {
+		t.Fatalf("the damaged checkpoint changed on disk (%d → %d bytes, %v)", len(data), len(after), rerr)
+	}
+	if err := New().LoadCheckpoint(path); err == nil {
+		t.Fatal("LoadCheckpoint accepted damage before an intact record")
+	}
+}
+
+// TestCheckpointKeepsTypes: every value the payload codec encodes comes back
+// from the file as the same Go type and value. A value the codec refuses is
+// kept in memory only, and Store says so.
+func TestCheckpointKeepsTypes(t *testing.T) {
+	values := typedValues()
+	path := filepath.Join(t.TempDir(), "checkpoint")
+	m1, err := NewWithCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, v := range values {
+		if err := m1.Store(k, v); err != nil {
+			t.Fatalf("%s: %v", k, err)
+		}
+	}
+	type unregistered struct{ X int }
+	for k, v := range map[string]any{"struct": unregistered{1}, "chan": make(chan int)} {
+		if err := m1.Store(k, v); err == nil {
+			t.Fatalf("%s: Store wrote a value the codec cannot encode", k)
+		}
+		if _, ok := m1.Lookup(k); !ok {
+			t.Fatalf("%s: a refused value must still serve this process", k)
+		}
+	}
+	_ = m1.Close()
+	m2, err := NewWithCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m2.Close()
+	if got := table(m2); !reflect.DeepEqual(got, values) {
+		t.Fatalf("reloaded %#v,\nwant %#v", got, values)
+	}
+}
+
+// TestCheckpointSkipsUndecodableRecord: a whole record whose value names a
+// gob type this process never registered is skipped — one re-execution —
+// and the records around it still load.
+func TestCheckpointSkipsUndecodableRecord(t *testing.T) {
+	type ghost struct{ X int }
+	serialize.RegisterType(ghost{})
+	record := func(key string, v any) []byte {
+		t.Helper()
+		frame, err := encodeRecord(key, v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return frame
+	}
+	// Rename the type inside the record, as if another build had written it,
+	// and frame the body again: the record is whole, its value foreign.
+	body := bytes.Clone(record("ghost", ghost{7})[8:])
+	const name = "memo.ghost"
+	i := bytes.Index(body, []byte(name))
+	if i < 0 {
+		t.Fatal("no gob type name in the encoded record")
+	}
+	body[i+len(name)-1] = 'x'
+	foreign, err := wal.AppendFrame(nil, body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "checkpoint")
+	file := append(append(record("before", 1), foreign...), record("after", 2)...)
+	if err := os.WriteFile(path, file, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	m, err := NewWithCheckpoint(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if entries(m) != 2 {
-		t.Fatalf("len = %d, want both entries loaded", entries(m))
+	defer m.Close()
+	if got, want := table(m), map[string]any{"before": 1, "after": 2}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("loaded %v, want %v", got, want)
 	}
-	_ = m.Store("k3", 3)
-	_ = m.Close()
+}
 
-	m2, err := NewWithCheckpoint(path)
+// TestCheckpointWriteErrorSticks: after a failed write the file may end in a
+// partial frame, so no later record may follow it: every later Store reports
+// the first error, and the table still serves the values.
+func TestCheckpointWriteErrorSticks(t *testing.T) {
+	m, err := NewWithCheckpoint(filepath.Join(t.TempDir(), "checkpoint"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer m2.Close()
-	for _, k := range []string{"k1", "k2", "k3"} {
-		if _, ok := m2.Lookup(k); !ok {
-			t.Fatalf("entry %q lost: the unterminated tail swallowed an append", k)
-		}
+	_ = m.cpFile.Close() // every write now fails
+	first := m.Store("a", 1)
+	if !errors.Is(first, os.ErrClosed) {
+		t.Fatalf("Store over a dead file: %v", first)
+	}
+	if err := m.Store("b", 2); err != first {
+		t.Fatalf("second Store: %v, want the first error %v", err, first)
+	}
+	if v, ok := m.Lookup("b"); !ok || v != 2 {
+		t.Fatalf("lookup b = %v, %v", v, ok)
 	}
 }
 
@@ -276,7 +396,7 @@ func TestCheckpointTornTailEvenIfParseable(t *testing.T) {
 // but never reach the file — the simulated-crash disk contract the WAL crash
 // matrix depends on.
 func TestFreezeStopsCheckpointWrites(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "cp.jsonl")
+	path := filepath.Join(t.TempDir(), "checkpoint")
 	m, err := NewWithCheckpoint(path)
 	if err != nil {
 		t.Fatal(err)
@@ -303,7 +423,7 @@ func TestFreezeStopsCheckpointWrites(t *testing.T) {
 
 // TestDigestKeysRoundTrip: keys of KeyFromPayload's shape and keys that only
 // resemble it — wrong case, wrong length, no separator, empty prefix — are
-// all distinct entries, and a checkpoint heal writes every key back exactly
+// all distinct entries, and the checkpoint file gives every key back exactly
 // as it was stored.
 func TestDigestKeysRoundTrip(t *testing.T) {
 	p, err := serialize.EncodeArgs([]any{7}, nil)
@@ -342,8 +462,17 @@ func TestDigestKeysRoundTrip(t *testing.T) {
 		}
 	}
 	check(m)
-	path := filepath.Join(t.TempDir(), "checkpoint.jsonl")
-	if err := m.healCheckpoint(path); err != nil {
+	path := filepath.Join(t.TempDir(), "checkpoint")
+	w, err := NewWithCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, k := range keys {
+		if err := w.Store(k, fmt.Sprint("v", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
 	reloaded := New()

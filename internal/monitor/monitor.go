@@ -30,9 +30,10 @@ const (
 	// a graph shard prunes terminal records, with Detail describing the
 	// shard's cumulative pruned count and the graph's live-node count.
 	KindGraph EventKind = "graph"
-	// KindWAL records durable-log lifecycle: a replay summary when the DFK
+	// KindWAL records durable-state lifecycle: a replay summary when the DFK
 	// recovers a crashed log (Detail carries live/terminal/re-admitted
-	// counts), compaction, and append errors.
+	// counts), compaction, append errors, and memo checkpoint writes that
+	// failed (Detail "checkpoint: ..."; the result stays in memory only).
 	KindWAL EventKind = "wal"
 	// KindHealth records the self-healing plane: breaker transitions (From/To
 	// carry the states, Executor names the breaker), backoff-scheduled retries

@@ -112,7 +112,7 @@ func FuzzWALReplay(f *testing.F) {
 		fr := newFrontier()
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		_, _, err := walkFrames(in, fr.apply)
+		_, _, err := WalkFrames(in, fr.apply)
 		runtime.ReadMemStats(&after)
 		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(64<<10+64*len(in)); got > limit {
 			t.Fatalf("replaying a %d-byte segment allocated %d bytes (limit %d)", len(in), got, limit)
@@ -122,7 +122,7 @@ func FuzzWALReplay(f *testing.F) {
 		}
 		snap := snapshotOf(fr)
 		again := newFrontier()
-		if _, torn, err := walkFrames(snap, again.apply); err != nil || torn {
+		if _, torn, err := WalkFrames(snap, again.apply); err != nil || torn {
 			t.Fatalf("the re-encoded frontier does not replay: torn=%v, %v", torn, err)
 		}
 		equalLiveSets(t, fr, again)

@@ -18,12 +18,15 @@
 // fails loudly, as it does for any damage in an earlier segment (everything
 // after it is unreachable, because framing is lost). A length field damaged
 // to reach past the end of the segment is indistinguishable from a tear.
+// The memo checkpoint is written in the same frames (AppendFrame) and read
+// under the same rule (WalkFrames), as a file of one segment.
 package wal
 
 import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"math"
 )
 
 // Record types.
@@ -117,37 +120,48 @@ func openFrame(dst []byte) []byte {
 	return append(dst, hdr[:]...)
 }
 
-func sealFrame(b []byte, start int) {
+func sealFrame(b []byte, start int) error {
 	body := b[start+frameHeaderLen:]
+	if uint64(len(body)) > math.MaxUint32 {
+		return fmt.Errorf("wal: a %d-byte record body does not fit a frame", len(body))
+	}
 	binary.BigEndian.PutUint32(b[start:], uint32(len(body)))
 	binary.BigEndian.PutUint32(b[start+4:], crc32.Checksum(body, crcTable))
+	return nil
 }
 
-// maxRecordBytes bounds a single record body; a length field beyond it is
-// framing damage, not a record (guards replay against absurd allocations).
-const maxRecordBytes = 64 << 20
+// AppendFrame appends body to dst as one frame, for another file written in
+// this format (the memo checkpoint). On error dst is returned unchanged.
+func AppendFrame(dst, body []byte) ([]byte, error) {
+	b := append(openFrame(dst), body...)
+	if err := sealFrame(b, len(dst)); err != nil {
+		return dst, err
+	}
+	return b, nil
+}
 
 // frameAt reads the frame at off: its body, the offset just past it, and
 // whether it is whole and checks out (an empty body never does — a zeroed
-// tail is not a record). A frame that runs past the data ends at len(data).
+// tail is not a record). A frame that runs past the data ends at len(data);
+// any length within it is taken, since the body is a view, not a copy.
 func frameAt(data []byte, off int) (body []byte, end int, ok bool) {
 	if off+frameHeaderLen > len(data) {
 		return nil, len(data), false
 	}
-	n := int(binary.BigEndian.Uint32(data[off : off+4]))
-	if n > maxRecordBytes || off+frameHeaderLen+n > len(data) {
+	n := binary.BigEndian.Uint32(data[off : off+4])
+	if uint64(n) > uint64(len(data)-off-frameHeaderLen) {
 		return nil, len(data), false
 	}
-	body = data[off+frameHeaderLen : off+frameHeaderLen+n]
-	return body, off + frameHeaderLen + n,
-		n > 0 && crc32.Checksum(body, crcTable) == binary.BigEndian.Uint32(data[off+4:off+8])
+	end = off + frameHeaderLen + int(n)
+	body = data[off+frameHeaderLen : end]
+	return body, end, n > 0 && crc32.Checksum(body, crcTable) == binary.BigEndian.Uint32(data[off+4:off+8])
 }
 
-// walkFrames iterates the well-formed frames of one segment, calling apply
-// for each body. It returns the byte offset just past the last good frame
-// and whether the segment ended with a torn record (truncated or
-// checksum-corrupt tail); a bad frame followed by a good one is an error.
-func walkFrames(data []byte, apply func(body []byte) error) (good int64, torn bool, err error) {
+// WalkFrames iterates the well-formed frames of data, calling apply for each
+// body. It returns the byte offset just past the last good frame and whether
+// data ended with a torn record (truncated or checksum-corrupt tail); a bad
+// frame followed by a good one is an error naming its offset.
+func WalkFrames(data []byte, apply func(body []byte) error) (good int64, torn bool, err error) {
 	off := 0
 	for off < len(data) {
 		body, end, ok := frameAt(data, off)

@@ -208,7 +208,7 @@ func replayDir(dir string) (*Frontier, int64, error) {
 		if err != nil {
 			return nil, 0, fmt.Errorf("wal: read segment: %w", err)
 		}
-		good, torn, err := walkFrames(data, fr.apply)
+		good, torn, err := WalkFrames(data, fr.apply)
 		if err != nil {
 			return nil, 0, fmt.Errorf("wal: segment %s: %w", filepath.Base(p), err)
 		}
@@ -588,7 +588,12 @@ func (l *Log) Submit(app, memoKey, tenant string, priority, weight, maxRetries i
 	start := len(l.stage)
 	l.stage = append(openFrame(l.stage), recSubmit)
 	l.stage = appendSubmitBody(l.stage, &info)
-	sealFrame(l.stage, start)
+	if err := sealFrame(l.stage, start); err != nil {
+		// Unstage the record: the log holds nothing of this task.
+		l.stage = l.stage[:start]
+		l.nextKey--
+		return 0, l.endAppend(err)
+	}
 	return key, l.endAppend(nil)
 }
 
@@ -632,13 +637,14 @@ func (l *Log) attemptRecord(rec byte, detail string, key int64, attempt int) err
 	return l.endAppend(err)
 }
 
-// stageAttempt frames a launch or retry record into the stage.
+// stageAttempt frames a launch or retry record into the stage. Its body is
+// at most 21 bytes, so sealing cannot fail.
 func (l *Log) stageAttempt(rec byte, key int64, attempt int) {
 	start := len(l.stage)
 	l.stage = append(openFrame(l.stage), rec)
 	l.stage = appendUvarint(l.stage, uint64(key))
 	l.stage = appendUvarint(l.stage, uint64(attempt))
-	sealFrame(l.stage, start)
+	_ = sealFrame(l.stage, start)
 }
 
 // Terminal appends a task's conclusion. digest locates the durable result:
@@ -652,7 +658,9 @@ func (l *Log) Terminal(key int64, outcome Outcome, digest string) error {
 		l.stage = appendUvarint(l.stage, uint64(key))
 		l.stage = appendUvarint(l.stage, uint64(outcome))
 		l.stage = appendString(l.stage, digest)
-		sealFrame(l.stage, start)
+		if err = sealFrame(l.stage, start); err != nil {
+			l.stage = l.stage[:start]
+		}
 	}
 	return l.endAppend(err)
 }
@@ -700,8 +708,10 @@ func (l *Log) compactLocked() error {
 		b = appendUvarint(b, uint64(lt.launches))
 		b = appendBytes(b, lt.body)
 	}
-	sealFrame(b, 0)
 	l.snap = b
+	if err := sealFrame(b, 0); err != nil {
+		return fmt.Errorf("wal: compact: %w", err)
+	}
 	newIdx := l.segIndex + 1
 	path := filepath.Join(l.dir, segmentName(newIdx))
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)

@@ -556,6 +556,75 @@ func TestWALMidSegmentCorruptionFails(t *testing.T) {
 	}
 }
 
+// TestWALCompactsOversizedFrontier: a snapshot frame carries every live
+// task's submit body, so 70 live tasks of 1 MiB each make one 70 MiB frame.
+// Compaction deletes the segments it folds, so replay must take that frame
+// whole: refusing it as a torn tail would lose the live frontier, and once a
+// record follows it, would fail Open outright.
+func TestWALCompactsOversizedFrontier(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir, fastOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := bytes.Repeat([]byte{0xC3}, 1<<20)
+	for i := 0; i < 70; i++ {
+		if _, err := l.Submit("big", "", "", 0, 0, 0, payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	last, err := l.Submit("after", "", "", 0, 0, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l2, err := Open(dir, fastOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l2.Close()
+	fr := l2.Recovered()
+	if fr == nil || len(fr.Live) != 71 || fr.Torn != 0 {
+		t.Fatalf("recovered %+v, want 71 live tasks and no torn record", fr)
+	}
+	for key, info := range fr.Live {
+		if key != last && !bytes.Equal(info.Payload, payload) {
+			t.Fatalf("task %d: %d-byte payload, want the 1 MiB one", key, len(info.Payload))
+		}
+	}
+}
+
+// TestWALOversizedSubmitReopens: one submit record of 65 MiB is written, so
+// replay takes it back.
+func TestWALOversizedSubmitReopens(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir, fastOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, err := l.Submit("huge", "", "", 0, 0, 0, make([]byte, 65<<20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l2, err := Open(dir, fastOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l2.Close()
+	fr := l2.Recovered()
+	if fr == nil || fr.Torn != 0 || fr.Live[key] == nil || len(fr.Live[key].Payload) != 65<<20 {
+		t.Fatalf("the 65 MiB submit did not replay: %+v", fr)
+	}
+}
+
 // TestWALConcurrentAppenders: four appenders submit, launch in batches, retry
 // and conclude while a fifth goroutine drives the back end (Sync, Compact,
 // LiveCount) on a log that rotates and auto-compacts constantly. What replays

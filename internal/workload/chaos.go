@@ -244,8 +244,7 @@ func RunChaos(cfg ChaosConfig) (ChaosResult, error) {
 
 	// Checkpoint consistency: every distinct argument that completed must be
 	// present in the persisted file under its recomputed memo key, with the
-	// delivered value (JSON round-trips ints as float64, so compare
-	// numerically). Keys are recomputed from scratch — app name, body hash,
+	// delivered value. Keys are recomputed from scratch — app name, body hash,
 	// re-encoded args — because the records that carried them are recycled.
 	if cfg.Checkpoint != "" {
 		m := memo.New()
@@ -276,7 +275,7 @@ func RunChaos(cfg ChaosConfig) (ChaosResult, error) {
 					vs.add("completed task arg %d missing from checkpoint", i)
 					continue
 				}
-				if toF64(got) != toF64(delivered) {
+				if got != delivered {
 					vs.add("task arg %d checkpoint value %v != delivered %v", i, got, delivered)
 				}
 			}

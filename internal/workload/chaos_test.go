@@ -366,9 +366,7 @@ func TestChaosCheckpointResume(t *testing.T) {
 		if err != nil {
 			t.Fatalf("resumed task %d: %v", i, err)
 		}
-		// JSON checkpoints round-trip ints as float64; both are the same
-		// value numerically.
-		if got := toF64(v); got != float64(i*10+1) {
+		if v != i*10+1 {
 			t.Fatalf("resumed task %d = %v, want %d", i, v, i*10+1)
 		}
 	}

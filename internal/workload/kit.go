@@ -198,9 +198,8 @@ func (fx *fixture) teardownWedged(v *violations) {
 }
 
 // checkValues is the goodput invariant: every future succeeded and carries
-// oracle(arg), where arg is args[k] (k itself when args is nil). Values
-// compare numerically because a checkpoint round-trips ints through JSON.
-// It returns how many futures failed.
+// oracle(arg), an int, where arg is args[k] (k itself when args is nil). It
+// returns how many futures failed.
 func checkValues(v *violations, futs []*future.Future, args []int, oracle func(arg int) int) (failed int) {
 	for k, f := range futs {
 		arg := k
@@ -211,24 +210,11 @@ func checkValues(v *violations, futs []*future.Future, args []int, oracle func(a
 		if err != nil {
 			failed++
 			v.add("task arg %d lost: %v", arg, err)
-		} else if toF64(got) != float64(oracle(arg)) {
-			v.add("task arg %d: value %v, want %d", arg, got, oracle(arg))
+		} else if want := oracle(arg); got != want {
+			v.add("task arg %d: value %v (%T), want %d (int)", arg, got, got, want)
 		}
 	}
 	return failed
-}
-
-func toF64(v any) float64 {
-	switch t := v.(type) {
-	case int:
-		return float64(t)
-	case int64:
-		return float64(t)
-	case float64:
-		return t
-	default:
-		return -1
-	}
 }
 
 // launchStats summarizes the per-task launch counts checkExactlyOnce read.

@@ -44,7 +44,7 @@ func TestKitCheckersFire(t *testing.T) {
 				taskStates(store, 1, "pending", "launched", "done")
 				taskStates(store, 2, "pending", "memoized")
 				checkExactlyOnce(vs, store, 0, nil)
-				checkValues(vs, []*future.Future{settled(0, nil), settled(2.0, nil)}, nil, double)
+				checkValues(vs, []*future.Future{settled(0, nil), settled(2, nil)}, nil, double)
 				checkBoundedReexec(vs, 3, 3, "the kill")
 			},
 		},
@@ -91,12 +91,12 @@ func TestKitCheckersFire(t *testing.T) {
 		{
 			name: "future carrying the wrong value, and a lost one",
 			check: func(vs *violations) {
-				futs := []*future.Future{settled(10, nil), settled(99, nil), settled(nil, errors.New("boom"))}
-				if failed := checkValues(vs, futs, []int{5, 6, 7}, double); failed != 1 {
+				futs := []*future.Future{settled(10, nil), settled(99, nil), settled(nil, errors.New("boom")), settled(16.0, nil)}
+				if failed := checkValues(vs, futs, []int{5, 6, 7, 8}, double); failed != 1 {
 					t.Errorf("checkValues reported %d failed futures, want 1", failed)
 				}
 			},
-			want: []string{"task arg 6: value 99, want 12", "task arg 7 lost: boom"},
+			want: []string{"task arg 6: value 99 (int), want 12 (int)", "task arg 7 lost: boom", "task arg 8: value 16 (float64), want 16 (int)"},
 		},
 		{
 			name: "re-execution above the reported lost set",

@@ -122,7 +122,7 @@ func RunLocality(cfg LocalityConfig) (res LocalityResult, _ error) {
 
 	// The cold DFK's Shutdown syncs and closes the checkpoint before the
 	// warm DFK opens it, as a restarted process would find it.
-	checkpoint := filepath.Join(stageDir, "checkpoint.jsonl")
+	checkpoint := filepath.Join(stageDir, "checkpoint")
 	var executions atomic.Int32
 	analyze := func(args []any, _ map[string]any) (any, error) {
 		executions.Add(1)

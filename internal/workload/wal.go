@@ -32,7 +32,7 @@ type WALCrashConfig struct {
 	// 0..Boundary-1 are durable, the Boundary-th append and everything after
 	// it are lost. Negative runs both lifetimes without a crash.
 	Boundary int64
-	// Dir is the working directory holding wal/ and checkpoint.jsonl; it must
+	// Dir is the working directory holding wal/ and checkpoint; it must
 	// be empty before the run.
 	Dir string
 	// Seed feeds the DFK's executor selection and the chaos schedule.
@@ -102,7 +102,7 @@ func bootWALLifetime(cfg WALCrashConfig, seed int64) (*walLifetime, error) {
 		Executors:       []executor.Executor{threadpool.New("tp", 4, reg)},
 		Retries:         cfg.Retries,
 		Memoize:         true,
-		Checkpoint:      filepath.Join(cfg.Dir, "checkpoint.jsonl"),
+		Checkpoint:      filepath.Join(cfg.Dir, "checkpoint"),
 		Seed:            seed,
 		Monitor:         lt.store,
 		WAL:             true,

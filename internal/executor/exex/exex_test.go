@@ -2,6 +2,7 @@ package exex
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -495,4 +496,45 @@ func TestChaosKillTakesPoolDown(t *testing.T) {
 	}
 	waitCond(t, "pool deregistered", func() bool { return e.Interchange().ManagerCount() == 0 })
 	poolExited(t, pool)
+}
+
+// TestResultBatchFullThroughPool: rank 0 is an htex.Manager, so a saturated
+// pool sends its results when the batch is full, exactly as an HTEX node
+// does. PoolConfig has no flush knob, so the test assembles the pool as
+// StartPool does but with an hour-long FlushInterval: Ranks 3 and Prefetch 2
+// make 4 slots, and only the full-batch rule can move 400 results.
+func TestResultBatchFullThroughPool(t *testing.T) {
+	e, cfg := bareEXEX(t, "exex-batch", PoolConfig{Ranks: 3, Prefetch: 2, HeartbeatPeriod: 30 * time.Millisecond})
+	mc := cfg.Pool.managerConfig()
+	mc.FlushInterval = time.Hour
+	c, err := newComm(mc.Workers + 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.abort()
+	p := &Pool{comm: c, reg: cfg.Registry}
+	for r := 1; r <= mc.Workers; r++ {
+		go p.workerRank(fmt.Sprintf("pool-batch/rank%d", r), r)
+	}
+	if p.Manager, err = htex.StartManagerExec(cfg.Transport, e.Interchange().Addr(), "pool-batch", mc, p.runOnRank); err != nil {
+		t.Fatal(err)
+	}
+	defer p.Stop()
+	waitCond(t, "pool registered", func() bool { return e.Interchange().ManagerCount() == 1 })
+
+	const n = 400
+	msgs := make([]serialize.TaskMsg, n)
+	for i := range msgs {
+		msgs[i] = serialize.TaskMsg{ID: int64(i), App: "echo", Args: []any{i}}
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for i, f := range e.SubmitBatch(msgs) {
+		v, err := f.ResultTimeout(max(time.Until(deadline), time.Millisecond))
+		if err != nil || v != i {
+			t.Fatalf("task %d: %v, %v", i, v, err)
+		}
+	}
+	waitCond(t, "interchange outstanding drained", func() bool {
+		return e.Interchange().OutstandingByManager()["pool-batch"] == 0
+	})
 }

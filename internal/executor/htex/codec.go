@@ -25,6 +25,7 @@ package htex
 
 import (
 	"encoding/binary"
+	"strconv"
 
 	"repro/internal/serialize"
 )
@@ -59,6 +60,17 @@ var (
 	tagCancel  = []byte(frameCancel)
 	tagNack    = []byte(frameNack)
 )
+
+// regPayload encodes a manager's capacity for its REG frame: the most tasks
+// it holds at once, in decimal.
+func regPayload(capacity int) []byte { return strconv.AppendInt(nil, int64(capacity), 10) }
+
+// regCapacity decodes a REG payload. A payload that is not a positive decimal
+// int registers nothing.
+func regCapacity(b []byte) (int, bool) {
+	n, err := strconv.Atoi(string(b))
+	return n, err == nil && n > 0
+}
 
 // Stream-corruption recovery (NACK protocol)
 //

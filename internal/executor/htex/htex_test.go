@@ -799,3 +799,64 @@ func TestInterchangeTenantFairness(t *testing.T) {
 		}
 	}
 }
+
+// settleWithin waits for every future to settle with its own index before the
+// deadline, and fails the test on the first that does not.
+func settleWithin(t *testing.T, futs []*future.Future, d time.Duration) {
+	t.Helper()
+	deadline := time.Now().Add(d)
+	for i, f := range futs {
+		v, err := f.ResultTimeout(max(time.Until(deadline), time.Millisecond))
+		if err != nil || v != i {
+			t.Fatalf("task %d: %v, %v", i, v, err)
+		}
+	}
+}
+
+// TestResultBatchFullUnderLoad: a manager holds at most Workers+Prefetch
+// tasks, so a result batch can never reach resultFlush = 16 on a 4-slot
+// manager. It must go the moment it holds 4 results; with FlushInterval an
+// hour, a loop that waited for 16 or for the timer would strand the burst.
+func TestResultBatchFullUnderLoad(t *testing.T) {
+	e := newHTEX(t, 1, 2, func(c *Config) {
+		c.Manager = ManagerConfig{Workers: 2, Prefetch: 2, FlushInterval: time.Hour}
+	})
+	const n = 400
+	msgs := make([]serialize.TaskMsg, n)
+	for i := range msgs {
+		msgs[i] = serialize.TaskMsg{ID: int64(i), App: "echo", Args: []any{i}}
+	}
+	settleWithin(t, e.SubmitBatch(msgs), 10*time.Second)
+	waitCond(t, "interchange outstanding drained", func() bool {
+		n, err := outstandingRemote(e)
+		return err == nil && n == 0
+	})
+}
+
+// TestResultBatchOneSlotManager: a one-slot manager's batch is full at one
+// result, so a sequential caller never waits for FlushInterval.
+func TestResultBatchOneSlotManager(t *testing.T) {
+	e := newHTEX(t, 1, 1, func(c *Config) {
+		c.Manager = ManagerConfig{Workers: 1, Prefetch: 0, FlushInterval: time.Hour}
+	})
+	deadline := time.Now().Add(10 * time.Second)
+	for i := 0; i < 50; i++ {
+		f := e.Submit(serialize.TaskMsg{ID: int64(i), App: "echo", Args: []any{i}})
+		if v, err := f.ResultTimeout(max(time.Until(deadline), time.Millisecond)); err != nil || v != i {
+			t.Fatalf("task %d: %v, %v", i, v, err)
+		}
+	}
+}
+
+// TestResultBatchPartialTimerFallback: three tasks on a 4-slot manager never
+// fill a batch; FlushInterval still sends them.
+func TestResultBatchPartialTimerFallback(t *testing.T) {
+	e := newHTEX(t, 1, 2, func(c *Config) {
+		c.Manager = ManagerConfig{Workers: 2, Prefetch: 2, FlushInterval: 20 * time.Millisecond}
+	})
+	msgs := make([]serialize.TaskMsg, 3)
+	for i := range msgs {
+		msgs[i] = serialize.TaskMsg{ID: int64(i), App: "echo", Args: []any{i}}
+	}
+	settleWithin(t, e.SubmitBatch(msgs), 10*time.Second)
+}

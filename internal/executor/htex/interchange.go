@@ -287,8 +287,8 @@ func (ix *Interchange) handle(del mq.Delivery) {
 		if len(del.Msg) < 2 {
 			return
 		}
-		capacity, err := strconv.Atoi(string(del.Msg[1]))
-		if err != nil || capacity <= 0 {
+		capacity, ok := regCapacity(del.Msg[1])
+		if !ok {
 			return
 		}
 		ix.mu.Lock()

@@ -2,7 +2,6 @@ package htex
 
 import (
 	"fmt"
-	"strconv"
 	"sync"
 	"time"
 
@@ -13,8 +12,9 @@ import (
 	"repro/internal/simnet"
 )
 
-// resultFlush is how many results the manager batches before it sends them
-// without waiting for FlushInterval.
+// resultFlush caps how many results one RESULTS frame carries. A batch is
+// full at min(resultFlush, Workers+Prefetch) results and goes at once
+// (resultLoop), so the cap binds only on managers with more than 16 slots.
 const resultFlush = 16
 
 // ManagerConfig tunes one pilot agent.
@@ -27,8 +27,10 @@ type ManagerConfig struct {
 	// "configurable batching and prefetching of tasks to minimize
 	// communication overheads").
 	Prefetch int
-	// FlushInterval is the longest a result waits for resultFlush others
-	// to share its batch.
+	// FlushInterval is the longest a result waits in a partial batch. A
+	// batch that is full (see resultFlush) goes at once, so a saturated
+	// manager never waits for this timer, and a one-slot manager (Workers
+	// 1, Prefetch 0) sends every result as it completes.
 	FlushInterval time.Duration
 	// HeartbeatPeriod is how often the manager pings the interchange; if
 	// the interchange stays silent for 5 periods the manager exits
@@ -78,10 +80,14 @@ func (c *ManagerConfig) normalize() {
 // to an MPI rank). Tasks arrive as wire envelopes whose argument payload —
 // encoded once at submit time on the client — the manager never decodes.
 type Manager struct {
-	id     string
-	cfg    ManagerConfig
-	exec   func(slot int, w serialize.WireTask) (serialize.ResultMsg, error)
-	dealer *mq.Dealer
+	id  string
+	cfg ManagerConfig
+	// capacity is Workers+Prefetch, the most tasks this manager holds at
+	// once: what REG advertises, the size of the task and result channels,
+	// and (capped at resultFlush) the size of a full result batch.
+	capacity int
+	exec     func(slot int, w serialize.WireTask) (serialize.ResultMsg, error)
+	dealer   *mq.Dealer
 	// taskDec consumes the interchange's per-manager TASKS stream; resEnc
 	// produces this manager's RESULTS stream.
 	taskDec *serialize.StreamDecoder
@@ -154,21 +160,22 @@ func StartManagerExec(tr simnet.Transport, addr, id string, cfg ManagerConfig,
 	if err != nil {
 		return nil, fmt.Errorf("htex: manager %s: %w", id, err)
 	}
+	capacity := cfg.Workers + cfg.Prefetch
 	m := &Manager{
 		id:       id,
 		cfg:      cfg,
+		capacity: capacity,
 		exec:     exec,
 		dealer:   dealer,
 		taskDec:  serialize.NewStreamDecoder(),
 		resEnc:   serialize.NewStreamEncoder(),
-		tasks:    make(chan serialize.WireTask, cfg.Workers+cfg.Prefetch),
-		results:  make(chan serialize.ResultMsg, cfg.Workers+cfg.Prefetch),
+		tasks:    make(chan serialize.WireTask, capacity),
+		results:  make(chan serialize.ResultMsg, capacity),
 		done:     make(chan struct{}),
 		lastSeen: time.Now(),
 		canceled: make(map[int64]struct{}),
 	}
-	capacity := cfg.Workers + cfg.Prefetch
-	if err := dealer.Send(mq.Message{tagReg, []byte(strconv.Itoa(capacity))}); err != nil {
+	if err := dealer.Send(mq.Message{tagReg, regPayload(capacity)}); err != nil {
 		_ = dealer.Close()
 		return nil, fmt.Errorf("htex: manager %s register: %w", id, err)
 	}
@@ -304,9 +311,15 @@ func (m *Manager) worker(slot int) {
 }
 
 // resultLoop aggregates results and sends them in batches (§4.3.1: "results
-// are aggregated from workers and sent to the interchange in batches").
+// are aggregated from workers and sent to the interchange in batches"). A
+// batch ends when it is full, at min(resultFlush, capacity) results. The
+// interchange frees a slot only when that slot's result reaches it, so a
+// batch holding capacity results can grow no further and waiting longer buys
+// nothing. A partial batch goes when FlushInterval fires; under load that is
+// only the tail of a round whose size is not a multiple of the capacity.
 func (m *Manager) resultLoop() {
 	defer m.wg.Done()
+	full := min(resultFlush, m.capacity)
 	var batch []serialize.ResultMsg
 	timer := time.NewTimer(m.cfg.FlushInterval)
 	defer timer.Stop()
@@ -335,7 +348,7 @@ func (m *Manager) resultLoop() {
 			return
 		case r := <-m.results:
 			batch = append(batch, r)
-			if len(batch) >= resultFlush {
+			if len(batch) >= full {
 				flush()
 			}
 		case <-timer.C:

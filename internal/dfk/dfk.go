@@ -584,15 +584,18 @@ func (d *DFK) submit(ctx context.Context, a *App, args []any, kwargs map[string]
 		}
 	}
 
-	// Collect dependencies: futures anywhere in args/kwargs, plus staging
+	// Count dependencies: futures anywhere in args/kwargs, plus staging
 	// tasks for unstaged remote files (§4.5).
-	deps := collectFutures(args, kwargs)
+	n := 0
+	eachFuture(args, kwargs, func(*future.Future) { n++ })
+	var staged []*future.Future
 	if d.cfg.DataManager != nil {
 		for _, f := range collectFiles(args, kwargs) {
 			if f.Remote() && !f.Staged() {
-				deps = append(deps, d.stageInTask(f))
+				staged = append(staged, d.stageInTask(f))
 			}
 		}
+		n += len(staged)
 		// Pre-assign local homes for declared remote outputs so the app
 		// body knows where to write (§4.5: path translation).
 		if outs, ok := kwargs[app.KwOutputs].([]*data.File); ok {
@@ -607,39 +610,34 @@ func (d *DFK) submit(ctx context.Context, a *App, args []any, kwargs map[string]
 	}
 
 	d.emitState(id, a.name, o.tenant, noState, task.Pending, "")
-	if len(deps) == 0 {
+	if n == 0 {
 		d.launch(rec, gen, a)
 		return fut
 	}
 
-	rec.SetPendingDeps(len(deps))
-	var buf [16]int64 // a wider fan-in spills to the heap
-	parents := buf[:0]
-	for _, dep := range deps {
-		if dep.TaskID >= 0 {
-			parents = append(parents, dep.TaskID)
-		}
-	}
-	d.graph.AddEdges(id, parents)
+	// The countdown is set before the first callback can fire. Each resolved
+	// edge is one compare-and-swap on it; only the last one locks the record.
+	rec.SetPendingDeps(gen, n)
 	// One callback serves every edge: it is handed the dependency it fires for.
 	onDep := func(df *future.Future) {
-		// Edge callbacks can fire long after the task concluded on
-		// another path (dependency failure, cancellation); the
-		// generation check drops them once the record has moved on.
-		if !rec.Enter(gen) {
-			return
-		}
-		defer rec.Exit()
 		if err := df.Err(); err != nil {
-			d.failTask(rec, &DependencyError{TaskID: id, DepID: df.TaskID, Err: err})
+			// Edge callbacks can fire long after the task concluded on
+			// another path (dependency failure, cancellation); the
+			// generation check drops them once the record has moved on.
+			if rec.Enter(gen) {
+				d.failTask(rec, &DependencyError{TaskID: id, DepID: df.TaskID, Err: err})
+				rec.Exit()
+			}
 			return
 		}
-		if n, st := rec.DepResolved(); n == 0 && st == task.Pending {
+		if rec.DepDone(gen) {
 			d.launch(rec, gen, a)
+			rec.Exit()
 		}
 	}
-	for _, dep := range deps {
-		dep.AddDoneCallback(onDep)
+	eachFuture(args, kwargs, func(f *future.Future) { f.AddDoneCallback(onDep) })
+	for _, f := range staged {
+		f.AddDoneCallback(onDep)
 	}
 	return fut
 }
@@ -1162,19 +1160,6 @@ func eachFuture(args []any, kwargs map[string]any, fn func(*future.Future)) {
 	for _, v := range kwargs {
 		visit(v)
 	}
-}
-
-// collectFutures lists the futures eachFuture finds: counted first, so the
-// list is allocated once (nil when there are none).
-func collectFutures(args []any, kwargs map[string]any) []*future.Future {
-	n := 0
-	eachFuture(args, kwargs, func(*future.Future) { n++ })
-	if n == 0 {
-		return nil
-	}
-	out := make([]*future.Future, 0, n)
-	eachFuture(args, kwargs, func(f *future.Future) { out = append(out, f) })
-	return out
 }
 
 // collectFiles finds data files in args/kwargs including the inputs/outputs

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -55,10 +56,14 @@ func TestSimpleAppInvocation(t *testing.T) {
 }
 
 func TestFuturePassingCreatesDependency(t *testing.T) {
-	// RetainRecords keeps the edges visible after the chain drains.
-	d := newDFK(t, func(c *Config) { c.RetainRecords = true })
+	d := newDFK(t, nil)
+	var mu sync.Mutex
+	var ran []int // each body's input, in the order the bodies ran
 	inc, err := d.PythonApp("inc", func(args []any, _ map[string]any) (any, error) {
 		time.Sleep(5 * time.Millisecond)
+		mu.Lock()
+		ran = append(ran, args[0].(int))
+		mu.Unlock()
 		return args[0].(int) + 1, nil
 	})
 	if err != nil {
@@ -74,8 +79,11 @@ func TestFuturePassingCreatesDependency(t *testing.T) {
 	if v != 3 {
 		t.Fatalf("chain result = %v", v)
 	}
-	if d.Graph().EdgeCount() != 2 {
-		t.Fatalf("edges = %d", d.Graph().EdgeCount())
+	// Each child ran after its parent settled and was handed its value.
+	mu.Lock()
+	defer mu.Unlock()
+	if !slices.Equal(ran, []int{0, 1, 2}) {
+		t.Fatalf("bodies ran on inputs %v, want [0 1 2]", ran)
 	}
 }
 

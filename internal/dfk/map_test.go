@@ -2,9 +2,9 @@ package dfk
 
 import (
 	"errors"
+	"slices"
+	"sync"
 	"testing"
-
-	"repro/internal/future"
 )
 
 func TestMapInvokesPerTuple(t *testing.T) {
@@ -101,9 +101,13 @@ func TestChain(t *testing.T) {
 }
 
 func TestMapWithFutureInputsBuildsDAG(t *testing.T) {
-	// RetainRecords keeps the DAG edges countable after the drain.
-	d := newDFK(t, func(c *Config) { c.RetainRecords = true })
+	d := newDFK(t, nil)
+	var mu sync.Mutex
+	var ran []int // each body's input, in the order the bodies ran
 	inc, _ := d.PythonApp("incmap", func(args []any, _ map[string]any) (any, error) {
+		mu.Lock()
+		ran = append(ran, args[0].(int))
+		mu.Unlock()
 		return args[0].(int) + 1, nil
 	})
 	roots := inc.Map1([]any{0, 10, 20})
@@ -116,8 +120,16 @@ func TestMapWithFutureInputsBuildsDAG(t *testing.T) {
 			t.Fatalf("layer2[%d] = %v, %v", i, v, err)
 		}
 	}
-	if d.Graph().EdgeCount() != 3 {
-		t.Fatalf("edges = %d", d.Graph().EdgeCount())
+	// Every second-layer body saw its parent's value, after its parent ran.
+	mu.Lock()
+	defer mu.Unlock()
+	if len(ran) != 6 {
+		t.Fatalf("bodies ran on %v, want 6 runs", ran)
 	}
-	_ = future.Wait(second...)
+	for _, root := range []int{0, 10, 20} {
+		p, c := slices.Index(ran, root), slices.Index(ran, root+1)
+		if p < 0 || c < 0 || c < p {
+			t.Fatalf("bodies ran on %v: child of %d did not run after it on its value", ran, root)
+		}
+	}
 }

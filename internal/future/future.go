@@ -82,9 +82,10 @@ var closedChan = func() chan struct{} {
 // task binding (or an immediate result) is needed.
 type Future struct {
 	mu sync.Mutex
-	// state is written under mu but read lock-free (Done, State): the
-	// atomic store in complete is a release paired with the acquire load,
-	// so an observer of a terminal state also observes value/err.
+	// state is written under mu but read lock-free (Done, State, Result,
+	// Err, Value): the atomic store in complete is a release paired with the
+	// acquire load, so an observer of a terminal state also observes
+	// value/err, which never change after it.
 	state atomic.Int32
 	// done is created lazily, by the first DoneChan caller (or blocking
 	// waiter) that finds the future still pending. Futures consumed purely
@@ -214,11 +215,8 @@ func (f *Future) Result() (any, error) {
 	if !f.Done() {
 		<-f.DoneChan()
 	}
-	// The acquire load in Done/DoneChan ordered value/err; take the lock
-	// anyway to keep the race detector's view simple and the cost is one
-	// uncontended lock on a settled future.
-	f.mu.Lock()
-	defer f.mu.Unlock()
+	// A settled future never changes, and the acquire load in Done (or the
+	// closed channel) ordered value/err: read them without the mutex.
 	return f.value, f.err
 }
 
@@ -241,17 +239,20 @@ func (f *Future) ResultTimeout(d time.Duration) (any, error) {
 }
 
 // Err returns the future's error without blocking. It returns nil when the
-// future is pending or resolved.
+// future is pending or resolved. Like Result it reads a settled future
+// without the mutex.
 func (f *Future) Err() error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
+	if !f.Done() {
+		return nil
+	}
 	return f.err
 }
 
 // Value returns the future's value without blocking (nil while pending).
 func (f *Future) Value() any {
-	f.mu.Lock()
-	defer f.mu.Unlock()
+	if !f.Done() {
+		return nil
+	}
 	return f.value
 }
 

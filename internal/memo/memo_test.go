@@ -484,25 +484,40 @@ func TestDigestKeysRoundTrip(t *testing.T) {
 
 // TestTableKeepsNoKeyString: an entry stored under a KeyFromPayload key holds
 // no copy of the key's text, so a table of fresh results grows by its map
-// slots alone — under the 48 bytes the key string itself would cost.
+// slots alone — under the 48 bytes the key string itself would cost. The heap
+// difference is signed: a heap that shrank across the fill (another test's
+// garbage collected in between) is a disturbed reading, not a small table, so
+// the fill is measured again, at most three times in all.
 func TestTableKeepsNoKeyString(t *testing.T) {
-	const n = 100_000
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	m := New()
-	for i := 0; i < n; i++ {
-		key := string(serialize.AppendDigest([]byte("memo_echo|0123456789abcdef|"), uint64(i)))
-		if err := m.Store(key, true); err != nil {
-			t.Fatal(err)
+	const n, tries = 100_000, 3
+	fill := func() float64 {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		m := New()
+		for i := 0; i < n; i++ {
+			key := string(serialize.AppendDigest([]byte("memo_echo|0123456789abcdef|"), uint64(i)))
+			if err := m.Store(key, true); err != nil {
+				t.Fatal(err)
+			}
 		}
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(m)
+		return float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / n
 	}
-	runtime.GC()
-	runtime.ReadMemStats(&after)
-	if perEntry := float64(after.HeapAlloc-before.HeapAlloc) / n; perEntry >= 48 {
-		t.Fatalf("%.1f live bytes per entry, want < 48", perEntry)
+	for try := 1; try <= tries; try++ {
+		perEntry := fill()
+		if perEntry < 0 {
+			t.Logf("try %d: the heap shrank by %.1f B per entry across the fill; measuring again", try, -perEntry)
+			continue
+		}
+		if perEntry >= 48 {
+			t.Fatalf("%.1f live bytes per entry, want < 48", perEntry)
+		}
+		return
 	}
-	runtime.KeepAlive(m)
+	t.Fatalf("the heap shrank across the fill in all %d tries: no reading", tries)
 }
 
 // entries counts the memoized entries.

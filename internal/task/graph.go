@@ -13,8 +13,10 @@ const NumShards = 1 << shardBits
 
 // Graph is the dynamic task dependency DAG held by the DataFlowKernel
 // (§3.4). Nodes are task records; a directed edge u→v means v consumes u's
-// future. The graph is dynamic: nodes and edges are added as the program
-// submits apps, and execution begins as soon as the first ready task exists.
+// future. The graph is dynamic: nodes are added as the program submits apps,
+// and execution begins as soon as the first ready task exists. The DFK keeps
+// no edge here: the futures' callbacks are the edges, and a task counts its
+// unresolved inputs down on its own record (Record.DepDone).
 //
 // State is sharded N ways by task id with per-shard locks, so concurrent
 // submissions from many goroutines do not contend on a single mutex. Nothing
@@ -81,7 +83,8 @@ type graphShard struct {
 // shard holding the record, not by the record's mutex. Retiring the node
 // truncates them; their storage stays with the record for its next occupant.
 // Each list starts in one word of first, so a node with one parent and one
-// child costs one allocation and one cache line.
+// child costs one allocation and one cache line. AddEdge is their only
+// writer, and the DFK never calls it.
 type edgeLists struct {
 	deps, dependents []int64
 	first            [2]int64
@@ -230,41 +233,6 @@ func (g *Graph) AddEdge(from, to int64) error {
 	et.deps = append(et.deps, from)
 	ef.dependents = append(ef.dependents, to)
 	return nil
-}
-
-// AddEdges is AddEdge for a whole parent set (which it neither keeps nor
-// modifies) at one lock acquisition per parent plus one for to, never two at
-// once: each parent still resident gets to appended to its dependents under
-// its own shard's lock; then to, if resident, gets those parents appended to
-// its deps. Parents already retired, and to itself, are skipped. What it gives
-// up is AddEdge's every-instant mirror: mid-call a parent's Dependents names
-// to before Deps(to) names the parent, and if to retires mid-call (a
-// cancellation racing Submit) its parents keep naming it, as they do any
-// dependent that retires before them. After it returns the two views are
-// mirror images over the nodes still resident.
-func (g *Graph) AddEdges(to int64, parents []int64) {
-	var buf [16]int64 // a wider fan-in spills to the heap
-	resident := buf[:0]
-	for _, from := range parents {
-		if from == to {
-			continue
-		}
-		s := g.shard(from)
-		s.mu.Lock()
-		if r := s.get(from); r != nil {
-			e := r.edgeLists()
-			e.dependents = append(e.dependents, to)
-			resident = append(resident, from)
-		}
-		s.mu.Unlock()
-	}
-	s := g.shard(to)
-	s.mu.Lock()
-	if r := s.get(to); r != nil && len(resident) > 0 {
-		e := r.edgeLists()
-		e.deps = append(e.deps, resident...)
-	}
-	s.mu.Unlock()
 }
 
 // Retire prunes a terminal record whose state the caller has not already

@@ -60,17 +60,6 @@ func (m *graphModel) addEdge(from, to int64) bool {
 	return true
 }
 
-func (m *graphModel) addEdges(to int64, parents []int64) {
-	for _, from := range parents {
-		if from != to && m.live[from] != nil {
-			m.dependents[from] = append(m.dependents[from], to)
-			if m.live[to] != nil {
-				m.deps[to] = append(m.deps[to], from)
-			}
-		}
-	}
-}
-
 func (m *graphModel) retire(id int64, st State) int64 {
 	delete(m.live, id)
 	delete(m.deps, id)
@@ -147,19 +136,11 @@ func runGraphModel(t *testing.T, seed int64, ops int) {
 				add(late[i])
 				late = slices.Delete(late, i, i+1)
 			}
-		case k < 48:
+		case k < 58:
 			from, to := anyID(), anyID()
 			if got, want := g.AddEdge(from, to) == nil, m.addEdge(from, to); got != want {
 				t.Fatalf("AddEdge(%d, %d) ok = %v, model %v", from, to, got, want)
 			}
-		case k < 58:
-			parents := make([]int64, rng.Intn(24)) // past 16 the resident set spills
-			for i := range parents {
-				parents[i] = anyID()
-			}
-			to := anyID()
-			g.AddEdges(to, parents)
-			m.addEdges(to, parents)
 		case k < 80:
 			if n := len(liveIDs); n > 0 {
 				// Mostly the oldest, so that the head slides; sometimes any,
@@ -316,7 +297,14 @@ func TestGraphOutOfOrderAdd(t *testing.T) {
 	if err := g.AddEdge(reserved, child); err != nil {
 		t.Fatal(err)
 	}
-	g.AddEdges(tail[0].ID, []int64{reserved, later + 5, reserved})
+	for _, from := range []int64{reserved, reserved} {
+		if err := g.AddEdge(from, tail[0].ID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := g.AddEdge(later+5, tail[0].ID); err == nil {
+		t.Fatal("edge from an id never issued accepted")
+	}
 	if got := g.Dependents(reserved); !slices.Equal(got, []int64{child, tail[0].ID, tail[0].ID}) {
 		t.Fatalf("Dependents(late) = %v", got)
 	}
@@ -347,7 +335,6 @@ func TestGraphSteadyStateAllocations(t *testing.T) {
 			if err := g.AddEdge(a.ID, b.ID); err != nil {
 				t.Fatal(err)
 			}
-			g.AddEdges(b.ID, []int64{a.ID})
 			g.RetireAs(a, Done)
 			a, b = b, a
 		}
@@ -367,7 +354,9 @@ func TestGraphSteadyStateAllocations(t *testing.T) {
 		for i, r := range recs {
 			g.Add(r.reuse(g.NextID()))
 			if i > 0 {
-				g.AddEdges(r.ID, []int64{recs[i-1].ID})
+				if err := g.AddEdge(recs[i-1].ID, r.ID); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
 		for _, r := range recs {
@@ -383,9 +372,9 @@ func TestGraphSteadyStateAllocations(t *testing.T) {
 	}
 }
 
-// TestGraphConcurrentHammer is eight submitters doing what dfk.submit and the
-// retire path do — add a node, register its parents (their own earlier nodes
-// and whatever other goroutines published, which may retire meanwhile), look
+// TestGraphConcurrentHammer is eight submitters that add a node, link it to
+// its parents one AddEdge each (their own earlier nodes and whatever other
+// goroutines published, which may retire meanwhile), look
 // things up, retire their oldest — on pooled records, which carry their edge
 // storage from shard to shard. At quiescence the two edge views must be mirror
 // images over the nodes still resident.
@@ -414,7 +403,9 @@ func TestGraphConcurrentHammer(t *testing.T) {
 						parents[j] = recent[rng.Intn(len(recent))].Load()
 					}
 				}
-				g.AddEdges(r.ID, parents)
+				for _, p := range parents {
+					_ = g.AddEdge(p, r.ID) // a parent may have retired meanwhile
+				}
 				if len(own) > 0 {
 					if err := g.AddEdge(own[rng.Intn(len(own))].ID, r.ID); err != nil {
 						t.Error(err) // both ends are this goroutine's, and resident

@@ -7,6 +7,7 @@ package task
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/fair"
@@ -118,11 +119,16 @@ type Record struct {
 
 	Options
 
-	mu          sync.Mutex
-	attempts    int
-	executor    string // label of the executor the task was launched on
-	memoKey     string
-	pendingDeps int
+	mu       sync.Mutex
+	attempts int
+	executor string // label of the executor the task was launched on
+	memoKey  string
+
+	// deps is the dependency countdown, gen<<32 | unresolved inputs, kept
+	// outside mu so that an edge costs one compare-and-swap (DepDone). The
+	// creator stores it (SetPendingDeps) while its hold keeps gen fixed;
+	// recycling zeroes it, so a straggler's edge finds nothing to count.
+	deps atomic.Uint64
 
 	// Current execution attempt: its outcome future and wire id, recorded so
 	// a cancellation arriving from outside the dispatch pipeline can conclude
@@ -289,7 +295,7 @@ func (r *Record) recycleLocked() {
 	r.attempts = 0
 	r.executor = ""
 	r.memoKey = ""
-	r.pendingDeps = 0
+	r.deps.Store(0)
 	r.attemptFut = nil
 	r.attemptWire = 0
 	r.payload = nil
@@ -480,23 +486,39 @@ func (r *Record) SetMemoKey(k string) {
 	r.memoKey = k
 }
 
-// SetPendingDeps initializes the unresolved-dependency counter.
-func (r *Record) SetPendingDeps(n int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.pendingDeps = n
+// SetPendingDeps starts the dependency countdown of generation gen at n
+// unresolved inputs. Only the creator calls it, holding the record (the hold
+// keeps gen current) and before it registers the first dependency callback.
+func (r *Record) SetPendingDeps(gen uint32, n int) {
+	r.deps.Store(uint64(gen)<<32 | uint64(uint32(n)))
 }
 
-// DepResolved decrements the unresolved-dependency counter and returns the
-// remaining count together with the task's state, so the callback resolving
-// the last edge decides to launch from one critical section.
-func (r *Record) DepResolved() (remaining int, st State) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.pendingDeps > 0 {
-		r.pendingDeps--
+// DepDone counts one resolved input of generation gen down. It reports true
+// to the caller that resolved the last one, and then only if the record is
+// still on generation gen and Pending: that caller holds the record (drop it
+// with Exit) and launches the task. Every other edge costs one
+// compare-and-swap and never takes the record lock. A stale generation, or a
+// countdown already at zero, changes nothing and reports false.
+func (r *Record) DepDone(gen uint32) bool {
+	for {
+		w := r.deps.Load()
+		if uint32(w>>32) != gen || uint32(w) == 0 {
+			return false
+		}
+		if r.deps.CompareAndSwap(w, w-1) {
+			if uint32(w) > 1 {
+				return false
+			}
+			break
+		}
 	}
-	return r.pendingDeps, r.state
+	r.mu.Lock()
+	ok := r.gen == gen && r.state == Pending
+	if ok {
+		r.holds++
+	}
+	r.mu.Unlock()
+	return ok
 }
 
 // Attempt returns the current attempt's outcome future and wire id (nil, 0

@@ -108,18 +108,82 @@ func TestAttemptsCounter(t *testing.T) {
 }
 
 func TestDepCounter(t *testing.T) {
-	r := NewRecord(1, "a", nil, nil)
-	r.SetPendingDeps(2)
-	if n, _ := r.DepResolved(); n != 1 {
-		t.Fatalf("after first resolve: %d", n)
+	r, gen := Create(1, "a", nil, nil, Options{})
+	r.SetPendingDeps(gen, 2)
+	if r.DepDone(gen + 1) {
+		t.Fatal("an edge of another generation counted")
 	}
-	if n, st := r.DepResolved(); n != 0 || st != Unsched {
-		t.Fatalf("after second resolve: %d, %v", n, st)
+	if r.DepDone(gen) {
+		t.Fatal("first of two edges reported last")
 	}
-	// Underflow guard.
-	if n, _ := r.DepResolved(); n != 0 {
-		t.Fatalf("underflow: %d", n)
+	if !r.DepDone(gen) {
+		t.Fatal("last edge not reported")
 	}
+	if r.holds != 2 {
+		t.Fatalf("holds = %d after the last edge, want the creator's and its own", r.holds)
+	}
+	r.Exit()
+	// Underflow guard: a countdown at zero stays there.
+	if r.DepDone(gen) || uint32(r.deps.Load()) != 0 {
+		t.Fatalf("edge past zero: reported last or count %d", uint32(r.deps.Load()))
+	}
+
+	// A task that concluded before its last input resolved is not launched:
+	// the last edge finds it terminal and takes no hold.
+	r.SetPendingDeps(gen, 1)
+	if _, ok := r.Finish(Failed); !ok {
+		t.Fatal("Finish refused")
+	}
+	if r.DepDone(gen) || r.holds != 1 {
+		t.Fatalf("last edge of a failed task reported, holds = %d", r.holds)
+	}
+	r.Exit()
+}
+
+// After a record is recycled, an edge callback of its old task neither
+// counts against nor launches the record's next occupant.
+func TestDepDoneStaleGeneration(t *testing.T) {
+	r, old := Create(1, "a", nil, nil, Options{})
+	r.SetPendingDeps(old, 3)
+	if r.DepDone(old) {
+		t.Fatal("first of three edges reported last")
+	}
+	if _, ok := r.Finish(Failed); !ok {
+		t.Fatal("Finish refused")
+	}
+	r.Retire()
+	r.Exit() // the creator's hold was the last: the record is recycled
+	if r.DepDone(old) || r.DepDone(old) {
+		t.Fatal("a recycled record counted its old task's edges down to zero")
+	}
+	// The next occupant, as Create leaves a record it draws from the pool
+	// (drawing it through the pool would depend on sync.Pool returning it).
+	r.mu.Lock()
+	r.ID, r.holds = 2, 1
+	_ = r.moveLocked(Pending)
+	gen := r.gen
+	r.mu.Unlock()
+	if gen == old {
+		t.Fatal("recycling kept the generation")
+	}
+	r.SetPendingDeps(gen, 2)
+	for i := 0; i < 3; i++ {
+		if r.DepDone(old) {
+			t.Fatal("old generation reported last on the new occupant")
+		}
+	}
+	if got := r.deps.Load(); got != uint64(gen)<<32|2 {
+		t.Fatalf("new occupant's countdown = %#x, want %#x", got, uint64(gen)<<32|2)
+	}
+	if r.DepDone(gen) || !r.DepDone(gen) {
+		t.Fatal("new occupant's own edges miscounted")
+	}
+	r.Exit()
+	if _, ok := r.Finish(Memoized); !ok {
+		t.Fatal("Finish refused")
+	}
+	r.Retire()
+	r.Exit()
 }
 
 func TestAccessors(t *testing.T) {
@@ -156,17 +220,25 @@ func TestStateStringAndTerminal(t *testing.T) {
 	}
 }
 
+// Of n concurrent edges exactly one reports last, and it alone takes a hold.
 func TestConcurrentStateAndCounters(t *testing.T) {
-	r := NewRecord(1, "a", nil, nil)
-	r.SetPendingDeps(100)
+	const n = 100
+	r, gen := Create(1, "a", nil, nil, Options{})
+	r.SetPendingDeps(gen, n)
+	var last atomic.Int32
 	var wg sync.WaitGroup
-	for i := 0; i < 100; i++ {
+	for i := 0; i < n; i++ {
 		wg.Add(1)
-		go func() { defer wg.Done(); r.DepResolved() }()
+		go func() {
+			defer wg.Done()
+			if r.DepDone(gen) {
+				last.Add(1)
+			}
+		}()
 	}
 	wg.Wait()
-	if r.pendingDeps != 0 {
-		t.Fatalf("pending deps = %d", r.pendingDeps)
+	if last.Load() != 1 || uint32(r.deps.Load()) != 0 || r.holds != 2 {
+		t.Fatalf("%d edges reported last, count %d, holds %d", last.Load(), uint32(r.deps.Load()), r.holds)
 	}
 }
 

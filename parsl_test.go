@@ -225,6 +225,81 @@ func TestSubmissionAllocationCeiling(t *testing.T) {
 	}
 }
 
+// TestPendingTaskHeapCeiling bounds what a task waiting on its inputs holds
+// in the heap: 64 chains of 100 000 tasks in all hang off one root that does
+// not finish until the heap is read, so every one of them is submitted and
+// pending (the ready-task window does not bound these). The heap is read after
+// a collection on each side of the burst. A pending task cost 5.00 objects and
+// 570 B when its record counted its inputs under the record lock and the graph
+// kept its edge lists; 4.00 and 506 B when the bound was set. Not under -race,
+// whose detector keeps its own shadow state per object.
+func TestPendingTaskHeapCeiling(t *testing.T) {
+	const maxObjects, maxBytes = 4.05, 530
+	if raceDetector() {
+		t.Skip("heap counts under -race include the detector's own state")
+	}
+	d, err := parsl.NewLocal(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = d.Shutdown() })
+	release := make(chan struct{})
+	defer func() {
+		select {
+		case <-release:
+		default:
+			close(release) // a failed check must not leave the root blocked
+		}
+	}()
+	root, err := d.PythonApp("heap-root", func([]any, map[string]any) (any, error) {
+		<-release
+		return 0, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inc, err := d.PythonApp("heap-inc", func(args []any, _ map[string]any) (any, error) {
+		return args[0].(int) + 1, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const chains, tasks = 64, 100_000
+	heads := make([]*parsl.Future, chains)
+	r := root.Call()
+	for i := range heads {
+		heads[i] = r
+	}
+	var before, after runtime.MemStats
+	heap := func(m *runtime.MemStats) {
+		runtime.GC()
+		runtime.GC() // the second empties sync.Pool's victim cache
+		runtime.ReadMemStats(m)
+	}
+	heap(&before)
+	for i := 0; i < tasks; i++ {
+		heads[i%chains] = inc.Call(heads[i%chains])
+	}
+	heap(&after)
+	objects := float64(int64(after.HeapObjects)-int64(before.HeapObjects)) / tasks
+	bytes := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / tasks
+	t.Logf("%.2f heap objects and %.1f B per pending task", objects, bytes)
+	close(release)
+	for c, f := range heads {
+		want := tasks / chains
+		if c < tasks%chains {
+			want++
+		}
+		if v, err := f.Result(); err != nil || v != want {
+			t.Fatalf("chain %d tail = %v, %v; want %d", c, v, err, want)
+		}
+	}
+	if objects > maxObjects || bytes > maxBytes {
+		t.Fatalf("%.2f objects and %.1f B per pending task, ceiling %.2f and %d B",
+			objects, bytes, maxObjects, maxBytes)
+	}
+}
+
 // raceDetector reports whether this test binary was built with -race.
 func raceDetector() bool {
 	bi, ok := debug.ReadBuildInfo()

@@ -38,9 +38,9 @@ var reachAllowlist = map[string]string{
 	"provider.NewJetstream":   "ROADMAP item 14 decides the cloud providers",
 	"provider.NewKubernetes":  "ROADMAP item 14 decides the cloud providers",
 
-	"task.Graph.Deps":       "ROADMAP item 15 deletes the edge lists once 1(a) drops task.edge_ns",
-	"task.Graph.Dependents": "ROADMAP item 15 deletes the edge lists once 1(a) drops task.edge_ns",
-	"task.Graph.EdgeCount":  "ROADMAP item 15 deletes the edge lists once 1(a) drops task.edge_ns",
+	"task.Graph.Deps":       "the DFK no longer writes the edge lists; task.edge_ns's AddEdge is their last writer, and ROADMAP 1(a) then item 15 delete them",
+	"task.Graph.Dependents": "the DFK no longer writes the edge lists; task.edge_ns's AddEdge is their last writer, and ROADMAP 1(a) then item 15 delete them",
+	"task.Graph.EdgeCount":  "the DFK no longer writes the edge lists; task.edge_ns's AddEdge is their last writer, and ROADMAP 1(a) then item 15 delete them",
 
 	"ftp.NewServer":   "the loopback server data's and dfk's staging tests run the real client against",
 	"ftp.Server.Addr": "the loopback server data's and dfk's staging tests run the real client against",

@@ -303,7 +303,6 @@ func TestDispatchBatchesAcrossExecutors(t *testing.T) {
 			threadpool.New("e1", 2, reg),
 			threadpool.New("e2", 2, reg),
 		},
-		DispatchBatch: 8,
 		RetainRecords: true, // test reads Executor() off terminal records
 	})
 	if err != nil {
@@ -353,6 +352,7 @@ func TestTimeoutRetryDoesNotCorruptExecutorAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer d.Shutdown()
 	slow, err := d.PythonApp("slow", func([]any, map[string]any) (any, error) {
 		time.Sleep(150 * time.Millisecond)
 		return "late", nil

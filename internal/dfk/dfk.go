@@ -703,7 +703,7 @@ func (d *DFK) launch(rec *task.Record, gen uint32, a *App) {
 			// The payload built for the key is never installed on the record;
 			// drop its reference here (a memoized task ships no bytes anywhere).
 			payload.Release()
-			d.settleMemoized(rec, memoKey, v)
+			d.finish(rec, task.Memoized, v, nil)
 			return
 		}
 		rec.SetMemoKey(memoKey)
@@ -746,7 +746,7 @@ func (d *DFK) launch(rec *task.Record, gen uint32, a *App) {
 	if !d.firstAttempt(pl) && walKey != 0 {
 		// Concluded (canceled) before the key reached the record: no Finish
 		// saw it, so the submission logged just above is closed here.
-		if err := d.wal.Terminal(walKey, wal.OutcomeFailed, ""); err != nil {
+		if err := d.wal.Terminal(walKey, wal.OutcomeFailed, nil); err != nil {
 			d.emitWAL(rec.ID, "terminal", err)
 		}
 	}
@@ -794,9 +794,7 @@ func (d *DFK) cancelTask(rec *task.Record, cause error) {
 func (d *DFK) completeTask(rec *task.Record, memoKey string, v any) {
 	if memoKey != "" {
 		if err := d.memoizer.Store(memoKey, v); err != nil {
-			// No checkpoint holds v: the terminal record must not name one.
 			d.emitWAL(rec.ID, "checkpoint", err)
-			memoKey = ""
 		}
 	}
 	// Stage out declared outputs before resolving the future, so a
@@ -813,11 +811,7 @@ func (d *DFK) completeTask(rec *task.Record, memoKey string, v any) {
 			}
 		}
 	}
-	// The memo Store above ran first, so by the time the terminal record is
-	// durable the checkpoint entry it points at is too (the checkpoint/WAL
-	// consistency contract in internal/memo). The digest is the memo key;
-	// recovery resolves the value through the checkpoint, never from the log.
-	d.finish(rec, task.Done, memoKey, v, nil)
+	d.finish(rec, task.Done, v, nil)
 }
 
 // failTask wraps the exception and associates it with the future (§4.1),
@@ -825,17 +819,7 @@ func (d *DFK) completeTask(rec *task.Record, memoKey string, v any) {
 // so a stale attempt racing its own retry (or timeout) cannot emit duplicate
 // failure events for, or double-retire, a concluded task.
 func (d *DFK) failTask(rec *task.Record, err error) bool {
-	return d.finish(rec, task.Failed, "", nil, err)
-}
-
-// settleMemoized concludes a task whose result v came from the memo table
-// (preloaded from the checkpoint, when one is set) under key instead of an
-// execution, reporting whether this call was the task's terminal transition.
-// The terminal record only reaches the log for a recovered task (WAL key
-// set); a first-lifetime memo hit was never logged as submitted, so there is
-// nothing to close.
-func (d *DFK) settleMemoized(rec *task.Record, key string, v any) bool {
-	return d.finish(rec, task.Memoized, key, v, nil)
+	return d.finish(rec, task.Failed, nil, err)
 }
 
 // walOutcomes maps a terminal task state to its durable-log outcome.
@@ -845,20 +829,20 @@ var walOutcomes = [...]wal.Outcome{
 
 // finish is the one terminal path. Record.Finish picks the exactly-once
 // winner among racing conclusions (completion, failure, cancellation); the
-// winner emits the state event, closes the task's durable-log entry (a task
-// that never logged a submission — WAL off, memo hit, pre-payload failure —
-// has key 0 and logs nothing; digest is the memo key recovery resolves a done
-// task through), settles the AppFuture with v — or, for a failure, with err
+// winner emits the state event, closes the task's durable-log entry with v,
+// the value recovery resolves a done task to (a task that never logged a
+// submission — WAL off, memo hit, pre-payload failure — has key 0 and logs
+// nothing), settles the AppFuture with v — or, for a failure, with err
 // wrapped in the task's identity — and retires the record. The caller holds
 // the record, so its fields stay valid throughout.
-func (d *DFK) finish(rec *task.Record, to task.State, digest string, v any, err error) bool {
+func (d *DFK) finish(rec *task.Record, to task.State, v any, err error) bool {
 	fin, ok := rec.Finish(to)
 	if !ok {
 		return false
 	}
 	d.emitState(rec.ID, rec.AppName, rec.Tenant, fin.From, to, fin.Executor)
 	if fin.WALKey != 0 {
-		if werr := d.wal.Terminal(fin.WALKey, walOutcomes[to], digest); werr != nil {
+		if werr := d.wal.Terminal(fin.WALKey, walOutcomes[to], v); werr != nil {
 			d.emitWAL(rec.ID, "terminal", werr)
 		}
 	}

@@ -203,9 +203,11 @@ func TestRetryRecoversFromManagerLoss(t *testing.T) {
 	defer d.Shutdown()
 
 	var calls atomic.Int32
+	release := make(chan struct{})
+	t.Cleanup(func() { close(release) })
 	slowOnce, err := d.PythonApp("slowonce", func([]any, map[string]any) (any, error) {
 		if calls.Add(1) == 1 {
-			time.Sleep(10 * time.Second) // first attempt parks on the doomed manager
+			<-release // first attempt parks on the doomed manager until the test ends
 		}
 		return "recovered", nil
 	})

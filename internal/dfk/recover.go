@@ -15,16 +15,16 @@ import (
 )
 
 // Recovery summarizes one crash-recovery pass: which tasks the durable log
-// proved terminal before the crash (resolved here from the checkpoint, never
+// proved terminal before the crash (resolved here from the log, never
 // re-executed), and which were live (re-admitted through the normal submit
 // boundary, exactly once each). Futures are keyed by the WAL task key — the
 // identity that survives the crash; task ids are per-process.
 type Recovery struct {
-	// Resolved holds tasks terminal at the crash, settled from durable
-	// state: done tasks resolve through the memo checkpoint, failed tasks
-	// fail again. Terminal history already folded into a compaction
-	// snapshot is counted, not resolved — its futures settled in a previous
-	// lifetime.
+	// Resolved holds tasks terminal at the crash, settled from the log: done
+	// tasks resolve to the value their terminal record carries (and fail when
+	// it carries none), failed tasks fail again. Terminal history already
+	// folded into a compaction snapshot is counted, not resolved — its
+	// futures settled in a previous lifetime.
 	Resolved map[int64]*future.Future
 	// Resumed holds tasks live at the crash, re-admitted as new tasks: they
 	// run through dispatch, retries, memoization, and the monitor exactly
@@ -46,10 +46,10 @@ type Recovery struct {
 
 // Recover consumes the frontier replayed from the durable log when this DFK
 // opened it: construct the DFK with Config.WAL over the crashed process's
-// WALDir (and the same Checkpoint), re-register the apps, then call Recover
-// before submitting new work. Idempotent in effect — the replayed frontier is
-// consumed by the first call, and recovery itself is logged, so a crash
-// during recovery replays the same (or a smaller) frontier next time.
+// WALDir, re-register the apps, then call Recover before submitting new work.
+// Idempotent in effect — the replayed frontier is consumed by the first call,
+// and recovery itself is logged, so a crash during recovery replays the same
+// (or a smaller) frontier next time.
 func (d *DFK) Recover() (*Recovery, error) {
 	start := time.Now()
 	rcv := &Recovery{
@@ -66,28 +66,11 @@ func (d *DFK) Recover() (*Recovery, error) {
 	rcv.LiveAtCrash = len(fr.Live)
 	rcv.TerminalAtCrash = len(fr.Terminals)
 	for key, t := range fr.Terminals {
-		fut := future.New()
-		switch {
-		case t.Outcome == wal.OutcomeFailed:
-			_ = fut.SetError(fmt.Errorf("dfk: task (wal key %d) failed before the crash", key))
-		case t.Digest != "":
-			if v, hit := d.memoizer.Lookup(t.Digest); hit {
-				_ = fut.SetResult(v)
-			} else {
-				// Reachable only if the checkpoint was replaced or its record
-				// is undecodable here: a failed Store logs no digest. Surface
-				// it rather than re-execute a task the log proved ran.
-				_ = fut.SetError(fmt.Errorf(
-					"dfk: task (wal key %d) concluded before the crash but its result is not in the checkpoint (key %q)", key, t.Digest))
-			}
-		default:
-			// Done without memoization: the value was never durable anywhere.
-			// Exactly-once forbids re-running it, so the future reports the
-			// gap instead.
-			_ = fut.SetError(fmt.Errorf(
-				"dfk: task (wal key %d) concluded before the crash without a durable result (not memoized)", key))
+		if v, err := loggedValue(t); err != nil {
+			rcv.Resolved[key] = future.FromError(fmt.Errorf("dfk: task (wal key %d) %w", key, err))
+		} else {
+			rcv.Resolved[key] = future.Completed(v)
 		}
-		rcv.Resolved[key] = fut
 	}
 	// Re-admit live tasks in WAL-key order — submission order — so recovery
 	// is deterministic and dispatch sees the pre-crash arrival sequence.
@@ -145,13 +128,12 @@ func (d *DFK) resume(key int64, info *wal.TaskInfo, rcv *Recovery) {
 		d.failTask(rec, fmt.Errorf("dfk: recover: decode logged payload: %w", decErr))
 		return
 	}
-	// The self-healing half of the checkpoint/WAL contract: the crash lost
-	// the terminal record but the memo Store that preceded it survived, so
-	// the lookup settles the task without re-execution — and this lifetime
-	// logs the terminal record the last one couldn't.
+	// A cache hit: the crash lost the terminal record, but the checkpoint
+	// holds the result, so the task settles without re-execution — and this
+	// lifetime logs the terminal record the last one couldn't.
 	if info.MemoKey != "" {
 		if v, hit := d.memoizer.Lookup(info.MemoKey); hit {
-			if d.settleMemoized(rec, info.MemoKey, v) {
+			if d.finish(rec, task.Memoized, v, nil) {
 				rcv.MemoHits++
 			}
 			return
@@ -190,4 +172,21 @@ func (d *DFK) resume(key int64, info *wal.TaskInfo, rcv *Recovery) {
 		tenant: info.Tenant, weight: info.Weight,
 		walKey: key, walAttempt: attempt,
 	})
+}
+
+// loggedValue is what a terminal record settles its task's future with.
+// Exactly-once forbids re-running a task the log proved ran, so a done task
+// whose value is missing or does not decode to one value fails instead.
+func loggedValue(t wal.Terminal) (any, error) {
+	if t.Outcome == wal.OutcomeFailed {
+		return nil, errors.New("failed before the crash")
+	}
+	if len(t.Value) == 0 {
+		return nil, errors.New("concluded before the crash without a durable value")
+	}
+	args, kwargs, err := serialize.DecodeArgsBytes(t.Value)
+	if err != nil || len(args) != 1 || kwargs != nil {
+		return nil, fmt.Errorf("concluded before the crash, but its logged value is not one value (%d args, %v)", len(args), err)
+	}
+	return args[0], nil
 }

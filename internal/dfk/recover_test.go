@@ -1,6 +1,7 @@
 package dfk
 
 import (
+	"os"
 	"path/filepath"
 	"strings"
 	"sync/atomic"
@@ -133,8 +134,8 @@ func TestRecoverResolvesTerminalsFromCheckpoint(t *testing.T) {
 	cp := filepath.Join(dir, "checkpoint")
 
 	// Lifetime 1: run to completion with memoization + checkpoint, clean
-	// shutdown. The log ends holding terminal records whose digests point
-	// into the checkpoint.
+	// shutdown. The log ends holding terminal records that carry the values
+	// the checkpoint also holds.
 	d1 := walDFK(t, dir, func(c *Config) { c.Memoize = true; c.Checkpoint = cp })
 	sq, err := d1.PythonApp("square", func(args []any, _ map[string]any) (any, error) {
 		return args[0].(int) * args[0].(int), nil
@@ -177,10 +178,118 @@ func TestRecoverResolvesTerminalsFromCheckpoint(t *testing.T) {
 	}
 }
 
-// TestRecoverUnpersistableResult: a memoized result the checkpoint cannot
-// hold (a channel) is reported as a checkpoint write error, and its terminal
-// record carries no digest, so the next lifetime reports a task without a
-// durable result instead of a checkpoint that lost one.
+// runToShutdown runs square over 0..n-1 in a WAL-enabled DFK and shuts it
+// down.
+func runToShutdown(t *testing.T, dir string, mutate func(*Config), n int) {
+	t.Helper()
+	d := walDFK(t, dir, mutate)
+	sq, err := d.PythonApp("square", func(args []any, _ map[string]any) (any, error) {
+		return args[0].(int) * args[0].(int), nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		if v, err := sq.Call(i).Result(); err != nil || v != i*i {
+			t.Fatalf("lifetime 1, task %d: v=%v err=%v", i, v, err)
+		}
+	}
+	d.WaitAll()
+	if err := d.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// recoverSquares recovers a log runToShutdown wrote and checks that every
+// task resolves to its square from the log, with no app body run.
+func recoverSquares(t *testing.T, dir string, mutate func(*Config), n int) {
+	t.Helper()
+	var execs atomic.Int64
+	d := walDFK(t, dir, mutate)
+	if _, err := d.PythonApp("square", func(args []any, _ map[string]any) (any, error) {
+		execs.Add(1)
+		return -1, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	// Recover compacts the log, so the submit records are read before it.
+	fr, err := wal.Replay(filepath.Join(dir, "wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rcv, err := d.Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rcv.TerminalAtCrash != n || len(rcv.Resolved) != n || rcv.LiveAtCrash != 0 {
+		t.Fatalf("recovery summary: %+v", rcv)
+	}
+	seen := make(map[int]bool, n)
+	for k, fut := range rcv.Resolved {
+		v, err := fut.Result()
+		if err != nil {
+			t.Fatalf("task %d: %v", k, err)
+		}
+		i, ok := taskArg(fr, k)
+		if !ok || v != i*i {
+			t.Fatalf("task %d resolved to %v (%T), want the square of its argument %d", k, v, v, i)
+		}
+		seen[i] = true
+	}
+	if len(seen) != n {
+		t.Fatalf("resolved %d distinct tasks, want %d", len(seen), n)
+	}
+	if got := execs.Load(); got != 0 {
+		t.Fatalf("pre-crash-terminal tasks re-executed %d times; want 0", got)
+	}
+}
+
+// taskArg reads the argument of the task the log keyed k from its submit
+// record.
+func taskArg(fr *wal.Frontier, k int64) (int, bool) {
+	if info := fr.Terminals[k].Info; info != nil {
+		args, _, err := serialize.DecodeArgsBytes(info.Payload)
+		if err == nil && len(args) == 1 {
+			i, ok := args[0].(int)
+			return i, ok
+		}
+	}
+	return 0, false
+}
+
+// TestRecoverAfterPowerLoss: the checkpoint is fsynced only at Close, so a
+// power loss can leave it at its length at open while the log's terminal
+// records survive. Recovery resolves every task from the log, re-running
+// none.
+func TestRecoverAfterPowerLoss(t *testing.T) {
+	dir := t.TempDir()
+	cp := filepath.Join(dir, "checkpoint")
+	memoized := func(c *Config) { c.Memoize = true; c.Checkpoint = cp }
+	const n = 8
+	runToShutdown(t, dir, memoized, n)
+	if st, err := os.Stat(cp); err != nil || st.Size() == 0 {
+		t.Fatalf("lifetime 1 checkpointed nothing: %v", err)
+	}
+	// The checkpoint was created empty at open: what a power loss leaves.
+	if err := os.Truncate(cp, 0); err != nil {
+		t.Fatal(err)
+	}
+	recoverSquares(t, dir, memoized, n)
+}
+
+// TestRecoverNonMemoizedValues: without memoization nothing but the log holds
+// a finished task's value, and recovery resolves every task to it.
+func TestRecoverNonMemoizedValues(t *testing.T) {
+	dir := t.TempDir()
+	const n = 8
+	runToShutdown(t, dir, nil, n)
+	recoverSquares(t, dir, nil, n)
+}
+
+// TestRecoverUnpersistableResult: a memoized result the codec cannot hold (a
+// channel) is reported as a checkpoint write error, and its terminal record
+// carries no value, so the next lifetime fails the task loudly instead of
+// re-running it.
 func TestRecoverUnpersistableResult(t *testing.T) {
 	dir := t.TempDir()
 	cp := filepath.Join(dir, "checkpoint")
@@ -216,8 +325,8 @@ func TestRecoverUnpersistableResult(t *testing.T) {
 		t.Fatalf("recovery summary: %+v", rcv)
 	}
 	for k, fut := range rcv.Resolved {
-		if _, err := fut.Result(); err == nil || !strings.Contains(err.Error(), "without a durable result (not memoized)") {
-			t.Fatalf("task %d resolved with %v, want the not-memoized error", k, err)
+		if _, err := fut.Result(); err == nil || !strings.Contains(err.Error(), "without a durable value") {
+			t.Fatalf("task %d resolved with %v, want the no-durable-value error", k, err)
 		}
 	}
 }

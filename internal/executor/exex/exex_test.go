@@ -24,9 +24,16 @@ func testRegistry(t *testing.T) *serialize.Registry {
 			t.Fatal(err)
 		}
 	}
+	// A body still sleeping when the test ends (its manager was stopped under
+	// it) returns then instead of outliving the test.
+	release := make(chan struct{})
+	t.Cleanup(func() { close(release) })
 	must(reg.Register("echo", func(args []any, _ map[string]any) (any, error) { return args[0], nil }))
 	must(reg.Register("sleep", func(args []any, _ map[string]any) (any, error) {
-		time.Sleep(time.Duration(args[0].(int)) * time.Millisecond)
+		select {
+		case <-time.After(time.Duration(args[0].(int)) * time.Millisecond):
+		case <-release:
+		}
 		return "slept", nil
 	}))
 	must(reg.Register("fail", func([]any, map[string]any) (any, error) { return nil, errors.New("boom") }))

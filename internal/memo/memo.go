@@ -16,16 +16,9 @@
 // here) is skipped, costing one re-execution. A JSON-lines checkpoint from
 // before frames holds no intact frame, so it goes cold once.
 //
-// # Checkpoint/WAL consistency contract
-//
-// The DFK stores a task's memo entry BEFORE appending its terminal record to
-// the write-ahead log, and a terminal record names the memo key only when
-// the Store succeeded. Under the process-crash model both writes reach the
-// OS synchronously, so recovery that finds a task terminal with a key can
-// always resolve its value from the checkpoint. The reverse window — memo
-// entry written, terminal record lost — heals itself: the task replays as
-// live, re-admits through the normal submit boundary, and the memo lookup
-// hits, settling it without re-execution.
+// The checkpoint is a cache, also under the write-ahead log: a finished
+// task's value is durable in its terminal record, so a checkpoint record
+// lost to a crash costs one re-execution, never a wrong or missing recovery.
 package memo
 
 import (

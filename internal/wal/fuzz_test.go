@@ -37,7 +37,8 @@ func snapshotOf(fr *Frontier) []byte {
 }
 
 // tierOneSegments writes the logs this package's tests write — a round trip,
-// a rotated log, a compacted one — and returns every segment file.
+// a rotated log, a compacted one, terminals carrying values — and returns
+// every segment file.
 func tierOneSegments(tb testing.TB) [][]byte {
 	var segs [][]byte
 	write := func(opts Options, appends func(l *Log)) {
@@ -90,6 +91,17 @@ func tierOneSegments(tb testing.TB) [][]byte {
 		}
 		_ = l.Compact()
 		_, _ = l.Submit("cmp", "", "", 0, 0, 0, nil)
+	})
+	write(fastOpts(), func(l *Log) {
+		values := []any{42, "forty-two", []byte{4, 2}, map[string]any{"n": 42}}
+		for _, v := range values {
+			k, _ := l.Submit("val", "", "", 0, 0, 0, nil)
+			_ = l.Terminal(k, OutcomeDone, v)
+		}
+		k, _ := l.Submit("val", "", "", 0, 0, 0, nil)
+		_ = l.Terminal(k, OutcomeFailed, nil)
+		k, _ = l.Submit("val", "", "", 0, 0, 0, nil)
+		_ = l.Terminal(k, OutcomeDone, make(chan int)) // refused: no value
 	})
 	return segs
 }

@@ -34,7 +34,7 @@ const (
 	recSubmit   byte = 1 // task admitted to dispatch: identity + payload bytes
 	recLaunch   byte = 2 // first executor submission of a task
 	recRetry    byte = 3 // a further attempt consumed launch budget
-	recTerminal byte = 4 // task concluded: outcome + result digest
+	recTerminal byte = 4 // task concluded: outcome + result value
 	recSnapshot byte = 5 // compaction: full frontier, folds terminal history
 )
 
@@ -78,7 +78,10 @@ type TaskInfo struct {
 // Terminal is one concluded task as replay sees it.
 type Terminal struct {
 	Outcome Outcome
-	Digest  string // result digest: the memo key locating the durable value
+	// Value is the result as the memo checkpoint stores one (a one-element
+	// serialize.EncodeArgs list); empty if the task failed or the codec
+	// refused its result.
+	Value []byte
 	// Info is the task's submit info when its submit record is still in the
 	// log; nil once compaction folded the task's history away.
 	Info *TaskInfo
@@ -93,8 +96,8 @@ type Frontier struct {
 	// Terminals holds tasks that concluded, for terminal records still in
 	// the log (not yet folded by compaction).
 	Terminals map[int64]Terminal
-	// Folded counts terminal tasks compacted out of the log; their results
-	// live in the memo checkpoint, not here.
+	// Folded counts terminal tasks compacted out of the log; their futures
+	// settled in an earlier lifetime.
 	Folded int64
 	// Records counts records replayed (snapshots included).
 	Records int64
@@ -309,13 +312,13 @@ func (f *Frontier) apply(body []byte) error {
 	case recTerminal:
 		key := int64(r.uvarint("key"))
 		outcome := Outcome(r.uvarint("outcome"))
-		digest := r.str("digest")
+		value := r.bytes("value")
 		if r.err != nil {
 			return r.err
 		}
 		info := f.Live[key]
 		delete(f.Live, key)
-		f.Terminals[key] = Terminal{Outcome: outcome, Digest: digest, Info: info}
+		f.Terminals[key] = Terminal{Outcome: outcome, Value: append([]byte(nil), value...), Info: info}
 	case recSnapshot:
 		// A snapshot supersedes everything replayed before it: compaction
 		// wrote the full frontier, and any older segments that survived a

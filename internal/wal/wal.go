@@ -14,9 +14,9 @@
 // an append waits on the disk and the bound on the stage's memory.
 //
 // On restart, replaying the segments rebuilds the exact pre-crash frontier:
-// terminal tasks resolve from the memo/checkpoint layer, live tasks are
-// re-admitted exactly once. Compaction folds fully-terminal history into a
-// snapshot record so the log stays O(live frontier).
+// terminal tasks resolve to the value their terminal record carries, live
+// tasks are re-admitted exactly once. Compaction folds fully-terminal history
+// into a snapshot record so the log stays O(live frontier).
 //
 // Crash model: process death. Staged appends that never reached the file are
 // lost (group commit trades the tail for throughput), and a torn final record
@@ -39,6 +39,7 @@ import (
 	"time"
 
 	"repro/internal/chaos"
+	"repro/internal/serialize"
 )
 
 // ErrCrashed reports an append against a log frozen by an injected crash:
@@ -647,9 +648,20 @@ func (l *Log) stageAttempt(rec byte, key int64, attempt int) {
 	_ = sealFrame(l.stage, start)
 }
 
-// Terminal appends a task's conclusion. digest locates the durable result:
-// the memo key for done/memoized outcomes under memoization, "" otherwise.
-func (l *Log) Terminal(key int64, outcome Outcome, digest string) error {
+// Terminal appends a task's conclusion. Unless it failed, the record carries
+// value, encoded before the stage lock as the memo checkpoint encodes one. A
+// value the codec refuses is left out: the record is still appended, and the
+// encode error is returned without sticking.
+func (l *Log) Terminal(key int64, outcome Outcome, value any) error {
+	var enc []byte
+	var encErr error
+	if outcome != OutcomeFailed {
+		p, err := serialize.EncodeArgs([]any{value}, nil)
+		if encErr = err; err == nil {
+			defer p.Release()
+			enc = p.Bytes()
+		}
+	}
 	l.stageMu.Lock()
 	err := l.gateLocked(detailTerminal)
 	if err == nil {
@@ -657,9 +669,11 @@ func (l *Log) Terminal(key int64, outcome Outcome, digest string) error {
 		l.stage = append(openFrame(l.stage), recTerminal)
 		l.stage = appendUvarint(l.stage, uint64(key))
 		l.stage = appendUvarint(l.stage, uint64(outcome))
-		l.stage = appendString(l.stage, digest)
+		l.stage = appendBytes(l.stage, enc)
 		if err = sealFrame(l.stage, start); err != nil {
 			l.stage = l.stage[:start]
+		} else {
+			err = encErr
 		}
 	}
 	return l.endAppend(err)

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/chaos"
+	"repro/internal/serialize"
 )
 
 // fastOpts keeps group commit latency negligible in tests.
@@ -36,11 +37,22 @@ func equalFrontiers(a, b *Frontier) bool {
 	}
 	for k, at := range a.Terminals {
 		bt, ok := b.Terminals[k]
-		if !ok || at.Outcome != bt.Outcome || at.Digest != bt.Digest {
+		if !ok || at.Outcome != bt.Outcome || !bytes.Equal(at.Value, bt.Value) {
 			return false
 		}
 	}
 	return true
+}
+
+// encoded is v as a terminal record carries it.
+func encoded(t testing.TB, v any) []byte {
+	t.Helper()
+	p, err := serialize.EncodeArgs([]any{v}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Release()
+	return append([]byte(nil), p.Bytes()...)
 }
 
 func equalInfo(a, b *TaskInfo) bool {
@@ -129,7 +141,7 @@ func TestWALRoundTripAndReopen(t *testing.T) {
 		t.Fatalf("task 3 replayed wrong: %+v", i3)
 	}
 	term, ok := fr.Terminals[k2]
-	if !ok || term.Outcome != OutcomeDone || term.Digest != "digest-2" {
+	if !ok || term.Outcome != OutcomeDone || !bytes.Equal(term.Value, encoded(t, "digest-2")) {
 		t.Fatalf("task 2 terminal replayed wrong: %+v", term)
 	}
 	if term.Info == nil || string(term.Info.Payload) != "payload-2" {
@@ -359,6 +371,11 @@ func TestWALCompactionEquivalence(t *testing.T) {
 	if len(before.Live) != 8 || before.TerminalTotal() != 12 {
 		t.Fatalf("precondition: live=%d terminals=%d", len(before.Live), before.TerminalTotal())
 	}
+	for k, term := range before.Terminals {
+		if !bytes.Equal(term.Value, encoded(t, "d")) {
+			t.Fatalf("task %d's terminal carries %q, want the encoded value", k, term.Value)
+		}
+	}
 	if err := l.Compact(); err != nil {
 		t.Fatal(err)
 	}
@@ -510,6 +527,38 @@ func TestWALWriteErrorSticks(t *testing.T) {
 	}
 	if err := l.Close(); !errors.Is(err, os.ErrClosed) {
 		t.Fatalf("Close after a failed write: %v", err)
+	}
+}
+
+// TestWALRefusedValueDoesNotStick: a value the codec refuses is an error
+// for that Terminal only. The record is still appended, with no value, and
+// the log keeps accepting appends.
+func TestWALRefusedValueDoesNotStick(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir, fastOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	k1, _ := l.Submit("ch", "", "", 0, 0, 0, nil)
+	k2, _ := l.Submit("ch", "", "", 0, 0, 0, nil)
+	if err := l.Terminal(k1, OutcomeDone, make(chan int)); err == nil {
+		t.Fatal("Terminal accepted a channel value")
+	}
+	if err := l.Terminal(k2, OutcomeDone, 7); err != nil {
+		t.Fatalf("the append after a refused value: %v", err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	fr, err := Replay(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if term, ok := fr.Terminals[k1]; !ok || term.Outcome != OutcomeDone || len(term.Value) != 0 {
+		t.Fatalf("refused value's terminal replayed as %+v, want done with no value", term)
+	}
+	if term := fr.Terminals[k2]; !bytes.Equal(term.Value, encoded(t, 7)) {
+		t.Fatalf("task %d's terminal carries %q", k2, term.Value)
 	}
 }
 
@@ -747,6 +796,10 @@ func TestWALAppendsAllocationFree(t *testing.T) {
 	defer l.Close()
 	payload := bytes.Repeat([]byte("p"), 64)
 	keys := make([]int64, 1)
+	// Results arrive boxed; a terminal record must add no allocation of its
+	// own for an int or a string.
+	values := []any{1 << 20, "memo"}
+	var n int
 	op := func() {
 		k, err := l.Submit("alloc", "memo", "tenant", 1, 1, 2, payload)
 		if err != nil {
@@ -756,7 +809,8 @@ func TestWALAppendsAllocationFree(t *testing.T) {
 		if err := l.LaunchBatch(keys); err != nil {
 			t.Fatal(err)
 		}
-		if err := l.Terminal(k, OutcomeDone, "memo"); err != nil {
+		n++
+		if err := l.Terminal(k, OutcomeDone, values[n%len(values)]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -766,7 +820,7 @@ func TestWALAppendsAllocationFree(t *testing.T) {
 	if err := l.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if n := testing.AllocsPerRun(2000, op); n != 0 {
-		t.Fatalf("Submit + LaunchBatch + Terminal: %v allocations per task, want 0", n)
+	if allocs := testing.AllocsPerRun(2000, op); allocs != 0 {
+		t.Fatalf("Submit + LaunchBatch + Terminal: %v allocations per task, want 0", allocs)
 	}
 }

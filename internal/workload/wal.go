@@ -125,11 +125,11 @@ func bootWALLifetime(cfg WALCrashConfig, seed int64) (*walLifetime, error) {
 }
 
 // RunWALCrash executes the two-lifetime scenario and checks, at the given
-// record boundary: no task is lost (every submitted task eventually resolves
-// with the right value in some lifetime), no pre-crash-terminal task is
-// re-executed, recovery re-executes at most the in-flight set, each resumed
-// task reaches a terminal state exactly once, and the launch budget spans both
-// lifetimes.
+// record boundary: no task is lost (every logged task resolves with the right
+// value in lifetime 2, from the log or by running again), no
+// pre-crash-terminal task is re-executed, recovery re-executes at most the
+// in-flight set, each resumed task reaches a terminal state exactly once, and
+// the launch budget spans both lifetimes.
 func RunWALCrash(cfg WALCrashConfig) (WALCrashResult, error) {
 	cfg.normalize()
 	var res WALCrashResult
@@ -210,20 +210,23 @@ func RunWALCrash(cfg WALCrashConfig) (WALCrashResult, error) {
 			rcv.LiveAtCrash, rcv.TerminalAtCrash, res.LiveAtCrash, res.TerminalAtCrash)
 	}
 
-	// Invariant: no task lost — every live-at-crash task resolves with the
+	// Invariant: no task lost — every task terminal at the crash resolves
+	// from the log with its value, and every live-at-crash task with the
 	// right value in lifetime 2 (exactly-once delivery across lifetimes).
-	futs := make([]*future.Future, 0, len(rcv.Resumed))
-	args := make([]int, 0, len(rcv.Resumed))
+	futs := make([]*future.Future, 0, len(rcv.Resolved)+len(rcv.Resumed))
+	args := make([]int, 0, cap(futs))
 	preLaunches := make(map[int64]int, len(rcv.Resumed))
-	for key, fut := range rcv.Resumed {
-		i, known := keyToIdx[key]
-		if !known {
-			vs.add("resumed task %d has no payload mapping", key)
-			continue
-		}
-		futs, args = append(futs, fut), append(args, i)
-		if info := fr.Live[key]; info != nil {
-			preLaunches[fut.TaskID] = info.Launches
+	for _, recovered := range []map[int64]*future.Future{rcv.Resolved, rcv.Resumed} {
+		for key, fut := range recovered {
+			i, known := keyToIdx[key]
+			if !known {
+				vs.add("recovered task %d has no payload mapping", key)
+				continue
+			}
+			futs, args = append(futs, fut), append(args, i)
+			if info := fr.Live[key]; info != nil {
+				preLaunches[fut.TaskID] = info.Launches
+			}
 		}
 	}
 	checkValues(vs, futs, args, walValue)

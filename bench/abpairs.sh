@@ -14,6 +14,7 @@
 # directory, printed at the end) and the summary reports, per metric: each
 # side's median and quartiles, the change of the medians, the parent's
 # interquartile spread relative to its median, and in how many pairs the change won.
+# The same summary is written as JSON to $ABPAIRS_OUT/summary.json.
 set -euo pipefail
 
 if [ $# -lt 2 ]; then
@@ -51,9 +52,9 @@ for i in $(seq 1 "$pairs"); do
 	fi
 done
 
-python3 - "$out" "$pairs" "$root/BENCHMARK.json" <<'EOF'
+python3 - "$out" "$pairs" "$root/BENCHMARK.json" "$workload" <<'EOF'
 import json, statistics, sys
-out, pairs, contract = sys.argv[1], int(sys.argv[2]), json.load(open(sys.argv[3]))
+out, pairs, contract, workload = sys.argv[1], int(sys.argv[2]), json.load(open(sys.argv[3])), sys.argv[4]
 better = {m["name"]: m["better"] for m in contract["end_to_end"]}
 runs = {side: [json.load(open(f"{out}/{side}_{i}.json")) for i in range(1, pairs + 1)]
         for side in ("parent", "change")}
@@ -65,6 +66,7 @@ def q(xs):
     lo, med, hi = statistics.quantiles(xs, n=4, method="inclusive")
     return lo, med, hi
 print(f"{'metric':<22}{'parent med [q1, q3]':>38}{'change med [q1, q3]':>38}{'change':>9}{'p.iqr':>8}{'wins':>7}")
+summary = {"workload": workload, "pairs": pairs, "metrics": {}}
 for name in runs["parent"][0]["metrics"]:
     p = [r["metrics"][name]["value"] for r in runs["parent"]]
     c = [r["metrics"][name]["value"] for r in runs["change"]]
@@ -72,8 +74,16 @@ for name in runs["parent"][0]["metrics"]:
     wins = sum(1 for a, b in zip(p, c) if sign * (b - a) > 0)
     ties = sum(1 for a, b in zip(p, c) if a == b)
     (pl, pm, ph), (cl, cm, ch) = q(p), q(c)
+    frac = lambda x: x / pm if pm else None
     rel = lambda x: f"{100 * x / pm:+.1f}%" if pm else "n/a"
     print(f"{name:<22}{f'{pm:.4g} [{pl:.4g}, {ph:.4g}]':>38}{f'{cm:.4g} [{cl:.4g}, {ch:.4g}]':>38}"
           f"{rel(cm - pm):>9}{rel(ph - pl).lstrip('+'):>8}{f'{wins}/{pairs - ties}':>7}")
+    summary["metrics"][name] = {
+        "better": better.get(name), "parent": [pl, pm, ph], "change": [cl, cm, ch],
+        "change_frac": frac(cm - pm), "parent_iqr_frac": frac(ph - pl),
+        "wins": wins, "decided_pairs": pairs - ties,
+    }
+with open(f"{out}/summary.json", "w") as f:
+    json.dump(summary, f, indent=1)
 EOF
 echo "runs kept in $out"

@@ -736,7 +736,8 @@ func (d *DFK) launch(rec *task.Record, gen uint32, a *App) {
 			walKey = k
 		}
 	}
-	pl := &pendingLaunch{
+	pl := attemptPool.Get().(*pendingLaunch)
+	*pl = pendingLaunch{
 		id: rec.ID, rec: rec, gen: gen, app: a, args: args, kwargs: kwargs,
 		payload: payload.Retain(),
 		wireID:  rec.ID, priority: rec.Priority,
@@ -790,8 +791,9 @@ func (d *DFK) cancelTask(rec *task.Record, cause error) {
 }
 
 // completeTask concludes a task whose attempt returned v; memoKey ("" = not
-// memoized) is the key the result is published under.
-func (d *DFK) completeTask(rec *task.Record, memoKey string, v any) {
+// memoized) is the key the result is published under. It reports whether this
+// call concluded the task.
+func (d *DFK) completeTask(rec *task.Record, memoKey string, v any) bool {
 	if memoKey != "" {
 		if err := d.memoizer.Store(memoKey, v); err != nil {
 			d.emitWAL(rec.ID, "checkpoint", err)
@@ -804,14 +806,13 @@ func (d *DFK) completeTask(rec *task.Record, memoKey string, v any) {
 			for _, f := range outs {
 				if f.Remote() && f.Staged() {
 					if err := d.cfg.DataManager.StageOut(f, f.LocalPath()); err != nil {
-						d.failTask(rec, err)
-						return
+						return d.failTask(rec, err)
 					}
 				}
 			}
 		}
 	}
-	d.finish(rec, task.Done, v, nil)
+	return d.finish(rec, task.Done, v, nil)
 }
 
 // failTask wraps the exception and associates it with the future (§4.1),

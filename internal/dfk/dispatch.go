@@ -3,6 +3,7 @@ package dfk
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -21,11 +22,20 @@ import (
 // pendingLaunch (sharing rec/app/args/payload), so a stale queue entry whose
 // attempt already timed out can be recognized and skipped.
 //
-// The struct is the hot path's one unavoidable allocation, so everything an
-// attempt needs lives inside it: the attempt future is embedded by value and
-// is the future the executor settles (executor.IntoSubmitter), and the
-// pendingLaunch itself is the DoneHook of its own attempt — two futures per
-// task, attempt and app, and no per-attempt closures.
+// Everything an attempt needs lives inside the struct: the attempt future is
+// embedded by value and is the future the executor settles
+// (executor.IntoSubmitter), and the pendingLaunch itself is the DoneHook of its
+// own attempt — two futures per task, attempt and app, and no per-attempt
+// closures.
+//
+// Attempts come from attemptPool, and one goes back to it when it is the
+// attempt that concluded its task (FutureDone) and its timeout timer never
+// fired: then nothing else can reach it. The executor that settled it dropped
+// its reference first (IntoSubmitter), no DFK queue holds a submitted attempt,
+// future.complete touches nothing after its hook, and cancelTask reads the
+// record's attempt only after winning the task, which this attempt already
+// won. Every other attempt — timed out, canceled, failed, retried, or a ghost
+// an executor may still settle — is left to the collector.
 type pendingLaunch struct {
 	// id is the task id, readable without holding rec (app.dfk is the DFK).
 	id  int64
@@ -95,23 +105,34 @@ type pendingLaunch struct {
 	stick string
 }
 
+// attemptPool recycles the attempts that concluded their tasks (see
+// pendingLaunch); launch, nextAttempt and resume take every attempt from it.
+var attemptPool = sync.Pool{New: func() any { return new(pendingLaunch) }}
+
 // FutureDone makes the pendingLaunch the DoneHook of its own attempt future:
 // stop the timeout clock, run retry-or-finish handling if the record is still
 // this attempt's generation and the task has not concluded on another path
 // (a dispatch-side failure or a cancellation settles the task first and the
-// attempt after), and drop the attempt's payload reference.
+// attempt after), drop the attempt's payload reference, and recycle the
+// attempt when it concluded the task and its timer can no longer fire.
 func (pl *pendingLaunch) FutureDone(af *future.Future) {
+	quiet := true
 	if pl.timer != nil {
-		pl.timer.Stop()
+		quiet = pl.timer.Stop()
 		pl.timer = nil
 	}
+	won := false
 	if terminal, memoKey, label, ok := pl.rec.Outcome(pl.gen); ok {
 		if !terminal {
-			pl.app.dfk.attemptDone(pl, af, memoKey, label)
+			won = pl.app.dfk.attemptDone(pl, af, memoKey, label)
 		}
 		pl.rec.Exit()
 	}
 	pl.payload.Release()
+	if won && quiet {
+		*pl = pendingLaunch{}
+		attemptPool.Put(pl)
+	}
 }
 
 // execRelay is the attempt as the DoneHook of a future the executor made
@@ -123,15 +144,16 @@ func (pl *pendingLaunch) FutureDone(af *future.Future) {
 // executor still holds the frame).
 type execRelay pendingLaunch
 
-// FutureDone implements future.DoneHook.
+// FutureDone implements future.DoneHook. The payload reference goes first:
+// settling the attempt can recycle it, after which pl is another task's.
 func (r *execRelay) FutureDone(ef *future.Future) {
 	pl := (*pendingLaunch)(r)
+	pl.payload.Release()
 	if v, err := ef.Result(); err != nil {
 		_ = pl.attempt.SetError(err)
 	} else {
 		_ = pl.attempt.SetResult(v)
 	}
-	pl.payload.Release()
 }
 
 // laneLess orders one tenant's routed-but-unsubmitted attempts by dispatch
@@ -430,15 +452,14 @@ func (d *DFK) enqueueAttempt(pl *pendingLaunch) bool {
 // executor naturally drains toward a healthier one. memoKey and label (the
 // executor the attempt was routed to, "" if it never was) come from the
 // Outcome stage, whose hold keeps the record valid throughout even if this
-// call retires it.
-func (d *DFK) attemptDone(pl *pendingLaunch, af *future.Future, memoKey, label string) {
+// call retires it. It reports whether the attempt's result concluded the task.
+func (d *DFK) attemptDone(pl *pendingLaunch, af *future.Future, memoKey, label string) bool {
 	v, err := af.Result()
 	if err == nil {
 		if d.hp != nil && label != "" {
 			d.hp.recordSuccess(label)
 		}
-		d.completeTask(pl.rec, memoKey, v)
-		return
+		return d.completeTask(pl.rec, memoKey, v)
 	}
 	// The attempt is abandoned; tell its executor to drop whatever it still
 	// holds under this wire id. For errors the executor itself reported this
@@ -454,17 +475,18 @@ func (d *DFK) attemptDone(pl *pendingLaunch, af *future.Future, memoKey, label s
 		// breaker/quarantine bookkeeping, budget charging, and backoff-paced
 		// re-dispatch.
 		d.hp.attemptFailed(pl, label, err)
-		return
+		return false
 	}
 	if next := d.nextAttempt(pl, label, true, err); next != nil {
 		d.enqueueAttempt(next)
 	}
+	return false
 }
 
 // nextAttempt charges the failed attempt pl against the retry budget (unless
 // the health plane forgives it) and builds the attempt that follows, or fails
 // the task with err and returns nil when no budget — or no legal transition —
-// remains. The new attempt is a fresh object (the old one may still sit in a
+// remains. The new attempt is another object (the old one may still sit in a
 // lane queue and must stay recognizable as dead) with a fresh wire id (the
 // timed-out attempt may still be running remotely under the old one; ids are
 // drawn from the task id sequence, so they never collide with any task's
@@ -478,7 +500,8 @@ func (d *DFK) nextAttempt(pl *pendingLaunch, label string, charge bool, err erro
 		return nil
 	}
 	d.emitState(pl.id, pl.app.name, pl.tenant, from, task.Retrying, label)
-	next := &pendingLaunch{
+	next := attemptPool.Get().(*pendingLaunch)
+	*next = pendingLaunch{
 		id: pl.id, rec: pl.rec, gen: pl.gen, app: pl.app,
 		args: pl.args, kwargs: pl.kwargs,
 		payload: pl.payload.Retain(),

@@ -215,12 +215,15 @@ func (hp *healthPlane) schedule(pl *pendingLaunch, delay time.Duration) {
 // record may have been recycled while the attempt was parked, or the task may
 // have concluded (cancellation, a racing terminal path), which Arm refuses.
 func (hp *healthPlane) release(pl *pendingLaunch) {
-	if !pl.rec.Enter(pl.gen) {
+	rec := pl.rec
+	if !rec.Enter(pl.gen) {
 		pl.payload.Release()
 		return
 	}
+	// Once enqueued, the attempt may conclude its task and be recycled before
+	// enqueueAttempt returns, so the hold is dropped through rec, not pl.
 	hp.d.enqueueAttempt(pl)
-	pl.rec.Exit()
+	rec.Exit()
 }
 
 // emitTransition records a breaker state change. Transitions are rare by

@@ -78,6 +78,43 @@ func TestDispatchAttachesEncodeOncePayload(t *testing.T) {
 	}
 }
 
+// TestRelayReleasesEveryPayload runs tasks through the relay an executor
+// without SubmitInto gets, and checks that every payload the executor was
+// handed is released by all of its holders: the record, the attempt and the
+// relay's executor leg. The last release resets a payload to empty. The relay
+// must take its payload reference before settling the attempt, since a
+// succeeded attempt is recycled as soon as it settles.
+func TestRelayReleasesEveryPayload(t *testing.T) {
+	// Task 0 fails both of its attempts; every later task succeeds at once.
+	spy := &payloadSpy{failN: 2}
+	d, err := New(Config{Executors: []executor.Executor{spy}, Retries: 1, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	app, err := d.PythonApp("relay-app", func([]any, map[string]any) (any, error) { return nil, nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 200; i++ {
+		v, err := app.Call(i).Result()
+		if (i == 0 && err == nil) || (i > 0 && (err != nil || v != "ok")) {
+			t.Fatalf("task %d = %v, %v", i, v, err)
+		}
+	}
+	// The spy settles inside Submit, so every relay runs on a lane runner,
+	// and Shutdown joins them.
+	if err := d.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	spy.mu.Lock()
+	defer spy.mu.Unlock()
+	for i, p := range spy.payloads {
+		if p.Len() != 0 {
+			t.Fatalf("submission %d: its payload still holds %d bytes after shutdown, a reference was never released", i, p.Len())
+		}
+	}
+}
+
 // TestMemoKeyOverrideHitSkipsEncoding: an explicit-key cache hit is served
 // before arguments are serialized, so even args no executor could accept
 // return the cached result — the task never needs to execute.

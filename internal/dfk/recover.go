@@ -165,13 +165,15 @@ func (d *DFK) resume(key int64, info *wal.TaskInfo, rcv *Recovery) {
 	// The frontier's payload slice aliases the log's live mirror; the record
 	// needs its own copy with its own refcount lifecycle.
 	payload := serialize.PayloadFromBytes(append([]byte(nil), info.Payload...))
-	d.firstAttempt(&pendingLaunch{
+	pl := attemptPool.Get().(*pendingLaunch)
+	*pl = pendingLaunch{
 		id: id, rec: rec, gen: gen, app: a, args: args, kwargs: kwargs,
 		payload: payload.Retain(),
 		wireID:  id, priority: info.Priority,
 		tenant: info.Tenant, weight: info.Weight,
 		walKey: key, walAttempt: attempt,
-	})
+	}
+	d.firstAttempt(pl)
 }
 
 // loggedValue is what a terminal record settles its task's future with.

@@ -68,7 +68,10 @@ type IntoSubmitter interface {
 	// settle the future it returns (result, ErrShutdown, "Submit before
 	// Start", Cancel). futs[i] arrives pending and stays the caller's: it may
 	// settle it first (timeout, cancellation), and the executor's later write
-	// is refused and ignored. Neither slice is retained after the call.
+	// is refused and ignored. Neither slice is retained after the call. Once
+	// the executor has settled futs[i] it never reads or writes it again, so
+	// the caller may reuse a future it saw settled by the executor; one the
+	// caller settled first may still receive the executor's refused write.
 	//
 	// Payload ownership moves with the call: a msgs[i] carrying an encode-once
 	// payload arrives with one reference that is now the executor's, released

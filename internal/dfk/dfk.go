@@ -615,31 +615,34 @@ func (d *DFK) submit(ctx context.Context, a *App, args []any, kwargs map[string]
 		return fut
 	}
 
-	// The countdown is set before the first callback can fire. Each resolved
-	// edge is one compare-and-swap on it; only the last one locks the record.
-	rec.SetPendingDeps(gen, n)
-	// One callback serves every edge: it is handed the dependency it fires for.
-	onDep := func(df *future.Future) {
-		if err := df.Err(); err != nil {
-			// Edge callbacks can fire long after the task concluded on
-			// another path (dependency failure, cancellation); the
-			// generation check drops them once the record has moved on.
-			if rec.Enter(gen) {
-				d.failTask(rec, &DependencyError{TaskID: id, DepID: df.TaskID, Err: err})
-				rec.Exit()
-			}
-			return
-		}
-		if rec.DepDone(gen) {
-			d.launch(rec, gen, a)
-			rec.Exit()
-		}
-	}
-	eachFuture(args, kwargs, func(f *future.Future) { f.AddDoneCallback(onDep) })
+	// The countdown is set before the first input can fire. The record itself
+	// is the DoneHook of every input: an edge stores one interface value in the
+	// input's future, and each resolved input is one compare-and-swap on the
+	// countdown; only the last one locks the record.
+	rec.WaitInputs(gen, n, (*inputWaiter)(a))
+	eachFuture(args, kwargs, func(f *future.Future) { f.SetDoneHook(rec) })
 	for _, f := range staged {
-		f.AddDoneCallback(onDep)
+		f.SetDoneHook(rec)
 	}
 	return fut
+}
+
+// inputWaiter is an app as the task.InputWaiter of its tasks that wait on
+// inputs. Its methods are not App's own: parsl.App aliases App, so they would
+// be public API.
+type inputWaiter App
+
+// InputsReady implements task.InputWaiter: the last input resolved.
+func (w *inputWaiter) InputsReady(rec *task.Record, gen uint32) {
+	a := (*App)(w)
+	a.dfk.launch(rec, gen, a)
+}
+
+// InputFailed implements task.InputWaiter. An input can fail long after the
+// task concluded on another path (another input's failure, cancellation);
+// failTask is then a no-op.
+func (w *inputWaiter) InputFailed(rec *task.Record, input *future.Future) {
+	w.dfk.failTask(rec, &DependencyError{TaskID: rec.ID, DepID: input.TaskID, Err: input.Err()})
 }
 
 // stageInTask creates the hidden data-transfer task for a remote file: HTTP

@@ -2,18 +2,21 @@
 // (HPDC'19, §3.1.2) uses as its only synchronization primitive.
 //
 // A Future is created pending and transitions exactly once to either a value
-// or an error; further writes are rejected. Callbacks registered with
-// AddDoneCallback fire exactly once, on the goroutine that completes the
-// future (or immediately, on the caller's goroutine, if the future is already
-// done). The DataFlowKernel encodes task-graph edges as these callbacks,
-// which is what makes dependency resolution event driven with O(n+e) cost.
+// or an error; further writes are rejected. A future keeps one registration
+// list: every DoneHook (SetDoneHook) and callback (AddDoneCallback) on it fires
+// exactly once, in the order it was registered, on the goroutine that
+// completes the future (or immediately, on the caller's goroutine, if the
+// future is already done). The DataFlowKernel encodes task-graph edges as
+// these registrations — a waiting task's record is the DoneHook of each of its
+// inputs — which is what makes dependency resolution event driven with O(n+e)
+// cost.
 //
 // The struct is tuned for the million-task hot path: the done channel is
 // allocated lazily (only futures somebody actually selects or blocks on pay
-// for it), the first callback occupies an inline slot (a task with one
+// for it), the first registration occupies an inline slot (a task with one
 // dependent never grows a slice), and the DoneHook interface lets pipeline
-// stages embed their completion handling in a struct they already allocate
-// instead of capturing a closure per task.
+// stages and task records embed their completion handling in a struct they
+// already allocate instead of capturing a closure per task.
 package future
 
 import (
@@ -59,14 +62,22 @@ func (s State) String() string {
 }
 
 // DoneHook is the allocation-free alternative to AddDoneCallback: a value
-// that already exists (a dispatch-pipeline attempt record, an executor relay)
-// implements FutureDone and registers itself once with SetDoneHook, so
-// completion notification costs no closure. The hook fires on the completing
-// goroutine, before any AddDoneCallback callbacks, under the same must-not-
-// block contract.
+// that already exists (a dispatch-pipeline attempt record, an executor relay,
+// a task record waiting on its inputs) implements FutureDone and registers
+// itself with SetDoneHook, so completion notification costs no closure. Hooks
+// and callbacks share one registration list and fire on the completing
+// goroutine in the order they were registered, under the same must-not-block
+// contract.
 type DoneHook interface {
 	FutureDone(*Future)
 }
+
+// callback is an AddDoneCallback function as a registration. A func value is
+// one pointer, so storing it in a DoneHook allocates nothing.
+type callback func(*Future)
+
+// FutureDone implements DoneHook.
+func (cb callback) FutureDone(f *Future) { cb(f) }
 
 // closedChan is the shared pre-closed channel handed out by DoneChan on
 // futures that completed before anyone asked for a channel.
@@ -94,11 +105,10 @@ type Future struct {
 	done  chan struct{}
 	value any
 	err   error
-	// hook is the single embedded-completion slot (SetDoneHook); cb0 the
-	// inline first callback; callbacks the overflow for fan-out edges.
-	hook      DoneHook
-	cb0       func(*Future)
-	callbacks []func(*Future)
+	// first and more are the registration list, hooks and callbacks alike:
+	// first is the inline slot, more the overflow for fan-out edges.
+	first DoneHook
+	more  []DoneHook
 
 	// TaskID is the identifier of the task that will complete this future,
 	// or a negative value when the future is not bound to a task (for
@@ -164,19 +174,14 @@ func (f *Future) complete(s State, v any, err error) error {
 	if f.done != nil {
 		close(f.done)
 	}
-	hook := f.hook
-	cb0 := f.cb0
-	cbs := f.callbacks
-	f.hook, f.cb0, f.callbacks = nil, nil, nil
+	first, more := f.first, f.more
+	f.first, f.more = nil, nil
 	f.mu.Unlock()
-	if hook != nil {
-		hook.FutureDone(f)
+	if first != nil {
+		first.FutureDone(f)
 	}
-	if cb0 != nil {
-		cb0(f)
-	}
-	for _, cb := range cbs {
-		cb(f)
+	for _, h := range more {
+		h.FutureDone(f)
 	}
 	return nil
 }
@@ -261,28 +266,22 @@ func (f *Future) Value() any {
 // returns. Callbacks must not block: the DataFlowKernel relies on them for
 // edge triggering and a blocking callback stalls the completing goroutine.
 func (f *Future) AddDoneCallback(cb func(*Future)) {
-	f.mu.Lock()
-	if State(f.state.Load()) == Pending {
-		if f.cb0 == nil {
-			f.cb0 = cb
-		} else {
-			f.callbacks = append(f.callbacks, cb)
-		}
-		f.mu.Unlock()
-		return
-	}
-	f.mu.Unlock()
-	cb(f)
+	f.SetDoneHook(callback(cb))
 }
 
-// SetDoneHook registers h to be notified on completion, firing before any
-// AddDoneCallback callbacks. One hook per future (last registration wins);
-// if the future is already done, h fires synchronously before SetDoneHook
-// returns. Same must-not-block contract as callbacks.
+// SetDoneHook adds h to the future's registration list: on completion h fires
+// once, after every hook and callback registered before it and before every
+// one registered after. A hook registered twice fires twice. If the future is
+// already done, h fires synchronously before SetDoneHook returns. Same
+// must-not-block contract as callbacks.
 func (f *Future) SetDoneHook(h DoneHook) {
 	f.mu.Lock()
 	if State(f.state.Load()) == Pending {
-		f.hook = h
+		if f.first == nil {
+			f.first = h
+		} else {
+			f.more = append(f.more, h)
+		}
 		f.mu.Unlock()
 		return
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -181,6 +182,110 @@ func TestCallbacksRunOnce(t *testing.T) {
 	_ = f.SetResult(nil)
 	if n.Load() != 10 {
 		t.Fatalf("callbacks ran %d times, want 10", n.Load())
+	}
+}
+
+// logHook is a DoneHook that appends its name to a shared log.
+type logHook struct {
+	name string
+	log  *[]string
+}
+
+func (h *logHook) FutureDone(*Future) { *h.log = append(*h.log, h.name) }
+
+// Hooks and callbacks share one registration list: two hooks with a callback
+// between them fire once each, in the order they were registered, and a
+// refused second write fires nothing again. A registration made after
+// completion fires at once.
+func TestHooksAndCallbacksFireInRegistrationOrder(t *testing.T) {
+	var log []string
+	f := New()
+	f.SetDoneHook(&logHook{"hook1", &log})
+	f.AddDoneCallback(func(*Future) { log = append(log, "callback") })
+	f.SetDoneHook(&logHook{"hook2", &log})
+	_ = f.SetResult(nil)
+	if f.SetError(errors.New("second write")) != ErrAlreadySet {
+		t.Fatal("second write accepted")
+	}
+	if got := strings.Join(log, ","); got != "hook1,callback,hook2" {
+		t.Fatalf("fired %q, want hook1,callback,hook2", got)
+	}
+	f.SetDoneHook(&logHook{"late", &log})
+	if got := strings.Join(log, ","); got != "hook1,callback,hook2,late" {
+		t.Fatalf("after a late hook fired %q", got)
+	}
+}
+
+// countHook is a DoneHook that counts its firings.
+type countHook struct{ n atomic.Int32 }
+
+func (h *countHook) FutureDone(*Future) { h.n.Add(1) }
+
+// Registering a callback, or a future's first hook, stores one interface
+// value in the future: neither it nor the firing allocates.
+func TestRegistrationAllocationFree(t *testing.T) {
+	const runs = 100
+	var calls int
+	cb := func(*Future) { calls++ }
+	var h countHook
+	for _, tc := range []struct {
+		name     string
+		register func(*Future)
+	}{
+		{"callback", func(f *Future) { f.AddDoneCallback(cb) }},
+		{"first hook", func(f *Future) { f.SetDoneHook(&h) }},
+	} {
+		futs := make([]Future, runs+1) // AllocsPerRun adds one warm-up run
+		i := 0
+		if n := testing.AllocsPerRun(runs, func() {
+			f := &futs[i]
+			i++
+			tc.register(f)
+			_ = f.SetResult(nil)
+		}); n != 0 {
+			t.Errorf("%s: %.2f allocations per registration and firing, want 0", tc.name, n)
+		}
+	}
+	if calls != runs+1 || h.n.Load() != runs+1 {
+		t.Fatalf("fired %d callbacks and %d hooks, want %d of each", calls, h.n.Load(), runs+1)
+	}
+}
+
+// Hooks and callbacks registered from several goroutines while another
+// completes the future each fire exactly once: listed ones on the completing
+// goroutine, late ones synchronously on their own.
+func TestRegistrationsRaceCompletion(t *testing.T) {
+	const regs = 8
+	for iter := 0; iter < 300; iter++ {
+		f := New()
+		var hooks [regs]countHook
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		for i := range hooks {
+			wg.Add(1)
+			go func(h *countHook, asHook bool) {
+				defer wg.Done()
+				<-start
+				if asHook {
+					f.SetDoneHook(h)
+				} else {
+					f.AddDoneCallback(func(*Future) { h.n.Add(1) })
+				}
+			}(&hooks[i], i%2 == 0)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			_ = f.SetResult(iter)
+		}()
+		close(start)
+		wg.Wait()
+		for i := range hooks {
+			if n := hooks[i].n.Load(); n != 1 {
+				t.Fatalf("iteration %d: registration %d fired %d times, want 1", iter, i, n)
+			}
+		}
 	}
 }
 

@@ -15,8 +15,9 @@ const NumShards = 1 << shardBits
 // (§3.4). Nodes are task records; a directed edge u→v means v consumes u's
 // future. The graph is dynamic: nodes are added as the program submits apps,
 // and execution begins as soon as the first ready task exists. The DFK keeps
-// no edge here: the futures' callbacks are the edges, and a task counts its
-// unresolved inputs down on its own record (Record.DepDone).
+// no edge here: a waiting task's record is the DoneHook of each of its input
+// futures, so an edge is one registration in the input, and the task counts
+// its unresolved inputs down on its own record (Record.FutureDone).
 //
 // State is sharded N ways by task id with per-shard locks, so concurrent
 // submissions from many goroutines do not contend on a single mutex. Nothing

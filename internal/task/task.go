@@ -126,9 +126,14 @@ type Record struct {
 
 	// deps is the dependency countdown, gen<<32 | unresolved inputs, kept
 	// outside mu so that an edge costs one compare-and-swap (DepDone). The
-	// creator stores it (SetPendingDeps) while its hold keeps gen fixed;
-	// recycling zeroes it, so a straggler's edge finds nothing to count.
+	// creator stores it (WaitInputs) while its hold keeps gen fixed. A record
+	// with inputs outstanding is never recycled, so each input's FutureDone
+	// finds its own generation here; the input that counts it to zero does so
+	// under mu, where recycling reads it. Recycling zeroes it.
 	deps atomic.Uint64
+	// waiter is told when the inputs are all resolved or one of them failed
+	// (WaitInputs; nil for a task without inputs).
+	waiter InputWaiter
 
 	// Current execution attempt: its outcome future and wire id, recorded so
 	// a cancellation arriving from outside the dispatch pipeline can conclude
@@ -143,13 +148,15 @@ type Record struct {
 	payload *serialize.Payload
 
 	// Recycling bookkeeping (all under mu). gen is the generation stamp:
-	// asynchronous consumers (dependency callbacks, context watchers, the
-	// dispatch pipeline) capture it at registration and revalidate with
-	// Enter before touching the record, so a pooled record reused for a new
-	// task is never corrupted by a straggler holding a stale pointer. holds
-	// counts consumers currently inside an Enter/Exit window; retired marks
-	// that the graph has pruned the record — the last Exit (or Retire itself
-	// when nobody is inside) resets the record and returns it to the pool.
+	// asynchronous consumers (context watchers, the dispatch pipeline)
+	// capture it at registration and revalidate with Enter before touching
+	// the record, so a pooled record reused for a new task is never corrupted
+	// by a straggler holding a stale pointer. holds counts consumers currently
+	// inside an Enter/Exit window; retired marks that the graph has pruned the
+	// record. A retired record that nobody holds and that waits on no input is
+	// reset and returned to the pool by whichever comes last: Retire, the last
+	// Exit, or the last input's FutureDone. Inputs capture nothing: waiting on
+	// the countdown is what keeps the record theirs.
 	gen     uint32
 	holds   int32
 	state   State // the lifecycle state; here it shares a word with retired
@@ -255,16 +262,23 @@ func (r *Record) exitLocked() {
 		panic(fmt.Sprintf("task %d: Exit without matching Enter (use-after-recycle guard)", id))
 	}
 	r.holds--
-	if r.retired && r.holds == 0 {
+	if r.recyclableLocked() {
 		r.recycleLocked()
 		return
 	}
 	r.mu.Unlock()
 }
 
-// Retire marks the record as pruned from the graph. If no consumer holds it,
-// the record is reset and returned to the pool immediately; otherwise the
-// last Exit recycles it. Called exactly once per task, by Graph.Retire.
+// recyclableLocked reports, with r.mu held, whether the record is retired,
+// held by nobody and waiting on no input: only then can no consumer reach it.
+func (r *Record) recyclableLocked() bool {
+	return r.retired && r.holds == 0 && uint32(r.deps.Load()) == 0
+}
+
+// Retire marks the record as pruned from the graph. If no consumer holds it
+// and no input is outstanding, the record is reset and returned to the pool
+// immediately; otherwise the last Exit or the last input recycles it. Called
+// exactly once per task, by Graph.Retire.
 func (r *Record) Retire() {
 	r.mu.Lock()
 	if r.retired {
@@ -273,7 +287,7 @@ func (r *Record) Retire() {
 		panic(fmt.Sprintf("task %d: double retire", id))
 	}
 	r.retired = true
-	if r.holds == 0 {
+	if r.recyclableLocked() {
 		r.recycleLocked()
 		return
 	}
@@ -296,6 +310,7 @@ func (r *Record) recycleLocked() {
 	r.executor = ""
 	r.memoKey = ""
 	r.deps.Store(0)
+	r.waiter = nil
 	r.attemptFut = nil
 	r.attemptWire = 0
 	r.payload = nil
@@ -486,9 +501,56 @@ func (r *Record) SetMemoKey(k string) {
 	r.memoKey = k
 }
 
+// InputWaiter is what a task waiting on its inputs reports to: the record
+// calls it from the FutureDone of the input that settles it, on that input's
+// completing goroutine. Neither method may block.
+type InputWaiter interface {
+	// InputsReady is called once the last input resolved, with the record
+	// Pending and held for the call: the waiter launches the task.
+	InputsReady(r *Record, gen uint32)
+	// InputFailed is called for each input that failed, with the record held
+	// for the call and the failed input not yet counted down: the waiter must
+	// leave the task terminal (a no-op once it is).
+	InputFailed(r *Record, input *future.Future)
+}
+
+// WaitInputs makes the record wait on n inputs, reporting to w. Only the
+// creator calls it, holding the record (the hold keeps gen current) and
+// before it registers the record as the DoneHook of its inputs, one
+// registration per input (SetDoneHook). Until the last of them fires the
+// record is not recycled, whatever else concludes the task.
+func (r *Record) WaitInputs(gen uint32, n int, w InputWaiter) {
+	r.waiter = w
+	r.SetPendingDeps(gen, n)
+}
+
+// FutureDone implements future.DoneHook: one of the record's inputs settled.
+// The input has not been counted down yet, so the record is not recyclable
+// and the countdown word still carries its generation. A resolved input costs
+// one compare-and-swap unless it is the last; a failed one holds the record
+// across InputFailed and its countdown, so the record outlives both.
+func (r *Record) FutureDone(input *future.Future) {
+	gen := uint32(r.deps.Load() >> 32)
+	if input.Err() == nil {
+		if r.DepDone(gen) {
+			r.waiter.InputsReady(r, gen)
+			r.Exit()
+		}
+		return
+	}
+	if !r.Enter(gen) {
+		return
+	}
+	r.waiter.InputFailed(r, input)
+	// The task is terminal now, so its countdown launches nothing, and the
+	// hold keeps this countdown from recycling the record: Exit does.
+	r.DepDone(gen)
+	r.Exit()
+}
+
 // SetPendingDeps starts the dependency countdown of generation gen at n
 // unresolved inputs. Only the creator calls it, holding the record (the hold
-// keeps gen current) and before it registers the first dependency callback.
+// keeps gen current) and before the first input can count down.
 func (r *Record) SetPendingDeps(gen uint32, n int) {
 	r.deps.Store(uint64(gen)<<32 | uint64(uint32(n)))
 }
@@ -496,29 +558,41 @@ func (r *Record) SetPendingDeps(gen uint32, n int) {
 // DepDone counts one resolved input of generation gen down. It reports true
 // to the caller that resolved the last one, and then only if the record is
 // still on generation gen and Pending: that caller holds the record (drop it
-// with Exit) and launches the task. Every other edge costs one
-// compare-and-swap and never takes the record lock. A stale generation, or a
-// countdown already at zero, changes nothing and reports false.
+// with Exit) and launches the task. Every other input costs one
+// compare-and-swap and never takes the record lock. The last one counts down
+// under the lock, where recycling reads the countdown: a record that
+// concluded while it waited is recycled here if nothing else holds it. A
+// stale generation, or a countdown already at zero, changes nothing and
+// reports false.
 func (r *Record) DepDone(gen uint32) bool {
 	for {
 		w := r.deps.Load()
 		if uint32(w>>32) != gen || uint32(w) == 0 {
 			return false
 		}
-		if r.deps.CompareAndSwap(w, w-1) {
-			if uint32(w) > 1 {
+		if uint32(w) > 1 {
+			if r.deps.CompareAndSwap(w, w-1) {
 				return false
 			}
+			continue
+		}
+		r.mu.Lock()
+		if r.deps.CompareAndSwap(w, w-1) {
 			break
 		}
+		r.mu.Unlock()
 	}
-	r.mu.Lock()
-	ok := r.gen == gen && r.state == Pending
-	if ok {
+	if r.gen == gen && r.state == Pending {
 		r.holds++
+		r.mu.Unlock()
+		return true
+	}
+	if r.recyclableLocked() {
+		r.recycleLocked()
+		return false
 	}
 	r.mu.Unlock()
-	return ok
+	return false
 }
 
 // Attempt returns the current attempt's outcome future and wire id (nil, 0

@@ -2,6 +2,7 @@ package task
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -419,5 +420,112 @@ func TestLifecycleStages(t *testing.T) {
 	r.Exit() // the creator's hold: the last one out recycles
 	if r.Enter(gen) {
 		t.Fatal("recycled generation still admitted")
+	}
+}
+
+// testWaiter is an InputWaiter that does what the DFK does: a failed input
+// concludes the task and retires its record, and the last resolved input
+// launches it (counted here; the record stays Pending).
+type testWaiter struct{ launches, failures atomic.Int32 }
+
+func (w *testWaiter) InputsReady(*Record, uint32) { w.launches.Add(1) }
+
+func (w *testWaiter) InputFailed(r *Record, _ *future.Future) {
+	w.failures.Add(1)
+	if _, ok := r.Finish(Failed); ok {
+		r.Retire()
+	}
+}
+
+// generation reads r's generation stamp.
+func generation(r *Record) uint32 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.gen
+}
+
+var errInput = errors.New("input failed")
+
+// TestFailedInputKeepsRecordUntilLastInput: one of a record's two inputs
+// fails, and the task fails and retires while nothing holds the record. The
+// other input is still registered on it, so the record keeps its generation
+// until that input fires; then it is recycled exactly once, and the late
+// input launches nothing. With the failing input second, that input is the
+// one that recycles it.
+func TestFailedInputKeepsRecordUntilLastInput(t *testing.T) {
+	for _, failFirst := range []bool{true, false} {
+		r, gen := Create(1, "a", nil, nil, Options{})
+		var w testWaiter
+		r.WaitInputs(gen, 2, &w)
+		failing, late := future.New(), future.New()
+		failing.SetDoneHook(r)
+		late.SetDoneHook(r)
+		r.Exit() // the creator's hold
+		if !failFirst {
+			_ = late.SetResult(1)
+			if generation(r) != gen || w.launches.Load() != 0 {
+				t.Fatalf("one of two inputs resolved: generation %d (want %d), %d launches",
+					generation(r), gen, w.launches.Load())
+			}
+		}
+		_ = failing.SetError(errInput)
+		if failFirst {
+			r.mu.Lock()
+			g, retired, holds, state, id := r.gen, r.retired, r.holds, r.state, r.ID
+			r.mu.Unlock()
+			if g != gen || !retired || holds != 0 || state != Failed || id != 1 {
+				t.Fatalf("after the failed input: generation %d (want %d), retired %v, holds %d, %v, id %d",
+					g, gen, retired, holds, state, id)
+			}
+			_ = late.SetResult(1)
+		}
+		if g := generation(r); g != gen+1 {
+			t.Fatalf("failFirst %v: generation %d after both inputs, want %d (recycled exactly once)", failFirst, g, gen+1)
+		}
+		if w.launches.Load() != 0 || w.failures.Load() != 1 {
+			t.Fatalf("failFirst %v: %d launches and %d failures, want 0 and 1", failFirst, w.launches.Load(), w.failures.Load())
+		}
+		if r.Enter(gen) {
+			t.Fatal("the recycled generation admitted a hold")
+		}
+	}
+}
+
+// TestInputsRaceRecycleOnce races a record's two inputs, one of them failing,
+// against their registration and the creator dropping its hold: an input may
+// fire inside SetDoneHook or on its own goroutine, before or after the other.
+// Whatever the order, the task fails once, never launches, and its record is
+// recycled exactly once.
+func TestInputsRaceRecycleOnce(t *testing.T) {
+	for iter := 0; iter < 300; iter++ {
+		r, gen := Create(int64(iter), "race", nil, nil, Options{})
+		var w testWaiter
+		r.WaitInputs(gen, 2, &w)
+		failing, late := future.New(), future.New()
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			<-start
+			_ = failing.SetError(errInput)
+		}()
+		go func() {
+			defer wg.Done()
+			<-start
+			_ = late.SetResult(iter)
+		}()
+		close(start)
+		failing.SetDoneHook(r)
+		late.SetDoneHook(r)
+		r.Exit()
+		wg.Wait()
+		if w.launches.Load() != 0 || w.failures.Load() != 1 {
+			t.Fatalf("iteration %d: %d launches and %d failures, want 0 and 1", iter, w.launches.Load(), w.failures.Load())
+		}
+		if r.Enter(gen) || !r.Enter(gen+1) {
+			t.Fatalf("iteration %d: record not recycled exactly once", iter)
+		}
+		r.Exit()
 	}
 }

@@ -7,10 +7,11 @@ import (
 )
 
 // The graph memory bar: peak RSS may not exceed a fixed allowance (runtime,
-// executor, code pages) plus a budget per node. With record recycling the
-// live frontier is chains × window (8192 records) whatever the DAG's size, so
-// RSS stays near the runtime's floor; a reclamation leak retains every record
-// (480 B before its future and payload) and outgrows the budget with the DAG.
+// executor, code pages) plus a budget per node. The live frontier is chains ×
+// window (8192 tasks) whatever the DAG's size, and the DFK keeps no task
+// table, so RSS stays near the runtime's floor. What the budget still catches
+// is anything that keeps a concluded task reachable — a callback or hook list
+// on a future, a queue, the memo table — and so grows with the DAG.
 const (
 	graphRSSBaseBytes    = 24 << 20
 	graphRSSBytesPerNode = 192
@@ -50,7 +51,7 @@ func runGraph(o options) error {
 		float64(res.PeakRSSBytes)/(1<<20), perTask,
 		res.LiveNodesMax, res.RecycledNodes, res.AllocsPerTask)
 	if res.RecycledNodes != int64(res.Nodes) {
-		return fmt.Errorf("recycled %d of %d records — graph reclamation leaked", res.RecycledNodes, res.Nodes)
+		return fmt.Errorf("recycled %d of %d records — a task never concluded", res.RecycledNodes, res.Nodes)
 	}
 	if o.all {
 		fmt.Println("RSS budget SKIPPED: the process's peak RSS includes the scenarios that ran before this one; run `parsl-bench graph` alone")

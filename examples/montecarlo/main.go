@@ -33,9 +33,10 @@ func main() {
 		InitBlocks: 1,
 		Manager:    htex.ManagerConfig{Workers: 2},
 	})
-	// RetainRecords keeps terminal task records introspectable: the spread
-	// report below reads each task's executor label after the drain.
-	d, err := parsl.New(dfk.Config{Registry: reg, Executors: []executor.Executor{tp, hx}, RetainRecords: true})
+	// The monitor store keeps each task's state events: the spread report
+	// below reads every attempt's executor from them after the drain.
+	store := parsl.NewMonitorStore()
+	d, err := parsl.New(dfk.Config{Registry: reg, Executors: []executor.Executor{tp, hx}, Monitor: store})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -83,8 +84,8 @@ func main() {
 
 	// Show the random multi-executor spread (§4.1).
 	spread := map[string]int{}
-	for _, rec := range d.Graph().Tasks() {
-		spread[rec.Executor()]++
+	for _, sp := range store.ExecutionSpans() {
+		spread[sp.Executor]++
 	}
 	fmt.Printf("executor spread: %v\n", spread)
 }

@@ -83,8 +83,8 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Println("diamond dataflow result:", total) // (1+10)+(1+100) = 112
-	// Terminal records are pruned and recycled as tasks settle, so the live
-	// graph is empty after the drain; RecycledNodes is the cumulative count.
+	// The DFK counts tasks rather than holding them: after the drain every
+	// task is in Summary's tallies and none is outstanding.
 	d.WaitAll()
-	fmt.Println("tasks executed:", d.Graph().RecycledNodes(), "live records:", d.Graph().LiveNodes())
+	fmt.Println("tasks concluded:", d.Summary(), "outstanding:", d.Outstanding())
 }

@@ -57,7 +57,7 @@ func TestFiredTimerKeepsAttemptFromPool(t *testing.T) {
 	}
 	wg.Wait()
 	d.WaitAll()
-	if live := d.Graph().LiveNodes(); live != 0 {
-		t.Fatalf("LiveNodes = %d after drain, want 0", live)
+	if out := d.Outstanding(); out != 0 {
+		t.Fatalf("Outstanding = %d after drain, want 0", out)
 	}
 }

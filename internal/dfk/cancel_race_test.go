@@ -48,8 +48,8 @@ func TestCancelDuringSubmit(t *testing.T) {
 		checkCancelOutcome(t, i, v, err)
 	}
 	d.WaitAll()
-	if live := d.Graph().LiveNodes(); live != 0 {
-		t.Fatalf("LiveNodes = %d after drain, want 0", live)
+	if out := d.Outstanding(); out != 0 {
+		t.Fatalf("Outstanding = %d after drain, want 0", out)
 	}
 }
 
@@ -69,8 +69,8 @@ func TestCancelWhileQueued(t *testing.T) {
 		checkCancelOutcome(t, i, v, err)
 	}
 	d.WaitAll()
-	if live := d.Graph().LiveNodes(); live != 0 {
-		t.Fatalf("LiveNodes = %d after drain, want 0", live)
+	if out := d.Outstanding(); out != 0 {
+		t.Fatalf("Outstanding = %d after drain, want 0", out)
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"repro/internal/executor"
 	"repro/internal/executor/threadpool"
 	"repro/internal/future"
+	"repro/internal/monitor"
 	"repro/internal/serialize"
 	"repro/internal/task"
 )
@@ -73,8 +74,7 @@ func (g *gateExec) submitted() []string {
 func TestCancelBeforeDispatch(t *testing.T) {
 	ge := newGateExec("gate")
 	close(ge.gate) // open: this test must see zero submissions regardless
-	// RetainRecords: the test reads the canceled record's state afterwards.
-	d, err := New(Config{Executors: []executor.Executor{ge}, RetainRecords: true})
+	d, err := New(Config{Executors: []executor.Executor{ge}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,8 +113,8 @@ func TestCancelBeforeDispatch(t *testing.T) {
 	if got := ge.submitted(); len(got) != 0 {
 		t.Fatalf("canceled task reached the executor: %v", got)
 	}
-	if st := record(d, fut.TaskID).State(); st != task.Failed {
-		t.Fatalf("canceled task state = %v, want failed", st)
+	if s := d.Summary(); s["failed"] != 2 || concluded(d) != 2 {
+		t.Fatalf("summary = %v, want the canceled task and its descendant failed", s)
 	}
 }
 
@@ -162,8 +162,7 @@ func TestCancelWhileQueuedInLane(t *testing.T) {
 // TestCancelAfterCompletion verifies canceling a finished task is a no-op:
 // the resolved value and terminal state are untouched.
 func TestCancelAfterCompletion(t *testing.T) {
-	// RetainRecords: cancelTask is poked directly at the terminal record.
-	d := newDFK(t, func(c *Config) { c.RetainRecords = true })
+	d := newDFK(t, nil)
 	app, err := d.PythonApp("echo", func(args []any, _ map[string]any) (any, error) { return args[0], nil })
 	if err != nil {
 		t.Fatal(err)
@@ -175,14 +174,26 @@ func TestCancelAfterCompletion(t *testing.T) {
 		t.Fatalf("Result = %v, %v", v, err)
 	}
 	cancel()
-	// The AfterFunc watcher is stopped by the future's done callback, but
-	// exercise cancelTask directly too: it must refuse terminal tasks.
-	d.cancelTask(record(d, fut.TaskID), ErrCanceled)
 	if v, err := fut.Result(); err != nil || v != 42 {
 		t.Fatalf("after cancel: Result = %v, %v (must be unchanged)", v, err)
 	}
-	if st := record(d, fut.TaskID).State(); st != task.Done {
-		t.Fatalf("state = %v, want done", st)
+	if s := d.Summary(); s["done"] != 1 || concluded(d) != 1 {
+		t.Fatalf("summary = %v, want the one task done", s)
+	}
+	// The AfterFunc watcher is stopped by retirement, but exercise cancelTask
+	// directly too: it must refuse a terminal task. The DFK recycled its own
+	// record, so the task here is one concluded by hand.
+	rec, _ := task.Create(1<<40, "echo", nil, nil, task.Options{})
+	defer rec.Exit()
+	_ = rec.SetState(task.Launched)
+	if _, ok := rec.Finish(task.Done); !ok {
+		t.Fatal("hand-made task did not conclude")
+	}
+	if d.cancelTask(rec, ErrCanceled); rec.State() != task.Done || rec.Future.Done() {
+		t.Fatalf("cancelTask changed a terminal task: state %v, future settled %v", rec.State(), rec.Future.Done())
+	}
+	if s := d.Summary(); s["failed"] != 0 || concluded(d) != 1 {
+		t.Fatalf("summary = %v after cancelTask on a terminal task", s)
 	}
 }
 
@@ -193,7 +204,8 @@ func TestCancelAfterCompletion(t *testing.T) {
 func TestCancelAfterLaunchDropsThreadpoolWork(t *testing.T) {
 	reg := serialize.NewRegistry()
 	tp := threadpool.New("tp", 1, reg)
-	d, err := New(Config{Registry: reg, Executors: []executor.Executor{tp}})
+	store := monitor.NewStore()
+	d, err := New(Config{Registry: reg, Executors: []executor.Executor{tp}, Monitor: store})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,8 +234,7 @@ func TestCancelAfterLaunchDropsThreadpoolWork(t *testing.T) {
 	// Both tasks submitted: the blocker occupies the only worker, the victim
 	// sits in the threadpool's input queue.
 	waitFor(t, func() bool { return tp.Outstanding() == 2 })
-	rec := record(d, victim.TaskID)
-	waitFor(t, func() bool { return rec.State() == task.Launched })
+	waitFor(t, func() bool { return len(launches(store)[victim.TaskID]) == 1 })
 
 	cancel()
 	if _, err := victim.Result(); !errors.Is(err, ErrCanceled) {

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -18,9 +19,9 @@ import (
 	"repro/internal/executor/htex"
 	"repro/internal/executor/threadpool"
 	"repro/internal/future"
+	"repro/internal/monitor"
 	"repro/internal/provider"
 	"repro/internal/serialize"
-	"repro/internal/task"
 )
 
 // TestConcurrentSubmissionMixedDeps hammers App.Call from many goroutines
@@ -48,8 +49,6 @@ func TestConcurrentSubmissionMixedDeps(t *testing.T) {
 			threadpool.New("tp-b", 4, reg),
 		},
 		DataManager: dm,
-		// This test audits every record after the drain, so keep them.
-		RetainRecords: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -145,18 +144,9 @@ func TestConcurrentSubmissionMixedDeps(t *testing.T) {
 		}
 	}
 
-	graph := d.Graph()
-	tasks := graph.Tasks()
-	for _, rec := range tasks {
-		if !rec.State().Terminal() {
-			t.Fatalf("task %d (%s) not terminal: %v", rec.ID, rec.AppName, rec.State())
-		}
-	}
-	if len(tasks) != graph.Len() {
-		t.Fatalf("%d records across the shards != Len %d", len(tasks), graph.Len())
-	}
-	if graph.Len() < goroutines*perG {
-		t.Fatalf("graph has %d tasks, want >= %d", graph.Len(), goroutines*perG)
+	d.WaitAll()
+	if n := concluded(d); n < goroutines*perG {
+		t.Fatalf("%d tasks concluded, want >= %d", n, goroutines*perG)
 	}
 	if d.Outstanding() != 0 {
 		t.Fatalf("outstanding = %d", d.Outstanding())
@@ -169,13 +159,14 @@ func TestConcurrentSubmissionMixedDeps(t *testing.T) {
 // task must land on pool B.
 func TestLeastOutstandingPolicyRoutesAroundBusyExecutor(t *testing.T) {
 	reg := serialize.NewRegistry()
+	store := monitor.NewStore()
 	a := threadpool.New("pool-a", 1, reg)
 	b := threadpool.New("pool-b", 1, reg)
 	d, err := New(Config{
 		Registry:        reg,
 		Executors:       []executor.Executor{a, b},
 		SchedulerPolicy: "least-outstanding",
-		RetainRecords:   true, // test reads Executor() off terminal records
+		Monitor:         store, // the test reads where each task launched
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -231,10 +222,10 @@ func TestLeastOutstandingPolicyRoutesAroundBusyExecutor(t *testing.T) {
 	if err := future.Wait(probes...); err != nil {
 		t.Fatal(err)
 	}
+	ran := launches(store)
 	for _, f := range probes {
-		rec := record(d, f.TaskID)
-		if rec.Executor() != "pool-b" {
-			t.Fatalf("task %d ran on %q, want the idle pool-b", rec.ID, rec.Executor())
+		if ex := ran[f.TaskID]; !slices.Equal(ex, []string{"pool-b"}) {
+			t.Fatalf("task %d ran on %v, want the idle pool-b", f.TaskID, ex)
 		}
 	}
 	close(release)
@@ -246,6 +237,7 @@ func TestLeastOutstandingPolicyRoutesAroundBusyExecutor(t *testing.T) {
 // TestRoundRobinPolicyAlternates checks the deterministic policy end to end.
 func TestRoundRobinPolicyAlternates(t *testing.T) {
 	reg := serialize.NewRegistry()
+	store := monitor.NewStore()
 	d, err := New(Config{
 		Registry: reg,
 		Executors: []executor.Executor{
@@ -253,7 +245,7 @@ func TestRoundRobinPolicyAlternates(t *testing.T) {
 			threadpool.New("y", 1, reg),
 		},
 		SchedulerPolicy: "round-robin",
-		RetainRecords:   true, // test reads Executor() off terminal records
+		Monitor:         store, // the test reads where each task launched
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -271,7 +263,9 @@ func TestRoundRobinPolicyAlternates(t *testing.T) {
 		if _, err := f.Result(); err != nil {
 			t.Fatal(err)
 		}
-		seen[record(d, f.TaskID).Executor()]++
+		for _, ex := range launches(store)[f.TaskID] {
+			seen[ex]++
+		}
 	}
 	if seen["x"] != 4 || seen["y"] != 4 {
 		t.Fatalf("round-robin distribution = %v", seen)
@@ -296,6 +290,7 @@ func TestUnknownSchedulerPolicyRejected(t *testing.T) {
 // spread across executors (sanity of the grouping path, not a perf test).
 func TestDispatchBatchesAcrossExecutors(t *testing.T) {
 	reg := serialize.NewRegistry()
+	store := monitor.NewStore()
 	d, err := New(Config{
 		Seed:     7,
 		Registry: reg,
@@ -303,7 +298,7 @@ func TestDispatchBatchesAcrossExecutors(t *testing.T) {
 			threadpool.New("e1", 2, reg),
 			threadpool.New("e2", 2, reg),
 		},
-		RetainRecords: true, // test reads Executor() off terminal records
+		Monitor: store, // the test reads where each task launched
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -323,14 +318,17 @@ func TestDispatchBatchesAcrossExecutors(t *testing.T) {
 		t.Fatal(err)
 	}
 	seen := map[string]int{}
+	ran := launches(store)
 	for _, f := range futs {
-		seen[record(d, f.TaskID).Executor()]++
+		for _, ex := range ran[f.TaskID] {
+			seen[ex]++
+		}
 	}
 	if seen["e1"] == 0 || seen["e2"] == 0 {
 		t.Fatalf("batched dispatch starved an executor: %v", seen)
 	}
-	if rec := record(d, futs[0].TaskID); rec.State() != task.Done {
-		t.Fatalf("state = %v", rec.State())
+	if s := d.Summary(); s["done"] != len(futs) {
+		t.Fatalf("summary = %v, want %d done", s, len(futs))
 	}
 }
 
@@ -381,14 +379,15 @@ func TestTimeoutRetryDoesNotCorruptExecutorAccounting(t *testing.T) {
 // budget remaining.
 func TestQueuedTimeoutStillRetries(t *testing.T) {
 	reg := serialize.NewRegistry()
+	store := monitor.NewStore()
 	tp := threadpool.New("tp", 1, reg)
 	d, err := New(Config{
 		Registry:    reg,
 		Executors:   []executor.Executor{tp},
 		TaskTimeout: 60 * time.Millisecond,
 		Retries:     3,
-		// Attempts() is read off the terminal record below.
-		RetainRecords: true,
+		// The victim's retry is read off its history below.
+		Monitor: store,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -421,8 +420,7 @@ func TestQueuedTimeoutStillRetries(t *testing.T) {
 	if v != "survived" {
 		t.Fatalf("v = %v", v)
 	}
-	rec := record(d, victim.TaskID)
-	if rec.Attempts() == 0 {
+	if retries(store, victim.TaskID) == 0 {
 		t.Fatal("queued timeout did not consume a retry attempt")
 	}
 	if _, err := blockerFut.Result(); err != nil && !errors.Is(err, ErrTimeout) {
@@ -441,14 +439,15 @@ func (rogueSched) Pick([]executor.Executor) (executor.Executor, error) {
 
 func TestPickErrorCompletesAttemptWithoutRetryEcho(t *testing.T) {
 	reg := serialize.NewRegistry()
+	store := monitor.NewStore()
 	d, err := New(Config{
 		Registry:    reg,
 		Executors:   []executor.Executor{threadpool.New("real", 1, reg)},
 		Scheduler:   rogueSched{},
 		TaskTimeout: 30 * time.Millisecond,
 		Retries:     2,
-		// Attempts()/State() are read off the terminal record below.
-		RetainRecords: true,
+		// The task's retries and outcome are read off its history below.
+		Monitor: store,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -462,15 +461,17 @@ func TestPickErrorCompletesAttemptWithoutRetryEcho(t *testing.T) {
 	if _, err := f.Result(); err == nil {
 		t.Fatal("task with unresolvable executor succeeded")
 	}
-	rec := record(d, f.TaskID)
 	// Let the (now-stopped) timeout window pass; the terminal task must not
 	// be re-processed into bogus retry attempts by a stray timer.
 	time.Sleep(80 * time.Millisecond)
-	if got := rec.Attempts(); got != 0 {
-		t.Fatalf("attempts = %d after pick failure; timer re-processed a terminal task", got)
+	if got := retries(store, f.TaskID); got != 0 {
+		t.Fatalf("retries = %d after pick failure; timer re-processed a terminal task", got)
 	}
-	if rec.State() != task.Failed {
-		t.Fatalf("state = %v", rec.State())
+	if h := store.TaskHistory(f.TaskID); h[len(h)-1].To != "failed" {
+		t.Fatalf("history = %+v, want it to end failed", h)
+	}
+	if s := d.Summary(); s["failed"] != 1 || concluded(d) != 1 {
+		t.Fatalf("summary = %v, want the one task failed once", s)
 	}
 }
 

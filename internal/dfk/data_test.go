@@ -12,8 +12,8 @@ import (
 	"repro/internal/executor/threadpool"
 	"repro/internal/ftp"
 	"repro/internal/future"
+	"repro/internal/monitor"
 	"repro/internal/serialize"
-	"repro/internal/task"
 )
 
 func newDataDFK(t *testing.T) *DFK {
@@ -28,8 +28,8 @@ func newDataDFK(t *testing.T) *DFK {
 		Registry:    reg,
 		Executors:   []executor.Executor{threadpool.New("tp", 4, reg)},
 		DataManager: dm,
-		// Data tests look for hidden staging tasks in the graph afterwards.
-		RetainRecords: true,
+		// Data tests look for hidden staging tasks in the monitor stream.
+		Monitor: monitor.NewStore(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -71,14 +71,19 @@ func TestImplicitHTTPStagingTask(t *testing.T) {
 	if v != "remote-payload" {
 		t.Fatalf("v = %v", v)
 	}
-	// A hidden staging task must exist in the graph.
+	// A hidden staging task must have run, and concluded done.
+	d.WaitAll()
+	final := map[int64]string{}
+	for _, e := range d.cfg.Monitor.(*monitor.Store).Events(monitor.KindTaskState) {
+		if e.App == "_parsl_stage_in" {
+			final[e.TaskID] = e.To
+		}
+	}
 	stagingTasks := 0
-	for _, rec := range d.Graph().Tasks() {
-		if rec.AppName == "_parsl_stage_in" {
-			stagingTasks++
-			if rec.State() != task.Done {
-				t.Fatalf("staging task state = %v", rec.State())
-			}
+	for id, st := range final {
+		stagingTasks++
+		if st != "done" {
+			t.Fatalf("staging task %d state = %v", id, st)
 		}
 	}
 	if stagingTasks != 1 {

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/app"
@@ -104,12 +105,6 @@ type Config struct {
 	// the pre-health behavior. The zero &health.Options{} enables it with
 	// defaults.
 	Health *health.Options
-	// RetainRecords keeps terminal task records resident in the graph
-	// instead of pruning and recycling them, restoring the pre-reclamation
-	// behavior where Graph().Get/Tasks can inspect concluded tasks post
-	// hoc. Steady-state memory becomes O(total tasks) again — intended for
-	// tests and debugging, not million-task runs.
-	RetainRecords bool
 }
 
 // Overload policies for Config.OverloadPolicy.
@@ -147,7 +142,7 @@ var ErrCanceled = errors.New("dfk: submission canceled")
 
 // ErrOverloaded is set on the returned future when a submission exceeds its
 // tenant's quota under the shed policy. No task record is created: a shed
-// submission never existed as far as the graph, the memo table, or the
+// submission never existed as far as the task counts, the memo table, or the
 // monitor's task log are concerned (a KindTenant event records the shed).
 var ErrOverloaded = fair.ErrOverloaded
 
@@ -155,7 +150,6 @@ var ErrOverloaded = fair.ErrOverloaded
 type DFK struct {
 	cfg       Config
 	registry  *serialize.Registry
-	graph     *task.Graph
 	memoizer  *memo.Memoizer
 	wal       *wal.Log // nil unless Config.WAL
 	mon       monitor.Sink
@@ -188,6 +182,24 @@ type DFK struct {
 	// exclusively, so every wg.Add happens-before Shutdown's wg.Wait.
 	mu       sync.RWMutex
 	shutdown bool
+
+	// The DFK keeps no task table: a task is reachable from its future, and
+	// these counters are all it tallies. ids issues task ids and retry wire
+	// ids, created counts tasks; only the submit and retry paths write them.
+	// terminals counts concluded tasks per id shard. The padding keeps the
+	// submit path's line apart from wg's and from the finish path's tallies.
+	_            [64]byte
+	ids, created atomic.Int64
+	_            [64]byte
+	terminals    [task.NumShards]terminalTally
+}
+
+// terminalTally is one id shard's concluded tasks, by terminal state (n[0]
+// done, n[1] failed, n[2] memoized), and their total, padded to a cache line.
+type terminalTally struct {
+	n     [3]atomic.Int64
+	total atomic.Int64
+	_     [64 - 4*8]byte
 }
 
 // window is each tenant's window of ready tasks (see New).
@@ -214,7 +226,6 @@ func New(cfg Config) (*DFK, error) {
 	d := &DFK{
 		cfg:       cfg,
 		registry:  reg,
-		graph:     task.NewGraph(),
 		executors: make(map[string]executor.Executor, len(cfg.Executors)),
 		queue:     fair.NewMPSC(func(pl *pendingLaunch) string { return pl.tenant }),
 		batchMax:  cfg.DispatchBatch,
@@ -324,9 +335,6 @@ func New(cfg Config) (*DFK, error) {
 // Registry exposes the app registry (workers share it in-process).
 func (d *DFK) Registry() *serialize.Registry { return d.registry }
 
-// Graph exposes the task graph for monitoring and strategies.
-func (d *DFK) Graph() *task.Graph { return d.graph }
-
 // Memoizer exposes memo statistics for tests and benchmarks.
 func (d *DFK) Memoizer() *memo.Memoizer { return d.memoizer }
 
@@ -372,6 +380,13 @@ func (d *DFK) TenantBacklog() map[string]int {
 		}
 	}
 	return out
+}
+
+// newTask draws a task id, in the sequence 0, 1, 2… that retry wire ids share,
+// and counts the task as created.
+func (d *DFK) newTask() int64 {
+	d.created.Add(1)
+	return d.ids.Add(1) - 1
 }
 
 // TenantLive reports a tenant's live (admitted, not yet terminal) task
@@ -514,7 +529,7 @@ func (d *DFK) submit(ctx context.Context, a *App, args []any, kwargs map[string]
 		return future.FromError(fmt.Errorf("%w: %w", ErrCanceled, err))
 	}
 	// Admission runs before anything is allocated or registered: a shed (or
-	// canceled-while-blocked) submission leaves no trace in the graph. It
+	// canceled-while-blocked) submission leaves no trace in the task counts. It
 	// must stay on the submitting goroutine — parking here is safe because
 	// the gate is released by task-retirement bookkeeping that never passes
 	// through admission (see the invariant note in dispatch.go).
@@ -546,7 +561,7 @@ func (d *DFK) submit(ctx context.Context, a *App, args []any, kwargs map[string]
 	d.wg.Add(1)
 	d.mu.RUnlock()
 
-	id := d.graph.NextID()
+	id := d.newTask()
 	// The retire path releases the gate whichever way the task concluded —
 	// done, failed, memoized, or canceled — so admission accounting cannot
 	// leak.
@@ -563,12 +578,11 @@ func (d *DFK) submit(ctx context.Context, a *App, args []any, kwargs map[string]
 		opts.Hints = []string{o.executor}
 	}
 	rec, gen := task.Create(id, a.name, args, kwargs, opts)
-	// Publishing the record (graph, watcher, dependency callbacks) lets other
+	// Publishing the record (watcher, dependency callbacks) lets other
 	// goroutines conclude and retire it at any moment; the creator's hold keeps
 	// it from being recycled under the wiring below.
 	defer rec.Exit()
 	fut := rec.Future
-	d.graph.Add(rec)
 	if ctx.Done() != nil {
 		stop := context.AfterFunc(ctx, func() {
 			if !rec.Enter(gen) {
@@ -833,17 +847,22 @@ var walOutcomes = [...]wal.Outcome{
 
 // finish is the one terminal path. Record.Finish picks the exactly-once
 // winner among racing conclusions (completion, failure, cancellation); the
-// winner emits the state event, closes the task's durable-log entry with v,
-// the value recovery resolves a done task to (a task that never logged a
-// submission — WAL off, memo hit, pre-payload failure — has key 0 and logs
-// nothing), settles the AppFuture with v — or, for a failure, with err
-// wrapped in the task's identity — and retires the record. The caller holds
-// the record, so its fields stay valid throughout.
+// winner counts the task in its outcome's tally, emits the state event, closes
+// the task's durable-log entry with v, the value recovery resolves a done task
+// to (a task that never logged a submission — WAL off, memo hit, pre-payload
+// failure — has key 0 and logs nothing), settles the AppFuture with v — or,
+// for a failure, with err wrapped in the task's identity — and retires the
+// record. The caller holds the record, so its fields stay valid throughout.
 func (d *DFK) finish(rec *task.Record, to task.State, v any, err error) bool {
 	fin, ok := rec.Finish(to)
 	if !ok {
 		return false
 	}
+	// Counted before the future settles, so a program that reads Summary or
+	// Outstanding after the task's result sees the task concluded.
+	t := &d.terminals[task.Shard(rec.ID)]
+	t.n[to-task.Done].Add(1)
+	retired := t.total.Add(1)
 	d.emitState(rec.ID, rec.AppName, rec.Tenant, fin.From, to, fin.Executor)
 	if fin.WALKey != 0 {
 		if werr := d.wal.Terminal(fin.WALKey, walOutcomes[to], v); werr != nil {
@@ -857,25 +876,24 @@ func (d *DFK) finish(rec *task.Record, to task.State, v any, err error) bool {
 	}
 	// Retirement, after the future settled: detach the cancellation watcher,
 	// release the admission gate (the window slot too if the task was armed)
-	// and the record's payload reference, prune the record from the graph
-	// (unless Config.RetainRecords), and count the task done for WaitAll.
-	// Dependents observed the future inside SetResult/SetError (done callbacks
-	// run synchronously there), so pruning afterwards never hides a value a
-	// dependent still needs: results live on futures, not records.
+	// and the record's payload reference, retire the record, and count the
+	// task done for WaitAll. Dependents observed the future inside
+	// SetResult/SetError (done callbacks run synchronously there), so
+	// recycling the record afterwards never hides a value a dependent still
+	// needs: results live on futures, not records.
 	if fin.CancelStop != nil {
 		fin.CancelStop()
 	}
 	if rec.Gate != nil {
 		rec.Gate.Release(fin.Payload != nil)
 	}
-	if !d.cfg.RetainRecords {
-		fin.Payload.Release()
-		// Once its holds drain the retired record is recycled; this caller's
-		// hold is what keeps rec.ID readable here.
-		if pruned := d.graph.RetireAs(rec, to); pruned == 1 || pruned%1024 == 0 {
-			d.emitPrune(rec.ID, pruned)
-		}
+	fin.Payload.Release()
+	if retired == 1 || retired%1024 == 0 {
+		d.emitRetired(rec.ID, retired)
 	}
+	// Once its holds drain the retired record is recycled; this caller's hold
+	// is what kept rec.ID readable above.
+	rec.Retire()
 	d.wg.Done()
 	return true
 }
@@ -896,10 +914,10 @@ func (d *DFK) emitWAL(taskID int64, op string, err error) {
 	})
 }
 
-// emitPrune records a graph-reclamation event: emitted on a shard's first
-// prune and every 1024th after, so small runs still observe reclamation and
-// million-task runs don't pay a monitor event per task.
-func (d *DFK) emitPrune(id int64, pruned int64) {
+// emitRetired records a reclamation event: emitted on a shard's first
+// retired record and every 1024th after, so small runs still observe
+// reclamation and million-task runs don't pay a monitor event per task.
+func (d *DFK) emitRetired(id int64, retired int64) {
 	if !d.monitored {
 		return
 	}
@@ -907,8 +925,8 @@ func (d *DFK) emitPrune(id int64, pruned int64) {
 		Kind:   monitor.KindGraph,
 		At:     time.Now(),
 		TaskID: id,
-		Detail: fmt.Sprintf("shard %d pruned %d records, %d live graph-wide",
-			task.Shard(id), pruned, d.graph.LiveNodes()),
+		Detail: fmt.Sprintf("shard %d retired %d records, %d outstanding",
+			task.Shard(id), retired, d.Outstanding()),
 	})
 }
 
@@ -1072,17 +1090,28 @@ func (d *DFK) emitTenant(tenant, detail string, waited time.Duration) {
 // WaitAll blocks until every submitted task reaches a terminal state.
 func (d *DFK) WaitAll() { d.wg.Wait() }
 
-// Outstanding returns the number of non-terminal tasks.
-func (d *DFK) Outstanding() int { return d.graph.Outstanding() }
-
-// Summary tallies tasks by state, for program-end reporting.
-func (d *DFK) Summary() map[string]int {
-	counts := d.graph.CountByState()
-	out := make(map[string]int, len(counts))
-	for s, n := range counts {
-		out[s.String()] = n
+// Outstanding returns the number of tasks submitted and not yet terminal.
+func (d *DFK) Outstanding() int {
+	// The tallies are read before created: every task they count was created
+	// first, so the difference never goes negative.
+	var concluded int64
+	for i := range d.terminals {
+		concluded += d.terminals[i].total.Load()
 	}
-	return out
+	return int(d.created.Load() - concluded)
+}
+
+// Summary counts concluded tasks under three keys, "done", "failed" and
+// "memoized", for program-end reporting. A live task's state is in the
+// monitor stream, not here.
+func (d *DFK) Summary() map[string]int {
+	var n [3]int64
+	for i := range d.terminals {
+		for k := range n {
+			n[k] += d.terminals[i].n[k].Load()
+		}
+	}
+	return map[string]int{"done": int(n[0]), "failed": int(n[1]), "memoized": int(n[2])}
 }
 
 // Shutdown waits for outstanding tasks, then stops executors and closes the

@@ -14,7 +14,6 @@ import (
 	"repro/internal/future"
 	"repro/internal/monitor"
 	"repro/internal/serialize"
-	"repro/internal/task"
 )
 
 // newDFK builds a DFK over a threadpool executor; the registry is shared so
@@ -133,8 +132,8 @@ func TestFuturesInsideSliceArgs(t *testing.T) {
 }
 
 func TestDependencyFailurePropagates(t *testing.T) {
-	// RetainRecords: Attempts() is read off the failed record afterwards.
-	d := newDFK(t, func(c *Config) { c.RetainRecords = true })
+	store := monitor.NewStore()
+	d := newDFK(t, func(c *Config) { c.Monitor = store })
 	bad, _ := d.PythonApp("bad", func([]any, map[string]any) (any, error) {
 		return nil, errors.New("upstream broke")
 	})
@@ -147,9 +146,8 @@ func TestDependencyFailurePropagates(t *testing.T) {
 		t.Fatalf("err = %v, want DependencyError", err)
 	}
 	// The dependent task itself must never have launched.
-	rec := record(d, de.TaskID)
-	if rec.Attempts() != 0 {
-		t.Fatal("dependent task was launched despite failed dependency")
+	if ex := launches(store)[de.TaskID]; len(ex) != 0 {
+		t.Fatalf("dependent task was launched on %v despite failed dependency", ex)
 	}
 }
 
@@ -256,7 +254,8 @@ func TestExecutorHints(t *testing.T) {
 	regB := serialize.NewRegistry()
 	tpA := threadpool.New("cpu", 1, regA)
 	tpB := threadpool.New("gpu", 1, regB)
-	d, err := New(Config{Executors: []executor.Executor{tpA, tpB}, Seed: 42, RetainRecords: true})
+	store := monitor.NewStore()
+	d, err := New(Config{Executors: []executor.Executor{tpA, tpB}, Seed: 42, Monitor: store})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,9 +275,13 @@ func TestExecutorHints(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for _, rec := range d.Graph().Tasks() {
-		if rec.Executor() != "gpu" {
-			t.Fatalf("task %d ran on %q despite hint", rec.ID, rec.Executor())
+	ran := launches(store)
+	if len(ran) != 10 {
+		t.Fatalf("%d tasks launched, want 10", len(ran))
+	}
+	for id, ex := range ran {
+		if !slices.Equal(ex, []string{"gpu"}) {
+			t.Fatalf("task %d ran on %v despite hint", id, ex)
 		}
 	}
 }
@@ -294,7 +297,8 @@ func TestHintedTasksShareACycle(t *testing.T) {
 		t.Run(policy, func(t *testing.T) {
 			reg := serialize.NewRegistry()
 			execs := []executor.Executor{threadpool.New("a", 2, reg), threadpool.New("b", 2, reg), threadpool.New("c", 2, reg)}
-			d, err := New(Config{Registry: reg, Executors: execs, Seed: 7, SchedulerPolicy: policy, RetainRecords: true})
+			store := monitor.NewStore()
+			d, err := New(Config{Registry: reg, Executors: execs, Seed: 7, SchedulerPolicy: policy, Monitor: store})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -316,16 +320,17 @@ func TestHintedTasksShareACycle(t *testing.T) {
 			for i := range futs {
 				futs[i] = apps[i%len(apps)].Call()
 			}
+			if err := future.Wait(futs...); err != nil {
+				t.Fatal(err)
+			}
+			ran := launches(store)
 			for i, f := range futs {
-				if _, err := f.Result(); err != nil {
-					t.Fatal(err)
-				}
 				want := hints[i%len(hints)]
 				if want == nil {
 					continue
 				}
-				if got := record(d, f.TaskID).Executor(); !slices.Contains(want, got) {
-					t.Fatalf("task %d hinted to %v ran on %q", i, want, got)
+				if got := ran[f.TaskID]; len(got) != 1 || !slices.Contains(want, got[0]) {
+					t.Fatalf("task %d hinted to %v ran on %v", i, want, got)
 				}
 			}
 		})
@@ -347,7 +352,8 @@ func TestRandomExecutorSelectionCoversAll(t *testing.T) {
 	_ = regB.Register("spread", fn)
 	tpA := threadpool.New("ex-a", 2, regA)
 	tpB := threadpool.New("ex-b", 2, regB)
-	d, err := New(Config{Executors: []executor.Executor{tpA, tpB}, Seed: 7, RetainRecords: true})
+	store := monitor.NewStore()
+	d, err := New(Config{Executors: []executor.Executor{tpA, tpB}, Seed: 7, Monitor: store})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,8 +367,8 @@ func TestRandomExecutorSelectionCoversAll(t *testing.T) {
 		t.Fatal(err)
 	}
 	used := map[string]int{}
-	for _, rec := range d.Graph().Tasks() {
-		used[rec.Executor()]++
+	for _, ex := range launches(store) {
+		used[ex[0]]++
 	}
 	if used["ex-a"] == 0 || used["ex-b"] == 0 {
 		t.Fatalf("random selection unbalanced: %v", used)
@@ -467,9 +473,8 @@ func TestManyConcurrentTasks(t *testing.T) {
 			t.Fatalf("task %d: %v %v", i, v, err)
 		}
 	}
-	counts := d.Graph().CountByState()
-	if counts[task.Done] != n {
-		t.Fatalf("done = %d", counts[task.Done])
+	if s := d.Summary(); s["done"] != n || concluded(d) != n {
+		t.Fatalf("summary = %v, want %d done", s, n)
 	}
 }
 
@@ -502,7 +507,7 @@ func TestMapReducePattern(t *testing.T) {
 func TestDynamicTaskGeneration(t *testing.T) {
 	// Tasks generating new tasks during execution (§3.4): each level
 	// submits the next from the program after observing a result.
-	d := newDFK(t, func(c *Config) { c.RetainRecords = true })
+	d := newDFK(t, nil)
 	step, _ := d.PythonApp("step", func(args []any, _ map[string]any) (any, error) {
 		return args[0].(int) + 1, nil
 	})
@@ -517,8 +522,8 @@ func TestDynamicTaskGeneration(t *testing.T) {
 	if v != 5 {
 		t.Fatalf("v = %d", v)
 	}
-	if d.Graph().Len() != 5 {
-		t.Fatalf("tasks = %d", d.Graph().Len())
+	if n := concluded(d); n != 5 {
+		t.Fatalf("tasks = %d", n)
 	}
 }
 
@@ -539,12 +544,31 @@ func ExampleApp_Call() {
 	// Output: Hello World
 }
 
-// record finds the resident record for a task id, or nil once it is retired.
-func record(d *DFK, id int64) *task.Record {
-	for _, r := range d.graph.Tasks() {
-		if r.ID == id {
-			return r
+// concluded is the number of tasks Summary counts, whatever their outcome.
+func concluded(d *DFK) int {
+	s := d.Summary()
+	return s["done"] + s["failed"] + s["memoized"]
+}
+
+// launches returns, per task id, the executors the monitor stream saw the
+// task launched on, one per attempt, in order.
+func launches(store *monitor.Store) map[int64][]string {
+	out := map[int64][]string{}
+	for _, e := range store.Events(monitor.KindTaskState) {
+		if e.To == "launched" {
+			out[e.TaskID] = append(out[e.TaskID], e.Executor)
 		}
 	}
-	return nil
+	return out
+}
+
+// retries counts the retry events in task id's history: "retrying", or
+// "requeued" for an attempt that timed out while still queued.
+func retries(store *monitor.Store, id int64) (n int) {
+	for _, e := range store.TaskHistory(id) {
+		if e.To == "retrying" || e.To == "requeued" {
+			n++
+		}
+	}
+	return n
 }

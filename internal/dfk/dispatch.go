@@ -201,7 +201,7 @@ func laneLess(a, b *pendingLaunch) bool {
 // executor backpressure (an executor's blocking SubmitInto stalls only its
 // own lane runner), and every task in these queues is a ready one: what the
 // pipeline holds is O(window per tenant) — O(quota) where that is smaller —
-// not O(submissions). Tasks waiting on dependencies sit in the graph, not
+// not O(submissions). Tasks waiting on dependencies sit on their inputs, not
 // here, and are bounded only by what the script keeps submitting. The one
 // exception is an app body that submits into its own DFK: parked at the
 // window, it holds a worker until the window drains to half.
@@ -505,7 +505,7 @@ func (d *DFK) nextAttempt(pl *pendingLaunch, label string, charge bool, err erro
 		id: pl.id, rec: pl.rec, gen: pl.gen, app: pl.app,
 		args: pl.args, kwargs: pl.kwargs,
 		payload: pl.payload.Retain(),
-		wireID:  d.graph.NextID(), priority: pl.priority,
+		wireID:  d.ids.Add(1) - 1, priority: pl.priority,
 		tenant: pl.tenant, weight: pl.weight, digest: pl.digest,
 		walKey: pl.walKey, walAttempt: pl.walAttempt + 1,
 		kills: pl.kills, free: pl.free,

@@ -115,7 +115,7 @@ func TestFanInCountdownRace(t *testing.T) {
 			t.Fatalf("round %d child %d ran %d times", i/children, i%children, n)
 		}
 	}
-	if live := d.Graph().LiveNodes(); live != 0 {
-		t.Fatalf("LiveNodes = %d after drain, want 0", live)
+	if out := d.Outstanding(); out != 0 {
+		t.Fatalf("Outstanding = %d after drain, want 0", out)
 	}
 }

@@ -132,7 +132,7 @@ func TestLateInputAfterDependencyFailure(t *testing.T) {
 	if n := childRuns.Load(); n != 0 {
 		t.Fatalf("a child of a failed parent ran %d times", n)
 	}
-	if live := d.Graph().LiveNodes(); live != 0 {
-		t.Fatalf("LiveNodes = %d after drain, want 0", live)
+	if out := d.Outstanding(); out != 0 {
+		t.Fatalf("Outstanding = %d after drain, want 0", out)
 	}
 }

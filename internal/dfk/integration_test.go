@@ -131,7 +131,8 @@ func TestMultiSiteExecution(t *testing.T) {
 		Manager:    htex.ManagerConfig{Workers: 2},
 	})
 	lx := llex.New(llex.Config{Label: "interactive", Transport: simnet.NewNetwork(0), Registry: reg, Workers: 1})
-	d, err := New(Config{Seed: 3, Registry: reg, Executors: []executor.Executor{hx, lx}, RetainRecords: true})
+	store := monitor.NewStore()
+	d, err := New(Config{Seed: 3, Registry: reg, Executors: []executor.Executor{hx, lx}, Monitor: store})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,11 +165,14 @@ func TestMultiSiteExecution(t *testing.T) {
 		t.Fatal(err)
 	}
 	placed := map[string]map[string]int{}
-	for _, rec := range d.Graph().Tasks() {
-		if placed[rec.AppName] == nil {
-			placed[rec.AppName] = map[string]int{}
+	for _, e := range store.Events(monitor.KindTaskState) {
+		if e.To != "launched" {
+			continue
 		}
-		placed[rec.AppName][rec.Executor()]++
+		if placed[e.App] == nil {
+			placed[e.App] = map[string]int{}
+		}
+		placed[e.App][e.Executor]++
 	}
 	if placed["heavy"]["interactive"] > 0 {
 		t.Fatalf("hinted app leaked: %v", placed["heavy"])
@@ -196,7 +200,8 @@ func TestRetryRecoversFromManagerLoss(t *testing.T) {
 			Seed: 1, HeartbeatPeriod: 30 * time.Millisecond, HeartbeatThreshold: 150 * time.Millisecond,
 		},
 	})
-	d, err := New(Config{Seed: 1, Registry: reg, Executors: []executor.Executor{ex}, Retries: 2, RetainRecords: true})
+	store := monitor.NewStore()
+	d, err := New(Config{Seed: 1, Registry: reg, Executors: []executor.Executor{ex}, Retries: 2, Monitor: store})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,15 +246,9 @@ func TestRetryRecoversFromManagerLoss(t *testing.T) {
 	if err != nil || v != "recovered" {
 		t.Fatalf("retry after manager loss = %v, %v", v, err)
 	}
-	// Task record shows the retry.
-	var lostSeen bool
-	for _, rec := range d.Graph().Tasks() {
-		if rec.Attempts() > 0 {
-			lostSeen = true
-		}
-	}
-	if !lostSeen {
-		t.Fatal("no task recorded a retry attempt")
+	// The task's history shows the retry: a second launch.
+	if ex := launches(store)[fut.TaskID]; len(ex) < 2 {
+		t.Fatalf("task launched on %v: no retry attempt", ex)
 	}
 }
 

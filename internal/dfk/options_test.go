@@ -4,12 +4,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/executor"
 	"repro/internal/executor/threadpool"
+	"repro/internal/monitor"
 	"repro/internal/serialize"
 )
 
@@ -19,7 +21,8 @@ func TestWithExecutorOverridesHints(t *testing.T) {
 	reg := serialize.NewRegistry()
 	a := threadpool.New("pool-a", 1, reg)
 	b := threadpool.New("pool-b", 1, reg)
-	d, err := New(Config{Registry: reg, Executors: []executor.Executor{a, b}, Seed: 3, RetainRecords: true})
+	store := monitor.NewStore()
+	d, err := New(Config{Registry: reg, Executors: []executor.Executor{a, b}, Seed: 3, Monitor: store})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,16 +38,16 @@ func TestWithExecutorOverridesHints(t *testing.T) {
 	if _, err := fut.Result(); err != nil {
 		t.Fatal(err)
 	}
-	if got := record(d, fut.TaskID).Executor(); got != "pool-b" {
-		t.Fatalf("ran on %q, want pool-b (per-call override)", got)
+	if got := launches(store)[fut.TaskID]; !slices.Equal(got, []string{"pool-b"}) {
+		t.Fatalf("ran on %v, want pool-b (per-call override)", got)
 	}
 	// Without the option the registration hint still governs.
 	fut2 := app.Call()
 	if _, err := fut2.Result(); err != nil {
 		t.Fatal(err)
 	}
-	if got := record(d, fut2.TaskID).Executor(); got != "pool-a" {
-		t.Fatalf("ran on %q, want pool-a (registration hint)", got)
+	if got := launches(store)[fut2.TaskID]; !slices.Equal(got, []string{"pool-a"}) {
+		t.Fatalf("ran on %v, want pool-a (registration hint)", got)
 	}
 
 	// An unknown label fails the task, not the engine.
@@ -200,14 +203,13 @@ func TestSubmitOnCanceledContext(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := d.graph.Len()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	fut := app.Submit(ctx, nil)
 	if _, err := fut.Result(); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("error = %v, want ErrCanceled", err)
 	}
-	if d.graph.Len() != before {
+	if d.Outstanding() != 0 || concluded(d) != 0 {
 		t.Fatal("submission on a dead context created a task")
 	}
 }

@@ -114,7 +114,7 @@ func (d *DFK) resume(key int64, info *wal.TaskInfo, rcv *Recovery) {
 	d.mu.RUnlock()
 
 	args, kwargs, decErr := serialize.DecodeArgsBytes(info.Payload)
-	id := d.graph.NextID()
+	id := d.newTask()
 	rec, gen := task.Create(id, info.App, args, kwargs, task.Options{
 		Tenant: info.Tenant, Weight: info.Weight,
 		MaxRetries: info.MaxRetries, Priority: info.Priority,
@@ -122,7 +122,6 @@ func (d *DFK) resume(key int64, info *wal.TaskInfo, rcv *Recovery) {
 	defer rec.Exit()
 	rec.Resume(key, info.Launches)
 	rcv.Resumed[key] = rec.Future
-	d.graph.Add(rec)
 	d.emitState(id, info.App, info.Tenant, noState, task.Pending, "")
 	if decErr != nil {
 		d.failTask(rec, fmt.Errorf("dfk: recover: decode logged payload: %w", decErr))

@@ -12,9 +12,10 @@ import (
 	"repro/internal/wal"
 )
 
-// TestRecycleReclaimsTerminalRecords drains a batch and asserts the graph
-// kept nothing: every record pruned and recycled, futures still readable
-// (they are deliberately not pooled), and the monitor saw reclamation.
+// TestRecycleReclaimsTerminalRecords drains a batch and asserts the DFK
+// holds nothing: no task outstanding, every task counted concluded, futures
+// still readable (they are deliberately not pooled), and the monitor saw
+// records retired.
 func TestRecycleReclaimsTerminalRecords(t *testing.T) {
 	store := monitor.NewStore()
 	d := newDFK(t, func(c *Config) { c.Monitor = store })
@@ -30,11 +31,11 @@ func TestRecycleReclaimsTerminalRecords(t *testing.T) {
 		futs[i] = dbl.Call(i)
 	}
 	d.WaitAll()
-	if live := d.Graph().LiveNodes(); live != 0 {
-		t.Fatalf("LiveNodes = %d after drain, want 0", live)
+	if out := d.Outstanding(); out != 0 {
+		t.Fatalf("Outstanding = %d after drain, want 0", out)
 	}
-	if rec := d.Graph().RecycledNodes(); rec != n {
-		t.Fatalf("RecycledNodes = %d, want %d", rec, n)
+	if got := concluded(d); got != n {
+		t.Fatalf("concluded = %d, want %d", got, n)
 	}
 	// The AppFuture outlives its record: results readable post-recycle.
 	for i, f := range futs {
@@ -44,13 +45,13 @@ func TestRecycleReclaimsTerminalRecords(t *testing.T) {
 		}
 	}
 	if events := store.Events(monitor.KindGraph); len(events) == 0 {
-		t.Fatal("no graph-reclamation events emitted")
+		t.Fatal("no record-retirement events emitted")
 	}
 }
 
 // TestRecycledRecordsCarryNoGhostState reuses pooled records across waves:
 // a second wave must see fresh state, not residue from the first, and the
-// recycled tally accumulates.
+// done tally accumulates.
 func TestRecycledRecordsCarryNoGhostState(t *testing.T) {
 	d := newDFK(t, nil)
 	inc, err := d.PythonApp("inc-recycle", func(args []any, _ map[string]any) (any, error) {
@@ -68,8 +69,8 @@ func TestRecycledRecordsCarryNoGhostState(t *testing.T) {
 		}
 		d.WaitAll()
 	}
-	if rec := d.Graph().RecycledNodes(); rec != 2*wave {
-		t.Fatalf("RecycledNodes = %d, want %d", rec, 2*wave)
+	if got := d.Summary()["done"]; got != 2*wave {
+		t.Fatalf("done = %d, want %d", got, 2*wave)
 	}
 }
 
@@ -92,36 +93,8 @@ func TestRecycleAcrossDependencyChain(t *testing.T) {
 		t.Fatalf("chain tail = %v, %v (want 51)", v, err)
 	}
 	d.WaitAll()
-	if live := d.Graph().LiveNodes(); live != 0 {
-		t.Fatalf("LiveNodes = %d after chain drain, want 0", live)
-	}
-}
-
-// TestRetainRecordsKeepsGraph: the introspection escape hatch disables
-// pruning so terminal records stay queryable.
-func TestRetainRecordsKeepsGraph(t *testing.T) {
-	d := newDFK(t, func(c *Config) { c.RetainRecords = true })
-	noop, err := d.PythonApp("noop-retain", func([]any, map[string]any) (any, error) {
-		return nil, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n = 25
-	for i := 0; i < n; i++ {
-		if _, err := noop.Call(i).Result(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	d.WaitAll()
-	if live := d.Graph().LiveNodes(); live != n {
-		t.Fatalf("LiveNodes = %d with RetainRecords, want %d", live, n)
-	}
-	if rec := d.Graph().RecycledNodes(); rec != 0 {
-		t.Fatalf("RecycledNodes = %d with RetainRecords, want 0", rec)
-	}
-	if got := len(d.Graph().Tasks()); got != n {
-		t.Fatalf("Tasks() = %d records, want %d", got, n)
+	if out := d.Outstanding(); out != 0 {
+		t.Fatalf("Outstanding = %d after chain drain, want 0", out)
 	}
 }
 
@@ -129,7 +102,7 @@ func TestRetainRecordsKeepsGraph(t *testing.T) {
 // recycling the task) while the executor is still running it; the executor's
 // eventual result relays into an already-settled attempt future against a
 // recycled record. That late settle must be a clean no-op: no panic from the
-// use-after-recycle guard, no resurrected state, graph fully reclaimed.
+// use-after-recycle guard, no resurrected state, no second conclusion.
 func TestLateAttemptSettleAfterRecycleIsNoOp(t *testing.T) {
 	d := newDFK(t, nil)
 	release := make(chan struct{})
@@ -145,8 +118,8 @@ func TestLateAttemptSettleAfterRecycleIsNoOp(t *testing.T) {
 		t.Fatalf("error = %v, want ErrTimeout", err)
 	}
 	d.WaitAll() // task concluded and retired; worker still parked
-	if live := d.Graph().LiveNodes(); live != 0 {
-		t.Fatalf("LiveNodes = %d after timeout conclusion, want 0", live)
+	if out := d.Outstanding(); out != 0 {
+		t.Fatalf("Outstanding = %d after timeout conclusion, want 0", out)
 	}
 	// Unpark the worker: its success now chases a recycled record.
 	close(release)
@@ -156,8 +129,8 @@ func TestLateAttemptSettleAfterRecycleIsNoOp(t *testing.T) {
 	if _, err := fut.Result(); !errors.Is(err, ErrTimeout) {
 		t.Fatalf("late executor success resurrected the task: %v", err)
 	}
-	if rec := d.Graph().RecycledNodes(); rec != 1 {
-		t.Fatalf("RecycledNodes = %d, want 1", rec)
+	if s := d.Summary(); s["failed"] != 1 || concluded(d) != 1 {
+		t.Fatalf("Summary = %v, want the one task failed", s)
 	}
 }
 

@@ -24,14 +24,15 @@ import (
 
 // TestTenantConcurrentSubmission floods a DFK from many goroutines across
 // several tenants under -race: every task completes, per-tenant counts add
-// up, and the task records carry their tenants end to end.
+// up, and the tasks carry their tenants end to end, into their done events.
 func TestTenantConcurrentSubmission(t *testing.T) {
 	reg := serialize.NewRegistry()
+	store := monitor.NewStore()
 	d, err := New(Config{
 		Registry:  reg,
 		Executors: []executor.Executor{threadpool.New("tp", 4, reg)},
-		// Per-tenant counts are tallied off the terminal records below.
-		RetainRecords: true,
+		// Per-tenant counts are tallied off the done events below.
+		Monitor: store,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -64,10 +65,12 @@ func TestTenantConcurrentSubmission(t *testing.T) {
 	if n := failures.Load(); n != 0 {
 		t.Fatalf("%d submissions failed", n)
 	}
-	// Tenants rode the records: count terminal tasks per tenant.
+	// Tenants rode the records: count done tasks per tenant.
 	counts := map[string]int{}
-	for _, rec := range d.Graph().Tasks() {
-		counts[rec.Tenant]++
+	for _, e := range store.Events(monitor.KindTaskState) {
+		if e.To == "done" {
+			counts[e.Tenant]++
+		}
 	}
 	for g := 0; g < tenants; g++ {
 		tenant := fmt.Sprintf("tenant-%d", g)
@@ -94,8 +97,6 @@ func TestTenantQuotaShed(t *testing.T) {
 		Monitor:           store,
 		MaxTasksPerTenant: 2,
 		OverloadPolicy:    OverloadShed,
-		// Graph().Len() before/after comparisons need stable residency.
-		RetainRecords: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -119,15 +120,17 @@ func TestTenantQuotaShed(t *testing.T) {
 	// Another tenant is unaffected by t's quota exhaustion.
 	other := wait.Submit(ctx, nil, WithTenant("other", 1))
 
-	tasksBefore := d.Graph().Len()
+	if got := d.Outstanding(); got != 3 {
+		t.Fatalf("Outstanding = %d with the shed submission refused, want 3", got)
+	}
 	close(gate)
 	for _, f := range []*future.Future{f1, f2, other} {
 		if _, err := f.Result(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got := d.Graph().Len(); got != tasksBefore {
-		t.Fatalf("shed submission grew the graph: %d -> %d", tasksBefore, got)
+	if got := concluded(d); got != 3 {
+		t.Fatalf("%d tasks concluded, want 3: the shed submission is no task", got)
 	}
 	if got := wait.Submit(ctx, nil, WithTenant("t", 1)); got.Err() != nil {
 		if _, err := got.Result(); err != nil {

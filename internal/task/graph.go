@@ -11,13 +11,13 @@ import (
 // round-robin id→shard mapping keeps shards balanced.
 const NumShards = 1 << shardBits
 
-// Graph is the dynamic task dependency DAG held by the DataFlowKernel
-// (§3.4). Nodes are task records; a directed edge u→v means v consumes u's
-// future. The graph is dynamic: nodes are added as the program submits apps,
-// and execution begins as soon as the first ready task exists. The DFK keeps
-// no edge here: a waiting task's record is the DoneHook of each of its input
-// futures, so an edge is one registration in the input, and the task counts
-// its unresolved inputs down on its own record (Record.FutureDone).
+// Graph is a window of live task records with their dependency edges: nodes
+// are task records, and a directed edge u→v means v consumes u's future. The
+// DataFlowKernel keeps no such table. A task is reachable from its future, a
+// waiting task's record is the DoneHook of each of its input futures, so an
+// edge is one registration in the input (Record.FutureDone), and the DFK
+// counts tasks rather than holding them. Graph is left for the benchmark's
+// task.* layer metrics.
 //
 // State is sharded N ways by task id with per-shard locks, so concurrent
 // submissions from many goroutines do not contend on a single mutex. Nothing
@@ -72,8 +72,7 @@ type graphShard struct {
 	nfree int
 
 	// Cumulative counts of records pruned from this shard, by terminal
-	// state, so state tallies (CountByState, Summary) stay correct after
-	// the records themselves have been recycled.
+	// state; RetireAs returns their sum.
 	prunedDone     int64
 	prunedFailed   int64
 	prunedMemoized int64
@@ -299,26 +298,8 @@ func (s *graphShard) releasePage(i int64) {
 	s.base += int64(k)
 }
 
-// LiveNodes returns the number of records currently resident in the graph
-// shards — the live frontier plus any terminal records not yet pruned.
-func (g *Graph) LiveNodes() int { return g.Len() }
-
-// RecycledNodes returns the cumulative number of records pruned from the
-// graph since creation. LiveNodes()+RecycledNodes() equals the total number
-// of tasks ever added (when record retention is off).
-func (g *Graph) RecycledNodes() (n int64) {
-	g.sweep(func(_ int, s *graphShard) { n += s.prunedDone + s.prunedFailed + s.prunedMemoized })
-	return n
-}
-
 // Shard returns the shard index for a task id.
 func Shard(id int64) int { return int(uint64(id) & (NumShards - 1)) }
-
-// Len returns the number of tasks.
-func (g *Graph) Len() (n int) {
-	g.sweep(func(_ int, s *graphShard) { n += s.live })
-	return n
-}
 
 // EdgeCount returns the number of dependency edges.
 func (g *Graph) EdgeCount() (n int) {
@@ -356,52 +337,4 @@ func (g *Graph) edgesOf(id int64) (deps, dependents []int64) {
 		deps, dependents = append(deps, r.edges.deps...), append(dependents, r.edges.dependents...)
 	}
 	return deps, dependents
-}
-
-// Tasks returns a snapshot of all records (unordered). The snapshot is
-// per-shard consistent, not globally atomic: records added concurrently may
-// or may not appear.
-func (g *Graph) Tasks() []*Record {
-	var out []*Record
-	g.sweep(func(_ int, s *graphShard) {
-		if out == nil {
-			// Dense ids spread uniformly; the first shard's size estimates
-			// the total without a second full lock sweep.
-			out = make([]*Record, 0, s.live*NumShards)
-		}
-		s.each(func(r *Record) { out = append(out, r) })
-	})
-	return out
-}
-
-// CountByState tallies tasks per state — both resident records and records
-// already pruned by Retire (folded in from the shard tallies) — so summaries
-// over a reclaiming graph still account for every task. Used by the
-// elasticity strategy to measure workload pressure and by monitoring.
-func (g *Graph) CountByState() map[State]int {
-	counts := make(map[State]int)
-	g.sweep(func(_ int, s *graphShard) {
-		s.each(func(r *Record) { counts[r.State()]++ })
-		counts[Done] += int(s.prunedDone)
-		counts[Failed] += int(s.prunedFailed)
-		counts[Memoized] += int(s.prunedMemoized)
-	})
-	for st, n := range counts {
-		if n == 0 {
-			delete(counts, st)
-		}
-	}
-	return counts
-}
-
-// Outstanding returns the number of tasks not yet in a terminal state.
-func (g *Graph) Outstanding() (n int) {
-	g.sweep(func(_ int, s *graphShard) {
-		s.each(func(r *Record) {
-			if !r.State().Terminal() {
-				n++
-			}
-		})
-	})
-	return n
 }

@@ -17,8 +17,8 @@ func TestGraphAddAndGet(t *testing.T) {
 	if get(g, 999) != nil {
 		t.Fatal("Get(unknown) != nil")
 	}
-	if g.Len() != 1 {
-		t.Fatalf("Len = %d", g.Len())
+	if liveCount(g) != 1 {
+		t.Fatalf("Len = %d", liveCount(g))
 	}
 }
 
@@ -93,32 +93,13 @@ func TestGraphEdgeValidation(t *testing.T) {
 	}
 }
 
-func TestGraphCountByStateAndOutstanding(t *testing.T) {
-	g := NewGraph()
-	for i := int64(0); i < 4; i++ {
-		g.Add(NewRecord(i, "a", nil, nil))
-	}
-	_ = get(g, 0).SetState(Pending)
-	_ = get(g, 1).SetState(Pending)
-	_ = get(g, 1).SetState(Launched)
-	_ = get(g, 1).SetState(Done)
-	_ = get(g, 2).SetState(Memoized)
-	counts := g.CountByState()
-	if counts[Pending] != 1 || counts[Done] != 1 || counts[Memoized] != 1 || counts[Unsched] != 1 {
-		t.Fatalf("counts = %v", counts)
-	}
-	if g.Outstanding() != 2 {
-		t.Fatalf("outstanding = %d", g.Outstanding())
-	}
-}
-
 func TestGraphTasksSnapshot(t *testing.T) {
 	g := NewGraph()
 	for i := int64(0); i < 10; i++ {
 		g.Add(NewRecord(i, "a", nil, nil))
 	}
-	if len(g.Tasks()) != 10 {
-		t.Fatalf("snapshot size %d", len(g.Tasks()))
+	if len(tasks(g)) != 10 {
+		t.Fatalf("snapshot size %d", len(tasks(g)))
 	}
 }
 
@@ -144,8 +125,8 @@ func TestGraphShardCountsSumToLen(t *testing.T) {
 	for _, c := range counts {
 		sum += c
 	}
-	if sum != g.Len() || sum != (n/8)*8 {
-		t.Fatalf("shard counts sum %d, Len %d", sum, g.Len())
+	if sum != liveCount(g) || sum != (n/8)*8 {
+		t.Fatalf("shard counts sum %d, Len %d", sum, liveCount(g))
 	}
 	// Dense ids over a power-of-two mask: shards must be near-uniform.
 	for i, c := range counts {

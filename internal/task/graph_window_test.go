@@ -174,25 +174,22 @@ func runGraphModel(t *testing.T, seed int64, ops int) {
 		if op%500 != 0 && op != ops-1 {
 			continue
 		}
-		if g.Len() != len(m.live) || len(g.Tasks()) != len(m.live) {
-			t.Fatalf("op %d: Len = %d, Tasks = %d, model %d", op, g.Len(), len(g.Tasks()), len(m.live))
+		if liveCount(g) != len(m.live) || len(tasks(g)) != len(m.live) {
+			t.Fatalf("op %d: Len = %d, Tasks = %d, model %d", op, liveCount(g), len(tasks(g)), len(m.live))
 		}
-		edges, outstanding, counts := 0, 0, map[State]int{}
+		edges, counts := 0, map[State]int{}
 		for id, r := range m.live {
 			edges += len(m.deps[id])
 			counts[r.State()]++
-			if !r.State().Terminal() {
-				outstanding++
-			}
 		}
 		for st, n := range m.prunedBy {
 			counts[st] += n
 		}
-		if g.EdgeCount() != edges || g.Outstanding() != outstanding {
-			t.Fatalf("op %d: EdgeCount = %d, Outstanding = %d, model %d, %d", op, g.EdgeCount(), g.Outstanding(), edges, outstanding)
+		if g.EdgeCount() != edges {
+			t.Fatalf("op %d: EdgeCount = %d, model %d", op, g.EdgeCount(), edges)
 		}
-		if got := g.CountByState(); !maps.Equal(got, counts) {
-			t.Fatalf("op %d: CountByState = %v, model %v", op, got, counts)
+		if got := countByState(g); !maps.Equal(got, counts) {
+			t.Fatalf("op %d: resident states plus pruned tallies = %v, model %v", op, got, counts)
 		}
 		perShard := make([]int, NumShards)
 		for id := range m.live {
@@ -250,15 +247,15 @@ func TestGraphStragglerPinsOnePage(t *testing.T) {
 	if span := n/(pageSize*NumShards) + 1; pages != 1 || dirLen > span || free > NumShards {
 		t.Fatalf("window holds %d pages, directory %d (span %d), %d free pages", pages, dirLen, span, free)
 	}
-	if get(g, first.ID) != first || g.Len() != 1 {
-		t.Fatalf("straggler lost: Get = %v, Len = %d", get(g, first.ID), g.Len())
+	if get(g, first.ID) != first || liveCount(g) != 1 {
+		t.Fatalf("straggler lost: Get = %v, Len = %d", get(g, first.ID), liveCount(g))
 	}
 	g.RetireAs(first, Done)
-	if pages, dirLen, _ := window(g); pages != 0 || dirLen != 0 || g.Len() != 0 {
-		t.Fatalf("drained window holds %d pages, directory %d, Len %d", pages, dirLen, g.Len())
+	if pages, dirLen, _ := window(g); pages != 0 || dirLen != 0 || liveCount(g) != 0 {
+		t.Fatalf("drained window holds %d pages, directory %d, Len %d", pages, dirLen, liveCount(g))
 	}
-	if g.RecycledNodes() != n {
-		t.Fatalf("recycled %d of %d", g.RecycledNodes(), n)
+	if recycled(g) != n {
+		t.Fatalf("recycled %d of %d", recycled(g), n)
 	}
 }
 
@@ -285,8 +282,8 @@ func TestGraphOutOfOrderAdd(t *testing.T) {
 	}
 	late := held().reuse(reserved)
 	g.Add(late)
-	if get(g, reserved) != late || s.base != 0 || g.Len() != keep+1 {
-		t.Fatalf("late add: Get = %v, base = %d, Len = %d", get(g, reserved), s.base, g.Len())
+	if get(g, reserved) != late || s.base != 0 || liveCount(g) != keep+1 {
+		t.Fatalf("late add: Get = %v, base = %d, Len = %d", get(g, reserved), s.base, liveCount(g))
 	}
 	for _, r := range tail {
 		if get(g, r.ID) != r {
@@ -312,9 +309,9 @@ func TestGraphOutOfOrderAdd(t *testing.T) {
 		t.Fatalf("Deps = %v", got)
 	}
 	g.RetireAs(late, Done)
-	if get(g, reserved) != nil || s.base == 0 || g.Len() != keep || g.EdgeCount() != 3 {
+	if get(g, reserved) != nil || s.base == 0 || liveCount(g) != keep || g.EdgeCount() != 3 {
 		t.Fatalf("after retiring the late node: Get = %v, base = %d, Len = %d, edges = %d",
-			get(g, reserved), s.base, g.Len(), g.EdgeCount())
+			get(g, reserved), s.base, liveCount(g), g.EdgeCount())
 	}
 }
 
@@ -429,11 +426,11 @@ func TestGraphConcurrentHammer(t *testing.T) {
 	}
 	wg.Wait()
 
-	if g.Len() != workers*keep || g.RecycledNodes() != workers*(steps-keep) {
-		t.Fatalf("Len = %d, recycled = %d", g.Len(), g.RecycledNodes())
+	if liveCount(g) != workers*keep || recycled(g) != workers*(steps-keep) {
+		t.Fatalf("Len = %d, recycled = %d", liveCount(g), recycled(g))
 	}
 	total := 0
-	for _, r := range g.Tasks() {
+	for _, r := range tasks(g) {
 		v := r.ID
 		deps := g.Deps(v)
 		total += len(deps)
@@ -452,7 +449,7 @@ func TestGraphConcurrentHammer(t *testing.T) {
 	if g.EdgeCount() != total || total == 0 {
 		t.Fatalf("EdgeCount = %d, sum of Deps = %d", g.EdgeCount(), total)
 	}
-	for _, r := range g.Tasks() {
+	for _, r := range tasks(g) {
 		g.RetireAs(r, Done)
 	}
 	if pages, dirLen, _ := window(g); pages != 0 || dirLen != 0 || g.EdgeCount() != 0 {
@@ -484,6 +481,42 @@ func shardPruned(g *Graph, shard int) int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.prunedDone + s.prunedFailed + s.prunedMemoized
+}
+
+// liveCount sums the shards' resident-node counters.
+func liveCount(g *Graph) (n int) {
+	g.sweep(func(_ int, s *graphShard) { n += s.live })
+	return n
+}
+
+// tasks returns the records resident in g's window.
+func tasks(g *Graph) (out []*Record) {
+	g.sweep(func(_ int, s *graphShard) { s.each(func(r *Record) { out = append(out, r) }) })
+	return out
+}
+
+// recycled returns the number of records pruned from g.
+func recycled(g *Graph) (n int64) {
+	for i := range NumShards {
+		n += shardPruned(g, i)
+	}
+	return n
+}
+
+// countByState tallies the resident records by state plus the shards' pruned
+// tallies, leaving out states that count zero.
+func countByState(g *Graph) map[State]int {
+	counts := map[State]int{}
+	for _, r := range tasks(g) {
+		counts[r.State()]++
+	}
+	g.sweep(func(_ int, s *graphShard) {
+		counts[Done] += int(s.prunedDone)
+		counts[Failed] += int(s.prunedFailed)
+		counts[Memoized] += int(s.prunedMemoized)
+	})
+	maps.DeleteFunc(counts, func(_ State, n int) bool { return n == 0 })
+	return counts
 }
 
 // shardCounts returns the number of tasks held by each shard.

@@ -1,7 +1,7 @@
-// Package task defines the task record and dependency-graph bookkeeping used
-// by the DataFlowKernel. A task is a node in the dynamic DAG (§3.4); edges
-// are the futures exchanged between tasks. The DFK owns state transitions;
-// this package provides the data structures and their invariants.
+// Package task defines the task record used by the DataFlowKernel. A task is a
+// node in the dynamic DAG (§3.4); edges are the futures exchanged between
+// tasks. The DFK owns state transitions; this package provides the record and
+// its invariants.
 package task
 
 import (
@@ -152,8 +152,8 @@ type Record struct {
 	// capture it at registration and revalidate with Enter before touching
 	// the record, so a pooled record reused for a new task is never corrupted
 	// by a straggler holding a stale pointer. holds counts consumers currently
-	// inside an Enter/Exit window; retired marks that the graph has pruned the
-	// record. A retired record that nobody holds and that waits on no input is
+	// inside an Enter/Exit window; retired marks that the record's owner retired
+	// it. A retired record that nobody holds and that waits on no input is
 	// reset and returned to the pool by whichever comes last: Retire, the last
 	// Exit, or the last input's FutureDone. Inputs capture nothing: waiting on
 	// the countdown is what keeps the record theirs.
@@ -275,10 +275,11 @@ func (r *Record) recyclableLocked() bool {
 	return r.retired && r.holds == 0 && uint32(r.deps.Load()) == 0
 }
 
-// Retire marks the record as pruned from the graph. If no consumer holds it
-// and no input is outstanding, the record is reset and returned to the pool
-// immediately; otherwise the last Exit or the last input recycles it. Called
-// exactly once per task, by Graph.Retire.
+// Retire marks the record as concluded and released by its owner. If no
+// consumer holds it and no input is outstanding, the record is reset and
+// returned to the pool immediately; otherwise the last Exit or the last input
+// recycles it. Called exactly once per task: by the DFK once the task
+// concluded, or by Graph.RetireAs.
 func (r *Record) Retire() {
 	r.mu.Lock()
 	if r.retired {
@@ -478,20 +479,6 @@ func (r *Record) SetState(s State) error {
 		return nil
 	}
 	return r.moveLocked(s)
-}
-
-// Attempts returns how many attempts have been charged against the budget.
-func (r *Record) Attempts() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.attempts
-}
-
-// Executor returns the label of the executor that ran (or is running) the task.
-func (r *Record) Executor() string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.executor
 }
 
 // SetMemoKey stores the memoization key computed when the task became ready.

@@ -87,21 +87,28 @@ func TestMemoizedPath(t *testing.T) {
 	}
 }
 
+// attempts reads the charged attempt count under the record's lock.
+func attempts(r *Record) int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.attempts
+}
+
 func TestAttemptsCounter(t *testing.T) {
 	r, _ := Create(1, "a", nil, nil, Options{MaxRetries: 1})
 	defer r.Exit()
-	if r.Attempts() != 0 {
+	if attempts(r) != 0 {
 		t.Fatal("fresh record has attempts")
 	}
 	if r.MaxRetries != 1 {
 		t.Fatal("retry budget lost")
 	}
 	// A forgiven failure leaves the budget alone; a charged one consumes it.
-	if from, ok := r.Retry(false); !ok || from != Pending || r.Attempts() != 0 {
-		t.Fatalf("uncharged Retry = %v, %v (attempts %d)", from, ok, r.Attempts())
+	if from, ok := r.Retry(false); !ok || from != Pending || attempts(r) != 0 {
+		t.Fatalf("uncharged Retry = %v, %v (attempts %d)", from, ok, attempts(r))
 	}
-	if _, ok := r.Retry(true); !ok || r.Attempts() != 1 {
-		t.Fatalf("first charged Retry refused (attempts %d)", r.Attempts())
+	if _, ok := r.Retry(true); !ok || attempts(r) != 1 {
+		t.Fatalf("first charged Retry refused (attempts %d)", attempts(r))
 	}
 	if _, ok := r.Retry(true); ok {
 		t.Fatal("Retry allowed past the budget")
@@ -190,7 +197,7 @@ func TestDepDoneStaleGeneration(t *testing.T) {
 func TestAccessors(t *testing.T) {
 	r, _ := Create(5, "app", nil, nil, Options{})
 	r.Route("htex") // drops the creator's hold
-	if r.Executor() != "htex" {
+	if _, _, ex := r.Attempt(); ex != "htex" {
 		t.Fatal("executor lost")
 	}
 	r.SetMemoKey("k")
@@ -388,8 +395,8 @@ func TestLifecycleStages(t *testing.T) {
 	if terminal || memoKey != "k" || label != "tp" || !ok {
 		t.Fatalf("Outcome = %v, %q, %q, %v", terminal, memoKey, label, ok)
 	}
-	if from, ok := r.Retry(true); from != Launched || !ok || r.State() != Retrying || r.Attempts() != 1 {
-		t.Fatalf("Retry = %v, %v (state %v, attempts %d)", from, ok, r.State(), r.Attempts())
+	if from, ok := r.Retry(true); from != Launched || !ok || r.State() != Retrying || attempts(r) != 1 {
+		t.Fatalf("Retry = %v, %v (state %v, attempts %d)", from, ok, r.State(), attempts(r))
 	}
 	fin, ok := r.Finish(Failed)
 	if !ok || fin.From != Retrying || fin.Executor != "tp" || fin.WALKey != 9 || fin.Payload != payload || fin.CancelStop == nil {

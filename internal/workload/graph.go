@@ -35,7 +35,8 @@ type GraphConfig struct {
 }
 
 // GraphResult reports the drain: throughput, memory high-water marks, and
-// the recycling evidence (live vs recycled node counts).
+// the recycling evidence: the most tasks outstanding at once, and the tasks
+// concluded (each one's record retired for recycling).
 type GraphResult struct {
 	Nodes         int
 	Edges         int
@@ -49,8 +50,8 @@ type GraphResult struct {
 	AllocsPerTask float64
 }
 
-// RunGraph builds and drains the windowed-chain DAG, sampling the graph's
-// live-node count throughout. Every non-root task depends on its chain
+// RunGraph builds and drains the windowed-chain DAG, sampling the DFK's
+// outstanding-task count throughout. Every non-root task depends on its chain
 // predecessor's future, so the scenario exercises the full dependency
 // pipeline — future propagation, encode-once payloads, dispatch lanes — not
 // just independent submission.
@@ -83,7 +84,7 @@ func RunGraph(cfg GraphConfig) (*GraphResult, error) {
 	// plenty: the frontier changes by at most a window per chain step.
 	var liveMax int64
 	stopSampler := startSampler(time.Millisecond, func() {
-		liveMax = max(liveMax, int64(d.Graph().LiveNodes()))
+		liveMax = max(liveMax, int64(d.Outstanding()))
 	})
 
 	var before runtime.MemStats
@@ -143,6 +144,7 @@ func RunGraph(cfg GraphConfig) (*GraphResult, error) {
 
 	var after runtime.MemStats
 	runtime.ReadMemStats(&after)
+	sum := d.Summary()
 
 	return &GraphResult{
 		Nodes:         cfg.Nodes,
@@ -153,7 +155,7 @@ func RunGraph(cfg GraphConfig) (*GraphResult, error) {
 		TasksPerSec:   float64(cfg.Nodes) / makespan.Seconds(),
 		PeakRSSBytes:  peakRSSBytes(),
 		LiveNodesMax:  liveMax,
-		RecycledNodes: d.Graph().RecycledNodes(),
+		RecycledNodes: int64(sum["done"] + sum["failed"] + sum["memoized"]),
 		AllocsPerTask: float64(after.Mallocs-before.Mallocs) / float64(cfg.Nodes),
 	}, nil
 }

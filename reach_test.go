@@ -48,7 +48,6 @@ var reachAllowlist = map[string]string{
 	// Probes that a test in another package reads.
 	"wal.Log.Sync":                     "read by dfk's TestRecoverResumesLiveTasks, TestWALRecordsFullLifecycle and TestLateSettleAfterWALTerminalIsNoOp",
 	"wal.Log.LiveCount":                "read by dfk's TestCancelDuringSubmitClosesWAL",
-	"task.Record.Attempts":             "read by dfk's TestQueuedTimeoutStillRetries, TestPickErrorCompletesAttemptWithoutRetryEcho, TestDependencyFailurePropagates and TestRetryRecoversFromManagerLoss",
 	"health.Breaker.State":             "read by dfk's health tests through executorHealth",
 	"executor/htex.Interchange.Config": "read by parsl's TestHTEXHeartbeatKnobsPlumbed",
 	"cluster.Midway":                   "read by provider's TestSlurmPartitionValidation",

@@ -161,6 +161,13 @@ type DFK struct {
 
 	schedr        sched.Scheduler
 	schedUsesLoad bool
+	// snapshots is decided once, in New: every executor is an
+	// executor.InProcess, the WAL is off and the scheduler reads no digest.
+	// Then only a memo key and a worker's DecodeArgs read a payload, and
+	// launch builds a value snapshot for a task that needs no memo hash. It
+	// sits in schedUsesLoad's padding: the fields after it keep their cache
+	// lines.
+	snapshots bool
 	// digestPicker is schedr when it is a sched.DigestPicker, resolved once in
 	// New; it also gates the per-attempt input-digest computation (ArgsHash
 	// allocates a string, so digest-blind configs must never pay for it).
@@ -292,8 +299,8 @@ func New(cfg Config) (*DFK, error) {
 			return abort(errors.New("dfk: Config.WAL requires WALDir"))
 		}
 		// OnCrash freezes the memoizer at the same injected record boundary
-		// the log freezes at, so a simulated crash leaves both durable
-		// layers consistent (see the contract in internal/memo).
+		// the log freezes at: the checkpoint freezes with the log, so no
+		// checkpoint write follows a record the frozen log refused.
 		w, err := wal.Open(cfg.WALDir, wal.Options{
 			CompactEvery: cfg.WALCompactEvery,
 			OnCrash:      d.memoizer.Freeze,
@@ -316,6 +323,12 @@ func New(cfg Config) (*DFK, error) {
 		}
 		d.executors[ex.Label()] = ex
 		d.execList = append(d.execList, ex)
+	}
+	d.snapshots = d.wal == nil && d.digestPicker == nil
+	for _, ex := range d.execList {
+		if _, ok := ex.(executor.InProcess); !ok {
+			d.snapshots = false
+		}
 	}
 	d.lanes = make(map[string]*lane, len(d.execList))
 	for _, ex := range d.execList {
@@ -698,7 +711,10 @@ func (d *DFK) stageInTask(f *data.File) *future.Future {
 // other ready tasks. The encode-once payload built here is the only
 // serialization of the arguments for the task's whole lifetime: the memo
 // hash reads it, in-process executors decode their defensive copy from it,
-// remote executors ship it verbatim, and retries reuse it.
+// remote executors ship it verbatim, and retries reuse it. When nothing will
+// read the bytes (d.snapshots, and no memo hash), plain-value arguments are
+// snapshotted instead of encoded: the payload then holds a copy of the
+// values, taken here, and each attempt's DecodeArgs copies them again.
 func (d *DFK) launch(rec *task.Record, gen uint32, a *App) {
 	args, kwargs := resolveArgs(rec.Args, rec.Kwargs)
 
@@ -731,6 +747,9 @@ func (d *DFK) launch(rec *task.Record, gen uint32, a *App) {
 	// (in-process ones for the immutability copy, remote ones for the
 	// wire), so fail fast here with the serialization error instead of
 	// letting each attempt rediscover it downstream.
+	if payload == nil && encErr == nil && d.snapshots {
+		payload, _ = serialize.SnapshotArgs(args, kwargs)
+	}
 	if payload == nil && encErr == nil {
 		payload, encErr = serialize.EncodeArgs(args, kwargs)
 	}
@@ -1213,8 +1232,12 @@ func collectFiles(args []any, kwargs map[string]any) []*data.File {
 // the time this runs), recursing one level into []any. Argument lists with
 // no futures anywhere — the common case, and the whole hot path of a
 // dependency-free workload — are returned as-is without copying: the
-// encode-once payload, not the arg slice, is what isolates executors from
-// the submitting program.
+// payload, not the arg slice, is what isolates executors from the submitting
+// program. Launch builds it from the returned slice before it returns, as
+// encoded bytes or, for plain values on in-process executors, as a copy of
+// the values (serialize.SnapshotArgs). Either way a caller that mutates its
+// slice after launch changes nothing a worker sees, and a task with no
+// inputs launches inside Submit.
 func resolveArgs(args []any, kwargs map[string]any) ([]any, map[string]any) {
 	dirty := false
 	eachFuture(args, kwargs, func(*future.Future) { dirty = true })

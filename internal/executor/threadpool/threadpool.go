@@ -1,7 +1,10 @@
 // Package threadpool implements the in-process executor corresponding to
 // Python's ThreadPoolExecutor, which Parsl wraps for single-node use and
-// which serves as the latency floor in Fig. 3: no serialization boundary, no
-// network hop, just a queue and worker goroutines.
+// which serves as the latency floor in Fig. 3: no network hop, just a queue
+// and worker goroutines. Isolation still holds: each worker runs its task on
+// a fresh copy of the arguments. When the task's arguments are plain values
+// (serialize.SnapshotArgs) that copy is one slice copy; otherwise it is a
+// decode of the encode-once payload.
 package threadpool
 
 import (
@@ -72,6 +75,10 @@ func NewWithDepth(label string, workers, depth int, reg *serialize.Registry) *Ex
 // Label implements executor.Executor.
 func (e *Executor) Label() string { return e.label }
 
+// InProcess implements executor.InProcess: a worker reads a task's arguments
+// only through Payload.DecodeArgs.
+func (e *Executor) InProcess() {}
+
 // Start implements executor.Executor.
 func (e *Executor) Start() error {
 	e.mu.Lock()
@@ -107,10 +114,10 @@ func (e *Executor) worker(id string) {
 		}
 		// Deep-copy arguments so an impure app cannot mutate caller state:
 		// the same isolation the serialization boundary gives remote
-		// executors (§3.2). Tasks from the dispatch pipeline carry the
-		// encode-once payload, so the copy is a single decode of cached
-		// bytes; direct submissions fall back to the encode+decode round
-		// trip.
+		// executors (§3.2). Tasks from the dispatch pipeline carry a payload:
+		// a value snapshot's copy is one new slice of its immutable values,
+		// an encoded payload's a single decode of cached bytes. Direct
+		// submissions fall back to the encode+decode round trip.
 		var args []any
 		var kwargs map[string]any
 		var err error

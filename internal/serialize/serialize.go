@@ -49,6 +49,20 @@
 // duplicated or undecodable frame and the sender can resync it. Both kinds
 // are tagged, so mixed traffic on one connection stays decodable.
 //
+// # Value snapshots
+//
+// A task that never leaves this process needs isolation, not bytes. When
+// every positional argument is nil, a bool, an int, an int64, a float64 or a
+// string and there are no kwargs, SnapshotArgs builds the same pooled,
+// reference-counted Payload holding a copy of the values instead of their
+// encoding. Those six types are immutable in Go, and they are exactly what
+// the codec decodes them to, so sharing the values is as good as a deep copy
+// and re-boxes nothing: DecodeArgs returns a fresh []any of them, and an app
+// that reassigns an element of its slice changes nothing the submitter or
+// a retry sees. A snapshot has no bytes: it cannot be hashed, logged or
+// framed, so the DFK builds one only when no memo key, durable log,
+// digest-routing scheduler or remote executor will read the payload.
+//
 // Hash stability: payload digests (via the pinned value-codec byte format
 // plus primed gob descriptor ids) are stable across processes and releases — golden-value tests enforce it — because
 // checkpoint files persist memoization keys built from them.
@@ -311,14 +325,22 @@ const payloadVersion byte = 1
 // collection, never corruption.
 type Payload struct {
 	refs   atomic.Int32
-	data   []byte
-	sum    uint64
 	hashed bool
+	// snap marks a value snapshot (SnapshotArgs): the arguments are vals,
+	// and data is empty.
+	snap bool
+	data []byte
+	sum  uint64
 
 	// inline backs data for small argument lists, so a Payload fresh from the
 	// pool encodes without a heap buffer. Encodes that outgrow it spill to a
-	// heap buffer, which the pool then keeps for later occupants.
+	// heap buffer, which the pool then keeps for later occupants. It follows
+	// the header directly, so a small encoding can share its cache line.
 	inline [128]byte
+
+	// vals holds a snapshot's arguments, and keeps its capacity across pool
+	// occupants.
+	vals []any
 }
 
 // payloadPool recycles Payload structs and (via their data capacity) the
@@ -350,6 +372,9 @@ func (p *Payload) Release() {
 	p.data = p.data[:0]
 	p.sum = 0
 	p.hashed = false
+	clear(p.vals) // a pooled snapshot pins none of its last occupant's values
+	p.vals = p.vals[:0]
+	p.snap = false
 	payloadPool.Put(p)
 }
 
@@ -387,6 +412,29 @@ func EncodeArgs(args []any, kwargs map[string]any) (*Payload, error) {
 	return p, nil
 }
 
+// SnapshotArgs is EncodeArgs for a task that stays in this process (see the
+// package comment): when every positional argument is nil, a bool, an int,
+// an int64, a float64 or a string and kwargs is empty, it returns a Payload
+// holding one reference and a copy of args, and true. Otherwise it returns
+// nil and false, and the caller encodes.
+func SnapshotArgs(args []any, kwargs map[string]any) (*Payload, bool) {
+	if len(kwargs) != 0 {
+		return nil, false
+	}
+	for _, a := range args {
+		switch a.(type) {
+		case nil, bool, int, int64, float64, string:
+		default:
+			return nil, false
+		}
+	}
+	p := payloadPool.Get().(*Payload)
+	p.vals = append(p.vals[:0], args...)
+	p.snap = true
+	p.refs.Store(1)
+	return p, true
+}
+
 // PayloadFromBytes wraps already-encoded payload bytes — off the wire, or
 // replayed from the durable dataflow log — holding one reference. The slice
 // is retained; callers replaying from a shared buffer must pass a copy. The
@@ -397,8 +445,14 @@ func PayloadFromBytes(b []byte) *Payload {
 	return p
 }
 
-// Bytes exposes the encoded payload. Callers must treat it as read-only.
-func (p *Payload) Bytes() []byte { return p.data }
+// Bytes exposes the encoded payload. Callers must treat it as read-only. A
+// value snapshot has no bytes, and asking for them is an engine bug.
+func (p *Payload) Bytes() []byte {
+	if p.snap {
+		panic("serialize: a value snapshot has no bytes")
+	}
+	return p.data
+}
 
 // Len reports the encoded size in bytes.
 func (p *Payload) Len() int { return len(p.data) }
@@ -407,7 +461,10 @@ func (p *Payload) Len() int { return len(p.data) }
 // Because the payload encoding is canonical
 // (sorted kwargs), identical arguments always produce identical digests —
 // this is the memoization hash of the encode-once pipeline, and it costs no
-// additional encoding.
+// additional encoding. A value snapshot has no bytes to hash, so the DFK
+// never builds one for a task whose key or route needs this digest. (ArgsHash
+// does not check, to stay within the inlining budget: inlined into the memo
+// key's concatenation, its digest string needs no allocation of its own.)
 func (p *Payload) ArgsHash() string {
 	sum := p.sum
 	if !p.hashed {
@@ -455,8 +512,16 @@ func digestString(sum uint64) string {
 // DecodeArgs decodes a fresh deep copy of the arguments from the cached
 // bytes — the defensive copy handed to executors. Every call builds new
 // containers, so repeated decodes (retries, replays) stay isolated from
-// one another and from the submitting program.
+// one another and from the submitting program. A value snapshot's copy is
+// one new slice of its immutable values: what decoding their encoding
+// would return, without re-boxing a value.
 func (p *Payload) DecodeArgs() ([]any, map[string]any, error) {
+	if p.snap {
+		if len(p.vals) == 0 {
+			return nil, nil, nil // the codec's decode of no arguments
+		}
+		return append(make([]any, 0, len(p.vals)), p.vals...), nil, nil
+	}
 	return DecodeArgsBytes(p.data)
 }
 
@@ -605,5 +670,6 @@ func DeepCopyArgs(args []any, kwargs map[string]any) ([]any, map[string]any, err
 	if err != nil {
 		return nil, nil, err
 	}
+	defer p.Release() // the decoded copy shares nothing with the bytes
 	return p.DecodeArgs()
 }

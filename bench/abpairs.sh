@@ -14,7 +14,9 @@
 # directory, printed at the end) and the summary reports, per metric: each
 # side's median and quartiles, the change of the medians, the parent's
 # interquartile spread relative to its median, and in how many pairs the change won.
-# The same summary is written as JSON to $ABPAIRS_OUT/summary.json.
+# The same summary is written as JSON to $ABPAIRS_OUT/summary.json, with each
+# side's git head (and whether its tree differs from it) and the GOMAXPROCS
+# the runs had.
 set -euo pipefail
 
 if [ $# -lt 2 ]; then
@@ -34,6 +36,23 @@ else
 	trap 'git -C "$root" worktree remove --force "$parent"' EXIT
 fi
 
+# git_head <tree>: the tree's git head and whether its files differ from it, as
+# JSON; null for a tree outside git.
+git_head() {
+	local rev
+	if rev=$(git -C "$1" rev-parse HEAD 2>/dev/null); then
+		if [ -n "$(git -C "$1" status --porcelain 2>/dev/null)" ]; then
+			echo "{\"commit\": \"$rev\", \"dirty\": true}"
+		else
+			echo "{\"commit\": \"$rev\", \"dirty\": false}"
+		fi
+	else
+		echo null
+	fi
+}
+heads="{\"parent\": $(git_head "$parent"), \"change\": $(git_head "$root")}"
+gomaxprocs=${GOMAXPROCS:-$(nproc)}
+
 # run <side> <tree> <seed>: one benchmark process; its last line is the JSON.
 run() {
 	(cd "$2" && bash benchmark/run.sh --workload "$workload" --seed "$3" --seconds "$seconds" --trace 0) |
@@ -52,9 +71,10 @@ for i in $(seq 1 "$pairs"); do
 	fi
 done
 
-python3 - "$out" "$pairs" "$root/BENCHMARK.json" "$workload" <<'EOF'
+python3 - "$out" "$pairs" "$root/BENCHMARK.json" "$workload" "$heads" "$gomaxprocs" <<'EOF'
 import json, statistics, sys
 out, pairs, contract, workload = sys.argv[1], int(sys.argv[2]), json.load(open(sys.argv[3])), sys.argv[4]
+heads, gomaxprocs = json.loads(sys.argv[5]), int(sys.argv[6])
 better = {m["name"]: m["better"] for m in contract["end_to_end"]}
 runs = {side: [json.load(open(f"{out}/{side}_{i}.json")) for i in range(1, pairs + 1)]
         for side in ("parent", "change")}
@@ -66,7 +86,7 @@ def q(xs):
     lo, med, hi = statistics.quantiles(xs, n=4, method="inclusive")
     return lo, med, hi
 print(f"{'metric':<22}{'parent med [q1, q3]':>38}{'change med [q1, q3]':>38}{'change':>9}{'p.iqr':>8}{'wins':>7}")
-summary = {"workload": workload, "pairs": pairs, "metrics": {}}
+summary = {"workload": workload, "pairs": pairs, "heads": heads, "gomaxprocs": gomaxprocs, "metrics": {}}
 for name in runs["parent"][0]["metrics"]:
     p = [r["metrics"][name]["value"] for r in runs["parent"]]
     c = [r["metrics"][name]["value"] for r in runs["change"]]

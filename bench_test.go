@@ -208,9 +208,19 @@ func BenchmarkAblationParallelism(b *testing.B) {
 }
 
 // submissionApp is the deployment the submission benchmarks and the allocation
-// ceiling share: a DFK over four threadpool workers with one no-op app, the
-// durable log off or on.
+// ceiling share: submissionDFK with one no-op app.
 func submissionApp(tb testing.TB, walOn bool) *parsl.App {
+	tb.Helper()
+	noop, err := submissionDFK(tb, walOn).PythonApp("bench-noop", func([]any, map[string]any) (any, error) { return nil, nil })
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return noop
+}
+
+// submissionDFK is a DFK over four threadpool workers, the durable log off or
+// on, shut down when tb ends.
+func submissionDFK(tb testing.TB, walOn bool) *parsl.DFK {
 	tb.Helper()
 	reg := serialize.NewRegistry()
 	cfg := parsl.Config{
@@ -226,14 +236,10 @@ func submissionApp(tb testing.TB, walOn bool) *parsl.App {
 		tb.Fatal(err)
 	}
 	tb.Cleanup(func() { _ = d.Shutdown() })
-	noop, err := d.PythonApp("bench-noop", func([]any, map[string]any) (any, error) { return nil, nil })
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return noop
+	return d
 }
 
-// walArms are the two deployments submissionApp builds.
+// walArms are the two deployments submissionDFK builds.
 var walArms = []struct {
 	name  string
 	walOn bool

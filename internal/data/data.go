@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"repro/internal/ftp"
+	"repro/internal/serialize"
 )
 
 func init() {
@@ -274,9 +275,7 @@ func (m *Manager) Stats() StageStats {
 // serialize.Payload.ArgsHash reports, so staging, memoization, and the
 // interchange's warm-digest record speak one digest vocabulary.
 func contentDigest(b []byte) string {
-	h := fnv.New64a()
-	_, _ = h.Write(b)
-	return fmt.Sprintf("%016x", h.Sum64())
+	return string(serialize.AppendDigest(nil, serialize.Digest(b)))
 }
 
 // stageHTTP fetches f over HTTP(S) into dst, hashing the stream while it
@@ -304,7 +303,7 @@ func (m *Manager) stageHTTP(f *File, dst string) (string, int64, error) {
 	if err := out.Close(); err != nil {
 		return "", 0, err
 	}
-	return fmt.Sprintf("%016x", h.Sum64()), n, nil
+	return string(serialize.AppendDigest(nil, h.Sum64())), n, nil
 }
 
 func (m *Manager) stageFTP(f *File, dst string) (string, int64, error) {

@@ -161,13 +161,6 @@ type DFK struct {
 
 	schedr        sched.Scheduler
 	schedUsesLoad bool
-	// snapshots is decided once, in New: every executor is an
-	// executor.InProcess, the WAL is off and the scheduler reads no digest.
-	// Then only a memo key and a worker's DecodeArgs read a payload, and
-	// launch builds a value snapshot for a task that needs no memo hash. It
-	// sits in schedUsesLoad's padding: the fields after it keep their cache
-	// lines.
-	snapshots bool
 	// digestPicker is schedr when it is a sched.DigestPicker, resolved once in
 	// New; it also gates the per-attempt input-digest computation (ArgsHash
 	// allocates a string, so digest-blind configs must never pay for it).
@@ -323,12 +316,6 @@ func New(cfg Config) (*DFK, error) {
 		}
 		d.executors[ex.Label()] = ex
 		d.execList = append(d.execList, ex)
-	}
-	d.snapshots = d.wal == nil && d.digestPicker == nil
-	for _, ex := range d.execList {
-		if _, ok := ex.(executor.InProcess); !ok {
-			d.snapshots = false
-		}
 	}
 	d.lanes = make(map[string]*lane, len(d.execList))
 	for _, ex := range d.execList {
@@ -705,29 +692,31 @@ func (d *DFK) stageInTask(f *data.File) *future.Future {
 	})
 }
 
-// launch resolves dependencies into concrete values, serializes them exactly
-// once, consults memoization, and hands the ready task to the dispatch
-// pipeline, which schedules it onto an executor and submits it batched with
-// other ready tasks. The encode-once payload built here is the only
-// serialization of the arguments for the task's whole lifetime: the memo
-// hash reads it, in-process executors decode their defensive copy from it,
-// remote executors ship it verbatim, and retries reuse it. When nothing will
-// read the bytes (d.snapshots, and no memo hash), plain-value arguments are
-// snapshotted instead of encoded: the payload then holds a copy of the
-// values, taken here, and each attempt's DecodeArgs copies them again.
+// launch resolves dependencies into concrete values, takes their payload
+// exactly once, consults memoization, and hands the ready task to the
+// dispatch pipeline, which schedules it onto an executor and submits it
+// batched with other ready tasks. The payload built here is the task's one
+// copy of its arguments for its whole lifetime: the memo hash reads it,
+// in-process executors copy their defensive copy from it, remote executors
+// ship its bytes verbatim, and retries reuse it. Plain values are
+// snapshotted (serialize.SnapshotArgs), whatever the executors: the payload
+// holds a copy of them, taken here, and its bytes are built only when
+// something reads them (the WAL just below, a memo key, a digest, the wire).
+// Other arguments are encoded here, which also isolates them from a caller
+// that mutates them after Submit.
 func (d *DFK) launch(rec *task.Record, gen uint32, a *App) {
 	args, kwargs := resolveArgs(rec.Args, rec.Kwargs)
 
 	// An explicit per-call memo key turns memoization on for the invocation
 	// regardless of how the app was registered; otherwise the key is the
-	// hash of app identity and the encode-once arguments (§4.6) — the same
-	// payload the executors will consume, so memoization costs no extra
-	// encoding.
+	// hash of app identity and the arguments' canonical encoding (§4.6) —
+	// the same payload the executors will consume, so memoization costs no
+	// extra encoding.
 	var payload *serialize.Payload
 	var encErr error
 	memoKey := rec.MemoKeyOverride
 	if memoKey == "" && a.memoize {
-		if payload, encErr = serialize.EncodeArgs(args, kwargs); encErr == nil {
+		if payload, encErr = argsPayload(args, kwargs); encErr == nil {
 			memoKey = memo.KeyFromPayload(a.name, a.bodyHash, payload)
 		}
 	}
@@ -747,11 +736,8 @@ func (d *DFK) launch(rec *task.Record, gen uint32, a *App) {
 	// (in-process ones for the immutability copy, remote ones for the
 	// wire), so fail fast here with the serialization error instead of
 	// letting each attempt rediscover it downstream.
-	if payload == nil && encErr == nil && d.snapshots {
-		payload, _ = serialize.SnapshotArgs(args, kwargs)
-	}
 	if payload == nil && encErr == nil {
-		payload, encErr = serialize.EncodeArgs(args, kwargs)
+		payload, encErr = argsPayload(args, kwargs)
 	}
 	if encErr != nil {
 		d.failTask(rec, encErr)
@@ -789,13 +775,25 @@ func (d *DFK) launch(rec *task.Record, gen uint32, a *App) {
 	}
 }
 
+// argsPayload is a task's payload: a value snapshot of plain values, else
+// their encoding.
+func argsPayload(args []any, kwargs map[string]any) (*serialize.Payload, error) {
+	if p, ok := serialize.SnapshotArgs(args, kwargs); ok {
+		return p, nil
+	}
+	return serialize.EncodeArgs(args, kwargs)
+}
+
 // firstAttempt arms and enqueues a ready task's first attempt in this process.
 // pl.payload carries two references: the attempt's own, released when it
-// settles, and the EncodeArgs one, which the record takes over (and releases
-// at retirement). It reports false, with both dropped, when the task concluded
+// settles, and the one launch (or recovery) built it with, which the record
+// takes over (and releases at retirement). A digest-routing scheduler reads
+// the payload's digest here, which builds a value snapshot's bytes. It
+// reports false, with both references dropped, when the task concluded
 // before it could be armed.
 func (d *DFK) firstAttempt(pl *pendingLaunch) bool {
 	if d.digestPicker != nil {
+		pl.payload.Bytes()
 		pl.digest = pl.payload.ArgsHash()
 	}
 	if d.enqueueAttempt(pl) {
@@ -1233,11 +1231,10 @@ func collectFiles(args []any, kwargs map[string]any) []*data.File {
 // no futures anywhere — the common case, and the whole hot path of a
 // dependency-free workload — are returned as-is without copying: the
 // payload, not the arg slice, is what isolates executors from the submitting
-// program. Launch builds it from the returned slice before it returns, as
-// encoded bytes or, for plain values on in-process executors, as a copy of
-// the values (serialize.SnapshotArgs). Either way a caller that mutates its
-// slice after launch changes nothing a worker sees, and a task with no
-// inputs launches inside Submit.
+// program. Launch builds it from the returned slice before it returns, as a
+// copy of plain values (serialize.SnapshotArgs) or as encoded bytes. Either
+// way a caller that mutates its slice after launch changes nothing a worker
+// sees, and a task with no inputs launches inside Submit.
 func resolveArgs(args []any, kwargs map[string]any) ([]any, map[string]any) {
 	dirty := false
 	eachFuture(args, kwargs, func(*future.Future) { dirty = true })

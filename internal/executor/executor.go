@@ -82,16 +82,6 @@ type IntoSubmitter interface {
 	SubmitInto(msgs []serialize.TaskMsg, futs []*future.Future)
 }
 
-// InProcess is implemented by executors that run every task in this process
-// and read its arguments only through Payload.DecodeArgs: the payload is
-// never framed, hashed or logged on their side. A DFK whose executors all
-// implement it may hand them value snapshots (serialize.SnapshotArgs) in
-// place of encoded payloads. An executor wrapping another one does not
-// inherit the mark, so its tasks keep their bytes.
-type InProcess interface {
-	InProcess()
-}
-
 // Canceler is implemented by executors that can drop submitted work that
 // has not started running. Cancel names the task by its wire id and reports
 // whether the cancellation settled the task's future: false when the task is

@@ -602,6 +602,11 @@ func (e *Executor) SubmitInto(msgs []serialize.TaskMsg, futs []*future.Future) {
 	if !single {
 		shardOf = make([]int, len(msgs))
 	}
+	// A task whose shard is already down is refused here, under the lock the
+	// death scan holds: registered, it would have missed a scan that already
+	// ran, and a send to the dead endpoint can succeed into a pipe nobody
+	// reads. lost holds the refused tasks' indexes, in order.
+	var lost []int
 	// Two payload references per task: the inflight registry's own (the NACK
 	// retransmission source, released when the entry leaves the map) and the
 	// one handed over with the call, which pins the bytes across the framing
@@ -613,17 +618,29 @@ func (e *Executor) SubmitInto(msgs []serialize.TaskMsg, futs []*future.Future) {
 			shard = e.placeTask(m.Tenant, m.ID)
 			shardOf[i] = shard
 		}
+		if e.shards[shard].down.Load() {
+			lost = append(lost, i)
+			continue
+		}
 		m.Payload().Retain()
 		e.inflight[m.ID] = inflightTask{msg: m, fut: futs[i], shard: shard}
 	}
 	e.mu.Unlock()
-	e.outstanding.Add(int64(len(msgs)))
+	e.outstanding.Add(int64(len(msgs) - len(lost)))
+	for _, i := range lost {
+		s := e.shards[0]
+		if !single {
+			s = e.shards[shardOf[i]]
+		}
+		s.lost.Add(1)
+		_ = futs[i].SetError(&executor.LostError{TaskID: msgs[i].ID, Detail: "interchange shard lost", Manager: s.label})
+	}
 
-	// Convert to wire envelopes. Tasks from the dispatch pipeline carry an
-	// encode-once payload, so Wire() just wraps cached bytes and cannot
-	// fail; a direct submission without a payload encodes here, and an
-	// unencodable argument fails only its own task — poison isolation comes
-	// free, with no validation double-encode.
+	// Convert to wire envelopes. Tasks from the dispatch pipeline carry a
+	// payload whose bytes Wire() wraps, building a value snapshot's on this
+	// first read, and cannot fail; a direct submission without a payload
+	// encodes here, and an unencodable argument fails only its own task —
+	// poison isolation comes free, with no validation double-encode.
 	wp, _ := e.wires.Get().(*[]serialize.WireTask)
 	if wp == nil {
 		wp = new([]serialize.WireTask)
@@ -634,6 +651,10 @@ func (e *Executor) SubmitInto(msgs []serialize.TaskMsg, futs []*future.Future) {
 		wireShard = make([]int, 0, len(msgs))
 	}
 	for i, m := range msgs {
+		if len(lost) > 0 && lost[0] == i {
+			lost = lost[1:]
+			continue
+		}
 		// On the copy: a payload encoded here must not land in the caller's
 		// slice, where the release below would take it for one handed over.
 		w, err := m.Wire()
@@ -715,12 +736,13 @@ func (e *Executor) Outstanding() int { return int(e.outstanding.Load()) }
 
 // LostByShard reports how many attempts were failed on each shard's account
 // (index = shard) — the system's own record of a shard death's blast radius.
-// A death fails attempts two ways: the scan in shardDown fails everything
-// inflight on the shard once the client notices the death, and until then
-// the dead endpoint refuses the batches SubmitInto still sends it. Placement
-// and the scan serialize on e.mu and a down shard is never placed on, so
-// nothing escapes both. A batch refused while the scan runs is counted by
-// both, so this is an upper bound, exact when no submission races the death.
+// A death fails attempts three ways: the scan in shardDown fails everything
+// inflight on the shard once the client notices the death, SubmitInto fails
+// a task placed on a shard already marked down without sending it, and until
+// the death is noticed the dead endpoint refuses the batches SubmitInto still
+// sends it. Registration and the scan serialize on e.mu, so nothing escapes
+// both. A batch refused while the scan runs is counted by both, so this is an
+// upper bound, exact when no submission races the death.
 func (e *Executor) LostByShard() []int {
 	out := make([]int, len(e.shards))
 	for i, s := range e.shards {

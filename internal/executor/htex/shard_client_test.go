@@ -3,6 +3,7 @@ package htex
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -198,6 +199,53 @@ func TestShardedRefusedBatchCountsLost(t *testing.T) {
 			}
 			if e.Outstanding() != 0 {
 				t.Fatalf("outstanding = %d after the refused batch failed", e.Outstanding())
+			}
+		})
+	}
+}
+
+// TestDeadShardsRefuseAtRegistration: with every shard killed before the
+// client submits, at one shard (the single-shard path) and at three, each
+// task is refused at registration on its shard's account: its future fails
+// with a LostError naming that shard, LostByShard counts it there, nothing
+// stays outstanding, and nothing is sent to a dead endpoint, where a send can
+// succeed into a pipe nobody reads and leave the future unsettled.
+func TestDeadShardsRefuseAtRegistration(t *testing.T) {
+	for _, shards := range []int{1, 3} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			e := newShardedHTEX(t, shards, shards, 1)
+			for i := 0; i < shards; i++ {
+				if !e.KillShard(i) {
+					t.Fatalf("shard %d was not alive to kill", i)
+				}
+			}
+			before := e.LostByShard()
+			msgs := make([]serialize.TaskMsg, 6)
+			for i := range msgs {
+				msgs[i] = serialize.TaskMsg{ID: int64(i + 1), App: "echo", Args: []any{i}, Tenant: fmt.Sprintf("t%d", i%3)}
+			}
+			futs := append([]*future.Future{e.Submit(msgs[0])}, e.SubmitBatch(msgs[1:])...)
+			perShard := make([]int, shards)
+			for i, f := range futs {
+				_, err := f.Result()
+				var lost *executor.LostError
+				if !errors.As(err, &lost) || lost.TaskID != msgs[i].ID {
+					t.Fatalf("task %d: %v; want a LostError for it", msgs[i].ID, err)
+				}
+				si := slices.IndexFunc(e.shards, func(s *shardLink) bool { return s.label == lost.Manager })
+				if si < 0 {
+					t.Fatalf("task %d lost on %q, not a shard", msgs[i].ID, lost.Manager)
+				}
+				perShard[si]++
+			}
+			after := e.LostByShard()
+			for si := range perShard {
+				if got := after[si] - before[si]; got != perShard[si] {
+					t.Fatalf("shard %d: LostByShard grew by %d, %d tasks failed on its account", si, got, perShard[si])
+				}
+			}
+			if n := e.Outstanding(); n != 0 {
+				t.Fatalf("outstanding = %d after every task was refused", n)
 			}
 		})
 	}

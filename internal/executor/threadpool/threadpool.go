@@ -2,9 +2,9 @@
 // Python's ThreadPoolExecutor, which Parsl wraps for single-node use and
 // which serves as the latency floor in Fig. 3: no network hop, just a queue
 // and worker goroutines. Isolation still holds: each worker runs its task on
-// a fresh copy of the arguments. When the task's arguments are plain values
-// (serialize.SnapshotArgs) that copy is one slice copy; otherwise it is a
-// decode of the encode-once payload.
+// a fresh copy of the arguments, taken from the task's payload: one slice
+// copy when the payload holds the values (serialize.SnapshotArgs), whatever
+// else the DFK runs beside this pool, and otherwise one decode of its bytes.
 package threadpool
 
 import (
@@ -75,10 +75,6 @@ func NewWithDepth(label string, workers, depth int, reg *serialize.Registry) *Ex
 // Label implements executor.Executor.
 func (e *Executor) Label() string { return e.label }
 
-// InProcess implements executor.InProcess: a worker reads a task's arguments
-// only through Payload.DecodeArgs.
-func (e *Executor) InProcess() {}
-
 // Start implements executor.Executor.
 func (e *Executor) Start() error {
 	e.mu.Lock()
@@ -115,9 +111,10 @@ func (e *Executor) worker(id string) {
 		// Deep-copy arguments so an impure app cannot mutate caller state:
 		// the same isolation the serialization boundary gives remote
 		// executors (§3.2). Tasks from the dispatch pipeline carry a payload:
-		// a value snapshot's copy is one new slice of its immutable values,
-		// an encoded payload's a single decode of cached bytes. Direct
-		// submissions fall back to the encode+decode round trip.
+		// one that holds the values (a snapshot, bytes built or not) copies
+		// them into one new slice, an encoded payload decodes its cached
+		// bytes once. Direct submissions fall back to the encode+decode round
+		// trip.
 		var args []any
 		var kwargs map[string]any
 		var err error

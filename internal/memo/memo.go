@@ -37,15 +37,17 @@ import (
 
 // KeyFromPayload builds the memoization key — the "function name, body hash,
 // and arguments" triple of §4.1 — from a task's encode-once argument payload:
-// the args digest is the hash of the already-encoded bytes (canonical —
-// kwargs are sorted inside the payload), so computing the key costs one hash
-// sweep and zero gob encoders. Keys are stable across runs, which is what
-// checkpoint reuse (§3.7) depends on.
+// the args digest is the hash of the canonical encoding (kwargs are sorted
+// inside the payload), so computing the key costs one hash sweep and zero
+// gob encoders. A value snapshot's bytes are built here, on its first
+// Bytes, and kept for the WAL, the wire and retries. Keys are stable across
+// runs, which is what checkpoint reuse (§3.7) depends on.
 //
 // Compatibility: the args digest is the payload-codec digest
 // (serialize.Payload.ArgsHash), pinned by golden tests and stable from
 // payload version 1 onward.
 func KeyFromPayload(appName, bodyHash string, p *serialize.Payload) string {
+	p.Bytes()
 	return appName + "|" + bodyHash + "|" + p.ArgsHash()
 }
 

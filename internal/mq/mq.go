@@ -297,8 +297,9 @@ type Router struct {
 	done     chan struct{} // closed by Close: a receive loop stops delivering
 	mu       sync.Mutex
 	peers    map[string]*Conn
+	conns    map[*Conn]struct{} // every accepted connection, registered or not
 	closed   bool
-	wg       sync.WaitGroup // acceptLoop and every registered receive loop
+	wg       sync.WaitGroup // acceptLoop and every accepted connection's serveConn
 }
 
 // NewRouter starts a router listening on addr over tr.
@@ -313,6 +314,7 @@ func NewRouter(tr simnet.Transport, addr string) (*Router, error) {
 		events:   make(chan PeerEvent, 1024),
 		done:     make(chan struct{}),
 		peers:    make(map[string]*Conn),
+		conns:    make(map[*Conn]struct{}),
 	}
 	r.wg.Add(1)
 	go r.acceptLoop()
@@ -322,6 +324,8 @@ func NewRouter(tr simnet.Transport, addr string) (*Router, error) {
 // Addr returns the bound address (useful with ":0" TCP listeners).
 func (r *Router) Addr() string { return r.l.Addr().String() }
 
+// acceptLoop tracks each connection from its accept, so that Close closes it
+// and waits for its serveConn whether or not it has said HELLO yet.
 func (r *Router) acceptLoop() {
 	defer r.wg.Done()
 	for {
@@ -329,57 +333,74 @@ func (r *Router) acceptLoop() {
 		if err != nil {
 			return
 		}
-		go r.serveConn(NewConn(raw))
+		c := NewConn(raw)
+		r.mu.Lock()
+		if r.closed {
+			r.mu.Unlock()
+			_ = c.Close()
+			return
+		}
+		r.conns[c] = struct{}{}
+		r.wg.Add(1) // under mu while not closed, so before Close's Wait
+		r.mu.Unlock()
+		go r.serveConn(c)
 	}
 }
 
+// serveConn registers c under the identity its HELLO names, then delivers
+// its messages until it closes or the router does.
 func (r *Router) serveConn(c *Conn) {
+	defer r.wg.Done()
+	id, joined := r.register(c)
+	if joined {
+		r.notify(PeerEvent{ID: id, Joined: true})
+	loop:
+		for {
+			m, err := c.Recv()
+			if err != nil {
+				break
+			}
+			select {
+			case r.incoming <- Delivery{From: id, Msg: m}:
+			case <-r.done:
+				break loop
+			}
+		}
+	}
+	r.mu.Lock()
+	delete(r.conns, c)
+	// Only deregister if we are still the registered conn for this id.
+	left := joined && r.peers[id] == c
+	if left {
+		delete(r.peers, id)
+	}
+	r.mu.Unlock()
+	if left {
+		r.notify(PeerEvent{ID: id, Joined: false})
+	}
+	_ = c.Close()
+}
+
+// register reads c's HELLO and makes c the peer of the identity it names. It
+// reports false when c sends anything else, fails first, or the router is
+// closed.
+func (r *Router) register(c *Conn) (string, bool) {
 	hello, err := c.Recv()
 	if err != nil || len(hello) != 2 || string(hello[0]) != "HELLO" {
-		_ = c.Close()
-		return
+		return "", false
 	}
 	id := string(hello[1])
-
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	if r.closed {
-		r.mu.Unlock()
-		_ = c.Close()
-		return
+		return "", false
 	}
 	if old, dup := r.peers[id]; dup {
 		// Last writer wins, as with ZeroMQ identity reuse; drop the old conn.
 		_ = old.Close()
 	}
 	r.peers[id] = c
-	r.wg.Add(1) // under mu while not closed, so before Close's Wait
-	defer r.wg.Done()
-	r.mu.Unlock()
-	r.notify(PeerEvent{ID: id, Joined: true})
-
-loop:
-	for {
-		m, err := c.Recv()
-		if err != nil {
-			break
-		}
-		select {
-		case r.incoming <- Delivery{From: id, Msg: m}:
-		case <-r.done:
-			break loop
-		}
-	}
-
-	r.mu.Lock()
-	// Only deregister if we are still the registered conn for this id.
-	if cur, ok := r.peers[id]; ok && cur == c {
-		delete(r.peers, id)
-		r.mu.Unlock()
-		r.notify(PeerEvent{ID: id, Joined: false})
-	} else {
-		r.mu.Unlock()
-	}
-	_ = c.Close()
+	return id, true
 }
 
 func (r *Router) notify(ev PeerEvent) {
@@ -420,8 +441,9 @@ func (r *Router) Disconnect(id string) {
 	}
 }
 
-// Close shuts the router down, closing all peer connections. It returns once
-// every peer's receive loop has exited, and then closes Incoming.
+// Close shuts the router down, closing every accepted connection, a peer's
+// or one that has not said HELLO. It returns once every connection's receive
+// loop has exited, and then closes Incoming.
 func (r *Router) Close() error {
 	r.mu.Lock()
 	if r.closed {
@@ -429,16 +451,16 @@ func (r *Router) Close() error {
 		return nil
 	}
 	r.closed = true
-	peers := make([]*Conn, 0, len(r.peers))
-	for _, c := range r.peers {
-		peers = append(peers, c)
+	conns := make([]*Conn, 0, len(r.conns))
+	for c := range r.conns {
+		conns = append(conns, c)
 	}
 	r.peers = map[string]*Conn{}
 	r.mu.Unlock()
 
 	close(r.done)
 	err := r.l.Close()
-	for _, c := range peers {
+	for _, c := range conns {
 		_ = c.Close()
 	}
 	r.wg.Wait()

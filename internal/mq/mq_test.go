@@ -2,7 +2,9 @@ package mq
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"net"
 	"slices"
 	"strconv"
 	"sync"
@@ -226,6 +228,36 @@ func TestRouterClose(t *testing.T) {
 	// Double close is safe.
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRouterCloseClosesSilentConn: a connection the router accepted but
+// that never said HELLO is the router's from its accept, so Close closes it
+// and waits for its receive loop, which the package's leak gate then finds
+// gone. The dealer dialed after it has joined, so it was accepted.
+func TestRouterCloseClosesSilentConn(t *testing.T) {
+	n := newNet()
+	r, _ := NewRouter(n, "hub")
+	silent, err := n.Dial("hub")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer silent.Close()
+	d, err := DialDealer(n, "hub", "witness")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	if ev := <-r.Events(); !ev.Joined || ev.ID != "witness" {
+		t.Fatalf("join event = %+v", ev)
+	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_ = silent.SetReadDeadline(time.Now().Add(2 * time.Second))
+	var timeout net.Error
+	if _, err := silent.Read(make([]byte, 1)); err == nil || errors.As(err, &timeout) && timeout.Timeout() {
+		t.Fatalf("read on the silent connection after Close = %v; want it closed by the router", err)
 	}
 }
 

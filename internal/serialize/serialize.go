@@ -10,8 +10,9 @@
 //
 // # Encode-once data plane
 //
-// A task's resolved arguments are serialized exactly once, at submit time,
-// into a Payload (EncodeArgs). That one byte slice then serves every
+// A task's resolved arguments are serialized at most once, into a Payload:
+// at submit time (EncodeArgs), or, for plain values, on the first read of
+// their bytes (see Value snapshots). That one byte slice then serves every
 // downstream consumer:
 //
 //   - the memoization key hashes the payload bytes (Payload.ArgsHash) —
@@ -51,17 +52,20 @@
 //
 // # Value snapshots
 //
-// A task that never leaves this process needs isolation, not bytes. When
-// every positional argument is nil, a bool, an int, an int64, a float64 or a
-// string and there are no kwargs, SnapshotArgs builds the same pooled,
-// reference-counted Payload holding a copy of the values instead of their
-// encoding. Those six types are immutable in Go, and they are exactly what
-// the codec decodes them to, so sharing the values is as good as a deep copy
-// and re-boxes nothing: DecodeArgs returns a fresh []any of them, and an app
-// that reassigns an element of its slice changes nothing the submitter or
-// a retry sees. A snapshot has no bytes: it cannot be hashed, logged or
-// framed, so the DFK builds one only when no memo key, durable log,
-// digest-routing scheduler or remote executor will read the payload.
+// A payload has two views of its arguments: their values and their bytes.
+// When every positional argument is nil, a bool, an int, an int64, a float64
+// or a string and there are no kwargs, SnapshotArgs builds the same pooled,
+// reference-counted Payload holding a copy of the values, and the DFK does
+// so for every such task, whatever reads its payload later. Those six types
+// are immutable in Go, and they are exactly what the codec decodes them to,
+// so sharing the values is as good as a deep copy and re-boxes nothing:
+// DecodeArgs returns a fresh []any of them, and an app that reassigns an
+// element of its slice changes nothing the submitter or a retry sees. The
+// bytes are built when something reads them: the first Bytes call (the WAL,
+// a memo key, a digest, the wire, a retransmit) encodes the values once
+// into the payload's own buffer, exactly as EncodeArgs would, and sets the
+// digest ArgsHash reports. A task that stays in this process and whose
+// payload nobody hashes, logs or frames is never encoded.
 //
 // Hash stability: payload digests (via the pinned value-codec byte format
 // plus primed gob descriptor ids) are stable across processes and releases — golden-value tests enforce it — because
@@ -75,6 +79,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -309,28 +314,33 @@ func putBuf(b *bytes.Buffer) { bufPool.Put(b) }
 // codec's byte format actually changes.
 const payloadVersion byte = 1
 
-// Payload is the encode-once serialized form of a task's resolved
-// arguments, produced by EncodeArgs with the compact value codec (see
-// value.go): common argument shapes encode with one-byte tags, registered
-// user types through an embedded gob fallback. The bytes are immutable
-// after construction and shared freely across the memo hash, defensive
-// deep copies, the wire, and retries.
+// Payload is a task's resolved arguments, held once for its whole life: the
+// encode-once serialized form EncodeArgs produces with the compact value
+// codec (see value.go: common argument shapes encode with one-byte tags,
+// registered user types through an embedded gob fallback), or a value
+// snapshot (SnapshotArgs) that builds those same bytes on its first Bytes
+// call. Bytes and values are immutable once there and shared freely across
+// the memo hash, defensive deep copies, the wire, and retries.
 //
 // Payloads are reference counted so their byte buffers can be pooled: the
-// task record owns one reference from EncodeArgs until retirement, and
+// task record owns one reference from its construction until retirement, and
 // every consumer that may outlive the record (a dispatch-lane submission,
 // an executor's retransmit buffer) takes its own with Retain and drops it
 // with Release. When the last reference drops, the buffer returns to a pool
-// for the next EncodeArgs. A forgotten Release degrades to garbage
+// for the next payload. A forgotten Release degrades to garbage
 // collection, never corruption.
 type Payload struct {
-	refs   atomic.Int32
-	hashed bool
-	// snap marks a value snapshot (SnapshotArgs): the arguments are vals,
-	// and data is empty.
-	snap bool
-	data []byte
-	sum  uint64
+	refs atomic.Int32
+	// state says which views hold the arguments (viewVals, viewBytes) and
+	// whether a first Bytes is building the encoding. Zero is a payload of
+	// bytes whose digest nobody has computed yet (PayloadFromBytes). It sits
+	// in refs' word, so the header stays 40 B. While the payload is shared it
+	// is read and set through sync/atomic; its constructor and its last
+	// Release, which own it alone, use plain stores, where an atomic.Uint32
+	// would put two locked exchanges on every task.
+	state uint32
+	data  []byte
+	sum   uint64
 
 	// inline backs data for small argument lists, so a Payload fresh from the
 	// pool encodes without a heap buffer. Encodes that outgrow it spill to a
@@ -342,6 +352,16 @@ type Payload struct {
 	// occupants.
 	vals []any
 }
+
+// The bits of Payload.state.
+const (
+	// viewVals: vals holds the arguments (SnapshotArgs).
+	viewVals uint32 = 1 << iota
+	// building: a first Bytes is encoding vals into data.
+	building
+	// viewBytes: data holds their canonical encoding and sum its digest.
+	viewBytes
+)
 
 // payloadPool recycles Payload structs and (via their data capacity) the
 // encode buffers of the million-task hot path.
@@ -369,12 +389,15 @@ func (p *Payload) Release() {
 	case n < 0:
 		panic("serialize: Payload over-released")
 	}
+	if p.state&viewVals != 0 {
+		clear(p.vals) // a pooled snapshot pins none of its last occupant's values
+		p.vals = p.vals[:0]
+	}
+	if p.state != 0 {
+		p.state = 0
+		p.sum = 0
+	}
 	p.data = p.data[:0]
-	p.sum = 0
-	p.hashed = false
-	clear(p.vals) // a pooled snapshot pins none of its last occupant's values
-	p.vals = p.vals[:0]
-	p.snap = false
 	payloadPool.Put(p)
 }
 
@@ -387,6 +410,18 @@ func (p *Payload) Release() {
 // bytes, and the memoization hash can be a plain digest of them.
 func EncodeArgs(args []any, kwargs map[string]any) (*Payload, error) {
 	p := payloadPool.Get().(*Payload)
+	if err := p.encode(args, kwargs); err != nil {
+		payloadPool.Put(p)
+		return nil, err
+	}
+	p.state = viewBytes
+	p.refs.Store(1)
+	return p, nil
+}
+
+// encode writes the canonical encoding of args and kwargs into p's buffer
+// and its digest into sum. On an error it leaves data empty.
+func (p *Payload) encode(args []any, kwargs map[string]any) error {
 	if cap(p.data) == 0 {
 		p.data = p.inline[:0]
 	}
@@ -396,27 +431,24 @@ func EncodeArgs(args []any, kwargs map[string]any) (*Payload, error) {
 	for i, a := range args {
 		if err := w.encodeValue(a); err != nil {
 			p.data = w.b[:0]
-			payloadPool.Put(p)
-			return nil, fmt.Errorf("serialize: encode arg %d: %w", i, err)
+			return fmt.Errorf("serialize: encode arg %d: %w", i, err)
 		}
 	}
 	if err := w.sortedMap(kwargs); err != nil {
 		p.data = w.b[:0]
-		payloadPool.Put(p)
-		return nil, fmt.Errorf("serialize: encode kwargs: %w", err)
+		return fmt.Errorf("serialize: encode kwargs: %w", err)
 	}
 	p.data = w.b
 	p.sum = Digest(w.b)
-	p.hashed = true
-	p.refs.Store(1)
-	return p, nil
+	return nil
 }
 
-// SnapshotArgs is EncodeArgs for a task that stays in this process (see the
-// package comment): when every positional argument is nil, a bool, an int,
-// an int64, a float64 or a string and kwargs is empty, it returns a Payload
-// holding one reference and a copy of args, and true. Otherwise it returns
-// nil and false, and the caller encodes.
+// SnapshotArgs builds a task's payload without encoding it (see the package
+// comment): when every positional argument is nil, a bool, an int, an
+// int64, a float64 or a string and kwargs is empty, it returns a Payload
+// holding one reference and a copy of args, and true. Its bytes are built
+// on the first Bytes call. Otherwise it returns nil and false, and the
+// caller encodes.
 func SnapshotArgs(args []any, kwargs map[string]any) (*Payload, bool) {
 	if len(kwargs) != 0 {
 		return nil, false
@@ -430,7 +462,7 @@ func SnapshotArgs(args []any, kwargs map[string]any) (*Payload, bool) {
 	}
 	p := payloadPool.Get().(*Payload)
 	p.vals = append(p.vals[:0], args...)
-	p.snap = true
+	p.state = viewVals
 	p.refs.Store(1)
 	return p, true
 }
@@ -446,29 +478,53 @@ func PayloadFromBytes(b []byte) *Payload {
 }
 
 // Bytes exposes the encoded payload. Callers must treat it as read-only. A
-// value snapshot has no bytes, and asking for them is an engine bug.
+// value snapshot builds its canonical encoding on the first call, once, into
+// its own buffer, and keeps it beside the values: whoever reads first (the
+// WAL, a memo key, a digest, the wire, a retransmit) pays the encode, and
+// concurrent first callers all get the one encoding. Encoding the six types
+// a snapshot holds cannot fail.
 func (p *Payload) Bytes() []byte {
-	if p.snap {
-		panic("serialize: a value snapshot has no bytes")
+	if atomic.LoadUint32(&p.state)&(viewVals|viewBytes) == viewVals {
+		p.build()
 	}
 	return p.data
 }
 
-// Len reports the encoded size in bytes.
-func (p *Payload) Len() int { return len(p.data) }
+// build encodes a snapshot's values into data. The caller that moves state
+// from viewVals to building encodes; any other waits until it is done.
+func (p *Payload) build() {
+	if !atomic.CompareAndSwapUint32(&p.state, viewVals, viewVals|building) {
+		for atomic.LoadUint32(&p.state)&viewBytes == 0 {
+			runtime.Gosched()
+		}
+		return
+	}
+	_ = p.encode(p.vals, nil) // the six types SnapshotArgs admits always encode
+	atomic.StoreUint32(&p.state, viewVals|viewBytes)
+}
+
+// Len reports the encoded size in bytes, building a snapshot's bytes.
+func (p *Payload) Len() int { return len(p.Bytes()) }
 
 // ArgsHash returns the FNV-64a digest of the payload bytes as 16 hex digits.
 // Because the payload encoding is canonical
 // (sorted kwargs), identical arguments always produce identical digests —
 // this is the memoization hash of the encode-once pipeline, and it costs no
-// additional encoding. A value snapshot has no bytes to hash, so the DFK
-// never builds one for a task whose key or route needs this digest. (ArgsHash
-// does not check, to stay within the inlining budget: inlined into the memo
-// key's concatenation, its digest string needs no allocation of its own.)
+// additional encoding. A value snapshot's digest is computed when its bytes
+// are built, so a caller hashing a payload that may be a snapshot calls Bytes
+// first (memo.KeyFromPayload does; TestArgsHashCallersBuildBytesFirst holds
+// every caller to it); ArgsHash on a snapshot whose bytes are not built
+// panics rather than return the digest of no bytes. (ArgsHash does
+// not build them itself, to stay within the inlining budget: inlined into the
+// memo key's concatenation, its digest string needs no allocation of its
+// own.)
 func (p *Payload) ArgsHash() string {
 	sum := p.sum
-	if !p.hashed {
+	switch atomic.LoadUint32(&p.state) {
+	case 0:
 		sum = Digest(p.data)
+	case viewVals, viewVals | building:
+		panic("serialize: ArgsHash of a value snapshot before Bytes")
 	}
 	return digestString(sum)
 }
@@ -497,26 +553,31 @@ func Digest(b []byte) uint64 {
 // digits, what fmt's %016x prints, without fmt's boxing and scratch
 // allocations.
 func AppendDigest(dst []byte, sum uint64) []byte {
-	const digits = "0123456789abcdef"
-	for shift := 60; shift >= 0; shift -= 4 {
-		dst = append(dst, digits[sum>>shift&0xf])
-	}
-	return dst
+	return append(dst, digestString(sum)...)
 }
 
+// digestString is the one hex encoder of a digest. It is small enough to
+// inline into ArgsHash, so a caller concatenating the digest (the memo key)
+// allocates no string of its own for it, and into AppendDigest, where the
+// string does not escape and needs no allocation either.
 func digestString(sum uint64) string {
 	var b [16]byte
-	return string(AppendDigest(b[:0], sum))
+	for i := range b {
+		b[i] = "0123456789abcdef"[sum>>60]
+		sum <<= 4
+	}
+	return string(b[:])
 }
 
 // DecodeArgs decodes a fresh deep copy of the arguments from the cached
 // bytes — the defensive copy handed to executors. Every call builds new
 // containers, so repeated decodes (retries, replays) stay isolated from
 // one another and from the submitting program. A value snapshot's copy is
-// one new slice of its immutable values: what decoding their encoding
-// would return, without re-boxing a value.
+// one new slice of its immutable values, whether or not its bytes were
+// built: what decoding their encoding would return, without re-boxing a
+// value.
 func (p *Payload) DecodeArgs() ([]any, map[string]any, error) {
-	if p.snap {
+	if atomic.LoadUint32(&p.state)&viewVals != 0 {
 		if len(p.vals) == 0 {
 			return nil, nil, nil // the codec's decode of no arguments
 		}

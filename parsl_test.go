@@ -228,62 +228,62 @@ func TestSubmissionAllocationCeiling(t *testing.T) {
 }
 
 // TestDependentTaskAllocationCeiling bounds what a task that takes an input
-// allocates from Submit to its settled future: rounds of 8 chains of 25
-// tasks on four threadpool workers, each task taking the previous one's
-// future plus two ints of 256 and over (a smaller int boxes into a static
-// table, which would hide a re-boxing). It read 5.98 a task when the
-// ceiling was set: the future, the argument slice of the call and one of
-// its ints boxed by the caller, the resolved argument slice, the worker's
-// copy of it and the boxed result. Before the arguments of an in-process
-// task were a value snapshot it read 8.98: the worker decoded its
-// copy from encoded bytes and re-boxed all three ints. Not under -race, for
-// the reason TestSubmissionAllocationCeiling gives.
+// allocates from Submit to its settled future, with the durable log off and
+// on: rounds of 8 chains of 25 tasks on four threadpool workers, each task
+// taking the previous one's future plus two ints of 256 and over (a smaller
+// int boxes into a static table, which would hide a re-boxing). It read 5.98
+// a task with the log off when the ceiling was set: the future, the argument
+// slice of the call and one of its ints boxed by the caller, the resolved
+// argument slice, the worker's copy of it and the boxed result. With the log
+// on it reads 6.01, the log reading bytes built from the same values. When
+// the worker decoded its copy from bytes and re-boxed all three ints, it read
+// 8.98 with the log off and 9.01 with it on. Not under -race, for the reason
+// TestSubmissionAllocationCeiling gives.
 func TestDependentTaskAllocationCeiling(t *testing.T) {
 	const ceiling = 6.5
-	d, err := parsl.NewLocal(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = d.Shutdown() })
-	step, err := d.PythonApp("dep-step", func(args []any, _ map[string]any) (any, error) {
-		return args[0].(int) + args[1].(int) - args[2].(int), nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const chains, depth = 8, 25
-	round := func() {
-		var tails [chains]*parsl.Future
-		for c := range tails {
-			tails[c] = step.Call(1000*(c+1), 300, 300)
-			for i := 1; i < depth; i++ {
-				tails[c] = step.Call(tails[c], 300+i, 300)
+	for _, arm := range walArms {
+		t.Run(arm.name, func(t *testing.T) {
+			step, err := submissionDFK(t, arm.walOn).PythonApp("dep-step", func(args []any, _ map[string]any) (any, error) {
+				return args[0].(int) + args[1].(int) - args[2].(int), nil
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		for c, f := range tails {
-			want := 1000*(c+1) + depth*(depth-1)/2
-			if v, err := f.Result(); err != nil || v != want {
-				t.Fatalf("chain %d = %v, %v; want %d", c, v, err, want)
+			const chains, depth = 8, 25
+			round := func() {
+				var tails [chains]*parsl.Future
+				for c := range tails {
+					tails[c] = step.Call(1000*(c+1), 300, 300)
+					for i := 1; i < depth; i++ {
+						tails[c] = step.Call(tails[c], 300+i, 300)
+					}
+				}
+				for c, f := range tails {
+					want := 1000*(c+1) + depth*(depth-1)/2
+					if v, err := f.Result(); err != nil || v != want {
+						t.Fatalf("chain %d = %v, %v; want %d", c, v, err, want)
+					}
+				}
 			}
-		}
-	}
-	for r := 0; r < 10; r++ {
-		round() // warm the record, attempt, payload and batch pools
-	}
-	const rounds = 100
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for r := 0; r < rounds; r++ {
-		round()
-	}
-	runtime.ReadMemStats(&after)
-	perTask := float64(after.Mallocs-before.Mallocs) / (rounds * chains * depth)
-	t.Logf("%.2f allocations per dependent task", perTask)
-	if raceDetector() {
-		t.Skip("allocation counts under -race measure the detector's sync.Pool, not the submit path")
-	}
-	if perTask > ceiling {
-		t.Fatalf("%.2f allocations per dependent task, ceiling %.1f", perTask, ceiling)
+			for r := 0; r < 10; r++ {
+				round() // warm the record, attempt, payload and batch pools
+			}
+			const rounds = 100
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for r := 0; r < rounds; r++ {
+				round()
+			}
+			runtime.ReadMemStats(&after)
+			perTask := float64(after.Mallocs-before.Mallocs) / (rounds * chains * depth)
+			t.Logf("%.2f allocations per dependent task", perTask)
+			if raceDetector() {
+				t.Skip("allocation counts under -race measure the detector's sync.Pool, not the submit path")
+			}
+			if perTask > ceiling {
+				t.Fatalf("%.2f allocations per dependent task, ceiling %.1f", perTask, ceiling)
+			}
+		})
 	}
 }
 

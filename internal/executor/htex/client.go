@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -33,11 +34,12 @@ type Config struct {
 	Manager     ManagerConfig
 	Interchange InterchangeConfig
 	// Shards is how many interchange shards form this one logical executor
-	// (default 1 — the single-broker deployment). With N > 1 the client runs
-	// N independent interchanges, places managers and tasks onto them by
-	// rendezvous hash (tenant-affine; see taskShard), fans each submitted
-	// batch across the owning shards, and reconciles results, LOST, and
-	// CANCEL traffic from all of them. Each shard preserves every
+	// (default 1, at most 32767). The client runs N independent
+	// interchanges, places managers and tasks onto them by rendezvous hash
+	// (tenant-affine; see taskShard), sends each submitted batch as one
+	// frame per owning shard, and reconciles results, LOST, and CANCEL
+	// traffic from all of them; N = 1, the single-broker deployment, is the
+	// same code with placement a constant. Each shard preserves every
 	// single-broker invariant — per-shard queues, heartbeats, NACK resync —
 	// and a shard death requeues only that shard's outstanding set while the
 	// others keep draining.
@@ -206,6 +208,9 @@ func (e *Executor) Start() error {
 	}
 
 	n := e.cfg.Shards
+	if n > math.MaxInt16 { // SubmitInto records a task's shard in an int16
+		return fmt.Errorf("htex: %d shards, at most %d", n, math.MaxInt16)
+	}
 	if n > 1 && !strings.HasSuffix(e.cfg.Addr, ":0") {
 		return fmt.Errorf("htex: %d shards cannot share fixed address %q (use an auto-assign :0 form)", n, e.cfg.Addr)
 	}
@@ -510,6 +515,9 @@ func (e *Executor) sendOrFail(s *shardLink, batch []serialize.WireTask) {
 // placement, vetoing shards that are down or have no registered managers to
 // drain them (those spill to the key's next-ranked shard — see taskShard).
 func (e *Executor) placeTask(tenant string, id int64) int {
+	if len(e.shards) == 1 {
+		return 0 // before any hashing and the broker's ManagerCount lock
+	}
 	return taskShard(len(e.shards), tenant, id, e.shardUp, func(si int) bool {
 		return e.shards[si].broker().ManagerCount() > 0
 	})
@@ -575,10 +583,10 @@ func (e *Executor) SubmitBatch(msgs []serialize.TaskMsg) []*future.Future {
 
 // SubmitInto implements executor.IntoSubmitter: the whole batch is
 // registered under one lock acquisition, then crosses the wire as one TASKB
-// frame per owning shard — the single-shard deployment (the default) sends
-// exactly one frame with no placement work at all, and a sharded deployment
-// fans the batch out in submission order per shard. From the interchange
-// queues on, the existing manager-side batching (§4.3.1) takes over.
+// frame per owning shard, in submission order within each shard. One path
+// serves every shard count: with one shard (the default) placement is a
+// constant and the batch is one frame. From the interchange queues on, the
+// existing manager-side batching (§4.3.1) takes over.
 func (e *Executor) SubmitInto(msgs []serialize.TaskMsg, futs []*future.Future) {
 	e.mu.Lock()
 	if e.closed || !e.started {
@@ -595,108 +603,76 @@ func (e *Executor) SubmitInto(msgs []serialize.TaskMsg, futs []*future.Future) {
 	}
 	// Placement happens at registration so the inflight registry knows each
 	// task's shard from the first instant — a shard death between this lock
-	// and the send below must still fail exactly the right subset. The
-	// single-shard path skips it entirely (shard 0, no hashing, no slice).
-	single := len(e.shards) == 1
-	var shardOf []int
-	if !single {
-		shardOf = make([]int, len(msgs))
+	// and the send below must still fail exactly the right subset. placed[i]
+	// is task i's shard, or ^shard when that shard is already down: such a
+	// task is refused here, under the lock the death scan holds, since
+	// registered it would have missed a scan that already ran, and a send to
+	// the dead endpoint can succeed into a pipe nobody reads. A dispatch-lane
+	// batch (at most 256 tasks) keeps the array on the stack.
+	var buf [256]int16
+	placed := buf[:]
+	if len(msgs) > len(buf) {
+		placed = make([]int16, len(msgs))
 	}
-	// A task whose shard is already down is refused here, under the lock the
-	// death scan holds: registered, it would have missed a scan that already
-	// ran, and a send to the dead endpoint can succeed into a pipe nobody
-	// reads. lost holds the refused tasks' indexes, in order.
-	var lost []int
+	refused := 0
 	// Two payload references per task: the inflight registry's own (the NACK
 	// retransmission source, released when the entry leaves the map) and the
 	// one handed over with the call, which pins the bytes across the framing
 	// below — a Cancel racing this batch can drop the registry's before Wire()
 	// runs, and the send leg must never frame a recycled buffer.
 	for i, m := range msgs {
-		shard := 0
-		if !single {
-			shard = e.placeTask(m.Tenant, m.ID)
-			shardOf[i] = shard
-		}
+		shard := e.placeTask(m.Tenant, m.ID)
 		if e.shards[shard].down.Load() {
-			lost = append(lost, i)
+			placed[i] = ^int16(shard)
+			refused++
 			continue
 		}
+		placed[i] = int16(shard)
 		m.Payload().Retain()
 		e.inflight[m.ID] = inflightTask{msg: m, fut: futs[i], shard: shard}
 	}
 	e.mu.Unlock()
-	e.outstanding.Add(int64(len(msgs) - len(lost)))
-	for _, i := range lost {
-		s := e.shards[0]
-		if !single {
-			s = e.shards[shardOf[i]]
-		}
-		s.lost.Add(1)
-		_ = futs[i].SetError(&executor.LostError{TaskID: msgs[i].ID, Detail: "interchange shard lost", Manager: s.label})
-	}
+	e.outstanding.Add(int64(len(msgs) - refused))
 
-	// Convert to wire envelopes. Tasks from the dispatch pipeline carry a
-	// payload whose bytes Wire() wraps, building a value snapshot's on this
-	// first read, and cannot fail; a direct submission without a payload
-	// encodes here, and an unencodable argument fails only its own task —
-	// poison isolation comes free, with no validation double-encode.
+	// Frame one shard's partition at a time into the pooled wire scratch.
+	// Tasks from the dispatch pipeline carry a payload whose bytes Wire()
+	// wraps, building a value snapshot's on this first read, and cannot
+	// fail; a direct submission without a payload encodes here, and an
+	// unencodable argument fails only its own task — poison isolation comes
+	// free, with no validation double-encode. A failed send fails only its
+	// shard's partition: the other shards' tasks are already on their way.
 	wp, _ := e.wires.Get().(*[]serialize.WireTask)
 	if wp == nil {
 		wp = new([]serialize.WireTask)
 	}
-	wires := (*wp)[:0]
-	var wireShard []int
-	if !single {
-		wireShard = make([]int, 0, len(msgs))
+	for si, s := range e.shards {
+		wires := (*wp)[:0]
+		for i, m := range msgs {
+			switch placed[i] {
+			case int16(si):
+				// On the copy: a payload encoded here must not land in the
+				// caller's slice, where the release below would take it for
+				// one handed over.
+				w, err := m.Wire()
+				if err != nil {
+					e.fail(m.ID, err)
+					continue
+				}
+				wires = append(wires, w)
+			case ^int16(si):
+				s.lost.Add(1)
+				_ = futs[i].SetError(&executor.LostError{TaskID: m.ID, Detail: "interchange shard lost", Manager: s.label})
+			}
+		}
+		if len(wires) > 0 {
+			e.sendOrFail(s, wires)
+		}
+		clear(wires) // the envelopes alias payload bytes released below
+		*wp = wires[:0]
 	}
-	for i, m := range msgs {
-		if len(lost) > 0 && lost[0] == i {
-			lost = lost[1:]
-			continue
-		}
-		// On the copy: a payload encoded here must not land in the caller's
-		// slice, where the release below would take it for one handed over.
-		w, err := m.Wire()
-		if err != nil {
-			e.fail(m.ID, err)
-			continue
-		}
-		wires = append(wires, w)
-		if !single {
-			wireShard = append(wireShard, shardOf[i])
-		}
-	}
-	if len(wires) > 0 {
-		if single {
-			e.sendOrFail(e.shards[0], wires)
-		} else {
-			e.fanOut(wires, wireShard)
-		}
-	}
-	clear(wires) // the envelopes alias payload bytes released below
-	*wp = wires[:0]
 	e.wires.Put(wp)
 	for i := range msgs {
 		msgs[i].Payload().Release()
-	}
-}
-
-// fanOut partitions one wire batch by owning shard (submission order
-// preserved within each shard) and sends each partition on its shard's
-// stream. A failed send fails only that shard's partition — the other
-// shards' tasks are already safely queued or on their way.
-func (e *Executor) fanOut(wires []serialize.WireTask, wireShard []int) {
-	buckets := make([][]serialize.WireTask, len(e.shards))
-	for i, w := range wires {
-		si := wireShard[i]
-		buckets[si] = append(buckets[si], w)
-	}
-	for si, batch := range buckets {
-		if len(batch) == 0 {
-			continue
-		}
-		e.sendOrFail(e.shards[si], batch)
 	}
 }
 

@@ -3,7 +3,9 @@ package htex
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -165,8 +167,7 @@ func TestShardedKillFailsOnlyVictims(t *testing.T) {
 
 // TestShardedRefusedBatchCountsLost: once every shard is dead, a batch the
 // dead endpoint refuses fails each of its tasks, and LostByShard counts them
-// on the refusing shard's account — on the single-shard path (which places
-// nothing) exactly as on the fan-out path.
+// on the refusing shard's account, at one shard exactly as at three.
 func TestShardedRefusedBatchCountsLost(t *testing.T) {
 	for _, shards := range []int{1, 3} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
@@ -205,11 +206,11 @@ func TestShardedRefusedBatchCountsLost(t *testing.T) {
 }
 
 // TestDeadShardsRefuseAtRegistration: with every shard killed before the
-// client submits, at one shard (the single-shard path) and at three, each
-// task is refused at registration on its shard's account: its future fails
-// with a LostError naming that shard, LostByShard counts it there, nothing
-// stays outstanding, and nothing is sent to a dead endpoint, where a send can
-// succeed into a pipe nobody reads and leave the future unsettled.
+// client submits, at one shard and at three, each task is refused at
+// registration on its shard's account: its future fails with a LostError
+// naming that shard, LostByShard counts it there, nothing stays outstanding,
+// and nothing is sent to a dead endpoint, where a send can succeed into a
+// pipe nobody reads and leave the future unsettled.
 func TestDeadShardsRefuseAtRegistration(t *testing.T) {
 	for _, shards := range []int{1, 3} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
@@ -461,6 +462,23 @@ func TestShardedFixedAddrRejected(t *testing.T) {
 	if err := e.Start(); err == nil {
 		_ = e.Shutdown()
 		t.Fatal("Start accepted 2 shards on one fixed address")
+	}
+}
+
+// TestShardCountBounded: SubmitInto records each task's shard in an int16,
+// so Start refuses more shards than that holds, before it opens any. The
+// fixed address makes a Start that skipped the bound fail on the address
+// instead, still opening nothing.
+func TestShardCountBounded(t *testing.T) {
+	e := New(Config{
+		Label:    "htex-wide",
+		Registry: testRegistry(t),
+		Addr:     "127.0.0.1:7777",
+		Shards:   math.MaxInt16 + 1,
+	})
+	if err := e.Start(); err == nil || !strings.Contains(err.Error(), "at most 32767") {
+		_ = e.Shutdown()
+		t.Fatalf("Start with %d shards: err = %v, want the shard bound", math.MaxInt16+1, err)
 	}
 }
 

@@ -11,7 +11,7 @@ package htex
 // tenant's tasks stay together on one shard (tenant affinity). The shard
 // core itself — queues, heartbeats, NACK resync — is the unchanged
 // Interchange; everything cross-shard lives here and in the client's
-// fan-out/reconcile paths.
+// submit/reconcile paths.
 
 // taskShard maps one task to one of n shards, tenant-affine: a task carrying
 // a tenant follows its tenant's hash so a tenant's whole queue lands on one

@@ -3,6 +3,8 @@ package htex
 import (
 	"fmt"
 	"runtime"
+	"runtime/debug"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -121,6 +123,84 @@ func TestRoundTripAllocationCeiling(t *testing.T) {
 	if perTrip > ceiling {
 		t.Fatalf("%.1f allocations per single-task round trip, ceiling %d", perTrip, ceiling)
 	}
+}
+
+// TestShardedBatchAllocationCeiling guards the sharded half of SubmitInto:
+// a 16-task batch round trip at three shards may cost at most 12 allocations
+// more than at one. The client's own share of that is nothing — placement is
+// recorded on the stack and each shard's partition is framed from the pooled
+// wire scratch — so what is left is mq's part lists and bodies for the extra
+// frames, one per owning shard on each leg instead of one. It reads 87.0 per
+// batch at one shard and 94.5 at three; the extra was 21.5 when the sharded
+// path allocated its placement, its wire-to-shard index and one bucket per
+// owning shard for every batch. Not under -race: there sync.Pool drops a
+// quarter of its puts.
+func TestShardedBatchAllocationCeiling(t *testing.T) {
+	if raceDetector() {
+		t.Skip("allocation counts under -race measure the detector's sync.Pool, not the submit path")
+	}
+	perBatch := func(shards int) float64 {
+		e := newHTEX(t, shards, 2, func(cfg *Config) {
+			cfg.Shards = shards
+			cfg.Manager.FlushInterval = 200 * time.Microsecond
+		})
+		waitCond(t, "every shard has a manager", func() bool {
+			return !slices.Contains(managersPerShard(e), 0)
+		})
+		defer e.Shutdown()
+		id := int64(0)
+		msgs := make([]serialize.TaskMsg, 16)
+		batch := func() {
+			for i := range msgs {
+				id++
+				p, err := serialize.EncodeArgs([]any{1000}, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				msgs[i] = serialize.TaskMsg{ID: id, App: "echo"}
+				msgs[i].AttachPayload(p)
+			}
+			for i, f := range e.SubmitBatch(msgs) {
+				v, err := f.Result()
+				msgs[i].Payload().Release()
+				if err != nil || v != 1000 {
+					t.Fatalf("task %d = %v, %v", msgs[i].ID, v, err)
+				}
+			}
+		}
+		for i := 0; i < 50; i++ { // warm the pools, the intern tables, the frame buffers
+			batch()
+		}
+		const batches = 200
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < batches; i++ {
+			batch()
+		}
+		runtime.ReadMemStats(&after)
+		n := float64(after.Mallocs-before.Mallocs) / batches
+		t.Logf("%.1f allocations per 16-task batch round trip at %d shards", n, shards)
+		return n
+	}
+	one, three := perBatch(1), perBatch(3)
+	const ceiling = 12
+	if extra := three - one; extra > ceiling {
+		t.Fatalf("three shards cost %.1f allocations per 16-task batch more than one, ceiling %d", extra, ceiling)
+	}
+}
+
+// raceDetector reports whether this test binary was built with -race.
+func raceDetector() bool {
+	bi, ok := debug.ReadBuildInfo()
+	if !ok {
+		return false
+	}
+	for _, s := range bi.Settings {
+		if s.Key == "-race" {
+			return s.Value == "true"
+		}
+	}
+	return false
 }
 
 // TestDroppedAndDuplicatedFramesAreRepaired: frames are numbered, so a frame

@@ -4,7 +4,8 @@
 // and worker goroutines. Isolation still holds: each worker runs its task on
 // a fresh copy of the arguments, taken from the task's payload: one slice
 // copy when the payload holds the values (serialize.SnapshotArgs), whatever
-// else the DFK runs beside this pool, and otherwise one decode of its bytes.
+// else the DFK runs beside this pool, and otherwise one decode of its bytes,
+// encoded first for a direct submission that carries none.
 package threadpool
 
 import (
@@ -101,36 +102,29 @@ func (e *Executor) worker(id string) {
 		_, unclaimed := e.pending[it.msg.ID]
 		delete(e.pending, it.msg.ID)
 		e.pendMu.Unlock()
-		p := it.msg.Payload()
 		if !unclaimed {
 			// Claimed by Cancel, which also adjusted the outstanding count; the
 			// dead item and its payload reference just fall out of the queue.
-			p.Release()
+			it.msg.Payload().Release()
 			continue
 		}
 		// Deep-copy arguments so an impure app cannot mutate caller state:
 		// the same isolation the serialization boundary gives remote
-		// executors (§3.2). Tasks from the dispatch pipeline carry a payload:
-		// one that holds the values (a snapshot, bytes built or not) copies
-		// them into one new slice, an encoded payload decodes its cached
-		// bytes once. Direct submissions fall back to the encode+decode round
-		// trip.
-		var args []any
-		var kwargs map[string]any
-		var err error
-		if p != nil {
-			args, kwargs, err = p.DecodeArgs()
+		// executors (§3.2), read the way htex's Wire reads them. A payload
+		// that holds the values (a snapshot, bytes built or not) copies them
+		// into one new slice, an encoded payload decodes its cached bytes
+		// once, and a direct submission without one encodes here first; an
+		// unencodable argument fails only its own task.
+		p, err := it.msg.ArgsPayload()
+		if err == nil {
+			it.msg.Args, it.msg.Kwargs, err = p.DecodeArgs()
 			p.Release() // last read of the bytes: the submission's reference ends here
-		} else {
-			args, kwargs, err = serialize.DeepCopyArgs(it.msg.Args, it.msg.Kwargs)
 		}
 		var res serialize.ResultMsg
 		if err != nil {
 			res = serialize.ResultMsg{ID: it.msg.ID, WorkerID: id, Err: err.Error()}
 		} else {
-			msg := it.msg
-			msg.Args, msg.Kwargs = args, kwargs
-			res = executor.RunKernel(e.reg, msg, id)
+			res = executor.RunKernel(e.reg, it.msg, id)
 		}
 		e.outstanding.Add(-1)
 		executor.Complete(it.fut, res)

@@ -2,6 +2,7 @@ package threadpool
 
 import (
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -84,6 +85,24 @@ func TestUnknownApp(t *testing.T) {
 	e := newPool(t, 1)
 	if _, err := e.Submit(serialize.TaskMsg{ID: 1, App: "nope"}).Result(); err == nil {
 		t.Fatal("unknown app succeeded")
+	}
+}
+
+// TestUnencodableArgFailsOnlyItsTask: a direct submission carries no
+// payload, so the worker encodes its arguments to take its copy; a channel
+// does not encode, and that fails the task's future with the encode error
+// while the worker goes on to run the next task.
+func TestUnencodableArgFailsOnlyItsTask(t *testing.T) {
+	e := newPool(t, 1)
+	bad := e.Submit(serialize.TaskMsg{ID: 1, App: "echo", Args: []any{make(chan int)}})
+	next := e.Submit(serialize.TaskMsg{ID: 2, App: "echo", Args: []any{"next"}})
+	_, err := bad.Result()
+	var re *executor.RemoteError
+	if !errors.As(err, &re) || !strings.Contains(re.Msg, "serialize: encode arg 0") {
+		t.Fatalf("channel argument: err = %v, want the encode error", err)
+	}
+	if v, err := next.Result(); err != nil || v != "next" {
+		t.Fatalf("task after the unencodable one = %v, %v", v, err)
 	}
 }
 

@@ -55,29 +55,32 @@ func (b *Barrier) Pending() int {
 
 // Wait blocks until every registered future (including ones added while
 // waiting) has completed, and returns the first error observed, if any.
-func (b *Barrier) Wait() error {
+func (b *Barrier) Wait() error { return b.WaitCtx(context.Background()) }
+
+// WaitCtx is Wait with cancellation. On context expiry the barrier is left
+// intact and the context error is returned. The wait holds no goroutine:
+// the context's end wakes it through the condition variable, and the
+// broadcast takes the lock, so it cannot fall between the check of ctx and
+// the wait.
+func (b *Barrier) WaitCtx(ctx context.Context) error {
+	stop := context.AfterFunc(ctx, func() {
+		b.mu.Lock()
+		b.cond.Broadcast()
+		b.mu.Unlock()
+	})
+	defer stop()
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	for b.pending > 0 {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
 		b.cond.Wait()
 	}
 	if len(b.errs) > 0 {
 		return b.errs[0]
 	}
 	return nil
-}
-
-// WaitCtx is Wait with cancellation. On context expiry the barrier is left
-// intact and the context error is returned.
-func (b *Barrier) WaitCtx(ctx context.Context) error {
-	done := make(chan error, 1)
-	go func() { done <- b.Wait() }()
-	select {
-	case err := <-done:
-		return err
-	case <-ctx.Done():
-		return ctx.Err()
-	}
 }
 
 // Errors returns all failures observed so far (copy).

@@ -3,6 +3,7 @@ package future
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -117,6 +118,31 @@ func TestBarrierWaitCtx(t *testing.T) {
 	}
 	if b.Pending() != 1 {
 		t.Fatal("barrier state corrupted by ctx expiry")
+	}
+}
+
+// TestBarrierWaitCtxLeavesNoWaiter: a WaitCtx that returns on its context
+// leaves nothing behind, even on a barrier whose registered future never
+// settles — it used to leave one goroutine per call parked in Wait.
+func TestBarrierWaitCtxLeavesNoWaiter(t *testing.T) {
+	b := NewBarrier()
+	b.Add(New()) // never completes
+	before := runtime.NumGoroutine()
+	const calls = 50
+	for i := 0; i < calls; i++ {
+		ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
+		err := b.WaitCtx(ctx)
+		cancel()
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("call %d: err = %v", i, err)
+		}
+	}
+	deadline := time.Now().Add(time.Second)
+	for n := runtime.NumGoroutine(); n > before; n = runtime.NumGoroutine() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d timed-out WaitCtx calls left %d goroutines behind", calls, n-before)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 

@@ -259,9 +259,12 @@ func TestCloudDoubleCancelReleasesInstancesOnce(t *testing.T) {
 	if n := p.liveInstances(); n != 0 {
 		t.Fatalf("instances after double cancel = %d, want 0", n)
 	}
-	if _, err := p.SubmitBlock(ok); err != nil {
+	next, err := p.SubmitBlock(ok)
+	if err != nil {
 		t.Fatal(err)
 	}
+	// Its startup wait is an hour: cancel it, or it outlives the test.
+	defer func() { _ = p.CancelBlock(next) }()
 	if _, err := p.SubmitBlock(ok); !errors.Is(err, ErrQuota) {
 		t.Fatalf("second block within a limit of 2: err = %v, want ErrQuota", err)
 	}

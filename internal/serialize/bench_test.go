@@ -116,17 +116,23 @@ func BenchmarkPayloadHash(b *testing.B) {
 }
 
 // BenchmarkDeepCopy compares the two defensive-copy paths an in-process
-// executor can take: the legacy encode+decode round trip versus a single
-// decode of the encode-once payload.
+// executor can take: encoding and decoding a direct submission's arguments
+// (what the threadpool worker does for a task that carries no payload)
+// versus a single decode of the encode-once payload.
 func BenchmarkDeepCopy(b *testing.B) {
 	args := []any{7, "input-0007", 2.5, []string{"a", "b", "c"}}
 	kw := map[string]any{"threads": 4, "mode": "fast"}
 	b.Run("encode-and-decode", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := DeepCopyArgs(args, kw); err != nil {
+			p, err := EncodeArgs(args, kw)
+			if err != nil {
 				b.Fatal(err)
 			}
+			if _, _, err := p.DecodeArgs(); err != nil {
+				b.Fatal(err)
+			}
+			p.Release()
 		}
 	})
 	b.Run("decode-from-payload", func(b *testing.B) {

@@ -720,17 +720,3 @@ func DecodeResult(b []byte) (ResultMsg, error) {
 	}
 	return m, nil
 }
-
-// DeepCopyArgs produces the defensive copy handed to in-process executors so
-// that apps cannot mutate caller state. It is the compatibility path for
-// messages without an attached payload; the dispatch pipeline instead calls
-// Payload.DecodeArgs on the encode-once bytes, skipping the encode half.
-// Values that cannot be encoded (channels, funcs) produce an error.
-func DeepCopyArgs(args []any, kwargs map[string]any) ([]any, map[string]any, error) {
-	p, err := EncodeArgs(args, kwargs)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer p.Release() // the decoded copy shares nothing with the bytes
-	return p.DecodeArgs()
-}

@@ -138,30 +138,6 @@ func TestDecodeGarbage(t *testing.T) {
 	}
 }
 
-func TestDeepCopyArgsIsolation(t *testing.T) {
-	orig := []any{[]string{"a", "b"}}
-	kw := map[string]any{"list": []int{1, 2, 3}}
-	cargs, ckw, err := DeepCopyArgs(orig, kw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Mutate the copies; originals must be untouched.
-	cargs[0].([]string)[0] = "MUTATED"
-	ckw["list"].([]int)[0] = 999
-	if orig[0].([]string)[0] != "a" {
-		t.Fatal("arg mutation leaked to original")
-	}
-	if kw["list"].([]int)[0] != 1 {
-		t.Fatal("kwarg mutation leaked to original")
-	}
-}
-
-func TestDeepCopyUnencodable(t *testing.T) {
-	if _, _, err := DeepCopyArgs([]any{make(chan int)}, nil); err == nil {
-		t.Fatal("channel arg encoded")
-	}
-}
-
 // Property: encode/decode is lossless for int/string/float payloads.
 func TestQuickTaskRoundTrip(t *testing.T) {
 	prop := func(id int64, app string, i int, s string, f float64) bool {

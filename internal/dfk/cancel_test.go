@@ -183,7 +183,7 @@ func TestCancelAfterCompletion(t *testing.T) {
 	// The AfterFunc watcher is stopped by retirement, but exercise cancelTask
 	// directly too: it must refuse a terminal task. The DFK recycled its own
 	// record, so the task here is one concluded by hand.
-	rec, _ := task.Create(1<<40, "echo", nil, nil, task.Options{})
+	rec, _ := task.Create(1<<40, "echo", nil, task.Options{})
 	defer rec.Exit()
 	_ = rec.SetState(task.Launched)
 	if _, ok := rec.Finish(task.Done); !ok {

@@ -13,7 +13,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -475,7 +477,11 @@ func (d *DFK) registerApp(name string, fn serialize.Fn, opts []AppOption) (*App,
 }
 
 // Submit invokes the app asynchronously with positional args under ctx,
-// returning the AppFuture. Futures among the args become dependencies.
+// returning the AppFuture. Futures among the args become dependencies. Submit
+// keeps no reference to args, so the caller may reuse the slice as soon as
+// Submit returns; a mutable value inside it stays the caller's until the task
+// launches, when its arguments are copied or encoded.
+//
 // Canceling ctx before the task completes cancels it: the future fails with
 // an error wrapping ErrCanceled (and the context's error), dependents fail
 // with a DependencyError, and work not yet started is dropped from the
@@ -487,7 +493,9 @@ func (a *App) Submit(ctx context.Context, args []any, opts ...CallOption) *futur
 	return a.SubmitKw(ctx, nil, args, opts...)
 }
 
-// SubmitKw is Submit with keyword arguments.
+// SubmitKw is Submit with keyword arguments. A task that waits on inputs
+// copies the map; one without inputs encodes it inside Submit and reads it
+// again only for its declared outputs (app.KwOutputs) when it completes.
 func (a *App) SubmitKw(ctx context.Context, kwargs map[string]any, args []any, opts ...CallOption) *future.Future {
 	if len(opts) == 0 {
 		// Option-free fast path: &o below escapes into the opaque option
@@ -577,7 +585,7 @@ func (d *DFK) submit(ctx context.Context, a *App, args []any, kwargs map[string]
 	if o.executor != "" {
 		opts.Hints = []string{o.executor}
 	}
-	rec, gen := task.Create(id, a.name, args, kwargs, opts)
+	rec, gen := task.Create(id, a.name, kwargs, opts)
 	// Publishing the record (watcher, dependency callbacks) lets other
 	// goroutines conclude and retire it at any moment; the creator's hold keeps
 	// it from being recycled under the wiring below.
@@ -625,14 +633,19 @@ func (d *DFK) submit(ctx context.Context, a *App, args []any, kwargs map[string]
 
 	d.emitState(id, a.name, o.tenant, noState, task.Pending, "")
 	if n == 0 {
-		d.launch(rec, gen, a)
+		d.launch(rec, gen, a, args)
 		return fut
 	}
 
-	// The countdown is set before the first input can fire. The record itself
+	// A waiting task launches after Submit returns, so it takes its own copy
+	// of both argument lists first: the caller may reuse its slice and its map
+	// at once, and InputsReady resolves the futures in the copies. The
+	// countdown is set before the first input can fire. The record itself
 	// is the DoneHook of every input: an edge stores one interface value in the
 	// input's future, and each resolved input is one compare-and-swap on the
 	// countdown; only the last one locks the record.
+	rec.HoldArgs(args)
+	rec.Kwargs = maps.Clone(kwargs)
 	rec.WaitInputs(gen, n, (*inputWaiter)(a))
 	eachFuture(args, kwargs, func(f *future.Future) { f.SetDoneHook(rec) })
 	for _, f := range staged {
@@ -646,10 +659,43 @@ func (d *DFK) submit(ctx context.Context, a *App, args []any, kwargs map[string]
 // be public API.
 type inputWaiter App
 
-// InputsReady implements task.InputWaiter: the last input resolved.
+// InputsReady implements task.InputWaiter: the last input resolved. It
+// replaces every future in the record's own argument copies with its value,
+// in place, and launches the task on them.
 func (w *inputWaiter) InputsReady(rec *task.Record, gen uint32) {
 	a := (*App)(w)
-	a.dfk.launch(rec, gen, a)
+	for i, v := range rec.Args {
+		rec.Args[i] = resolved(v)
+	}
+	for k, v := range rec.Kwargs {
+		rec.Kwargs[k] = resolved(v)
+	}
+	a.dfk.launch(rec, gen, a, rec.Args)
+}
+
+// resolved is v with its futures replaced by their values (they have all
+// resolved by the time it runs), one level into a []any, as eachFuture finds
+// them. A []any that holds a future is copied, because it is still the
+// caller's; one without futures is returned as it is.
+func resolved(v any) any {
+	switch t := v.(type) {
+	case *future.Future:
+		return t.Value()
+	case []any:
+		var cp []any
+		for i, e := range t {
+			if f, ok := e.(*future.Future); ok {
+				if cp == nil {
+					cp = slices.Clone(t)
+				}
+				cp[i] = f.Value()
+			}
+		}
+		if cp != nil {
+			return cp
+		}
+	}
+	return v
 }
 
 // InputFailed implements task.InputWaiter. An input can fail long after the
@@ -692,20 +738,22 @@ func (d *DFK) stageInTask(f *data.File) *future.Future {
 	})
 }
 
-// launch resolves dependencies into concrete values, takes their payload
-// exactly once, consults memoization, and hands the ready task to the
-// dispatch pipeline, which schedules it onto an executor and submits it
-// batched with other ready tasks. The payload built here is the task's one
-// copy of its arguments for its whole lifetime: the memo hash reads it,
-// in-process executors copy their defensive copy from it, remote executors
-// ship its bytes verbatim, and retries reuse it. Plain values are
+// launch takes a ready task's payload exactly once, consults memoization,
+// and hands the task to the dispatch pipeline, which schedules it onto an
+// executor and submits it batched with other ready tasks. args are the
+// resolved positional arguments: the caller's slice for a task launched
+// inside Submit, the record's own copy for one whose inputs resolved (the
+// record's Kwargs likewise). The payload built here is the task's one copy of
+// its arguments for its whole lifetime: the memo hash reads it, in-process
+// executors copy their defensive copy from it, remote executors ship its
+// bytes verbatim, and retries reuse it; nothing keeps args. Plain values are
 // snapshotted (serialize.SnapshotArgs), whatever the executors: the payload
 // holds a copy of them, taken here, and its bytes are built only when
 // something reads them (the WAL just below, a memo key, a digest, the wire).
 // Other arguments are encoded here, which also isolates them from a caller
-// that mutates them after Submit.
-func (d *DFK) launch(rec *task.Record, gen uint32, a *App) {
-	args, kwargs := resolveArgs(rec.Args, rec.Kwargs)
+// that mutates them afterwards.
+func (d *DFK) launch(rec *task.Record, gen uint32, a *App, args []any) {
+	kwargs := rec.Kwargs
 
 	// An explicit per-call memo key turns memoization on for the invocation
 	// regardless of how the app was registered; otherwise the key is the
@@ -760,7 +808,7 @@ func (d *DFK) launch(rec *task.Record, gen uint32, a *App) {
 	}
 	pl := attemptPool.Get().(*pendingLaunch)
 	*pl = pendingLaunch{
-		id: rec.ID, rec: rec, gen: gen, app: a, args: args, kwargs: kwargs,
+		id: rec.ID, rec: rec, gen: gen, app: a,
 		payload: payload.Retain(),
 		wireID:  rec.ID, priority: rec.Priority,
 		tenant: rec.Tenant, weight: rec.Weight,
@@ -1224,51 +1272,4 @@ func collectFiles(args []any, kwargs map[string]any) []*data.File {
 		add(v)
 	}
 	return out
-}
-
-// resolveArgs replaces futures with their resolved values (deps are done by
-// the time this runs), recursing one level into []any. Argument lists with
-// no futures anywhere — the common case, and the whole hot path of a
-// dependency-free workload — are returned as-is without copying: the
-// payload, not the arg slice, is what isolates executors from the submitting
-// program. Launch builds it from the returned slice before it returns, as a
-// copy of plain values (serialize.SnapshotArgs) or as encoded bytes. Either
-// way a caller that mutates its slice after launch changes nothing a worker
-// sees, and a task with no inputs launches inside Submit.
-func resolveArgs(args []any, kwargs map[string]any) ([]any, map[string]any) {
-	dirty := false
-	eachFuture(args, kwargs, func(*future.Future) { dirty = true })
-	if !dirty {
-		return args, kwargs
-	}
-	res := func(v any) any {
-		switch t := v.(type) {
-		case *future.Future:
-			return t.Value()
-		case []any:
-			cp := make([]any, len(t))
-			for i, e := range t {
-				if f, ok := e.(*future.Future); ok {
-					cp[i] = f.Value()
-				} else {
-					cp[i] = e
-				}
-			}
-			return cp
-		default:
-			return v
-		}
-	}
-	outArgs := make([]any, len(args))
-	for i, a := range args {
-		outArgs[i] = res(a)
-	}
-	var outKw map[string]any
-	if kwargs != nil {
-		outKw = make(map[string]any, len(kwargs))
-		for k, v := range kwargs {
-			outKw[k] = res(v)
-		}
-	}
-	return outArgs, outKw
 }

@@ -18,8 +18,8 @@ import (
 
 // pendingLaunch is one execution attempt waiting in the dispatch pipeline:
 // the task record (with the generation stamp that validates it), the app that
-// produced it, and its fully resolved arguments. Retries create a fresh
-// pendingLaunch (sharing rec/app/args/payload), so a stale queue entry whose
+// produced it, and its arguments' payload. Retries create a fresh
+// pendingLaunch (sharing rec/app/payload), so a stale queue entry whose
 // attempt already timed out can be recognized and skipped.
 //
 // Everything an attempt needs lives inside the struct: the attempt future is
@@ -45,12 +45,10 @@ type pendingLaunch struct {
 	// an entry left in a queue after its task concluded (and its record was
 	// recycled for a new task) is recognized and dropped instead of
 	// corrupting the record's new occupant.
-	gen    uint32
-	app    *App
-	args   []any
-	kwargs map[string]any
-	// payload is the encode-once serialization of args/kwargs, built in
-	// launch and shared by every attempt: executors reuse the bytes for
+	gen uint32
+	app *App
+	// payload is the encode-once serialization of the resolved arguments,
+	// built in launch and shared by every attempt: executors reuse the bytes for
 	// wire frames and defensive copies instead of re-encoding per attempt.
 	// Each pendingLaunch holds its own payload reference from creation
 	// until its attempt settles, so queued bytes can never be recycled
@@ -358,14 +356,14 @@ func (d *DFK) laneRunner(l *lane) {
 				launchKeys = append(launchKeys, pl.walKey)
 			}
 			m := serialize.TaskMsg{
-				ID: pl.wireID, App: pl.app.name, Args: pl.args, Kwargs: pl.kwargs,
+				ID: pl.wireID, App: pl.app.name,
 				Priority: pl.priority, Tenant: pl.tenant, Weight: pl.weight,
 			}
-			// Ride the encode-once payload onto the wire message — remote
-			// executors frame its bytes verbatim, in-process ones decode
-			// their defensive copy from it. The entry's executor-leg reference
-			// goes with it: SubmitInto takes it over; on the other arm the relay
-			// holds it until the executor's future settles.
+			// The message carries the task's arguments only as its encode-once
+			// payload — remote executors frame its bytes verbatim, in-process
+			// ones copy their defensive copy from it. The entry's executor-leg
+			// reference goes with it: SubmitInto takes it over; on the other arm
+			// the relay holds it until the executor's future settles.
 			m.AttachPayload(pl.payload)
 			msgs = append(msgs, m)
 			live = append(live, pl)
@@ -380,6 +378,14 @@ func (d *DFK) laneRunner(l *lane) {
 			if l.into != nil {
 				l.into.SubmitInto(msgs, futs)
 			} else {
+				// An executor that makes its own futures may be an adapter that
+				// reads Args and Kwargs off the message, as Submit's callers
+				// outside the DFK fill them: it gets a decoded copy beside the
+				// payload. An undecodable payload leaves them empty, and the
+				// executor's own read of the payload reports the error.
+				for i := range msgs {
+					msgs[i].Args, msgs[i].Kwargs, _ = msgs[i].Payload().DecodeArgs()
+				}
 				for i, ef := range l.submit(msgs) {
 					ef.SetDoneHook((*execRelay)(live[i]))
 				}
@@ -503,7 +509,6 @@ func (d *DFK) nextAttempt(pl *pendingLaunch, label string, charge bool, err erro
 	next := attemptPool.Get().(*pendingLaunch)
 	*next = pendingLaunch{
 		id: pl.id, rec: pl.rec, gen: pl.gen, app: pl.app,
-		args: pl.args, kwargs: pl.kwargs,
 		payload: pl.payload.Retain(),
 		wireID:  d.ids.Add(1) - 1, priority: pl.priority,
 		tenant: pl.tenant, weight: pl.weight, digest: pl.digest,

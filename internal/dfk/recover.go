@@ -113,9 +113,9 @@ func (d *DFK) resume(key int64, info *wal.TaskInfo, rcv *Recovery) {
 	d.wg.Add(1)
 	d.mu.RUnlock()
 
-	args, kwargs, decErr := serialize.DecodeArgsBytes(info.Payload)
+	_, kwargs, decErr := serialize.DecodeArgsBytes(info.Payload)
 	id := d.newTask()
-	rec, gen := task.Create(id, info.App, args, kwargs, task.Options{
+	rec, gen := task.Create(id, info.App, kwargs, task.Options{
 		Tenant: info.Tenant, Weight: info.Weight,
 		MaxRetries: info.MaxRetries, Priority: info.Priority,
 	})
@@ -166,7 +166,7 @@ func (d *DFK) resume(key int64, info *wal.TaskInfo, rcv *Recovery) {
 	payload := serialize.PayloadFromBytes(append([]byte(nil), info.Payload...))
 	pl := attemptPool.Get().(*pendingLaunch)
 	*pl = pendingLaunch{
-		id: id, rec: rec, gen: gen, app: a, args: args, kwargs: kwargs,
+		id: id, rec: rec, gen: gen, app: a,
 		payload: payload.Retain(),
 		wireID:  id, priority: info.Priority,
 		tenant: info.Tenant, weight: info.Weight,

@@ -13,16 +13,18 @@ import (
 // class: every task allocates its AppFuture, and a 120-byte future would land
 // in the 128 class and add 16 B to every task (+9 % of tp_bag's
 // alloc_bytes_per_task against its 5 % bound). A pendingLaunch embeds its
-// attempt future and is 304 bytes in the 320 class; it is pooled, so it is
-// no longer a per-task allocation, but a pool refill past 320 bytes would be
-// handed out from the 352 class. A task.Record is exactly 320 bytes, its
-// waiter included.
+// attempt future and is 272 bytes in the 288 class, its arguments being only
+// its payload (it was 304 bytes in the 320 class when it also carried the
+// resolved argument slice and map); it is pooled, so it is no longer a
+// per-task allocation, but a pool refill past 288 bytes would be handed out
+// from the 320 class. A task.Record is exactly 320 bytes, its waiter and its
+// own argument list included.
 func TestHotPathStructSizes(t *testing.T) {
 	if n := unsafe.Sizeof(future.Future{}); n > 112 {
 		t.Errorf("sizeof(future.Future) = %d, want <= 112", n)
 	}
-	if n := unsafe.Sizeof(pendingLaunch{}); n > 312 {
-		t.Errorf("sizeof(pendingLaunch) = %d, want <= 312", n)
+	if n := unsafe.Sizeof(pendingLaunch{}); n > 272 {
+		t.Errorf("sizeof(pendingLaunch) = %d, want <= 272", n)
 	}
 	if n := unsafe.Sizeof(task.Record{}); n > 320 {
 		t.Errorf("sizeof(task.Record) = %d, want <= 320", n)

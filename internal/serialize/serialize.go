@@ -187,7 +187,10 @@ func (r *Registry) Names() []string {
 
 // TaskMsg is the in-memory form of a task crossing the submission boundary:
 // app name plus fully resolved arguments (futures have been replaced by
-// their values before encoding). Priority carries the per-call dispatch
+// their values before encoding), as Args/Kwargs or as an attached payload.
+// The DFK attaches the payload and leaves Args/Kwargs empty, except for an
+// executor that makes its own futures; ArgsPayload and Wire read whichever
+// the message has. Priority carries the per-call dispatch
 // priority across the submission boundary so remote queues can honor it too;
 // Tenant and Weight carry the fair-queuing identity so brokers past the
 // client leg (the HTEX interchange) can keep tenant shares fair as well.
@@ -200,7 +203,7 @@ type TaskMsg struct {
 	Tenant   string
 	Weight   int
 
-	// payload is the encode-once serialization of Args/Kwargs, attached by
+	// payload is the encode-once serialization of the arguments, attached by
 	// the dispatch pipeline at launch; on the wire, WireTask carries its
 	// bytes.
 	payload *Payload

@@ -111,8 +111,15 @@ type Options struct {
 type Record struct {
 	ID      int64
 	AppName string
-	Args    []any // raw args as submitted (may contain futures)
-	Kwargs  map[string]any
+	// Args is the record's own copy of a waiting task's positional arguments
+	// (HoldArgs; empty for a task launched inside Submit). It holds futures
+	// until the last input resolves, when the DFK resolves them in place. Its
+	// backing array is the record's: recycling clears it, and keeps it for the
+	// next occupant if it holds at most maxKeptArgs elements.
+	Args []any
+	// Kwargs are the keyword arguments: the caller's map for a task launched
+	// inside Submit, a copy the DFK takes for a waiting task.
+	Kwargs map[string]any
 
 	// Future is the AppFuture returned to the program at submission time.
 	Future *future.Future
@@ -181,26 +188,32 @@ type Record struct {
 // task's result reachable after the record has been reused.
 var recordPool = sync.Pool{New: func() any { return new(Record) }}
 
+// maxKeptArgs is the longest argument list whose backing array a recycled
+// record keeps: four interface values are 64 B, one allocator size class. A
+// longer array is dropped, so a pool of records that once carried long lists
+// does not pin their memory.
+const maxKeptArgs = 4
+
 // lockedRecord takes a record from the pool and binds its identity. It
 // returns with r.mu held: initialization happens under the record's mutex so
 // a straggler probing a stale handle (Enter on an old generation) never races
 // the reuse.
-func lockedRecord(id int64, appName string, args []any, kwargs map[string]any) *Record {
+func lockedRecord(id int64, appName string, kwargs map[string]any) *Record {
 	r := recordPool.Get().(*Record)
 	r.mu.Lock()
 	r.ID = id
 	r.AppName = appName
-	r.Args = args
 	r.Kwargs = kwargs
 	r.Future = future.NewForTask(id)
 	r.state = Unsched
 	return r
 }
 
-// NewRecord creates a task record in the Unsched state with its AppFuture and
-// zero Options, held by nobody.
+// NewRecord creates a task record in the Unsched state with its AppFuture, a
+// copy of args and zero Options, held by nobody.
 func NewRecord(id int64, appName string, args []any, kwargs map[string]any) *Record {
-	r := lockedRecord(id, appName, args, kwargs)
+	r := lockedRecord(id, appName, kwargs)
+	r.HoldArgs(args)
 	r.mu.Unlock()
 	return r
 }
@@ -211,14 +224,25 @@ func NewRecord(id int64, appName string, args []any, kwargs map[string]any) *Rec
 // it with Exit once the record is wired — is what lets the creator publish the
 // record (graph, context watcher, dependency callbacks) and keep using it: a
 // terminal path racing the wiring retires the record but cannot recycle it.
-func Create(id int64, appName string, args []any, kwargs map[string]any, o Options) (*Record, uint32) {
-	r := lockedRecord(id, appName, args, kwargs)
+// The record keeps no positional arguments: a task that waits on inputs gives
+// it a copy with HoldArgs.
+func Create(id int64, appName string, kwargs map[string]any, o Options) (*Record, uint32) {
+	r := lockedRecord(id, appName, kwargs)
 	r.Options = o
 	_ = r.moveLocked(Pending) // Unsched -> Pending cannot fail
 	r.holds = 1
 	gen := r.gen
 	r.mu.Unlock()
 	return r, gen
+}
+
+// HoldArgs copies a waiting task's positional arguments into Args, in the
+// record's own backing array when it has room. Only the creator calls it,
+// holding the record and before it registers the record on any input: from
+// then on the task reads its arguments from the record, never from the
+// caller's slice, which the caller may reuse as soon as Submit returns.
+func (r *Record) HoldArgs(args []any) {
+	r.Args = append(r.Args[:0], args...)
 }
 
 // Resume seeds the durable identity of a task re-admitted by crash recovery:
@@ -302,7 +326,12 @@ func (r *Record) recycleLocked() {
 	r.gen++
 	r.ID = 0
 	r.AppName = ""
-	r.Args = nil
+	clear(r.Args) // a pooled record pins none of its last task's arguments
+	if cap(r.Args) > maxKeptArgs {
+		r.Args = nil
+	} else {
+		r.Args = r.Args[:0]
+	}
 	r.Kwargs = nil
 	r.Future = nil
 	r.Options = Options{}

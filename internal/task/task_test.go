@@ -3,11 +3,13 @@ package task
 import (
 	"context"
 	"errors"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/fair"
 	"repro/internal/future"
@@ -95,7 +97,7 @@ func attempts(r *Record) int {
 }
 
 func TestAttemptsCounter(t *testing.T) {
-	r, _ := Create(1, "a", nil, nil, Options{MaxRetries: 1})
+	r, _ := Create(1, "a", nil, Options{MaxRetries: 1})
 	defer r.Exit()
 	if attempts(r) != 0 {
 		t.Fatal("fresh record has attempts")
@@ -116,7 +118,7 @@ func TestAttemptsCounter(t *testing.T) {
 }
 
 func TestDepCounter(t *testing.T) {
-	r, gen := Create(1, "a", nil, nil, Options{})
+	r, gen := Create(1, "a", nil, Options{})
 	r.SetPendingDeps(gen, 2)
 	if r.DepDone(gen + 1) {
 		t.Fatal("an edge of another generation counted")
@@ -151,7 +153,7 @@ func TestDepCounter(t *testing.T) {
 // After a record is recycled, an edge callback of its old task neither
 // counts against nor launches the record's next occupant.
 func TestDepDoneStaleGeneration(t *testing.T) {
-	r, old := Create(1, "a", nil, nil, Options{})
+	r, old := Create(1, "a", nil, Options{})
 	r.SetPendingDeps(old, 3)
 	if r.DepDone(old) {
 		t.Fatal("first of three edges reported last")
@@ -195,7 +197,7 @@ func TestDepDoneStaleGeneration(t *testing.T) {
 }
 
 func TestAccessors(t *testing.T) {
-	r, _ := Create(5, "app", nil, nil, Options{})
+	r, _ := Create(5, "app", nil, Options{})
 	r.Route("htex") // drops the creator's hold
 	if _, _, ex := r.Attempt(); ex != "htex" {
 		t.Fatal("executor lost")
@@ -231,7 +233,7 @@ func TestStateStringAndTerminal(t *testing.T) {
 // Of n concurrent edges exactly one reports last, and it alone takes a hold.
 func TestConcurrentStateAndCounters(t *testing.T) {
 	const n = 100
-	r, gen := Create(1, "a", nil, nil, Options{})
+	r, gen := Create(1, "a", nil, Options{})
 	r.SetPendingDeps(gen, n)
 	var last atomic.Int32
 	var wg sync.WaitGroup
@@ -285,7 +287,7 @@ func TestQuickStateMachineSafety(t *testing.T) {
 func TestFinishRaceAndStaleStraggler(t *testing.T) {
 	const finishers = 8
 	for iter := 0; iter < 300; iter++ {
-		r, gen := Create(int64(iter), "race", nil, nil, Options{})
+		r, gen := Create(int64(iter), "race", nil, Options{})
 		stale := gen - 1
 		var wins atomic.Int32
 		var wg sync.WaitGroup
@@ -359,7 +361,16 @@ func TestLifecycleStages(t *testing.T) {
 		t.Fatal(gerr)
 	}
 	o := Options{Hints: []string{"tp"}, Tenant: "t", Weight: 3, MaxRetries: 2, Priority: 5, Gate: g}
-	r, gen := Create(7, "app", []any{1}, nil, o)
+	r, gen := Create(7, "app", nil, o)
+	if len(r.Args) != 0 {
+		t.Fatalf("Create kept arguments: %v", r.Args)
+	}
+	args := []any{1, "x"}
+	r.HoldArgs(args)
+	args[0] = 2
+	if len(r.Args) != 2 || r.Args[0] != 1 || r.Args[1] != "x" {
+		t.Fatalf("HoldArgs = %v, want its own copy [1 x]", r.Args)
+	}
 	if r.State() != Pending || r.Tenant != "t" || r.Weight != 3 || r.MaxRetries != 2 || r.Priority != 5 ||
 		r.Gate != g || len(r.Hints) != 1 {
 		t.Fatalf("Create: state %v, options %+v", r.State(), r.Options)
@@ -461,7 +472,7 @@ var errInput = errors.New("input failed")
 // one that recycles it.
 func TestFailedInputKeepsRecordUntilLastInput(t *testing.T) {
 	for _, failFirst := range []bool{true, false} {
-		r, gen := Create(1, "a", nil, nil, Options{})
+		r, gen := Create(1, "a", nil, Options{})
 		var w testWaiter
 		r.WaitInputs(gen, 2, &w)
 		failing, late := future.New(), future.New()
@@ -505,7 +516,7 @@ func TestFailedInputKeepsRecordUntilLastInput(t *testing.T) {
 // recycled exactly once.
 func TestInputsRaceRecycleOnce(t *testing.T) {
 	for iter := 0; iter < 300; iter++ {
-		r, gen := Create(int64(iter), "race", nil, nil, Options{})
+		r, gen := Create(int64(iter), "race", nil, Options{})
 		var w testWaiter
 		r.WaitInputs(gen, 2, &w)
 		failing, late := future.New(), future.New()
@@ -534,5 +545,64 @@ func TestInputsRaceRecycleOnce(t *testing.T) {
 			t.Fatalf("iteration %d: record not recycled exactly once", iter)
 		}
 		r.Exit()
+	}
+}
+
+// pinned is an argument whose collection a test observes through a finalizer.
+type pinned struct{ _ [64]byte }
+
+// TestRecycledRecordPinsNoArgs: a record that waited on an input, holding its
+// own copy of an argument list, is recycled with the list cleared, so a
+// collection frees the arguments while the record is still reachable (here
+// through the test, as it is through the pool). The backing array stays with
+// the record for a list of at most maxKeptArgs elements and goes for a longer
+// one.
+func TestRecycledRecordPinsNoArgs(t *testing.T) {
+	for _, n := range []int{2, maxKeptArgs, maxKeptArgs + 1} {
+		r, gen := Create(1, "a", nil, Options{})
+		input := future.New()
+		collected := make(chan struct{})
+		func() {
+			arg := new(pinned)
+			runtime.SetFinalizer(arg, func(*pinned) { close(collected) })
+			args := make([]any, n)
+			args[0], args[n-1] = input, arg
+			r.HoldArgs(args)
+		}()
+		var w testWaiter
+		r.WaitInputs(gen, 1, &w)
+		input.SetDoneHook(r)
+		r.Exit() // the creator's hold
+		_ = input.SetResult(nil)
+		if w.launches.Load() != 1 {
+			t.Fatalf("%d args: %d launches after the input resolved, want 1", n, w.launches.Load())
+		}
+		if _, ok, err := r.Launch(gen); !ok || err != nil {
+			t.Fatalf("%d args: Launch = %v, %v", n, ok, err)
+		}
+		if _, ok := r.Finish(Done); !ok {
+			t.Fatalf("%d args: Finish refused a launched record", n)
+		}
+		r.Retire()
+		if g := generation(r); g != gen+1 {
+			t.Fatalf("%d args: generation %d after retirement, want %d (recycled)", n, g, gen+1)
+		}
+		if kept := cap(r.Args) > 0; len(r.Args) != 0 || kept != (n <= maxKeptArgs) {
+			t.Fatalf("%d args: recycled record holds len %d cap %d; want an empty list, its array kept only up to %d",
+				n, len(r.Args), cap(r.Args), maxKeptArgs)
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for done := false; !done; {
+			runtime.GC()
+			select {
+			case <-collected:
+				done = true
+			case <-time.After(10 * time.Millisecond):
+				if time.Now().After(deadline) {
+					t.Fatalf("%d args: the argument is still reachable from the recycled record", n)
+				}
+			}
+		}
+		runtime.KeepAlive(r)
 	}
 }

@@ -195,15 +195,18 @@ func TestVersionString(t *testing.T) {
 // admission, the task graph, the dispatch lanes and the threadpool to a
 // settled future — against starting to allocate again, with the durable log
 // off and on. It submits in rounds small enough for the record and attempt
-// pools to cover, so the count repeats to the second digit: 3.03 a task with
-// the WAL off and 3.04 with it on when the ceiling was set. The three left are
-// the task's future, the argument slice of the call, and the threadpool's
-// decoded copy of it; the record, the attempt and the payload come from pools.
-// A 20 000-task burst, the shape BenchmarkWALSubmission reports, outruns the
-// pools and reads more. Not under -race: there sync.Pool drops a quarter of
-// what it is handed and the count follows the core count.
+// pools to cover, so the count repeats to the second digit: 2.03 a task with
+// the WAL off and 2.03 with it on when the ceiling was set. The two left are
+// the task's future and the threadpool's copy of its arguments; the record,
+// the attempt and the payload come from pools, and the argument slice of the
+// call stays on the caller's stack, since Submit keeps no reference to it (it
+// read 3.03 and 3.04 when a waiting task kept the caller's slice, which made
+// every caller's slice escape). A 20 000-task burst, the shape
+// BenchmarkWALSubmission reports, outruns the pools and reads more. Not under
+// -race: there sync.Pool drops a quarter of what it is handed and the count
+// follows the core count.
 func TestSubmissionAllocationCeiling(t *testing.T) {
-	const ceiling = 3.7
+	const ceiling = 2.7
 	for _, arm := range walArms {
 		t.Run(arm.name, func(t *testing.T) {
 			noop := submissionApp(t, arm.walOn)
@@ -231,16 +234,18 @@ func TestSubmissionAllocationCeiling(t *testing.T) {
 // allocates from Submit to its settled future, with the durable log off and
 // on: rounds of 8 chains of 25 tasks on four threadpool workers, each task
 // taking the previous one's future plus two ints of 256 and over (a smaller
-// int boxes into a static table, which would hide a re-boxing). It read 5.98
-// a task with the log off when the ceiling was set: the future, the argument
-// slice of the call and one of its ints boxed by the caller, the resolved
-// argument slice, the worker's copy of it and the boxed result. With the log
-// on it reads 6.01, the log reading bytes built from the same values. When
-// the worker decoded its copy from bytes and re-boxed all three ints, it read
-// 8.98 with the log off and 9.01 with it on. Not under -race, for the reason
-// TestSubmissionAllocationCeiling gives.
+// int boxes into a static table, which would hide a re-boxing). It read 4.02
+// a task with the log off when the ceiling was set: the future, one of its
+// ints boxed by the caller, the worker's copy of the arguments and the boxed
+// result. The call's argument slice stays on the caller's stack, and the
+// record resolves the input in its own copy of the list, whose array it keeps
+// across recycling. With the log on it reads 4.04, the log reading bytes built
+// from the same values. It read 5.98 and 6.01 when the record kept the
+// caller's slice and launch resolved the input into a new one, and 8.98 and
+// 9.01 when the worker decoded its copy from bytes and re-boxed all three
+// ints. Not under -race, for the reason TestSubmissionAllocationCeiling gives.
 func TestDependentTaskAllocationCeiling(t *testing.T) {
-	const ceiling = 6.5
+	const ceiling = 4.5
 	for _, arm := range walArms {
 		t.Run(arm.name, func(t *testing.T) {
 			step, err := submissionDFK(t, arm.walOn).PythonApp("dep-step", func(args []any, _ map[string]any) (any, error) {
@@ -295,8 +300,10 @@ func TestDependentTaskAllocationCeiling(t *testing.T) {
 // 570 B when its record counted its inputs under the record lock and the graph
 // kept its edge lists; 4.00 and 507 B when each task captured its record in a
 // closure registered on its inputs; 3.00 and 459 B when the bound was set,
-// the record being its inputs' DoneHook. Not under -race, whose detector keeps
-// its own shadow state per object.
+// the record being its inputs' DoneHook. It reads 3.00 and 448 B: the record,
+// the future and the record's own copy of the argument list, which replaced
+// the caller's slice the record used to keep. Not under -race, whose detector
+// keeps its own shadow state per object.
 func TestPendingTaskHeapCeiling(t *testing.T) {
 	const maxObjects, maxBytes = 3.05, 480
 	if raceDetector() {

@@ -9,8 +9,9 @@ to the next: the runner drifts by more between days than most PRs move a
 metric. What does compare is each file's change/parent ratio, measured on one
 machine on one day. So for every workload and metric this prints the chained
 product of those ratios, each link with the pairs its change won, and for the
-deterministic counts (allocations and bytes per task), which do compare
-across files, each PR's change median as well.
+deterministic counts (allocations and bytes per task) each PR's change median
+as well. Those compare across files for the tp_* workloads only: an htex_*
+count follows the batch sizes a run's timing produces.
 
 PRs from FIRST (41, the first PR after the trajectory was asked to live in
 the repository) to the last file, or --upto, that have no file are named as

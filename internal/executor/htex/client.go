@@ -50,18 +50,14 @@ type Config struct {
 	PayloadFactory func(interchangeAddr string, node provider.Node) (stop func(), err error)
 }
 
-// shardConn is one shard's live connection state: the broker, the dealer
-// connection, and the per-connection stream codec pair. It sits behind an
-// atomic pointer on shardLink so RestoreShard can swap a respawned broker in
-// without racing the receive loop, the senders, or monitoring probes still
-// holding the previous connection.
+// shardConn is one shard's live connection state: the broker, and the
+// stream over the client dealer connected to it (TASKB out, RESULTS in). It
+// sits behind an atomic pointer on shardLink so RestoreShard can swap a
+// respawned broker in without racing the receive loop, the senders, or
+// monitoring probes still holding the previous connection.
 type shardConn struct {
 	ix     *Interchange
-	dealer *mq.Dealer
-	// taskEnc streams TASKB frames to this shard; resDec consumes its
-	// RESULTS stream. One pair per shard connection.
-	taskEnc *serialize.StreamEncoder
-	resDec  *serialize.StreamDecoder
+	stream peerStream
 }
 
 // shardLink is the client's handle to one interchange shard: the current
@@ -226,7 +222,7 @@ func (e *Executor) Start() error {
 		if err != nil {
 			for _, up := range e.shards {
 				opened := up.conn.Load()
-				_ = opened.dealer.Close()
+				_ = opened.stream.dealer.Close()
 				_ = opened.ix.Close()
 			}
 			return err
@@ -247,7 +243,7 @@ func (e *Executor) Start() error {
 
 // openShard brings up one shard's connection state — what Start builds for
 // every shard and RestoreShard rebuilds for a dead one: an interchange under
-// the shard's label, the client dealer to it, and a fresh stream codec pair.
+// the shard's label, and a fresh stream over the client dealer to it.
 func (e *Executor) openShard(s *shardLink) (*shardConn, error) {
 	ixCfg := e.cfg.Interchange
 	ixCfg.Label = s.label
@@ -265,12 +261,7 @@ func (e *Executor) openShard(s *shardLink) (*shardConn, error) {
 		_ = ix.Close()
 		return nil, fmt.Errorf("htex: open %s: client dial: %w", ixCfg.Label, err)
 	}
-	return &shardConn{
-		ix:      ix,
-		dealer:  dealer,
-		taskEnc: serialize.NewStreamEncoder(),
-		resDec:  serialize.NewStreamDecoder(),
-	}, nil
+	return &shardConn{ix: ix, stream: newPeerStream(dealer, nil, "", tagTaskSub, chaos.PointClientSend, s.label)}, nil
 }
 
 // recvLoop reconciles one shard's traffic: results, LOST reports, command
@@ -289,7 +280,7 @@ func (e *Executor) recvLoop(s *shardLink) {
 		// decoded into copies, LOST ids and details copied out — except a
 		// command reply, which crosses to Command's goroutine and so is
 		// copied out of the reused storage first.
-		msg, err := c.dealer.RecvReuse()
+		msg, err := c.stream.dealer.RecvReuse()
 		if err != nil {
 			e.mu.Lock()
 			closed := e.closed
@@ -307,12 +298,11 @@ func (e *Executor) recvLoop(s *shardLink) {
 			if len(msg) < 2 {
 				continue
 			}
-			if err := c.resDec.DecodeFrame(msg[1], &results); err != nil {
-				// This shard's RESULTS stream is undecodable mid-epoch; NACK
-				// so it resyncs on frame 0 of a fresh epoch. Tasks whose
-				// results rode the lost frame stay inflight here and recover
-				// via the DFK's attempt timeout (see codec.go).
-				_ = c.dealer.Send(mq.Message{tagNack, nackPayload(msg[1])})
+			if err := c.stream.dec.DecodeFrame(msg[1], &results); err != nil {
+				// The shard resyncs its RESULTS stream. Tasks whose results
+				// rode the lost frame stay inflight here and recover via the
+				// DFK's attempt timeout (see codec.go).
+				c.stream.nack(msg[1])
 				continue
 			}
 			for _, r := range results {
@@ -348,10 +338,9 @@ func (e *Executor) recvLoop(s *shardLink) {
 			default:
 			}
 		case frameNack:
-			if len(msg) < 2 {
-				continue
+			if len(msg) >= 2 && c.stream.resync(msg[1]) {
+				e.retransmit(s, c)
 			}
-			e.handleNack(s, c, nackEpoch(msg[1]))
 		}
 	}
 }
@@ -407,7 +396,7 @@ func (e *Executor) KillShard(i int) bool {
 }
 
 // RestoreShard respawns a dead shard: a fresh interchange, a fresh dealer
-// connection with fresh stream codecs, and the down flag cleared so the keys
+// connection with a fresh stream, and the down flag cleared so the keys
 // that spilled to their next-ranked shards flow back home once it has
 // managers again. The restored broker starts empty — managers
 // reach it through the next ScaleOut, exactly as a respawned broker process
@@ -437,26 +426,21 @@ func (e *Executor) RestoreShard(i int) error {
 	old := s.conn.Swap(c)
 	// The death path closes only the broker; close the stale dealer too so
 	// the old receive loop (which sees the swapped pointer) unblocks.
-	_ = old.dealer.Close()
+	_ = old.stream.dealer.Close()
 	s.down.Store(false)
 	e.wg.Add(1)
 	go e.recvLoop(s)
 	return nil
 }
 
-// handleNack repairs one shard's task stream after that shard reported it
-// undecodable: reset the encoder (frame 0 of a fresh epoch) and
-// retransmit every task inflight on that shard. The client cannot know which
-// tasks the lost frame carried, so the retransmission is a per-shard
-// superset; tasks that were delivered run at most twice, and the registry
-// completes each future exactly once whichever copy's result arrives first.
-// Epoch mismatch means the stream was already reset (duplicate NACKs for one
-// epoch collapse to one repair).
-func (e *Executor) handleNack(s *shardLink, c *shardConn, epoch uint32) {
-	if epoch == 0 || c.taskEnc.Epoch() != epoch {
-		return
-	}
-	c.taskEnc.Reset()
+// retransmit repairs one shard's task stream after a NACK reset it: every
+// task inflight on that shard goes again, on c, the connection whose stream
+// was reset, even if a restore swaps the connection mid-repair. The client
+// cannot know which tasks the lost frame carried, so the retransmission is a
+// per-shard superset; tasks that were delivered run at most twice, and the
+// registry completes each future exactly once whichever copy's result
+// arrives first.
+func (e *Executor) retransmit(s *shardLink, c *shardConn) {
 	e.mu.Lock()
 	msgs := make([]serialize.TaskMsg, 0, len(e.inflight))
 	for _, it := range e.inflight {
@@ -481,29 +465,18 @@ func (e *Executor) handleNack(s *shardLink, c *shardConn, epoch uint32) {
 			wires = append(wires, w)
 		}
 	}
-	_ = e.sendTasksOn(s, c, wires)
+	_ = c.stream.enc.EncodeTasks(wires, c.stream.ship)
 	for i := range msgs {
 		msgs[i].Payload().Release()
 	}
-}
-
-// sendTasksOn frames one task batch onto one shard connection's
-// (chaos-instrumented) wire. It is pinned to a connection because the NACK
-// repair path must retransmit on exactly the stream whose epoch it just
-// reset, even if a restore swaps the connection mid-repair.
-func (e *Executor) sendTasksOn(s *shardLink, c *shardConn, wires []serialize.WireTask) error {
-	return c.taskEnc.EncodeTasks(wires, func(frame []byte) error {
-		return chaos.Frame(chaos.PointClientSend, s.label, frame, func(fr []byte) error {
-			return c.dealer.Send(mq.Message{tagTaskSub, fr})
-		})
-	})
 }
 
 // sendOrFail sends one submitted batch on shard s's current connection. A
 // batch its endpoint refuses (mq fails a send only on a closed connection)
 // fails task by task on s's account, so LostByShard counts it.
 func (e *Executor) sendOrFail(s *shardLink, batch []serialize.WireTask) {
-	if err := e.sendTasksOn(s, s.conn.Load(), batch); err != nil {
+	c := s.conn.Load()
+	if err := c.stream.enc.EncodeTasks(batch, c.stream.ship); err != nil {
 		s.lost.Add(int64(len(batch)))
 		for _, w := range batch {
 			e.fail(w.ID, fmt.Errorf("htex: submit batch: %w", err))
@@ -694,13 +667,13 @@ func (e *Executor) Cancel(wireID int64) bool {
 	canceled := fut.Cancel()
 	payload := serialize.EncodeIDs([]int64{wireID})
 	if !e.shards[shard].down.Load() {
-		_ = e.shards[shard].conn.Load().dealer.Send(mq.Message{tagCancel, payload})
+		_ = e.shards[shard].conn.Load().stream.send(mq.Message{tagCancel, payload})
 	} else {
 		// Dead owner: tell every live shard; the ones not holding the task
 		// ignore the unknown id.
 		for _, s := range e.shards {
 			if !s.down.Load() {
-				_ = s.conn.Load().dealer.Send(mq.Message{tagCancel, payload})
+				_ = s.conn.Load().stream.send(mq.Message{tagCancel, payload})
 			}
 		}
 	}
@@ -937,7 +910,7 @@ func (e *Executor) Command(name, arg string, timeout time.Duration) ([]string, e
 		if s.down.Load() {
 			continue
 		}
-		if err := s.conn.Load().dealer.Send(msg); err != nil {
+		if err := s.conn.Load().stream.send(msg); err != nil {
 			if firstErr == nil {
 				firstErr = fmt.Errorf("htex: command %s on %s: %w", name, s.label, err)
 			}
@@ -1015,7 +988,7 @@ func (e *Executor) Shutdown() error {
 	var first error
 	for _, s := range e.shards {
 		c := s.conn.Load()
-		if err := c.dealer.Close(); err != nil && first == nil {
+		if err := c.stream.dealer.Close(); err != nil && first == nil {
 			first = err
 		}
 		if err := c.ix.Close(); err != nil && first == nil {

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/chaos"
 	"repro/internal/executor"
 	"repro/internal/future"
 	"repro/internal/mq"
@@ -489,11 +490,8 @@ func scriptedBroker(t *testing.T) (*Executor, *mq.Router, <-chan string) {
 	// The swap RestoreShard makes: new connection in, stale dealer closed so
 	// its receive loop exits, a fresh loop on the new one.
 	s := e.shards[0]
-	old := s.conn.Swap(&shardConn{
-		ix: s.broker(), dealer: dealer,
-		taskEnc: serialize.NewStreamEncoder(), resDec: serialize.NewStreamDecoder(),
-	})
-	_ = old.dealer.Close()
+	old := s.conn.Swap(&shardConn{ix: s.broker(), stream: newPeerStream(dealer, nil, "", tagTaskSub, chaos.PointClientSend, s.label)})
+	_ = old.stream.dealer.Close()
 	e.wg.Add(1)
 	go e.recvLoop(s)
 

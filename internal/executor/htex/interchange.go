@@ -97,8 +97,10 @@ type managerState struct {
 	outstanding map[int64]serialize.WireTask
 	lastSeen    time.Time
 	blacklisted bool
-	// enc is the manager's private TASKS stream.
-	enc *serialize.StreamEncoder
+	// stream is the connection to the manager: its private TASKS stream out,
+	// its RESULTS stream in. Encoding, decoding and NACKs go through it; the
+	// record itself is read under ix.mu.
+	stream peerStream
 	// digests holds the content digests (serialize.Digest of the payload
 	// column, the value the client's Payload.ArgsHash reports as text) of
 	// the tasks this manager returned results for: the inputs it holds warm.
@@ -130,8 +132,7 @@ func (m *managerState) noteDigest(d uint64) {
 // taskSend is one TASKS frame dispatch has decided on: a batch for one
 // manager's stream.
 type taskSend struct {
-	id    string
-	enc   *serialize.StreamEncoder
+	m     *managerState
 	batch []serialize.WireTask
 }
 
@@ -145,12 +146,14 @@ type Interchange struct {
 	router *mq.Router
 	rng    *rand.Rand
 
-	// clientEnc streams RESULTS to the client. Of a result batch arriving
-	// from a manager the interchange reads only the id column (capacity and
-	// warm-digest bookkeeping); the result envelopes are re-framed here as opaque bytes,
-	// so the client holds exactly one result stream regardless of how many
-	// managers feed it.
-	clientEnc *serialize.StreamEncoder
+	// toClient is the client leg: RESULTS out, TASKB in. Of a result batch
+	// arriving from a manager the interchange reads only the id column
+	// (capacity and warm-digest bookkeeping); the result envelopes are
+	// re-framed on this stream as opaque bytes, so the client holds exactly
+	// one result stream regardless of how many managers feed it. Its peer is
+	// the identity of the connected client, "" until it speaks: written on
+	// the mainLoop goroutine under mu, and read elsewhere only under mu.
+	toClient peerStream
 
 	mu       sync.Mutex
 	managers map[string]*managerState
@@ -161,16 +164,7 @@ type Interchange struct {
 	// the submission boundary too. Single-tenant traffic (the default)
 	// drains in plain priority-then-arrival order, exactly as before.
 	queue  *fair.Queue[serialize.WireTask]
-	client string // identity of the connected client, "" until it speaks
-	// clientEpoch is the last stream epoch observed on the client's TASKB
-	// stream; a change marks a new client session (see handle).
-	clientEpoch uint32
-	rrNext      int // round-robin cursor (SelectRoundRobin)
-	// decs holds one stream decoder per connected peer (client TASKB,
-	// manager RESULTS), keyed by identity. Decoding itself happens only on
-	// the mainLoop goroutine; the map is locked because the heartbeat
-	// goroutine prunes entries for lost managers.
-	decs map[string]*serialize.StreamDecoder
+	rrNext int // round-robin cursor (SelectRoundRobin)
 
 	// Scratch owned by the mainLoop goroutine, the only one that decodes
 	// frames and dispatches: the decode destinations of handle and the
@@ -202,10 +196,9 @@ func StartInterchange(tr simnet.Transport, addr string, cfg InterchangeConfig) (
 		queue: fair.NewQueue(func(a, b serialize.WireTask) bool {
 			return a.Priority > b.Priority
 		}),
-		clientEnc: serialize.NewStreamEncoder(),
-		managers:  make(map[string]*managerState),
-		decs:      make(map[string]*serialize.StreamDecoder),
-		done:      make(chan struct{}),
+		toClient: newPeerStream(nil, r, "", tagResults, chaos.PointIxResults, cfg.Label),
+		managers: make(map[string]*managerState),
+		done:     make(chan struct{}),
 	}
 	ix.wg.Add(2)
 	go ix.mainLoop()
@@ -258,26 +251,9 @@ func (ix *Interchange) handle(del mq.Delivery) {
 		if len(del.Msg) < 2 {
 			return
 		}
-		// A new epoch on the client's task stream is the in-band signal of
-		// a new client session (epochs are globally unique per encoder
-		// incarnation): restart the RESULTS stream so the newcomer's
-		// decoder can join it at frame 0. In-band, because
-		// connection events ride a lossy channel with no ordering against
-		// deliveries. The task decoder itself needs no such help — it
-		// resyncs on the epoch carried by every frame.
-		if epoch, ok := serialize.PeekFrameEpoch(del.Msg[1]); ok {
-			ix.mu.Lock()
-			newSession := epoch != ix.clientEpoch
-			ix.clientEpoch = epoch
-			ix.mu.Unlock()
-			if newSession {
-				ix.clientEnc.Reset()
-			}
-		}
-		if err := ix.decoderFor(del.From).DecodeFrame(del.Msg[1], &ix.taskBatch); err != nil {
-			// Undecodable client task stream: NACK so the client resets to a
-			// fresh epoch and retransmits its in-flight tasks (codec.go).
-			_ = ix.router.SendTo(del.From, mq.Message{tagNack, nackPayload(del.Msg[1])})
+		ix.toClient.follow(del.Msg[1])
+		if err := ix.toClient.dec.DecodeFrame(del.Msg[1], &ix.taskBatch); err != nil {
+			ix.toClient.nack(del.Msg[1]) // the client retransmits its in-flight tasks (codec.go)
 			return
 		}
 		ix.enqueue(ix.taskBatch...)
@@ -297,7 +273,7 @@ func (ix *Interchange) handle(del mq.Delivery) {
 			capacity:    capacity,
 			outstanding: make(map[int64]serialize.WireTask),
 			lastSeen:    time.Now(),
-			enc:         serialize.NewStreamEncoder(),
+			stream:      newPeerStream(nil, ix.router, del.From, tagTasks, chaos.PointIxTasks, ix.cfg.Label),
 			digests:     make(map[uint64]struct{}),
 		}
 		ix.mu.Unlock()
@@ -306,7 +282,16 @@ func (ix *Interchange) handle(del mq.Delivery) {
 		if len(del.Msg) < 2 {
 			return
 		}
-		results, err := ix.decoderFor(del.From).DecodeResultIDs(del.Msg[1], &ix.resultIDs)
+		ix.mu.Lock()
+		m := ix.managers[del.From]
+		ix.mu.Unlock()
+		if m == nil {
+			// A sender with no record (gone by BYE or loss) has no stream:
+			// everything it held was requeued or reported LOST when its
+			// record went, so the frame has nothing left to deliver.
+			return
+		}
+		results, err := m.stream.dec.DecodeResultIDs(del.Msg[1], &ix.resultIDs)
 		if err != nil {
 			// Undecodable manager result stream: NACK so the manager resets
 			// its encoder, and requeue everything this manager holds — the
@@ -314,32 +299,26 @@ func (ix *Interchange) handle(del mq.Delivery) {
 			// re-execute, and the broker must not leak their capacity slots.
 			// Tasks still running on the manager finish twice at most; the
 			// client's inflight registry reconciles duplicates (codec.go).
-			_ = ix.router.SendTo(del.From, mq.Message{tagNack, nackPayload(del.Msg[1])})
+			m.stream.nack(del.Msg[1])
 			ix.requeueOutstanding(del.From)
 			return
 		}
 		ix.mu.Lock()
-		if m, ok := ix.managers[del.From]; ok {
-			m.lastSeen = time.Now()
-			// A returned result warms its manager for the task's exact input
-			// bytes, whether the app succeeded or not: only the id column is
-			// read here.
-			for _, id := range ix.resultIDs {
-				if t, ok := m.outstanding[id]; ok {
-					m.noteDigest(serialize.Digest(t.P))
-					delete(m.outstanding, id)
-				}
+		m.lastSeen = time.Now()
+		// A returned result warms its manager for the task's exact input
+		// bytes, whether the app succeeded or not: only the id column is
+		// read here.
+		for _, id := range ix.resultIDs {
+			if t, ok := m.outstanding[id]; ok {
+				m.noteDigest(serialize.Digest(t.P))
+				delete(m.outstanding, id)
 			}
 		}
-		client := ix.client
+		client := ix.toClient.peer
 		ix.mu.Unlock()
 		// results is nil for a duplicate frame: nothing to release or relay.
 		if client != "" && results != nil {
-			_ = ix.clientEnc.RelayResults(results, func(frame []byte) error {
-				return chaos.Frame(chaos.PointIxResults, ix.cfg.Label, frame, func(fr []byte) error {
-					return ix.router.SendTo(client, mq.Message{tagResults, fr})
-				})
-			})
+			_ = ix.toClient.enc.RelayResults(results, ix.toClient.ship)
 		}
 		ix.dispatch()
 	case frameHB:
@@ -359,7 +338,6 @@ func (ix *Interchange) handle(del mq.Delivery) {
 				ix.enqueue(t)
 			}
 			delete(ix.managers, del.From)
-			delete(ix.decs, del.From)
 		}
 		ix.mu.Unlock()
 		// Hang up on the peer so its Drain can observe the ack.
@@ -381,32 +359,24 @@ func (ix *Interchange) handle(del mq.Delivery) {
 		if len(del.Msg) < 2 {
 			return
 		}
-		ix.handleNack(del.From, nackEpoch(del.Msg[1]))
-	}
-}
-
-// handleNack repairs one of the interchange's outbound streams after a peer
-// reported it undecodable. Epoch matching dedups stale NACKs (codec.go).
-func (ix *Interchange) handleNack(from string, epoch uint32) {
-	if epoch == 0 {
-		return
-	}
-	ix.mu.Lock()
-	m, isMgr := ix.managers[from]
-	isClient := from == ix.client
-	ix.mu.Unlock()
-	switch {
-	case isMgr && m.enc.Epoch() == epoch:
-		// The manager cannot decode its TASKS stream: resync the encoder and
-		// requeue everything it was holding — the lost frame's tasks never
-		// arrived, and the interchange cannot tell which those were.
-		m.enc.Reset()
-		ix.requeueOutstanding(from)
-	case isClient && ix.clientEnc.Epoch() == epoch:
-		// The client cannot decode the RESULTS stream: resync. Results in
-		// the lost frame are gone; the DFK's attempt timeout re-executes
-		// their tasks (codec.go).
-		ix.clientEnc.Reset()
+		ix.mu.Lock()
+		m := ix.managers[del.From]
+		isClient := del.From == ix.toClient.peer
+		ix.mu.Unlock()
+		switch {
+		case m != nil:
+			// The manager cannot decode its TASKS stream: requeue everything
+			// it was holding — the lost frame's tasks never arrived, and the
+			// interchange cannot tell which those were.
+			if m.stream.resync(del.Msg[1]) {
+				ix.requeueOutstanding(del.From)
+			}
+		case isClient:
+			// The client cannot decode the RESULTS stream. Results in the
+			// lost frame are gone; the DFK's attempt timeout re-executes
+			// their tasks (codec.go), so the resync is the whole repair.
+			ix.toClient.resync(del.Msg[1])
+		}
 	}
 }
 
@@ -433,25 +403,12 @@ func (ix *Interchange) requeueOutstanding(id string) {
 
 // setClient records the identity results are relayed to. Stream resync for
 // a new client session is detected in-band from the epoch on its TASKB
-// stream (see handle), since every client shares the same dealer identity.
+// stream (peerStream.follow), since every client shares the same dealer
+// identity.
 func (ix *Interchange) setClient(from string) {
 	ix.mu.Lock()
-	ix.client = from
+	ix.toClient.peer = from
 	ix.mu.Unlock()
-}
-
-// decoderFor returns the stream decoder for one peer, creating it on first
-// contact. Decoding is serialized on the mainLoop goroutine; the lock only
-// orders map access against lost-manager pruning.
-func (ix *Interchange) decoderFor(id string) *serialize.StreamDecoder {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	d, ok := ix.decs[id]
-	if !ok {
-		d = serialize.NewStreamDecoder()
-		ix.decs[id] = d
-	}
-	return d
 }
 
 // cancel drops the named tasks: entries still in the interchange queue are
@@ -631,14 +588,14 @@ func (ix *Interchange) dispatch() {
 			}
 			batch = kept
 			for h, ts := range reroutes {
-				sends = append(sends, taskSend{id: h.id, enc: h.enc, batch: ts})
+				sends = append(sends, taskSend{m: h, batch: ts})
 			}
 		}
 		for _, t := range batch {
 			m.outstanding[t.ID] = t
 		}
 		if len(batch) > 0 {
-			sends = append(sends, taskSend{id: m.id, enc: m.enc, batch: batch})
+			sends = append(sends, taskSend{m: m, batch: batch})
 		}
 		ix.sends = sends
 		ix.mu.Unlock()
@@ -646,14 +603,9 @@ func (ix *Interchange) dispatch() {
 		// Re-frame the envelopes on each target manager's stream; the
 		// argument payloads inside pass through as opaque bytes.
 		for _, s := range sends {
-			err := s.enc.EncodeTasks(s.batch, func(frame []byte) error {
-				return chaos.Frame(chaos.PointIxTasks, ix.cfg.Label, frame, func(fr []byte) error {
-					return ix.router.SendTo(s.id, mq.Message{tagTasks, fr})
-				})
-			})
-			if err != nil {
+			if err := s.m.stream.enc.EncodeTasks(s.batch, s.m.stream.ship); err != nil {
 				// Send failed: the manager is gone; requeue via loss path.
-				ix.managerLost(s.id, "send failed")
+				ix.managerLost(s.m.id, "send failed")
 			}
 		}
 		// An idle interchange must not pin the frames its last batch's
@@ -698,12 +650,11 @@ func (ix *Interchange) managerLost(id, reason string) {
 		return
 	}
 	delete(ix.managers, id)
-	delete(ix.decs, id) // a reconnecting identity starts a fresh stream
 	var lostIDs []int64
 	for tid := range m.outstanding {
 		lostIDs = append(lostIDs, tid)
 	}
-	client := ix.client
+	client := ix.toClient.peer
 	ix.mu.Unlock()
 
 	ix.router.Disconnect(id)

@@ -87,11 +87,9 @@ type Manager struct {
 	// and (capped at resultFlush) the size of a full result batch.
 	capacity int
 	exec     func(slot int, w serialize.WireTask) (serialize.ResultMsg, error)
-	dealer   *mq.Dealer
-	// taskDec consumes the interchange's per-manager TASKS stream; resEnc
-	// produces this manager's RESULTS stream.
-	taskDec *serialize.StreamDecoder
-	resEnc  *serialize.StreamEncoder
+	// stream is the connection to the interchange: this manager's RESULTS
+	// stream out, its TASKS stream in.
+	stream peerStream
 
 	tasks   chan serialize.WireTask
 	results chan serialize.ResultMsg
@@ -166,9 +164,7 @@ func StartManagerExec(tr simnet.Transport, addr, id string, cfg ManagerConfig,
 		cfg:      cfg,
 		capacity: capacity,
 		exec:     exec,
-		dealer:   dealer,
-		taskDec:  serialize.NewStreamDecoder(),
-		resEnc:   serialize.NewStreamEncoder(),
+		stream:   newPeerStream(dealer, nil, "", tagResults, chaos.PointMgrResults, id),
 		tasks:    make(chan serialize.WireTask, capacity),
 		results:  make(chan serialize.ResultMsg, capacity),
 		done:     make(chan struct{}),
@@ -202,7 +198,7 @@ func (m *Manager) recvLoop() {
 	defer m.wg.Done()
 	var batch []serialize.WireTask // decode destination, reused frame to frame
 	for {
-		msg, err := m.dealer.Recv()
+		msg, err := m.stream.dealer.Recv()
 		if err != nil {
 			m.Stop() // interchange gone: exit immediately
 			return
@@ -215,12 +211,12 @@ func (m *Manager) recvLoop() {
 			if len(msg) < 2 {
 				continue
 			}
-			if err := m.taskDec.DecodeFrame(msg[1], &batch); err != nil {
-				// Undecodable task stream: NACK so the interchange resyncs
-				// this manager's encoder and requeues what it was holding
-				// (codec.go). Without this, the lost frame's tasks would sit
-				// in the broker's outstanding set forever, leaking capacity.
-				_ = m.dealer.Send(mq.Message{tagNack, nackPayload(msg[1])})
+			if err := m.stream.dec.DecodeFrame(msg[1], &batch); err != nil {
+				// The interchange resyncs this manager's encoder and requeues
+				// what it was holding (codec.go). Without that, the lost
+				// frame's tasks would sit in the broker's outstanding set
+				// forever, leaking capacity.
+				m.stream.nack(msg[1])
 				continue
 			}
 			for _, t := range batch {
@@ -249,14 +245,12 @@ func (m *Manager) recvLoop() {
 			}
 			m.mu.Unlock()
 		case frameNack:
-			// The interchange cannot decode this manager's RESULTS stream:
-			// resync to frame 0 of a fresh epoch. The interchange
-			// requeued our outstanding set when it sent the NACK, so the
-			// lost frame's results re-execute elsewhere (codec.go).
+			// The interchange cannot decode this manager's RESULTS stream.
+			// It requeued our outstanding set when it sent the NACK, so the
+			// lost frame's results re-execute elsewhere and the resync is
+			// the whole repair (codec.go).
 			if len(msg) >= 2 {
-				if epoch := nackEpoch(msg[1]); epoch != 0 && m.resEnc.Epoch() == epoch {
-					m.resEnc.Reset()
-				}
+				m.stream.resync(msg[1])
 			}
 		}
 	}
@@ -330,11 +324,7 @@ func (m *Manager) resultLoop() {
 		// A result whose value does not serialize travels as that task's
 		// error result (serialize.EncodeResults), so the only error here is
 		// the transport's, which the receive loop notices on its own.
-		_ = m.resEnc.EncodeResults(batch, func(frame []byte) error {
-			return chaos.Frame(chaos.PointMgrResults, m.id, frame, func(fr []byte) error {
-				return m.dealer.Send(mq.Message{tagResults, fr})
-			})
-		})
+		_ = m.stream.enc.EncodeResults(batch, m.stream.ship)
 		// The encode above copied the batch into the encoder's frame buffer
 		// synchronously, so the slice can be reused in place — cleared, so an
 		// idle manager holds no result values.
@@ -367,7 +357,7 @@ func (m *Manager) heartbeatLoop() {
 		case <-m.done:
 			return
 		case <-ticker.C:
-			if err := m.dealer.Send(mq.Message{tagHB}); err != nil {
+			if err := m.stream.send(mq.Message{tagHB}); err != nil {
 				m.Stop()
 				return
 			}
@@ -388,7 +378,7 @@ func (m *Manager) heartbeatLoop() {
 // drops — otherwise the disconnect would race the BYE and the interchange
 // would report the tasks lost instead of requeueing them.
 func (m *Manager) Drain() {
-	if err := m.dealer.Send(mq.Message{tagBye}); err == nil {
+	if err := m.stream.send(mq.Message{tagBye}); err == nil {
 		select {
 		case <-m.done: // recvLoop saw the interchange hang up
 		case <-time.After(2 * time.Second):
@@ -401,7 +391,7 @@ func (m *Manager) Drain() {
 func (m *Manager) Stop() {
 	m.closeOnce.Do(func() {
 		close(m.done)
-		_ = m.dealer.Close()
+		_ = m.stream.dealer.Close()
 	})
 }
 

@@ -86,8 +86,12 @@ func TestUnserializableResultFailsOnlyItsTask(t *testing.T) {
 //   - heartbeats are the rest.
 //
 // A change that shrinks frames — the result-flush timer going — inherits the
-// guard.
+// guard. Not under -race: there sync.Pool drops a quarter of its puts, and
+// the count reads 12.7–12.9.
 func TestRoundTripAllocationCeiling(t *testing.T) {
+	if raceDetector() {
+		t.Skip("allocation counts under -race measure the detector's sync.Pool, not the wire path")
+	}
 	e := newHTEX(t, 1, 2, func(cfg *Config) { cfg.Manager.FlushInterval = 200 * time.Microsecond })
 	id := int64(0)
 	trip := func() {
@@ -253,7 +257,7 @@ func TestCommandReplySurvivesNextFrame(t *testing.T) {
 	e := New(Config{Transport: netw})
 	e.started = true
 	s := &shardLink{label: "htex[0]", cmdReplies: make(chan mq.Message, 16)}
-	s.conn.Store(&shardConn{dealer: dealer, taskEnc: serialize.NewStreamEncoder(), resDec: serialize.NewStreamDecoder()})
+	s.conn.Store(&shardConn{stream: newPeerStream(dealer, nil, "", tagTaskSub, chaos.PointClientSend, s.label)})
 	e.shards = []*shardLink{s}
 	fut := future.NewForTask(1)
 	e.inflight[1] = inflightTask{fut: fut}

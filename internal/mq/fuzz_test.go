@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math"
 	"runtime"
 	"testing"
 
@@ -83,17 +84,17 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 0})
 
 	f.Fuzz(func(t *testing.T, in []byte) {
-		r := bytes.NewReader(in)
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		m, err := readFrame(r)
-		runtime.ReadMemStats(&after)
+		readers := [runs]*bytes.Reader{bytes.NewReader(in), bytes.NewReader(in), bytes.NewReader(in)}
+		var m Message
+		var err error
+		used := leastAllocated(func(run int) { m, err = readFrame(readers[run]) })
+		r := readers[runs-1]
 		// The fixed part covers one capped first read for a part whose bytes
 		// never arrive (firstPart) and the capped part list; the multiple
 		// covers a part buffer that doubled just before the input ran out,
 		// plus the slice headers of many empty parts.
-		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(firstPart+4<<10+8*len(in)); got > limit {
-			t.Fatalf("reading a %d-byte input allocated %d bytes (limit %d)", len(in), got, limit)
+		if limit := uint64(firstPart + 4<<10 + 8*len(in)); used > limit {
+			t.Fatalf("reading a %d-byte input allocated %d bytes (limit %d)", len(in), used, limit)
 		}
 		if err != nil {
 			return
@@ -176,19 +177,22 @@ func FuzzConnRecv(f *testing.F) {
 		// Every message is read, so the cost grows with the input; 128 KiB
 		// holds many frames larger than the largest buffer.
 		in = in[:min(len(in), 128<<10)]
-		c := &Conn{r: bufio.NewReaderSize(&chunks{in: in, cuts: cuts}, 16+int(size)%(2*recvBuffer))}
+		conn := func() *Conn {
+			return &Conn{r: bufio.NewReaderSize(&chunks{in: in, cuts: cuts}, 16+int(size)%(2*recvBuffer))}
+		}
+		conns := [runs]*Conn{conn(), conn(), conn()}
 		got := make([]Message, 0, len(in)/4+1)
 		var err error
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for err == nil {
-			var m Message
-			if m, err = c.Recv(); err == nil {
-				got = append(got, m)
+		used := leastAllocated(func(run int) {
+			got, err = got[:0], nil
+			for err == nil {
+				var m Message
+				if m, err = conns[run].Recv(); err == nil {
+					got = append(got, m)
+				}
 			}
-		}
-		runtime.ReadMemStats(&after)
-		if used, limit := after.TotalAlloc-before.TotalAlloc, uint64(firstPart+4<<10+8*len(in)); used > limit {
+		})
+		if limit := uint64(firstPart + 4<<10 + 8*len(in)); used > limit {
 			t.Fatalf("receiving a %d-byte input allocated %d bytes (limit %d)", len(in), used, limit)
 		}
 		r := bytes.NewReader(in)
@@ -206,27 +210,47 @@ func FuzzConnRecv(f *testing.F) {
 			checkMessage(t, "Recv", i, got[i], want)
 		}
 
-		reuse := &Conn{r: bufio.NewReaderSize(&chunks{in: in, cuts: cuts}, 16+int(size)%(2*recvBuffer))}
-		r = bytes.NewReader(in)
-		runtime.ReadMemStats(&before)
-		for i := 0; ; i++ {
-			m, err := reuse.RecvReuse()
-			want, wantErr := readFrame(r)
-			if err != nil || wantErr != nil {
-				if fmt.Sprint(err) != fmt.Sprint(wantErr) {
-					t.Fatalf("message %d: RecvReuse failed with %v, readFrame with %v", i, err, wantErr)
+		conns = [runs]*Conn{conn(), conn(), conn()}
+		readers := [runs]*bytes.Reader{bytes.NewReader(in), bytes.NewReader(in), bytes.NewReader(in)}
+		used = leastAllocated(func(run int) {
+			for i := 0; ; i++ {
+				m, err := conns[run].RecvReuse()
+				want, wantErr := readFrame(readers[run])
+				if err != nil || wantErr != nil {
+					if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+						t.Fatalf("message %d: RecvReuse failed with %v, readFrame with %v", i, err, wantErr)
+					}
+					break
 				}
-				break
+				checkMessage(t, "RecvReuse", i, m, want)
 			}
-			checkMessage(t, "RecvReuse", i, m, want)
-		}
-		runtime.ReadMemStats(&after)
+		})
 		// Both readers' allocations: readFrame's are FuzzReadFrame's bound per
 		// input, and RecvReuse's own at most that again.
-		if used, limit := after.TotalAlloc-before.TotalAlloc, 2*uint64(firstPart+4<<10+8*len(in)); used > limit {
+		if limit := 2 * uint64(firstPart+4<<10+8*len(in)); used > limit {
 			t.Fatalf("RecvReuse beside readFrame on a %d-byte input allocated %d bytes (limit %d)", len(in), used, limit)
 		}
 	})
+}
+
+// runs is how many times leastAllocated reads one input.
+const runs = 3
+
+// leastAllocated calls read(0), read(1) and read(2), each on its own fresh
+// copy of one input, and returns the fewest bytes one call allocated. The
+// count is process-wide (runtime.MemStats.TotalAlloc), so an allocation by
+// any other goroutine of the test binary can only add to a call's reading:
+// the smallest of three is the one least disturbed.
+func leastAllocated(read func(run int)) uint64 {
+	least := uint64(math.MaxUint64)
+	for run := 0; run < runs; run++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		read(run)
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	return least
 }
 
 // checkMessage fails t unless got, the i-th message a receive method read,

@@ -136,16 +136,21 @@ func RunElasticity(cfg ElasticityConfig) (ElasticityResult, error) {
 		return ElasticityResult{}, fmt.Errorf("workload: initial blocks never started")
 	}
 
-	// Utilization sampler: integrate connected workers over the run.
+	// Utilization sampler: integrate connected workers over the run. Each
+	// sample weighs the time since the last one, not the ticker's period: a
+	// ticker drops the ticks a late receiver misses, so counting periods
+	// would undercount worker-seconds and overstate utilization.
 	var (
 		workerInt float64 // worker-seconds in paper units
 		peak      int
 		minW      = 1 << 30
+		last      = time.Now()
 	)
-	sampleEvery := cfg.TimeScale / 2
-	stopSampler := startSampler(sampleEvery, func() {
+	stopSampler := startSampler(cfg.TimeScale/2, func() {
+		now := time.Now()
 		w := ex.ConnectedWorkers()
-		workerInt += float64(w) * (float64(sampleEvery) / float64(cfg.TimeScale))
+		workerInt += float64(w) * (float64(now.Sub(last)) / float64(cfg.TimeScale))
+		last = now
 		peak, minW = max(peak, w), min(minW, w)
 	})
 

@@ -57,8 +57,8 @@ type Config struct {
 	// DataManager stages remote files; nil disables data management.
 	DataManager *data.Manager
 	// TaskTimeout bounds a single execution attempt, measured from when
-	// the ready task enters the dispatch queue — queue wait behind a
-	// backlogged executor counts (0 = no timeout).
+	// the ready task is routed — queue wait behind a backlogged executor
+	// counts (0 = no timeout).
 	TaskTimeout time.Duration
 	// Seed makes executor selection deterministic in tests (0 = a random
 	// seed). It feeds the default random scheduler; explicit Schedulers
@@ -70,8 +70,8 @@ type Config struct {
 	// SchedulerPolicy names the policy when Scheduler is nil: "random"
 	// (paper default, §4.1), "round-robin", or "least-outstanding".
 	SchedulerPolicy string
-	// DispatchBatch caps ready tasks drained per dispatch cycle and so the
-	// largest batch handed to an executor in one call (default 256).
+	// DispatchBatch caps the routed tasks a lane runner drains at once, and
+	// so the largest batch handed to an executor in one call (default 256).
 	DispatchBatch int
 	// MaxTasksPerTenant caps each tenant's live tasks — submitted but not
 	// yet terminal — bounding memory under overload. 0 (the default) sets no
@@ -161,22 +161,22 @@ type DFK struct {
 	// emit points return before building (or timestamping) an event.
 	monitored bool
 
-	schedr        sched.Scheduler
-	schedUsesLoad bool
+	schedr sched.Scheduler
 	// digestPicker is schedr when it is a sched.DigestPicker, resolved once in
 	// New; it also gates the per-attempt input-digest computation (ArgsHash
 	// allocates a string, so digest-blind configs must never pay for it).
 	digestPicker sched.DigestPicker
-	queue        *fair.MPSC[*pendingLaunch]
-	lanes        map[string]*lane
-	batchMax     int
+	// lanes are the executors' dispatch lanes by label; views holds the same
+	// lanes in config order, the candidate set of a task without hints.
+	lanes    map[string]*lane
+	views    []executor.Executor
+	batchMax int
 	// hp is the self-healing retry plane; nil unless Config.Health is set.
 	hp *healthPlane
 	// adm bounds each tenant at the submission boundary: its window of ready
 	// tasks always, its live tasks when a quota is configured.
-	adm        *fair.Admission
-	dispatchWG sync.WaitGroup
-	laneWG     sync.WaitGroup
+	adm    *fair.Admission
+	laneWG sync.WaitGroup
 
 	wg sync.WaitGroup
 	// mu orders submissions against Shutdown: submitters hold it shared (a
@@ -229,7 +229,6 @@ func New(cfg Config) (*DFK, error) {
 		cfg:       cfg,
 		registry:  reg,
 		executors: make(map[string]executor.Executor, len(cfg.Executors)),
-		queue:     fair.NewMPSC(func(pl *pendingLaunch) string { return pl.tenant }),
 		batchMax:  cfg.DispatchBatch,
 	}
 	if d.batchMax <= 0 {
@@ -255,9 +254,6 @@ func New(cfg Config) (*DFK, error) {
 		if err != nil {
 			return nil, fmt.Errorf("dfk: %w", err)
 		}
-	}
-	if la, ok := d.schedr.(sched.LoadAware); ok && la.UsesLoad() {
-		d.schedUsesLoad = true
 	}
 	d.digestPicker, _ = d.schedr.(sched.DigestPicker)
 
@@ -321,16 +317,15 @@ func New(cfg Config) (*DFK, error) {
 	}
 	d.lanes = make(map[string]*lane, len(d.execList))
 	for _, ex := range d.execList {
-		l := newLane(ex)
-		d.lanes[ex.Label()] = l
+		l := newLane(d, ex)
+		d.lanes[l.label] = l
+		d.views = append(d.views, l)
 		d.laneWG.Add(1)
 		go d.laneRunner(l)
 	}
 	if cfg.Health != nil {
 		d.hp = newHealthPlane(d, cfg.Health)
 	}
-	d.dispatchWG.Add(1)
-	go d.dispatcher()
 	return d, nil
 }
 
@@ -353,29 +348,22 @@ func (d *DFK) Executor(label string) (executor.Executor, bool) {
 func (d *DFK) Scheduler() sched.Scheduler { return d.schedr }
 
 // Loads samples live load signals from every configured executor, in config
-// order — exactly the sample the capacity-aware router decides from, so
-// Outstanding includes the tasks routed to the executor's lane but not yet
-// submitted.
+// order — what a capacity-aware pick reads at that moment, so Outstanding
+// includes the tasks routed to the executor's lane but not yet submitted.
 func (d *DFK) Loads() []sched.Load {
-	out := make([]sched.Load, len(d.execList))
-	for i, ex := range d.execList {
-		out[i] = sched.LoadOf(d.freeze(ex))
+	out := make([]sched.Load, len(d.views))
+	for i, l := range d.views {
+		out[i] = sched.LoadOf(l)
 	}
 	return out
 }
 
-// freeze samples ex's load as the router sees it: the executor's own signals
-// plus its lane's routed-but-unsubmitted backlog, which the executor's
-// Outstanding cannot see yet.
-func (d *DFK) freeze(ex executor.Executor) *sched.Frozen {
-	return sched.Freeze(ex, int(d.lanes[ex.Label()].queued.Load()))
-}
-
 // TenantBacklog reports the client-side backlog per tenant (key "" is the
-// default tenant): tasks in the routing queue plus those routed to an
-// executor lane but not yet submitted. Empty when nothing is queued.
+// default tenant): tasks routed to an executor lane but not yet submitted,
+// counted once the lane's runner holds them (a push to a parked runner waits
+// in its inbox until it wakes). Empty when nothing is queued.
 func (d *DFK) TenantBacklog() map[string]int {
-	out := d.queue.PerTenant()
+	out := make(map[string]int)
 	for _, l := range d.lanes {
 		for t, n := range l.queue.PerTenant() {
 			out[t] += n
@@ -588,8 +576,7 @@ func (d *DFK) submit(ctx context.Context, a *App, args []any, kwargs map[string]
 	rec, gen := task.Create(id, a.name, kwargs, opts)
 	// Publishing the record (watcher, dependency callbacks) lets other
 	// goroutines conclude and retire it at any moment; the creator's hold keeps
-	// it from being recycled under the wiring below.
-	defer rec.Exit()
+	// it from being recycled under the wiring below, until Submit returns.
 	fut := rec.Future
 	if ctx.Done() != nil {
 		stop := context.AfterFunc(ctx, func() {
@@ -633,7 +620,14 @@ func (d *DFK) submit(ctx context.Context, a *App, args []any, kwargs map[string]
 
 	d.emitState(id, a.name, o.tenant, noState, task.Pending, "")
 	if n == 0 {
-		d.launch(rec, gen, a, args)
+		pl, l := d.launch(rec, gen, a, args)
+		// The hold goes before the push, so the lane runner it wakes does not
+		// find the submitter in the record's lock. The attempt needs no hold:
+		// it is recycled only once it has concluded its task.
+		rec.Exit()
+		if l != nil {
+			l.push(pl)
+		}
 		return fut
 	}
 
@@ -651,6 +645,7 @@ func (d *DFK) submit(ctx context.Context, a *App, args []any, kwargs map[string]
 	for _, f := range staged {
 		f.SetDoneHook(rec)
 	}
+	rec.Exit()
 	return fut
 }
 
@@ -661,7 +656,8 @@ type inputWaiter App
 
 // InputsReady implements task.InputWaiter: the last input resolved. It
 // replaces every future in the record's own argument copies with its value,
-// in place, and launches the task on them.
+// in place, and launches the task on them: its first attempt is routed and
+// pushed on the goroutine that completed the input.
 func (w *inputWaiter) InputsReady(rec *task.Record, gen uint32) {
 	a := (*App)(w)
 	for i, v := range rec.Args {
@@ -670,7 +666,9 @@ func (w *inputWaiter) InputsReady(rec *task.Record, gen uint32) {
 	for k, v := range rec.Kwargs {
 		rec.Kwargs[k] = resolved(v)
 	}
-	a.dfk.launch(rec, gen, a, rec.Args)
+	if pl, l := a.dfk.launch(rec, gen, a, rec.Args); l != nil {
+		l.push(pl)
+	}
 }
 
 // resolved is v with its futures replaced by their values (they have all
@@ -739,11 +737,10 @@ func (d *DFK) stageInTask(f *data.File) *future.Future {
 }
 
 // launch takes a ready task's payload exactly once, consults memoization,
-// and hands the task to the dispatch pipeline, which schedules it onto an
-// executor and submits it batched with other ready tasks. args are the
-// resolved positional arguments: the caller's slice for a task launched
-// inside Submit, the record's own copy for one whose inputs resolved (the
-// record's Kwargs likewise). The payload built here is the task's one copy of
+// and arms the task's first attempt, returning it with the lane to push it
+// onto (nil: nothing to push). args are the resolved positional arguments:
+// the caller's slice for a task launched inside Submit, the record's own copy
+// for one whose inputs resolved (the record's Kwargs likewise). The payload built here is the task's one copy of
 // its arguments for its whole lifetime: the memo hash reads it, in-process
 // executors copy their defensive copy from it, remote executors ship its
 // bytes verbatim, and retries reuse it; nothing keeps args. Plain values are
@@ -752,7 +749,7 @@ func (d *DFK) stageInTask(f *data.File) *future.Future {
 // something reads them (the WAL just below, a memo key, a digest, the wire).
 // Other arguments are encoded here, which also isolates them from a caller
 // that mutates them afterwards.
-func (d *DFK) launch(rec *task.Record, gen uint32, a *App, args []any) {
+func (d *DFK) launch(rec *task.Record, gen uint32, a *App, args []any) (*pendingLaunch, *lane) {
 	kwargs := rec.Kwargs
 
 	// An explicit per-call memo key turns memoization on for the invocation
@@ -774,7 +771,7 @@ func (d *DFK) launch(rec *task.Record, gen uint32, a *App, args []any) {
 			// drop its reference here (a memoized task ships no bytes anywhere).
 			payload.Release()
 			d.finish(rec, task.Memoized, v, nil)
-			return
+			return nil, nil
 		}
 		rec.SetMemoKey(memoKey)
 	}
@@ -789,7 +786,7 @@ func (d *DFK) launch(rec *task.Record, gen uint32, a *App, args []any) {
 	}
 	if encErr != nil {
 		d.failTask(rec, encErr)
-		return
+		return nil, nil
 	}
 	// Durably record the submission — payload, memo key, tenant, priority,
 	// and retry budget, everything recovery needs to re-admit the task
@@ -814,13 +811,15 @@ func (d *DFK) launch(rec *task.Record, gen uint32, a *App, args []any) {
 		tenant: rec.Tenant, weight: rec.Weight,
 		walKey: walKey, walAttempt: 1,
 	}
-	if !d.firstAttempt(pl) && walKey != 0 {
+	l, ok := d.firstAttempt(pl)
+	if !ok && walKey != 0 {
 		// Concluded (canceled) before the key reached the record: no Finish
 		// saw it, so the submission logged just above is closed here.
 		if err := d.wal.Terminal(walKey, wal.OutcomeFailed, nil); err != nil {
 			d.emitWAL(rec.ID, "terminal", err)
 		}
 	}
+	return pl, l
 }
 
 // argsPayload is a task's payload: a value snapshot of plain values, else
@@ -832,23 +831,21 @@ func argsPayload(args []any, kwargs map[string]any) (*serialize.Payload, error) 
 	return serialize.EncodeArgs(args, kwargs)
 }
 
-// firstAttempt arms and enqueues a ready task's first attempt in this process.
+// firstAttempt arms a ready task's first attempt in this process (armAttempt).
 // pl.payload carries two references: the attempt's own, released when it
 // settles, and the one launch (or recovery) built it with, which the record
 // takes over (and releases at retirement). A digest-routing scheduler reads
-// the payload's digest here, which builds a value snapshot's bytes. It
-// reports false, with both references dropped, when the task concluded
-// before it could be armed.
-func (d *DFK) firstAttempt(pl *pendingLaunch) bool {
+// the payload's digest here, which builds a value snapshot's bytes. ok is
+// false, with both references dropped, when the task had already concluded.
+func (d *DFK) firstAttempt(pl *pendingLaunch) (l *lane, ok bool) {
 	if d.digestPicker != nil {
 		pl.payload.Bytes()
 		pl.digest = pl.payload.ArgsHash()
 	}
-	if d.enqueueAttempt(pl) {
-		return true
+	if l, ok = d.armAttempt(pl); !ok {
+		pl.payload.Release()
 	}
-	pl.payload.Release()
-	return false
+	return l, ok
 }
 
 // cancelTask concludes a task whose submission context was canceled. The
@@ -995,122 +992,6 @@ func (d *DFK) emitRetired(id int64, retired int64) {
 	})
 }
 
-// router picks executors for the tasks of one dispatch cycle. For
-// load-aware schedulers it samples every executor's load once per cycle
-// (seeded with the lane backlogs) and overlays its own routing decisions
-// via Frozen.Bump, so a 256-task batch costs one probe sweep rather than
-// 256 — load-blind policies skip the snapshot entirely. The dispatcher owns
-// one router for its lifetime and resets it each cycle, so routing
-// allocates nothing of its own.
-type router struct {
-	d      *DFK
-	base   []executor.Executor      // full candidate set, frozen or raw
-	frozen map[string]*sched.Frozen // nil for load-blind schedulers
-	// cands is the scratch a hinted or sticky task's candidates are built
-	// in; each pick overwrites it.
-	cands []executor.Executor
-}
-
-func (d *DFK) newRouter() *router {
-	r := &router{d: d, base: d.execList}
-	if d.schedUsesLoad {
-		r.frozen = make(map[string]*sched.Frozen, len(d.execList))
-		r.base = make([]executor.Executor, len(d.execList))
-		for i, ex := range d.execList {
-			f := new(sched.Frozen)
-			r.frozen[ex.Label()] = f
-			r.base[i] = f
-		}
-	}
-	return r
-}
-
-// reset starts a dispatch cycle: a load-aware router samples every executor
-// again, as freeze does, into the snapshots it already holds.
-func (r *router) reset() {
-	if r.frozen == nil {
-		return
-	}
-	for _, ex := range r.d.execList {
-		label := ex.Label()
-		*r.frozen[label] = *sched.Freeze(ex, int(r.d.lanes[label].queued.Load()))
-	}
-}
-
-// pick applies hints to narrow the eligible set and delegates the choice
-// to the configured scheduler (the paper's "picked at random" policy is
-// the default); a sched.DigestPicker additionally sees the task's input
-// digest. With the health plane on, candidates whose circuit
-// breakers reject work are filtered out first: an all-open set yields
-// ErrNoHealthyExecutor (which the dispatcher converts into an overload
-// park, not a task failure) unless the task is pinned and PinnedFailFast
-// demands an immediate permanent failure; a retry with stick affinity
-// prefers the executor its last attempt failed on while the breaker admits
-// it. The returned executor is always one of the DFK's real executors,
-// never a snapshot view.
-func (r *router) pick(pl *pendingLaunch) (executor.Executor, error) {
-	hints := pl.rec.Hints
-	candidates := r.base
-	if len(hints) > 0 {
-		candidates = r.cands[:0]
-		for _, h := range hints {
-			if _, ok := r.d.executors[h]; !ok {
-				return nil, fmt.Errorf("dfk: hinted executor %q not configured", h)
-			}
-			candidates = append(candidates, r.view(h))
-		}
-		r.cands = candidates
-	} else if pl.stick != "" && r.d.hp != nil && r.d.hp.routable(pl.stick) {
-		candidates = append(r.cands[:0], r.view(pl.stick))
-		r.cands = candidates
-	}
-	if r.d.hp != nil {
-		filtered, ok := r.d.hp.filterRoutable(candidates)
-		if !ok {
-			if len(hints) > 0 && r.d.hp.pinnedFailFast {
-				// Deliberately does not wrap ErrNoHealthyExecutor: this is a
-				// permanent failure, not a parkable overload.
-				return nil, fmt.Errorf("dfk: pinned executor %q circuit open (fail-fast)", hints[0])
-			}
-			return nil, health.ErrNoHealthyExecutor
-		}
-		candidates = filtered
-	}
-	var ex executor.Executor
-	var err error
-	if r.d.digestPicker != nil {
-		ex, err = r.d.digestPicker.PickDigest(candidates, pl.digest)
-	} else {
-		ex, err = r.d.schedr.Pick(candidates)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("dfk: %w", err)
-	}
-	// Guard user-supplied schedulers: a Pick that fabricates an executor
-	// outside the configured set must fail the task, not nil-deref the
-	// dispatcher goroutine.
-	real, ok := r.d.executors[ex.Label()]
-	if !ok {
-		return nil, fmt.Errorf("dfk: scheduler %q picked unknown executor %q", r.d.schedr.Name(), ex.Label())
-	}
-	if r.frozen != nil {
-		r.frozen[real.Label()].Bump()
-	}
-	if r.d.hp != nil {
-		r.d.hp.acquire(real.Label())
-	}
-	return real, nil
-}
-
-// view is the executor labelled label as the scheduler sees it this cycle:
-// its snapshot for a load-aware scheduler, the executor itself otherwise.
-func (r *router) view(label string) executor.Executor {
-	if r.frozen != nil {
-		return r.frozen[label]
-	}
-	return r.d.executors[label]
-}
-
 // noState is the "from" of a task's first event.
 const noState task.State = -1
 
@@ -1191,14 +1072,11 @@ func (d *DFK) Shutdown() error {
 	d.mu.Unlock()
 
 	// Every task's future completes only after its final launch attempt, so
-	// once wg drains nothing can push to the dispatch queue again; closing
-	// it then lets the dispatcher drain and exit, after which the lanes can
-	// no longer receive work and are drained the same way.
+	// once wg drains no live task can push to a lane again; closing the
+	// lanes then lets their runners drain and exit.
 	d.wg.Wait()
-	d.queue.Close()
-	d.dispatchWG.Wait()
 	for _, l := range d.lanes {
-		l.queue.Close()
+		close(l.done)
 	}
 	d.laneWG.Wait()
 	var first error

@@ -12,15 +12,16 @@ import (
 	"repro/internal/fair"
 	"repro/internal/future"
 	"repro/internal/health"
+	"repro/internal/sched"
 	"repro/internal/serialize"
 	"repro/internal/task"
 )
 
-// pendingLaunch is one execution attempt waiting in the dispatch pipeline:
-// the task record (with the generation stamp that validates it), the app that
-// produced it, and its arguments' payload. Retries create a fresh
-// pendingLaunch (sharing rec/app/payload), so a stale queue entry whose
-// attempt already timed out can be recognized and skipped.
+// pendingLaunch is one execution attempt on its way to an executor: the task
+// record (with the generation stamp that validates it), the app that produced
+// it, and its arguments' payload. Retries create a fresh pendingLaunch
+// (sharing rec/app/payload), so a stale lane entry whose attempt already
+// timed out can be recognized and skipped.
 //
 // Everything an attempt needs lives inside the struct: the attempt future is
 // embedded by value and is the future the executor settles
@@ -31,7 +32,7 @@ import (
 // Attempts come from attemptPool, and one goes back to it when it is the
 // attempt that concluded its task (FutureDone) and its timeout timer never
 // fired: then nothing else can reach it. The executor that settled it dropped
-// its reference first (IntoSubmitter), no DFK queue holds a submitted attempt,
+// its reference first (IntoSubmitter), no lane holds a submitted attempt,
 // future.complete touches nothing after its hook, and cancelTask reads the
 // record's attempt only after winning the task, which this attempt already
 // won. Every other attempt — timed out, canceled, failed, retried, or a ghost
@@ -40,37 +41,29 @@ type pendingLaunch struct {
 	// id is the task id, readable without holding rec (app.dfk is the DFK).
 	id  int64
 	rec *task.Record
-	// gen is rec's generation stamp captured at creation. Every pipeline
-	// stage revalidates it (Enter, Launch, Outcome) before touching the record, so
-	// an entry left in a queue after its task concluded (and its record was
-	// recycled for a new task) is recognized and dropped instead of
-	// corrupting the record's new occupant.
+	// gen is rec's generation stamp captured at creation. Every later stage
+	// revalidates it (Launch, Outcome, a backoff's Enter) before touching the
+	// record, so an entry left in a lane after its task concluded (and its
+	// record was recycled for a new task) is recognized and dropped instead
+	// of corrupting the record's new occupant.
 	gen uint32
 	app *App
 	// payload is the encode-once serialization of the resolved arguments,
-	// built in launch and shared by every attempt: executors reuse the bytes for
-	// wire frames and defensive copies instead of re-encoding per attempt.
-	// Each pendingLaunch holds its own payload reference from creation
-	// until its attempt settles, so queued bytes can never be recycled
-	// under a pending attempt. enqueueAttempt takes one more for the executor
-	// leg; it travels with the queue entry and is released by whoever drops
-	// the entry, or handed to the executor with the submission.
+	// built in launch and shared by every attempt. Each pendingLaunch holds a
+	// reference from creation until its attempt settles; armAttempt takes one
+	// more for the executor leg, which travels with the lane entry and is
+	// released by whoever drops the entry, or handed to the executor.
 	payload *serialize.Payload
-	// attempt is this attempt's outcome future, embedded by value (the
-	// zero Future is pending). The TaskTimeout timer is armed against it
-	// when the attempt enters the dispatch queue — so a task stuck behind a
-	// backlogged lane times out on schedule — and the executor writes its
-	// result into it after submission. Completing it (either way) fires the
-	// pendingLaunch's own FutureDone exactly once.
+	// attempt is this attempt's outcome future, embedded by value (the zero
+	// Future is pending): the timeout timer or the executor settles it, which
+	// fires the pendingLaunch's own FutureDone exactly once.
 	attempt future.Future
 	// timer is the attempt timeout, stopped when the attempt settles.
 	timer *time.Timer
-	// wireID identifies this attempt on the executor wire. The first
-	// attempt uses the task id; retries of a timed-out attempt draw a
-	// fresh id, because the abandoned attempt may still be in flight and
-	// executors key their pending/outstanding state by wire id — reusing
-	// the task id would let the stale attempt's late result complete (or
-	// corrupt the accounting of) the new one.
+	// wireID identifies this attempt on the executor wire: the task id for
+	// the first attempt, a fresh id for each retry, since the abandoned
+	// attempt may still be in flight and executors key their state by wire
+	// id, so its late result must not complete the new one.
 	wireID int64
 	// priority, tenant and weight copy the record's immutable options: queue
 	// comparisons and every fair queue the attempt crosses key on them, on
@@ -85,22 +78,20 @@ type pendingLaunch struct {
 	digest string
 	// walKey is the task's durable-log key (0 when the WAL is off) and
 	// walAttempt this attempt's 1-based launch number across process
-	// lifetimes — a resumed task starts past its pre-crash launches. The
-	// lane runner logs the Launch record for attempt 1; retries and resumes
-	// log Retry records at creation, so the log's launch count never trails
-	// the attempts the retry budget has charged.
+	// lifetimes. The lane runner logs the Launch record for attempt 1;
+	// retries and resumes log Retry records at creation.
 	walKey     int64
 	walAttempt int
-	// Health-plane state, threaded attempt to attempt (zero-valued and
-	// untouched when Config.Health is nil — value fields only, so the
-	// disabled plane adds no allocation to the hot path). kills is the
-	// distinct managers this task's attempts have killed (poison quarantine
-	// counts them); free counts uncharged retries consumed per failure
-	// class; stick is the retry-affinity executor for non-failover classes
-	// ("" = none).
+	// Health-plane state, threaded attempt to attempt (zero and untouched
+	// when Config.Health is nil). kills is the distinct managers this task's
+	// attempts have killed (quarantine counts them); free counts uncharged
+	// retries per failure class; stick is the retry-affinity executor's lane
+	// for non-failover classes (nil = none).
 	kills []string
 	free  [health.NumClasses]uint8
-	stick string
+	stick *lane
+	// next links the attempt into its lane's inbox.
+	next *pendingLaunch
 }
 
 // attemptPool recycles the attempts that concluded their tasks (see
@@ -110,7 +101,7 @@ var attemptPool = sync.Pool{New: func() any { return new(pendingLaunch) }}
 // FutureDone makes the pendingLaunch the DoneHook of its own attempt future:
 // stop the timeout clock, run retry-or-finish handling if the record is still
 // this attempt's generation and the task has not concluded on another path
-// (a dispatch-side failure or a cancellation settles the task first and the
+// (a routing failure or a cancellation settles the task first and the
 // attempt after), drop the attempt's payload reference, and recycle the
 // attempt when it concluded the task and its timer can no longer fire.
 func (pl *pendingLaunch) FutureDone(af *future.Future) {
@@ -167,65 +158,76 @@ func laneLess(a, b *pendingLaunch) bool {
 	return a.wireID < b.wireID
 }
 
-// The dispatch pipeline's queues come in two shapes. The routing queue
-// feeding the dispatcher is a sharded MPSC queue (fair.MPSC) keyed by wire
-// id: submitters touch only their shard's mutex, so parallel submission
-// stops contending on a single queue head, and the single router drains the
-// shards round-robin. Routing is a fast hop with no waiting, so it carries
-// no fairness machinery of its own — the per-executor lanes feeding the lane
-// runners, where tasks actually wait, remain deficit-round-robin weighted
-// fair queues (fair.Queue) keyed by the submitting tenant. A single-tenant
-// program (the default) sees exactly the old behavior: FIFO routing,
-// priority-ordered lanes. With multiple tenants, each lane drains tenants in
-// proportion to their WithTenant weights, so one hot submitter cannot
-// head-of-line-block the others anywhere tasks wait on the client side (the
-// HTEX interchange applies the same discipline past the wire).
+// The dispatch pipeline is one hop: a ready task is routed on the goroutine
+// that made it ready — the submitter for a task with no inputs, the goroutine
+// that completed its last input for a dependent, a timer for a retry after
+// backoff — and pushed into the lane of the executor the scheduler picked.
+// Each lane is a deficit-round-robin weighted fair queue (fair.Queue) keyed
+// by tenant and priority-ordered within it, so one hot submitter cannot
+// head-of-line-block the others on the client side (the HTEX interchange
+// applies the same discipline past the wire).
 //
-// Boundedness invariant: these queues are deliberately UNBOUNDED, and per-
-// tenant volume is bounded elsewhere — by admission at the App.Submit
-// boundary, before a task record exists: always by the tenant's window of
-// ready tasks (see New), and by Config.MaxTasksPerTenant / TenantQuotas when
-// set. The split is what keeps the pipeline deadlock-free:
-// pushes into these queues come from executor completion callbacks
-// (dependency edges fire there, and retries re-enter the routing queue from
-// attempt callbacks), and a bounded queue could deadlock the pipeline when
-// both it and an executor's input queue fill — a worker blocked pushing a
-// dependent launch is a worker that never drains the executor queue the
-// dispatcher is blocked on. Admission, in contrast, parks only the
-// submitting goroutine, which holds no pipeline resources; its gate is
-// released by task-retirement bookkeeping that never passes through it, and
-// launches from dependency callbacks and retries take a window slot without
-// parking. So the lanes cannot deadlock regardless of quota, policy, or
-// executor backpressure (an executor's blocking SubmitInto stalls only its
-// own lane runner), and every task in these queues is a ready one: what the
-// pipeline holds is O(window per tenant) — O(quota) where that is smaller —
-// not O(submissions). Tasks waiting on dependencies sit on their inputs, not
-// here, and are bounded only by what the script keeps submitting. The one
-// exception is an app body that submits into its own DFK: parked at the
+// Boundedness invariant: the lanes are deliberately UNBOUNDED; admission
+// bounds each tenant at App.Submit, before a task record exists, by its
+// window of ready tasks (see New) and any quota. Pushes come from executor
+// completion callbacks (dependency edges, retries), so a bounded lane could
+// deadlock once it and an executor's input queue fill: a worker blocked
+// pushing a dependent never drains the queue the lane runner is blocked on.
+// Admission parks only the submitter, which holds no pipeline resources; its
+// gate is released by retirement bookkeeping that never passes through it,
+// and launches from callbacks take a window slot without parking. So the
+// lanes cannot deadlock (a blocking SubmitInto stalls only its own runner),
+// and hold ready tasks only: O(window per tenant), not O(submissions). The
+// one exception is an app body that submits into its own DFK: parked at the
 // window, it holds a worker until the window drains to half.
 
-// lane is the per-executor leg of the dispatch pipeline: a tenant-fair,
-// priority-ordered queue of routed tasks plus a runner goroutine that
-// submits them in batches. Per-executor lanes keep one backlogged executor
-// (a blocking Submit/SubmitInto into a full input queue) from
-// head-of-line-blocking dispatch to every other executor.
+// lane is the per-executor leg of the dispatch pipeline: a queue of routed
+// tasks plus a runner goroutine that submits them in batches, so one
+// backlogged executor (a blocking SubmitInto into a full input queue) cannot
+// hold up dispatch to the others. A lane is also its executor as the
+// scheduler sees it: route offers Pick lanes, whose Load counts the tasks
+// routed but not yet submitted, so a pick is its own lane, found without a
+// lookup.
 type lane struct {
-	ex executor.Executor
+	// The fields routing touches come first, so a pick and a push read and
+	// write few cache lines. queued counts tasks routed here but not yet
+	// submitted, load the executor cannot see yet: routing raises it at once,
+	// the runner lowers it once it has submitted them. breaker is nil unless
+	// the health plane is on.
+	queued  atomic.Int64
+	d       *DFK
+	breaker *health.Breaker
+	label   string
+	// inbox holds attempts pushed while the runner is parked, newest first,
+	// linked by next: such a push is one compare-and-swap. A push that finds
+	// the runner awake goes into queue, so queue shows what waits while the
+	// runner is inside the executor. wake holds at most one token for the
+	// parked runner; Shutdown closes done.
+	inbox  atomic.Pointer[pendingLaunch]
+	parked atomic.Bool
+	wake   chan struct{}
+	done   chan struct{}
+	queue  *fair.Queue[*pendingLaunch]
+
+	executor.Executor
+	// probe reads the executor's own load signals, bound once.
+	probe sched.Probe
+	// one is the lane alone as a candidate set, for a task pinned to it.
+	one []executor.Executor
 	// Exactly one is set (newLane): into settles the attempts' own futures;
 	// submit returns the executor's, and the runner relays each into its attempt.
 	into   executor.IntoSubmitter
 	submit func([]serialize.TaskMsg) []*future.Future
-	queue  *fair.Queue[*pendingLaunch]
-	// queued counts tasks routed to this lane but not yet submitted — load
-	// the executor's own Outstanding cannot see yet. DFK.freeze adds it to
-	// the sampled load the router and Loads report.
-	queued atomic.Int64
 }
 
-// newLane builds ex's lane, resolving once how its runner submits. An executor
-// with neither batch interface gets one Submit per task behind the batch shape.
-func newLane(ex executor.Executor) *lane {
-	l := &lane{ex: ex, queue: fair.NewQueue(laneLess)}
+// newLane builds d's lane for ex, resolving once how its runner submits (one
+// Submit per task for an executor with neither batch interface).
+func newLane(d *DFK, ex executor.Executor) *lane {
+	l := &lane{
+		Executor: ex, probe: sched.NewProbe(ex), d: d, label: ex.Label(),
+		wake: make(chan struct{}, 1), done: make(chan struct{}), queue: fair.NewQueue(laneLess),
+	}
+	l.one = []executor.Executor{l}
 	if into, ok := ex.(executor.IntoSubmitter); ok {
 		l.into = into
 	} else if bs, ok := ex.(executor.BatchSubmitter); ok {
@@ -242,50 +244,151 @@ func newLane(ex executor.Executor) *lane {
 	return l
 }
 
-// dispatcher is the DFK's routing pump: it drains ready tasks from the
-// sharded routing queue and asks the scheduler for a target executor per
-// task; the target's lane runner does the actual submission. Replaces the
-// seed's inline launch-on-the-callback-goroutine path.
-func (d *DFK) dispatcher() {
-	defer d.dispatchWG.Done()
-	route := d.newRouter()
+// Load is the executor's load as a scheduler reads it (sched.LoadOf): its
+// own signals, with the lane's backlog added to Outstanding.
+func (l *lane) Load() sched.Load {
+	ld := l.probe.Load()
+	ld.Outstanding += int(l.queued.Load())
+	return ld
+}
+
+// push hands an armed attempt to the runner: into the inbox while it is
+// parked, waking it if the inbox was empty, else into queue, waking it only
+// if it parked meanwhile. The runner sets parked before it looks at queue a
+// last time and push fills queue before it looks at parked, so one of the two
+// sees the other.
+func (l *lane) push(pl *pendingLaunch) {
+	if !l.parked.Load() {
+		l.queue.Push(pl.tenant, pl.weight, pl)
+		if l.parked.Load() {
+			l.signal()
+		}
+		return
+	}
 	for {
-		batch, ok := d.queue.Take(d.batchMax)
-		if !ok {
+		old := l.inbox.Load()
+		pl.next = old
+		if l.inbox.CompareAndSwap(old, pl) {
+			if old == nil {
+				l.signal()
+			}
 			return
 		}
-		route.reset()
-		for _, pl := range batch {
-			// A dropped entry gives back the executor-leg payload reference it
-			// carries. Dropped here: the attempt already concluded, or the task
-			// did and its record was recycled while the entry sat in the queue.
-			if pl.attempt.Done() || !pl.rec.Enter(pl.gen) {
-				pl.payload.Release()
-				continue
-			}
-			ex, err := route.pick(pl)
-			if err != nil {
-				// Every admissible breaker open: park, don't fail — the attempt
-				// concludes with the overload error; attemptDone classifies it
-				// and re-enters dispatch after backoff with a fresh timeout
-				// clock. Anything else fails the task first, then completes the
-				// attempt: the done hook stops the timeout timer and sees a
-				// concluded task.
-				if !errors.Is(err, health.ErrNoHealthyExecutor) {
-					d.failTask(pl.rec, err)
-				}
-				pl.rec.Exit()
-				_ = pl.attempt.SetError(err)
-				pl.payload.Release()
-				continue
-			}
-			pl.rec.Route(ex.Label())
-			l := d.lanes[ex.Label()]
-			l.queued.Add(1)
-			l.queue.Push(pl.tenant, pl.weight, pl)
-		}
-		d.queue.PutBatch(batch)
 	}
+}
+
+// signal leaves the parked runner a wake-up token, unless one is waiting.
+func (l *lane) signal() {
+	select {
+	case l.wake <- struct{}{}:
+	default:
+	}
+}
+
+// drainInbox moves the inbox into queue, oldest first. Runner only: a drain
+// elsewhere could take the attempts a wake-up token announced after the
+// runner spent that token, and leave them in queue while it sleeps.
+func (l *lane) drainInbox() {
+	if l.inbox.Load() == nil {
+		return
+	}
+	var oldest *pendingLaunch
+	for pl := l.inbox.Swap(nil); pl != nil; {
+		next := pl.next
+		pl.next, oldest = oldest, pl
+		pl = next
+	}
+	for pl := oldest; pl != nil; {
+		next := pl.next
+		pl.next = nil
+		l.queue.Push(pl.tenant, pl.weight, pl)
+		pl = next
+	}
+}
+
+// take returns up to max attempts in fair, priority order, parking while
+// there are none; ok is false once Shutdown closed the lane and it is empty.
+// Runner only; hand the batch back with queue.PutBatch.
+func (l *lane) take(max int) (batch []*pendingLaunch, ok bool) {
+	for {
+		l.drainInbox()
+		if batch = l.queue.TryTake(max); len(batch) > 0 {
+			return batch, true
+		}
+		l.parked.Store(true)
+		if l.queue.Len() == 0 && l.inbox.Load() == nil {
+			select {
+			case <-l.wake:
+			case <-l.done:
+				l.drainInbox()
+				l.queue.Close()
+				return l.queue.Take(max)
+			}
+		}
+		l.parked.Store(false)
+	}
+}
+
+// route picks the lane for one attempt, on the calling goroutine. Hints
+// narrow the candidates to the lanes they name; with the health plane on, a
+// retry with stick affinity prefers the lane it failed on while that breaker
+// admits, and lanes whose breakers reject work are filtered out: an all-open
+// set yields ErrNoHealthyExecutor (an overload the attempt parks on) unless
+// the task is pinned and PinnedFailFast fails it. The scheduler chooses among
+// the rest, reading live load; a sched.DigestPicker also sees the task's
+// input digest. A pick allocates nothing unless a task names several
+// executors or a breaker rejects one.
+func (d *DFK) route(pl *pendingLaunch) (*lane, error) {
+	candidates := d.views
+	hints := pl.rec.Hints
+	switch {
+	case len(hints) > 0:
+		candidates = nil
+		for _, h := range hints {
+			l, ok := d.lanes[h]
+			if !ok {
+				return nil, fmt.Errorf("dfk: hinted executor %q not configured", h)
+			}
+			if len(hints) == 1 {
+				candidates = l.one
+			} else {
+				candidates = append(candidates, l)
+			}
+		}
+	case pl.stick != nil && pl.stick.breaker.Routable():
+		candidates = pl.stick.one
+	}
+	if d.hp != nil {
+		filtered, ok := filterRoutable(candidates)
+		if !ok {
+			if len(hints) > 0 && d.hp.pinnedFailFast {
+				// Deliberately does not wrap ErrNoHealthyExecutor: this is a
+				// permanent failure, not a parkable overload.
+				return nil, fmt.Errorf("dfk: pinned executor %q circuit open (fail-fast)", hints[0])
+			}
+			return nil, health.ErrNoHealthyExecutor
+		}
+		candidates = filtered
+	}
+	var ex executor.Executor
+	var err error
+	if d.digestPicker != nil {
+		ex, err = d.digestPicker.PickDigest(candidates, pl.digest)
+	} else {
+		ex, err = d.schedr.Pick(candidates)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("dfk: %w", err)
+	}
+	if l, ok := ex.(*lane); ok && l.d == d {
+		return l, nil
+	}
+	// A user-supplied scheduler may hand back an executor rather than the
+	// lane it was offered; one outside the configured set fails the task.
+	if l, ok := d.lanes[ex.Label()]; ok {
+		return l, nil
+	}
+	return nil, fmt.Errorf("dfk: scheduler %q picked unknown executor %q", d.schedr.Name(), ex.Label())
 }
 
 // laneRunner drains one executor's lane, submitting each drained batch into the
@@ -301,24 +404,24 @@ func (d *DFK) laneRunner(l *lane) {
 	var futs []*future.Future
 	var launchKeys []int64
 	for {
-		batch, ok := l.queue.Take(d.batchMax)
+		batch, ok := l.take(d.batchMax)
 		if !ok {
 			return
 		}
 		// Chaos: a delayed drain models a stalled lane runner — queued tasks
 		// keep aging against their attempt timers, which is the contract
-		// enqueueAttempt promises (the clock runs while they queue).
-		chaos.Sleep(chaos.PointLaneDelay, l.ex.Label())
+		// armAttempt promises (the clock runs while they queue).
+		chaos.Sleep(chaos.PointLaneDelay, l.label)
 		msgs = msgs[:0]
 		live = live[:0]
 		futs = futs[:0]
 		launchKeys = launchKeys[:0]
 		for _, pl := range batch {
 			// Every entry arrives carrying the executor-leg payload reference
-			// (enqueueAttempt); an entry dropped below gives it back.
+			// (armAttempt); an entry dropped below gives it back.
 			if pl.attempt.Done() {
 				// The attempt timed out (or was canceled) while queued; its
-				// retry (if any) is a separate queue entry. Best-effort skip —
+				// retry (if any) is a separate lane entry. Best-effort skip —
 				// if the timer wins the race after this check, the stale
 				// attempt is still submitted as a ghost: its remote result
 				// reconciles by wire id, the executor's write into the
@@ -330,7 +433,7 @@ func (d *DFK) laneRunner(l *lane) {
 			// Chaos: an injected submission failure concludes this attempt
 			// before it crosses the executor boundary; attemptDone retries it
 			// through the scheduler exactly as a real submit error would.
-			if err := chaos.Fail(chaos.PointSubmitFail, l.ex.Label()); err != nil {
+			if err := chaos.Fail(chaos.PointSubmitFail, l.label); err != nil {
 				_ = pl.attempt.SetError(err)
 				pl.payload.Release()
 				continue
@@ -346,7 +449,7 @@ func (d *DFK) laneRunner(l *lane) {
 				pl.payload.Release()
 				continue
 			}
-			d.emitState(pl.id, pl.app.name, pl.tenant, from, task.Launched, l.ex.Label())
+			d.emitState(pl.id, pl.app.name, pl.tenant, from, task.Launched, l.label)
 			// First launch crossing the executor boundary: charge the durable
 			// attempt budget (batched below, one log acquisition per drain).
 			// Later attempts were already charged by their Retry records, and
@@ -399,41 +502,61 @@ func (d *DFK) laneRunner(l *lane) {
 	}
 }
 
-// enqueueAttempt arms one execution attempt — its outcome future, the
-// timeout timer against it, and the retry-or-finish hook — and hands it to
-// the routing queue, reporting false (with the attempt's payload reference
-// dropped) when the task already concluded and nothing was enqueued. The
-// caller holds pl.rec. Arming the timer here, not after submission, is what
-// makes the timeout contract hold for tasks stuck behind a backlogged lane:
-// the clock runs while they queue. The per-call WithTimeout/WithDeadline
-// options override Config.TaskTimeout; a deadline bounds each attempt by the
-// wall-clock time remaining.
-func (d *DFK) enqueueAttempt(pl *pendingLaunch) bool {
-	if !pl.rec.Arm(pl.payload, pl.walKey, &pl.attempt, pl.wireID) {
-		pl.payload.Release()
-		return false
-	}
+// armAttempt routes one attempt on the calling goroutine and arms it: the
+// executor (the record's Arm stores it), the outcome future, the timeout timer
+// and the retry-or-finish hook. It returns the lane to push the attempt onto,
+// or nil: ok false when the task had already concluded (nothing armed, the
+// attempt's payload reference dropped), true when the attempt settled here
+// (deadline passed, no executor). The caller holds pl.rec. The timer starts
+// here, so a task stuck behind a backlogged lane times out on schedule;
+// WithTimeout/WithDeadline override Config.TaskTimeout, a deadline bounding
+// each attempt by the time remaining.
+func (d *DFK) armAttempt(pl *pendingLaunch) (l *lane, ok bool) {
 	dur := d.cfg.TaskTimeout
 	if t := pl.rec.Timeout; t > 0 {
 		dur = t
 	}
+	var err error
 	if dl := pl.rec.Deadline; !dl.IsZero() {
-		rem := time.Until(dl)
-		if rem <= 0 {
-			// The deadline has already passed — first attempts and retries
-			// alike fail here, synchronously, rather than racing a zero
-			// timer against dispatch (a fast executor could otherwise
-			// complete work past its deadline). failTask before settling
-			// the attempt keeps its completion stage from retrying.
-			err := fmt.Errorf("%w: deadline %v already passed", ErrTimeout, dl.Format(time.RFC3339Nano))
-			d.failTask(pl.rec, err)
-			pl.attempt.SetDoneHook(pl)
-			_ = pl.attempt.SetError(err)
-			return true
-		}
-		if dur <= 0 || rem < dur {
+		if rem := time.Until(dl); rem <= 0 {
+			// First attempts and retries alike fail here, synchronously,
+			// rather than racing a zero timer against dispatch (a fast
+			// executor could otherwise complete work past its deadline).
+			err = fmt.Errorf("%w: deadline %v already passed", ErrTimeout, dl.Format(time.RFC3339Nano))
+		} else if dur <= 0 || rem < dur {
 			dur = rem
 		}
+	}
+	label := ""
+	if err == nil {
+		if l, err = d.route(pl); l != nil {
+			// Counted at once, so the next pick sees this one's load.
+			l.queued.Add(1)
+			label = l.label
+		}
+	}
+	if !pl.rec.Arm(pl.payload, pl.walKey, &pl.attempt, pl.wireID, label) {
+		if l != nil {
+			l.queued.Add(-1)
+		}
+		pl.payload.Release()
+		return nil, false
+	}
+	if err != nil {
+		// Every admissible breaker open: park, don't fail — the attempt
+		// concludes with the overload error, and attemptDone classifies it
+		// and routes it again after backoff, never on this stack (see
+		// attemptFailed). Anything else fails the task first, then completes
+		// the attempt, whose done hook sees a concluded task.
+		if !errors.Is(err, health.ErrNoHealthyExecutor) {
+			d.failTask(pl.rec, err)
+		}
+		pl.attempt.SetDoneHook(pl)
+		_ = pl.attempt.SetError(err)
+		return nil, true
+	}
+	if l.breaker != nil {
+		l.breaker.Acquire()
 	}
 	if dur > 0 {
 		pl.timer = time.AfterFunc(dur, func() {
@@ -443,19 +566,26 @@ func (d *DFK) enqueueAttempt(pl *pendingLaunch) bool {
 	// The executor-leg payload reference is taken before the done hook exists:
 	// from then on a cancellation or the timer can settle the attempt — and
 	// drop the attempt's own reference — at any moment, and the pooled payload
-	// must not be recycled under an entry still travelling the queues.
+	// must not be recycled under an entry still on its way to the lane.
 	pl.payload.Retain()
 	pl.attempt.SetDoneHook(pl)
-	d.queue.Push(pl.wireID, pl)
-	return true
+	return l, true
+}
+
+// enqueueAttempt routes, arms and pushes a retry's attempt (armAttempt). The
+// caller holds pl.rec.
+func (d *DFK) enqueueAttempt(pl *pendingLaunch) {
+	if l, _ := d.armAttempt(pl); l != nil {
+		l.push(pl)
+	}
 }
 
 // attemptDone handles the outcome of one attempt of a task that has not
 // concluded: completion, or retry through the scheduler while budget remains
 // (§4.1: "Parsl is able to retry the task by resubmitting it to an
-// executor"). A retry re-enters the dispatch queue as a fresh attempt, so the
-// scheduler re-picks an executor from current load — a task lost with a dying
-// executor naturally drains toward a healthier one. memoKey and label (the
+// executor"). A retry is routed again as a fresh attempt, so the scheduler
+// re-picks an executor from current load — a task lost with a dying executor
+// naturally drains toward a healthier one. memoKey and label (the
 // executor the attempt was routed to, "" if it never was) come from the
 // Outcome stage, whose hold keeps the record valid throughout even if this
 // call retires it. It reports whether the attempt's result concluded the task.
@@ -493,7 +623,7 @@ func (d *DFK) attemptDone(pl *pendingLaunch, af *future.Future, memoKey, label s
 // the health plane forgives it) and builds the attempt that follows, or fails
 // the task with err and returns nil when no budget — or no legal transition —
 // remains. The new attempt is another object (the old one may still sit in a
-// lane queue and must stay recognizable as dead) with a fresh wire id (the
+// lane and must stay recognizable as dead) with a fresh wire id (the
 // timed-out attempt may still be running remotely under the old one; ids are
 // drawn from the task id sequence, so they never collide with any task's
 // first-attempt id). It reuses the encode-once payload — resubmission costs

@@ -57,23 +57,18 @@ func newHealthPlane(d *DFK, opts *health.Options) *healthPlane {
 			hp.emitTransition(label, from, to)
 		})
 		hp.breakers[label] = b
+		d.lanes[label].breaker = b
 	}
 	return hp
 }
 
-// routable reports whether an executor's breaker currently admits work.
-func (hp *healthPlane) routable(label string) bool {
-	b := hp.breakers[label]
-	return b != nil && b.Routable()
-}
-
-// filterRoutable narrows a candidate set to executors whose breakers admit
-// work. The all-healthy case — the steady state — returns the input slice
-// untouched, so routing allocates nothing until a breaker actually opens.
-// ok is false when no candidate is admissible.
-func (hp *healthPlane) filterRoutable(candidates []executor.Executor) (out []executor.Executor, ok bool) {
+// filterRoutable narrows a candidate set of lanes to those whose breakers
+// admit work. The all-healthy case — the steady state — returns the input
+// slice untouched, so routing allocates nothing until a breaker actually
+// opens. ok is false when no candidate is admissible.
+func filterRoutable(candidates []executor.Executor) (out []executor.Executor, ok bool) {
 	for i, c := range candidates {
-		if hp.routable(c.Label()) {
+		if c.(*lane).breaker.Routable() {
 			if out != nil {
 				out = append(out, c)
 			}
@@ -89,14 +84,6 @@ func (hp *healthPlane) filterRoutable(candidates []executor.Executor) (out []exe
 		return candidates, true
 	}
 	return out, len(out) > 0
-}
-
-// acquire reserves a probe slot on the picked executor (no-op outside
-// half-open).
-func (hp *healthPlane) acquire(label string) {
-	if b := hp.breakers[label]; b != nil {
-		b.Acquire()
-	}
 }
 
 // recordSuccess feeds a completed attempt into its executor's breaker.
@@ -177,14 +164,16 @@ func (hp *healthPlane) attemptFailed(pl *pendingLaunch, label string, err error)
 	}
 	if !pol.Failover && label != "" {
 		// Retry affinity: a non-failover class prefers the executor it failed
-		// on, as long as its breaker keeps admitting (router honors stick).
-		next.stick = label
+		// on, as long as its breaker keeps admitting (route honors stick).
+		next.stick = d.lanes[label]
 	}
 	delay := pol.Delay(hp.seed, pl.id, next.walAttempt)
 	hp.emitBackoff(pl, label, cls, next.walAttempt, delay)
-	if delay <= 0 {
-		// Zero-backoff classes (timeout) re-enter dispatch immediately; the
-		// attempt clock re-arms in enqueueAttempt either way.
+	if delay <= 0 && label != "" {
+		// Zero-backoff classes (timeout) are routed again at once. An attempt
+		// routing could not place (label "") settled inside the routing call,
+		// so routing it again here would nest one call deeper per retry: the
+		// timer routes it from a fresh stack.
 		d.enqueueAttempt(next)
 		return
 	}
@@ -200,9 +189,9 @@ func containsStr(s []string, v string) bool {
 	return false
 }
 
-// schedule parks an attempt until its backoff expires, then re-enters it
-// through the dispatch queue. The attempt's timeout clock starts at the
-// re-launch (enqueueAttempt arms it), not here — backoff time is never
+// schedule parks an attempt until its backoff expires, then routes it on the
+// timer's goroutine. The attempt's timeout clock starts at the re-launch
+// (armAttempt arms it), not here — backoff time is never
 // charged against the attempt. A parked task is not terminal and holds the
 // task waitgroup, so Shutdown outlasts every timer whose task is still live;
 // one whose task concluded meanwhile (cancellation) fires into release's
@@ -211,7 +200,7 @@ func (hp *healthPlane) schedule(pl *pendingLaunch, delay time.Duration) {
 	time.AfterFunc(delay, func() { hp.release(pl) })
 }
 
-// release re-enters one parked attempt, revalidating the record first: the
+// release routes one parked attempt, revalidating the record first: the
 // record may have been recycled while the attempt was parked, or the task may
 // have concluded (cancellation, a racing terminal path), which Arm refuses.
 func (hp *healthPlane) release(pl *pendingLaunch) {
@@ -220,7 +209,7 @@ func (hp *healthPlane) release(pl *pendingLaunch) {
 		pl.payload.Release()
 		return
 	}
-	// Once enqueued, the attempt may conclude its task and be recycled before
+	// Once pushed, the attempt may conclude its task and be recycled before
 	// enqueueAttempt returns, so the hold is dropped through rec, not pl.
 	hp.d.enqueueAttempt(pl)
 	rec.Exit()

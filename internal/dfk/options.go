@@ -45,7 +45,7 @@ func WithDeadline(t time.Time) CallOption {
 }
 
 // WithTimeout bounds each execution attempt by d (measured, like
-// Config.TaskTimeout, from when the ready task enters the dispatch queue),
+// Config.TaskTimeout, from when the ready task is routed),
 // overriding the DFK-wide default for this call only.
 func WithTimeout(d time.Duration) CallOption {
 	return func(o *callOpts) { o.timeout = d }
@@ -66,8 +66,8 @@ func WithMemoKey(key string) CallOption {
 }
 
 // WithTenant attributes this submission to a fair-queuing tenant. Every
-// queue the task waits in — the DFK routing queue, the per-executor lanes,
-// and the HTEX interchange — serves tenants by deficit round robin in
+// queue the task waits in — the per-executor lanes and the HTEX
+// interchange — serves tenants by deficit round robin in
 // proportion to weight, so a backlogged tenant cannot head-of-line-block the
 // others; and when the DFK configures admission quotas
 // (Config.MaxTasksPerTenant / TenantQuotas), the tenant's live tasks are

@@ -172,7 +172,9 @@ func (d *DFK) resume(key int64, info *wal.TaskInfo, rcv *Recovery) {
 		tenant: info.Tenant, weight: info.Weight,
 		walKey: key, walAttempt: attempt,
 	}
-	d.firstAttempt(pl)
+	if l, _ := d.firstAttempt(pl); l != nil {
+		l.push(pl)
+	}
 }
 
 // loggedValue is what a terminal record settles its task's future with.

@@ -400,8 +400,8 @@ func TestTenantStageInBypassesAdmission(t *testing.T) {
 
 // TestTenantBacklogCountsLanes: DFK.TenantBacklog is the client-side
 // per-tenant view, so work routed to a plugged executor's lane shows up under
-// its tenant — not only what sits in the routing queue, which the dispatcher
-// empties every cycle — and the view empties once the lane drains.
+// its tenant while the lane runner is parked in the executor — and the view
+// empties once the lane drains.
 func TestTenantBacklogCountsLanes(t *testing.T) {
 	ge := newGateExec("gate")
 	d, err := New(Config{Executors: []executor.Executor{ge}})
@@ -424,7 +424,7 @@ func TestTenantBacklogCountsLanes(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		futs = append(futs, app.Submit(ctx, nil, WithTenant("b", 1)))
 	}
-	// All five routed past the routing queue and sitting in the lane.
+	// All five routed on their submitter and sitting in the lane.
 	waitFor(t, func() bool { return d.lanes["gate"].queue.Len() == 5 })
 	if got, want := d.TenantBacklog(), map[string]int{"a": 3, "b": 2}; !maps.Equal(got, want) {
 		t.Fatalf("TenantBacklog = %v, want %v", got, want)

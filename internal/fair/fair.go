@@ -22,7 +22,7 @@
 // boundedness comes from admission at the submission boundary, where blocking
 // is safe), and Admission.Release never blocks.
 //
-// The queues (Queue, and the routing stage's MPSC) allocate nothing per task
+// The queues (Queue and MPSC) allocate nothing per task
 // once warm, even when they drain to empty after every task: a Queue keeps a
 // few emptied tenant flows and drained batches for reuse, and MPSC keeps its
 // consumer's batches. Every such list has a constant bound, so a stream of
@@ -73,8 +73,8 @@ func (f *flow[T]) len() int { return len(f.items) - f.head }
 // push keeps the live segment ordered by insertion: the newcomer goes after
 // every entry that does not sort strictly after it, so equal entries keep
 // arrival order. Arrivals are nearly ordered (a lane receives wire ids a few
-// positions out of order, from the sharded routing queue), so the walk from
-// the tail is a step or two and an in-order workload takes none.
+// positions out of order, from the goroutines that route to it), so the walk
+// from the tail is a step or two and an in-order workload takes none.
 func (f *flow[T]) push(item T, less func(a, b T) bool) {
 	n := len(f.items)
 	f.items = append(f.items, item)

@@ -5,39 +5,26 @@ import (
 	"sync/atomic"
 )
 
-// mpscShards is the shard count of an MPSC queue: a power of two matching
-// the task graph's shard count, so a graph shard maps to a dispatch lane
-// 1:1. Dense wire ids spread uniformly across shards by masking.
+// mpscShards is the shard count of an MPSC queue, a power of two: dense keys
+// spread uniformly across shards by masking.
 const mpscShards = 32
 
-// MPSC is a sharded multi-producer single-consumer queue: the routing stage
-// of the dispatch pipeline. Submitting goroutines push into the shard named
-// by their item's key (graph-shard of the wire id), touching only that
-// shard's mutex, so parallel submitters no longer contend on one queue head;
-// the single router goroutine sweeps the shards round-robin.
+// MPSC is a sharded multi-producer single-consumer queue: producers push
+// into the shard named by their item's key, touching only that shard's
+// mutex, so parallel producers do not contend on one queue head; the single
+// consumer sweeps the shards round-robin. The DFK does not use it (a ready
+// task is routed on the goroutine that made it ready); the benchmark times
+// it as fair.mpsc_push_take_ns.
 //
-// Compared to Queue (the DRR fair queue), MPSC deliberately does NOT
-// schedule between tenants: routing is a fast, short hop, and waiting — the
-// place where fairness matters — happens at the per-executor lanes, which
-// remain DRR Queues. MPSC keeps per-tenant occupancy observable (PerTenant)
-// so admission backlog accounting is unchanged.
-//
-// The boundedness contract matches the routing Queue it replaces: Push never
-// blocks and never fails (it must be callable from future callbacks, which
-// may not stall the completing goroutine); total occupancy is bounded
-// externally by the DFK's admission controller.
+// Push never blocks and never fails; the consumer's Take blocks while the
+// queue is empty.
 type MPSC[T any] struct {
-	// tenantOf extracts the fairness tenant from an item, for PerTenant.
-	tenantOf func(T) string
-
-	size   atomic.Int64
-	closed atomic.Bool
+	size atomic.Int64
 
 	// notify holds at most one wake-up token for the consumer; producers
 	// send non-blocking after publishing, so a sleeping consumer always
 	// finds either the token or a non-zero size.
-	notify   chan struct{}
-	closedCh chan struct{}
+	notify chan struct{}
 
 	// cursor and free are consumer-owned: the shard the next sweep starts
 	// from, and up to maxFreeBatches batches handed back by PutBatch.
@@ -55,23 +42,15 @@ type mpscShard[T any] struct {
 	_     [40]byte
 }
 
-// NewMPSC returns an empty queue. tenantOf maps an item to its fairness
-// tenant (used only for occupancy reporting).
-func NewMPSC[T any](tenantOf func(T) string) *MPSC[T] {
-	return &MPSC[T]{
-		tenantOf: tenantOf,
-		notify:   make(chan struct{}, 1),
-		closedCh: make(chan struct{}),
-	}
+// NewMPSC returns an empty queue. Its argument, an item's tenant, is unused:
+// the queue reports no per-tenant occupancy.
+func NewMPSC[T any](func(T) string) *MPSC[T] {
+	return &MPSC[T]{notify: make(chan struct{}, 1)}
 }
 
 // Push enqueues item on the shard selected by key. It never blocks: the
-// shard lock is held only for an append. Pushes after Close are dropped
-// (the pipeline is shutting down; admission has already stopped admitting).
+// shard lock is held only for an append.
 func (m *MPSC[T]) Push(key int64, item T) {
-	if m.closed.Load() {
-		return
-	}
 	s := &m.shards[uint64(key)&(mpscShards-1)]
 	s.mu.Lock()
 	s.items = append(s.items, item)
@@ -85,9 +64,9 @@ func (m *MPSC[T]) Push(key int64, item T) {
 	}
 }
 
-// Take returns a batch of up to max items, blocking while the queue is open
-// and empty. It returns ok=false only when the queue is closed and fully
-// drained. Single consumer only. Return exhausted batches with PutBatch.
+// Take returns a batch of up to max items, blocking while the queue is
+// empty; ok is always true. Single consumer only. Return exhausted batches
+// with PutBatch.
 func (m *MPSC[T]) Take(max int) ([]T, bool) {
 	if max <= 0 {
 		max = batchCap
@@ -98,17 +77,7 @@ func (m *MPSC[T]) Take(max int) ([]T, bool) {
 				return batch, true
 			}
 		}
-		if m.closed.Load() && m.size.Load() == 0 {
-			return nil, false
-		}
-		select {
-		case <-m.notify:
-		case <-m.closedCh:
-			// Re-check: drain whatever remains, then report closed.
-			if m.size.Load() == 0 {
-				return nil, false
-			}
-		}
+		<-m.notify
 	}
 }
 
@@ -185,27 +154,5 @@ func (m *MPSC[T]) PutBatch(batch []T) {
 	clear(batch)
 	if len(m.free) < maxFreeBatches {
 		m.free = append(m.free, batch[:0])
-	}
-}
-
-// PerTenant returns current queue occupancy per tenant.
-func (m *MPSC[T]) PerTenant() map[string]int {
-	out := make(map[string]int)
-	for i := range m.shards {
-		s := &m.shards[i]
-		s.mu.Lock()
-		for _, it := range s.items {
-			out[m.tenantOf(it)]++
-		}
-		s.mu.Unlock()
-	}
-	return out
-}
-
-// Close marks the queue closed. The consumer drains remaining items and
-// then Take reports ok=false; subsequent pushes are dropped.
-func (m *MPSC[T]) Close() {
-	if m.closed.CompareAndSwap(false, true) {
-		close(m.closedCh)
 	}
 }

@@ -3,6 +3,7 @@ package health
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -70,7 +71,9 @@ func (c *BreakerConfig) normalize() {
 // Routing consults Routable (non-mutating except for open→half-open expiry),
 // reserves a probe slot with Acquire on the executor it actually picked, and
 // reports each attempt outcome with Record. All methods are safe for
-// concurrent use.
+// concurrent use. Routing runs on whichever goroutine makes a task ready, so
+// the closed state — the steady one — costs it one atomic load: Routable
+// admits and Acquire returns without taking the lock.
 type Breaker struct {
 	cfg BreakerConfig
 	// now is the clock, injectable so state-machine tests need no sleeping.
@@ -80,8 +83,11 @@ type Breaker struct {
 	// are possible and harmless — the State accessor is authoritative.
 	onTransition func(from, to BreakerState)
 
+	// state is the breaker's position, written under mu at every transition
+	// and read without it.
+	state atomic.Uint32
+
 	mu       sync.Mutex
-	state    BreakerState
 	ring     []bool // true = failure; rolling window of recent outcomes
 	ringLen  int    // outcomes currently held (≤ cap)
 	ringPos  int    // next write position
@@ -103,23 +109,29 @@ func NewBreaker(cfg BreakerConfig) *Breaker {
 func (b *Breaker) SetTransitionHook(fn func(from, to BreakerState)) { b.onTransition = fn }
 
 // State reports the current position without evaluating open-window expiry.
-func (b *Breaker) State() BreakerState {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.state
+func (b *Breaker) State() BreakerState { return BreakerState(b.state.Load()) }
+
+// setLocked moves the breaker to s, recording the transition for the hook.
+// The caller holds mu.
+func (b *Breaker) setLocked(s BreakerState) {
+	b.pending = pendingTransition{fired: true, from: b.State(), to: s}
+	b.state.Store(uint32(s))
 }
 
 // Routable reports whether routing may consider this executor right now.
-// An expired open window transitions to half-open here — routing is the
-// natural evaluation point — and half-open admits only while probe slots
-// remain unreserved.
+// Closed admits without the lock. An expired open window transitions to
+// half-open here — routing is the natural evaluation point — and half-open
+// admits only while probe slots remain unreserved.
 func (b *Breaker) Routable() bool {
+	if b.State() == BreakerClosed {
+		return true
+	}
 	b.mu.Lock()
-	if b.state == BreakerOpen && b.now().Sub(b.openedAt) >= b.cfg.OpenFor {
+	if b.State() == BreakerOpen && b.now().Sub(b.openedAt) >= b.cfg.OpenFor {
 		b.toHalfOpenLocked()
 	}
 	var ok bool
-	switch b.state {
+	switch b.State() {
 	case BreakerClosed:
 		ok = true
 	case BreakerHalfOpen:
@@ -134,10 +146,14 @@ func (b *Breaker) Routable() bool {
 }
 
 // Acquire reserves a probe slot after routing picked this executor. A no-op
-// outside half-open; the slot is released by the probe's Record.
+// outside half-open, decided without the lock; the slot is released by the
+// probe's Record.
 func (b *Breaker) Acquire() {
+	if b.State() != BreakerHalfOpen {
+		return
+	}
 	b.mu.Lock()
-	if b.state == BreakerHalfOpen && b.probes < b.cfg.HalfOpenProbes {
+	if b.State() == BreakerHalfOpen && b.probes < b.cfg.HalfOpenProbes {
 		b.probes++
 	}
 	b.mu.Unlock()
@@ -151,7 +167,7 @@ func (b *Breaker) Acquire() {
 // new information and are dropped.
 func (b *Breaker) Record(ok bool) {
 	b.mu.Lock()
-	switch b.state {
+	switch b.State() {
 	case BreakerClosed:
 		b.pushLocked(!ok)
 		if b.ringLen >= b.cfg.MinSamples &&
@@ -210,21 +226,18 @@ func (b *Breaker) takeTransitionLocked() (func(from, to BreakerState), BreakerSt
 }
 
 func (b *Breaker) openLocked() {
-	b.pending = pendingTransition{fired: true, from: b.state, to: BreakerOpen}
-	b.state = BreakerOpen
 	b.openedAt = b.now()
 	b.probes = 0
+	b.setLocked(BreakerOpen)
 }
 
 func (b *Breaker) toHalfOpenLocked() {
-	b.pending = pendingTransition{fired: true, from: b.state, to: BreakerHalfOpen}
-	b.state = BreakerHalfOpen
 	b.probes = 0
+	b.setLocked(BreakerHalfOpen)
 }
 
 func (b *Breaker) closeLocked() {
-	b.pending = pendingTransition{fired: true, from: b.state, to: BreakerClosed}
-	b.state = BreakerClosed
+	b.setLocked(BreakerClosed)
 	for i := range b.ring {
 		b.ring[i] = false
 	}

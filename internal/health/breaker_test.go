@@ -1,7 +1,9 @@
 package health
 
 import (
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -198,5 +200,87 @@ func TestBreakerNormalizeDefaults(t *testing.T) {
 	b2 := NewBreaker(BreakerConfig{Window: 4, MinSamples: 100})
 	if b2.cfg.MinSamples != 4 {
 		t.Fatalf("MinSamples not clamped to Window: %d", b2.cfg.MinSamples)
+	}
+}
+
+// TestBreakerConcurrentCycles drives a breaker through open → half-open →
+// closed cycles while Record(false), Routable and Acquire run on other
+// goroutines; run it under -race. The clock moves only when the test moves
+// it, so a breaker that State() has read open, and that opened less than
+// OpenFor before the clock's reading, cannot half-open until the clock moves
+// again: until then Routable must refuse it, its closed-state fast path
+// included. Reserved probes never exceed HalfOpenProbes.
+func TestBreakerConcurrentCycles(t *testing.T) {
+	const openFor, maxProbes, cycles = time.Second, 2, 50
+	b := NewBreaker(BreakerConfig{Window: 4, MinSamples: 2, FailureThreshold: 0.5, OpenFor: openFor, HalfOpenProbes: maxProbes})
+	clk := newFakeClock()
+	b.now = clk.Now
+	var closes atomic.Int64
+	b.SetTransitionHook(func(_, to BreakerState) {
+		if to == BreakerClosed {
+			closes.Add(1)
+		}
+	})
+	openedAt := func() time.Time {
+		b.mu.Lock()
+		defer b.mu.Unlock()
+		return b.openedAt
+	}
+	var stop atomic.Bool
+	var admittedOpen, overReserved atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for !stop.Load() {
+			b.Record(false)
+			runtime.Gosched()
+		}
+	}()
+	for range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !stop.Load() {
+				c0 := clk.Now()
+				open := b.State() == BreakerOpen
+				opened := openedAt()
+				ok := b.Routable()
+				if open && ok && clk.Now().Equal(c0) && c0.Sub(opened) < openFor {
+					admittedOpen.Add(1)
+				}
+				if ok {
+					b.Acquire()
+				}
+				b.mu.Lock()
+				if b.probes > maxProbes {
+					overReserved.Add(1)
+				}
+				b.mu.Unlock()
+			}
+		}()
+	}
+	deadline := time.Now().Add(20 * time.Second)
+	for closes.Load() < cycles && time.Now().Before(deadline) {
+		switch b.State() {
+		case BreakerOpen:
+			if clk.Now().Sub(openedAt()) < openFor {
+				clk.Advance(openFor)
+			}
+		case BreakerHalfOpen:
+			b.Record(true)
+		}
+		runtime.Gosched()
+	}
+	stop.Store(true)
+	wg.Wait()
+	if n := closes.Load(); n < cycles {
+		t.Fatalf("%d closed transitions in 20 s, want %d cycles", n, cycles)
+	}
+	if n := admittedOpen.Load(); n > 0 {
+		t.Fatalf("Routable admitted %d times after State() read open, before the breaker could half-open", n)
+	}
+	if n := overReserved.Load(); n > 0 {
+		t.Fatalf("probes exceeded HalfOpenProbes %d times", n)
 	}
 }

@@ -197,8 +197,9 @@ func TestLocalityEmptyCandidates(t *testing.T) {
 }
 
 func TestLocalityThroughFrozenSnapshot(t *testing.T) {
-	// The DFK hands load-aware policies Frozen snapshots, not raw executors;
-	// LoadOf returns the sampled Load, whose digest probe stays live
+	// The DFK hands policies candidates that report their own load, not raw
+	// executors; for a Frozen snapshot LoadOf returns the sampled Load,
+	// whose digest probe stays live
 	// (HasDigest is a bound method, so a holding recorded after Freeze is
 	// still seen).
 	warm := holder("warm", 0, "d1")
@@ -226,9 +227,6 @@ func TestLocalityByName(t *testing.T) {
 	}
 	if s.Name() != "locality" {
 		t.Fatalf("name = %q", s.Name())
-	}
-	if la, ok := s.(LoadAware); !ok || !la.UsesLoad() {
-		t.Fatal("locality must report UsesLoad")
 	}
 	if _, ok := s.(DigestPicker); !ok {
 		t.Fatal("locality must implement DigestPicker")

@@ -6,8 +6,9 @@
 //
 // A Scheduler sees the eligible executors for one ready task (already
 // filtered by the task's execution hints) and picks one. Policies must be
-// safe for concurrent use: the DFK's dispatch pipeline calls Pick from its
-// dispatcher goroutine, and retries may arrive from executor callbacks.
+// safe for concurrent use: the DFK calls Pick on whichever goroutine makes a
+// task ready — the submitter, the goroutine that completed the task's last
+// input, or a retry's timer — so many picks run at once.
 package sched
 
 import (
@@ -31,9 +32,9 @@ type Scheduler interface {
 	// slice. An empty candidate set returns ErrNoExecutors.
 	//
 	// Load-aware policies must read load via LoadOf, not by asserting
-	// candidates to concrete executor types: during batched dispatch the
-	// DFK hands Pick per-cycle snapshot views (Frozen) that expose the
-	// load signals but not the executor's other interfaces (Scalable,
+	// candidates to concrete executor types: the DFK hands Pick views of
+	// its executors that expose the load signals, its own routed backlog
+	// included, but not the executor's other interfaces (Scalable,
 	// BatchSubmitter, ...).
 	Pick(candidates []executor.Executor) (executor.Executor, error)
 }
@@ -74,41 +75,54 @@ type workerCounter interface{ Workers() int }
 // content digest in its interchange's warm-digest record.
 type digestHolder interface{ HoldsDigest(digest string) bool }
 
+// loadReporter is a candidate that reports its own load: the DFK's view of
+// an executor, which adds backlog the executor cannot see yet to its signals.
+type loadReporter interface{ Load() Load }
+
 // LoadOf samples an executor's live load signals. A sharded executor reports
 // one merged view — its client-side outstanding count, and the workers and
 // digest holdings of its live interchange shards — so policies see one
-// logical executor regardless of how many brokers serve it. A Frozen
-// snapshot returns its sampled Load with the routing overlay added to
-// Outstanding.
+// logical executor regardless of how many brokers serve it. A candidate that
+// reports its own load (the DFK's view of an executor and its lane) returns
+// that.
 func LoadOf(ex executor.Executor) Load {
-	if f, ok := ex.(*Frozen); ok {
-		l := f.load
-		l.Outstanding += f.extra
-		return l
+	if r, ok := ex.(loadReporter); ok {
+		return r.Load()
 	}
-	l := Load{Label: ex.Label(), Outstanding: ex.Outstanding()}
-	switch t := ex.(type) {
+	return NewProbe(ex).Load()
+}
+
+// Probe reads one executor's live load signals. Binding the executor's
+// digest probe allocates, so a caller that samples the same executor for
+// every task makes its Probe once; Load then allocates nothing.
+type Probe struct {
+	ex    executor.Executor
+	holds func(digest string) bool
+}
+
+// NewProbe binds ex's load signals.
+func NewProbe(ex executor.Executor) Probe {
+	p := Probe{ex: ex}
+	if dh, ok := ex.(digestHolder); ok {
+		p.holds = dh.HoldsDigest
+	}
+	return p
+}
+
+// Load samples the executor's signals now.
+func (p Probe) Load() Load {
+	l := Load{Label: p.ex.Label(), Outstanding: p.ex.Outstanding(), HasDigest: p.holds}
+	switch t := p.ex.(type) {
 	case executor.Scalable:
 		l.Workers = t.ConnectedWorkers()
 	case workerCounter:
 		l.Workers = t.Workers()
 	}
-	if dh, ok := ex.(digestHolder); ok {
-		l.HasDigest = dh.HoldsDigest
-	}
 	return l
 }
 
-// LoadAware is an optional marker for schedulers whose Pick reads live load
-// signals from its candidates. The DFK takes a per-dispatch-cycle load
-// snapshot (Frozen) only for schedulers that report true — load-blind
-// policies like Random and RoundRobin skip the sampling entirely.
-type LoadAware interface {
-	UsesLoad() bool
-}
-
 // DigestPicker is an optional Scheduler extension for data-aware policies.
-// When a scheduler implements it, the DFK's dispatcher calls PickDigest
+// When a scheduler implements it, the DFK calls PickDigest
 // instead of Pick, passing the ready task's input-content digest (the
 // encode-once Payload.ArgsHash — the same value the interchange records for
 // the tasks each manager returned), so the policy can route the task toward an
@@ -120,32 +134,6 @@ type LoadAware interface {
 type DigestPicker interface {
 	PickDigest(candidates []executor.Executor, digest string) (executor.Executor, error)
 }
-
-// Frozen is a one-shot load snapshot of an executor, taken once per
-// dispatch cycle. Load-aware policies read the sampled Load through LoadOf
-// instead of re-probing the live executor on every pick (probes like ConnectedWorkers
-// take executor-internal locks), and Bump overlays the tasks the
-// dispatcher routes during the cycle — without that overlay every pick in
-// a batch reads the same stale snapshot and the whole batch sloshes onto
-// whichever executor looked idle at cycle start. Not safe for concurrent
-// use; a Frozen belongs to one dispatch cycle on one goroutine.
-type Frozen struct {
-	executor.Executor
-	load  Load
-	extra int
-}
-
-// Freeze samples ex's load once, overlaying extra pre-routed tasks (e.g. a
-// dispatch lane's unsubmitted backlog).
-func Freeze(ex executor.Executor, extra int) *Frozen {
-	return &Frozen{Executor: ex, load: LoadOf(ex), extra: extra}
-}
-
-// Outstanding reports the sampled load plus the routing overlay.
-func (f *Frozen) Outstanding() int { return f.load.Outstanding + f.extra }
-
-// Bump records one task routed to this executor in the current cycle.
-func (f *Frozen) Bump() { f.extra++ }
 
 // Random is the paper-faithful default: uniform among eligible executors
 // ("an executor is picked at random", §4.1). Seedable for deterministic
@@ -169,10 +157,14 @@ func NewRandom(seed int64) *Random {
 // Name implements Scheduler.
 func (r *Random) Name() string { return "random" }
 
-// Pick implements Scheduler.
+// Pick implements Scheduler. A lone candidate is picked without drawing a
+// number.
 func (r *Random) Pick(candidates []executor.Executor) (executor.Executor, error) {
-	if len(candidates) == 0 {
+	switch len(candidates) {
+	case 0:
 		return nil, ErrNoExecutors
+	case 1:
+		return candidates[0], nil
 	}
 	r.mu.Lock()
 	i := r.rng.Intn(len(candidates))
@@ -213,9 +205,6 @@ func NewLeastOutstanding() *LeastOutstanding { return &LeastOutstanding{} }
 
 // Name implements Scheduler.
 func (*LeastOutstanding) Name() string { return "least-outstanding" }
-
-// UsesLoad implements LoadAware.
-func (*LeastOutstanding) UsesLoad() bool { return true }
 
 // Pick implements Scheduler.
 func (*LeastOutstanding) Pick(candidates []executor.Executor) (executor.Executor, error) {
@@ -259,9 +248,6 @@ func NewLocality() *Locality { return &Locality{} }
 
 // Name implements Scheduler.
 func (*Locality) Name() string { return "locality" }
-
-// UsesLoad implements LoadAware.
-func (*Locality) UsesLoad() bool { return true }
 
 // Pick implements Scheduler: without a digest there is no locality signal,
 // so the fallback applies directly.

@@ -162,21 +162,20 @@ func TestByName(t *testing.T) {
 	}
 }
 
-func TestFrozenSnapshotAndBump(t *testing.T) {
+func TestFrozenSnapshot(t *testing.T) {
 	ex := &fakeScalable{fakeExec{label: "x", outstanding: 2, workers: 4}}
 	f := Freeze(ex, 6)
 	l := LoadOf(f)
 	if l.Outstanding != 8 || l.Workers != 4 || l.Label != "x" {
 		t.Fatalf("frozen load = %+v", l)
 	}
-	// The snapshot is immune to live-counter changes but tracks Bump.
+	// The snapshot is immune to live-counter changes.
 	ex.outstanding = 100
-	f.Bump()
-	if got := LoadOf(f).Outstanding; got != 9 {
-		t.Fatalf("after bump, Outstanding = %d, want 9 (snapshot + overlay)", got)
+	if got := LoadOf(f).Outstanding; got != 8 {
+		t.Fatalf("after a live change, Outstanding = %d, want 8 (snapshot + overlay)", got)
 	}
 	// The overlay steers LeastOutstanding away from an executor that looks
-	// idle but has a cycle's worth of assignments en route.
+	// idle but has routed work en route.
 	idle := &fakeExec{label: "idle"}
 	picked, err := NewLeastOutstanding().Pick(execs(Freeze(idle, 50), &fakeExec{label: "other", outstanding: 1}))
 	if err != nil {

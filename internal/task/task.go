@@ -106,8 +106,8 @@ type Options struct {
 
 // Record is a node in the task graph. Identity fields and Options are set at
 // creation and immutable; fields under mu are mutated by the DFK as execution
-// progresses, one critical section per lifecycle stage: Create, Arm, Route,
-// Launch, Outcome, Finish, Retire/Exit.
+// progresses, one critical section per lifecycle stage: Create, Arm, Launch,
+// Outcome, Finish, Retire/Exit.
 type Record struct {
 	ID      int64
 	AppName string
@@ -383,13 +383,14 @@ func (r *Record) Watch(stop func() bool) bool {
 // Arm installs an execution attempt: the encode-once payload and the durable
 // log key (both the same for every attempt of a task; the record takes over
 // the caller's payload reference on the first Arm), and this attempt's outcome
-// future and wire id. It refuses a terminal record — the task was concluded
-// (canceled, typically) before the attempt could start — and the caller then
-// must not enqueue the attempt and keeps its payload reference. The first Arm
-// takes the task's window slot on its Gate, in the same critical section
-// Finish reads the payload in, so the slot is released exactly when it was
-// taken (Final.Payload is non-nil).
-func (r *Record) Arm(p *serialize.Payload, walKey int64, af *future.Future, wireID int64) bool {
+// future, wire id and the executor it was routed to ("" when routing found
+// none). It refuses a terminal record — the task was concluded (canceled,
+// typically) before the attempt could start — and the caller then must not
+// enqueue the attempt and keeps its payload reference. The first Arm takes the
+// task's window slot on its Gate, in the same critical section Finish reads
+// the payload in, so the slot is released exactly when it was taken
+// (Final.Payload is non-nil).
+func (r *Record) Arm(p *serialize.Payload, walKey int64, af *future.Future, wireID int64, executor string) bool {
 	r.mu.Lock()
 	ok := !r.state.Terminal()
 	if ok {
@@ -397,17 +398,10 @@ func (r *Record) Arm(p *serialize.Payload, walKey int64, af *future.Future, wire
 			r.Gate.Ready()
 		}
 		r.payload, r.walKey, r.attemptFut, r.attemptWire = p, walKey, af, wireID
+		r.executor = executor
 	}
 	r.mu.Unlock()
 	return ok
-}
-
-// Route records the executor the scheduler picked and drops the router's hold
-// (taken with Enter) in the same critical section.
-func (r *Record) Route(label string) {
-	r.mu.Lock()
-	r.executor = label
-	r.exitLocked()
 }
 
 // Launch is the lane runner's stage: it validates the generation stamp and
@@ -433,7 +427,7 @@ func (r *Record) Launch(gen uint32) (from State, ok bool, err error) {
 // generation stamp, takes a hold (drop it with Exit) and reads, in the same
 // critical section, what attempt handling decides from — whether the task
 // already concluded on another path, its memoization key, and the executor
-// the attempt was routed to.
+// the attempt was routed to (Arm's).
 func (r *Record) Outcome(gen uint32) (terminal bool, memoKey, executor string, ok bool) {
 	r.mu.Lock()
 	if r.gen != gen {

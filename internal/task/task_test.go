@@ -198,7 +198,10 @@ func TestDepDoneStaleGeneration(t *testing.T) {
 
 func TestAccessors(t *testing.T) {
 	r, _ := Create(5, "app", nil, Options{})
-	r.Route("htex") // drops the creator's hold
+	if !r.Arm(nil, 0, nil, 0, "htex") {
+		t.Fatal("Arm refused a live record")
+	}
+	r.Exit() // drops the creator's hold
 	if _, _, ex := r.Attempt(); ex != "htex" {
 		t.Fatal("executor lost")
 	}
@@ -385,13 +388,13 @@ func TestLifecycleStages(t *testing.T) {
 	}
 	defer payload.Release()
 	af := future.New()
-	if !r.Arm(payload, 9, af, 7) {
+	if !r.Arm(payload, 9, af, 7, "tp") {
 		t.Fatal("Arm refused a live record")
 	}
 	if !r.Enter(gen) {
 		t.Fatal("Enter refused the live generation")
 	}
-	r.Route("tp") // drops the router's hold; the creator's remains
+	r.Exit() // drops that hold; the creator's remains
 	if gotAf, wire, label := r.Attempt(); gotAf != af || wire != 7 || label != "tp" {
 		t.Fatalf("Attempt = %v, %d, %q", gotAf, wire, label)
 	}
@@ -420,7 +423,7 @@ func TestLifecycleStages(t *testing.T) {
 	if _, ok := r.Finish(Pending); ok {
 		t.Fatal("Finish accepted a non-terminal state")
 	}
-	if r.Arm(payload, 9, future.New(), 8) || r.Watch(stop) {
+	if r.Arm(payload, 9, future.New(), 8, "tp") || r.Watch(stop) {
 		t.Fatal("Arm or Watch accepted a terminal record")
 	}
 	if _, ok := r.Retry(false); ok {

@@ -9,6 +9,9 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/executor"
+	"repro/internal/executor/threadpool"
+	"repro/internal/serialize"
 )
 
 // The module is named "repro"; alias the root package to parsl for
@@ -206,27 +209,63 @@ func TestVersionString(t *testing.T) {
 // -race: there sync.Pool drops a quarter of what it is handed and the count
 // follows the core count.
 func TestSubmissionAllocationCeiling(t *testing.T) {
-	const ceiling = 2.7
 	for _, arm := range walArms {
 		t.Run(arm.name, func(t *testing.T) {
-			noop := submissionApp(t, arm.walOn)
-			submitAndWait(t, noop, 2000) // warm the record, batch and buffer pools
-			const rounds, perRound = 100, 200
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			for r := 0; r < rounds; r++ {
-				submitAndWait(t, noop, perRound)
-			}
-			runtime.ReadMemStats(&after)
-			perTask := float64(after.Mallocs-before.Mallocs) / (rounds * perRound)
-			t.Logf("%.2f allocations per submitted task", perTask)
-			if raceDetector() {
-				t.Skip("allocation counts under -race measure the detector's sync.Pool, not the submit path")
-			}
-			if perTask > ceiling {
-				t.Fatalf("%.2f allocations per submitted task, ceiling %.1f", perTask, ceiling)
-			}
+			checkSubmissionAllocations(t, submissionApp(t, arm.walOn))
 		})
+	}
+}
+
+// TestSubmissionAllocationCeilingRouted is TestSubmissionAllocationCeiling's
+// measurement on the load-aware scheduler and with the health plane on. Every
+// task is routed inside Submit, so a pick that allocated, or a breaker check
+// that did, would show here; both read what the default deployment reads
+// (2.02 when added).
+func TestSubmissionAllocationCeilingRouted(t *testing.T) {
+	for _, arm := range []struct {
+		name   string
+		mutate func(*parsl.Config)
+	}{
+		{"least-outstanding", func(c *parsl.Config) { c.Scheduler = parsl.NewLeastOutstandingScheduler() }},
+		{"health", func(c *parsl.Config) { c.Health = &parsl.HealthOptions{} }},
+	} {
+		t.Run(arm.name, func(t *testing.T) {
+			reg := serialize.NewRegistry()
+			cfg := parsl.Config{Registry: reg, Executors: []executor.Executor{threadpool.New("tp", 4, reg)}}
+			arm.mutate(&cfg)
+			d, err := parsl.New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { _ = d.Shutdown() })
+			noop, err := d.PythonApp("bench-noop", func([]any, map[string]any) (any, error) { return nil, nil })
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkSubmissionAllocations(t, noop)
+		})
+	}
+}
+
+// checkSubmissionAllocations submits no-ops to noop in rounds of 200 after a
+// warm-up and fails when they average more than 2.7 allocations a task.
+func checkSubmissionAllocations(t *testing.T, noop *parsl.App) {
+	const ceiling = 2.7
+	submitAndWait(t, noop, 2000) // warm the record, batch and buffer pools
+	const rounds, perRound = 100, 200
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for r := 0; r < rounds; r++ {
+		submitAndWait(t, noop, perRound)
+	}
+	runtime.ReadMemStats(&after)
+	perTask := float64(after.Mallocs-before.Mallocs) / (rounds * perRound)
+	t.Logf("%.2f allocations per submitted task", perTask)
+	if raceDetector() {
+		t.Skip("allocation counts under -race measure the detector's sync.Pool, not the submit path")
+	}
+	if perTask > ceiling {
+		t.Fatalf("%.2f allocations per submitted task, ceiling %.1f", perTask, ceiling)
 	}
 }
 

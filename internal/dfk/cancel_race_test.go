@@ -54,7 +54,7 @@ func TestCancelDuringSubmit(t *testing.T) {
 }
 
 // TestCancelWhileQueued cancels right after Submit returns, so the attempt
-// concludes while its entry travels the routing queue and the lane. The
+// concludes while its entry waits in its lane. The
 // executor-leg payload reference must already be held by then: retaining it
 // in the lane runner raced the attempt's own release and over-released (or
 // decoded) a recycled payload.

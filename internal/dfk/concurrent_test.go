@@ -285,9 +285,9 @@ func TestUnknownSchedulerPolicyRejected(t *testing.T) {
 	}
 }
 
-// TestDispatchBatchesReachBatchSubmitter: with many ready tasks at once, the
-// dispatcher must group them so the graph still completes and the tasks
-// spread across executors (sanity of the grouping path, not a perf test).
+// TestDispatchBatchesAcrossExecutors: with many ready tasks at once, each
+// lane runner submits its backlog in batches, and the tasks still complete
+// and spread across executors (sanity of the batching path, not a perf test).
 func TestDispatchBatchesAcrossExecutors(t *testing.T) {
 	reg := serialize.NewRegistry()
 	store := monitor.NewStore()
@@ -428,8 +428,8 @@ func TestQueuedTimeoutStillRetries(t *testing.T) {
 	}
 }
 
-// rogueSched fabricates an executor outside the DFK's configured set; the
-// dispatcher must fail such tasks cleanly and silence their timeout timers.
+// rogueSched fabricates an executor outside the DFK's configured set; routing
+// must fail such tasks cleanly and silence their timeout timers.
 type rogueSched struct{}
 
 func (rogueSched) Name() string { return "rogue" }

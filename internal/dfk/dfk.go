@@ -150,13 +150,11 @@ var ErrOverloaded = fair.ErrOverloaded
 
 // DFK is the DataFlowKernel.
 type DFK struct {
-	cfg       Config
-	registry  *serialize.Registry
-	memoizer  *memo.Memoizer
-	wal       *wal.Log // nil unless Config.WAL
-	mon       monitor.Sink
-	executors map[string]executor.Executor
-	execList  []executor.Executor // config order, for the scheduler
+	cfg      Config
+	registry *serialize.Registry
+	memoizer *memo.Memoizer
+	wal      *wal.Log // nil unless Config.WAL
+	mon      monitor.Sink
 	// monitored is decided once, in New: without a sink attached the per-task
 	// emit points return before building (or timestamping) an event.
 	monitored bool
@@ -166,8 +164,9 @@ type DFK struct {
 	// New; it also gates the per-attempt input-digest computation (ArgsHash
 	// allocates a string, so digest-blind configs must never pay for it).
 	digestPicker sched.DigestPicker
-	// lanes are the executors' dispatch lanes by label; views holds the same
-	// lanes in config order, the candidate set of a task without hints.
+	// lanes are the executors' lanes by label, the DFK's only per-executor
+	// record; views holds them in config order, the candidate set of a task
+	// without hints.
 	lanes    map[string]*lane
 	views    []executor.Executor
 	batchMax int
@@ -226,10 +225,10 @@ func New(cfg Config) (*DFK, error) {
 		reg = serialize.NewRegistry()
 	}
 	d := &DFK{
-		cfg:       cfg,
-		registry:  reg,
-		executors: make(map[string]executor.Executor, len(cfg.Executors)),
-		batchMax:  cfg.DispatchBatch,
+		cfg:      cfg,
+		registry: reg,
+		lanes:    make(map[string]*lane, len(cfg.Executors)),
+		batchMax: cfg.DispatchBatch,
 	}
 	if d.batchMax <= 0 {
 		d.batchMax = 256
@@ -276,8 +275,8 @@ func New(cfg Config) (*DFK, error) {
 	// gets a nil DFK and would otherwise have no handle to the leaked
 	// executor goroutines (or the checkpoint file).
 	abort := func(err error) (*DFK, error) {
-		for _, ex := range d.execList {
-			_ = ex.Shutdown()
+		for _, l := range d.views {
+			_ = l.Shutdown()
 		}
 		_ = d.memoizer.Close()
 		if d.wal != nil {
@@ -302,29 +301,26 @@ func New(cfg Config) (*DFK, error) {
 		d.wal = w
 	}
 	for _, ex := range cfg.Executors {
-		if _, dup := d.executors[ex.Label()]; dup {
+		if _, dup := d.lanes[ex.Label()]; dup {
 			return abort(fmt.Errorf("dfk: duplicate executor label %q", ex.Label()))
 		}
 		if err := ex.Start(); err != nil {
 			// A Start that fails half way (interchanges up, scale-out
-			// refused) has goroutines of its own, and the executor never
-			// joined execList for abort to find it.
+			// refused) has goroutines of its own, and the executor has no
+			// lane yet for abort to find it by.
 			_ = ex.Shutdown()
 			return abort(fmt.Errorf("dfk: start executor %s: %w", ex.Label(), err))
 		}
-		d.executors[ex.Label()] = ex
-		d.execList = append(d.execList, ex)
-	}
-	d.lanes = make(map[string]*lane, len(d.execList))
-	for _, ex := range d.execList {
 		l := newLane(d, ex)
 		d.lanes[l.label] = l
 		d.views = append(d.views, l)
-		d.laneWG.Add(1)
-		go d.laneRunner(l)
 	}
 	if cfg.Health != nil {
 		d.hp = newHealthPlane(d, cfg.Health)
+	}
+	for _, l := range d.lanes {
+		d.laneWG.Add(1)
+		go d.laneRunner(l)
 	}
 	return d, nil
 }
@@ -340,8 +336,10 @@ func (d *DFK) WAL() *wal.Log { return d.wal }
 
 // Executor returns the executor registered under label.
 func (d *DFK) Executor(label string) (executor.Executor, bool) {
-	ex, ok := d.executors[label]
-	return ex, ok
+	if l, ok := d.lanes[label]; ok {
+		return l.Executor, true
+	}
+	return nil, false
 }
 
 // Scheduler exposes the active executor-selection policy.
@@ -453,7 +451,7 @@ func (d *DFK) registerApp(name string, fn serialize.Fn, opts []AppOption) (*App,
 	}
 	entry, _ := d.registry.Lookup(name)
 	for _, h := range o.hints {
-		if _, ok := d.executors[h]; !ok {
+		if _, ok := d.lanes[h]; !ok {
 			return nil, fmt.Errorf("dfk: app %q hints unknown executor %q", name, h)
 		}
 	}
@@ -850,22 +848,18 @@ func (d *DFK) firstAttempt(pl *pendingLaunch) (l *lane, ok bool) {
 
 // cancelTask concludes a task whose submission context was canceled. The
 // task future fails with cause (dependents observe a DependencyError as for
-// any failure), the in-flight attempt — if one exists — is concluded so its
-// lane entry becomes a recognizable no-op, and the executor is asked to drop
-// the attempt when it already crossed the submission boundary and the
-// executor supports cancellation. A no-op on terminal tasks, so canceling
-// after completion changes nothing.
+// any failure), and the in-flight attempt — if one exists — is concluded so
+// its lane entry becomes a recognizable no-op; its completion stage asks its
+// executor to drop it (see FutureDone). A no-op on terminal tasks, so
+// canceling after completion changes nothing.
 func (d *DFK) cancelTask(rec *task.Record, cause error) {
 	if !d.failTask(rec, cause) {
 		return
 	}
-	if af, wire, label := rec.Attempt(); af != nil {
+	if af := rec.Attempt(); af != nil {
 		// Conclude the attempt after failTask: the attempt's completion stage
 		// then sees a settled task and neither retries nor double-fails.
 		_ = af.SetError(cause)
-		if c, ok := d.executors[label].(executor.Canceler); ok {
-			c.Cancel(wire)
-		}
 	}
 }
 
@@ -1060,8 +1054,8 @@ func (d *DFK) Summary() map[string]int {
 	return map[string]int{"done": int(n[0]), "failed": int(n[1]), "memoized": int(n[2])}
 }
 
-// Shutdown waits for outstanding tasks, then stops executors and closes the
-// checkpoint and monitor.
+// Shutdown waits for outstanding tasks, then stops executors in config order
+// and closes the checkpoint and monitor.
 func (d *DFK) Shutdown() error {
 	d.mu.Lock()
 	if d.shutdown {
@@ -1080,8 +1074,8 @@ func (d *DFK) Shutdown() error {
 	}
 	d.laneWG.Wait()
 	var first error
-	for _, ex := range d.executors {
-		if err := ex.Shutdown(); err != nil && first == nil {
+	for _, l := range d.views {
+		if err := l.Shutdown(); err != nil && first == nil {
 			first = err
 		}
 	}

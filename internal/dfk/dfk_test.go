@@ -286,12 +286,11 @@ func TestExecutorHints(t *testing.T) {
 	}
 }
 
-// TestHintedTasksShareACycle: the dispatcher's router lives across cycles
-// and builds each hinted task's candidates in one scratch slice. A burst that
-// interleaves tasks hinted to different executors, to two, and to none — so
-// they share dispatch cycles and overwrite that scratch task after task —
-// must still route every hinted task only to its hints, with a load-blind
-// and with a load-aware scheduler.
+// TestHintedTasksShareACycle: a burst that interleaves tasks hinted to one
+// executor, to two, and to none, each routed on its submitter as it becomes
+// ready, while the lanes fill and drain under it, must still route every
+// hinted task only to its hints, with a load-blind and with a load-aware
+// scheduler.
 func TestHintedTasksShareACycle(t *testing.T) {
 	for _, policy := range []string{"random", "least-outstanding"} {
 		t.Run(policy, func(t *testing.T) {

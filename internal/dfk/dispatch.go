@@ -82,14 +82,16 @@ type pendingLaunch struct {
 	// retries and resumes log Retry records at creation.
 	walKey     int64
 	walAttempt int
+	// lane is the executor armAttempt routed this attempt to, nil if none.
+	// Before routing, a non-failover retry carries its predecessor's lane
+	// here, which route prefers while its breaker admits (retry affinity).
+	lane *lane
 	// Health-plane state, threaded attempt to attempt (zero and untouched
 	// when Config.Health is nil). kills is the distinct managers this task's
 	// attempts have killed (quarantine counts them); free counts uncharged
-	// retries per failure class; stick is the retry-affinity executor's lane
-	// for non-failover classes (nil = none).
+	// retries per failure class.
 	kills []string
 	free  [health.NumClasses]uint8
-	stick *lane
 	// next links the attempt into its lane's inbox.
 	next *pendingLaunch
 }
@@ -111,9 +113,12 @@ func (pl *pendingLaunch) FutureDone(af *future.Future) {
 		pl.timer = nil
 	}
 	won := false
-	if terminal, memoKey, label, ok := pl.rec.Outcome(pl.gen); ok {
+	if terminal, memoKey, ok := pl.rec.Outcome(pl.gen); ok {
 		if !terminal {
-			won = pl.app.dfk.attemptDone(pl, af, memoKey, label)
+			won = pl.app.dfk.attemptDone(pl, af, memoKey)
+		} else {
+			// Abandoned: its task concluded first (canceled).
+			pl.lane.drop(pl.wireID)
 		}
 		pl.rec.Exit()
 	}
@@ -181,13 +186,13 @@ func laneLess(a, b *pendingLaunch) bool {
 // one exception is an app body that submits into its own DFK: parked at the
 // window, it holds a worker until the window drains to half.
 
-// lane is the per-executor leg of the dispatch pipeline: a queue of routed
-// tasks plus a runner goroutine that submits them in batches, so one
-// backlogged executor (a blocking SubmitInto into a full input queue) cannot
-// hold up dispatch to the others. A lane is also its executor as the
-// scheduler sees it: route offers Pick lanes, whose Load counts the tasks
-// routed but not yet submitted, so a pick is its own lane, found without a
-// lookup.
+// lane is the DFK's one record of an executor: the per-executor leg of the
+// dispatch pipeline, a queue of routed tasks plus a runner goroutine that
+// submits them in batches, so one backlogged executor (a blocking SubmitInto
+// into a full input queue) cannot hold up dispatch to the others. A lane is
+// also its executor as the scheduler sees it (its Load counts the tasks routed
+// but not yet submitted) and as a concluding attempt sees it (breaker,
+// canceler, label), so neither a pick nor an attempt looks it up.
 type lane struct {
 	// The fields routing touches come first, so a pick and a push read and
 	// write few cache lines. queued counts tasks routed here but not yet
@@ -210,6 +215,8 @@ type lane struct {
 	queue  *fair.Queue[*pendingLaunch]
 
 	executor.Executor
+	// cancel is the executor as an executor.Canceler, nil if it is not one.
+	cancel executor.Canceler
 	// probe reads the executor's own load signals, bound once.
 	probe sched.Probe
 	// one is the lane alone as a candidate set, for a task pinned to it.
@@ -227,6 +234,7 @@ func newLane(d *DFK, ex executor.Executor) *lane {
 		Executor: ex, probe: sched.NewProbe(ex), d: d, label: ex.Label(),
 		wake: make(chan struct{}, 1), done: make(chan struct{}), queue: fair.NewQueue(laneLess),
 	}
+	l.cancel, _ = ex.(executor.Canceler)
 	l.one = []executor.Executor{l}
 	if into, ok := ex.(executor.IntoSubmitter); ok {
 		l.into = into
@@ -242,6 +250,21 @@ func newLane(d *DFK, ex executor.Executor) *lane {
 		}
 	}
 	return l
+}
+
+// name is the lane's executor label, "" for no lane.
+func (l *lane) name() string {
+	if l == nil {
+		return ""
+	}
+	return l.label
+}
+
+// drop tells a Canceler executor to forget an abandoned attempt's wire id.
+func (l *lane) drop(wireID int64) {
+	if l != nil && l.cancel != nil {
+		l.cancel.Cancel(wireID)
+	}
 }
 
 // Load is the executor's load as a scheduler reads it (sched.LoadOf): its
@@ -331,8 +354,8 @@ func (l *lane) take(max int) (batch []*pendingLaunch, ok bool) {
 
 // route picks the lane for one attempt, on the calling goroutine. Hints
 // narrow the candidates to the lanes they name; with the health plane on, a
-// retry with stick affinity prefers the lane it failed on while that breaker
-// admits, and lanes whose breakers reject work are filtered out: an all-open
+// retry that carries a lane prefers it while that breaker admits (retry
+// affinity), and lanes whose breakers reject work are filtered out: an all-open
 // set yields ErrNoHealthyExecutor (an overload the attempt parks on) unless
 // the task is pinned and PinnedFailFast fails it. The scheduler chooses among
 // the rest, reading live load; a sched.DigestPicker also sees the task's
@@ -355,8 +378,8 @@ func (d *DFK) route(pl *pendingLaunch) (*lane, error) {
 				candidates = append(candidates, l)
 			}
 		}
-	case pl.stick != nil && pl.stick.breaker.Routable():
-		candidates = pl.stick.one
+	case pl.lane != nil && pl.lane.breaker.Routable():
+		candidates = pl.lane.one
 	}
 	if d.hp != nil {
 		filtered, ok := filterRoutable(candidates)
@@ -503,9 +526,9 @@ func (d *DFK) laneRunner(l *lane) {
 }
 
 // armAttempt routes one attempt on the calling goroutine and arms it: the
-// executor (the record's Arm stores it), the outcome future, the timeout timer
-// and the retry-or-finish hook. It returns the lane to push the attempt onto,
-// or nil: ok false when the task had already concluded (nothing armed, the
+// lane (pl.lane; the record's Arm stores its label), the outcome future, the
+// timeout timer and the retry-or-finish hook. It returns the lane to push the
+// attempt onto, or nil: ok false when the task had already concluded (nothing armed, the
 // attempt's payload reference dropped), true when the attempt settled here
 // (deadline passed, no executor). The caller holds pl.rec. The timer starts
 // here, so a task stuck behind a backlogged lane times out on schedule;
@@ -527,15 +550,14 @@ func (d *DFK) armAttempt(pl *pendingLaunch) (l *lane, ok bool) {
 			dur = rem
 		}
 	}
-	label := ""
 	if err == nil {
 		if l, err = d.route(pl); l != nil {
 			// Counted at once, so the next pick sees this one's load.
 			l.queued.Add(1)
-			label = l.label
 		}
 	}
-	if !pl.rec.Arm(pl.payload, pl.walKey, &pl.attempt, pl.wireID, label) {
+	pl.lane = l
+	if !pl.rec.Arm(pl.payload, pl.walKey, &pl.attempt, l.name()) {
 		if l != nil {
 			l.queued.Add(-1)
 		}
@@ -585,15 +607,16 @@ func (d *DFK) enqueueAttempt(pl *pendingLaunch) {
 // (§4.1: "Parsl is able to retry the task by resubmitting it to an
 // executor"). A retry is routed again as a fresh attempt, so the scheduler
 // re-picks an executor from current load — a task lost with a dying executor
-// naturally drains toward a healthier one. memoKey and label (the
-// executor the attempt was routed to, "" if it never was) come from the
-// Outcome stage, whose hold keeps the record valid throughout even if this
-// call retires it. It reports whether the attempt's result concluded the task.
-func (d *DFK) attemptDone(pl *pendingLaunch, af *future.Future, memoKey, label string) bool {
+// naturally drains toward a healthier one. memoKey comes from the Outcome
+// stage, whose hold keeps the record valid throughout even if this call
+// retires it; the executor is pl.lane. It reports whether the attempt's result
+// concluded the task.
+func (d *DFK) attemptDone(pl *pendingLaunch, af *future.Future, memoKey string) bool {
 	v, err := af.Result()
 	if err == nil {
-		if d.hp != nil && label != "" {
-			d.hp.recordSuccess(label)
+		// A result always has a lane: a routing failure is an error.
+		if b := pl.lane.breaker; b != nil {
+			b.Record(true)
 		}
 		return d.completeTask(pl.rec, memoKey, v)
 	}
@@ -603,17 +626,15 @@ func (d *DFK) attemptDone(pl *pendingLaunch, af *future.Future, memoKey, label s
 	// the attempt live executor-side — and if its frame was lost on the wire
 	// (drop, corruption) the executor would otherwise carry the ghost
 	// entry, and its inflated Outstanding() load signal, forever.
-	if c, ok := d.executors[label].(executor.Canceler); ok {
-		c.Cancel(pl.wireID)
-	}
+	pl.lane.drop(pl.wireID)
 	if d.hp != nil {
 		// The health plane owns failure handling end to end: classification,
 		// breaker/quarantine bookkeeping, budget charging, and backoff-paced
 		// re-dispatch.
-		d.hp.attemptFailed(pl, label, err)
+		d.hp.attemptFailed(pl, err)
 		return false
 	}
-	if next := d.nextAttempt(pl, label, true, err); next != nil {
+	if next := d.nextAttempt(pl, true, err); next != nil {
 		d.enqueueAttempt(next)
 	}
 	return false
@@ -629,13 +650,13 @@ func (d *DFK) attemptDone(pl *pendingLaunch, af *future.Future, memoKey, label s
 // first-attempt id). It reuses the encode-once payload — resubmission costs
 // zero re-serialization no matter how many attempts it takes — taking its own
 // reference before the old attempt's drops.
-func (d *DFK) nextAttempt(pl *pendingLaunch, label string, charge bool, err error) *pendingLaunch {
+func (d *DFK) nextAttempt(pl *pendingLaunch, charge bool, err error) *pendingLaunch {
 	from, ok := pl.rec.Retry(charge)
 	if !ok {
 		d.failTask(pl.rec, err)
 		return nil
 	}
-	d.emitState(pl.id, pl.app.name, pl.tenant, from, task.Retrying, label)
+	d.emitState(pl.id, pl.app.name, pl.tenant, from, task.Retrying, pl.lane.name())
 	next := attemptPool.Get().(*pendingLaunch)
 	*next = pendingLaunch{
 		id: pl.id, rec: pl.rec, gen: pl.gen, app: pl.app,

@@ -3,6 +3,7 @@ package dfk
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -14,14 +15,13 @@ import (
 // healthPlane is the DFK-side assembly of the self-healing retry plane
 // (internal/health): it classifies every failed attempt, paces retries with
 // per-class deterministic backoff (one runtime timer per parked attempt),
-// tracks one circuit breaker per executor, and quarantines poison tasks. The
-// plane is nil unless Config.Health is set; every hot-path touchpoint is a
+// gives each executor's lane a circuit breaker, and quarantines poison tasks.
+// The plane is nil unless Config.Health is set; every hot-path touchpoint is a
 // single nil check, so the disabled DFK is byte-identical to the pre-health
 // one.
 type healthPlane struct {
 	d        *DFK
 	policies [health.NumClasses]health.Policy
-	breakers map[string]*health.Breaker
 	seed     int64
 	// quarantineAfter is the distinct-manager kill count that quarantines a
 	// task; 0 disables quarantine.
@@ -36,7 +36,6 @@ func newHealthPlane(d *DFK, opts *health.Options) *healthPlane {
 	hp := &healthPlane{
 		d:               d,
 		policies:        opts.PolicyTable(),
-		breakers:        make(map[string]*health.Breaker, len(d.execList)),
 		seed:            opts.Seed,
 		quarantineAfter: opts.QuarantineAfter,
 		pinnedFailFast:  opts.PinnedFailFast,
@@ -50,14 +49,11 @@ func newHealthPlane(d *DFK, opts *health.Options) *healthPlane {
 	case hp.quarantineAfter < 0:
 		hp.quarantineAfter = 0
 	}
-	for _, ex := range d.execList {
-		b := health.NewBreaker(opts.Breaker)
-		label := ex.Label()
-		b.SetTransitionHook(func(from, to health.BreakerState) {
-			hp.emitTransition(label, from, to)
+	for _, l := range d.lanes {
+		l.breaker = health.NewBreaker(opts.Breaker)
+		l.breaker.SetTransitionHook(func(from, to health.BreakerState) {
+			hp.emitTransition(l.label, from, to)
 		})
-		hp.breakers[label] = b
-		d.lanes[label].breaker = b
 	}
 	return hp
 }
@@ -86,21 +82,28 @@ func filterRoutable(candidates []executor.Executor) (out []executor.Executor, ok
 	return out, len(out) > 0
 }
 
-// recordSuccess feeds a completed attempt into its executor's breaker.
-func (hp *healthPlane) recordSuccess(label string) {
-	if b := hp.breakers[label]; b != nil {
-		b.Record(true)
+// halfOpenWait is how long until the first open breaker among a task's
+// candidates (its hinted lanes, else every lane) may half-open; 0 if none is
+// open. A routing failure backs off at least this long, so its free overload
+// retries are not spent before any breaker can admit a probe.
+func (d *DFK) halfOpenWait(hints []string) (wait time.Duration) {
+	for _, l := range d.lanes {
+		w := l.breaker.HalfOpensIn()
+		if w > 0 && (wait == 0 || w < wait) && (len(hints) == 0 || slices.Contains(hints, l.label)) {
+			wait = w
+		}
 	}
+	return wait
 }
 
 // attemptFailed is the health-plane replacement for attemptDone's inline
 // retry path: classify the failure, update the executor's breaker, check the
 // poison-kill history, charge (or forgive) the retry budget per the class
 // policy, and schedule the next attempt after deterministic backoff. Runs
-// inside the completion stage's hold on pl.rec; label is the executor the
-// attempt was routed to.
-func (hp *healthPlane) attemptFailed(pl *pendingLaunch, label string, err error) {
-	d := hp.d
+// inside the completion stage's hold on pl.rec; pl.lane is the executor the
+// attempt was routed to (nil when routing placed it nowhere).
+func (hp *healthPlane) attemptFailed(pl *pendingLaunch, err error) {
+	d, l := hp.d, pl.lane
 	cls := health.Classify(err)
 	if errors.Is(err, ErrTimeout) {
 		// The timeout sentinel lives in this package; pre-classify before
@@ -110,13 +113,11 @@ func (hp *healthPlane) attemptFailed(pl *pendingLaunch, label string, err error)
 	// Breaker bookkeeping: executor-fault classes count against the breaker;
 	// a task fault is a delivered verdict — evidence of executor health, not
 	// sickness. Overload never indicts anyone (no executor ran the attempt).
-	if label != "" {
-		if b := hp.breakers[label]; b != nil {
-			if cls.ExecutorFault() {
-				b.Record(false)
-			} else if cls == health.ClassTaskFault {
-				b.Record(true)
-			}
+	if l != nil {
+		if cls.ExecutorFault() {
+			l.breaker.Record(false)
+		} else if cls == health.ClassTaskFault {
+			l.breaker.Record(true)
 		}
 	}
 	// Poison bookkeeping: a lost manager joins the attempt chain's distinct-
@@ -132,12 +133,12 @@ func (hp *healthPlane) attemptFailed(pl *pendingLaunch, label string, err error)
 				key = le.Detail
 			}
 		}
-		if key != "" && !containsStr(pl.kills, key) {
+		if key != "" && !slices.Contains(pl.kills, key) {
 			pl.kills = append(pl.kills, key)
 		}
 		if hp.quarantineAfter > 0 && len(pl.kills) >= hp.quarantineAfter {
 			qerr := &health.QuarantineError{TaskID: pl.id, Kills: pl.kills, Last: err}
-			hp.emitQuarantine(pl, label, qerr)
+			hp.emitQuarantine(pl, l.name(), qerr)
 			d.failTask(pl.rec, qerr)
 			return
 		}
@@ -158,51 +159,38 @@ func (hp *healthPlane) attemptFailed(pl *pendingLaunch, label string, err error)
 	// Same state discipline as the inline path: a queued attempt is still
 	// Pending and simply re-enters; a launched one moves to Retrying. The
 	// kill history and free-retry counters ride along to the next attempt.
-	next := d.nextAttempt(pl, label, charge, err)
+	next := d.nextAttempt(pl, charge, err)
 	if next == nil {
 		return
 	}
-	if !pol.Failover && label != "" {
+	if !pol.Failover {
 		// Retry affinity: a non-failover class prefers the executor it failed
-		// on, as long as its breaker keeps admitting (route honors stick).
-		next.stick = d.lanes[label]
+		// on, as long as its breaker keeps admitting (route reads next.lane).
+		next.lane = l
 	}
 	delay := pol.Delay(hp.seed, pl.id, next.walAttempt)
-	hp.emitBackoff(pl, label, cls, next.walAttempt, delay)
-	if delay <= 0 && label != "" {
+	if l == nil { // every candidate breaker rejected the attempt
+		delay = max(delay, d.halfOpenWait(pl.rec.Hints))
+	}
+	hp.emitBackoff(pl, l.name(), cls, next.walAttempt, delay)
+	if delay <= 0 && l != nil {
 		// Zero-backoff classes (timeout) are routed again at once. An attempt
-		// routing could not place (label "") settled inside the routing call,
+		// routing could not place (no lane) settled inside the routing call,
 		// so routing it again here would nest one call deeper per retry: the
 		// timer routes it from a fresh stack.
 		d.enqueueAttempt(next)
 		return
 	}
-	hp.schedule(next, delay)
+	time.AfterFunc(delay, func() { hp.release(next) })
 }
 
-func containsStr(s []string, v string) bool {
-	for _, e := range s {
-		if e == v {
-			return true
-		}
-	}
-	return false
-}
-
-// schedule parks an attempt until its backoff expires, then routes it on the
-// timer's goroutine. The attempt's timeout clock starts at the re-launch
-// (armAttempt arms it), not here — backoff time is never
+// release routes an attempt parked for its backoff, on the timer's goroutine.
+// Its timeout clock starts here (armAttempt arms it): backoff time is never
 // charged against the attempt. A parked task is not terminal and holds the
-// task waitgroup, so Shutdown outlasts every timer whose task is still live;
-// one whose task concluded meanwhile (cancellation) fires into release's
-// revalidation and only drops its payload reference.
-func (hp *healthPlane) schedule(pl *pendingLaunch, delay time.Duration) {
-	time.AfterFunc(delay, func() { hp.release(pl) })
-}
-
-// release routes one parked attempt, revalidating the record first: the
-// record may have been recycled while the attempt was parked, or the task may
-// have concluded (cancellation, a racing terminal path), which Arm refuses.
+// task waitgroup, so Shutdown outlasts every timer whose task is still live.
+// The record is revalidated first: it may have been recycled while the
+// attempt was parked, or the task may have concluded (cancellation, a racing
+// terminal path), which Arm refuses; then only the payload reference drops.
 func (hp *healthPlane) release(pl *pendingLaunch) {
 	rec := pl.rec
 	if !rec.Enter(pl.gen) {

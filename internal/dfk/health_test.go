@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -55,11 +56,11 @@ func (f *faultExec) Submit(msg serialize.TaskMsg) *future.Future {
 
 func executorHealth(t *testing.T, d *DFK, label string) string {
 	t.Helper()
-	b := d.hp.breakers[label]
-	if b == nil {
+	l := d.lanes[label]
+	if l == nil || l.breaker == nil {
 		t.Fatalf("no breaker for executor %q", label)
 	}
-	return b.State().String()
+	return l.breaker.State().String()
 }
 
 func healthEvents(store *monitor.Store, detail string) []monitor.Event {
@@ -196,6 +197,82 @@ func TestHealthBreakerOpensAndFailsOver(t *testing.T) {
 	}
 	if !opened {
 		t.Fatalf("no closed->open transition event for sick: %+v", store.Events(monitor.KindHealth))
+	}
+}
+
+// ghostExec never settles what it is handed and records every wire id it was
+// handed and every one it was told to cancel.
+type ghostExec struct {
+	label               string
+	mu                  sync.Mutex
+	submitted, canceled []int64
+}
+
+func (g *ghostExec) Label() string    { return g.label }
+func (g *ghostExec) Start() error     { return nil }
+func (g *ghostExec) Outstanding() int { return 0 }
+func (g *ghostExec) Shutdown() error  { return nil }
+
+func (g *ghostExec) Submit(msg serialize.TaskMsg) *future.Future {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	g.submitted = append(g.submitted, msg.ID)
+	return future.NewForTask(msg.ID)
+}
+
+func (g *ghostExec) Cancel(wireID int64) bool {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	g.canceled = append(g.canceled, wireID)
+	return false
+}
+
+func (g *ghostExec) wires() (submitted, canceled []int64) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return slices.Clone(g.submitted), slices.Clone(g.canceled)
+}
+
+// TestTimedOutAttemptActsOnItsOwnLane: an attempt that times out on one of two
+// executors cancels its wire id on that executor only, charges that
+// executor's breaker only, and its non-failover retry goes back to it, though
+// round-robin would pick the other next. Two charged timeouts open a's
+// breaker; b's, never charged, stays closed.
+func TestTimedOutAttemptActsOnItsOwnLane(t *testing.T) {
+	a, b := &ghostExec{label: "a"}, &ghostExec{label: "b"}
+	d := newDFK(t, func(c *Config) {
+		c.Executors = []executor.Executor{a, b}
+		c.SchedulerPolicy = "round-robin"
+		c.Retries = 1
+		c.TaskTimeout = 20 * time.Millisecond
+		c.Health = &health.Options{
+			Seed:    3,
+			Breaker: health.BreakerConfig{Window: 2, MinSamples: 2, FailureThreshold: 1, OpenFor: time.Minute},
+			Policies: map[health.Class]health.Policy{
+				health.ClassTimeout: {Charge: true, Failover: false},
+			},
+		}
+	})
+	app, err := d.PythonApp("w", func([]any, map[string]any) (any, error) { return nil, nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := app.Call().Result(); !errors.Is(err, ErrTimeout) {
+		t.Fatalf("err = %v, want the second attempt's timeout", err)
+	}
+	aSub, aCan := a.wires()
+	bSub, bCan := b.wires()
+	if len(aSub) != 2 || len(bSub) != 0 {
+		t.Fatalf("submitted: a %v, b %v; want both attempts on a (retry affinity)", aSub, bSub)
+	}
+	if !slices.Equal(aCan, aSub) || len(bCan) != 0 {
+		t.Fatalf("canceled: a %v, b %v; want a's own wire ids %v on a only", aCan, bCan, aSub)
+	}
+	if got := executorHealth(t, d, "a"); got != "open" {
+		t.Fatalf("a breaker = %q after two timeouts, want open", got)
+	}
+	if got := executorHealth(t, d, "b"); got != "closed" {
+		t.Fatalf("b breaker = %q, want closed: b ran nothing", got)
 	}
 }
 

@@ -154,8 +154,8 @@ func TestRoutingFailureNeverReroutesSynchronously(t *testing.T) {
 			},
 		}
 	})
-	for _, b := range d.hp.breakers {
-		b.Record(false)
+	for _, v := range d.views {
+		v.(*lane).breaker.Record(false)
 	}
 	noop, err := d.PythonApp("noop", func([]any, map[string]any) (any, error) { return nil, nil })
 	if err != nil {
@@ -187,6 +187,39 @@ func TestRoutingFailureNeverReroutesSynchronously(t *testing.T) {
 	}
 	if onSubmitter > 1 {
 		t.Fatalf("%d of %d backoffs ran on the submitter's goroutine, want at most 1", onSubmitter, len(sink.gids))
+	}
+}
+
+// TestRoutingFailureWaitsForHalfOpen: with every breaker open and overload
+// retries free and without backoff, an attempt routing cannot place waits for
+// the earliest breaker to half-open, instead of spending its free overload
+// retries on zero-delay re-routes long before any breaker admits a probe. The
+// task runs as the half-open probe after a few backoffs at most.
+func TestRoutingFailureWaitsForHalfOpen(t *testing.T) {
+	store := monitor.NewStore()
+	d := newDFK(t, func(c *Config) {
+		c.Retries = 0
+		c.Monitor = store
+		c.Health = &health.Options{
+			Seed:    5,
+			Breaker: health.BreakerConfig{Window: 1, MinSamples: 1, OpenFor: 20 * time.Millisecond},
+			Policies: map[health.Class]health.Policy{
+				health.ClassOverload: {MaxFree: 1 << 20, Failover: true},
+			},
+		}
+	})
+	for _, v := range d.views {
+		v.(*lane).breaker.Record(false)
+	}
+	noop, err := d.PythonApp("noop", func([]any, map[string]any) (any, error) { return "ran", nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, err := noop.Call().Result(); err != nil || v != "ran" {
+		t.Fatalf("task = %v, %v; want it run through the half-open probe", v, err)
+	}
+	if n := len(healthEvents(store, "backoff class=overload")); n > 3 {
+		t.Fatalf("%d overload backoffs before the breaker half-opened, want at most 3", n)
 	}
 }
 

@@ -17,8 +17,8 @@ import (
 // its payload (it was 304 bytes in the 320 class when it also carried the
 // resolved argument slice and map); it is pooled, so it is no longer a
 // per-task allocation, but a pool refill past 288 bytes would be handed out
-// from the 320 class. A task.Record is exactly 320 bytes, its waiter and its
-// own argument list included.
+// from the 320 class. A task.Record is 312 bytes in the 320 class, its waiter
+// and its own argument list included.
 func TestHotPathStructSizes(t *testing.T) {
 	if n := unsafe.Sizeof(future.Future{}); n > 112 {
 		t.Errorf("sizeof(future.Future) = %d, want <= 112", n)

@@ -489,7 +489,7 @@ func (e *Executor) sendOrFail(s *shardLink, batch []serialize.WireTask) {
 // drain them (those spill to the key's next-ranked shard — see taskShard).
 func (e *Executor) placeTask(tenant string, id int64) int {
 	if len(e.shards) == 1 {
-		return 0 // before any hashing and the broker's ManagerCount lock
+		return 0 // before any hashing or manager count
 	}
 	return taskShard(len(e.shards), tenant, id, e.shardUp, func(si int) bool {
 		return e.shards[si].broker().ManagerCount() > 0

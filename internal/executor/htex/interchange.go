@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/chaos"
@@ -157,6 +158,9 @@ type Interchange struct {
 
 	mu       sync.Mutex
 	managers map[string]*managerState
+	// managerCount is len(managers), stored under mu wherever managers
+	// changes, so ManagerCount — read on every load-aware pick — takes no lock.
+	managerCount atomic.Int32
 	// queue holds tasks waiting for manager capacity. It is tenant-fair:
 	// dispatch drains tenants by deficit round robin in proportion to the
 	// weights carried on the wire envelopes, with priority ordering within
@@ -276,6 +280,7 @@ func (ix *Interchange) handle(del mq.Delivery) {
 			stream:      newPeerStream(nil, ix.router, del.From, tagTasks, chaos.PointIxTasks, ix.cfg.Label),
 			digests:     make(map[uint64]struct{}),
 		}
+		ix.managerCount.Store(int32(len(ix.managers)))
 		ix.mu.Unlock()
 		ix.dispatch()
 	case frameResults:
@@ -338,6 +343,7 @@ func (ix *Interchange) handle(del mq.Delivery) {
 				ix.enqueue(t)
 			}
 			delete(ix.managers, del.From)
+			ix.managerCount.Store(int32(len(ix.managers)))
 		}
 		ix.mu.Unlock()
 		// Hang up on the peer so its Drain can observe the ack.
@@ -650,6 +656,7 @@ func (ix *Interchange) managerLost(id, reason string) {
 		return
 	}
 	delete(ix.managers, id)
+	ix.managerCount.Store(int32(len(ix.managers)))
 	var lostIDs []int64
 	for tid := range m.outstanding {
 		lostIDs = append(lostIDs, tid)
@@ -666,12 +673,9 @@ func (ix *Interchange) managerLost(id, reason string) {
 	}
 }
 
-// ManagerCount reports registered managers (monitoring/tests).
-func (ix *Interchange) ManagerCount() int {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	return len(ix.managers)
-}
+// ManagerCount reports registered managers without taking the broker lock:
+// load-aware routing reads it on every pick.
+func (ix *Interchange) ManagerCount() int { return int(ix.managerCount.Load()) }
 
 // OutstandingByManager reports in-flight tasks per manager — what scale-in
 // uses to prefer idle blocks.

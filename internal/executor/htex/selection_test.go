@@ -118,3 +118,45 @@ func TestRoundRobinCyclesManagersEvenly(t *testing.T) {
 		}
 	}
 }
+
+// TestManagerCountTakesNoBrokerLock: load-aware routing reads ManagerCount on
+// every pick, so it must answer while the interchange's own goroutines hold
+// the broker lock, and track registrations and clean departures.
+func TestManagerCountTakesNoBrokerLock(t *testing.T) {
+	reg := trackingRegistry(t)
+	tr := simnet.NewNetwork(0)
+	ix, err := StartInterchange(tr, "ix-count", InterchangeConfig{
+		Seed: 1, HeartbeatPeriod: time.Hour, HeartbeatThreshold: 2 * time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	var mgrs []*Manager
+	for _, id := range []string{"mgr-a", "mgr-b"} {
+		m, err := StartManager(tr, ix.Addr(), id, reg, ManagerConfig{Workers: 1, HeartbeatPeriod: time.Hour})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer m.Stop()
+		mgrs = append(mgrs, m)
+	}
+	waitCond(t, "2 managers", func() bool { return ix.ManagerCount() == 2 })
+	mgrs[0].Drain()
+	waitCond(t, "1 manager after BYE", func() bool { return ix.ManagerCount() == 1 })
+
+	ix.mu.Lock()
+	got := make(chan int, 1)
+	go func() { got <- ix.ManagerCount() }()
+	select {
+	case n := <-got:
+		ix.mu.Unlock()
+		if n != 1 {
+			t.Fatalf("ManagerCount = %d under the broker lock, want 1", n)
+		}
+	case <-time.After(time.Second):
+		ix.mu.Unlock()
+		<-got
+		t.Fatal("ManagerCount blocked on the broker lock")
+	}
+}

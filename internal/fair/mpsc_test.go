@@ -129,7 +129,7 @@ func TestMPSCSweepFindsLoneShard(t *testing.T) {
 	}
 }
 
-// TestMPSCAllocationFree: the routing queue allocates nothing per item once
+// TestMPSCAllocationFree: the queue allocates nothing per item once
 // warm when its consumer takes every item as it arrives — including the
 // reorder pass, whose second batch comes from the free list too.
 func TestMPSCAllocationFree(t *testing.T) {

@@ -118,6 +118,21 @@ func (b *Breaker) setLocked(s BreakerState) {
 	b.state.Store(uint32(s))
 }
 
+// HalfOpensIn reports how long until an open breaker admits probes: 0 when it
+// is not open or its OpenFor has already run out (the next Routable
+// half-opens it). Closed, it answers without the lock.
+func (b *Breaker) HalfOpensIn() time.Duration {
+	if b.State() == BreakerClosed {
+		return 0
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.State() != BreakerOpen {
+		return 0
+	}
+	return max(b.cfg.OpenFor-b.now().Sub(b.openedAt), 0)
+}
+
 // Routable reports whether routing may consider this executor right now.
 // Closed admits without the lock. An expired open window transitions to
 // half-open here — routing is the natural evaluation point — and half-open

@@ -89,6 +89,33 @@ func TestBreakerStaysClosedUnderMixedOutcomes(t *testing.T) {
 	}
 }
 
+// TestBreakerHalfOpensIn: only an open breaker has a wait, the rest of its
+// OpenFor; closed, expired and half-open breakers report none.
+func TestBreakerHalfOpensIn(t *testing.T) {
+	b, clk, _ := newTestBreaker(t, BreakerConfig{Window: 1, MinSamples: 1, OpenFor: 50 * time.Millisecond})
+	if w := b.HalfOpensIn(); w != 0 {
+		t.Fatalf("closed: HalfOpensIn = %v, want 0", w)
+	}
+	b.Record(false)
+	if w := b.HalfOpensIn(); w != 50*time.Millisecond {
+		t.Fatalf("just opened: HalfOpensIn = %v, want 50ms", w)
+	}
+	clk.Advance(20 * time.Millisecond)
+	if w := b.HalfOpensIn(); w != 30*time.Millisecond {
+		t.Fatalf("20ms into OpenFor: HalfOpensIn = %v, want 30ms", w)
+	}
+	clk.Advance(40 * time.Millisecond)
+	if w := b.HalfOpensIn(); w != 0 || b.State() != BreakerOpen {
+		t.Fatalf("OpenFor run out: HalfOpensIn = %v in %v, want 0 while still open", w, b.State())
+	}
+	if !b.Routable() || b.State() != BreakerHalfOpen {
+		t.Fatalf("Routable did not half-open the expired breaker: %v", b.State())
+	}
+	if w := b.HalfOpensIn(); w != 0 {
+		t.Fatalf("half-open: HalfOpensIn = %v, want 0", w)
+	}
+}
+
 func TestBreakerHalfOpenProbeLifecycle(t *testing.T) {
 	cfg := BreakerConfig{Window: 4, MinSamples: 2, FailureThreshold: 0.5, OpenFor: 50 * time.Millisecond, HalfOpenProbes: 2}
 	b, clk, trans := newTestBreaker(t, cfg)

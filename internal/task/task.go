@@ -142,11 +142,10 @@ type Record struct {
 	// (WaitInputs; nil for a task without inputs).
 	waiter InputWaiter
 
-	// Current execution attempt: its outcome future and wire id, recorded so
-	// a cancellation arriving from outside the dispatch pipeline can conclude
-	// the attempt (dropping it from its lane) and name it to the executor.
-	attemptFut  *future.Future
-	attemptWire int64
+	// attemptFut is the current execution attempt's outcome future, recorded
+	// so a cancellation arriving from outside the dispatch pipeline can
+	// conclude the attempt (its completion stage then drops it).
+	attemptFut *future.Future
 
 	// payload is the encode-once serialization of the resolved arguments,
 	// installed by the first Arm. Every later consumer — retries, the memo
@@ -342,7 +341,6 @@ func (r *Record) recycleLocked() {
 	r.deps.Store(0)
 	r.waiter = nil
 	r.attemptFut = nil
-	r.attemptWire = 0
 	r.payload = nil
 	r.walKey = 0
 	r.retired = false
@@ -383,22 +381,21 @@ func (r *Record) Watch(stop func() bool) bool {
 // Arm installs an execution attempt: the encode-once payload and the durable
 // log key (both the same for every attempt of a task; the record takes over
 // the caller's payload reference on the first Arm), and this attempt's outcome
-// future, wire id and the executor it was routed to ("" when routing found
-// none). It refuses a terminal record — the task was concluded (canceled,
-// typically) before the attempt could start — and the caller then must not
-// enqueue the attempt and keeps its payload reference. The first Arm takes the
+// future and the executor it was routed to ("" when routing found none). It
+// refuses a terminal record — the task was concluded (canceled, typically)
+// before the attempt could start — and the caller then must not enqueue the
+// attempt and keeps its payload reference. The first Arm takes the
 // task's window slot on its Gate, in the same critical section Finish reads
 // the payload in, so the slot is released exactly when it was taken
 // (Final.Payload is non-nil).
-func (r *Record) Arm(p *serialize.Payload, walKey int64, af *future.Future, wireID int64, executor string) bool {
+func (r *Record) Arm(p *serialize.Payload, walKey int64, af *future.Future, executor string) bool {
 	r.mu.Lock()
 	ok := !r.state.Terminal()
 	if ok {
 		if r.payload == nil && r.Gate != nil {
 			r.Gate.Ready()
 		}
-		r.payload, r.walKey, r.attemptFut, r.attemptWire = p, walKey, af, wireID
-		r.executor = executor
+		r.payload, r.walKey, r.attemptFut, r.executor = p, walKey, af, executor
 	}
 	r.mu.Unlock()
 	return ok
@@ -426,18 +423,17 @@ func (r *Record) Launch(gen uint32) (from State, ok bool, err error) {
 // Outcome opens the completion stage of one attempt: it validates the
 // generation stamp, takes a hold (drop it with Exit) and reads, in the same
 // critical section, what attempt handling decides from — whether the task
-// already concluded on another path, its memoization key, and the executor
-// the attempt was routed to (Arm's).
-func (r *Record) Outcome(gen uint32) (terminal bool, memoKey, executor string, ok bool) {
+// already concluded on another path, and its memoization key.
+func (r *Record) Outcome(gen uint32) (terminal bool, memoKey string, ok bool) {
 	r.mu.Lock()
 	if r.gen != gen {
 		r.mu.Unlock()
-		return false, "", "", false
+		return false, "", false
 	}
 	r.holds++
-	terminal, memoKey, executor = r.state.Terminal(), r.memoKey, r.executor
+	terminal, memoKey = r.state.Terminal(), r.memoKey
 	r.mu.Unlock()
-	return terminal, memoKey, executor, true
+	return terminal, memoKey, true
 }
 
 // Retry charges one attempt against the retry budget (when charge is set; the
@@ -605,12 +601,12 @@ func (r *Record) DepDone(gen uint32) bool {
 	return false
 }
 
-// Attempt returns the current attempt's outcome future and wire id (nil, 0
-// before the task first becomes ready) and the executor it was routed to.
-func (r *Record) Attempt() (af *future.Future, wireID int64, executor string) {
+// Attempt returns the current attempt's outcome future (nil before the task
+// first becomes ready).
+func (r *Record) Attempt() *future.Future {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.attemptFut, r.attemptWire, r.executor
+	return r.attemptFut
 }
 
 // String implements fmt.Stringer.

@@ -198,12 +198,13 @@ func TestDepDoneStaleGeneration(t *testing.T) {
 
 func TestAccessors(t *testing.T) {
 	r, _ := Create(5, "app", nil, Options{})
-	if !r.Arm(nil, 0, nil, 0, "htex") {
+	af := future.New()
+	if !r.Arm(nil, 0, af, "htex") {
 		t.Fatal("Arm refused a live record")
 	}
 	r.Exit() // drops the creator's hold
-	if _, _, ex := r.Attempt(); ex != "htex" {
-		t.Fatal("executor lost")
+	if r.Attempt() != af {
+		t.Fatal("attempt lost")
 	}
 	r.SetMemoKey("k")
 	if r.memoKey != "k" {
@@ -330,7 +331,7 @@ func TestFinishRaceAndStaleStraggler(t *testing.T) {
 				if _, ok, _ := r.Launch(stale); ok {
 					t.Error("Launch admitted a stale generation")
 				}
-				if _, _, _, ok := r.Outcome(stale); ok {
+				if _, _, ok := r.Outcome(stale); ok {
 					t.Error("Outcome admitted a stale generation")
 				}
 			}
@@ -346,7 +347,7 @@ func TestFinishRaceAndStaleStraggler(t *testing.T) {
 		if _, ok, _ := r.Launch(gen); ok {
 			t.Fatal("Launch admitted the recycled generation")
 		}
-		if _, _, _, ok := r.Outcome(gen); ok {
+		if _, _, ok := r.Outcome(gen); ok {
 			t.Fatal("Outcome admitted the recycled generation")
 		}
 		if r.Enter(gen) || !r.Enter(gen+1) {
@@ -388,15 +389,15 @@ func TestLifecycleStages(t *testing.T) {
 	}
 	defer payload.Release()
 	af := future.New()
-	if !r.Arm(payload, 9, af, 7, "tp") {
+	if !r.Arm(payload, 9, af, "tp") {
 		t.Fatal("Arm refused a live record")
 	}
 	if !r.Enter(gen) {
 		t.Fatal("Enter refused the live generation")
 	}
 	r.Exit() // drops that hold; the creator's remains
-	if gotAf, wire, label := r.Attempt(); gotAf != af || wire != 7 || label != "tp" {
-		t.Fatalf("Attempt = %v, %d, %q", gotAf, wire, label)
+	if gotAf := r.Attempt(); gotAf != af {
+		t.Fatalf("Attempt = %v", gotAf)
 	}
 	if from, ok, err := r.Launch(gen); from != Pending || !ok || err != nil {
 		t.Fatalf("Launch = %v, %v, %v", from, ok, err)
@@ -405,9 +406,9 @@ func TestLifecycleStages(t *testing.T) {
 		t.Fatalf("second Launch = %v, %v, %v (a launched task is left as it is)", from, ok, err)
 	}
 	r.SetMemoKey("k")
-	terminal, memoKey, label, ok := r.Outcome(gen)
-	if terminal || memoKey != "k" || label != "tp" || !ok {
-		t.Fatalf("Outcome = %v, %q, %q, %v", terminal, memoKey, label, ok)
+	terminal, memoKey, ok := r.Outcome(gen)
+	if terminal || memoKey != "k" || !ok {
+		t.Fatalf("Outcome = %v, %q, %v", terminal, memoKey, ok)
 	}
 	if from, ok := r.Retry(true); from != Launched || !ok || r.State() != Retrying || attempts(r) != 1 {
 		t.Fatalf("Retry = %v, %v (state %v, attempts %d)", from, ok, r.State(), attempts(r))
@@ -423,7 +424,7 @@ func TestLifecycleStages(t *testing.T) {
 	if _, ok := r.Finish(Pending); ok {
 		t.Fatal("Finish accepted a non-terminal state")
 	}
-	if r.Arm(payload, 9, future.New(), 8, "tp") || r.Watch(stop) {
+	if r.Arm(payload, 9, future.New(), "tp") || r.Watch(stop) {
 		t.Fatal("Arm or Watch accepted a terminal record")
 	}
 	if _, ok := r.Retry(false); ok {
@@ -432,7 +433,7 @@ func TestLifecycleStages(t *testing.T) {
 	if _, ok, err := r.Launch(gen); !ok || err == nil {
 		t.Fatalf("Launch on a terminal record: ok %v, err %v", ok, err)
 	}
-	if terminal, _, _, _ := r.Outcome(gen); !terminal {
+	if terminal, _, _ := r.Outcome(gen); !terminal {
 		t.Fatal("Outcome missed the terminal state")
 	}
 	r.Exit() // Outcome's hold

@@ -82,10 +82,12 @@ func filterRoutable(candidates []executor.Executor) (out []executor.Executor, ok
 	return out, len(out) > 0
 }
 
-// halfOpenWait is how long until the first open breaker among a task's
-// candidates (its hinted lanes, else every lane) may half-open; 0 if none is
-// open. A routing failure backs off at least this long, so its free overload
-// retries are not spent before any breaker can admit a probe.
+// halfOpenWait is how long until the first breaker among a task's candidates
+// (its hinted lanes, else every lane) may admit it: an open breaker once it
+// may half-open, a half-open one with every probe slot reserved at its next
+// re-check (Breaker.HalfOpensIn); 0 if none waits. A routing failure backs off
+// at least this long, so its free overload retries are not spent before any
+// breaker can admit it.
 func (d *DFK) halfOpenWait(hints []string) (wait time.Duration) {
 	for _, l := range d.lanes {
 		w := l.breaker.HalfOpensIn()

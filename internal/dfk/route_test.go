@@ -223,6 +223,46 @@ func TestRoutingFailureWaitsForHalfOpen(t *testing.T) {
 	}
 }
 
+// TestRoutingFailureWaitsForProbe: a task whose only candidate is half-open
+// with its one probe slot reserved waits for a re-check instead of spinning
+// through its free overload retries from zero-delay timers: submitted while
+// the probe runs, it succeeds once the probe has closed the breaker.
+func TestRoutingFailureWaitsForProbe(t *testing.T) {
+	d := newDFK(t, func(c *Config) {
+		c.Retries = 0
+		c.Health = &health.Options{
+			Seed:    5,
+			Breaker: health.BreakerConfig{Window: 1, MinSamples: 1, OpenFor: 20 * time.Millisecond, HalfOpenProbes: 1},
+			Policies: map[health.Class]health.Policy{
+				health.ClassOverload: {MaxFree: 1 << 20, Failover: true},
+			},
+		}
+	})
+	b := d.views[0].(*lane).breaker
+	b.Record(false)
+	slow, err := d.PythonApp("slow", func([]any, map[string]any) (any, error) {
+		time.Sleep(100 * time.Millisecond)
+		return "ran", nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	probe := slow.Call()
+	deadline := time.Now().Add(2 * time.Second)
+	for b.State() != health.BreakerHalfOpen {
+		if time.Now().After(deadline) {
+			t.Fatalf("breaker still %v: the first task never became the probe", b.State())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	waiter := slow.Call()
+	for i, f := range []*future.Future{probe, waiter} {
+		if v, err := f.Result(); err != nil || v != "ran" {
+			t.Fatalf("task %d = %v, %v; want both run, the second after the probe", i, v, err)
+		}
+	}
+}
+
 // TestTenantBacklogPollStrandsNoTask: polling TenantBacklog while tasks are
 // routed must not take an attempt out of a lane's inbox behind the runner's
 // back — the runner would spend the wake-up token that announced it, park,

@@ -230,7 +230,7 @@ func (e *Executor) Start() error {
 		s.conn.Store(c)
 		e.shards = append(e.shards, s)
 		e.wg.Add(1)
-		go e.recvLoop(s)
+		go e.recvLoop(s, c)
 	}
 
 	for i := 0; i < e.cfg.InitBlocks; i++ {
@@ -268,19 +268,17 @@ func (e *Executor) openShard(s *shardLink) (*shardConn, error) {
 // replies, and NACKs all resolve against the shared inflight registry,
 // so N shards look like one executor to everything above. A
 // receive error outside shutdown means the shard's router is gone — the
-// shard-death rebalance path. The loop is bound to one connection: a
-// RestoreShard swap starts a fresh loop, and this one exits without
-// reporting a death that belongs to the connection it was reading.
-func (e *Executor) recvLoop(s *shardLink) {
+// shard-death rebalance path. The loop is bound to c, the connection its
+// launcher has just stored in s: passed rather than loaded here, since a
+// RestoreShard swap could land before this goroutine starts and two loops
+// would then read one connection. A swap starts a fresh loop, and this one
+// exits without reporting a death that belongs to the connection it was
+// reading.
+func (e *Executor) recvLoop(s *shardLink, c *shardConn) {
 	defer e.wg.Done()
-	c := s.conn.Load()
 	var results []serialize.ResultMsg // decode destination, reused frame to frame
 	for {
-		// Every frame is done with before the next receive — results are
-		// decoded into copies, LOST ids and details copied out — except a
-		// command reply, which crosses to Command's goroutine and so is
-		// copied out of the reused storage first.
-		msg, err := c.stream.dealer.RecvReuse()
+		f, err := c.stream.dealer.RecvFrame()
 		if err != nil {
 			e.mu.Lock()
 			closed := e.closed
@@ -290,57 +288,65 @@ func (e *Executor) recvLoop(s *shardLink) {
 			}
 			return
 		}
-		if len(msg) == 0 {
-			continue
+		e.receive(s, c, f.Msg, &results)
+		f.Release()
+	}
+}
+
+// receive acts on one frame of shard s's connection c. Nothing outlives the
+// call: results are decoded into copies, LOST ids and details copied out, and
+// a command reply, which crosses to Command's goroutine, is copied first.
+func (e *Executor) receive(s *shardLink, c *shardConn, msg mq.Message, results *[]serialize.ResultMsg) {
+	if len(msg) == 0 {
+		return
+	}
+	switch string(msg[0]) {
+	case frameResults:
+		if len(msg) < 2 {
+			return
 		}
-		switch string(msg[0]) {
-		case frameResults:
-			if len(msg) < 2 {
-				continue
-			}
-			if err := c.stream.dec.DecodeFrame(msg[1], &results); err != nil {
-				// The shard resyncs its RESULTS stream. Tasks whose results
-				// rode the lost frame stay inflight here and recover via the
-				// DFK's attempt timeout (see codec.go).
-				c.stream.nack(msg[1])
-				continue
-			}
-			for _, r := range results {
-				e.complete(r)
-			}
-			clear(results) // the futures own the values now; keep only the storage
-		case frameLost:
-			if len(msg) < 2 {
-				continue
-			}
-			ids, err := serialize.DecodeIDs(msg[1])
-			if err != nil {
-				continue
-			}
-			detail := "manager lost"
-			if len(msg) > 2 {
-				detail = string(msg[2])
-			}
-			mgr := ""
-			if len(msg) > 3 {
-				mgr = string(msg[3])
-			}
-			for _, id := range ids {
-				e.fail(id, &executor.LostError{TaskID: id, Detail: detail, Manager: mgr})
-			}
-		case frameCmdRep:
-			reply := make(mq.Message, len(msg))
-			for i, p := range msg {
-				reply[i] = bytes.Clone(p)
-			}
-			select {
-			case s.cmdReplies <- reply:
-			default:
-			}
-		case frameNack:
-			if len(msg) >= 2 && c.stream.resync(msg[1]) {
-				e.retransmit(s, c)
-			}
+		if err := c.stream.dec.DecodeFrame(msg[1], results); err != nil {
+			// The shard resyncs its RESULTS stream. Tasks whose results
+			// rode the lost frame stay inflight here and recover via the
+			// DFK's attempt timeout (see codec.go).
+			c.stream.nack(msg[1])
+			return
+		}
+		for _, r := range *results {
+			e.complete(r)
+		}
+		clear(*results) // the futures own the values now; keep only the storage
+	case frameLost:
+		if len(msg) < 2 {
+			return
+		}
+		ids, err := serialize.DecodeIDs(msg[1])
+		if err != nil {
+			return
+		}
+		detail := "manager lost"
+		if len(msg) > 2 {
+			detail = string(msg[2])
+		}
+		mgr := ""
+		if len(msg) > 3 {
+			mgr = string(msg[3])
+		}
+		for _, id := range ids {
+			e.fail(id, &executor.LostError{TaskID: id, Detail: detail, Manager: mgr})
+		}
+	case frameCmdRep:
+		reply := make(mq.Message, len(msg))
+		for i, p := range msg {
+			reply[i] = bytes.Clone(p)
+		}
+		select {
+		case s.cmdReplies <- reply:
+		default:
+		}
+	case frameNack:
+		if len(msg) >= 2 && c.stream.resync(msg[1]) {
+			e.retransmit(s, c)
 		}
 	}
 }
@@ -429,7 +435,7 @@ func (e *Executor) RestoreShard(i int) error {
 	_ = old.stream.dealer.Close()
 	s.down.Store(false)
 	e.wg.Add(1)
-	go e.recvLoop(s)
+	go e.recvLoop(s, c)
 	return nil
 }
 

@@ -113,6 +113,16 @@ func regCapacity(b []byte) (int, bool) {
 // epoch matches its encoder's current epoch, so a burst of failures against
 // one epoch triggers exactly one reset/repair cycle (peerStream.resync).
 
+// heldTask is a task envelope received in a stream frame, with the frame
+// reference (mq.Frame.Hold) that keeps the storage its payload aliases from
+// being reused; f is nil for a frame whose storage is not reused. Whoever
+// holds the task — the interchange's queue or a manager's outstanding set, a
+// manager's worker — releases f when the task is done with.
+type heldTask struct {
+	serialize.WireTask
+	f *mq.Frame
+}
+
 // peerStream is one end of a connection's stream pair: the encoder of the
 // frames this end sends (tag, chaos point and label say how), the decoder of
 // those it receives, and the transport to the peer — a dealer, or peer on the

@@ -490,10 +490,11 @@ func scriptedBroker(t *testing.T) (*Executor, *mq.Router, <-chan string) {
 	// The swap RestoreShard makes: new connection in, stale dealer closed so
 	// its receive loop exits, a fresh loop on the new one.
 	s := e.shards[0]
-	old := s.conn.Swap(&shardConn{ix: s.broker(), stream: newPeerStream(dealer, nil, "", tagTaskSub, chaos.PointClientSend, s.label)})
+	c := &shardConn{ix: s.broker(), stream: newPeerStream(dealer, nil, "", tagTaskSub, chaos.PointClientSend, s.label)}
+	old := s.conn.Swap(c)
 	_ = old.stream.dealer.Close()
 	e.wg.Add(1)
-	go e.recvLoop(s)
+	go e.recvLoop(s, c)
 
 	cmds := make(chan string, 16) // more than any test here sends
 	done := make(chan struct{})

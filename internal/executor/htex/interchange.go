@@ -95,7 +95,7 @@ func (c *InterchangeConfig) normalize() {
 type managerState struct {
 	id          string
 	capacity    int // workers + prefetch slots
-	outstanding map[int64]serialize.WireTask
+	outstanding map[int64]heldTask
 	lastSeen    time.Time
 	blacklisted bool
 	// stream is the connection to the manager: its private TASKS stream out,
@@ -105,10 +105,12 @@ type managerState struct {
 	// digests holds the content digests (serialize.Digest of the payload
 	// column, the value the client's Payload.ArgsHash reports as text) of
 	// the tasks this manager returned results for: the inputs it holds warm.
-	// Bounded FIFO by maxDigests; digestOrder tracks insertion order for
-	// eviction. Written only where a result releases its task.
-	digests     map[uint64]struct{}
-	digestOrder []uint64
+	// Bounded FIFO by maxDigests: digestRing holds them in insertion order,
+	// filled once and then overwritten oldest first at digestNext. Written
+	// only where a result releases its task.
+	digests    map[uint64]struct{}
+	digestRing []uint64
+	digestNext int
 }
 
 // maxDigests bounds one manager's warm-digest record.
@@ -116,25 +118,27 @@ const maxDigests = 512
 
 func (m *managerState) free() int { return m.capacity - len(m.outstanding) }
 
-// noteDigest records a warm content digest, evicting the oldest entry past
-// the bound. Caller holds ix.mu.
+// noteDigest records a warm content digest, evicting the oldest entry once
+// the record holds maxDigests. Caller holds ix.mu.
 func (m *managerState) noteDigest(d uint64) {
 	if _, ok := m.digests[d]; ok {
 		return
 	}
-	m.digests[d] = struct{}{}
-	m.digestOrder = append(m.digestOrder, d)
-	for len(m.digestOrder) > maxDigests {
-		delete(m.digests, m.digestOrder[0])
-		m.digestOrder = m.digestOrder[1:]
+	if len(m.digestRing) < maxDigests {
+		m.digestRing = append(m.digestRing, d)
+	} else {
+		delete(m.digests, m.digestRing[m.digestNext])
+		m.digestRing[m.digestNext] = d
+		m.digestNext = (m.digestNext + 1) % maxDigests
 	}
+	m.digests[d] = struct{}{}
 }
 
 // taskSend is one TASKS frame dispatch has decided on: a batch for one
 // manager's stream.
 type taskSend struct {
 	m     *managerState
-	batch []serialize.WireTask
+	batch []heldTask
 }
 
 // Interchange is the hub: it queues tasks from the client, matches them to
@@ -142,6 +146,13 @@ type taskSend struct {
 // result batches back, and polices heartbeats. It brokers task envelopes
 // (serialize.WireTask) exclusively: the argument payload inside is routed,
 // queued, and re-framed as opaque bytes, never decoded or re-encoded here.
+//
+// A queued or outstanding task's payload aliases the TASKB frame it arrived
+// in, so each holds a reference to that frame (heldTask): the reference moves
+// with the task through dispatch, BYE and NACK requeues and locality
+// reroutes, and is released when the task's result arrives, when it is
+// canceled, or when it is reported LOST. Every other delivery is released
+// once handle returns.
 type Interchange struct {
 	cfg    InterchangeConfig
 	router *mq.Router
@@ -167,7 +178,7 @@ type Interchange struct {
 	// each tenant — so fairness established on the client leg holds past
 	// the submission boundary too. Single-tenant traffic (the default)
 	// drains in plain priority-then-arrival order, exactly as before.
-	queue  *fair.Queue[serialize.WireTask]
+	queue  *fair.Queue[heldTask]
 	rrNext int // round-robin cursor (SelectRoundRobin)
 
 	// Scratch owned by the mainLoop goroutine, the only one that decodes
@@ -176,7 +187,8 @@ type Interchange struct {
 	taskBatch []serialize.WireTask
 	resultIDs []int64
 	eligible  []*managerState
-	batch     []serialize.WireTask
+	batch     []heldTask
+	wire      []serialize.WireTask
 	sends     []taskSend
 
 	done chan struct{}
@@ -197,7 +209,7 @@ func StartInterchange(tr simnet.Transport, addr string, cfg InterchangeConfig) (
 		cfg:    cfg,
 		router: r,
 		rng:    rand.New(rand.NewSource(cfg.Seed)),
-		queue: fair.NewQueue(func(a, b serialize.WireTask) bool {
+		queue: fair.NewQueue(func(a, b heldTask) bool {
 			return a.Priority > b.Priority
 		}),
 		toClient: newPeerStream(nil, r, "", tagResults, chaos.PointIxResults, cfg.Label),
@@ -232,6 +244,7 @@ func (ix *Interchange) mainLoop() {
 				return
 			}
 			ix.handle(del)
+			del.Frame.Release()
 		}
 	}
 }
@@ -260,7 +273,9 @@ func (ix *Interchange) handle(del mq.Delivery) {
 			ix.toClient.nack(del.Msg[1]) // the client retransmits its in-flight tasks (codec.go)
 			return
 		}
-		ix.enqueue(ix.taskBatch...)
+		for _, t := range ix.taskBatch {
+			ix.enqueue(heldTask{t, del.Frame.Hold()})
+		}
 		clear(ix.taskBatch) // the queue owns the tasks now; keep only the storage
 		ix.dispatch()
 	case frameReg:
@@ -275,7 +290,7 @@ func (ix *Interchange) handle(del mq.Delivery) {
 		ix.managers[del.From] = &managerState{
 			id:          del.From,
 			capacity:    capacity,
-			outstanding: make(map[int64]serialize.WireTask),
+			outstanding: make(map[int64]heldTask),
 			lastSeen:    time.Now(),
 			stream:      newPeerStream(nil, ix.router, del.From, tagTasks, chaos.PointIxTasks, ix.cfg.Label),
 			digests:     make(map[uint64]struct{}),
@@ -317,6 +332,7 @@ func (ix *Interchange) handle(del mq.Delivery) {
 			if t, ok := m.outstanding[id]; ok {
 				m.noteDigest(serialize.Digest(t.P))
 				delete(m.outstanding, id)
+				t.f.Release()
 			}
 		}
 		client := ix.toClient.peer
@@ -392,18 +408,20 @@ func (ix *Interchange) handle(del mq.Delivery) {
 func (ix *Interchange) requeueOutstanding(id string) {
 	ix.mu.Lock()
 	m, ok := ix.managers[id]
-	var tasks []serialize.WireTask
+	var tasks []heldTask
 	if ok {
 		for _, t := range m.outstanding {
 			tasks = append(tasks, t)
 		}
-		m.outstanding = make(map[int64]serialize.WireTask)
+		m.outstanding = make(map[int64]heldTask)
 	}
 	ix.mu.Unlock()
 	if len(tasks) == 0 {
 		return
 	}
-	ix.enqueue(tasks...)
+	for _, t := range tasks {
+		ix.enqueue(t)
+	}
 	ix.dispatch()
 }
 
@@ -430,11 +448,18 @@ func (ix *Interchange) cancel(ids []int64) {
 	}
 	forward := make(map[string][]int64)
 	ix.mu.Lock()
-	ix.queue.Filter(func(t serialize.WireTask) bool { return !drop[t.ID] })
+	ix.queue.Filter(func(t heldTask) bool {
+		if drop[t.ID] {
+			t.f.Release()
+			return false
+		}
+		return true
+	})
 	for _, m := range ix.managers {
 		for id := range drop {
-			if _, ok := m.outstanding[id]; ok {
+			if t, ok := m.outstanding[id]; ok {
 				delete(m.outstanding, id)
+				t.f.Release()
 				forward[m.id] = append(forward[m.id], id)
 			}
 		}
@@ -496,16 +521,12 @@ func (ix *Interchange) command(del mq.Delivery) {
 	}
 }
 
-// enqueue hands tasks to the tenant-fair interchange queue, keyed by the
-// tenant and weight each wire envelope carries. Within a tenant, dispatch
+// enqueue hands a task to the tenant-fair interchange queue, keyed by the
+// tenant and weight its wire envelope carries. Within a tenant, dispatch
 // order honors the wire-carried priority (stable, so equal priorities
 // dispatch in arrival order); across tenants, deficit round robin applies.
 // The queue locks internally; callers need not hold ix.mu.
-func (ix *Interchange) enqueue(tasks ...serialize.WireTask) {
-	for _, t := range tasks {
-		ix.queue.Push(t.Tenant, t.Weight, t)
-	}
-}
+func (ix *Interchange) enqueue(t heldTask) { ix.queue.Push(t.Tenant, t.Weight, t) }
 
 // dispatch matches queued tasks to managers with advertised free capacity,
 // choosing uniformly at random among eligible managers for distribution
@@ -566,7 +587,7 @@ func (ix *Interchange) dispatch() {
 		sends := ix.sends[:0]
 		if ix.cfg.Locality && len(eligible) > 1 {
 			taken := make(map[*managerState]int)
-			reroutes := make(map[*managerState][]serialize.WireTask)
+			reroutes := make(map[*managerState][]heldTask)
 			kept := batch[:0]
 			for _, t := range batch {
 				d := serialize.Digest(t.P)
@@ -603,13 +624,30 @@ func (ix *Interchange) dispatch() {
 		if len(batch) > 0 {
 			sends = append(sends, taskSend{m: m, batch: batch})
 		}
+		// The encode below runs outside ix.mu, where the heartbeat loop may
+		// report a target manager LOST and release its tasks' references:
+		// the sends hold their own until the payloads are framed.
+		for _, s := range sends {
+			for _, t := range s.batch {
+				t.f.Hold()
+			}
+		}
 		ix.sends = sends
 		ix.mu.Unlock()
 
 		// Re-frame the envelopes on each target manager's stream; the
 		// argument payloads inside pass through as opaque bytes.
 		for _, s := range sends {
-			if err := s.m.stream.enc.EncodeTasks(s.batch, s.m.stream.ship); err != nil {
+			wire := ix.wire[:0]
+			for _, t := range s.batch {
+				wire = append(wire, t.WireTask)
+			}
+			ix.wire = wire
+			err := s.m.stream.enc.EncodeTasks(wire, s.m.stream.ship)
+			for _, t := range s.batch {
+				t.f.Release()
+			}
+			if err != nil {
 				// Send failed: the manager is gone; requeue via loss path.
 				ix.managerLost(s.m.id, "send failed")
 			}
@@ -618,6 +656,7 @@ func (ix *Interchange) dispatch() {
 		// payloads alias.
 		clear(sends)
 		clear(ix.batch)
+		clear(ix.wire)
 	}
 }
 
@@ -658,9 +697,11 @@ func (ix *Interchange) managerLost(id, reason string) {
 	delete(ix.managers, id)
 	ix.managerCount.Store(int32(len(ix.managers)))
 	var lostIDs []int64
-	for tid := range m.outstanding {
+	for tid, t := range m.outstanding {
 		lostIDs = append(lostIDs, tid)
+		t.f.Release()
 	}
+	clear(m.outstanding)
 	client := ix.toClient.peer
 	ix.mu.Unlock()
 

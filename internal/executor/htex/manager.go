@@ -91,7 +91,7 @@ type Manager struct {
 	// stream out, its TASKS stream in.
 	stream peerStream
 
-	tasks   chan serialize.WireTask
+	tasks   chan heldTask
 	results chan serialize.ResultMsg
 
 	done      chan struct{}
@@ -165,7 +165,7 @@ func StartManagerExec(tr simnet.Transport, addr, id string, cfg ManagerConfig,
 		capacity: capacity,
 		exec:     exec,
 		stream:   newPeerStream(dealer, nil, "", tagResults, chaos.PointMgrResults, id),
-		tasks:    make(chan serialize.WireTask, capacity),
+		tasks:    make(chan heldTask, capacity),
 		results:  make(chan serialize.ResultMsg, capacity),
 		done:     make(chan struct{}),
 		lastSeen: time.Now(),
@@ -198,62 +198,74 @@ func (m *Manager) recvLoop() {
 	defer m.wg.Done()
 	var batch []serialize.WireTask // decode destination, reused frame to frame
 	for {
-		msg, err := m.stream.dealer.Recv()
+		f, err := m.stream.dealer.RecvFrame()
 		if err != nil {
 			m.Stop() // interchange gone: exit immediately
 			return
 		}
-		if len(msg) == 0 {
-			continue
+		if !m.receive(f, &batch) {
+			return
 		}
-		switch string(msg[0]) {
-		case frameTasks:
-			if len(msg) < 2 {
-				continue
+		f.Release()
+	}
+}
+
+// receive acts on one frame from the interchange; it reports false once the
+// manager is stopping. A task's payload aliases its TASKS frame, so each task
+// handed to a worker holds the frame until the worker is done with it.
+func (m *Manager) receive(f *mq.Frame, batch *[]serialize.WireTask) bool {
+	msg := f.Msg
+	if len(msg) == 0 {
+		return true
+	}
+	switch string(msg[0]) {
+	case frameTasks:
+		if len(msg) < 2 {
+			return true
+		}
+		if err := m.stream.dec.DecodeFrame(msg[1], batch); err != nil {
+			// The interchange resyncs this manager's encoder and requeues
+			// what it was holding (codec.go). Without that, the lost
+			// frame's tasks would sit in the broker's outstanding set
+			// forever, leaking capacity.
+			m.stream.nack(msg[1])
+			return true
+		}
+		for _, t := range *batch {
+			select {
+			case m.tasks <- heldTask{t, f.Hold()}:
+			case <-m.done:
+				return false
 			}
-			if err := m.stream.dec.DecodeFrame(msg[1], &batch); err != nil {
-				// The interchange resyncs this manager's encoder and requeues
-				// what it was holding (codec.go). Without that, the lost
-				// frame's tasks would sit in the broker's outstanding set
-				// forever, leaking capacity.
-				m.stream.nack(msg[1])
-				continue
-			}
-			for _, t := range batch {
-				select {
-				case m.tasks <- t:
-				case <-m.done:
-					return
-				}
-			}
-			clear(batch) // the workers own the tasks now; keep only the storage
-		case frameHB:
-			m.mu.Lock()
-			m.lastSeen = time.Now()
-			m.mu.Unlock()
-		case frameCancel:
-			if len(msg) < 2 {
-				continue
-			}
-			ids, err := serialize.DecodeIDs(msg[1])
-			if err != nil {
-				continue
-			}
-			m.mu.Lock()
-			for _, id := range ids {
-				m.canceled[id] = struct{}{}
-			}
-			m.mu.Unlock()
-		case frameNack:
-			// The interchange cannot decode this manager's RESULTS stream.
-			// It requeued our outstanding set when it sent the NACK, so the
-			// lost frame's results re-execute elsewhere and the resync is
-			// the whole repair (codec.go).
-			if len(msg) >= 2 {
-				m.stream.resync(msg[1])
-			}
+		}
+		clear(*batch) // the workers own the tasks now; keep only the storage
+	case frameHB:
+		m.mu.Lock()
+		m.lastSeen = time.Now()
+		m.mu.Unlock()
+	case frameCancel:
+		if len(msg) < 2 {
+			return true
+		}
+		ids, err := serialize.DecodeIDs(msg[1])
+		if err != nil {
+			return true
+		}
+		m.mu.Lock()
+		for _, id := range ids {
+			m.canceled[id] = struct{}{}
+		}
+		m.mu.Unlock()
+	case frameNack:
+		// The interchange cannot decode this manager's RESULTS stream.
+		// It requeued our outstanding set when it sent the NACK, so the
+		// lost frame's results re-execute elsewhere and the resync is
+		// the whole repair (codec.go).
+		if len(msg) >= 2 {
+			m.stream.resync(msg[1])
 		}
 	}
+	return true
 }
 
 // dropCanceled reports (and consumes) a pending cancellation for id.
@@ -273,7 +285,8 @@ func (m *Manager) worker(slot int) {
 		select {
 		case <-m.done:
 			return
-		case w := <-m.tasks:
+		case h := <-m.tasks:
+			w := h.WireTask
 			// Chaos: abrupt manager death mid-batch — no BYE, no result. The
 			// interchange's disconnect/heartbeat policing reports the held
 			// tasks LOST, and the DFK retry path re-executes them (§3.7). The
@@ -285,9 +298,13 @@ func (m *Manager) worker(slot int) {
 				return
 			}
 			if m.dropCanceled(w.ID) {
+				h.f.Release()
 				continue // struck by the interchange; never starts
 			}
+			// exec is done with the envelope when it returns: the kernel ran
+			// on a decoded copy, an MPI rank on a copy of its own.
 			res, err := m.exec(slot, w)
+			h.f.Release()
 			if err != nil {
 				m.Stop() // execution substrate gone: die without BYE
 				return

@@ -219,6 +219,33 @@ func TestDigestHoldings(t *testing.T) {
 	}
 }
 
+// TestDigestRecordAllocationFree: a manager's warm-digest record evicts
+// through a fixed ring, so once it holds maxDigests entries a manager
+// returning 10 × maxDigests further distinct digests allocates nothing for
+// it, and the record holds exactly the newest maxDigests of them.
+func TestDigestRecordAllocationFree(t *testing.T) {
+	m := &managerState{digests: make(map[uint64]struct{})}
+	next := uint64(0)
+	note := func(n int) {
+		for range n {
+			next++
+			m.noteDigest(next * 0x9E3779B97F4A7C15) // distinct, spread over the map
+		}
+	}
+	note(2 * maxDigests) // warm-up: the ring fills, the map reaches its size
+	if n := testing.AllocsPerRun(5, func() { note(10 * maxDigests) }); n != 0 {
+		t.Fatalf("%.1f allocations per %d fresh digests, want 0", n, 10*maxDigests)
+	}
+	if len(m.digests) != maxDigests {
+		t.Fatalf("record holds %d digests, want %d", len(m.digests), maxDigests)
+	}
+	for d := next - maxDigests + 1; d <= next; d++ {
+		if _, ok := m.digests[d*0x9E3779B97F4A7C15]; !ok {
+			t.Fatalf("digest %d of the newest %d is not held", d, maxDigests)
+		}
+	}
+}
+
 // TestLocalityDispatchFollowsHoldings: with InterchangeConfig.Locality on, a
 // repeat of a returned task is dispatched to the manager that returned it,
 // whichever manager the random pick chose. The heartbeat clocks run an hour,

@@ -70,15 +70,16 @@ func TestUnserializableResultFailsOnlyItsTask(t *testing.T) {
 // heartbeats included — against starting to allocate again: one task at a
 // time, the shape in which every frame carries one task and so every
 // per-frame allocation is a per-task allocation. The ceiling sits a little
-// above what the path costs today: 12 per trip, down from 99 with the gob
-// stream, 51 before mq read each frame into one buffer, and 18 before the
-// fair queues kept their drained flows and batches, the client its
-// wire-task slice, and the client's receive loop one frame's storage. What
-// is left:
-//   - six are mq's: the part list and the body of the frame on each of the
-//     client → interchange, interchange → manager and manager → interchange
-//     legs (the interchange's router hands its deliveries across a channel,
-//     and a task's payload aliases its frame, so none of them is reused);
+// above what the path costs today: 6 per trip, down from 99 with the gob
+// stream, 51 before mq read each frame into one buffer, 18 before the fair
+// queues kept their drained flows and batches, the client its wire-task
+// slice, and the client's receive loop one frame's storage, and 12 before
+// every leg received its frames into storage a released frame gave back.
+// What is left:
+//   - none are mq's: the interchange releases a TASKB frame when the task's
+//     result arrives, the manager a TASKS frame when the worker is done with
+//     the task, and every other frame once it is handled, so each leg's next
+//     frame is parsed into the part list and body of one released before it;
 //   - two are the future and its done channel, made by the test's direct
 //     Submit (the DFK settles the future it already holds);
 //   - one is Submit's future slice;
@@ -86,8 +87,7 @@ func TestUnserializableResultFailsOnlyItsTask(t *testing.T) {
 //   - heartbeats are the rest.
 //
 // A change that shrinks frames — the result-flush timer going — inherits the
-// guard. Not under -race: there sync.Pool drops a quarter of its puts, and
-// the count reads 12.7–12.9.
+// guard. Not under -race: there sync.Pool drops a quarter of its puts.
 func TestRoundTripAllocationCeiling(t *testing.T) {
 	if raceDetector() {
 		t.Skip("allocation counts under -race measure the detector's sync.Pool, not the wire path")
@@ -123,22 +123,23 @@ func TestRoundTripAllocationCeiling(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	perTrip := float64(after.Mallocs-before.Mallocs) / trips
 	t.Logf("%.1f allocations per single-task round trip", perTrip)
-	const ceiling = 13
+	const ceiling = 7
 	if perTrip > ceiling {
 		t.Fatalf("%.1f allocations per single-task round trip, ceiling %d", perTrip, ceiling)
 	}
 }
 
 // TestShardedBatchAllocationCeiling guards the sharded half of SubmitInto:
-// a 16-task batch round trip at three shards may cost at most 12 allocations
+// a 16-task batch round trip at three shards may cost at most 1 allocation
 // more than at one. The client's own share of that is nothing — placement is
 // recorded on the stack and each shard's partition is framed from the pooled
-// wire scratch — so what is left is mq's part lists and bodies for the extra
-// frames, one per owning shard on each leg instead of one. It reads 87.0 per
-// batch at one shard and 94.5 at three; the extra was 21.5 when the sharded
-// path allocated its placement, its wire-to-shard index and one bucket per
-// owning shard for every batch. Not under -race: there sync.Pool drops a
-// quarter of its puts.
+// wire scratch — and neither is mq's, whose extra frames, one per owning
+// shard on each leg instead of one, are received into storage released
+// frames gave back. It reads 68.4–69.0 per batch at one shard and 68.1–68.2
+// at three; the extra was 7.4 when every received frame allocated its part
+// list and body, and 21.5 when the sharded path also allocated its
+// placement, its wire-to-shard index and one bucket per owning shard for
+// every batch. Not under -race: there sync.Pool drops a quarter of its puts.
 func TestShardedBatchAllocationCeiling(t *testing.T) {
 	if raceDetector() {
 		t.Skip("allocation counts under -race measure the detector's sync.Pool, not the submit path")
@@ -187,7 +188,7 @@ func TestShardedBatchAllocationCeiling(t *testing.T) {
 		return n
 	}
 	one, three := perBatch(1), perBatch(3)
-	const ceiling = 12
+	const ceiling = 1
 	if extra := three - one; extra > ceiling {
 		t.Fatalf("three shards cost %.1f allocations per 16-task batch more than one, ceiling %d", extra, ceiling)
 	}
@@ -263,7 +264,7 @@ func TestCommandReplySurvivesNextFrame(t *testing.T) {
 	e.inflight[1] = inflightTask{fut: fut}
 	e.outstanding.Add(1)
 	e.wg.Add(1)
-	go e.recvLoop(s)
+	go e.recvLoop(s, s.conn.Load())
 	defer func() {
 		e.mu.Lock()
 		e.closed = true

@@ -41,6 +41,8 @@ var (
 // Relay is the stateless LLEX interchange: it routes TASK frames to workers
 // round-robin and RESULT frames back to the client, holding no task state —
 // "the routing logic is completely stateless and opaque to the interchange".
+// A delivery is released once it is sent on, or dropped; a task backlogged
+// until a worker connects keeps its frame until then.
 type Relay struct {
 	router *mq.Router
 
@@ -48,7 +50,7 @@ type Relay struct {
 	workers []string
 	next    int
 	client  string
-	backlog []mq.Message // tasks arriving before any worker connects
+	backlog []*mq.Frame // tasks arriving before any worker connects
 
 	done chan struct{}
 	wg   sync.WaitGroup
@@ -88,14 +90,15 @@ func (rl *Relay) loop() {
 			backlog := rl.backlog
 			rl.backlog = nil
 			rl.mu.Unlock()
-			for _, m := range backlog {
-				rl.forward(m)
+			for _, f := range backlog {
+				rl.forward(f)
 			}
 		case del, ok := <-rl.router.Incoming():
 			if !ok {
 				return
 			}
 			if len(del.Msg) == 0 {
+				del.Frame.Release()
 				continue
 			}
 			switch string(del.Msg[0]) {
@@ -103,7 +106,8 @@ func (rl *Relay) loop() {
 				rl.mu.Lock()
 				rl.client = del.From
 				rl.mu.Unlock()
-				rl.forward(del.Msg)
+				rl.forward(del.Frame) // releases the frame once sent, or backlogs it
+				continue
 			case frameResult:
 				rl.mu.Lock()
 				client := rl.client
@@ -112,6 +116,7 @@ func (rl *Relay) loop() {
 					_ = rl.router.SendTo(client, del.Msg)
 				}
 			}
+			del.Frame.Release()
 		}
 	}
 }
@@ -120,21 +125,23 @@ func (rl *Relay) loop() {
 // buffered (a pragmatic deviation from pure statelessness that avoids
 // dropping tasks during startup; the paper's LLEX assumes workers pre-exist).
 // A worker whose send fails is dropped here: its leave event is read by the
-// goroutine that is running this loop, so waiting for it would spin.
-func (rl *Relay) forward(m mq.Message) {
+// goroutine that is running this loop, so waiting for it would spin. The
+// frame is released once sent, or once the relay is closing.
+func (rl *Relay) forward(f *mq.Frame) {
 	for {
 		rl.mu.Lock()
 		if len(rl.workers) == 0 {
-			rl.backlog = append(rl.backlog, m)
+			rl.backlog = append(rl.backlog, f)
 			rl.mu.Unlock()
 			return
 		}
 		w := rl.workers[rl.next%len(rl.workers)]
 		rl.next++
 		rl.mu.Unlock()
-		err := rl.router.SendTo(w, m)
+		err := rl.router.SendTo(w, f.Msg)
 		if err == nil || errors.Is(err, mq.ErrClosed) {
-			return // delivered, or the relay is closing and nothing can be
+			f.Release() // delivered, or the relay is closing and nothing can be
+			return
 		}
 		rl.dropWorker(w)
 	}
@@ -195,19 +202,19 @@ func StartWorker(tr simnet.Transport, addr, id string, reg *serialize.Registry) 
 func (w *Worker) loop() {
 	defer w.wg.Done()
 	for {
-		msg, err := w.dealer.Recv()
+		f, err := w.dealer.RecvFrame()
 		if err != nil {
 			return
 		}
-		if len(msg) < 2 || string(msg[0]) != frameTask {
-			continue
+		if msg := f.Msg; len(msg) >= 2 && string(msg[0]) == frameTask {
+			// The task's attached payload aliases the frame, so the frame
+			// is released once the kernel has run.
+			if task, err := serialize.DecodeTask(msg[1]); err == nil {
+				res := executor.RunKernel(w.reg, task, w.id)
+				_ = w.dealer.Send(mq.Message{tagResult, serialize.EncodeResult(res)})
+			}
 		}
-		task, err := serialize.DecodeTask(msg[1])
-		if err != nil {
-			continue
-		}
-		res := executor.RunKernel(w.reg, task, w.id)
-		_ = w.dealer.Send(mq.Message{tagResult, serialize.EncodeResult(res)})
+		f.Release()
 	}
 }
 
@@ -315,14 +322,18 @@ func (e *Executor) Start() error {
 func (e *Executor) recvLoop() {
 	defer e.wg.Done()
 	for {
-		msg, err := e.dealer.Recv()
+		f, err := e.dealer.RecvFrame()
 		if err != nil {
 			return
 		}
+		// The result is decoded into copies, so the frame goes back at once.
+		msg := f.Msg
 		if len(msg) < 2 || string(msg[0]) != frameResult {
+			f.Release()
 			continue
 		}
 		res, err := serialize.DecodeResult(msg[1])
+		f.Release()
 		if err != nil {
 			continue
 		}

@@ -118,19 +118,28 @@ func (b *Breaker) setLocked(s BreakerState) {
 	b.state.Store(uint32(s))
 }
 
-// HalfOpensIn reports how long until an open breaker admits probes: 0 when it
-// is not open or its OpenFor has already run out (the next Routable
-// half-opens it). Closed, it answers without the lock.
+// HalfOpensIn reports how long a task that found this breaker inadmissible
+// should wait before asking again: until an open breaker's OpenFor runs out,
+// or one whole OpenFor for a half-open breaker whose probe slots are all
+// reserved, since when its probes settle cannot be known. It is 0 when the
+// breaker admits (closed, or half-open with a free slot) or its OpenFor has
+// already run out (the next Routable half-opens it). Closed, it answers
+// without the lock.
 func (b *Breaker) HalfOpensIn() time.Duration {
 	if b.State() == BreakerClosed {
 		return 0
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.State() != BreakerOpen {
-		return 0
+	switch b.State() {
+	case BreakerOpen:
+		return max(b.cfg.OpenFor-b.now().Sub(b.openedAt), 0)
+	case BreakerHalfOpen:
+		if b.probes >= b.cfg.HalfOpenProbes {
+			return b.cfg.OpenFor
+		}
 	}
-	return max(b.cfg.OpenFor-b.now().Sub(b.openedAt), 0)
+	return 0
 }
 
 // Routable reports whether routing may consider this executor right now.

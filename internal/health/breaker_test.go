@@ -89,8 +89,10 @@ func TestBreakerStaysClosedUnderMixedOutcomes(t *testing.T) {
 	}
 }
 
-// TestBreakerHalfOpensIn: only an open breaker has a wait, the rest of its
-// OpenFor; closed, expired and half-open breakers report none.
+// TestBreakerHalfOpensIn: only an open breaker, or a half-open one with every
+// probe slot reserved, has a wait; an open breaker's is the rest of its
+// OpenFor; closed, expired and half-open breakers with a free slot report
+// none.
 func TestBreakerHalfOpensIn(t *testing.T) {
 	b, clk, _ := newTestBreaker(t, BreakerConfig{Window: 1, MinSamples: 1, OpenFor: 50 * time.Millisecond})
 	if w := b.HalfOpensIn(); w != 0 {
@@ -113,6 +115,14 @@ func TestBreakerHalfOpensIn(t *testing.T) {
 	}
 	if w := b.HalfOpensIn(); w != 0 {
 		t.Fatalf("half-open: HalfOpensIn = %v, want 0", w)
+	}
+	// Every probe slot reserved: nothing is admitted until a probe settles,
+	// which cannot be known, so the wait is a re-check one OpenFor away.
+	for range 2 {
+		b.Acquire()
+	}
+	if w := b.HalfOpensIn(); w != 50*time.Millisecond || b.Routable() {
+		t.Fatalf("half-open, probes reserved: HalfOpensIn = %v, want 50ms while not routable", w)
 	}
 }
 

@@ -146,9 +146,9 @@ func (c *chunks) Read(p []byte) (int, error) {
 // in-buffer parse and the readFrame fallback and straddle buffer fills.
 // Message for message and error for error, Recv must read what readFrame
 // reads from the same bytes, within FuzzReadFrame's allocation bound, and
-// every part's capacity must be its length. Conn.RecvReuse, reading the same
-// pieces through its own Conn, must do the same, each message checked
-// before the next receive overwrites it.
+// every part's capacity must be its length. Conn.RecvFrame, reading the same
+// pieces through its own Conn, must return exactly what Recv returned, each
+// frame checked and released before the next receive reuses its storage.
 func FuzzConnRecv(f *testing.F) {
 	var stream bytes.Buffer
 	for _, m := range []Message{
@@ -211,24 +211,23 @@ func FuzzConnRecv(f *testing.F) {
 		}
 
 		conns = [runs]*Conn{conn(), conn(), conn()}
-		readers := [runs]*bytes.Reader{bytes.NewReader(in), bytes.NewReader(in), bytes.NewReader(in)}
 		used = leastAllocated(func(run int) {
 			for i := 0; ; i++ {
-				m, err := conns[run].RecvReuse()
-				want, wantErr := readFrame(readers[run])
-				if err != nil || wantErr != nil {
-					if fmt.Sprint(err) != fmt.Sprint(wantErr) {
-						t.Fatalf("message %d: RecvReuse failed with %v, readFrame with %v", i, err, wantErr)
+				f, ferr := conns[run].RecvFrame()
+				if ferr != nil || i == len(got) {
+					if i != len(got) || fmt.Sprint(ferr) != fmt.Sprint(err) {
+						t.Fatalf("message %d: RecvFrame failed with %v; Recv read %d messages, then %v", i, ferr, len(got), err)
 					}
 					break
 				}
-				checkMessage(t, "RecvReuse", i, m, want)
+				checkMessage(t, "RecvFrame", i, f.Msg, got[i])
+				f.Release()
 			}
 		})
-		// Both readers' allocations: readFrame's are FuzzReadFrame's bound per
-		// input, and RecvReuse's own at most that again.
+		// A frame past the buffer costs RecvFrame a Frame beside readFrame's
+		// part list and parts, so its bound is FuzzReadFrame's doubled.
 		if limit := 2 * uint64(firstPart+4<<10+8*len(in)); used > limit {
-			t.Fatalf("RecvReuse beside readFrame on a %d-byte input allocated %d bytes (limit %d)", len(in), used, limit)
+			t.Fatalf("RecvFrame on a %d-byte input allocated %d bytes (limit %d)", len(in), used, limit)
 		}
 	})
 }
@@ -280,23 +279,24 @@ func (r *repeat) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-// TestRecvReuseAllocationFree: once its storage has grown to a frame's size,
-// RecvReuse reads each further frame that fits the read buffer without
-// allocating — the receive loop of a client that decodes every frame before
-// it asks for the next.
-func TestRecvReuseAllocationFree(t *testing.T) {
+// TestRecvFrameAllocationFree: once a released Frame's storage has grown to
+// a frame's size, RecvFrame reads each further frame that fits the read
+// buffer into it without allocating — the receive loop of a client that
+// decodes every frame before it asks for the next.
+func TestRecvFrameAllocationFree(t *testing.T) {
 	var buf bytes.Buffer
 	if err := writeFrame(&buf, Message{[]byte("RESULTS"), bytes.Repeat([]byte{3}, 300)}); err != nil {
 		t.Fatal(err)
 	}
 	c := &Conn{r: bufio.NewReaderSize(&repeat{frame: buf.Bytes()}, recvBuffer)}
 	recv := func() {
-		m, err := c.RecvReuse()
-		if err != nil || len(m) != 2 || string(m[0]) != "RESULTS" || len(m[1]) != 300 {
-			t.Fatalf("RecvReuse = %d parts, %v", len(m), err)
+		f, err := c.RecvFrame()
+		if err != nil || len(f.Msg) != 2 || string(f.Msg[0]) != "RESULTS" || len(f.Msg[1]) != 300 {
+			t.Fatalf("RecvFrame = %v, %v", f, err)
 		}
+		f.Release()
 	}
 	if n := testing.AllocsPerRun(1000, recv); n != 0 {
-		t.Fatalf("%.2f allocations per RecvReuse, want 0", n)
+		t.Fatalf("%.2f allocations per RecvFrame, want 0", n)
 	}
 }

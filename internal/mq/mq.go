@@ -3,6 +3,18 @@
 // managers connect using ZeroMQ queues"). It provides multipart framed
 // messages over any net.Conn, a Dealer (identified client) and a Router
 // (identity-routing hub) — the two socket patterns Parsl's executors use.
+//
+// Storage. Recv returns a message in fresh memory the caller owns. RecvFrame
+// returns, and every Router delivery carries, a Frame: the message in storage
+// its connection reuses, as a ZeroMQ message is a buffer freed on its last
+// reference. The receive hands the Frame over holding one reference, the
+// receiver's. A holder that keeps the message, or any part of it, past the
+// receiver's Release takes a reference of its own with Hold and releases it
+// when it is done; the receiver releases once it has handed the message on.
+// At the last Release the part list and the body go back to the connection,
+// whose next receives parse into them, so nobody may read the message after
+// releasing. A Frame never released is garbage, as a Recv message is, and one
+// released more often than held panics.
 package mq
 
 import (
@@ -14,6 +26,7 @@ import (
 	"net"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/simnet"
 )
@@ -125,19 +138,51 @@ func readPart(r io.Reader, n int) ([]byte, error) {
 	return part[:n:n], nil
 }
 
-// recvBuffer is a Conn's read buffer, the largest frame Recv parses in place:
-// htex task batches reach ≈5 KiB; a rarer, larger heartbeat takes readFrame.
+// recvBuffer is a Conn's read buffer, the largest frame a receive parses in
+// place: htex task batches reach ≈5 KiB; a rarer, larger heartbeat takes
+// readFrame.
 const recvBuffer = 8 << 10
 
+// freeFrames is how many released Frames a Conn keeps for its next receives.
+// A Frame holds a body of at most recvBuffer bytes; a release finding the list
+// full leaves its Frame to the garbage collector.
+const freeFrames = 8
+
+// frameStack is a Conn's released Frames. It is last in, first out: a
+// receive parses into the storage released last, the likeliest to be cached.
+type frameStack struct {
+	mu    sync.Mutex
+	n     int
+	stack [freeFrames]*Frame
+}
+
+func (fs *frameStack) push(f *Frame) {
+	fs.mu.Lock()
+	if fs.n < len(fs.stack) {
+		fs.stack[fs.n] = f
+		fs.n++
+	}
+	fs.mu.Unlock()
+}
+
+func (fs *frameStack) pop() (f *Frame) {
+	fs.mu.Lock()
+	if fs.n > 0 {
+		fs.n--
+		f, fs.stack[fs.n] = fs.stack[fs.n], nil
+	}
+	fs.mu.Unlock()
+	return f
+}
+
 // Conn is a framed connection with a serialized writer, safe for concurrent
-// Send from multiple goroutines. Recv and RecvReuse must be called from one
+// Send from multiple goroutines. Recv and RecvFrame must be called from one
 // goroutine.
 type Conn struct {
 	raw net.Conn
 	r   *bufio.Reader
-	// msg and body are the storage RecvReuse parses a frame into.
-	msg  Message
-	body []byte
+	// free holds released Frames, which RecvFrame parses into.
+	free frameStack
 
 	wmu sync.Mutex
 	w   frameWriter
@@ -169,18 +214,72 @@ func (c *Conn) Recv() (Message, error) {
 	return readFrame(c.r)
 }
 
-// RecvReuse is Recv for a caller that is done with each message before it
-// asks for the next: a frame that fits the read buffer is parsed into
-// storage the Conn keeps, so the message and its parts are valid only until
-// the next RecvReuse. A reader that hands a message to another goroutine
-// copies it first.
-func (c *Conn) RecvReuse() (Message, error) {
-	m, body, ok := c.peekFrame(c.msg, c.body)
-	if ok {
-		c.msg, c.body = m, body
-		return m, nil
+// Frame is a received message in storage its connection reuses once every
+// holder has released it (see the package comment).
+type Frame struct {
+	Msg  Message
+	refs atomic.Int32
+	// home is the connection the storage goes back to; nil for a frame read
+	// past the buffer, whose storage is the garbage collector's.
+	home *Conn
+	body []byte
+	// parts is the part list of a frame of at most four parts, so a Frame
+	// and its body are the receive's only allocations.
+	parts [4][]byte
+}
+
+// RecvFrame reads one multipart message as Recv does, into a Frame holding
+// one reference. A frame that fits the read buffer is parsed into storage a
+// released Frame of this Conn gave back; one larger goes to readFrame.
+func (c *Conn) RecvFrame() (*Frame, error) {
+	f := c.free.pop()
+	if f == nil {
+		f = &Frame{home: c}
+		f.Msg = f.parts[:0]
 	}
-	return readFrame(c.r)
+	m, body, ok := c.peekFrame(f.Msg, f.body)
+	if !ok {
+		c.free.push(f)
+		m, err := readFrame(c.r)
+		if err != nil {
+			return nil, err
+		}
+		f = &Frame{Msg: m}
+		f.refs.Store(1)
+		return f, nil
+	}
+	f.Msg, f.body = m, body
+	f.refs.Store(1)
+	return f, nil
+}
+
+// Hold takes a reference for a holder that keeps part of f's message past
+// the receiver's Release, and returns what that holder releases: f, or nil
+// when f's storage is not reused (a frame read past the buffer), where the
+// parts the holder keeps keep themselves alive and holding f would pin the
+// rest. The caller must hold a reference while it calls Hold; Hold of a nil
+// Frame returns nil.
+func (f *Frame) Hold() *Frame {
+	if f == nil || f.home == nil {
+		return nil
+	}
+	f.refs.Add(1)
+	return f
+}
+
+// Release drops one reference; the last gives the storage back to the
+// connection. Release of a nil Frame does nothing, and one past the last
+// reference panics.
+func (f *Frame) Release() {
+	if f == nil {
+		return
+	}
+	switch n := f.refs.Add(-1); {
+	case n < 0:
+		panic("mq: Frame released more often than held")
+	case n == 0 && f.home != nil:
+		f.home.free.push(f)
+	}
 }
 
 // peekFrame returns the next frame if it fits the read buffer, consuming it,
@@ -268,17 +367,19 @@ func (d *Dealer) Send(m Message) error { return d.conn.Send(m) }
 // Recv blocks for the next message from the router.
 func (d *Dealer) Recv() (Message, error) { return d.conn.Recv() }
 
-// RecvReuse is Recv with Conn.RecvReuse's contract: the message is valid
-// until the next RecvReuse.
-func (d *Dealer) RecvReuse() (Message, error) { return d.conn.RecvReuse() }
+// RecvFrame is Conn.RecvFrame on the connection to the router.
+func (d *Dealer) RecvFrame() (*Frame, error) { return d.conn.RecvFrame() }
 
 // Close tears down the connection.
 func (d *Dealer) Close() error { return d.conn.Close() }
 
-// Delivery is a message received by a Router, tagged with the sender.
+// Delivery is a message received by a Router, tagged with the sender. Msg is
+// Frame.Msg, and Frame holds the receiver's reference (see the package
+// comment); both are nil in the zero Delivery a closed Incoming yields.
 type Delivery struct {
-	From string
-	Msg  Message
+	From  string
+	Msg   Message
+	Frame *Frame
 }
 
 // PeerEvent notifies router users of peer arrival/departure, which the HTEX
@@ -356,12 +457,12 @@ func (r *Router) serveConn(c *Conn) {
 		r.notify(PeerEvent{ID: id, Joined: true})
 	loop:
 		for {
-			m, err := c.Recv()
+			f, err := c.RecvFrame()
 			if err != nil {
 				break
 			}
 			select {
-			case r.incoming <- Delivery{From: id, Msg: m}:
+			case r.incoming <- Delivery{From: id, Msg: f.Msg, Frame: f}:
 			case <-r.done:
 				break loop
 			}

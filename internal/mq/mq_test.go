@@ -421,6 +421,83 @@ func TestConnTCPManyParts(t *testing.T) {
 	}
 }
 
+// TestHeldFrameOutlivesReuse: a delivery a slow holder keeps a reference to
+// stays byte-identical while later frames on the same connection are
+// received into storage that released frames gave back, and a release past
+// the last reference panics. Under -race the detector also sees the holder's
+// reads on its own goroutine against the receive loop's writes into reused
+// storage.
+func TestHeldFrameOutlivesReuse(t *testing.T) {
+	n := newNet()
+	r, err := NewRouter(n, "hub")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	d, err := DialDealer(n, "hub", "mgr-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+
+	// One later frame at a time, each sent once the one before it is
+	// released: a receive loop running ahead of its consumer has nothing
+	// released to parse into.
+	const later = 96
+	held := bytes.Repeat([]byte{0xA5}, 300)
+	next := make(chan struct{})
+	go func() {
+		_ = d.Send(Message{[]byte("HELD"), held})
+		for i := range later {
+			<-next
+			_ = d.Send(Message{[]byte("LATER"), bytes.Repeat([]byte{byte(i)}, 300)})
+		}
+	}()
+
+	first := <-r.Incoming()
+	keep := first.Frame.Hold()
+	first.Frame.Release() // the receiver's reference; the holder's keeps the storage
+	check := make(chan error)
+	release := make(chan struct{})
+	go func() {
+		<-release
+		var err error
+		if got := keep.Msg[1]; string(keep.Msg[0]) != "HELD" || !bytes.Equal(got, held) {
+			err = fmt.Errorf("held frame reads %q %x after %d later frames", keep.Msg[0], got, later)
+		}
+		keep.Release()
+		check <- err
+	}()
+
+	bodies := map[*byte]bool{}
+	for i := range later {
+		next <- struct{}{}
+		del := <-r.Incoming()
+		if string(del.Msg[0]) != "LATER" || !bytes.Equal(del.Msg[1], bytes.Repeat([]byte{byte(i)}, 300)) {
+			t.Fatalf("frame %d reads %q %x", i, del.Msg[0], del.Msg[1])
+		}
+		if &del.Msg[1][0] == &keep.Msg[1][0] {
+			t.Fatalf("frame %d was received into the held frame's storage", i)
+		}
+		bodies[&del.Msg[1][0]] = true
+		del.Frame.Release()
+	}
+	close(release)
+	if err := <-check; err != nil {
+		t.Fatal(err)
+	}
+	if len(bodies) > freeFrames+1 {
+		t.Fatalf("%d later frames used %d bodies; released storage is not reused", later, len(bodies))
+	}
+
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a second Release of a released frame did not panic")
+		}
+	}()
+	keep.Release()
+}
+
 // BenchmarkRouterRoundTrip: a dealer's 64-byte message echoed by the router,
 // one at a time, over each transport.
 func BenchmarkRouterRoundTrip(b *testing.B) {

@@ -483,14 +483,9 @@ func (a *App) Submit(ctx context.Context, args []any, opts ...CallOption) *futur
 // copies the map; one without inputs encodes it inside Submit and reads it
 // again only for its declared outputs (app.KwOutputs) when it completes.
 func (a *App) SubmitKw(ctx context.Context, kwargs map[string]any, args []any, opts ...CallOption) *future.Future {
-	if len(opts) == 0 {
-		// Option-free fast path: &o below escapes into the opaque option
-		// funcs, heap-allocating on every call; plain submissions skip it.
-		return a.dfk.submit(ctx, a, args, kwargs, callOpts{})
-	}
 	var o callOpts
-	for _, opt := range opts {
-		opt(&o)
+	for i := range opts {
+		o.apply(&opts[i])
 	}
 	return a.dfk.submit(ctx, a, args, kwargs, o)
 }
@@ -565,11 +560,11 @@ func (d *DFK) submit(ctx context.Context, a *App, args []any, kwargs map[string]
 		Timeout: o.timeout, Deadline: o.deadline,
 		MemoKeyOverride: o.memoKey, Gate: gate,
 	}
-	if o.retries != nil {
-		opts.MaxRetries = *o.retries
+	if o.set&optRetries != 0 {
+		opts.MaxRetries = o.retries
 	}
-	if o.executor != "" {
-		opts.Hints = []string{o.executor}
+	if o.hints != nil {
+		opts.Hints = o.hints
 	}
 	rec, gen := task.Create(id, a.name, kwargs, opts)
 	// Publishing the record (watcher, dependency callbacks) lets other

@@ -11,12 +11,19 @@
 // inputs — which is what makes dependency resolution event driven with O(n+e)
 // cost.
 //
-// The struct is tuned for the million-task hot path: the done channel is
-// allocated lazily (only futures somebody actually selects or blocks on pay
-// for it), the first registration occupies an inline slot (a task with one
-// dependent never grows a slice), and the DoneHook interface lets pipeline
-// stages and task records embed their completion handling in a struct they
-// already allocate instead of capturing a closure per task.
+// The struct is tuned for the million-task hot path: every task allocates
+// one, and the submitter, the completing worker and the waiter all touch it,
+// so on 64-bit it is 64 bytes — one size-64 object, one aligned cache line.
+// Its mutex, its state word, the done channel, one value slot, one
+// registration slot and the task id fill it. The done channel is allocated
+// lazily (only futures somebody actually selects or blocks on pay for it). A
+// failed future keeps its error in the value slot, which the state tells
+// apart. The registration slot holds the first hook itself, so a task with one
+// dependent never allocates for it; a second registration moves both into a
+// list that is itself a DoneHook, with two inline slots. The DoneHook
+// interface lets pipeline stages and task records embed their completion
+// handling in a struct they already allocate instead of capturing a closure
+// per task.
 package future
 
 import (
@@ -79,6 +86,23 @@ type callback func(*Future)
 // FutureDone implements DoneHook.
 func (cb callback) FutureDone(f *Future) { cb(f) }
 
+// hookList is a future's registration list once it holds two or more
+// registrations: the future's one slot then holds the list. The first two
+// live in the list's own inline array, so a second registration costs one
+// object, and later ones grow the slice by doubling.
+type hookList struct {
+	hooks  []DoneHook
+	inline [2]DoneHook
+}
+
+// FutureDone implements DoneHook: it fires the listed hooks once each, in
+// registration order.
+func (l *hookList) FutureDone(f *Future) {
+	for _, h := range l.hooks {
+		h.FutureDone(f)
+	}
+}
+
 // closedChan is the shared pre-closed channel handed out by DoneChan on
 // futures that completed before anyone asked for a channel.
 var closedChan = func() chan struct{} {
@@ -95,20 +119,20 @@ type Future struct {
 	mu sync.Mutex
 	// state is written under mu but read lock-free (Done, State, Result,
 	// Err, Value): the atomic store in complete is a release paired with the
-	// acquire load, so an observer of a terminal state also observes
-	// value/err, which never change after it.
+	// acquire load, so an observer of a terminal state also observes value,
+	// which never changes after it.
 	state atomic.Int32
 	// done is created lazily, by the first DoneChan caller (or blocking
 	// waiter) that finds the future still pending. Futures consumed purely
 	// through callbacks/hooks — the dispatch pipeline's common case — never
 	// allocate it.
-	done  chan struct{}
+	done chan struct{}
+	// value is the result of a Resolved future and the error of a Failed
+	// one.
 	value any
-	err   error
-	// first and more are the registration list, hooks and callbacks alike:
-	// first is the inline slot, more the overflow for fan-out edges.
+	// first is the registration list, hooks and callbacks alike: nil, the
+	// one registration, or a *hookList holding two or more.
 	first DoneHook
-	more  []DoneHook
 
 	// TaskID is the identifier of the task that will complete this future,
 	// or a negative value when the future is not bound to a task (for
@@ -144,7 +168,7 @@ func FromError(err error) *Future {
 // SetResult completes the future with a value. It returns ErrAlreadySet if
 // the future was previously completed.
 func (f *Future) SetResult(v any) error {
-	return f.complete(Resolved, v, nil)
+	return f.complete(Resolved, v)
 }
 
 // SetError completes the future with an error. It returns ErrAlreadySet if
@@ -153,35 +177,33 @@ func (f *Future) SetError(err error) error {
 	if err == nil {
 		err = errors.New("future: SetError called with nil error")
 	}
-	return f.complete(Failed, nil, err)
+	return f.complete(Failed, err)
 }
 
 // Cancel completes a pending future with ErrCanceled. It reports whether the
 // cancellation won the race (false if the future was already done).
 func (f *Future) Cancel() bool {
-	return f.complete(Failed, nil, ErrCanceled) == nil
+	return f.complete(Failed, ErrCanceled) == nil
 }
 
-func (f *Future) complete(s State, v any, err error) error {
+// complete settles the future in state s with v: a Resolved future's value
+// or a Failed future's error.
+func (f *Future) complete(s State, v any) error {
 	f.mu.Lock()
 	if State(f.state.Load()) != Pending {
 		f.mu.Unlock()
 		return ErrAlreadySet
 	}
 	f.value = v
-	f.err = err
 	f.state.Store(int32(s)) // release: pairs with lock-free Done/State loads
 	if f.done != nil {
 		close(f.done)
 	}
-	first, more := f.first, f.more
-	f.first, f.more = nil, nil
+	first := f.first
+	f.first = nil
 	f.mu.Unlock()
 	if first != nil {
 		first.FutureDone(f)
-	}
-	for _, h := range more {
-		h.FutureDone(f)
 	}
 	return nil
 }
@@ -217,12 +239,17 @@ func (f *Future) State() State {
 // Result blocks until the future completes and returns its value or error.
 // This is the analogue of Parsl's future.result().
 func (f *Future) Result() (any, error) {
-	if !f.Done() {
+	s := State(f.state.Load())
+	if s == Pending {
 		<-f.DoneChan()
+		s = State(f.state.Load())
 	}
-	// A settled future never changes, and the acquire load in Done (or the
-	// closed channel) ordered value/err: read them without the mutex.
-	return f.value, f.err
+	// A settled future never changes, and the acquire load of its state
+	// ordered value: read it without the mutex.
+	if s == Failed {
+		return nil, f.value.(error)
+	}
+	return f.value, nil
 }
 
 // ResultCtx is Result with context cancellation. If ctx expires first, the
@@ -247,15 +274,16 @@ func (f *Future) ResultTimeout(d time.Duration) (any, error) {
 // future is pending or resolved. Like Result it reads a settled future
 // without the mutex.
 func (f *Future) Err() error {
-	if !f.Done() {
+	if State(f.state.Load()) != Failed {
 		return nil
 	}
-	return f.err
+	return f.value.(error)
 }
 
-// Value returns the future's value without blocking (nil while pending).
+// Value returns the future's value without blocking (nil while pending or
+// failed).
 func (f *Future) Value() any {
-	if !f.Done() {
+	if State(f.state.Load()) != Resolved {
 		return nil
 	}
 	return f.value
@@ -277,10 +305,16 @@ func (f *Future) AddDoneCallback(cb func(*Future)) {
 func (f *Future) SetDoneHook(h DoneHook) {
 	f.mu.Lock()
 	if State(f.state.Load()) == Pending {
-		if f.first == nil {
+		switch l, ok := f.first.(*hookList); {
+		case ok:
+			l.hooks = append(l.hooks, h)
+		case f.first == nil:
 			f.first = h
-		} else {
-			f.more = append(f.more, h)
+		default:
+			l = &hookList{}
+			l.inline = [2]DoneHook{f.first, h}
+			l.hooks = l.inline[:]
+			f.first = l
 		}
 		f.mu.Unlock()
 		return
@@ -299,6 +333,6 @@ func (f *Future) String() string {
 	case Resolved:
 		return fmt.Sprintf("Future{task=%d resolved %v}", f.TaskID, f.value)
 	default:
-		return fmt.Sprintf("Future{task=%d failed %v}", f.TaskID, f.err)
+		return fmt.Sprintf("Future{task=%d failed %v}", f.TaskID, f.value)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 )
 
 func TestNewIsPending(t *testing.T) {
@@ -248,6 +249,104 @@ func TestRegistrationAllocationFree(t *testing.T) {
 	}
 	if calls != runs+1 || h.n.Load() != runs+1 {
 		t.Fatalf("fired %d callbacks and %d hooks, want %d of each", calls, h.n.Load(), runs+1)
+	}
+}
+
+// Past the inline slot, registrations go to one list: hooks and callbacks
+// alternating, from one registration up to past the list's inline array, fire
+// once each in registration order, and so do late ones.
+func TestMixedRegistrationsFireInOrder(t *testing.T) {
+	for k := 1; k <= 7; k++ {
+		var log, want []string
+		f := New()
+		for i := 0; i < k; i++ {
+			name := fmt.Sprintf("r%d", i)
+			want = append(want, name)
+			if i%2 == 0 {
+				f.SetDoneHook(&logHook{name, &log})
+			} else {
+				f.AddDoneCallback(func(*Future) { log = append(log, name) })
+			}
+		}
+		_ = f.SetResult(k)
+		_ = f.SetResult(k + 1)
+		f.AddDoneCallback(func(*Future) { log = append(log, "late") })
+		want = append(want, "late")
+		if got, w := strings.Join(log, ","), strings.Join(want, ","); got != w {
+			t.Fatalf("k=%d: fired %q, want %q", k, got, w)
+		}
+	}
+}
+
+// A future's k registrations cost no more objects than an overflow slice
+// beside the inline slot did: 0 for one, then one list holding the first two
+// and growing by doubling (1 at k = 2, 2 at k = 3 and 4, 3 at k = 5; the
+// slice took 3 at k = 4).
+func TestRegistrationListAllocations(t *testing.T) {
+	const runs = 100
+	var h countHook
+	cb := func(*Future) { h.n.Add(1) }
+	for _, tc := range []struct {
+		k    int
+		want float64
+	}{{1, 0}, {2, 1}, {3, 2}, {4, 2}, {5, 3}} {
+		h.n.Store(0)
+		futs := make([]Future, runs+1) // AllocsPerRun adds one warm-up run
+		i := 0
+		n := testing.AllocsPerRun(runs, func() {
+			f := &futs[i]
+			i++
+			for j := 0; j < tc.k; j++ {
+				if j%2 == 0 {
+					f.SetDoneHook(&h)
+				} else {
+					f.AddDoneCallback(cb)
+				}
+			}
+			_ = f.SetResult(nil)
+		})
+		t.Logf("k=%d: %.2f allocations per future", tc.k, n)
+		if n > tc.want {
+			t.Errorf("k=%d: %.2f allocations per future, want <= %.0f", tc.k, n, tc.want)
+		}
+		if got := h.n.Load(); got != int32(tc.k*(runs+1)) {
+			t.Fatalf("k=%d: %d firings, want %d", tc.k, got, tc.k*(runs+1))
+		}
+	}
+}
+
+// A failed future keeps its error where a resolved one keeps its value; the
+// state tells them apart, so a resolved future whose value is an error still
+// reads as a value.
+func TestValueAndErrorShareOneSlot(t *testing.T) {
+	boom := errors.New("boom")
+	failed := FromError(boom)
+	if v, err := failed.Result(); v != nil || err != boom {
+		t.Fatalf("failed Result = %v, %v; want nil, %v", v, err, boom)
+	}
+	if failed.Value() != nil || failed.Err() != boom {
+		t.Fatalf("failed Value, Err = %v, %v", failed.Value(), failed.Err())
+	}
+	resolved := Completed(boom)
+	if v, err := resolved.Result(); v != boom || err != nil {
+		t.Fatalf("resolved Result = %v, %v; want %v, nil", v, err, boom)
+	}
+	if resolved.Value() != boom || resolved.Err() != nil {
+		t.Fatalf("resolved Value, Err = %v, %v", resolved.Value(), resolved.Err())
+	}
+}
+
+// TestFutureFitsOneCacheLine guards the future's layout: every task allocates
+// one, and the submitter, the completing worker and the waiter all touch it.
+// At 64 bytes on 64-bit it is one size-64 object, which the allocator places
+// on one aligned cache line. It was 104 bytes, in the 112 class and across
+// two lines, when a failed future kept its error beside its value and a
+// second registration went to an overflow slice beside the inline slot.
+func TestFutureFitsOneCacheLine(t *testing.T) {
+	n := unsafe.Sizeof(Future{})
+	t.Logf("sizeof(Future) = %d", n)
+	if n > 64 {
+		t.Fatalf("sizeof(Future) = %d, want <= 64", n)
 	}
 }
 

@@ -245,12 +245,13 @@ var walArms = []struct {
 	walOn bool
 }{{"wal-off", false}, {"wal-on", true}}
 
-// submitAndWait submits n independent no-ops, then waits for them all.
-func submitAndWait(tb testing.TB, noop *parsl.App, n int) {
+// submitAndWait submits n independent tasks through submit, then waits for
+// them all.
+func submitAndWait(tb testing.TB, n int, submit func(i int) *parsl.Future) {
 	tb.Helper()
 	futs := make([]*parsl.Future, n)
 	for i := range futs {
-		futs[i] = noop.Call(i)
+		futs[i] = submit(i)
 	}
 	for _, f := range futs {
 		if _, err := f.Result(); err != nil {
@@ -259,13 +260,18 @@ func submitAndWait(tb testing.TB, noop *parsl.App, n int) {
 	}
 }
 
+// callNoop submits noop with the task's index as its argument.
+func callNoop(noop *parsl.App) func(int) *parsl.Future {
+	return func(i int) *parsl.Future { return noop.Call(i) }
+}
+
 // BenchmarkDFKSubmission measures raw DFK task-graph overhead (§4.1: "the
 // execution time complexity of a task graph with n tasks and e edges is
 // O(n+e)"): submissions per second through the full dependency machinery.
 func BenchmarkDFKSubmission(b *testing.B) {
 	noop := submissionApp(b, false)
 	b.ResetTimer()
-	submitAndWait(b, noop, b.N)
+	submitAndWait(b, b.N, callNoop(noop))
 }
 
 // BenchmarkDFKSubmissionParallel measures the submit hot path under
@@ -300,7 +306,7 @@ func BenchmarkWALSubmission(b *testing.B) {
 		b.Run(arm.name, func(b *testing.B) {
 			noop := submissionApp(b, arm.walOn)
 			b.ResetTimer()
-			submitAndWait(b, noop, b.N)
+			submitAndWait(b, b.N, callNoop(noop))
 		})
 	}
 }

@@ -563,8 +563,8 @@ func (d *DFK) submit(ctx context.Context, a *App, args []any, kwargs map[string]
 	if o.set&optRetries != 0 {
 		opts.MaxRetries = o.retries
 	}
-	if o.hints != nil {
-		opts.Hints = o.hints
+	if o.executor != "" {
+		opts.Hints = []string{o.executor}
 	}
 	rec, gen := task.Create(id, a.name, kwargs, opts)
 	// Publishing the record (watcher, dependency callbacks) lets other

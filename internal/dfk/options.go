@@ -28,10 +28,7 @@ const (
 
 type callOpts struct {
 	priority int
-	// hints is WithExecutor's label as the one-element hint list a task
-	// carries, made when the option is, so a reused option adds nothing to
-	// each submission.
-	hints    []string
+	executor string
 	deadline time.Time
 	timeout  time.Duration
 	retries  int
@@ -57,7 +54,7 @@ func (o *callOpts) apply(c *CallOption) {
 		o.priority = c.o.priority
 	}
 	if s&optExecutor != 0 {
-		o.hints = c.o.hints
+		o.executor = c.o.executor
 	}
 	if s&optDeadline != 0 {
 		o.deadline = c.o.deadline
@@ -87,11 +84,7 @@ func WithPriority(p int) CallOption {
 // WithExecutor pins this invocation to one executor label, overriding the
 // app's registration-time WithExecutors hints.
 func WithExecutor(label string) CallOption {
-	var hints []string
-	if label != "" {
-		hints = []string{label}
-	}
-	return CallOption{callOpts{set: optExecutor, hints: hints}}
+	return CallOption{callOpts{set: optExecutor, executor: label}}
 }
 
 // WithDeadline bounds every execution attempt by an absolute deadline,

@@ -13,10 +13,9 @@ import (
 // class (the future package's TestFutureFitsOneCacheLine says why): every
 // task allocates its AppFuture, and one word more would land it in the 80
 // class and add 16 B to every task. A pendingLaunch embeds its attempt future
-// and is 232 bytes in the 240 class (272 in the 288 class with the 104-byte
-// future, 304 in the 320 class when it also carried the resolved argument
-// slice and map); it is pooled, so it is no longer a per-task allocation, but
-// a pool refill past 240 bytes would be handed out from the 256 class. A
+// and is 232 bytes in the 240 class; it is pooled, so it is not a per-task
+// allocation, but a pool refill past 240 bytes would be handed out from the
+// 256 class. A
 // task.Record is 312 bytes in the 320 class, its waiter and its own argument
 // list included.
 func TestHotPathStructSizes(t *testing.T) {

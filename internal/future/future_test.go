@@ -278,10 +278,9 @@ func TestMixedRegistrationsFireInOrder(t *testing.T) {
 	}
 }
 
-// A future's k registrations cost no more objects than an overflow slice
-// beside the inline slot did: 0 for one, then one list holding the first two
-// and growing by doubling (1 at k = 2, 2 at k = 3 and 4, 3 at k = 5; the
-// slice took 3 at k = 4).
+// A future's k registrations cost 0 objects for one, then one list holding
+// the first two inline and growing by doubling: 1 at k = 2, 2 at k = 3 and 4,
+// 3 at k = 5.
 func TestRegistrationListAllocations(t *testing.T) {
 	const runs = 100
 	var h countHook
@@ -339,9 +338,7 @@ func TestValueAndErrorShareOneSlot(t *testing.T) {
 // TestFutureFitsOneCacheLine guards the future's layout: every task allocates
 // one, and the submitter, the completing worker and the waiter all touch it.
 // At 64 bytes on 64-bit it is one size-64 object, which the allocator places
-// on one aligned cache line. It was 104 bytes, in the 112 class and across
-// two lines, when a failed future kept its error beside its value and a
-// second registration went to an overflow slice beside the inline slot.
+// on one aligned cache line.
 func TestFutureFitsOneCacheLine(t *testing.T) {
 	n := unsafe.Sizeof(Future{})
 	t.Logf("sizeof(Future) = %d", n)

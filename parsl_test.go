@@ -252,7 +252,7 @@ func TestSubmissionAllocationCeilingRouted(t *testing.T) {
 // warm-up and fails when they average more than 2.7 allocations a task.
 func checkSubmissionAllocations(t *testing.T, noop *parsl.App) {
 	const ceiling = 2.7
-	perTask := allocationsPerTask(t, func(i int) *parsl.Future { return noop.Call(i) })
+	perTask := allocationsPerTask(t, callNoop(noop))
 	t.Logf("%.2f allocations per submitted task", perTask)
 	if raceDetector() {
 		t.Skip("allocation counts under -race measure the detector's sync.Pool, not the submit path")
@@ -266,55 +266,34 @@ func checkSubmissionAllocations(t *testing.T, noop *parsl.App) {
 // for each round, after a 2000-task warm-up of the record, batch and buffer
 // pools, and returns the allocations a task averaged.
 func allocationsPerTask(t *testing.T, submit func(i int) *parsl.Future) float64 {
-	round := func(n int) {
-		futs := make([]*parsl.Future, n)
-		for i := range futs {
-			futs[i] = submit(i)
-		}
-		for _, f := range futs {
-			if _, err := f.Result(); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	round(2000)
+	submitAndWait(t, 2000, submit)
 	const rounds, perRound = 100, 200
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for r := 0; r < rounds; r++ {
-		round(perRound)
+		submitAndWait(t, perRound, submit)
 	}
 	runtime.ReadMemStats(&after)
 	return float64(after.Mallocs-before.Mallocs) / (rounds * perRound)
 }
 
-// TestCallOptionAllocationFree checks that a reused per-call option costs a
+// TestCallOptionAllocationFree checks that a per-call option costs a
 // submission nothing: a CallOption is a value that Submit copies into options
-// on its own stack, so a task submitted with WithTenant, or pinned with
-// WithExecutor, allocates what one submitted without options does. Each cost
-// one allocation more when an option was a func taking a pointer to those
-// options, which made them escape, and when Submit built the pinned task's
-// hint list. Not under -race, for the reason TestSubmissionAllocationCeiling
-// gives.
+// on its own stack, so a task submitted with WithTenant allocates what one
+// submitted without options does. Not under -race, for the reason
+// TestSubmissionAllocationCeiling gives.
 func TestCallOptionAllocationFree(t *testing.T) {
 	if raceDetector() {
 		t.Skip("allocation counts under -race measure the detector's sync.Pool, not the submit path")
 	}
 	noop := submissionApp(t, false)
 	ctx := context.Background()
+	tenant := parsl.WithTenant("tenant1", 1)
 	plain := allocationsPerTask(t, func(i int) *parsl.Future { return noop.Submit(ctx, []any{i}) })
-	for _, tc := range []struct {
-		name string
-		opt  parsl.CallOption
-	}{
-		{"WithTenant", parsl.WithTenant("tenant1", 1)},
-		{"WithExecutor", parsl.WithExecutor("tp")},
-	} {
-		with := allocationsPerTask(t, func(i int) *parsl.Future { return noop.Submit(ctx, []any{i}, tc.opt) })
-		t.Logf("%.2f allocations per task without options, %.2f with %s", plain, with, tc.name)
-		if with > plain+0.1 {
-			t.Errorf("%s costs %.2f allocations per task more than no option", tc.name, with-plain)
-		}
+	with := allocationsPerTask(t, func(i int) *parsl.Future { return noop.Submit(ctx, []any{i}, tenant) })
+	t.Logf("%.2f allocations per task without options, %.2f with WithTenant", plain, with)
+	if with > plain+0.1 {
+		t.Fatalf("WithTenant costs %.2f allocations per task more than no option", with-plain)
 	}
 }
 
@@ -390,8 +369,8 @@ func TestDependentTaskAllocationCeiling(t *testing.T) {
 // closure registered on its inputs; 3.00 and 459 B when the bound was set,
 // the record being its inputs' DoneHook; 3.00 and 448 B once the record held
 // its own copy of the argument list instead of the caller's slice. It reads
-// 3.00 and 400 B: the record, the future (64 B, one cache line; it was 104 B
-// in the 112 B class) and the record's copy of the argument list. Not under
+// 3.00 and 400 B: the record, the future (64 B, one cache line) and the
+// record's copy of the argument list. Not under
 // -race, whose detector keeps its own shadow state per object.
 func TestPendingTaskHeapCeiling(t *testing.T) {
 	const maxObjects, maxBytes = 3.05, 416

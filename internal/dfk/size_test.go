@@ -16,7 +16,7 @@ import (
 // and is 232 bytes in the 240 class; it is pooled, so it is not a per-task
 // allocation, but a pool refill past 240 bytes would be handed out from the
 // 256 class. A
-// task.Record is 312 bytes in the 320 class, its waiter and its own argument
+// task.Record is 304 bytes in the 320 class, its waiter and its own argument
 // list included.
 func TestHotPathStructSizes(t *testing.T) {
 	if n := unsafe.Sizeof(future.Future{}); n > 64 {

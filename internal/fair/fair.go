@@ -22,16 +22,17 @@
 // boundedness comes from admission at the submission boundary, where blocking
 // is safe), and Admission.Release never blocks.
 //
-// The queues (Queue and MPSC) allocate nothing per task
-// once warm, even when they drain to empty after every task: a Queue keeps a
-// few emptied tenant flows and drained batches for reuse, and MPSC keeps its
-// consumer's batches. Every such list has a constant bound, so a stream of
-// one-shot tenants still leaves no per-tenant state behind.
+// A Queue (and MPSC, a Queue with one tenant) allocates nothing per task once
+// warm, even when it drains to empty after every task: it keeps a few emptied
+// tenant flows and drained batches for reuse. Every such list has a constant
+// bound, so a stream of one-shot tenants still leaves no per-tenant state
+// behind.
 package fair
 
 import (
 	"context"
 	"errors"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -453,7 +454,7 @@ type Admission struct {
 	quota  int
 	quotas map[string]int
 	policy Policy
-	window int64 // each tenant's window of ready tasks; <= 0 = none
+	window int64 // each tenant's window of ready tasks
 
 	// def is the default tenant's gate, bound for the Admission's lifetime
 	// and never in tenants.
@@ -465,15 +466,16 @@ type Admission struct {
 
 // NewAdmission creates an admission bound: quota is the default per-tenant
 // cap (<= 0 means unlimited), quotas overrides it per tenant id, and policy
-// picks the overload behavior.
+// picks the overload behavior. Its window is math.MaxInt ready tasks, which
+// no tenant reaches.
 func NewAdmission(quota int, quotas map[string]int, policy Policy) *Admission {
-	return NewWindowedAdmission(quota, quotas, policy, 0)
+	return NewWindowedAdmission(quota, quotas, policy, math.MaxInt)
 }
 
 // NewWindowedAdmission is NewAdmission plus a window of ready tasks per
-// tenant: a submitter whose tenant holds window ready tasks parks — whatever
-// the policy, which governs quotas only — until retirements bring the count
-// down to window/2.
+// tenant (window > 0): a submitter whose tenant holds window ready tasks
+// parks — whatever the policy, which governs quotas only — until retirements
+// bring the count down to window/2.
 func NewWindowedAdmission(quota int, quotas map[string]int, policy Policy, window int) *Admission {
 	var cp map[string]int
 	if len(quotas) > 0 {
@@ -552,7 +554,7 @@ func (a *Admission) AdmitGate(ctx context.Context, tenant string) (g *Gate, wait
 	var start time.Time
 	for {
 		// At the window the submitter parks whatever the policy.
-		if a.window <= 0 || g.ready.Load() < a.window {
+		if g.ready.Load() < a.window {
 			if g.quota <= 0 || g.live.Add(1) <= g.quota {
 				if !start.IsZero() {
 					waited = time.Since(start)
@@ -605,7 +607,7 @@ func (g *Gate) Release(ready bool) {
 // admissible reports whether a submission would now pass both the window and
 // the quota.
 func (g *Gate) admissible() bool {
-	return (g.a.window <= 0 || g.ready.Load() < g.a.window) && (g.quota <= 0 || g.live.Load() < g.quota)
+	return g.ready.Load() < g.a.window && (g.quota <= 0 || g.live.Load() < g.quota)
 }
 
 // bind returns tenant's gate with a reference taken, creating it when the

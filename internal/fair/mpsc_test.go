@@ -29,7 +29,7 @@ func TestMPSCDeliversEverythingOnce(t *testing.T) {
 	// something is queued, until every producer is done and nothing is left.
 	seen := make(map[int64]int)
 	for finished := false; ; {
-		if m.size.Load() == 0 {
+		if m.q.Len() == 0 {
 			if finished {
 				break
 			}
@@ -58,80 +58,14 @@ func TestMPSCDeliversEverythingOnce(t *testing.T) {
 			t.Fatalf("item %d delivered %d times", v, n)
 		}
 	}
-	if m.size.Load() != 0 {
-		t.Fatalf("Len = %d after drain", m.size.Load())
+	if m.q.Len() != 0 {
+		t.Fatalf("Len = %d after drain", m.q.Len())
 	}
 }
 
-// TestMPSCSweepRotatesShards pins the anti-starvation property: when every
-// shard holds work and the consumer takes less than everything, consecutive
-// sweeps start from different shards instead of re-draining shard 0.
-func TestMPSCSweepRotatesShards(t *testing.T) {
-	m := NewMPSC[int64](func(int64) string { return "t" })
-	// One item in each of the 32 shards (keys 0..31 map 1:1 by masking).
-	for k := int64(0); k < mpscShards; k++ {
-		m.Push(k, k)
-	}
-	// Taking one item at a time must eventually visit every shard: the
-	// cursor advances after each non-empty sweep.
-	seen := make(map[int64]bool)
-	for i := 0; i < mpscShards; i++ {
-		batch, ok := m.Take(1)
-		if !ok || len(batch) != 1 {
-			t.Fatalf("take %d: batch %v ok %v", i, batch, ok)
-		}
-		seen[batch[0]] = true
-		m.PutBatch(batch)
-	}
-	if len(seen) != mpscShards {
-		t.Fatalf("single-item sweeps visited %d shards, want %d (starvation)", len(seen), mpscShards)
-	}
-}
-
-// TestMPSCSweepKeepsDenseKeysInOrder: items keyed by one dense sequence — the
-// DFK's wire ids — leave in key order however deep the shards are and however
-// the consumer sizes its takes, so the lanes downstream need not re-sort.
-func TestMPSCSweepKeepsDenseKeysInOrder(t *testing.T) {
-	m := NewMPSC[int64](func(int64) string { return "t" })
-	next, want := int64(0), int64(0)
-	push := func(n int) {
-		for i := 0; i < n; i++ {
-			m.Push(next, next)
-			next++
-		}
-	}
-	for _, step := range []struct{ push, take int }{
-		{1000, 256}, {0, 256}, {7, 1}, {500, 40}, {3, 256}, {0, 256}, {0, 256}, {33, 5}, {0, 256},
-	} {
-		push(step.push)
-		batch, _ := m.Take(step.take)
-		if len(batch) == 0 || len(batch) > step.take {
-			t.Fatalf("Take(%d) returned %d items", step.take, len(batch))
-		}
-		for _, v := range batch {
-			if v != want {
-				t.Fatalf("got key %d, want %d (batch %v)", v, want, batch)
-			}
-			want++
-		}
-		m.PutBatch(batch)
-	}
-}
-
-// TestMPSCSweepFindsLoneShard: a take smaller than the shard count must still
-// reach an item sitting far from the cursor.
-func TestMPSCSweepFindsLoneShard(t *testing.T) {
-	m := NewMPSC[int64](func(int64) string { return "t" })
-	m.Push(21, 21)
-	batch, ok := m.Take(1)
-	if !ok || len(batch) != 1 || batch[0] != 21 {
-		t.Fatalf("Take(1) = %v, %v", batch, ok)
-	}
-}
-
-// TestMPSCAllocationFree: the queue allocates nothing per item once
-// warm when its consumer takes every item as it arrives — including the
-// reorder pass, whose second batch comes from the free list too.
+// TestMPSCAllocationFree: the queue allocates nothing per item once warm,
+// whether its consumer takes every item as it arrives or a round of 256 at
+// once, as the benchmark's probe does.
 func TestMPSCAllocationFree(t *testing.T) {
 	m := NewMPSC[int64](func(int64) string { return "t" })
 	one := func() {
@@ -145,20 +79,18 @@ func TestMPSCAllocationFree(t *testing.T) {
 	if n := testing.AllocsPerRun(1000, one); n != 0 {
 		t.Fatalf("%.2f allocations per push-take-put, want 0", n)
 	}
-	reordered := func() {
-		for _, k := range []int64{0, 32, 1, 33} { // two rounds on two shards
+	const take = 256
+	round := func() {
+		for k := int64(0); k < take; k++ {
 			m.Push(k, k)
 		}
-		batch, _ := m.Take(64) // room for two items a shard
-		if len(batch) != 4 {
-			t.Fatalf("took %v, want four items", batch)
+		batch, _ := m.Take(take)
+		if len(batch) != take {
+			t.Fatalf("took %d items, want %d", len(batch), take)
 		}
 		m.PutBatch(batch)
 	}
-	if n := testing.AllocsPerRun(1000, reordered); n != 0 {
-		t.Fatalf("%.2f allocations per reordered sweep, want 0", n)
-	}
-	if len(m.free) > maxFreeBatches {
-		t.Fatalf("%d free batches, bound %d", len(m.free), maxFreeBatches)
+	if n := testing.AllocsPerRun(100, round); n != 0 {
+		t.Fatalf("%.2f allocations per %d-item round, want 0", n, take)
 	}
 }

@@ -1,10 +1,26 @@
 package task
 
 import (
+	"math/rand"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
-	"testing/quick"
 )
+
+// get returns the resident record for id, or nil.
+func get(g *Graph, id int64) *Record {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.live[id]
+}
+
+// liveCount returns the number of resident records.
+func liveCount(g *Graph) int {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return len(g.live)
+}
 
 func TestGraphAddAndGet(t *testing.T) {
 	g := NewGraph()
@@ -19,6 +35,10 @@ func TestGraphAddAndGet(t *testing.T) {
 	}
 	if liveCount(g) != 1 {
 		t.Fatalf("Len = %d", liveCount(g))
+	}
+	g.Retire(r)
+	if get(g, id) != nil || liveCount(g) != 0 {
+		t.Fatalf("after Retire: Get = %v, Len = %d", get(g, id), liveCount(g))
 	}
 }
 
@@ -55,6 +75,8 @@ func TestGraphDuplicateAddPanics(t *testing.T) {
 	g.Add(NewRecord(1, "b", nil, nil))
 }
 
+// A fan-in: both parents may be named by the child while all three are
+// resident, and not once a parent is retired.
 func TestGraphEdges(t *testing.T) {
 	g := NewGraph()
 	a, b, c := NewRecord(1, "a", nil, nil), NewRecord(2, "b", nil, nil), NewRecord(3, "c", nil, nil)
@@ -67,15 +89,9 @@ func TestGraphEdges(t *testing.T) {
 	if err := g.AddEdge(2, 3); err != nil {
 		t.Fatal(err)
 	}
-	deps := g.Deps(3)
-	if len(deps) != 2 {
-		t.Fatalf("deps = %v", deps)
-	}
-	if got := g.Dependents(1); len(got) != 1 || got[0] != 3 {
-		t.Fatalf("dependents(1) = %v", got)
-	}
-	if g.EdgeCount() != 2 {
-		t.Fatalf("edges = %d", g.EdgeCount())
+	g.Retire(a)
+	if err := g.AddEdge(1, 3); err == nil {
+		t.Fatal("edge from a retired task allowed")
 	}
 }
 
@@ -98,106 +114,70 @@ func TestGraphTasksSnapshot(t *testing.T) {
 	for i := int64(0); i < 10; i++ {
 		g.Add(NewRecord(i, "a", nil, nil))
 	}
-	if len(tasks(g)) != 10 {
-		t.Fatalf("snapshot size %d", len(tasks(g)))
+	if liveCount(g) != 10 {
+		t.Fatalf("table size %d", liveCount(g))
 	}
 }
 
-func TestGraphShardCountsSumToLen(t *testing.T) {
+// TestGraphConcurrentHammer is eight submitters that add a node, link it to
+// its parents one AddEdge each (their own earlier nodes and whatever other
+// goroutines published, which may retire meanwhile) and retire their oldest,
+// on pooled records that other submitters reuse under new ids. At quiescence
+// the table must hold exactly the records not yet retired.
+func TestGraphConcurrentHammer(t *testing.T) {
+	const workers, steps, keep = 8, 4000, 48
 	g := NewGraph()
-	const n = 500
+	var recent [64]atomic.Int64 // ids other goroutines may name as parents
+	survivors := make([][]*Record, workers)
 	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func() {
+		go func(w int) {
 			defer wg.Done()
-			for j := 0; j < n/8; j++ {
-				g.Add(NewRecord(g.NextID(), "a", nil, nil))
-			}
-		}()
-	}
-	wg.Wait()
-	counts := shardCounts(g)
-	if len(counts) != NumShards {
-		t.Fatalf("ShardCounts len = %d, want %d", len(counts), NumShards)
-	}
-	sum := 0
-	for _, c := range counts {
-		sum += c
-	}
-	if sum != liveCount(g) || sum != (n/8)*8 {
-		t.Fatalf("shard counts sum %d, Len %d", sum, liveCount(g))
-	}
-	// Dense ids over a power-of-two mask: shards must be near-uniform.
-	for i, c := range counts {
-		if c == 0 {
-			t.Fatalf("shard %d empty after %d dense inserts", i, sum)
-		}
-	}
-}
-
-func TestGraphCrossShardEdges(t *testing.T) {
-	g := NewGraph()
-	// Ids 0 and 1 land in different shards; 0 and NumShards in the same one.
-	for _, id := range []int64{0, 1, NumShards} {
-		g.Add(NewRecord(id, "a", nil, nil))
-	}
-	if err := g.AddEdge(0, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.AddEdge(1, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.AddEdge(NumShards, 0); err != nil {
-		t.Fatal(err)
-	}
-	if got := g.Deps(0); len(got) != 2 {
-		t.Fatalf("Deps(0) = %v", got)
-	}
-	if got := g.Dependents(0); len(got) != 1 || got[0] != 1 {
-		t.Fatalf("Dependents(0) = %v", got)
-	}
-	if g.EdgeCount() != 3 {
-		t.Fatalf("edges = %d", g.EdgeCount())
-	}
-}
-
-// Property: the deps/dependents views are always mirror images, and edge
-// count equals the number of successful AddEdge calls.
-func TestQuickGraphMirrorInvariant(t *testing.T) {
-	prop := func(pairs []struct{ A, B uint8 }) bool {
-		g := NewGraph()
-		const n = 16
-		for i := int64(0); i < n; i++ {
-			g.Add(NewRecord(i, "a", nil, nil))
-		}
-		added := 0
-		for _, p := range pairs {
-			from, to := int64(p.A%n), int64(p.B%n)
-			if err := g.AddEdge(from, to); err == nil {
-				added++
-			}
-		}
-		if g.EdgeCount() != added {
-			return false
-		}
-		// Mirror check.
-		for i := int64(0); i < n; i++ {
-			for _, d := range g.Deps(i) {
-				found := false
-				for _, dd := range g.Dependents(d) {
-					if dd == i {
-						found = true
+			rng := rand.New(rand.NewSource(int64(w + 1)))
+			var own []*Record
+			for i := 0; i < steps; i++ {
+				if rng.Intn(8) == 0 {
+					g.NextID() // a hole
+				}
+				r := NewRecord(g.NextID(), "n", nil, nil)
+				g.Add(r)
+				for j := rng.Intn(20); j > 0; j-- {
+					_ = g.AddEdge(recent[rng.Intn(len(recent))].Load(), r.ID) // a parent may have retired meanwhile
+				}
+				if len(own) > 0 {
+					if err := g.AddEdge(own[rng.Intn(len(own))].ID, r.ID); err != nil {
+						t.Error(err) // both ends are this goroutine's, and resident
 					}
 				}
-				if !found {
-					return false
+				recent[rng.Intn(len(recent))].Store(r.ID)
+				own = append(own, r)
+				for len(own) > keep {
+					k := 0
+					if rng.Intn(4) == 0 {
+						k = rng.Intn(len(own))
+					}
+					g.Retire(own[k])
+					own = slices.Delete(own, k, k+1)
 				}
 			}
-		}
-		return true
+			survivors[w] = own
+		}(w)
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
+	wg.Wait()
+
+	if liveCount(g) != workers*keep {
+		t.Fatalf("table holds %d records, want %d", liveCount(g), workers*keep)
+	}
+	for _, own := range survivors {
+		for _, r := range own {
+			if get(g, r.ID) != r {
+				t.Fatalf("record %d not yet retired is missing from the table", r.ID)
+			}
+			g.Retire(r)
+		}
+	}
+	if liveCount(g) != 0 {
+		t.Fatalf("table holds %d records after the last Retire", liveCount(g))
 	}
 }

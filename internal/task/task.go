@@ -104,10 +104,10 @@ type Options struct {
 	Gate *fair.Gate
 }
 
-// Record is a node in the task graph. Identity fields and Options are set at
-// creation and immutable; fields under mu are mutated by the DFK as execution
-// progresses, one critical section per lifecycle stage: Create, Arm, Launch,
-// Outcome, Finish, Retire/Exit.
+// Record is one task's state in the DataFlowKernel. Identity fields and
+// Options are set at creation and immutable; fields under mu are mutated by
+// the DFK as execution progresses, one critical section per lifecycle stage:
+// Create, Arm, Launch, Outcome, Finish, Retire/Exit.
 type Record struct {
 	ID      int64
 	AppName string
@@ -168,10 +168,6 @@ type Record struct {
 	state   State // the lifecycle state; here it shares a word with retired
 	retired bool
 
-	// edges are the graph's: guarded by its shard lock, not mu, and kept across
-	// recycling (see edgeLists).
-	edges *edgeLists
-
 	// walKey is the task's durable key in the write-ahead log (0 = not
 	// logged). Recovery dedups by it: a replayed task keeps its pre-crash
 	// key, so its post-crash transitions append to the same durable history.
@@ -221,7 +217,7 @@ func NewRecord(id int64, appName string, args []any, kwargs map[string]any) *Rec
 // options, returned together
 // with its generation stamp and with the creator holding it. The hold — drop
 // it with Exit once the record is wired — is what lets the creator publish the
-// record (graph, context watcher, dependency callbacks) and keep using it: a
+// record (context watcher, dependency callbacks) and keep using it: a
 // terminal path racing the wiring retires the record but cannot recycle it.
 // The record keeps no positional arguments: a task that waits on inputs gives
 // it a copy with HoldArgs.
@@ -302,7 +298,7 @@ func (r *Record) recyclableLocked() bool {
 // consumer holds it and no input is outstanding, the record is reset and
 // returned to the pool immediately; otherwise the last Exit or the last input
 // recycles it. Called exactly once per task: by the DFK once the task
-// concluded, or by Graph.RetireAs.
+// concluded, or by Graph.Retire.
 func (r *Record) Retire() {
 	r.mu.Lock()
 	if r.retired {

@@ -761,6 +761,9 @@ func (e *Executor) ScaleOut(n int) error {
 	if e.cfg.Provider == nil {
 		return errors.New("htex: no provider configured")
 	}
+	if n < 0 {
+		return fmt.Errorf("htex: scale out by %d blocks", n)
+	}
 	for i := 0; i < n; i++ {
 		blockID, err := e.cfg.Provider.SubmitBlock(e.managerPayload())
 		if err != nil {
@@ -846,6 +849,9 @@ func (e *Executor) idleBlocksFirst(blocks []string) []string {
 func (e *Executor) ScaleIn(n int) error {
 	if e.cfg.Provider == nil {
 		return errors.New("htex: no provider configured")
+	}
+	if n < 0 {
+		return fmt.Errorf("htex: scale in by %d blocks", n)
 	}
 	e.mu.Lock()
 	candidates := make([]string, len(e.blocks))

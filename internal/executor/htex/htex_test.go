@@ -596,6 +596,27 @@ func TestScaleOutAndIn(t *testing.T) {
 	}
 }
 
+// A negative count is refused and leaves the blocks as they are.
+func TestScaleByNegativeCountRefused(t *testing.T) {
+	e := newHTEX(t, 1, 1, nil)
+	if err := e.ScaleOut(1); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.ScaleIn(-1); err == nil {
+		t.Fatal("ScaleIn(-1) accepted")
+	}
+	if err := e.ScaleOut(-1); err == nil {
+		t.Fatal("ScaleOut(-1) accepted")
+	}
+	if e.ActiveBlocks() != 2 {
+		t.Fatalf("blocks = %d, want 2", e.ActiveBlocks())
+	}
+	v, err := e.Submit(serialize.TaskMsg{ID: 1, App: "echo", Args: []any{"ok"}}).Result()
+	if err != nil || v != "ok" {
+		t.Fatalf("after refused scaling: %v, %v", v, err)
+	}
+}
+
 func TestSubmitAfterShutdown(t *testing.T) {
 	e := newHTEX(t, 1, 1, nil)
 	_ = e.Shutdown()

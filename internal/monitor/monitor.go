@@ -224,27 +224,6 @@ func ReadFile(path string) ([]Event, error) {
 	return out, sc.Err()
 }
 
-// Multi fans one Emit out to several sinks.
-type Multi []Sink
-
-// Emit implements Sink.
-func (m Multi) Emit(e Event) {
-	for _, s := range m {
-		s.Emit(e)
-	}
-}
-
-// Close implements Sink, closing every child and returning the first error.
-func (m Multi) Close() error {
-	var first error
-	for _, s := range m {
-		if err := s.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
-
 // Nop discards all events; the DFK uses it when monitoring is disabled so
 // call sites never nil-check.
 type Nop struct{}

@@ -131,18 +131,6 @@ func TestReadFileMissing(t *testing.T) {
 	}
 }
 
-func TestMultiFansOut(t *testing.T) {
-	a, b := NewStore(), NewStore()
-	m := Multi{a, b}
-	m.Emit(ev(1, "done", time.Now()))
-	if a.Len() != 1 || b.Len() != 1 {
-		t.Fatalf("fan out: %d, %d", a.Len(), b.Len())
-	}
-	if err := m.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestNopSink(t *testing.T) {
 	var n Nop
 	n.Emit(ev(1, "done", time.Now()))

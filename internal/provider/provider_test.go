@@ -33,9 +33,6 @@ func waitCond(t *testing.T, what string, cond func() bool) {
 func TestLocalProviderLifecycle(t *testing.T) {
 	var started, stopped atomic.Int32
 	p := NewLocal(Config{NodesPerBlock: 3})
-	if p.Name() != "local" || p.NodesPerBlock() != 3 {
-		t.Fatal("identity")
-	}
 	id, err := p.SubmitBlock(countingPayload(&started, &stopped))
 	if err != nil {
 		t.Fatal(err)
@@ -85,9 +82,17 @@ func TestLocalProviderUnknownBlock(t *testing.T) {
 }
 
 func TestConfigNormalization(t *testing.T) {
+	var started, stopped atomic.Int32
 	p := NewLocal(Config{})
-	if p.NodesPerBlock() != 1 {
-		t.Fatal("NodesPerBlock default")
+	id, err := p.SubmitBlock(countingPayload(&started, &stopped))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if started.Load() != 1 {
+		t.Fatalf("a block of the default size started %d nodes, want 1", started.Load())
+	}
+	if err := p.CancelBlock(id); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -179,144 +184,9 @@ func TestBatchWalltimeCompletesBlock(t *testing.T) {
 	waitCond(t, "workers stopped", func() bool { return stopped.Load() == 1 })
 }
 
-func TestCloudProviderStartupDelay(t *testing.T) {
-	var started, stopped atomic.Int32
-	p := NewKubernetes(Config{NodesPerBlock: 2})
-	p.StartupDelay = 30 * time.Millisecond
-	submitAt := time.Now()
-	id, err := p.SubmitBlock(countingPayload(&started, &stopped))
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, _ := p.Status(id)
-	if st != StatusPending {
-		t.Fatalf("immediately running; status = %v", st)
-	}
-	waitCond(t, "instances up", func() bool { return started.Load() == 2 })
-	if time.Since(submitAt) < 30*time.Millisecond {
-		t.Fatal("startup delay not applied")
-	}
-	st, _ = p.Status(id)
-	if st != StatusRunning {
-		t.Fatalf("status = %v", st)
-	}
-	_ = p.CancelBlock(id)
-	waitCond(t, "instances down", func() bool { return stopped.Load() == 2 })
-	if p.liveInstances() != 0 {
-		t.Fatalf("instances = %d", p.liveInstances())
-	}
-}
-
-func TestCloudCancelBeforeBoot(t *testing.T) {
-	var started, stopped atomic.Int32
-	p := NewAWS(Config{NodesPerBlock: 4})
-	p.StartupDelay = time.Hour
-	id, err := p.SubmitBlock(countingPayload(&started, &stopped))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.CancelBlock(id); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(20 * time.Millisecond)
-	if started.Load() != 0 {
-		t.Fatal("payload ran on cancelled block")
-	}
-	if p.liveInstances() != 0 {
-		t.Fatalf("instances = %d", p.liveInstances())
-	}
-}
-
-func TestCloudQuota(t *testing.T) {
-	p := NewGoogleCloud(Config{NodesPerBlock: 3})
-	p.InstanceLimit = 5
-	p.StartupDelay = 0
-	ok := func(Node) (func(), error) { return func() {}, nil }
-	if _, err := p.SubmitBlock(ok); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.SubmitBlock(ok); !errors.Is(err, ErrQuota) {
-		t.Fatalf("err = %v", err)
-	}
-}
-
-// A second cancel of the same block must not hand its instances back twice:
-// the count would go negative and the quota would admit more than its limit.
-func TestCloudDoubleCancelReleasesInstancesOnce(t *testing.T) {
-	p := NewKubernetes(Config{NodesPerBlock: 2})
-	p.InstanceLimit = 2
-	p.StartupDelay = time.Hour
-	ok := func(Node) (func(), error) { return func() {}, nil }
-	id, err := p.SubmitBlock(ok)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		if err := p.CancelBlock(id); err != nil {
-			t.Fatalf("cancel %d: %v", i+1, err)
-		}
-	}
-	if n := p.liveInstances(); n != 0 {
-		t.Fatalf("instances after double cancel = %d, want 0", n)
-	}
-	next, err := p.SubmitBlock(ok)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Its startup wait is an hour: cancel it, or it outlives the test.
-	defer func() { _ = p.CancelBlock(next) }()
-	if _, err := p.SubmitBlock(ok); !errors.Is(err, ErrQuota) {
-		t.Fatalf("second block within a limit of 2: err = %v, want ErrQuota", err)
-	}
-}
-
-// A cancel that lands while the block is still bringing nodes up must leave
-// nothing running: nodes not yet started stay down, and the one whose payload
-// was in flight is stopped as soon as it returns.
-func TestCloudCancelDuringStartupStopsEveryNode(t *testing.T) {
-	p := NewKubernetes(Config{NodesPerBlock: 4})
-	p.StartupDelay = 0
-	var started, stopped atomic.Int32
-	inFlight := make(chan struct{})
-	release := make(chan struct{})
-	id, err := p.SubmitBlock(func(n Node) (func(), error) {
-		started.Add(1)
-		if n.ID == 1 {
-			close(inFlight)
-			<-release
-		}
-		return func() { stopped.Add(1) }, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-inFlight
-	if err := p.CancelBlock(id); err != nil {
-		t.Fatal(err)
-	}
-	close(release)
-	waitCond(t, "late node stopped", func() bool { return stopped.Load() == 2 })
-	time.Sleep(20 * time.Millisecond) // room for a node the cancel failed to prevent
-	if s, e := started.Load(), stopped.Load(); s != 2 || e != 2 {
-		t.Fatalf("started %d, stopped %d; want 2 and 2", s, e)
-	}
-}
-
-func TestCloudFlavors(t *testing.T) {
-	for name, p := range map[string]*Cloud{
-		"aws": NewAWS(Config{}), "googlecloud": NewGoogleCloud(Config{}),
-		"jetstream": NewJetstream(Config{}), "kubernetes": NewKubernetes(Config{}),
-	} {
-		if p.Name() != name {
-			t.Errorf("flavor %q has name %q", name, p.Name())
-		}
-	}
-}
-
 func TestProviderInterfaceCompliance(t *testing.T) {
 	var _ Provider = (*Local)(nil)
 	var _ Provider = (*Batch)(nil)
-	var _ Provider = (*Cloud)(nil)
 }
 
 func TestConcurrentBlockChurn(t *testing.T) {
@@ -337,11 +207,4 @@ func TestConcurrentBlockChurn(t *testing.T) {
 	if started.Load() != 20 {
 		t.Fatalf("started = %d", started.Load())
 	}
-}
-
-// liveInstances reads the instance count the quota charges, under the lock.
-func (c *Cloud) liveInstances() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.instances
 }

@@ -39,7 +39,6 @@ func (s Snapshot) LoadPerWorker() float64 {
 // Strategy converts a snapshot into a scaling delta: positive = blocks to
 // add, negative = blocks to release, zero = hold.
 type Strategy interface {
-	Name() string
 	Decide(s Snapshot) int
 }
 
@@ -51,9 +50,6 @@ type Simple struct {
 	// to run concurrently.
 	Parallelism float64
 }
-
-// Name implements Strategy.
-func (s Simple) Name() string { return "simple" }
 
 // Decide implements Strategy.
 func (s Simple) Decide(snap Snapshot) int {
@@ -77,16 +73,6 @@ func (s Simple) Decide(snap Snapshot) int {
 	}
 	return desiredBlocks - snap.ActiveBlocks
 }
-
-// Fixed never scales; it is the "elasticity disabled" control arm of the
-// Fig. 6 experiment.
-type Fixed struct{}
-
-// Name implements Strategy.
-func (Fixed) Name() string { return "fixed" }
-
-// Decide implements Strategy.
-func (Fixed) Decide(Snapshot) int { return 0 }
 
 // Event records one controller decision, for tests and the utilization plot.
 type Event struct {

@@ -59,15 +59,6 @@ func TestParallelismClamped(t *testing.T) {
 	}
 }
 
-func TestFixedNeverScales(t *testing.T) {
-	if (Fixed{}).Decide(Snapshot{Outstanding: 1 << 20, WorkersPerBlock: 1}) != 0 {
-		t.Fatal("fixed strategy scaled")
-	}
-	if (Fixed{}).Name() != "fixed" || (Simple{}).Name() != "simple" {
-		t.Fatal("names")
-	}
-}
-
 func TestZeroWorkersPerBlockIsNoop(t *testing.T) {
 	if (Simple{Parallelism: 1}).Decide(Snapshot{Outstanding: 10}) != 0 {
 		t.Fatal("decision with zero block capacity")
@@ -186,7 +177,7 @@ func TestControllerPollingLoop(t *testing.T) {
 
 func TestControllerStopIdempotent(t *testing.T) {
 	f := &fakeScalable{}
-	c := NewController(f, Fixed{}, ControllerConfig{Interval: time.Millisecond})
+	c := NewController(f, Simple{}, ControllerConfig{Interval: time.Millisecond})
 	c.Start()
 	c.Stop()
 	c.Stop()

@@ -9,6 +9,7 @@ import (
 	"go/token"
 	"go/types"
 	"io"
+	"maps"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -19,12 +20,12 @@ import (
 	"time"
 )
 
-// reachAllowlist names the exported functions and methods under internal/
-// that no non-test file of either module uses, yet stay on purpose. The key
-// is the identifier as TestExportedIdentifiersReachable prints it; the value
-// says which ROADMAP item decides the entry or which other package's test
-// reads it. An entry that gains a non-test caller, or whose identifier is
-// gone, fails the test as stale.
+// reachAllowlist names the exported functions, methods, interface methods and
+// types under internal/ that no non-test file of either module uses, yet stay
+// on purpose. The key is the identifier as TestExportedIdentifiersReachable
+// prints it; the value says which ROADMAP item decides the entry or which
+// other package's test reads it. An entry that gains a non-test caller, or
+// whose identifier is gone, fails the test as stale.
 var reachAllowlist = map[string]string{
 	// ROADMAP item 5: the test surface kept on purpose.
 	"executor/htex.Executor.Command":      "ROADMAP item 5: the §4.3.1 command channel, driven by htex's and dfk's tests",
@@ -34,10 +35,7 @@ var reachAllowlist = map[string]string{
 
 	"monitor.NewFileSink": "ROADMAP item 6 wires it: the only producer of parsl-monitor's input",
 
-	"provider.NewAWS":         "ROADMAP item 14 decides the cloud providers",
-	"provider.NewGoogleCloud": "ROADMAP item 14 decides the cloud providers",
-	"provider.NewJetstream":   "ROADMAP item 14 decides the cloud providers",
-	"provider.NewKubernetes":  "ROADMAP item 14 decides the cloud providers",
+	"provider.Provider.Status": "ROADMAP item 14: §4.2's block status, which the strategy it plans counts pending blocks with",
 
 	"ftp.NewServer":   "the loopback server data's and dfk's staging tests run the real client against",
 	"ftp.Server.Addr": "the loopback server data's and dfk's staging tests run the real client against",
@@ -75,10 +73,17 @@ var benchOnly = map[string]string{
 }
 
 // TestExportedIdentifiersReachable is the island check by identifier rather
-// than by package: every exported function and method declared in a non-test
-// file under internal/ must be used by a non-test file of the root module
-// (commands and examples included) or of the benchmark module. Three kinds of
-// method count as used without a call site:
+// than by package. Three kinds of declaration in the non-test files under
+// internal/ must each be used by a non-test file of the root module
+// (commands and examples included) or of the benchmark module:
+//   - an exported function or method must be called or referred to;
+//   - an exported method of a named interface must be called through that
+//     interface, on a type that implements it, or through another interface
+//     that some package-level type of either module implements along with it;
+//   - an exported type must be named somewhere other than the receivers of
+//     its own methods.
+//
+// Three kinds of method of a named type count as used without a call site:
 //   - a method an interface declares, when its receiver (or a pointer to it)
 //     implements that interface: calls through the interface reach it;
 //   - Unwrap, Is and As, which package errors looks up at run time;
@@ -98,8 +103,11 @@ func TestExportedIdentifiersReachable(t *testing.T) {
 	root := l.module(t, ".", "repro")
 	bench := l.module(t, "benchmark", "repro/benchmark")
 
-	// Declarations: exported funcs and methods under internal/.
+	// Declarations under internal/: exported funcs and methods, the exported
+	// methods of named interfaces, and exported types.
 	declared := map[string]*types.Func{}
+	ifaceMethods := map[string]*types.Func{}
+	declaredTypes := map[string]bool{}
 	for _, p := range root {
 		rel, ok := strings.CutPrefix(p.types.Path(), "repro/internal/")
 		if !ok {
@@ -115,10 +123,28 @@ func TestExportedIdentifiersReachable(t *testing.T) {
 				declared[funcKey(rel, fn)] = fn
 			}
 		}
+		for _, name := range p.types.Scope().Names() {
+			tn, ok := p.types.Scope().Lookup(name).(*types.TypeName)
+			if !ok {
+				continue
+			}
+			if tn.Exported() {
+				declaredTypes[rel+"."+name] = true
+			}
+			if it, ok := tn.Type().Underlying().(*types.Interface); ok {
+				for i := 0; i < it.NumExplicitMethods(); i++ {
+					if m := it.ExplicitMethod(i); m.Exported() {
+						ifaceMethods[funcKey(rel, m)] = m
+					}
+				}
+			}
+		}
 	}
 
-	// Uses, by module, and every interface a use could dispatch through.
-	usedRoot, usedBench := map[string]bool{}, map[string]bool{}
+	// Uses, by module, and every interface a use could dispatch through. A
+	// type named only in its own methods' receivers counts as unused.
+	usedRoot, usedBench := newUses(), newUses()
+	var named []*types.Named                  // both modules' package-level non-interface types
 	ifaces := map[string][]*types.Interface{} // by method name
 	addIface := func(it *types.Interface) {
 		for i := 0; i < it.NumMethods(); i++ {
@@ -130,10 +156,46 @@ func TestExportedIdentifiersReachable(t *testing.T) {
 		if i >= len(root) {
 			used = usedBench
 		}
-		for _, obj := range p.info.Uses {
-			if fn, ok := obj.(*types.Func); ok && fn.Pkg() != nil {
-				if rel, ok := strings.CutPrefix(fn.Pkg().Path(), "repro/internal/"); ok {
-					used[funcKey(rel, fn.Origin())] = true
+		inRecv := map[*ast.Ident]bool{}
+		for _, f := range p.files {
+			for _, d := range f.Decls {
+				if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv != nil {
+					ast.Inspect(fd.Recv, func(n ast.Node) bool {
+						if id, ok := n.(*ast.Ident); ok {
+							inRecv[id] = true
+						}
+						return true
+					})
+				}
+			}
+		}
+		for id, obj := range p.info.Uses {
+			if obj.Pkg() == nil {
+				continue
+			}
+			rel, internal := strings.CutPrefix(obj.Pkg().Path(), "repro/internal/")
+			switch obj := obj.(type) {
+			case *types.Func:
+				fn := obj.Origin()
+				if internal {
+					used.keys[funcKey(rel, fn)] = true
+				}
+				if fn.Type().(*types.Signature).Recv() != nil {
+					if used.methods[fn.Name()] == nil {
+						used.methods[fn.Name()] = map[*types.Func]bool{}
+					}
+					used.methods[fn.Name()][fn] = true
+				}
+			case *types.TypeName:
+				if internal && !inRecv[id] {
+					used.keys[rel+"."+obj.Name()] = true
+				}
+			}
+		}
+		for _, name := range p.types.Scope().Names() {
+			if tn, ok := p.types.Scope().Lookup(name).(*types.TypeName); ok && !tn.IsAlias() {
+				if n, ok := tn.Type().(*types.Named); ok && n.TypeParams().Len() == 0 && !types.IsInterface(n) {
+					named = append(named, n)
 				}
 			}
 		}
@@ -167,22 +229,52 @@ func TestExportedIdentifiersReachable(t *testing.T) {
 
 	public := publicTypes(l.checked["repro"])
 
+	// Each kind of declaration is checked against the root module's uses,
+	// then the benchmark module's.
+	type kind struct {
+		name             string
+		keys             []string
+		reached          func(key string, used uses) bool
+		findings, listed int
+	}
+	kinds := []*kind{
+		{name: "funcs and methods", keys: slices.Collect(maps.Keys(declared)),
+			reached: func(key string, used uses) bool {
+				return used.keys[key] || exempt(declared[key], ifaces, public)
+			}},
+		{name: "interface methods", keys: slices.Collect(maps.Keys(ifaceMethods)),
+			reached: func(key string, used uses) bool {
+				m := ifaceMethods[key]
+				return used.keys[key] || calledOnImplementer(m, used.methods[m.Name()], named)
+			}},
+		{name: "types", keys: slices.Collect(maps.Keys(declaredTypes)),
+			reached: func(key string, used uses) bool { return used.keys[key] }},
+	}
 	var findings, onlyBench []string
-	for key, fn := range declared {
-		if usedRoot[key] || exempt(fn, ifaces, public) {
-			continue
-		}
-		if usedBench[key] {
-			onlyBench = append(onlyBench, key)
-		} else {
-			findings = append(findings, key)
+	for _, k := range kinds {
+		for _, key := range k.keys {
+			switch {
+			case k.reached(key, usedRoot):
+			case k.reached(key, usedBench):
+				onlyBench = append(onlyBench, key)
+			default:
+				findings = append(findings, key)
+				k.findings++
+				if _, ok := reachAllowlist[key]; ok {
+					k.listed++
+				}
+			}
 		}
 	}
 	unlisted, stale := compare(findings, reachAllowlist)
 	benchUnlisted, benchStale := compare(onlyBench, benchOnly)
 
-	t.Logf("%d exported funcs and methods under internal/; %d findings, %d allowlisted (%d entries); %d used by the benchmark alone; %v",
-		len(declared), len(findings), len(findings)-len(unlisted), len(reachAllowlist), len(onlyBench), time.Since(start).Round(time.Millisecond))
+	var counts []string
+	for _, k := range kinds {
+		counts = append(counts, fmt.Sprintf("%d exported %s (%d findings, %d allowlisted)", len(k.keys), k.name, k.findings, k.listed))
+	}
+	t.Logf("under internal/: %s; %d findings, %d allowlisted (%d entries); %d used by the benchmark alone; %v",
+		strings.Join(counts, "; "), len(findings), len(findings)-len(unlisted), len(reachAllowlist), len(onlyBench), time.Since(start).Round(time.Millisecond))
 	if len(unlisted) > 0 {
 		t.Errorf("%d exported identifiers under internal/ are used by no non-test file of either module; "+
 			"delete them, give them a caller, or allowlist them with a reason:\n\t%s",
@@ -202,6 +294,14 @@ func TestExportedIdentifiersReachable(t *testing.T) {
 			len(benchStale), strings.Join(benchStale, "\n\t"))
 	}
 }
+
+// uses is what one module's non-test files use.
+type uses struct {
+	keys    map[string]bool                 // funcs, methods and types under internal/, keyed as funcKey and "pkg.Type"
+	methods map[string]map[*types.Func]bool // every method, of any package, by name
+}
+
+func newUses() uses { return uses{keys: map[string]bool{}, methods: map[string]map[*types.Func]bool{}} }
 
 // compare returns the keys that list lacks and the entries of list that keys
 // lack, both sorted.
@@ -266,6 +366,36 @@ func exempt(fn *types.Func, ifaces map[string][]*types.Interface, public map[*ty
 	for _, it := range ifaces[fn.Name()] {
 		if types.Implements(n, it) || types.Implements(types.NewPointer(n), it) {
 			return true
+		}
+	}
+	return false
+}
+
+// calledOnImplementer reports whether one of calls, the methods used under
+// an interface method's name, reaches it without naming it: a method of a
+// concrete type that implements the interface, or a method of another
+// interface that some type of the module implements along with this one.
+func calledOnImplementer(m *types.Func, calls map[*types.Func]bool, named []*types.Named) bool {
+	iface := receiver(m).Underlying().(*types.Interface)
+	implements := func(t types.Type, it *types.Interface) bool {
+		return types.Implements(t, it) || types.Implements(types.NewPointer(t), it)
+	}
+	for fn := range calls {
+		recv := fn.Type().(*types.Signature).Recv().Type()
+		if p, ok := recv.(*types.Pointer); ok {
+			recv = p.Elem()
+		}
+		other, ok := recv.Underlying().(*types.Interface)
+		if !ok {
+			if implements(recv, iface) {
+				return true
+			}
+			continue
+		}
+		for _, n := range named {
+			if implements(n, iface) && implements(n, other) {
+				return true
+			}
 		}
 	}
 	return false
